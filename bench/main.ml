@@ -23,7 +23,7 @@ let fmt_ms v =
 (* ------------------------------------------------------------------ *)
 (* Measured-cell collector: every number printed in a paper table is    *)
 (* also recorded here and written out as machine-readable JSON          *)
-(* (BENCH_vm.json by default, or `-json PATH`).                         *)
+(* (`-json PATH`; a full run defaults to bench/BENCH_vm.json).          *)
 (* ------------------------------------------------------------------ *)
 
 module Jout = Mach_obs.Jout
@@ -1814,7 +1814,8 @@ let usage () =
   print_endline
     "usage: main.exe [-e EXPERIMENT] [-cpus N] [-json PATH] | raw";
   print_endline
-    "  measured cells are written as JSON (default BENCH_vm.json)";
+    "  measured cells are written as JSON to PATH; a full run with no\n\
+    \  -json rewrites the committed baseline bench/BENCH_vm.json";
   print_endline
     "  -cpus N limits the mpfault and streams sweeps to CPU counts <= N";
   print_endline "experiments:";
@@ -1861,7 +1862,9 @@ let () =
             usage ();
             exit 1)
        names);
-  match (!cells, json) with
-  | [], None -> ()
-  | _, _ ->
-    write_cells (match json with Some p -> p | None -> "BENCH_vm.json")
+  (* Only a full run may replace the committed baseline; a subset run
+     writes its cells only where [-json] says. *)
+  match (json, exps) with
+  | Some path, _ -> write_cells path
+  | None, [] -> write_cells "bench/BENCH_vm.json"
+  | None, _ -> ()

@@ -1,17 +1,5 @@
 open Types
-open Mach_pmap
 module Obs = Mach_obs.Obs
-
-(* Dirty test over every hardware frame of a machine page.  Local copy of
-   Vm_pageout.is_modified: this module sits below Vm_pageout in the
-   dependency order. *)
-let is_modified (sys : Vm_sys.t) p =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  let rec loop i =
-    i < m && (Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:(p.pfn + i)
-              || loop (i + 1))
-  in
-  loop 0
 
 let pager_dead o = o.obj_health.ph_dead
 
@@ -28,7 +16,7 @@ let declare_dead (sys : Vm_sys.t) o pager =
   let rescued = ref 0 in
   List.iter
     (fun p ->
-       if (not p.pg_busy) && is_modified sys p then
+       if (not p.pg_busy) && Vm_sys.page_modified sys p then
          match
            rescue.pgr_write ~offset:p.pg_offset
              ~data:(Page_io.contents sys p)

@@ -27,26 +27,11 @@ let pages_in_range (sys : Vm_sys.t) o ~offset ~length f =
       (fun p -> if p.pg_offset >= lo && p.pg_offset < hi then f p)
       (Resident.object_pages o)
 
-let each_frame (sys : Vm_sys.t) p f =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  for i = 0 to m - 1 do
-    f (p.pfn + i)
-  done
-
-let is_dirty sys p =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  let rec loop i =
-    i < m
-    && (Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:(p.pfn + i)
-        || loop (i + 1))
-  in
-  loop 0
-
 let clean_request sys o ~offset ~length =
   let ps = sys.Vm_sys.page_size in
   let dirty = ref [] in
   pages_in_range sys o ~offset ~length (fun p ->
-      if is_dirty sys p then dirty := p :: !dirty);
+      if Vm_sys.page_modified sys p then dirty := p :: !dirty);
   let dirty =
     List.sort (fun a b -> compare a.pg_offset b.pg_offset) !dirty
   in
@@ -54,8 +39,8 @@ let clean_request sys o ~offset ~length =
   let clean_one p =
     (* Writing back races with writers: take write permission away
        first so the cleaned copy is coherent. *)
-    each_frame sys p (fun pfn ->
-        Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn);
+    Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
+      ~frames:(Vm_sys.frames sys);
     if Vm_pageout.clean_page sys p then incr written
   in
   (* Coalesce contiguous dirty pages into clustered writes (capped at
@@ -107,16 +92,16 @@ let lock_request sys o ~offset ~length ~lock =
   pages_in_range sys o ~offset ~length (fun p ->
       if lock.Prot.read then
         (* Locking reads means no access at all: drop the mappings. *)
-        each_frame sys p (fun pfn ->
-            Pmap_domain.remove_all sys.Vm_sys.domain ~pfn ~urgent:false)
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
+          ~frames:(Vm_sys.frames sys) ~urgent:false
       else if lock.Prot.write then
-        each_frame sys p (fun pfn ->
-            Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn))
+        Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
+          ~frames:(Vm_sys.frames sys))
 
 let readonly sys o =
   o.obj_readonly <- true;
   pages_in_range sys o ~offset:0 ~length:o.obj_size (fun p ->
-      each_frame sys p (fun pfn ->
-          Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn))
+      Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
+        ~frames:(Vm_sys.frames sys))
 
 let is_readonly o = o.obj_readonly

@@ -1,22 +1,13 @@
 open Types
 
-(* One swap store: its chunks plus the [Vm_sys.t] whose shared swap pool
-   they are committed against, so [release] can credit the pool back
-   when the owning object dies.  Registered by pager id, so
-   [stored_bytes]/[release] answer for a pager without widening the
-   pager record (and keep working when the pager is wrapped by a
-   decorator — wrapping preserves [pgr_id]). *)
-type store = {
-  st_sys : Vm_sys.t;
-  st_chunks : (int, Bytes.t) Hashtbl.t; (* offset -> page-size chunk *)
-}
-
-let stores : (int, store) Hashtbl.t = Hashtbl.create 16
-
+(* Each store (offset -> page-size chunk) is registered by pager id in
+   its kernel's [Vm_sys.swap_stores], so [stored_bytes]/[release] answer
+   for a pager without widening the pager record (and keep working when
+   the pager is wrapped by a decorator — wrapping preserves [pgr_id]). *)
 let make (sys : Vm_sys.t) ~name =
   let id = fresh_pager_id () in
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.add stores id { st_sys = sys; st_chunks = store };
+  Hashtbl.add sys.Vm_sys.swap_stores id store;
   let machine = sys.Vm_sys.machine in
   (* Each swap pager models its own paging partition with a private
      service queue, so swap traffic queues behind itself, not behind
@@ -128,21 +119,14 @@ let make (sys : Vm_sys.t) ~name =
     pgr_should_cache = ref false;
   }
 
-let stored_bytes p =
-  match Hashtbl.find_opt stores p.pgr_id with
+let stored_bytes (sys : Vm_sys.t) p =
+  match Hashtbl.find_opt sys.Vm_sys.swap_stores p.pgr_id with
   | None -> 0
-  | Some s ->
-    Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) s.st_chunks 0
+  | Some store -> Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store 0
 
 (* Drop a dead object's swap store and credit its chunks back to the
    pool.  Keyed by pager id; a no-op for pagers that are not swap
    pagers, so object termination can call it unconditionally. *)
-let release p =
-  match Hashtbl.find_opt stores p.pgr_id with
-  | None -> ()
-  | Some s ->
-    let bytes =
-      Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) s.st_chunks 0
-    in
-    Vm_sys.swap_release s.st_sys bytes;
-    Hashtbl.remove stores p.pgr_id
+let release (sys : Vm_sys.t) p =
+  Vm_sys.swap_release sys (stored_bytes sys p);
+  Hashtbl.remove sys.Vm_sys.swap_stores p.pgr_id

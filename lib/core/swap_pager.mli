@@ -17,12 +17,15 @@ val make : Vm_sys.t -> name:string -> Types.pager
     object.  Reads of never-written offsets answer [Data_unavailable]
     (zero fill). *)
 
-val stored_bytes : Types.pager -> int
-(** [stored_bytes p] is how much backing store [p] currently holds; 0 for
-    pagers not made by this module.  Used by tests. *)
+val stored_bytes : Vm_sys.t -> Types.pager -> int
+(** [stored_bytes sys p] is how much backing store [p] currently holds in
+    [sys]; 0 for pagers not made by this module for [sys].  Used by
+    tests. *)
 
-val release : Types.pager -> unit
-(** [release p] drops [p]'s swap store and credits its chunks back to
-    the shared pool.  Keyed by pager id (which decorators preserve), and
-    a no-op for pagers not made by this module, so object termination
-    calls it unconditionally. *)
+val release : Vm_sys.t -> Types.pager -> unit
+(** [release sys p] drops [p]'s swap store and credits its chunks back
+    to [sys]'s shared pool.  Keyed by pager id (which decorators
+    preserve), and a no-op for pagers not made by this module, so object
+    termination calls it unconditionally.  Stores live in
+    [Vm_sys.swap_stores], so a kernel that is dropped without
+    terminating its objects leaves nothing behind. *)

@@ -133,16 +133,6 @@ let commit_single sys st ~stream ~offset ~ps =
 
 (* --- Free-behind ------------------------------------------------------ *)
 
-let is_modified (sys : Vm_sys.t) p =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  let rec loop i =
-    i < m
-    && (Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain
-          ~pfn:(p.pfn + i)
-        || loop (i + 1))
-  in
-  loop 0
-
 (* Deactivate the clean pages stream [st] has left behind the cluster it
    just read ([offset] is the cluster start; the walk covers [pages]
    page offsets below it).  Only streams ramped to at least
@@ -160,8 +150,6 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
   if fbmin > 0 && st.st_window >= fbmin then begin
     let ps = sys.Vm_sys.page_size in
     let epoch = stream_epoch sys in
-    let domain = sys.Vm_sys.domain in
-    let m = Resident.multiple sys.Vm_sys.resident in
     let ahead_of_other_stream off =
       Array.exists
         (fun s -> s != st && s.st_epoch = epoch && s.st_next <= off)
@@ -178,11 +166,9 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
             p.pg_queue = Q_active && p.pg_wire_count = 0
             && (not p.pg_busy) && p.pg_inflight = None
             && (not (ahead_of_other_stream off))
-            && not (is_modified sys p)
+            && not (Vm_sys.page_modified sys p)
           then begin
-            for f = 0 to m - 1 do
-              Mach_pmap.Pmap_domain.clear_referenced domain ~pfn:(p.pfn + f)
-            done;
+            Vm_sys.clear_page_referenced sys p;
             Resident.enqueue_inactive_front sys.Vm_sys.resident p;
             incr moved
           end

@@ -170,14 +170,8 @@ let fault sys map ~va ~write =
     in
     let invalidate_shared_source src =
       if shared_entry then
-        (* One batch across all hardware frames (each remove_all nests
-           its own batch inside this one). *)
-        Pmap_domain.batched sys.Vm_sys.domain (fun () ->
-            let m = Resident.multiple sys.Vm_sys.resident in
-            for i = 0 to m - 1 do
-              Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:(src.pfn + i)
-                ~urgent:false
-            done)
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:src.pfn
+          ~frames:(Vm_sys.frames sys) ~urgent:false
     in
     (* Walk the shadow chain.  At each level the resident page wins;
        failing that the object's *own* pager is asked (a shadow that has
@@ -266,7 +260,6 @@ let fault sys map ~va ~write =
            stats.Vm_sys.burst_faults <- stats.Vm_sys.burst_faults + 1;
            stats.Vm_sys.burst_mapped <-
              stats.Vm_sys.burst_mapped + List.length burst;
-           let hw_frames = Resident.multiple sys.Vm_sys.resident in
            (* One outer batch: the demand page's enters and every
               neighbour's share a single consistency exchange. *)
            Pmap_domain.batched sys.Vm_sys.domain (fun () ->
@@ -283,10 +276,7 @@ let fault sys map ~va ~write =
                        use must be seen as a referenced-bit transition:
                        clear the bits and register for the first-touch
                        hook. *)
-                    for i = 0 to hw_frames - 1 do
-                      Pmap_domain.clear_referenced sys.Vm_sys.domain
-                        ~pfn:(q.pfn + i)
-                    done;
+                    Vm_sys.clear_page_referenced sys q;
                     Vm_sys.burst_register sys q)
                  burst);
            if traced then

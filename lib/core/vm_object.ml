@@ -91,9 +91,10 @@ let free_page (sys : Vm_sys.t) p =
       sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
         sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
     Vm_sys.burst_forget sys p;
-    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:true;
-    Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
-    Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
+    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
+      ~frames:(Vm_sys.frames sys) ~urgent:true;
+    Vm_sys.clear_page_modified sys p;
+    Vm_sys.clear_page_referenced sys p;
     Resident.free_page ~cpu:(Vm_sys.current_cpu sys) sys.Vm_sys.resident p
   in
   match p.pg_obj with
@@ -121,10 +122,10 @@ let rec terminate sys o =
   (match o.obj_pager with
    | Some pager ->
      Hashtbl.remove sys.Vm_sys.pager_objects pager.pgr_id;
-     Swap_pager.release pager
+     Swap_pager.release sys pager
    | None -> ());
   (match o.obj_rescue with
-   | Some rescue -> Swap_pager.release rescue
+   | Some rescue -> Swap_pager.release sys rescue
    | None -> ());
   match o.obj_shadow with
   | None -> ()

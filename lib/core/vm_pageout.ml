@@ -2,33 +2,6 @@ open Mach_hw
 open Types
 open Mach_pmap
 
-(* Per-frame attribute checks aggregated over a machine-independent page. *)
-let any_frame (sys : Vm_sys.t) p f =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  let rec loop i = i < m && (f (p.pfn + i) || loop (i + 1)) in
-  loop 0
-
-let each_frame (sys : Vm_sys.t) p f =
-  let m = Resident.multiple sys.Vm_sys.resident in
-  for i = 0 to m - 1 do
-    f (p.pfn + i)
-  done
-
-let is_referenced sys p =
-  any_frame sys p (fun pfn ->
-      Pmap_domain.is_referenced sys.Vm_sys.domain ~pfn)
-
-let is_modified sys p =
-  any_frame sys p (fun pfn -> Pmap_domain.is_modified sys.Vm_sys.domain ~pfn)
-
-let clear_referenced sys p =
-  each_frame sys p (fun pfn ->
-      Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn)
-
-let clear_modified sys p =
-  each_frame sys p (fun pfn ->
-      Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn)
-
 let page_bytes = Page_io.contents
 
 let deactivate_some (sys : Vm_sys.t) ~count =
@@ -38,7 +11,7 @@ let deactivate_some (sys : Vm_sys.t) ~count =
       match Resident.take_active sys.Vm_sys.resident with
       | None -> ()
       | Some p ->
-        clear_referenced sys p;
+        Vm_sys.clear_page_referenced sys p;
         Resident.enqueue sys.Vm_sys.resident p Q_inactive;
         loop (n - 1)
   in
@@ -92,7 +65,7 @@ let clean_page (sys : Vm_sys.t) p =
       Pager_guard.write sys o ~offset:p.pg_offset ~data:(page_bytes sys p)
     with
     | `Ok ->
-      clear_modified sys p;
+      Vm_sys.clear_page_modified sys p;
       p.pg_requeues <- 0;
       (* A successful write is progress: pressure, if any, has lifted. *)
       sys.Vm_sys.mem_pressure <- false;
@@ -124,14 +97,17 @@ let write_cluster (sys : Vm_sys.t) o pages =
   ensure_pager sys o;
   let n = List.length pages in
   let start = (List.hd pages).pg_offset in
+  (* One consistency exchange per page, not per run: a run's frame pages
+     would pass the whole-space flush threshold and drop every
+     translation of the address space. *)
   List.iter
     (fun q ->
-       each_frame sys q (fun pfn ->
-           Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn))
+       Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:q.pfn
+         ~frames:(Vm_sys.frames sys))
     pages;
   let data = Bytes.concat Bytes.empty (List.map (page_bytes sys) pages) in
   let finish () =
-    List.iter (clear_modified sys) pages;
+    List.iter (Vm_sys.clear_page_modified sys) pages;
     List.iter (fun q -> q.pg_requeues <- 0) pages;
     sys.Vm_sys.mem_pressure <- false;
     sys.Vm_sys.stats.Vm_sys.pageouts <-
@@ -194,7 +170,7 @@ let clean_cluster (sys : Vm_sys.t) p =
     else begin
       let ps = sys.Vm_sys.page_size in
       let eligible q =
-        (not q.pg_busy) && q.pg_wire_count = 0 && is_modified sys q
+        (not q.pg_busy) && q.pg_wire_count = 0 && Vm_sys.page_modified sys q
       in
       let rec grow acc off step n =
         if n >= sys.Vm_sys.cluster_max || off < 0 then (acc, n)
@@ -245,9 +221,9 @@ let run (sys : Vm_sys.t) ~wanted =
       if p.pg_busy || p.pg_wire_count > 0 then
         (* Should not be queued at all; make it so. *)
         Resident.enqueue res p Q_none
-      else if is_referenced sys p then begin
+      else if Vm_sys.page_referenced sys p then begin
         (* Second chance. *)
-        clear_referenced sys p;
+        Vm_sys.clear_page_referenced sys p;
         Resident.enqueue res p Q_active;
         sys.Vm_sys.stats.Vm_sys.reactivations <-
           sys.Vm_sys.stats.Vm_sys.reactivations + 1
@@ -255,10 +231,10 @@ let run (sys : Vm_sys.t) ~wanted =
       else begin
         (* Remove all mappings first, then wait for every TLB to flush
            before recycling the frame (Section 5.2, case 2). *)
-        each_frame sys p (fun pfn ->
-            Pmap_domain.remove_all sys.Vm_sys.domain ~pfn ~urgent:false);
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
+          ~frames:(Vm_sys.frames sys) ~urgent:false;
         Machine.tick sys.Vm_sys.machine;
-        if is_modified sys p && not (clean_cluster sys p) then begin
+        if Vm_sys.page_modified sys p && not (clean_cluster sys p) then begin
           (* The pageout write failed after its retry budget: the data
              exists nowhere but this frame, so it must stay dirty and
              resident.  Requeue it at the back of the active queue — the
@@ -279,9 +255,8 @@ let run (sys : Vm_sys.t) ~wanted =
              and freed on the next encounter. *)
           Resident.enqueue res p Q_inactive
         else begin
-          each_frame sys p (fun pfn ->
-              Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn;
-              Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn);
+          Vm_sys.clear_page_referenced sys p;
+          Vm_sys.clear_page_modified sys p;
           if p.pg_prefetched then
             sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
               sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;

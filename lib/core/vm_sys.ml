@@ -112,6 +112,10 @@ type t = {
       (* pfn -> burst-mapped page whose first touch has not happened
          yet; resolved by the pmap layer's first-touch hook so the
          touch counts as a prefetch hit even though it never faults *)
+  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+      (* pager id -> the chunks a Swap_pager of this kernel holds, kept
+         here rather than in a global table so a dropped kernel takes
+         its swap contents with it *)
   stats : stats;
 }
 
@@ -131,6 +135,37 @@ let fresh_stats () =
     swap_full_failures = 0; oom_kills = 0;
     stream_hits = 0; stream_resets = 0; free_behind_pages = 0 }
 
+(* --- Pages over hardware frames ----------------------------------------
+
+   A resident page spans [frames] consecutive hardware frames.  Its
+   modify and reference state is the OR over them; clearing clears them
+   all.  (The page-level pmap operations take the whole page directly:
+   [Pmap_domain.remove_all]/[copy_on_write] with [~frames].) *)
+
+let frames t = Resident.multiple t.resident
+
+let each_frame t p f =
+  for i = 0 to frames t - 1 do
+    f (p.Types.pfn + i)
+  done
+
+let any_frame t p f =
+  let m = frames t in
+  let rec loop i = i < m && (f (p.Types.pfn + i) || loop (i + 1)) in
+  loop 0
+
+let page_modified t p =
+  any_frame t p (fun pfn -> Pmap_domain.is_modified t.domain ~pfn)
+
+let page_referenced t p =
+  any_frame t p (fun pfn -> Pmap_domain.is_referenced t.domain ~pfn)
+
+let clear_page_modified t p =
+  each_frame t p (fun pfn -> Pmap_domain.clear_modified t.domain ~pfn)
+
+let clear_page_referenced t p =
+  each_frame t p (fun pfn -> Pmap_domain.clear_referenced t.domain ~pfn)
+
 (* --- Burst-mapped page tracking --------------------------------------
 
    Burst faulting maps resident neighbour pages that were never demanded,
@@ -142,16 +177,10 @@ let fresh_stats () =
    Pure bookkeeping: none of this charges cycles. *)
 
 let burst_register t p =
-  let m = Resident.multiple t.resident in
-  for i = 0 to m - 1 do
-    Hashtbl.replace t.burst_pending (p.Types.pfn + i) p
-  done
+  each_frame t p (fun pfn -> Hashtbl.replace t.burst_pending pfn p)
 
 let burst_forget t p =
-  let m = Resident.multiple t.resident in
-  for i = 0 to m - 1 do
-    Hashtbl.remove t.burst_pending (p.Types.pfn + i)
-  done
+  each_frame t p (fun pfn -> Hashtbl.remove t.burst_pending pfn)
 
 let note_first_touch t ~pfn =
   match Hashtbl.find_opt t.burst_pending pfn with
@@ -209,6 +238,7 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     stream_clock = 0;
     burst_max = 8;
     burst_pending = Hashtbl.create 64;
+    swap_stores = Hashtbl.create 16;
     stats = fresh_stats ();
   } in
   Pmap_domain.set_on_first_touch domain (fun ~pfn -> note_first_touch t ~pfn);

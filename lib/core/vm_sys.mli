@@ -165,6 +165,10 @@ type t = {
       (** burst-mapped pages (keyed by hardware frame) whose first touch
           has not happened yet; resolved by the pmap layer's first-touch
           hook, installed by {!create} *)
+  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+      (** pager id -> offset -> page-size chunk held by each
+          {!Swap_pager} of this kernel; per kernel so a dropped kernel's
+          swap contents are garbage with it *)
   stats : stats;
 }
 
@@ -267,6 +271,28 @@ val cost : t -> Mach_hw.Arch.cost
 
 val fresh_stats : unit -> stats
 (** All-zero counters. *)
+
+(** {1 Pages over hardware frames}
+
+    A resident page spans [frames t] consecutive hardware frames starting
+    at its [pfn].  The page-level pmap operations take it whole
+    ([Pmap_domain.remove_all]/[copy_on_write] with [~frames:(frames t)]);
+    these cover the per-frame attribute bits. *)
+
+val frames : t -> int
+(** Hardware frames per machine-independent page. *)
+
+val page_modified : t -> Types.page -> bool
+(** Whether any frame of the page was written since its bits were last
+    cleared. *)
+
+val page_referenced : t -> Types.page -> bool
+(** Whether any frame of the page was touched since its bits were last
+    cleared. *)
+
+val clear_page_modified : t -> Types.page -> unit
+val clear_page_referenced : t -> Types.page -> unit
+(** Clear the bit on every frame of the page. *)
 
 val burst_register : t -> Types.page -> unit
 (** [burst_register t p] records [p] as burst-mapped and awaiting its

@@ -7,19 +7,14 @@ type server = {
   srv_node : int;
   srv_sys : Vm_sys.t;
   srv_fs : Simfs.t;
-  srv_id : int;
+  srv_imports : (int * string, pager) Hashtbl.t;
+      (* memoized per (client node, file): repeated imports reach the
+         same pager and hence the same client-side memory object *)
 }
 
-let next_server_id = ref 0
-
 let serve link ~node sys fs =
-  incr next_server_id;
   { srv_link = link; srv_node = node; srv_sys = sys; srv_fs = fs;
-    srv_id = !next_server_id }
-
-(* Memoized per (client node, server, file): repeated imports reach the
-   same pager and hence the same client-side memory object. *)
-let imports : (int * int * string, pager) Hashtbl.t = Hashtbl.create 32
+    srv_imports = Hashtbl.create 32 }
 
 let remote_size srv ~name = Simfs.file_size srv.srv_fs ~name
 
@@ -90,12 +85,12 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
 
 let import link ~node client_sys srv ~name =
   if not (Simfs.exists srv.srv_fs ~name) then raise Not_found;
-  let key = (node, srv.srv_id, name) in
-  match Hashtbl.find_opt imports key with
+  let key = (node, name) in
+  match Hashtbl.find_opt srv.srv_imports key with
   | Some p -> p
   | None ->
     let p = make_pager link ~node client_sys srv ~name in
-    Hashtbl.add imports key p;
+    Hashtbl.add srv.srv_imports key p;
     p
 
 let map_remote link ~node client_sys task srv ~name ?(copy = false) () =

@@ -1,22 +1,25 @@
 type inode = { mutable blocks : int array; mutable size : int }
 
 type t = {
-  id : int;
   disk : Simdisk.t;
   table : (string, inode) Hashtbl.t;
+  pagers : (string, Mach_core.Types.pager) Hashtbl.t;
   mutable next_block : int;
 }
 
-let next_fs_id = ref 0
-
 let create machine ?(block_size = 4096) ?(queues = 1) () =
-  incr next_fs_id;
-  { id = !next_fs_id;
-    disk = Simdisk.create ~queues machine ~block_size;
+  { disk = Simdisk.create ~queues machine ~block_size;
     table = Hashtbl.create 64;
+    pagers = Hashtbl.create 64;
     next_block = 0 }
 
-let fs_id t = t.id
+let pager t ~name make =
+  match Hashtbl.find_opt t.pagers name with
+  | Some p -> p
+  | None ->
+    let p = make () in
+    Hashtbl.add t.pagers name p;
+    p
 
 let disk t = t.disk
 

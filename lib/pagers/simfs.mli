@@ -15,8 +15,12 @@ val create : Mach_hw.Machine.t -> ?block_size:int -> ?queues:int -> unit -> t
 (** [create machine ()] is an empty file system (default 4 KB blocks,
     one disk service queue; see {!Simdisk.create} for [?queues]). *)
 
-val fs_id : t -> int
-(** Unique id, used to key pager memoization. *)
+val pager :
+  t -> name:string -> (unit -> Mach_core.Types.pager) -> Mach_core.Types.pager
+(** [pager t ~name make] is the pager memoized for file [name] of this
+    file system, built by [make ()] on first use.  The memo lives in the
+    file system, so a dropped file system (and the kernel its pagers
+    serve) is garbage together. *)
 
 val disk : t -> Simdisk.t
 

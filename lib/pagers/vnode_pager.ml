@@ -1,10 +1,6 @@
 open Mach_core
 open Types
 
-(* Memoized pager per (file system, file name): the paging_name identity
-   that leads all mappings of a file to the same memory object. *)
-let pagers : (int * string, pager) Hashtbl.t = Hashtbl.create 64
-
 let make (sys : Vm_sys.t) fs ~name =
   let id = fresh_pager_id () in
   let cpu () = Vm_sys.current_cpu sys in
@@ -87,15 +83,11 @@ let make (sys : Vm_sys.t) fs ~name =
     pgr_should_cache = ref true;
   }
 
+(* Memoized per (file system, file name): the paging_name identity that
+   leads all mappings of a file to the same memory object. *)
 let for_file sys fs ~name =
   if not (Simfs.exists fs ~name) then raise Not_found;
-  let key = (Simfs.fs_id fs, name) in
-  match Hashtbl.find_opt pagers key with
-  | Some p -> p
-  | None ->
-    let p = make sys fs ~name in
-    Hashtbl.add pagers key p;
-    p
+  Simfs.pager fs ~name (fun () -> make sys fs ~name)
 
 let map_file sys fs task ~name ?at ?(copy = false) () =
   Pager_map.map_object sys task

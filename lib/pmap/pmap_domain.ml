@@ -115,26 +115,33 @@ let batched t f = Backend.batched t.ctx f
 let set_batching t on = Backend.set_batching t.ctx on
 let batching t = Backend.batching t.ctx
 
-(* The batch wraps every per-mapping removal, so a page mapped into many
-   address spaces costs one consistency exchange rather than one per
-   mapping.  Urgency is captured per accumulated flush, so restoring
-   [urgent_mode] before the batch flushes is safe. *)
-let remove_all t ~pfn ~urgent =
+(* Apply [f pmap page_va] to every mapping of every hardware frame of the
+   machine-independent page [pfn, pfn+frames), all inside one batch: the
+   consistency unit is the MI page, so a mapping's [frames] adjacent vpns
+   coalesce into one range request and a page mapped into many address
+   spaces still costs a single exchange (one IPI round per target CPU). *)
+let each_page_mapping t ~pfn ~frames f =
+  batched t (fun () ->
+      for i = 0 to frames - 1 do
+        for_all_mappings t ~pfn:(pfn + i) f
+      done)
+
+(* Urgency is captured per accumulated flush, so restoring [urgent_mode]
+   before the batch flushes is safe. *)
+let remove_all t ~pfn ~frames ~urgent =
   let saved = t.ctx.Backend.urgent_mode in
   t.ctx.Backend.urgent_mode <- urgent;
   Fun.protect
     ~finally:(fun () -> t.ctx.Backend.urgent_mode <- saved)
     (fun () ->
-       batched t (fun () ->
-           for_all_mappings t ~pfn (fun p va ->
-               p.Pmap.remove ~start_va:va ~end_va:(va + page_size t))))
+       each_page_mapping t ~pfn ~frames (fun p va ->
+           p.Pmap.remove ~start_va:va ~end_va:(va + page_size t)))
 
-let copy_on_write t ~pfn =
+let copy_on_write t ~pfn ~frames =
   let read_only_mask = Prot.remove_write Prot.all in
-  batched t (fun () ->
-      for_all_mappings t ~pfn (fun p va ->
-          p.Pmap.protect ~start_va:va ~end_va:(va + page_size t)
-            ~prot:read_only_mask))
+  each_page_mapping t ~pfn ~frames (fun p va ->
+      p.Pmap.protect ~start_va:va ~end_va:(va + page_size t)
+        ~prot:read_only_mask)
 
 let is_modified t ~pfn = Pv.is_modified t.ctx.Backend.pv ~pfn
 let is_referenced t ~pfn = Pv.is_referenced t.ctx.Backend.pv ~pfn

@@ -71,15 +71,22 @@ val set_batching : t -> bool -> unit
 
 val batching : t -> bool
 
-(** {1 Page-level operations (Table 3-3)} *)
+(** {1 Page-level operations (Table 3-3)}
 
-val remove_all : t -> pfn:int -> urgent:bool -> unit
+    The page these act on is the machine-independent page: [frames]
+    consecutive hardware frames starting at [pfn] (the boot-time page
+    multiple).  Every mapping of every frame is updated inside one flush
+    batch, so the TLB-consistency cost is one exchange per call — a
+    mapping's adjacent frame pages travel as one range request — however
+    many hardware frames the page spans. *)
+
+val remove_all : t -> pfn:int -> frames:int -> urgent:bool -> unit
 (** [pmap_remove_all]: remove the physical page from all maps.  Used by
     pageout; with [urgent:true] the invalidations are propagated with
     interrupts no matter the machine's shootdown strategy (the paper's
     case 1), otherwise the configured strategy applies. *)
 
-val copy_on_write : t -> pfn:int -> unit
+val copy_on_write : t -> pfn:int -> frames:int -> unit
 (** [pmap_copy_on_write]: remove write access to the page in all maps.
     Used by virtual copy of shared pages. *)
 

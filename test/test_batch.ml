@@ -271,6 +271,45 @@ let test_deallocate_ipis_scale_with_targets () =
     with Machine.Memory_violation _ -> ()
   done
 
+(* ---- page-granular consistency ----------------------------------------- *)
+
+(* A task that ran on CPU 1 maps [pages] machine-independent pages of
+   [multiple] hardware frames each; the pageout daemon on CPU 0 then
+   evicts them all.  Returns the machine counters of the eviction. *)
+let evict_from_cpu0 arch ~multiple ~pages =
+  let machine =
+    Machine.create ~arch ~memory_frames:2048 ~cpus:2
+      ~shootdown:Machine.Immediate_ipi ()
+  in
+  let kernel = Kernel.create ~page_multiple:multiple machine in
+  let sys = Kernel.sys kernel in
+  let t = Kernel.create_task kernel () in
+  Kernel.run_task kernel ~cpu:1 t;
+  let ps = Kernel.page_size kernel in
+  let addr = ok (Vm_user.allocate sys t ~size:(pages * ps) ~anywhere:true ()) in
+  for i = 0 to pages - 1 do
+    Machine.touch machine ~cpu:1 ~va:(addr + (i * ps)) ~write:false
+  done;
+  Machine.reset_clocks machine;
+  Pmap_domain.set_current_cpu kernel.Kernel.domain 0;
+  Vm_pageout.deactivate_some sys ~count:pages;
+  Vm_pageout.run sys ~wanted:pages;
+  Alcotest.(check int) "every page evicted" 0
+    (Resident.active_count sys.Vm_sys.resident
+     + Resident.inactive_count sys.Vm_sys.resident);
+  Machine.stats machine
+
+(* Evicting a page is one consistency exchange, however many hardware
+   frames it spans: its frames' vpns travel as one range request. *)
+let test_evict_one_exchange_per_page () =
+  let s = evict_from_cpu0 Arch.vax8200 ~multiple:8 ~pages:1 in
+  Alcotest.(check int) "VAX: one shootdown for 8 frames" 1
+    s.Machine.shootdowns;
+  Alcotest.(check int) "VAX: one IPI for 8 frames" 1 s.Machine.ipis;
+  let s = evict_from_cpu0 Arch.rt_pc ~multiple:2 ~pages:4 in
+  Alcotest.(check int) "RT PC: one shootdown per page" 4
+    s.Machine.shootdowns
+
 (* ---- qcheck: TLBs agree with page tables across all backends ----------- *)
 
 let archs =
@@ -387,7 +426,9 @@ let () =
         [ Alcotest.test_case "vm_protect: IPIs follow targets" `Quick
             test_protect_ipis_scale_with_targets;
           Alcotest.test_case "vm_deallocate: IPIs follow targets" `Quick
-            test_deallocate_ipis_scale_with_targets ] );
+            test_deallocate_ipis_scale_with_targets;
+          Alcotest.test_case "pageout: one exchange per page" `Quick
+            test_evict_one_exchange_per_page ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           (List.map mixed_ops_qcheck archs) ) ]

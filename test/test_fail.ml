@@ -504,7 +504,7 @@ let test_pager_death_rescues_dirty_pages () =
      (match o.Types.obj_rescue with
       | Some r ->
         Alcotest.(check bool) "rescue (default) pager holds the data" true
-          (Swap_pager.stored_bytes r > 0)
+          (Swap_pager.stored_bytes sys r > 0)
       | None -> Alcotest.fail "expected a rescue pager")
    | None -> Alcotest.fail "no object behind the mapping");
   (* Evict everything through the now-dead pager — writes land on the

@@ -132,7 +132,7 @@ let test_default_pager_attached_once () =
      Alcotest.(check string) "default pager" "default-pager"
        pg.Types.pgr_name;
      Alcotest.(check bool) "holds the page" true
-       (Swap_pager.stored_bytes pg > 0)
+       (Swap_pager.stored_bytes sys pg > 0)
    | None -> Alcotest.fail "expected a default pager")
 
 let test_reclaim_triggered_by_allocation () =

@@ -264,6 +264,8 @@ let test_flush_request_destroys () =
   let t = new_task kernel ~cpu:0 in
   let a, _ = ok (Vnode_pager.map_file sys fs t ~name:"/f2" ()) in
   Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "LOST");
+  (* Offset 512 is the second hardware frame of the VAX's 4 KB page. *)
+  Machine.write_byte machine ~cpu:0 ~va:(a + 512) 'L';
   let o =
     match Mach_core.Vm_map.resolve_object_at sys (Mach_core.Task.map t) ~va:a with
     | Some (o, _) -> o
@@ -271,10 +273,16 @@ let test_flush_request_destroys () =
   in
   let flushed = Pager_ops.flush_request sys o ~offset:0 ~length:(4 * kb) in
   Alcotest.(check int) "one page flushed" 1 flushed;
+  (* Every frame of the freed page lost its mappings, not just the
+     first. *)
+  Alcotest.(check (list string)) "no freed frame stays mapped" []
+    (Vm_debug.check_resident sys);
   (* The dirty data was destroyed, not written back: re-fault reads the
-     original file contents. *)
+     original file contents, on every frame. *)
   Alcotest.(check char) "modification discarded" 'q'
-    (Machine.read_byte machine ~cpu:0 ~va:a)
+    (Machine.read_byte machine ~cpu:0 ~va:a);
+  Alcotest.(check char) "modification discarded on frame 1" 'q'
+    (Machine.read_byte machine ~cpu:0 ~va:(a + 512))
 
 let test_readonly_forces_copy () =
   let machine, kernel, sys, fs = boot () in

@@ -92,7 +92,7 @@ let test_remove_all arch =
     p2.Pmap.enter ~va:(4 * ps) ~pfn:9 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "mapped" true
     (Pmap_domain.mapping_count domain ~pfn:9 >= 1);
-  Pmap_domain.remove_all domain ~pfn:9 ~urgent:true;
+  Pmap_domain.remove_all domain ~pfn:9 ~frames:1 ~urgent:true;
   Alcotest.(check int) "all gone" 0 (Pmap_domain.mapping_count domain ~pfn:9);
   Alcotest.(check (option int)) "p1 dropped" None (p1.Pmap.extract 0);
   Alcotest.(check (option int)) "p2 dropped" None (p2.Pmap.extract (4 * ps))
@@ -130,7 +130,7 @@ let test_copy_on_write_all_maps arch =
   let p = Pmap_domain.create_pmap domain in
   p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
   p.Pmap.activate ~cpu:0;
-  Pmap_domain.copy_on_write domain ~pfn:3;
+  Pmap_domain.copy_on_write domain ~pfn:3 ~frames:1;
   let faulted = ref false in
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
       faulted := true;

@@ -250,6 +250,54 @@ let map_copy_roundtrip =
        in
        got = s)
 
+(* After a fork, parent and child each see only their own writes,
+   whichever hardware frame of a machine-independent page a write lands
+   on.  Checked against a per-task byte model on machines whose page
+   spans several hardware frames. *)
+let fork_isolates_writes arch ~multiple =
+  let open QCheck2 in
+  let size = 16 * kb in
+  let write_gen = Gen.(pair (int_range 0 (size - 1)) printable) in
+  Test.make
+    ~name:
+      (Printf.sprintf "fork isolates parent and child writes [%s x%d]"
+         arch.Arch.name multiple)
+    ~count:40
+    Gen.(
+      pair
+        (list_size (int_range 1 20) write_gen)
+        (list_size (int_range 1 40) (pair bool write_gen)))
+    (fun (before, after) ->
+       let machine = Machine.create ~arch ~memory_frames:1024 () in
+       let kernel = Kernel.create ~page_multiple:multiple machine in
+       let sys = Kernel.sys kernel in
+       let parent = Kernel.create_task kernel () in
+       Kernel.run_task kernel ~cpu:0 parent;
+       let a =
+         match Vm_user.allocate sys parent ~size ~anywhere:true () with
+         | Ok a -> a
+         | Error _ -> failwith "alloc"
+       in
+       let write task model (off, c) =
+         Kernel.run_task kernel ~cpu:0 task;
+         Machine.write_byte machine ~cpu:0 ~va:(a + off) c;
+         Bytes.set model off c
+       in
+       let parent_model = Bytes.make size '\000' in
+       List.iter (write parent parent_model) before;
+       let child = Kernel.fork_task kernel ~cpu:0 parent in
+       let child_model = Bytes.copy parent_model in
+       List.iter
+         (fun (by_child, w) ->
+            if by_child then write child child_model w
+            else write parent parent_model w)
+         after;
+       let sees task model =
+         Kernel.run_task kernel ~cpu:0 task;
+         Bytes.equal (Machine.read machine ~cpu:0 ~va:a ~len:size) model
+       in
+       sees parent parent_model && sees child child_model)
+
 let () =
   Alcotest.run "properties"
     [ ( "models",
@@ -261,4 +309,6 @@ let () =
       ( "system",
         List.map QCheck_alcotest.to_alcotest
           [ protect_preserves_data; vm_copy_equals_read_write;
-            map_copy_roundtrip ] ) ]
+            map_copy_roundtrip;
+            fork_isolates_writes Arch.vax8200 ~multiple:8;
+            fork_isolates_writes Arch.rt_pc ~multiple:2 ] ) ]
