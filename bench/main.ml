@@ -1186,6 +1186,7 @@ type mp_result = {
   mp_faults : int;
   mp_stalls : int;            (* contended object-lock acquisitions *)
   mp_stall_share : float;     (* lock-stall cycles / sum of CPU clocks *)
+  mp_round_faults : int;      (* faults after the zero-fill sweep *)
   mp_burst_faults : int;
   mp_burst_mapped : int;
   mp_issued : int;            (* prefetch_issued (burst neighbours) *)
@@ -1220,14 +1221,18 @@ let apply_alloc_variant machine sys = function
 
 (* One configuration: [cpus] processors each faulting an identical
    per-CPU stream against one shared object (disjoint 32-page stripes)
-   or a private object per CPU, under burst limit [burst] (0 = the
-   pre-burst fault path).  The stream is a round-robin zero-fill sweep
+   or a private object per CPU, under burst limit [burst] (0 and 1 map
+   only the demand page).  The stream is a round-robin zero-fill sweep
    of the stripe — writer sections, so they contend on the shared
    object — followed by [rounds] rounds of dropping the pmap mappings
    and re-touching every page (resident fast reloads, where bursting
    applies).  Per-CPU work is fixed, so wall-clock differences across
-   CPU counts are contention, not extra work. *)
-let mpfault_run ?(traced = false) ?(alloc = `Seed) ~cpus ~shared ~burst () =
+   CPU counts are contention, not extra work.  With [dropped] the rounds
+   take the vmbench smp shape instead: every CPU touches one page of its
+   stripe, then every stripe is dropped, so no burst neighbour is ever
+   used before its mapping goes. *)
+let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
+    ~shared ~burst () =
   let stripe_pages = 32 in
   let rounds = 4 in
   let machine, kernel, _, _ = boot_mach ~mem:(32 * mb) ~cpus Arch.vax8200 in
@@ -1290,14 +1295,27 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ~cpus ~shared ~burst () =
     done
   in
   sweep ~write:true;
-  for _ = 1 to rounds do
+  let f1 = s.Vm_sys.faults in
+  let drop_all () =
     Array.iteri
       (fun cpu (pmap, base) ->
          Mach_pmap.Pmap_domain.set_current_cpu domain cpu;
          pmap.Mach_pmap.Pmap.remove ~start_va:base ~end_va:(base + stripe))
-      stripes;
-    sweep ~write:true
-  done;
+      stripes
+  in
+  if dropped then
+    for p = 0 to stripe_pages - 1 do
+      Array.iteri
+        (fun cpu (_, base) ->
+           Machine.touch machine ~cpu ~va:(base + (p * ps)) ~write:true)
+        stripes;
+      drop_all ()
+    done
+  else
+    for _ = 1 to rounds do
+      drop_all ();
+      sweep ~write:true
+    done;
   let total_cycles = ref 0 in
   for cpu = 0 to Machine.cpu_count machine - 1 do
     total_cycles := !total_cycles + Machine.cycles machine ~cpu
@@ -1319,6 +1337,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ~cpus ~shared ~burst () =
   in
   { mp_ms = Machine.elapsed_ms machine;
     mp_faults = s.Vm_sys.faults - f0;
+    mp_round_faults = s.Vm_sys.faults - f1;
     mp_stalls = s.Vm_sys.lock_stalls;
     mp_stall_share =
       float_of_int s.Vm_sys.lock_stall_cycles
@@ -1373,10 +1392,10 @@ let mpfault () =
          [ false; true ])
     counts;
   Tablefmt.print t;
-  (* Burst ablation at a fixed CPU count: burst=0 is the pre-burst
-     fault path, burst=1 runs the burst machinery but maps only the
-     demand page (it must match burst=0 to the cycle), larger limits
-     amortize fault overhead and flush exchanges over neighbours. *)
+  (* Burst ablation at a fixed CPU count: burst=0 ("legacy") and
+     burst=1 both map only the demand page (they must match to the
+     cycle), larger limits amortize fault overhead and flush exchanges
+     over neighbours. *)
   let bc = List.fold_left (fun a c -> if c <= 4 then max a c else a) 1 counts in
   let t2 =
     Tablefmt.create
@@ -1389,17 +1408,17 @@ let mpfault () =
         [ "burst"; "faults"; "burst faults"; "neighbours"; "hit rate";
           "elapsed" ]
   in
+  let hit_rate r =
+    if r.mp_issued = 0 then 0.
+    else float_of_int r.mp_hits /. float_of_int r.mp_issued
+  in
   List.iter
     (fun burst ->
        let name = if burst = 0 then "legacy" else Printf.sprintf "b%d" burst in
        let r = mpfault_run ~cpus:bc ~shared:false ~burst () in
        cell (Printf.sprintf "burst/%s/elapsed_ms" name) r.mp_ms;
-       let hit_rate =
-         if r.mp_issued = 0 then 0.
-         else float_of_int r.mp_hits /. float_of_int r.mp_issued
-       in
        if burst = 8 then begin
-         cell "burst/b8/hit_rate" hit_rate;
+         cell "burst/b8/hit_rate" (hit_rate r);
          cell "burst/b8/mapped" (float_of_int r.mp_burst_mapped)
        end;
        Tablefmt.row t2
@@ -1409,6 +1428,20 @@ let mpfault () =
            Printf.sprintf "%d/%d" r.mp_hits r.mp_issued; fmt_ms r.mp_ms ])
     [ 0; 1; 2; 4; 8; 16 ];
   Tablefmt.print t2;
+  (* Drop-before-touch on one shared object, burst=8: every neighbour's
+     mapping is dropped unused, so each entry's window must fall to the
+     floor (one probe neighbour per fault) and no demand fault on a
+     dropped neighbour may count as a prefetch hit. *)
+  let r = mpfault_run ~dropped:true ~cpus:bc ~shared:true ~burst:8 () in
+  let per_fault =
+    float_of_int r.mp_burst_mapped /. float_of_int (max 1 r.mp_round_faults)
+  in
+  cell "burst/dropped/mapped_per_fault" per_fault;
+  cell "burst/dropped/hit_rate" (hit_rate r);
+  Printf.printf
+    "mpfault drop-before-touch (%d CPUs, shared, burst=8): %.2f neighbours \
+     mapped per fault, %d/%d hits\n\n"
+    bc per_fault r.mp_hits r.mp_issued;
   (* Attribution: a traced re-run of the shared configuration.  Separate
      boot, so the untraced cells above are untouched. *)
   let r = mpfault_run ~traced:true ~cpus:bc ~shared:true ~burst:8 () in

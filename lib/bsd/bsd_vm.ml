@@ -189,7 +189,7 @@ let create machine ~fs ~buffers ?variant () =
   in
   List.iter (fun f -> Queue.add f t.free_frames) (Phys_mem.present_frames phys);
   Machine.set_fault_handler machine (fun ~cpu f -> handle_fault t ~cpu f);
-  Machine.set_on_translated machine (fun ~pfn:_ ~write:_ -> ());
+  Machine.set_on_translated machine (fun ~asid:_ ~pfn:_ ~write:_ -> ());
   t
 
 let create_proc t ?(name = "proc") () =

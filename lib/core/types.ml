@@ -219,6 +219,18 @@ and entry = {
       (* data must be shadowed before this entry's first write *)
   mutable e_wired : bool;
   mutable e_node : entry Dlist.node option; (* position in its map *)
+  mutable e_burst_window : int;
+      (* pages a resident fault here maps in one pass, demand page
+         included; always read capped at [Vm_sys.burst_max], so the
+         initial [max_int] means "at the cap".  Doubles while the
+         entry's burst neighbours are used, halves (floor 2) while they
+         are not *)
+  mutable e_burst_hits : int;
+      (* burst neighbours first touched through their burst mapping
+         since the last burst decision *)
+  mutable e_burst_misses : int;
+      (* burst neighbours unmapped or demand-faulted before any such
+         touch since the last burst decision *)
 }
 
 and vmap = {

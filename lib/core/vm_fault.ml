@@ -30,24 +30,48 @@ let new_page_in (sys : Vm_sys.t) obj ~offset =
   Resident.insert sys.Vm_sys.resident p ~obj ~offset;
   p
 
+(* The entry's burst window, decided afresh at each resident fault with
+   the read-ahead stream ramp rule.  The outcomes of the entry's burst
+   neighbours settled since the last decision vote: if hits >= misses
+   the window doubles, capped at [burst_max]; otherwise it halves, down
+   to 2 — the demand page plus one probe neighbour — so the entry keeps
+   sampling and can grow again.  Undecided neighbours (mapped, not yet
+   touched) do not vote, and with no votes the window stands. *)
+let burst_window (sys : Vm_sys.t) entry =
+  let cap = sys.Vm_sys.burst_max in
+  let w = min entry.e_burst_window cap in
+  let hits = entry.e_burst_hits and misses = entry.e_burst_misses in
+  let w =
+    if hits + misses = 0 then w
+    else if hits >= misses then min cap (2 * w)
+    else min cap (max 2 (w / 2))
+  in
+  entry.e_burst_window <- w;
+  entry.e_burst_hits <- 0;
+  entry.e_burst_misses <- 0;
+  w
+
 (* Burst faulting: when the demand page was found resident in the first
    object, scan forward for consecutive neighbours that are also resident
    there and not yet mapped by this pmap, and map them in the same pass.
    They ride the demand page's flush batch, so the whole burst costs one
    consistency exchange instead of one fault (and one exchange) each.
-   The scan stops at the first page that does not qualify — past the map
-   entry's window, absent, busy, in transit, or already mapped here. *)
-let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~offset =
+   The scan stops at the first page that does not qualify — past the
+   entry's burst window, its object window or [va_end] (where the
+   faulting map stops reaching this entry), absent, busy, in transit, or
+   already mapped here.  A window of 0 or 1 maps no neighbour. *)
+let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~va_end ~offset =
+  let window = burst_window sys entry in
   let ps = sys.Vm_sys.page_size in
   let lim = entry.e_offset + entry_size entry in
   let asid = pmap.Pmap.asid in
   let domain = sys.Vm_sys.domain in
   let rec loop i acc =
-    if i >= sys.Vm_sys.burst_max then List.rev acc
+    if i >= window then List.rev acc
     else begin
       let off = offset + (i * ps) in
       let va_n = page_va + (i * ps) in
-      if off >= lim || va_n >= entry.e_end then List.rev acc
+      if off >= lim || va_n >= va_end then List.rev acc
       else
         match Vm_object.lookup_resident sys obj ~offset:off with
         | Some q
@@ -187,6 +211,7 @@ let fault sys map ~va ~write =
     let rec search obj off lim =
       match Vm_object.lookup_resident sys obj ~offset:off with
       | Some p ->
+        Vm_sys.burst_demand_fault sys ~asid:pmap.Pmap.asid p;
         Vm_cluster.note_hit sys p;
         `Found (obj, p)
       | None ->
@@ -252,8 +277,8 @@ let fault sys map ~va ~write =
            mapped_prot ~cow:(entry.e_needs_copy || owner.obj_readonly)
          in
          let burst =
-           if sys.Vm_sys.burst_max = 0 then []
-           else collect_burst sys pmap entry first_obj ~page_va ~offset
+           collect_burst sys pmap entry first_obj ~page_va
+             ~va_end:fl.Vm_map.fl_va_end ~offset
          in
          if burst = [] then finish p ~prot
          else begin
@@ -267,17 +292,19 @@ let fault sys map ~va ~write =
                List.iter
                  (fun (va_n, q) ->
                     enter_page sys pmap ~page_va:va_n q ~prot;
-                    if not q.pg_prefetched then begin
-                      q.pg_prefetched <- true;
+                    (* A pending read-ahead prefetch of [q] is adopted
+                       by the burst, not issued twice. *)
+                    let issued = not q.pg_prefetched in
+                    if issued then
                       stats.Vm_sys.prefetch_issued <-
-                        stats.Vm_sys.prefetch_issued + 1
-                    end;
+                        stats.Vm_sys.prefetch_issued + 1;
                     (* The page will never re-fault here, so its first
                        use must be seen as a referenced-bit transition:
                        clear the bits and register for the first-touch
                        hook. *)
                     Vm_sys.clear_page_referenced sys q;
-                    Vm_sys.burst_register sys q)
+                    Vm_sys.burst_register sys ~asid:pmap.Pmap.asid entry q
+                      ~issued)
                  burst);
            if traced then
              Vm_sys.emit sys

@@ -116,6 +116,9 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_needs_copy = needs_copy;
     e_wired = false;
     e_node = None;
+    e_burst_window = max_int;
+    e_burst_hits = 0;
+    e_burst_misses = 0;
   }
 
 and insert_entry m e =
@@ -514,6 +517,7 @@ type fault_lookup = {
   fl_entry : entry;
   fl_offset : int;
   fl_prot : Prot.t;
+  fl_va_end : int;
 }
 
 let lookup_fault _sys m ~va ~write =
@@ -526,7 +530,7 @@ let lookup_fault _sys m ~va ~write =
       | Backed _ | No_backing ->
         Ok
           { fl_map = m; fl_entry = e; fl_offset = entry_offset_of e va;
-            fl_prot = e.e_prot }
+            fl_prot = e.e_prot; fl_va_end = e.e_end }
       | Submap sm ->
         let off = entry_offset_of e va in
         (match find sm ~va:off with
@@ -538,7 +542,9 @@ let lookup_fault _sys m ~va ~write =
            else
              Ok
                { fl_map = sm; fl_entry = s;
-                 fl_offset = entry_offset_of s off; fl_prot = prot })
+                 fl_offset = entry_offset_of s off; fl_prot = prot;
+                 (* [s] lives in the sharing map's address space *)
+                 fl_va_end = min e.e_end (va + (s.e_end - off)) })
     end
 
 let resolve_object_at _sys m ~va =

@@ -121,6 +121,9 @@ type fault_lookup = {
   fl_offset : int;      (** byte offset in the entry's backing for the
                             faulting page *)
   fl_prot : Mach_hw.Prot.t; (** effective protection across levels *)
+  fl_va_end : int;      (** end, in the faulting map's addresses, of the
+                            range [fl_entry] maps contiguously from the
+                            faulting address *)
 }
 
 val lookup_fault :

@@ -90,7 +90,6 @@ let free_page (sys : Vm_sys.t) p =
     if p.pg_prefetched then
       sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
         sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
-    Vm_sys.burst_forget sys p;
     Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
       ~frames:(Vm_sys.frames sys) ~urgent:true;
     Vm_sys.clear_page_modified sys p;

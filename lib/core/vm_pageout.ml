@@ -260,7 +260,6 @@ let run (sys : Vm_sys.t) ~wanted =
           if p.pg_prefetched then
             sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
               sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
-          Vm_sys.burst_forget sys p;
           Resident.free_page ~cpu:(Vm_sys.current_cpu sys) res p;
           incr freed
         end

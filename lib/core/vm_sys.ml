@@ -37,6 +37,18 @@ type stats = {
   mutable free_behind_pages : int;
 }
 
+(* One burst-mapped neighbour whose outcome is still undecided: mapped
+   into [b_asid] by a resident fault through [b_entry], not yet touched
+   there. *)
+type burst = {
+  b_page : Types.page;
+  b_asid : int;
+  b_entry : Types.entry;     (* whose window the outcome feeds *)
+  b_issued : bool;
+      (* counted in [prefetch_issued]; false when the page was already
+         a pending read-ahead prefetch, which the burst adopts *)
+}
+
 (* A task the out-of-memory policy may kill.  Registered by Task.create
    through closures so this module stays below Task in the dependency
    order; the ids are the task's, the map id identifies the address map
@@ -106,12 +118,12 @@ type t = {
          cycle clock, so [Machine.reset_clocks] cannot scramble it *)
   mutable burst_max : int;
       (* upper bound on pages a resident fault maps in one pass (demand
-         page included); 1 maps only the demand page, 0 bypasses the
-         burst machinery entirely (the pre-burst fault path) *)
-  burst_pending : (int, Types.page) Hashtbl.t;
-      (* pfn -> burst-mapped page whose first touch has not happened
-         yet; resolved by the pmap layer's first-touch hook so the
-         touch counts as a prefetch hit even though it never faults *)
+         page included), and the cap of every entry's adaptive window;
+         0 and 1 both map only the demand page *)
+  burst_pending : (int * int, burst) Hashtbl.t;
+      (* (asid, pfn) -> burst-mapped neighbour whose outcome is still
+         undecided; settled by the pmap layer's first-touch and unmap
+         hooks, or by a demand fault on the page *)
   swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
       (* pager id -> the chunks a Swap_pager of this kernel holds, kept
          here rather than in a global table so a dropped kernel takes
@@ -170,29 +182,44 @@ let clear_page_referenced t p =
 
    Burst faulting maps resident neighbour pages that were never demanded,
    so their first use cannot be seen by the fault path (they no longer
-   fault).  Each burst-mapped page is registered here by frame number and
-   its referenced bits are cleared; the pmap layer's first-touch hook
-   reports the clear->set transition, at which point the touch counts as
-   a prefetch hit and the page is promoted like any other prefetch hit.
-   Pure bookkeeping: none of this charges cycles. *)
+   fault).  Each burst mapping is one issued prefetch, registered here
+   under (asid, frame) with the page's referenced bits cleared.  Its
+   outcome is a hit when the pmap layer's first-touch hook reports a
+   touch through that address space; it then counts as a prefetch hit
+   and the page is promoted like any other.  It is a miss when the
+   mapping is dropped first, or when the page is demand-faulted there
+   first (a write through a mapping that a protect made read-only).  A
+   touch through another task's mapping of the same page credits
+   nobody, and a burst never marks the page [pg_prefetched], so no
+   later demand fault or read can count it as a hit either.  Outcomes
+   feed the entry's window (Vm_fault).  Pure bookkeeping: none of this
+   charges cycles. *)
 
-let burst_register t p =
-  each_frame t p (fun pfn -> Hashtbl.replace t.burst_pending pfn p)
+let burst_register t ~asid entry p ~issued =
+  let b = { b_page = p; b_asid = asid; b_entry = entry; b_issued = issued } in
+  each_frame t p (fun pfn -> Hashtbl.replace t.burst_pending (asid, pfn) b)
 
-let burst_forget t p =
-  each_frame t p (fun pfn -> Hashtbl.remove t.burst_pending pfn)
-
-let note_first_touch t ~pfn =
-  match Hashtbl.find_opt t.burst_pending pfn with
-  | None -> ()
-  | Some p ->
-    burst_forget t p;
-    if p.Types.pg_prefetched then begin
-      p.Types.pg_prefetched <- false;
-      t.stats.prefetch_hits <- t.stats.prefetch_hits + 1
-    end;
+let burst_settle t b ~hit =
+  let p = b.b_page and e = b.b_entry in
+  each_frame t p (fun pfn -> Hashtbl.remove t.burst_pending (b.b_asid, pfn));
+  if hit then begin
+    e.Types.e_burst_hits <- e.Types.e_burst_hits + 1;
+    if b.b_issued || p.Types.pg_prefetched then
+      t.stats.prefetch_hits <- t.stats.prefetch_hits + 1;
+    p.Types.pg_prefetched <- false;
     if p.Types.pg_queue = Types.Q_inactive && p.Types.pg_wire_count = 0 then
       Resident.enqueue t.resident p Types.Q_active
+  end
+  else e.Types.e_burst_misses <- e.Types.e_burst_misses + 1
+
+let burst_outcome t ~asid ~pfn ~hit =
+  if Hashtbl.length t.burst_pending > 0 then
+    match Hashtbl.find_opt t.burst_pending (asid, pfn) with
+    | None -> ()
+    | Some b -> burst_settle t b ~hit
+
+let burst_demand_fault t ~asid p =
+  burst_outcome t ~asid ~pfn:p.Types.pfn ~hit:false
 
 let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
   let arch = Machine.arch machine in
@@ -241,7 +268,10 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     swap_stores = Hashtbl.create 16;
     stats = fresh_stats ();
   } in
-  Pmap_domain.set_on_first_touch domain (fun ~pfn -> note_first_touch t ~pfn);
+  Pmap_domain.set_on_first_touch domain (fun ~asid ~pfn ->
+      burst_outcome t ~asid ~pfn ~hit:true);
+  Pmap_domain.set_on_unmap domain (fun ~asid ~pfn ->
+      burst_outcome t ~asid ~pfn ~hit:false);
   (* Simulation services for the page allocator: virtual time, queue-lock
      charges (stalls land in the same [lock_stalls] counters and
      [Lock_wait] category as memory-object locks, with obj = -1 marking

@@ -70,6 +70,18 @@ type stats = {
                                        ramped stream's cursor *)
 }
 
+type burst = {
+  b_page : Types.page;
+  b_asid : int;
+  b_entry : Types.entry;           (** whose window the outcome feeds *)
+  b_issued : bool;                 (** counted in [prefetch_issued]; false
+                                       when the burst adopted a pending
+                                       read-ahead prefetch *)
+}
+(** One burst-mapped neighbour whose outcome is still undecided: mapped
+    into [b_asid] by a resident fault through [b_entry], not yet touched
+    there. *)
+
 type oom_candidate = {
   oc_id : int;                     (** task id; deterministic tie-break *)
   oc_name : string;
@@ -159,12 +171,13 @@ type t = {
           scramble the victim order *)
   mutable burst_max : int;
       (** upper bound on pages a resident fault maps in one pass, demand
-          page included; 1 maps only the demand page, 0 bypasses the
-          burst machinery entirely (the pre-burst fault path) *)
-  burst_pending : (int, Types.page) Hashtbl.t;
-      (** burst-mapped pages (keyed by hardware frame) whose first touch
-          has not happened yet; resolved by the pmap layer's first-touch
-          hook, installed by {!create} *)
+          page included, and the cap of every map entry's adaptive
+          window; 0 and 1 both map only the demand page *)
+  burst_pending : (int * int, burst) Hashtbl.t;
+      (** burst-mapped neighbours, keyed by (asid, hardware frame), whose
+          outcome is still undecided; settled by the pmap layer's
+          first-touch and unmap hooks (installed by {!create}) or by
+          {!burst_demand_fault} *)
   swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
       (** pager id -> offset -> page-size chunk held by each
           {!Swap_pager} of this kernel; per kernel so a dropped kernel's
@@ -294,12 +307,18 @@ val clear_page_modified : t -> Types.page -> unit
 val clear_page_referenced : t -> Types.page -> unit
 (** Clear the bit on every frame of the page. *)
 
-val burst_register : t -> Types.page -> unit
-(** [burst_register t p] records [p] as burst-mapped and awaiting its
-    first touch; the pmap layer's first-touch hook resolves it.  The
-    caller must clear the page's referenced bits so the next access is
-    seen as a transition.  Pure bookkeeping, charges nothing. *)
+val burst_register :
+  t -> asid:int -> Types.entry -> Types.page -> issued:bool -> unit
+(** [burst_register t ~asid entry p ~issued] records [p] as burst-mapped
+    into [asid] through [entry], its outcome undecided; [issued] says
+    whether the caller counted it in [prefetch_issued].  The caller must
+    clear the page's referenced bits so the next access is seen as a
+    transition.  The outcome is a hit when the first touch comes through
+    [asid]'s mapping, a miss when the mapping is dropped or the page is
+    demand-faulted there first; either feeds [entry]'s hit/miss counts.
+    Pure bookkeeping, charges nothing. *)
 
-val burst_forget : t -> Types.page -> unit
-(** [burst_forget t p] drops any pending first-touch record for [p];
-    called when the page is freed or repurposed before being touched. *)
+val burst_demand_fault : t -> asid:int -> Types.page -> unit
+(** [burst_demand_fault t ~asid p] settles a pending burst record of [p]
+    in [asid] as a miss: the page is being demand-faulted there, so its
+    speculative mapping was not what served the access. *)

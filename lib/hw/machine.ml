@@ -58,7 +58,7 @@ type t = {
   tick_interval : int;
   stats : stats;
   mutable fault_handler : (cpu:int -> fault -> unit) option;
-  mutable on_translated : (pfn:int -> write:bool -> unit) option;
+  mutable on_translated : (asid:int -> pfn:int -> write:bool -> unit) option;
   mutable tracer : Mach_obs.Obs.t;
   mutable disk_async : bool;
   mutable disk_queues : dqueue list; (* every queue ever created, for reset *)
@@ -597,7 +597,7 @@ let translate t ~cpu ~va ~write =
         bump t c cost.Arch.mem_op;
         (match t.on_translated with
          | None -> ()
-         | Some f -> f ~pfn:e.Tlb.pfn ~write);
+         | Some f -> f ~asid:tr.Translator.asid ~pfn:e.Tlb.pfn ~write);
         e.Tlb.pfn
       end
       else begin
@@ -618,7 +618,7 @@ let translate t ~cpu ~va ~write =
            bump t c cost.Arch.mem_op;
            (match t.on_translated with
             | None -> ()
-            | Some f -> f ~pfn ~write);
+            | Some f -> f ~asid:tr.Translator.asid ~pfn ~write);
            pfn
          end
          else begin

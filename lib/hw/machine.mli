@@ -110,10 +110,12 @@ val set_fault_handler : t -> (cpu:int -> fault -> unit) -> unit
     must either repair the mapping (after which the access is retried) or
     raise [Memory_violation]. *)
 
-val set_on_translated : t -> (pfn:int -> write:bool -> unit) -> unit
+val set_on_translated :
+  t -> (asid:int -> pfn:int -> write:bool -> unit) -> unit
 (** [set_on_translated t f] installs the hook the pmap layer uses to
     maintain per-frame reference and modify bits: [f] is called for every
-    successful user access with the frame touched. *)
+    successful user access with the frame touched and the address space
+    it was translated through. *)
 
 (** {1 Clocks} *)
 

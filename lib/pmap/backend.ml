@@ -34,6 +34,12 @@ type ctx = {
          goes out as its own exchange; the Section 5.2 benchmark uses this
          to measure the unbatched baseline. *)
   batch : batch;
+  mutable on_unmap : asid:int -> pfn:int -> unit;
+      (* Called for every mapping this domain drops — range remove,
+         remove_all, context steal, replacement by a new frame, pmap
+         destruction — after the pv entry is gone.  The VM layer uses it
+         to retire speculative (burst) mappings that were never used.
+         Charges nothing. *)
 }
 
 (* Which CPUs a pmap is active on now, and which may still cache its
@@ -48,7 +54,8 @@ let create machine =
       { depth = 0; page_vpns = Hashtbl.create 8;
         whole_asids = Hashtbl.create 8;
         b_targets = Array.make (Machine.cpu_count machine) false;
-        b_urgent = false } }
+        b_urgent = false };
+    on_unmap = (fun ~asid:_ ~pfn:_ -> ()) }
 
 let arch ctx = Machine.arch ctx.machine
 let page_size ctx = (arch ctx).Arch.hw_page_size
@@ -183,7 +190,8 @@ let pv_insert ctx ~pfn ~asid ~vpn =
   Pv.insert ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
 
 let pv_remove ctx ~pfn ~asid ~vpn =
-  Pv.remove ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
+  Pv.remove ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn };
+  ctx.on_unmap ~asid ~pfn
 
 (* Charge for zeroing or copying [bytes] of memory. *)
 let move_cost ctx bytes = ((bytes + 15) / 16) * (cost ctx).Arch.move_16b

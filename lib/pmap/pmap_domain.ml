@@ -4,10 +4,11 @@ type t = {
   ctx : Backend.ctx;
   factory : Backend.factory;
   registry : (int, Pmap.t) Hashtbl.t;
-  mutable on_first_touch : (pfn:int -> unit) option;
-      (* fired when a frame's referenced bit transitions clear -> set;
-         the VM layer uses it to observe the first touch of pages it
-         mapped speculatively (burst faulting).  Charges nothing. *)
+  mutable on_first_touch : (asid:int -> pfn:int -> unit) option;
+      (* fired when a frame's referenced bit transitions clear -> set,
+         with the address space the touch went through; the VM layer
+         uses it to observe the first touch of pages it mapped
+         speculatively (burst faulting).  Charges nothing. *)
 }
 
 let create machine =
@@ -23,16 +24,18 @@ let create machine =
   let t =
     { ctx; factory; registry = Hashtbl.create 16; on_first_touch = None }
   in
-  Machine.set_on_translated machine (fun ~pfn ~write ->
+  Machine.set_on_translated machine (fun ~asid ~pfn ~write ->
       let pv = ctx.Backend.pv in
       (match t.on_first_touch with
-       | Some f when not (Pv.is_referenced pv ~pfn) -> f ~pfn
+       | Some f when not (Pv.is_referenced pv ~pfn) -> f ~asid ~pfn
        | _ -> ());
       Pv.set_referenced pv ~pfn;
       if write then Pv.set_modified pv ~pfn);
   t
 
 let set_on_first_touch t f = t.on_first_touch <- Some f
+
+let set_on_unmap t f = t.ctx.Backend.on_unmap <- f
 
 let machine t = t.ctx.Backend.machine
 

@@ -39,14 +39,23 @@ val set_current_cpu : t -> int -> unit
 val current_cpu : t -> int
 (** The CPU recorded by {!set_current_cpu} (initially 0). *)
 
-val set_on_first_touch : t -> (pfn:int -> unit) -> unit
-(** [set_on_first_touch t f] arranges for [f ~pfn] to run whenever a
-    frame's referenced bit transitions from clear to set (i.e. on the
-    first access since the bit was last cleared), before the bit is
-    set.  The VM layer uses this to observe the first touch of pages it
-    mapped speculatively (burst faulting): such pages never re-fault, so
-    the fault path cannot see their first use.  The hook must not charge
+val set_on_first_touch : t -> (asid:int -> pfn:int -> unit) -> unit
+(** [set_on_first_touch t f] arranges for [f ~asid ~pfn] to run whenever
+    a frame's referenced bit transitions from clear to set (i.e. on the
+    first access since the bit was last cleared), before the bit is set;
+    [asid] is the address space the access was translated through.  The
+    VM layer uses this to observe the first touch of pages it mapped
+    speculatively (burst faulting): such pages never re-fault, so the
+    fault path cannot see their first use.  The hook must not charge
     cycles — it runs on the translation fast path. *)
+
+val set_on_unmap : t -> (asid:int -> pfn:int -> unit) -> unit
+(** [set_on_unmap t f] arranges for [f ~asid ~pfn] to run whenever a
+    mapping of frame [pfn] in address space [asid] is dropped, for any
+    reason: range remove, {!remove_all}, a context steal, a frame
+    replaced by a new enter, pmap destruction.  The VM layer uses it to
+    see speculative mappings vanish before they were used.  Must not
+    charge cycles. *)
 
 (** {1 Flush batching}
 

@@ -2,12 +2,14 @@
 
    The contracts under test: the lock layer is cycle-invisible on one
    CPU and burst=1 (machinery on, demand page only) is byte- and
-   cycle-identical to burst=0 (the pre-burst fault path); bursting at
-   any width is invisible to data; burst-mapped neighbours are counted
-   as prefetch and their first touch as a hit even though they never
-   fault; and multi-CPU lock stalls are deterministic — replay-identical
-   across runs, with or without chaos injection — and conserved in the
-   cycle attribution. *)
+   cycle-identical to burst=0; bursting at any width is invisible to
+   data; burst-mapped neighbours are counted as prefetch and their first
+   touch as a hit even though they never fault, while a neighbour whose
+   mapping went unused is never a hit; each map entry's burst window
+   falls to its floor when neighbours go unused and holds at the cap
+   while they are used; and multi-CPU lock stalls are deterministic —
+   replay-identical across runs, with or without chaos injection — and
+   conserved in the cycle attribution. *)
 
 open Mach_hw
 open Mach_core
@@ -63,12 +65,156 @@ let test_burst_counts () =
   Alcotest.(check int) "first touches are hits" 28 s.Vm_sys.prefetch_hits;
   Alcotest.(check int) "no stalls on one CPU" 0 s.Vm_sys.lock_stalls
 
+(* Burst-map 7 neighbours, drop the range before any is touched, then
+   demand-fault each neighbour (from the top, so none bursts again):
+   the burst guess missed, so none of those faults is a prefetch hit. *)
+let test_dropped_neighbours_not_hits () =
+  let machine, kernel, sys = boot () in
+  sys.Vm_sys.burst_max <- 8;
+  let task = Kernel.create_task kernel () in
+  Kernel.run_task kernel ~cpu:0 task;
+  let ps = sys.Vm_sys.page_size in
+  let n = 8 in
+  let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
+  for i = 0 to n - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 'd'
+  done;
+  let pmap = pmap_of task in
+  let drop () =
+    pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps))
+  in
+  drop ();
+  Machine.touch machine ~cpu:0 ~va:addr ~write:false;
+  let s = sys.Vm_sys.stats in
+  Alcotest.(check int) "neighbours mapped" 7 s.Vm_sys.burst_mapped;
+  Alcotest.(check int) "counted as prefetch" 7 s.Vm_sys.prefetch_issued;
+  drop ();
+  let f0 = s.Vm_sys.faults in
+  for i = n - 1 downto 1 do
+    Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
+  done;
+  Alcotest.(check int) "every neighbour demand-faulted" 7
+    (s.Vm_sys.faults - f0);
+  Alcotest.(check int) "no burst after the drop" 7 s.Vm_sys.burst_mapped;
+  Alcotest.(check int) "no prefetch hits" 0 s.Vm_sys.prefetch_hits
+
+(* ---- burst window ---------------------------------------------------------- *)
+
+(* The vmbench smp shape on one shared task: each round one CPU touches
+   one page, then the whole range is dropped before any neighbour is
+   used.  The window starts at the cap, halves on each round's misses,
+   and from the third burst on maps exactly one probe neighbour. *)
+let test_window_shrinks_on_drops () =
+  let machine, kernel, sys = boot ~cpus:2 () in
+  sys.Vm_sys.burst_max <- 8;
+  let task = Kernel.create_task kernel () in
+  Kernel.run_task kernel ~cpu:0 task;
+  Kernel.run_task kernel ~cpu:1 task;
+  let ps = sys.Vm_sys.page_size in
+  let n = 32 in
+  let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
+  for i = 0 to n - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 'w'
+  done;
+  let pmap = pmap_of task in
+  let s = sys.Vm_sys.stats in
+  let mapped =
+    List.init 12 (fun r ->
+        let cpu = r mod 2 in
+        Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
+        pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps));
+        let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
+        Machine.touch machine ~cpu ~va:(addr + (2 * r * ps)) ~write:(r mod 3 = 0);
+        Alcotest.(check int) "one fault per round" 1 (s.Vm_sys.faults - f0);
+        s.Vm_sys.burst_mapped - m0)
+  in
+  Alcotest.(check (list int)) "neighbours per fault"
+    [ 7; 3; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1 ] mapped;
+  Alcotest.(check int) "no prefetch hits" 0 s.Vm_sys.prefetch_hits
+
+(* The mpfault shape: four CPUs sweep interleaved stripes of one shared
+   object, then drop and re-sweep.  Other CPUs' burst neighbours sit
+   mapped and untouched while each CPU decides — undecided, not misses —
+   so the window holds at the cap: every re-sweep is 4 faults per
+   stripe with 7 neighbours each, all of them hits. *)
+let test_window_holds_on_stripes () =
+  let machine, kernel, sys = boot ~cpus:4 () in
+  sys.Vm_sys.burst_max <- 8;
+  let task = Kernel.create_task kernel () in
+  for cpu = 0 to 3 do
+    Kernel.run_task kernel ~cpu task
+  done;
+  let ps = sys.Vm_sys.page_size in
+  let stripe_pages = 32 in
+  let stripe = stripe_pages * ps in
+  let addr = ok (Vm_user.allocate sys task ~size:(4 * stripe) ~anywhere:true ()) in
+  let pmap = pmap_of task in
+  let sweep () =
+    for p = 0 to stripe_pages - 1 do
+      for cpu = 0 to 3 do
+        Machine.touch machine ~cpu
+          ~va:(addr + (cpu * stripe) + (p * ps))
+          ~write:true
+      done
+    done
+  in
+  sweep ();
+  let s = sys.Vm_sys.stats in
+  for _ = 1 to 3 do
+    for cpu = 0 to 3 do
+      Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
+      pmap.Mach_pmap.Pmap.remove
+        ~start_va:(addr + (cpu * stripe))
+        ~end_va:(addr + ((cpu + 1) * stripe))
+    done;
+    let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
+    let h0 = s.Vm_sys.prefetch_hits in
+    sweep ();
+    Alcotest.(check int) "faults per re-sweep" 16 (s.Vm_sys.faults - f0);
+    Alcotest.(check int) "neighbours per re-sweep" 112
+      (s.Vm_sys.burst_mapped - m0);
+    Alcotest.(check int) "hits per re-sweep" 112
+      (s.Vm_sys.prefetch_hits - h0)
+  done
+
+(* Two tasks share one object.  A burst-maps pages 1..7; B then touches
+   page 7 through its own mapping.  That touch is B's, not a use of A's
+   speculative mapping, so it credits nobody; A's own touch of page 6
+   is a hit. *)
+let test_other_task_touch_not_credited () =
+  let machine, kernel, sys = boot ~cpus:2 () in
+  sys.Vm_sys.burst_max <- 8;
+  let a = Kernel.create_task kernel ~name:"a" () in
+  Kernel.run_task kernel ~cpu:0 a;
+  let ps = sys.Vm_sys.page_size in
+  let n = 8 in
+  let addr = ok (Vm_user.allocate sys a ~size:(n * ps) ~anywhere:true ()) in
+  ok (Vm_user.inherit_ sys a ~addr ~size:(n * ps) Inheritance.Shared);
+  for i = 0 to n - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 's'
+  done;
+  let b = Kernel.fork_task kernel ~cpu:0 a in
+  Kernel.run_task kernel ~cpu:1 b;
+  List.iter
+    (fun t ->
+       (pmap_of t).Mach_pmap.Pmap.remove ~start_va:addr
+         ~end_va:(addr + (n * ps)))
+    [ a; b ];
+  let s = sys.Vm_sys.stats in
+  Machine.touch machine ~cpu:0 ~va:addr ~write:false;
+  Alcotest.(check int) "A burst-mapped its neighbours" 7 s.Vm_sys.burst_mapped;
+  Machine.touch machine ~cpu:1 ~va:(addr + (7 * ps)) ~write:false;
+  Alcotest.(check int) "B's touch credits nobody" 0 s.Vm_sys.prefetch_hits;
+  Machine.touch machine ~cpu:0 ~va:(addr + (6 * ps)) ~write:false;
+  Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_sys.prefetch_hits
+
 (* ---- qcheck: burst transparency ------------------------------------------- *)
 
-(* Random streams of reads, writes and pmap drops over a 16-page
-   region, replayed under two burst limits; ends with a full read of
-   the region.  Returns the bytes read, the CPU clock and the fault
-   count. *)
+(* Random streams of reads, writes, pmap range drops and reprotects
+   (read-only, then back to read-write, which leaves the hardware
+   mappings read-only) over a 16-page region, replayed under two burst
+   limits; ends with a full read of the region.  Returns the bytes read,
+   the CPU clock and the fault count. *)
 let burst_run ops burst =
   let machine, kernel, sys = boot () in
   sys.Vm_sys.burst_max <- burst;
@@ -85,9 +231,16 @@ let burst_run ops burst =
        | 1 ->
          Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps))
            (Char.chr (0x40 + i))
-       | _ ->
+       | 2 ->
          pmap.Mach_pmap.Pmap.remove ~start_va:(addr + (i * ps))
-           ~end_va:(addr + (n * ps)))
+           ~end_va:(addr + (n * ps))
+       | _ ->
+         List.iter
+           (fun prot ->
+              ok
+                (Vm_user.protect sys task ~addr:(addr + (i * ps))
+                   ~size:((n - i) * ps) ~set_max:false ~prot))
+           [ Prot.read_only; Prot.read_write ])
     ops;
   let bytes =
     Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
@@ -96,10 +249,10 @@ let burst_run ops burst =
 
 let ops_gen =
   QCheck2.Gen.(
-    list_size (int_range 1 24) (pair (int_range 0 15) (int_range 0 2)))
+    list_size (int_range 1 24) (pair (int_range 0 15) (int_range 0 3)))
 
-(* burst=1 runs the burst machinery but collects no neighbours: it must
-   be indistinguishable from the pre-burst fault path, to the cycle. *)
+(* burst=0 and burst=1 both map only the demand page: they must be
+   indistinguishable, to the cycle. *)
 let burst1_is_legacy =
   QCheck2.Test.make ~name:"burst=1 byte- and cycle-identical to burst=0"
     ~count:40 ops_gen
@@ -203,8 +356,16 @@ let test_contention_chaos_replay () =
 let () =
   Alcotest.run "mpfault"
     [ ( "burst",
-        [ Alcotest.test_case "neighbour accounting" `Quick test_burst_counts ]
-      );
+        [ Alcotest.test_case "neighbour accounting" `Quick test_burst_counts;
+          Alcotest.test_case "dropped neighbours are not hits" `Quick
+            test_dropped_neighbours_not_hits ] );
+      ( "window",
+        [ Alcotest.test_case "shrinks when neighbours are dropped" `Quick
+            test_window_shrinks_on_drops;
+          Alcotest.test_case "holds on interleaved stripes" `Quick
+            test_window_holds_on_stripes;
+          Alcotest.test_case "another task's touch credits nobody" `Quick
+            test_other_task_touch_not_credited ] );
       ( "contention",
         [ Alcotest.test_case "4-CPU stalls replay identically" `Quick
             test_contention_deterministic;
