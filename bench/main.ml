@@ -897,14 +897,13 @@ let chaos () =
         (fun ~offset ~length ->
            match Hashtbl.find_opt store offset with
            | Some d ->
-             Types.Data_provided (Bytes.sub d 0 (min length (Bytes.length d)))
+             Types.Data_provided
+               (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
            | None -> Types.Data_unavailable);
       pgr_write =
         (fun ~offset ~data ->
            Hashtbl.replace store offset (Bytes.copy data);
-           Types.Write_completed);
-      pgr_submit = Types.no_submit;
-      pgr_submit_write = Types.no_submit_write;
+           Types.Write_completed Types.io_none);
       pgr_should_cache = ref false;
     }
   in

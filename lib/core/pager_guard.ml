@@ -3,6 +3,20 @@ module Obs = Mach_obs.Obs
 
 let pager_dead o = o.obj_health.ph_dead
 
+(* A blocking caller waits out a reply's device time; free for [io_none]
+   and with the async disk model off. *)
+let wait_io (sys : Vm_sys.t) io =
+  Mach_hw.Machine.wait_io sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys) io
+
+(* The inflight record pages ride while [io] is still on the device, or
+   [None] once it has landed — always the case with the async disk model
+   off, where the transfer was charged at submit. *)
+let inflight_of (sys : Vm_sys.t) io =
+  if io.io_completion
+     > Mach_hw.Machine.cycles sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys)
+  then Some { if_io = io; if_waited = false }
+  else None
+
 (* Declare the object's pager dead and rescue every dirty resident page
    to a fresh default pager before any of them can be lost.  The rescue
    pager is deliberately NOT passed through [pager_decorator]: it is the
@@ -21,7 +35,8 @@ let declare_dead (sys : Vm_sys.t) o pager =
            rescue.pgr_write ~offset:p.pg_offset
              ~data:(Page_io.contents sys p)
          with
-         | Write_completed ->
+         | Write_completed io ->
+           wait_io sys io;
            incr rescued;
            stats.Vm_sys.rescued_pages <- stats.Vm_sys.rescued_pages + 1
          | Write_error | Write_no_space -> ())
@@ -67,8 +82,9 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
   go 0
 
 (* A dead pager's object answers from the rescue pager; pages the rescue
-   pager never received follow the degrade policy. *)
-let degraded_request o ~offset ~length =
+   pager never received follow the degrade policy.  The rescue read
+   blocks: the last line of defence is never a prefetch. *)
+let degraded_request sys o ~offset ~length =
   let fallback () =
     match o.obj_degrade with
     | Degrade_zero_fill -> `Absent
@@ -78,7 +94,9 @@ let degraded_request o ~offset ~length =
   | None -> fallback ()
   | Some r ->
     (match r.pgr_request ~offset ~length with
-     | Data_provided d -> `Data d
+     | Data_provided (d, io) ->
+       wait_io sys io;
+       `Data d
      | Data_unavailable | Data_error -> fallback ())
 
 let request sys o ~offset ~length =
@@ -89,12 +107,14 @@ let request sys o ~offset ~length =
        time — except cycles a narrower frame or explicit category claims
        (disk service time, retry backoff). *)
     Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then degraded_request o ~offset ~length
+    if o.obj_health.ph_dead then degraded_request sys o ~offset ~length
     else begin
       match
         with_retries sys o ~offset (fun () ->
             match pager.pgr_request ~offset ~length with
-            | Data_provided d -> `Done (`Data d)
+            | Data_provided (d, io) ->
+              wait_io sys io;
+              `Done (`Data d)
             | Data_unavailable -> `Done `Absent
             | Data_error -> `Failed)
       with
@@ -106,54 +126,26 @@ let request sys o ~offset ~length =
    Clustering is opportunistic — if anything goes wrong the caller falls
    back to the single-page [request] path, which owns the retry/backoff/
    death policy.  A [`Data] reply may be shorter than [length] (a
-   truncated cluster); [`Absent] means the pager holds nothing at
-   [offset] itself (see the contract on [pgr_request]). *)
+   truncated cluster) and carries the transfer's stamp unwaited: the
+   caller either waits ([wait_io]) or lets the pages ride it
+   ([inflight_of]).  [`Absent] means the pager holds nothing at [offset]
+   itself (see the contract on [pgr_request]). *)
 let request_range (sys : Vm_sys.t) o ~offset ~length =
   match o.obj_pager with
   | None -> `Absent
   | Some pager ->
     Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then degraded_request o ~offset ~length
+    if o.obj_health.ph_dead then
+      (match degraded_request sys o ~offset ~length with
+       | `Data d -> `Data (d, io_none)
+       | (`Absent | `Error) as r -> r)
     else begin
       match pager.pgr_request ~offset ~length with
-      | Data_provided d ->
+      | Data_provided (d, io) ->
         o.obj_health.ph_consecutive <- 0;
-        `Data d
+        `Data (d, io)
       | Data_unavailable -> `Absent
       | Data_error -> `Error
-    end
-
-(* One-shot asynchronous clustered read: the opportunistic counterpart
-   of [request_range].  [None] covers every way the submit path can be
-   unavailable — no pager, dead pager, async disk off, or a submit-time
-   failure — and the caller uses the synchronous protocol instead.
-   Like [request_range], success clears the consecutive-failure count. *)
-let submit_range (sys : Vm_sys.t) o ~offset ~length =
-  match o.obj_pager with
-  | None -> None
-  | Some pager ->
-    if o.obj_health.ph_dead then None
-    else begin
-      Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-      match pager.pgr_submit ~offset ~length with
-      | Some tk ->
-        o.obj_health.ph_consecutive <- 0;
-        Some (tk.tk_data, tk.tk_completion, tk.tk_service)
-      | None -> None
-    end
-
-let submit_write_range (sys : Vm_sys.t) o ~offset ~data =
-  match o.obj_pager with
-  | None -> None
-  | Some pager ->
-    if o.obj_health.ph_dead then None
-    else begin
-      Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-      match pager.pgr_submit_write ~offset ~data with
-      | Some wt ->
-        o.obj_health.ph_consecutive <- 0;
-        Some (wt.wt_completion, wt.wt_service)
-      | None -> None
     end
 
 (* Block until the async transfer a page rides on has landed, charging
@@ -168,36 +160,46 @@ let await_page (sys : Vm_sys.t) p =
   | Some io ->
     let m = sys.Vm_sys.machine in
     Mach_hw.Machine.wait_disk m ~cpu:(Vm_sys.current_cpu sys)
-      ~completion:io.if_completion
-      ~service:(if io.if_waited then 0 else io.if_service);
+      ~completion:io.if_io.io_completion
+      ~service:(if io.if_waited then 0 else io.if_io.io_service);
     io.if_waited <- true;
     p.pg_inflight <- None;
     p.pg_busy <- false
+
+(* A dead pager's writes go to the rescue pager, blocking like every
+   rescue transfer. *)
+let rescue_write sys o ~offset ~data =
+  match o.obj_rescue with
+  | None -> `Failed
+  | Some r ->
+    (match r.pgr_write ~offset ~data with
+     | Write_completed io ->
+       wait_io sys io;
+       `Ok
+     | Write_error -> `Failed
+     | Write_no_space -> `No_space)
 
 (* One-shot clustered write, same policy: a failure is reported without
    retries or health damage and the caller degrades to single-page
    [write] calls.  [`No_space] — the backing store is full — is
    permanent until space is released, so it is reported distinctly (no
    retries either, and no health damage: the pager is fine, the disk is
-   full) and the caller escalates to the memory-pressure state. *)
+   full) and the caller escalates to the memory-pressure state.  [`Ok]
+   carries the transfer's stamp unwaited, like [request_range]. *)
 let write_range (sys : Vm_sys.t) o ~offset ~data =
   match o.obj_pager with
   | None -> `Failed
   | Some pager ->
     Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
     if o.obj_health.ph_dead then
-      (match o.obj_rescue with
-       | None -> `Failed
-       | Some r ->
-         (match r.pgr_write ~offset ~data with
-          | Write_completed -> `Ok
-          | Write_error -> `Failed
-          | Write_no_space -> `No_space))
+      (match rescue_write sys o ~offset ~data with
+       | `Ok -> `Ok io_none
+       | (`Failed | `No_space) as r -> r)
     else begin
       match pager.pgr_write ~offset ~data with
-      | Write_completed ->
+      | Write_completed io ->
         o.obj_health.ph_consecutive <- 0;
-        `Ok
+        `Ok io
       | Write_error -> `Failed
       | Write_no_space -> `No_space
     end
@@ -207,19 +209,14 @@ let write sys o ~offset ~data =
   | None -> `Failed
   | Some pager ->
     Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then
-      (match o.obj_rescue with
-       | None -> `Failed
-       | Some r ->
-         (match r.pgr_write ~offset ~data with
-          | Write_completed -> `Ok
-          | Write_error -> `Failed
-          | Write_no_space -> `No_space))
+    if o.obj_health.ph_dead then rescue_write sys o ~offset ~data
     else begin
       match
         with_retries sys o ~offset (fun () ->
             match pager.pgr_write ~offset ~data with
-            | Write_completed -> `Done `Ok
+            | Write_completed io ->
+              wait_io sys io;
+              `Done `Ok
             | Write_no_space -> `Done `No_space
             | Write_error -> `Failed)
       with

@@ -16,7 +16,24 @@
       {!Swap_pager}, i.e. the default pager) so no data can be lost;
     - once dead, requests are answered from the rescue pager, and pages
       it does not hold follow the object's {!Types.degrade_policy} —
-      zero fill, or [KERN_MEMORY_ERROR] to the faulting task. *)
+      zero fill, or [KERN_MEMORY_ERROR] to the faulting task.
+
+    Every pager reply carries an {!Types.io} stamp saying when its device
+    work finishes.  {!request}, {!write} and the rescue transfers block
+    on it ({!wait_io}); the one-shot cluster calls hand it back unwaited,
+    so the caller can wait or let the pages ride the transfer
+    ({!inflight_of}). *)
+
+val wait_io : Vm_sys.t -> Types.io -> unit
+(** [wait_io sys io] blocks the current CPU until [io] lands, charging
+    only the residue.  Free for {!Types.io_none} and whenever the async
+    disk model is off. *)
+
+val inflight_of : Vm_sys.t -> Types.io -> Types.inflight option
+(** [inflight_of sys io] is a fresh inflight record for pages riding
+    [io] while it is still pending — its completion lies past the
+    current CPU's clock — and [None] once it has landed.  With the async
+    disk model off a transfer is never pending. *)
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
@@ -29,30 +46,15 @@ val request :
 
 val request_range :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
-  [ `Data of Bytes.t | `Absent | `Error ]
+  [ `Data of Bytes.t * Types.io | `Absent | `Error ]
 (** [request_range] is the clustered-pagein variant of {!request}: one
-    attempt, no retries, no health damage.  The reply may hold fewer
-    bytes than [length] (a truncated cluster).  On [`Error] — or a reply
-    shorter than one page — the caller must fall back to the single-page
-    {!request} path, which owns the retry/backoff/death policy.
-    [`Absent] means the pager holds nothing at [offset] itself, so the
-    caller may descend/zero-fill the demand page directly. *)
-
-val submit_range :
-  Vm_sys.t -> Types.obj -> offset:int -> length:int ->
-  (Bytes.t * int * int) option
-(** [submit_range] is the asynchronous variant of {!request_range}: ask
-    the pager to submit the transfer and return [(data, completion,
-    service)] without blocking for device time.  [None] means the submit
-    path is unavailable (no pager, dead pager, async disk off, or the
-    pager declined) and the caller must use the synchronous protocol.
-    One attempt, no retries, no health damage. *)
-
-val submit_write_range :
-  Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->
-  (int * int) option
-(** Asynchronous variant of {!write_range}: [(completion, service)] on
-    submit, [None] to fall back to the synchronous path. *)
+    attempt, no retries, no health damage, and the transfer's stamp
+    returned unwaited.  The reply may hold fewer bytes than [length] (a
+    truncated cluster).  On [`Error] — or a reply shorter than one page
+    — the caller must fall back to the single-page {!request} path,
+    which owns the retry/backoff/death policy.  [`Absent] means the
+    pager holds nothing at [offset] itself, so the caller may
+    descend/zero-fill the demand page directly. *)
 
 val await_page : Vm_sys.t -> Types.page -> unit
 (** [await_page sys p] blocks the current CPU until the async transfer
@@ -63,9 +65,10 @@ val await_page : Vm_sys.t -> Types.page -> unit
 
 val write_range :
   Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->
-  [ `Ok | `Failed | `No_space ]
+  [ `Ok of Types.io | `Failed | `No_space ]
 (** [write_range] is the clustered-pageout variant of {!write}: one
-    attempt, no retries, no health damage.  On [`Failed] nothing was
+    attempt, no retries, no health damage, and [`Ok] carries the
+    transfer's stamp unwaited.  On [`Failed] nothing was
     written and the caller must degrade to per-page {!write} calls;
     [`No_space] means the backing store is full ([Write_no_space]) —
     also nothing written, also no health damage, but permanent until

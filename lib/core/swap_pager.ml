@@ -75,46 +75,21 @@ let make (sys : Vm_sys.t) ~name =
          match gather ~offset ~length with
          | None -> Data_unavailable
          | Some (data, got) ->
-           Mach_hw.Machine.charge_disk machine ~cpu:(cpu ()) ~write:false
-             ~bytes:got;
-           Data_provided data);
+           Data_provided
+             (data,
+              Mach_hw.Machine.submit_disk machine queue ~cpu:(cpu ())
+                ~write:false ~bytes:got ~extra:0));
     pgr_write =
       (fun ~offset ~data ->
          if not (reserve ~offset ~data) then Write_no_space
          else begin
-           (* One disk charge for the whole (possibly clustered) write. *)
-           Mach_hw.Machine.charge_disk machine ~cpu:(cpu ()) ~write:true
-             ~bytes:(Bytes.length data);
-           scatter ~offset ~data;
-           Write_completed
-         end);
-    pgr_submit =
-      (fun ~offset ~length ->
-         if not (Mach_hw.Machine.disk_async machine) then None
-         else
-           match gather ~offset ~length with
-           | None -> None
-           | Some (data, got) ->
-             let completion, service =
-               Mach_hw.Machine.submit_disk machine queue ~cpu:(cpu ())
-                 ~write:false ~bytes:got ~extra:0
-             in
-             Some { tk_data = data; tk_completion = completion;
-                    tk_service = service });
-    pgr_submit_write =
-      (fun ~offset ~data ->
-         if not (Mach_hw.Machine.disk_async machine) then None
-         else if not (reserve ~offset ~data) then
-           (* No space: fall back to the synchronous path, whose
-              [Write_no_space] reply carries the escalation. *)
-           None
-         else begin
-           let completion, service =
+           (* One disk transfer for the whole (possibly clustered) write. *)
+           let io =
              Mach_hw.Machine.submit_disk machine queue ~cpu:(cpu ())
                ~write:true ~bytes:(Bytes.length data) ~extra:0
            in
            scatter ~offset ~data;
-           Some { wt_completion = completion; wt_service = service }
+           Write_completed io
          end);
     pgr_should_cache = ref false;
   }

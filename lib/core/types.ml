@@ -46,14 +46,17 @@ type page = {
          into the memory-pressure state instead of spinning forever *)
 }
 
-(* One async disk request, shared by every page of its cluster.  The
-   first waiter charges the remaining cycles and claims the overlap;
-   [if_waited] stops the sharers from double-counting it. *)
+(* One async disk request still on the device, shared by every page of
+   its cluster.  The first waiter charges the remaining cycles and claims
+   the overlap; [if_waited] stops the sharers from double-counting it. *)
 and inflight = {
-  if_completion : int;        (* absolute cycle stamp when the I/O lands *)
-  if_service : int;           (* device cycles the request occupies *)
+  if_io : io;
   mutable if_waited : bool;
 }
+
+(* When a pager's transfer lands on the device ([Machine.submit_disk]);
+   [io_none] for a reply that involved no device. *)
+and io = Mach_hw.Machine.io = { io_completion : int; io_service : int }
 
 and obj = {
   obj_id : int;
@@ -137,7 +140,13 @@ and degrade_policy =
 (* A pager instance manages one memory object (it is addressed through
    that object's paging_object port in real Mach).  The closures carry the
    kernel-to-pager calls of Table 3-1 that move data; the pager answers in
-   the style of the pager-to-kernel calls of Table 3-2. *)
+   the style of the pager-to-kernel calls of Table 3-2.  Each transfer is
+   implemented once: the pager starts its device work and returns at
+   once, and the reply's [io] stamp says when the device finishes.  The
+   kernel decides whether to wait for it (Pager_guard.wait_io) or to let
+   the pages ride the transfer (an [inflight] record); with the async
+   disk model off the device work is already charged and the stamp is
+   never pending. *)
 and pager = {
   pgr_id : int;
   pgr_name : string;
@@ -156,44 +165,22 @@ and pager = {
          boundaries or later single-page requests will miss it.
          [Write_error] means NO page of the range was cleaned; the kernel
          falls back to single-page writes. *)
-  pgr_submit : offset:int -> length:int -> pager_ticket option;
-      (* asynchronous pager_data_request: start the transfer and return
-         its data plus a completion stamp without blocking the CPU for
-         the device time.  [None] means this pager cannot submit (async
-         disk off, no async path, failure at submit): the caller uses
-         the synchronous protocol instead.  Strictly opportunistic —
-         never retried, no health damage. *)
-  pgr_submit_write : offset:int -> data:Bytes.t -> write_ticket option;
-      (* asynchronous pager_data_write, same contract: [None] falls back
-         to the synchronous [pgr_write] path. *)
   pgr_should_cache : bool ref;
       (* pager_cache: retain the object after its last unmap *)
 }
 
-(* Reply to an async submit: the data is available for filling frames
-   immediately (the simulation holds it in host memory), but the device
-   is busy until [tk_completion]; [tk_service] is the request's device
-   time, the budget a waiter can have overlapped. *)
-and pager_ticket = {
-  tk_data : Bytes.t;
-  tk_completion : int;
-  tk_service : int;
-}
-
-and write_ticket = {
-  wt_completion : int;
-  wt_service : int;
-}
-
 and pager_reply =
-  | Data_provided of Bytes.t   (* pager_data_provided *)
+  | Data_provided of Bytes.t * io
+      (* pager_data_provided: the data is in hand at once (the
+         simulation holds it in host memory); the device is busy until
+         the stamp *)
   | Data_unavailable           (* pager_data_unavailable: zero fill *)
   | Data_error                 (* pager_error: the request failed (I/O
                                   error, timeout, crashed pager); the
                                   kernel may retry *)
 
 and pager_write_reply =
-  | Write_completed
+  | Write_completed of io
   | Write_error                (* the page was NOT cleaned; the kernel
                                   must keep it dirty *)
   | Write_no_space             (* the backing store is full: permanent
@@ -253,10 +240,7 @@ let fresh_pager_id () = incr next_pager_id; !next_pager_id
 
 let fresh_health () = { ph_failures = 0; ph_consecutive = 0; ph_dead = false }
 
-(* Defaults for pagers with no asynchronous path: every submit falls back
-   to the synchronous protocol. *)
-let no_submit ~offset:_ ~length:_ = None
-let no_submit_write ~offset:_ ~data:_ = None
+let io_none = Mach_hw.Machine.io_none
 
 let entry_size e = e.e_end - e.e_start
 

@@ -37,12 +37,13 @@
    task's working set.  Dirty, wired, busy, in-flight pages — and pages
    another live stream has yet to reach — are skipped.
 
-   With the asynchronous disk model on, only the demand page is read
-   synchronously; the prefetch tail is submitted
-   ({!Pager_guard.submit_range}) and its pages ride an {!Types.inflight}
-   record: they are filled and resident immediately, but stay busy until
-   the device's completion stamp, and the first toucher waits out the
-   residue ({!Pager_guard.await_page} via {!note_hit}). *)
+   With the asynchronous disk model on, the demand page is read first
+   (blocking) and the prefetch tail is a second range request whose
+   reply is not waited on: while its transfer is still pending, the tail
+   pages ride an {!Types.inflight} record ({!Pager_guard.inflight_of}) —
+   filled and resident immediately, but busy until the device's
+   completion stamp, and the first toucher waits out the residue
+   ({!Pager_guard.await_page} via {!note_hit}). *)
 
 open Types
 module Obs = Mach_obs.Obs
@@ -124,12 +125,6 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
   sys.Vm_sys.stream_clock <- sys.Vm_sys.stream_clock + 1;
   st.st_use <- sys.Vm_sys.stream_clock;
   st.st_epoch <- stream_epoch sys
-
-(* A one-page read succeeded: remember where it ended so the next miss
-   can be recognised as sequential, and collapse the window — a ramp is
-   earned by issued clusters, not by plans. *)
-let commit_single sys st ~stream ~offset ~ps =
-  commit sys st ~stream ~next:(offset + ps) ~window:1
 
 (* --- Free-behind ------------------------------------------------------ *)
 
@@ -220,9 +215,11 @@ let plan (sys : Vm_sys.t) obj ~w ~offset ~limit =
 
 (* The classical one-page pagein, exactly the pre-clustering fault path:
    guarded request with retries, then allocate/fill.  Returns the bytes
-   a Pagein trace event should report.  Read-ahead bookkeeping belongs
-   to the caller. *)
-let single (sys : Vm_sys.t) obj ~offset =
+   a Pagein trace event should report.  On success stream slot [st]
+   remembers where the read ended, so the next miss can be recognised as
+   sequential, and its window collapses — a ramp is earned by issued
+   clusters, not by plans. *)
+let single (sys : Vm_sys.t) obj st ~stream ~offset =
   let ps = sys.Vm_sys.page_size in
   match Pager_guard.request sys obj ~offset ~length:ps with
   | `Data data ->
@@ -233,20 +230,22 @@ let single (sys : Vm_sys.t) obj ~offset =
     p.pg_busy <- false;
     sys.Vm_sys.stats.Vm_sys.pager_reads <-
       sys.Vm_sys.stats.Vm_sys.pager_reads + 1;
+    commit sys st ~stream ~next:(offset + ps) ~window:1;
     `Data (p, ps)
   | `Absent -> `Absent
   | `Error -> `Error
 
 (* Fill the [got] prefetch pages beyond the demand page from [data]
    (page [i] of [data] is object offset [tail_off + i*ps]).  [inflight]
-   is the shared async transfer record, [None] on the synchronous path;
-   async pages stay busy until awaited.  Returns how many pages were
-   actually installed ([plan] skipped resident pages, but the demand
-   grab may have run the reclaimer in between; re-check and never steal
-   from the free target).  Allocation is raw [Resident.alloc] behind a
-   hard [free_reserved] floor: prefetch must never wait, reclaim, OOM
-   or dip into the reserve on behalf of speculation — pages that do not
-   fit are simply dropped from the tail. *)
+   is the shared record of a transfer still on the device, [None] once
+   it has landed; riding pages stay busy until awaited.  Returns how
+   many pages were actually installed ([plan] skipped resident pages,
+   but the demand grab may have run the reclaimer in between; re-check
+   and never steal from the free target).  Allocation is raw
+   [Resident.alloc] behind a hard [free_reserved] floor: prefetch must
+   never wait, reclaim, OOM or dip into the reserve on behalf of
+   speculation — pages that do not fit are simply dropped from the
+   tail. *)
 let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~inflight =
   let ps = sys.Vm_sys.page_size in
   let issued = ref 0 in
@@ -282,13 +281,14 @@ let note_prefetch (sys : Vm_sys.t) ~offset ~issued ~window =
     Vm_sys.emit sys (Obs.Prefetch { offset; pages = issued; window })
   end
 
-(* Synchronous clustered pagein: one range request covers the demand
-   page and the tail. *)
+(* Synchronous clustered pagein: one blocking range request covers the
+   demand page and the tail. *)
 let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
   let ps = sys.Vm_sys.page_size in
   let stats = sys.Vm_sys.stats in
   match Pager_guard.request_range sys obj ~offset ~length:(n * ps) with
-  | `Data data when Bytes.length data >= ps ->
+  | `Data (data, io) when Bytes.length data >= ps ->
+    Pager_guard.wait_io sys io;
     let got = min n (Bytes.length data / ps) in
     (* Commit the ramp at the size actually issued: a cluster clipped by
        the object end, a resident page or free-list headroom must not
@@ -313,80 +313,46 @@ let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
     (* Degrade to the single-page path, which owns retry/death — and
        still advance the sequence point on success, so one bad cluster
        costs the ramp, not the ability to ever ramp again. *)
-    (match single sys obj ~offset with
-     | `Data _ as r ->
-       commit_single sys st ~stream ~offset ~ps;
-       r
-     | r -> r)
+    single sys obj st ~stream ~offset
   | `Absent -> `Absent
 
-(* Asynchronous clustered pagein: the demand page is read synchronously
-   (keeping the guarded retry/death policy on the page the fault
-   actually needs), then the tail is submitted and overlaps with
-   whatever the CPU does next.  Submitting after the demand read keeps
-   the demand transfer ahead of the tail in the device queue.  Pagers
-   with no submit path still prefetch, just synchronously. *)
+(* Asynchronous clustered pagein: the demand page is read first and
+   blocking (keeping the guarded retry/death policy on the page the
+   fault actually needs), then the tail is requested without waiting and
+   overlaps with whatever the CPU does next.  Requesting after the
+   demand read keeps the demand transfer ahead of the tail in the device
+   queue.  A tail that needed no device (a pager with no disk behind
+   it) has already landed and installs like a synchronous one. *)
 let pagein_async (sys : Vm_sys.t) obj st ~stream ~offset ~n =
   let ps = sys.Vm_sys.page_size in
   let stats = sys.Vm_sys.stats in
-  match single sys obj ~offset with
+  match single sys obj st ~stream ~offset with
   | (`Absent | `Error) as r -> r
   | `Data (demand, _) ->
-    commit_single sys st ~stream ~offset ~ps;
     let tail_off = offset + ps in
-    let tail_len = (n - 1) * ps in
-    let finish ~got ~issued =
-      if got > 0 then begin
-        commit sys st ~stream ~next:(tail_off + (got * ps)) ~window:n;
-        stats.Vm_sys.pager_reads <- stats.Vm_sys.pager_reads + 1
-      end;
-      note_prefetch sys ~offset ~issued ~window:st.st_window;
-      if got > 0 then free_behind sys obj st ~offset ~pages:(got + 1);
-      `Data (demand, ps + (got * ps))
-    in
-    (match Pager_guard.submit_range sys obj ~offset:tail_off
-             ~length:tail_len with
-     | Some (data, completion, service) when Bytes.length data >= ps ->
+    (match Pager_guard.request_range sys obj ~offset:tail_off
+             ~length:((n - 1) * ps) with
+     | `Data (data, io) when Bytes.length data >= ps ->
        let got = min (n - 1) (Bytes.length data / ps) in
-       let inflight =
-         Some { if_completion = completion; if_service = service;
-                if_waited = false }
+       let issued =
+         install_tail sys obj ~tail_off ~got ~data
+           ~inflight:(Pager_guard.inflight_of sys io)
        in
-       let issued = install_tail sys obj ~tail_off ~got ~data ~inflight in
-       finish ~got ~issued
-     | Some _ -> `Data (demand, ps)
-     | None ->
-       (* No async path (or async submit declined): synchronous tail. *)
-       (match Pager_guard.request_range sys obj ~offset:tail_off
-                ~length:tail_len with
-        | `Data data when Bytes.length data >= ps ->
-          let got = min (n - 1) (Bytes.length data / ps) in
-          let issued =
-            install_tail sys obj ~tail_off ~got ~data ~inflight:None
-          in
-          finish ~got ~issued
-        | `Data _ | `Error | `Absent -> `Data (demand, ps)))
+       commit sys st ~stream ~next:(tail_off + (got * ps)) ~window:n;
+       stats.Vm_sys.pager_reads <- stats.Vm_sys.pager_reads + 1;
+       note_prefetch sys ~offset ~issued ~window:n;
+       free_behind sys obj st ~offset ~pages:(got + 1);
+       `Data (demand, ps + (got * ps))
+     | `Data _ | `Error | `Absent -> `Data (demand, ps))
 
 let pagein (sys : Vm_sys.t) ?(stream = (-1, 0)) obj ~offset ~limit =
-  let ps = sys.Vm_sys.page_size in
-  if sys.Vm_sys.cluster_max <= 1 then single sys obj ~offset
-  else begin
-    let st, seq = find_slot sys obj ~stream ~offset in
-    let w =
-      if seq then min sys.Vm_sys.cluster_max (st.st_window * 2) else 1
-    in
-    let n = plan sys obj ~w ~offset ~limit in
-    if n = 1 then begin
-      match single sys obj ~offset with
-      | `Data _ as r ->
-        commit_single sys st ~stream ~offset ~ps;
-        r
-      | r -> r
-    end
-    else if Mach_hw.Machine.disk_async sys.Vm_sys.machine then
-      pagein_async sys obj st ~stream ~offset ~n
-    else pagein_sync sys obj st ~stream ~offset ~n
-  end
+  let st, seq = find_slot sys obj ~stream ~offset in
+  let w = if seq then min sys.Vm_sys.cluster_max (st.st_window * 2) else 1 in
+  let n = plan sys obj ~w ~offset ~limit in
+  if n = 1 then single sys obj st ~stream ~offset
+  else if Mach_hw.Machine.disk_async sys.Vm_sys.machine then
+    pagein_async sys obj st ~stream ~offset ~n
+  else pagein_sync sys obj st ~stream ~offset ~n
 
 (* A resident-page hit on a prefetched page: the guess paid off.  Count
    it and promote the page from the inactive to the active queue.  If

@@ -33,13 +33,21 @@
     and a successful fallback read still advances the sequence point, so
     one bad cluster costs the ramp, not the ability to ramp again.
 
+    [cluster_max = 1] takes the same path with every plan clipped to
+    the demand page, so it costs exactly the classical one-page pagein;
+    its slot bookkeeping still runs, so [stream_hits] counts the
+    sequential misses.
+
     With the machine's async disk model on
-    ([Mach_hw.Machine.set_disk_async]), the demand page is read
-    synchronously and the prefetch tail is {e submitted}
-    ({!Pager_guard.submit_range}): tail pages are resident and filled
-    immediately but stay busy until the device's completion stamp, and
-    the first fault to touch one waits out only the remaining device
-    time ({!note_hit} → {!Pager_guard.await_page}). *)
+    ([Mach_hw.Machine.set_disk_async]), the demand page is read first,
+    blocking, and the prefetch tail is a second range request left
+    unwaited: while its transfer is pending the tail pages are resident
+    and filled but stay busy until the device's completion stamp
+    ({!Pager_guard.inflight_of}), and the first fault to touch one waits
+    out only the remaining device time ({!note_hit} →
+    {!Pager_guard.await_page}).  This choice is the only place the
+    kernel consults the async model; a tail from a pager with no device
+    behind it has already landed and installs like a synchronous one. *)
 
 val pagein :
   Vm_sys.t -> ?stream:int * int -> Types.obj -> offset:int -> limit:int ->

@@ -124,70 +124,58 @@ let write_cluster (sys : Vm_sys.t) o pages =
     end;
     true
   in
-  (* With the async disk model on, submit the clustered write and let the
-     device drain while the daemon keeps working.  Every page of the run
-     rides the shared inflight record and stays busy until the transfer
-     lands: the daemon reaps the completion ([Pager_guard.await_page])
-     before any of these frames can be reused. *)
-  if Machine.disk_async sys.Vm_sys.machine then begin
-    match Pager_guard.submit_write_range sys o ~offset:start ~data with
-    | Some (completion, service) ->
-      let inflight =
-        { if_completion = completion; if_service = service;
-          if_waited = false }
-      in
-      List.iter
-        (fun q ->
-           q.pg_busy <- true;
-           q.pg_inflight <- Some inflight)
-        pages;
-      finish ()
-    | None ->
-      (match Pager_guard.write_range sys o ~offset:start ~data with
-       | `Ok -> finish ()
-       | `Failed | `No_space ->
-         (* Nothing was written; the per-page fallback owns the failure
-            accounting (and the no-space escalation, page by page — one
-            page may still fit where the cluster did not). *)
-         false)
-  end
-  else
-    match Pager_guard.write_range sys o ~offset:start ~data with
-    | `Ok -> finish ()
-    | `Failed | `No_space -> false
+  match Pager_guard.write_range sys o ~offset:start ~data with
+  | `Ok io ->
+    (* While the write is still on the device (async disk model), every
+       page of the run rides the shared inflight record and stays busy
+       until the transfer lands: the daemon reaps the completion
+       ([Pager_guard.await_page]) before any of these frames can be
+       reused. *)
+    (match Pager_guard.inflight_of sys io with
+     | Some _ as inflight ->
+       List.iter
+         (fun q ->
+            q.pg_busy <- true;
+            q.pg_inflight <- inflight)
+         pages
+     | None -> ());
+    finish ()
+  | `Failed | `No_space ->
+    (* Nothing was written; the per-page fallback owns the failure
+       accounting (and the no-space escalation, page by page — one page
+       may still fit where the cluster did not). *)
+    false
 
 (* Clean [p] together with its contiguous dirty neighbours: grow the run
    left and right over resident, unwired, non-busy modified pages of the
    same object, up to [cluster_max], and issue one clustered write.  The
    neighbours stay on their queues — now clean, they are freed without
    I/O when the daemon reaches them.  Degrades to {!clean_page} when
-   there is nothing to coalesce or the clustered write fails. *)
+   there is nothing to coalesce (always, at [cluster_max <= 1]) or the
+   clustered write fails. *)
 let clean_cluster (sys : Vm_sys.t) p =
   match p.pg_obj with
   | None -> true
   | Some o ->
-    if sys.Vm_sys.cluster_max <= 1 then clean_page sys p
+    let ps = sys.Vm_sys.page_size in
+    let eligible q =
+      (not q.pg_busy) && q.pg_wire_count = 0 && Vm_sys.page_modified sys q
+    in
+    let rec grow acc off step n =
+      if n >= sys.Vm_sys.cluster_max || off < 0 then (acc, n)
+      else
+        match Resident.lookup sys.Vm_sys.resident ~obj:o ~offset:off with
+        | Some q when eligible q -> grow (q :: acc) (off + step) step (n + 1)
+        | _ -> (acc, n)
+    in
+    let before, n = grow [] (p.pg_offset - ps) (-ps) 1 in
+    let after, n = grow [] (p.pg_offset + ps) ps n in
+    if n < 2 then clean_page sys p
     else begin
-      let ps = sys.Vm_sys.page_size in
-      let eligible q =
-        (not q.pg_busy) && q.pg_wire_count = 0 && Vm_sys.page_modified sys q
-      in
-      let rec grow acc off step n =
-        if n >= sys.Vm_sys.cluster_max || off < 0 then (acc, n)
-        else
-          match Resident.lookup sys.Vm_sys.resident ~obj:o ~offset:off with
-          | Some q when eligible q -> grow (q :: acc) (off + step) step (n + 1)
-          | _ -> (acc, n)
-      in
-      let before, n = grow [] (p.pg_offset - ps) (-ps) 1 in
-      let after, n = grow [] (p.pg_offset + ps) ps n in
-      if n < 2 then clean_page sys p
-      else begin
-        (* [before] was collected walking left, so prepending left it in
-           ascending order already; [after] needs reversing. *)
-        let run = before @ (p :: List.rev after) in
-        if write_cluster sys o run then true else clean_page sys p
-      end
+      (* [before] was collected walking left, so prepending left it in
+         ascending order already; [after] needs reversing. *)
+      let run = before @ (p :: List.rev after) in
+      if write_cluster sys o run then true else clean_page sys p
     end
 
 let run (sys : Vm_sys.t) ~wanted =

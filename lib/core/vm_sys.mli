@@ -62,7 +62,8 @@ type stats = {
                                        policy *)
   mutable stream_hits : int;       (** pager misses matched to an existing
                                        read-ahead stream slot (sequential
-                                       continuation) *)
+                                       continuation); counted at every
+                                       [cluster_max], 1 included *)
   mutable stream_resets : int;     (** live stream slots recycled for a
                                        new reader (LRU victim taken while
                                        its cursor was still current) *)
@@ -155,7 +156,8 @@ type t = {
           installs a fault-injecting wrapper here *)
   mutable cluster_max : int;
       (** upper bound on pagein read-ahead and pageout clustering, in
-          pages; 1 disables clustering (every disk request is one page) *)
+          pages; 1 clips every cluster to one page (every disk request
+          is one page) *)
   mutable stream_slots : int;
       (** concurrent read-ahead streams tracked per object ({!Vm_cluster});
           1 is the legacy single shared cursor, which concurrent readers

@@ -241,15 +241,24 @@ let disk_service_cycles t ~bytes =
   let kb = (bytes + 1023) / 1024 in
   cost.Arch.disk_latency + (kb * cost.Arch.disk_per_kb)
 
-let charge_disk t ~cpu ~write ~bytes =
-  let cycles = disk_service_cycles t ~bytes in
-  (* Device time is always [Disk_wait], whatever kernel path asked. *)
-  charge_category t ~cpu Mach_obs.Obs.Disk_wait cycles;
+(* The bookkeeping every transfer shares, whoever pays for it: count the
+   operation and its bytes and trace it at the CPU's current clock. *)
+let account_disk t ~cpu ~write ~bytes ~cycles =
   t.stats.disk_ops <- t.stats.disk_ops + 1;
   t.stats.disk_bytes <- t.stats.disk_bytes + bytes;
   if traced t then
     Mach_obs.Obs.record t.tracer ~ts:(cpu_of t cpu).clock ~cpu
       (Mach_obs.Obs.Disk_io { write; bytes; cycles })
+
+(* A blocking transfer: device time is always [Disk_wait], whatever
+   kernel path asked. *)
+let charge_disk_cycles t ~cpu ~write ~bytes ~cycles =
+  charge_category t ~cpu Mach_obs.Obs.Disk_wait cycles;
+  account_disk t ~cpu ~write ~bytes ~cycles
+
+let charge_disk t ~cpu ~write ~bytes =
+  charge_disk_cycles t ~cpu ~write ~bytes
+    ~cycles:(disk_service_cycles t ~bytes)
 
 (* --- Asynchronous disk queues ----------------------------------------- *)
 
@@ -261,18 +270,12 @@ let new_disk_queue t =
   t.disk_queues <- q :: t.disk_queues;
   q
 
-(* Account a transfer's counters and trace event without charging any
-   CPU: async-mode wasted retries fold their cost into the request's
-   service time instead. *)
-let account_disk t ~cpu ~write ~bytes ~cycles =
-  t.stats.disk_ops <- t.stats.disk_ops + 1;
-  t.stats.disk_bytes <- t.stats.disk_bytes + bytes;
-  if traced t then
-    Mach_obs.Obs.record t.tracer ~ts:(cpu_of t cpu).clock ~cpu
-      (Mach_obs.Obs.Disk_io { write; bytes; cycles })
+type io = { io_completion : int; io_service : int }
 
-(* Submit one transfer.  Returns [(completion, service)] in absolute and
-   relative cycles.  Sync mode ([disk_async = false]) is bit-identical to
+let io_none = { io_completion = 0; io_service = 0 }
+
+(* Submit one transfer and return its completion stamp and service
+   time.  Sync mode ([disk_async = false]) is bit-identical to
    {!charge_disk}: the submitting CPU pays the whole cost up front and
    the completion stamp is its post-charge clock, so a later wait is
    free.  Async mode charges nothing here; the request occupies the
@@ -282,13 +285,8 @@ let account_disk t ~cpu ~write ~bytes ~cycles =
 let submit_disk t q ~cpu ~write ~bytes ~extra =
   let service = disk_service_cycles t ~bytes + extra in
   if not t.disk_async then begin
-    charge_category t ~cpu Mach_obs.Obs.Disk_wait service;
-    t.stats.disk_ops <- t.stats.disk_ops + 1;
-    t.stats.disk_bytes <- t.stats.disk_bytes + bytes;
-    if traced t then
-      Mach_obs.Obs.record t.tracer ~ts:(cpu_of t cpu).clock ~cpu
-        (Mach_obs.Obs.Disk_io { write; bytes; cycles = service });
-    ((cpu_of t cpu).clock, service)
+    charge_disk_cycles t ~cpu ~write ~bytes ~cycles:service;
+    { io_completion = (cpu_of t cpu).clock; io_service = service }
   end
   else begin
     let now = (cpu_of t cpu).clock in
@@ -297,17 +295,13 @@ let submit_disk t q ~cpu ~write ~bytes ~extra =
     q.dq_free <- completion;
     q.dq_pending <-
       completion :: List.filter (fun c -> c > now) q.dq_pending;
-    let depth = List.length q.dq_pending in
-    t.stats.disk_ops <- t.stats.disk_ops + 1;
-    t.stats.disk_bytes <- t.stats.disk_bytes + bytes;
-    if traced t then begin
-      Mach_obs.Obs.record t.tracer ~ts:now ~cpu
-        (Mach_obs.Obs.Disk_io { write; bytes; cycles = service });
+    account_disk t ~cpu ~write ~bytes ~cycles:service;
+    if traced t then
       Mach_obs.Obs.record t.tracer ~ts:now ~cpu
         (Mach_obs.Obs.Disk_submit
-           { write; bytes; depth; latency = completion - now })
-    end;
-    (completion, service)
+           { write; bytes; depth = List.length q.dq_pending;
+             latency = completion - now });
+    { io_completion = completion; io_service = service }
   end
 
 (* Block until [completion]: charge only the cycles still outstanding.
@@ -329,6 +323,12 @@ let wait_disk t ~cpu ~completion ~service =
       Mach_obs.Obs.record t.tracer ~ts:c.clock ~cpu
         (Mach_obs.Obs.Disk_wait { cycles = residue; overlap })
   end
+
+(* A blocking caller's wait on a transfer: nothing to do for a reply that
+   involved no device ([io_none]) or, in sync mode, at all. *)
+let wait_io t ~cpu io =
+  if io.io_service > 0 then
+    wait_disk t ~cpu ~completion:io.io_completion ~service:io.io_service
 
 (* Requests still in flight across every queue, judged at the latest CPU
    clock; the vmstat sampler's queue-depth gauge. *)

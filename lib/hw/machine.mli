@@ -227,15 +227,22 @@ val disk_service_cycles : t -> bytes:int -> int
 (** Device time for one transfer of [bytes]: fixed latency plus per-KB
     transfer cost. *)
 
+type io = { io_completion : int; io_service : int }
+(** When a submitted transfer lands: the absolute cycle stamp
+    [io_completion] and the device service time [io_service] (the budget
+    a waiter can have overlapped). *)
+
+val io_none : io
+(** The stamp of a reply that involved no device: waiting on it is free
+    and counts nothing. *)
+
 val submit_disk :
-  t -> dqueue -> cpu:int -> write:bool -> bytes:int -> extra:int ->
-  int * int
+  t -> dqueue -> cpu:int -> write:bool -> bytes:int -> extra:int -> io
 (** [submit_disk t q ~cpu ~write ~bytes ~extra] enqueues one transfer and
-    returns [(completion, service)]: the absolute cycle stamp at which it
-    lands and its device service time ([extra] added for injected delays
-    or wasted retry transfers).  Sync mode charges the whole cost here
-    (exactly {!charge_disk}) and returns the post-charge clock, so a
-    subsequent {!wait_disk} is free. *)
+    returns its stamp; [extra] adds injected delays or wasted retry
+    transfers to the service time.  Sync mode charges the whole cost here
+    (exactly {!charge_disk}) and returns the post-charge clock, so the
+    transfer is already complete and a subsequent wait is free. *)
 
 val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
 (** [wait_disk t ~cpu ~completion ~service] blocks [cpu] until
@@ -244,11 +251,16 @@ val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
     when re-waiting a request whose overlap was already counted.  No-op
     in sync mode. *)
 
+val wait_io : t -> cpu:int -> io -> unit
+(** [wait_io t ~cpu io] is a blocking caller's {!wait_disk} on [io]; free
+    for {!io_none}, and a no-op in sync mode. *)
+
 val account_disk : t -> cpu:int -> write:bool -> bytes:int -> cycles:int -> unit
 (** [account_disk] bumps the op/byte counters and emits the [Disk_io]
-    trace event without charging any CPU; used for async-mode wasted
-    retry transfers whose cost is folded into the request's service
-    time. *)
+    trace event without charging any CPU; {!charge_disk} and
+    {!submit_disk} account through it, and async-mode wasted retry
+    transfers, whose cost is folded into the request's service time,
+    call it directly. *)
 
 (** {1 Address translation and access} *)
 

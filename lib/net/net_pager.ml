@@ -53,7 +53,7 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
                ~to_cpu:server_cpu ~request_bytes:64 ~reply_bytes:len
                (fun () -> server_read srv ~name ~offset ~len)
            with
-           | data -> Data_provided data
+           | data -> Data_provided (data, io_none)
            | exception Netlink.Timeout ->
              emit_timeout client_sys ~offset ~attempts:rpc_attempts;
              Data_error
@@ -68,18 +68,13 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
              (fun () ->
                 Simfs.write srv.srv_fs ~cpu:server_cpu ~name ~offset ~data)
          with
-         | () -> Write_completed
+         | () -> Write_completed io_none
          | exception Netlink.Timeout ->
            emit_timeout client_sys ~offset ~attempts:rpc_attempts;
            Write_error
          | exception Simdisk.Io_error _ ->
            (* The server's own disk failed the write. *)
            Write_error);
-    (* The RPC envelope blocks the client CPU for the full round trip;
-       there is no client-visible device time to overlap, so async
-       submits fall back to the synchronous RPC path. *)
-    pgr_submit = Types.no_submit;
-    pgr_submit_write = Types.no_submit_write;
     pgr_should_cache = ref true;
   }
 

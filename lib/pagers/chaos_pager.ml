@@ -30,12 +30,12 @@ let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
               truncated cluster: the kernel floors it to whole pages and,
               below one page, retries on the single-page path. *)
            (match pager.pgr_request ~offset ~length with
-            | Data_provided d ->
-              Data_provided (Bytes.sub d 0 (min n (Bytes.length d)))
+            | Data_provided (d, io) ->
+              Data_provided (Bytes.sub d 0 (min n (Bytes.length d)), io)
             | reply -> reply)
          | Fail.Garbage ->
            (match pager.pgr_request ~offset ~length with
-            | Data_provided d -> Data_provided (Fail.scramble d)
+            | Data_provided (d, io) -> Data_provided (Fail.scramble d, io)
             | reply -> reply));
     pgr_write =
       (fun ~offset ~data ->
@@ -52,53 +52,6 @@ let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
            (* A short or corrupted write is a failed write: the kernel
               must keep the page dirty, never trust a partial ack. *)
            Write_error);
-    (* Async submits consult the injector at submit time — before the
-       wrapped pager is touched — so a chaos seed replays identically no
-       matter when completions are later reaped.  [None] is the async
-       path's only failure shape: the kernel falls back to the
-       synchronous protocol, where this wrapper's [pgr_request]/
-       [pgr_write] arms own the failure semantics. *)
-    pgr_submit =
-      (fun ~offset ~length ->
-         match Fail.decide inj ~site:req_site with
-         | Fail.Pass -> pager.pgr_submit ~offset ~length
-         | Fail.Fail -> None
-         | Fail.Drop ->
-           (* The submit vanishes into the void; the kernel's synchronous
-              fallback models the recovery. *)
-           emit_timeout sys ~offset;
-           None
-         | Fail.Delay c ->
-           (match pager.pgr_submit ~offset ~length with
-            | Some tk ->
-              Some { tk with tk_completion = tk.tk_completion + c;
-                             tk_service = tk.tk_service + c }
-            | None -> None)
-         | Fail.Short n ->
-           (match pager.pgr_submit ~offset ~length with
-            | Some tk ->
-              Some { tk with
-                     tk_data =
-                       Bytes.sub tk.tk_data 0 (min n (Bytes.length tk.tk_data)) }
-            | None -> None)
-         | Fail.Garbage ->
-           (match pager.pgr_submit ~offset ~length with
-            | Some tk -> Some { tk with tk_data = Fail.scramble tk.tk_data }
-            | None -> None));
-    pgr_submit_write =
-      (fun ~offset ~data ->
-         match Fail.decide inj ~site:write_site with
-         | Fail.Pass -> pager.pgr_submit_write ~offset ~data
-         | Fail.Delay c ->
-           (match pager.pgr_submit_write ~offset ~data with
-            | Some wt ->
-              Some { wt_completion = wt.wt_completion + c;
-                     wt_service = wt.wt_service + c }
-            | None -> None)
-         | Fail.Drop ->
-           emit_timeout sys ~offset;
-           None
-         | Fail.Fail | Fail.Short _ | Fail.Garbage -> None);
   }
 
 let map_wrapped sys task inj ?site ~pager ~size ?at ?copy () =

@@ -54,7 +54,8 @@ let make sys ~name ?(should_cache = false) ~handler () =
     | Some reply ->
       incr served;
       (match reply.Ipc.msg_tag, reply.Ipc.msg_items with
-       | "pager_data_provided", Ipc.Inline data :: _ -> Data_provided data
+       | "pager_data_provided", Ipc.Inline data :: _ ->
+         Data_provided (data, io_none)
        | "pager_data_unavailable", _ -> Data_unavailable
        (* pager_error, or any protocol violation from a hostile pager:
           an error reply, never a kernel crash. *)
@@ -78,20 +79,15 @@ let make sys ~name ?(should_cache = false) ~handler () =
       (match handler req with
        | Some { Ipc.msg_tag = ("pager_error" | "pager_write_error"); _ } ->
          Write_error
-       | Some _ | None -> Write_completed
+       | Some _ | None -> Write_completed io_none
        | exception _ -> Write_error)
-    | None -> Write_completed
+    | None -> Write_completed io_none
   in
   {
     pgr_id = id;
     pgr_name = name;
     pgr_request = request;
     pgr_write = write;
-    (* Message exchanges with an external pager task are synchronous
-       dispatch loops; there is no device queue to overlap, so the async
-       submit protocol always falls back to the message path. *)
-    pgr_submit = Types.no_submit;
-    pgr_submit_write = Types.no_submit_write;
     pgr_should_cache = ref should_cache;
   }
 

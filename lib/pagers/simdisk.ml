@@ -16,13 +16,12 @@ type t = {
 }
 
 (* A submitted transfer: the data is available immediately (host
-   memory), the device is busy until [h_completion].  [h_service] is
-   zeroed after the first wait so a handle waited twice cannot
+   memory), the device is busy until [h_io]'s completion.  Its service
+   time is zeroed after the first wait so a handle waited twice cannot
    double-count its overlap. *)
 type handle = {
   h_data : Bytes.t;
-  h_completion : int;
-  mutable h_service : int;
+  mutable h_io : Machine.io;
 }
 
 (* Internal bounded retry: a transient injected error costs a wasted
@@ -101,11 +100,11 @@ let admit t ~cpu ~write ~block ~bytes =
    classical single-block operation (identical cost and accounting), so
    unclustered callers are unaffected. *)
 let submit_read_run t ~cpu ~first ~count =
-  if count <= 0 then invalid_arg "Simdisk.read_run";
+  if count <= 0 then invalid_arg "Simdisk.submit_read_run";
   let bytes = count * t.block_size in
   let extra = admit t ~cpu ~write:false ~block:first ~bytes in
   t.reads <- t.reads + count;
-  let completion, service =
+  let io =
     Machine.submit_disk t.machine (queue_for t ~cpu) ~cpu ~write:false
       ~bytes ~extra
   in
@@ -115,31 +114,16 @@ let submit_read_run t ~cpu ~first ~count =
     | Some b -> Bytes.blit b 0 buf (i * t.block_size) t.block_size
     | None -> ()
   done;
-  { h_data = buf; h_completion = completion; h_service = service }
-
-let wait t ~cpu h =
-  Machine.wait_disk t.machine ~cpu ~completion:h.h_completion
-    ~service:h.h_service;
-  h.h_service <- 0;
-  h.h_data
-
-let handle_data h = h.h_data
-let handle_completion h = h.h_completion
-let handle_service h = h.h_service
-
-let read_run t ~cpu ~first ~count =
-  wait t ~cpu (submit_read_run t ~cpu ~first ~count)
-
-let read t ~cpu ~block = read_run t ~cpu ~first:block ~count:1
+  { h_data = buf; h_io = io }
 
 let submit_write_run t ~cpu ~first data =
   let len = Bytes.length data in
   if len = 0 || len mod t.block_size <> 0 then
-    invalid_arg "Simdisk.write_run";
+    invalid_arg "Simdisk.submit_write_run";
   let count = len / t.block_size in
   let extra = admit t ~cpu ~write:true ~block:first ~bytes:len in
   t.writes <- t.writes + count;
-  let completion, service =
+  let io =
     Machine.submit_disk t.machine (queue_for t ~cpu) ~cpu ~write:true
       ~bytes:len ~extra
   in
@@ -150,16 +134,16 @@ let submit_write_run t ~cpu ~first data =
     Hashtbl.replace t.blocks (first + i)
       (Bytes.sub data (i * t.block_size) t.block_size)
   done;
-  { h_data = Bytes.empty; h_completion = completion; h_service = service }
+  { h_data = Bytes.empty; h_io = io }
 
-let write_run t ~cpu ~first data =
-  ignore (wait t ~cpu (submit_write_run t ~cpu ~first data) : Bytes.t)
+let wait t ~cpu h =
+  Machine.wait_disk t.machine ~cpu ~completion:h.h_io.Machine.io_completion
+    ~service:h.h_io.Machine.io_service;
+  h.h_io <- { h.h_io with Machine.io_service = 0 };
+  h.h_data
 
-let write t ~cpu ~block data =
-  if Bytes.length data > t.block_size then invalid_arg "Simdisk.write";
-  let b = Bytes.make t.block_size '\000' in
-  Bytes.blit data 0 b 0 (Bytes.length data);
-  write_run t ~cpu ~first:block b
+let handle_data h = h.h_data
+let handle_io h = h.h_io
 
 let install t ~block data =
   if Bytes.length data > t.block_size then invalid_arg "Simdisk.install";

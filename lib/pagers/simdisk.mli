@@ -6,14 +6,16 @@
     equivalent and the BSD buffer cache sit on one of these, so their I/O
     costs are directly comparable.
 
-    When the machine's asynchronous disk model is on
-    ([Machine.set_disk_async]), every transfer can also be {e submitted}:
-    the request enters one of the device's service queues, gets a virtual
+    Every transfer is {e submitted}: a run of consecutive blocks is one
+    request, which returns a {!handle} at once.  With the machine's
+    asynchronous disk model on ([Machine.set_disk_async]) the request
+    enters one of the device's service queues and gets a virtual
     completion stamp, and the submitting CPU only pays the {e remaining}
     device time when it later {!wait}s — device time that elapsed while
     the CPU kept computing is overlap, tracked in [Machine.stats].  With
-    the async model off, submit-then-wait degenerates to exactly the
-    classical synchronous charge, cycle for cycle. *)
+    the async model off the submit itself charges the classical
+    synchronous cost, cycle for cycle, and the wait is free; a blocking
+    transfer is [wait t ~cpu (submit_… t ~cpu …)] in both models. *)
 
 type t
 
@@ -43,29 +45,7 @@ val block_size : t -> int
 
 val queue_count : t -> int
 
-val read : t -> cpu:int -> block:int -> Bytes.t
-(** [read t ~cpu ~block] returns the block's contents (zeros if never
-    written), charging disk cost to [cpu]. *)
-
-val write : t -> cpu:int -> block:int -> Bytes.t -> unit
-(** [write t ~cpu ~block data] stores [data] (at most one block),
-    charging disk cost. *)
-
-val read_run : t -> cpu:int -> first:int -> count:int -> Bytes.t
-(** [read_run t ~cpu ~first ~count] reads [count] consecutive blocks as
-    {e one} disk request: the fixed seek/rotational latency is paid once
-    for the run, plus the per-KB transfer cost for all of it — this is
-    what makes clustered pagein cheaper than [count] single reads.
-    [count = 1] is exactly {!read}.  Counters account one read per
-    block. *)
-
-val write_run : t -> cpu:int -> first:int -> Bytes.t -> unit
-(** [write_run t ~cpu ~first data] writes [data] (a non-empty whole
-    number of blocks) across consecutive blocks starting at [first] as
-    one disk request, with the same amortised cost model as
-    {!read_run}. *)
-
-(** {1 Asynchronous submit/wait} *)
+(** {1 Transfers} *)
 
 type handle
 (** An in-flight (or completed) transfer.  The data is available
@@ -73,12 +53,20 @@ type handle
     simulated device is busy until the handle's completion stamp. *)
 
 val submit_read_run : t -> cpu:int -> first:int -> count:int -> handle
-(** Queue the run on the device and return without blocking.  With the
-    async model off this charges synchronously (identical to
-    {!read_run}) and returns an already-complete handle. *)
+(** [submit_read_run t ~cpu ~first ~count] queues a read of [count]
+    consecutive blocks as {e one} disk request and returns without
+    blocking: the fixed seek/rotational latency is paid once for the
+    run, plus the per-KB transfer cost for all of it — this is what
+    makes clustered pagein cheaper than [count] single reads.  Unwritten
+    blocks read as zeros.  Counters account one read per block.  With
+    the async model off the cost is charged here and the handle is
+    already complete. *)
 
 val submit_write_run : t -> cpu:int -> first:int -> Bytes.t -> handle
-(** Queue a write run; the block store is updated at submit. *)
+(** [submit_write_run t ~cpu ~first data] queues a write of [data] (a
+    non-empty whole number of blocks) across consecutive blocks starting
+    at [first] as one request, with the same cost model as
+    {!submit_read_run}.  The block store is updated at submit. *)
 
 val wait : t -> cpu:int -> handle -> Bytes.t
 (** Block the CPU until the transfer completes, charging only the
@@ -89,11 +77,9 @@ val wait : t -> cpu:int -> handle -> Bytes.t
 val handle_data : handle -> Bytes.t
 (** The transfer's data without waiting (empty for writes). *)
 
-val handle_completion : handle -> int
-(** Absolute cycle stamp at which the device finishes the transfer. *)
-
-val handle_service : handle -> int
-(** Device cycles the request occupies; zero once waited. *)
+val handle_io : handle -> Mach_hw.Machine.io
+(** When the device finishes the transfer, and its service time (zero
+    once waited). *)
 
 val install : t -> block:int -> Bytes.t -> unit
 (** [install t ~block data] stores data without charging the clock or the

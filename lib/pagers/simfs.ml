@@ -1,6 +1,7 @@
 type inode = { mutable blocks : int array; mutable size : int }
 
 type t = {
+  machine : Mach_hw.Machine.t;
   disk : Simdisk.t;
   table : (string, inode) Hashtbl.t;
   pagers : (string, Mach_core.Types.pager) Hashtbl.t;
@@ -8,7 +9,8 @@ type t = {
 }
 
 let create machine ?(block_size = 4096) ?(queues = 1) () =
-  { disk = Simdisk.create ~queues machine ~block_size;
+  { machine;
+    disk = Simdisk.create ~queues machine ~block_size;
     table = Hashtbl.create 64;
     pagers = Hashtbl.create 64;
     next_block = 0 }
@@ -72,183 +74,95 @@ let file_size t ~name =
   | Some ino -> ino.size
   | None -> raise Not_found
 
-let read t ~cpu ~name ~offset ~len =
-  match Hashtbl.find_opt t.table name with
-  | None -> raise Not_found
-  | Some ino ->
-    if offset >= ino.size || len <= 0 then Bytes.create 0
-    else begin
-      let len = min len (ino.size - offset) in
-      let buf = Bytes.create len in
-      let block_size = bs t in
-      (* Block-aligned whole-block spans are read as one disk request per
-         physically consecutive run (inode blocks are usually allocated
-         sequentially), so a clustered pager request pays the seek once.
-         Single-block callers take the [run = 1] path at identical cost. *)
-      let rec loop pos =
-        if pos < len then begin
-          let abs = offset + pos in
-          let bidx = abs / block_size in
-          let boff = abs mod block_size in
-          if boff = 0 && len - pos >= block_size then begin
-            let max_count = (len - pos) / block_size in
-            let count = ref 1 in
-            while
-              !count < max_count
-              && ino.blocks.(bidx + !count) = ino.blocks.(bidx) + !count
-            do
-              incr count
-            done;
-            let data =
-              Simdisk.read_run t.disk ~cpu ~first:ino.blocks.(bidx)
-                ~count:!count
-            in
-            Bytes.blit data 0 buf pos (!count * block_size);
-            loop (pos + (!count * block_size))
-          end
-          else begin
-            let chunk = min (block_size - boff) (len - pos) in
-            let data = Simdisk.read t.disk ~cpu ~block:ino.blocks.(bidx) in
-            Bytes.blit data boff buf pos chunk;
-            loop (pos + chunk)
-          end
-        end
-      in
-      loop 0;
-      buf
-    end
-
-let write t ~cpu ~name ~offset ~data =
-  let len = Bytes.length data in
-  let ino = ensure_inode t ~name ~size:(offset + len) in
+(* Walk bytes [offset, offset + len) of [ino] as disk requests: a
+   block-aligned whole-block span over physically consecutive blocks
+   (inode blocks are usually allocated sequentially) is one run, so a
+   clustered pager request pays the seek once; a partial block is a
+   one-block request of its own.  [f ~pos ~first ~count ~boff ~chunk]
+   moves [chunk] bytes at [pos] of the caller's buffer, starting [boff]
+   bytes into block [first]; [chunk = count * block size] exactly when
+   the span is whole blocks. *)
+let iter_spans t ino ~offset ~len f =
   let block_size = bs t in
-  (* Whole-block aligned spans over physically consecutive blocks go out
-     as one clustered disk write; partial blocks read-modify-write
-     individually, exactly as before. *)
   let rec loop pos =
     if pos < len then begin
       let abs = offset + pos in
       let bidx = abs / block_size in
       let boff = abs mod block_size in
+      let first = ino.blocks.(bidx) in
       if boff = 0 && len - pos >= block_size then begin
         let max_count = (len - pos) / block_size in
         let count = ref 1 in
         while
-          !count < max_count
-          && ino.blocks.(bidx + !count) = ino.blocks.(bidx) + !count
+          !count < max_count && ino.blocks.(bidx + !count) = first + !count
         do
           incr count
         done;
-        Simdisk.write_run t.disk ~cpu ~first:ino.blocks.(bidx)
-          (Bytes.sub data pos (!count * block_size));
+        f ~pos ~first ~count:!count ~boff ~chunk:(!count * block_size);
         loop (pos + (!count * block_size))
       end
       else begin
         let chunk = min (block_size - boff) (len - pos) in
-        let block = ino.blocks.(bidx) in
-        let current = Simdisk.read t.disk ~cpu ~block in
-        Bytes.blit data pos current boff chunk;
-        Simdisk.write t.disk ~cpu ~block current;
+        f ~pos ~first ~count:1 ~boff ~chunk;
         loop (pos + chunk)
       end
     end
   in
   loop 0
 
-(* Asynchronous variants: same run decomposition as [read]/[write], but
-   each run is submitted to the device queue instead of waited on, and
-   the aggregate (latest completion stamp, summed service time) is
-   returned so the caller can block out the residue later.  With the
-   async model off the submits charge synchronously, making these
-   cost-identical to [read]/[write]. *)
+(* Every run of a transfer is submitted before any is waited on; the
+   caller sees one stamp, the latest completion with the summed service
+   time. *)
+let join (a : Mach_hw.Machine.io) (b : Mach_hw.Machine.io) =
+  { Mach_hw.Machine.io_completion = max a.io_completion b.io_completion;
+    io_service = a.io_service + b.io_service }
+
 let submit_read t ~cpu ~name ~offset ~len =
   match Hashtbl.find_opt t.table name with
   | None -> raise Not_found
   | Some ino ->
-    if offset >= ino.size || len <= 0 then (Bytes.create 0, 0, 0)
+    if offset >= ino.size || len <= 0 then
+      (Bytes.create 0, Mach_hw.Machine.io_none)
     else begin
       let len = min len (ino.size - offset) in
       let buf = Bytes.create len in
-      let block_size = bs t in
-      let completion = ref 0 and service = ref 0 in
-      let submit first count =
-        let h = Simdisk.submit_read_run t.disk ~cpu ~first ~count in
-        completion := max !completion (Simdisk.handle_completion h);
-        service := !service + Simdisk.handle_service h;
-        Simdisk.handle_data h
-      in
-      let rec loop pos =
-        if pos < len then begin
-          let abs = offset + pos in
-          let bidx = abs / block_size in
-          let boff = abs mod block_size in
-          if boff = 0 && len - pos >= block_size then begin
-            let max_count = (len - pos) / block_size in
-            let count = ref 1 in
-            while
-              !count < max_count
-              && ino.blocks.(bidx + !count) = ino.blocks.(bidx) + !count
-            do
-              incr count
-            done;
-            let data = submit ino.blocks.(bidx) !count in
-            Bytes.blit data 0 buf pos (!count * block_size);
-            loop (pos + (!count * block_size))
-          end
-          else begin
-            let chunk = min (block_size - boff) (len - pos) in
-            let data = submit ino.blocks.(bidx) 1 in
-            Bytes.blit data boff buf pos chunk;
-            loop (pos + chunk)
-          end
-        end
-      in
-      loop 0;
-      (buf, !completion, !service)
+      let io = ref Mach_hw.Machine.io_none in
+      iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
+          let h = Simdisk.submit_read_run t.disk ~cpu ~first ~count in
+          io := join !io (Simdisk.handle_io h);
+          Bytes.blit (Simdisk.handle_data h) boff buf pos chunk);
+      (buf, !io)
     end
 
 let submit_write t ~cpu ~name ~offset ~data =
   let len = Bytes.length data in
   let ino = ensure_inode t ~name ~size:(offset + len) in
   let block_size = bs t in
-  let completion = ref 0 and service = ref 0 in
-  let note h =
-    completion := max !completion (Simdisk.handle_completion h);
-    service := !service + Simdisk.handle_service h
-  in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = offset + pos in
-      let bidx = abs / block_size in
-      let boff = abs mod block_size in
-      if boff = 0 && len - pos >= block_size then begin
-        let max_count = (len - pos) / block_size in
-        let count = ref 1 in
-        while
-          !count < max_count
-          && ino.blocks.(bidx + !count) = ino.blocks.(bidx) + !count
-        do
-          incr count
-        done;
-        note
-          (Simdisk.submit_write_run t.disk ~cpu ~first:ino.blocks.(bidx)
-             (Bytes.sub data pos (!count * block_size)));
-        loop (pos + (!count * block_size))
-      end
+  let io = ref Mach_hw.Machine.io_none in
+  let submit h = io := join !io (Simdisk.handle_io h) in
+  iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
+      if chunk = count * block_size then
+        submit
+          (Simdisk.submit_write_run t.disk ~cpu ~first
+             (Bytes.sub data pos chunk))
       else begin
-        let chunk = min (block_size - boff) (len - pos) in
-        let block = ino.blocks.(bidx) in
-        let rh = Simdisk.submit_read_run t.disk ~cpu ~first:block ~count:1 in
-        note rh;
+        (* A partial block is read, patched and written back. *)
+        let rh = Simdisk.submit_read_run t.disk ~cpu ~first ~count:1 in
+        submit rh;
         let current = Simdisk.handle_data rh in
         Bytes.blit data pos current boff chunk;
-        note (Simdisk.submit_write_run t.disk ~cpu ~first:block current);
-        loop (pos + chunk)
-      end
-    end
-  in
-  loop 0;
-  (!completion, !service)
+        submit (Simdisk.submit_write_run t.disk ~cpu ~first current)
+      end);
+  !io
+
+let read t ~cpu ~name ~offset ~len =
+  let data, io = submit_read t ~cpu ~name ~offset ~len in
+  Mach_hw.Machine.wait_io t.machine ~cpu io;
+  data
+
+let write t ~cpu ~name ~offset ~data =
+  Mach_hw.Machine.wait_io t.machine ~cpu
+    (submit_write t ~cpu ~name ~offset ~data)
 
 let delete t ~name = Hashtbl.remove t.table name
 

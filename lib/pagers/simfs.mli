@@ -33,28 +33,31 @@ val exists : t -> name:string -> bool
 val file_size : t -> name:string -> int
 (** Raises [Not_found] for missing files. *)
 
-val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
-(** [read t ~cpu ~name ~offset ~len] reads, charging disk cost per block
-    touched.  Short reads at end of file return fewer bytes. *)
-
-val write : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
-(** [write t ~cpu ~name ~offset ~data] writes (extending the file as
-    needed), charging disk cost per block touched. *)
-
 val submit_read :
   t -> cpu:int -> name:string -> offset:int -> len:int ->
-  Bytes.t * int * int
-(** [submit_read] is {!read} through the asynchronous submit protocol:
-    the data comes back immediately, together with the latest completion
-    stamp and summed device service time over the runs submitted, and
-    the CPU is not blocked for device time.  With the machine's async
-    disk model off it charges exactly like {!read} and the stamps are
-    already satisfied. *)
+  Bytes.t * Mach_hw.Machine.io
+(** [submit_read t ~cpu ~name ~offset ~len] reads without blocking: each
+    block-aligned whole-block span over consecutive disk blocks is one
+    request, a partial block one more, and all of them are submitted
+    before the data comes back together with one stamp — the latest
+    completion and the summed device service time.  Short reads at end
+    of file return fewer bytes; an empty read returns
+    {!Mach_hw.Machine.io_none}.  With the machine's async disk model
+    off the device time is charged here and the stamp has already
+    passed. *)
 
 val submit_write :
-  t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> int * int
-(** [submit_write] is {!write} through the submit protocol; returns
-    (completion stamp, summed service time). *)
+  t -> cpu:int -> name:string -> offset:int -> data:Bytes.t ->
+  Mach_hw.Machine.io
+(** [submit_write t ~cpu ~name ~offset ~data] writes (extending the file
+    as needed) with the same run decomposition, reading back and
+    patching partial blocks, and returns the stamp without blocking. *)
+
+val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
+(** [read] is {!submit_read} followed by one wait on its stamp. *)
+
+val write : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
+(** [write] is {!submit_write} followed by one wait on its stamp. *)
 
 val delete : t -> name:string -> unit
 

@@ -18,68 +18,27 @@ let make (sys : Vm_sys.t) fs ~name =
                 protocol's error reply; the kernel's Pager_guard decides
                 whether to retry. *)
              match
-               Simfs.read fs ~cpu:(cpu ()) ~name ~offset
+               Simfs.submit_read fs ~cpu:(cpu ()) ~name ~offset
                  ~len:(min length (size - offset))
              with
-             | data -> Data_provided data
+             | data, io -> Data_provided (data, io)
              | exception Simdisk.Io_error _ -> Data_error));
     pgr_write =
       (fun ~offset ~data ->
          (* The inode pager never grows the file: a mapped page's tail
             beyond end of file is zero-fill memory, not file contents. *)
          match Simfs.file_size fs ~name with
-         | exception Not_found -> Write_completed
+         | exception Not_found -> Write_completed io_none
          | size ->
-           if offset >= size then Write_completed
+           if offset >= size then Write_completed io_none
            else
              let len = min (Bytes.length data) (size - offset) in
              (match
-                Simfs.write fs ~cpu:(cpu ()) ~name ~offset
+                Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset
                   ~data:(Bytes.sub data 0 len)
               with
-              | () -> Write_completed
+              | io -> Write_completed io
               | exception Simdisk.Io_error _ -> Write_error));
-    pgr_submit =
-      (fun ~offset ~length ->
-         (* Same clipping as [pgr_request], through the file system's
-            submit path; any trouble (async disk off, injected failure)
-            answers [None] and the kernel falls back to the guarded
-            synchronous protocol. *)
-         if not (Mach_hw.Machine.disk_async sys.Vm_sys.machine) then None
-         else
-           match Simfs.file_size fs ~name with
-           | exception Not_found -> None
-           | size ->
-             if offset >= size then None
-             else (
-               match
-                 Simfs.submit_read fs ~cpu:(cpu ()) ~name ~offset
-                   ~len:(min length (size - offset))
-               with
-               | data, completion, service ->
-                 Some { tk_data = data; tk_completion = completion;
-                        tk_service = service }
-               | exception Simdisk.Io_error _ -> None));
-    pgr_submit_write =
-      (fun ~offset ~data ->
-         if not (Mach_hw.Machine.disk_async sys.Vm_sys.machine) then None
-         else
-           match Simfs.file_size fs ~name with
-           | exception Not_found ->
-             (* Nothing to write (see [pgr_write]): an already-complete
-                ticket, no device time. *)
-             Some { wt_completion = 0; wt_service = 0 }
-           | size ->
-             if offset >= size then Some { wt_completion = 0; wt_service = 0 }
-             else
-               let len = min (Bytes.length data) (size - offset) in
-               (match
-                  Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset
-                    ~data:(Bytes.sub data 0 len)
-                with
-                | completion, service ->
-                  Some { wt_completion = completion; wt_service = service }
-                | exception Simdisk.Io_error _ -> None));
     pgr_should_cache = ref true;
   }
 

@@ -6,7 +6,10 @@
    service, overlap shows up only when the CPU does work between submit
    and wait, device queues serialize, the whole thing is deterministic
    under replay (chaos decides at submit), and data is never affected
-   either way. *)
+   either way.  Pagers implement each transfer once and the kernel
+   decides from the reply's stamp whether to wait, so the paths where
+   the two models share code — pagers with no device, refused pageouts,
+   dead pagers — must behave as with the model off. *)
 
 open Mach_hw
 open Mach_core
@@ -42,7 +45,9 @@ let test_submit_wait_equals_sync () =
     for b = 0 to 7 do
       Simdisk.install disk ~block:b (Bytes.make 4096 'x')
     done;
-    ignore (Simdisk.read_run disk ~cpu:0 ~first:0 ~count:8);
+    ignore
+      (Simdisk.wait disk ~cpu:0
+         (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:8));
     Machine.cycles machine ~cpu:0
   in
   let sync = cost false in
@@ -85,7 +90,8 @@ let test_queues_serialize () =
        but land on distinct ones when there are two. *)
     let h0 = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:1 in
     let h1 = Simdisk.submit_read_run disk ~cpu:1 ~first:1 ~count:1 in
-    (Simdisk.handle_completion h0, Simdisk.handle_completion h1)
+    ((Simdisk.handle_io h0).Machine.io_completion,
+     (Simdisk.handle_io h1).Machine.io_completion)
   in
   let c0, c1 = completions 1 in
   let service =
@@ -129,6 +135,193 @@ let test_async_pageout_roundtrip () =
     in
     Alcotest.(check string) (Printf.sprintf "page %d" i) (pat i) got
   done
+
+(* An in-memory store pager: no device behind it, every reply stamped
+   [io_none].  Writes are split at page size (the range contract). *)
+let store_pager ~ps ?(requests = ref []) () =
+  let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+  { Types.pgr_id = Types.fresh_pager_id ();
+    pgr_name = "store";
+    pgr_request =
+      (fun ~offset ~length ->
+         requests := length :: !requests;
+         let rec gather off acc =
+           if off >= offset + length then acc
+           else
+             match Hashtbl.find_opt store off with
+             | Some d -> gather (off + ps) (d :: acc)
+             | None -> acc
+         in
+         match List.rev (gather offset []) with
+         | [] -> Types.Data_unavailable
+         | chunks ->
+           Types.Data_provided
+             (Bytes.concat Bytes.empty chunks, Types.io_none));
+    pgr_write =
+      (fun ~offset ~data ->
+         for i = 0 to (Bytes.length data / ps) - 1 do
+           Hashtbl.replace store (offset + (i * ps))
+             (Bytes.sub data (i * ps) ps)
+         done;
+         Types.Write_completed Types.io_none);
+    pgr_should_cache = ref false }
+
+(* A pager with no device under the async model: its tail reply has
+   already landed, so the tail installs like a synchronous one — in one
+   request, with no page riding an inflight record and no disk wait. *)
+let test_no_device_pager_async () =
+  let machine, _, sys = boot ~async:true () in
+  let ps = sys.Vm_sys.page_size in
+  let n = 16 in
+  let requests = ref [] in
+  let pager = store_pager ~ps ~requests () in
+  for i = 0 to n - 1 do
+    ignore
+      (pager.Types.pgr_write ~offset:(i * ps)
+         ~data:(Bytes.make ps (Char.chr (0x41 + i))))
+  done;
+  requests := [];
+  let obj = Vm_object.create_with_pager sys pager ~size:(n * ps) in
+  let pagein page =
+    match Vm_cluster.pagein sys obj ~offset:(page * ps) ~limit:max_int with
+    | `Data (p, _) -> p
+    | `Absent | `Error -> Alcotest.fail "pagein failed"
+  in
+  (* Misses at pages 0, 1 and 3 (page 2 arrives as the second miss's
+     tail and is touched in between): the window ramps 1, 2, 4, so the
+     last miss reads page 3 and asks for the tail 4-6 in one request. *)
+  ignore (pagein 0);
+  ignore (pagein 1);
+  (match Vm_object.lookup_resident sys obj ~offset:(2 * ps) with
+   | Some p -> Vm_cluster.note_hit sys p
+   | None -> Alcotest.fail "page 2 was not prefetched");
+  ignore (pagein 3);
+  Alcotest.(check (list int)) "demand and tail requests"
+    [ ps; ps; ps; ps; 3 * ps ] (List.rev !requests);
+  List.iter
+    (fun p ->
+       let i = p.Types.pg_offset / ps in
+       Alcotest.(check bool) (Printf.sprintf "page %d not inflight" i) true
+         (p.Types.pg_inflight = None && not p.Types.pg_busy);
+       Alcotest.(check char) (Printf.sprintf "page %d bytes" i)
+         (Char.chr (0x41 + i)) (Bytes.get (Page_io.contents sys p) 0))
+    (Resident.object_pages obj);
+  Alcotest.(check int) "pages resident" 7
+    (List.length (Resident.object_pages obj));
+  Alcotest.(check int) "no disk waits" 0
+    (Machine.stats machine).Machine.disk_waits
+
+(* Async pageout into a swap pool with room for one page: the clustered
+   write is refused for space, the per-page fallback cleans the one page
+   that fits and then escalates, the rest stay dirty, and every counter
+   and the clock match the model off. *)
+let full_swap_pageout async =
+  let machine, kernel, sys = boot ~frames:1024 ~async () in
+  let task = new_task kernel in
+  let ps = sys.Vm_sys.page_size in
+  let n = 8 in
+  let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
+  for i = 0 to n - 1 do
+    Machine.write machine ~cpu:0 ~va:(addr + (i * ps))
+      (Bytes.of_string (Printf.sprintf "full-%02d" i))
+  done;
+  Vm_sys.set_swap_capacity sys (Some ps);
+  Vm_pageout.deactivate_some sys ~count:64;
+  Vm_pageout.run sys ~wanted:n;
+  let obj =
+    match Vm_map.resolve_object_at sys (Task.map task) ~va:addr with
+    | Some (o, _) -> o
+    | None -> Alcotest.fail "no object"
+  in
+  let dirty =
+    List.length
+      (List.filter (Vm_sys.page_modified sys) (Resident.object_pages obj))
+  in
+  let s = sys.Vm_sys.stats in
+  let counters =
+    ( (s.Vm_sys.pageouts, s.Vm_sys.clustered_pageouts,
+       s.Vm_sys.swap_full_failures, s.Vm_sys.pageout_failures),
+      (sys.Vm_sys.mem_pressure, sys.Vm_sys.swap_used, dirty),
+      Machine.cycles machine ~cpu:0 )
+  in
+  let bytes =
+    List.init n (fun i ->
+        Bytes.to_string
+          (Machine.read machine ~cpu:0 ~va:(addr + (i * ps)) ~len:7))
+  in
+  (counters, bytes)
+
+let test_async_pageout_swap_full () =
+  let ((pageouts, clustered, full, _), (pressure, used, dirty), _) as c, b =
+    full_swap_pageout true
+  in
+  let ps = 4096 (* boot's system page *) in
+  Alcotest.(check int) "no clustered write fit" 0 clustered;
+  Alcotest.(check int) "the fallback cleaned the page that fits" 1 pageouts;
+  Alcotest.(check int) "swap holds exactly that page" ps used;
+  Alcotest.(check bool) "refusals counted" true (full >= 1);
+  Alcotest.(check bool) "pressure state entered" true pressure;
+  Alcotest.(check int) "the rest stay dirty" 7 dirty;
+  let c_off, b_off = full_swap_pageout false in
+  Alcotest.(check bool) "counters and clock match async off" true (c = c_off);
+  Alcotest.(check (list string)) "bytes match async off" b_off b
+
+(* A pager that dies under the async model: every write to it fails, the
+   kernel declares it dead and rescues the dirty pages to a default
+   pager, and the pages evicted afterwards come back from that rescue
+   pager — through its blocking wait — with the same bytes as the model
+   off. *)
+let dead_pager_run async =
+  let machine, kernel, sys = boot ~frames:256 ~async () in
+  let t = new_task kernel in
+  let ps = sys.Vm_sys.page_size in
+  let n = 12 in
+  let inj = Fail.create ~seed:11 in
+  Fail.attach inj ~site:"pager.write" [ Fail.Always Fail.Fail ];
+  let addr =
+    fst
+      (ok
+         (Chaos_pager.map_wrapped sys t inj ~pager:(store_pager ~ps ())
+            ~size:(n * ps) ()))
+  in
+  for i = 0 to n - 1 do
+    Machine.write machine ~cpu:0 ~va:(addr + (i * ps))
+      (Bytes.of_string (Printf.sprintf "dead-%02d" i))
+  done;
+  for _ = 1 to 8 do
+    Vm_pageout.deactivate_some sys ~count:64;
+    Vm_pageout.run sys ~wanted:64
+  done;
+  let stats = sys.Vm_sys.stats in
+  Alcotest.(check int) "pager died" 1 stats.Vm_sys.pager_deaths;
+  let rescue =
+    match Vm_map.resolve_object_at sys (Task.map t) ~va:addr with
+    | Some (o, _) -> o.Types.obj_rescue
+    | None -> Alcotest.fail "no object behind the mapping"
+  in
+  (match rescue with
+   | Some r ->
+     Alcotest.(check bool) "rescue pager holds the data" true
+       (Swap_pager.stored_bytes sys r > 0)
+   | None -> Alcotest.fail "expected a rescue pager");
+  let reads_before = stats.Vm_sys.pager_reads in
+  let bytes =
+    List.init n (fun i ->
+        Bytes.to_string
+          (Machine.read machine ~cpu:0 ~va:(addr + (i * ps)) ~len:7))
+  in
+  Alcotest.(check bool) "evicted pages were read back" true
+    (stats.Vm_sys.pager_reads > reads_before);
+  Alcotest.(check int) "task never saw a memory error" 0
+    stats.Vm_sys.memory_errors;
+  bytes
+
+let test_dead_pager_async () =
+  let expect = List.init 12 (Printf.sprintf "dead-%02d") in
+  Alcotest.(check (list string)) "bytes intact under async" expect
+    (dead_pager_run true);
+  Alcotest.(check (list string)) "bytes match async off" (dead_pager_run false)
+    (dead_pager_run true)
 
 (* Chaos under the async model replays identically: injection is decided
    at submit time, so the fingerprint, the data and the clock cannot
@@ -217,6 +410,12 @@ let () =
         [ Alcotest.test_case "async pageout round trip" `Quick
             test_async_pageout_roundtrip;
           Alcotest.test_case "chaos replays under async" `Quick
-            test_async_chaos_replays ] );
+            test_async_chaos_replays;
+          Alcotest.test_case "pager with no device" `Quick
+            test_no_device_pager_async;
+          Alcotest.test_case "pageout into a full swap pool" `Quick
+            test_async_pageout_swap_full;
+          Alcotest.test_case "dead pager rescued under async" `Quick
+            test_dead_pager_async ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ async_invisible ] ) ]

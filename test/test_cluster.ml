@@ -38,7 +38,8 @@ let store_pager ~ps () =
       (fun ~offset ~length ->
          match Hashtbl.find_opt store offset with
          | Some d ->
-           Types.Data_provided (Bytes.sub d 0 (min length (Bytes.length d)))
+           Types.Data_provided
+             (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
          | None -> Types.Data_unavailable);
     pgr_write =
       (fun ~offset ~data ->
@@ -51,9 +52,7 @@ let store_pager ~ps () =
            end
          in
          chunk 0;
-         Types.Write_completed);
-    pgr_submit = Types.no_submit;
-    pgr_submit_write = Types.no_submit_write;
+         Types.Write_completed Types.io_none);
     pgr_should_cache = ref false;
   }
 
@@ -315,12 +314,14 @@ let range_store_pager ~ps () =
            if i >= n then List.rev acc
            else
              match base.Types.pgr_request ~offset:(offset + (i * ps)) ~length:ps with
-             | Types.Data_provided d -> gather (i + 1) (d :: acc)
+             | Types.Data_provided (d, _) -> gather (i + 1) (d :: acc)
              | _ -> List.rev acc
          in
          match gather 0 [] with
          | [] -> base.Types.pgr_request ~offset ~length
-         | chunks -> Types.Data_provided (Bytes.concat Bytes.empty chunks)) }
+         | chunks ->
+           Types.Data_provided
+             (Bytes.concat Bytes.empty chunks, Types.io_none)) }
 
 (* A degraded cluster must not kill read-ahead for good: the successful
    single-page fallback still advances the sequence point, so the very
@@ -395,10 +396,10 @@ let test_failed_cluster_does_not_ramp () =
            if length > ps then Types.Data_error
            else
              Types.Data_provided
-               (Bytes.make ps (Char.chr (0x41 + (offset / ps)))));
-      pgr_write = (fun ~offset:_ ~data:_ -> Types.Write_completed);
-      pgr_submit = Types.no_submit;
-      pgr_submit_write = Types.no_submit_write;
+               (Bytes.make ps (Char.chr (0x41 + (offset / ps))),
+                Types.io_none));
+      pgr_write =
+        (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);
       pgr_should_cache = ref false;
     }
   in

@@ -129,7 +129,8 @@ let store_pager () =
       (fun ~offset ~length ->
          match Hashtbl.find_opt store offset with
          | Some d ->
-           Types.Data_provided (Bytes.sub d 0 (min length (Bytes.length d)))
+           Types.Data_provided
+             (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
          | None -> Types.Data_unavailable);
     pgr_write =
       (fun ~offset ~data ->
@@ -145,9 +146,7 @@ let store_pager () =
            end
          in
          chunk 0;
-         Types.Write_completed);
-    pgr_submit = Types.no_submit;
-    pgr_submit_write = Types.no_submit_write;
+         Types.Write_completed Types.io_none);
     pgr_should_cache = ref false;
   }
 
@@ -417,7 +416,9 @@ let test_disk_retry_charges_full_run () =
           [ Fail.Between (0, 0, Fail.Always Fail.Fail) ];
         Simdisk.set_injector disk (Some inj)
       end;
-      ignore (Simdisk.read_run disk ~cpu:0 ~first:0 ~count);
+      ignore
+        (Simdisk.wait disk ~cpu:0
+           (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count));
       (Machine.cycles machine ~cpu:0,
        Machine.disk_service_cycles machine ~bytes:(count * 4096))
     in

@@ -25,7 +25,8 @@ let counting_pager sys ~name =
            incr requests;
            match Hashtbl.find_opt store offset with
            | Some b ->
-             Types.Data_provided (Bytes.sub b 0 (min length (Bytes.length b)))
+             Types.Data_provided
+               (Bytes.sub b 0 (min length (Bytes.length b)), Types.io_none)
            | None -> Types.Data_unavailable);
       pgr_write =
         (fun ~offset ~data ->
@@ -41,9 +42,7 @@ let counting_pager sys ~name =
              end
            in
            chunk 0;
-           Types.Write_completed);
-      pgr_submit = Types.no_submit;
-      pgr_submit_write = Types.no_submit_write;
+           Types.Write_completed Types.io_none);
       pgr_should_cache = ref true;
     }
   in

@@ -179,10 +179,9 @@ let test_cached_object_pages_reclaimable () =
       pgr_request =
         (fun ~offset:_ ~length ->
            incr counting;
-           Types.Data_provided (Bytes.make length 'C'));
-      pgr_write = (fun ~offset:_ ~data:_ -> Types.Write_completed);
-      pgr_submit = Types.no_submit;
-      pgr_submit_write = Types.no_submit_write;
+           Types.Data_provided (Bytes.make length 'C', Types.io_none));
+      pgr_write =
+        (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);
       pgr_should_cache = ref true;
     }
   in

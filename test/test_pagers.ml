@@ -28,15 +28,22 @@ let new_task kernel ~cpu =
 let test_disk_rw_and_costs () =
   let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let d = Simdisk.create machine ~block_size:4096 in
-  Simdisk.write d ~cpu:0 ~block:5 (Bytes.of_string "disk block");
+  let read block =
+    Simdisk.wait d ~cpu:0
+      (Simdisk.submit_read_run d ~cpu:0 ~first:block ~count:1)
+  in
+  let block = Bytes.make 4096 '\000' in
+  Bytes.blit_string "disk block" 0 block 0 10;
+  ignore
+    (Simdisk.wait d ~cpu:0 (Simdisk.submit_write_run d ~cpu:0 ~first:5 block));
   Alcotest.(check string) "read back" "disk block"
-    (Bytes.to_string (Bytes.sub (Simdisk.read d ~cpu:0 ~block:5) 0 10));
+    (Bytes.to_string (Bytes.sub (read 5) 0 10));
   Alcotest.(check int) "counters" 1 (Simdisk.reads d);
   Alcotest.(check int) "writes" 1 (Simdisk.writes d);
   Alcotest.(check bool) "time charged" true (Machine.max_cycles machine > 0);
   (* Unwritten blocks read as zeros. *)
   Alcotest.(check char) "zero block" '\000'
-    (Bytes.get (Simdisk.read d ~cpu:0 ~block:99) 0)
+    (Bytes.get (read 99) 0)
 
 let test_disk_install_uncharged () =
   let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
