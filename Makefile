@@ -4,7 +4,7 @@ all:
 	dune build
 
 check:
-	dune build && dune runtest && sh tools/bench_smoke.sh
+	dune build && dune runtest && dune exec tools/bench_check.exe
 
 test:
 	dune runtest
@@ -13,7 +13,7 @@ bench:
 	dune exec bench/main.exe
 
 bench-smoke:
-	sh tools/bench_smoke.sh
+	dune exec tools/bench_check.exe
 
 clean:
 	dune clean

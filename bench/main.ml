@@ -979,7 +979,7 @@ let chaos () =
    before clustered pagein existed — one guarded single-page request per
    miss, no window bookkeeping.  Recorded as the `legacy` reference cell:
    with [cluster_max = 1] the clustered path must cost exactly this
-   (bench_smoke.sh asserts the two elapsed times are identical). *)
+   (tools/bench_check.ml asserts the two elapsed times are identical). *)
 let legacy_read sys fs ~name ~offset ~len =
   Vm_sys.charge sys (Vm_sys.cost sys).Arch.syscall;
   let pager = Mach_pagers.Vnode_pager.for_file sys fs ~name in
@@ -1177,7 +1177,7 @@ let cluster () =
 (* ------------------------------------------------------------------ *)
 
 (* CPU counts the mpfault scaling sweep runs at; `-cpus N` trims the
-   list to counts <= N (the smoke test passes 4 to stay cheap). *)
+   list to counts <= N (the bench checker passes 8 to stay cheap). *)
 let mpfault_cpus = ref [ 1; 2; 4; 8; 16 ]
 
 type mp_result = {

@@ -7,11 +7,12 @@ open Types
    machine-independent frame number mod [colors], domain = contiguous
    slice of physical memory — with an optional per-CPU magazine in
    front.  The default configuration (one domain, one color, magazines
-   off) is a single FIFO that replays the original allocator to the
-   cycle: the direct path charges nothing and pops/pushes in the exact
-   order the seed code did.  [configure] re-buckets the free pages when
-   the topology changes; contention on the shared queues is simulated
-   (opt-in) with the same release-stamp scheme as [Vm_object] locks. *)
+   off) is the degenerate case of the same code: one queue, an empty
+   borrow scan, no magazine, so it pops/pushes in the exact order the
+   seed allocator did and replays it to the cycle.  [configure]
+   re-buckets the free pages when the topology changes; contention on
+   the shared queues is simulated (opt-in) with the same release-stamp
+   scheme as [Vm_object] locks. *)
 
 type counters = {
   mutable color_hits : int;     (* allocations served at the preferred color *)
@@ -77,8 +78,7 @@ let fresh_counters () =
 let page_group t p = p.pfn / t.multiple
 
 let page_domain t p =
-  if t.domains = 1 then 0
-  else min (t.domains - 1) (page_group t p * t.domains / t.span_groups)
+  min (t.domains - 1) (page_group t p * t.domains / t.span_groups)
 
 let page_color t p = page_group t p land (t.colors - 1)
 
@@ -161,7 +161,7 @@ let domains t = t.domains
 let cache_size t = t.cache_size
 let domain_free t d = t.dom_free.(d)
 let cached_count t = Array.fold_left ( + ) 0 t.cache_count
-let domain_of_cpu t ~cpu = if t.domains = 1 then 0 else cpu mod t.domains
+let domain_of_cpu t ~cpu = cpu mod t.domains
 
 let counters t = t.c
 
@@ -265,24 +265,21 @@ let lock_acquire t ~cpu ~qi =
 let queue_take t ~cpu ~want ~lock =
   let d0 = domain_of_cpu t ~cpu in
   let d =
-    if t.domains = 1 then 0
+    let local = t.dom_free.(d0) in
+    if local > 0 && local >= t.free_min_share then d0
     else begin
-      let local = t.dom_free.(d0) in
-      if local > 0 && local >= t.free_min_share then d0
-      else begin
-        (* Borrow from the richest domain (ties to the first scanned,
-           i.e. the nearest neighbour upward) — which may still be the
-           local one if nobody is better stocked. *)
-        let best = ref d0 and best_n = ref local in
-        for i = 1 to t.domains - 1 do
-          let dd = (d0 + i) mod t.domains in
-          if t.dom_free.(dd) > !best_n then begin
-            best := dd;
-            best_n := t.dom_free.(dd)
-          end
-        done;
-        !best
-      end
+      (* Borrow from the richest domain (ties to the first scanned,
+         i.e. the nearest neighbour upward) — which may still be the
+         local one if nobody is better stocked. *)
+      let best = ref d0 and best_n = ref local in
+      for i = 1 to t.domains - 1 do
+        let dd = (d0 + i) mod t.domains in
+        if t.dom_free.(dd) > !best_n then begin
+          best := dd;
+          best_n := t.dom_free.(dd)
+        end
+      done;
+      !best
     end
   in
   if t.dom_free.(d) = 0 then None
@@ -352,27 +349,24 @@ let alloc ?cpu ?color t =
       t.c.pcpu_hits <- t.c.pcpu_hits + 1;
       cache_pop t ~cpu
     end
-    else if mag then begin
-      (* Refill: one trip to the shared queues (one lock acquisition)
-         buys a whole batch; the extras go into the magazine so the next
-         refill_batch - 1 allocations never touch shared state. *)
+    else
       match queue_take t ~cpu ~want ~lock:true with
       | None -> steal t ~cpu
       | Some first ->
-        t.c.pcpu_refills <- t.c.pcpu_refills + 1;
-        let filled = ref true in
-        for _ = 2 to t.refill_batch do
-          if !filled then
-            match queue_take t ~cpu ~want ~lock:false with
-            | Some extra -> cache_push t ~cpu extra
-            | None -> filled := false
-        done;
+        if mag then begin
+          (* Refill: one trip to the shared queues (one lock acquisition)
+             buys a whole batch; the extras go into the magazine so the
+             next refill_batch - 1 allocations never touch shared state. *)
+          t.c.pcpu_refills <- t.c.pcpu_refills + 1;
+          let filled = ref true in
+          for _ = 2 to t.refill_batch do
+            if !filled then
+              match queue_take t ~cpu ~want ~lock:false with
+              | Some extra -> cache_push t ~cpu extra
+              | None -> filled := false
+          done
+        end;
         Some first
-    end
-    else
-      match queue_take t ~cpu ~want ~lock:true with
-      | Some p -> Some p
-      | None -> steal t ~cpu
   in
   (match p with Some p -> assert (p.pg_obj = None) | None -> ());
   p
@@ -410,20 +404,8 @@ let free_page ?cpu t p =
   p.pg_inflight <- None;
   p.pg_wire_count <- 0;
   p.pg_requeues <- 0;
-  let mag =
-    match cpu with
-    | Some c when t.cache_size > 0 && c >= 0 && c < Array.length t.caches ->
-      Some c
-    | _ -> None
-  in
-  match mag with
-  | None ->
-    if t.lock_sim then
-      lock_acquire t
-        ~cpu:(match cpu with Some c -> c | None -> 0)
-        ~qi:(qindex t p);
-    set_queue t p Q_free
-  | Some c ->
+  match cpu with
+  | Some c when t.cache_size > 0 && c >= 0 && c < Array.length t.caches ->
     set_queue t p Q_none;
     if t.cache_count.(c) >= t.cache_size then begin
       (* Overflowing magazine: drain a batch back to the colored queues
@@ -437,6 +419,9 @@ let free_page ?cpu t p =
       done
     end;
     cache_push t ~cpu:c p
+  | _ ->
+    lock_acquire t ~cpu:(Option.value cpu ~default:0) ~qi:(qindex t p);
+    set_queue t p Q_free
 
 let enqueue t p q =
   assert (q <> Q_free);

@@ -67,3 +67,93 @@ let write_file path j =
     (fun () ->
        output_string oc (to_string j);
        output_char oc '\n')
+
+(* Recursive descent over [s]; [Malformed] carries the offset of the
+   first bad token out to [of_string]. *)
+exception Malformed of int * string
+
+let of_string s =
+  let n = String.length s and pos = ref 0 in
+  let fail msg = raise (Malformed (!pos, msg)) in
+  let peek () = if !pos < n then s.[!pos] else '\000' in
+  let eat c = peek () = c && (incr pos; true) in
+  let expect c = if not (eat c) then fail (Printf.sprintf "expected '%c'" c) in
+  let rec ws () =
+    if String.contains " \t\n\r" (peek ()) then (incr pos; ws ())
+  in
+  let span ok =
+    let start = !pos in
+    while !pos < n && ok s.[!pos] do incr pos done;
+    String.sub s start (!pos - start)
+  in
+  let word w v =
+    if span (fun c -> c >= 'a' && c <= 'z') = w then v else fail "bad literal"
+  in
+  let is_hex c = String.contains "0123456789abcdefABCDEF" c in
+  let rec chars b =
+    if !pos >= n then fail "unterminated string";
+    match s.[!pos] with
+    | '"' -> incr pos; Buffer.contents b
+    | '\\' ->
+      incr pos;
+      let e = peek () in
+      incr pos;
+      (match e with
+       | '"' | '\\' -> Buffer.add_char b e
+       | 'n' -> Buffer.add_char b '\n'
+       | 'r' -> Buffer.add_char b '\r'
+       | 't' -> Buffer.add_char b '\t'
+       | 'u' when !pos + 4 <= n && String.for_all is_hex (String.sub s !pos 4)
+         ->
+         let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+         if code >= 0x80 then fail "\\u escape beyond ASCII";
+         Buffer.add_char b (Char.chr code);
+         pos := !pos + 4
+       | _ -> fail "bad escape");
+      chars b
+    | c when c < ' ' -> fail "control character in string"
+    | c -> Buffer.add_char b c; incr pos; chars b
+  in
+  let str () = expect '"'; chars (Buffer.create 16) in
+  let number () =
+    let lit = span (String.contains "+-.eE0123456789") in
+    let parsed =
+      if String.exists (String.contains ".eE") lit then
+        Option.map (fun f -> Float f) (float_of_string_opt lit)
+      else Option.map (fun i -> Int i) (int_of_string_opt lit)
+    in
+    match parsed with
+    | Some v when lit.[0] <> '+' -> v
+    | _ -> fail (if lit = "" then "expected a value" else "bad number")
+  in
+  (* [seq close elt] reads [elt (, elt)* close], or just [close]. *)
+  let rec seq : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close elt ->
+    let rec more acc =
+      let acc = elt () :: acc in
+      ws ();
+      if eat ',' then more acc else (expect close; List.rev acc)
+    in
+    ws ();
+    if eat close then [] else more []
+  and field () =
+    let k = (ws (); str ()) in
+    ws (); expect ':'; (k, value ())
+  and value () =
+    ws ();
+    match peek () with
+    | '{' -> incr pos; Obj (seq '}' field)
+    | '[' -> incr pos; Arr (seq ']' value)
+    | '"' -> Str (str ())
+    | 't' -> word "true" (Bool true)
+    | 'f' -> word "false" (Bool false)
+    | 'n' -> word "null" Null
+    | _ -> number ()
+  in
+  match value () with
+  | exception Malformed (at, msg) ->
+    Error (Printf.sprintf "offset %d: %s" at msg)
+  | v ->
+    ws ();
+    if !pos = n then Ok v
+    else Error (Printf.sprintf "offset %d: trailing characters" !pos)

@@ -1,9 +1,9 @@
-(** Minimal JSON construction and serialisation.
+(** Minimal JSON construction, serialisation and parsing.
 
-    The exporters need to *write* well-formed JSON (Chrome traces,
-    stats.json, BENCH_vm.json); nothing in the tree needs to parse it,
-    so a small value type and printer avoid a dependency the container
-    may not have. *)
+    The exporters write JSON (Chrome traces, stats.json, BENCH_vm.json)
+    and the bench checker reads it back, so this one module owns the
+    format; a small value type, printer and parser avoid a dependency
+    on a JSON library. *)
 
 type t =
   | Null
@@ -21,3 +21,11 @@ val to_string : t -> string
 
 val write_file : string -> t -> unit
 (** [write_file path j] writes [to_string j] followed by a newline. *)
+
+val of_string : string -> (t, string) result
+(** Parse one JSON value, with optional surrounding whitespace.  A number
+    without [.], [e] or [E] is an [Int], any other a [Float].  String
+    escapes are exactly those [to_string] writes: a backslash before a
+    quote, a backslash, [n], [r] or [t], and [u] with four hex digits
+    naming an ASCII code point.  [Error] names the byte offset of the
+    first malformed token. *)

@@ -227,6 +227,40 @@ let test_json_checker_sanity () =
   Alcotest.(check bool) "rejects trailing junk" false (json_ok "{} x");
   Alcotest.(check bool) "rejects unclosed" false (json_ok {|{"a": 1|})
 
+(* ---- Jout.of_string ---------------------------------------------------- *)
+
+let test_jout_round_trip () =
+  let v =
+    Jout.Obj
+      [ ("null", Jout.Null);
+        ("flags", Jout.Arr [ Jout.Bool true; Jout.Bool false ]);
+        ("ints", Jout.Arr [ Jout.Int 0; Jout.Int (-42); Jout.Int max_int ]);
+        ("floats", Jout.Arr [ Jout.Float 1e-07; Jout.Float (-2.5) ]);
+        ("escapes", Jout.Str "q\"b\\n\nr\rt\t\001\031 end");
+        ("empty", Jout.Arr [ Jout.Arr []; Jout.Obj [] ]);
+        ("nested", Jout.Obj [ ("", Jout.Obj [ ("a", Jout.Arr []) ]) ]) ]
+  in
+  let s = Jout.to_string v in
+  match Jout.of_string s with
+  | Ok parsed ->
+    Alcotest.(check string) "to_string (of_string s) = s" s
+      (Jout.to_string parsed);
+    Alcotest.(check bool) "numbers keep their constructor" true
+      (parsed = v)
+  | Error e -> Alcotest.failf "of_string rejected %s: %s" s e
+
+let test_jout_rejects_malformed () =
+  List.iter
+    (fun (what, s) ->
+       match Jout.of_string s with
+       | Ok _ -> Alcotest.failf "accepted %s: %s" what s
+       | Error _ -> ())
+    [ ("a trailing comma in an object", {|{"a":1,}|});
+      ("a trailing comma in an array", "[1,2,]");
+      ("an unterminated string", {|{"a":"b|});
+      ("trailing garbage", {|{"a":1} x|});
+      ("an unknown escape", {|"\q"|}) ]
+
 (* ---- end to end -------------------------------------------------------- *)
 
 let lookup name = function
@@ -580,6 +614,10 @@ let () =
       ( "export",
         [ Alcotest.test_case "json checker sanity" `Quick
             test_json_checker_sanity;
+          Alcotest.test_case "of_string round-trips to_string" `Quick
+            test_jout_round_trip;
+          Alcotest.test_case "of_string rejects malformed input" `Quick
+            test_jout_rejects_malformed;
           Alcotest.test_case "fork+touch end to end" `Quick
             test_end_to_end ] );
       ( "attribution",
