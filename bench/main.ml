@@ -401,14 +401,17 @@ let shootdown_one ?(batched = true) strategy =
     | Error e -> failwith (Kr.to_string e)
   in
   let ps = Kernel.page_size kernel in
-  for cpu = 0 to 3 do
-    let rec sweep va =
+  let sweep cpu =
+    let rec go va =
       if va < addr + size then begin
         Machine.touch machine ~cpu ~va ~write:true;
-        sweep (va + ps)
+        go (va + ps)
       end
     in
-    sweep addr
+    go addr
+  in
+  for cpu = 0 to 3 do
+    sweep cpu
   done;
   Machine.reset_clocks machine;
   for round = 1 to 30 do
@@ -438,6 +441,10 @@ let shootdown_one ?(batched = true) strategy =
      with
      | Ok () -> ()
      | Error e -> failwith (Kr.to_string e));
+    (* Raising rights changes no pte; CPU 0's writes take them back into
+       the hardware maps, so the next round's revocation has real
+       mappings to revoke. *)
+    sweep 0;
     if round mod 10 = 0 then Machine.tick machine
   done;
   let s = Machine.stats machine in
@@ -1687,55 +1694,6 @@ let pressure () =
     rc.pr_oom_kills rc.pr_survivors rs.pr_oom_kills rs.pr_survivors
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (wall-clock of the simulator itself)       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  [ Test.make ~name:"table7_1:zero-fill-64K"
-      (Staged.stage (fun () ->
-           let _, _, _, os = boot_mach ~mem:(4 * mb) Arch.uvax2 in
-           ignore (zero_fill_ms os)));
-    Test.make ~name:"table7_1:fork-256K"
-      (Staged.stage (fun () ->
-           let _, _, _, os = boot_mach ~mem:(4 * mb) Arch.uvax2 in
-           ignore (fork_ms os)));
-    Test.make ~name:"table7_1_files:file-read-50K"
-      (Staged.stage (fun () ->
-           let _, _, _, os = boot_mach ~mem:(4 * mb) Arch.vax8200 in
-           ignore (file_read_pair os ~name:"/f" ~size:(50 * kb))));
-    Test.make ~name:"table7_2:fork-test-compile"
-      (Staged.stage (fun () ->
-           let _, _, _, os = boot_mach ~mem:(8 * mb) Arch.sun3_160 in
-           Compile_workload.setup os Compile_workload.fork_test;
-           ignore (Compile_workload.run os Compile_workload.fork_test)))
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None ()
-  in
-  let raw =
-    Benchmark.all cfg [ instance ]
-      (Test.make_grouped ~name:"mach-vm" (bechamel_tests ()))
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      instance raw
-  in
-  Hashtbl.iter
-    (fun name ols ->
-       match Analyze.OLS.estimates ols with
-       | Some [ est ] ->
-         Printf.printf "%-45s %12.0f ns/run\n" name est
-       | Some _ | None -> Printf.printf "%-45s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Concurrent streams: shared-object read-ahead interference            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1844,7 +1802,7 @@ let experiments =
 
 let usage () =
   print_endline
-    "usage: main.exe [-e EXPERIMENT] [-cpus N] [-json PATH] | raw";
+    "usage: main.exe [-e EXPERIMENT] [-cpus N] [-json PATH]";
   print_endline
     "  measured cells are written as JSON to PATH; a full run with no\n\
     \  -json rewrites the committed baseline bench/BENCH_vm.json";
@@ -1871,14 +1829,12 @@ let () =
          usage ();
          exit 1);
       parse json exps rest
-    | "raw" :: rest -> parse json ("raw" :: exps) rest
     | _ ->
       usage ();
       exit 1
   in
   let json, exps = parse None [] (List.tl (Array.to_list Sys.argv)) in
   (match exps with
-   | [ "raw" ] -> run_bechamel ()
    | [] ->
      List.iter
        (fun (name, f) ->

@@ -168,9 +168,19 @@ let check_pv sys =
   done;
   List.rev !errs
 
+(* Every live TLB entry is backed by its pmap, with rights no wider
+   than the pmap's: what lets pmap_enter and pmap_protect skip the
+   shootdown when a translation only gains rights. *)
+let check_tlb sys =
+  List.map
+    (fun (cpu, (e : Tlb.entry)) ->
+       spf "cpu %d caches asid %d vpn %d -> frame %d %s beyond its pmap" cpu
+         e.Tlb.asid e.Tlb.vpn e.Tlb.pfn (Prot.to_string e.Tlb.prot))
+    (Machine.tlb_overreach sys.Vm_sys.machine)
+
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
-  @ check_resident sys @ check_pv sys
+  @ check_resident sys @ check_pv sys @ check_tlb sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

@@ -16,7 +16,9 @@
       belong to no object, and no freed frame retains a hardware
       mapping;
     - every hardware mapping recorded by the pv layer is confirmed by the
-      owning pmap's [pmap_extract]. *)
+      owning pmap's [pmap_extract];
+    - every TLB entry of a CPU's active address space that no pending
+      flush covers maps the frame its pmap maps, with no more rights. *)
 
 val check_map : Vm_sys.t -> Types.vmap -> string list
 (** [check_map sys m] is the list of invariant violations found in [m]

@@ -352,10 +352,13 @@ let protect sys m ~addr ~size ~set_max ~prot =
             end
           end
           else begin
+            let old = e.e_prot in
             e.e_prot <- prot;
             (* Hardware permissions only ever shrink here; raising takes
-               effect lazily through faults. *)
-            pmap_protect_range m e prot
+               effect lazily through faults, so an entry that loses no
+               right leaves the pmap alone. *)
+            if not (Prot.subset old ~of_:prot) then
+              pmap_protect_range m e prot
           end);
       Ok ()
     end

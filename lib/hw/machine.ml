@@ -609,7 +609,10 @@ let translate t ~cpu ~va ~write =
     | None, Some tr ->
       t.stats.tlb_miss_count <- t.stats.tlb_miss_count + 1;
       bump t c tr.Translator.walk_cost;
-      (match tr.Translator.lookup vpn with
+      (match
+         if tr.Translator.hw_walk then tr.Translator.lookup vpn
+         else Translator.Missing
+       with
        | Translator.Mapped { pfn; prot } ->
          if Tlb.capacity c.tlb > 0 then
            Tlb.insert c.tlb
@@ -685,6 +688,26 @@ let touch t ~cpu ~va ~write =
   else ignore (read_byte t ~cpu ~va)
 
 let tlb_contents t ~cpu = Tlb.entries (cpu_of t cpu).tlb
+
+let tlb_overreach t =
+  Array.fold_right
+    (fun c acc ->
+       match c.translator with
+       | None -> acc
+       | Some tr ->
+         List.fold_right
+           (fun (e : Tlb.entry) acc ->
+              if e.Tlb.asid <> tr.Translator.asid
+                 || stale_hit c ~asid:e.Tlb.asid ~vpn:e.Tlb.vpn
+              then acc
+              else
+                match tr.Translator.lookup e.Tlb.vpn with
+                | Translator.Mapped { pfn; prot }
+                  when pfn = e.Tlb.pfn && Prot.subset e.Tlb.prot ~of_:prot ->
+                  acc
+                | Translator.Mapped _ | Translator.Missing -> (c.id, e) :: acc)
+           (Tlb.entries c.tlb) acc)
+    t.cpus []
 
 let tlb_hits t =
   Array.fold_left (fun acc c -> acc + Tlb.hits c.tlb) 0 t.cpus

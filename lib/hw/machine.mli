@@ -336,6 +336,14 @@ val tlb_contents : t -> cpu:int -> Tlb.entry list
 (** [tlb_contents t ~cpu] is that CPU's current TLB contents, oldest
     first; used by tests cross-checking TLBs against page tables. *)
 
+val tlb_overreach : t -> (int * Tlb.entry) list
+(** [tlb_overreach t] lists, as [(cpu, entry)], every TLB entry of a
+    CPU's active address space that no pending flush covers and that the
+    active translator does not back with the same frame and at least the
+    entry's rights.  Empty whenever the TLBs are a subset of the pmaps —
+    the invariant that lets a pmap skip the shootdown when rights are
+    only gained. *)
+
 val tlb_hits : t -> int
 (** Total TLB hits across CPUs (per-TLB counters; includes lookups made
     outside {!translate}). *)

@@ -22,8 +22,14 @@ type t = {
   walk_cost : int;
       (** Cycles charged for one walk (0 for MMUs whose mapping RAM is the
           translation path itself, as on the SUN 3). *)
+  hw_walk : bool;
+      (** Whether the MMU walks [lookup] on a TLB miss.  [false] on
+          TLB-only machines: every miss traps to the kernel, which refills
+          the TLB from its software table; [lookup] then reads that table
+          for consistency checks only ({!Machine.tlb_overreach}). *)
 }
 
-val never : asid:int -> t
-(** [never ~asid] is a translator with no valid mappings (used by TLB-only
-    machines, where every miss traps to software). *)
+val software : asid:int -> (int -> outcome) -> t
+(** [software ~asid lookup] is the translator of a TLB-only pmap whose
+    software table is [lookup]: the hardware never walks it, so every
+    miss traps to software. *)

@@ -15,6 +15,7 @@ open Mach_hw
 type batch = {
   mutable depth : int;
   page_vpns : (int, int list ref) Hashtbl.t;  (* asid -> vpns collected *)
+  local_vpns : (int, int list ref) Hashtbl.t; (* asid -> vpns, this CPU *)
   whole_asids : (int, unit) Hashtbl.t;        (* asids flushed wholesale *)
   b_targets : bool array;                     (* union of presences *)
   mutable b_urgent : bool;                    (* OR of urgency at collect *)
@@ -52,7 +53,7 @@ let create machine =
     urgent_mode = false; batching = true;
     batch =
       { depth = 0; page_vpns = Hashtbl.create 8;
-        whole_asids = Hashtbl.create 8;
+        local_vpns = Hashtbl.create 8; whole_asids = Hashtbl.create 8;
         b_targets = Array.make (Machine.cpu_count machine) false;
         b_urgent = false };
     on_unmap = (fun ~asid:_ ~pfn:_ -> ()) }
@@ -120,7 +121,38 @@ let requests_of_asid ~asid vpns acc =
     | [] -> acc
     | v :: rest -> go v (v + 1) acc rest
 
+let add_vpn tbl ~asid ~vpn =
+  match Hashtbl.find_opt tbl asid with
+  | Some l -> l := vpn :: !l
+  | None -> Hashtbl.add tbl asid (ref [ vpn ])
+
+(* The initiator's local-only flushes go first, as an exchange's own
+   local flushes would; pages the exchange covers are left to it. *)
+let flush_local_vpns ctx =
+  let b = ctx.batch in
+  let reqs =
+    Hashtbl.fold
+      (fun asid vpns acc ->
+         if Hashtbl.mem b.whole_asids asid then acc
+         else
+           let shot =
+             match Hashtbl.find_opt b.page_vpns asid with
+             | Some l -> !l
+             | None -> []
+           in
+           match requests_of_asid ~asid shot [] with
+           | [ Machine.Flush_asid _ ] -> acc
+           | _ ->
+             requests_of_asid ~asid
+               (List.filter (fun v -> not (List.mem v shot)) !vpns)
+               acc)
+      b.local_vpns []
+  in
+  Hashtbl.reset b.local_vpns;
+  List.iter (Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu) reqs
+
 let flush_batch ctx =
+  flush_local_vpns ctx;
   let b = ctx.batch in
   let reqs =
     Hashtbl.fold
@@ -159,9 +191,7 @@ let batched ctx f =
 let shoot_page ctx p ~asid ~vpn =
   if accumulating ctx then begin
     let b = ctx.batch in
-    (match Hashtbl.find_opt b.page_vpns asid with
-     | Some l -> l := vpn :: !l
-     | None -> Hashtbl.add b.page_vpns asid (ref [ vpn ]));
+    add_vpn b.page_vpns ~asid ~vpn;
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
@@ -175,6 +205,42 @@ let shoot_asid ctx p ~asid =
     if ctx.urgent_mode then b.b_urgent <- true
   end
   else shoot ctx p (Machine.Flush_asid asid) ~urgent:false
+
+(* --- The shootdown rule ------------------------------------------------ *)
+
+(* A cached translation needs a TLB-consistency exchange only when it
+   loses rights or its frame (the 4.4BSD/Mach pmap_protect contract).
+   Rights that are only gained need none: a weaker entry still cached
+   on some CPU is dropped by the protection fault [Machine.translate]
+   takes on its first disallowed access, and the retry walks the new
+   pte.  Backends apply the rule to a translation that keeps its frame
+   through the two helpers below; only the TLB-only pmap's enter, which
+   must flush before it refills, tests [loses] itself. *)
+let loses ~old ~prot = not (Prot.subset old ~of_:prot)
+
+(* pmap_protect's step for one valid translation holding [old]: when
+   [prot] takes rights away, [set] stores the reduced rights, the pte
+   write is charged (unless [~pte:false]: a software-only table) and the
+   page is shot; when [old] keeps every right, nothing is written,
+   charged or flushed. *)
+let lower ?(pte = true) ctx p ~asid ~vpn ~old ~prot ~set =
+  if loses ~old ~prot then begin
+    set (Prot.inter old prot);
+    if pte then charge ctx (cost ctx).Arch.pte_write;
+    shoot_page ctx p ~asid ~vpn
+  end
+
+(* pmap_enter over a translation that keeps its frame: an exchange only
+   when the new rights [prot] lose some of [old].  Gained rights flush
+   just the local entry — the one a protection fault's walk has just
+   cached from the old pte, which the retry would otherwise hit and
+   fault on again — batched like a shootdown, without the IPIs. *)
+let reenter ctx p ~asid ~vpn ~old ~prot =
+  if loses ~old ~prot then shoot_page ctx p ~asid ~vpn
+  else if accumulating ctx then add_vpn ctx.batch.local_vpns ~asid ~vpn
+  else
+    Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu
+      (Machine.Flush_page { asid; vpn })
 
 let activate ctx p tr ~cpu =
   p.active.(cpu) <- true;

@@ -57,12 +57,12 @@ let make_domain (ctx : Backend.ctx) =
         invalid_arg "pmap_enter: no such physical page";
       let vpn = va / page in
       (* Drop any previous mapping this pmap had for the page... *)
-      let had_mapping = Hashtbl.mem own_vpns vpn in
-      (match Hashtbl.find_opt own_vpns vpn with
-       | Some old_pfn when old_pfn = pfn ->
-         () (* re-entering the same frame just updates protection below *)
-       | Some old_pfn -> evict old_pfn
-       | None -> ());
+      let kept =
+        match Hashtbl.find_opt own_vpns vpn with
+        | Some old_pfn when old_pfn = pfn -> Some ipt.(pfn).s_prot
+        | Some old_pfn -> evict old_pfn; None
+        | None -> None
+      in
       (* ...and, inverted-table restriction, any foreign mapping of the
          frame itself. *)
       let s = ipt.(pfn) in
@@ -82,8 +82,11 @@ let make_domain (ctx : Backend.ctx) =
       s.s_prot <- prot;
       s.s_wired <- wired;
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-      (* Only a pre-existing translation can be cached in a TLB. *)
-      if had_mapping then Backend.shoot_page ctx presence ~asid ~vpn;
+      (* Only a pre-existing translation can be cached in a TLB; one on
+         another frame was shot by its eviction above. *)
+      (match kept with
+       | Some old -> Backend.reenter ctx presence ~asid ~vpn ~old ~prot
+       | None -> ());
       stats.Pmap.enters <- stats.Pmap.enters + 1
     in
 
@@ -112,9 +115,8 @@ let make_domain (ctx : Backend.ctx) =
           List.iter
             (fun (vpn, pfn) ->
                let s = ipt.(pfn) in
-               s.s_prot <- Prot.inter s.s_prot prot;
-               Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-               Backend.shoot_page ctx presence ~asid ~vpn)
+               Backend.lower ctx presence ~asid ~vpn ~old:s.s_prot ~prot
+                 ~set:(fun reduced -> s.s_prot <- reduced))
             (in_range lo hi))
     in
 
@@ -128,7 +130,7 @@ let make_domain (ctx : Backend.ctx) =
     in
     let translator =
       { Translator.asid; lookup;
-        walk_cost = (Backend.cost ctx).Arch.tlb_fill }
+        walk_cost = (Backend.cost ctx).Arch.tlb_fill; hw_walk = true }
     in
 
     let collect () =

@@ -100,8 +100,8 @@ let make_domain (ctx : Backend.ctx) =
         invalid_arg "pmap_enter: virtual address beyond hardware limit";
       let vpn = va / page in
       let c = my_context () in
-      let had_mapping = Hashtbl.mem c.c_table vpn in
-      (match Hashtbl.find_opt c.c_table vpn with
+      let previous = Hashtbl.find_opt c.c_table vpn in
+      (match previous with
        | Some old when old.m_pfn <> pfn ->
          Backend.pv_remove ctx ~pfn:old.m_pfn ~asid ~vpn;
          stats.Pmap.removals <- stats.Pmap.removals + 1;
@@ -111,7 +111,12 @@ let make_domain (ctx : Backend.ctx) =
       Hashtbl.replace c.c_table vpn
         { m_pfn = pfn; m_prot = prot; m_wired = wired };
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-      if had_mapping then Backend.shoot_page ctx presence ~asid ~vpn;
+      (match previous with
+       | Some old when old.m_pfn <> pfn ->
+         Backend.shoot_page ctx presence ~asid ~vpn
+       | Some old ->
+         Backend.reenter ctx presence ~asid ~vpn ~old:old.m_prot ~prot
+       | None -> ());
       stats.Pmap.enters <- stats.Pmap.enters + 1
     in
 
@@ -157,10 +162,10 @@ let make_domain (ctx : Backend.ctx) =
                match me.o_context with
                | None -> ()
                | Some c ->
-                 Hashtbl.replace c.c_table vpn
-                   { m with m_prot = Prot.inter m.m_prot prot };
-                 Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-                 Backend.shoot_page ctx presence ~asid ~vpn)
+                 Backend.lower ctx presence ~asid ~vpn ~old:m.m_prot ~prot
+                   ~set:(fun reduced ->
+                       Hashtbl.replace c.c_table vpn
+                         { m with m_prot = reduced }))
             (in_range lo hi))
     in
 
@@ -182,7 +187,9 @@ let make_domain (ctx : Backend.ctx) =
          | None -> Translator.Missing)
     in
     (* The mapping RAM *is* the translation path: no walk cost. *)
-    let translator = { Translator.asid; lookup; walk_cost = 0 } in
+    let translator =
+      { Translator.asid; lookup; walk_cost = 0; hw_walk = true }
+    in
 
     let activate ~cpu =
       ignore (my_context ());

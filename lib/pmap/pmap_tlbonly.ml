@@ -8,9 +8,15 @@ let make_domain (ctx : Backend.ctx) =
     let asid = Backend.fresh_asid ctx in
     let stats = Pmap.fresh_stats () in
     let presence = Backend.fresh_presence ctx in
-    (* Software-only shadow of the TLB contents; never used to translate. *)
+    (* Software-only shadow of the TLB contents; the hardware never walks
+       it, every miss traps. *)
     let soft : (int, mapping) Hashtbl.t = Hashtbl.create 64 in
-    let translator = Translator.never ~asid in
+    let translator =
+      Translator.software ~asid (fun vpn ->
+          match Hashtbl.find_opt soft vpn with
+          | Some m -> Translator.Mapped { pfn = m.m_pfn; prot = m.m_prot }
+          | None -> Translator.Missing)
+    in
 
     let fill_active_tlbs vpn m =
       Array.iteri
@@ -25,19 +31,24 @@ let make_domain (ctx : Backend.ctx) =
       if va < 0 then invalid_arg "pmap_enter: negative address";
       let vpn = va / page in
       let m = { m_pfn = pfn; m_prot = prot; m_wired = wired } in
-      let had_mapping = Hashtbl.mem soft vpn in
-      (match Hashtbl.find_opt soft vpn with
-       | Some old when old.m_pfn <> pfn ->
-         Backend.pv_remove ctx ~pfn:old.m_pfn ~asid ~vpn;
-         stats.Pmap.removals <- stats.Pmap.removals + 1;
-         Backend.pv_insert ctx ~pfn ~asid ~vpn
-       | Some _ -> ()
-       | None -> Backend.pv_insert ctx ~pfn ~asid ~vpn);
+      let previous = Hashtbl.find_opt soft vpn in
+      let shoot =
+        match previous with
+        | Some old when old.m_pfn <> pfn ->
+          Backend.pv_remove ctx ~pfn:old.m_pfn ~asid ~vpn;
+          stats.Pmap.removals <- stats.Pmap.removals + 1;
+          Backend.pv_insert ctx ~pfn ~asid ~vpn;
+          true
+        | Some old -> Backend.loses ~old:old.m_prot ~prot
+        | None -> Backend.pv_insert ctx ~pfn ~asid ~vpn; false
+      in
       Hashtbl.replace soft vpn m;
       (* The flush must land before the refill below, so bypass any open
          batch (whose flush would otherwise wipe the fresh entries at
-         [end_batch] and fault the page straight back). *)
-      if had_mapping then
+         [end_batch] and fault the page straight back).  Gained rights
+         need none: the refill replaces the active CPUs' entries, and a
+         weaker one cached elsewhere protection-faults into a re-enter. *)
+      if shoot then
         Backend.shoot ctx presence (Machine.Flush_page { asid; vpn })
           ~urgent:false;
       fill_active_tlbs vpn m;
@@ -72,21 +83,19 @@ let make_domain (ctx : Backend.ctx) =
     let protect ~start_va ~end_va ~prot =
       stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
       let lo, hi = range_bounds ~start_va ~end_va in
-      let updated =
-        List.map
-          (fun (vpn, m) ->
-             let m = { m with m_prot = Prot.inter m.m_prot prot } in
-             Hashtbl.replace soft vpn m;
-             (vpn, m))
-          (in_range lo hi)
-      in
+      let lowered = ref [] in
       Backend.batched ctx (fun () ->
           List.iter
-            (fun (vpn, _) -> Backend.shoot_page ctx presence ~asid ~vpn)
-            updated);
+            (fun (vpn, m) ->
+               Backend.lower ~pte:false ctx presence ~asid ~vpn
+                 ~old:m.m_prot ~prot ~set:(fun reduced ->
+                     let m = { m with m_prot = reduced } in
+                     Hashtbl.replace soft vpn m;
+                     lowered := (vpn, m) :: !lowered))
+            (in_range lo hi));
       (* Refill only after the batched flush has landed; refilling inside
          the batch would hand [end_batch] fresh entries to wipe. *)
-      List.iter (fun (vpn, m) -> fill_active_tlbs vpn m) updated
+      List.iter (fun (vpn, m) -> fill_active_tlbs vpn m) (List.rev !lowered)
     in
 
     let extract va =

@@ -94,9 +94,10 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     (match find_pte vpn with
      | Some pte when pte.p_valid && pte.p_pfn = pfn ->
        (* Same frame: update protection in place. *)
+       let old = pte.p_prot in
        pte.p_prot <- prot;
        pte.p_wired <- wired;
-       Backend.shoot_page ctx presence ~asid ~vpn
+       Backend.reenter ctx presence ~asid ~vpn ~old ~prot
      | Some pte when pte.p_valid ->
        invalidate_pte vpn pte;
        Backend.shoot_page ctx presence ~asid ~vpn;
@@ -138,21 +139,20 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   let range_op ~start_va ~end_va f =
     let lo = start_va / page in
     let hi = (end_va + page - 1) / page in
-    Backend.batched ctx (fun () ->
-        iter_valid_in_range lo hi (fun vpn pte ->
-            f vpn pte;
-            Backend.shoot_page ctx presence ~asid ~vpn))
+    Backend.batched ctx (fun () -> iter_valid_in_range lo hi f)
   in
 
   let remove ~start_va ~end_va =
-    range_op ~start_va ~end_va (fun vpn pte -> invalidate_pte vpn pte)
+    range_op ~start_va ~end_va (fun vpn pte ->
+        invalidate_pte vpn pte;
+        Backend.shoot_page ctx presence ~asid ~vpn)
   in
 
   let protect ~start_va ~end_va ~prot =
     stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
-    range_op ~start_va ~end_va (fun _vpn pte ->
-        pte.p_prot <- Prot.inter pte.p_prot prot;
-        Backend.charge ctx (Backend.cost ctx).Arch.pte_write)
+    range_op ~start_va ~end_va (fun vpn pte ->
+        Backend.lower ctx presence ~asid ~vpn ~old:pte.p_prot ~prot
+          ~set:(fun reduced -> pte.p_prot <- reduced))
   in
 
   let extract va =
@@ -169,7 +169,7 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   in
   let translator =
     { Translator.asid; lookup;
-      walk_cost = (Backend.cost ctx).Arch.tlb_fill }
+      walk_cost = (Backend.cost ctx).Arch.tlb_fill; hw_walk = true }
   in
 
   (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)

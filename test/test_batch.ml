@@ -21,7 +21,7 @@ let make_translator ~asid table =
          match Hashtbl.find_opt table vpn with
          | Some (pfn, prot) -> Translator.Mapped { pfn; prot }
          | None -> Translator.Missing);
-    walk_cost = 20 }
+    walk_cost = 20; hw_walk = true }
 
 (* A 4-CPU machine with pages 0..3 mapped and every CPU's TLB warm on all
    of them. *)
@@ -213,15 +213,16 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Kr.to_string e)
 
-(* A 64 KB region mapped and TLB-warm on all four CPUs. *)
+(* A region of 64 KB (at least two pages) mapped and TLB-warm on all
+   four CPUs. *)
 let warm_region (machine, kernel, sys) =
   let t = Kernel.create_task kernel () in
   for cpu = 0 to Machine.cpu_count machine - 1 do
     Kernel.run_task kernel ~cpu t
   done;
-  let size = 64 * kb in
-  let addr = ok (Vm_user.allocate sys t ~size ~anywhere:true ()) in
   let ps = Kernel.page_size kernel in
+  let size = max (64 * kb) (2 * ps) in
+  let addr = ok (Vm_user.allocate sys t ~size ~anywhere:true ()) in
   for cpu = 0 to Machine.cpu_count machine - 1 do
     let rec sweep va =
       if va < addr + size then begin
@@ -234,25 +235,96 @@ let warm_region (machine, kernel, sys) =
   Machine.reset_clocks machine;
   (t, addr, size)
 
+let archs =
+  [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
+
+let task_pmap t =
+  match (Task.map t).Types.map_pmap with
+  | Some p -> p
+  | None -> Alcotest.fail "task map has no pmap"
+
+(* Lowering is one exchange per target CPU; raising is none, on every
+   backend: the stale read-only entries it leaves are dropped by the
+   protection fault of the first write through them. *)
 let test_protect_ipis_scale_with_targets () =
-  let machine, kernel, sys = boot () in
-  let t, addr, size = warm_region (machine, kernel, sys) in
-  Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain 0;
-  ok
-    (Vm_user.protect sys t ~addr ~size ~set_max:false ~prot:Prot.read_only);
-  (* 16 kernel pages revoked, 3 remote CPUs: one IPI per target CPU, not
-     per page. *)
-  Alcotest.(check int) "IPIs = target CPUs" 3
-    (Machine.stats machine).Machine.ipis;
-  Alcotest.(check int) "no stale uses under Immediate_ipi" 0
-    (Machine.stats machine).Machine.stale_tlb_uses;
-  (* The revocation really landed everywhere. *)
-  for cpu = 0 to 3 do
-    try
-      Machine.write_byte machine ~cpu ~va:addr 'X';
-      Alcotest.fail "stale writable TLB entry survived"
-    with Machine.Memory_violation _ -> ()
-  done
+  List.iter
+    (fun arch ->
+       let name what = Printf.sprintf "%s [%s]" what arch.Arch.name in
+       let machine, kernel, sys = boot ~arch () in
+       let t, addr, size = warm_region (machine, kernel, sys) in
+       let stats = Machine.stats machine in
+       let protect prot =
+         Pmap_domain.set_current_cpu kernel.Kernel.domain 0;
+         ok (Vm_user.protect sys t ~addr ~size ~set_max:false ~prot)
+       in
+       protect Prot.read_only;
+       (* Every kernel page revoked, 3 remote CPUs: one IPI per target
+          CPU, not per page. *)
+       Alcotest.(check int) (name "lowering: one exchange") 1
+         stats.Machine.shootdowns;
+       Alcotest.(check int) (name "lowering: IPIs = target CPUs") 3
+         stats.Machine.ipis;
+       Alcotest.(check int) (name "no stale uses under Immediate_ipi") 0
+         stats.Machine.stale_tlb_uses;
+       (* The revocation really landed everywhere. *)
+       for cpu = 0 to 3 do
+         try
+           Machine.write_byte machine ~cpu ~va:addr 'X';
+           Alcotest.fail (name "stale writable TLB entry survived")
+         with Machine.Memory_violation _ -> ()
+       done;
+       (* CPU 1 caches the first page read-only; then rights come back. *)
+       let before = Machine.read_byte machine ~cpu:1 ~va:addr in
+       let written = Char.chr (Char.code before + 1) in
+       let per_cpu f = List.init 4 (fun cpu -> f machine ~cpu) in
+       let tlbs () = per_cpu Machine.tlb_contents in
+       let clocks () = per_cpu Machine.cycles in
+       let cached = tlbs () in
+       let pmap = task_pmap t in
+       let protect_ops = pmap.Pmap.stats.Pmap.protect_ops in
+       Machine.reset_clocks machine;
+       protect Prot.read_write;
+       Alcotest.(check int) (name "raising: pmap untouched") protect_ops
+         pmap.Pmap.stats.Pmap.protect_ops;
+       (* The backends' own rule: a raising pmap_protect writes, charges
+          and flushes nothing. *)
+       let cycles = clocks () in
+       pmap.Pmap.protect ~start_va:addr ~end_va:(addr + size)
+         ~prot:Prot.all;
+       Alcotest.(check (list int)) (name "raising pmap_protect: 0 cycles")
+         cycles (clocks ());
+       Alcotest.(check int) (name "raising: no shootdown") 0
+         stats.Machine.shootdowns;
+       Alcotest.(check int) (name "raising: no IPI") 0 stats.Machine.ipis;
+       Alcotest.(check bool) (name "raising: TLBs unchanged") true
+         (cached = tlbs ());
+       (* The stale read-only entry costs CPU 1 one protection fault. *)
+       Machine.write_byte machine ~cpu:1 ~va:addr written;
+       Alcotest.(check int) (name "write through the stale entry: 1 fault")
+         1 stats.Machine.faults;
+       (* A write that walks the read-only pte caches it before trapping;
+          the re-enter flushes that local entry, so this is one fault
+          too. *)
+       let ps = Kernel.page_size kernel in
+       Machine.write_byte machine ~cpu:2 ~va:(addr + ps) written;
+       Alcotest.(check int) (name "write through a walk: 1 more fault") 2
+         stats.Machine.faults;
+       Alcotest.(check int) (name "writes after a raise: no IPI") 0
+         stats.Machine.ipis;
+       Alcotest.(check (list string)) (name "TLBs within pmaps") []
+         (Vm_debug.check_all sys ~maps:[ Task.map t ]);
+       List.iter
+         (fun cpu ->
+            Alcotest.(check char)
+              (name (Printf.sprintf "read back on CPU %d" cpu))
+              written (Machine.read_byte machine ~cpu ~va:addr))
+         [ 0; 1; 2; 3 ];
+       protect Prot.read_only;
+       Alcotest.(check int) (name "lowering again: one exchange") 1
+         stats.Machine.shootdowns;
+       Alcotest.(check int) (name "lowering again: IPIs = target CPUs") 3
+         stats.Machine.ipis)
+    archs
 
 let test_deallocate_ipis_scale_with_targets () =
   let machine, kernel, sys = boot () in
@@ -311,9 +383,6 @@ let test_evict_one_exchange_per_page () =
     s.Machine.shootdowns
 
 (* ---- qcheck: TLBs agree with page tables across all backends ----------- *)
-
-let archs =
-  [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
 
 type op =
   | Enter of int * int (* vpn, pfn *)

@@ -156,7 +156,7 @@ let make_translator ~asid table =
          match Hashtbl.find_opt table vpn with
          | Some (pfn, prot) -> Translator.Mapped { pfn; prot }
          | None -> Translator.Missing);
-    walk_cost = 10 }
+    walk_cost = 10; hw_walk = true }
 
 let test_machine ?(cpus = 1) () =
   Machine.create ~arch:Arch.uvax2 ~memory_frames:64 ~cpus ()

@@ -8,8 +8,10 @@ open Mach_pagers
 
 let kb = 1024
 
-let boot () =
-  let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:1024 () in
+let boot ?cpus () =
+  let machine =
+    Machine.create ~arch:Arch.vax8200 ~memory_frames:1024 ?cpus ()
+  in
   let kernel = Kernel.create ~page_multiple:8 machine in
   (machine, kernel, Kernel.sys kernel)
 
@@ -146,16 +148,21 @@ let buffer_cache_transparent =
 
 (* ---- whole-system data properties ------------------------------------------ *)
 
-(* Protection cycling never changes data. *)
+(* Protection cycling never changes data.  Two CPUs share the task: the
+   second caches each page read-only while it is lowered and rewrites it
+   after the raise, through that stale entry, so the TLB-within-pmap
+   invariant is audited after every step. *)
 let protect_preserves_data =
   let open QCheck2 in
   Test.make ~name:"protect down/up cycles preserve memory contents"
     ~count:40
     Gen.(list (int_range 0 7))
     (fun pages ->
-       let machine, kernel, sys = boot () in
+       let machine, kernel, sys = boot ~cpus:2 () in
        let t = Kernel.create_task kernel () in
        Kernel.run_task kernel ~cpu:0 t;
+       Kernel.run_task kernel ~cpu:1 t;
+       let audited () = Vm_debug.check_all sys ~maps:[ Task.map t ] = [] in
        let a =
          match Vm_user.allocate sys t ~size:(32 * kb) ~anywhere:true () with
          | Ok a -> a
@@ -165,17 +172,22 @@ let protect_preserves_data =
          Machine.write machine ~cpu:0 ~va:(a + (i * 4 * kb))
            (Bytes.of_string (Printf.sprintf "data%d" i))
        done;
-       List.iter
+       List.for_all
          (fun page ->
             let addr = a + (page * 4 * kb) in
             ignore
               (Vm_user.protect sys t ~addr ~size:(4 * kb) ~set_max:false
                  ~prot:Prot.read_only);
+            let lowered = audited () in
+            let data = Machine.read machine ~cpu:1 ~va:addr ~len:5 in
             ignore
               (Vm_user.protect sys t ~addr ~size:(4 * kb) ~set_max:false
-                 ~prot:Prot.read_write))
-         pages;
-       List.for_all
+                 ~prot:Prot.read_write);
+            let raised = audited () in
+            Machine.write machine ~cpu:1 ~va:addr data;
+            lowered && raised && audited ())
+         pages
+       && List.for_all
          (fun i ->
             Bytes.to_string
               (Machine.read machine ~cpu:0 ~va:(a + (i * 4 * kb)) ~len:5)

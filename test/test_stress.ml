@@ -144,7 +144,8 @@ let run_stress ?(cpus = 1) ?(traced = false) ~seed ~ops ~frames ~arch
       end
     | n when n < 88 -> (
         (* protect a region read-only, then restore (should not lose
-           data) *)
+           data); the raise changes no pte, so audit that every TLB
+           still lies within its pmap *)
         match lt.lt_regions with
         | [] -> ()
         | r :: _ ->
@@ -157,7 +158,8 @@ let run_stress ?(cpus = 1) ?(traced = false) ~seed ~ops ~frames ~arch
              Vm_user.protect sys lt.lt_task ~addr:r.r_base ~size:r.r_size
                ~set_max:false ~prot:Prot.read_write
            with
-           | Ok () | Error _ -> ()))
+           | Ok () | Error _ -> ());
+          Vm_debug.assert_ok sys ~maps:(all_maps ()))
     | n when n < 93 -> (
         (* deallocate a whole region (this task's view only) *)
         match lt.lt_regions with
@@ -260,7 +262,32 @@ let test_invariants_detect_breakage () =
       | None -> Alcotest.fail "entry missing");
      (match Vm_debug.check_map sys (Task.map t) with
       | [] -> Alcotest.fail "checker missed the corruption"
-      | _ -> ())
+      | _ -> ());
+     (* Corrupt: a TLB entry wider than its pte (the page is mapped
+        read-only below, the cached entry stays writable). *)
+     let vpn = a / (Machine.arch machine).Arch.hw_page_size in
+     let asid = Option.get (Machine.active_asid machine ~cpu:0) in
+     let pfn =
+       match
+         List.find_opt (fun e -> e.Tlb.vpn = vpn)
+           (Machine.tlb_contents machine ~cpu:0)
+       with
+       | Some e -> e.Tlb.pfn
+       | None -> Alcotest.fail "write left no TLB entry"
+     in
+     Alcotest.(check int) "TLB within pmap before" 0
+       (List.length (Machine.tlb_overreach machine));
+     (match Task.map t with
+      | { Types.map_pmap = Some p; _ } ->
+        p.Mach_pmap.Pmap.protect ~start_va:a ~end_va:(a + 8192)
+          ~prot:Prot.read_only
+      | _ -> Alcotest.fail "task map has no pmap");
+     Machine.tlb_fill machine ~cpu:0
+       { Tlb.asid; vpn; pfn; prot = Prot.read_write };
+     Alcotest.(check bool) "checker reports the widened TLB entry" true
+       (List.exists
+          (fun s -> String.length s > 3 && String.sub s 0 3 = "cpu")
+          (Vm_debug.check_all sys ~maps:[]))
    | Error e -> Alcotest.fail (Kr.to_string e))
 
 let test_dump_is_readable () =
