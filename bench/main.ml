@@ -1193,6 +1193,7 @@ type mp_result = {
   mp_stalls : int;            (* contended object-lock acquisitions *)
   mp_stall_share : float;     (* lock-stall cycles / sum of CPU clocks *)
   mp_round_faults : int;      (* faults after the zero-fill sweep *)
+  mp_round_enters : int;      (* pmap enters after the zero-fill sweep *)
   mp_burst_faults : int;
   mp_burst_mapped : int;
   mp_issued : int;            (* prefetch_issued (burst neighbours) *)
@@ -1302,6 +1303,10 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
   in
   sweep ~write:true;
   let f1 = s.Vm_sys.faults in
+  let enters () =
+    (Mach_pmap.Pmap_domain.total_stats domain).Mach_pmap.Pmap.enters
+  in
+  let e1 = enters () in
   let drop_all () =
     Array.iteri
       (fun cpu (pmap, base) ->
@@ -1344,6 +1349,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
   { mp_ms = Machine.elapsed_ms machine;
     mp_faults = s.Vm_sys.faults - f0;
     mp_round_faults = s.Vm_sys.faults - f1;
+    mp_round_enters = enters () - e1;
     mp_stalls = s.Vm_sys.lock_stalls;
     mp_stall_share =
       float_of_int s.Vm_sys.lock_stall_cycles
@@ -1436,18 +1442,23 @@ let mpfault () =
   Tablefmt.print t2;
   (* Drop-before-touch on one shared object, burst=8: every neighbour's
      mapping is dropped unused, so each entry's window must fall to the
-     floor (one probe neighbour per fault) and no demand fault on a
-     dropped neighbour may count as a prefetch hit. *)
+     demand page and re-probe one neighbour on an exponential backoff
+     (well under one neighbour per fault), and no demand fault on a
+     dropped neighbour may count as a prefetch hit.  Enters per fault
+     count hardware frames, the demand page's included. *)
   let r = mpfault_run ~dropped:true ~cpus:bc ~shared:true ~burst:8 () in
-  let per_fault =
-    float_of_int r.mp_burst_mapped /. float_of_int (max 1 r.mp_round_faults)
+  let per_round_fault n =
+    float_of_int n /. float_of_int (max 1 r.mp_round_faults)
   in
+  let per_fault = per_round_fault r.mp_burst_mapped
+  and enters_per_fault = per_round_fault r.mp_round_enters in
   cell "burst/dropped/mapped_per_fault" per_fault;
+  cell "burst/dropped/enters_per_fault" enters_per_fault;
   cell "burst/dropped/hit_rate" (hit_rate r);
   Printf.printf
     "mpfault drop-before-touch (%d CPUs, shared, burst=8): %.2f neighbours \
-     mapped per fault, %d/%d hits\n\n"
-    bc per_fault r.mp_hits r.mp_issued;
+     mapped and %.2f pmap enters per fault, %d/%d hits\n\n"
+    bc per_fault enters_per_fault r.mp_hits r.mp_issued;
   (* Attribution: a traced re-run of the shared configuration.  Separate
      boot, so the untraced cells above are untouched. *)
   let r = mpfault_run ~traced:true ~cpus:bc ~shared:true ~burst:8 () in

@@ -210,8 +210,15 @@ and entry = {
       (* pages a resident fault here maps in one pass, demand page
          included; always read capped at [Vm_sys.burst_max], so the
          initial [max_int] means "at the cap".  Doubles while the
-         entry's burst neighbours are used, halves (floor 2) while they
-         are not *)
+         entry's burst neighbours are used, halves while they are not,
+         down to 1 (the demand page only); at 1 the entry re-probes one
+         neighbour after skipping [e_burst_skip] resident faults *)
+  mutable e_burst_skip : int;
+      (* resident faults left to skip before the next probe at window 1 *)
+  mutable e_burst_gap : int;
+      (* faults a probe at window 1 skips after it: 1 at first, doubled
+         by each lost probe up to [Vm_sys.burst_max], reset by a won
+         one *)
   mutable e_burst_hits : int;
       (* burst neighbours first touched through their burst mapping
          since the last burst decision *)

@@ -178,9 +178,33 @@ let check_tlb sys =
          e.Tlb.asid e.Tlb.vpn e.Tlb.pfn (Prot.to_string e.Tlb.prot))
     (Machine.tlb_overreach sys.Vm_sys.machine)
 
+(* A burst record awaiting its outcome names a frame of its page that
+   its address space still maps, and a page still owned by an object:
+   dropping the mapping or freeing the page settles the record first. *)
+let check_burst sys =
+  let errs = ref [] in
+  let m = Resident.multiple sys.Vm_sys.resident in
+  Hashtbl.iter
+    (fun (asid, pfn) (b : Vm_sys.burst) ->
+       let p = b.Vm_sys.b_page in
+       if
+         not
+           (List.exists
+              (fun (a, _) -> a = asid)
+              (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn))
+       then note errs "burst record (asid %d, frame %d) is not mapped" asid pfn;
+       if pfn < p.pfn || pfn >= p.pfn + m then
+         note errs "burst record (asid %d, frame %d) names page pfn=%d" asid
+           pfn p.pfn;
+       if p.pg_obj = None then
+         note errs "burst record (asid %d, frame %d) outlives its object"
+           asid pfn)
+    sys.Vm_sys.burst_pending;
+  List.rev !errs
+
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
-  @ check_resident sys @ check_pv sys @ check_tlb sys
+  @ check_resident sys @ check_pv sys @ check_tlb sys @ check_burst sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

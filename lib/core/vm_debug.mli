@@ -18,7 +18,9 @@
     - every hardware mapping recorded by the pv layer is confirmed by the
       owning pmap's [pmap_extract];
     - every TLB entry of a CPU's active address space that no pending
-      flush covers maps the frame its pmap maps, with no more rights. *)
+      flush covers maps the frame its pmap maps, with no more rights;
+    - every undecided burst record names a frame of its page that its
+      address space still maps, and a page still owned by an object. *)
 
 val check_map : Vm_sys.t -> Types.vmap -> string list
 (** [check_map sys m] is the list of invariant violations found in [m]

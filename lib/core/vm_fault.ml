@@ -34,22 +34,43 @@ let new_page_in (sys : Vm_sys.t) obj ~offset =
    the read-ahead stream ramp rule.  The outcomes of the entry's burst
    neighbours settled since the last decision vote: if hits >= misses
    the window doubles, capped at [burst_max]; otherwise it halves, down
-   to 2 — the demand page plus one probe neighbour — so the entry keeps
-   sampling and can grow again.  Undecided neighbours (mapped, not yet
-   touched) do not vote, and with no votes the window stands. *)
+   to 1 — the demand page only.  Undecided neighbours (mapped, not yet
+   touched) do not vote, and with no votes the window stands.  At the
+   floor the entry re-probes on an exponential backoff: a probe maps one
+   neighbour on this fault only and the entry goes straight back to
+   skipping [e_burst_gap] resident faults, so CPUs sharing the entry do
+   not all probe before the first vote lands.  A lost probe doubles the
+   gap, capped at [burst_max]; a won one resets it and the window ramps
+   up again 2 -> 4 -> 8.  A probe is clipped to [burst_max], so limits 0
+   and 1 never map a neighbour. *)
 let burst_window (sys : Vm_sys.t) entry =
   let cap = sys.Vm_sys.burst_max in
   let w = min entry.e_burst_window cap in
   let hits = entry.e_burst_hits and misses = entry.e_burst_misses in
   let w =
     if hits + misses = 0 then w
-    else if hits >= misses then min cap (2 * w)
-    else min cap (max 2 (w / 2))
+    else if hits >= misses then begin
+      entry.e_burst_gap <- 1;
+      entry.e_burst_skip <- 0;
+      min cap (2 * w)
+    end
+    else begin
+      if w <= 1 then entry.e_burst_gap <- min cap (2 * entry.e_burst_gap);
+      max 1 (w / 2)
+    end
   in
   entry.e_burst_window <- w;
   entry.e_burst_hits <- 0;
   entry.e_burst_misses <- 0;
-  w
+  if w > 1 then w
+  else if entry.e_burst_skip > 0 then begin
+    entry.e_burst_skip <- entry.e_burst_skip - 1;
+    1
+  end
+  else begin
+    entry.e_burst_skip <- entry.e_burst_gap;
+    min cap 2
+  end
 
 (* Burst faulting: when the demand page was found resident in the first
    object, scan forward for consecutive neighbours that are also resident

@@ -117,6 +117,8 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_wired = false;
     e_node = None;
     e_burst_window = max_int;
+    e_burst_skip = 0;
+    e_burst_gap = 1;
     e_burst_hits = 0;
     e_burst_misses = 0;
   }

@@ -6,10 +6,12 @@
    data; burst-mapped neighbours are counted as prefetch and their first
    touch as a hit even though they never fault, while a neighbour whose
    mapping went unused is never a hit; each map entry's burst window
-   falls to its floor when neighbours go unused and holds at the cap
-   while they are used; and multi-CPU lock stalls are deterministic —
-   replay-identical across runs, with or without chaos injection — and
-   conserved in the cycle attribution. *)
+   falls to the demand page when neighbours go unused, re-probes on an
+   exponential backoff, regrows when a probe is used and holds at the
+   cap while neighbours are used; burst records pass the audit; and
+   multi-CPU lock stalls are deterministic — replay-identical across
+   runs, with or without chaos injection — and conserved in the cycle
+   attribution. *)
 
 open Mach_hw
 open Mach_core
@@ -100,37 +102,83 @@ let test_dropped_neighbours_not_hits () =
 
 (* ---- burst window ---------------------------------------------------------- *)
 
+(* Every audit of the VM structures, burst records included, is clean. *)
+let audit sys tasks =
+  Alcotest.(check (list string)) "audit" []
+    (Vm_debug.check_all sys ~maps:(List.map Task.map tasks))
+
 (* The vmbench smp shape on one shared task: each round one CPU touches
    one page, then the whole range is dropped before any neighbour is
-   used.  The window starts at the cap, halves on each round's misses,
-   and from the third burst on maps exactly one probe neighbour. *)
-let test_window_shrinks_on_drops () =
+   used.  Returns the booted world, the region and the neighbours
+   mapped per round's single fault. *)
+let drop_rounds rounds =
   let machine, kernel, sys = boot ~cpus:2 () in
   sys.Vm_sys.burst_max <- 8;
   let task = Kernel.create_task kernel () in
   Kernel.run_task kernel ~cpu:0 task;
   Kernel.run_task kernel ~cpu:1 task;
   let ps = sys.Vm_sys.page_size in
-  let n = 32 in
+  let n = 2 * rounds in
   let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
   for i = 0 to n - 1 do
     Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 'w'
   done;
   let pmap = pmap_of task in
   let s = sys.Vm_sys.stats in
+  let drop () =
+    pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps))
+  in
   let mapped =
-    List.init 12 (fun r ->
+    List.init rounds (fun r ->
         let cpu = r mod 2 in
         Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
-        pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps));
+        drop ();
         let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
         Machine.touch machine ~cpu ~va:(addr + (2 * r * ps)) ~write:(r mod 3 = 0);
         Alcotest.(check int) "one fault per round" 1 (s.Vm_sys.faults - f0);
+        audit sys [ task ];
         s.Vm_sys.burst_mapped - m0)
   in
+  Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain 0;
+  drop ();
+  (machine, sys, task, addr, n, mapped)
+
+(* The window starts at the cap and halves on each round's misses down
+   to the demand page alone.  From there it re-probes one neighbour
+   after skipping 1, 2, 4 and then at most [burst_max] = 8 faults. *)
+let test_window_shrinks_on_drops () =
+  let _, sys, _, _, _, mapped = drop_rounds 24 in
   Alcotest.(check (list int)) "neighbours per fault"
-    [ 7; 3; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1 ] mapped;
-  Alcotest.(check int) "no prefetch hits" 0 s.Vm_sys.prefetch_hits
+    [ 7; 3; 1; 1; 0; 1; 0; 0; 1; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0 ]
+    mapped;
+  Alcotest.(check int) "no prefetch hits" 0 sys.Vm_sys.stats.Vm_sys.prefetch_hits
+
+(* After the drop phase a sequential sweep uses every neighbour: the
+   skipped faults run out, the next probe wins, and the window ramps
+   2 -> 4 -> 8, back to 7 neighbours per fault within [burst_max] + 4
+   faults. *)
+let test_window_regrows_from_floor () =
+  let machine, sys, task, addr, n, _ = drop_rounds 24 in
+  let ps = sys.Vm_sys.page_size in
+  let s = sys.Vm_sys.stats in
+  let mapped = ref [] in
+  for i = 0 to n - 1 do
+    let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
+    Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false;
+    if s.Vm_sys.faults > f0 then
+      mapped := (s.Vm_sys.burst_mapped - m0) :: !mapped;
+    audit sys [ task ]
+  done;
+  let mapped = List.rev !mapped in
+  Alcotest.(check (list int)) "neighbours per fault"
+    [ 0; 0; 0; 0; 0; 0; 0; 1; 1; 3; 7; 7; 7; 7; 0 ] mapped;
+  let rec first_full k = function
+    | [] -> max_int
+    | 7 :: _ -> k
+    | _ :: l -> first_full (k + 1) l
+  in
+  Alcotest.(check bool) "full window within burst_max + 4 faults" true
+    (first_full 1 mapped <= sys.Vm_sys.burst_max + 4)
 
 (* The mpfault shape: four CPUs sweep interleaved stripes of one shared
    object, then drop and re-sweep.  Other CPUs' burst neighbours sit
@@ -174,7 +222,8 @@ let test_window_holds_on_stripes () =
     Alcotest.(check int) "neighbours per re-sweep" 112
       (s.Vm_sys.burst_mapped - m0);
     Alcotest.(check int) "hits per re-sweep" 112
-      (s.Vm_sys.prefetch_hits - h0)
+      (s.Vm_sys.prefetch_hits - h0);
+    audit sys [ task ]
   done
 
 (* Two tasks share one object.  A burst-maps pages 1..7; B then touches
@@ -203,10 +252,13 @@ let test_other_task_touch_not_credited () =
   let s = sys.Vm_sys.stats in
   Machine.touch machine ~cpu:0 ~va:addr ~write:false;
   Alcotest.(check int) "A burst-mapped its neighbours" 7 s.Vm_sys.burst_mapped;
+  audit sys [ a; b ];
   Machine.touch machine ~cpu:1 ~va:(addr + (7 * ps)) ~write:false;
   Alcotest.(check int) "B's touch credits nobody" 0 s.Vm_sys.prefetch_hits;
+  audit sys [ a; b ];
   Machine.touch machine ~cpu:0 ~va:(addr + (6 * ps)) ~write:false;
-  Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_sys.prefetch_hits
+  Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_sys.prefetch_hits;
+  audit sys [ a; b ]
 
 (* ---- qcheck: burst transparency ------------------------------------------- *)
 
@@ -214,8 +266,9 @@ let test_other_task_touch_not_credited () =
    (read-only, then back to read-write, which leaves the hardware
    mappings read-only) over a 16-page region, replayed under two burst
    limits; ends with a full read of the region.  Returns the bytes read,
-   the CPU clock and the fault count. *)
-let burst_run ops burst =
+   the CPU clock and the fault count.  With [audit] the VM structures
+   are checked after every op and the first failure raises. *)
+let burst_run ?(audit = false) ops burst =
   let machine, kernel, sys = boot () in
   sys.Vm_sys.burst_max <- burst;
   let task = Kernel.create_task kernel () in
@@ -226,21 +279,22 @@ let burst_run ops burst =
   let pmap = pmap_of task in
   List.iter
     (fun (i, kind) ->
-       match kind with
-       | 0 -> Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
-       | 1 ->
-         Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps))
-           (Char.chr (0x40 + i))
-       | 2 ->
-         pmap.Mach_pmap.Pmap.remove ~start_va:(addr + (i * ps))
-           ~end_va:(addr + (n * ps))
-       | _ ->
-         List.iter
-           (fun prot ->
-              ok
-                (Vm_user.protect sys task ~addr:(addr + (i * ps))
-                   ~size:((n - i) * ps) ~set_max:false ~prot))
-           [ Prot.read_only; Prot.read_write ])
+       (match kind with
+        | 0 -> Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
+        | 1 ->
+          Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps))
+            (Char.chr (0x40 + i))
+        | 2 ->
+          pmap.Mach_pmap.Pmap.remove ~start_va:(addr + (i * ps))
+            ~end_va:(addr + (n * ps))
+        | _ ->
+          List.iter
+            (fun prot ->
+               ok
+                 (Vm_user.protect sys task ~addr:(addr + (i * ps))
+                    ~size:((n - i) * ps) ~set_max:false ~prot))
+            [ Prot.read_only; Prot.read_write ]);
+       if audit then Vm_debug.assert_ok sys ~maps:[ Task.map task ])
     ops;
   let bytes =
     Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
@@ -258,13 +312,14 @@ let burst1_is_legacy =
     ~count:40 ops_gen
     (fun ops -> burst_run ops 0 = burst_run ops 1)
 
-(* Bursting any width must be invisible to data and never add faults. *)
+(* Bursting any width must be invisible to data and never add faults,
+   and its bookkeeping must pass the audit after every op. *)
 let burst_transparent =
   QCheck2.Test.make ~name:"burst=8 byte-identical, never more faults"
     ~count:40 ops_gen
     (fun ops ->
        let b0, _, f0 = burst_run ops 0 in
-       let b8, _, f8 = burst_run ops 8 in
+       let b8, _, f8 = burst_run ~audit:true ops 8 in
        b0 = b8 && f8 <= f0)
 
 (* ---- 4-CPU contention: deterministic and conserved ------------------------ *)
@@ -362,6 +417,8 @@ let () =
       ( "window",
         [ Alcotest.test_case "shrinks when neighbours are dropped" `Quick
             test_window_shrinks_on_drops;
+          Alcotest.test_case "regrows from the floor" `Quick
+            test_window_regrows_from_floor;
           Alcotest.test_case "holds on interleaved stripes" `Quick
             test_window_holds_on_stripes;
           Alcotest.test_case "another task's touch credits nobody" `Quick

@@ -142,12 +142,14 @@ let rows =
         cmp "mpfault/shared/c4/lock_stall_share" Gt (int 0);
         cmp "mpfault/private/c4/lock_stall_share" Eq (int 0);
         (* burst=1 is the demand-page path to the digit, burst=8 pays, and
-           with neighbours dropped before use the window hits its floor. *)
+           with neighbours dropped before use the window falls to the
+           demand page and only re-probes on a backoff: a probe on every
+           fault would be at least one neighbour per fault. *)
         cmp "mpfault/burst/b1/elapsed_ms" Eq
           (Cell "mpfault/burst/legacy/elapsed_ms");
         cmp "mpfault/burst/b8/elapsed_ms" Lt
           (Cell "mpfault/burst/legacy/elapsed_ms");
-        cmp "mpfault/burst/dropped/mapped_per_fault" Le (Lit (J.Float 1.5));
+        cmp "mpfault/burst/dropped/mapped_per_fault" Lt (int 1);
         (* The colored per-CPU allocator meets or beats the single queue
            at 8 CPUs; private NUMA working sets stay home. *)
         cmp "mpfault/alloc/colored_pcpu/c8/faults_per_sec" Ge
