@@ -108,8 +108,6 @@ let terminate_task t ~cpu task =
     t.current;
   Task.terminate t.sys task
 
-let current_task t ~cpu = t.current.(cpu)
-
 let elapsed_ms t = Machine.elapsed_ms t.machine
 
 let reset_clocks t = Machine.reset_clocks t.machine

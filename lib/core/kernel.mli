@@ -43,8 +43,6 @@ val run_task : t -> cpu:int -> Task.t -> unit
 val idle : t -> cpu:int -> unit
 (** No task on [cpu] ([pmap_deactivate]). *)
 
-val current_task : t -> cpu:int -> Task.t option
-
 val elapsed_ms : t -> float
 (** Simulated elapsed time (max over CPU clocks). *)
 

@@ -27,8 +27,6 @@ let name t = t.th_name
 let task t = t.th_task
 let status t = t.th_status
 
-let steps_remaining t = List.length t.th_steps
-
 let suspend t =
   match t.th_status with
   | Terminated -> ()

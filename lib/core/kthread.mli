@@ -31,9 +31,6 @@ val name : t -> string
 val task : t -> Task.t
 val status : t -> status
 
-val steps_remaining : t -> int
-(** Steps not yet executed. *)
-
 val suspend : t -> unit
 (** [thread_suspend]: the thread stops being scheduled after its current
     step.  Suspending a terminated thread is a no-op. *)

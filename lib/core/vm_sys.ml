@@ -72,20 +72,20 @@ type t = {
   mutable cache_enabled : bool;
   mutable collapse_enabled : bool;
   mutable pmap_prewarm_on_fork : bool;
-  mutable pager_objects : (int, Types.obj) Hashtbl.t;
+  pager_objects : (int, Types.obj) Hashtbl.t;
   mutable reclaim : (t -> wanted:int -> unit) option;
-  mutable free_target : int;
-  mutable free_min : int;
+  free_target : int;
+  free_min : int;
       (* below this many free pages the system is under pressure:
          allocations start waiting on the daemon instead of merely
          triggering it *)
-  mutable free_reserved : int;
+  free_reserved : int;
       (* hard floor: only the pageout/cleaning path ([grab_page
          ~reserve:true]) may allocate out of the last [free_reserved]
          pages, so cleaning never deadlocks on needing a page *)
-  mutable alloc_backoff_cycles : int;
+  alloc_backoff_cycles : int;
       (* cycles one backpressure wait on the pageout daemon charges *)
-  mutable pageout_requeue_limit : int;
+  pageout_requeue_limit : int;
       (* dirty-page requeues after failed writes before the daemon
          escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
@@ -99,9 +99,9 @@ type t = {
   mutable oom_candidates : oom_candidate list;
   mutable oom_exempt_map : int option;
       (* map id currently being faulted on; its task is never selected *)
-  mutable pager_retry_limit : int;
-  mutable pager_backoff_cycles : int;
-  mutable pager_death_threshold : int;
+  pager_retry_limit : int;
+  pager_backoff_cycles : int;
+  pager_death_threshold : int;
   mutable pager_decorator : (Types.pager -> Types.pager) option;
   mutable cluster_max : int;
       (* upper bound on the read-ahead / pageout cluster, in pages;

@@ -111,25 +111,25 @@ type t = {
       (** use the optional [pmap_copy] routine (Table 3-4) at fork to
           pre-load the child's pmap with (write-stripped) copies of the
           parent's mappings, trading enter work for avoided faults *)
-  mutable pager_objects : (int, Types.obj) Hashtbl.t;
+  pager_objects : (int, Types.obj) Hashtbl.t;
       (** live or cached object for each pager id, so re-mapping a file
           finds the existing object *)
   mutable reclaim : (t -> wanted:int -> unit) option;
       (** pageout hook, installed by {!Vm_pageout}; called when the free
           list runs low *)
-  mutable free_target : int;       (** keep at least this many pages free;
-                                       reclaim aims here *)
-  mutable free_min : int;
+  free_target : int;
+      (** keep at least this many pages free; reclaim aims here *)
+  free_min : int;
       (** below this many free pages the system is under pressure:
           allocations start waiting on the daemon instead of merely
           triggering it (free_reserved <= free_min <= free_target) *)
-  mutable free_reserved : int;
+  free_reserved : int;
       (** hard floor: only [grab_page ~reserve:true] (the pageout/
           cleaning path) may allocate out of the last [free_reserved]
           pages, so cleaning never deadlocks on needing a page *)
-  mutable alloc_backoff_cycles : int;
+  alloc_backoff_cycles : int;
       (** cycles one backpressure wait on the pageout daemon charges *)
-  mutable pageout_requeue_limit : int;
+  pageout_requeue_limit : int;
       (** failed-write requeues per dirty page before the daemon
           escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
@@ -143,11 +143,11 @@ type t = {
   mutable oom_exempt_map : int option;
       (** map id currently being faulted on ({!Vm_fault} maintains it);
           its task is never selected as the OOM victim *)
-  mutable pager_retry_limit : int;
+  pager_retry_limit : int;
       (** transient pager failures retried per request before giving up *)
-  mutable pager_backoff_cycles : int;
+  pager_backoff_cycles : int;
       (** base of the exponential backoff charged between retries *)
-  mutable pager_death_threshold : int;
+  pager_death_threshold : int;
       (** consecutive exhausted retry budgets before a pager is declared
           dead and its object degrades ({!Pager_guard}) *)
   mutable pager_decorator : (Types.pager -> Types.pager) option;

@@ -213,10 +213,6 @@ let set_sampler t ~every_ms f =
   t.sample_every <- every_ms * t.arch.Arch.cycles_per_ms;
   t.next_sample <- max_cycles t + t.sample_every
 
-let clear_sampler t =
-  t.sampler <- None;
-  t.next_sample <- max_int
-
 let reset_clocks t =
   Array.iter (fun c -> c.clock <- 0) t.cpus;
   (* Invalidate absolute-cycle lock stamps taken before the reset. *)
@@ -391,98 +387,32 @@ let deferred_wait t ~initiator =
   bump_as t c Mach_obs.Obs.Shootdown_ipi remainder;
   tick t
 
-let shootdown t ~initiator ~targets req ~urgent =
-  with_category t ~cpu:initiator Mach_obs.Obs.Shootdown_ipi @@ fun () ->
-  t.stats.shootdowns <- t.stats.shootdowns + 1;
-  let start_clock = (cpu_of t initiator).clock in
-  flush_local t ~cpu:initiator req;
-  let remote = List.filter (fun id -> id <> initiator) targets in
-  let note_shootdown () =
-    if traced t then begin
-      let c = cpu_of t initiator in
-      Mach_obs.Obs.record t.tracer ~ts:c.clock ~cpu:initiator
-        (Mach_obs.Obs.Shootdown
-           { initiator; targets = List.length remote; urgent;
-             cycles = c.clock - start_clock })
-    end
-  in
-  if remote = [] then note_shootdown ()
-  else if urgent || t.shootdown_mode = Immediate_ipi then begin
-    List.iter
-      (fun id ->
-         let target = cpu_of t id in
-         t.stats.ipis <- t.stats.ipis + 1;
-         (* The initiator spins until the target acknowledges; both sides
-            pay for the interrupt. *)
-         charge t ~cpu:initiator t.arch.Arch.cost.Arch.ipi;
-         bump_as t target Mach_obs.Obs.Shootdown_ipi t.arch.Arch.cost.Arch.ipi;
-         apply_flush target req;
-         note_flush t target req ~deferred:false;
-         bump_as t target Mach_obs.Obs.Shootdown_ipi
-           t.arch.Arch.cost.Arch.tlb_flush)
-      remote;
-    note_shootdown ()
-  end
-  else begin
-    List.iter (fun id -> Queue.add req (cpu_of t id).pending) remote;
-    (match t.shootdown_mode with
-     | Deferred_timer -> deferred_wait t ~initiator
-     | Lazy_local -> ()
-     | Immediate_ipi -> assert false);
-    note_shootdown ()
-  end
-
-(* One TLB-consistency exchange covering a whole list of flush requests.
-   The point of batching: the initiator interrupts each target CPU once
-   for the entire list instead of once per request, so the IPI cost
+(* One TLB-consistency exchange covering a list of flush requests (a lone
+   flush is a batch of one).  The initiator interrupts each target CPU
+   once for the entire list instead of once per request, so the IPI cost
    scales with the number of target CPUs, not the number of pages
    touched.  When the change must be visible immediately (Immediate_ipi
-   or urgent) each target still applies every request before the
-   initiator proceeds; under Deferred_timer/Lazy_local the requests are
-   queued exactly as unbatched shootdowns would queue them, so *when*
-   consistency is restored never changes — only how many exchanges it
-   takes. *)
-let shootdown_batch t ~initiator ~targets reqs ~urgent =
-  match reqs with
-  | [] -> ()
-  | [ req ] -> shootdown t ~initiator ~targets req ~urgent
-  | reqs ->
+   or urgent) each target applies every request before the initiator
+   proceeds; under Deferred_timer/Lazy_local the requests are queued on
+   each target, so batching changes how many exchanges occur, never
+   *when* consistency is restored. *)
+let shootdown t ~initiator ~targets reqs ~urgent =
+  if reqs <> [] then begin
     with_category t ~cpu:initiator Mach_obs.Obs.Shootdown_ipi @@ fun () ->
     t.stats.shootdowns <- t.stats.shootdowns + 1;
     let init = cpu_of t initiator in
     let start_clock = init.clock in
     let tlb_flush = t.arch.Arch.cost.Arch.tlb_flush in
-    List.iter
-      (fun req ->
-         apply_flush init req;
-         bump t init tlb_flush;
-         note_flush t init req ~deferred:false)
-      reqs;
+    List.iter (flush_local t ~cpu:initiator) reqs;
     let remote = List.filter (fun id -> id <> initiator) targets in
-    let note_batch () =
-      if traced t then begin
-        let span_pages =
-          List.fold_left
-            (fun acc -> function
-               | Flush_page _ -> acc + 1
-               | Flush_range { lo_vpn; hi_vpn; _ } -> acc + (hi_vpn - lo_vpn)
-               | Flush_asid _ | Flush_all -> acc)
-            0 reqs
-        in
-        Mach_obs.Obs.record t.tracer ~ts:init.clock ~cpu:initiator
-          (Mach_obs.Obs.Shootdown_batch
-             { initiator; targets = List.length remote;
-               requests = List.length reqs; span_pages; urgent;
-               cycles = init.clock - start_clock })
-      end
-    in
-    if remote = [] then note_batch ()
-    else if urgent || t.shootdown_mode = Immediate_ipi then begin
+    if urgent || t.shootdown_mode = Immediate_ipi then
       List.iter
         (fun id ->
            let target = cpu_of t id in
-           (* One interrupt delivers the whole request list; the target
-              then pays a flush per request. *)
+           (* One interrupt delivers the whole request list; the
+              initiator spins until the target acknowledges, so both
+              sides pay for it, and the target then pays a flush per
+              request. *)
            t.stats.ipis <- t.stats.ipis + 1;
            bump t init t.arch.Arch.cost.Arch.ipi;
            bump_as t target Mach_obs.Obs.Shootdown_ipi
@@ -493,21 +423,31 @@ let shootdown_batch t ~initiator ~targets reqs ~urgent =
                 note_flush t target req ~deferred:false;
                 bump_as t target Mach_obs.Obs.Shootdown_ipi tlb_flush)
              reqs)
-        remote;
-      note_batch ()
-    end
-    else begin
+        remote
+    else if remote <> [] then begin
       List.iter
         (fun id ->
            let pending = (cpu_of t id).pending in
            List.iter (fun req -> Queue.add req pending) reqs)
         remote;
-      (match t.shootdown_mode with
-       | Deferred_timer -> deferred_wait t ~initiator
-       | Lazy_local -> ()
-       | Immediate_ipi -> assert false);
-      note_batch ()
+      if t.shootdown_mode = Deferred_timer then deferred_wait t ~initiator
+    end;
+    if traced t then begin
+      let span_pages =
+        List.fold_left
+          (fun acc -> function
+             | Flush_page _ -> acc + 1
+             | Flush_range { lo_vpn; hi_vpn; _ } -> acc + (hi_vpn - lo_vpn)
+             | Flush_asid _ | Flush_all -> acc)
+          0 reqs
+      in
+      Mach_obs.Obs.record t.tracer ~ts:init.clock ~cpu:initiator
+        (Mach_obs.Obs.Shootdown
+           { initiator; targets = List.length remote;
+             requests = List.length reqs; span_pages; urgent;
+             cycles = init.clock - start_clock })
     end
+  end
 
 (* --- Translation and access ------------------------------------------ *)
 

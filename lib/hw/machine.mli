@@ -189,8 +189,6 @@ val set_sampler : t -> every_ms:int -> (unit -> unit) -> unit
     sampler may itself charge cycles.  Costs one compare per charge
     while armed; raises [Invalid_argument] when [every_ms <= 0]. *)
 
-val clear_sampler : t -> unit
-
 val disk_inflight : t -> int
 (** Async disk requests submitted but not yet complete at the current
     {!max_cycles}, summed over every queue; a queue-depth gauge for
@@ -304,24 +302,18 @@ val flush_local : t -> cpu:int -> flush_request -> unit
     charging the flush cost. *)
 
 val shootdown : t -> initiator:int -> targets:int list ->
-  flush_request -> urgent:bool -> unit
-(** [shootdown t ~initiator ~targets req ~urgent] propagates a mapping
-    change.  The initiator's own TLB is always flushed immediately.
+  flush_request list -> urgent:bool -> unit
+(** [shootdown t ~initiator ~targets reqs ~urgent] propagates a list of
+    mapping changes in one TLB-consistency exchange; a lone flush is a
+    list of one.  The initiator's own TLB is always flushed immediately.
     [urgent] changes are propagated with IPIs regardless of strategy (the
     paper's case 1: "time critical and must be propagated at all costs");
-    otherwise the machine's configured strategy applies. *)
-
-val shootdown_batch : t -> initiator:int -> targets:int list ->
-  flush_request list -> urgent:bool -> unit
-(** [shootdown_batch t ~initiator ~targets reqs ~urgent] propagates a whole
-    list of mapping changes in a single consistency exchange: each target
-    CPU is interrupted once for the entire list (one IPI per target, not
-    per request) and then applies every request.  Strategy semantics match
-    {!shootdown} — immediate/urgent batches complete before returning,
-    deferred batches wait out the timer tick, lazy batches only queue — so
-    batching changes how many exchanges occur, never when consistency is
-    restored.  The empty list is a no-op; a singleton behaves exactly like
-    {!shootdown}. *)
+    otherwise the machine's configured strategy applies: immediate
+    exchanges interrupt each target CPU once for the whole list (one IPI
+    per target, not per request) and complete before returning, deferred
+    ones wait out the timer tick, lazy ones only queue.  The list length
+    changes how many exchanges occur, never when consistency is restored.
+    The empty list is a no-op. *)
 
 val tick : t -> unit
 (** [tick t] delivers a timer interrupt to every CPU: pending deferred

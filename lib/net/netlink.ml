@@ -23,8 +23,6 @@ let create ?(latency_us = 1000) ?(mbit_per_s = 10) ?(timeout_us = 100_000)
     messages = 0; bytes_moved = 0; drops = 0; timeouts = 0; retries = 0;
     fail = None }
 
-let node_count t = Array.length t.machines
-
 let set_injector t inj = t.fail <- inj
 
 (* Cycles a transfer of [bytes] costs on [machine]: latency plus wire

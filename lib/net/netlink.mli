@@ -22,8 +22,6 @@ val create :
     Ethernet: 1000 us latency per exchange, 10 Mbit/s, and a 100 ms
     no-reply timeout. *)
 
-val node_count : t -> int
-
 val set_injector : t -> Mach_fail.Fail.t option -> unit
 (** [set_injector t (Some inj)] makes every {!rpc} consult [inj] at site
     ["net.rpc"]: [Delay] charges extra cycles at both ends (congestion);

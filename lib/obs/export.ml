@@ -21,8 +21,10 @@ let args_of_event (ev : Obs.event) =
   | Obs.Pageout { offset; bytes; inactive_depth } ->
     [ ("offset", Jout.Int offset); ("bytes", Jout.Int bytes);
       ("inactive_depth", Jout.Int inactive_depth) ]
-  | Obs.Shootdown { initiator; targets; urgent; cycles } ->
+  | Obs.Shootdown { initiator; targets; requests; span_pages; urgent;
+                    cycles } ->
     [ ("initiator", Jout.Int initiator); ("targets", Jout.Int targets);
+      ("requests", Jout.Int requests); ("span_pages", Jout.Int span_pages);
       ("urgent", Jout.Bool urgent); ("cycles", Jout.Int cycles) ]
   | Obs.Tlb_flush { kind; deferred } ->
     [ ("kind", Jout.Str (flush_kind_name kind));
@@ -40,11 +42,6 @@ let args_of_event (ev : Obs.event) =
   | Obs.Disk_io { write; bytes; cycles } ->
     [ ("write", Jout.Bool write); ("bytes", Jout.Int bytes);
       ("cycles", Jout.Int cycles) ]
-  | Obs.Shootdown_batch { initiator; targets; requests; span_pages; urgent;
-                          cycles } ->
-    [ ("initiator", Jout.Int initiator); ("targets", Jout.Int targets);
-      ("requests", Jout.Int requests); ("span_pages", Jout.Int span_pages);
-      ("urgent", Jout.Bool urgent); ("cycles", Jout.Int cycles) ]
   | Obs.Pager_retry { offset; attempt; backoff } ->
     [ ("offset", Jout.Int offset); ("attempt", Jout.Int attempt);
       ("backoff", Jout.Int backoff) ]
@@ -128,8 +125,6 @@ let chrome_trace ?(cycles_per_us = 1.0) tr =
        | Obs.Disk_io { cycles; _ } -> complete "disk_io" cycles
        | Obs.Disk_wait { cycles; _ } -> complete "disk_wait" cycles
        | Obs.Shootdown { cycles; _ } -> complete "shootdown" cycles
-       | Obs.Shootdown_batch { cycles; _ } ->
-         complete "shootdown_batch" cycles
        | _ ->
          (* Instant event, thread-scoped. *)
          push (Jout.Obj (base (Obs.kind_name ev) "i"

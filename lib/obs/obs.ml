@@ -32,8 +32,8 @@ type event =
   | Fault_end of { va : int; resolution : fault_resolution; cycles : int }
   | Pagein of { offset : int; bytes : int; cycles : int }
   | Pageout of { offset : int; bytes : int; inactive_depth : int }
-  | Shootdown of { initiator : int; targets : int; urgent : bool;
-                   cycles : int }
+  | Shootdown of { initiator : int; targets : int; requests : int;
+                   span_pages : int; urgent : bool; cycles : int }
   | Tlb_flush of { kind : flush_kind; deferred : bool }
   | Pmap_enter of { asid : int; va : int; pfn : int }
   | Pmap_remove of { asid : int; start_va : int; end_va : int }
@@ -41,8 +41,6 @@ type event =
   | Object_shadow of { depth : int }
   | Task_switch of { task : string }
   | Disk_io of { write : bool; bytes : int; cycles : int }
-  | Shootdown_batch of { initiator : int; targets : int; requests : int;
-                         span_pages : int; urgent : bool; cycles : int }
   | Pager_retry of { offset : int; attempt : int; backoff : int }
   | Pager_timeout of { offset : int; attempts : int }
   | Pager_dead of { pager : string; rescued : int }
@@ -84,8 +82,6 @@ type event =
          cursor (cluster start [offset]) to the head of the inactive
          queue, so the stream reclaims its own wake first *)
 
-let kind_count = 29
-
 let kind_index = function
   | Fault_begin _ -> 0
   | Fault_end _ -> 1
@@ -99,55 +95,36 @@ let kind_index = function
   | Object_shadow _ -> 9
   | Task_switch _ -> 10
   | Disk_io _ -> 11
-  | Shootdown_batch _ -> 12
-  | Pager_retry _ -> 13
-  | Pager_timeout _ -> 14
-  | Pager_dead _ -> 15
-  | Io_error _ -> 16
-  | Prefetch _ -> 17
-  | Cluster_pageout _ -> 18
-  | Disk_submit _ -> 19
-  | Disk_wait _ -> 20
-  | Lock_stall _ -> 21
-  | Burst_enter _ -> 22
-  | Alloc_wait _ -> 23
-  | Swap_full _ -> 24
-  | Oom_kill _ -> 25
-  | Page_steal _ -> 26
-  | Stream_reset _ -> 27
-  | Free_behind _ -> 28
+  | Pager_retry _ -> 12
+  | Pager_timeout _ -> 13
+  | Pager_dead _ -> 14
+  | Io_error _ -> 15
+  | Prefetch _ -> 16
+  | Cluster_pageout _ -> 17
+  | Disk_submit _ -> 18
+  | Disk_wait _ -> 19
+  | Lock_stall _ -> 20
+  | Burst_enter _ -> 21
+  | Alloc_wait _ -> 22
+  | Swap_full _ -> 23
+  | Oom_kill _ -> 24
+  | Page_steal _ -> 25
+  | Stream_reset _ -> 26
+  | Free_behind _ -> 27
 
-let kind_name_of_index = function
-  | 0 -> "fault_begin"
-  | 1 -> "fault_end"
-  | 2 -> "pagein"
-  | 3 -> "pageout"
-  | 4 -> "shootdown"
-  | 5 -> "tlb_flush"
-  | 6 -> "pmap_enter"
-  | 7 -> "pmap_remove"
-  | 8 -> "pmap_protect"
-  | 9 -> "object_shadow"
-  | 10 -> "task_switch"
-  | 11 -> "disk_io"
-  | 12 -> "shootdown_batch"
-  | 13 -> "pager_retry"
-  | 14 -> "pager_timeout"
-  | 15 -> "pager_dead"
-  | 16 -> "io_error"
-  | 17 -> "prefetch"
-  | 18 -> "cluster_pageout"
-  | 19 -> "disk_submit"
-  | 20 -> "disk_wait"
-  | 21 -> "lock_stall"
-  | 22 -> "burst_enter"
-  | 23 -> "alloc_wait"
-  | 24 -> "swap_full"
-  | 25 -> "oom_kill"
-  | 26 -> "page_steal"
-  | 27 -> "stream_reset"
-  | 28 -> "free_behind"
-  | _ -> invalid_arg "Obs.kind_name_of_index"
+(* Indexed by [kind_index]. *)
+let kind_names =
+  [| "fault_begin"; "fault_end"; "pagein"; "pageout"; "shootdown";
+     "tlb_flush"; "pmap_enter"; "pmap_remove"; "pmap_protect";
+     "object_shadow"; "task_switch"; "disk_io"; "pager_retry";
+     "pager_timeout"; "pager_dead"; "io_error"; "prefetch";
+     "cluster_pageout"; "disk_submit"; "disk_wait"; "lock_stall";
+     "burst_enter"; "alloc_wait"; "swap_full"; "oom_kill"; "page_steal";
+     "stream_reset"; "free_behind" |]
+
+let kind_count = Array.length kind_names
+
+let kind_name_of_index k = kind_names.(k)
 
 let kind_name ev = kind_name_of_index (kind_index ev)
 
@@ -353,13 +330,6 @@ let attr_depth t ~cpu =
 let attr_reset_totals t =
   Array.iter (fun a -> Array.fill a.at_totals 0 category_count 0) t.attrs
 
-let open_span t ~cpu =
-  if cpu < Array.length t.attrs then begin
-    let a = t.attrs.(cpu) in
-    if a.at_span_depth > 0 then a.at_spans.(a.at_span_depth - 1) else 0
-  end
-  else 0
-
 let top_spans t = t.top_spans
 
 let note_top_span t sp =
@@ -417,7 +387,6 @@ let record t ~ts ~cpu ev =
   | Pagein { cycles; _ } -> Hist.add t.pagein_latency cycles
   | Pageout { inactive_depth; _ } -> Hist.add t.pageout_depth inactive_depth
   | Shootdown { cycles; _ } -> Hist.add t.shootdown_latency cycles
-  | Shootdown_batch { cycles; _ } -> Hist.add t.shootdown_latency cycles
   | Disk_io { cycles; _ } -> Hist.add t.disk_latency cycles
   | Prefetch { pages; _ } -> Hist.add t.pagein_cluster (pages + 1)
   | Cluster_pageout { pages; _ } -> Hist.add t.pageout_cluster pages

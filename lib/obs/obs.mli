@@ -39,9 +39,13 @@ type event =
   | Pageout of { offset : int; bytes : int; inactive_depth : int }
       (** The daemon cleaned a dirty page; [inactive_depth] is the
           inactive-queue length at that moment (queue-depth gauge). *)
-  | Shootdown of { initiator : int; targets : int; urgent : bool;
-                   cycles : int }
-      (** [cycles] is what the shootdown cost the initiating CPU. *)
+  | Shootdown of { initiator : int; targets : int; requests : int;
+                   span_pages : int; urgent : bool; cycles : int }
+      (** One TLB-consistency exchange: [requests] flush requests (1 for
+          a lone flush) delivered with a single IPI round to [targets]
+          remote CPUs; [span_pages] is the total number of pages the
+          page/range requests cover; [cycles] is what the exchange cost
+          the initiating CPU. *)
   | Tlb_flush of { kind : flush_kind; deferred : bool }
   | Pmap_enter of { asid : int; va : int; pfn : int }
   | Pmap_remove of { asid : int; start_va : int; end_va : int }
@@ -51,11 +55,6 @@ type event =
           length. *)
   | Task_switch of { task : string }
   | Disk_io of { write : bool; bytes : int; cycles : int }
-  | Shootdown_batch of { initiator : int; targets : int; requests : int;
-                         span_pages : int; urgent : bool; cycles : int }
-      (** One batched TLB-consistency exchange: [requests] flush requests
-          delivered with a single IPI round; [span_pages] is the total
-          number of pages the coalesced page/range requests cover. *)
   | Pager_retry of { offset : int; attempt : int; backoff : int }
       (** A pager request or write failed transiently; the kernel will
           retry after charging [backoff] cycles ([attempt] is 1-based). *)
@@ -238,9 +237,6 @@ val attr_reset_totals : t -> unit
 val top_spans : t -> span_info list
 (** Completed fault spans with the largest service time, biggest first
     (at most {!top_span_cap}). *)
-
-val open_span : t -> cpu:int -> int
-(** Innermost open fault span id on [cpu]; 0 when none. *)
 
 (** {1 Reading back} *)
 

@@ -37,8 +37,6 @@ let create ?(queues = 1) machine ~block_size =
 
 let block_size t = t.block_size
 
-let queue_count t = Array.length t.queues
-
 let queue_for t ~cpu = t.queues.(cpu mod Array.length t.queues)
 
 let set_injector t inj = t.fail <- inj

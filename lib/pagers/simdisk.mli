@@ -43,8 +43,6 @@ val set_injector : t -> Mach_fail.Fail.t option -> unit
 
 val block_size : t -> int
 
-val queue_count : t -> int
-
 (** {1 Transfers} *)
 
 type handle

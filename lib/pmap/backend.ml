@@ -10,7 +10,7 @@ open Mach_hw
 (* Accumulator for flush batching.  While a batch is open (depth > 0),
    page and asid shootdowns are collected here instead of being issued
    one exchange at a time; the outermost [end_batch] turns the lot into
-   a single [Machine.shootdown_batch] — one IPI round per target CPU for
+   a single [Machine.shootdown] — one IPI round per target CPU for
    the whole operation. *)
 type batch = {
   mutable depth : int;
@@ -81,7 +81,7 @@ let shoot_targets p =
 
 let shoot ctx p req ~urgent =
   Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu
-    ~targets:(shoot_targets p) req ~urgent:(urgent || ctx.urgent_mode)
+    ~targets:(shoot_targets p) [ req ] ~urgent:(urgent || ctx.urgent_mode)
 
 (* --- Flush batching --------------------------------------------------- *)
 
@@ -90,7 +90,6 @@ let shoot ctx p req ~urgent =
 let flush_whole_space_threshold = 8
 
 let set_batching ctx on = ctx.batching <- on
-let batching ctx = ctx.batching
 
 let accumulating ctx = ctx.batching && ctx.batch.depth > 0
 
@@ -173,9 +172,8 @@ let flush_batch ctx =
   Hashtbl.reset b.whole_asids;
   Array.fill b.b_targets 0 (Array.length b.b_targets) false;
   b.b_urgent <- false;
-  if reqs <> [] then
-    Machine.shootdown_batch ctx.machine ~initiator:ctx.cur_cpu
-      ~targets:!targets reqs ~urgent
+  Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu ~targets:!targets reqs
+    ~urgent
 
 let end_batch ctx =
   let b = ctx.batch in

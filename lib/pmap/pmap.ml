@@ -31,8 +31,3 @@ type t = {
 let fresh_stats () =
   { enters = 0; removals = 0; protect_ops = 0; alias_evictions = 0;
     context_steals = 0; cache_drops = 0 }
-
-let enter_range t ~start_va ~pfns ~prot ~page =
-  List.iteri
-    (fun i pfn -> t.enter ~va:(start_va + (i * page)) ~pfn ~prot ~wired:false)
-    pfns

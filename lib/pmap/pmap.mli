@@ -87,9 +87,3 @@ type t = {
 
 val fresh_stats : unit -> stats
 (** All-zero counters. *)
-
-val enter_range :
-  t -> start_va:int -> pfns:int list -> prot:Mach_hw.Prot.t -> page:int ->
-  unit
-(** [enter_range t ~start_va ~pfns ~prot ~page] enters consecutive pages
-    starting at [start_va]; convenience used by tests and examples. *)

@@ -94,8 +94,6 @@ let create_pmap t =
 
 let find_pmap t ~asid = Hashtbl.find_opt t.registry asid
 
-let live_pmaps t = Hashtbl.fold (fun _ p acc -> p :: acc) t.registry []
-
 let set_current_cpu t cpu = t.ctx.Backend.cur_cpu <- cpu
 
 let current_cpu t = t.ctx.Backend.cur_cpu
@@ -112,11 +110,8 @@ let for_all_mappings t ~pfn f =
        | None -> assert false)
     (Pv.mappings t.ctx.Backend.pv ~pfn)
 
-let begin_batch t = Backend.begin_batch t.ctx
-let end_batch t = Backend.end_batch t.ctx
 let batched t f = Backend.batched t.ctx f
 let set_batching t on = Backend.set_batching t.ctx on
-let batching t = Backend.batching t.ctx
 
 (* Apply [f pmap page_va] to every mapping of every hardware frame of the
    machine-independent page [pfn, pfn+frames), all inside one batch: the

@@ -28,9 +28,6 @@ val create_pmap : t -> Pmap.t
 val find_pmap : t -> asid:int -> Pmap.t option
 (** [find_pmap t ~asid] is the live pmap with that asid, if any. *)
 
-val live_pmaps : t -> Pmap.t list
-(** All pmaps created and not yet destroyed. *)
-
 val set_current_cpu : t -> int -> unit
 (** [set_current_cpu t cpu] records the CPU on which kernel code is
     executing; subsequent pmap costs are charged to its clock and it
@@ -61,14 +58,10 @@ val set_on_unmap : t -> (asid:int -> pfn:int -> unit) -> unit
 
     Machine-independent code can bracket a burst of pmap mutations so all
     their TLB shootdowns are delivered as one batched exchange (a single
-    IPI round per target CPU) when the outermost {!end_batch} runs.
+    IPI round per target CPU) when the outermost {!batched} call returns.
     Batches nest; urgency and strategy semantics are unchanged — only the
     number of exchanges shrinks, never the time at which consistency is
     restored. *)
-
-val begin_batch : t -> unit
-val end_batch : t -> unit
-(** Raises [Invalid_argument] without a matching {!begin_batch}. *)
 
 val batched : t -> (unit -> 'a) -> 'a
 (** [batched t f] runs [f] inside a batch, closing it on exceptions. *)
@@ -77,8 +70,6 @@ val set_batching : t -> bool -> unit
 (** [set_batching t false] disables accumulation: open batches collect
     nothing and every shootdown is its own exchange.  Benchmarks use this
     to measure the unbatched baseline.  Default: enabled. *)
-
-val batching : t -> bool
 
 (** {1 Page-level operations (Table 3-3)}
 

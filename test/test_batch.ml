@@ -1,4 +1,4 @@
-(* Flush batching tests: Machine.shootdown_batch semantics, the pmap
+(* Flush batching tests: Machine.shootdown on request lists, the pmap
    layer's batch accumulator and request coalescing, and end-to-end IPI
    counts for multi-page vm_protect/vm_deallocate.  The contract under
    test: batching shrinks the number of consistency exchanges (one IPI
@@ -12,7 +12,7 @@ module Obs = Mach_obs.Obs
 
 let kb = 1024
 
-(* ---- Machine.shootdown_batch ------------------------------------------ *)
+(* ---- Machine.shootdown on request lists -------------------------------- *)
 
 let make_translator ~asid table =
   { Translator.asid;
@@ -48,6 +48,18 @@ let reqs_0_to_3 =
   [ Machine.Flush_range { asid = 1; lo_vpn = 0; hi_vpn = 3 };
     Machine.Flush_page { asid = 1; vpn = 3 } ]
 
+(* [(requests, span_pages)] of every traced shootdown, oldest first. *)
+let shootdown_events tr =
+  let acc = ref [] in
+  Mach_obs.Ring.iter
+    (fun r ->
+       match r.Obs.ev with
+       | Obs.Shootdown { requests; span_pages; _ } ->
+         acc := (requests, span_pages) :: !acc
+       | _ -> ())
+    (Obs.ring tr);
+  List.rev !acc
+
 let cached m ~cpu ~vpn =
   List.exists
     (fun (e : Tlb.entry) -> e.Tlb.asid = 1 && e.Tlb.vpn = vpn)
@@ -55,7 +67,7 @@ let cached m ~cpu ~vpn =
 
 let test_batch_one_ipi_per_target () =
   let m, _table = batch_setup Machine.Immediate_ipi in
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
     reqs_0_to_3 ~urgent:false;
   (* 3 remote targets, 2 requests: the IPI count follows targets, not
      requests or pages. *)
@@ -71,15 +83,20 @@ let test_batch_one_ipi_per_target () =
 
 let test_batch_empty_and_singleton () =
   let m, _table = batch_setup Machine.Immediate_ipi in
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1; 2; 3 ] []
+  let tr = Obs.create () in
+  Obs.set_enabled tr true;
+  Machine.set_tracer m tr;
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1; 2; 3 ] []
     ~urgent:false;
   Alcotest.(check int) "empty batch is a no-op" 0
     (Machine.stats m).Machine.shootdowns;
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1 ]
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ]
     [ Machine.Flush_page { asid = 1; vpn = 0 } ]
     ~urgent:false;
-  (* A singleton behaves exactly like Machine.shootdown. *)
+  (* A lone flush is a batch of one: one exchange, one event. *)
   Alcotest.(check int) "one shootdown" 1 (Machine.stats m).Machine.shootdowns;
+  Alcotest.(check (list (pair int int))) "one event, 1 request, 1 page"
+    [ (1, 1) ] (shootdown_events tr);
   Alcotest.(check int) "one IPI" 1 (Machine.stats m).Machine.ipis;
   Alcotest.(check bool) "cpu1 vpn0 flushed" false (cached m ~cpu:1 ~vpn:0);
   Alcotest.(check bool) "cpu1 vpn1 kept" true (cached m ~cpu:1 ~vpn:1)
@@ -87,7 +104,7 @@ let test_batch_empty_and_singleton () =
 let test_batch_deferred_waits () =
   let m, _table = batch_setup Machine.Deferred_timer in
   let before = Machine.cycles m ~cpu:0 in
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
     reqs_0_to_3 ~urgent:false;
   Alcotest.(check int) "no IPIs" 0 (Machine.stats m).Machine.ipis;
   Alcotest.(check bool) "initiator waited out the tick" true
@@ -100,7 +117,7 @@ let test_batch_deferred_waits () =
 
 let test_batch_lazy_queues () =
   let m, _table = batch_setup Machine.Lazy_local in
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
     reqs_0_to_3 ~urgent:false;
   Alcotest.(check int) "no IPIs" 0 (Machine.stats m).Machine.ipis;
   (* Initiator flushed immediately, remotes only queued. *)
@@ -118,7 +135,7 @@ let test_batch_lazy_queues () =
 
 let test_batch_urgent_overrides_lazy () =
   let m, _table = batch_setup Machine.Lazy_local in
-  Machine.shootdown_batch m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1; 2; 3 ]
     reqs_0_to_3 ~urgent:true;
   Alcotest.(check int) "IPIs despite lazy strategy" 3
     (Machine.stats m).Machine.ipis;
@@ -157,26 +174,16 @@ let test_accumulator_coalesces () =
       p.Pmap.remove ~start_va:0 ~end_va:(3 * ps);
       p.Pmap.remove ~start_va:(10 * ps) ~end_va:(11 * ps));
   (* One batched exchange carrying [0,3) as a range plus page 10: one IPI
-     to the one remote CPU, and a Shootdown_batch event with 2 requests
+     to the one remote CPU, and one Shootdown event with 2 requests
      spanning 4 pages. *)
   Alcotest.(check int) "one IPI" 1 (Machine.stats machine).Machine.ipis;
   Alcotest.(check int) "one batched exchange" 1
     (Obs.count tr
-       (Obs.Shootdown_batch
+       (Obs.Shootdown
           { initiator = 0; targets = 0; requests = 0; span_pages = 0;
             urgent = false; cycles = 0 }));
-  let requests = ref 0 and span = ref 0 in
-  Mach_obs.Ring.iter
-    (fun r ->
-       match r.Obs.ev with
-       | Obs.Shootdown_batch { requests = rq; span_pages; _ } ->
-         requests := rq;
-         span := span_pages
-       | _ -> ())
-    (Obs.ring tr);
-  let requests, span = (!requests, !span) in
-  Alcotest.(check int) "two coalesced requests" 2 requests;
-  Alcotest.(check int) "four pages spanned" 4 span;
+  Alcotest.(check (list (pair int int))) "2 coalesced requests, 4 pages"
+    [ (2, 4) ] (shootdown_events tr);
   Alcotest.(check (option int)) "all removed" None (p.Pmap.extract 0)
 
 (* Past the threshold the accumulator promotes to a whole-space flush:

@@ -264,7 +264,7 @@ let test_shootdown_immediate () =
   let m, table = shootdown_setup Machine.Immediate_ipi in
   Hashtbl.remove table 0;
   Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ]
-    (Machine.Flush_page { asid = 1; vpn = 0 }) ~urgent:false;
+    [ Machine.Flush_page { asid = 1; vpn = 0 } ] ~urgent:false;
   Alcotest.(check int) "one IPI" 1 (Machine.stats m).Machine.ipis;
   (* CPU 1's TLB entry is gone: the next access faults. *)
   Machine.set_fault_handler m (fun ~cpu:_ _ ->
@@ -275,7 +275,7 @@ let test_shootdown_immediate () =
 let test_shootdown_deferred_waits () =
   let m, _table = shootdown_setup Machine.Deferred_timer in
   let before = Machine.cycles m ~cpu:0 in
-  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ] (Machine.Flush_asid 1)
+  Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ] [ Machine.Flush_asid 1 ]
     ~urgent:false;
   Alcotest.(check int) "no IPIs" 0 (Machine.stats m).Machine.ipis;
   Alcotest.(check bool) "initiator waited for the tick" true
@@ -286,7 +286,7 @@ let test_shootdown_deferred_waits () =
 let test_shootdown_lazy_stale () =
   let m, _table = shootdown_setup Machine.Lazy_local in
   Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ]
-    (Machine.Flush_page { asid = 1; vpn = 0 }) ~urgent:false;
+    [ Machine.Flush_page { asid = 1; vpn = 0 } ] ~urgent:false;
   Alcotest.(check int) "pending on remote" 1
     (Machine.pending_flushes m ~cpu:1);
   (* CPU 1 still hits its stale entry; the machine counts it. *)
@@ -301,7 +301,7 @@ let test_shootdown_lazy_stale () =
 let test_shootdown_urgent_overrides_lazy () =
   let m, _table = shootdown_setup Machine.Lazy_local in
   Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ]
-    (Machine.Flush_page { asid = 1; vpn = 0 }) ~urgent:true;
+    [ Machine.Flush_page { asid = 1; vpn = 0 } ] ~urgent:true;
   Alcotest.(check int) "IPI despite lazy strategy" 1
     (Machine.stats m).Machine.ipis;
   Alcotest.(check int) "nothing pending" 0 (Machine.pending_flushes m ~cpu:1)

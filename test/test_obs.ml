@@ -221,6 +221,21 @@ let json_ok (s : string) : bool =
   skip_ws ();
   (not !fail) && !pos = n
 
+(* The event-name table: every kind index has a distinct, non-empty name,
+   and the one exchange event is reported as "shootdown". *)
+let test_kind_names () =
+  let names = List.init Obs.kind_count Obs.kind_name_of_index in
+  List.iter
+    (fun n -> Alcotest.(check bool) "non-empty name" true (n <> ""))
+    names;
+  Alcotest.(check int) "names distinct" Obs.kind_count
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check string) "shootdown" "shootdown"
+    (Obs.kind_name
+       (Obs.Shootdown
+          { initiator = 0; targets = 1; requests = 1; span_pages = 1;
+            urgent = false; cycles = 0 }))
+
 let test_json_checker_sanity () =
   Alcotest.(check bool) "accepts object" true
     (json_ok {|{"a": [1, 2.5, -3e4], "b": "x\"y", "c": null}|});
@@ -611,6 +626,9 @@ let () =
       ( "disabled",
         [ Alcotest.test_case "null sink records nothing" `Quick
             test_disabled_sink ] );
+      ( "kinds",
+        [ Alcotest.test_case "event names distinct and non-empty" `Quick
+            test_kind_names ] );
       ( "export",
         [ Alcotest.test_case "json checker sanity" `Quick
             test_json_checker_sanity;
