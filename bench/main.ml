@@ -340,7 +340,7 @@ let pmap_arch_one arch =
   in
   ( arch.Arch.name,
     mstats.Machine.faults,
-    sys.Vm_sys.stats.Vm_sys.fast_reloads,
+    sys.Vm_sys.stats.Vm_stats.vs_fast_reloads,
     pstats.Mach_pmap.Pmap.alias_evictions,
     pstats.Mach_pmap.Pmap.context_steals,
     Mach_pmap.Pmap_domain.total_map_bytes kernel.Kernel.domain,
@@ -537,7 +537,7 @@ let shadow_one ~collapse =
     | None -> 0
   in
   let ms = Machine.elapsed_ms machine in
-  let collapses = sys.Vm_sys.stats.Vm_sys.collapses in
+  let collapses = sys.Vm_sys.stats.Vm_stats.vs_collapses in
   let resident =
     Resident.active_count sys.Vm_sys.resident
     + Resident.inactive_count sys.Vm_sys.resident
@@ -598,7 +598,7 @@ let object_cache_one ~cache =
     Kernel.terminate_task kernel ~cpu:0 task
   done;
   ( Mach_pagers.Simdisk.reads disk,
-    sys.Vm_sys.stats.Vm_sys.cache_hits,
+    sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits,
     Machine.elapsed_ms machine )
 
 let object_cache () =
@@ -963,12 +963,12 @@ let chaos () =
     Tablefmt.row t [ metric; string_of_int v ]
   in
   cell "injections" (Fail.injections inj);
-  cell "pager_retries" s.Vm_sys.pager_retries;
-  cell "pager_failures" s.Vm_sys.pager_failures;
-  cell "pager_deaths" s.Vm_sys.pager_deaths;
-  cell "rescued_pages" s.Vm_sys.rescued_pages;
-  cell "pageout_failures" s.Vm_sys.pageout_failures;
-  cell "memory_errors" s.Vm_sys.memory_errors;
+  cell "pager_retries" s.Vm_stats.vs_pager_retries;
+  cell "pager_failures" s.Vm_stats.vs_pager_failures;
+  cell "pager_deaths" s.Vm_stats.vs_pager_deaths;
+  cell "rescued_pages" s.Vm_stats.vs_rescued_pages;
+  cell "pageout_failures" s.Vm_stats.vs_pageout_failures;
+  cell "memory_errors" s.Vm_stats.vs_memory_errors;
   cell "corrupt_pages" !corrupt;
   record_cell ~name:"chaos/elapsed_ms"
     ~measured_ms:(Machine.elapsed_ms machine) ~paper_mach_ms:None
@@ -1010,8 +1010,8 @@ let legacy_read sys fs ~name ~offset ~len =
            with
            | `Data data -> Page_io.fill sys p data
            | `Absent | `Error -> Page_io.zero sys p);
-          sys.Vm_sys.stats.Vm_sys.pager_reads <-
-            sys.Vm_sys.stats.Vm_sys.pager_reads + 1;
+          sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
+            sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
           Resident.enqueue sys.Vm_sys.resident p Q_active;
           p
       in
@@ -1041,8 +1041,8 @@ let cluster () =
     ignore (os.Os_iface.read_file ~cpu:0 ~name:"/seq" ~offset:0 ~len:seq_size);
     let ms = os.Os_iface.elapsed_ms () in
     let s = sys.Vm_sys.stats in
-    (ms, s.Vm_sys.pager_reads, s.Vm_sys.prefetch_issued,
-     s.Vm_sys.prefetch_hits,
+    (ms, s.Vm_stats.vs_pager_reads, s.Vm_stats.vs_prefetch_issued,
+     s.Vm_stats.vs_prefetch_hits,
      (Machine.stats machine).Machine.disk_overlap_cycles)
   in
   (* Page-granular 4 KB reads at seeded-random offsets: the window must
@@ -1061,7 +1061,7 @@ let cluster () =
       ignore
         (os.Os_iface.read_file ~cpu:0 ~name:"/rand" ~offset:(pg * ps) ~len:ps)
     done;
-    (os.Os_iface.elapsed_ms (), sys.Vm_sys.stats.Vm_sys.prefetch_issued)
+    (os.Os_iface.elapsed_ms (), sys.Vm_sys.stats.Vm_stats.vs_prefetch_issued)
   in
   (* Writeback: dirty 1 MB of anonymous memory, then force the pageout
      daemon to push it all to the default pager.  Contiguous dirty pages
@@ -1089,7 +1089,7 @@ let cluster () =
       Vm_pageout.run sys ~wanted:npages
     done;
     ( Machine.elapsed_ms machine,
-      sys.Vm_sys.stats.Vm_sys.clustered_pageouts )
+      sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts )
   in
   let t =
     Tablefmt.create
@@ -1290,7 +1290,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
      together, so the traced run's conservation check is exact. *)
   Machine.reset_clocks machine;
   let s = sys.Vm_sys.stats in
-  let f0 = s.Vm_sys.faults in
+  let f0 = s.Vm_stats.vs_faults in
   let sweep ~write =
     (* Page p on every CPU, then p+1: the interleave a multiprocessor
        would see, so critical sections overlap across the clocks. *)
@@ -1302,7 +1302,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
     done
   in
   sweep ~write:true;
-  let f1 = s.Vm_sys.faults in
+  let f1 = s.Vm_stats.vs_faults in
   let enters () =
     (Mach_pmap.Pmap_domain.total_stats domain).Mach_pmap.Pmap.enters
   in
@@ -1347,17 +1347,17 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
             !conserved)
   in
   { mp_ms = Machine.elapsed_ms machine;
-    mp_faults = s.Vm_sys.faults - f0;
-    mp_round_faults = s.Vm_sys.faults - f1;
+    mp_faults = s.Vm_stats.vs_faults - f0;
+    mp_round_faults = s.Vm_stats.vs_faults - f1;
     mp_round_enters = enters () - e1;
-    mp_stalls = s.Vm_sys.lock_stalls;
+    mp_stalls = s.Vm_stats.vs_lock_stalls;
     mp_stall_share =
-      float_of_int s.Vm_sys.lock_stall_cycles
+      float_of_int s.Vm_stats.vs_lock_stall_cycles
       /. float_of_int (max 1 !total_cycles);
-    mp_burst_faults = s.Vm_sys.burst_faults;
-    mp_burst_mapped = s.Vm_sys.burst_mapped;
-    mp_issued = s.Vm_sys.prefetch_issued;
-    mp_hits = s.Vm_sys.prefetch_hits;
+    mp_burst_faults = s.Vm_stats.vs_burst_faults;
+    mp_burst_mapped = s.Vm_stats.vs_burst_mapped;
+    mp_issued = s.Vm_stats.vs_prefetch_issued;
+    mp_hits = s.Vm_stats.vs_prefetch_hits;
     mp_attr = attr;
     mp_numa_local =
       (Resident.counters sys.Vm_sys.resident).Resident.numa_local;
@@ -1593,8 +1593,8 @@ let pressure_run ?(traced = false) ?(alloc = `Seed) ~factor () =
      traced run's conservation check is exact. *)
   Machine.reset_clocks machine;
   let s = sys.Vm_sys.stats in
-  let oom0 = s.Vm_sys.oom_kills and aw0 = s.Vm_sys.alloc_waits in
-  let po0 = s.Vm_sys.pageouts and sf0 = s.Vm_sys.swap_full_failures in
+  let oom0 = s.Vm_stats.vs_oom_kills and aw0 = s.Vm_stats.vs_alloc_waits in
+  let po0 = s.Vm_stats.vs_pageouts and sf0 = s.Vm_stats.vs_swap_full_failures in
   let alive = Array.make tasks_n true in
   (* Page p of every task, then p+1 — the round-robin interleave keeps
      all the working sets hot at once, so the daemon can never get ahead
@@ -1633,10 +1633,10 @@ let pressure_run ?(traced = false) ?(alloc = `Seed) ~factor () =
          conserved)
   in
   { pr_ms = Machine.elapsed_ms machine;
-    pr_oom_kills = s.Vm_sys.oom_kills - oom0;
-    pr_alloc_waits = s.Vm_sys.alloc_waits - aw0;
-    pr_pageouts = s.Vm_sys.pageouts - po0;
-    pr_swap_full = s.Vm_sys.swap_full_failures - sf0;
+    pr_oom_kills = s.Vm_stats.vs_oom_kills - oom0;
+    pr_alloc_waits = s.Vm_stats.vs_alloc_waits - aw0;
+    pr_pageouts = s.Vm_stats.vs_pageouts - po0;
+    pr_swap_full = s.Vm_stats.vs_swap_full_failures - sf0;
     pr_survivors =
       Array.fold_left (fun n t -> if t.Task.task_oom_killed then n else n + 1)
         0 tasks;
@@ -1746,9 +1746,9 @@ let streams () =
       done
     done;
     let s = sys.Vm_sys.stats in
-    ( Machine.elapsed_ms machine, s.Vm_sys.pager_reads,
-      s.Vm_sys.stream_hits, s.Vm_sys.stream_resets,
-      s.Vm_sys.free_behind_pages )
+    ( Machine.elapsed_ms machine, s.Vm_stats.vs_pager_reads,
+      s.Vm_stats.vs_stream_hits, s.Vm_stats.vs_stream_resets,
+      s.Vm_stats.vs_free_behind_pages )
   in
   let t =
     Tablefmt.create

@@ -20,8 +20,8 @@ let effective_write t task (f : Machine.fault) =
   then begin
     match Vm_map.find (Task.map task) ~va:f.Machine.fault_va with
     | Some e when e.Types.e_prot.Prot.read ->
-      t.sys.Vm_sys.stats.Vm_sys.rmw_bug_upgrades <-
-        t.sys.Vm_sys.stats.Vm_sys.rmw_bug_upgrades + 1;
+      t.sys.Vm_sys.stats.Vm_stats.vs_rmw_bug_upgrades <-
+        t.sys.Vm_sys.stats.Vm_stats.vs_rmw_bug_upgrades + 1;
       true
     | Some _ | None -> false
   end
@@ -38,8 +38,8 @@ let handle_fault t ~cpu (f : Machine.fault) =
   | Some task when task.Task.task_oom_killed ->
     (* The OOM policy killed this task: its address space is gone, and
        every touch from here on is KERN_MEMORY_ERROR, end to end. *)
-    t.sys.Vm_sys.stats.Vm_sys.memory_errors <-
-      t.sys.Vm_sys.stats.Vm_sys.memory_errors + 1;
+    t.sys.Vm_sys.stats.Vm_stats.vs_memory_errors <-
+      t.sys.Vm_sys.stats.Vm_stats.vs_memory_errors + 1;
     raise
       (Machine.Memory_violation
          { va = f.Machine.fault_va; write = f.Machine.fault_write;

@@ -24,7 +24,7 @@ let inflight_of (sys : Vm_sys.t) io =
 let declare_dead (sys : Vm_sys.t) o pager =
   let stats = sys.Vm_sys.stats in
   o.obj_health.ph_dead <- true;
-  stats.Vm_sys.pager_deaths <- stats.Vm_sys.pager_deaths + 1;
+  stats.Vm_stats.vs_pager_deaths <- stats.Vm_stats.vs_pager_deaths + 1;
   let rescue = Swap_pager.make sys ~name:(pager.pgr_name ^ "+rescue") in
   o.obj_rescue <- Some rescue;
   let rescued = ref 0 in
@@ -38,7 +38,8 @@ let declare_dead (sys : Vm_sys.t) o pager =
          | Write_completed io ->
            wait_io sys io;
            incr rescued;
-           stats.Vm_sys.rescued_pages <- stats.Vm_sys.rescued_pages + 1
+           stats.Vm_stats.vs_rescued_pages <-
+             stats.Vm_stats.vs_rescued_pages + 1
          | Write_error | Write_no_space -> ())
     (Resident.object_pages o);
   if Obs.enabled (Vm_sys.tracer sys) then
@@ -58,7 +59,7 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
       Some v
     | `Failed ->
       if n < sys.Vm_sys.pager_retry_limit then begin
-        stats.Vm_sys.pager_retries <- stats.Vm_sys.pager_retries + 1;
+        stats.Vm_stats.vs_pager_retries <- stats.Vm_stats.vs_pager_retries + 1;
         let backoff = sys.Vm_sys.pager_backoff_cycles * (1 lsl n) in
         if Obs.enabled (Vm_sys.tracer sys) then
           Vm_sys.emit sys
@@ -67,7 +68,8 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
         go (n + 1)
       end
       else begin
-        stats.Vm_sys.pager_failures <- stats.Vm_sys.pager_failures + 1;
+        stats.Vm_stats.vs_pager_failures <-
+          stats.Vm_stats.vs_pager_failures + 1;
         h.ph_failures <- h.ph_failures + 1;
         h.ph_consecutive <- h.ph_consecutive + 1;
         if (not h.ph_dead)

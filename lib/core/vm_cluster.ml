@@ -88,8 +88,8 @@ let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
   in
   match pick (fun st -> valid st && st.st_next = offset) with
   | Some st ->
-    sys.Vm_sys.stats.Vm_sys.stream_hits <-
-      sys.Vm_sys.stats.Vm_sys.stream_hits + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_stream_hits <-
+      sys.Vm_sys.stats.Vm_stats.vs_stream_hits + 1;
     (st, true)
   | None ->
     let st =
@@ -107,8 +107,8 @@ let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
            Array.iter
              (fun st -> if st.st_use < !lru.st_use then lru := st)
              slots;
-           sys.Vm_sys.stats.Vm_sys.stream_resets <-
-             sys.Vm_sys.stats.Vm_sys.stream_resets + 1;
+           sys.Vm_sys.stats.Vm_stats.vs_stream_resets <-
+             sys.Vm_sys.stats.Vm_stats.vs_stream_resets + 1;
            Vm_sys.emit sys (Obs.Stream_reset { obj = obj.obj_id; offset });
            !lru)
     in
@@ -169,8 +169,8 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
           end
     done;
     if !moved > 0 then begin
-      sys.Vm_sys.stats.Vm_sys.free_behind_pages <-
-        sys.Vm_sys.stats.Vm_sys.free_behind_pages + !moved;
+      sys.Vm_sys.stats.Vm_stats.vs_free_behind_pages <-
+        sys.Vm_sys.stats.Vm_stats.vs_free_behind_pages + !moved;
       Vm_sys.emit sys
         (Obs.Free_behind { obj = obj.obj_id; offset; pages = !moved })
     end
@@ -228,8 +228,8 @@ let single (sys : Vm_sys.t) obj st ~stream ~offset =
     p.pg_busy <- true;
     Page_io.fill sys p data;
     p.pg_busy <- false;
-    sys.Vm_sys.stats.Vm_sys.pager_reads <-
-      sys.Vm_sys.stats.Vm_sys.pager_reads + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
+      sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
     commit sys st ~stream ~next:(offset + ps) ~window:1;
     `Data (p, ps)
   | `Absent -> `Absent
@@ -277,7 +277,8 @@ let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~inflight =
 let note_prefetch (sys : Vm_sys.t) ~offset ~issued ~window =
   if issued > 0 then begin
     let stats = sys.Vm_sys.stats in
-    stats.Vm_sys.prefetch_issued <- stats.Vm_sys.prefetch_issued + issued;
+    stats.Vm_stats.vs_prefetch_issued <-
+      stats.Vm_stats.vs_prefetch_issued + issued;
     Vm_sys.emit sys (Obs.Prefetch { offset; pages = issued; window })
   end
 
@@ -294,7 +295,7 @@ let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
        the object end, a resident page or free-list headroom must not
        ramp as if the full candidate window had been read. *)
     commit sys st ~stream ~next:(offset + (got * ps)) ~window:n;
-    stats.Vm_sys.pager_reads <- stats.Vm_sys.pager_reads + 1;
+    stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
     let demand = Vm_sys.grab_page ~color:(offset / ps) sys in
     Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
     demand.pg_busy <- true;
@@ -339,7 +340,7 @@ let pagein_async (sys : Vm_sys.t) obj st ~stream ~offset ~n =
            ~inflight:(Pager_guard.inflight_of sys io)
        in
        commit sys st ~stream ~next:(tail_off + (got * ps)) ~window:n;
-       stats.Vm_sys.pager_reads <- stats.Vm_sys.pager_reads + 1;
+       stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
        note_prefetch sys ~offset ~issued ~window:n;
        free_behind sys obj st ~offset ~pages:(got + 1);
        `Data (demand, ps + (got * ps))
@@ -363,8 +364,8 @@ let note_hit (sys : Vm_sys.t) p =
   if p.pg_inflight <> None then Pager_guard.await_page sys p;
   if p.pg_prefetched then begin
     p.pg_prefetched <- false;
-    sys.Vm_sys.stats.Vm_sys.prefetch_hits <-
-      sys.Vm_sys.stats.Vm_sys.prefetch_hits + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits <-
+      sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits + 1;
     if p.pg_wire_count = 0 && p.pg_queue = Q_inactive then
       Resident.enqueue sys.Vm_sys.resident p Q_active
   end

@@ -124,7 +124,7 @@ let fault sys map ~va ~write =
     ~finally:(fun () -> sys.Vm_sys.oom_exempt_map <- saved_exempt)
   @@ fun () ->
   let stats = sys.Vm_sys.stats in
-  stats.Vm_sys.faults <- stats.Vm_sys.faults + 1;
+  stats.Vm_stats.vs_faults <- stats.Vm_stats.vs_faults + 1;
   (* Trace bracketing: one Fault_begin/Fault_end pair per invocation,
      the end event carrying the resolution kind and service time.  The
      [resolution]/[paged_in] cells cost a store on the untraced path;
@@ -286,13 +286,13 @@ let fault sys map ~va ~write =
             a dead pager with the error degrade policy).  The paper's
             contract holds: machine-independent state is intact, the
             task just cannot have this page. *)
-         stats.Vm_sys.memory_errors <- stats.Vm_sys.memory_errors + 1;
+         stats.Vm_stats.vs_memory_errors <- stats.Vm_stats.vs_memory_errors + 1;
          Error Kr.Memory_error
        | `Found (owner, p) when owner == first_obj ->
          (* Resident fast path: an optimistic, generation-validated read
             of the object — free unless a writer hold overlapped. *)
          Vm_object.lock_read sys owner;
-         stats.Vm_sys.fast_reloads <- stats.Vm_sys.fast_reloads + 1;
+         stats.Vm_stats.vs_fast_reloads <- stats.Vm_stats.vs_fast_reloads + 1;
          resolution := Obs.Fast_reload;
          let prot =
            mapped_prot ~cow:(entry.e_needs_copy || owner.obj_readonly)
@@ -303,9 +303,9 @@ let fault sys map ~va ~write =
          in
          if burst = [] then finish p ~prot
          else begin
-           stats.Vm_sys.burst_faults <- stats.Vm_sys.burst_faults + 1;
-           stats.Vm_sys.burst_mapped <-
-             stats.Vm_sys.burst_mapped + List.length burst;
+           stats.Vm_stats.vs_burst_faults <- stats.Vm_stats.vs_burst_faults + 1;
+           stats.Vm_stats.vs_burst_mapped <-
+             stats.Vm_stats.vs_burst_mapped + List.length burst;
            (* One outer batch: the demand page's enters and every
               neighbour's share a single consistency exchange. *)
            Pmap_domain.batched sys.Vm_sys.domain (fun () ->
@@ -317,8 +317,8 @@ let fault sys map ~va ~write =
                        by the burst, not issued twice. *)
                     let issued = not q.pg_prefetched in
                     if issued then
-                      stats.Vm_sys.prefetch_issued <-
-                        stats.Vm_sys.prefetch_issued + 1;
+                      stats.Vm_stats.vs_prefetch_issued <-
+                        stats.Vm_stats.vs_prefetch_issued + 1;
                     (* The page will never re-fault here, so its first
                        use must be seen as a referenced-bit transition:
                        clear the bits and register for the first-touch
@@ -342,7 +342,8 @@ let fault sys map ~va ~write =
                Vm_sys.with_cat sys Obs.Cow_copy (fun () ->
                    let p = new_page_in sys first_obj ~offset in
                    copy_mach_page sys ~src ~dst:p;
-                   stats.Vm_sys.cow_copies <- stats.Vm_sys.cow_copies + 1;
+                   stats.Vm_stats.vs_cow_copies <-
+                     stats.Vm_stats.vs_cow_copies + 1;
                    resolution := Obs.Cow_copy;
                    invalidate_shared_source src;
                    Vm_object.collapse sys first_obj));
@@ -367,7 +368,7 @@ let fault sys map ~va ~write =
                    zero_mach_page sys p;
                    p))
          in
-         stats.Vm_sys.zero_fills <- stats.Vm_sys.zero_fills + 1;
+         stats.Vm_stats.vs_zero_fills <- stats.Vm_stats.vs_zero_fills + 1;
          resolution := Obs.Zero_fill;
          finish p
            ~prot:

@@ -56,10 +56,10 @@ let lock_stall_residue (sys : Vm_sys.t) o =
 
 let charge_stall (sys : Vm_sys.t) o cycles =
   if cycles > 0 then begin
-    sys.Vm_sys.stats.Vm_sys.lock_stalls <-
-      sys.Vm_sys.stats.Vm_sys.lock_stalls + 1;
-    sys.Vm_sys.stats.Vm_sys.lock_stall_cycles <-
-      sys.Vm_sys.stats.Vm_sys.lock_stall_cycles + cycles;
+    sys.Vm_sys.stats.Vm_stats.vs_lock_stalls <-
+      sys.Vm_sys.stats.Vm_stats.vs_lock_stalls + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_lock_stall_cycles <-
+      sys.Vm_sys.stats.Vm_stats.vs_lock_stall_cycles + cycles;
     Mach_hw.Machine.lock_stall sys.Vm_sys.machine
       ~cpu:(Vm_sys.current_cpu sys) cycles;
     Vm_sys.emit sys (Mach_obs.Obs.Lock_stall { obj = o.obj_id; cycles })
@@ -88,8 +88,8 @@ let free_page (sys : Vm_sys.t) p =
      a time-critical invalidation (case 1 of Section 5.2). *)
   let free () =
     if p.pg_prefetched then
-      sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
-        sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
+      sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
+        sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;
     Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
       ~frames:(Vm_sys.frames sys) ~urgent:true;
     Vm_sys.clear_page_modified sys p;
@@ -176,16 +176,16 @@ let cache_revive sys o =
 let create_with_pager sys pager ~size =
   match Hashtbl.find_opt sys.Vm_sys.pager_objects pager.pgr_id with
   | Some o when o.obj_cached ->
-    sys.Vm_sys.stats.Vm_sys.cache_hits <-
-      sys.Vm_sys.stats.Vm_sys.cache_hits + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits <-
+      sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits + 1;
     cache_revive sys o;
     o
   | Some o ->
     reference o;
     o
   | None ->
-    sys.Vm_sys.stats.Vm_sys.cache_misses <-
-      sys.Vm_sys.stats.Vm_sys.cache_misses + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses <-
+      sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses + 1;
     let o =
       make_obj ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
     in
@@ -209,8 +209,8 @@ let shadow sys o ~offset ~size =
       in
       s.obj_shadow <- Some o; (* consumes the caller's reference to [o] *)
       s.obj_shadow_offset <- offset;
-      sys.Vm_sys.stats.Vm_sys.shadows_created <-
-        sys.Vm_sys.stats.Vm_sys.shadows_created + 1;
+      sys.Vm_sys.stats.Vm_stats.vs_shadows_created <-
+        sys.Vm_sys.stats.Vm_stats.vs_shadows_created + 1;
       if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
         Vm_sys.emit sys
           (Mach_obs.Obs.Object_shadow { depth = chain_length s });
@@ -270,8 +270,8 @@ let rec collapse sys o =
              [terminate]: drop its stream slots the same way, so a
              stale cursor cannot ride along if the record is reused. *)
           backing.obj_streams <- [||];
-          sys.Vm_sys.stats.Vm_sys.collapses <-
-            sys.Vm_sys.stats.Vm_sys.collapses + 1;
+          sys.Vm_sys.stats.Vm_stats.vs_collapses <-
+            sys.Vm_sys.stats.Vm_stats.vs_collapses + 1;
           step ()
         end
         else collapse sys backing

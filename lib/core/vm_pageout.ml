@@ -37,13 +37,13 @@ let ensure_pager (sys : Vm_sys.t) o =
    escalates to the OOM policy instead of waiting on a daemon that
    cannot progress. *)
 let note_no_space (sys : Vm_sys.t) =
-  sys.Vm_sys.stats.Vm_sys.swap_full_failures <-
-    sys.Vm_sys.stats.Vm_sys.swap_full_failures + 1;
+  sys.Vm_sys.stats.Vm_stats.vs_swap_full_failures <-
+    sys.Vm_sys.stats.Vm_stats.vs_swap_full_failures + 1;
   Vm_sys.set_mem_pressure sys true;
   if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
     Vm_sys.emit sys
       (Mach_obs.Obs.Swap_full
-         { used = sys.Vm_sys.swap_used;
+         { used = sys.Vm_sys.stats.Vm_stats.vs_swap_used;
            capacity =
              (match sys.Vm_sys.swap_capacity with
               | Some c -> c
@@ -69,8 +69,8 @@ let clean_page (sys : Vm_sys.t) p =
       p.pg_requeues <- 0;
       (* A successful write is progress: pressure, if any, has lifted. *)
       sys.Vm_sys.mem_pressure <- false;
-      sys.Vm_sys.stats.Vm_sys.pageouts <-
-        sys.Vm_sys.stats.Vm_sys.pageouts + 1;
+      sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
+        sys.Vm_sys.stats.Vm_stats.vs_pageouts + 1;
       if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
         Vm_sys.emit sys
           (Mach_obs.Obs.Pageout
@@ -79,8 +79,8 @@ let clean_page (sys : Vm_sys.t) p =
                  Resident.inactive_count sys.Vm_sys.resident });
       true
     | `Failed ->
-      sys.Vm_sys.stats.Vm_sys.pageout_failures <-
-        sys.Vm_sys.stats.Vm_sys.pageout_failures + 1;
+      sys.Vm_sys.stats.Vm_stats.vs_pageout_failures <-
+        sys.Vm_sys.stats.Vm_stats.vs_pageout_failures + 1;
       false
     | `No_space ->
       note_no_space sys;
@@ -110,10 +110,10 @@ let write_cluster (sys : Vm_sys.t) o pages =
     List.iter (Vm_sys.clear_page_modified sys) pages;
     List.iter (fun q -> q.pg_requeues <- 0) pages;
     sys.Vm_sys.mem_pressure <- false;
-    sys.Vm_sys.stats.Vm_sys.pageouts <-
-      sys.Vm_sys.stats.Vm_sys.pageouts + n;
-    sys.Vm_sys.stats.Vm_sys.clustered_pageouts <-
-      sys.Vm_sys.stats.Vm_sys.clustered_pageouts + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
+      sys.Vm_sys.stats.Vm_stats.vs_pageouts + n;
+    sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts <-
+      sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts + 1;
     if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then begin
       Vm_sys.emit sys
         (Mach_obs.Obs.Cluster_pageout { offset = start; pages = n });
@@ -213,8 +213,8 @@ let run (sys : Vm_sys.t) ~wanted =
         (* Second chance. *)
         Vm_sys.clear_page_referenced sys p;
         Resident.enqueue res p Q_active;
-        sys.Vm_sys.stats.Vm_sys.reactivations <-
-          sys.Vm_sys.stats.Vm_sys.reactivations + 1
+        sys.Vm_sys.stats.Vm_stats.vs_reactivations <-
+          sys.Vm_sys.stats.Vm_stats.vs_reactivations + 1
       end
       else begin
         (* Remove all mappings first, then wait for every TLB to flush
@@ -246,8 +246,8 @@ let run (sys : Vm_sys.t) ~wanted =
           Vm_sys.clear_page_referenced sys p;
           Vm_sys.clear_page_modified sys p;
           if p.pg_prefetched then
-            sys.Vm_sys.stats.Vm_sys.prefetch_wasted <-
-              sys.Vm_sys.stats.Vm_sys.prefetch_wasted + 1;
+            sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
+              sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;
           Resident.free_page ~cpu:(Vm_sys.current_cpu sys) res p;
           incr freed
         end

@@ -1,0 +1,160 @@
+(* What [vm_statistics] (Table 2-1) reports, declared once.
+
+   The kernel counts straight into the mutable fields of the record each
+   [Vm_sys.t] owns.  The immutable fields are the gauges and allocator
+   counters kept elsewhere (page queues, the swap limit, [Resident]'s
+   counters, which reset with the clocks); they stay zero in the live
+   record and are filled in by the [Vm_user.statistics] snapshot, which
+   copies the whole record so a caller can subtract two snapshots. *)
+
+type statistics = {
+  vs_page_size : int;
+  vs_pages_total : int;
+  vs_pages_free : int;
+  vs_pages_active : int;
+  vs_pages_inactive : int;
+  mutable vs_faults : int;             (* vm_fault invocations *)
+  mutable vs_zero_fills : int;         (* pages zero-filled on demand *)
+  mutable vs_cow_copies : int;         (* pages copied by write faults *)
+  mutable vs_pager_reads : int;        (* pages filled from a pager *)
+  mutable vs_pageouts : int;           (* pages cleaned by the daemon *)
+  mutable vs_reactivations : int;
+      (* inactive pages saved by their reference bit (second chance) *)
+  mutable vs_object_cache_hits : int;  (* objects revived from the cache *)
+  mutable vs_object_cache_misses : int;
+      (* objects (re)built from their pager *)
+  (* Failure handling. *)
+  mutable vs_pager_retries : int;
+      (* pager attempts retried after a transient failure *)
+  mutable vs_pager_deaths : int;
+      (* pagers declared dead after [pager_death_threshold] consecutive
+         exhausted retry budgets *)
+  mutable vs_rescued_pages : int;
+      (* dirty resident pages written to a rescue pager at death *)
+  mutable vs_pageout_failures : int;
+      (* pageout writes that failed; the page stayed dirty, requeued *)
+  mutable vs_memory_errors : int;
+      (* faults concluded with [KERN_MEMORY_ERROR] *)
+  (* Clustering. *)
+  mutable vs_prefetch_issued : int;
+      (* pages brought in by read-ahead beyond the demand page *)
+  mutable vs_prefetch_hits : int;
+      (* prefetched pages later referenced by a fault or read *)
+  mutable vs_prefetch_wasted : int;
+      (* prefetched pages reclaimed before any reference *)
+  mutable vs_stream_hits : int;
+      (* pager misses matched to an existing read-ahead stream slot;
+         counted at every [cluster_max], 1 included *)
+  mutable vs_stream_resets : int;
+      (* live stream slots recycled for a new reader *)
+  mutable vs_free_behind_pages : int;
+      (* clean pages deactivated behind a ramped stream's cursor *)
+  mutable vs_clustered_pageouts : int;
+      (* multi-page writes issued by the daemon / clean_request *)
+  (* Multiprocessor. *)
+  mutable vs_lock_stalls : int;
+      (* contended memory-object or allocator-queue lock acquisitions *)
+  mutable vs_lock_stall_cycles : int;  (* cycles spent in those stalls *)
+  mutable vs_burst_faults : int;
+      (* resident faults that mapped at least one neighbour *)
+  mutable vs_burst_mapped : int;       (* neighbour pages mapped by bursts *)
+  (* Memory pressure. *)
+  mutable vs_alloc_waits : int;
+      (* allocations that waited on the pageout daemon at the reserve *)
+  mutable vs_alloc_wait_cycles : int;
+      (* cycles charged by those waits ([Mem_wait] attribution) *)
+  mutable vs_swap_full_failures : int;
+      (* pageout writes refused because the swap pool is full *)
+  mutable vs_oom_kills : int;          (* tasks killed by the OOM policy *)
+  mutable vs_swap_used : int;          (* bytes committed to swap *)
+  vs_swap_capacity : int option;       (* swap limit; [None] = unbounded *)
+  (* Object machinery. *)
+  mutable vs_shadows_created : int;    (* shadow objects created *)
+  mutable vs_collapses : int;          (* shadow objects collapsed away *)
+  mutable vs_fast_reloads : int;
+      (* faults resolved by re-entering a mapping the pmap had dropped *)
+  mutable vs_rmw_bug_upgrades : int;
+      (* NS32082 protection faults reported as reads and upgraded to
+         writes by the kernel workaround *)
+  mutable vs_pager_failures : int;
+      (* pager attempts that exhausted the retry budget *)
+  (* The colored per-CPU page allocator ([Resident.counters]); all zero
+     under the default single-queue configuration. *)
+  vs_color_hits : int;       (* served from the requested color queue *)
+  vs_color_misses : int;     (* widened to a neighbouring color *)
+  vs_pcpu_hits : int;        (* per-CPU magazine hits *)
+  vs_pcpu_refills : int;     (* magazine refill trips to the shared queues *)
+  vs_numa_local : int;       (* satisfied by the CPU's home NUMA domain *)
+  vs_numa_borrows : int;     (* borrowed from another domain *)
+  vs_page_steals : int;      (* stolen from another CPU's magazine *)
+}
+
+let zero () =
+  { vs_page_size = 0; vs_pages_total = 0; vs_pages_free = 0;
+    vs_pages_active = 0; vs_pages_inactive = 0; vs_faults = 0;
+    vs_zero_fills = 0; vs_cow_copies = 0; vs_pager_reads = 0;
+    vs_pageouts = 0; vs_reactivations = 0; vs_object_cache_hits = 0;
+    vs_object_cache_misses = 0; vs_pager_retries = 0; vs_pager_deaths = 0;
+    vs_rescued_pages = 0; vs_pageout_failures = 0; vs_memory_errors = 0;
+    vs_prefetch_issued = 0; vs_prefetch_hits = 0; vs_prefetch_wasted = 0;
+    vs_stream_hits = 0; vs_stream_resets = 0; vs_free_behind_pages = 0;
+    vs_clustered_pageouts = 0; vs_lock_stalls = 0; vs_lock_stall_cycles = 0;
+    vs_burst_faults = 0; vs_burst_mapped = 0; vs_alloc_waits = 0;
+    vs_alloc_wait_cycles = 0; vs_swap_full_failures = 0; vs_oom_kills = 0;
+    vs_swap_used = 0; vs_swap_capacity = None; vs_shadows_created = 0;
+    vs_collapses = 0; vs_fast_reloads = 0; vs_rmw_bug_upgrades = 0;
+    vs_pager_failures = 0; vs_color_hits = 0; vs_color_misses = 0;
+    vs_pcpu_hits = 0; vs_pcpu_refills = 0; vs_numa_local = 0;
+    vs_numa_borrows = 0; vs_page_steals = 0 }
+
+(* Every statistic under its report name, in the order the stats JSON and
+   the [machsim stats] table print them; an unbounded swap capacity
+   reports 0. *)
+let rows : (string * (statistics -> int)) list =
+  [ ("page_size", fun s -> s.vs_page_size);
+    ("pages_total", fun s -> s.vs_pages_total);
+    ("pages_free", fun s -> s.vs_pages_free);
+    ("pages_active", fun s -> s.vs_pages_active);
+    ("pages_inactive", fun s -> s.vs_pages_inactive);
+    ("faults", fun s -> s.vs_faults);
+    ("zero_fills", fun s -> s.vs_zero_fills);
+    ("cow_copies", fun s -> s.vs_cow_copies);
+    ("pager_reads", fun s -> s.vs_pager_reads);
+    ("pageouts", fun s -> s.vs_pageouts);
+    ("reactivations", fun s -> s.vs_reactivations);
+    ("object_cache_hits", fun s -> s.vs_object_cache_hits);
+    ("object_cache_misses", fun s -> s.vs_object_cache_misses);
+    ("pager_retries", fun s -> s.vs_pager_retries);
+    ("pager_deaths", fun s -> s.vs_pager_deaths);
+    ("rescued_pages", fun s -> s.vs_rescued_pages);
+    ("pageout_failures", fun s -> s.vs_pageout_failures);
+    ("memory_errors", fun s -> s.vs_memory_errors);
+    ("prefetch_issued", fun s -> s.vs_prefetch_issued);
+    ("prefetch_hits", fun s -> s.vs_prefetch_hits);
+    ("prefetch_wasted", fun s -> s.vs_prefetch_wasted);
+    ("stream_hits", fun s -> s.vs_stream_hits);
+    ("stream_resets", fun s -> s.vs_stream_resets);
+    ("free_behind_pages", fun s -> s.vs_free_behind_pages);
+    ("clustered_pageouts", fun s -> s.vs_clustered_pageouts);
+    ("lock_stalls", fun s -> s.vs_lock_stalls);
+    ("lock_stall_cycles", fun s -> s.vs_lock_stall_cycles);
+    ("burst_faults", fun s -> s.vs_burst_faults);
+    ("burst_mapped", fun s -> s.vs_burst_mapped);
+    ("alloc_waits", fun s -> s.vs_alloc_waits);
+    ("alloc_wait_cycles", fun s -> s.vs_alloc_wait_cycles);
+    ("swap_full_failures", fun s -> s.vs_swap_full_failures);
+    ("oom_kills", fun s -> s.vs_oom_kills);
+    ("swap_used", fun s -> s.vs_swap_used);
+    ("swap_capacity", fun s -> Option.value s.vs_swap_capacity ~default:0);
+    ("shadows_created", fun s -> s.vs_shadows_created);
+    ("collapses", fun s -> s.vs_collapses);
+    ("fast_reloads", fun s -> s.vs_fast_reloads);
+    ("rmw_bug_upgrades", fun s -> s.vs_rmw_bug_upgrades);
+    ("pager_failures", fun s -> s.vs_pager_failures);
+    ("color_hits", fun s -> s.vs_color_hits);
+    ("color_misses", fun s -> s.vs_color_misses);
+    ("pcpu_hits", fun s -> s.vs_pcpu_hits);
+    ("pcpu_refills", fun s -> s.vs_pcpu_refills);
+    ("numa_local", fun s -> s.vs_numa_local);
+    ("numa_borrows", fun s -> s.vs_numa_borrows);
+    ("page_steals", fun s -> s.vs_page_steals) ]

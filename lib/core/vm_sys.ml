@@ -1,42 +1,6 @@
 open Mach_hw
 open Mach_pmap
 
-type stats = {
-  mutable faults : int;
-  mutable zero_fills : int;
-  mutable cow_copies : int;
-  mutable pager_reads : int;
-  mutable pageouts : int;
-  mutable reactivations : int;
-  mutable shadows_created : int;
-  mutable collapses : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable fast_reloads : int;
-  mutable rmw_bug_upgrades : int;
-  mutable pager_retries : int;
-  mutable pager_failures : int;
-  mutable pager_deaths : int;
-  mutable rescued_pages : int;
-  mutable pageout_failures : int;
-  mutable memory_errors : int;
-  mutable prefetch_issued : int;
-  mutable prefetch_hits : int;
-  mutable prefetch_wasted : int;
-  mutable clustered_pageouts : int;
-  mutable lock_stalls : int;
-  mutable lock_stall_cycles : int;
-  mutable burst_faults : int;
-  mutable burst_mapped : int;
-  mutable alloc_waits : int;
-  mutable alloc_wait_cycles : int;
-  mutable swap_full_failures : int;
-  mutable oom_kills : int;
-  mutable stream_hits : int;
-  mutable stream_resets : int;
-  mutable free_behind_pages : int;
-}
-
 (* One burst-mapped neighbour whose outcome is still undecided: mapped
    into [b_asid] by a resident fault through [b_entry], not yet touched
    there. *)
@@ -91,7 +55,6 @@ type t = {
   mutable swap_capacity : int option;
       (* bytes of backing store the swap pool may commit; [None] is
          unbounded (the pre-pressure behaviour) *)
-  mutable swap_used : int;     (* bytes currently committed to swap *)
   mutable mem_pressure : bool;
       (* set when pageout cannot make progress (swap full, or a page
          exceeded the requeue limit); cleared when a pageout write
@@ -128,24 +91,12 @@ type t = {
       (* pager id -> the chunks a Swap_pager of this kernel holds, kept
          here rather than in a global table so a dropped kernel takes
          its swap contents with it *)
-  stats : stats;
+  stats : Vm_stats.statistics;
+      (* the live vm_statistics counters, swap pool usage included
+         ([vs_swap_used]) *)
 }
 
 exception Out_of_memory
-
-let fresh_stats () =
-  { faults = 0; zero_fills = 0; cow_copies = 0; pager_reads = 0;
-    pageouts = 0; reactivations = 0; shadows_created = 0; collapses = 0;
-    cache_hits = 0; cache_misses = 0; fast_reloads = 0;
-    rmw_bug_upgrades = 0; pager_retries = 0; pager_failures = 0;
-    pager_deaths = 0; rescued_pages = 0; pageout_failures = 0;
-    memory_errors = 0; prefetch_issued = 0; prefetch_hits = 0;
-    prefetch_wasted = 0; clustered_pageouts = 0;
-    lock_stalls = 0; lock_stall_cycles = 0;
-    burst_faults = 0; burst_mapped = 0;
-    alloc_waits = 0; alloc_wait_cycles = 0;
-    swap_full_failures = 0; oom_kills = 0;
-    stream_hits = 0; stream_resets = 0; free_behind_pages = 0 }
 
 (* --- Pages over hardware frames ----------------------------------------
 
@@ -205,7 +156,8 @@ let burst_settle t b ~hit =
   if hit then begin
     e.Types.e_burst_hits <- e.Types.e_burst_hits + 1;
     if b.b_issued || p.Types.pg_prefetched then
-      t.stats.prefetch_hits <- t.stats.prefetch_hits + 1;
+      t.stats.Vm_stats.vs_prefetch_hits <-
+        t.stats.Vm_stats.vs_prefetch_hits + 1;
     p.Types.pg_prefetched <- false;
     if p.Types.pg_queue = Types.Q_inactive && p.Types.pg_wire_count = 0 then
       Resident.enqueue t.resident p Types.Q_active
@@ -251,7 +203,6 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     alloc_backoff_cycles = 2000;
     pageout_requeue_limit = 3;
     swap_capacity = None;
-    swap_used = 0;
     mem_pressure = false;
     oom_candidates = [];
     oom_exempt_map = None;
@@ -266,7 +217,7 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     burst_max = 8;
     burst_pending = Hashtbl.create 64;
     swap_stores = Hashtbl.create 16;
-    stats = fresh_stats ();
+    stats = Vm_stats.zero ();
   } in
   Pmap_domain.set_on_first_touch domain (fun ~asid ~pfn ->
       burst_outcome t ~asid ~pfn ~hit:true);
@@ -282,8 +233,10 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
       hk_charge = (fun ~cpu n -> Machine.charge machine ~cpu n);
       hk_stall =
         (fun ~cpu n ->
-           t.stats.lock_stalls <- t.stats.lock_stalls + 1;
-           t.stats.lock_stall_cycles <- t.stats.lock_stall_cycles + n;
+           let s = t.stats in
+           s.Vm_stats.vs_lock_stalls <- s.Vm_stats.vs_lock_stalls + 1;
+           s.Vm_stats.vs_lock_stall_cycles <-
+             s.Vm_stats.vs_lock_stall_cycles + n;
            Machine.lock_stall machine ~cpu n;
            let tr = Machine.tracer machine in
            if Mach_obs.Obs.enabled tr then
@@ -355,13 +308,16 @@ let swap_charge t bytes =
   match t.swap_capacity with
   | None -> true
   | Some cap ->
-    if t.swap_used + bytes <= cap then begin
-      t.swap_used <- t.swap_used + bytes;
+    let s = t.stats in
+    if s.Vm_stats.vs_swap_used + bytes <= cap then begin
+      s.Vm_stats.vs_swap_used <- s.Vm_stats.vs_swap_used + bytes;
       true
     end
     else false
 
-let swap_release t bytes = t.swap_used <- max 0 (t.swap_used - bytes)
+let swap_release t bytes =
+  let s = t.stats in
+  s.Vm_stats.vs_swap_used <- max 0 (s.Vm_stats.vs_swap_used - bytes)
 
 (* --- Out-of-memory policy --------------------------------------------
 
@@ -400,7 +356,7 @@ let oom_kill t =
            else (rb, b))
         first rest
     in
-    t.stats.oom_kills <- t.stats.oom_kills + 1;
+    t.stats.Vm_stats.vs_oom_kills <- t.stats.Vm_stats.vs_oom_kills + 1;
     emit t (Mach_obs.Obs.Oom_kill { task = victim.oc_name; resident });
     oom_unregister t ~id:victim.oc_id;
     victim.oc_kill ();
@@ -456,8 +412,9 @@ let grab_page ?(reserve = false) ?color t =
         assert (Resident.check_conservation t.resident);
         let free = Resident.free_count t.resident in
         let backoff = t.alloc_backoff_cycles in
-        stats.alloc_waits <- stats.alloc_waits + 1;
-        stats.alloc_wait_cycles <- stats.alloc_wait_cycles + backoff;
+        stats.Vm_stats.vs_alloc_waits <- stats.Vm_stats.vs_alloc_waits + 1;
+        stats.Vm_stats.vs_alloc_wait_cycles <-
+          stats.Vm_stats.vs_alloc_wait_cycles + backoff;
         charge_cat t Mach_obs.Obs.Mem_wait backoff;
         if Mach_obs.Obs.enabled (tracer t) then
           emit t

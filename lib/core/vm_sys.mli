@@ -3,73 +3,8 @@
     Everything the Vm_* modules need in common: the machine and pmap
     domain, the resident page table, the memory-object cache (Section
     3.3), tunables for the ablation benches (object cache and shadow
-    collapse can be disabled), and machine-independent statistics. *)
-
-type stats = {
-  mutable faults : int;            (** vm_fault invocations *)
-  mutable zero_fills : int;        (** pages zero-filled on demand *)
-  mutable cow_copies : int;        (** pages copied by write faults *)
-  mutable pager_reads : int;       (** pages filled from a pager *)
-  mutable pageouts : int;          (** pages cleaned/evicted by the daemon *)
-  mutable reactivations : int;     (** inactive pages saved by their
-                                       reference bit (second chance) *)
-  mutable shadows_created : int;   (** shadow objects created *)
-  mutable collapses : int;         (** shadow objects collapsed away *)
-  mutable cache_hits : int;        (** memory objects revived from cache *)
-  mutable cache_misses : int;      (** objects (re)built from their pager *)
-  mutable fast_reloads : int;      (** faults resolved purely by re-entering
-                                       a mapping the pmap had dropped *)
-  mutable rmw_bug_upgrades : int;  (** protection faults reported as reads
-                                       by the NS32082 bug and upgraded to
-                                       writes by the kernel workaround *)
-  mutable pager_retries : int;     (** pager request/write attempts retried
-                                       after a transient failure *)
-  mutable pager_failures : int;    (** attempts that exhausted the retry
-                                       budget *)
-  mutable pager_deaths : int;      (** pagers declared dead after
-                                       [pager_death_threshold] consecutive
-                                       exhausted budgets *)
-  mutable rescued_pages : int;     (** dirty resident pages written to a
-                                       rescue (default) pager at death *)
-  mutable pageout_failures : int;  (** pageout writes that failed; the page
-                                       stayed dirty and was requeued *)
-  mutable memory_errors : int;     (** faults concluded with
-                                       [KERN_MEMORY_ERROR] *)
-  mutable prefetch_issued : int;   (** pages brought in by read-ahead beyond
-                                       the demand page *)
-  mutable prefetch_hits : int;     (** prefetched pages later referenced by
-                                       a fault or read *)
-  mutable prefetch_wasted : int;   (** prefetched pages reclaimed before
-                                       any reference *)
-  mutable clustered_pageouts : int;(** multi-page writes issued by the
-                                       pageout daemon / clean_request *)
-  mutable lock_stalls : int;       (** contended memory-object lock
-                                       acquisitions (multi-CPU only) *)
-  mutable lock_stall_cycles : int; (** cycles spent in those stalls *)
-  mutable burst_faults : int;      (** resident faults that mapped at least
-                                       one neighbour beyond the demand
-                                       page *)
-  mutable burst_mapped : int;      (** neighbour pages mapped by bursts *)
-  mutable alloc_waits : int;       (** allocation backpressure waits on the
-                                       pageout daemon (free list at the
-                                       reserve) *)
-  mutable alloc_wait_cycles : int; (** cycles charged by those waits
-                                       ([mem_wait] attribution) *)
-  mutable swap_full_failures : int;(** pageout writes refused because the
-                                       swap pool is full; the page stayed
-                                       dirty and pressure was raised *)
-  mutable oom_kills : int;         (** tasks killed by the out-of-memory
-                                       policy *)
-  mutable stream_hits : int;       (** pager misses matched to an existing
-                                       read-ahead stream slot (sequential
-                                       continuation); counted at every
-                                       [cluster_max], 1 included *)
-  mutable stream_resets : int;     (** live stream slots recycled for a
-                                       new reader (LRU victim taken while
-                                       its cursor was still current) *)
-  mutable free_behind_pages : int; (** clean pages deactivated behind a
-                                       ramped stream's cursor *)
-}
+    collapse can be disabled), and the machine-independent statistics
+    ({!Vm_stats}). *)
 
 type burst = {
   b_page : Types.page;
@@ -134,7 +69,6 @@ type t = {
           escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
       (** bytes the swap pool may commit; [None] is unbounded *)
-  mutable swap_used : int;         (** bytes currently committed to swap *)
   mutable mem_pressure : bool;
       (** pageout cannot make progress (swap full, or a dirty page
           exceeded the requeue limit); cleared when a pageout write
@@ -184,7 +118,9 @@ type t = {
       (** pager id -> offset -> page-size chunk held by each
           {!Swap_pager} of this kernel; per kernel so a dropped kernel's
           swap contents are garbage with it *)
-  stats : stats;
+  stats : Vm_stats.statistics;
+      (** the live [vm_statistics] counters the kernel increments;
+          [vs_swap_used] is the bytes the swap pool has committed *)
 }
 
 exception Out_of_memory
@@ -283,9 +219,6 @@ val emit : t -> Mach_obs.Obs.event -> unit
 
 val cost : t -> Mach_hw.Arch.cost
 (** The architecture's cost table. *)
-
-val fresh_stats : unit -> stats
-(** All-zero counters. *)
 
 (** {1 Pages over hardware frames}
 

@@ -1,55 +1,7 @@
 open Mach_hw
 open Types
 
-type statistics = {
-  vs_page_size : int;
-  vs_pages_total : int;
-  vs_pages_free : int;
-  vs_pages_active : int;
-  vs_pages_inactive : int;
-  vs_faults : int;
-  vs_zero_fills : int;
-  vs_cow_copies : int;
-  vs_pager_reads : int;
-  vs_pageouts : int;
-  vs_reactivations : int;
-  vs_object_cache_hits : int;
-  vs_object_cache_misses : int;
-  vs_pager_retries : int;
-  vs_pager_deaths : int;
-  vs_rescued_pages : int;
-  vs_pageout_failures : int;
-  vs_memory_errors : int;
-  vs_prefetch_issued : int;
-  vs_prefetch_hits : int;
-  vs_prefetch_wasted : int;
-  vs_stream_hits : int;
-  vs_stream_resets : int;
-  vs_free_behind_pages : int;
-  vs_clustered_pageouts : int;
-  vs_lock_stalls : int;
-  vs_lock_stall_cycles : int;
-  vs_burst_faults : int;
-  vs_burst_mapped : int;
-  vs_alloc_waits : int;
-  vs_alloc_wait_cycles : int;
-  vs_swap_full_failures : int;
-  vs_oom_kills : int;
-  vs_swap_used : int;
-  vs_swap_capacity : int option;
-  vs_shadows_created : int;
-  vs_collapses : int;
-  vs_fast_reloads : int;
-  vs_rmw_bug_upgrades : int;
-  vs_pager_failures : int;
-  vs_color_hits : int;
-  vs_color_misses : int;
-  vs_pcpu_hits : int;
-  vs_pcpu_refills : int;
-  vs_numa_local : int;
-  vs_numa_borrows : int;
-  vs_page_steals : int;
-}
+include Vm_stats
 
 let syscall (sys : Vm_sys.t) = Vm_sys.charge sys (Vm_sys.cost sys).Arch.syscall
 
@@ -181,53 +133,18 @@ let regions sys task =
 
 let statistics (sys : Vm_sys.t) =
   let res = sys.Vm_sys.resident in
-  let s = sys.Vm_sys.stats in
-  {
+  let c = Resident.counters res in
+  { sys.Vm_sys.stats with
     vs_page_size = sys.Vm_sys.page_size;
     vs_pages_total = Resident.total_pages res;
     vs_pages_free = Resident.free_count res;
     vs_pages_active = Resident.active_count res;
     vs_pages_inactive = Resident.inactive_count res;
-    vs_faults = s.Vm_sys.faults;
-    vs_zero_fills = s.Vm_sys.zero_fills;
-    vs_cow_copies = s.Vm_sys.cow_copies;
-    vs_pager_reads = s.Vm_sys.pager_reads;
-    vs_pageouts = s.Vm_sys.pageouts;
-    vs_reactivations = s.Vm_sys.reactivations;
-    vs_object_cache_hits = s.Vm_sys.cache_hits;
-    vs_object_cache_misses = s.Vm_sys.cache_misses;
-    vs_pager_retries = s.Vm_sys.pager_retries;
-    vs_pager_deaths = s.Vm_sys.pager_deaths;
-    vs_rescued_pages = s.Vm_sys.rescued_pages;
-    vs_pageout_failures = s.Vm_sys.pageout_failures;
-    vs_memory_errors = s.Vm_sys.memory_errors;
-    vs_prefetch_issued = s.Vm_sys.prefetch_issued;
-    vs_prefetch_hits = s.Vm_sys.prefetch_hits;
-    vs_prefetch_wasted = s.Vm_sys.prefetch_wasted;
-    vs_stream_hits = s.Vm_sys.stream_hits;
-    vs_stream_resets = s.Vm_sys.stream_resets;
-    vs_free_behind_pages = s.Vm_sys.free_behind_pages;
-    vs_clustered_pageouts = s.Vm_sys.clustered_pageouts;
-    vs_lock_stalls = s.Vm_sys.lock_stalls;
-    vs_lock_stall_cycles = s.Vm_sys.lock_stall_cycles;
-    vs_burst_faults = s.Vm_sys.burst_faults;
-    vs_burst_mapped = s.Vm_sys.burst_mapped;
-    vs_alloc_waits = s.Vm_sys.alloc_waits;
-    vs_alloc_wait_cycles = s.Vm_sys.alloc_wait_cycles;
-    vs_swap_full_failures = s.Vm_sys.swap_full_failures;
-    vs_oom_kills = s.Vm_sys.oom_kills;
-    vs_swap_used = sys.Vm_sys.swap_used;
     vs_swap_capacity = sys.Vm_sys.swap_capacity;
-    vs_shadows_created = s.Vm_sys.shadows_created;
-    vs_collapses = s.Vm_sys.collapses;
-    vs_fast_reloads = s.Vm_sys.fast_reloads;
-    vs_rmw_bug_upgrades = s.Vm_sys.rmw_bug_upgrades;
-    vs_pager_failures = s.Vm_sys.pager_failures;
-    vs_color_hits = (Resident.counters res).Resident.color_hits;
-    vs_color_misses = (Resident.counters res).Resident.color_misses;
-    vs_pcpu_hits = (Resident.counters res).Resident.pcpu_hits;
-    vs_pcpu_refills = (Resident.counters res).Resident.pcpu_refills;
-    vs_numa_local = (Resident.counters res).Resident.numa_local;
-    vs_numa_borrows = (Resident.counters res).Resident.numa_borrows;
-    vs_page_steals = (Resident.counters res).Resident.page_steals;
-  }
+    vs_color_hits = c.Resident.color_hits;
+    vs_color_misses = c.Resident.color_misses;
+    vs_pcpu_hits = c.Resident.pcpu_hits;
+    vs_pcpu_refills = c.Resident.pcpu_refills;
+    vs_numa_local = c.Resident.numa_local;
+    vs_numa_borrows = c.Resident.numa_borrows;
+    vs_page_steals = c.Resident.page_steals }

@@ -199,18 +199,9 @@ let stats_json ?(extra = []) tr =
        ("events_dropped", Jout.Int (Ring.dropped (Obs.ring tr)));
        ("open_faults", Jout.Int (Obs.open_faults tr));
        ("faults_total", Jout.Int fault_total);
-       ("fault_latency", Jout.Obj fault_hists);
-       ("shootdown_latency", hist_json (Obs.shootdown_latency tr));
-       ("pagein_latency", hist_json (Obs.pagein_latency tr));
-       ("disk_latency", hist_json (Obs.disk_latency tr));
-       ("pageout_queue_depth", hist_json (Obs.pageout_depth tr));
-       ("pagein_cluster_pages", hist_json (Obs.pagein_cluster tr));
-       ("pageout_cluster_pages", hist_json (Obs.pageout_cluster tr));
-       ("disk_queue_depth", hist_json (Obs.disk_queue_depth tr));
-       ("disk_completion_latency", hist_json (Obs.disk_completion tr));
-       ("disk_wait_residue", hist_json (Obs.disk_wait tr));
-       ("lock_stall_cycles", hist_json (Obs.lock_stall tr));
-       ("burst_pages", hist_json (Obs.burst_pages tr)) ]
+       ("fault_latency", Jout.Obj fault_hists) ]
+     @ List.map (fun (h, key, _) -> (key, hist_json (Obs.hist tr h)))
+         Obs.hist_names
      @ extra)
 
 let write_stats ~path ?extra tr =
@@ -247,17 +238,8 @@ let summary_tables tr =
          ("fault: " ^ Obs.fault_resolution_name r)
          (Obs.fault_latency tr r))
     Obs.fault_resolutions;
-  hist_row "shootdown" (Obs.shootdown_latency tr);
-  hist_row "pagein" (Obs.pagein_latency tr);
-  hist_row "disk io" (Obs.disk_latency tr);
-  hist_row "pageout queue depth" (Obs.pageout_depth tr);
-  hist_row "pagein cluster pages" (Obs.pagein_cluster tr);
-  hist_row "pageout cluster pages" (Obs.pageout_cluster tr);
-  hist_row "disk queue depth" (Obs.disk_queue_depth tr);
-  hist_row "disk completion latency" (Obs.disk_completion tr);
-  hist_row "disk wait residue" (Obs.disk_wait tr);
-  hist_row "lock stall cycles" (Obs.lock_stall tr);
-  hist_row "burst pages" (Obs.burst_pages tr);
+  List.iter (fun (h, _, label) -> hist_row label (Obs.hist tr h))
+    Obs.hist_names;
   [ counts; lat ]
 
 let print_summary tr = List.iter Tablefmt.print (summary_tables tr)

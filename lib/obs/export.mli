@@ -20,9 +20,9 @@ val hist_json : Hist.t -> Jout.t
 val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
 (** Machine-readable summary: per-kind event counts, drop accounting,
     fault-latency histograms split by resolution kind (their counts sum
-    to the recorded [fault_end] total), shootdown/pagein/disk latency
-    and pageout queue-depth histograms.  [extra] fields are appended at
-    the top level, for callers folding in [Machine.stats] etc. *)
+    to the recorded [fault_end] total), then every {!Obs.hist} under its
+    {!Obs.hist_names} key.  [extra] fields are appended at the top
+    level, for callers folding in [Machine.stats] etc. *)
 
 val write_stats :
   path:string -> ?extra:(string * Jout.t) list -> Obs.t -> unit

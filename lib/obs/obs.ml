@@ -211,6 +211,37 @@ type span_info = {
 
 let top_span_cap = 10
 
+(* Latency and size histograms fed by [record], beside [fault_latency].
+   [hist_names] is the one place each is named: its stats JSON key and
+   its summary table label, in export order. *)
+type hist =
+  | Shootdown_latency | Pagein_latency | Disk_latency | Pageout_queue_depth
+  | Pagein_cluster_pages | Pageout_cluster_pages | Disk_queue_depth
+  | Disk_completion_latency | Disk_wait_residue | Lock_stall_cycles
+  | Burst_pages | Mem_wait_cycles
+
+let hist_names =
+  [ (Shootdown_latency, "shootdown_latency", "shootdown");
+    (Pagein_latency, "pagein_latency", "pagein");
+    (Disk_latency, "disk_latency", "disk io");
+    (Pageout_queue_depth, "pageout_queue_depth", "pageout queue depth");
+    (Pagein_cluster_pages, "pagein_cluster_pages", "pagein cluster pages");
+    (Pageout_cluster_pages, "pageout_cluster_pages", "pageout cluster pages");
+    (Disk_queue_depth, "disk_queue_depth", "disk queue depth");
+    (Disk_completion_latency, "disk_completion_latency",
+     "disk completion latency");
+    (Disk_wait_residue, "disk_wait_residue", "disk wait residue");
+    (Lock_stall_cycles, "lock_stall_cycles", "lock stall cycles");
+    (Burst_pages, "burst_pages", "burst pages");
+    (Mem_wait_cycles, "mem_wait_cycles", "mem wait cycles") ]
+
+let hist_index = function
+  | Shootdown_latency -> 0 | Pagein_latency -> 1 | Disk_latency -> 2
+  | Pageout_queue_depth -> 3 | Pagein_cluster_pages -> 4
+  | Pageout_cluster_pages -> 5 | Disk_queue_depth -> 6
+  | Disk_completion_latency -> 7 | Disk_wait_residue -> 8
+  | Lock_stall_cycles -> 9 | Burst_pages -> 10 | Mem_wait_cycles -> 11
+
 type record = { ts : int; cpu : int; span : int; ev : event }
 
 type t = {
@@ -222,19 +253,7 @@ type t = {
   mutable top_spans : span_info list; (* largest service time first *)
   kind_counts : int array;
   fault_latency : Hist.t array; (* indexed by resolution_index *)
-  shootdown_latency : Hist.t;
-  pagein_latency : Hist.t;
-  disk_latency : Hist.t;
-  pageout_depth : Hist.t;
-  pagein_cluster : Hist.t;  (* pages per clustered pagein (incl. demand) *)
-  pageout_cluster : Hist.t; (* pages per clustered pageout write *)
-  disk_queue_depth : Hist.t;   (* in-flight requests at each async submit *)
-  disk_completion : Hist.t;    (* submit-to-completion latency, cycles *)
-  disk_wait : Hist.t;          (* residue charged at each async wait *)
-  lock_stall : Hist.t;         (* cycles charged per contended object lock *)
-  burst_pages : Hist.t;        (* neighbours mapped per burst fault *)
-  mem_wait : Hist.t;           (* cycles charged per allocation backpressure
-                                  wait on the pageout daemon *)
+  hists : Hist.t array;         (* indexed by [hist_index] *)
   mutable open_faults : int;
 }
 
@@ -248,18 +267,7 @@ let make ~capacity ~is_null =
     kind_counts = Array.make kind_count 0;
     fault_latency =
       Array.init (List.length fault_resolutions) (fun _ -> Hist.create ());
-    shootdown_latency = Hist.create ();
-    pagein_latency = Hist.create ();
-    disk_latency = Hist.create ();
-    pageout_depth = Hist.create ();
-    pagein_cluster = Hist.create ();
-    pageout_cluster = Hist.create ();
-    disk_queue_depth = Hist.create ();
-    disk_completion = Hist.create ();
-    disk_wait = Hist.create ();
-    lock_stall = Hist.create ();
-    burst_pages = Hist.create ();
-    mem_wait = Hist.create ();
+    hists = Array.init (List.length hist_names) (fun _ -> Hist.create ());
     open_faults = 0 }
 
 let create ?(capacity = 65536) () = make ~capacity ~is_null:false
@@ -345,6 +353,10 @@ let note_top_span t sp =
   in
   t.top_spans <- take top_span_cap (insert t.top_spans)
 
+let hist t h = t.hists.(hist_index h)
+
+let add t h v = Hist.add (hist t h) v
+
 let record t ~ts ~cpu ev =
   (* Span bookkeeping: Fault_begin opens a span and tags itself with the
      fresh id; every event the same CPU emits while the span is open
@@ -384,19 +396,19 @@ let record t ~ts ~cpu ev =
   | Fault_end { resolution; cycles; _ } ->
     t.open_faults <- t.open_faults - 1;
     Hist.add t.fault_latency.(resolution_index resolution) cycles
-  | Pagein { cycles; _ } -> Hist.add t.pagein_latency cycles
-  | Pageout { inactive_depth; _ } -> Hist.add t.pageout_depth inactive_depth
-  | Shootdown { cycles; _ } -> Hist.add t.shootdown_latency cycles
-  | Disk_io { cycles; _ } -> Hist.add t.disk_latency cycles
-  | Prefetch { pages; _ } -> Hist.add t.pagein_cluster (pages + 1)
-  | Cluster_pageout { pages; _ } -> Hist.add t.pageout_cluster pages
+  | Pagein { cycles; _ } -> add t Pagein_latency cycles
+  | Pageout { inactive_depth; _ } -> add t Pageout_queue_depth inactive_depth
+  | Shootdown { cycles; _ } -> add t Shootdown_latency cycles
+  | Disk_io { cycles; _ } -> add t Disk_latency cycles
+  | Prefetch { pages; _ } -> add t Pagein_cluster_pages (pages + 1)
+  | Cluster_pageout { pages; _ } -> add t Pageout_cluster_pages pages
   | Disk_submit { depth; latency; _ } ->
-    Hist.add t.disk_queue_depth depth;
-    Hist.add t.disk_completion latency
-  | Disk_wait { cycles; _ } -> Hist.add t.disk_wait cycles
-  | Lock_stall { cycles; _ } -> Hist.add t.lock_stall cycles
-  | Burst_enter { pages; _ } -> Hist.add t.burst_pages pages
-  | Alloc_wait { cycles; _ } -> Hist.add t.mem_wait cycles
+    add t Disk_queue_depth depth;
+    add t Disk_completion_latency latency
+  | Disk_wait { cycles; _ } -> add t Disk_wait_residue cycles
+  | Lock_stall { cycles; _ } -> add t Lock_stall_cycles cycles
+  | Burst_enter { pages; _ } -> add t Burst_pages pages
+  | Alloc_wait { cycles; _ } -> add t Mem_wait_cycles cycles
   | Tlb_flush _ | Pmap_enter _ | Pmap_remove _ | Pmap_protect _
   | Object_shadow _ | Task_switch _
   | Pager_retry _ | Pager_timeout _ | Pager_dead _ | Io_error _
@@ -414,18 +426,6 @@ let count t ev = count_index t (kind_index ev)
 let open_faults t = t.open_faults
 
 let fault_latency t r = t.fault_latency.(resolution_index r)
-let shootdown_latency t = t.shootdown_latency
-let pagein_latency t = t.pagein_latency
-let disk_latency t = t.disk_latency
-let pageout_depth t = t.pageout_depth
-let pagein_cluster t = t.pagein_cluster
-let pageout_cluster t = t.pageout_cluster
-let disk_queue_depth t = t.disk_queue_depth
-let disk_completion t = t.disk_completion
-let disk_wait t = t.disk_wait
-let lock_stall t = t.lock_stall
-let burst_pages t = t.burst_pages
-let mem_wait t = t.mem_wait
 
 let reset t =
   Ring.clear t.ring;
@@ -434,16 +434,5 @@ let reset t =
   t.top_spans <- [];
   Array.fill t.kind_counts 0 kind_count 0;
   Array.iter Hist.clear t.fault_latency;
-  Hist.clear t.shootdown_latency;
-  Hist.clear t.pagein_latency;
-  Hist.clear t.disk_latency;
-  Hist.clear t.pageout_depth;
-  Hist.clear t.pagein_cluster;
-  Hist.clear t.pageout_cluster;
-  Hist.clear t.disk_queue_depth;
-  Hist.clear t.disk_completion;
-  Hist.clear t.disk_wait;
-  Hist.clear t.lock_stall;
-  Hist.clear t.burst_pages;
-  Hist.clear t.mem_wait;
+  Array.iter Hist.clear t.hists;
   t.open_faults <- 0

@@ -257,42 +257,37 @@ val fault_latency : t -> fault_resolution -> Hist.t
 (** Service-time histogram for faults resolved that way; its [count] is
     the number of such faults. *)
 
-val shootdown_latency : t -> Hist.t
-val pagein_latency : t -> Hist.t
-val disk_latency : t -> Hist.t
-val pageout_depth : t -> Hist.t
-(** Inactive-queue depth observed at each pageout. *)
+type hist =
+  | Shootdown_latency  (** cycles per TLB-consistency exchange *)
+  | Pagein_latency     (** cycles per pager fill *)
+  | Disk_latency       (** cycles per disk transfer *)
+  | Pageout_queue_depth
+      (** inactive-queue depth observed at each pageout *)
+  | Pagein_cluster_pages
+      (** pages per clustered pagein, demand page included (so
+          single-page pageins do not feed it) *)
+  | Pageout_cluster_pages  (** pages per clustered pageout write *)
+  | Disk_queue_depth   (** in-flight requests at each async disk submit *)
+  | Disk_completion_latency
+      (** submit-to-completion cycles of async disk requests (service
+          plus queueing delay) *)
+  | Disk_wait_residue
+      (** residue charged at each blocking wait on an async completion;
+          zero entries are fully overlapped requests *)
+  | Lock_stall_cycles
+      (** cycles per contended object-lock acquisition (uncontended
+          acquisitions feed nothing) *)
+  | Burst_pages
+      (** neighbour pages mapped per burst fault, demand page excluded *)
+  | Mem_wait_cycles    (** cycles per allocation backpressure wait *)
+(** The histograms {!record} keeps besides {!fault_latency}; a
+    histogram's [count] is the number of events that fed it. *)
 
-val pagein_cluster : t -> Hist.t
-(** Pages per clustered pagein, demand page included (so single-page
-    pageins do not feed it — its [count] is the number of clustered
-    reads). *)
+val hist_names : (hist * string * string) list
+(** Every {!hist} with its stats JSON key and its summary table label,
+    in export order. *)
 
-val pageout_cluster : t -> Hist.t
-(** Pages per clustered pageout write. *)
-
-val disk_queue_depth : t -> Hist.t
-(** In-flight request count observed at each async disk submit. *)
-
-val disk_completion : t -> Hist.t
-(** Submit-to-completion latency of async disk requests, in cycles
-    (service time plus queueing delay). *)
-
-val disk_wait : t -> Hist.t
-(** Residue charged at each blocking wait on an async completion; zero
-    entries are fully overlapped requests. *)
-
-val lock_stall : t -> Hist.t
-(** Cycles charged per contended object-lock acquisition; its [count]
-    is the number of stalls (uncontended acquisitions feed nothing). *)
-
-val burst_pages : t -> Hist.t
-(** Neighbour pages mapped per burst fault (demand page excluded); its
-    [count] is the number of faults that burst at all. *)
-
-val mem_wait : t -> Hist.t
-(** Cycles charged per allocation backpressure wait; its [count] is the
-    number of waits. *)
+val hist : t -> hist -> Hist.t
 
 val reset : t -> unit
 (** Drop all recorded events and aggregates; keeps the enabled flag. *)

@@ -94,8 +94,8 @@ let read_through_object sys ?stream fs ~name ~offset ~len =
              let p = Vm_sys.grab_page ~color:(page_off / ps) sys in
              Resident.insert sys.Vm_sys.resident p ~obj ~offset:page_off;
              Page_io.zero sys p;
-             sys.Vm_sys.stats.Vm_sys.pager_reads <-
-               sys.Vm_sys.stats.Vm_sys.pager_reads + 1;
+             sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
+               sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
              Resident.enqueue sys.Vm_sys.resident p Q_active;
              p)
       in

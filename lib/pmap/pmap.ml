@@ -15,18 +15,18 @@ type t = {
   remove : start_va:int -> end_va:int -> unit;
   protect : start_va:int -> end_va:int -> prot:Mach_hw.Prot.t -> unit;
   extract : int -> int option;
-  access_check : int -> bool;
   activate : cpu:int -> unit;
   deactivate : cpu:int -> unit;
   copy :
     (dst:t -> dst_start:int -> len:int -> src_start:int -> unit) option;
-  pageable : (start_va:int -> end_va:int -> pageable:bool -> unit) option;
   resident_count : unit -> int;
   map_bytes : unit -> int;
   collect : unit -> unit;
   destroy : unit -> unit;
   stats : stats;
 }
+
+let access_check p va = p.extract va <> None
 
 let fresh_stats () =
   { enters = 0; removals = 0; protect_ops = 0; alias_evictions = 0;

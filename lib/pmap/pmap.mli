@@ -5,7 +5,8 @@
     allocated segment registers" (Section 3.6).  The record's fields are
     the *Exported and Required PMAP Routines* of Table 3-3 plus the
     optional routines of Table 3-4; the machine-independent VM calls only
-    these and never inspects hardware structures.
+    these and never inspects hardware structures.  The optional
+    [pmap_pageable] of Table 3-4 is not modelled.
 
     Two properties the paper emphasises, and which implementations here
     honour, are:
@@ -54,8 +55,6 @@ type t = {
           permissions is done by re-entering pages at fault time. *)
   extract : int -> int option;
       (** [pmap_extract]: convert virtual to physical, if mapped. *)
-  access_check : int -> bool;
-      (** [pmap_access]: report whether a virtual address is mapped. *)
   activate : cpu:int -> unit;
       (** [pmap_activate]: this pmap runs on [cpu] from now on; installs
           the hardware translator. *)
@@ -66,8 +65,6 @@ type t = {
       (** [pmap_copy] (Table 3-4, optional): copy valid mappings to another
           pmap so the destination avoids initial faults.  [None] when the
           hardware gains nothing from it. *)
-  pageable : (start_va:int -> end_va:int -> pageable:bool -> unit) option;
-      (** [pmap_pageable] (Table 3-4, optional). *)
   resident_count : unit -> int;
       (** Number of mappings this pmap currently holds. *)
   map_bytes : unit -> int;
@@ -84,6 +81,10 @@ type t = {
           there is one pmap system per machine.) *)
   stats : stats;
 }
+
+val access_check : t -> int -> bool
+(** [pmap_access]: report whether a virtual address is mapped (derived
+    from [extract]). *)
 
 val fresh_stats : unit -> stats
 (** All-zero counters. *)

@@ -160,12 +160,10 @@ let make_domain (ctx : Backend.ctx) =
       remove;
       protect;
       extract;
-      access_check = (fun va -> extract va <> None);
       activate = (fun ~cpu -> Backend.activate ctx presence translator ~cpu);
       deactivate =
         (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
       copy = None;
-      pageable = None;
       resident_count = (fun () -> Hashtbl.length own_vpns);
       map_bytes = (fun () -> 0);
       collect;

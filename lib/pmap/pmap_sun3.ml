@@ -228,12 +228,10 @@ let make_domain (ctx : Backend.ctx) =
       remove;
       protect;
       extract;
-      access_check = (fun va -> extract va <> None);
       activate;
       deactivate =
         (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
       copy = None;
-      pageable = None;
       resident_count =
         (fun () ->
            match me.o_context with

@@ -214,12 +214,10 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
     remove;
     protect;
     extract;
-    access_check = (fun va -> extract va <> None);
     activate = (fun ~cpu -> Backend.activate ctx presence translator ~cpu);
     deactivate =
       (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
     copy = Some copy;
-    pageable = None;
     resident_count = (fun () -> !resident);
     map_bytes;
     collect;

@@ -192,7 +192,7 @@ let ident_run ~configure =
   let bytes =
     Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
   in
-  (bytes, Machine.cycles machine ~cpu:0, sys.Vm_sys.stats.Vm_sys.faults)
+  (bytes, Machine.cycles machine ~cpu:0, sys.Vm_sys.stats.Vm_stats.vs_faults)
 
 let test_flat_is_seed () =
   let b0, c0, f0 = ident_run ~configure:false in

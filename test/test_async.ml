@@ -125,8 +125,9 @@ let test_async_pageout_roundtrip () =
   done;
   let s = sys.Vm_sys.stats in
   Alcotest.(check bool) "writes were clustered" true
-    (s.Vm_sys.clustered_pageouts >= 2);
-  Alcotest.(check bool) "all pages paged out" true (s.Vm_sys.pageouts >= n);
+    (s.Vm_stats.vs_clustered_pageouts >= 2);
+  Alcotest.(check bool) "all pages paged out"
+    true (s.Vm_stats.vs_pageouts >= n);
   for i = 0 to n - 1 do
     let got =
       Bytes.to_string
@@ -239,9 +240,9 @@ let full_swap_pageout async =
   in
   let s = sys.Vm_sys.stats in
   let counters =
-    ( (s.Vm_sys.pageouts, s.Vm_sys.clustered_pageouts,
-       s.Vm_sys.swap_full_failures, s.Vm_sys.pageout_failures),
-      (sys.Vm_sys.mem_pressure, sys.Vm_sys.swap_used, dirty),
+    ( (s.Vm_stats.vs_pageouts, s.Vm_stats.vs_clustered_pageouts,
+       s.Vm_stats.vs_swap_full_failures, s.Vm_stats.vs_pageout_failures),
+      (sys.Vm_sys.mem_pressure, sys.Vm_sys.stats.Vm_stats.vs_swap_used, dirty),
       Machine.cycles machine ~cpu:0 )
   in
   let bytes =
@@ -293,7 +294,7 @@ let dead_pager_run async =
     Vm_pageout.run sys ~wanted:64
   done;
   let stats = sys.Vm_sys.stats in
-  Alcotest.(check int) "pager died" 1 stats.Vm_sys.pager_deaths;
+  Alcotest.(check int) "pager died" 1 stats.Vm_stats.vs_pager_deaths;
   let rescue =
     match Vm_map.resolve_object_at sys (Task.map t) ~va:addr with
     | Some (o, _) -> o.Types.obj_rescue
@@ -304,16 +305,16 @@ let dead_pager_run async =
      Alcotest.(check bool) "rescue pager holds the data" true
        (Swap_pager.stored_bytes sys r > 0)
    | None -> Alcotest.fail "expected a rescue pager");
-  let reads_before = stats.Vm_sys.pager_reads in
+  let reads_before = stats.Vm_stats.vs_pager_reads in
   let bytes =
     List.init n (fun i ->
         Bytes.to_string
           (Machine.read machine ~cpu:0 ~va:(addr + (i * ps)) ~len:7))
   in
   Alcotest.(check bool) "evicted pages were read back" true
-    (stats.Vm_sys.pager_reads > reads_before);
+    (stats.Vm_stats.vs_pager_reads > reads_before);
   Alcotest.(check int) "task never saw a memory error" 0
-    stats.Vm_sys.memory_errors;
+    stats.Vm_stats.vs_memory_errors;
   bytes
 
 let test_dead_pager_async () =

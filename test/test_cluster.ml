@@ -74,10 +74,10 @@ let test_window_ramp () =
   in
   Alcotest.(check bool) "bytes intact" true (Bytes.equal got data);
   let s = sys.Vm_sys.stats in
-  Alcotest.(check int) "pager requests" 5 s.Vm_sys.pager_reads;
-  Alcotest.(check int) "prefetch issued" 11 s.Vm_sys.prefetch_issued;
-  Alcotest.(check int) "prefetch hits" 11 s.Vm_sys.prefetch_hits;
-  Alcotest.(check int) "prefetch wasted" 0 s.Vm_sys.prefetch_wasted
+  Alcotest.(check int) "pager requests" 5 s.Vm_stats.vs_pager_reads;
+  Alcotest.(check int) "prefetch issued" 11 s.Vm_stats.vs_prefetch_issued;
+  Alcotest.(check int) "prefetch hits" 11 s.Vm_stats.vs_prefetch_hits;
+  Alcotest.(check int) "prefetch wasted" 0 s.Vm_stats.vs_prefetch_wasted
 
 (* A random access pattern must keep the window shut. *)
 let test_random_keeps_window_shut () =
@@ -93,8 +93,9 @@ let test_random_keeps_window_shut () =
          ~offset:(2 * i * ps) ~len:1)
   done;
   let s = sys.Vm_sys.stats in
-  Alcotest.(check int) "one request per touch" (n / 2) s.Vm_sys.pager_reads;
-  Alcotest.(check int) "nothing prefetched" 0 s.Vm_sys.prefetch_issued
+  Alcotest.(check int) "one request per touch"
+    (n / 2) s.Vm_stats.vs_pager_reads;
+  Alcotest.(check int) "nothing prefetched" 0 s.Vm_stats.vs_prefetch_issued
 
 (* ---- concurrent streams on one shared object ----------------------------- *)
 
@@ -131,12 +132,12 @@ let test_two_readers_both_ramp () =
   (* 5 requests each: 1 + 2 + 4 + 8 pages, then the last page alone
      (reader 0's final cluster is clipped at reader 1's first resident
      page; reader 1's at end of file). *)
-  Alcotest.(check int) "pager requests" 10 s.Vm_sys.pager_reads;
-  Alcotest.(check int) "prefetch issued" 22 s.Vm_sys.prefetch_issued;
-  Alcotest.(check int) "prefetch hits" 22 s.Vm_sys.prefetch_hits;
+  Alcotest.(check int) "pager requests" 10 s.Vm_stats.vs_pager_reads;
+  Alcotest.(check int) "prefetch issued" 22 s.Vm_stats.vs_prefetch_issued;
+  Alcotest.(check int) "prefetch hits" 22 s.Vm_stats.vs_prefetch_hits;
   Alcotest.(check int) "sequential misses matched their slot" 8
-    s.Vm_sys.stream_hits;
-  Alcotest.(check int) "no slot was stolen" 0 s.Vm_sys.stream_resets
+    s.Vm_stats.vs_stream_hits;
+  Alcotest.(check int) "no slot was stolen" 0 s.Vm_stats.vs_stream_resets
 
 (* The same alternating workload with [stream_slots = 1] must reproduce
    the seed's interference exactly: one shared cursor, every miss looks
@@ -160,8 +161,8 @@ let test_single_slot_is_legacy_interference () =
       [ 0; 1 ]
   done;
   let s = sys.Vm_sys.stats in
-  Alcotest.(check int) "one request per page" 32 s.Vm_sys.pager_reads;
-  Alcotest.(check int) "window never ramped" 0 s.Vm_sys.prefetch_issued
+  Alcotest.(check int) "one request per page" 32 s.Vm_stats.vs_pager_reads;
+  Alcotest.(check int) "window never ramped" 0 s.Vm_stats.vs_prefetch_issued
 
 (* ---- free-behind ---------------------------------------------------------- *)
 
@@ -190,7 +191,7 @@ let test_free_behind_skips_dirty () =
   done;
   let s = sys.Vm_sys.stats in
   Alcotest.(check bool) "free-behind moved pages" true
-    (s.Vm_sys.free_behind_pages > 0);
+    (s.Vm_stats.vs_free_behind_pages > 0);
   let o =
     match Vm_map.resolve_object_at sys (Task.map task) ~va:addr with
     | Some (o, _) -> o
@@ -233,8 +234,9 @@ let test_clustered_pageout_roundtrip () =
   done;
   let s = sys.Vm_sys.stats in
   Alcotest.(check bool) "writes were clustered" true
-    (s.Vm_sys.clustered_pageouts >= 2);
-  Alcotest.(check bool) "all pages paged out" true (s.Vm_sys.pageouts >= n);
+    (s.Vm_stats.vs_clustered_pageouts >= 2);
+  Alcotest.(check bool) "all pages paged out"
+    true (s.Vm_stats.vs_pageouts >= n);
   for i = 0 to n - 1 do
     let got =
       Bytes.to_string
@@ -364,14 +366,14 @@ let test_degraded_cluster_resumes_ramp () =
   let k = Fail.ops inj ~site:"pager.request" in
   Fail.attach inj ~site:"pager.request"
     [ Fail.After (k, Fail.Fail_n_then_recover (k + 1, Fail.Short 64)) ];
-  let issued0 = s.Vm_sys.prefetch_issued in
+  let issued0 = s.Vm_stats.vs_prefetch_issued in
   check 1;
   Alcotest.(check int) "short cluster prefetched nothing" issued0
-    s.Vm_sys.prefetch_issued;
+    s.Vm_stats.vs_prefetch_issued;
   (* Page 2 is sequential after the fallback: the ramp must resume. *)
   check 2;
   Alcotest.(check bool) "next sequential fault clusters again" true
-    (s.Vm_sys.prefetch_issued > issued0);
+    (s.Vm_stats.vs_prefetch_issued > issued0);
   for i = 3 to n - 1 do
     check i
   done

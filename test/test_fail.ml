@@ -454,21 +454,21 @@ let test_bounded_retries_then_error () =
    | Error Kr.Memory_error -> ()
    | Ok _ | Error _ -> Alcotest.fail "expected KERN_MEMORY_ERROR");
   Alcotest.(check int) "exactly the retry budget was spent"
-    sys.Vm_sys.pager_retry_limit stats.Vm_sys.pager_retries;
+    sys.Vm_sys.pager_retry_limit stats.Vm_stats.vs_pager_retries;
   (* Two more exhausted budgets reach the death threshold. *)
   ignore (read ());
   ignore (read ());
-  Alcotest.(check int) "pager declared dead" 1 stats.Vm_sys.pager_deaths;
-  let retries_at_death = stats.Vm_sys.pager_retries in
+  Alcotest.(check int) "pager declared dead" 1 stats.Vm_stats.vs_pager_deaths;
+  let retries_at_death = stats.Vm_stats.vs_pager_retries in
   (* A dead pager is no longer consulted: the degrade policy answers
      immediately and the retry counter stops moving. *)
   (match read () with
    | Error Kr.Memory_error -> ()
    | Ok _ | Error _ -> Alcotest.fail "Degrade_error must keep failing");
   Alcotest.(check int) "no retries after death" retries_at_death
-    stats.Vm_sys.pager_retries;
+    stats.Vm_stats.vs_pager_retries;
   Alcotest.(check bool) "every failed fault was counted" true
-    (stats.Vm_sys.memory_errors >= 4)
+    (stats.Vm_stats.vs_memory_errors >= 4)
 
 let test_pager_death_rescues_dirty_pages () =
   (* 256 frames => 16 system pages of memory; a 12-page dirty region. *)
@@ -490,16 +490,16 @@ let test_pager_death_rescues_dirty_pages () =
   done;
   let stats = sys.Vm_sys.stats in
   let rounds = ref 0 in
-  while stats.Vm_sys.pager_deaths = 0 && !rounds < 16 do
+  while stats.Vm_stats.vs_pager_deaths = 0 && !rounds < 16 do
     incr rounds;
     Vm_pageout.deactivate_some sys ~count:64;
     Vm_pageout.run sys ~wanted:64
   done;
-  Alcotest.(check int) "pager died" 1 stats.Vm_sys.pager_deaths;
+  Alcotest.(check int) "pager died" 1 stats.Vm_stats.vs_pager_deaths;
   Alcotest.(check bool) "failed pageouts kept pages dirty" true
-    (stats.Vm_sys.pageout_failures > 0);
+    (stats.Vm_stats.vs_pageout_failures > 0);
   Alcotest.(check bool) "dirty pages were rescued" true
-    (stats.Vm_sys.rescued_pages > 0);
+    (stats.Vm_stats.vs_rescued_pages > 0);
   (match Vm_map.resolve_object_at sys (Task.map t) ~va:addr with
    | Some (o, _) ->
      (match o.Types.obj_rescue with
@@ -522,7 +522,7 @@ let test_pager_death_rescues_dirty_pages () =
          (Machine.read machine ~cpu:0 ~va:(addr + (i * ps)) ~len:7))
   done;
   Alcotest.(check int) "task never saw a memory error" 0
-    stats.Vm_sys.memory_errors
+    stats.Vm_stats.vs_memory_errors
 
 let () =
   Alcotest.run "fail"

@@ -45,7 +45,7 @@ let test_demand_zero () =
       Alcotest.fail "non-zero fill"
   done;
   Alcotest.(check int) "zero fills counted" 4
-    sys.Vm_sys.stats.Vm_sys.zero_fills
+    sys.Vm_sys.stats.Vm_stats.vs_zero_fills
 
 let test_zero_fill_fresh_after_free () =
   let machine, kernel, sys = boot ~frames:64 () in
@@ -114,7 +114,7 @@ let test_cow_child_isolated () =
   Alcotest.(check string) "parent unchanged" "parent data"
     (read_str machine ~cpu:0 ~va:a ~len:11);
   Alcotest.(check bool) "cow copy happened" true
-    (sys.Vm_sys.stats.Vm_sys.cow_copies >= 1)
+    (sys.Vm_sys.stats.Vm_stats.vs_cow_copies >= 1)
 
 let test_cow_parent_write_isolated () =
   let machine, kernel, _sys = boot () in
@@ -319,11 +319,11 @@ let test_fast_reload_after_collect () =
   (* Simulate the pmap discarding everything (as a SUN 3 context steal
      would). *)
   (Task.pmap t).Mach_pmap.Pmap.collect ();
-  let reloads_before = sys.Vm_sys.stats.Vm_sys.fast_reloads in
+  let reloads_before = sys.Vm_sys.stats.Vm_stats.vs_fast_reloads in
   Alcotest.(check string) "data intact" "persistent"
     (read_str machine ~cpu:0 ~va:a ~len:10);
   Alcotest.(check bool) "fast reload counted" true
-    (sys.Vm_sys.stats.Vm_sys.fast_reloads > reloads_before)
+    (sys.Vm_sys.stats.Vm_stats.vs_fast_reloads > reloads_before)
 
 let test_fork_prewarm_pmap_copy () =
   let machine, kernel, sys = boot () in
@@ -367,7 +367,7 @@ let test_rmw_bug_workaround_cow () =
   ignore (read_str machine ~cpu:0 ~va:a ~len:8);
   write_str machine ~cpu:0 ~va:a "child-ed";
   Alcotest.(check bool) "bug upgrade counted" true
-    (sys.Vm_sys.stats.Vm_sys.rmw_bug_upgrades >= 1);
+    (sys.Vm_sys.stats.Vm_stats.vs_rmw_bug_upgrades >= 1);
   Kernel.run_task kernel ~cpu:0 parent;
   Alcotest.(check string) "isolation preserved" "original"
     (read_str machine ~cpu:0 ~va:a ~len:8)

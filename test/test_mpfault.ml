@@ -56,16 +56,16 @@ let test_burst_counts () =
   let pmap = pmap_of task in
   pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps));
   let s = sys.Vm_sys.stats in
-  let f0 = s.Vm_sys.faults in
+  let f0 = s.Vm_stats.vs_faults in
   for i = 0 to n - 1 do
     Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:true
   done;
-  Alcotest.(check int) "faults in the sweep" 4 (s.Vm_sys.faults - f0);
-  Alcotest.(check int) "burst faults" 4 s.Vm_sys.burst_faults;
-  Alcotest.(check int) "neighbours mapped" 28 s.Vm_sys.burst_mapped;
-  Alcotest.(check int) "counted as prefetch" 28 s.Vm_sys.prefetch_issued;
-  Alcotest.(check int) "first touches are hits" 28 s.Vm_sys.prefetch_hits;
-  Alcotest.(check int) "no stalls on one CPU" 0 s.Vm_sys.lock_stalls
+  Alcotest.(check int) "faults in the sweep" 4 (s.Vm_stats.vs_faults - f0);
+  Alcotest.(check int) "burst faults" 4 s.Vm_stats.vs_burst_faults;
+  Alcotest.(check int) "neighbours mapped" 28 s.Vm_stats.vs_burst_mapped;
+  Alcotest.(check int) "counted as prefetch" 28 s.Vm_stats.vs_prefetch_issued;
+  Alcotest.(check int) "first touches are hits" 28 s.Vm_stats.vs_prefetch_hits;
+  Alcotest.(check int) "no stalls on one CPU" 0 s.Vm_stats.vs_lock_stalls
 
 (* Burst-map 7 neighbours, drop the range before any is touched, then
    demand-fault each neighbour (from the top, so none bursts again):
@@ -88,17 +88,17 @@ let test_dropped_neighbours_not_hits () =
   drop ();
   Machine.touch machine ~cpu:0 ~va:addr ~write:false;
   let s = sys.Vm_sys.stats in
-  Alcotest.(check int) "neighbours mapped" 7 s.Vm_sys.burst_mapped;
-  Alcotest.(check int) "counted as prefetch" 7 s.Vm_sys.prefetch_issued;
+  Alcotest.(check int) "neighbours mapped" 7 s.Vm_stats.vs_burst_mapped;
+  Alcotest.(check int) "counted as prefetch" 7 s.Vm_stats.vs_prefetch_issued;
   drop ();
-  let f0 = s.Vm_sys.faults in
+  let f0 = s.Vm_stats.vs_faults in
   for i = n - 1 downto 1 do
     Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
   done;
   Alcotest.(check int) "every neighbour demand-faulted" 7
-    (s.Vm_sys.faults - f0);
-  Alcotest.(check int) "no burst after the drop" 7 s.Vm_sys.burst_mapped;
-  Alcotest.(check int) "no prefetch hits" 0 s.Vm_sys.prefetch_hits
+    (s.Vm_stats.vs_faults - f0);
+  Alcotest.(check int) "no burst after the drop" 7 s.Vm_stats.vs_burst_mapped;
+  Alcotest.(check int) "no prefetch hits" 0 s.Vm_stats.vs_prefetch_hits
 
 (* ---- burst window ---------------------------------------------------------- *)
 
@@ -133,11 +133,12 @@ let drop_rounds rounds =
         let cpu = r mod 2 in
         Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
         drop ();
-        let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
+        let f0 = s.Vm_stats.vs_faults and m0 = s.Vm_stats.vs_burst_mapped in
         Machine.touch machine ~cpu ~va:(addr + (2 * r * ps)) ~write:(r mod 3 = 0);
-        Alcotest.(check int) "one fault per round" 1 (s.Vm_sys.faults - f0);
+        Alcotest.(check int) "one fault per round"
+          1 (s.Vm_stats.vs_faults - f0);
         audit sys [ task ];
-        s.Vm_sys.burst_mapped - m0)
+        s.Vm_stats.vs_burst_mapped - m0)
   in
   Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain 0;
   drop ();
@@ -151,7 +152,8 @@ let test_window_shrinks_on_drops () =
   Alcotest.(check (list int)) "neighbours per fault"
     [ 7; 3; 1; 1; 0; 1; 0; 0; 1; 0; 0; 0; 0; 1; 0; 0; 0; 0; 0; 0; 0; 0; 1; 0 ]
     mapped;
-  Alcotest.(check int) "no prefetch hits" 0 sys.Vm_sys.stats.Vm_sys.prefetch_hits
+  Alcotest.(check int) "no prefetch hits"
+    0 sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits
 
 (* After the drop phase a sequential sweep uses every neighbour: the
    skipped faults run out, the next probe wins, and the window ramps
@@ -163,10 +165,10 @@ let test_window_regrows_from_floor () =
   let s = sys.Vm_sys.stats in
   let mapped = ref [] in
   for i = 0 to n - 1 do
-    let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
+    let f0 = s.Vm_stats.vs_faults and m0 = s.Vm_stats.vs_burst_mapped in
     Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false;
-    if s.Vm_sys.faults > f0 then
-      mapped := (s.Vm_sys.burst_mapped - m0) :: !mapped;
+    if s.Vm_stats.vs_faults > f0 then
+      mapped := (s.Vm_stats.vs_burst_mapped - m0) :: !mapped;
     audit sys [ task ]
   done;
   let mapped = List.rev !mapped in
@@ -215,14 +217,14 @@ let test_window_holds_on_stripes () =
         ~start_va:(addr + (cpu * stripe))
         ~end_va:(addr + ((cpu + 1) * stripe))
     done;
-    let f0 = s.Vm_sys.faults and m0 = s.Vm_sys.burst_mapped in
-    let h0 = s.Vm_sys.prefetch_hits in
+    let f0 = s.Vm_stats.vs_faults and m0 = s.Vm_stats.vs_burst_mapped in
+    let h0 = s.Vm_stats.vs_prefetch_hits in
     sweep ();
-    Alcotest.(check int) "faults per re-sweep" 16 (s.Vm_sys.faults - f0);
+    Alcotest.(check int) "faults per re-sweep" 16 (s.Vm_stats.vs_faults - f0);
     Alcotest.(check int) "neighbours per re-sweep" 112
-      (s.Vm_sys.burst_mapped - m0);
+      (s.Vm_stats.vs_burst_mapped - m0);
     Alcotest.(check int) "hits per re-sweep" 112
-      (s.Vm_sys.prefetch_hits - h0);
+      (s.Vm_stats.vs_prefetch_hits - h0);
     audit sys [ task ]
   done
 
@@ -251,13 +253,14 @@ let test_other_task_touch_not_credited () =
     [ a; b ];
   let s = sys.Vm_sys.stats in
   Machine.touch machine ~cpu:0 ~va:addr ~write:false;
-  Alcotest.(check int) "A burst-mapped its neighbours" 7 s.Vm_sys.burst_mapped;
+  Alcotest.(check int) "A burst-mapped its neighbours"
+    7 s.Vm_stats.vs_burst_mapped;
   audit sys [ a; b ];
   Machine.touch machine ~cpu:1 ~va:(addr + (7 * ps)) ~write:false;
-  Alcotest.(check int) "B's touch credits nobody" 0 s.Vm_sys.prefetch_hits;
+  Alcotest.(check int) "B's touch credits nobody" 0 s.Vm_stats.vs_prefetch_hits;
   audit sys [ a; b ];
   Machine.touch machine ~cpu:0 ~va:(addr + (6 * ps)) ~write:false;
-  Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_sys.prefetch_hits;
+  Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_stats.vs_prefetch_hits;
   audit sys [ a; b ]
 
 (* ---- qcheck: burst transparency ------------------------------------------- *)
@@ -299,7 +302,7 @@ let burst_run ?(audit = false) ops burst =
   let bytes =
     Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
   in
-  (bytes, Machine.cycles machine ~cpu:0, sys.Vm_sys.stats.Vm_sys.faults)
+  (bytes, Machine.cycles machine ~cpu:0, sys.Vm_sys.stats.Vm_stats.vs_faults)
 
 let ops_gen =
   QCheck2.Gen.(
@@ -383,7 +386,8 @@ let contention_run ?chaos_seed ?(frames = 4096) () =
       [ 0; 1; 2; 3 ]
   in
   let s = sys.Vm_sys.stats in
-  ( s.Vm_sys.lock_stalls, s.Vm_sys.lock_stall_cycles, clocks, conserved,
+  ( s.Vm_stats.vs_lock_stalls, s.Vm_stats.vs_lock_stall_cycles, clocks,
+    conserved,
     Obs.attr_grand_total tr Obs.Lock_wait,
     match fp with None -> "" | Some f -> f () )
 

@@ -148,7 +148,8 @@ let test_object_cache_revive () =
   Alcotest.(check int) "in cache" 1 (Vm_object.cached_count sys);
   let o2 = Vm_object.create_with_pager sys pager ~size:(2 * ps) in
   Alcotest.(check bool) "same object revived" true (o1 == o2);
-  Alcotest.(check int) "cache hit counted" 1 sys.Vm_sys.stats.Vm_sys.cache_hits;
+  Alcotest.(check int) "cache hit counted"
+    1 sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits;
   Alcotest.(check bool) "page kept" true
     (Vm_object.lookup_resident sys o2 ~offset:0 <> None);
   Alcotest.(check int) "no pager traffic" 0 !requests;
@@ -262,7 +263,8 @@ let test_collapse_merges_single_ref () =
     (same_page own (Vm_object.lookup_resident sys s ~offset:0));
   Alcotest.(check int) "hidden freed" (free0 + 1)
     (Resident.free_count sys.Vm_sys.resident);
-  Alcotest.(check int) "collapse counted" 1 sys.Vm_sys.stats.Vm_sys.collapses
+  Alcotest.(check int) "collapse counted"
+    1 sys.Vm_sys.stats.Vm_stats.vs_collapses
 
 let test_collapse_blocked_by_sharing () =
   let _, _, sys = setup () in

@@ -371,6 +371,113 @@ let test_end_to_end () =
   Kernel.terminate_task kernel ~cpu:0 child;
   Kernel.terminate_task kernel ~cpu:0 parent
 
+(* Every histogram key of the stats JSON keeps its name and place; one
+   [Alloc_wait] reaches the export as one [mem_wait_cycles] sample. *)
+let test_stats_json_keys () =
+  let tr = Obs.create ~capacity:16 () in
+  Obs.set_enabled tr true;
+  Obs.record tr ~ts:0 ~cpu:0
+    (Obs.Alloc_wait { free = 1; wanted = 3; cycles = 2000 });
+  let stats = Export.stats_json tr in
+  let keys =
+    match stats with
+    | Jout.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "stats is not an object"
+  in
+  Alcotest.(check (list string)) "top-level keys"
+    [ "events"; "events_seen"; "events_retained"; "events_dropped";
+      "open_faults"; "faults_total"; "fault_latency"; "shootdown_latency";
+      "pagein_latency"; "disk_latency"; "pageout_queue_depth";
+      "pagein_cluster_pages"; "pageout_cluster_pages"; "disk_queue_depth";
+      "disk_completion_latency"; "disk_wait_residue"; "lock_stall_cycles";
+      "burst_pages"; "mem_wait_cycles" ]
+    keys;
+  (match Option.bind (lookup "mem_wait_cycles" stats) (lookup "count") with
+   | Some (Jout.Int n) -> Alcotest.(check int) "mem_wait_cycles/count" 1 n
+   | _ -> Alcotest.fail "stats missing mem_wait_cycles/count");
+  (* Each histogram is its own: the one sample fed no other. *)
+  List.iter
+    (fun (h, key, _) ->
+       Alcotest.(check int) key
+         (if h = Obs.Mem_wait_cycles then 1 else 0)
+         (Hist.count (Obs.hist tr h)))
+    Obs.hist_names
+
+(* ---- vm_statistics ----------------------------------------------------- *)
+
+(* A literal naming every field (so a new field breaks the build here)
+   with distinct values: [rows] must report each under its own name. *)
+let test_stat_rows_cover_fields () =
+  let s =
+    { Vm_stats.vs_page_size = 1; vs_pages_total = 2; vs_pages_free = 3;
+      vs_pages_active = 4; vs_pages_inactive = 5; vs_faults = 6;
+      vs_zero_fills = 7; vs_cow_copies = 8; vs_pager_reads = 9;
+      vs_pageouts = 10; vs_reactivations = 11; vs_object_cache_hits = 12;
+      vs_object_cache_misses = 13; vs_pager_retries = 14;
+      vs_pager_deaths = 15; vs_rescued_pages = 16; vs_pageout_failures = 17;
+      vs_memory_errors = 18; vs_prefetch_issued = 19; vs_prefetch_hits = 20;
+      vs_prefetch_wasted = 21; vs_stream_hits = 22; vs_stream_resets = 23;
+      vs_free_behind_pages = 24; vs_clustered_pageouts = 25;
+      vs_lock_stalls = 26; vs_lock_stall_cycles = 27; vs_burst_faults = 28;
+      vs_burst_mapped = 29; vs_alloc_waits = 30; vs_alloc_wait_cycles = 31;
+      vs_swap_full_failures = 32; vs_oom_kills = 33; vs_swap_used = 34;
+      vs_swap_capacity = Some 35; vs_shadows_created = 36; vs_collapses = 37;
+      vs_fast_reloads = 38; vs_rmw_bug_upgrades = 39; vs_pager_failures = 40;
+      vs_color_hits = 41; vs_color_misses = 42; vs_pcpu_hits = 43;
+      vs_pcpu_refills = 44; vs_numa_local = 45; vs_numa_borrows = 46;
+      vs_page_steals = 47 }
+  in
+  let names = List.map fst Vm_stats.rows in
+  let values = List.map (fun (_, get) -> get s) Vm_stats.rows in
+  Alcotest.(check int) "one row per field" 47 (List.length Vm_stats.rows);
+  Alcotest.(check int) "names distinct" 47
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list int)) "every field reported once"
+    (List.init 47 succ) (List.sort compare values)
+
+(* [Vm_user.statistics] is a snapshot: later faults leave it alone, and
+   its gauges agree with the resident table and the swap pool. *)
+let test_statistics_snapshot () =
+  (* 256 frames x 512 B, multiple 8 => 16 machine-independent pages. *)
+  let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:256 () in
+  let kernel = Kernel.create ~page_multiple:8 machine in
+  let sys = Kernel.sys kernel in
+  let ps = Kernel.page_size kernel in
+  Vm_sys.set_swap_capacity sys (Some (64 * ps));
+  let task = Kernel.create_task kernel ~name:"snap" () in
+  Kernel.run_task kernel ~cpu:0 task;
+  let size = (Resident.free_count sys.Vm_sys.resident + 8) * ps in
+  let addr =
+    match Vm_user.allocate sys task ~size ~anywhere:true () with
+    | Ok a -> a
+    | Error e -> Alcotest.fail (Kr.to_string e)
+  in
+  let v0 = Vm_user.statistics sys in
+  let faults0 = v0.Vm_user.vs_faults in
+  Machine.write_byte machine ~cpu:0 ~va:addr 'a';
+  Alcotest.(check int) "old snapshot unmoved" faults0 v0.Vm_user.vs_faults;
+  Alcotest.(check int) "live counter moved" (faults0 + 1)
+    (Vm_user.statistics sys).Vm_user.vs_faults;
+  (* Dirty more than memory so eviction commits swap. *)
+  for i = 1 to (size / ps) - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 'b'
+  done;
+  let v1 = Vm_user.statistics sys in
+  Alcotest.(check int) "pages_free = free_count"
+    (Resident.free_count sys.Vm_sys.resident) v1.Vm_user.vs_pages_free;
+  let committed =
+    Hashtbl.fold
+      (fun _ store acc ->
+         Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
+      sys.Vm_sys.swap_stores 0
+  in
+  Alcotest.(check bool) "swap committed" true (committed > 0);
+  Alcotest.(check int) "swap_used = committed bytes" committed
+    v1.Vm_user.vs_swap_used;
+  Alcotest.(check (option int)) "swap_capacity" (Some (64 * ps))
+    v1.Vm_user.vs_swap_capacity;
+  Kernel.terminate_task kernel ~cpu:0 task
+
 (* ---- cycle attribution and spans --------------------------------------- *)
 
 (* Deterministic mixed workload on two CPUs, driven by an op list: the
@@ -608,8 +715,8 @@ let tracing_transparent =
          let ms = Machine.stats machine in
          ( List.init (Machine.cpu_count machine) (fun cpu ->
                Machine.cycles machine ~cpu),
-           ( s.Vm_sys.faults, s.Vm_sys.zero_fills, s.Vm_sys.cow_copies,
-             s.Vm_sys.pageouts ),
+           ( s.Vm_stats.vs_faults, s.Vm_stats.vs_zero_fills,
+             s.Vm_stats.vs_cow_copies, s.Vm_stats.vs_pageouts ),
            (ms.Machine.ipis, ms.Machine.shootdowns, ms.Machine.disk_ops) )
        in
        probe true = probe false)
@@ -637,7 +744,14 @@ let () =
           Alcotest.test_case "of_string rejects malformed input" `Quick
             test_jout_rejects_malformed;
           Alcotest.test_case "fork+touch end to end" `Quick
-            test_end_to_end ] );
+            test_end_to_end;
+          Alcotest.test_case "stats keys and mem_wait export" `Quick
+            test_stats_json_keys ] );
+      ( "vm_stats",
+        [ Alcotest.test_case "rows cover every field" `Quick
+            test_stat_rows_cover_fields;
+          Alcotest.test_case "snapshot is a copy" `Quick
+            test_statistics_snapshot ] );
       ( "attribution",
         [ Alcotest.test_case "totals conserve the clocks" `Quick
             test_attribution_conservation;

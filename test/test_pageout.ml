@@ -46,7 +46,7 @@ let test_second_chance () =
   ignore (Machine.read_byte machine ~cpu:0 ~va:a);
   Vm_pageout.run sys ~wanted:1;
   Alcotest.(check bool) "reactivated, not evicted" true
-    (sys.Vm_sys.stats.Vm_sys.reactivations >= 1)
+    (sys.Vm_sys.stats.Vm_stats.vs_reactivations >= 1)
 
 let test_clean_page_dropped_without_io () =
   let machine, kernel, sys = boot () in
@@ -90,7 +90,7 @@ let test_eviction_data_survives () =
          (Machine.read machine ~cpu:0 ~va:(a + (i * 4 * kb)) ~len:8))
   done;
   Alcotest.(check bool) "pageouts happened" true
-    (sys.Vm_sys.stats.Vm_sys.pageouts > 0);
+    (sys.Vm_sys.stats.Vm_stats.vs_pageouts > 0);
   Alcotest.(check bool) "swap traffic happened" true
     ((Machine.stats machine).Machine.disk_ops > 0)
 
@@ -148,7 +148,7 @@ let test_reclaim_triggered_by_allocation () =
   Alcotest.(check bool) "free list maintained" true
     (Resident.free_count sys.Vm_sys.resident >= 0);
   Alcotest.(check bool) "pageout ran" true
-    (sys.Vm_sys.stats.Vm_sys.pageouts > 0)
+    (sys.Vm_sys.stats.Vm_stats.vs_pageouts > 0)
 
 let test_pageout_waits_for_tlb_flush () =
   (* The pageout path removes mappings and ticks the machine before
@@ -216,7 +216,7 @@ let test_pageout_skips_busy_free_correctly () =
   (* Empty queues: running the daemon must be a safe no-op. *)
   Vm_pageout.run sys ~wanted:10;
   Alcotest.(check int) "nothing happened" 0
-    sys.Vm_sys.stats.Vm_sys.pageouts
+    sys.Vm_sys.stats.Vm_stats.vs_pageouts
 
 let () =
   Alcotest.run "vm_pageout"

@@ -36,7 +36,7 @@ let test_enter_extract arch =
   Alcotest.(check (option int)) "extract mid-page" (Some 7)
     (p.Pmap.extract ((3 * ps) + (ps / 2)));
   Alcotest.(check (option int)) "unmapped" None (p.Pmap.extract (9 * ps));
-  Alcotest.(check bool) "access_check" true (p.Pmap.access_check (3 * ps));
+  Alcotest.(check bool) "access_check" true (Pmap.access_check p (3 * ps));
   Alcotest.(check int) "resident" 1 (p.Pmap.resident_count ())
 
 let test_remove_range arch =

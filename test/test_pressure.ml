@@ -36,7 +36,7 @@ let test_reserve_floor () =
    | _ -> Alcotest.fail "normal allocation dipped into the reserve"
    | exception Vm_sys.Out_of_memory -> ());
   Alcotest.(check bool) "the wait was counted" true
-    (sys.Vm_sys.stats.Vm_sys.alloc_waits >= 1);
+    (sys.Vm_sys.stats.Vm_stats.vs_alloc_waits >= 1);
   (* The pageout/cleaning path may drain the reserve to zero... *)
   for _ = 1 to sys.Vm_sys.free_reserved do
     ignore (Vm_sys.grab_page ~reserve:true sys)
@@ -74,7 +74,7 @@ let test_swap_exhaustion_escalates () =
     Vm_pageout.run sys ~wanted:16
   done;
   Alcotest.(check bool) "swap-full failures counted" true
-    (sys.Vm_sys.stats.Vm_sys.swap_full_failures >= 1);
+    (sys.Vm_sys.stats.Vm_stats.vs_swap_full_failures >= 1);
   Alcotest.(check bool) "pressure state entered" true sys.Vm_sys.mem_pressure;
   Alcotest.(check bool) "requeues accumulated" true
     (p.Types.pg_requeues >= 1);
@@ -84,7 +84,7 @@ let test_swap_exhaustion_escalates () =
   Vm_pageout.deactivate_some sys ~count:16;
   Vm_pageout.run sys ~wanted:16;
   Alcotest.(check bool) "pageout succeeded" true
-    (sys.Vm_sys.stats.Vm_sys.pageouts >= 1);
+    (sys.Vm_sys.stats.Vm_stats.vs_pageouts >= 1);
   Alcotest.(check bool) "pressure cleared" false sys.Vm_sys.mem_pressure;
   Alcotest.(check int) "requeue count reset" 0 p.Types.pg_requeues
 
@@ -103,10 +103,11 @@ let test_swap_released_at_terminate () =
   for i = 0 to (size / ps) - 1 do
     Machine.write_byte machine ~cpu:0 ~va:(a + (i * ps)) 'd'
   done;
-  Alcotest.(check bool) "swap pool in use" true (sys.Vm_sys.swap_used > 0);
+  Alcotest.(check bool) "swap pool in use"
+    true (sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0);
   Kernel.terminate_task kernel ~cpu:0 task;
   Alcotest.(check int) "pool credited back at termination" 0
-    sys.Vm_sys.swap_used
+    sys.Vm_sys.stats.Vm_stats.vs_swap_used
 
 (* ---- the OOM policy ---------------------------------------------------- *)
 
@@ -140,7 +141,8 @@ let test_oom_kills_largest_spares_faulter () =
     Machine.write_byte machine ~cpu:0 ~va:(sa + (i * ps))
       (Char.chr (Char.code 'a' + i))
   done;
-  Alcotest.(check int) "exactly one kill" 1 sys.Vm_sys.stats.Vm_sys.oom_kills;
+  Alcotest.(check int) "exactly one kill"
+    1 sys.Vm_sys.stats.Vm_stats.vs_oom_kills;
   Alcotest.(check bool) "the hog was the victim" true
     hog.Task.task_oom_killed;
   Alcotest.(check bool) "the faulter survived" false

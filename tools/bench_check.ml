@@ -25,7 +25,8 @@ let machsim_runs =
     ("numa", "compile --chaos 42:flaky --numa 2 --colors 16 --alloc-cache 8",
      true);
     ("profile", "compile --profile", true);
-    ("streams", "compile --chaos 42:flaky --streams 8 --free-behind", true) ]
+    ("streams", "compile --chaos 42:flaky --streams 8 --free-behind", true);
+    ("vmstats", "stats", true) ]
 
 type operand =
   | Cell of string  (** a cell some subset run produced *)
@@ -115,6 +116,12 @@ let rows =
         Replay "streams";
         Has (Stat ("streams", "events/stream_reset"));
         Cmp (Stat ("streams", "events/free_behind"), Gt, int 0);
+        (* Every vm_statistics counter and histogram reaches the JSON. *)
+        Replay "vmstats";
+        Has (Stat ("vmstats", "vm/reactivations"));
+        Has (Stat ("vmstats", "vm/object_cache_hits"));
+        Has (Stat ("vmstats", "vm/object_cache_misses"));
+        Has (Stat ("vmstats", "mem_wait_cycles"));
         (* The profiler conserves every cycle and drops no event. *)
         Line ("profile", "conservation", starts "profile conservation: ok");
         Line ("profile", "dropped=0", fun l ->
