@@ -360,18 +360,30 @@ let pmap_arch () =
           "map bytes"; "usable mem"; "VA>16M?"; "elapsed" ]
   in
   List.iter
-    (fun arch ->
+    (fun (key, arch) ->
        let name, faults, reloads, aliases, steals, mapb, usable, vahit, ms
          =
          pmap_arch_one arch
        in
+       let cell metric v =
+         record_cell
+           ~name:(Printf.sprintf "pmap_arch/%s/%s" key metric)
+           ~measured_ms:v ~paper_mach_ms:None ~paper_unix_ms:None
+       in
+       List.iter
+         (fun (metric, v) -> cell metric (float_of_int v))
+         [ ("faults", faults); ("reloads", reloads);
+           ("alias_evictions", aliases); ("context_steals", steals);
+           ("map_bytes", mapb); ("va_blocked", Bool.to_int vahit) ];
+       cell "elapsed_ms" ms;
        Tablefmt.row t
          [ name; string_of_int faults; string_of_int reloads;
            string_of_int aliases; string_of_int steals;
            Printf.sprintf "%dK" (mapb / 1024);
            Printf.sprintf "%dM" (usable / mb);
            (if vahit then "blocked" else "ok"); fmt_ms ms ])
-    [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ];
+    [ ("vax", Arch.uvax2); ("rt_pc", Arch.rt_pc); ("sun3", Arch.sun3_160);
+      ("ns32082", Arch.ns32082); ("rp3", Arch.rp3_tlb) ];
   Tablefmt.print t
 
 (* ------------------------------------------------------------------ *)
@@ -790,6 +802,15 @@ let fork_prewarm () =
   List.iter
     (fun flag ->
        let faults, ms = prewarm_one ~prewarm:flag in
+       let cell metric v =
+         record_cell
+           ~name:
+             (Printf.sprintf "fork_prewarm/%s/%s"
+                (if flag then "used" else "default") metric)
+           ~measured_ms:v ~paper_mach_ms:None ~paper_unix_ms:None
+       in
+       cell "child_faults" (float_of_int faults);
+       cell "elapsed_ms" ms;
        Tablefmt.row t
          [ (if flag then "used" else "not used (default)");
            string_of_int faults; fmt_ms ms ])

@@ -16,7 +16,8 @@ let baseline = "bench/BENCH_vm.json"
 
 let subsets =
   [ "-e shootdown"; "-e chaos"; "-e cluster -e table7_1_files";
-    "-e mpfault -cpus 8"; "-e pressure"; "-e streams -cpus 8" ]
+    "-e mpfault -cpus 8"; "-e pressure"; "-e streams -cpus 8";
+    "-e pmap_arch -e fork_prewarm" ]
 
 (* machsim runs: id, arguments, whether to export --stats. *)
 let machsim_runs =
@@ -47,6 +48,15 @@ let int i = Lit (J.Int i)
 let cmp a op b = Cmp (Cell a, op, b)
 let starts prefix s = String.starts_with ~prefix s
 let ws = List.map (Printf.sprintf "w%d") [ 1; 2; 4; 8; 16; 32; 64 ]
+let pmaps = [ "vax"; "rt_pc"; "sun3"; "ns32082"; "rp3" ]
+
+(* [pmap_arch/<pmap>/metric] is [v] on [pmap] and [others] on the rest. *)
+let only pmap metric op v others =
+  List.map
+    (fun p ->
+       let name = Printf.sprintf "pmap_arch/%s/%s" p metric in
+       if p = pmap then cmp name op v else cmp name Eq others)
+    pmaps
 
 (* [Has] rows for [prefix/a/b/...] over every [a], [b], ... in [parts]. *)
 let has prefix parts =
@@ -187,11 +197,34 @@ let rows =
         cmp "streams/k1/slotted" Eq (Cell "streams/k1/unslotted");
         cmp "streams/k8/fb" Le (Cell "streams/k8/slotted");
         cmp "streams/free_behind_pages/k8_fb" Gt (int 0);
-        (* The cells that predate the streams experiment and the
-           drop-before-touch burst cells may not be dropped or renamed. *)
+        (* The cells that predate the streams experiment, the
+           drop-before-touch burst cells and the pmap cells may not be
+           dropped or renamed. *)
         Cmp (Count ("committed pre-stream cells", fun n ->
                  not (starts "streams/" n
-                      || starts "mpfault/burst/dropped/" n)), Eq, int 223) ] ]
+                      || starts "mpfault/burst/dropped/" n
+                      || starts "pmap_arch/" n
+                      || starts "fork_prewarm/" n)), Eq, int 223);
+        Cmp (Count ("committed pmap cells", fun n ->
+                 starts "pmap_arch/" n || starts "fork_prewarm/" n),
+             Eq, int 39) ];
+      has "pmap_arch"
+        [ pmaps;
+          [ "faults"; "reloads"; "alias_evictions"; "context_steals";
+            "map_bytes"; "va_blocked"; "elapsed_ms" ] ];
+      has "fork_prewarm"
+        [ [ "default"; "used" ]; [ "child_faults"; "elapsed_ms" ] ];
+      (* Section 5.1: only the RT PC's inverted table evicts aliases, only
+         the SUN 3 steals contexts (12 tasks on 8), only the NS32082 stops
+         at 16 MB of VA, and the TLB-only RP3 allocates no map memory. *)
+      only "rt_pc" "alias_evictions" Gt (int 0) (int 0);
+      only "sun3" "context_steals" Gt (int 0) (int 0);
+      only "ns32082" "va_blocked" Eq (int 1) (int 0);
+      [ cmp "pmap_arch/rp3/map_bytes" Eq (int 0);
+        (* Table 3-4: pmap_copy at fork leaves the child no fault. *)
+        cmp "fork_prewarm/used/child_faults" Eq (int 0);
+        cmp "fork_prewarm/used/child_faults" Lt
+          (Cell "fork_prewarm/default/child_faults") ] ]
 
 (* Each output is read back as soon as it is written, so a few fixed
    names in one scratch directory suffice. *)
