@@ -55,7 +55,6 @@ type t = {
   phys : Phys_mem.t;
   cpus : cpu array;
   mutable shootdown_mode : shootdown_strategy;
-  tick_interval : int;
   stats : stats;
   mutable fault_handler : (cpu:int -> fault -> unit) option;
   mutable on_translated : (asid:int -> pfn:int -> write:bool -> unit) option;
@@ -92,7 +91,7 @@ let fresh_stats () =
     tlb_hit_count = 0; tlb_miss_count = 0 }
 
 let create ~arch ~memory_frames ?(holes = []) ?(cpus = 1)
-    ?(shootdown = Immediate_ipi) ?(tick_interval_ms = 10) () =
+    ?(shootdown = Immediate_ipi) () =
   if cpus < 1 then invalid_arg "Machine.create: need at least one CPU";
   let phys =
     Phys_mem.create ~page_size:arch.Arch.hw_page_size ~frames:memory_frames
@@ -104,7 +103,6 @@ let create ~arch ~memory_frames ?(holes = []) ?(cpus = 1)
   in
   { arch; phys; cpus = Array.init cpus mk_cpu;
     shootdown_mode = shootdown;
-    tick_interval = tick_interval_ms * arch.Arch.cycles_per_ms;
     stats = fresh_stats (); fault_handler = None; on_translated = None;
     tracer = Mach_obs.Obs.null;
     disk_async = false; disk_queues = [];
@@ -378,12 +376,16 @@ let tick t = Array.iter (fun c -> drain_pending t c) t.cpus
 
 let pending_flushes t ~cpu = Queue.length (cpu_of t cpu).pending
 
+(* The timer-interrupt period that bounds the deferred strategy. *)
+let tick_interval_ms = 10
+
 (* Case 2: the initiator may not use the changed mapping until every CPU
    has taken a timer interrupt, so it waits out the rest of the current
    tick period, after which all pending flushes land. *)
 let deferred_wait t ~initiator =
   let c = cpu_of t initiator in
-  let remainder = t.tick_interval - (c.clock mod t.tick_interval) in
+  let period = tick_interval_ms * t.arch.Arch.cycles_per_ms in
+  let remainder = period - (c.clock mod period) in
   bump_as t c Mach_obs.Obs.Shootdown_ipi remainder;
   tick t
 
@@ -648,9 +650,3 @@ let tlb_overreach t =
                 | Translator.Mapped _ | Translator.Missing -> (c.id, e) :: acc)
            (Tlb.entries c.tlb) acc)
     t.cpus []
-
-let tlb_hits t =
-  Array.fold_left (fun acc c -> acc + Tlb.hits c.tlb) 0 t.cpus
-
-let tlb_misses t =
-  Array.fold_left (fun acc c -> acc + Tlb.misses c.tlb) 0 t.cpus

@@ -78,13 +78,12 @@ type stats = {
 
 val create :
   arch:Arch.t -> memory_frames:int -> ?holes:(int * int) list ->
-  ?cpus:int -> ?shootdown:shootdown_strategy -> ?tick_interval_ms:int ->
-  unit -> t
+  ?cpus:int -> ?shootdown:shootdown_strategy -> unit -> t
 (** [create ~arch ~memory_frames ()] builds a machine with
     [memory_frames] hardware page frames and [cpus] processors (default 1).
     [holes] marks absent physical frame ranges (SUN 3 display memory).
-    [tick_interval_ms] is the timer-interrupt period used by the deferred
-    shootdown strategy (default 10 ms). *)
+    The timer interrupt that bounds the deferred shootdown strategy fires
+    every 10 ms. *)
 
 val arch : t -> Arch.t
 val phys : t -> Phys_mem.t
@@ -335,10 +334,3 @@ val tlb_overreach : t -> (int * Tlb.entry) list
     entry's rights.  Empty whenever the TLBs are a subset of the pmaps —
     the invariant that lets a pmap skip the shootdown when rights are
     only gained. *)
-
-val tlb_hits : t -> int
-(** Total TLB hits across CPUs (per-TLB counters; includes lookups made
-    outside {!translate}). *)
-
-val tlb_misses : t -> int
-(** Total TLB misses across CPUs. *)

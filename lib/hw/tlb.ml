@@ -7,21 +7,15 @@ type t = {
   capacity : int;
   table : (int * int, entry) Hashtbl.t;
   order : (int * int) Queue.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
   if capacity < 0 then invalid_arg "Tlb.create: negative capacity";
-  { capacity; table = Hashtbl.create 64; order = Queue.create ();
-    hits = 0; misses = 0 }
+  { capacity; table = Hashtbl.create 64; order = Queue.create () }
 
 let capacity t = t.capacity
 
-let lookup t ~asid ~vpn =
-  match Hashtbl.find_opt t.table (asid, vpn) with
-  | Some e -> t.hits <- t.hits + 1; Some e
-  | None -> t.misses <- t.misses + 1; None
+let lookup t ~asid ~vpn = Hashtbl.find_opt t.table (asid, vpn)
 
 let rec evict_one t =
   match Queue.take_opt t.order with
@@ -90,10 +84,6 @@ let invalidate_asid t ~asid =
 let invalidate_all t =
   Hashtbl.reset t.table;
   Queue.clear t.order
-
-let hits t = t.hits
-
-let misses t = t.misses
 
 let entries t =
   Queue.fold

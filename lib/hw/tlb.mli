@@ -22,8 +22,8 @@ val capacity : t -> int
 (** [capacity t] is the entry budget given at creation. *)
 
 val lookup : t -> asid:int -> vpn:int -> entry option
-(** [lookup t ~asid ~vpn] is the cached translation, if present.  Updates
-    hit/miss statistics. *)
+(** [lookup t ~asid ~vpn] is the cached translation, if present.  The
+    machine counts hits and misses ({!Machine.stats}). *)
 
 val insert : t -> entry -> unit
 (** [insert t e] caches [e], evicting the oldest entry when full and
@@ -43,12 +43,6 @@ val invalidate_asid : t -> asid:int -> unit
 
 val invalidate_all : t -> unit
 (** [invalidate_all t] empties the TLB. *)
-
-val hits : t -> int
-(** Number of successful lookups so far. *)
-
-val misses : t -> int
-(** Number of failed lookups so far. *)
 
 val entries : t -> entry list
 (** Current contents, oldest first; used by tests. *)

@@ -8,9 +8,9 @@ type t = {
   mutable next_block : int;
 }
 
-let create machine ?(block_size = 4096) ?(queues = 1) () =
+let create machine () =
   { machine;
-    disk = Simdisk.create ~queues machine ~block_size;
+    disk = Simdisk.create machine ~block_size:4096;
     table = Hashtbl.create 64;
     pagers = Hashtbl.create 64;
     next_block = 0 }

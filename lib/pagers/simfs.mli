@@ -11,9 +11,9 @@
 
 type t
 
-val create : Mach_hw.Machine.t -> ?block_size:int -> ?queues:int -> unit -> t
-(** [create machine ()] is an empty file system (default 4 KB blocks,
-    one disk service queue; see {!Simdisk.create} for [?queues]). *)
+val create : Mach_hw.Machine.t -> unit -> t
+(** [create machine ()] is an empty file system: 4 KB blocks on a disk
+    with one service queue. *)
 
 val pager :
   t -> name:string -> (unit -> Mach_core.Types.pager) -> Mach_core.Types.pager

@@ -1,9 +1,12 @@
-(* Shared context for pmap implementations within one domain.
+(* Shared context and shell for pmap implementations within one domain.
 
    Holds what every architecture's pmap module needs: the machine (for
    cycle charging and TLB shootdowns), the physical-to-virtual tracking,
    asid allocation, and the CPU currently executing kernel code (set by the
-   kernel on every entry, so pmap costs land on the right clock). *)
+   kernel on every entry, so pmap costs land on the right clock).  The
+   machine-independent half of every pmap is written here once: a backend
+   describes its mapping store and supplies [pmap_enter]; {!pmap} builds
+   range removal, protection, collection and activation over it. *)
 
 open Mach_hw
 
@@ -63,15 +66,6 @@ let page_size ctx = (arch ctx).Arch.hw_page_size
 let cost ctx = (arch ctx).Arch.cost
 let charge ctx c = Machine.charge ctx.machine ~cpu:ctx.cur_cpu c
 
-let fresh_asid ctx =
-  let a = ctx.next_asid in
-  ctx.next_asid <- a + 1;
-  a
-
-let fresh_presence ctx =
-  let n = Machine.cpu_count ctx.machine in
-  { active = Array.make n false; ran_on = Array.make n false }
-
 let shoot_targets p =
   let acc = ref [] in
   for i = Array.length p.ran_on - 1 downto 0 do
@@ -79,9 +73,9 @@ let shoot_targets p =
   done;
   !acc
 
-let shoot ctx p req ~urgent =
+let shoot ctx p req =
   Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu
-    ~targets:(shoot_targets p) [ req ] ~urgent:(urgent || ctx.urgent_mode)
+    ~targets:(shoot_targets p) [ req ] ~urgent:ctx.urgent_mode
 
 (* --- Flush batching --------------------------------------------------- *)
 
@@ -193,7 +187,7 @@ let shoot_page ctx p ~asid ~vpn =
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
-  else shoot ctx p (Machine.Flush_page { asid; vpn }) ~urgent:false
+  else shoot ctx p (Machine.Flush_page { asid; vpn })
 
 let shoot_asid ctx p ~asid =
   if accumulating ctx then begin
@@ -202,7 +196,7 @@ let shoot_asid ctx p ~asid =
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
-  else shoot ctx p (Machine.Flush_asid asid) ~urgent:false
+  else shoot ctx p (Machine.Flush_asid asid)
 
 (* --- The shootdown rule ------------------------------------------------ *)
 
@@ -211,22 +205,11 @@ let shoot_asid ctx p ~asid =
    Rights that are only gained need none: a weaker entry still cached
    on some CPU is dropped by the protection fault [Machine.translate]
    takes on its first disallowed access, and the retry walks the new
-   pte.  Backends apply the rule to a translation that keeps its frame
-   through the two helpers below; only the TLB-only pmap's enter, which
-   must flush before it refills, tests [loses] itself. *)
+   pte.  The shell's pmap_protect and backends' pmap_enter (through
+   [reenter] below) apply the rule to a translation that keeps its frame;
+   only the TLB-only pmap's enter, which must flush before it refills,
+   tests [loses] itself. *)
 let loses ~old ~prot = not (Prot.subset old ~of_:prot)
-
-(* pmap_protect's step for one valid translation holding [old]: when
-   [prot] takes rights away, [set] stores the reduced rights, the pte
-   write is charged (unless [~pte:false]: a software-only table) and the
-   page is shot; when [old] keeps every right, nothing is written,
-   charged or flushed. *)
-let lower ?(pte = true) ctx p ~asid ~vpn ~old ~prot ~set =
-  if loses ~old ~prot then begin
-    set (Prot.inter old prot);
-    if pte then charge ctx (cost ctx).Arch.pte_write;
-    shoot_page ctx p ~asid ~vpn
-  end
 
 (* pmap_enter over a translation that keeps its frame: an exchange only
    when the new rights [prot] lose some of [old].  Gained rights flush
@@ -240,16 +223,6 @@ let reenter ctx p ~asid ~vpn ~old ~prot =
     Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu
       (Machine.Flush_page { asid; vpn })
 
-let activate ctx p tr ~cpu =
-  p.active.(cpu) <- true;
-  p.ran_on.(cpu) <- true;
-  Machine.set_translator ctx.machine ~cpu (Some tr)
-
-let deactivate ctx p tr ~cpu =
-  p.active.(cpu) <- false;
-  if Machine.active_asid ctx.machine ~cpu = Some tr.Translator.asid then
-    Machine.set_translator ctx.machine ~cpu None
-
 let pv_insert ctx ~pfn ~asid ~vpn =
   Pv.insert ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
 
@@ -259,6 +232,109 @@ let pv_remove ctx ~pfn ~asid ~vpn =
 
 (* Charge for zeroing or copying [bytes] of memory. *)
 let move_cost ctx bytes = ((bytes + 15) / 16) * (cost ctx).Arch.move_16b
+
+(* --- The pmap shell ------------------------------------------------------ *)
+
+(* What every pmap has, whatever its hardware: an address-space id, its
+   counters, and the CPUs it runs on or may still be cached on. *)
+type shell = { asid : int; stats : Pmap.stats; presence : presence }
+
+let shell ctx =
+  let asid = ctx.next_asid and n = Machine.cpu_count ctx.machine in
+  ctx.next_asid <- asid + 1;
+  { asid; stats = Pmap.fresh_stats ();
+    presence = { active = Array.make n false; ran_on = Array.make n false } }
+
+(* A backend's mapping store, as the shell sees it; ['m] is one live
+   mapping. *)
+type 'm store = {
+  range : int -> int -> (int * 'm) list;
+      (* the live (vpn, mapping) pairs with vpn in [lo, hi), in the order
+         the backend visits them *)
+  drop : int -> 'm -> unit;
+      (* invalidate one mapping: the store entry, its pv entry, the
+         pte-write charge and the [removals] count; the caller flushes *)
+  prot_of : 'm -> Prot.t;
+  set_prot : int -> 'm -> Prot.t -> unit;
+  wired : 'm -> bool;
+  pte : bool;  (* false: a software-only table, whose writes cost nothing *)
+}
+
+(* A [range] over a table keyed by vpn, in its fold order. *)
+let range_of tbl (lo : int) hi =
+  Hashtbl.fold
+    (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
+    tbl []
+
+(* Drop one mapping and shoot its page. *)
+let unmap ctx sh store vpn m =
+  store.drop vpn m;
+  shoot_page ctx sh.presence ~asid:sh.asid ~vpn
+
+(* Drop every mapping with vpn in [lo, hi), as one batch. *)
+let unmap_range ctx sh store lo hi =
+  batched ctx (fun () ->
+      List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) (store.range lo hi))
+
+(* Build the [Pmap.t] of shell [sh] over [store].  The backend supplies
+   what depends on its hardware: [enter] (address limits, eviction,
+   context grabs, prefill), [extract], [resident_count], [destroy], the
+   translator and, optionally, [map_bytes], [copy] and an [on_activate]
+   step.  Range removal, protection and collection are the same on every
+   architecture: each visits the store's mappings inside one flush
+   batch.  [reference] is a placeholder; {!Pmap_domain} counts
+   references. *)
+let pmap ctx sh store ~translator ~enter ~extract ~resident_count ~destroy
+    ?(map_bytes = fun () -> 0) ?copy ?(on_activate = ignore) () =
+  let page = page_size ctx in
+  let vpns ~start_va ~end_va = (start_va / page, (end_va + page - 1) / page) in
+  let remove ~start_va ~end_va =
+    let lo, hi = vpns ~start_va ~end_va in
+    unmap_range ctx sh store lo hi
+  in
+  (* pmap_protect: a translation that loses rights gets the reduced
+     rights, the pte write is charged (unless the table is software-only)
+     and its page is shot; one that keeps every right is not written,
+     charged or flushed. *)
+  let protect ~start_va ~end_va ~prot =
+    sh.stats.Pmap.protect_ops <- sh.stats.Pmap.protect_ops + 1;
+    let lo, hi = vpns ~start_va ~end_va in
+    batched ctx (fun () ->
+        List.iter
+          (fun (vpn, m) ->
+             let old = store.prot_of m in
+             if loses ~old ~prot then begin
+               store.set_prot vpn m (Prot.inter old prot);
+               if store.pte then charge ctx (cost ctx).Arch.pte_write;
+               shoot_page ctx sh.presence ~asid:sh.asid ~vpn
+             end)
+          (store.range lo hi))
+  in
+  (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)
+  let collect () =
+    let victims =
+      List.filter (fun (_, m) -> not (store.wired m)) (store.range 0 max_int)
+    in
+    batched ctx (fun () ->
+        List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) victims);
+    sh.stats.Pmap.cache_drops <- sh.stats.Pmap.cache_drops + List.length victims
+  in
+  { Pmap.asid = sh.asid;
+    reference = (fun () -> ());
+    enter; remove; protect; extract;
+    activate =
+      (fun ~cpu ->
+         on_activate ();
+         sh.presence.active.(cpu) <- true;
+         sh.presence.ran_on.(cpu) <- true;
+         Machine.set_translator ctx.machine ~cpu (Some translator));
+    deactivate =
+      (fun ~cpu ->
+         sh.presence.active.(cpu) <- false;
+         if Machine.active_asid ctx.machine ~cpu = Some sh.asid then
+           Machine.set_translator ctx.machine ~cpu None);
+    copy; resident_count; map_bytes; collect; destroy;
+    stats = sh.stats }
 
 (* What each architecture module hands the domain: a pmap constructor plus
    an accounting of hardware structures shared by all pmaps (the RT PC's

@@ -9,7 +9,6 @@ type stats = {
 
 type t = {
   asid : int;
-  kind : Mach_hw.Arch.kind;
   reference : unit -> unit;
   enter : va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool -> unit;
   remove : start_va:int -> end_va:int -> unit;

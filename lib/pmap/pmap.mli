@@ -37,8 +37,6 @@ type stats = {
 type t = {
   asid : int;
       (** Address-space identifier, unique within a domain. *)
-  kind : Mach_hw.Arch.kind;
-      (** The architecture this pmap belongs to. *)
   reference : unit -> unit;
       (** [pmap_reference]: add a reference; [destroy] only releases the
           structures when the last reference goes (several tasks may share

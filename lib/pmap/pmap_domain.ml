@@ -15,10 +15,10 @@ let create machine =
   let ctx = Backend.create machine in
   let factory =
     match (Machine.arch machine).Arch.kind with
-    | Arch.Vax -> Pmap_vax.make_domain ctx
+    | Arch.Vax -> Table_pmap.vax_domain ctx
     | Arch.Rt_pc -> Pmap_rtpc.make_domain ctx
     | Arch.Sun3 -> Pmap_sun3.make_domain ctx
-    | Arch.Ns32082 -> Pmap_ns32082.make_domain ctx
+    | Arch.Ns32082 -> Table_pmap.ns32082_domain ctx
     | Arch.Tlb_only -> Pmap_tlbonly.make_domain ctx
   in
   let t =
@@ -39,15 +39,19 @@ let set_on_unmap t f = t.ctx.Backend.on_unmap <- f
 
 let machine t = t.ctx.Backend.machine
 
-(* Wrap the mutation entry points with trace emission and cycle
-   attribution.  Instrumenting here covers every architecture backend at
-   once; the tracer is read through the machine on each call so enabling
-   tracing mid-run works.  When tracing is off each wrapped call pays
-   one branch.  The [Pmap] attribution frame brackets the backend call
-   itself, so map-update costs land in the Pmap category wherever they
-   were triggered from — except TLB-consistency work, which the machine
-   charges as [Shootdown_ipi] explicitly. *)
-let instrument t (p : Pmap.t) =
+(* Wrap a fresh pmap in one record update: trace emission and cycle
+   attribution around the mutation entry points, and reference counting
+   (pmap_reference/pmap_destroy of Table 3-3) that keeps the registry in
+   step with the pmap's lifetime.  Instrumenting here covers every
+   architecture backend at once; the tracer is read through the machine
+   on each call so enabling tracing mid-run works.  When tracing is off
+   each wrapped call pays one branch.  The [Pmap] attribution frame
+   brackets the backend call itself, so map-update costs land in the
+   Pmap category wherever they were triggered from — except
+   TLB-consistency work, which the machine charges as [Shootdown_ipi]
+   explicitly. *)
+let create_pmap t =
+  let p = t.factory.Backend.new_pmap () in
   let m = t.ctx.Backend.machine in
   let asid = p.Pmap.asid in
   let note ev =
@@ -60,36 +64,32 @@ let instrument t (p : Pmap.t) =
   let in_pmap f =
     Machine.with_category m ~cpu:t.ctx.Backend.cur_cpu Mach_obs.Obs.Pmap f
   in
-  { p with
-    Pmap.enter =
-      (fun ~va ~pfn ~prot ~wired ->
-         in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-         note (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
-    remove =
-      (fun ~start_va ~end_va ->
-         in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
-         note (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va }));
-    protect =
-      (fun ~start_va ~end_va ~prot ->
-         in_pmap (fun () -> p.Pmap.protect ~start_va ~end_va ~prot);
-         note (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va })) }
-
-let create_pmap t =
-  let p = instrument t (t.factory.Backend.new_pmap ()) in
-  (* Wrap with reference counting (pmap_reference/pmap_destroy of Table
-     3-3) and keep the registry in step with the pmap's lifetime. *)
   let refs = ref 1 in
-  let reference () = incr refs in
-  let destroy () =
-    assert (!refs > 0);
-    decr refs;
-    if !refs = 0 then begin
-      p.Pmap.destroy ();
-      Hashtbl.remove t.registry p.Pmap.asid
-    end
+  let p =
+    { p with
+      Pmap.enter =
+        (fun ~va ~pfn ~prot ~wired ->
+           in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
+           note (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
+      remove =
+        (fun ~start_va ~end_va ->
+           in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
+           note (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va }));
+      protect =
+        (fun ~start_va ~end_va ~prot ->
+           in_pmap (fun () -> p.Pmap.protect ~start_va ~end_va ~prot);
+           note (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va }));
+      reference = (fun () -> incr refs);
+      destroy =
+        (fun () ->
+           assert (!refs > 0);
+           decr refs;
+           if !refs = 0 then begin
+             p.Pmap.destroy ();
+             Hashtbl.remove t.registry asid
+           end) }
   in
-  let p = { p with Pmap.reference; destroy } in
-  Hashtbl.add t.registry p.Pmap.asid p;
+  Hashtbl.add t.registry asid p;
   p
 
 let find_pmap t ~asid = Hashtbl.find_opt t.registry asid

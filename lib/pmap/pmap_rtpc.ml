@@ -12,8 +12,8 @@ type slot = {
 
 (* Per-pmap bookkeeping the eviction path must reach from a foreign pmap. *)
 type owner = {
-  o_presence : Backend.presence;
-  o_stats : Pmap.stats;
+  o_shell : Backend.shell;
+  o_store : int Backend.store; (* mappings are frame numbers *)
   o_vpns : (int, int) Hashtbl.t; (* vpn -> pfn, this pmap's live mappings *)
 }
 
@@ -30,8 +30,8 @@ let make_domain (ctx : Backend.ctx) =
   let hash : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
   let owners : (int, owner) Hashtbl.t = Hashtbl.create 16 in
 
-  (* Remove the mapping occupying [pfn], whoever owns it. *)
-  let evict pfn =
+  (* Invalidate the mapping occupying [pfn], whoever owns it. *)
+  let unlink pfn =
     let s = ipt.(pfn) in
     assert s.s_valid;
     let o = Hashtbl.find owners s.s_asid in
@@ -39,18 +39,31 @@ let make_domain (ctx : Backend.ctx) =
     Hashtbl.remove o.o_vpns s.s_vpn;
     Backend.pv_remove ctx ~pfn ~asid:s.s_asid ~vpn:s.s_vpn;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-    Backend.shoot_page ctx o.o_presence ~asid:s.s_asid ~vpn:s.s_vpn;
-    o.o_stats.Pmap.removals <- o.o_stats.Pmap.removals + 1;
+    let stats = o.o_shell.Backend.stats in
+    stats.Pmap.removals <- stats.Pmap.removals + 1;
     s.s_valid <- false
   in
 
+  (* Remove and shoot the mapping occupying [pfn], whoever owns it. *)
+  let evict pfn =
+    let s = ipt.(pfn) in
+    let o = Hashtbl.find owners s.s_asid in
+    Backend.unmap ctx o.o_shell o.o_store s.s_vpn pfn
+  in
+
   let new_pmap () =
-    let asid = Backend.fresh_asid ctx in
-    let stats = Pmap.fresh_stats () in
-    let presence = Backend.fresh_presence ctx in
+    let sh = Backend.shell ctx in
+    let asid = sh.Backend.asid and stats = sh.Backend.stats in
     let own_vpns : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let store =
+      { Backend.range = Backend.range_of own_vpns;
+        drop = (fun _ pfn -> unlink pfn);
+        prot_of = (fun pfn -> ipt.(pfn).s_prot);
+        set_prot = (fun _ pfn prot -> ipt.(pfn).s_prot <- prot);
+        wired = (fun pfn -> ipt.(pfn).s_wired); pte = true }
+    in
     Hashtbl.add owners asid
-      { o_presence = presence; o_stats = stats; o_vpns = own_vpns };
+      { o_shell = sh; o_store = store; o_vpns = own_vpns };
 
     let enter ~va ~pfn ~prot ~wired =
       if pfn < 0 || pfn >= frames then
@@ -85,42 +98,11 @@ let make_domain (ctx : Backend.ctx) =
       (* Only a pre-existing translation can be cached in a TLB; one on
          another frame was shot by its eviction above. *)
       (match kept with
-       | Some old -> Backend.reenter ctx presence ~asid ~vpn ~old ~prot
+       | Some old ->
+         Backend.reenter ctx sh.Backend.presence ~asid ~vpn ~old ~prot
        | None -> ());
       stats.Pmap.enters <- stats.Pmap.enters + 1
     in
-
-    (* Visit this pmap's mappings with vpn in [lo, hi). *)
-    let in_range lo hi =
-      Hashtbl.fold
-        (fun vpn pfn acc ->
-           if vpn >= lo && vpn < hi then (vpn, pfn) :: acc else acc)
-        own_vpns []
-    in
-
-    let range_bounds ~start_va ~end_va =
-      (start_va / page, (end_va + page - 1) / page)
-    in
-
-    let remove ~start_va ~end_va =
-      let lo, hi = range_bounds ~start_va ~end_va in
-      Backend.batched ctx (fun () ->
-          List.iter (fun (_, pfn) -> evict pfn) (in_range lo hi))
-    in
-
-    let protect ~start_va ~end_va ~prot =
-      stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
-      let lo, hi = range_bounds ~start_va ~end_va in
-      Backend.batched ctx (fun () ->
-          List.iter
-            (fun (vpn, pfn) ->
-               let s = ipt.(pfn) in
-               Backend.lower ctx presence ~asid ~vpn ~old:s.s_prot ~prot
-                 ~set:(fun reduced -> s.s_prot <- reduced))
-            (in_range lo hi))
-    in
-
-    let extract va = Hashtbl.find_opt own_vpns (va / page) in
 
     let lookup vpn =
       match Hashtbl.find_opt hash (asid, vpn) with
@@ -133,43 +115,14 @@ let make_domain (ctx : Backend.ctx) =
         walk_cost = (Backend.cost ctx).Arch.tlb_fill; hw_walk = true }
     in
 
-    let collect () =
-      let victims =
-        Hashtbl.fold
-          (fun _ pfn acc ->
-             if ipt.(pfn).s_wired then acc else pfn :: acc)
-          own_vpns []
-      in
-      Backend.batched ctx (fun () -> List.iter evict victims);
-      stats.Pmap.cache_drops <-
-        stats.Pmap.cache_drops + List.length victims
-    in
-
     let destroy () =
-      let victims = Hashtbl.fold (fun _ pfn acc -> pfn :: acc) own_vpns [] in
-      Backend.batched ctx (fun () -> List.iter evict victims);
+      Backend.unmap_range ctx sh store 0 max_int;
       Hashtbl.remove owners asid
     in
 
-    {
-      Pmap.asid;
-      (* real reference counting is installed by Pmap_domain *)
-      reference = (fun () -> ());
-      kind = Arch.Rt_pc;
-      enter;
-      remove;
-      protect;
-      extract;
-      activate = (fun ~cpu -> Backend.activate ctx presence translator ~cpu);
-      deactivate =
-        (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
-      copy = None;
-      resident_count = (fun () -> Hashtbl.length own_vpns);
-      map_bytes = (fun () -> 0);
-      collect;
-      destroy;
-      stats;
-    }
+    Backend.pmap ctx sh store ~translator ~enter
+      ~extract:(fun va -> Hashtbl.find_opt own_vpns (va / page))
+      ~resident_count:(fun () -> Hashtbl.length own_vpns) ~destroy ()
   in
   {
     Backend.new_pmap;

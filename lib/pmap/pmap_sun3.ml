@@ -10,11 +10,7 @@ type context = {
 }
 
 (* What the context-stealing path needs to reach about a foreign pmap. *)
-type owner = {
-  o_presence : Backend.presence;
-  o_stats : Pmap.stats;
-  mutable o_context : context option;
-}
+type owner = { o_shell : Backend.shell; mutable o_context : context option }
 
 let make_domain (ctx : Backend.ctx) =
   let arch = Backend.arch ctx in
@@ -37,24 +33,23 @@ let make_domain (ctx : Backend.ctx) =
       let victim = Hashtbl.find owners victim_asid in
       (* Everything the victim had mapped is gone; it will fault the
          mappings back in when it next runs. *)
+      let stats = victim.o_shell.Backend.stats in
       Hashtbl.iter
         (fun vpn m ->
            Backend.pv_remove ctx ~pfn:m.m_pfn ~asid:victim_asid ~vpn;
-           victim.o_stats.Pmap.removals <-
-             victim.o_stats.Pmap.removals + 1)
+           stats.Pmap.removals <- stats.Pmap.removals + 1)
         c.c_table;
-      Backend.shoot ctx victim.o_presence
-        (Machine.Flush_asid victim_asid) ~urgent:false;
+      Backend.shoot ctx victim.o_shell.Backend.presence
+        (Machine.Flush_asid victim_asid);
       Hashtbl.reset c.c_table;
       c.c_owner <- None;
       victim.o_context <- None
   in
 
   let new_pmap () =
-    let asid = Backend.fresh_asid ctx in
-    let stats = Pmap.fresh_stats () in
-    let presence = Backend.fresh_presence ctx in
-    let me = { o_presence = presence; o_stats = stats; o_context = None } in
+    let sh = Backend.shell ctx in
+    let asid = sh.Backend.asid and stats = sh.Backend.stats in
+    let me = { o_shell = sh; o_context = None } in
     Hashtbl.add owners asid me;
 
     (* Find this pmap's context, grabbing a free one or stealing the
@@ -113,97 +108,51 @@ let make_domain (ctx : Backend.ctx) =
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
       (match previous with
        | Some old when old.m_pfn <> pfn ->
-         Backend.shoot_page ctx presence ~asid ~vpn
+         Backend.shoot_page ctx sh.Backend.presence ~asid ~vpn
        | Some old ->
-         Backend.reenter ctx presence ~asid ~vpn ~old:old.m_prot ~prot
+         Backend.reenter ctx sh.Backend.presence ~asid ~vpn ~old:old.m_prot
+           ~prot
        | None -> ());
       stats.Pmap.enters <- stats.Pmap.enters + 1
     in
 
-    (* This pmap's live mappings with vpn in [lo, hi); empty when it holds
-       no context. *)
-    let in_range lo hi =
+    (* This pmap's mapping RAM; it holds no mappings without a context. *)
+    let table () =
+      match me.o_context with Some c -> c.c_table | None -> assert false
+    in
+    let store =
+      { Backend.range =
+          (fun lo hi ->
+             match me.o_context with
+             | None -> []
+             | Some c -> Backend.range_of c.c_table lo hi);
+        drop =
+          (fun vpn m ->
+             Hashtbl.remove (table ()) vpn;
+             Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn;
+             Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
+             stats.Pmap.removals <- stats.Pmap.removals + 1);
+        prot_of = (fun m -> m.m_prot);
+        set_prot =
+          (fun vpn m prot ->
+             Hashtbl.replace (table ()) vpn { m with m_prot = prot });
+        wired = (fun m -> m.m_wired); pte = true }
+    in
+
+    let find vpn =
       match me.o_context with
-      | None -> []
-      | Some c ->
-        Hashtbl.fold
-          (fun vpn m acc ->
-             if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
-          c.c_table []
-    in
-
-    let drop vpn m =
-      match me.o_context with
-      | None -> assert false
-      | Some c ->
-        Hashtbl.remove c.c_table vpn;
-        Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn;
-        Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-        Backend.shoot_page ctx presence ~asid ~vpn;
-        stats.Pmap.removals <- stats.Pmap.removals + 1
-    in
-
-    let range_bounds ~start_va ~end_va =
-      (start_va / page, (end_va + page - 1) / page)
-    in
-
-    let remove ~start_va ~end_va =
-      let lo, hi = range_bounds ~start_va ~end_va in
-      Backend.batched ctx (fun () ->
-          List.iter (fun (vpn, m) -> drop vpn m) (in_range lo hi))
-    in
-
-    let protect ~start_va ~end_va ~prot =
-      stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
-      let lo, hi = range_bounds ~start_va ~end_va in
-      Backend.batched ctx (fun () ->
-          List.iter
-            (fun (vpn, m) ->
-               match me.o_context with
-               | None -> ()
-               | Some c ->
-                 Backend.lower ctx presence ~asid ~vpn ~old:m.m_prot ~prot
-                   ~set:(fun reduced ->
-                       Hashtbl.replace c.c_table vpn
-                         { m with m_prot = reduced }))
-            (in_range lo hi))
-    in
-
-    let extract va =
-      match me.o_context with
+      | Some c -> Hashtbl.find_opt c.c_table vpn
       | None -> None
-      | Some c ->
-        (match Hashtbl.find_opt c.c_table (va / page) with
-         | Some m -> Some m.m_pfn
-         | None -> None)
     in
-
+    let extract va = Option.map (fun m -> m.m_pfn) (find (va / page)) in
     let lookup vpn =
-      match me.o_context with
+      match find vpn with
+      | Some m -> Translator.Mapped { pfn = m.m_pfn; prot = m.m_prot }
       | None -> Translator.Missing
-      | Some c ->
-        (match Hashtbl.find_opt c.c_table vpn with
-         | Some m -> Translator.Mapped { pfn = m.m_pfn; prot = m.m_prot }
-         | None -> Translator.Missing)
     in
     (* The mapping RAM *is* the translation path: no walk cost. *)
     let translator =
       { Translator.asid; lookup; walk_cost = 0; hw_walk = true }
-    in
-
-    let activate ~cpu =
-      ignore (my_context ());
-      Backend.activate ctx presence translator ~cpu
-    in
-
-    let collect () =
-      let victims =
-        List.filter (fun (_, m) -> not m.m_wired) (in_range 0 max_int)
-      in
-      Backend.batched ctx (fun () ->
-          List.iter (fun (vpn, m) -> drop vpn m) victims);
-      stats.Pmap.cache_drops <-
-        stats.Pmap.cache_drops + List.length victims
     in
 
     let destroy () =
@@ -219,29 +168,12 @@ let make_domain (ctx : Backend.ctx) =
       Hashtbl.remove owners asid
     in
 
-    {
-      Pmap.asid;
-      (* real reference counting is installed by Pmap_domain *)
-      reference = (fun () -> ());
-      kind = Arch.Sun3;
-      enter;
-      remove;
-      protect;
-      extract;
-      activate;
-      deactivate =
-        (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
-      copy = None;
-      resident_count =
-        (fun () ->
-           match me.o_context with
-           | None -> 0
-           | Some c -> Hashtbl.length c.c_table);
-      map_bytes = (fun () -> 0);
-      collect;
-      destroy;
-      stats;
-    }
+    Backend.pmap ctx sh store ~translator ~enter ~extract
+      ~resident_count:(fun () ->
+          match me.o_context with
+          | None -> 0
+          | Some c -> Hashtbl.length c.c_table)
+      ~destroy ~on_activate:(fun () -> ignore (my_context ())) ()
   in
   {
     Backend.new_pmap;

@@ -20,11 +20,9 @@ type pte = {
 
 type tpage = { ptes : pte array; mutable valid_count : int }
 
-let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
-    ?(pfn_ok = fun _ -> true) () =
-  let asid = Backend.fresh_asid ctx in
-  let stats = Pmap.fresh_stats () in
-  let presence = Backend.fresh_presence ctx in
+let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
+  let sh = Backend.shell ctx in
+  let asid = sh.Backend.asid and stats = sh.Backend.stats in
   let page = Backend.page_size ctx in
   let pte_bytes = (Backend.arch ctx).Arch.pte_bytes in
   let ptes_per_page = page / pte_bytes in
@@ -70,6 +68,34 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
       if tp.valid_count = 0 then Hashtbl.remove tables idx
   in
 
+  (* The valid ptes whose vpn lies in [lo, hi), in vpn order.  Scans
+     existing table pages, not the raw virtual range, so sparse spaces
+     stay cheap. *)
+  let range lo hi =
+    Hashtbl.fold
+      (fun idx tp acc ->
+         let first_vpn = idx * ptes_per_page in
+         let last_vpn = first_vpn + ptes_per_page - 1 in
+         if last_vpn >= lo && first_vpn < hi then (idx, tp) :: acc else acc)
+      tables []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.concat_map (fun (idx, tp) ->
+        let first_vpn = idx * ptes_per_page in
+        let acc = ref [] in
+        for vpn = min (hi - 1) (first_vpn + ptes_per_page - 1)
+            downto max lo first_vpn do
+          let pte = tp.ptes.(vpn - first_vpn) in
+          if pte.p_valid then acc := (vpn, pte) :: !acc
+        done;
+        !acc)
+  in
+  let store =
+    { Backend.range; drop = invalidate_pte;
+      prot_of = (fun pte -> pte.p_prot);
+      set_prot = (fun _ pte prot -> pte.p_prot <- prot);
+      wired = (fun pte -> pte.p_wired); pte = true }
+  in
+
   let install vpn ~pfn ~prot ~wired =
     let tp = find_or_create_tpage vpn in
     let pte = tp.ptes.(vpn mod ptes_per_page) in
@@ -97,62 +123,13 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
        let old = pte.p_prot in
        pte.p_prot <- prot;
        pte.p_wired <- wired;
-       Backend.reenter ctx presence ~asid ~vpn ~old ~prot
+       Backend.reenter ctx sh.Backend.presence ~asid ~vpn ~old ~prot
      | Some pte when pte.p_valid ->
-       invalidate_pte vpn pte;
-       Backend.shoot_page ctx presence ~asid ~vpn;
+       Backend.unmap ctx sh store vpn pte;
        install vpn ~pfn ~prot ~wired
      | Some _ | None -> install vpn ~pfn ~prot ~wired);
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
     stats.Pmap.enters <- stats.Pmap.enters + 1
-  in
-
-  (* Visit the valid ptes whose vpn lies in [lo, hi); [f vpn pte] may
-     invalidate the pte.  Iterates existing table pages, not the raw
-     virtual range, so sparse spaces stay cheap. *)
-  let iter_valid_in_range lo hi f =
-    let idxs =
-      Hashtbl.fold
-        (fun idx _ acc ->
-           let first_vpn = idx * ptes_per_page in
-           let last_vpn = first_vpn + ptes_per_page - 1 in
-           if last_vpn >= lo && first_vpn < hi then idx :: acc else acc)
-        tables []
-      |> List.sort compare
-    in
-    let visit idx =
-      match Hashtbl.find_opt tables idx with
-      | None -> ()
-      | Some tp ->
-        for i = 0 to ptes_per_page - 1 do
-          let vpn = (idx * ptes_per_page) + i in
-          let pte = tp.ptes.(i) in
-          if vpn >= lo && vpn < hi && pte.p_valid then f vpn pte
-        done
-    in
-    List.iter visit idxs
-  in
-
-  (* The batch accumulator coalesces the per-page shootdowns into one
-     exchange (and promotes to a whole-space flush past the threshold);
-     with batching off each page goes out as its own shootdown. *)
-  let range_op ~start_va ~end_va f =
-    let lo = start_va / page in
-    let hi = (end_va + page - 1) / page in
-    Backend.batched ctx (fun () -> iter_valid_in_range lo hi f)
-  in
-
-  let remove ~start_va ~end_va =
-    range_op ~start_va ~end_va (fun vpn pte ->
-        invalidate_pte vpn pte;
-        Backend.shoot_page ctx presence ~asid ~vpn)
-  in
-
-  let protect ~start_va ~end_va ~prot =
-    stats.Pmap.protect_ops <- stats.Pmap.protect_ops + 1;
-    range_op ~start_va ~end_va (fun vpn pte ->
-        Backend.lower ctx presence ~asid ~vpn ~old:pte.p_prot ~prot
-          ~set:(fun reduced -> pte.p_prot <- reduced))
   in
 
   let extract va =
@@ -172,25 +149,11 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
       walk_cost = (Backend.cost ctx).Arch.tlb_fill; hw_walk = true }
   in
 
-  (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)
-  let collect () =
-    let dropped = ref 0 in
-    iter_valid_in_range 0 max_int (fun vpn pte ->
-        if not pte.p_wired then begin
-          invalidate_pte vpn pte;
-          incr dropped
-        end);
-    stats.Pmap.cache_drops <- stats.Pmap.cache_drops + !dropped;
-    if !dropped > 0 then Backend.shoot_asid ctx presence ~asid
-  in
-
   let destroy () =
-    iter_valid_in_range 0 max_int (fun vpn pte -> invalidate_pte vpn pte);
-    Backend.shoot_asid ctx presence ~asid;
+    List.iter (fun (vpn, pte) -> invalidate_pte vpn pte) (range 0 max_int);
+    Backend.shoot_asid ctx sh.Backend.presence ~asid;
     Hashtbl.reset tables
   in
-
-  let map_bytes () = top_bytes + (Hashtbl.length tables * page) in
 
   (* pmap_copy (Table 3-4, optional): duplicate valid mappings into a
      destination pmap so it avoids its initial faults.  Write permission
@@ -199,28 +162,37 @@ let make (ctx : Backend.ctx) ~kind ~va_limit ~top_bytes
   let copy ~dst ~dst_start ~len ~src_start =
     let lo = src_start / page in
     let hi = (src_start + len + page - 1) / page in
-    iter_valid_in_range lo hi (fun vpn pte ->
-        let va = dst_start + ((vpn * page) - src_start) in
-        dst.Pmap.enter ~va ~pfn:pte.p_pfn
-          ~prot:(Prot.remove_write pte.p_prot) ~wired:false)
+    List.iter
+      (fun (vpn, pte) ->
+         let va = dst_start + ((vpn * page) - src_start) in
+         dst.Pmap.enter ~va ~pfn:pte.p_pfn
+           ~prot:(Prot.remove_write pte.p_prot) ~wired:false)
+      (range lo hi)
   in
 
-  {
-    Pmap.asid;
-    kind;
-    (* real reference counting is installed by Pmap_domain *)
-    reference = (fun () -> ());
-    enter;
-    remove;
-    protect;
-    extract;
-    activate = (fun ~cpu -> Backend.activate ctx presence translator ~cpu);
-    deactivate =
-      (fun ~cpu -> Backend.deactivate ctx presence translator ~cpu);
-    copy = Some copy;
-    resident_count = (fun () -> !resident);
-    map_bytes;
-    collect;
-    destroy;
-    stats;
-  }
+  Backend.pmap ctx sh store ~translator ~enter ~extract
+    ~resident_count:(fun () -> !resident) ~destroy
+    ~map_bytes:(fun () -> top_bytes + (Hashtbl.length tables * page))
+    ~copy ()
+
+let domain ctx ~top_bytes ~pfn_ok =
+  let va_limit = (Backend.arch ctx).Arch.user_va_limit in
+  { Backend.new_pmap = (fun () -> make ctx ~va_limit ~top_bytes ~pfn_ok ());
+    shared_map_bytes = (fun () -> 0) }
+
+(* VAX: a full 2 GB user space needs 8 MB of linear page table, so only
+   the parts mapping pages in use are built. *)
+let vax_domain ctx = domain ctx ~top_bytes:0 ~pfn_ok:(fun _ -> true)
+
+(* NS32082 (Encore MultiMax, Sequent Balance), with the MMU's shortcomings
+   of Section 5.1: 16 MB of virtual memory per page table and 32 MB of
+   addressable physical memory, both enforced by [pmap_enter] (the
+   read-modify-write fault bug is modelled in the machine layer).  The
+   two-level scheme has an always-present top-level table: 1 KB for a
+   16 MB space with 64 KB second-level sections. *)
+let ns32082_domain ctx =
+  let page = Backend.page_size ctx in
+  let phys_limit =
+    Option.value (Backend.arch ctx).Arch.phys_limit ~default:max_int
+  in
+  domain ctx ~top_bytes:1024 ~pfn_ok:(fun pfn -> pfn * page < phys_limit)

@@ -409,45 +409,124 @@ let test_tlbonly_no_structures () =
 
 (* ---- qcheck: random op sequences vs a model ----------------------------- *)
 
-(* Apply random enter/remove ops to a (non-RT) pmap and a Hashtbl model;
-   extract must agree afterwards.  The RT PC is excluded because foreign
-   pmaps can evict mappings; it has its own tests above. *)
+(* Apply random enter/wired-enter/remove/protect/collect ops to a pmap
+   and a Hashtbl model (vpn -> frame, rights, wired) while CPU 0 reads
+   every mapped page between ops, so the TLB caches what the ops must
+   flush.  After each op the pmap must agree with the model on extract,
+   resident_count and the pv lists; no TLB may hold a translation the
+   pmap does not back; and removals, protect_ops and cache_drops must
+   move exactly as the model predicts.  Frames are 3 * vpn + k, so no
+   two live pages share a frame and the RT PC evicts no aliases. *)
 let pmap_model_test arch =
   let open QCheck2 in
   Test.make
     ~name:(Printf.sprintf "pmap agrees with model [%s]" arch.Arch.name)
     ~count:60
-    Gen.(list (triple (int_range 0 2) (int_range 0 19) (int_range 0 49)))
+    Gen.(list (triple (int_range 0 5) (int_range 0 19) (int_range 0 2)))
     (fun ops ->
-       let _m, domain = setup arch in
+       let machine, domain = setup arch in
        let p = Pmap_domain.create_pmap domain in
        let ps = page arch in
        let model = Hashtbl.create 16 in
-       List.iter
-         (fun (op, vpn, pfn) ->
-            match op with
-            | 0 ->
-              p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write
-                ~wired:false;
-              Hashtbl.replace model vpn pfn
-            | 1 ->
-              p.Pmap.remove ~start_va:(vpn * ps) ~end_va:((vpn + 1) * ps);
-              Hashtbl.remove model vpn
-            | _ ->
-              (* range remove of three pages *)
-              p.Pmap.remove ~start_va:(vpn * ps) ~end_va:((vpn + 3) * ps);
-              Hashtbl.remove model vpn;
-              Hashtbl.remove model (vpn + 1);
-              Hashtbl.remove model (vpn + 2))
-         ops;
-       let ok = ref true in
-       for vpn = 0 to 25 do
-         let expected = Hashtbl.find_opt model vpn in
-         if p.Pmap.extract (vpn * ps) <> expected then ok := false
-       done;
-       !ok && p.Pmap.resident_count () = Hashtbl.length model)
-
-let model_archs = [ Arch.uvax2; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
+       (* A TLB-only pmap's misses trap: reload from the model. *)
+       Machine.set_fault_handler machine (fun ~cpu:_ f ->
+           let vpn = f.Machine.fault_va / ps in
+           match Hashtbl.find_opt model vpn with
+           | Some (pfn, prot, wired) ->
+             p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired
+           | None -> Alcotest.fail "fault outside model");
+       p.Pmap.activate ~cpu:0;
+       let in_model lo hi =
+         Hashtbl.fold
+           (fun vpn (_, _, wired) acc ->
+              if vpn >= lo && vpn < hi then (vpn, wired) :: acc else acc)
+           model []
+       in
+       let enter vpn pfn ~wired =
+         let replaced =
+           match Hashtbl.find_opt model vpn with
+           | Some (old, _, _) when old <> pfn -> 1
+           | Some _ | None -> 0
+         in
+         p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write ~wired;
+         Hashtbl.replace model vpn (pfn, Prot.read_write, wired);
+         (replaced, 0, 0)
+       in
+       let remove lo hi =
+         let gone = in_model lo hi in
+         p.Pmap.remove ~start_va:(lo * ps) ~end_va:(hi * ps);
+         List.iter (fun (vpn, _) -> Hashtbl.remove model vpn) gone;
+         (List.length gone, 0, 0)
+       in
+       let protect lo hi =
+         p.Pmap.protect ~start_va:(lo * ps) ~end_va:(hi * ps)
+           ~prot:Prot.read_only;
+         List.iter
+           (fun (vpn, _) ->
+              let pfn, prot, wired = Hashtbl.find model vpn in
+              Hashtbl.replace model vpn
+                (pfn, Prot.inter prot Prot.read_only, wired))
+           (in_model lo hi);
+         (0, 1, 0)
+       in
+       let collect () =
+         let dropped = List.filter (fun (_, w) -> not w) (in_model 0 max_int) in
+         p.Pmap.collect ();
+         List.iter (fun (vpn, _) -> Hashtbl.remove model vpn) dropped;
+         let n = List.length dropped in
+         (n, 0, n)
+       in
+       let counters () =
+         let s = p.Pmap.stats in
+         (s.Pmap.removals, s.Pmap.protect_ops, s.Pmap.cache_drops)
+       in
+       let agrees () =
+         let extracts =
+           List.for_all
+             (fun vpn ->
+                p.Pmap.extract (vpn * ps)
+                = Option.map (fun (pfn, _, _) -> pfn)
+                    (Hashtbl.find_opt model vpn))
+             (List.init 26 Fun.id)
+         in
+         let pvs =
+           List.for_all
+             (fun pfn ->
+                let vpn = pfn / 3 in
+                let expected =
+                  match Hashtbl.find_opt model vpn with
+                  | Some (f, _, _) when f = pfn -> [ (p.Pmap.asid, vpn) ]
+                  | Some _ | None -> []
+                in
+                Pmap_domain.mappings_of domain ~pfn = expected)
+             (List.init (3 * 26) Fun.id)
+         in
+         extracts && pvs
+         && p.Pmap.resident_count () = Hashtbl.length model
+         && Machine.tlb_overreach machine = []
+       in
+       List.for_all
+         (fun (op, vpn, k) ->
+            let r0, p0, c0 = counters () in
+            let dr, dp, dc =
+              match op with
+              | 0 -> enter vpn ((3 * vpn) + k) ~wired:false
+              | 1 -> enter vpn ((3 * vpn) + k) ~wired:true
+              | 2 -> remove vpn (vpn + 1)
+              | 3 -> remove vpn (vpn + 3)
+              | 4 -> protect vpn (vpn + 4)
+              | _ -> collect ()
+            in
+            let r1, p1, c1 = counters () in
+            let ok =
+              agrees () && r1 - r0 = dr && p1 - p0 = dp && c1 - c0 = dc
+            in
+            Hashtbl.iter
+              (fun vpn _ ->
+                 Machine.touch machine ~cpu:0 ~va:(vpn * ps) ~write:false)
+              model;
+            ok)
+         ops)
 
 let () =
   Alcotest.run "mach_pmap"
@@ -487,4 +566,4 @@ let () =
       ( "model",
         List.map
           (fun arch -> QCheck_alcotest.to_alcotest (pmap_model_test arch))
-          model_archs ) ]
+          archs ) ]
