@@ -1,4 +1,4 @@
-.PHONY: all check test bench bench-smoke cells clean
+.PHONY: all check test bench bench-smoke clean
 
 all:
 	dune build
@@ -14,11 +14,6 @@ bench:
 
 bench-smoke:
 	dune exec tools/bench_check.exe
-
-# Full bench run compared byte for byte with the committed baseline.
-cells:
-	dune exec bench/main.exe -- -json _build/cells.json
-	cmp _build/cells.json bench/BENCH_vm.json
 
 clean:
 	dune clean
