@@ -22,23 +22,27 @@ let copy (sys : Vm_sys.t) ~src ~dst =
       ~dst:(dst.pfn + i)
   done
 
-let copy_in sys p ~off data =
+(* Copy [len] bytes of [data] from [pos] into the page at [off]. *)
+let blit_in sys p ~off data ~pos ~len =
   let hw = hw_size sys in
-  let len = Bytes.length data in
   if off < 0 || off + len > sys.Vm_sys.page_size then
     invalid_arg "Page_io.copy_in";
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
+  let rec loop i =
+    if i < len then begin
+      let abs = off + i in
       let frame = p.pfn + (abs / hw) in
       let foff = abs mod hw in
-      let chunk = min (hw - foff) (len - pos) in
-      Phys_mem.write (phys sys) frame ~offset:foff (Bytes.sub data pos chunk);
-      loop (pos + chunk)
+      let chunk = min (hw - foff) (len - i) in
+      Phys_mem.write (phys sys) frame ~offset:foff ~pos:(pos + i) ~len:chunk
+        data;
+      loop (i + chunk)
     end
   in
   loop 0;
   charge_move sys len
+
+let copy_in sys p ~off data =
+  blit_in sys p ~off data ~pos:0 ~len:(Bytes.length data)
 
 let copy_out sys p ~off ~len =
   let hw = hw_size sys in
@@ -61,12 +65,13 @@ let copy_out sys p ~off ~len =
   charge_move sys len;
   buf
 
-let fill sys p data =
+let fill ?(pos = 0) sys p data =
   let ps = sys.Vm_sys.page_size in
-  if Bytes.length data >= ps then copy_in sys p ~off:0 (Bytes.sub data 0 ps)
+  let avail = Bytes.length data - pos in
+  if avail >= ps then blit_in sys p ~off:0 data ~pos ~len:ps
   else begin
     let b = Bytes.make ps '\000' in
-    Bytes.blit data 0 b 0 (Bytes.length data);
+    Bytes.blit data pos b 0 (max 0 avail);
     copy_in sys p ~off:0 b
   end
 

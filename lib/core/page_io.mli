@@ -5,9 +5,9 @@
     daemon, pagers and file I/O paths.  All charge the architecture's
     bulk-move cost. *)
 
-val fill : Vm_sys.t -> Types.page -> Bytes.t -> unit
-(** [fill sys p data] copies [data] into the page (zero padding any
-    tail). *)
+val fill : ?pos:int -> Vm_sys.t -> Types.page -> Bytes.t -> unit
+(** [fill ~pos sys p data] copies a page of [data] from [pos] (default
+    0) into the page, zero padding whatever [data] is short of. *)
 
 val contents : Vm_sys.t -> Types.page -> Bytes.t
 (** [contents sys p] is the whole page as bytes. *)

@@ -3,19 +3,35 @@ module Obs = Mach_obs.Obs
 
 let pager_dead o = o.obj_health.ph_dead
 
-(* A blocking caller waits out a reply's device time; free for [io_none]
-   and with the async disk model off. *)
+(* A blocking caller waits out a reply's device time; free for
+   [io_none] and for a write the synchronous disk already paid. *)
 let wait_io (sys : Vm_sys.t) io =
   Mach_hw.Machine.wait_io sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys) io
 
-(* The inflight record pages ride while [io] is still on the device, or
-   [None] once it has landed — always the case with the async disk model
-   off, where the transfer was charged at submit. *)
-let inflight_of (sys : Vm_sys.t) io =
-  if io.io_completion
-     > Mach_hw.Machine.cycles sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys)
-  then Some { if_io = io; if_waited = false }
-  else None
+(* Wait only until the first [bytes] of [io] have landed — a cluster's
+   demand page.  The wait stands for the device time from the request's
+   start to that stamp; the pages behind it ride their own stamps. *)
+let wait_prefix (sys : Vm_sys.t) io ~bytes =
+  if io.io_service > 0 then begin
+    let m = sys.Vm_sys.machine in
+    let stamp = Mach_hw.Machine.io_landed m io ~bytes in
+    Mach_hw.Machine.wait_disk m ~cpu:(Vm_sys.current_cpu sys)
+      ~completion:stamp
+      ~service:(stamp - (io.io_completion - io.io_service))
+  end
+
+(* Let [p] ride [stamp] while it is still in the future: the page is
+   resident and filled but stays busy until someone awaits it.
+   [service] is the device time the eventual wait stands for. *)
+let ride (sys : Vm_sys.t) p ~stamp ~service =
+  let m = sys.Vm_sys.machine in
+  if stamp > Mach_hw.Machine.cycles m ~cpu:(Vm_sys.current_cpu sys) then begin
+    p.pg_busy <- true;
+    p.pg_inflight <-
+      Some
+        { if_stamp = stamp; if_service = service;
+          if_epoch = Mach_hw.Machine.reset_epoch m }
+  end
 
 (* Declare the object's pager dead and rescue every dirty resident page
    to a fresh default pager before any of them can be lost.  The rescue
@@ -129,8 +145,8 @@ let request sys o ~offset ~length =
    back to the single-page [request] path, which owns the retry/backoff/
    death policy.  A [`Data] reply may be shorter than [length] (a
    truncated cluster) and carries the transfer's stamp unwaited: the
-   caller either waits ([wait_io]) or lets the pages ride it
-   ([inflight_of]).  [`Absent] means the pager holds nothing at [offset]
+   caller waits for what it needs ([wait_io], [wait_prefix]) and lets
+   the rest ride ([ride]).  [`Absent] means the pager holds nothing at [offset]
    itself (see the contract on [pgr_request]). *)
 let request_range (sys : Vm_sys.t) o ~offset ~length =
   match o.obj_pager with
@@ -150,21 +166,18 @@ let request_range (sys : Vm_sys.t) o ~offset ~length =
       | Data_error -> `Error
     end
 
-(* Block until the async transfer a page rides on has landed, charging
-   only the residue.  The inflight record is shared by every page of the
-   cluster: the first waiter carries the full service budget into
-   [Machine.wait_disk] (claiming the overlap), later waiters carry zero
-   so nothing is double-counted.  Also lifts the busy bit this module's
-   async paths set at submit. *)
+(* Block until the page has landed, charging only the residue of its
+   own stamp, and lift the busy bit {!ride} set.  A stamp taken before
+   the last [Machine.reset_clocks] has landed: the clocks it was
+   measured against are gone. *)
 let await_page (sys : Vm_sys.t) p =
   match p.pg_inflight with
   | None -> ()
-  | Some io ->
+  | Some r ->
     let m = sys.Vm_sys.machine in
-    Mach_hw.Machine.wait_disk m ~cpu:(Vm_sys.current_cpu sys)
-      ~completion:io.if_io.io_completion
-      ~service:(if io.if_waited then 0 else io.if_io.io_service);
-    io.if_waited <- true;
+    if r.if_epoch = Mach_hw.Machine.reset_epoch m then
+      Mach_hw.Machine.wait_disk m ~cpu:(Vm_sys.current_cpu sys)
+        ~completion:r.if_stamp ~service:r.if_service;
     p.pg_inflight <- None;
     p.pg_busy <- false
 

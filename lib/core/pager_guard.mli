@@ -18,22 +18,30 @@
       it does not hold follow the object's {!Types.degrade_policy} —
       zero fill, or [KERN_MEMORY_ERROR] to the faulting task.
 
-    Every pager reply carries an {!Types.io} stamp saying when its device
-    work finishes.  {!request}, {!write} and the rescue transfers block
-    on it ({!wait_io}); the one-shot cluster calls hand it back unwaited,
-    so the caller can wait or let the pages ride the transfer
-    ({!inflight_of}). *)
+    Every pager reply carries an {!Types.io} stamp saying when each of
+    its bytes lands.  {!request}, {!write} and the rescue transfers
+    block on all of it ({!wait_io}); the one-shot cluster calls hand it
+    back unwaited, so the caller can wait for the page it needs
+    ({!wait_prefix}) and let the others ride their own stamps
+    ({!ride}). *)
 
 val wait_io : Vm_sys.t -> Types.io -> unit
-(** [wait_io sys io] blocks the current CPU until [io] lands, charging
-    only the residue.  Free for {!Types.io_none} and whenever the async
-    disk model is off. *)
+(** [wait_io sys io] blocks the current CPU until the whole of [io] has
+    landed, charging only the residue.  Free for {!Types.io_none} and
+    for a write the synchronous disk already paid. *)
 
-val inflight_of : Vm_sys.t -> Types.io -> Types.inflight option
-(** [inflight_of sys io] is a fresh inflight record for pages riding
-    [io] while it is still pending — its completion lies past the
-    current CPU's clock — and [None] once it has landed.  With the async
-    disk model off a transfer is never pending. *)
+val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
+(** [wait_prefix sys io ~bytes] blocks the current CPU only until the
+    first [bytes] of [io] have landed ([Machine.io_landed]): a
+    cluster's demand page, with the tail still on the device. *)
+
+val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
+(** [ride sys p ~stamp ~service] marks [p] busy and in flight until
+    [stamp] when that lies past the current CPU's clock, and does
+    nothing otherwise.  [service] is the device time its eventual
+    {!await_page} stands for; the pages of one transfer split its
+    service so overlap is counted once.  The record carries the current
+    [Machine.reset_epoch]. *)
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
@@ -57,11 +65,11 @@ val request_range :
     descend/zero-fill the demand page directly. *)
 
 val await_page : Vm_sys.t -> Types.page -> unit
-(** [await_page sys p] blocks the current CPU until the async transfer
-    recorded in [p.pg_inflight] (if any) completes, charging only the
-    remaining cycles, then clears the inflight record and the busy bit.
-    The inflight record is shared across a cluster's pages; the overlap
-    and residue are accounted once no matter how many sharers wait. *)
+(** [await_page sys p] blocks the current CPU until the stamp recorded
+    in [p.pg_inflight] (if any) has passed, charging only the remaining
+    cycles, then clears the inflight record and the busy bit.  A record
+    from an older [Machine.reset_epoch] has landed and charges
+    nothing. *)
 
 val write_range :
   Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->

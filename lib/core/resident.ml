@@ -42,6 +42,7 @@ type t = {
   multiple : int;
   span_groups : int; (* physical extent in page groups, for the domain split *)
   hash : (int * int, page) Hashtbl.t; (* (obj_id, offset) -> page *)
+  mutable pages : page list; (* every page, whatever its state *)
   active : page Dlist.t;
   inactive : page Dlist.t;
   mutable total : int;
@@ -96,6 +97,7 @@ let create ~phys ~multiple ?(frame_limit = max_int) () =
       multiple;
       span_groups = max 1 groups;
       hash = Hashtbl.create 1024;
+      pages = [];
       active = Dlist.create ();
       inactive = Dlist.create ();
       total = 0;
@@ -142,6 +144,7 @@ let create ~phys ~multiple ?(frame_limit = max_int) () =
         }
       in
       p.pg_queue_node <- Some (Dlist.push_back t.queues.(0) p);
+      t.pages <- p :: t.pages;
       t.dom_free.(0) <- t.dom_free.(0) + 1;
       t.free_total <- t.free_total + 1;
       t.total <- t.total + 1
@@ -449,6 +452,8 @@ let take_active t = take_pop t t.active
 let iter_free t f =
   Array.iter (fun q -> Dlist.iter f q) t.queues;
   Array.iter (fun mag -> List.iter f mag) t.caches
+
+let iter_pages t f = List.iter f t.pages
 
 let object_pages o = Dlist.to_list o.obj_pages
 

@@ -179,6 +179,10 @@ val take_active : t -> Types.page option
 (** [take_active t] pops the oldest active page (used by the daemon to
     refill the inactive queue). *)
 
+val iter_pages : t -> (Types.page -> unit) -> unit
+(** [iter_pages t f] applies [f] to every page the allocator manages,
+    whatever queue or object it is on; used by consistency checkers. *)
+
 val iter_free : t -> (Types.page -> unit) -> unit
 (** [iter_free t f] applies [f] to every free page — colored queues in
     index order, then magazine contents (without disturbing either);

@@ -33,9 +33,9 @@ type page = {
       (* brought in by read-ahead, not yet referenced by a fault; cleared
          on first use (a prefetch hit) or reclaim (a wasted prefetch) *)
   mutable pg_inflight : inflight option;
-      (* async disk transfer this page rides on (prefetch fill or
-         clustered pageout); anyone reusing or relying on the page first
-         waits out the completion stamp (Pager_guard.await_page) *)
+      (* the disk stamp this page rides on (a read-ahead tail page, or a
+         page of a clustered async pageout); anyone reusing or relying
+         on the page first waits out the stamp (Pager_guard.await_page) *)
   mutable pg_queue : pageq;
   mutable pg_queue_node : page Dlist.node option;
   mutable pg_obj_node : page Dlist.node option;
@@ -46,17 +46,24 @@ type page = {
          into the memory-pressure state instead of spinning forever *)
 }
 
-(* One async disk request still on the device, shared by every page of
-   its cluster.  The first waiter charges the remaining cycles and claims
-   the overlap; [if_waited] stops the sharers from double-counting it. *)
+(* One page's share of a disk transfer still on the device: when the
+   page lands, the device time its wait stands for (the pages of one
+   transfer split its service, so overlap is counted once), and the
+   [Machine.reset_epoch] the stamp was taken in — a stamp from an older
+   epoch has landed, whatever its cycle count says. *)
 and inflight = {
-  if_io : io;
-  mutable if_waited : bool;
+  if_stamp : int;
+  if_service : int;
+  if_epoch : int;
 }
 
 (* When a pager's transfer lands on the device ([Machine.submit_disk]);
    [io_none] for a reply that involved no device. *)
-and io = Mach_hw.Machine.io = { io_completion : int; io_service : int }
+and io = Mach_hw.Machine.io = {
+  io_start : int;
+  io_completion : int;
+  io_service : int;
+}
 
 and obj = {
   obj_id : int;
@@ -142,11 +149,12 @@ and degrade_policy =
    kernel-to-pager calls of Table 3-1 that move data; the pager answers in
    the style of the pager-to-kernel calls of Table 3-2.  Each transfer is
    implemented once: the pager starts its device work and returns at
-   once, and the reply's [io] stamp says when the device finishes.  The
-   kernel decides whether to wait for it (Pager_guard.wait_io) or to let
-   the pages ride the transfer (an [inflight] record); with the async
-   disk model off the device work is already charged and the stamp is
-   never pending. *)
+   once, and the reply's [io] stamp says when each of its bytes lands.
+   The kernel decides what to wait for (Pager_guard.wait_io for the whole
+   transfer, the demand page alone for a read-ahead cluster) and lets
+   the other pages ride their own stamps (an [inflight] record).  A
+   write on the synchronous disk model is already paid when the reply
+   arrives. *)
 and pager = {
   pgr_id : int;
   pgr_name : string;

@@ -25,25 +25,33 @@
    Clustering is strictly opportunistic.  The range request is one-shot
    ({!Pager_guard.request_range}); on error or a reply shorter than one
    page we fall back to the single-page path, which owns the full
-   retry/backoff/death policy.  Prefetched pages are filled from the
-   same reply, marked [pg_prefetched] and enqueued on the *inactive*
-   queue, so a wrong guess is the first thing the pageout daemon
-   reclaims.
+   retry/backoff/death policy.
+
+   A cluster is one request whose reply stamps each page, demand page
+   first ({!Mach_hw.Machine.io_landed}): page [i] lands after the
+   latency and [i + 1] pages' transfer time.  The miss waits only for
+   the demand page ({!Pager_guard.wait_prefix}).  Each prefetched page
+   is filled from the same reply, marked [pg_prefetched], enqueued on
+   the *inactive* queue — so a wrong guess is the first thing the
+   pageout daemon reclaims — and rides its own stamp
+   ({!Pager_guard.ride}): busy until it lands, and the first toucher
+   pays only that page's residue ({!Pager_guard.await_page} via
+   {!note_hit}).  Both disk models take this one path; a reply from a
+   pager with no device has landed already and rides nothing.
+
+   Read-ahead survives memory pressure: a miss that continues a stream
+   first asks the reclaimer (the pageout daemon) for the pages its
+   cluster needs beyond [free_target], so a file scanned through less
+   memory than it occupies still reads whole clusters.  A random miss
+   never reclaims for speculation, and the tail is allocated behind a
+   hard [free_reserved] floor: pages that do not fit are dropped.
 
    Once a stream has ramped to [Vm_sys.free_behind_min] pages (0 = off,
    the default), the clean pages {e behind} its cursor are deactivated
    to the head of the inactive queue (free-behind): a file larger than
    memory then reclaims its own wake instead of flushing every other
    task's working set.  Dirty, wired, busy, in-flight pages — and pages
-   another live stream has yet to reach — are skipped.
-
-   With the asynchronous disk model on, the demand page is read first
-   (blocking) and the prefetch tail is a second range request whose
-   reply is not waited on: while its transfer is still pending, the tail
-   pages ride an {!Types.inflight} record ({!Pager_guard.inflight_of}) —
-   filled and resident immediately, but busy until the device's
-   completion stamp, and the first toucher waits out the residue
-   ({!Pager_guard.await_page} via {!note_hit}). *)
+   another live stream has yet to reach — are skipped. *)
 
 open Types
 module Obs = Mach_obs.Obs
@@ -81,12 +89,7 @@ let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
   let slots = slots_of sys obj in
   let epoch = stream_epoch sys in
   let valid st = st.st_epoch = epoch in
-  let pick f =
-    let r = ref None in
-    Array.iter (fun st -> if !r = None && f st then r := Some st) slots;
-    !r
-  in
-  match pick (fun st -> valid st && st.st_next = offset) with
+  match Array.find_opt (fun st -> valid st && st.st_next = offset) slots with
   | Some st ->
     sys.Vm_sys.stats.Vm_stats.vs_stream_hits <-
       sys.Vm_sys.stats.Vm_stats.vs_stream_hits + 1;
@@ -94,11 +97,13 @@ let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
   | None ->
     let st =
       match
-        pick (fun st -> valid st && st.st_map = map && st.st_entry = ent)
+        Array.find_opt
+          (fun st -> valid st && st.st_map = map && st.st_entry = ent)
+          slots
       with
       | Some st -> st
       | None ->
-        (match pick (fun st -> not (valid st)) with
+        (match Array.find_opt (fun st -> not (valid st)) slots with
          | Some st -> st
          | None ->
            (* Every slot carries a live stream: evict the least recently
@@ -159,7 +164,7 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
         | Some p ->
           if
             p.pg_queue = Q_active && p.pg_wire_count = 0
-            && (not p.pg_busy) && p.pg_inflight = None
+            && (not p.pg_busy) && Option.is_none p.pg_inflight
             && (not (ahead_of_other_stream off))
             && not (Vm_sys.page_modified sys p)
           then begin
@@ -181,37 +186,36 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
 (* Pages to request at [offset], demand page included: clip the
    candidate window [w] (the slot's ramp, or 1 on a non-sequential
    miss) to [limit] (the map entry's window, in this object's offset
-   space), to the object size, to the first already-resident page and
-   to the free list's headroom (prefetch must never trigger reclaim).
+   space), to the object size and to the first already-resident page.
    Pure: the slot is committed by the caller only once the cluster
    actually issues. *)
 let plan (sys : Vm_sys.t) obj ~w ~offset ~limit =
   let ps = sys.Vm_sys.page_size in
-  let bound = min limit obj.obj_size in
-  let avail = bound - offset in
-  if avail <= ps then 1
-  else begin
-    let n = min w ((avail + ps - 1) / ps) in
-    let i = ref 1 in
-    while
-      !i < n
-      && Resident.lookup sys.Vm_sys.resident ~obj
-           ~offset:(offset + (!i * ps))
-         = None
-    do
-      incr i
-    done;
-    let n = !i in
-    (* Speculation gets only the pages above the free target: clipping
-       there (not at [free_reserved]) means prefetch never even triggers
-       reclaim, let alone touches the reserve — the reserve floor is
-       enforced again at allocation time in [install_tail], where the
-       free list may have dropped since this plan. *)
-    let headroom =
-      Resident.free_count sys.Vm_sys.resident - sys.Vm_sys.free_target
+  let avail = min limit obj.obj_size - offset in
+  let n = min w ((avail + ps - 1) / ps) in
+  let rec absent i =
+    if i >= n then i
+    else
+      let off = offset + (i * ps) in
+      match Resident.lookup sys.Vm_sys.resident ~obj ~offset:off with
+      | None -> absent (i + 1)
+      | Some _ -> i
+  in
+  absent 1
+
+(* Make room for a cluster of [pages] before asking for it: the
+   reclaimer (the pageout daemon) frees what the free list is short of
+   [free_target] plus the cluster, so speculation under pressure takes
+   its pages from the inactive queue instead of being clipped away. *)
+let reclaim_for (sys : Vm_sys.t) ~pages =
+  match sys.Vm_sys.reclaim with
+  | None -> ()
+  | Some reclaim ->
+    let short =
+      sys.Vm_sys.free_target + pages
+      - Resident.free_count sys.Vm_sys.resident
     in
-    max 1 (min n (1 + max 0 headroom))
-  end
+    if short > 0 then reclaim sys ~wanted:short
 
 (* The classical one-page pagein, exactly the pre-clustering fault path:
    guarded request with retries, then allocate/fill.  Returns the bytes
@@ -235,42 +239,39 @@ let single (sys : Vm_sys.t) obj st ~stream ~offset =
   | `Absent -> `Absent
   | `Error -> `Error
 
-(* Fill the [got] prefetch pages beyond the demand page from [data]
-   (page [i] of [data] is object offset [tail_off + i*ps]).  [inflight]
-   is the shared record of a transfer still on the device, [None] once
-   it has landed; riding pages stay busy until awaited.  Returns how
-   many pages were actually installed ([plan] skipped resident pages,
-   but the demand grab may have run the reclaimer in between; re-check
-   and never steal from the free target).  Allocation is raw
-   [Resident.alloc] behind a hard [free_reserved] floor: prefetch must
-   never wait, reclaim, OOM or dip into the reserve on behalf of
-   speculation — pages that do not fit are simply dropped from the
-   tail. *)
-let install_tail (sys : Vm_sys.t) obj ~tail_off ~got ~data ~inflight =
+(* Install pages 1 .. [got - 1] of the reply [data] (page [i] is object
+   offset [offset + i*ps]) as prefetch, each riding its own stamp in
+   [io].  Returns how many pages were actually installed: the demand
+   grab may have run the reclaimer since [plan], so resident pages are
+   re-checked.  Allocation is raw [Resident.alloc] behind a hard
+   [free_reserved] floor: prefetch must never wait, OOM or dip into the
+   reserve on behalf of speculation — pages that do not fit are simply
+   dropped from the tail. *)
+let install_tail (sys : Vm_sys.t) obj ~offset ~got ~data ~io =
   let ps = sys.Vm_sys.page_size in
+  let m = sys.Vm_sys.machine in
+  let res = sys.Vm_sys.resident in
   let issued = ref 0 in
-  let alloc_above_reserve ~off =
-    if Resident.free_count sys.Vm_sys.resident > sys.Vm_sys.free_reserved
-    then
-      Resident.alloc ~cpu:(Vm_sys.current_cpu sys) ~color:(off / ps)
-        sys.Vm_sys.resident
-    else None
-  in
-  for i = 0 to got - 1 do
-    let off = tail_off + (i * ps) in
-    if Resident.lookup sys.Vm_sys.resident ~obj ~offset:off = None then
-      match alloc_above_reserve ~off with
-      | None -> ()
-      | Some p ->
-        Resident.insert sys.Vm_sys.resident p ~obj ~offset:off;
-        p.pg_busy <- true;
-        Page_io.fill sys p (Bytes.sub data (i * ps) ps);
-        (match inflight with
-         | None -> p.pg_busy <- false
-         | Some _ -> p.pg_inflight <- inflight);
-        p.pg_prefetched <- true;
-        Resident.enqueue sys.Vm_sys.resident p Q_inactive;
-        incr issued
+  let landed = ref (Mach_hw.Machine.io_landed m io ~bytes:ps) in
+  for i = 1 to got - 1 do
+    let off = offset + (i * ps) in
+    let stamp = Mach_hw.Machine.io_landed m io ~bytes:((i + 1) * ps) in
+    let service = stamp - !landed in
+    landed := stamp;
+    match Resident.lookup res ~obj ~offset:off with
+    | Some _ -> ()
+    | None ->
+      if Resident.free_count res > sys.Vm_sys.free_reserved then
+        let cpu = Vm_sys.current_cpu sys in
+        match Resident.alloc ~cpu ~color:(off / ps) res with
+        | None -> ()
+        | Some p ->
+          Resident.insert res p ~obj ~offset:off;
+          Page_io.fill ~pos:(i * ps) sys p data;
+          Pager_guard.ride sys p ~stamp ~service;
+          p.pg_prefetched <- true;
+          Resident.enqueue res p Q_inactive;
+          incr issued
   done;
   !issued
 
@@ -282,31 +283,26 @@ let note_prefetch (sys : Vm_sys.t) ~offset ~issued ~window =
     Vm_sys.emit sys (Obs.Prefetch { offset; pages = issued; window })
   end
 
-(* Synchronous clustered pagein: one blocking range request covers the
-   demand page and the tail. *)
-let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
+(* Clustered pagein: one range request covers the demand page and the
+   tail; the miss waits for the demand page alone and the tail rides. *)
+let cluster (sys : Vm_sys.t) obj st ~stream ~offset ~n =
   let ps = sys.Vm_sys.page_size in
-  let stats = sys.Vm_sys.stats in
   match Pager_guard.request_range sys obj ~offset ~length:(n * ps) with
   | `Data (data, io) when Bytes.length data >= ps ->
-    Pager_guard.wait_io sys io;
+    Pager_guard.wait_prefix sys io ~bytes:ps;
     let got = min n (Bytes.length data / ps) in
     (* Commit the ramp at the size actually issued: a cluster clipped by
-       the object end, a resident page or free-list headroom must not
-       ramp as if the full candidate window had been read. *)
+       the object end or a resident page must not ramp as if the full
+       candidate window had been read. *)
     commit sys st ~stream ~next:(offset + (got * ps)) ~window:n;
-    stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
+    sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
+      sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
     let demand = Vm_sys.grab_page ~color:(offset / ps) sys in
     Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
     demand.pg_busy <- true;
-    Page_io.fill sys demand (Bytes.sub data 0 ps);
+    Page_io.fill sys demand data;
     demand.pg_busy <- false;
-    let issued =
-      if got > 1 then
-        install_tail sys obj ~tail_off:(offset + ps) ~got:(got - 1)
-          ~data:(Bytes.sub data ps ((got - 1) * ps)) ~inflight:None
-      else 0
-    in
+    let issued = install_tail sys obj ~offset ~got ~data ~io in
     note_prefetch sys ~offset ~issued ~window:n;
     free_behind sys obj st ~offset ~pages:got;
     `Data (demand, got * ps)
@@ -317,51 +313,23 @@ let pagein_sync (sys : Vm_sys.t) obj st ~stream ~offset ~n =
     single sys obj st ~stream ~offset
   | `Absent -> `Absent
 
-(* Asynchronous clustered pagein: the demand page is read first and
-   blocking (keeping the guarded retry/death policy on the page the
-   fault actually needs), then the tail is requested without waiting and
-   overlaps with whatever the CPU does next.  Requesting after the
-   demand read keeps the demand transfer ahead of the tail in the device
-   queue.  A tail that needed no device (a pager with no disk behind
-   it) has already landed and installs like a synchronous one. *)
-let pagein_async (sys : Vm_sys.t) obj st ~stream ~offset ~n =
-  let ps = sys.Vm_sys.page_size in
-  let stats = sys.Vm_sys.stats in
-  match single sys obj st ~stream ~offset with
-  | (`Absent | `Error) as r -> r
-  | `Data (demand, _) ->
-    let tail_off = offset + ps in
-    (match Pager_guard.request_range sys obj ~offset:tail_off
-             ~length:((n - 1) * ps) with
-     | `Data (data, io) when Bytes.length data >= ps ->
-       let got = min (n - 1) (Bytes.length data / ps) in
-       let issued =
-         install_tail sys obj ~tail_off ~got ~data
-           ~inflight:(Pager_guard.inflight_of sys io)
-       in
-       commit sys st ~stream ~next:(tail_off + (got * ps)) ~window:n;
-       stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
-       note_prefetch sys ~offset ~issued ~window:n;
-       free_behind sys obj st ~offset ~pages:(got + 1);
-       `Data (demand, ps + (got * ps))
-     | `Data _ | `Error | `Absent -> `Data (demand, ps))
-
 let pagein (sys : Vm_sys.t) ?(stream = (-1, 0)) obj ~offset ~limit =
   let st, seq = find_slot sys obj ~stream ~offset in
   let w = if seq then min sys.Vm_sys.cluster_max (st.st_window * 2) else 1 in
   let n = plan sys obj ~w ~offset ~limit in
   if n = 1 then single sys obj st ~stream ~offset
-  else if Mach_hw.Machine.disk_async sys.Vm_sys.machine then
-    pagein_async sys obj st ~stream ~offset ~n
-  else pagein_sync sys obj st ~stream ~offset ~n
+  else begin
+    reclaim_for sys ~pages:n;
+    cluster sys obj st ~stream ~offset ~n
+  end
 
 (* A resident-page hit on a prefetched page: the guess paid off.  Count
    it and promote the page from the inactive to the active queue.  If
-   the page is still riding an async transfer, first wait out the
-   residue — this is where a fault that outran the disk pays the
-   remaining device time. *)
+   the page is still riding its stamp, first wait out the residue —
+   this is where a fault that outran the disk pays the remaining device
+   time for its own page. *)
 let note_hit (sys : Vm_sys.t) p =
-  if p.pg_inflight <> None then Pager_guard.await_page sys p;
+  Pager_guard.await_page sys p;
   if p.pg_prefetched then begin
     p.pg_prefetched <- false;
     sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits <-

@@ -38,16 +38,19 @@
     its slot bookkeeping still runs, so [stream_hits] counts the
     sequential misses.
 
-    With the machine's async disk model on
-    ([Mach_hw.Machine.set_disk_async]), the demand page is read first,
-    blocking, and the prefetch tail is a second range request left
-    unwaited: while its transfer is pending the tail pages are resident
-    and filled but stay busy until the device's completion stamp
-    ({!Pager_guard.inflight_of}), and the first fault to touch one waits
-    out only the remaining device time ({!note_hit} →
-    {!Pager_guard.await_page}).  This choice is the only place the
-    kernel consults the async model; a tail from a pager with no device
-    behind it has already landed and installs like a synchronous one. *)
+    A cluster is one pager request whose reply stamps each page,
+    demand page first ({!Mach_hw.Machine.io_landed}).  The miss waits
+    only for the demand page; the prefetched pages are resident and
+    filled at once but stay busy on their own stamps
+    ({!Pager_guard.ride}), and the first fault to touch one waits out
+    only that page's remaining device time ({!note_hit} →
+    {!Pager_guard.await_page}).  Both disk models take this one path;
+    a reply from a pager with no device behind it has already landed.
+
+    A miss that continues a stream first asks the reclaimer for the
+    pages its cluster needs beyond [free_target], so read-ahead keeps
+    working when memory is full; a random miss never reclaims for
+    speculation, and prefetch never allocates below [free_reserved]. *)
 
 val pagein :
   Vm_sys.t -> ?stream:int * int -> Types.obj -> offset:int -> limit:int ->

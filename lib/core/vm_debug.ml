@@ -202,9 +202,43 @@ let check_burst sys =
     sys.Vm_sys.burst_pending;
   List.rev !errs
 
+(* A page riding a disk stamp is busy until it is awaited, and is a page
+   of a live object that still finds it at its offset: freeing or
+   removing the page settles the stamp first, so no stamp outlives its
+   object.  Its record comes from the current clock epoch or an older
+   one — an older record has landed ([Pager_guard.await_page] charges
+   nothing for it) — never from a later one. *)
+let check_inflight sys =
+  let errs = ref [] in
+  let res = sys.Vm_sys.resident in
+  let epoch = Machine.reset_epoch sys.Vm_sys.machine in
+  Resident.iter_pages res (fun p ->
+      match p.pg_inflight with
+      | None -> ()
+      | Some r ->
+        if not p.pg_busy then
+          note errs "page pfn=%d rides a disk stamp but is not busy" p.pfn;
+        (match p.pg_obj with
+         | Some o when not o.obj_dead ->
+           (match Resident.lookup res ~obj:o ~offset:p.pg_offset with
+            | Some q when q == p -> ()
+            | Some _ | None ->
+              note errs "page pfn=%d rides a disk stamp outside object %d"
+                p.pfn o.obj_id)
+         | Some o ->
+           note errs "page pfn=%d rides a disk stamp in dead object %d" p.pfn
+             o.obj_id
+         | None ->
+           note errs "page pfn=%d rides a disk stamp but has no object" p.pfn);
+        if r.if_epoch > epoch then
+          note errs "page pfn=%d rides a stamp from epoch %d, now %d" p.pfn
+            r.if_epoch epoch);
+  List.rev !errs
+
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
   @ check_resident sys @ check_pv sys @ check_tlb sys @ check_burst sys
+  @ check_inflight sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

@@ -33,7 +33,9 @@ val check_resident : Vm_sys.t -> string list
 
 val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus
-    the global structures. *)
+    the global structures: resident queues and hash, pv ↔ pmap, TLB ⊆
+    pmap, burst records, and pages riding disk stamps (busy, in a live
+    object, stamped in the current clock epoch or an older one). *)
 
 val assert_ok : Vm_sys.t -> maps:Types.vmap list -> unit
 (** [assert_ok sys ~maps] raises [Failure] with a readable summary if any

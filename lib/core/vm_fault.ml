@@ -96,7 +96,7 @@ let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~va_end ~offset =
       else
         match Vm_object.lookup_resident sys obj ~offset:off with
         | Some q
-          when (not q.pg_busy) && q.pg_inflight = None
+          when (not q.pg_busy) && Option.is_none q.pg_inflight
                && not
                     (List.exists
                        (fun (a, _) -> a = asid)

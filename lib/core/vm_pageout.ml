@@ -127,18 +127,15 @@ let write_cluster (sys : Vm_sys.t) o pages =
   match Pager_guard.write_range sys o ~offset:start ~data with
   | `Ok io ->
     (* While the write is still on the device (async disk model), every
-       page of the run rides the shared inflight record and stays busy
-       until the transfer lands: the daemon reaps the completion
-       ([Pager_guard.await_page]) before any of these frames can be
-       reused. *)
-    (match Pager_guard.inflight_of sys io with
-     | Some _ as inflight ->
-       List.iter
-         (fun q ->
-            q.pg_busy <- true;
-            q.pg_inflight <- inflight)
-         pages
-     | None -> ());
+       page of the run rides its completion stamp and stays busy until
+       the transfer lands: the daemon reaps it ([Pager_guard.await_page])
+       before any of these frames can be reused.  The first page's wait
+       stands for the whole transfer's device time. *)
+    List.iteri
+      (fun i q ->
+         Pager_guard.ride sys q ~stamp:io.io_completion
+           ~service:(if i = 0 then io.io_service else 0))
+      pages;
     finish ()
   | `Failed | `No_space ->
     (* Nothing was written; the per-page fallback owns the failure
@@ -204,7 +201,7 @@ let run (sys : Vm_sys.t) ~wanted =
          examining the page: charges only the residue and lifts the busy
          bit, so writeback and prefetch pages re-enter circulation
          instead of falling off the queues. *)
-      if p.pg_inflight <> None && p.pg_wire_count = 0 then
+      if Option.is_some p.pg_inflight && p.pg_wire_count = 0 then
         Pager_guard.await_page sys p;
       if p.pg_busy || p.pg_wire_count > 0 then
         (* Should not be queued at all; make it so. *)
@@ -236,7 +233,7 @@ let run (sys : Vm_sys.t) ~wanted =
             Vm_sys.set_mem_pressure sys true;
           Resident.enqueue res p Q_active
         end
-        else if p.pg_inflight <> None then
+        else if Option.is_some p.pg_inflight then
           (* [clean_cluster] just submitted this page's writeback: put it
              back at the tail of the inactive queue so the transfer can
              drain while the daemon works on other pages; it is reaped

@@ -32,11 +32,12 @@ type stats = {
   mutable tlb_miss_count : int;
 }
 
-(* One device (or per-CPU) request queue of the async disk model: a
-   virtual service clock.  A request submitted at [now] starts service at
-   [max now dq_free] and completes [service] cycles later; [dq_free]
-   advances to that completion, so queued requests serialise on the
-   device while the submitting CPU keeps computing. *)
+(* One device request queue: a virtual service clock.  In the async
+   model a request submitted at [now] starts service at [max now
+   dq_free] and completes [service] cycles later; [dq_free] advances to
+   that completion, so queued requests serialise on the device while the
+   submitting CPU keeps computing.  [dq_pending] feeds the queue-depth
+   gauge in both models. *)
 type dqueue = {
   mutable dq_free : int;
   mutable dq_pending : int list; (* completion stamps, newest first *)
@@ -244,17 +245,14 @@ let account_disk t ~cpu ~write ~bytes ~cycles =
     Mach_obs.Obs.record t.tracer ~ts:(cpu_of t cpu).clock ~cpu
       (Mach_obs.Obs.Disk_io { write; bytes; cycles })
 
-(* A blocking transfer: device time is always [Disk_wait], whatever
-   kernel path asked. *)
-let charge_disk_cycles t ~cpu ~write ~bytes ~cycles =
+(* A blocking transfer outside any queue: device time is always
+   [Disk_wait], whatever kernel path asked. *)
+let charge_disk t ~cpu ~write ~bytes =
+  let cycles = disk_service_cycles t ~bytes in
   charge_category t ~cpu Mach_obs.Obs.Disk_wait cycles;
   account_disk t ~cpu ~write ~bytes ~cycles
 
-let charge_disk t ~cpu ~write ~bytes =
-  charge_disk_cycles t ~cpu ~write ~bytes
-    ~cycles:(disk_service_cycles t ~bytes)
-
-(* --- Asynchronous disk queues ----------------------------------------- *)
+(* --- Disk queues ---------------------------------------------------- *)
 
 let disk_async t = t.disk_async
 let set_disk_async t on = t.disk_async <- on
@@ -264,65 +262,81 @@ let new_disk_queue t =
   t.disk_queues <- q :: t.disk_queues;
   q
 
-type io = { io_completion : int; io_service : int }
+type io = { io_start : int; io_completion : int; io_service : int }
 
-let io_none = { io_completion = 0; io_service = 0 }
+let io_none = { io_start = 0; io_completion = 0; io_service = 0 }
 
-(* Submit one transfer and return its completion stamp and service
-   time.  Sync mode ([disk_async = false]) is bit-identical to
-   {!charge_disk}: the submitting CPU pays the whole cost up front and
-   the completion stamp is its post-charge clock, so a later wait is
-   free.  Async mode charges nothing here; the request occupies the
-   queue's virtual service clock and the caller settles the residue with
-   {!wait_disk}.  [extra] extends the service time (injected delays and
-   wasted retry transfers). *)
-let submit_disk t q ~cpu ~write ~bytes ~extra =
-  let service = disk_service_cycles t ~bytes + extra in
-  if not t.disk_async then begin
-    charge_disk_cycles t ~cpu ~write ~bytes ~cycles:service;
-    { io_completion = (cpu_of t cpu).clock; io_service = service }
-  end
-  else begin
-    let now = (cpu_of t cpu).clock in
-    let start = max now q.dq_free in
-    let completion = start + service in
-    q.dq_free <- completion;
-    q.dq_pending <-
-      completion :: List.filter (fun c -> c > now) q.dq_pending;
-    account_disk t ~cpu ~write ~bytes ~cycles:service;
-    if traced t then
-      Mach_obs.Obs.record t.tracer ~ts:now ~cpu
-        (Mach_obs.Obs.Disk_submit
-           { write; bytes; depth = List.length q.dq_pending;
-             latency = completion - now });
-    { io_completion = completion; io_service = service }
-  end
+(* A transfer streams its bytes in order after the fixed latency, so
+   the first [bytes] of it have landed once that many KB have moved. *)
+let io_landed t io ~bytes =
+  min io.io_completion
+    (io.io_start + ((bytes + 1023) / 1024 * t.arch.Arch.cost.Arch.disk_per_kb))
 
 (* Block until [completion]: charge only the cycles still outstanding.
-   Whatever the CPU managed to do between submit and here is the overlap
-   the async model buys; [service] is the request's full device time, so
-   [service - residue] (clamped) is the saving.  Callers that share one
-   request across several pages pass [service = 0] after the first wait
-   so the overlap is counted once. *)
+   Whatever the CPU managed to do between submit and here is overlap;
+   [service] is the device time this wait stands for, so [service -
+   residue] (clamped) is the saving.  Callers that share one request
+   across several waits split [service] between them so the overlap is
+   counted once. *)
 let wait_disk t ~cpu ~completion ~service =
-  if t.disk_async then begin
-    let c = cpu_of t cpu in
-    let residue = max 0 (completion - c.clock) in
-    if residue > 0 then bump_as t c Mach_obs.Obs.Disk_wait residue;
-    t.stats.disk_waits <- t.stats.disk_waits + 1;
-    t.stats.disk_wait_cycles <- t.stats.disk_wait_cycles + residue;
-    let overlap = max 0 (service - residue) in
-    t.stats.disk_overlap_cycles <- t.stats.disk_overlap_cycles + overlap;
-    if traced t then
-      Mach_obs.Obs.record t.tracer ~ts:c.clock ~cpu
-        (Mach_obs.Obs.Disk_wait { cycles = residue; overlap })
-  end
+  let c = cpu_of t cpu in
+  let residue = max 0 (completion - c.clock) in
+  if residue > 0 then bump_as t c Mach_obs.Obs.Disk_wait residue;
+  t.stats.disk_waits <- t.stats.disk_waits + 1;
+  t.stats.disk_wait_cycles <- t.stats.disk_wait_cycles + residue;
+  let overlap = max 0 (service - residue) in
+  t.stats.disk_overlap_cycles <- t.stats.disk_overlap_cycles + overlap;
+  if traced t then
+    Mach_obs.Obs.record t.tracer ~ts:c.clock ~cpu
+      (Mach_obs.Obs.Disk_wait { cycles = residue; overlap })
 
-(* A blocking caller's wait on a transfer: nothing to do for a reply that
-   involved no device ([io_none]) or, in sync mode, at all. *)
+(* A blocking caller's wait on a whole transfer: nothing to do for a
+   reply that involved no device ([io_none]) or whose wait was already
+   paid. *)
 let wait_io t ~cpu io =
   if io.io_service > 0 then
     wait_disk t ~cpu ~completion:io.io_completion ~service:io.io_service
+
+(* Submit one transfer and return its stamp.  Both models share one
+   timeline: a request starts at [start], no earlier than [after] (the
+   previous run of a transfer split into runs), moves its bytes after
+   [extra] (injected delays and wasted retry transfers) and the fixed
+   latency, and completes [service] cycles after it started.  The models
+   differ in when a request may start and in what the submitter pays
+   here:
+
+   - async: requests queue on the device's queue [q], shared by every
+     CPU; nothing is charged at submit, and the caller settles the
+     residue with {!wait_disk};
+   - sync (the default): no device queue — a request starts at once, as
+     if every CPU had a disk to itself.  A write blocks its CPU until it
+     completes, so the stamp it returns is already paid; a read charges
+     nothing at submit, and the caller waits only for the bytes it needs
+     ({!io_landed}). *)
+let submit_disk ?(after = 0) t q ~cpu ~write ~bytes ~extra =
+  let c = cpu_of t cpu in
+  let service = disk_service_cycles t ~bytes + extra in
+  let now = c.clock in
+  let start = max now after in
+  let start = if t.disk_async then max start q.dq_free else start in
+  let completion = start + service in
+  q.dq_free <- max q.dq_free completion;
+  q.dq_pending <- completion :: List.filter (fun c -> c > now) q.dq_pending;
+  account_disk t ~cpu ~write ~bytes ~cycles:service;
+  if traced t then
+    Mach_obs.Obs.record t.tracer ~ts:now ~cpu
+      (Mach_obs.Obs.Disk_submit
+         { write; bytes; depth = List.length q.dq_pending;
+           latency = completion - now });
+  let io =
+    { io_start = start + extra + t.arch.Arch.cost.Arch.disk_latency;
+      io_completion = completion; io_service = service }
+  in
+  if write && not t.disk_async then begin
+    wait_io t ~cpu io;
+    { io with io_service = 0 }
+  end
+  else io
 
 (* Requests still in flight across every queue, judged at the latest CPU
    clock; the vmstat sampler's queue-depth gauge. *)
@@ -610,8 +624,7 @@ let write t ~cpu ~va data =
   iter_page_runs t ~va ~len (fun va off run ->
       let pfn = translate t ~cpu ~va ~write:true in
       let page = t.arch.Arch.hw_page_size in
-      Phys_mem.write t.phys pfn ~offset:(va mod page)
-        (Bytes.sub data off run);
+      Phys_mem.write t.phys pfn ~offset:(va mod page) ~pos:off ~len:run data;
       charge t ~cpu (move_cost t run))
 
 let read_byte t ~cpu ~va =

@@ -64,13 +64,13 @@ type stats = {
   mutable disk_errors : int;  (** simulated disk transfers that failed
                                   (fault injection) *)
   mutable disk_retries : int; (** failed transfers retried by the driver *)
-  mutable disk_waits : int;   (** blocking waits on async completions *)
+  mutable disk_waits : int;   (** blocking waits on disk stamps *)
   mutable disk_wait_cycles : int;
-      (** cycles spent blocked on async disk completions (the residue
-          actually charged at wait time) *)
+      (** cycles spent blocked on disk stamps (the residue actually
+          charged at wait time) *)
   mutable disk_overlap_cycles : int;
-      (** device cycles hidden behind computation: per request,
-          [service - residue] clamped at zero.  Always 0 in sync mode. *)
+      (** device cycles hidden behind computation: per wait,
+          [service - residue] clamped at zero *)
   mutable tlb_hit_count : int;    (** translations served from a TLB entry *)
   mutable tlb_miss_count : int;   (** translations that walked the
                                       hardware map (or had no TLB) *)
@@ -189,26 +189,31 @@ val set_sampler : t -> every_ms:int -> (unit -> unit) -> unit
     while armed; raises [Invalid_argument] when [every_ms <= 0]. *)
 
 val disk_inflight : t -> int
-(** Async disk requests submitted but not yet complete at the current
+(** Disk requests submitted but not yet complete at the current
     {!max_cycles}, summed over every queue; a queue-depth gauge for
-    periodic samplers.  Always 0 in sync mode. *)
+    periodic samplers. *)
 
 val charge_disk : t -> cpu:int -> write:bool -> bytes:int -> unit
-(** [charge_disk t ~cpu ~write ~bytes] accounts one disk operation moving
-    [bytes] bytes (latency plus per-KB transfer cost); [write] is the
-    transfer direction, recorded on the trace event. *)
+(** [charge_disk t ~cpu ~write ~bytes] accounts one blocking disk
+    operation moving [bytes] bytes (latency plus per-KB transfer cost)
+    outside any queue; [write] is the transfer direction, recorded on
+    the trace event. *)
 
-(** {1 Asynchronous disk queues}
+(** {1 Disk queues}
 
-    The async disk model (off by default) decouples a transfer's device
-    time from the submitting CPU's clock.  A {!dqueue} is one device (or
-    per-CPU) request queue with a virtual service clock: a request
-    submitted at [now] starts at [max now free], completes [service]
-    cycles later, and advances [free].  The submitter keeps computing;
-    {!wait_disk} later charges only the residue still outstanding.  With
-    [disk_async] off, {!submit_disk} is bit- and cycle-identical to
-    {!charge_disk} and {!wait_disk} is a no-op, so the machinery is free
-    when unused. *)
+    A transfer's device time is a stamp ({!io}): it starts, streams its
+    bytes after the fixed latency, and completes [service] cycles after
+    it started; {!io_landed} says when each prefix of its bytes lands,
+    so a caller can wait for the page it needs and let the rest arrive.
+
+    The two models differ in when a request may start and in what the
+    submitter pays at submit time.  The async model (off by default)
+    queues every CPU's requests on the device's {!dqueue}, a virtual
+    service clock: a request starts at [max now free] and advances
+    [free]; nothing is charged at submit.  The synchronous-service model
+    has no device queue — a request starts when submitted, as if each
+    CPU had a disk to itself — and a write blocks its CPU until it
+    completes.  A read charges nothing at submit in either model. *)
 
 type dqueue
 (** A disk request queue (virtual service clock). *)
@@ -224,33 +229,44 @@ val disk_service_cycles : t -> bytes:int -> int
 (** Device time for one transfer of [bytes]: fixed latency plus per-KB
     transfer cost. *)
 
-type io = { io_completion : int; io_service : int }
-(** When a submitted transfer lands: the absolute cycle stamp
-    [io_completion] and the device service time [io_service] (the budget
-    a waiter can have overlapped). *)
+type io = { io_start : int; io_completion : int; io_service : int }
+(** When a submitted transfer lands: [io_start] is the absolute cycle
+    at which its bytes start to move (queue start, injected delay and
+    latency behind it), [io_completion] the stamp of its last byte, and
+    [io_service] the device time a waiter can have overlapped (0 once a
+    wait has paid it). *)
 
 val io_none : io
 (** The stamp of a reply that involved no device: waiting on it is free
     and counts nothing. *)
 
+val io_landed : t -> io -> bytes:int -> int
+(** [io_landed t io ~bytes] is the cycle at which the first [bytes]
+    bytes of the transfer have landed: [io_start] plus their per-KB
+    transfer time, never later than [io_completion].  Page [i] of a
+    clustered read lands at [io_landed ~bytes:((i + 1) * page_size)]. *)
+
 val submit_disk :
-  t -> dqueue -> cpu:int -> write:bool -> bytes:int -> extra:int -> io
-(** [submit_disk t q ~cpu ~write ~bytes ~extra] enqueues one transfer and
-    returns its stamp; [extra] adds injected delays or wasted retry
-    transfers to the service time.  Sync mode charges the whole cost here
-    (exactly {!charge_disk}) and returns the post-charge clock, so the
-    transfer is already complete and a subsequent wait is free. *)
+  ?after:int -> t -> dqueue -> cpu:int -> write:bool -> bytes:int ->
+  extra:int -> io
+(** [submit_disk ~after t q ~cpu ~write ~bytes ~extra] submits one
+    transfer and returns its stamp; [extra] adds injected delays or
+    wasted retry transfers to the service time, and [after] (default 0)
+    is the earliest cycle it may start — the completion of the run
+    before it, for a transfer split into runs.  Async mode queues it on
+    [q]; a sync write is waited here, returning a stamp already
+    paid. *)
 
 val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
 (** [wait_disk t ~cpu ~completion ~service] blocks [cpu] until
-    [completion], charging only the outstanding residue, and credits
-    [service - residue] to [disk_overlap_cycles].  Pass [service = 0]
-    when re-waiting a request whose overlap was already counted.  No-op
-    in sync mode. *)
+    [completion], charging only the outstanding residue to [Disk_wait],
+    and credits [service - residue] to [disk_overlap_cycles].  Waits
+    sharing one request split its service between them (0 for a
+    re-wait) so overlap is counted once. *)
 
 val wait_io : t -> cpu:int -> io -> unit
-(** [wait_io t ~cpu io] is a blocking caller's {!wait_disk} on [io]; free
-    for {!io_none}, and a no-op in sync mode. *)
+(** [wait_io t ~cpu io] is a blocking caller's {!wait_disk} on the whole
+    of [io]; free for {!io_none} and for a stamp already paid. *)
 
 val account_disk : t -> cpu:int -> write:bool -> bytes:int -> cycles:int -> unit
 (** [account_disk] bumps the op/byte counters and emits the [Disk_io]

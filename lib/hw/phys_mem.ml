@@ -43,12 +43,12 @@ let read t f ~offset ~len =
     invalid_arg "Phys_mem.read: out of frame";
   Bytes.sub b offset len
 
-let write t f ~offset data =
+let write t f ~offset ?(pos = 0) ?len data =
   let b = bytes_of t f in
-  let len = Bytes.length data in
+  let len = match len with Some n -> n | None -> Bytes.length data - pos in
   if offset < 0 || offset + len > t.page_size then
     invalid_arg "Phys_mem.write: out of frame";
-  Bytes.blit data 0 b offset len
+  Bytes.blit data pos b offset len
 
 let read_byte t f ~offset = Bytes.get (bytes_of t f) offset
 

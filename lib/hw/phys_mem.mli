@@ -38,8 +38,10 @@ val read : t -> frame -> offset:int -> len:int -> Bytes.t
 (** [read t f ~offset ~len] copies [len] bytes out of frame [f] starting at
     [offset].  The range must lie within the frame. *)
 
-val write : t -> frame -> offset:int -> Bytes.t -> unit
-(** [write t f ~offset data] copies [data] into frame [f] at [offset]. *)
+val write : t -> frame -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
+(** [write t f ~offset ~pos ~len data] copies [len] bytes of [data]
+    from [pos] (default: all of it from 0) into frame [f] at
+    [offset]. *)
 
 val read_byte : t -> frame -> offset:int -> char
 (** [read_byte t f ~offset] is the byte at [offset] in frame [f]. *)

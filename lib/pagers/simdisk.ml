@@ -97,14 +97,14 @@ let admit t ~cpu ~write ~block ~bytes =
    per-byte transfer cost for the whole run.  [count = 1] is exactly the
    classical single-block operation (identical cost and accounting), so
    unclustered callers are unaffected. *)
-let submit_read_run t ~cpu ~first ~count =
+let submit_read_run ?after t ~cpu ~first ~count =
   if count <= 0 then invalid_arg "Simdisk.submit_read_run";
   let bytes = count * t.block_size in
   let extra = admit t ~cpu ~write:false ~block:first ~bytes in
   t.reads <- t.reads + count;
   let io =
-    Machine.submit_disk t.machine (queue_for t ~cpu) ~cpu ~write:false
-      ~bytes ~extra
+    Machine.submit_disk ?after t.machine (queue_for t ~cpu) ~cpu
+      ~write:false ~bytes ~extra
   in
   let buf = Bytes.make bytes '\000' in
   for i = 0 to count - 1 do
@@ -114,7 +114,7 @@ let submit_read_run t ~cpu ~first ~count =
   done;
   { h_data = buf; h_io = io }
 
-let submit_write_run t ~cpu ~first data =
+let submit_write_run ?after t ~cpu ~first data =
   let len = Bytes.length data in
   if len = 0 || len mod t.block_size <> 0 then
     invalid_arg "Simdisk.submit_write_run";
@@ -122,8 +122,8 @@ let submit_write_run t ~cpu ~first data =
   let extra = admit t ~cpu ~write:true ~block:first ~bytes:len in
   t.writes <- t.writes + count;
   let io =
-    Machine.submit_disk t.machine (queue_for t ~cpu) ~cpu ~write:true
-      ~bytes:len ~extra
+    Machine.submit_disk ?after t.machine (queue_for t ~cpu) ~cpu
+      ~write:true ~bytes:len ~extra
   in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays

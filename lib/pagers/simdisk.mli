@@ -10,11 +10,11 @@
     request, which returns a {!handle} at once.  With the machine's
     asynchronous disk model on ([Machine.set_disk_async]) the request
     enters one of the device's service queues and gets a virtual
-    completion stamp, and the submitting CPU only pays the {e remaining}
-    device time when it later {!wait}s — device time that elapsed while
-    the CPU kept computing is overlap, tracked in [Machine.stats].  With
-    the async model off the submit itself charges the classical
-    synchronous cost, cycle for cycle, and the wait is free; a blocking
+    completion stamp; with it off the request starts at once.  Either
+    way the submitting CPU only pays the {e remaining} device time when
+    it later {!wait}s — device time that elapsed while the CPU kept
+    computing is overlap, tracked in [Machine.stats] — except that a
+    write on the synchronous model is paid at submit.  A blocking
     transfer is [wait t ~cpu (submit_… t ~cpu …)] in both models. *)
 
 type t
@@ -50,18 +50,21 @@ type handle
     immediately — the simulation keeps it in host memory — but the
     simulated device is busy until the handle's completion stamp. *)
 
-val submit_read_run : t -> cpu:int -> first:int -> count:int -> handle
-(** [submit_read_run t ~cpu ~first ~count] queues a read of [count]
+val submit_read_run :
+  ?after:int -> t -> cpu:int -> first:int -> count:int -> handle
+(** [submit_read_run ~after t ~cpu ~first ~count] queues a read of [count]
     consecutive blocks as {e one} disk request and returns without
     blocking: the fixed seek/rotational latency is paid once for the
     run, plus the per-KB transfer cost for all of it — this is what
     makes clustered pagein cheaper than [count] single reads.  Unwritten
-    blocks read as zeros.  Counters account one read per block.  With
-    the async model off the cost is charged here and the handle is
-    already complete. *)
+    blocks read as zeros.  Counters account one read per block.  The
+    request starts no earlier than [after] (default 0): a transfer split
+    into runs passes the previous run's completion, so its runs follow
+    each other on the disk in both models. *)
 
-val submit_write_run : t -> cpu:int -> first:int -> Bytes.t -> handle
-(** [submit_write_run t ~cpu ~first data] queues a write of [data] (a
+val submit_write_run :
+  ?after:int -> t -> cpu:int -> first:int -> Bytes.t -> handle
+(** [submit_write_run ~after t ~cpu ~first data] queues a write of [data] (a
     non-empty whole number of blocks) across consecutive blocks starting
     at [first] as one request, with the same cost model as
     {!submit_read_run}.  The block store is updated at submit. *)

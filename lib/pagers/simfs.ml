@@ -110,11 +110,16 @@ let iter_spans t ino ~offset ~len f =
   in
   loop 0
 
-(* Every run of a transfer is submitted before any is waited on; the
-   caller sees one stamp, the latest completion with the summed service
-   time. *)
+(* Every run of a transfer is submitted before any is waited on, each
+   starting after the one before it; the caller sees one stamp: the
+   latest completion, the summed service time, and a start late enough
+   that [Machine.io_landed] never puts a byte of [b] (which follows
+   [a]'s bytes in the caller's buffer) earlier than its own run lands
+   it. *)
 let join (a : Mach_hw.Machine.io) (b : Mach_hw.Machine.io) =
-  { Mach_hw.Machine.io_completion = max a.io_completion b.io_completion;
+  { Mach_hw.Machine.io_start =
+      max a.io_start (b.io_start - (a.io_completion - a.io_start));
+    io_completion = max a.io_completion b.io_completion;
     io_service = a.io_service + b.io_service }
 
 let submit_read t ~cpu ~name ~offset ~len =
@@ -128,7 +133,10 @@ let submit_read t ~cpu ~name ~offset ~len =
       let buf = Bytes.create len in
       let io = ref Mach_hw.Machine.io_none in
       iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
-          let h = Simdisk.submit_read_run t.disk ~cpu ~first ~count in
+          let h =
+            Simdisk.submit_read_run t.disk ~cpu ~after:!io.io_completion
+              ~first ~count
+          in
           io := join !io (Simdisk.handle_io h);
           Bytes.blit (Simdisk.handle_data h) boff buf pos chunk);
       (buf, !io)
@@ -141,17 +149,20 @@ let submit_write t ~cpu ~name ~offset ~data =
   let io = ref Mach_hw.Machine.io_none in
   let submit h = io := join !io (Simdisk.handle_io h) in
   iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
+      let after = !io.io_completion in
       if chunk = count * block_size then
         submit
-          (Simdisk.submit_write_run t.disk ~cpu ~first
+          (Simdisk.submit_write_run t.disk ~cpu ~after ~first
              (Bytes.sub data pos chunk))
       else begin
         (* A partial block is read, patched and written back. *)
-        let rh = Simdisk.submit_read_run t.disk ~cpu ~first ~count:1 in
+        let rh = Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count:1 in
         submit rh;
         let current = Simdisk.handle_data rh in
         Bytes.blit data pos current boff chunk;
-        submit (Simdisk.submit_write_run t.disk ~cpu ~first current)
+        submit
+          (Simdisk.submit_write_run t.disk ~cpu ~after:!io.io_completion
+             ~first current)
       end);
   !io
 

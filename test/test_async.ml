@@ -167,9 +167,9 @@ let store_pager ~ps ?(requests = ref []) () =
          Types.Write_completed Types.io_none);
     pgr_should_cache = ref false }
 
-(* A pager with no device under the async model: its tail reply has
-   already landed, so the tail installs like a synchronous one — in one
-   request, with no page riding an inflight record and no disk wait. *)
+(* A pager with no device under the async model: its reply has already
+   landed, so each cluster is one request and no page rides an inflight
+   record or waits on the disk. *)
 let test_no_device_pager_async () =
   let machine, _, sys = boot ~async:true () in
   let ps = sys.Vm_sys.page_size in
@@ -190,15 +190,15 @@ let test_no_device_pager_async () =
   in
   (* Misses at pages 0, 1 and 3 (page 2 arrives as the second miss's
      tail and is touched in between): the window ramps 1, 2, 4, so the
-     last miss reads page 3 and asks for the tail 4-6 in one request. *)
+     last miss asks for pages 3-6 in one request. *)
   ignore (pagein 0);
   ignore (pagein 1);
   (match Vm_object.lookup_resident sys obj ~offset:(2 * ps) with
    | Some p -> Vm_cluster.note_hit sys p
    | None -> Alcotest.fail "page 2 was not prefetched");
   ignore (pagein 3);
-  Alcotest.(check (list int)) "demand and tail requests"
-    [ ps; ps; ps; ps; 3 * ps ] (List.rev !requests);
+  Alcotest.(check (list int)) "one request per cluster"
+    [ ps; 2 * ps; 4 * ps ] (List.rev !requests);
   List.iter
     (fun p ->
        let i = p.Types.pg_offset / ps in
@@ -211,6 +211,47 @@ let test_no_device_pager_async () =
     (List.length (Resident.object_pages obj));
   Alcotest.(check int) "no disk waits" 0
     (Machine.stats machine).Machine.disk_waits
+
+(* A page riding its stamp across [Kernel.reset_clocks] has landed: the
+   clocks its stamp was measured against are gone, so touching it after
+   the reset must not charge the pre-reset time as a phantom wait. *)
+let test_stamp_across_reset () =
+  let machine, kernel, sys = boot ~async:true () in
+  let fs = Simfs.create machine () in
+  let ps = sys.Vm_sys.page_size in
+  Simfs.install_file fs ~name:"/reset" ~data:(Bytes.make (8 * ps) 'r');
+  let obj =
+    Vm_object.create_with_pager sys
+      (Vnode_pager.for_file sys fs ~name:"/reset")
+      ~size:(8 * ps)
+  in
+  Machine.charge machine ~cpu:0 10_000_000;
+  let miss page =
+    match Vm_cluster.pagein sys obj ~offset:(page * ps) ~limit:max_int with
+    | `Data _ -> ()
+    | `Absent | `Error -> Alcotest.fail "pagein failed"
+  in
+  (* The second miss is sequential: it reads pages 1-2, and page 2 rides
+     the transfer. *)
+  miss 0;
+  miss 1;
+  let tail =
+    match Vm_object.lookup_resident sys obj ~offset:(2 * ps) with
+    | Some p -> p
+    | None -> Alcotest.fail "page 2 was not prefetched"
+  in
+  Alcotest.(check bool) "tail page rides its stamp" true
+    (Option.is_some tail.Types.pg_inflight);
+  Kernel.reset_clocks kernel;
+  let before = Machine.cycles machine ~cpu:0 in
+  Vm_cluster.note_hit sys tail;
+  let charged = Machine.cycles machine ~cpu:0 - before in
+  let service = Machine.disk_service_cycles machine ~bytes:(2 * ps) in
+  Alcotest.(check bool)
+    (Printf.sprintf "charge %d within the transfer's service %d" charged
+       service)
+    true (charged <= service);
+  Alcotest.(check bool) "page no longer busy" false tail.Types.pg_busy
 
 (* Async pageout into a swap pool with room for one page: the clustered
    write is refused for space, the per-page fallback cleans the one page
@@ -414,6 +455,8 @@ let () =
             test_async_chaos_replays;
           Alcotest.test_case "pager with no device" `Quick
             test_no_device_pager_async;
+          Alcotest.test_case "stamp across a clock reset" `Quick
+            test_stamp_across_reset;
           Alcotest.test_case "pageout into a full swap pool" `Quick
             test_async_pageout_swap_full;
           Alcotest.test_case "dead pager rescued under async" `Quick
