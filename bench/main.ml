@@ -1085,12 +1085,11 @@ let cluster () =
   let rand_reads = 256 in
   let wb_size = mb in
   (* Sequential streaming read of a 2 MB file at window [w]: fresh boot,
-     cold cache.  With [~async:true] the prefetch tail overlaps with the
-     consuming CPU via the device queues.  Returns (elapsed, disk reqs,
-     prefetch issued/hits, device overlap cycles). *)
-  let seq_read ?(async = false) w =
+     cold cache; the prefetch tail lands while the consuming CPU copies
+     the pages before it.  Returns (elapsed, disk reqs, prefetch
+     issued/hits, device overlap cycles). *)
+  let seq_read w =
     let machine, kernel, _, os = boot_mach ~mem:(16 * mb) Arch.vax8200 in
-    Machine.set_disk_async machine async;
     let sys = Kernel.sys kernel in
     sys.Vm_sys.cluster_max <- w;
     os.Os_iface.install_file ~name:"/seq" ~data:(Bytes.make seq_size 'S');
@@ -1123,9 +1122,8 @@ let cluster () =
   (* Writeback: dirty 1 MB of anonymous memory, then force the pageout
      daemon to push it all to the default pager.  Contiguous dirty pages
      coalesce into clustered writes of up to [w] pages. *)
-  let writeback ?(async = false) w =
+  let writeback w =
     let machine, kernel, _, _ = boot_mach ~mem:(16 * mb) Arch.vax8200 in
-    Machine.set_disk_async machine async;
     let sys = Kernel.sys kernel in
     sys.Vm_sys.cluster_max <- w;
     let task = Kernel.create_task kernel ~name:"wb" () in
@@ -1154,32 +1152,28 @@ let cluster () =
         "Clustered paging: 2M sequential read, 256 random 4K reads and 1M\n\
          anonymous writeback at each read-ahead window (cluster_max)"
       ~columns:
-        [ "window"; "seq read"; "seq async"; "pager reqs"; "prefetch";
-          "rand read"; "writeback"; "wb async"; "clustered writes" ]
+        [ "window"; "seq read"; "pager reqs"; "prefetch"; "rand read";
+          "writeback"; "clustered writes" ]
   in
   List.iter
     (fun w ->
-       let seq_ms, reqs, issued, hits, _ = seq_read w in
-       let aseq_ms, _, _, _, overlap = seq_read ~async:true w in
+       let seq_ms, reqs, issued, hits, overlap = seq_read w in
        let rand_ms, rand_issued = rand_read w in
        let wb_ms, cw = writeback w in
-       let awb_ms, _ = writeback ~async:true w in
        record (Printf.sprintf "seq_read_2M/w%d" w) seq_ms;
-       record (Printf.sprintf "seq_read_2M/w%d_async" w) aseq_ms;
        record (Printf.sprintf "rand_read_256x4K/w%d" w) rand_ms;
        record (Printf.sprintf "writeback_1M/w%d" w) wb_ms;
-       record (Printf.sprintf "writeback_1M/w%d_async" w) awb_ms;
        if w = 8 then begin
          count "prefetch_issued/w8" issued;
          count "prefetch_hits/w8" hits;
          count "rand_prefetch_issued/w8" rand_issued;
          count "clustered_pageouts/w8" cw;
-         count "disk_overlap_cycles/w8_async" overlap
+         count "disk_overlap_cycles/w8" overlap
        end;
        Tablefmt.row t
-         [ string_of_int w; fmt_ms seq_ms; fmt_ms aseq_ms; string_of_int reqs;
+         [ string_of_int w; fmt_ms seq_ms; string_of_int reqs;
            Printf.sprintf "%d/%d" hits issued; fmt_ms rand_ms; fmt_ms wb_ms;
-           fmt_ms awb_ms; string_of_int cw ])
+           string_of_int cw ])
     windows;
   (* The zero-overhead reference: the pre-clustering per-page loop on a
      fresh boot must cost exactly what the clustered path costs at w=1. *)
@@ -1192,45 +1186,35 @@ let cluster () =
   let legacy_ms = Machine.elapsed_ms machine in
   record "seq_read_2M/legacy" legacy_ms;
   Tablefmt.row t
-    [ "legacy"; fmt_ms legacy_ms; "-"; "-"; "-"; "-"; "-"; "-"; "-" ];
+    [ "legacy"; fmt_ms legacy_ms; "-"; "-"; "-"; "-"; "-" ];
   Tablefmt.print t;
-  (* Attribution cells: instrumented re-runs of the w=8 streaming read.
-     The Disk_wait share is the fraction of all cycles spent on device
-     time or blocked on async completions; overlap means the async run's
-     share must not exceed the sync run's.  Separate boots, so the
-     untraced cells above are untouched; [os.reset] zeroes the clocks
-     and the attribution totals together, so conservation is exact from
-     that point even though the tracer arrived after the kernel booted. *)
-  let attr_seq ~async =
-    let machine, kernel, _, os = boot_mach ~mem:(16 * mb) Arch.vax8200 in
-    let tr = Mach_obs.Obs.create ~capacity:(1 lsl 12) () in
-    Mach_obs.Obs.set_enabled tr true;
-    Machine.set_tracer machine tr;
-    Machine.set_disk_async machine async;
-    let sys = Kernel.sys kernel in
-    sys.Vm_sys.cluster_max <- 8;
-    os.Os_iface.install_file ~name:"/seq" ~data:(Bytes.make seq_size 'S');
-    os.Os_iface.reset ();
-    ignore (os.Os_iface.read_file ~cpu:0 ~name:"/seq" ~offset:0 ~len:seq_size);
-    let total = Machine.max_cycles machine in
-    let disk_wait =
-      Mach_obs.Obs.attr_grand_total tr Mach_obs.Obs.Disk_wait
-    in
-    let conserved =
-      Mach_obs.Obs.attr_cpu_total tr ~cpu:0 = Machine.cycles machine ~cpu:0
-    in
-    (float_of_int disk_wait /. float_of_int total, conserved)
+  (* Attribution cells: an instrumented re-run of the w=8 streaming
+     read.  The Disk_wait share is the fraction of all cycles spent
+     blocked on device time.  A separate boot, so the untraced cells
+     above are untouched; [os.reset] zeroes the clocks and the
+     attribution totals together, so conservation is exact from that
+     point even though the tracer arrived after the kernel booted. *)
+  let machine, kernel, _, os = boot_mach ~mem:(16 * mb) Arch.vax8200 in
+  let tr = Mach_obs.Obs.create ~capacity:(1 lsl 12) () in
+  Mach_obs.Obs.set_enabled tr true;
+  Machine.set_tracer machine tr;
+  let sys = Kernel.sys kernel in
+  sys.Vm_sys.cluster_max <- 8;
+  os.Os_iface.install_file ~name:"/seq" ~data:(Bytes.make seq_size 'S');
+  os.Os_iface.reset ();
+  ignore (os.Os_iface.read_file ~cpu:0 ~name:"/seq" ~offset:0 ~len:seq_size);
+  let frac =
+    float_of_int (Mach_obs.Obs.attr_grand_total tr Mach_obs.Obs.Disk_wait)
+    /. float_of_int (Machine.max_cycles machine)
   in
-  let sync_frac, sync_ok = attr_seq ~async:false in
-  let async_frac, async_ok = attr_seq ~async:true in
-  record "attr_disk_wait_frac/w8" sync_frac;
-  record "attr_disk_wait_frac/w8_async" async_frac;
-  count "attr_conserved/w8" (Bool.to_int (sync_ok && async_ok));
+  let conserved =
+    Mach_obs.Obs.attr_cpu_total tr ~cpu:0 = Machine.cycles machine ~cpu:0
+  in
+  record "attr_disk_wait_frac/w8" frac;
+  count "attr_conserved/w8" (Bool.to_int conserved);
   Printf.printf
-    "cluster attribution (w=8): disk_wait %.1f%% sync, %.1f%% async, \
-     conservation %s\n\n"
-    (100. *. sync_frac) (100. *. async_frac)
-    (if sync_ok && async_ok then "ok" else "MISMATCH")
+    "cluster attribution (w=8): disk_wait %.1f%%, conservation %s\n\n"
+    (100. *. frac) (if conserved then "ok" else "MISMATCH")
 
 (* ------------------------------------------------------------------ *)
 (* Multiprocessor fault scalability: object locks and burst faulting    *)
@@ -1881,15 +1865,12 @@ let experiments =
            ("memory_errors", Count, Fault); elapsed ]);
     e "cluster" cluster
       (let ws = [ "w1"; "w2"; "w4"; "w8"; "w16"; "w32"; "w64" ] in
-       decl [ [ "seq_read_2M"; "writeback_1M" ] ]
-         (ms (ws @ List.map (x "%s_async") ws))
-       @ decl [ [ "rand_read_256x4K" ] ] (ms ws)
+       decl [ [ "seq_read_2M"; "writeback_1M"; "rand_read_256x4K" ] ] (ms ws)
        @ leaves Count Cluster
          [ "prefetch_issued/w8"; "prefetch_hits/w8"; "rand_prefetch_issued/w8";
            "clustered_pageouts/w8" ]
-       @ leaves Ratio Disk
-         [ "attr_disk_wait_frac/w8"; "attr_disk_wait_frac/w8_async" ]
-       @ [ ("disk_overlap_cycles/w8_async", Cycles, Disk);
+       @ [ ("attr_disk_wait_frac/w8", Ratio, Disk);
+           ("disk_overlap_cycles/w8", Cycles, Disk);
            ("attr_conserved/w8", Flag, E2e); ("seq_read_2M/legacy", Ms, E2e) ]);
     e "streams" streams
       (decl [ List.map (x "k%d") streams_ks ]

@@ -4,7 +4,7 @@ module Obs = Mach_obs.Obs
 let pager_dead o = o.obj_health.ph_dead
 
 (* A blocking caller waits out a reply's device time; free for
-   [io_none] and for a write the synchronous disk already paid. *)
+   [io_none] and for a write the disk already paid. *)
 let wait_io (sys : Vm_sys.t) io =
   Mach_hw.Machine.wait_io sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys) io
 
@@ -199,22 +199,20 @@ let rescue_write sys o ~offset ~data =
    [write] calls.  [`No_space] — the backing store is full — is
    permanent until space is released, so it is reported distinctly (no
    retries either, and no health damage: the pager is fine, the disk is
-   full) and the caller escalates to the memory-pressure state.  [`Ok]
-   carries the transfer's stamp unwaited, like [request_range]. *)
+   full) and the caller escalates to the memory-pressure state.  A disk
+   write blocks until it lands, so [`Ok] has nothing left on the
+   device. *)
 let write_range (sys : Vm_sys.t) o ~offset ~data =
   match o.obj_pager with
   | None -> `Failed
   | Some pager ->
     Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then
-      (match rescue_write sys o ~offset ~data with
-       | `Ok -> `Ok io_none
-       | (`Failed | `No_space) as r -> r)
+    if o.obj_health.ph_dead then rescue_write sys o ~offset ~data
     else begin
       match pager.pgr_write ~offset ~data with
-      | Write_completed io ->
+      | Write_completed _ ->
         o.obj_health.ph_consecutive <- 0;
-        `Ok io
+        `Ok
       | Write_error -> `Failed
       | Write_no_space -> `No_space
     end

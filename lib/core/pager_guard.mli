@@ -20,15 +20,15 @@
 
     Every pager reply carries an {!Types.io} stamp saying when each of
     its bytes lands.  {!request}, {!write} and the rescue transfers
-    block on all of it ({!wait_io}); the one-shot cluster calls hand it
-    back unwaited, so the caller can wait for the page it needs
+    block on all of it ({!wait_io}); the one-shot clustered read hands
+    it back unwaited, so the caller can wait for the page it needs
     ({!wait_prefix}) and let the others ride their own stamps
-    ({!ride}). *)
+    ({!ride}).  A disk write is paid before its reply arrives. *)
 
 val wait_io : Vm_sys.t -> Types.io -> unit
 (** [wait_io sys io] blocks the current CPU until the whole of [io] has
     landed, charging only the residue.  Free for {!Types.io_none} and
-    for a write the synchronous disk already paid. *)
+    for a write the disk already paid. *)
 
 val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
 (** [wait_prefix sys io ~bytes] blocks the current CPU only until the
@@ -73,10 +73,9 @@ val await_page : Vm_sys.t -> Types.page -> unit
 
 val write_range :
   Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->
-  [ `Ok of Types.io | `Failed | `No_space ]
+  [ `Ok | `Failed | `No_space ]
 (** [write_range] is the clustered-pageout variant of {!write}: one
-    attempt, no retries, no health damage, and [`Ok] carries the
-    transfer's stamp unwaited.  On [`Failed] nothing was
+    attempt, no retries, no health damage.  On [`Failed] nothing was
     written and the caller must degrade to per-page {!write} calls;
     [`No_space] means the backing store is full ([Write_no_space]) —
     also nothing written, also no health damage, but permanent until

@@ -9,10 +9,6 @@ let make (sys : Vm_sys.t) ~name =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   Hashtbl.add sys.Vm_sys.swap_stores id store;
   let machine = sys.Vm_sys.machine in
-  (* Each swap pager models its own paging partition with a private
-     service queue, so swap traffic queues behind itself, not behind
-     file-system transfers. *)
-  let queue = Mach_hw.Machine.new_disk_queue machine in
   let cpu () = Vm_sys.current_cpu sys in
   let ps = sys.Vm_sys.page_size in
   (* Gather contiguous chunks from [offset] up; one disk transfer covers
@@ -77,16 +73,16 @@ let make (sys : Vm_sys.t) ~name =
          | Some (data, got) ->
            Data_provided
              (data,
-              Mach_hw.Machine.submit_disk machine queue ~cpu:(cpu ())
-                ~write:false ~bytes:got ~extra:0));
+              Mach_hw.Machine.submit_disk machine ~cpu:(cpu ())
+                ~write:false ~bytes:got));
     pgr_write =
       (fun ~offset ~data ->
          if not (reserve ~offset ~data) then Write_no_space
          else begin
            (* One disk transfer for the whole (possibly clustered) write. *)
            let io =
-             Mach_hw.Machine.submit_disk machine queue ~cpu:(cpu ())
-               ~write:true ~bytes:(Bytes.length data) ~extra:0
+             Mach_hw.Machine.submit_disk machine ~cpu:(cpu ()) ~write:true
+               ~bytes:(Bytes.length data)
            in
            scatter ~offset ~data;
            Write_completed io

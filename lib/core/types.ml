@@ -33,9 +33,9 @@ type page = {
       (* brought in by read-ahead, not yet referenced by a fault; cleared
          on first use (a prefetch hit) or reclaim (a wasted prefetch) *)
   mutable pg_inflight : inflight option;
-      (* the disk stamp this page rides on (a read-ahead tail page, or a
-         page of a clustered async pageout); anyone reusing or relying
-         on the page first waits out the stamp (Pager_guard.await_page) *)
+      (* the disk stamp this page rides on (a read-ahead tail page);
+         anyone reusing or relying on the page first waits out the stamp
+         (Pager_guard.await_page) *)
   mutable pg_queue : pageq;
   mutable pg_queue_node : page Dlist.node option;
   mutable pg_obj_node : page Dlist.node option;
@@ -153,8 +153,8 @@ and degrade_policy =
    The kernel decides what to wait for (Pager_guard.wait_io for the whole
    transfer, the demand page alone for a read-ahead cluster) and lets
    the other pages ride their own stamps (an [inflight] record).  A
-   write on the synchronous disk model is already paid when the reply
-   arrives. *)
+   disk write is already paid when the reply arrives: the simulated
+   disk has no queue, and a write blocks its CPU until it lands. *)
 and pager = {
   pgr_id : int;
   pgr_name : string;

@@ -36,8 +36,8 @@
    pageout daemon reclaims — and rides its own stamp
    ({!Pager_guard.ride}): busy until it lands, and the first toucher
    pays only that page's residue ({!Pager_guard.await_page} via
-   {!note_hit}).  Both disk models take this one path; a reply from a
-   pager with no device has landed already and rides nothing.
+   {!note_hit}).  A reply from a pager with no device has landed
+   already and rides nothing.
 
    Read-ahead survives memory pressure: a miss that continues a stream
    first asks the reclaimer (the pageout daemon) for the pages its

@@ -44,8 +44,8 @@
     filled at once but stay busy on their own stamps
     ({!Pager_guard.ride}), and the first fault to touch one waits out
     only that page's remaining device time ({!note_hit} →
-    {!Pager_guard.await_page}).  Both disk models take this one path;
-    a reply from a pager with no device behind it has already landed.
+    {!Pager_guard.await_page}).  A reply from a pager with no device
+    behind it has already landed.
 
     A miss that continues a stream first asks the reclaimer for the
     pages its cluster needs beyond [free_target], so read-ahead keeps

@@ -106,7 +106,8 @@ let write_cluster (sys : Vm_sys.t) o pages =
          ~frames:(Vm_sys.frames sys))
     pages;
   let data = Bytes.concat Bytes.empty (List.map (page_bytes sys) pages) in
-  let finish () =
+  match Pager_guard.write_range sys o ~offset:start ~data with
+  | `Ok ->
     List.iter (Vm_sys.clear_page_modified sys) pages;
     List.iter (fun q -> q.pg_requeues <- 0) pages;
     sys.Vm_sys.mem_pressure <- false;
@@ -123,20 +124,6 @@ let write_cluster (sys : Vm_sys.t) o pages =
              inactive_depth = Resident.inactive_count sys.Vm_sys.resident })
     end;
     true
-  in
-  match Pager_guard.write_range sys o ~offset:start ~data with
-  | `Ok io ->
-    (* While the write is still on the device (async disk model), every
-       page of the run rides its completion stamp and stays busy until
-       the transfer lands: the daemon reaps it ([Pager_guard.await_page])
-       before any of these frames can be reused.  The first page's wait
-       stands for the whole transfer's device time. *)
-    List.iteri
-      (fun i q ->
-         Pager_guard.ride sys q ~stamp:io.io_completion
-           ~service:(if i = 0 then io.io_service else 0))
-      pages;
-    finish ()
   | `Failed | `No_space ->
     (* Nothing was written; the per-page fallback owns the failure
        accounting (and the no-space escalation, page by page — one page
@@ -197,10 +184,10 @@ let run (sys : Vm_sys.t) ~wanted =
     | None -> false
     | Some p ->
       incr examined;
-      (* Reap a completed (or nearly completed) async transfer before
-         examining the page: charges only the residue and lifts the busy
-         bit, so writeback and prefetch pages re-enter circulation
-         instead of falling off the queues. *)
+      (* Reap a landed (or nearly landed) read-ahead page before
+         examining it: charges only the residue and lifts the busy bit,
+         so prefetched pages re-enter circulation instead of falling off
+         the queues. *)
       if Option.is_some p.pg_inflight && p.pg_wire_count = 0 then
         Pager_guard.await_page sys p;
       if p.pg_busy || p.pg_wire_count > 0 then

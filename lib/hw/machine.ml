@@ -32,17 +32,6 @@ type stats = {
   mutable tlb_miss_count : int;
 }
 
-(* One device request queue: a virtual service clock.  In the async
-   model a request submitted at [now] starts service at [max now
-   dq_free] and completes [service] cycles later; [dq_free] advances to
-   that completion, so queued requests serialise on the device while the
-   submitting CPU keeps computing.  [dq_pending] feeds the queue-depth
-   gauge in both models. *)
-type dqueue = {
-  mutable dq_free : int;
-  mutable dq_pending : int list; (* completion stamps, newest first *)
-}
-
 type cpu = {
   id : int;
   tlb : Tlb.t;
@@ -60,8 +49,9 @@ type t = {
   mutable fault_handler : (cpu:int -> fault -> unit) option;
   mutable on_translated : (asid:int -> pfn:int -> write:bool -> unit) option;
   mutable tracer : Mach_obs.Obs.t;
-  mutable disk_async : bool;
-  mutable disk_queues : dqueue list; (* every queue ever created, for reset *)
+  (* Completion stamps of disk requests, newest first; pruned at each
+     submit to those still in flight, for the depth gauge. *)
+  mutable disk_pending : int list;
   (* vmstat sampler: a callback fired every [sample_every] cycles of
      simulated time.  [next_sample] is [max_int] when no sampler is
      installed, so the hot charge path pays one compare. *)
@@ -106,7 +96,7 @@ let create ~arch ~memory_frames ?(holes = []) ?(cpus = 1)
     shootdown_mode = shootdown;
     stats = fresh_stats (); fault_handler = None; on_translated = None;
     tracer = Mach_obs.Obs.null;
-    disk_async = false; disk_queues = [];
+    disk_pending = [];
     sampler = None; sample_every = 0; next_sample = max_int;
     reset_epoch = 0; numa_domains = 1; reset_hooks = [] }
 
@@ -216,9 +206,9 @@ let reset_clocks t =
   Array.iter (fun c -> c.clock <- 0) t.cpus;
   (* Invalidate absolute-cycle lock stamps taken before the reset. *)
   t.reset_epoch <- t.reset_epoch + 1;
-  (* Queue stamps are absolute cycle counts; stale ones would make a
-     post-reset wait charge a huge phantom residue. *)
-  List.iter (fun q -> q.dq_free <- 0; q.dq_pending <- []) t.disk_queues;
+  (* Pending stamps are absolute cycle counts; stale ones would count
+     as in flight long after the reset. *)
+  t.disk_pending <- [];
   (* Attribution totals must keep summing to the (zeroed) clocks. *)
   if Mach_obs.Obs.enabled t.tracer then
     Mach_obs.Obs.attr_reset_totals t.tracer;
@@ -245,22 +235,14 @@ let account_disk t ~cpu ~write ~bytes ~cycles =
     Mach_obs.Obs.record t.tracer ~ts:(cpu_of t cpu).clock ~cpu
       (Mach_obs.Obs.Disk_io { write; bytes; cycles })
 
-(* A blocking transfer outside any queue: device time is always
+(* A blocking transfer with no stamp: device time is always
    [Disk_wait], whatever kernel path asked. *)
 let charge_disk t ~cpu ~write ~bytes =
   let cycles = disk_service_cycles t ~bytes in
   charge_category t ~cpu Mach_obs.Obs.Disk_wait cycles;
   account_disk t ~cpu ~write ~bytes ~cycles
 
-(* --- Disk queues ---------------------------------------------------- *)
-
-let disk_async t = t.disk_async
-let set_disk_async t on = t.disk_async <- on
-
-let new_disk_queue t =
-  let q = { dq_free = 0; dq_pending = [] } in
-  t.disk_queues <- q :: t.disk_queues;
-  q
+(* --- Disk requests ------------------------------------------------- *)
 
 type io = { io_start : int; io_completion : int; io_service : int }
 
@@ -297,55 +279,42 @@ let wait_io t ~cpu io =
   if io.io_service > 0 then
     wait_disk t ~cpu ~completion:io.io_completion ~service:io.io_service
 
-(* Submit one transfer and return its stamp.  Both models share one
-   timeline: a request starts at [start], no earlier than [after] (the
-   previous run of a transfer split into runs), moves its bytes after
-   [extra] (injected delays and wasted retry transfers) and the fixed
-   latency, and completes [service] cycles after it started.  The models
-   differ in when a request may start and in what the submitter pays
-   here:
-
-   - async: requests queue on the device's queue [q], shared by every
-     CPU; nothing is charged at submit, and the caller settles the
-     residue with {!wait_disk};
-   - sync (the default): no device queue — a request starts at once, as
-     if every CPU had a disk to itself.  A write blocks its CPU until it
-     completes, so the stamp it returns is already paid; a read charges
-     nothing at submit, and the caller waits only for the bytes it needs
-     ({!io_landed}). *)
-let submit_disk ?(after = 0) t q ~cpu ~write ~bytes ~extra =
+(* Submit one transfer and return its stamp.  There is no device
+   queue: a request starts at once, no earlier than [after] (the
+   previous run of a transfer split into runs), as if every CPU had a
+   disk to itself; it moves its bytes after the fixed latency and
+   completes [service] cycles after it started.  A write blocks its CPU
+   until it completes, so the stamp it returns is already paid; a read
+   charges nothing at submit, and the caller waits only for the bytes
+   it needs ({!io_landed}). *)
+let submit_disk ?(after = 0) t ~cpu ~write ~bytes =
   let c = cpu_of t cpu in
-  let service = disk_service_cycles t ~bytes + extra in
+  let service = disk_service_cycles t ~bytes in
   let now = c.clock in
   let start = max now after in
-  let start = if t.disk_async then max start q.dq_free else start in
   let completion = start + service in
-  q.dq_free <- max q.dq_free completion;
-  q.dq_pending <- completion :: List.filter (fun c -> c > now) q.dq_pending;
+  t.disk_pending <- completion :: List.filter (fun c -> c > now) t.disk_pending;
   account_disk t ~cpu ~write ~bytes ~cycles:service;
   if traced t then
     Mach_obs.Obs.record t.tracer ~ts:now ~cpu
       (Mach_obs.Obs.Disk_submit
-         { write; bytes; depth = List.length q.dq_pending;
+         { write; bytes; depth = List.length t.disk_pending;
            latency = completion - now });
   let io =
-    { io_start = start + extra + t.arch.Arch.cost.Arch.disk_latency;
+    { io_start = start + t.arch.Arch.cost.Arch.disk_latency;
       io_completion = completion; io_service = service }
   in
-  if write && not t.disk_async then begin
+  if write then begin
     wait_io t ~cpu io;
     { io with io_service = 0 }
   end
   else io
 
-(* Requests still in flight across every queue, judged at the latest CPU
-   clock; the vmstat sampler's queue-depth gauge. *)
+(* Requests still in flight, judged at the latest CPU clock; the vmstat
+   sampler's depth gauge. *)
 let disk_inflight t =
   let now = max_cycles t in
-  List.fold_left
-    (fun acc q ->
-       acc + List.length (List.filter (fun c -> c > now) q.dq_pending))
-    0 t.disk_queues
+  List.length (List.filter (fun c -> c > now) t.disk_pending)
 
 (* --- TLB maintenance ------------------------------------------------- *)
 

@@ -190,40 +190,25 @@ val set_sampler : t -> every_ms:int -> (unit -> unit) -> unit
 
 val disk_inflight : t -> int
 (** Disk requests submitted but not yet complete at the current
-    {!max_cycles}, summed over every queue; a queue-depth gauge for
-    periodic samplers. *)
+    {!max_cycles}, over every disk; the depth gauge for periodic
+    samplers. *)
 
 val charge_disk : t -> cpu:int -> write:bool -> bytes:int -> unit
 (** [charge_disk t ~cpu ~write ~bytes] accounts one blocking disk
     operation moving [bytes] bytes (latency plus per-KB transfer cost)
-    outside any queue; [write] is the transfer direction, recorded on
-    the trace event. *)
+    with no stamp; [write] is the transfer direction, recorded on the
+    trace event. *)
 
-(** {1 Disk queues}
+(** {1 Disk requests}
 
     A transfer's device time is a stamp ({!io}): it starts, streams its
     bytes after the fixed latency, and completes [service] cycles after
     it started; {!io_landed} says when each prefix of its bytes lands,
     so a caller can wait for the page it needs and let the rest arrive.
 
-    The two models differ in when a request may start and in what the
-    submitter pays at submit time.  The async model (off by default)
-    queues every CPU's requests on the device's {!dqueue}, a virtual
-    service clock: a request starts at [max now free] and advances
-    [free]; nothing is charged at submit.  The synchronous-service model
-    has no device queue — a request starts when submitted, as if each
-    CPU had a disk to itself — and a write blocks its CPU until it
-    completes.  A read charges nothing at submit in either model. *)
-
-type dqueue
-(** A disk request queue (virtual service clock). *)
-
-val disk_async : t -> bool
-val set_disk_async : t -> bool -> unit
-
-val new_disk_queue : t -> dqueue
-(** [new_disk_queue t] registers a fresh queue; {!reset_clocks} rewinds
-    it along with the CPU clocks. *)
+    There is no device queue: a request starts when submitted, as if
+    each CPU had a disk to itself.  A read charges nothing at submit; a
+    write blocks its CPU until it completes. *)
 
 val disk_service_cycles : t -> bytes:int -> int
 (** Device time for one transfer of [bytes]: fixed latency plus per-KB
@@ -231,10 +216,10 @@ val disk_service_cycles : t -> bytes:int -> int
 
 type io = { io_start : int; io_completion : int; io_service : int }
 (** When a submitted transfer lands: [io_start] is the absolute cycle
-    at which its bytes start to move (queue start, injected delay and
-    latency behind it), [io_completion] the stamp of its last byte, and
-    [io_service] the device time a waiter can have overlapped (0 once a
-    wait has paid it). *)
+    at which its bytes start to move (latency behind it),
+    [io_completion] the stamp of its last byte, and [io_service] the
+    device time a waiter can have overlapped (0 once a wait has paid
+    it). *)
 
 val io_none : io
 (** The stamp of a reply that involved no device: waiting on it is free
@@ -247,14 +232,11 @@ val io_landed : t -> io -> bytes:int -> int
     clustered read lands at [io_landed ~bytes:((i + 1) * page_size)]. *)
 
 val submit_disk :
-  ?after:int -> t -> dqueue -> cpu:int -> write:bool -> bytes:int ->
-  extra:int -> io
-(** [submit_disk ~after t q ~cpu ~write ~bytes ~extra] submits one
-    transfer and returns its stamp; [extra] adds injected delays or
-    wasted retry transfers to the service time, and [after] (default 0)
-    is the earliest cycle it may start — the completion of the run
-    before it, for a transfer split into runs.  Async mode queues it on
-    [q]; a sync write is waited here, returning a stamp already
+  ?after:int -> t -> cpu:int -> write:bool -> bytes:int -> io
+(** [submit_disk ~after t ~cpu ~write ~bytes] submits one transfer and
+    returns its stamp; [after] (default 0) is the earliest cycle it may
+    start — the completion of the run before it, for a transfer split
+    into runs.  A write is waited here, returning a stamp already
     paid. *)
 
 val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
@@ -267,13 +249,6 @@ val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
 val wait_io : t -> cpu:int -> io -> unit
 (** [wait_io t ~cpu io] is a blocking caller's {!wait_disk} on the whole
     of [io]; free for {!io_none} and for a stamp already paid. *)
-
-val account_disk : t -> cpu:int -> write:bool -> bytes:int -> cycles:int -> unit
-(** [account_disk] bumps the op/byte counters and emits the [Disk_io]
-    trace event without charging any CPU; {!charge_disk} and
-    {!submit_disk} account through it, and async-mode wasted retry
-    transfers, whose cost is folded into the request's service time,
-    call it directly. *)
 
 (** {1 Address translation and access} *)
 

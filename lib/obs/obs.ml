@@ -50,10 +50,10 @@ type event =
          cluster starting [offset], with the adaptive window at [window] *)
   | Cluster_pageout of { offset : int; pages : int }
   | Disk_submit of { write : bool; bytes : int; depth : int; latency : int }
-      (* an async disk request was queued: [depth] requests now in
-         flight on its queue, [latency] cycles until this one lands *)
+      (* a disk request was submitted: [depth] requests now in flight
+         on every disk, [latency] cycles until this one lands *)
   | Disk_wait of { cycles : int; overlap : int }
-      (* a CPU blocked on an async completion: [cycles] residue charged,
+      (* a CPU blocked on a disk stamp: [cycles] residue charged,
          [overlap] device cycles it had already hidden behind work *)
   | Lock_stall of { obj : int; cycles : int }
       (* a CPU contended on a memory object's simulated lock: [cycles]

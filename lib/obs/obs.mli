@@ -76,13 +76,14 @@ type event =
       (** The pageout path coalesced [pages] contiguous dirty pages into
           one pager write starting at [offset]. *)
   | Disk_submit of { write : bool; bytes : int; depth : int; latency : int }
-      (** An async disk request was queued: [depth] requests are now in
-          flight on its queue (this one included) and [latency] is the
-          submit-to-completion time — service plus any queueing delay. *)
+      (** A disk request was submitted: [depth] requests are now in
+          flight on every disk (this one included) and [latency] is the
+          submit-to-completion time: its service, plus the wait for the
+          run before it when a transfer is split into runs. *)
   | Disk_wait of { cycles : int; overlap : int }
-      (** A CPU blocked on an async disk completion, charging [cycles]
-          of residue; [overlap] is the device time it had already hidden
-          behind computation ([service - residue], counted once per
+      (** A CPU blocked on a disk stamp, charging [cycles] of residue;
+          [overlap] is the device time it had already hidden behind
+          computation ([service - residue], counted once per
           request). *)
   | Lock_stall of { obj : int; cycles : int }
       (** A CPU contended on memory object [obj]'s simulated
@@ -133,7 +134,7 @@ type category =
   | Shootdown_ipi   (** TLB consistency: IPIs, remote/deferred flushes *)
   | Pager_wait      (** pager request/write paths, excluding device time *)
   | Retry_backoff   (** exponential backoff between pager retries *)
-  | Disk_wait       (** disk service time and async completion residue *)
+  | Disk_wait       (** disk service time and disk-stamp residue *)
   | Zero_fill       (** zero-filling fresh pages *)
   | Cow_copy        (** copying pages up shadow chains on write faults *)
   | Pageout_daemon  (** page reclaim: scanning, cleaning, clustered writes *)
@@ -267,13 +268,15 @@ type hist =
       (** pages per clustered pagein, demand page included (so
           single-page pageins do not feed it) *)
   | Pageout_cluster_pages  (** pages per clustered pageout write *)
-  | Disk_queue_depth   (** in-flight requests at each async disk submit *)
+  | Disk_queue_depth
+      (** disk requests in flight on every disk at each submit, the new
+          one included (there is no device queue) *)
   | Disk_completion_latency
-      (** submit-to-completion cycles of async disk requests (service
-          plus queueing delay) *)
+      (** submit-to-completion cycles of disk requests (service, plus
+          the wait for the run before, for a transfer split into runs) *)
   | Disk_wait_residue
-      (** residue charged at each blocking wait on an async completion;
-          zero entries are fully overlapped requests *)
+      (** residue charged at each blocking wait on a disk stamp; zero
+          entries are fully overlapped requests *)
   | Lock_stall_cycles
       (** cycles per contended object-lock acquisition (uncontended
           acquisitions feed nothing) *)

@@ -133,12 +133,12 @@ let submit_read t ~cpu ~name ~offset ~len =
       let buf = Bytes.create len in
       let io = ref Mach_hw.Machine.io_none in
       iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
-          let h =
+          let data, run =
             Simdisk.submit_read_run t.disk ~cpu ~after:!io.io_completion
               ~first ~count
           in
-          io := join !io (Simdisk.handle_io h);
-          Bytes.blit (Simdisk.handle_data h) boff buf pos chunk);
+          io := join !io run;
+          Bytes.blit data boff buf pos chunk);
       (buf, !io)
     end
 
@@ -147,7 +147,7 @@ let submit_write t ~cpu ~name ~offset ~data =
   let ino = ensure_inode t ~name ~size:(offset + len) in
   let block_size = bs t in
   let io = ref Mach_hw.Machine.io_none in
-  let submit h = io := join !io (Simdisk.handle_io h) in
+  let submit run = io := join !io run in
   iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
       let after = !io.io_completion in
       if chunk = count * block_size then
@@ -156,9 +156,10 @@ let submit_write t ~cpu ~name ~offset ~data =
              (Bytes.sub data pos chunk))
       else begin
         (* A partial block is read, patched and written back. *)
-        let rh = Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count:1 in
-        submit rh;
-        let current = Simdisk.handle_data rh in
+        let current, run =
+          Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count:1
+        in
+        submit run;
         Bytes.blit data pos current boff chunk;
         submit
           (Simdisk.submit_write_run t.disk ~cpu ~after:!io.io_completion

@@ -12,8 +12,8 @@
 type t
 
 val create : Mach_hw.Machine.t -> unit -> t
-(** [create machine ()] is an empty file system: 4 KB blocks on a disk
-    with one service queue. *)
+(** [create machine ()] is an empty file system: 4 KB blocks on one
+    disk. *)
 
 val pager :
   t -> name:string -> (unit -> Mach_core.Types.pager) -> Mach_core.Types.pager
@@ -42,16 +42,18 @@ val submit_read :
     before the data comes back together with one stamp — the latest
     completion and the summed device service time.  Short reads at end
     of file return fewer bytes; an empty read returns
-    {!Mach_hw.Machine.io_none}.  With the machine's async disk model
-    off the device time is charged here and the stamp has already
-    passed. *)
+    {!Mach_hw.Machine.io_none}.  Nothing is charged here: the caller
+    waits on the stamp ([Mach_hw.Machine.wait_io]). *)
 
 val submit_write :
   t -> cpu:int -> name:string -> offset:int -> data:Bytes.t ->
   Mach_hw.Machine.io
 (** [submit_write t ~cpu ~name ~offset ~data] writes (extending the file
     as needed) with the same run decomposition, reading back and
-    patching partial blocks, and returns the stamp without blocking. *)
+    patching partial blocks.  Each write run blocks until it lands
+    (a partial block's read-back run does not), so the returned stamp
+    has completed: waiting on it charges nothing and counts the
+    read-back runs' device time as overlap. *)
 
 val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
 (** [read] is {!submit_read} followed by one wait on its stamp. *)

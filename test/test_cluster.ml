@@ -439,11 +439,11 @@ let test_failed_cluster_does_not_ramp () =
 
 (* ---- per-page completion stamps ----------------------------------------- *)
 
-(* A w = 8 cluster on the synchronous disk: the miss waits for the demand
-   page alone — exactly one page's device time — and tail page [k] lands
-   on its own stamp, the latency plus [k + 1] pages' transfer time after
-   the request started.  Touching tail page [k] at once charges that
-   stamp minus the clock, and nothing more. *)
+(* A w = 8 cluster: the miss waits for the demand page alone — exactly
+   one page's device time — and tail page [k] lands on its own stamp,
+   the latency plus [k + 1] pages' transfer time after the request
+   started.  Touching tail page [k] at once charges that stamp minus the
+   clock, and nothing more. *)
 let test_per_page_stamps () =
   let machine, _, sys = boot ~frames:2048 () in
   let tr = Mach_obs.Obs.create ~capacity:4096 () in

@@ -416,9 +416,8 @@ let test_disk_retry_charges_full_run () =
           [ Fail.Between (0, 0, Fail.Always Fail.Fail) ];
         Simdisk.set_injector disk (Some inj)
       end;
-      ignore
-        (Simdisk.wait disk ~cpu:0
-           (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count));
+      Machine.wait_io machine ~cpu:0
+        (snd (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count));
       (Machine.cycles machine ~cpu:0,
        Machine.disk_service_cycles machine ~bytes:(count * 4096))
     in

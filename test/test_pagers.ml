@@ -29,13 +29,14 @@ let test_disk_rw_and_costs () =
   let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let d = Simdisk.create machine ~block_size:4096 in
   let read block =
-    Simdisk.wait d ~cpu:0
-      (Simdisk.submit_read_run d ~cpu:0 ~first:block ~count:1)
+    let data, io = Simdisk.submit_read_run d ~cpu:0 ~first:block ~count:1 in
+    Machine.wait_io machine ~cpu:0 io;
+    data
   in
   let block = Bytes.make 4096 '\000' in
   Bytes.blit_string "disk block" 0 block 0 10;
-  ignore
-    (Simdisk.wait d ~cpu:0 (Simdisk.submit_write_run d ~cpu:0 ~first:5 block));
+  Machine.wait_io machine ~cpu:0
+    (Simdisk.submit_write_run d ~cpu:0 ~first:5 block);
   Alcotest.(check string) "read back" "disk block"
     (Bytes.to_string (Bytes.sub (read 5) 0 10));
   Alcotest.(check int) "counters" 1 (Simdisk.reads d);

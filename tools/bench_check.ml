@@ -17,7 +17,6 @@ let baseline = "bench/BENCH_vm.json"
 (* machsim runs: id, arguments, whether to export --stats. *)
 let machsim_runs =
   [ ("chaos", "compile --chaos 42:flaky", false);
-    ("async", "compile --chaos 42:flaky --async-disk", true);
     ("numa", "compile --chaos 42:flaky --numa 2 --colors 16 --alloc-cache 8",
      true);
     ("profile", "compile --profile", true);
@@ -73,21 +72,19 @@ let rows =
         cmp "chaos/pager_retries" Le (int 64) ];
       (* cluster_max = 1 costs what the pre-clustering per-page read costs,
          to the digit; read-ahead pays.  A cluster is one request whose
-         pages land on their own stamps, on both disk models.  The
-         literal bounds are the lower of the sync and async cells (ms)
-         measured when the async model split each cluster into two
-         requests and the sync model charged the whole cluster to the
-         miss: no window may be slower than the better of those.  One
-         CPU reading one stream never queues, so the async cell equals
-         the sync one. *)
+         pages land on their own stamps, and the consuming CPU overlaps
+         the tail's device time.  The literal bounds are the lower of the
+         cells (ms) measured before each page got its own stamp, when
+         one disk model split each cluster into two requests and the
+         other charged the whole cluster to the miss: no window may be
+         slower than the better of those. *)
       [ cmp "cluster/seq_read_2M/w1" Eq (Cell "cluster/seq_read_2M/legacy");
         cmp "cluster/seq_read_2M/w8" Lt (Cell "cluster/seq_read_2M/w1");
-        cmp "cluster/seq_read_2M/w1_async" Eq (Cell "cluster/seq_read_2M/w1") ];
-      List.concat_map
+        cmp "cluster/disk_overlap_cycles/w8" Gt (int 0) ];
+      List.map
         (fun (w, bound) ->
-           let cell = Printf.sprintf "cluster/seq_read_2M/w%d" w in
-           [ cmp cell Le (Lit (J.Float bound));
-             cmp (cell ^ "_async") Eq (Cell cell) ])
+           cmp (Printf.sprintf "cluster/seq_read_2M/w%d" w) Le
+             (Lit (J.Float bound)))
         [ (1, 5481.93833333); (2, 4716.93833333); (4, 4284.73833333);
           (8, 3906.73833333); (16, 3720.73833333); (32, 3630.73833333);
           (64, 3588.73833333) ];
@@ -96,19 +93,15 @@ let rows =
           (Cell "table7_1_files/read_2.5M_1st/unix");
         cmp "table7_1_files/read_50K_1st/mach" Lt
           (Cell "table7_1_files/read_50K_1st/unix");
-        (* Attribution partitions the clock; with no queueing the async
-           run stalls on disk exactly as long as the sync one. *)
+        (* Attribution partitions the clock. *)
         cmp "cluster/attr_conserved/w8" Eq (int 1);
-        cmp "cluster/attr_disk_wait_frac/w8_async" Eq
-          (Cell "cluster/attr_disk_wait_frac/w8");
         cmp "cluster/attr_disk_wait_frac/w8" Gt (int 0);
         cmp "cluster/attr_disk_wait_frac/w8" Lt (int 1);
         (* Chaos injection is keyed to the virtual clocks, so it replays
-           exactly, also with the async disk, the widened allocator, and
-           stream slots with free-behind on. *)
+           exactly, also with the widened allocator and stream slots with
+           free-behind on. *)
         Replay "chaos";
         Line ("chaos", "chaos summary", starts "chaos: seed=42 profile=flaky");
-        Replay "async";
         Replay "numa";
         Replay "streams";
         Has (Stat ("streams", "events/stream_reset"));
