@@ -1237,8 +1237,6 @@ type mp_result = {
   mp_attr : (float * bool) option;
       (* traced runs only: (Lock_wait share of all cycles, per-CPU
          attribution sums equal the clocks) *)
-  mp_numa_local : int;        (* queue allocations from the home domain *)
-  mp_numa_borrows : int;      (* queue allocations borrowed cross-domain *)
   mp_steals : int;            (* pages stolen from another CPU's magazine *)
 }
 
@@ -1246,20 +1244,13 @@ type mp_result = {
    allocator exactly as booted — the scaling sweep and burst cells run
    there, so they are untouched by this table.  Every other variant
    turns on queue-lock contention simulation; [`Global] is the seed
-   topology with that cost made visible (the column to beat), and the
-   rest climb the hierarchy of the colored/per-CPU/NUMA allocator. *)
-let apply_alloc_variant machine sys = function
+   allocator with that cost made visible (the column to beat), and
+   [`Pcpu] puts 8-page per-CPU magazines in front of the queue. *)
+let apply_alloc_variant sys = function
   | `Seed -> ()
   | `Global -> Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Colored ->
-    Vm_sys.configure_allocator ~colors:16 sys;
-    Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Colored_pcpu ->
-    Vm_sys.configure_allocator ~colors:16 ~cache:8 sys;
-    Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Numa d ->
-    Machine.set_numa_domains machine d;
-    Vm_sys.configure_allocator ~colors:16 ~cache:8 sys;
+  | `Pcpu ->
+    Vm_sys.configure_allocator ~cache:8 sys;
     Resident.set_lock_sim sys.Vm_sys.resident true
 
 (* One configuration: [cpus] processors each faulting an identical
@@ -1281,7 +1272,7 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
   let machine, kernel, _, _ = boot_mach ~mem:(32 * mb) ~cpus Arch.vax8200 in
   let sys = Kernel.sys kernel in
   sys.Vm_sys.burst_max <- burst;
-  apply_alloc_variant machine sys alloc;
+  apply_alloc_variant sys alloc;
   let tr =
     if not traced then None
     else begin
@@ -1395,10 +1386,6 @@ let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
     mp_issued = s.Vm_stats.vs_prefetch_issued;
     mp_hits = s.Vm_stats.vs_prefetch_hits;
     mp_attr = attr;
-    mp_numa_local =
-      (Resident.counters sys.Vm_sys.resident).Resident.numa_local;
-    mp_numa_borrows =
-      (Resident.counters sys.Vm_sys.resident).Resident.numa_borrows;
     mp_steals =
       (Resident.counters sys.Vm_sys.resident).Resident.page_steals }
 
@@ -1506,20 +1493,19 @@ let mpfault () =
        (if conserved then "ok" else "MISMATCH"));
   (* Free-page allocator ablation: the same shared-object interleave,
      burst=8, but with queue-lock contention simulated.  "global" is
-     the seed's single free queue with that cost made visible; colors
-     split it 16 ways, magazines batch the lock traffic 8 pages per
-     trip, and the NUMA split adds home-domain locality.  The scaling
+     the seed's single free queue with that cost made visible, and
+     magazines batch the lock traffic 8 pages per trip.  The scaling
      sweep above runs with the cost invisible ([`Seed]), so its cells
      are untouched by this table. *)
   let t3 =
     Tablefmt.create
       ~title:
         "Free-page allocator ablation (shared object, burst=8, queue-lock\n\
-         contention simulated): one global queue vs 16 colored queues vs\n\
-         colors + 8-page per-CPU magazines vs 2 NUMA domains on top"
+         contention simulated): one global queue vs the same queue behind\n\
+         8-page per-CPU magazines"
       ~columns:
         [ "CPUs"; "allocator"; "faults/sec"; "stall share"; "steals";
-          "local/borrowed"; "elapsed" ]
+          "elapsed" ]
   in
   List.iter
     (fun cpus ->
@@ -1533,33 +1519,10 @@ let mpfault () =
             Tablefmt.row t3
               [ string_of_int cpus; name; Printf.sprintf "%.0f" (fps r);
                 Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
-                string_of_int r.mp_steals;
-                Printf.sprintf "%d/%d" r.mp_numa_local r.mp_numa_borrows;
-                fmt_ms r.mp_ms ])
-         [ ("global", `Global); ("colored", `Colored);
-           ("colored_pcpu", `Colored_pcpu); ("numa2", `Numa 2) ])
+                string_of_int r.mp_steals; fmt_ms r.mp_ms ])
+         [ ("global", `Global); ("pcpu", `Pcpu) ])
     mpfault_cpus;
   Tablefmt.print t3;
-  (* NUMA locality: private per-CPU objects under the 2-domain split.
-     Each CPU's demand is small against its home domain's share, so
-     nearly every allocation should stay local. *)
-  List.iter
-    (fun cpus ->
-       let r =
-         mpfault_run ~cpus ~shared:false ~burst:8 ~alloc:(`Numa 2) ()
-       in
-       let local_frac =
-         float_of_int r.mp_numa_local
-         /. float_of_int (max 1 (r.mp_numa_local + r.mp_numa_borrows))
-       in
-       record
-         (Printf.sprintf "alloc/numa2/private/c%d/local_frac" cpus)
-         local_frac;
-       Printf.printf
-         "mpfault numa locality (%d CPUs, private, 2 domains): %.1f%% \
-          local (%d local, %d borrowed)\n"
-         cpus (100. *. local_frac) r.mp_numa_local r.mp_numa_borrows)
-    mpfault_cpus;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1592,7 +1555,7 @@ let pressure_run ?(traced = false) ?(alloc = `Seed) ~factor () =
   let machine, kernel, _, _ = boot_mach ~mem:pressure_mem Arch.uvax2 in
   let sys = Kernel.sys kernel in
   Vm_sys.set_swap_capacity sys (Some pressure_mem);
-  apply_alloc_variant machine sys alloc;
+  apply_alloc_variant sys alloc;
   let tr =
     if not traced then None
     else begin
@@ -1715,18 +1678,18 @@ let pressure () =
         conservation %s\n\n"
        (100. *. mw_share)
        (if conserved then "ok" else "MISMATCH"));
-  (* Allocator ablation under pressure: the colored + per-CPU hierarchy
-     must come through the reclaim/OOM gauntlet with the same policy
+  (* Allocator ablation under pressure: the per-CPU magazines must
+     come through the reclaim/OOM gauntlet with the same policy
      outcome — magazines are drained when pressure is declared, so
      cached pages cannot strand below the watermarks and change who
      gets killed. *)
   let rs = pressure_run ~factor:3 () in
-  let rc = pressure_run ~alloc:`Colored_pcpu ~factor:3 () in
-  count "alloc/colored_pcpu/x3/oom_kills" rc.pr_oom_kills;
-  count "alloc/colored_pcpu/x3/survivors" rc.pr_survivors;
-  record "alloc/colored_pcpu/x3/elapsed_ms" rc.pr_ms;
+  let rc = pressure_run ~alloc:`Pcpu ~factor:3 () in
+  count "alloc/pcpu/x3/oom_kills" rc.pr_oom_kills;
+  count "alloc/pcpu/x3/survivors" rc.pr_survivors;
+  record "alloc/pcpu/x3/elapsed_ms" rc.pr_ms;
   Printf.printf
-    "pressure allocator ablation (3x, colored+pcpu): %d oom kills / %d \
+    "pressure allocator ablation (3x, pcpu): %d oom kills / %d \
      survivors (seed: %d / %d)\n\n"
     rc.pr_oom_kills rc.pr_survivors rs.pr_oom_kills rs.pr_survivors
 
@@ -1893,18 +1856,15 @@ let experiments =
        @ [ ("burst/b8/mapped", Count, Fault);
            ("burst/dropped/enters_per_fault", Ratio, Pmap);
            ("attr_conserved/c4_shared", Flag, E2e) ]
-       @ decl
-         [ [ "alloc" ]; [ "global"; "colored"; "colored_pcpu"; "numa2" ]; cs ]
+       @ decl [ [ "alloc" ]; [ "global"; "pcpu" ]; cs ]
          [ ("faults_per_sec", Per_s, Resident);
-           ("stall_share", Ratio, Resident) ]
-       @ decl [ [ "alloc/numa2/private" ]; cs ]
-         [ ("local_frac", Ratio, Resident) ]);
+           ("stall_share", Ratio, Resident) ]);
     e "pressure" pressure
       (let kills = leaves Count Resident [ "oom_kills"; "survivors" ] in
        decl [ [ "x1"; "x2"; "x3"; "x4" ] ]
          (elapsed :: leaves Count Resident [ "alloc_waits"; "pageouts" ]
           @ kills)
-       @ decl [ [ "alloc/colored_pcpu/x3" ] ] (elapsed :: kills)
+       @ decl [ [ "alloc/pcpu/x3" ] ] (elapsed :: kills)
        @ [ ("attr_mem_wait_share/x4", Ratio, Resident);
            ("attr_conserved/x4", Flag, E2e) ]) ]
 

@@ -8,15 +8,12 @@
     active or inactive/reclaimable), and the object/offset hash bucket
     used for fast fault-time lookup.
 
-    Free pages live on a configurable hierarchy rather than one global
-    queue: [domains * colors] colored FIFOs (color = machine-independent
-    frame number mod colors, domain = contiguous slice of physical
-    memory) fronted by optional per-CPU magazines that refill and drain
-    in batches.  The default — one domain, one color, magazines off — is
-    a single FIFO identical to the classic allocator, and the direct
-    path charges no cycles.  Contention on the shared queues can be
-    simulated (opt-in) with the same release-stamp scheme as
-    [Vm_object] locks, through hooks installed by the kernel.
+    Free pages live on one FIFO fronted by optional per-CPU magazines
+    that refill and drain in batches of 8.  The default — magazines
+    off — is the classic single free queue, and the direct path charges
+    no cycles.  Contention on the shared queue can be simulated (opt-in)
+    with the same release-stamp scheme as [Vm_object] locks, through
+    hooks installed by the kernel.
 
     Byte offsets key the hash so the implementation is independent of any
     particular notion of physical page size. *)
@@ -25,18 +22,10 @@ type t
 (** The resident page table for one kernel. *)
 
 type counters = {
-  mutable color_hits : int;
-      (** allocations served at their preferred color *)
-  mutable color_misses : int;
-      (** allocations that widened the color search *)
   mutable pcpu_hits : int;
       (** allocations served from a per-CPU magazine *)
   mutable pcpu_refills : int;
-      (** magazine refill trips to the shared queues *)
-  mutable numa_local : int;
-      (** shared-queue allocations from the CPU's own domain *)
-  mutable numa_borrows : int;
-      (** shared-queue allocations borrowed from another domain *)
+      (** magazine refill trips to the shared queue *)
   mutable page_steals : int;
       (** pages stolen out of another CPU's magazine *)
 }
@@ -63,20 +52,13 @@ val create :
     (aligned); incomplete or hole-straddling groups are unusable, as are
     frames at or beyond [frame_limit] (an architecture's physical address
     limit).  All usable pages start free.  [multiple] must be a power of
-    two.  The allocator starts in the flat configuration: one domain,
-    one color, magazines off. *)
+    two.  The allocator starts with magazines off. *)
 
-val configure :
-  t -> ?colors:int -> ?domains:int -> ?cpus:int -> ?cache:int ->
-  ?refill:int -> unit -> unit
-(** [configure t ~colors ~domains ~cpus ~cache ()] rebuilds the free
-    hierarchy: [colors] colored queues (a power of two) per NUMA
-    [domain], magazines of [cache] pages (0 = off) for CPU ids below
-    [cpus], refill/drain trips moving [refill] pages (default 8).  Every
-    free page is collected — queues in index order, then magazines — and
-    re-bucketed onto its home queue under the new topology, preserving
-    relative order; allocated pages are untouched.  Omitted parameters
-    keep their current values. *)
+val configure : t -> ?cpus:int -> ?cache:int -> unit -> unit
+(** [configure t ~cpus ~cache ()] gives CPU ids below [cpus] magazines
+    of [cache] pages (0 = off).  Every magazine is first drained to the
+    tail of the free queue; allocated pages are untouched.  Omitted
+    parameters keep their current values. *)
 
 val page_size : t -> int
 (** Machine-independent page size in bytes. *)
@@ -88,26 +70,14 @@ val total_pages : t -> int
 (** Usable pages, free or not. *)
 
 val free_count : t -> int
-(** Free pages anywhere in the hierarchy: colored queues plus per-CPU
-    magazines.  O(1). *)
+(** Free pages anywhere: the shared queue plus per-CPU magazines.
+    O(1). *)
 
 val active_count : t -> int
 val inactive_count : t -> int
 
-val colors : t -> int
-val domains : t -> int
-val cache_size : t -> int
-(** Current allocator topology. *)
-
-val domain_free : t -> int -> int
-(** [domain_free t d] is the number of pages on domain [d]'s colored
-    queues (magazines excluded). *)
-
 val cached_count : t -> int
 (** Pages currently sitting in per-CPU magazines. *)
-
-val domain_of_cpu : t -> cpu:int -> int
-(** The domain CPU [cpu] allocates locally from ([cpu mod domains]). *)
 
 val counters : t -> counters
 (** Live allocator counters (see {!counters}); reset with
@@ -119,28 +89,19 @@ val set_hooks : t -> hooks -> unit
 (** Install the simulation services used by the lock simulation and
     steal tracing. *)
 
-val set_lock_sim : t -> ?hold:int -> bool -> unit
+val set_lock_sim : t -> bool -> unit
 (** [set_lock_sim t on] enables/disables contention simulation on the
-    shared queues; [hold] sets the per-critical-section hold time in
-    cycles (default 60).  Off by default: the flat configuration must
-    charge nothing. *)
+    shared queue; each critical section holds it for 60 cycles.  Off by
+    default: the plain allocator must charge nothing. *)
 
-val set_free_min_share : t -> int -> unit
-(** A domain whose queued free count falls below this many pages is
-    considered poor: local allocation borrows from the best-stocked
-    other domain instead.  0 (the default) borrows only when the local
-    domain is completely empty. *)
-
-val alloc : ?cpu:int -> ?color:int -> t -> Types.page option
+val alloc : ?cpu:int -> t -> Types.page option
 (** [alloc t] takes a free page ([None] when memory is exhausted): from
     [cpu]'s magazine when one is configured and stocked, else from the
-    colored queues — local domain first, preferring [color] (any int;
-    reduced mod colors) with a widening search on miss — refilling the
-    magazine as a batch; when the queues are dry but magazines elsewhere
-    still hold pages, one is stolen.  The page is on no queue and
-    belongs to no object; its previous contents are whatever the last
-    owner left (callers zero or overwrite as the fault logic dictates).
-    Defaults: [cpu] 0, [color] from a round-robin rotor. *)
+    head of the shared queue, refilling the magazine as a batch; when
+    the queue is dry but magazines elsewhere still hold pages, one is
+    stolen.  The page is on no queue and belongs to no object; its
+    previous contents are whatever the last owner left (callers zero or
+    overwrite as the fault logic dictates).  [cpu] defaults to 0. *)
 
 val lookup : t -> obj:Types.obj -> offset:int -> Types.page option
 (** [lookup t ~obj ~offset] is the fault-path hash lookup by memory object
@@ -157,9 +118,9 @@ val remove_from_object : t -> Types.page -> unit
 
 val free_page : ?cpu:int -> t -> Types.page -> unit
 (** [free_page t p] removes [p] from its object (if any) and any queue
-    and returns it to the free hierarchy: [cpu]'s magazine when one is
-    configured (draining a batch back to the colored queues if it
-    overflows), otherwise [p]'s home colored queue directly. *)
+    and returns it to the free pool: [cpu]'s magazine when one is
+    configured (draining a batch back to the shared queue if it
+    overflows), otherwise the tail of the shared queue. *)
 
 val enqueue : t -> Types.page -> Types.pageq -> unit
 (** [enqueue t p q] moves [p] to queue [q] (removing it from its current
@@ -184,24 +145,24 @@ val iter_pages : t -> (Types.page -> unit) -> unit
     whatever queue or object it is on; used by consistency checkers. *)
 
 val iter_free : t -> (Types.page -> unit) -> unit
-(** [iter_free t f] applies [f] to every free page — colored queues in
-    index order, then magazine contents (without disturbing either);
-    used by consistency checkers. *)
+(** [iter_free t f] applies [f] to every free page — the shared queue,
+    then magazine contents (without disturbing either); used by
+    consistency checkers. *)
 
 val drain_caches : t -> unit
-(** Flush every per-CPU magazine back to the colored queues, so pages
+(** Flush every per-CPU magazine back to the shared queue, so pages
     cached for one CPU cannot strand below [free_min] while another CPU
     waits on the daemon.  Called when memory pressure is declared and
     after an OOM kill. *)
 
 val conservation_errors : t -> string list
-(** Structural audit of the free hierarchy: [free_count] must equal the
-    queue lengths plus magazine contents, per-domain counts must match,
-    every queued page must sit on its home queue, and cached pages must
-    be ownerless.  Empty list = consistent. *)
+(** Structural audit of the free pool: [free_count] must equal the
+    queue length plus magazine contents, every queued page must be
+    marked free, and cached pages must be ownerless.  Empty list =
+    consistent. *)
 
 val check_conservation : t -> bool
-(** [conservation_errors t = []]. *)
+(** [conservation_errors t] is empty. *)
 
 val object_pages : Types.obj -> Types.page list
 (** [object_pages o] is [o]'s resident pages, in list order. *)

@@ -227,7 +227,7 @@ let single (sys : Vm_sys.t) obj st ~stream ~offset =
   let ps = sys.Vm_sys.page_size in
   match Pager_guard.request sys obj ~offset ~length:ps with
   | `Data data ->
-    let p = Vm_sys.grab_page ~color:(offset / ps) sys in
+    let p = Vm_sys.grab_page sys in
     Resident.insert sys.Vm_sys.resident p ~obj ~offset;
     p.pg_busy <- true;
     Page_io.fill sys p data;
@@ -263,7 +263,7 @@ let install_tail (sys : Vm_sys.t) obj ~offset ~got ~data ~io =
     | None ->
       if Resident.free_count res > sys.Vm_sys.free_reserved then
         let cpu = Vm_sys.current_cpu sys in
-        match Resident.alloc ~cpu ~color:(off / ps) res with
+        match Resident.alloc ~cpu res with
         | None -> ()
         | Some p ->
           Resident.insert res p ~obj ~offset:off;
@@ -297,7 +297,7 @@ let cluster (sys : Vm_sys.t) obj st ~stream ~offset ~n =
     commit sys st ~stream ~next:(offset + (got * ps)) ~window:n;
     sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
       sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
-    let demand = Vm_sys.grab_page ~color:(offset / ps) sys in
+    let demand = Vm_sys.grab_page sys in
     Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
     demand.pg_busy <- true;
     Page_io.fill sys demand data;

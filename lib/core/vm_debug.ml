@@ -141,7 +141,7 @@ let check_resident sys =
           note errs "free frame %d retains %d hardware mappings"
             (p.pfn + i) n
       done);
-  List.rev !errs
+  List.rev_append !errs (Resident.conservation_errors res)
 
 (* Every pv mapping must be confirmed by the owning pmap's
    pmap_extract — the two layers may never disagree. *)

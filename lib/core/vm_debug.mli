@@ -29,11 +29,13 @@ val check_map : Vm_sys.t -> Types.vmap -> string list
 
 val check_resident : Vm_sys.t -> string list
 (** [check_resident sys] checks the resident page table's queues and
-    hash, and that free frames are unmapped. *)
+    hash, that free frames are unmapped, and that the free pool is
+    conserved ({!Resident.conservation_errors}). *)
 
 val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus
-    the global structures: resident queues and hash, pv ↔ pmap, TLB ⊆
+    the global structures: resident queues, hash and free-pool
+    conservation, pv ↔ pmap, TLB ⊆
     pmap, burst records, and pages riding disk stamps (busy, in a live
     object, stamped in the current clock epoch or an older one). *)
 

@@ -26,7 +26,7 @@ let activate_page (sys : Vm_sys.t) p =
 
 (* Allocate a fresh page and give it an identity in [obj] at [offset]. *)
 let new_page_in (sys : Vm_sys.t) obj ~offset =
-  let p = Vm_sys.grab_page ~color:(offset / sys.Vm_sys.page_size) sys in
+  let p = Vm_sys.grab_page sys in
   Resident.insert sys.Vm_sys.resident p ~obj ~offset;
   p
 

@@ -78,14 +78,10 @@ type statistics = {
          writes by the kernel workaround *)
   mutable vs_pager_failures : int;
       (* pager attempts that exhausted the retry budget *)
-  (* The colored per-CPU page allocator ([Resident.counters]); all zero
-     under the default single-queue configuration. *)
-  vs_color_hits : int;       (* served from the requested color queue *)
-  vs_color_misses : int;     (* widened to a neighbouring color *)
+  (* The per-CPU page magazines ([Resident.counters]); all zero while
+     magazines are off. *)
   vs_pcpu_hits : int;        (* per-CPU magazine hits *)
-  vs_pcpu_refills : int;     (* magazine refill trips to the shared queues *)
-  vs_numa_local : int;       (* satisfied by the CPU's home NUMA domain *)
-  vs_numa_borrows : int;     (* borrowed from another domain *)
+  vs_pcpu_refills : int;     (* magazine refill trips to the shared queue *)
   vs_page_steals : int;      (* stolen from another CPU's magazine *)
 }
 
@@ -103,9 +99,8 @@ let zero () =
     vs_alloc_wait_cycles = 0; vs_swap_full_failures = 0; vs_oom_kills = 0;
     vs_swap_used = 0; vs_swap_capacity = None; vs_shadows_created = 0;
     vs_collapses = 0; vs_fast_reloads = 0; vs_rmw_bug_upgrades = 0;
-    vs_pager_failures = 0; vs_color_hits = 0; vs_color_misses = 0;
-    vs_pcpu_hits = 0; vs_pcpu_refills = 0; vs_numa_local = 0;
-    vs_numa_borrows = 0; vs_page_steals = 0 }
+    vs_pager_failures = 0; vs_pcpu_hits = 0; vs_pcpu_refills = 0;
+    vs_page_steals = 0 }
 
 (* Every statistic under its report name, in the order the stats JSON and
    the [machsim stats] table print them; an unbounded swap capacity
@@ -151,10 +146,6 @@ let rows : (string * (statistics -> int)) list =
     ("fast_reloads", fun s -> s.vs_fast_reloads);
     ("rmw_bug_upgrades", fun s -> s.vs_rmw_bug_upgrades);
     ("pager_failures", fun s -> s.vs_pager_failures);
-    ("color_hits", fun s -> s.vs_color_hits);
-    ("color_misses", fun s -> s.vs_color_misses);
     ("pcpu_hits", fun s -> s.vs_pcpu_hits);
     ("pcpu_refills", fun s -> s.vs_pcpu_refills);
-    ("numa_local", fun s -> s.vs_numa_local);
-    ("numa_borrows", fun s -> s.vs_numa_borrows);
     ("page_steals", fun s -> s.vs_page_steals) ]

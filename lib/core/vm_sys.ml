@@ -252,20 +252,12 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
   Machine.add_reset_hook machine (fun () -> Resident.reset_counters resident);
   t
 
-(* Rebuild the page allocator to match the machine's topology: NUMA
-   domains from [Machine.numa_domains], a magazine of [cache] pages per
-   CPU, [colors] colored queues per domain.  Per-domain borrow
-   thresholds re-derive from [free_min]: a domain is poor below its
-   equal share. *)
-let configure_allocator ?colors ?cache ?refill t =
-  let domains = Machine.numa_domains t.machine in
-  Resident.configure t.resident ?colors ~domains
-    ~cpus:(Machine.cpu_count t.machine) ?cache ?refill ();
-  Resident.set_free_min_share t.resident
-    (if domains > 1 then max 1 (t.free_min / domains) else 0)
+(* Give every CPU of the machine a magazine of [cache] pages. *)
+let configure_allocator ~cache t =
+  Resident.configure t.resident ~cpus:(Machine.cpu_count t.machine) ~cache ()
 
 (* Declare or clear memory pressure.  Declaring it flushes the per-CPU
-   magazines back to the shared queues: pages cached for one CPU must
+   magazines back to the shared queue: pages cached for one CPU must
    not strand below [free_min] while the daemon or another CPU's
    backpressure wait starves. *)
 let set_mem_pressure t on =
@@ -362,13 +354,13 @@ let oom_kill t =
     victim.oc_kill ();
     (* The kill freed memory (and possibly swap): pressure is relieved
        until pageout reports otherwise.  Magazines are flushed so every
-       page the kill liberated is visible on the shared queues to
+       page the kill liberated is visible on the shared queue to
        whoever was starving. *)
     Resident.drain_caches t.resident;
     t.mem_pressure <- false;
     true
 
-let grab_page ?(reserve = false) ?color t =
+let grab_page ?(reserve = false) t =
   let try_reclaim wanted =
     match t.reclaim with
     | None -> ()
@@ -379,12 +371,12 @@ let grab_page ?(reserve = false) ?color t =
   (* Only the pageout/cleaning path may dip into the reserve; ordinary
      allocations treat the free list as empty at [free_reserved].  The
      floor is global: magazine-cached pages count toward [free_count]
-     and the allocator steals them back when the queues run dry, so the
+     and the allocator steals them back when the queue runs dry, so the
      reserve cannot be hidden inside a magazine. *)
   let floor_pages = if reserve then 0 else t.free_reserved in
   let take () =
     if Resident.free_count t.resident > floor_pages then
-      Resident.alloc ~cpu:(current_cpu t) ?color t.resident
+      Resident.alloc ~cpu:(current_cpu t) t.resident
     else None
   in
   match take () with
@@ -400,14 +392,14 @@ let grab_page ?(reserve = false) ?color t =
     let stats = t.stats in
     let stalled = ref 0 in
     let result = ref None in
-    while !result = None do
+    while Option.is_none !result do
       let before = Resident.free_count t.resident in
       try_reclaim (max 1 (t.free_target - before));
       match take () with
       | Some p -> result := Some p
       | None ->
         (* The wait path is the one place a free-accounting leak would
-           deadlock the system, so audit the hierarchy here: free_count
+           deadlock the system, so audit the free pool here: free_count
            must equal queued plus magazine-cached pages exactly. *)
         assert (Resident.check_conservation t.resident);
         let free = Resident.free_count t.resident in

@@ -135,7 +135,7 @@ val create :
     machine-independent page size is [page_multiple] hardware pages.  The
     resident table honours the architecture's physical address limit. *)
 
-val grab_page : ?reserve:bool -> ?color:int -> t -> Types.page
+val grab_page : ?reserve:bool -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
     free list is low.  Ordinary allocations never take the free list
     below [free_reserved]; at the floor they wait on the daemon
@@ -146,25 +146,17 @@ val grab_page : ?reserve:bool -> ?color:int -> t -> Types.page
     pageout/cleaning path's privilege — may dip into the reserve down to
     an empty list.  The reserve floor is global: pages cached in per-CPU
     magazines still count as free and are stolen back when the shared
-    queues run dry.  [color] is the preferred page color (any int;
-    reduced mod the configured colors), typically the faulting page's
-    index so consecutive virtual pages land in distinct cache bins.  The
-    returned page is on no queue and in no object. *)
+    queue runs dry.  The returned page is on no queue and in no
+    object. *)
 
-val configure_allocator :
-  ?colors:int -> ?cache:int -> ?refill:int -> t -> unit
-(** Rebuild the page allocator to match the machine's topology: NUMA
-    domains from {!Mach_hw.Machine.numa_domains} (CPUs round-robin
-    across them), a per-CPU magazine of [cache] pages (0 = off),
-    [colors] colored queues per domain, [refill] pages per magazine
-    refill/drain batch.  Free pages are re-bucketed; per-domain borrow
-    thresholds re-derive from [free_min] (a domain is poor below its
-    equal share).  Call after {!Mach_hw.Machine.set_numa_domains}. *)
+val configure_allocator : cache:int -> t -> unit
+(** Give every CPU of the machine a per-CPU magazine of [cache] pages
+    (0 = off); see {!Resident.configure}. *)
 
 val set_mem_pressure : t -> bool -> unit
 (** Declare or clear the memory-pressure state ([mem_pressure]).
     Declaring it drains every per-CPU magazine back to the shared
-    queues, so pages cached for one CPU cannot strand below [free_min]
+    queue, so pages cached for one CPU cannot strand below [free_min]
     while the daemon or another CPU's backpressure wait starves. *)
 
 val set_swap_capacity : t -> int option -> unit

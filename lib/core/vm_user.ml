@@ -141,10 +141,6 @@ let statistics (sys : Vm_sys.t) =
     vs_pages_active = Resident.active_count res;
     vs_pages_inactive = Resident.inactive_count res;
     vs_swap_capacity = sys.Vm_sys.swap_capacity;
-    vs_color_hits = c.Resident.color_hits;
-    vs_color_misses = c.Resident.color_misses;
     vs_pcpu_hits = c.Resident.pcpu_hits;
     vs_pcpu_refills = c.Resident.pcpu_refills;
-    vs_numa_local = c.Resident.numa_local;
-    vs_numa_borrows = c.Resident.numa_borrows;
     vs_page_steals = c.Resident.page_steals }

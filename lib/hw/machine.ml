@@ -63,11 +63,6 @@ type t = {
      taken in; a stamp from an older epoch is dead, so resets cannot
      manufacture phantom lock stalls. *)
   mutable reset_epoch : int;
-  (* NUMA topology: the machine's physical memory is split into this
-     many contiguous domains and CPUs round-robin across them.  Pure
-     description — the VM layer's allocator reads it; nothing here
-     charges differently. *)
-  mutable numa_domains : int;
   (* Run after [reset_clocks] zeroes the clocks and stats, so subsystems
      holding their own counters (the page allocator) reset with the
      measurement window. *)
@@ -98,7 +93,7 @@ let create ~arch ~memory_frames ?(holes = []) ?(cpus = 1)
     tracer = Mach_obs.Obs.null;
     disk_pending = [];
     sampler = None; sample_every = 0; next_sample = max_int;
-    reset_epoch = 0; numa_domains = 1; reset_hooks = [] }
+    reset_epoch = 0; reset_hooks = [] }
 
 let arch t = t.arch
 let phys t = t.phys
@@ -164,16 +159,6 @@ let charge t ~cpu c = bump t (cpu_of t cpu) c
 let charge_category t ~cpu cat c = bump_as t (cpu_of t cpu) cat c
 
 let reset_epoch t = t.reset_epoch
-
-let numa_domains t = t.numa_domains
-
-let set_numa_domains t d =
-  if d < 1 then invalid_arg "Machine.set_numa_domains";
-  t.numa_domains <- d
-
-(* CPUs round-robin across domains: with D domains, CPU i is local to
-   domain [i mod D] — the mapping both the allocator and workloads use. *)
-let domain_of_cpu t ~cpu = cpu mod t.numa_domains
 
 let add_reset_hook t f = t.reset_hooks <- f :: t.reset_hooks
 

@@ -147,18 +147,6 @@ val reset_epoch : t -> int
     times) tag them with the epoch and treat stamps from an older epoch
     as expired, so a clock reset cannot manufacture phantom stalls. *)
 
-val numa_domains : t -> int
-(** How many contiguous NUMA domains the machine's physical memory is
-    split into (default 1: flat).  Pure topology description consumed by
-    the VM layer's page allocator. *)
-
-val set_numa_domains : t -> int -> unit
-(** Set the NUMA domain count; raises [Invalid_argument] below 1. *)
-
-val domain_of_cpu : t -> cpu:int -> int
-(** [domain_of_cpu t ~cpu] is the domain CPU [cpu] is local to: CPUs
-    round-robin across domains ([cpu mod numa_domains]). *)
-
 val add_reset_hook : t -> (unit -> unit) -> unit
 (** [add_reset_hook t f] runs [f] at the end of every {!reset_clocks},
     after clocks and machine statistics are zeroed; subsystems keeping

@@ -91,7 +91,7 @@ let read_through_object sys ?stream fs ~name ~offset ~len =
            | `Absent | `Error ->
              (* A pager that fails for good degrades this read() to
                 zeros rather than crashing the server path. *)
-             let p = Vm_sys.grab_page ~color:(page_off / ps) sys in
+             let p = Vm_sys.grab_page sys in
              Resident.insert sys.Vm_sys.resident p ~obj ~offset:page_off;
              Page_io.zero sys p;
              sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-

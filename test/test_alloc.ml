@@ -1,17 +1,18 @@
-(* The colored per-CPU/NUMA free-page allocator.
+(* The free-page allocator: one shared FIFO behind per-CPU magazines.
 
-   The contracts under test: the free hierarchy never loses or invents
-   a page no matter how traffic, reconfiguration and magazine drains
-   interleave (conservation); a color hint is honoured while its queue
-   is stocked and widens — still succeeding — once it runs dry;
-   cross-domain borrowing kicks in exactly when the local domain is
-   exhausted and replays identically; magazines flush back to the
-   shared queues when memory pressure is declared; and the explicit
-   flat configuration (one domain, one color, no magazines) is byte-
-   and cycle-identical to the untouched seed allocator. *)
+   The contracts under test: the free pool never loses or invents a
+   page no matter how traffic, reconfiguration and magazine drains
+   interleave (conservation), and the consistency checker reports it
+   when it does; magazines flush back to the shared queue when memory
+   pressure is declared; a CPU whose magazine and the shared queue are
+   both dry steals from another CPU's magazine, so [free_count > 0]
+   still means an allocation succeeds; and the explicit magazine-free
+   configuration is byte- and cycle-identical to the untouched seed
+   allocator. *)
 
 open Mach_hw
 open Mach_core
+module Obs = Mach_obs.Obs
 
 let ok = function
   | Ok v -> v
@@ -25,15 +26,13 @@ let boot ?(frames = 2048) ?(cpus = 1) () =
   let kernel = Kernel.create ~page_multiple:8 machine in
   (machine, kernel, Kernel.sys kernel)
 
-(* Machine-independent frame color under [colors] queues. *)
-let color_of res p colors = Types.(p.pfn) / Resident.multiple res land (colors - 1)
-
 (* ---- qcheck: conservation ------------------------------------------------ *)
 
-(* Random streams of allocations (any CPU, any color hint), frees (to
-   any CPU's magazine), magazine drains and live reconfigurations.
-   After every single step the hierarchy must account for exactly
-   [total - held] free pages and pass the structural audit. *)
+(* Random streams of allocations (any CPU), frees (to any CPU's
+   magazine), magazine drains and live reconfigurations of the CPU
+   count and magazine size.  After every single step the pool must
+   account for exactly [total - held] free pages and pass the
+   structural audit. *)
 let ops_gen =
   QCheck2.Gen.(
     list_size (int_range 1 120)
@@ -45,7 +44,7 @@ let conservation =
     (fun ops ->
        let _, _, sys = boot () in
        let res = sys.Vm_sys.resident in
-       Resident.configure res ~colors:4 ~domains:2 ~cpus:4 ~cache:4 ();
+       Resident.configure res ~cpus:4 ~cache:4 ();
        let total = Resident.total_pages res in
        let held = ref [] in
        let nheld = ref 0 in
@@ -53,7 +52,7 @@ let conservation =
          (fun (tag, cpu, k) ->
             (match tag with
              | 0 | 1 | 2 ->
-               (match Resident.alloc ~cpu ~color:k res with
+               (match Resident.alloc ~cpu res with
                 | Some p ->
                   held := p :: !held;
                   incr nheld
@@ -67,82 +66,34 @@ let conservation =
                   Resident.free_page ~cpu res p)
              | 5 -> Resident.drain_caches res
              | _ ->
-               Resident.configure res ~colors:(1 lsl (k land 3))
-                 ~domains:(1 + (cpu land 1)) ~cpus:4
-                 ~cache:(if k land 4 = 0 then 0 else 4) ());
+               Resident.configure res ~cpus:(1 + cpu)
+                 ~cache:(if k land 4 = 0 then 0 else k) ());
             Resident.check_conservation res
             && Resident.free_count res = total - !nheld)
          ops)
 
-(* ---- color affinity ------------------------------------------------------ *)
+(* ---- the consistency checker audits conservation ------------------------- *)
 
-(* With 8 colors, every page of color 5 is handed out under hint 5
-   before the search ever widens; the next hint-5 allocation still
-   succeeds, off-color, and is counted as a miss. *)
-let test_color_affinity () =
+(* A page on the shared free queue that claims to be inactive is a
+   free-accounting leak; [Vm_debug.check_all] must report it. *)
+let test_check_all_flags_queue_mismatch () =
   let _, _, sys = boot () in
   let res = sys.Vm_sys.resident in
-  Resident.configure res ~colors:8 ();
-  let c = 5 in
-  let stock = ref 0 in
+  Alcotest.(check (list string)) "healthy at boot" []
+    (Vm_debug.check_all sys ~maps:[]);
+  let victim = ref None in
   Resident.iter_free res (fun p ->
-      if color_of res p 8 = c then incr stock);
-  Alcotest.(check bool) "color 5 is stocked" true (!stock > 0);
-  for _ = 1 to !stock do
-    let p = Option.get (Resident.alloc ~color:c res) in
-    Alcotest.(check int) "hint honoured while stocked" c (color_of res p 8)
-  done;
-  let k = Resident.counters res in
-  Alcotest.(check int) "all hits so far" !stock k.Resident.color_hits;
-  Alcotest.(check int) "no misses yet" 0 k.Resident.color_misses;
-  let p = Option.get (Resident.alloc ~color:c res) in
-  Alcotest.(check bool) "widened off-color" true (color_of res p 8 <> c);
-  Alcotest.(check int) "counted as a miss" 1 k.Resident.color_misses
-
-(* ---- cross-domain borrowing ---------------------------------------------- *)
-
-(* CPU 0 and CPU 1 home on domains 0 and 1 of a two-domain split.  A
-   seeded LCG interleaves allocations and frees on both CPUs until
-   domain 0 runs dry and CPU 0 starts borrowing.  The whole run —
-   the pfn sequence and every counter — must replay identically. *)
-let borrow_run seed =
-  let _, _, sys = boot () in
-  let res = sys.Vm_sys.resident in
-  Resident.configure res ~colors:2 ~domains:2 ~cpus:2 ();
-  let rng = ref seed in
-  let next bound =
-    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng mod bound
-  in
-  let held = ref [] in
-  let pfns = ref [] in
-  for _ = 1 to 400 do
-    if next 4 = 0 then (
-      match !held with
-      | [] -> ()
-      | p :: rest ->
-        held := rest;
-        Resident.free_page ~cpu:(next 2) res p)
-    else
-      match Resident.alloc ~cpu:0 ~color:(next 2) res with
-      | Some p ->
-        held := p :: !held;
-        pfns := Types.(p.pfn) :: !pfns
-      | None -> ()
-  done;
-  let k = Resident.counters res in
-  ( !pfns, k.Resident.numa_local, k.Resident.numa_borrows,
-    Resident.domain_free res 0, Resident.domain_free res 1 )
-
-let test_borrow_deterministic () =
-  let pfns1, local1, borrows1, d0, _ = borrow_run 42 in
-  let pfns2, local2, borrows2, _, _ = borrow_run 42 in
-  Alcotest.(check bool) "domain 0 ran dry" true (d0 = 0 || borrows1 > 0);
-  Alcotest.(check bool) "borrowing happened" true (borrows1 > 0);
-  Alcotest.(check bool) "local allocations happened" true (local1 > 0);
-  Alcotest.(check (list int)) "replay-identical pfn sequence" pfns1 pfns2;
-  Alcotest.(check int) "replay-identical locals" local1 local2;
-  Alcotest.(check int) "replay-identical borrows" borrows1 borrows2
+      if Option.is_none !victim then victim := Some p);
+  let p = Option.get !victim in
+  p.Types.pg_queue <- Types.Q_inactive;
+  let errs = Vm_debug.check_all sys ~maps:[] in
+  p.Types.pg_queue <- Types.Q_free;
+  Alcotest.(check bool) "conservation error reported" true
+    (List.mem
+       (Printf.sprintf "queued page pfn=%d not marked free" p.Types.pfn)
+       errs);
+  Alcotest.(check (list string)) "healthy once restored" []
+    (Vm_debug.check_all sys ~maps:[])
 
 (* ---- magazine drain on pressure ------------------------------------------ *)
 
@@ -159,18 +110,62 @@ let test_pressure_drains_magazines () =
   Alcotest.(check int) "pressure flushed it" 0 (Resident.cached_count res);
   Alcotest.(check bool) "still conserved" true (Resident.check_conservation res)
 
-(* ---- flat configuration is the seed allocator ----------------------------- *)
+(* ---- cross-CPU steal ----------------------------------------------------- *)
+
+(* CPU 1 stocks its magazine with one refill; CPU 0 then eats the whole
+   shared queue (and its own magazine).  CPU 0's next allocation must
+   come out of CPU 1's magazine, counted and traced once, and CPU 0 keeps
+   succeeding for as long as [free_count] says a page is free. *)
+let test_steal_from_other_magazine () =
+  let machine, _, sys = boot ~cpus:2 () in
+  let res = sys.Vm_sys.resident in
+  let tr = Obs.create ~capacity:4096 () in
+  Obs.set_enabled tr true;
+  Machine.set_tracer machine tr;
+  Resident.configure res ~cpus:2 ~cache:8 ();
+  ignore (Option.get (Resident.alloc ~cpu:1 res));
+  let stocked = Resident.cached_count res in
+  Alcotest.(check int) "cpu 1 magazine holds a refill batch" 7 stocked;
+  while Resident.free_count res > stocked do
+    match Resident.alloc ~cpu:0 res with
+    | Some _ -> ()
+    | None -> Alcotest.fail "allocation failed with the shared queue stocked"
+  done;
+  let k = Resident.counters res in
+  Alcotest.(check int) "no steal while cpu 0 had pages" 0
+    k.Resident.page_steals;
+  let stolen = Option.get (Resident.alloc ~cpu:0 res) in
+  Alcotest.(check int) "one steal" 1 k.Resident.page_steals;
+  let steals =
+    List.filter_map
+      (fun r ->
+         match r.Obs.ev with
+         | Obs.Page_steal { victim; pfn } -> Some (r.Obs.cpu, victim, pfn)
+         | _ -> None)
+      (Mach_obs.Ring.to_list (Obs.ring tr))
+  in
+  Alcotest.(check (list (triple int int int))) "one Page_steal from cpu 1"
+    [ (0, 1, stolen.Types.pfn) ] steals;
+  while Resident.free_count res > 0 do
+    match Resident.alloc ~cpu:0 res with
+    | Some _ -> ()
+    | None -> Alcotest.fail "free_count > 0 but allocation failed"
+  done;
+  Alcotest.(check int) "cpu 1's magazine fully stolen" stocked
+    k.Resident.page_steals;
+  Alcotest.(check bool) "dry pool fails" true
+    (Option.is_none (Resident.alloc ~cpu:0 res));
+  Alcotest.(check bool) "still conserved" true (Resident.check_conservation res)
+
+(* ---- no magazines is the seed allocator ---------------------------------- *)
 
 (* Zero-fill 24 pages, drop the mappings, touch them all again, read
-   everything back.  Explicitly configuring the flat topology (--numa 1,
-   one color, no magazines) must be indistinguishable — bytes, clock,
-   fault count — from never touching the allocator at all. *)
+   everything back.  Explicitly configuring the allocator without
+   magazines must be indistinguishable — bytes, clock, fault count —
+   from never touching the allocator at all. *)
 let ident_run ~configure =
   let machine, kernel, sys = boot () in
-  if configure then begin
-    Machine.set_numa_domains machine 1;
-    Vm_sys.configure_allocator ~colors:1 ~cache:0 sys
-  end;
+  if configure then Vm_sys.configure_allocator ~cache:0 sys;
   let task = Kernel.create_task kernel () in
   Kernel.run_task kernel ~cpu:0 task;
   let ps = sys.Vm_sys.page_size in
@@ -203,15 +198,14 @@ let test_flat_is_seed () =
 
 let () =
   Alcotest.run "alloc"
-    [ ( "color",
-        [ Alcotest.test_case "affinity holds until the queue is dry" `Quick
-            test_color_affinity ] );
-      ( "numa",
-        [ Alcotest.test_case "borrowing replays identically" `Quick
-            test_borrow_deterministic ] );
-      ( "magazines",
+    [ ( "magazines",
         [ Alcotest.test_case "pressure drains per-CPU caches" `Quick
-            test_pressure_drains_magazines ] );
+            test_pressure_drains_magazines;
+          Alcotest.test_case "dry CPU steals from another magazine" `Quick
+            test_steal_from_other_magazine ] );
+      ( "audit",
+        [ Alcotest.test_case "check_all reports a mislabelled free page"
+            `Quick test_check_all_flags_queue_mismatch ] );
       ( "identity",
         [ Alcotest.test_case "flat config matches the seed allocator" `Quick
             test_flat_is_seed ] );

@@ -423,17 +423,15 @@ let test_stat_rows_cover_fields () =
       vs_swap_full_failures = 32; vs_oom_kills = 33; vs_swap_used = 34;
       vs_swap_capacity = Some 35; vs_shadows_created = 36; vs_collapses = 37;
       vs_fast_reloads = 38; vs_rmw_bug_upgrades = 39; vs_pager_failures = 40;
-      vs_color_hits = 41; vs_color_misses = 42; vs_pcpu_hits = 43;
-      vs_pcpu_refills = 44; vs_numa_local = 45; vs_numa_borrows = 46;
-      vs_page_steals = 47 }
+      vs_pcpu_hits = 41; vs_pcpu_refills = 42; vs_page_steals = 43 }
   in
   let names = List.map fst Vm_stats.rows in
   let values = List.map (fun (_, get) -> get s) Vm_stats.rows in
-  Alcotest.(check int) "one row per field" 47 (List.length Vm_stats.rows);
-  Alcotest.(check int) "names distinct" 47
+  Alcotest.(check int) "one row per field" 43 (List.length Vm_stats.rows);
+  Alcotest.(check int) "names distinct" 43
     (List.length (List.sort_uniq compare names));
   Alcotest.(check (list int)) "every field reported once"
-    (List.init 47 succ) (List.sort compare values)
+    (List.init 43 succ) (List.sort compare values)
 
 (* [Vm_user.statistics] is a snapshot: later faults leave it alone, and
    its gauges agree with the resident table and the swap pool. *)

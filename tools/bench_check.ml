@@ -17,8 +17,7 @@ let baseline = "bench/BENCH_vm.json"
 (* machsim runs: id, arguments, whether to export --stats. *)
 let machsim_runs =
   [ ("chaos", "compile --chaos 42:flaky", false);
-    ("numa", "compile --chaos 42:flaky --numa 2 --colors 16 --alloc-cache 8",
-     true);
+    ("alloc", "compile --chaos 42:flaky --alloc-cache 8", true);
     ("profile", "compile --profile", true);
     ("streams", "compile --chaos 42:flaky --streams 8 --free-behind", true);
     ("vmstats", "stats", true) ]
@@ -98,11 +97,11 @@ let rows =
         cmp "cluster/attr_disk_wait_frac/w8" Gt (int 0);
         cmp "cluster/attr_disk_wait_frac/w8" Lt (int 1);
         (* Chaos injection is keyed to the virtual clocks, so it replays
-           exactly, also with the widened allocator and stream slots with
+           exactly, also with per-CPU magazines and stream slots with
            free-behind on. *)
         Replay "chaos";
         Line ("chaos", "chaos summary", starts "chaos: seed=42 profile=flaky");
-        Replay "numa";
+        Replay "alloc";
         Replay "streams";
         Has (Stat ("streams", "events/stream_reset"));
         Cmp (Stat ("streams", "events/free_behind"), Gt, int 0);
@@ -141,14 +140,11 @@ let rows =
         cmp "mpfault/burst/b8/elapsed_ms" Lt
           (Cell "mpfault/burst/legacy/elapsed_ms");
         cmp "mpfault/burst/dropped/mapped_per_fault" Lt (int 1);
-        (* The colored per-CPU allocator meets or beats the single queue
-           at 8 CPUs; private NUMA working sets stay home. *)
-        cmp "mpfault/alloc/colored_pcpu/c8/faults_per_sec" Ge
+        (* Per-CPU magazines meet or beat the single queue at 8 CPUs. *)
+        cmp "mpfault/alloc/pcpu/c8/faults_per_sec" Ge
           (Cell "mpfault/alloc/global/c8/faults_per_sec");
-        cmp "mpfault/alloc/colored_pcpu/c8/stall_share" Le
-          (Cell "mpfault/alloc/global/c8/stall_share");
-        cmp "mpfault/alloc/numa2/private/c8/local_frac" Gt
-          (Lit (J.Float 0.9)) ];
+        cmp "mpfault/alloc/pcpu/c8/stall_share" Le
+          (Cell "mpfault/alloc/global/c8/stall_share") ];
       (* The OOM policy is silent when demand fits and kills at 4x, and
          the kernel keeps serving someone; Mem_wait stays in the ledger. *)
       [ cmp "pressure/x1/oom_kills" Eq (int 0);
