@@ -1701,22 +1701,18 @@ let pressure () =
 let streams_ks = [ 1; 2; 4; 8; 16; 32; 64 ]
 
 (* K tasks stream disjoint 256 KB stripes of ONE shared file, one 4 KB
-   chunk per reader per turn (round robin), each on its own CPU.  With a
-   single shared cursor every reader's miss lands where no other
-   reader's cluster ended, so the window resets to one page on every
-   fault and nobody ever ramps; with per-(map,entry) stream slots each
-   reader ramps 1->2->4->8 independently and per-reader cost stays flat
-   in K until the readers outnumber the slots.  The fb configuration
-   additionally deactivates each stream's wake (free-behind). *)
+   chunk per reader per turn (round robin), each on its own CPU.  With
+   per-(map,entry) stream slots each reader ramps 1->2->4->8
+   independently, so per-reader cost stays flat in K until the readers
+   outnumber the slots; ramped streams also deactivate their wake
+   (free-behind). *)
 let streams () =
   let stripe_pages = 64 in
-  let run ~k ~slots ~fb =
+  let run k =
     let machine, kernel, fs, _os =
       boot_mach ~mem:(64 * mb) ~cpus:k Arch.vax8200
     in
     let sys = Kernel.sys kernel in
-    sys.Vm_sys.stream_slots <- slots;
-    sys.Vm_sys.free_behind_min <- fb;
     let ps = sys.Vm_sys.page_size in
     let stripe = stripe_pages * ps in
     Mach_pagers.Simfs.install_file fs ~name:"/shared"
@@ -1733,43 +1729,31 @@ let streams () =
              ~len:ps)
       done
     done;
-    let s = sys.Vm_sys.stats in
-    ( Machine.elapsed_ms machine, s.Vm_stats.vs_pager_reads,
-      s.Vm_stats.vs_stream_hits, s.Vm_stats.vs_stream_resets,
-      s.Vm_stats.vs_free_behind_pages )
+    (Machine.elapsed_ms machine, sys.Vm_sys.stats)
   in
   let t =
     Tablefmt.create
       ~title:
         "Concurrent streams: K readers x 256K stripes of one shared file\n\
-         (elapsed = slowest reader; slotted = 8 stream slots, unslotted =\n\
-         the single shared cursor, fb = slotted + free-behind)"
+         (elapsed = slowest reader; 8 stream slots per object)"
       ~columns:
-        [ "readers"; "slotted"; "unslotted"; "fb"; "pager reqs s/u";
-          "hits"; "resets"; "fb pages" ]
+        [ "readers"; "elapsed"; "pager reqs"; "hits"; "resets"; "fb pages" ]
   in
   List.iter
     (fun k ->
-       let sl_ms, sl_reads, sl_hits, sl_resets, _ =
-         run ~k ~slots:8 ~fb:0
-       in
-       let un_ms, un_reads, _, _, _ = run ~k ~slots:1 ~fb:0 in
-       let fb_ms, _, _, _, fb_pages = run ~k ~slots:8 ~fb:4 in
-       record (Printf.sprintf "k%d/slotted" k) sl_ms;
-       record (Printf.sprintf "k%d/unslotted" k) un_ms;
-       record (Printf.sprintf "k%d/fb" k) fb_ms;
+       let ms, s = run k in
+       record (Printf.sprintf "k%d/elapsed_ms" k) ms;
        if k = 8 then begin
-         count "stream_hits/k8_slotted" sl_hits;
-         count "stream_resets/k8_slotted" sl_resets;
-         count "pager_reads/k8_slotted" sl_reads;
-         count "pager_reads/k8_unslotted" un_reads;
-         count "free_behind_pages/k8_fb" fb_pages
+         count "stream_hits/k8" s.Vm_stats.vs_stream_hits;
+         count "stream_resets/k8" s.Vm_stats.vs_stream_resets;
+         count "pager_reads/k8" s.Vm_stats.vs_pager_reads;
+         count "free_behind_pages/k8" s.Vm_stats.vs_free_behind_pages
        end;
        Tablefmt.row t
-         [ string_of_int k; fmt_ms sl_ms; fmt_ms un_ms; fmt_ms fb_ms;
-           Printf.sprintf "%d/%d" sl_reads un_reads;
-           string_of_int sl_hits; string_of_int sl_resets;
-           string_of_int fb_pages ])
+         (string_of_int k :: fmt_ms ms
+          :: List.map string_of_int
+            [ s.Vm_stats.vs_pager_reads; s.Vm_stats.vs_stream_hits;
+              s.Vm_stats.vs_stream_resets; s.Vm_stats.vs_free_behind_pages ]))
     streams_ks;
   Tablefmt.print t
 
@@ -1836,12 +1820,10 @@ let experiments =
            ("disk_overlap_cycles/w8", Cycles, Disk);
            ("attr_conserved/w8", Flag, E2e); ("seq_read_2M/legacy", Ms, E2e) ]);
     e "streams" streams
-      (decl [ List.map (x "k%d") streams_ks ]
-         (ms [ "slotted"; "unslotted"; "fb" ])
+      (decl [ List.map (x "k%d") streams_ks ] [ elapsed ]
        @ leaves Count Cluster
-         [ "stream_hits/k8_slotted"; "stream_resets/k8_slotted";
-           "pager_reads/k8_slotted"; "pager_reads/k8_unslotted" ]
-       @ [ ("free_behind_pages/k8_fb", Pages, Cluster) ]);
+         [ "stream_hits/k8"; "stream_resets/k8"; "pager_reads/k8" ]
+       @ [ ("free_behind_pages/k8", Pages, Cluster) ]);
     e "mpfault" mpfault
       (let cs = List.map (x "c%d") mpfault_cpus in
        decl [ [ "private"; "shared" ]; cs ]

@@ -53,9 +53,9 @@ let handle_fault t ~cpu (f : Machine.fault) =
          (Machine.Memory_violation
             { va = f.Machine.fault_va; write; reason = Kr.to_string kr }))
 
-let create ?(page_multiple = 1) ?object_cache_limit machine =
+let create ?(page_multiple = 1) machine =
   let domain = Pmap_domain.create machine in
-  let sys = Vm_sys.create ~machine ~domain ~page_multiple ?object_cache_limit () in
+  let sys = Vm_sys.create ~machine ~domain ~page_multiple () in
   Vm_pageout.install sys;
   let t =
     { machine; domain; sys;

@@ -14,8 +14,7 @@ type t = {
   current : Task.t option array; (* per CPU *)
 }
 
-val create :
-  ?page_multiple:int -> ?object_cache_limit:int -> Mach_hw.Machine.t -> t
+val create : ?page_multiple:int -> Mach_hw.Machine.t -> t
 (** [create machine] boots a kernel on [machine].  [page_multiple] is the
     boot-time page-size parameter: the machine-independent page is that
     many hardware pages (default 1; must be a power of two). *)

@@ -92,7 +92,7 @@ and obj = {
   mutable obj_streams : stream array;
       (* adaptive read-ahead state, one slot per concurrent sequential
          reader (the DragonFly cluster_cache shape): sized lazily to
-         [Vm_sys.stream_slots] on first pagein, [| |] until then so
+         [Vm_cluster.slot_count] on first pagein, [| |] until then so
          anonymous objects pay nothing.  A pager miss matches the slot
          whose cursor equals its offset; misses recycle the reader's own
          slot, an expired slot, or the least recently used one *)

@@ -1,62 +1,21 @@
-(* Clustered pagein with per-stream adaptive read-ahead.
-
-   Faults and file reads funnel their pager misses through {!pagein},
-   which asks the object's pager for a multi-page cluster when the
-   access pattern looks sequential.  The window state lives in a small
-   fixed array of {e stream slots} on the object ([obj_streams], sized
-   by [Vm_sys.stream_slots]) — the DragonFly vfs_cluster shape — so K
-   tasks streaming one shared file each ramp their own window
-   1 -> 2 -> 4 -> ... -> [Vm_sys.cluster_max] instead of interleaving
-   their offsets through a single cursor and permanently resetting each
-   other to one page.  A miss matches the slot whose cursor ([st_next])
-   equals its offset; otherwise it takes the reader's own slot (keyed by
-   map id and entry start), an expired slot, or recycles the least
-   recently used one ([stream_resets]).
-
-   The slot state is committed only after a successful issue: [plan]
-   computes the candidate cluster without touching the slot, and each
-   outcome path records exactly what it managed to read (so a cluster
-   clipped to one page, or a failed range request, cannot leave a
-   phantom ramp behind).  Slot stamps expire with the
+(* Clustered pagein with per-stream adaptive read-ahead; the policy is
+   documented in the interface.  The window state lives in a fixed array
+   of [slot_count] stream slots on the object ([obj_streams]) — the
+   DragonFly vfs_cluster shape.  Slot selection ([find_slot]) and
+   cluster planning ([plan]) are read-only; each outcome path commits
+   exactly what it managed to read, so a clipped or failed cluster
+   leaves no phantom ramp.  Slot stamps expire with the
    [Machine.reset_clocks] epoch, like object-lock stamps, so a recycled
    object or a fresh measurement interval never inherits a dead
-   stream's cursor.
-
-   Clustering is strictly opportunistic.  The range request is one-shot
-   ({!Pager_guard.request_range}); on error or a reply shorter than one
-   page we fall back to the single-page path, which owns the full
-   retry/backoff/death policy.
-
-   A cluster is one request whose reply stamps each page, demand page
-   first ({!Mach_hw.Machine.io_landed}): page [i] lands after the
-   latency and [i + 1] pages' transfer time.  The miss waits only for
-   the demand page ({!Pager_guard.wait_prefix}).  Each prefetched page
-   is filled from the same reply, marked [pg_prefetched], enqueued on
-   the *inactive* queue — so a wrong guess is the first thing the
-   pageout daemon reclaims — and rides its own stamp
-   ({!Pager_guard.ride}): busy until it lands, and the first toucher
-   pays only that page's residue ({!Pager_guard.await_page} via
-   {!note_hit}).  A reply from a pager with no device has landed
-   already and rides nothing.
-
-   Read-ahead survives memory pressure: a miss that continues a stream
-   first asks the reclaimer (the pageout daemon) for the pages its
-   cluster needs beyond [free_target], so a file scanned through less
-   memory than it occupies still reads whole clusters.  A random miss
-   never reclaims for speculation, and the tail is allocated behind a
-   hard [free_reserved] floor: pages that do not fit are dropped.
-
-   Once a stream has ramped to [Vm_sys.free_behind_min] pages (0 = off,
-   the default), the clean pages {e behind} its cursor are deactivated
-   to the head of the inactive queue (free-behind): a file larger than
-   memory then reclaims its own wake instead of flushing every other
-   task's working set.  Dirty, wired, busy, in-flight pages — and pages
-   another live stream has yet to reach — are skipped. *)
+   stream's cursor. *)
 
 open Types
 module Obs = Mach_obs.Obs
 
 (* --- Stream slots ----------------------------------------------------- *)
+
+let slot_count = 8
+let free_behind_window = 4
 
 let stream_epoch (sys : Vm_sys.t) =
   Mach_hw.Machine.reset_epoch sys.Vm_sys.machine
@@ -67,13 +26,11 @@ let fresh_slot () =
   { st_map = -1; st_entry = 0; st_next = min_int; st_window = 1;
     st_use = 0; st_epoch = -1 }
 
-(* The slot array is built lazily (and rebuilt when the knob changes),
-   so objects that never see a pager miss — anonymous zero-fill memory,
-   say — carry an empty array. *)
-let slots_of (sys : Vm_sys.t) obj =
-  let n = max 1 sys.Vm_sys.stream_slots in
-  if Array.length obj.obj_streams <> n then
-    obj.obj_streams <- Array.init n (fun _ -> fresh_slot ());
+(* The slot array is built lazily, so objects that never see a pager
+   miss — anonymous zero-fill memory, say — carry an empty array. *)
+let slots_of obj =
+  if Array.length obj.obj_streams = 0 then
+    obj.obj_streams <- Array.init slot_count (fun _ -> fresh_slot ());
   obj.obj_streams
 
 (* Pick the slot servicing the miss at [offset] for reader [stream].
@@ -86,7 +43,7 @@ let slots_of (sys : Vm_sys.t) obj =
    and cursor are written by the commit paths, after a successful
    issue. *)
 let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
-  let slots = slots_of sys obj in
+  let slots = slots_of obj in
   let epoch = stream_epoch sys in
   let valid st = st.st_epoch = epoch in
   match Array.find_opt (fun st -> valid st && st.st_next = offset) slots with
@@ -136,9 +93,9 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
 (* Deactivate the clean pages stream [st] has left behind the cluster it
    just read ([offset] is the cluster start; the walk covers [pages]
    page offsets below it).  Only streams ramped to at least
-   [free_behind_min] qualify, so a random or barely-sequential reader
-   never touches the queues.  Skipped: dirty pages (their data exists
-   nowhere else yet), wired/busy/in-flight pages, pages not on the
+   [free_behind_window] pages qualify, so a random or barely-sequential
+   reader never touches the queues.  Skipped: dirty pages (their data
+   exists nowhere else yet), wired/busy/in-flight pages, pages not on the
    active queue (untouched prefetch is already inactive and already
    ordered), and pages some other live stream has yet to reach —
    free-behind eats this stream's own wake, never a sharer's future.
@@ -146,8 +103,7 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
    referenced bits cleared, so the daemon reclaims them next instead of
    granting a second chance. *)
 let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
-  let fbmin = sys.Vm_sys.free_behind_min in
-  if fbmin > 0 && st.st_window >= fbmin then begin
+  if st.st_window >= free_behind_window then begin
     let ps = sys.Vm_sys.page_size in
     let epoch = stream_epoch sys in
     let ahead_of_other_stream off =

@@ -9,21 +9,20 @@
     queue so wrong guesses are reclaimed first.
 
     Window state lives in a small per-object array of {e stream slots}
-    ([Vm_sys.stream_slots] of them), each keyed by the reading (map,
-    entry), so several tasks streaming one shared object ramp
-    independently instead of resetting each other through a single
-    cursor.  A miss matches the slot whose cursor equals its offset
-    ([Vm_sys.stats.stream_hits]); otherwise it reuses the reader's own
-    slot, an expired one, or recycles the least recently used
-    ([stream_resets]).  Slots expire with the [Machine.reset_clocks]
-    epoch and die with their object.
+    ({!slot_count} of them), each keyed by the reading (map, entry), so
+    several tasks streaming one shared object ramp independently instead
+    of resetting each other through a single cursor.  A miss matches the
+    slot whose cursor equals its offset ([Vm_sys.stats.stream_hits]);
+    otherwise it reuses the reader's own slot, an expired one, or
+    recycles the least recently used ([stream_resets]).  Slots expire
+    with the [Machine.reset_clocks] epoch and die with their object.
 
-    Once a stream has ramped to [Vm_sys.free_behind_min] pages (0
-    disables, the default), the clean pages behind its cursor are
-    deactivated to the {e head} of the inactive queue (free-behind), so
-    a file larger than memory reclaims its own wake instead of flushing
-    other tasks' working sets; dirty, wired, busy, in-flight pages and
-    pages ahead of another live stream are left alone.
+    Once a stream has ramped to {!free_behind_window} pages, the clean
+    pages behind its cursor are deactivated to the {e head} of the
+    inactive queue (free-behind), so a file larger than memory reclaims
+    its own wake instead of flushing other tasks' working sets; dirty,
+    wired, busy, in-flight pages and pages ahead of another live stream
+    are left alone.
 
     Clustering never weakens the failure policy: the range request is
     one-shot, and any error or truncated reply falls back to the
@@ -52,6 +51,13 @@
     working when memory is full; a random miss never reclaims for
     speculation, and prefetch never allocates below [free_reserved]. *)
 
+val slot_count : int
+(** Stream slots per object that has seen a pager miss (8). *)
+
+val free_behind_window : int
+(** Window, in pages, a stream must reach before free-behind trims its
+    wake (4). *)
+
 val pagein :
   Vm_sys.t -> ?stream:int * int -> Types.obj -> offset:int -> limit:int ->
   [ `Data of Types.page * int | `Absent | `Error ]
@@ -59,14 +65,13 @@ val pagein :
     [offset] (page aligned) on behalf of the reader identified by
     [stream = (map id, entry start)] — the stream-slot key; the default
     [(-1, 0)] is the anonymous reader, so unkeyed callers share one
-    slot exactly like the old per-object cursor.  [limit] bounds the
-    cluster in this object's offset space (the map entry's window; pass
-    [max_int] for none — object size always applies).  [`Data (p,
-    bytes)] returns the resident, filled demand page and the total
-    bytes the pager supplied (for the Pagein trace event); prefetched
-    pages beyond the demand page are inserted into the object directly.
-    [`Absent] and [`Error] mean what they mean for
-    {!Pager_guard.request}. *)
+    slot.  [limit] bounds the cluster in this object's offset space (the
+    map entry's window; pass [max_int] for none — object size always
+    applies).  [`Data (p, bytes)] returns the resident, filled demand
+    page and the total bytes the pager supplied (for the Pagein trace
+    event); prefetched pages beyond the demand page are inserted into
+    the object directly.  [`Absent] and [`Error] mean what they mean
+    for {!Pager_guard.request}. *)
 
 val note_hit : Vm_sys.t -> Types.page -> unit
 (** Tell the read-ahead machinery a resident-page lookup hit [p]; if

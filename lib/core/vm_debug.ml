@@ -12,6 +12,19 @@ let check_object_structure sys errs o =
   if o.obj_ref < 0 then note errs "object %d negative refcount" o.obj_id;
   if o.obj_cached && o.obj_ref <> 0 then
     note errs "object %d cached with refcount %d" o.obj_id o.obj_ref;
+  (* Stream slots die with their object, come [Vm_cluster.slot_count] at
+     a time, and a slot live in this clock epoch has a page-aligned
+     cursor. *)
+  let slots = Array.length o.obj_streams in
+  if slots > 0 && (o.obj_dead || slots <> Vm_cluster.slot_count) then
+    note errs "object %d%s holds %d stream slots" o.obj_id
+      (if o.obj_dead then " (terminated)" else "") slots;
+  let epoch = Machine.reset_epoch sys.Vm_sys.machine in
+  Array.iter
+    (fun st ->
+       if st.st_epoch = epoch && st.st_next mod sys.Vm_sys.page_size <> 0 then
+         note errs "object %d stream cursor %d unaligned" o.obj_id st.st_next)
+    o.obj_streams;
   (* Pages on the object's list must carry the object's identity and be
      found through the hash. *)
   List.iter
@@ -235,10 +248,30 @@ let check_inflight sys =
             r.if_epoch epoch);
   List.rev !errs
 
+(* The swap pool's usage is exactly the bytes its stores hold. *)
+let check_swap sys =
+  let stored =
+    Hashtbl.fold
+      (fun _ store acc ->
+         Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
+      sys.Vm_sys.swap_stores 0
+  in
+  let used = sys.Vm_sys.stats.Vm_stats.vs_swap_used in
+  if used = stored then []
+  else [ spf "swap_used %d <> stored chunk bytes %d" used stored ]
+
+(* Live and cached pager-backed objects, mapped or not. *)
+let check_pager_objects sys =
+  let errs = ref [] in
+  Hashtbl.iter
+    (fun _ o -> check_object_structure sys errs o)
+    sys.Vm_sys.pager_objects;
+  List.rev !errs
+
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
   @ check_resident sys @ check_pv sys @ check_tlb sys @ check_burst sys
-  @ check_inflight sys
+  @ check_inflight sys @ check_swap sys @ check_pager_objects sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

@@ -20,7 +20,10 @@
     - every TLB entry of a CPU's active address space that no pending
       flush covers maps the frame its pmap maps, with no more rights;
     - every undecided burst record names a frame of its page that its
-      address space still maps, and a page still owned by an object. *)
+      address space still maps, and a page still owned by an object;
+    - no stream slot outlives its object, slot arrays hold 0 or
+      {!Vm_cluster.slot_count} slots, and live cursors are page aligned;
+    - the swap pool's usage equals the bytes its stores hold. *)
 
 val check_map : Vm_sys.t -> Types.vmap -> string list
 (** [check_map sys m] is the list of invariant violations found in [m]
@@ -36,8 +39,9 @@ val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus
     the global structures: resident queues, hash and free-pool
     conservation, pv ↔ pmap, TLB ⊆
-    pmap, burst records, and pages riding disk stamps (busy, in a live
-    object, stamped in the current clock epoch or an older one). *)
+    pmap, burst records, pages riding disk stamps (busy, in a live
+    object, stamped in the current clock epoch or an older one), swap
+    usage, and every object in the pager table. *)
 
 val assert_ok : Vm_sys.t -> maps:Types.vmap list -> unit
 (** [assert_ok sys ~maps] raises [Failure] with a readable summary if any

@@ -69,13 +69,6 @@ type t = {
   mutable cluster_max : int;
       (* upper bound on the read-ahead / pageout cluster, in pages;
          1 disables clustering entirely *)
-  mutable stream_slots : int;
-      (* concurrent read-ahead streams tracked per object; 1 is the
-         legacy single shared cursor *)
-  mutable free_behind_min : int;
-      (* deactivate the pages behind a stream's cursor once its window
-         has ramped to at least this many pages; 0 disables free-behind
-         entirely (the default: streaming never touches the queues) *)
   mutable stream_clock : int;
       (* monotonic last-use stamp source for stream-slot LRU; not the
          cycle clock, so [Machine.reset_clocks] cannot scramble it *)
@@ -173,7 +166,7 @@ let burst_outcome t ~asid ~pfn ~hit =
 let burst_demand_fault t ~asid p =
   burst_outcome t ~asid ~pfn:p.Types.pfn ~hit:false
 
-let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
+let create ~machine ~domain ~page_multiple () =
   let arch = Machine.arch machine in
   let frame_limit =
     match arch.Arch.phys_limit with
@@ -191,7 +184,7 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     resident;
     page_size = Resident.page_size resident;
     object_cache = [];
-    object_cache_limit;
+    object_cache_limit = 64;
     cache_enabled = true;
     collapse_enabled = true;
     pmap_prewarm_on_fork = false;
@@ -211,8 +204,6 @@ let create ~machine ~domain ~page_multiple ?(object_cache_limit = 64) () =
     pager_death_threshold = 3;
     pager_decorator = None;
     cluster_max = 8;
-    stream_slots = 8;
-    free_behind_min = 0;
     stream_clock = 0;
     burst_max = 8;
     burst_pending = Hashtbl.create 64;
@@ -291,25 +282,24 @@ let cost t = (Machine.arch t.machine).Arch.cost
 
    One shared pool models the paging partition: every Swap_pager (the
    daemon's default pagers, rescue pagers) commits new chunks against it
-   and credits it back when its object dies.  Unbounded by default, so
-   nothing changes until a capacity is configured. *)
+   and credits it back when its object dies.  Usage is counted whether
+   or not the pool is bounded; it is unbounded by default, so no write
+   is refused until a capacity is configured. *)
 
 let set_swap_capacity t cap = t.swap_capacity <- cap
 
 let swap_charge t bytes =
+  let s = t.stats in
+  let used = s.Vm_stats.vs_swap_used + bytes in
   match t.swap_capacity with
-  | None -> true
-  | Some cap ->
-    let s = t.stats in
-    if s.Vm_stats.vs_swap_used + bytes <= cap then begin
-      s.Vm_stats.vs_swap_used <- s.Vm_stats.vs_swap_used + bytes;
-      true
-    end
-    else false
+  | Some cap when used > cap -> false
+  | _ ->
+    s.Vm_stats.vs_swap_used <- used;
+    true
 
 let swap_release t bytes =
   let s = t.stats in
-  s.Vm_stats.vs_swap_used <- max 0 (s.Vm_stats.vs_swap_used - bytes)
+  s.Vm_stats.vs_swap_used <- s.Vm_stats.vs_swap_used - bytes
 
 (* --- Out-of-memory policy --------------------------------------------
 

@@ -92,15 +92,6 @@ type t = {
       (** upper bound on pagein read-ahead and pageout clustering, in
           pages; 1 clips every cluster to one page (every disk request
           is one page) *)
-  mutable stream_slots : int;
-      (** concurrent read-ahead streams tracked per object ({!Vm_cluster});
-          1 is the legacy single shared cursor, which concurrent readers
-          of a shared object permanently reset against each other *)
-  mutable free_behind_min : int;
-      (** once a stream's window has ramped to at least this many pages,
-          the clean pages behind its cursor are deactivated to the head
-          of the inactive queue (free-behind) so a streaming read larger
-          than memory cannot flush the working set; 0 disables it *)
   mutable stream_clock : int;
       (** monotonic last-use stamp source for the stream-slot LRU; not
           the cycle clock, so {!Mach_hw.Machine.reset_clocks} cannot
@@ -130,7 +121,7 @@ exception Out_of_memory
 
 val create :
   machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t ->
-  page_multiple:int -> ?object_cache_limit:int -> unit -> t
+  page_multiple:int -> unit -> t
 (** [create ~machine ~domain ~page_multiple ()] builds the VM state; the
     machine-independent page size is [page_multiple] hardware pages.  The
     resident table honours the architecture's physical address limit. *)
@@ -166,8 +157,8 @@ val set_swap_capacity : t -> int option -> unit
 
 val swap_charge : t -> int -> bool
 (** [swap_charge t bytes] commits [bytes] of new swap chunks against the
-    pool; [false] (nothing committed) when that would exceed the
-    capacity. *)
+    pool and counts them in [vs_swap_used], bounded or not; [false]
+    (nothing committed) when that would exceed the capacity. *)
 
 val swap_release : t -> int -> unit
 (** Credit the pool back, e.g. when a swap store's object dies. *)

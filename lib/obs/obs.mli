@@ -114,9 +114,9 @@ type event =
       (** A pager miss at [offset] on object [obj] matched no read-ahead
           stream and every slot belonged to a live reader, so the least
           recently used slot was recycled: more concurrent sequential
-          streams than [Vm_sys.stream_slots]. *)
+          streams than [Vm_cluster.slot_count]. *)
   | Free_behind of { obj : int; offset : int; pages : int }
-      (** A stream ramped past [Vm_sys.free_behind_min] deactivated
+      (** A stream ramped to [Vm_cluster.free_behind_window] deactivated
           [pages] clean, unwired pages behind its cursor (the cluster it
           just read starts at [offset]) to the {e head} of the inactive
           queue, so a large streaming read reclaims its own wake instead

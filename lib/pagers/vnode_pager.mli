@@ -34,5 +34,4 @@ val read_through_object :
     Table 7-1 file-reading rows.  [stream] keys the read-ahead stream
     slot (see {!Mach_core.Vm_cluster.pagein}): concurrent readers of one
     file pass distinct keys to ramp independent windows; omitted, all
-    callers share the anonymous slot, which is the old single-cursor
-    behavior. *)
+    callers share the anonymous slot. *)

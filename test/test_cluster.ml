@@ -139,30 +139,74 @@ let test_two_readers_both_ramp () =
     s.Vm_stats.vs_stream_hits;
   Alcotest.(check int) "no slot was stolen" 0 s.Vm_stats.vs_stream_resets
 
-(* The same alternating workload with [stream_slots = 1] must reproduce
-   the seed's interference exactly: one shared cursor, every miss looks
-   random, 32 single-page requests and no read-ahead at all. *)
-let test_single_slot_is_legacy_interference () =
+(* Nine readers alternate over disjoint stripes of one shared file, one
+   more than an object has slots.  Every slot carries a live stream once
+   eight readers have started, so the ninth reader's misses recycle the
+   least recently used slot: the LRU steal is counted in
+   [stream_resets], and the bytes still arrive intact. *)
+let test_slot_exhaustion () =
   let machine, _, sys = boot ~frames:4096 () in
-  sys.Vm_sys.stream_slots <- 1;
   let fs = Simfs.create machine () in
   let ps = sys.Vm_sys.page_size in
-  let half = 16 in
-  Simfs.install_file fs ~name:"/shared"
-    ~data:(Bytes.make (2 * half * ps) 's');
-  for page = 0 to half - 1 do
-    List.iter
-      (fun reader ->
-         ignore
-           (Vnode_pager.read_through_object sys ~stream:(reader + 1, 0) fs
-              ~name:"/shared"
-              ~offset:(((reader * half) + page) * ps)
-              ~len:ps))
-      [ 0; 1 ]
+  let readers = Vm_cluster.slot_count + 1 and stripe = 4 in
+  let data =
+    Bytes.init (readers * stripe * ps) (fun i -> Char.chr (i * 11 land 0xff))
+  in
+  Simfs.install_file fs ~name:"/nine" ~data;
+  let buf = Bytes.create (Bytes.length data) in
+  for page = 0 to stripe - 1 do
+    for r = 0 to readers - 1 do
+      let off = ((r * stripe) + page) * ps in
+      Bytes.blit
+        (Vnode_pager.read_through_object sys ~stream:(r + 1, 0) fs
+           ~name:"/nine" ~offset:off ~len:ps)
+        0 buf off ps;
+      Vm_debug.assert_ok sys ~maps:[]
+    done
   done;
-  let s = sys.Vm_sys.stats in
-  Alcotest.(check int) "one request per page" 32 s.Vm_stats.vs_pager_reads;
-  Alcotest.(check int) "window never ramped" 0 s.Vm_stats.vs_prefetch_issued
+  Alcotest.(check bool) "bytes intact" true (Bytes.equal buf data);
+  Alcotest.(check bool) "slots were stolen" true
+    (sys.Vm_sys.stats.Vm_stats.vs_stream_resets > 0)
+
+(* The auditor checks every slot array it can reach: hand-corrupting one
+   live slot's cursor off a page boundary, or giving the object a slot
+   array of the wrong length, is flagged. *)
+let test_slot_audit () =
+  let machine, _, sys = boot ~frames:4096 () in
+  let fs = Simfs.create machine () in
+  let ps = sys.Vm_sys.page_size in
+  Simfs.install_file fs ~name:"/audit" ~data:(Bytes.make (8 * ps) 'a');
+  for i = 0 to 3 do
+    ignore
+      (Vnode_pager.read_through_object sys fs ~name:"/audit" ~offset:(i * ps)
+         ~len:ps)
+  done;
+  Alcotest.(check (list string)) "healthy" [] (Vm_debug.check_all sys ~maps:[]);
+  let o =
+    match
+      Seq.find
+        (fun o -> Array.length o.Types.obj_streams > 0)
+        (Hashtbl.to_seq_values sys.Vm_sys.pager_objects)
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "no object holds stream slots"
+  in
+  let live =
+    List.find
+      (fun st -> st.Types.st_epoch = Machine.reset_epoch machine)
+      (Array.to_list o.Types.obj_streams)
+  in
+  live.Types.st_next <- live.Types.st_next + 1;
+  Alcotest.(check bool) "unaligned cursor flagged" true
+    (Vm_debug.check_all sys ~maps:[] <> []);
+  live.Types.st_next <- live.Types.st_next - 1;
+  let slots = o.Types.obj_streams in
+  o.Types.obj_streams <- Array.sub slots 0 3;
+  Alcotest.(check bool) "short slot array flagged" true
+    (Vm_debug.check_all sys ~maps:[] <> []);
+  o.Types.obj_streams <- slots;
+  Alcotest.(check (list string)) "healthy again" []
+    (Vm_debug.check_all sys ~maps:[])
 
 (* ---- free-behind ---------------------------------------------------------- *)
 
@@ -173,7 +217,6 @@ let test_single_slot_is_legacy_interference () =
    not put there was moved by free-behind. *)
 let test_free_behind_skips_dirty () =
   let machine, kernel, sys = boot ~frames:4096 () in
-  sys.Vm_sys.free_behind_min <- 2;
   let fs = Simfs.create machine () in
   let ps = sys.Vm_sys.page_size in
   let n = 32 in
@@ -606,41 +649,39 @@ let read_ahead_transparent =
 
 (* Free-behind must be invisible to data even when the file dwarfs
    memory: random reads over a file ~4x physical memory, with the
-   pageout daemon reclaiming all the while, return identical bytes
-   whether free-behind is on or off — it only reorders the inactive
-   queue, and only with clean pages whose contents the pager can
-   reproduce. *)
+   pageout daemon reclaiming all the while, return the file's own bytes
+   — free-behind only reorders the inactive queue, and only with clean
+   pages whose contents the pager can reproduce. *)
 let free_behind_transparent =
   let open QCheck2 in
-  Test.make ~name:"free-behind run byte-identical to free-behind off"
+  Test.make ~name:"free-behind run byte-identical to the file's bytes"
     ~count:25
     Gen.(
       list_size (int_range 1 10)
         (pair (int_range 0 ((256 * 4096) - 1)) (int_range 1 (4 * 4096))))
     (fun ops ->
-       let run fb =
-         let machine =
-           (* 512 x 512 B hardware frames = 64 system pages; the file
-              below is 256 pages. *)
-           Machine.create ~arch:Arch.uvax2 ~memory_frames:512 ()
-         in
-         let kernel = Kernel.create ~page_multiple:8 machine in
-         let sys = Kernel.sys kernel in
-         sys.Vm_sys.free_behind_min <- fb;
-         let fs = Simfs.create machine () in
-         let size = 256 * sys.Vm_sys.page_size in
-         let data = Bytes.init size (fun i -> Char.chr (i * 31 land 0xff)) in
-         Simfs.install_file fs ~name:"/fbprop" ~data;
-         (* A long sequential pass ramps a stream and lets free-behind
-            eat its wake; then the random mix. *)
-         List.map
-           (fun (off, len) ->
-              Bytes.to_string
-                (Vnode_pager.read_through_object sys fs ~name:"/fbprop"
-                   ~offset:off ~len))
-           ((0, size) :: ops)
+       let machine =
+         (* 512 x 512 B hardware frames = 64 system pages; the file
+            below is 256 pages. *)
+         Machine.create ~arch:Arch.uvax2 ~memory_frames:512 ()
        in
-       run 4 = run 0)
+       let kernel = Kernel.create ~page_multiple:8 machine in
+       let sys = Kernel.sys kernel in
+       let fs = Simfs.create machine () in
+       let size = 256 * sys.Vm_sys.page_size in
+       let data = Bytes.init size (fun i -> Char.chr (i * 31 land 0xff)) in
+       Simfs.install_file fs ~name:"/fbprop" ~data;
+       (* A long sequential pass ramps a stream and lets free-behind eat
+          its wake; then the random mix. *)
+       List.for_all
+         (fun (off, len) ->
+            let got =
+              Vnode_pager.read_through_object sys fs ~name:"/fbprop"
+                ~offset:off ~len
+            in
+            Bytes.equal got (Bytes.sub data off (Bytes.length got)))
+         ((0, size) :: ops)
+       && sys.Vm_sys.stats.Vm_stats.vs_free_behind_pages > 0)
 
 (* With ample memory the daemon never runs, so the only thing that can
    put a page of the mapped object on the inactive queue is read-ahead
@@ -649,7 +690,8 @@ let free_behind_transparent =
    (its writable mapping is still live, so the write never faults), so
    the invariant exempts pages the workload wrote: every other inactive
    page must be clean, every inactive page unwired, and the memory
-   image must match a free-behind-off run byte for byte. *)
+   image must equal the file's bytes ([Machine.touch ~write] writes
+   back the byte it read). *)
 let free_behind_never_eats_dirty =
   let open QCheck2 in
   Test.make ~name:"free-behind never deactivates a dirty or wired page"
@@ -660,55 +702,46 @@ let free_behind_never_eats_dirty =
        let written =
          List.filter_map (fun (p, w) -> if w then Some p else None) ops
        in
-       let run fb =
-         let machine, kernel, sys = boot ~frames:4096 () in
-         sys.Vm_sys.free_behind_min <- fb;
-         let fs = Simfs.create machine () in
-         let ps = sys.Vm_sys.page_size in
-         Simfs.install_file fs ~name:"/fbdirty"
-           ~data:(Bytes.init (n * ps) (fun i -> Char.chr (i * 7 land 0xff)));
-         let task = new_task kernel in
-         let addr =
-           match Vnode_pager.map_file sys fs task ~name:"/fbdirty" () with
-           | Ok (a, _) -> a
-           | Error e -> Alcotest.fail (Kr.to_string e)
-         in
-         (* Sequential sweep to ramp, then the random read/write mix. *)
-         for i = 0 to n - 1 do
-           Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
-         done;
-         List.iter
-           (fun (page, write) ->
-              Machine.touch machine ~cpu:0 ~va:(addr + (page * ps)) ~write)
-           ops;
-         let image =
-           Bytes.to_string
-             (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
-         in
-         let clean =
-           match Vm_map.resolve_object_at sys (Task.map task) ~va:addr with
-           | None -> false
-           | Some (o, _) ->
-             let m = Resident.multiple sys.Vm_sys.resident in
-             List.for_all
-               (fun p ->
-                  p.Types.pg_queue <> Types.Q_inactive
-                  || (p.Types.pg_wire_count = 0
-                      && (List.mem (p.Types.pg_offset / ps) written
-                          || not
-                               (List.exists
-                                  (fun f ->
-                                     Mach_pmap.Pmap_domain.is_modified
-                                       kernel.Kernel.domain
-                                       ~pfn:(p.Types.pfn + f))
-                                  (List.init m Fun.id)))))
-               (Resident.object_pages o)
-         in
-         (image, clean)
+       let machine, kernel, sys = boot ~frames:4096 () in
+       let fs = Simfs.create machine () in
+       let ps = sys.Vm_sys.page_size in
+       let data = Bytes.init (n * ps) (fun i -> Char.chr (i * 7 land 0xff)) in
+       Simfs.install_file fs ~name:"/fbdirty" ~data;
+       let task = new_task kernel in
+       let addr =
+         match Vnode_pager.map_file sys fs task ~name:"/fbdirty" () with
+         | Ok (a, _) -> a
+         | Error e -> Alcotest.fail (Kr.to_string e)
        in
-       let image_fb, clean_fb = run 2 in
-       let image_off, _ = run 0 in
-       clean_fb && image_fb = image_off)
+       (* Sequential sweep to ramp, then the random read/write mix. *)
+       for i = 0 to n - 1 do
+         Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:false
+       done;
+       List.iter
+         (fun (page, write) ->
+            Machine.touch machine ~cpu:0 ~va:(addr + (page * ps)) ~write)
+         ops;
+       let image = Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps) in
+       let clean =
+         match Vm_map.resolve_object_at sys (Task.map task) ~va:addr with
+         | None -> false
+         | Some (o, _) ->
+           let m = Resident.multiple sys.Vm_sys.resident in
+           List.for_all
+             (fun p ->
+                p.Types.pg_queue <> Types.Q_inactive
+                || (p.Types.pg_wire_count = 0
+                    && (List.mem (p.Types.pg_offset / ps) written
+                        || not
+                             (List.exists
+                                (fun f ->
+                                   Mach_pmap.Pmap_domain.is_modified
+                                     kernel.Kernel.domain
+                                     ~pfn:(p.Types.pfn + f))
+                                (List.init m Fun.id)))))
+             (Resident.object_pages o)
+       in
+       clean && Bytes.equal image data)
 
 let () =
   Alcotest.run "cluster"
@@ -720,8 +753,8 @@ let () =
       ( "streams",
         [ Alcotest.test_case "two readers both ramp" `Quick
             test_two_readers_both_ramp;
-          Alcotest.test_case "single slot reproduces interference" `Quick
-            test_single_slot_is_legacy_interference;
+          Alcotest.test_case "slot exhaustion" `Quick test_slot_exhaustion;
+          Alcotest.test_case "slot audit" `Quick test_slot_audit;
           Alcotest.test_case "free-behind skips dirty pages" `Quick
             test_free_behind_skips_dirty ] );
       ( "pageout",

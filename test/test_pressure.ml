@@ -109,6 +109,33 @@ let test_swap_released_at_terminate () =
   Alcotest.(check int) "pool credited back at termination" 0
     sys.Vm_sys.stats.Vm_stats.vs_swap_used
 
+(* Unbounded swap (the default) still counts what it commits: after
+   dirtying more than memory, the pool's usage is exactly the bytes the
+   anonymous object's default pager holds, and the auditor agrees. *)
+let test_unbounded_swap_counted () =
+  let machine, kernel, sys = boot () in
+  let task = Kernel.create_task kernel ~name:"unbounded" () in
+  Kernel.run_task kernel ~cpu:0 task;
+  let ps = sys.Vm_sys.page_size in
+  let size = (Resident.free_count sys.Vm_sys.resident + 16) * ps in
+  let a = ok (Vm_user.allocate sys task ~size ~anywhere:true ()) in
+  for i = 0 to (size / ps) - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(a + (i * ps)) 'u'
+  done;
+  let pager =
+    match Vm_map.resolve_object_at sys (Task.map task) ~va:a with
+    | Some ({ Types.obj_pager = Some p; _ }, _) -> p
+    | _ -> Alcotest.fail "no default pager behind the allocation"
+  in
+  let stored = Swap_pager.stored_bytes sys pager in
+  Alcotest.(check bool) "pages were swapped" true (stored > 0);
+  Alcotest.(check int) "swap_used = stored bytes" stored
+    sys.Vm_sys.stats.Vm_stats.vs_swap_used;
+  Vm_debug.assert_ok sys ~maps:[ Task.map task ];
+  Kernel.terminate_task kernel ~cpu:0 task;
+  Alcotest.(check int) "pool credited back at termination" 0
+    sys.Vm_sys.stats.Vm_stats.vs_swap_used
+
 (* ---- the OOM policy ---------------------------------------------------- *)
 
 let test_oom_kills_largest_spares_faulter () =
@@ -250,7 +277,9 @@ let () =
        [ Alcotest.test_case "exhaustion escalates to the pressure state"
            `Quick test_swap_exhaustion_escalates;
          Alcotest.test_case "pool credited back at task termination" `Quick
-           test_swap_released_at_terminate ]);
+           test_swap_released_at_terminate;
+         Alcotest.test_case "unbounded pool still counts" `Quick
+           test_unbounded_swap_counted ]);
       ("oom",
        [ Alcotest.test_case "kills the largest task, spares the faulter"
            `Quick test_oom_kills_largest_spares_faulter ]);
