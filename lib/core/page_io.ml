@@ -22,47 +22,41 @@ let copy (sys : Vm_sys.t) ~src ~dst =
       ~dst:(dst.pfn + i)
   done
 
-(* Copy [len] bytes of [data] from [pos] into the page at [off]. *)
-let blit_in sys p ~off data ~pos ~len =
+(* Walk bytes [off, off + len) of the page a hardware frame at a time:
+   [f frame foff i chunk] moves the [chunk] bytes at [foff] in [frame],
+   which are bytes [i ..] of the walk.  The move is charged once. *)
+let each_frame sys p ~off ~len ~what f =
   let hw = hw_size sys in
-  if off < 0 || off + len > sys.Vm_sys.page_size then
-    invalid_arg "Page_io.copy_in";
+  if off < 0 || len < 0 || off + len > sys.Vm_sys.page_size then
+    invalid_arg what;
   let rec loop i =
     if i < len then begin
       let abs = off + i in
-      let frame = p.pfn + (abs / hw) in
       let foff = abs mod hw in
       let chunk = min (hw - foff) (len - i) in
-      Phys_mem.write (phys sys) frame ~offset:foff ~pos:(pos + i) ~len:chunk
-        data;
+      f (p.pfn + (abs / hw)) foff i chunk;
       loop (i + chunk)
     end
   in
   loop 0;
   charge_move sys len
 
+(* Copy [len] bytes of [data] from [pos] into the page at [off]. *)
+let blit_in sys p ~off data ~pos ~len =
+  each_frame sys p ~off ~len ~what:"Page_io.copy_in" (fun frame foff i n ->
+      Phys_mem.write (phys sys) frame ~offset:foff ~pos:(pos + i) ~len:n data)
+
 let copy_in sys p ~off data =
   blit_in sys p ~off data ~pos:0 ~len:(Bytes.length data)
 
+(* Copy [len] bytes of the page from [off] into [buf] at [pos]. *)
+let blit_out sys p ~off ~len buf ~pos =
+  each_frame sys p ~off ~len ~what:"Page_io.copy_out" (fun frame foff i n ->
+      Phys_mem.blit_out (phys sys) frame ~offset:foff ~len:n buf ~pos:(pos + i))
+
 let copy_out sys p ~off ~len =
-  let hw = hw_size sys in
-  if off < 0 || len < 0 || off + len > sys.Vm_sys.page_size then
-    invalid_arg "Page_io.copy_out";
-  let buf = Bytes.create len in
-  let rec loop pos =
-    if pos < len then begin
-      let abs = off + pos in
-      let frame = p.pfn + (abs / hw) in
-      let foff = abs mod hw in
-      let chunk = min (hw - foff) (len - pos) in
-      Bytes.blit
-        (Phys_mem.read (phys sys) frame ~offset:foff ~len:chunk)
-        0 buf pos chunk;
-      loop (pos + chunk)
-    end
-  in
-  loop 0;
-  charge_move sys len;
+  let buf = Bytes.create (max 0 len) in
+  blit_out sys p ~off ~len buf ~pos:0;
   buf
 
 let fill ?(pos = 0) sys p data =

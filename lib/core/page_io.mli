@@ -16,8 +16,18 @@ val copy_out : Vm_sys.t -> Types.page -> off:int -> len:int -> Bytes.t
 (** [copy_out sys p ~off ~len] extracts a sub-range of the page.  The
     range must lie within the page. *)
 
+val blit_out :
+  Vm_sys.t -> Types.page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [blit_out sys p ~off ~len buf ~pos] is {!copy_out} into [buf] at
+    [pos], frame by frame with no buffer of its own. *)
+
 val copy_in : Vm_sys.t -> Types.page -> off:int -> Bytes.t -> unit
 (** [copy_in sys p ~off data] overwrites a sub-range of the page. *)
+
+val blit_in :
+  Vm_sys.t -> Types.page -> off:int -> Bytes.t -> pos:int -> len:int -> unit
+(** [blit_in sys p ~off data ~pos ~len] is {!copy_in} of [len] bytes of
+    [data] from [pos]. *)
 
 val zero : Vm_sys.t -> Types.page -> unit
 (** [zero sys p] zero-fills the page ([pmap_zero_page] per frame). *)

@@ -33,7 +33,7 @@ let clean_request sys o ~offset ~length =
   pages_in_range sys o ~offset ~length (fun p ->
       if Vm_sys.page_modified sys p then dirty := p :: !dirty);
   let dirty =
-    List.sort (fun a b -> compare a.pg_offset b.pg_offset) !dirty
+    List.sort (fun a b -> Int.compare a.pg_offset b.pg_offset) !dirty
   in
   let written = ref 0 in
   let clean_one p =

@@ -11,10 +11,10 @@ let make (sys : Vm_sys.t) ~name =
   let machine = sys.Vm_sys.machine in
   let cpu () = Vm_sys.current_cpu sys in
   let ps = sys.Vm_sys.page_size in
-  (* Gather contiguous chunks from [offset] up; one disk transfer covers
-     the whole gathered range, so a clustered request pays the seek once.
-     No chunk at [offset] itself means the pager holds nothing there (the
-     range contract). *)
+  (* Gather contiguous chunks from [offset] up into one buffer; one disk
+     transfer covers the whole gathered range, so a clustered request
+     pays the seek once.  No chunk at [offset] itself means the pager
+     holds nothing there (the range contract). *)
   let gather ~offset ~length =
     match Hashtbl.find_opt store offset with
     | None -> None
@@ -26,12 +26,14 @@ let make (sys : Vm_sys.t) ~name =
           | None -> ()
           | Some d ->
             let take = min (Bytes.length d) (length - !got) in
-            parts := Bytes.sub d 0 take :: !parts;
+            parts := (d, !got, take) :: !parts;
             got := !got + take;
             if take = Bytes.length d then loop ()
       in
       loop ();
-      Some (Bytes.concat Bytes.empty (List.rev !parts), !got)
+      let buf = Bytes.create !got in
+      List.iter (fun (d, pos, take) -> Bytes.blit d 0 buf pos take) !parts;
+      Some (buf, !got)
   in
   (* Bytes of [data] landing on offsets not yet stored: only new chunks
      commit pool space — rewriting a paged-out page in place is free. *)

@@ -105,7 +105,11 @@ let write_cluster (sys : Vm_sys.t) o pages =
        Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:q.pfn
          ~frames:(Vm_sys.frames sys))
     pages;
-  let data = Bytes.concat Bytes.empty (List.map (page_bytes sys) pages) in
+  let ps = sys.Vm_sys.page_size in
+  let data = Bytes.create (n * ps) in
+  List.iteri
+    (fun i q -> Page_io.blit_out sys q ~off:0 ~len:ps data ~pos:(i * ps))
+    pages;
   match Pager_guard.write_range sys o ~offset:start ~data with
   | `Ok ->
     List.iter (Vm_sys.clear_page_modified sys) pages;

@@ -1,5 +1,4 @@
 open Mach_hw
-open Types
 
 include Vm_stats
 
@@ -73,8 +72,6 @@ let copy sys task ~src ~dst ~size =
 (* Kernel-mode data movement between a task's space and a buffer: fault
    each page in, then copy through physical memory, charging move cost. *)
 let move sys task ~addr ~len ~f =
-  let phys = Machine.phys sys.Vm_sys.machine in
-  let hw = Phys_mem.page_size phys in
   let ps = sys.Vm_sys.page_size in
   let write = (match f with `Into_task _ -> true | `Out_of_task _ -> false) in
   let rec loop addr done_ =
@@ -83,29 +80,13 @@ let move sys task ~addr ~len ~f =
       match Vm_fault.fault sys (Task.map task) ~va:addr ~write with
       | Error _ as e -> e
       | Ok page ->
-        let in_page = ps - (addr mod ps) in
-        let run = min in_page (len - done_) in
-        (* Copy [run] bytes spanning hardware frames of this page. *)
-        let rec frames off n =
-          if n > 0 then begin
-            let frame = page.pfn + (off / hw) in
-            let foff = off mod hw in
-            let chunk = min n (hw - foff) in
-            let bufpos = done_ + (off - (addr mod ps)) in
-            (match f with
-             | `Out_of_task buf ->
-               Bytes.blit
-                 (Phys_mem.read phys frame ~offset:foff ~len:chunk)
-                 0 buf bufpos chunk
-             | `Into_task buf ->
-               Phys_mem.write phys frame ~offset:foff
-                 (Bytes.sub buf bufpos chunk));
-            frames (off + chunk) (n - chunk)
-          end
-        in
-        frames (addr mod ps) run;
-        Vm_sys.charge sys
-          (((run + 15) / 16) * (Vm_sys.cost sys).Arch.move_16b);
+        let off = addr mod ps in
+        let run = min (ps - off) (len - done_) in
+        (match f with
+         | `Out_of_task buf ->
+           Page_io.blit_out sys page ~off ~len:run buf ~pos:done_
+         | `Into_task buf ->
+           Page_io.blit_in sys page ~off buf ~pos:done_ ~len:run);
         loop (addr + run) (done_ + run)
     end
   in

@@ -568,8 +568,8 @@ let read t ~cpu ~va ~len =
   iter_page_runs t ~va ~len (fun va off run ->
       let pfn = translate t ~cpu ~va ~write:false in
       let page = t.arch.Arch.hw_page_size in
-      let data = Phys_mem.read t.phys pfn ~offset:(va mod page) ~len:run in
-      Bytes.blit data 0 buf off run;
+      Phys_mem.blit_out t.phys pfn ~offset:(va mod page) ~len:run buf
+        ~pos:off;
       charge t ~cpu (move_cost t run));
   buf
 

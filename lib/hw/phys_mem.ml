@@ -37,11 +37,16 @@ let bytes_of t f =
   | Some b -> b
   | None -> invalid_arg "Phys_mem: access to absent frame"
 
-let read t f ~offset ~len =
+let blit_out t f ~offset ~len buf ~pos =
   let b = bytes_of t f in
   if offset < 0 || len < 0 || offset + len > t.page_size then
     invalid_arg "Phys_mem.read: out of frame";
-  Bytes.sub b offset len
+  Bytes.blit b offset buf pos len
+
+let read t f ~offset ~len =
+  let buf = Bytes.create (max 0 len) in
+  blit_out t f ~offset ~len buf ~pos:0;
+  buf
 
 let write t f ~offset ?(pos = 0) ?len data =
   let b = bytes_of t f in

@@ -38,6 +38,9 @@ val read : t -> frame -> offset:int -> len:int -> Bytes.t
 (** [read t f ~offset ~len] copies [len] bytes out of frame [f] starting at
     [offset].  The range must lie within the frame. *)
 
+val blit_out : t -> frame -> offset:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [blit_out t f ~offset ~len buf ~pos] is {!read} into [buf] at [pos]. *)
+
 val write : t -> frame -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
 (** [write t f ~offset ~pos ~len data] copies [len] bytes of [data]
     from [pos] (default: all of it from 0) into frame [f] at

@@ -1,21 +1,27 @@
 type entry = { asid : int; vpn : int; pfn : int; prot : Prot.t }
 
+module Asid_vpn = Hashtbl.Make (struct
+    type t = int * int
+    let equal ((a : int), (v : int)) (b, w) = a = b && v = w
+    let hash ((a : int), v) = ((a * 65599) + v) land max_int
+  end)
+
 (* Fully-associative with FIFO replacement.  Capacities are tiny (tens of
    entries), so a linear scan over a Queue mirror is adequate and keeps the
    replacement order explicit. *)
 type t = {
   capacity : int;
-  table : (int * int, entry) Hashtbl.t;
+  table : entry Asid_vpn.t;
   order : (int * int) Queue.t;
 }
 
 let create ~capacity =
   if capacity < 0 then invalid_arg "Tlb.create: negative capacity";
-  { capacity; table = Hashtbl.create 64; order = Queue.create () }
+  { capacity; table = Asid_vpn.create 64; order = Queue.create () }
 
 let capacity t = t.capacity
 
-let lookup t ~asid ~vpn = Hashtbl.find_opt t.table (asid, vpn)
+let lookup t ~asid ~vpn = Asid_vpn.find_opt t.table (asid, vpn)
 
 let rec evict_one t =
   match Queue.take_opt t.order with
@@ -23,7 +29,7 @@ let rec evict_one t =
   | Some key ->
     (* The queue may hold stale keys for entries already invalidated;
        skip them and evict the first live one. *)
-    if Hashtbl.mem t.table key then Hashtbl.remove t.table key
+    if Asid_vpn.mem t.table key then Asid_vpn.remove t.table key
     else evict_one t
 
 (* Entries invalidated by page/asid leave dead keys behind in the FIFO
@@ -31,12 +37,12 @@ let rec evict_one t =
    position [evict_one] would act on) once it holds more dead weight than
    live entries, so the queue stays O(capacity). *)
 let compact t =
-  let seen = Hashtbl.create (Hashtbl.length t.table) in
+  let seen = Asid_vpn.create (Asid_vpn.length t.table) in
   let live = Queue.create () in
   Queue.iter
     (fun key ->
-       if Hashtbl.mem t.table key && not (Hashtbl.mem seen key) then begin
-         Hashtbl.add seen key ();
+       if Asid_vpn.mem t.table key && not (Asid_vpn.mem seen key) then begin
+         Asid_vpn.add seen key ();
          Queue.add key live
        end)
     t.order;
@@ -47,48 +53,48 @@ let insert t e =
   if t.capacity = 0 then ()
   else begin
     let key = (e.asid, e.vpn) in
-    if not (Hashtbl.mem t.table key) then begin
-      if Hashtbl.length t.table >= t.capacity then evict_one t;
+    if not (Asid_vpn.mem t.table key) then begin
+      if Asid_vpn.length t.table >= t.capacity then evict_one t;
       if Queue.length t.order > 2 * t.capacity then compact t;
       Queue.add key t.order
     end;
-    Hashtbl.replace t.table key e
+    Asid_vpn.replace t.table key e
   end
 
-let invalidate_page t ~asid ~vpn = Hashtbl.remove t.table (asid, vpn)
+let invalidate_page t ~asid ~vpn = Asid_vpn.remove t.table (asid, vpn)
 
 let invalidate_range t ~asid ~lo_vpn ~hi_vpn =
   (* Walk whichever side is smaller: the span or the current contents. *)
-  if hi_vpn - lo_vpn <= Hashtbl.length t.table then
+  if hi_vpn - lo_vpn <= Asid_vpn.length t.table then
     for vpn = lo_vpn to hi_vpn - 1 do
-      Hashtbl.remove t.table (asid, vpn)
+      Asid_vpn.remove t.table (asid, vpn)
     done
   else begin
     let doomed =
-      Hashtbl.fold
+      Asid_vpn.fold
         (fun ((a, v) as key) _ acc ->
            if a = asid && v >= lo_vpn && v < hi_vpn then key :: acc else acc)
         t.table []
     in
-    List.iter (Hashtbl.remove t.table) doomed
+    List.iter (Asid_vpn.remove t.table) doomed
   end
 
 let invalidate_asid t ~asid =
   let doomed =
-    Hashtbl.fold
+    Asid_vpn.fold
       (fun (a, v) _ acc -> if a = asid then (a, v) :: acc else acc)
       t.table []
   in
-  List.iter (Hashtbl.remove t.table) doomed
+  List.iter (Asid_vpn.remove t.table) doomed
 
 let invalidate_all t =
-  Hashtbl.reset t.table;
+  Asid_vpn.reset t.table;
   Queue.clear t.order
 
 let entries t =
   Queue.fold
     (fun acc key ->
-       match Hashtbl.find_opt t.table key with
+       match Asid_vpn.find_opt t.table key with
        | Some e -> e :: acc
        | None -> acc)
     [] t.order

@@ -71,23 +71,27 @@ let admit t ~cpu ~write ~block ~bytes =
    per-byte transfer cost for the whole run.  [count = 1] is exactly the
    classical single-block operation (identical cost and accounting), so
    unclustered callers are unaffected. *)
-let submit_read_run ?after t ~cpu ~first ~count =
+let read_run_into ?after t ~cpu ~first ~count buf ~pos =
   if count <= 0 then invalid_arg "Simdisk.submit_read_run";
   let bytes = count * t.block_size in
   admit t ~cpu ~write:false ~block:first ~bytes;
   t.reads <- t.reads + count;
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:false ~bytes in
-  let buf = Bytes.make bytes '\000' in
   for i = 0 to count - 1 do
+    let at = pos + (i * t.block_size) in
     match Hashtbl.find_opt t.blocks (first + i) with
-    | Some b -> Bytes.blit b 0 buf (i * t.block_size) t.block_size
-    | None -> ()
+    | Some b -> Bytes.blit b 0 buf at t.block_size
+    | None -> Bytes.fill buf at t.block_size '\000'
   done;
-  (buf, io)
+  io
 
-let submit_write_run ?after t ~cpu ~first data =
-  let len = Bytes.length data in
-  if len = 0 || len mod t.block_size <> 0 then
+let submit_read_run ?after t ~cpu ~first ~count =
+  let buf = Bytes.create (max 0 count * t.block_size) in
+  (buf, read_run_into ?after t ~cpu ~first ~count buf ~pos:0)
+
+let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
+  let len = Option.value len ~default:(Bytes.length data - pos) in
+  if len <= 0 || len mod t.block_size <> 0 then
     invalid_arg "Simdisk.submit_write_run";
   let count = len / t.block_size in
   admit t ~cpu ~write:true ~block:first ~bytes:len;
@@ -95,10 +99,11 @@ let submit_write_run ?after t ~cpu ~first data =
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays
-     its own device time. *)
+     its own device time.  Each block is the store's own copy; the
+     caller's buffer is never kept. *)
   for i = 0 to count - 1 do
     Hashtbl.replace t.blocks (first + i)
-      (Bytes.sub data (i * t.block_size) t.block_size)
+      (Bytes.sub data (pos + (i * t.block_size)) t.block_size)
   done;
   io
 

@@ -52,13 +52,21 @@ val submit_read_run :
     [after] (default 0): a transfer split into runs passes the previous
     run's completion, so its runs follow each other on the disk. *)
 
+val read_run_into : ?after:int -> t -> cpu:int -> first:int -> count:int ->
+  Bytes.t -> pos:int -> Mach_hw.Machine.io
+(** [read_run_into ~after t ~cpu ~first ~count buf ~pos] is
+    {!submit_read_run} straight into [buf] at [pos]; unwritten blocks
+    overwrite their bytes of [buf] with zeros. *)
+
 val submit_write_run :
-  ?after:int -> t -> cpu:int -> first:int -> Bytes.t -> Mach_hw.Machine.io
-(** [submit_write_run ~after t ~cpu ~first data] writes [data] (a
-    non-empty whole number of blocks) across consecutive blocks starting
-    at [first] as one request, with the same cost model as
-    {!submit_read_run}, blocking until it completes; the returned stamp
-    is already paid.  The block store is updated at submit. *)
+  ?after:int -> t -> cpu:int -> first:int -> ?pos:int -> ?len:int ->
+  Bytes.t -> Mach_hw.Machine.io
+(** [submit_write_run ~after t ~cpu ~first ~pos ~len data] writes [len]
+    bytes of [data] from [pos] (default: all of it, a non-empty whole
+    number of blocks) across consecutive blocks starting at [first] as
+    one request, with the same cost model as {!submit_read_run},
+    blocking until it completes; the returned stamp is already paid.
+    The block store keeps its own copy of each block, made at submit. *)
 
 val install : t -> block:int -> Bytes.t -> unit
 (** [install t ~block data] stores data without charging the clock or the

@@ -133,17 +133,23 @@ let submit_read t ~cpu ~name ~offset ~len =
       let buf = Bytes.create len in
       let io = ref Mach_hw.Machine.io_none in
       iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
-          let data, run =
-            Simdisk.submit_read_run t.disk ~cpu ~after:!io.io_completion
-              ~first ~count
-          in
-          io := join !io run;
-          Bytes.blit data boff buf pos chunk);
+          let after = !io.io_completion in
+          if chunk = count * bs t then
+            io :=
+              join !io
+                (Simdisk.read_run_into t.disk ~cpu ~after ~first ~count buf
+                   ~pos)
+          else begin
+            let data, run =
+              Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count
+            in
+            io := join !io run;
+            Bytes.blit data boff buf pos chunk
+          end);
       (buf, !io)
     end
 
-let submit_write t ~cpu ~name ~offset ~data =
-  let len = Bytes.length data in
+let submit_write t ~cpu ~name ~offset ~len ~data =
   let ino = ensure_inode t ~name ~size:(offset + len) in
   let block_size = bs t in
   let io = ref Mach_hw.Machine.io_none in
@@ -152,8 +158,8 @@ let submit_write t ~cpu ~name ~offset ~data =
       let after = !io.io_completion in
       if chunk = count * block_size then
         submit
-          (Simdisk.submit_write_run t.disk ~cpu ~after ~first
-             (Bytes.sub data pos chunk))
+          (Simdisk.submit_write_run t.disk ~cpu ~after ~first ~pos ~len:chunk
+             data)
       else begin
         (* A partial block is read, patched and written back. *)
         let current, run =
@@ -174,7 +180,7 @@ let read t ~cpu ~name ~offset ~len =
 
 let write t ~cpu ~name ~offset ~data =
   Mach_hw.Machine.wait_io t.machine ~cpu
-    (submit_write t ~cpu ~name ~offset ~data)
+    (submit_write t ~cpu ~name ~offset ~len:(Bytes.length data) ~data)
 
 let delete t ~name = Hashtbl.remove t.table name
 

@@ -46,10 +46,11 @@ val submit_read :
     waits on the stamp ([Mach_hw.Machine.wait_io]). *)
 
 val submit_write :
-  t -> cpu:int -> name:string -> offset:int -> data:Bytes.t ->
+  t -> cpu:int -> name:string -> offset:int -> len:int -> data:Bytes.t ->
   Mach_hw.Machine.io
-(** [submit_write t ~cpu ~name ~offset ~data] writes (extending the file
-    as needed) with the same run decomposition, reading back and
+(** [submit_write t ~cpu ~name ~offset ~len ~data] writes the first [len]
+    bytes of [data] (extending the file as needed) with the same run
+    decomposition, reading back and
     patching partial blocks.  Each write run blocks until it lands
     (a partial block's read-back run does not), so the returned stamp
     has completed: waiting on it charges nothing and counts the

@@ -33,9 +33,7 @@ let make (sys : Vm_sys.t) fs ~name =
            if offset >= size then Write_completed io_none
            else
              let len = min (Bytes.length data) (size - offset) in
-             (match
-                Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset
-                  ~data:(Bytes.sub data 0 len)
+             (match Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset ~len ~data
               with
               | io -> Write_completed io
               | exception Simdisk.Io_error _ -> Write_error));
@@ -99,8 +97,7 @@ let read_through_object sys ?stream fs ~name ~offset ~len =
              Resident.enqueue sys.Vm_sys.resident p Q_active;
              p)
       in
-      Bytes.blit (Page_io.copy_out sys page ~off:(abs mod ps) ~len:chunk) 0
-        buf pos chunk;
+      Page_io.blit_out sys page ~off:(abs mod ps) ~len:chunk buf ~pos;
       loop (pos + chunk)
     end
   in

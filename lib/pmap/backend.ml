@@ -96,7 +96,7 @@ let add_targets b p =
    adjacent pages into ranges; past the threshold flush the whole
    space. *)
 let requests_of_asid ~asid vpns acc =
-  let vpns = List.sort_uniq compare vpns in
+  let vpns = List.sort_uniq Int.compare vpns in
   if List.length vpns > flush_whole_space_threshold then
     Machine.Flush_asid asid :: acc
   else
@@ -260,11 +260,15 @@ type 'm store = {
   pte : bool;  (* false: a software-only table, whose writes cost nothing *)
 }
 
-(* A [range] over a table keyed by vpn, in its fold order. *)
+(* A [range] over a table keyed by vpn, in its fold order; a one-page
+   range is one lookup (tables bind with [Hashtbl.replace]). *)
 let range_of tbl (lo : int) hi =
-  Hashtbl.fold
-    (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
-    tbl []
+  if hi = lo + 1 then
+    match Hashtbl.find_opt tbl lo with Some m -> [ (lo, m) ] | None -> []
+  else
+    Hashtbl.fold
+      (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
+      tbl []
 
 (* Drop one mapping and shoot its page. *)
 let unmap ctx sh store vpn m =

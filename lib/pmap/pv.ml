@@ -28,7 +28,9 @@ let remove t ~pfn m =
      asserts, without a separate membership scan. *)
   let rec drop = function
     | [] -> assert false
-    | m' :: rest -> if m' = m then rest else m' :: drop rest
+    | m' :: rest ->
+      if m'.pv_asid = m.pv_asid && m'.pv_vpn = m.pv_vpn then rest
+      else m' :: drop rest
   in
   t.lists.(pfn) <- drop t.lists.(pfn)
 

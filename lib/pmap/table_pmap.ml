@@ -20,6 +20,22 @@ type pte = {
 
 type tpage = { ptes : pte array; mutable valid_count : int }
 
+(* The existing table pages covering [lo, hi), ascending: looked up one
+   by one when there are no more of them than tables, else picked out of
+   a scan of the tables, so sparse spaces stay cheap either way. *)
+let covering tables ~ptes_per_page lo hi =
+  let first = lo / ptes_per_page and last = (hi - 1) / ptes_per_page in
+  if last - first < Hashtbl.length tables then
+    List.init (max 0 (last - first + 1)) (( + ) first)
+    |> List.filter_map (fun idx ->
+        Option.map (fun tp -> (idx, tp)) (Hashtbl.find_opt tables idx))
+  else
+    Hashtbl.fold
+      (fun idx tp acc ->
+         if idx >= first && idx <= last then (idx, tp) :: acc else acc)
+      tables []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
   let sh = Backend.shell ctx in
   let asid = sh.Backend.asid and stats = sh.Backend.stats in
@@ -68,17 +84,9 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
       if tp.valid_count = 0 then Hashtbl.remove tables idx
   in
 
-  (* The valid ptes whose vpn lies in [lo, hi), in vpn order.  Scans
-     existing table pages, not the raw virtual range, so sparse spaces
-     stay cheap. *)
+  (* The valid ptes whose vpn lies in [lo, hi), in vpn order. *)
   let range lo hi =
-    Hashtbl.fold
-      (fun idx tp acc ->
-         let first_vpn = idx * ptes_per_page in
-         let last_vpn = first_vpn + ptes_per_page - 1 in
-         if last_vpn >= lo && first_vpn < hi then (idx, tp) :: acc else acc)
-      tables []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    covering tables ~ptes_per_page lo hi
     |> List.concat_map (fun (idx, tp) ->
         let first_vpn = idx * ptes_per_page in
         let acc = ref [] in

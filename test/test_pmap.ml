@@ -415,18 +415,31 @@ let test_tlbonly_no_structures () =
    flush.  After each op the pmap must agree with the model on extract,
    resident_count and the pv lists; no TLB may hold a translation the
    pmap does not back; and removals, protect_ops and cache_drops must
-   move exactly as the model predicts.  Frames are 3 * vpn + k, so no
-   two live pages share a frame and the RT PC evicts no aliases. *)
+   move exactly as the model predicts.  The vpns sit on both sides of
+   page-table page boundaries (128 ptes on the VAX and NS32082), so
+   range ops cross table pages; single-page and whole-space ops take
+   the one-lookup and scan-every-table paths.  The frame of vpn [i]'s
+   slot is 3 * i + k, so no two live pages share a frame and the RT PC
+   evicts no aliases. *)
+let model_vpns =
+  [| 0; 1; 2; 126; 127; 128; 129; 130; 254; 255; 256; 257; 383; 384; 385;
+     511; 512; 1023; 1024; 1025; 2047; 2048; 8191; 8192; 16383; 32767 |]
+
 let pmap_model_test arch =
   let open QCheck2 in
+  let slots = Array.length model_vpns in
   Test.make
     ~name:(Printf.sprintf "pmap agrees with model [%s]" arch.Arch.name)
-    ~count:60
-    Gen.(list (triple (int_range 0 5) (int_range 0 19) (int_range 0 2)))
+    ~count:100
+    Gen.(
+      list
+        (quad (int_range 0 11) (int_range 0 (slots - 1))
+           (int_range 0 (slots - 1)) (int_range 0 2)))
     (fun ops ->
        let machine, domain = setup arch in
        let p = Pmap_domain.create_pmap domain in
        let ps = page arch in
+       let space = arch.Arch.user_va_limit / ps in
        let model = Hashtbl.create 16 in
        (* A TLB-only pmap's misses trap: reload from the model. *)
        Machine.set_fault_handler machine (fun ~cpu:_ f ->
@@ -482,39 +495,45 @@ let pmap_model_test arch =
        in
        let agrees () =
          let extracts =
-           List.for_all
+           Array.for_all
              (fun vpn ->
                 p.Pmap.extract (vpn * ps)
                 = Option.map (fun (pfn, _, _) -> pfn)
                     (Hashtbl.find_opt model vpn))
-             (List.init 26 Fun.id)
+             model_vpns
          in
          let pvs =
            List.for_all
              (fun pfn ->
-                let vpn = pfn / 3 in
+                let vpn = model_vpns.(pfn / 3) in
                 let expected =
                   match Hashtbl.find_opt model vpn with
                   | Some (f, _, _) when f = pfn -> [ (p.Pmap.asid, vpn) ]
                   | Some _ | None -> []
                 in
                 Pmap_domain.mappings_of domain ~pfn = expected)
-             (List.init (3 * 26) Fun.id)
+             (List.init (3 * slots) Fun.id)
          in
          extracts && pvs
          && p.Pmap.resident_count () = Hashtbl.length model
          && Machine.tlb_overreach machine = []
        in
        List.for_all
-         (fun (op, vpn, k) ->
+         (fun (op, i, j, k) ->
+            let vpn = model_vpns.(i) in
+            (* [lo, hi) from slot min(i, j) through slot max(i, j) *)
+            let lo = model_vpns.(min i j) and hi = model_vpns.(max i j) + 1 in
             let r0, p0, c0 = counters () in
             let dr, dp, dc =
               match op with
-              | 0 -> enter vpn ((3 * vpn) + k) ~wired:false
-              | 1 -> enter vpn ((3 * vpn) + k) ~wired:true
-              | 2 -> remove vpn (vpn + 1)
-              | 3 -> remove vpn (vpn + 3)
-              | 4 -> protect vpn (vpn + 4)
+              | 0 | 1 | 2 -> enter vpn ((3 * i) + k) ~wired:false
+              | 3 -> enter vpn ((3 * i) + k) ~wired:true
+              | 4 -> remove vpn (vpn + 1)
+              | 5 | 6 -> remove lo hi
+              | 7 -> protect vpn (vpn + 1)
+              | 8 -> protect lo hi
+              | 9 -> remove 0 space
+              | 10 -> protect 0 space
               | _ -> collect ()
             in
             let r1, p1, c1 = counters () in

@@ -83,6 +83,66 @@ let page_io_fill_pads =
        || (Bytes.to_string (Bytes.sub whole 0 (String.length s)) = s
            && Bytes.get whole (String.length s) = '\000'))
 
+(* [Page_io.blit_out] into a garbage-filled buffer writes exactly what
+   [copy_out] returns, at [pos], and nothing outside it.  The page spans
+   eight 512-byte VAX frames, so most ranges straddle frames. *)
+let page_io_blit_out =
+  let open QCheck2 in
+  Test.make ~name:"page_io blit_out equals copy_out" ~count:200
+    Gen.(quad (int_range 0 4095) (int_range 0 4096) (int_range 0 64) char)
+    (fun (off, len, pos, junk) ->
+       let _, _, sys = boot () in
+       let ps = sys.Vm_sys.page_size in
+       let len = min len (ps - off) in
+       let p = Vm_sys.grab_page sys in
+       (* no period, so a byte from the wrong frame shows *)
+       Page_io.copy_in sys p ~off:0
+         (Bytes.init ps (fun i -> Char.chr (Hashtbl.hash i land 255)));
+       let buf = Bytes.make (pos + len + 64) junk in
+       Page_io.blit_out sys p ~off ~len buf ~pos;
+       let want = Page_io.copy_out sys p ~off ~len in
+       Resident.free_page sys.Vm_sys.resident p;
+       Bytes.equal (Bytes.sub buf pos len) want
+       && Bytes.equal (Bytes.sub buf 0 pos) (Bytes.make pos junk)
+       && Bytes.equal (Bytes.sub buf (pos + len) 64) (Bytes.make 64 junk))
+
+(* [Simdisk.read_run_into] into a garbage-filled buffer writes exactly
+   the run's blocks at [pos] — unwritten blocks as zeros — and equals
+   [submit_read_run]. *)
+let simdisk_read_run_into =
+  let open QCheck2 in
+  let bs = 512 and blocks = 8 in
+  Test.make ~name:"simdisk read_run_into equals submit_read_run" ~count:200
+    Gen.(
+      pair
+        (list_size (return blocks) bool)
+        (quad (int_range 0 (blocks - 1)) (int_range 1 blocks) (int_range 0 64)
+           char))
+    (fun (written, (first, count, pos, junk)) ->
+       let count = min count (blocks - first) in
+       let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
+       let disk = Simdisk.create machine ~block_size:bs in
+       let content b =
+         if List.nth written b then Bytes.make bs (Char.chr (65 + b))
+         else Bytes.make bs '\000'
+       in
+       List.iteri
+         (fun b w -> if w then Simdisk.install disk ~block:b (content b))
+         written;
+       let buf = Bytes.make (pos + (count * bs) + 64) junk in
+       ignore (Simdisk.read_run_into disk ~cpu:0 ~first ~count buf ~pos);
+       let fresh, _ = Simdisk.submit_read_run disk ~cpu:0 ~first ~count in
+       let want =
+         Bytes.concat Bytes.empty
+           (List.init count (fun i -> content (first + i)))
+       in
+       Bytes.equal (Bytes.sub buf pos (count * bs)) want
+       && Bytes.equal fresh want
+       && Bytes.equal (Bytes.sub buf 0 pos) (Bytes.make pos junk)
+       && Bytes.equal
+            (Bytes.sub buf (pos + (count * bs)) 64)
+            (Bytes.make 64 junk))
+
 (* ---- Simfs vs a byte-array model ------------------------------------------ *)
 
 let simfs_model =
@@ -314,10 +374,11 @@ let () =
   Alcotest.run "properties"
     [ ( "models",
         List.map QCheck_alcotest.to_alcotest
-          [ tlb_soundness; simfs_model; buffer_cache_transparent ] );
+          [ tlb_soundness; simfs_model; buffer_cache_transparent;
+            simdisk_read_run_into ] );
       ( "page_io",
         List.map QCheck_alcotest.to_alcotest
-          [ page_io_roundtrip; page_io_fill_pads ] );
+          [ page_io_roundtrip; page_io_fill_pads; page_io_blit_out ] );
       ( "system",
         List.map QCheck_alcotest.to_alcotest
           [ protect_preserves_data; vm_copy_equals_read_write;
