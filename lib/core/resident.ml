@@ -36,7 +36,7 @@ type t = {
   phys : Phys_mem.t;
   page_size : int;
   multiple : int;
-  hash : (int * int, page) Hashtbl.t; (* (obj_id, offset) -> page *)
+  hash : page Int_pair.Tbl.t; (* (obj_id, offset) -> page *)
   mutable pages : page list; (* every page, whatever its state *)
   active : page Dlist.t;
   inactive : page Dlist.t;
@@ -65,7 +65,7 @@ let create ~phys ~multiple ?(frame_limit = max_int) () =
       phys;
       page_size = multiple * Phys_mem.page_size phys;
       multiple;
-      hash = Hashtbl.create 1024;
+      hash = Int_pair.Tbl.create 1024;
       pages = [];
       active = Dlist.create ();
       inactive = Dlist.create ();
@@ -269,21 +269,21 @@ let alloc ?cpu t =
 
 (* --- Object identity --------------------------------------------------- *)
 
-let lookup t ~obj ~offset = Hashtbl.find_opt t.hash (obj.obj_id, offset)
+let lookup t ~obj ~offset = Int_pair.Tbl.find_opt t.hash (obj.obj_id, offset)
 
 let insert t p ~obj ~offset =
   assert (Option.is_none p.pg_obj);
   assert (offset mod t.page_size = 0);
-  assert (not (Hashtbl.mem t.hash (obj.obj_id, offset)));
+  assert (not (Int_pair.Tbl.mem t.hash (obj.obj_id, offset)));
   p.pg_obj <- Some obj;
   p.pg_offset <- offset;
   p.pg_obj_node <- Some (Dlist.push_back obj.obj_pages p);
-  Hashtbl.add t.hash (obj.obj_id, offset) p
+  Int_pair.Tbl.add t.hash (obj.obj_id, offset) p
 
 let remove_from_object t p =
   match p.pg_obj, p.pg_obj_node with
   | Some obj, Some node ->
-    Hashtbl.remove t.hash (obj.obj_id, p.pg_offset);
+    Int_pair.Tbl.remove t.hash (obj.obj_id, p.pg_offset);
     Dlist.remove obj.obj_pages node;
     p.pg_obj <- None;
     p.pg_obj_node <- None;

@@ -92,13 +92,11 @@ and obj = {
   mutable obj_streams : stream array;
       (* adaptive read-ahead state, one slot per concurrent sequential
          reader (the DragonFly cluster_cache shape): sized lazily to
-         [Vm_cluster.slot_count] on first pagein, [| |] until then so
-         anonymous objects pay nothing.  A pager miss matches the slot
+         [Vm_cluster.slot_count] on first pagein, [| |] until then; the
+         fault path never asks a pager-less object for a pagein, so
+         those pay nothing.  A pager miss matches the slot
          whose cursor equals its offset; misses recycle the reader's own
          slot, an expired slot, or the least recently used one *)
-  mutable obj_gen : int;
-      (* generation counter, bumped by every exclusive (writer) critical
-         section; the lock-free resident fast path validates it *)
   mutable obj_lock_free : int;
       (* absolute cycle stamp at which the last exclusive hold released;
          a CPU whose clock is behind it contends and stalls *)

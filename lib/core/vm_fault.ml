@@ -107,22 +107,8 @@ let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~va_end ~offset =
   in
   loop 1 []
 
-let fault sys map ~va ~write =
-  (* Attribution: the whole handler runs under a [Fault_service] frame
-     (redundant under [Machine.deliver_fault], which pushes the same
-     category, but syscall-path callers — wire, user copyin — reach
-     here directly).  Narrower frames below re-attribute the interesting
-     sub-costs: pager traffic, zero fills, COW copies. *)
-  Vm_sys.with_cat sys Obs.Fault_service @@ fun () ->
-  (* While this fault is in flight its map's task is exempt from the OOM
-     policy: killing it would deallocate the very structures (entry,
-     objects, source pages) this handler is holding.  Saved/restored so
-     nested faults keep the innermost map exempt. *)
-  let saved_exempt = sys.Vm_sys.oom_exempt_map in
-  sys.Vm_sys.oom_exempt_map <- Some map.map_id;
-  Fun.protect
-    ~finally:(fun () -> sys.Vm_sys.oom_exempt_map <- saved_exempt)
-  @@ fun () ->
+(* The fault handler proper; [fault] wraps it. *)
+let handle sys map ~va ~write =
   let stats = sys.Vm_sys.stats in
   stats.Vm_stats.vs_faults <- stats.Vm_stats.vs_faults + 1;
   (* Trace bracketing: one Fault_begin/Fault_end pair per invocation,
@@ -243,15 +229,24 @@ let fault sys map ~va ~write =
            (* Pagein mutates the object's page list: a writer section.
               The lock is held across the pager wait, so on a shared
               object other CPUs faulting meanwhile stall behind the
-              disk time — the contention mpfault measures. *)
+              disk time — the contention mpfault measures.  An object
+              with no pager (a temporary object before its first
+              pageout) holds data only in its resident pages: it is
+              stepped over without asking for a cluster, but still
+              inside the writer section, whose stall and release stamp
+              stand for the lock a real kernel takes here. *)
            Vm_object.lock_write sys obj (fun () ->
-               Vm_sys.with_cat sys Obs.Pager_wait (fun () ->
-                   (* The stream-slot key: which reader this miss belongs
-                      to.  Map id + entry start distinguishes concurrent
-                      sequential readers of one shared object. *)
-                   Vm_cluster.pagein sys
-                     ~stream:(fl.Vm_map.fl_map.map_id, entry.e_start)
-                     obj ~offset:off ~limit:lim))
+               match obj.obj_pager with
+               | None -> `Absent
+               | Some _ ->
+                 Vm_sys.with_cat sys Obs.Pager_wait (fun () ->
+                     (* The stream-slot key: which reader this miss
+                        belongs to.  Map id + entry start distinguishes
+                        concurrent sequential readers of one shared
+                        object. *)
+                     Vm_cluster.pagein sys
+                       ~stream:(fl.Vm_map.fl_map.map_id, entry.e_start)
+                       obj ~offset:off ~limit:lim))
          with
          | `Data (p, bytes) ->
            paged_in := true;
@@ -376,6 +371,27 @@ let fault sys map ~va ~write =
                 ~cow:
                   ((entry.e_needs_copy && not write)
                    || first_obj.obj_readonly)))
+
+let fault sys map ~va ~write =
+  (* Attribution: the whole handler runs under a [Fault_service] frame
+     (redundant under [Machine.deliver_fault], which pushes the same
+     category, but syscall-path callers — wire, user copyin — reach
+     here directly).  Narrower frames in [handle] re-attribute the
+     interesting sub-costs: pager traffic, zero fills, COW copies. *)
+  Vm_sys.with_cat sys Obs.Fault_service @@ fun () ->
+  (* While this fault is in flight its map's task is exempt from the OOM
+     policy: killing it would deallocate the very structures (entry,
+     objects, source pages) this handler is holding.  Saved/restored so
+     nested faults keep the innermost map exempt. *)
+  let saved_exempt = sys.Vm_sys.oom_exempt_map in
+  sys.Vm_sys.oom_exempt_map <- Some map.map_id;
+  match handle sys map ~va ~write with
+  | r ->
+    sys.Vm_sys.oom_exempt_map <- saved_exempt;
+    r
+  | exception e ->
+    sys.Vm_sys.oom_exempt_map <- saved_exempt;
+    raise e
 
 let wire sys map ~va =
   match fault sys map ~va ~write:true with

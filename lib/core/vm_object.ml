@@ -19,7 +19,6 @@ let make_obj ~size ~pager ~temporary ~can_persist =
     obj_rescue = None;
     obj_degrade = Degrade_zero_fill;
     obj_streams = [||];
-    obj_gen = 0;
     obj_lock_free = 0;
     obj_lock_epoch = 0;
   }
@@ -30,7 +29,7 @@ let make_obj ~size ~pager ~temporary ~can_persist =
    anyone; what it models is the *time* CPUs of a multiprocessor would
    lose to contention.  Every exclusive (writer) critical section stamps
    the object with the absolute cycle at which it released
-   ([obj_lock_free]) and bumps the generation counter [obj_gen].  A later
+   ([obj_lock_free]), on every exit, exceptions included.  A later
    acquisition by a CPU whose own clock is still behind that stamp would,
    on real hardware, have found the lock held: it stalls for the residue
    and the cycles are attributed to [Lock_wait].  On a single CPU the
@@ -38,12 +37,11 @@ let make_obj ~size ~pager ~temporary ~can_persist =
    and the locking layer is cycle-invisible — exactly the uncontended
    fast path.
 
-   Readers (the resident-fault fast path) are optimistic: they read
-   [obj_gen], do the lookup with no lock traffic, and validate the
-   generation afterwards.  Validation failure is indistinguishable here
-   from overlapping a writer hold in virtual time, so [lock_read] charges
-   the same residue a writer would have seen — the retry cost — and
-   nothing when uncontended.
+   Readers (the resident-fault fast path) are optimistic: they do the
+   lookup with no lock traffic and keep no state of their own.  A reader
+   that overlapped a writer hold in virtual time would have had to retry,
+   so [lock_read] charges the same residue a writer would have seen — the
+   retry cost — and nothing when uncontended.
 
    Stamps are only meaningful within one [Machine.reset_clocks] epoch;
    a stamp from an older epoch is expired (the clocks it was measured
@@ -67,15 +65,19 @@ let charge_stall (sys : Vm_sys.t) o cycles =
 
 let lock_read sys o = charge_stall sys o (lock_stall_residue sys o)
 
+let release (sys : Vm_sys.t) o =
+  o.obj_lock_epoch <- Mach_hw.Machine.reset_epoch sys.Vm_sys.machine;
+  o.obj_lock_free <- Vm_sys.now sys
+
 let lock_write (sys : Vm_sys.t) o f =
   charge_stall sys o (lock_stall_residue sys o);
-  Fun.protect
-    ~finally:(fun () ->
-      o.obj_gen <- o.obj_gen + 1;
-      o.obj_lock_epoch <-
-        Mach_hw.Machine.reset_epoch sys.Vm_sys.machine;
-      o.obj_lock_free <- Vm_sys.now sys)
-    f
+  match f () with
+  | v ->
+    release sys o;
+    v
+  | exception e ->
+    release sys o;
+    raise e
 
 let create_anonymous (_sys : Vm_sys.t) ~size =
   make_obj ~size ~pager:None ~temporary:true ~can_persist:false
@@ -243,7 +245,7 @@ let rec collapse sys o =
       | None -> ()
       | Some backing ->
         if
-          backing.obj_ref = 1 && backing.obj_pager = None
+          backing.obj_ref = 1 && Option.is_none backing.obj_pager
           && backing.obj_temporary && not backing.obj_cached
         then begin
           List.iter
@@ -251,7 +253,7 @@ let rec collapse sys o =
                let new_off = p.pg_offset - o.obj_shadow_offset in
                let visible =
                  new_off >= 0 && new_off < o.obj_size
-                 && lookup_resident sys o ~offset:new_off = None
+                 && Option.is_none (lookup_resident sys o ~offset:new_off)
                in
                if visible then begin
                  Resident.remove_from_object sys.Vm_sys.resident p;

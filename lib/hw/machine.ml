@@ -197,7 +197,7 @@ let reset_clocks t =
   (* Attribution totals must keep summing to the (zeroed) clocks. *)
   if Mach_obs.Obs.enabled t.tracer then
     Mach_obs.Obs.attr_reset_totals t.tracer;
-  if t.sampler <> None then t.next_sample <- t.sample_every;
+  if Option.is_some t.sampler then t.next_sample <- t.sample_every;
   let s = t.stats in
   s.faults <- 0; s.ipis <- 0; s.shootdowns <- 0; s.deferred_flushes <- 0;
   s.stale_tlb_uses <- 0; s.disk_ops <- 0; s.disk_bytes <- 0;

@@ -23,12 +23,12 @@ let page_size t = t.page_size
 let frame_count t = Array.length t.storage
 
 let frame_exists t f =
-  f >= 0 && f < Array.length t.storage && t.storage.(f) <> None
+  f >= 0 && f < Array.length t.storage && Option.is_some t.storage.(f)
 
 let present_frames t =
   let acc = ref [] in
   for f = Array.length t.storage - 1 downto 0 do
-    if t.storage.(f) <> None then acc := f :: !acc
+    if Option.is_some t.storage.(f) then acc := f :: !acc
   done;
   !acc
 

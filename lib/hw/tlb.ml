@@ -1,10 +1,7 @@
 type entry = { asid : int; vpn : int; pfn : int; prot : Prot.t }
 
-module Asid_vpn = Hashtbl.Make (struct
-    type t = int * int
-    let equal ((a : int), (v : int)) (b, w) = a = b && v = w
-    let hash ((a : int), v) = ((a * 65599) + v) land max_int
-  end)
+(* Keyed by (asid, vpn). *)
+module Asid_vpn = Mach_util.Int_pair.Tbl
 
 (* Fully-associative with FIFO replacement.  Capacities are tiny (tens of
    entries), so a linear scan over a Queue mirror is adequate and keeps the

@@ -13,9 +13,6 @@ type t
 type entry = { asid : int; vpn : int; pfn : int; prot : Prot.t }
 (** A cached translation. *)
 
-module Asid_vpn : Hashtbl.S with type key = int * int
-(** Tables keyed by (asid, virtual page), hashed and compared as ints. *)
-
 val create : capacity:int -> t
 (** [create ~capacity] is an empty TLB holding at most [capacity] entries.
     A capacity of 0 means the machine has no TLB (every access walks the

@@ -173,12 +173,26 @@ let end_batch ctx =
   let b = ctx.batch in
   if b.depth <= 0 then invalid_arg "Backend.end_batch: no open batch";
   b.depth <- b.depth - 1;
-  if b.depth = 0 then flush_batch ctx
+  (* A batch that collected nothing closes at once: its exchange would
+     carry no request, and the targets and urgency are only ever set
+     together with a collected page or asid. *)
+  if
+    b.depth = 0
+    && (Hashtbl.length b.local_vpns > 0
+        || Hashtbl.length b.page_vpns > 0
+        || Hashtbl.length b.whole_asids > 0)
+  then flush_batch ctx
 
 (* Run [f ()] inside a batch, closing it even on exceptions. *)
 let batched ctx f =
   begin_batch ctx;
-  Fun.protect ~finally:(fun () -> end_batch ctx) f
+  match f () with
+  | v ->
+    end_batch ctx;
+    v
+  | exception e ->
+    end_batch ctx;
+    raise e
 
 let shoot_page ctx p ~asid ~vpn =
   if accumulating ctx then begin
@@ -335,8 +349,10 @@ let pmap ctx sh store ~translator ~enter ~extract ~resident_count ~destroy
     deactivate =
       (fun ~cpu ->
          sh.presence.active.(cpu) <- false;
-         if Machine.active_asid ctx.machine ~cpu = Some sh.asid then
-           Machine.set_translator ctx.machine ~cpu None);
+         match Machine.active_asid ctx.machine ~cpu with
+         | Some a when a = sh.asid ->
+           Machine.set_translator ctx.machine ~cpu None
+         | Some _ | None -> ());
     copy; resident_count; map_bytes; collect; destroy;
     stats = sh.stats }
 

@@ -129,11 +129,14 @@ let each_page_mapping t ~pfn ~frames f =
 let remove_all t ~pfn ~frames ~urgent =
   let saved = t.ctx.Backend.urgent_mode in
   t.ctx.Backend.urgent_mode <- urgent;
-  Fun.protect
-    ~finally:(fun () -> t.ctx.Backend.urgent_mode <- saved)
-    (fun () ->
-       each_page_mapping t ~pfn ~frames (fun p va ->
-           p.Pmap.remove ~start_va:va ~end_va:(va + page_size t)))
+  match
+    each_page_mapping t ~pfn ~frames (fun p va ->
+        p.Pmap.remove ~start_va:va ~end_va:(va + page_size t))
+  with
+  | () -> t.ctx.Backend.urgent_mode <- saved
+  | exception e ->
+    t.ctx.Backend.urgent_mode <- saved;
+    raise e
 
 let copy_on_write t ~pfn ~frames =
   let read_only_mask = Prot.remove_write Prot.all in

@@ -1,5 +1,8 @@
 open Mach_hw
 
+(* Hash anchor tables, keyed by (asid, vpn). *)
+module Anchors = Mach_util.Int_pair.Tbl
+
 (* One slot per physical frame: the (at most one) virtual mapping of that
    frame. *)
 type slot = {
@@ -27,7 +30,7 @@ let make_domain (ctx : Backend.ctx) =
           s_valid = false })
   in
   (* The hash anchor table: (asid, vpn) -> pfn. *)
-  let hash : int Tlb.Asid_vpn.t = Tlb.Asid_vpn.create 1024 in
+  let hash : int Anchors.t = Anchors.create 1024 in
   let owners : (int, owner) Hashtbl.t = Hashtbl.create 16 in
 
   (* Invalidate the mapping occupying [pfn], whoever owns it. *)
@@ -35,7 +38,7 @@ let make_domain (ctx : Backend.ctx) =
     let s = ipt.(pfn) in
     assert s.s_valid;
     let o = Hashtbl.find owners s.s_asid in
-    Tlb.Asid_vpn.remove hash (s.s_asid, s.s_vpn);
+    Anchors.remove hash (s.s_asid, s.s_vpn);
     Hashtbl.remove o.o_vpns s.s_vpn;
     Backend.pv_remove ctx ~pfn ~asid:s.s_asid ~vpn:s.s_vpn;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
@@ -88,7 +91,7 @@ let make_domain (ctx : Backend.ctx) =
         s.s_vpn <- vpn;
         s.s_wired <- wired;
         s.s_valid <- true;
-        Tlb.Asid_vpn.replace hash (asid, vpn) pfn;
+        Anchors.replace hash (asid, vpn) pfn;
         Hashtbl.replace own_vpns vpn pfn;
         Backend.pv_insert ctx ~pfn ~asid ~vpn
       end;
@@ -105,7 +108,7 @@ let make_domain (ctx : Backend.ctx) =
     in
 
     let lookup vpn =
-      match Tlb.Asid_vpn.find_opt hash (asid, vpn) with
+      match Anchors.find_opt hash (asid, vpn) with
       | Some pfn ->
         Translator.Mapped { pfn; prot = ipt.(pfn).s_prot }
       | None -> Translator.Missing

@@ -58,14 +58,11 @@ let make_domain (ctx : Backend.ctx) =
       match me.o_context with
       | Some c -> incr clock; c.c_stamp <- !clock; c
       | None ->
-        let free =
-          Array.to_seq contexts
-          |> Seq.filter (fun c -> c.c_owner = None)
-          |> fun s -> Seq.uncons s
-        in
         let c =
-          match free with
-          | Some (c, _) -> c
+          match
+            Array.find_opt (fun c -> Option.is_none c.c_owner) contexts
+          with
+          | Some c -> c
           | None ->
             let lru =
               Array.fold_left

@@ -1,0 +1,23 @@
+(** Pairs of ints as hash-table keys.
+
+    Compared as ints and hashed by a multiply-and-fold mix, so a lookup
+    never reaches the polymorphic hash or compare.  [Hashtbl.Make] picks
+    a bucket from the low bits of the hash; the fold brings the high
+    bits of the product down, so both key shapes the simulator uses
+    spread: consecutive second components (virtual page numbers) and
+    second components that are multiples of a page size (byte offsets
+    of pages within a memory object). *)
+
+type t = int * int
+
+val equal : t -> t -> bool
+(** [equal a b] compares both components as ints. *)
+
+val hash : t -> int
+(** [hash k] is non-negative; every bit of both components reaches its
+    low bits. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by int pairs: the TLBs and the RT PC hash anchor
+    table by (asid, vpn), the resident page table by (object id,
+    offset). *)

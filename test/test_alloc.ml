@@ -196,6 +196,63 @@ let test_flat_is_seed () =
   Alcotest.(check int) "cycle-identical" c0 c1;
   Alcotest.(check int) "fault-identical" f0 f1
 
+(* ---- qcheck: the resident page table ------------------------------------ *)
+
+module Key_map = Map.Make (struct
+    type t = int * int
+    let compare (a, b) (c, d) =
+      match Int.compare a c with 0 -> Int.compare b d | n -> n
+  end)
+
+(* Random inserts and removals over three objects and eight page offsets
+   each (so equal offsets in different objects are the common case):
+   after every step [Resident.lookup] must return exactly the page a
+   [Map] model keyed by (object, offset) holds, for every pair. *)
+let resident_table_model =
+  QCheck2.Test.make ~name:"resident table agrees with a map model"
+    ~count:50
+    QCheck2.Gen.(
+      list_size (int_range 1 150)
+        (triple bool (int_range 0 2) (int_range 0 7)))
+    (fun ops ->
+       let _, _, sys = boot () in
+       let res = sys.Vm_sys.resident in
+       let ps = sys.Vm_sys.page_size in
+       let objs =
+         Array.init 3 (fun _ -> Vm_object.create_anonymous sys ~size:(8 * ps))
+       in
+       let model = ref Key_map.empty in
+       let agrees () =
+         let ok = ref true in
+         Array.iteri
+           (fun o obj ->
+              for i = 0 to 7 do
+                let expect = Key_map.find_opt (o, i) !model in
+                match Resident.lookup res ~obj ~offset:(i * ps), expect with
+                | None, None -> ()
+                | Some p, Some q when p == q -> ()
+                | _ -> ok := false
+              done)
+           objs;
+         !ok
+       in
+       List.for_all
+         (fun (insert, o, i) ->
+            let obj = objs.(o) and offset = i * ps in
+            (match insert, Key_map.find_opt (o, i) !model with
+             | true, None ->
+               (match Resident.alloc ~cpu:0 res with
+                | Some p ->
+                  Resident.insert res p ~obj ~offset;
+                  model := Key_map.add (o, i) p !model
+                | None -> ())
+             | false, Some p ->
+               Resident.free_page res p;
+               model := Key_map.remove (o, i) !model
+             | true, Some _ | false, None -> ());
+            agrees ())
+         ops)
+
 let () =
   Alcotest.run "alloc"
     [ ( "magazines",
@@ -210,4 +267,5 @@ let () =
         [ Alcotest.test_case "flat config matches the seed allocator" `Quick
             test_flat_is_seed ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ conservation ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ conservation; resident_table_model ] ) ]

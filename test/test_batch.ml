@@ -389,6 +389,94 @@ let test_evict_one_exchange_per_page () =
   Alcotest.(check int) "RT PC: one shootdown per page" 4
     s.Machine.shootdowns
 
+(* ---- closing a batch ----------------------------------------------------- *)
+
+(* A domain on a 2-CPU uVAX II under Immediate_ipi: one pmap active on
+   both CPUs with vpns 0..3 mapped read-write and cached in both TLBs. *)
+let domain_setup () =
+  let m =
+    Machine.create ~arch:Arch.uvax2 ~memory_frames:64 ~cpus:2
+      ~shootdown:Machine.Immediate_ipi ()
+  in
+  let d = Pmap_domain.create m in
+  let p = Pmap_domain.create_pmap d in
+  let ps = Arch.uvax2.Arch.hw_page_size in
+  p.Pmap.activate ~cpu:0;
+  p.Pmap.activate ~cpu:1;
+  for vpn = 0 to 3 do
+    p.Pmap.enter ~va:(vpn * ps) ~pfn:(10 + vpn) ~prot:Prot.read_write
+      ~wired:false
+  done;
+  for cpu = 0 to 1 do
+    for vpn = 0 to 3 do
+      ignore (Machine.read_byte m ~cpu ~va:(vpn * ps))
+    done
+  done;
+  (m, d, p, ps)
+
+let in_tlb m p ~cpu ~vpn =
+  List.exists
+    (fun (e : Tlb.entry) -> e.Tlb.asid = p.Pmap.asid && e.Tlb.vpn = vpn)
+    (Machine.tlb_contents m ~cpu)
+
+(* A batch that collects nothing closes at once: no exchange, no cycle.
+   A fresh enter collects nothing either.  The batches after them still
+   issue what they collect: a lost right as one exchange, a gained right
+   as a flush of the initiator's own entry only. *)
+let test_empty_batch_is_free () =
+  let m, d, p, ps = domain_setup () in
+  let st = Machine.stats m in
+  let shots = st.Machine.shootdowns and ipis = st.Machine.ipis in
+  let c0 = Machine.cycles m ~cpu:0 and c1 = Machine.cycles m ~cpu:1 in
+  Pmap_domain.batched d ignore;
+  Alcotest.(check int) "no shootdown" shots st.Machine.shootdowns;
+  Alcotest.(check int) "no IPI" ipis st.Machine.ipis;
+  Alcotest.(check int) "no cycle on cpu0" c0 (Machine.cycles m ~cpu:0);
+  Alcotest.(check int) "no cycle on cpu1" c1 (Machine.cycles m ~cpu:1);
+  Pmap_domain.batched d (fun () ->
+      p.Pmap.enter ~va:(5 * ps) ~pfn:20 ~prot:Prot.read_write ~wired:false);
+  Alcotest.(check int) "fresh enter: no shootdown" shots
+    st.Machine.shootdowns;
+  Pmap_domain.batched d (fun () ->
+      p.Pmap.protect ~start_va:0 ~end_va:ps ~prot:Prot.read_only);
+  Alcotest.(check int) "lost right: one shootdown" (shots + 1)
+    st.Machine.shootdowns;
+  Alcotest.(check int) "lost right: one IPI" (ipis + 1) st.Machine.ipis;
+  Alcotest.(check bool) "cpu1 vpn0 flushed" false (in_tlb m p ~cpu:1 ~vpn:0);
+  Alcotest.(check bool) "cpu1 vpn1 kept" true (in_tlb m p ~cpu:1 ~vpn:1);
+  ignore (Machine.read_byte m ~cpu:0 ~va:0);
+  Alcotest.(check bool) "cpu0 caches the read-only entry" true
+    (in_tlb m p ~cpu:0 ~vpn:0);
+  Pmap_domain.batched d (fun () ->
+      p.Pmap.enter ~va:0 ~pfn:10 ~prot:Prot.read_write ~wired:false);
+  Alcotest.(check int) "gained right: no shootdown" (shots + 1)
+    st.Machine.shootdowns;
+  Alcotest.(check bool) "gained right: cpu0 entry flushed" false
+    (in_tlb m p ~cpu:0 ~vpn:0)
+
+(* A body that raises inside a batch still closes it: what it collected
+   goes out as the exception passes, and the depth is back to zero, so a
+   later unbatched remove is issued at once. *)
+let test_raising_batch_closes () =
+  let m, d, p, ps = domain_setup () in
+  let st = Machine.stats m in
+  let shots = st.Machine.shootdowns in
+  (match
+     Pmap_domain.batched d (fun () ->
+         p.Pmap.remove ~start_va:0 ~end_va:ps;
+         raise Exit)
+   with
+   | () -> Alcotest.fail "expected Exit"
+   | exception Exit -> ());
+  Alcotest.(check int) "collected flush issued" (shots + 1)
+    st.Machine.shootdowns;
+  Alcotest.(check bool) "cpu1 vpn0 flushed" false (in_tlb m p ~cpu:1 ~vpn:0);
+  p.Pmap.remove ~start_va:ps ~end_va:(2 * ps);
+  Alcotest.(check int) "next remove issued at once" (shots + 2)
+    st.Machine.shootdowns;
+  Alcotest.(check bool) "cpu1 vpn1 flushed" false (in_tlb m p ~cpu:1 ~vpn:1);
+  Alcotest.(check bool) "cpu1 vpn2 kept" true (in_tlb m p ~cpu:1 ~vpn:2)
+
 (* ---- qcheck: TLBs agree with page tables across all backends ----------- *)
 
 type op =
@@ -497,7 +585,11 @@ let () =
         [ Alcotest.test_case "coalesces adjacent pages" `Quick
             test_accumulator_coalesces;
           Alcotest.test_case "promotes past the threshold" `Quick
-            test_accumulator_promotes ] );
+            test_accumulator_promotes;
+          Alcotest.test_case "an empty batch is free" `Quick
+            test_empty_batch_is_free;
+          Alcotest.test_case "a raising body closes its batch" `Quick
+            test_raising_batch_closes ] );
       ( "end_to_end",
         [ Alcotest.test_case "vm_protect: IPIs follow targets" `Quick
             test_protect_ipis_scale_with_targets;

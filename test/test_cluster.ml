@@ -289,6 +289,127 @@ let test_clustered_pageout_roundtrip () =
     Alcotest.(check string) (Printf.sprintf "page %d" i) (pat i) got
   done
 
+(* ---- pager-less objects step over the read-ahead path -------------------- *)
+
+(* Every object on the shadow chain behind [va] in [task]'s map, top
+   first. *)
+let chain_at sys task ~va =
+  let rec walk acc = function
+    | None -> List.rev acc
+    | Some o -> walk (o :: acc) o.Types.obj_shadow
+  in
+  match Vm_map.resolve_object_at sys (Task.map task) ~va with
+  | Some (o, _) -> walk [] (Some o)
+  | None -> []
+
+(* Fork twice and write through the copy-on-write chains: each write
+   misses in a fresh shadow and finds its source one or two pager-less
+   levels down.  Those levels are stepped over without asking for a
+   cluster, so none of them ever gets stream slots; the bytes every
+   generation sees are its own and the audit is clean. *)
+let test_pagerless_chain_has_no_slots () =
+  let machine, kernel, sys = boot ~frames:1024 () in
+  let ps = sys.Vm_sys.page_size in
+  let n = 6 in
+  let parent = new_task kernel in
+  let addr =
+    ok (Vm_user.allocate sys parent ~size:(n * ps) ~anywhere:true ())
+  in
+  let pat tag i = Printf.sprintf "%s-%02d" tag i in
+  let write tag i =
+    Machine.write machine ~cpu:0 ~va:(addr + (i * ps))
+      (Bytes.of_string (pat tag i))
+  in
+  let read i =
+    Bytes.to_string
+      (Machine.read machine ~cpu:0 ~va:(addr + (i * ps)) ~len:4)
+  in
+  for i = 0 to n - 1 do write "p" i done;
+  let child = Kernel.fork_task kernel ~cpu:0 parent in
+  Kernel.run_task kernel ~cpu:0 child;
+  for i = 0 to n - 1 do write "c" i done;
+  let grand = Kernel.fork_task kernel ~cpu:0 child in
+  Kernel.run_task kernel ~cpu:0 grand;
+  for i = 0 to n - 1 do if i mod 2 = 0 then write "g" i done;
+  for i = 0 to n - 1 do
+    Alcotest.(check string) (Printf.sprintf "grandchild page %d" i)
+      (pat (if i mod 2 = 0 then "g" else "c") i) (read i)
+  done;
+  Kernel.run_task kernel ~cpu:0 child;
+  for i = 0 to n - 1 do
+    Alcotest.(check string) (Printf.sprintf "child page %d" i) (pat "c" i)
+      (read i)
+  done;
+  Kernel.run_task kernel ~cpu:0 parent;
+  for i = 0 to n - 1 do
+    Alcotest.(check string) (Printf.sprintf "parent page %d" i) (pat "p" i)
+      (read i)
+  done;
+  Alcotest.(check bool) "copy-on-write copies made" true
+    (sys.Vm_sys.stats.Vm_stats.vs_cow_copies >= n + (n / 2));
+  let deepest = ref 0 in
+  List.iter
+    (fun task ->
+       for i = 0 to n - 1 do
+         let chain = chain_at sys task ~va:(addr + (i * ps)) in
+         deepest := max !deepest (List.length chain);
+         List.iter
+           (fun o ->
+              Alcotest.(check bool) "no pager" true
+                (Option.is_none o.Types.obj_pager);
+              Alcotest.(check int) "no stream slots" 0
+                (Array.length o.Types.obj_streams))
+           chain
+       done)
+    [ parent; child; grand ];
+  Alcotest.(check bool) "a chain of pager-less shadows" true (!deepest >= 2);
+  Alcotest.(check (list string)) "audit clean" []
+    (Vm_debug.check_all sys
+       ~maps:(List.map Task.map [ parent; child; grand ]))
+
+(* The shortcut keys on the pager, not on the kind of object: an
+   anonymous object that has paged out holds the default pager, and
+   faulting its pages back goes through the read-ahead path — it gets
+   its stream slots and the pager is read. *)
+let test_paged_out_anonymous_reads_its_pager () =
+  let machine, kernel, sys = boot ~frames:1024 () in
+  let ps = sys.Vm_sys.page_size in
+  let n = 8 in
+  let task = new_task kernel in
+  let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
+  let pat i = Printf.sprintf "anon-%02d" i in
+  for i = 0 to n - 1 do
+    Machine.write machine ~cpu:0 ~va:(addr + (i * ps))
+      (Bytes.of_string (pat i))
+  done;
+  let obj =
+    match chain_at sys task ~va:addr with
+    | o :: _ -> o
+    | [] -> Alcotest.fail "no object behind the region"
+  in
+  Alcotest.(check bool) "temporary, no pager yet" true
+    (obj.Types.obj_temporary && Option.is_none obj.Types.obj_pager);
+  Alcotest.(check int) "no slots yet" 0 (Array.length obj.Types.obj_streams);
+  for _ = 1 to 6 do
+    Vm_pageout.deactivate_some sys ~count:128;
+    Vm_pageout.run sys ~wanted:128
+  done;
+  Alcotest.(check bool) "default pager after pageout" true
+    (Option.is_some obj.Types.obj_pager);
+  let reads = sys.Vm_sys.stats.Vm_stats.vs_pager_reads in
+  for i = 0 to n - 1 do
+    Alcotest.(check string) (Printf.sprintf "page %d" i) (pat i)
+      (Bytes.to_string
+         (Machine.read machine ~cpu:0 ~va:(addr + (i * ps))
+            ~len:(String.length (pat i))))
+  done;
+  Alcotest.(check int) "stream slots" Vm_cluster.slot_count
+    (Array.length obj.Types.obj_streams);
+  Alcotest.(check bool) "pager read" true
+    (sys.Vm_sys.stats.Vm_stats.vs_pager_reads > reads);
+  Alcotest.(check (list string)) "audit clean" []
+    (Vm_debug.check_all sys ~maps:[ Task.map task ])
+
 (* ---- truncated clusters degrade, deterministically ----------------------- *)
 
 (* Page out 8 pages through a chaos-wrapped store pager, then fault them
@@ -760,6 +881,11 @@ let () =
       ( "pageout",
         [ Alcotest.test_case "clustered round trip" `Quick
             test_clustered_pageout_roundtrip ] );
+      ( "pager-less",
+        [ Alcotest.test_case "shadow chain gets no slots" `Quick
+            test_pagerless_chain_has_no_slots;
+          Alcotest.test_case "paged-out anonymous reads its pager" `Quick
+            test_paged_out_anonymous_reads_its_pager ] );
       ( "degrade",
         [ Alcotest.test_case "short cluster" `Quick
             test_short_cluster_degrades;

@@ -448,6 +448,35 @@ let test_protect_shoots_remote_tlb () =
      Alcotest.fail "stale writable TLB entry survived"
    with Machine.Memory_violation _ -> ())
 
+(* ---- a fault that raises ------------------------------------------------- *)
+
+(* A pager whose request raises: the exception leaves [Vm_fault.fault],
+   and on the way out the OOM exemption the fault took for its map is
+   given back, as it is on every other exit. *)
+let test_raising_fault_restores_exemption () =
+  let _machine, kernel, sys = boot () in
+  let t = new_task kernel ~cpu:0 in
+  let pager =
+    { Types.pgr_id = Types.fresh_pager_id ();
+      pgr_name = "raises";
+      pgr_request = (fun ~offset:_ ~length:_ -> failwith "pager raised");
+      pgr_write = (fun ~offset:_ ~data:_ -> Types.Write_error);
+      pgr_should_cache = ref false }
+  in
+  let a =
+    ok
+      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(4 * kb)
+         ~anywhere:true ())
+  in
+  Alcotest.(check (option int)) "no exemption before" None
+    sys.Vm_sys.oom_exempt_map;
+  (match Vm_fault.fault sys (Task.map t) ~va:a ~write:false with
+   | _ -> Alcotest.fail "expected the pager's exception"
+   | exception Failure msg ->
+     Alcotest.(check string) "the pager's exception" "pager raised" msg);
+  Alcotest.(check (option int)) "exemption restored" None
+    sys.Vm_sys.oom_exempt_map
+
 (* ---- qcheck: fork trees preserve data isolation ------------------------------- *)
 
 let fork_isolation_qcheck =
@@ -530,6 +559,9 @@ let () =
             test_protection_none_blocks_read ] );
       ( "wiring",
         [ Alcotest.test_case "wire/unwire" `Quick test_wire_unwire ] );
+      ( "exceptions",
+        [ Alcotest.test_case "raising fault restores the OOM exemption"
+            `Quick test_raising_fault_restores_exemption ] );
       ( "pmap cache",
         [ Alcotest.test_case "fast reload after collect" `Quick
             test_fast_reload_after_collect;

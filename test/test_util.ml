@@ -189,6 +189,38 @@ let test_table_rejects_long_rows () =
     (Invalid_argument "Tablefmt.row: too many cells") (fun () ->
         Tablefmt.row t [ "1"; "2" ])
 
+(* ---- int_pair -------------------------------------------------------- *)
+
+(* Longest bucket after binding [keys] in a 1,024-bucket table (it does
+   not resize below 2,048 bindings). *)
+let max_bucket keys =
+  let module T = Mach_util.Int_pair.Tbl in
+  let t = T.create 1024 in
+  List.iter (fun k -> T.replace t k ()) keys;
+  (T.stats t).Hashtbl.max_bucket_length
+
+(* Both key shapes must spread: 1,024 consecutive pages of one object by
+   byte offset, at every page size the architectures use, and 1,024
+   consecutive vpns of one address space.  A hash of the raw pair puts
+   every page-aligned offset in one bucket, since the table indexes
+   with the low bits. *)
+let test_int_pair_spread () =
+  let pages = List.init 1024 Fun.id in
+  List.iter
+    (fun ps ->
+       let m = max_bucket (List.map (fun i -> (7, i * ps)) pages) in
+       Alcotest.(check bool)
+         (Printf.sprintf "%d-byte page offsets: longest bucket %d" ps m)
+         true (m <= 8))
+    [ 512; 2048; 4096; 8192 ];
+  let m = max_bucket (List.map (fun v -> (3, v)) pages) in
+  Alcotest.(check bool)
+    (Printf.sprintf "consecutive vpns: longest bucket %d" m) true (m <= 8);
+  let m = max_bucket (List.map (fun o -> (o, 0)) pages) in
+  Alcotest.(check bool)
+    (Printf.sprintf "offset 0 of many objects: longest bucket %d" m)
+    true (m <= 8)
+
 let () =
   Alcotest.run "mach_util"
     [ ( "dlist",
@@ -220,4 +252,6 @@ let () =
           Alcotest.test_case "pads short rows" `Quick
             test_table_pads_short_rows;
           Alcotest.test_case "rejects long rows" `Quick
-            test_table_rejects_long_rows ] ) ]
+            test_table_rejects_long_rows ] );
+      ( "int_pair",
+        [ Alcotest.test_case "spread" `Quick test_int_pair_spread ] ) ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Interleaved host-time pairs: this checkout against a parent revision.
 #
-#   bash tools/host_pairs.sh PARENT_REV [WORKLOAD] [SEED] [N]
+#   bash tools/host_pairs.sh PARENT_REV [WORKLOAD|all] [SEED] [N]
 #
 # Exports PARENT_REV's committed files into a directory under $TMPDIR
 # (removed on exit), then runs
@@ -10,23 +10,33 @@
 #     --seconds 20 --trace 0
 #
 # N times on each side (defaults: files, seed 1, N = 10), alternating
-# which side runs first.  The checkout side is the working tree as it
-# stands, uncommitted edits included.  Prints every pair's host_s and
-# setup_s, each side's median and quartiles of both (the same
-# exclusive-method quartiles vmbench prints), how many pairs the
-# checkout won on host_s (lower is a win), and
-# whether every run read correct:true with 0 failed ops and string-equal
-# sim_ms, sim_op_tail_us and host_live_mb.  Exits 1 when a simulated
-# metric or a correctness field differs.
+# which side runs first.  WORKLOAD `all` does this for churn, files,
+# overcommit and smp in turn.  The checkout side is the working tree as
+# it stands, uncommitted edits included.  For each workload it prints
+# every pair's host_s and setup_s, each side's median and quartiles of
+# both (the same exclusive-method quartiles vmbench prints), how many
+# pairs the checkout won on host_s (lower is a win), whether every
+# run read correct:true with 0 failed ops and string-equal sim_ms and
+# sim_op_tail_us, and each side's host_live_mb (which must repeat on
+# every run of a side).  It ends with one summary row per workload:
+# median host_s and setup_s on each side, their percent change, the
+# parent's host_s IQR, the win count and how host_live_mb compares.
+# Exits 1 when a simulated metric or a correctness field differs, or
+# host_live_mb varies within a side or is higher on the checkout, on
+# any workload.
 #
 # Each run takes about 25 s on two cores, so the default costs about
-# 9 minutes.  Not part of `make check`.
+# 9 minutes, and `all` four times that.  Not part of `make check`.
 set -eu
 
-parent=${1:?usage: tools/host_pairs.sh PARENT_REV [WORKLOAD] [SEED] [N]}
-workload=${2:-files}
+parent=${1:?usage: tools/host_pairs.sh PARENT_REV [WORKLOAD|all] [SEED] [N]}
+which=${2:-files}
 seed=${3:-1}
 n=${4:-10}
+case "$which" in
+  all) workloads="churn files overcommit smp" ;;
+  *) workloads=$which ;;
+esac
 
 here=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/host_pairs.XXXXXX")
@@ -34,11 +44,11 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git -C "$here" archive "$parent" | tar -x -C "$tmp/parent"
 
-# One run on side $1 (a checkout root); appends its JSON summary line to
-# $tmp/$2.runs.
+# One run of workload $1 on side $2 (a checkout root); appends its JSON
+# summary line to $tmp/$1.$3.runs.
 run() {
-  (cd "$1" && bash bench/vmbench/run.sh --workload "$workload" --seed "$seed" \
-     --seconds 20 --trace 0) 2>/dev/null | tail -n 1 >> "$tmp/$2.runs"
+  (cd "$2" && bash bench/vmbench/run.sh --workload "$1" --seed "$seed" \
+     --seconds 20 --trace 0) 2>/dev/null | tail -n 1 >> "$tmp/$1.$3.runs"
 }
 
 # The value of metric $2 in JSON summary line $1, as printed.
@@ -48,32 +58,14 @@ field() {
 
 # The simulated and correctness part of a summary line.
 simulated() {
-  printf 'correct=%s failed=%s sim_ms=%s sim_op_tail_us=%s host_live_mb=%s\n' \
+  printf 'correct=%s failed=%s sim_ms=%s sim_op_tail_us=%s\n' \
     "$(printf '%s\n' "$1" | sed -n 's/.*"correct":\([a-z]*\).*/\1/p')" \
     "$(printf '%s\n' "$1" | sed -n 's/.*"failed":\([0-9]*\).*/\1/p')" \
-    "$(field "$1" sim_ms)" "$(field "$1" sim_op_tail_us)" \
-    "$(field "$1" host_live_mb)"
+    "$(field "$1" sim_ms)" "$(field "$1" sim_op_tail_us)"
 }
 
-: > "$tmp/parent.runs"
-: > "$tmp/change.runs"
-for i in $(seq 1 "$n"); do
-  if [ $((i % 2)) -eq 1 ]; then
-    run "$tmp/parent" parent
-    run "$here" change
-  else
-    run "$here" change
-    run "$tmp/parent" parent
-  fi
-  p=$(sed -n "${i}p" "$tmp/parent.runs")
-  c=$(sed -n "${i}p" "$tmp/change.runs")
-  echo "pair $i:" \
-    "host_s parent $(field "$p" host_s) change $(field "$c" host_s)," \
-    "setup_s parent $(field "$p" setup_s) change $(field "$c" setup_s)"
-done
-
-# Median and quartiles of the numbers on stdin.
-stats() {
+# "median q1 q3 iqr" of the numbers on stdin.
+quartiles() {
   sort -g | awk '
     { a[NR] = $1 }
     END {
@@ -81,7 +73,7 @@ stats() {
       med = (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
       if (n < 2) { q1 = med; q3 = med }
       else { q1 = q(1, n); q3 = q(3, n) }
-      printf "median %.4f  q1 %.4f  q3 %.4f  iqr %.4f\n", med, q1, q3, q3 - q1
+      printf "%.4f %.4f %.4f %.4f\n", med, q1, q3, q3 - q1
     }
     function q(i, n,   m, j, d) {
       m = n + 1
@@ -91,33 +83,91 @@ stats() {
     }'
 }
 
-# Metric $2 of every run on side $1.
+# Metric $3 of every run of workload $1 on side $2.
 values() {
-  while IFS= read -r line; do field "$line" "$2"; done < "$tmp/$1.runs"
+  while IFS= read -r line; do field "$line" "$3"; done < "$tmp/$1.$2.runs"
 }
 
-for m in host_s setup_s; do
-  echo "$workload seed $seed, $n pairs, $m (s):"
-  echo "  parent $(values parent $m | stats)"
-  echo "  change $(values change $m | stats)"
-done
-wins=$(paste <(values parent host_s) <(values change host_s) |
-         awk '$2 < $1 { w++ } END { print w + 0 }')
-echo "  change lower on host_s in $wins of $n pairs"
+# Percent change from $1 to $2.
+change() {
+  awk -v p="$1" -v c="$2" 'BEGIN { printf "%+.1f%%", 100 * (c - p) / p }'
+}
 
-ref=$(simulated "$(head -n 1 "$tmp/parent.runs")")
-same=yes
-for side in parent change; do
-  i=0
-  while IFS= read -r line; do
-    i=$((i + 1))
-    sim=$(simulated "$line")
-    if [ "$sim" != "$ref" ]; then
-      same=no
-      echo "  $side run $i differs: $sim"
+same_all=yes
+summary=""
+for w in $workloads; do
+  : > "$tmp/$w.parent.runs"
+  : > "$tmp/$w.change.runs"
+  for i in $(seq 1 "$n"); do
+    if [ $((i % 2)) -eq 1 ]; then
+      run "$w" "$tmp/parent" parent
+      run "$w" "$here" change
+    else
+      run "$w" "$here" change
+      run "$w" "$tmp/parent" parent
     fi
-  done < "$tmp/$side.runs"
+    p=$(sed -n "${i}p" "$tmp/$w.parent.runs")
+    c=$(sed -n "${i}p" "$tmp/$w.change.runs")
+    echo "$w pair $i:" \
+      "host_s parent $(field "$p" host_s) change $(field "$c" host_s)," \
+      "setup_s parent $(field "$p" setup_s) change $(field "$c" setup_s)"
+  done
+
+  for m in host_s setup_s; do
+    echo "$w seed $seed, $n pairs, $m (s):"
+    for side in parent change; do
+      read -r med q1 q3 iqr <<< "$(values "$w" $side $m | quartiles)"
+      printf '  %-6s median %s  q1 %s  q3 %s  iqr %s\n' \
+        $side "$med" "$q1" "$q3" "$iqr"
+    done
+  done
+  wins=$(paste <(values "$w" parent host_s) <(values "$w" change host_s) |
+           awk '$2 < $1 { w++ } END { print w + 0 }')
+  echo "  change lower on host_s in $wins of $n pairs"
+
+  ref=$(simulated "$(head -n 1 "$tmp/$w.parent.runs")")
+  same=yes
+  for side in parent change; do
+    i=0
+    while IFS= read -r line; do
+      i=$((i + 1))
+      sim=$(simulated "$line")
+      if [ "$sim" != "$ref" ]; then
+        same=no
+        echo "  $side run $i differs: $sim"
+      fi
+    done < "$tmp/$w.$side.runs"
+  done
+  echo "  simulated metrics string-equal on every run: $same ($ref)"
+  case "$ref" in correct=true\ failed=0\ *) ;; *) same=no ;; esac
+  [ "$same" = yes ] || same_all=no
+
+  # host_live_mb repeats run to run; the checkout's may only be lower.
+  lp=$(values "$w" parent host_live_mb | sort -u)
+  lc=$(values "$w" change host_live_mb | sort -u)
+  if [ "$(printf '%s\n' "$lp" | wc -l)" -ne 1 ] ||
+     [ "$(printf '%s\n' "$lc" | wc -l)" -ne 1 ]; then
+    live=varies
+  else
+    live=$(awk -v p="$lp" -v c="$lc" 'BEGIN {
+             print (c == p) ? "equal" : (c < p) ? "lower" : "HIGHER" }')
+  fi
+  echo "  host_live_mb parent $(echo $lp) change $(echo $lc): $live"
+  case "$live" in equal | lower) ;; *) same_all=no ;; esac
+
+  read -r hp _ _ hiqr <<< "$(values "$w" parent host_s | quartiles)"
+  read -r hc _ _ _ <<< "$(values "$w" change host_s | quartiles)"
+  read -r sp _ _ _ <<< "$(values "$w" parent setup_s | quartiles)"
+  read -r sc _ _ _ <<< "$(values "$w" change setup_s | quartiles)"
+  summary+=$(printf '%-10s %4s  %s -> %s  %7s  %6s  %5s  %s -> %s  %7s  %-9s  %s' \
+    "$w" "$seed" "$hp" "$hc" "$(change "$hp" "$hc")" "$hiqr" \
+    "$wins/$n" "$sp" "$sc" "$(change "$sp" "$sc")" "$same" "$live")$'\n'
 done
-echo "  simulated metrics string-equal on every run: $same ($ref)"
-case "$ref" in correct=true\ failed=0\ *) ;; *) same=no ;; esac
-[ "$same" = yes ]
+
+echo
+echo "medians, parent -> change (host_s iqr is the parent's):"
+printf '%-10s %4s  %-16s  %7s  %6s  %5s  %-16s  %7s  %-9s  %s\n' \
+  workload seed "host_s (s)" change iqr wins "setup_s (s)" change sim_equal \
+  host_live_mb
+printf '%s' "$summary"
+[ "$same_all" = yes ]
