@@ -429,7 +429,7 @@ let pmap_arch () =
 (* Section 5.2: TLB shootdown strategies                                *)
 (* ------------------------------------------------------------------ *)
 
-let shootdown_one ?(batched = true) strategy =
+let shootdown_one strategy =
   let arch = Arch.ns32082 in
   let machine =
     Machine.create ~arch
@@ -437,9 +437,6 @@ let shootdown_one ?(batched = true) strategy =
       ~shootdown:strategy ()
   in
   let kernel = Kernel.create machine in
-  (* [batched:false] measures the pre-batching baseline: every page of a
-     range operation goes out as its own consistency exchange. *)
-  Mach_pmap.Pmap_domain.set_batching kernel.Kernel.domain batched;
   let sys = Kernel.sys kernel in
   let task = Kernel.create_task kernel ~name:"shared" () in
   let size = 128 * kb in
@@ -508,28 +505,22 @@ let shootdown () =
       ~title:
         "Section 5.2: TLB consistency strategies on a 4-CPU NS32082\n\
          (30 rounds of protection change on 128KB shared by 4 CPUs;\n\
-         per-page shootdowns vs batched flushes, one IPI round per \
-         target)"
+         batched flushes, one IPI round per target)"
       ~columns:
-        [ "strategy"; "batching"; "IPIs"; "deferred flushes";
-          "stale TLB uses"; "elapsed" ]
+        [ "strategy"; "IPIs"; "deferred flushes"; "stale TLB uses";
+          "elapsed" ]
   in
   List.iter
     (fun (name, key, strategy) ->
-       List.iter
-         (fun (mode, batched) ->
-            let ipis, deferred, stale, ms =
-              shootdown_one ~batched strategy
-            in
-            let cell metric = Printf.sprintf "%s/%s/%s" key mode metric in
-            count (cell "ipis") ipis;
-            count (cell "deferred_flushes") deferred;
-            count (cell "stale_tlb_uses") stale;
-            record (cell "elapsed_ms") ms;
-            Tablefmt.row t
-              [ name; mode; string_of_int ipis; string_of_int deferred;
-                string_of_int stale; fmt_ms ms ])
-         [ ("unbatched", false); ("batched", true) ])
+       let ipis, deferred, stale, ms = shootdown_one strategy in
+       let cell metric = Printf.sprintf "%s/batched/%s" key metric in
+       count (cell "ipis") ipis;
+       count (cell "deferred_flushes") deferred;
+       count (cell "stale_tlb_uses") stale;
+       record (cell "elapsed_ms") ms;
+       Tablefmt.row t
+         [ name; string_of_int ipis; string_of_int deferred;
+           string_of_int stale; fmt_ms ms ])
     [ ("interrupt all CPUs (case 1)", "immediate", Machine.Immediate_ipi);
       ("defer to timer interrupt (case 2)", "deferred",
        Machine.Deferred_timer);
@@ -1240,19 +1231,6 @@ type mp_result = {
   mp_steals : int;            (* pages stolen from another CPU's magazine *)
 }
 
-(* Free-page allocator variants for the ablation.  [`Seed] leaves the
-   allocator exactly as booted — the scaling sweep and burst cells run
-   there, so they are untouched by this table.  Every other variant
-   turns on queue-lock contention simulation; [`Global] is the seed
-   allocator with that cost made visible (the column to beat), and
-   [`Pcpu] puts 8-page per-CPU magazines in front of the queue. *)
-let apply_alloc_variant sys = function
-  | `Seed -> ()
-  | `Global -> Resident.set_lock_sim sys.Vm_sys.resident true
-  | `Pcpu ->
-    Vm_sys.configure_allocator ~cache:8 sys;
-    Resident.set_lock_sim sys.Vm_sys.resident true
-
 (* One configuration: [cpus] processors each faulting an identical
    per-CPU stream against one shared object (disjoint 32-page stripes)
    or a private object per CPU, under burst limit [burst] (0 and 1 map
@@ -1264,15 +1242,16 @@ let apply_alloc_variant sys = function
    CPU counts are contention, not extra work.  With [dropped] the rounds
    take the vmbench smp shape instead: every CPU touches one page of its
    stripe, then every stripe is dropped, so no burst neighbour is ever
-   used before its mapping goes. *)
-let mpfault_run ?(traced = false) ?(alloc = `Seed) ?(dropped = false) ~cpus
-    ~shared ~burst () =
+   used before its mapping goes.  With [lock_sim] the free queue's lock
+   is priced too (the allocator table); the other cells leave it free. *)
+let mpfault_run ?(traced = false) ?(lock_sim = false) ?(dropped = false)
+    ~cpus ~shared ~burst () =
   let stripe_pages = 32 in
   let rounds = 4 in
   let machine, kernel, _, _ = boot_mach ~mem:(32 * mb) ~cpus Arch.vax8200 in
   let sys = Kernel.sys kernel in
   sys.Vm_sys.burst_max <- burst;
-  apply_alloc_variant sys alloc;
+  Resident.set_lock_sim sys.Vm_sys.resident lock_sim;
   let tr =
     if not traced then None
     else begin
@@ -1422,9 +1401,8 @@ let mpfault () =
          [ false; true ])
     mpfault_cpus;
   Tablefmt.print t;
-  (* Burst ablation at a fixed CPU count: burst=0 ("legacy") and
-     burst=1 both map only the demand page (they must match to the
-     cycle), larger limits amortize fault overhead and flush exchanges
+  (* Burst ablation at a fixed CPU count: burst=1 maps only the demand
+     page, larger limits amortize fault overhead and flush exchanges
      over neighbours. *)
   let bc = 4 in
   let t2 =
@@ -1444,7 +1422,7 @@ let mpfault () =
   in
   List.iter
     (fun burst ->
-       let name = if burst = 0 then "legacy" else Printf.sprintf "b%d" burst in
+       let name = Printf.sprintf "b%d" burst in
        let r = mpfault_run ~cpus:bc ~shared:false ~burst () in
        record (Printf.sprintf "burst/%s/elapsed_ms" name) r.mp_ms;
        if burst = 8 then begin
@@ -1456,7 +1434,7 @@ let mpfault () =
            string_of_int r.mp_burst_faults;
            string_of_int r.mp_burst_mapped;
            Printf.sprintf "%d/%d" r.mp_hits r.mp_issued; fmt_ms r.mp_ms ])
-    [ 0; 1; 2; 4; 8; 16 ];
+    [ 1; 2; 4; 8; 16 ];
   Tablefmt.print t2;
   (* Drop-before-touch on one shared object, burst=8: every neighbour's
      mapping is dropped unused, so each entry's window must fall to the
@@ -1491,36 +1469,27 @@ let mpfault () =
         cycles, conservation %s\n\n"
        bc (100. *. lw_share)
        (if conserved then "ok" else "MISMATCH"));
-  (* Free-page allocator ablation: the same shared-object interleave,
-     burst=8, but with queue-lock contention simulated.  "global" is
-     the seed's single free queue with that cost made visible, and
-     magazines batch the lock traffic 8 pages per trip.  The scaling
-     sweep above runs with the cost invisible ([`Seed]), so its cells
-     are untouched by this table. *)
+  (* Free-page allocator: the same shared-object interleave, burst=8,
+     with queue-lock contention simulated; the magazines batch the lock
+     traffic 8 pages per trip.  The scaling sweep above runs with the
+     cost invisible, so its cells are untouched by this table. *)
   let t3 =
     Tablefmt.create
       ~title:
-        "Free-page allocator ablation (shared object, burst=8, queue-lock\n\
-         contention simulated): one global queue vs the same queue behind\n\
-         8-page per-CPU magazines"
+        "Free-page allocator (shared object, burst=8, queue-lock contention\n\
+         simulated): one queue behind 8-page per-CPU magazines"
       ~columns:
-        [ "CPUs"; "allocator"; "faults/sec"; "stall share"; "steals";
-          "elapsed" ]
+        [ "CPUs"; "faults/sec"; "stall share"; "steals"; "elapsed" ]
   in
   List.iter
     (fun cpus ->
-       List.iter
-         (fun (name, alloc) ->
-            let r = mpfault_run ~cpus ~shared:true ~burst:8 ~alloc () in
-            record (Printf.sprintf "alloc/%s/c%d/faults_per_sec" name cpus)
-              (fps r);
-            record (Printf.sprintf "alloc/%s/c%d/stall_share" name cpus)
-              r.mp_stall_share;
-            Tablefmt.row t3
-              [ string_of_int cpus; name; Printf.sprintf "%.0f" (fps r);
-                Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
-                string_of_int r.mp_steals; fmt_ms r.mp_ms ])
-         [ ("global", `Global); ("pcpu", `Pcpu) ])
+       let r = mpfault_run ~lock_sim:true ~cpus ~shared:true ~burst:8 () in
+       record (Printf.sprintf "alloc/c%d/faults_per_sec" cpus) (fps r);
+       record (Printf.sprintf "alloc/c%d/stall_share" cpus) r.mp_stall_share;
+       Tablefmt.row t3
+         [ string_of_int cpus; Printf.sprintf "%.0f" (fps r);
+           Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
+           string_of_int r.mp_steals; fmt_ms r.mp_ms ])
     mpfault_cpus;
   Tablefmt.print t3;
   print_newline ()
@@ -1550,12 +1519,12 @@ type pr_result = {
          attribution sums equal the clocks) *)
 }
 
-let pressure_run ?(traced = false) ?(alloc = `Seed) ~factor () =
+let pressure_run ?(traced = false) ?(lock_sim = false) ~factor () =
   let tasks_n = 8 in
   let machine, kernel, _, _ = boot_mach ~mem:pressure_mem Arch.uvax2 in
   let sys = Kernel.sys kernel in
   Vm_sys.set_swap_capacity sys (Some pressure_mem);
-  apply_alloc_variant sys alloc;
+  Resident.set_lock_sim sys.Vm_sys.resident lock_sim;
   let tr =
     if not traced then None
     else begin
@@ -1647,9 +1616,11 @@ let pressure () =
         [ "demand"; "pageouts"; "alloc waits"; "swap full"; "oom kills";
           "survivors"; "elapsed" ]
   in
+  let runs =
+    List.map (fun factor -> (factor, pressure_run ~factor ())) [ 1; 2; 3; 4 ]
+  in
   List.iter
-    (fun factor ->
-       let r = pressure_run ~factor () in
+    (fun (factor, r) ->
        let c = Printf.sprintf "x%d/%s" factor in
        record (c "elapsed_ms") r.pr_ms;
        count (c "oom_kills") r.pr_oom_kills;
@@ -1661,7 +1632,7 @@ let pressure () =
            string_of_int r.pr_alloc_waits; string_of_int r.pr_swap_full;
            string_of_int r.pr_oom_kills; string_of_int r.pr_survivors;
            fmt_ms r.pr_ms ])
-    [ 1; 2; 3; 4 ];
+    runs;
   Tablefmt.print t;
   (* Attribution: a traced re-run of the 4x point.  Separate boot, so
      the untraced cells above are untouched; Mem_wait is the cycles
@@ -1678,19 +1649,18 @@ let pressure () =
         conservation %s\n\n"
        (100. *. mw_share)
        (if conserved then "ok" else "MISMATCH"));
-  (* Allocator ablation under pressure: the per-CPU magazines must
-     come through the reclaim/OOM gauntlet with the same policy
-     outcome — magazines are drained when pressure is declared, so
-     cached pages cannot strand below the watermarks and change who
-     gets killed. *)
-  let rs = pressure_run ~factor:3 () in
-  let rc = pressure_run ~alloc:`Pcpu ~factor:3 () in
-  count "alloc/pcpu/x3/oom_kills" rc.pr_oom_kills;
-  count "alloc/pcpu/x3/survivors" rc.pr_survivors;
-  record "alloc/pcpu/x3/elapsed_ms" rc.pr_ms;
+  (* The 3x point again with the free queue's lock priced: the policy
+     outcome must not move — magazines are drained when pressure is
+     declared, so cached pages cannot strand below the watermarks and
+     change who gets killed. *)
+  let rs = List.assoc 3 runs in
+  let rc = pressure_run ~lock_sim:true ~factor:3 () in
+  count "alloc/x3/oom_kills" rc.pr_oom_kills;
+  count "alloc/x3/survivors" rc.pr_survivors;
+  record "alloc/x3/elapsed_ms" rc.pr_ms;
   Printf.printf
-    "pressure allocator ablation (3x, pcpu): %d oom kills / %d \
-     survivors (seed: %d / %d)\n\n"
+    "pressure with the queue lock priced (3x): %d oom kills / %d \
+     survivors (unpriced: %d / %d)\n\n"
     rc.pr_oom_kills rc.pr_survivors rs.pr_oom_kills rs.pr_survivors
 
 (* ------------------------------------------------------------------ *)
@@ -1783,7 +1753,7 @@ let experiments =
           @ [ ("map_bytes", Bytes, Pmap); ("va_blocked", Flag, Pmap);
               elapsed ]));
     e "shootdown" shootdown
-      (decl [ [ "immediate"; "deferred"; "lazy" ]; [ "unbatched"; "batched" ] ]
+      (decl [ [ "immediate"; "deferred"; "lazy" ]; [ "batched" ] ]
          (elapsed
           :: leaves Count Hw [ "ipis"; "deferred_flushes"; "stale_tlb_uses" ]));
     e "shadow" shadow
@@ -1829,7 +1799,7 @@ let experiments =
        decl [ [ "private"; "shared" ]; cs ]
          [ ("faults_per_sec", Per_s, Fault); ("lock_stall_share", Ratio, Fault);
            elapsed ]
-       @ decl [ [ "burst" ]; [ "legacy"; "b1"; "b2"; "b4"; "b8"; "b16" ] ]
+       @ decl [ [ "burst" ]; [ "b1"; "b2"; "b4"; "b8"; "b16" ] ]
          [ elapsed ]
        @ leaves Ratio Fault
          [ "burst/b8/hit_rate"; "burst/dropped/mapped_per_fault";
@@ -1838,7 +1808,7 @@ let experiments =
        @ [ ("burst/b8/mapped", Count, Fault);
            ("burst/dropped/enters_per_fault", Ratio, Pmap);
            ("attr_conserved/c4_shared", Flag, E2e) ]
-       @ decl [ [ "alloc" ]; [ "global"; "pcpu" ]; cs ]
+       @ decl [ [ "alloc" ]; cs ]
          [ ("faults_per_sec", Per_s, Resident);
            ("stall_share", Ratio, Resident) ]);
     e "pressure" pressure
@@ -1846,7 +1816,7 @@ let experiments =
        decl [ [ "x1"; "x2"; "x3"; "x4" ] ]
          (elapsed :: leaves Count Resident [ "alloc_waits"; "pageouts" ]
           @ kills)
-       @ decl [ [ "alloc/pcpu/x3" ] ] (elapsed :: kills)
+       @ decl [ [ "alloc/x3" ] ] (elapsed :: kills)
        @ [ ("attr_mem_wait_share/x4", Ratio, Resident);
            ("attr_conserved/x4", Flag, E2e) ]) ]
 

@@ -47,5 +47,5 @@ let run_one_step t ~cpu =
     (match t.th_status with
      | Suspended -> () (* the step suspended itself *)
      | Running _ | Ready ->
-       t.th_status <- (if rest = [] then Terminated else Ready)
+       t.th_status <- (match rest with [] -> Terminated | _ :: _ -> Ready)
      | Terminated -> ())

@@ -2,11 +2,9 @@ open Mach_util
 open Mach_hw
 open Types
 
-(* Free pages live on one FIFO with an optional per-CPU magazine in
-   front.  With magazines off the allocator pops and pushes in the exact
-   order the seed allocator did and replays it to the cycle.  Contention
-   on the shared queue is simulated (opt-in) with the same release-stamp
-   scheme as [Vm_object] locks. *)
+(* Free pages live on one FIFO with a per-CPU magazine in front.
+   Contention on the shared queue is simulated (opt-in) with the same
+   release-stamp scheme as [Vm_object] locks. *)
 
 type counters = {
   mutable pcpu_hits : int;      (* allocations served from a per-CPU magazine *)
@@ -26,8 +24,8 @@ type hooks = {
   hk_steal : cpu:int -> victim:int -> page:Types.page -> unit;
 }
 
-(* Pages moved per magazine refill or drain trip. *)
-let refill_batch = 8
+(* Magazine capacity, and pages moved per refill or drain trip. *)
+let magazine = 8
 
 (* Cycles one critical section on the shared queue holds its lock. *)
 let lock_hold = 60
@@ -41,23 +39,23 @@ type t = {
   active : page Dlist.t;
   inactive : page Dlist.t;
   mutable total : int;
-  mutable cache_size : int;   (* magazine capacity; 0 = magazines off *)
   mutable lock_sim : bool;    (* simulate contention on the shared queue *)
   mutable hooks : hooks option;
   free : page Dlist.t;        (* the shared free queue *)
   mutable qlock_free : int;   (* its lock's release stamp, absolute *)
   mutable qlock_epoch : int;  (* epoch the stamp was taken in *)
-  mutable caches : page list array;  (* per-CPU magazine, LIFO *)
-  mutable cache_count : int array;
+  caches : page list array;  (* per-CPU magazine, LIFO *)
+  cache_count : int array;
   mutable free_total : int;   (* pages free anywhere: queue + magazines *)
   c : counters;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ~phys ~multiple ?(frame_limit = max_int) () =
+let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
   if not (is_power_of_two multiple) then
     invalid_arg "Resident.create: multiple must be a power of two";
+  if cpus < 1 then invalid_arg "Resident.create: cpus must be positive";
   let frames = min frame_limit (Phys_mem.frame_count phys) in
   let groups = frames / multiple in
   let t =
@@ -70,14 +68,13 @@ let create ~phys ~multiple ?(frame_limit = max_int) () =
       active = Dlist.create ();
       inactive = Dlist.create ();
       total = 0;
-      cache_size = 0;
       lock_sim = false;
       hooks = None;
       free = Dlist.create ();
       qlock_free = 0;
       qlock_epoch = -1;
-      caches = [| [] |];
-      cache_count = [| 0 |];
+      caches = Array.make cpus [];
+      cache_count = Array.make cpus 0;
       free_total = 0;
       c = { pcpu_hits = 0; pcpu_refills = 0; page_steals = 0 };
     }
@@ -239,9 +236,8 @@ let steal t ~cpu =
 
 let alloc ?cpu t =
   let cpu = match cpu with Some c when c >= 0 -> c | _ -> 0 in
-  let mag = t.cache_size > 0 && cpu < Array.length t.caches in
   let p =
-    if mag && t.cache_count.(cpu) > 0 then begin
+    if t.cache_count.(cpu) > 0 then begin
       t.c.pcpu_hits <- t.c.pcpu_hits + 1;
       cache_pop t ~cpu
     end
@@ -249,19 +245,17 @@ let alloc ?cpu t =
       match queue_take t ~cpu ~lock:true with
       | None -> steal t ~cpu
       | Some first ->
-        if mag then begin
-          (* Refill: one trip to the shared queue (one lock acquisition)
-             buys a whole batch; the extras go into the magazine so the
-             next refill_batch - 1 allocations never touch shared state. *)
-          t.c.pcpu_refills <- t.c.pcpu_refills + 1;
-          let filled = ref true in
-          for _ = 2 to refill_batch do
-            if !filled then
-              match queue_take t ~cpu ~lock:false with
-              | Some extra -> cache_push t ~cpu extra
-              | None -> filled := false
-          done
-        end;
+        (* Refill: one trip to the shared queue (one lock acquisition)
+           buys a whole batch; the extras go into the magazine so the
+           next magazine - 1 allocations never touch shared state. *)
+        t.c.pcpu_refills <- t.c.pcpu_refills + 1;
+        let filled = ref true in
+        for _ = 2 to magazine do
+          if !filled then
+            match queue_take t ~cpu ~lock:false with
+            | Some extra -> cache_push t ~cpu extra
+            | None -> filled := false
+        done;
         Some first
   in
   (match p with Some p -> assert (Option.is_none p.pg_obj) | None -> ());
@@ -301,22 +295,21 @@ let free_page ?cpu t p =
   p.pg_wire_count <- 0;
   p.pg_requeues <- 0;
   match cpu with
-  | Some c when t.cache_size > 0 && c >= 0 && c < Array.length t.caches ->
+  | Some c ->
     set_queue t p Q_none;
-    if t.cache_count.(c) >= t.cache_size then begin
-      (* Overflowing magazine: drain a batch back to the shared queue
-         in one lock trip, then keep the just-freed (hottest) page. *)
+    if t.cache_count.(c) >= magazine then begin
+      (* Full magazine: drain it back to the shared queue in one lock
+         trip, then keep the just-freed (hottest) page. *)
       lock_acquire t ~cpu:c;
-      let n = min refill_batch t.cache_count.(c) in
-      for _ = 1 to n do
+      for _ = 1 to magazine do
         match cache_pop t ~cpu:c with
         | Some q -> set_queue t q Q_free
         | None -> ()
       done
     end;
     cache_push t ~cpu:c p
-  | _ ->
-    lock_acquire t ~cpu:(Option.value cpu ~default:0);
+  | None ->
+    lock_acquire t ~cpu:0;
     set_queue t p Q_free
 
 let enqueue t p q =
@@ -350,7 +343,7 @@ let iter_pages t f = List.iter f t.pages
 
 let object_pages o = Dlist.to_list o.obj_pages
 
-(* --- Reconfiguration and pressure -------------------------------------- *)
+(* --- Pressure ------------------------------------------------------------ *)
 
 let drain_caches t =
   Array.iteri
@@ -364,17 +357,6 @@ let drain_caches t =
        in
        loop ())
     t.caches
-
-(* Magazine contents go back to the tail of the shared queue (CPU by
-   CPU, most recently cached first) before the magazines are resized. *)
-let configure t ?cpus ?cache () =
-  let cpus = Option.value cpus ~default:(Array.length t.caches) in
-  let cache = Option.value cache ~default:t.cache_size in
-  if cpus < 1 || cache < 0 then invalid_arg "Resident.configure";
-  drain_caches t;
-  t.cache_size <- cache;
-  t.caches <- Array.make cpus [];
-  t.cache_count <- Array.make cpus 0
 
 (* --- Conservation ------------------------------------------------------ *)
 

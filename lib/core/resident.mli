@@ -8,12 +8,11 @@
     active or inactive/reclaimable), and the object/offset hash bucket
     used for fast fault-time lookup.
 
-    Free pages live on one FIFO fronted by optional per-CPU magazines
-    that refill and drain in batches of 8.  The default — magazines
-    off — is the classic single free queue, and the direct path charges
-    no cycles.  Contention on the shared queue can be simulated (opt-in)
-    with the same release-stamp scheme as [Vm_object] locks, through
-    hooks installed by the kernel.
+    Free pages live on one FIFO fronted by per-CPU magazines of 8 pages
+    that refill and drain in whole batches.  Contention on the shared
+    queue can be simulated (opt-in) with the same release-stamp scheme
+    as [Vm_object] locks, through hooks installed by the kernel; without
+    it the allocator charges no cycles.
 
     Byte offsets key the hash so the implementation is independent of any
     particular notion of physical page size. *)
@@ -46,19 +45,15 @@ type hooks = {
     bookkeeping. *)
 
 val create :
-  phys:Mach_hw.Phys_mem.t -> multiple:int -> ?frame_limit:int -> unit -> t
-(** [create ~phys ~multiple ()] groups [phys]'s present hardware frames
-    into machine-independent pages of [multiple] consecutive frames
-    (aligned); incomplete or hole-straddling groups are unusable, as are
-    frames at or beyond [frame_limit] (an architecture's physical address
-    limit).  All usable pages start free.  [multiple] must be a power of
-    two.  The allocator starts with magazines off. *)
-
-val configure : t -> ?cpus:int -> ?cache:int -> unit -> unit
-(** [configure t ~cpus ~cache ()] gives CPU ids below [cpus] magazines
-    of [cache] pages (0 = off).  Every magazine is first drained to the
-    tail of the free queue; allocated pages are untouched.  Omitted
-    parameters keep their current values. *)
+  phys:Mach_hw.Phys_mem.t -> multiple:int -> cpus:int -> ?frame_limit:int ->
+  unit -> t
+(** [create ~phys ~multiple ~cpus ()] groups [phys]'s present hardware
+    frames into machine-independent pages of [multiple] consecutive
+    frames (aligned); incomplete or hole-straddling groups are unusable,
+    as are frames at or beyond [frame_limit] (an architecture's physical
+    address limit).  All usable pages start on the shared free queue,
+    and CPU ids below [cpus] get an empty magazine each.  [multiple]
+    must be a power of two. *)
 
 val page_size : t -> int
 (** Machine-independent page size in bytes. *)
@@ -96,12 +91,13 @@ val set_lock_sim : t -> bool -> unit
 
 val alloc : ?cpu:int -> t -> Types.page option
 (** [alloc t] takes a free page ([None] when memory is exhausted): from
-    [cpu]'s magazine when one is configured and stocked, else from the
+    [cpu]'s magazine when it is stocked, else from the
     head of the shared queue, refilling the magazine as a batch; when
     the queue is dry but magazines elsewhere still hold pages, one is
     stolen.  The page is on no queue and belongs to no object; its
     previous contents are whatever the last owner left (callers zero or
-    overwrite as the fault logic dictates).  [cpu] defaults to 0. *)
+    overwrite as the fault logic dictates).  [cpu] defaults to 0 and
+    must be below the [cpus] given to {!create}. *)
 
 val lookup : t -> obj:Types.obj -> offset:int -> Types.page option
 (** [lookup t ~obj ~offset] is the fault-path hash lookup by memory object
@@ -118,9 +114,9 @@ val remove_from_object : t -> Types.page -> unit
 
 val free_page : ?cpu:int -> t -> Types.page -> unit
 (** [free_page t p] removes [p] from its object (if any) and any queue
-    and returns it to the free pool: [cpu]'s magazine when one is
-    configured (draining a batch back to the shared queue if it
-    overflows), otherwise the tail of the shared queue. *)
+    and returns it to the free pool: [cpu]'s magazine when [cpu] is
+    given (draining the full magazine back to the shared queue first),
+    otherwise the tail of the shared queue. *)
 
 val enqueue : t -> Types.page -> Types.pageq -> unit
 (** [enqueue t p q] moves [p] to queue [q] (removing it from its current

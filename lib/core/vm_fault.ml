@@ -296,8 +296,9 @@ let handle sys map ~va ~write =
            collect_burst sys pmap entry first_obj ~page_va
              ~va_end:fl.Vm_map.fl_va_end ~offset
          in
-         if burst = [] then finish p ~prot
-         else begin
+         begin match burst with
+         | [] -> finish p ~prot
+         | _ :: _ ->
            stats.Vm_stats.vs_burst_faults <- stats.Vm_stats.vs_burst_faults + 1;
            stats.Vm_stats.vs_burst_mapped <-
              stats.Vm_stats.vs_burst_mapped + List.length burst;

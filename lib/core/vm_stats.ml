@@ -78,8 +78,7 @@ type statistics = {
          writes by the kernel workaround *)
   mutable vs_pager_failures : int;
       (* pager attempts that exhausted the retry budget *)
-  (* The per-CPU page magazines ([Resident.counters]); all zero while
-     magazines are off. *)
+  (* The per-CPU page magazines ([Resident.counters]). *)
   vs_pcpu_hits : int;        (* per-CPU magazine hits *)
   vs_pcpu_refills : int;     (* magazine refill trips to the shared queue *)
   vs_page_steals : int;      (* stolen from another CPU's magazine *)

@@ -175,7 +175,7 @@ let create ~machine ~domain ~page_multiple () =
   in
   let resident =
     Resident.create ~phys:(Machine.phys machine) ~multiple:page_multiple
-      ~frame_limit ()
+      ~cpus:(Machine.cpu_count machine) ~frame_limit ()
   in
   let total = Resident.total_pages resident in
   let t = {
@@ -242,10 +242,6 @@ let create ~machine ~domain ~page_multiple () =
                (Mach_obs.Obs.Page_steal { victim; pfn = page.Types.pfn })) };
   Machine.add_reset_hook machine (fun () -> Resident.reset_counters resident);
   t
-
-(* Give every CPU of the machine a magazine of [cache] pages. *)
-let configure_allocator ~cache t =
-  Resident.configure t.resident ~cpus:(Machine.cpu_count t.machine) ~cache ()
 
 (* Declare or clear memory pressure.  Declaring it flushes the per-CPU
    magazines back to the shared queue: pages cached for one CPU must

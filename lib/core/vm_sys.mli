@@ -140,10 +140,6 @@ val grab_page : ?reserve:bool -> t -> Types.page
     queue runs dry.  The returned page is on no queue and in no
     object. *)
 
-val configure_allocator : cache:int -> t -> unit
-(** Give every CPU of the machine a per-CPU magazine of [cache] pages
-    (0 = off); see {!Resident.configure}. *)
-
 val set_mem_pressure : t -> bool -> unit
 (** Declare or clear the memory-pressure state ([mem_pressure]).
     Declaring it drains every per-CPU magazine back to the shared

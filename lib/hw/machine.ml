@@ -367,7 +367,9 @@ let deferred_wait t ~initiator =
    each target, so batching changes how many exchanges occur, never
    *when* consistency is restored. *)
 let shootdown t ~initiator ~targets reqs ~urgent =
-  if reqs <> [] then begin
+  match reqs with
+  | [] -> ()
+  | _ :: _ ->
     with_category t ~cpu:initiator Mach_obs.Obs.Shootdown_ipi @@ fun () ->
     t.stats.shootdowns <- t.stats.shootdowns + 1;
     let init = cpu_of t initiator in
@@ -394,13 +396,16 @@ let shootdown t ~initiator ~targets reqs ~urgent =
                 bump_as t target Mach_obs.Obs.Shootdown_ipi tlb_flush)
              reqs)
         remote
-    else if remote <> [] then begin
-      List.iter
-        (fun id ->
-           let pending = (cpu_of t id).pending in
-           List.iter (fun req -> Queue.add req pending) reqs)
-        remote;
-      if t.shootdown_mode = Deferred_timer then deferred_wait t ~initiator
+    else begin
+      match remote with
+      | [] -> ()
+      | _ :: _ ->
+        List.iter
+          (fun id ->
+             let pending = (cpu_of t id).pending in
+             List.iter (fun req -> Queue.add req pending) reqs)
+          remote;
+        if t.shootdown_mode = Deferred_timer then deferred_wait t ~initiator
     end;
     if traced t then begin
       let span_pages =
@@ -417,7 +422,6 @@ let shootdown t ~initiator ~targets reqs ~urgent =
              requests = List.length reqs; span_pages; urgent;
              cycles = init.clock - start_clock })
     end
-  end
 
 (* --- Translation and access ------------------------------------------ *)
 
@@ -444,10 +448,7 @@ let set_translator t ~cpu tr =
   if changed then charge t ~cpu t.arch.Arch.cost.Arch.context_switch;
   c.translator <- tr
 
-let active_asid t ~cpu =
-  match (cpu_of t cpu).translator with
-  | None -> None
-  | Some tr -> Some tr.Translator.asid
+let active_translator t ~cpu = (cpu_of t cpu).translator
 
 let tlb_fill t ~cpu e = Tlb.insert (cpu_of t cpu).tlb e
 

@@ -245,8 +245,9 @@ val set_translator : t -> cpu:int -> Translator.t option -> unit
     [cpu]; called by [pmap_activate]/[pmap_deactivate].  Charges a context
     switch when the translator changes. *)
 
-val active_asid : t -> cpu:int -> int option
-(** [active_asid t ~cpu] is the asid of the active translator, if any. *)
+val active_translator : t -> cpu:int -> Translator.t option
+(** [active_translator t ~cpu] is the translator last installed on [cpu]
+    by {!set_translator}, if any. *)
 
 val translate : t -> cpu:int -> va:int -> write:bool -> int
 (** [translate t ~cpu ~va ~write] resolves [va] to a physical frame number,

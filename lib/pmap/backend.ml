@@ -10,6 +10,9 @@
 
 open Mach_hw
 
+(* Tables keyed by vpn or asid: no polymorphic hash or compare. *)
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Accumulator for flush batching.  While a batch is open (depth > 0),
    page and asid shootdowns are collected here instead of being issued
    one exchange at a time; the outermost [end_batch] turns the lot into
@@ -33,10 +36,6 @@ type ctx = {
       (* Set by the domain around pageout-style operations: all shootdowns
          become time-critical (case 1 of Section 5.2) regardless of the
          machine's configured strategy. *)
-  mutable batching : bool;
-      (* When false, open batches accumulate nothing and every shootdown
-         goes out as its own exchange; the Section 5.2 benchmark uses this
-         to measure the unbatched baseline. *)
   batch : batch;
   mutable on_unmap : asid:int -> pfn:int -> unit;
       (* Called for every mapping this domain drops — range remove,
@@ -53,7 +52,7 @@ type presence = { active : bool array; ran_on : bool array }
 let create machine =
   let frames = Phys_mem.frame_count (Machine.phys machine) in
   { machine; pv = Pv.create ~frames; next_asid = 1; cur_cpu = 0;
-    urgent_mode = false; batching = true;
+    urgent_mode = false;
     batch =
       { depth = 0; page_vpns = Hashtbl.create 8;
         local_vpns = Hashtbl.create 8; whole_asids = Hashtbl.create 8;
@@ -83,9 +82,7 @@ let shoot ctx p req =
    address space rather than shooting page by page. *)
 let flush_whole_space_threshold = 8
 
-let set_batching ctx on = ctx.batching <- on
-
-let accumulating ctx = ctx.batching && ctx.batch.depth > 0
+let accumulating ctx = ctx.batch.depth > 0
 
 let begin_batch ctx = ctx.batch.depth <- ctx.batch.depth + 1
 
@@ -275,12 +272,12 @@ type 'm store = {
 }
 
 (* A [range] over a table keyed by vpn, in its fold order; a one-page
-   range is one lookup (tables bind with [Hashtbl.replace]). *)
-let range_of tbl (lo : int) hi =
+   range is one lookup (tables bind with [Int_tbl.replace]). *)
+let range_of tbl lo hi =
   if hi = lo + 1 then
-    match Hashtbl.find_opt tbl lo with Some m -> [ (lo, m) ] | None -> []
+    match Int_tbl.find_opt tbl lo with Some m -> [ (lo, m) ] | None -> []
   else
-    Hashtbl.fold
+    Int_tbl.fold
       (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
       tbl []
 
@@ -349,8 +346,8 @@ let pmap ctx sh store ~translator ~enter ~extract ~resident_count ~destroy
     deactivate =
       (fun ~cpu ->
          sh.presence.active.(cpu) <- false;
-         match Machine.active_asid ctx.machine ~cpu with
-         | Some a when a = sh.asid ->
+         match Machine.active_translator ctx.machine ~cpu with
+         | Some tr when tr.Translator.asid = sh.asid ->
            Machine.set_translator ctx.machine ~cpu None
          | Some _ | None -> ());
     copy; resident_count; map_bytes; collect; destroy;

@@ -111,7 +111,6 @@ let for_all_mappings t ~pfn f =
     (Pv.mappings t.ctx.Backend.pv ~pfn)
 
 let batched t f = Backend.batched t.ctx f
-let set_batching t on = Backend.set_batching t.ctx on
 
 (* Apply [f pmap page_va] to every mapping of every hardware frame of the
    machine-independent page [pfn, pfn+frames), all inside one batch: the

@@ -66,11 +66,6 @@ val set_on_unmap : t -> (asid:int -> pfn:int -> unit) -> unit
 val batched : t -> (unit -> 'a) -> 'a
 (** [batched t f] runs [f] inside a batch, closing it on exceptions. *)
 
-val set_batching : t -> bool -> unit
-(** [set_batching t false] disables accumulation: open batches collect
-    nothing and every shootdown is its own exchange.  Benchmarks use this
-    to measure the unbatched baseline.  Default: enabled. *)
-
 (** {1 Page-level operations (Table 3-3)}
 
     The page these act on is the machine-independent page: [frames]

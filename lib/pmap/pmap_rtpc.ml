@@ -1,4 +1,5 @@
 open Mach_hw
+module Int_tbl = Backend.Int_tbl
 
 (* Hash anchor tables, keyed by (asid, vpn). *)
 module Anchors = Mach_util.Int_pair.Tbl
@@ -17,7 +18,7 @@ type slot = {
 type owner = {
   o_shell : Backend.shell;
   o_store : int Backend.store; (* mappings are frame numbers *)
-  o_vpns : (int, int) Hashtbl.t; (* vpn -> pfn, this pmap's live mappings *)
+  o_vpns : int Int_tbl.t; (* vpn -> pfn, this pmap's live mappings *)
 }
 
 let make_domain (ctx : Backend.ctx) =
@@ -31,15 +32,15 @@ let make_domain (ctx : Backend.ctx) =
   in
   (* The hash anchor table: (asid, vpn) -> pfn. *)
   let hash : int Anchors.t = Anchors.create 1024 in
-  let owners : (int, owner) Hashtbl.t = Hashtbl.create 16 in
+  let owners : owner Int_tbl.t = Int_tbl.create 16 in
 
   (* Invalidate the mapping occupying [pfn], whoever owns it. *)
   let unlink pfn =
     let s = ipt.(pfn) in
     assert s.s_valid;
-    let o = Hashtbl.find owners s.s_asid in
+    let o = Int_tbl.find owners s.s_asid in
     Anchors.remove hash (s.s_asid, s.s_vpn);
-    Hashtbl.remove o.o_vpns s.s_vpn;
+    Int_tbl.remove o.o_vpns s.s_vpn;
     Backend.pv_remove ctx ~pfn ~asid:s.s_asid ~vpn:s.s_vpn;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
     let stats = o.o_shell.Backend.stats in
@@ -50,14 +51,14 @@ let make_domain (ctx : Backend.ctx) =
   (* Remove and shoot the mapping occupying [pfn], whoever owns it. *)
   let evict pfn =
     let s = ipt.(pfn) in
-    let o = Hashtbl.find owners s.s_asid in
+    let o = Int_tbl.find owners s.s_asid in
     Backend.unmap ctx o.o_shell o.o_store s.s_vpn pfn
   in
 
   let new_pmap () =
     let sh = Backend.shell ctx in
     let asid = sh.Backend.asid and stats = sh.Backend.stats in
-    let own_vpns : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let own_vpns : int Int_tbl.t = Int_tbl.create 64 in
     let store =
       { Backend.range = Backend.range_of own_vpns;
         drop = (fun _ pfn -> unlink pfn);
@@ -65,7 +66,7 @@ let make_domain (ctx : Backend.ctx) =
         set_prot = (fun _ pfn prot -> ipt.(pfn).s_prot <- prot);
         wired = (fun pfn -> ipt.(pfn).s_wired); pte = true }
     in
-    Hashtbl.add owners asid
+    Int_tbl.add owners asid
       { o_shell = sh; o_store = store; o_vpns = own_vpns };
 
     let enter ~va ~pfn ~prot ~wired =
@@ -74,7 +75,7 @@ let make_domain (ctx : Backend.ctx) =
       let vpn = va / page in
       (* Drop any previous mapping this pmap had for the page... *)
       let kept =
-        match Hashtbl.find_opt own_vpns vpn with
+        match Int_tbl.find_opt own_vpns vpn with
         | Some old_pfn when old_pfn = pfn -> Some ipt.(pfn).s_prot
         | Some old_pfn -> evict old_pfn; None
         | None -> None
@@ -92,7 +93,7 @@ let make_domain (ctx : Backend.ctx) =
         s.s_wired <- wired;
         s.s_valid <- true;
         Anchors.replace hash (asid, vpn) pfn;
-        Hashtbl.replace own_vpns vpn pfn;
+        Int_tbl.replace own_vpns vpn pfn;
         Backend.pv_insert ctx ~pfn ~asid ~vpn
       end;
       s.s_prot <- prot;
@@ -120,12 +121,12 @@ let make_domain (ctx : Backend.ctx) =
 
     let destroy () =
       Backend.unmap_range ctx sh store 0 max_int;
-      Hashtbl.remove owners asid
+      Int_tbl.remove owners asid
     in
 
     Backend.pmap ctx sh store ~translator ~enter
-      ~extract:(fun va -> Hashtbl.find_opt own_vpns (va / page))
-      ~resident_count:(fun () -> Hashtbl.length own_vpns) ~destroy ()
+      ~extract:(fun va -> Int_tbl.find_opt own_vpns (va / page))
+      ~resident_count:(fun () -> Int_tbl.length own_vpns) ~destroy ()
   in
   {
     Backend.new_pmap;

@@ -1,11 +1,12 @@
 open Mach_hw
+module Int_tbl = Backend.Int_tbl
 
 type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
 
 type context = {
   c_index : int;
   mutable c_owner : int option; (* asid *)
-  c_table : (int, mapping) Hashtbl.t; (* vpn -> mapping *)
+  c_table : mapping Int_tbl.t; (* vpn -> mapping *)
   mutable c_stamp : int; (* LRU clock *)
 }
 
@@ -20,28 +21,28 @@ let make_domain (ctx : Backend.ctx) =
   let page = Backend.page_size ctx in
   let contexts =
     Array.init n_contexts (fun i ->
-        { c_index = i; c_owner = None; c_table = Hashtbl.create 64;
+        { c_index = i; c_owner = None; c_table = Int_tbl.create 64;
           c_stamp = 0 })
   in
   let clock = ref 0 in
-  let owners : (int, owner) Hashtbl.t = Hashtbl.create 16 in
+  let owners : owner Int_tbl.t = Int_tbl.create 16 in
 
   let release_context c =
     match c.c_owner with
     | None -> ()
     | Some victim_asid ->
-      let victim = Hashtbl.find owners victim_asid in
+      let victim = Int_tbl.find owners victim_asid in
       (* Everything the victim had mapped is gone; it will fault the
          mappings back in when it next runs. *)
       let stats = victim.o_shell.Backend.stats in
-      Hashtbl.iter
+      Int_tbl.iter
         (fun vpn m ->
            Backend.pv_remove ctx ~pfn:m.m_pfn ~asid:victim_asid ~vpn;
            stats.Pmap.removals <- stats.Pmap.removals + 1)
         c.c_table;
       Backend.shoot ctx victim.o_shell.Backend.presence
         (Machine.Flush_asid victim_asid);
-      Hashtbl.reset c.c_table;
+      Int_tbl.reset c.c_table;
       c.c_owner <- None;
       victim.o_context <- None
   in
@@ -50,7 +51,7 @@ let make_domain (ctx : Backend.ctx) =
     let sh = Backend.shell ctx in
     let asid = sh.Backend.asid and stats = sh.Backend.stats in
     let me = { o_shell = sh; o_context = None } in
-    Hashtbl.add owners asid me;
+    Int_tbl.add owners asid me;
 
     (* Find this pmap's context, grabbing a free one or stealing the
        least-recently-used. *)
@@ -92,7 +93,7 @@ let make_domain (ctx : Backend.ctx) =
         invalid_arg "pmap_enter: virtual address beyond hardware limit";
       let vpn = va / page in
       let c = my_context () in
-      let previous = Hashtbl.find_opt c.c_table vpn in
+      let previous = Int_tbl.find_opt c.c_table vpn in
       (match previous with
        | Some old when old.m_pfn <> pfn ->
          Backend.pv_remove ctx ~pfn:old.m_pfn ~asid ~vpn;
@@ -100,7 +101,7 @@ let make_domain (ctx : Backend.ctx) =
          Backend.pv_insert ctx ~pfn ~asid ~vpn
        | Some _ -> ()
        | None -> Backend.pv_insert ctx ~pfn ~asid ~vpn);
-      Hashtbl.replace c.c_table vpn
+      Int_tbl.replace c.c_table vpn
         { m_pfn = pfn; m_prot = prot; m_wired = wired };
       Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
       (match previous with
@@ -125,20 +126,20 @@ let make_domain (ctx : Backend.ctx) =
              | Some c -> Backend.range_of c.c_table lo hi);
         drop =
           (fun vpn m ->
-             Hashtbl.remove (table ()) vpn;
+             Int_tbl.remove (table ()) vpn;
              Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn;
              Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
              stats.Pmap.removals <- stats.Pmap.removals + 1);
         prot_of = (fun m -> m.m_prot);
         set_prot =
           (fun vpn m prot ->
-             Hashtbl.replace (table ()) vpn { m with m_prot = prot });
+             Int_tbl.replace (table ()) vpn { m with m_prot = prot });
         wired = (fun m -> m.m_wired); pte = true }
     in
 
     let find vpn =
       match me.o_context with
-      | Some c -> Hashtbl.find_opt c.c_table vpn
+      | Some c -> Int_tbl.find_opt c.c_table vpn
       | None -> None
     in
     let extract va = Option.map (fun m -> m.m_pfn) (find (va / page)) in
@@ -155,21 +156,21 @@ let make_domain (ctx : Backend.ctx) =
     let destroy () =
       (match me.o_context with
        | Some c ->
-         Hashtbl.iter
+         Int_tbl.iter
            (fun vpn m -> Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn)
            c.c_table;
-         Hashtbl.reset c.c_table;
+         Int_tbl.reset c.c_table;
          c.c_owner <- None;
          me.o_context <- None
        | None -> ());
-      Hashtbl.remove owners asid
+      Int_tbl.remove owners asid
     in
 
     Backend.pmap ctx sh store ~translator ~enter ~extract
       ~resident_count:(fun () ->
           match me.o_context with
           | None -> 0
-          | Some c -> Hashtbl.length c.c_table)
+          | Some c -> Int_tbl.length c.c_table)
       ~destroy ~on_activate:(fun () -> ignore (my_context ())) ()
   in
   {

@@ -1,4 +1,5 @@
 open Mach_hw
+module Int_tbl = Backend.Int_tbl
 
 type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
 
@@ -9,10 +10,10 @@ let make_domain (ctx : Backend.ctx) =
     let asid = sh.Backend.asid and stats = sh.Backend.stats in
     (* Software-only shadow of the TLB contents; the hardware never walks
        it, every miss traps. *)
-    let soft : (int, mapping) Hashtbl.t = Hashtbl.create 64 in
+    let soft : mapping Int_tbl.t = Int_tbl.create 64 in
     let translator =
       Translator.software ~asid (fun vpn ->
-          match Hashtbl.find_opt soft vpn with
+          match Int_tbl.find_opt soft vpn with
           | Some m -> Translator.Mapped { pfn = m.m_pfn; prot = m.m_prot }
           | None -> Translator.Missing)
     in
@@ -30,7 +31,7 @@ let make_domain (ctx : Backend.ctx) =
       if va < 0 then invalid_arg "pmap_enter: negative address";
       let vpn = va / page in
       let m = { m_pfn = pfn; m_prot = prot; m_wired = wired } in
-      let previous = Hashtbl.find_opt soft vpn in
+      let previous = Int_tbl.find_opt soft vpn in
       let shoot =
         match previous with
         | Some old when old.m_pfn <> pfn ->
@@ -41,7 +42,7 @@ let make_domain (ctx : Backend.ctx) =
         | Some old -> Backend.loses ~old:old.m_prot ~prot
         | None -> Backend.pv_insert ctx ~pfn ~asid ~vpn; false
       in
-      Hashtbl.replace soft vpn m;
+      Int_tbl.replace soft vpn m;
       (* The flush must land before the refill below, so bypass any open
          batch (whose flush would otherwise wipe the fresh entries at
          [end_batch] and fault the page straight back).  Gained rights
@@ -61,28 +62,28 @@ let make_domain (ctx : Backend.ctx) =
       { Backend.range = Backend.range_of soft;
         drop =
           (fun vpn m ->
-             Hashtbl.remove soft vpn;
+             Int_tbl.remove soft vpn;
              Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn;
              stats.Pmap.removals <- stats.Pmap.removals + 1);
         prot_of = (fun m -> m.m_prot);
         set_prot =
           (fun vpn m prot ->
              let m = { m with m_prot = prot } in
-             Hashtbl.replace soft vpn m;
+             Int_tbl.replace soft vpn m;
              lowered := (vpn, m) :: !lowered);
         wired = (fun m -> m.m_wired); pte = false }
     in
 
     let destroy () =
       Backend.unmap_range ctx sh store 0 max_int;
-      Hashtbl.reset soft
+      Int_tbl.reset soft
     in
 
     let p =
       Backend.pmap ctx sh store ~translator ~enter
         ~extract:(fun va ->
-            Option.map (fun m -> m.m_pfn) (Hashtbl.find_opt soft (va / page)))
-        ~resident_count:(fun () -> Hashtbl.length soft) ~destroy ()
+            Option.map (fun m -> m.m_pfn) (Int_tbl.find_opt soft (va / page)))
+        ~resident_count:(fun () -> Int_tbl.length soft) ~destroy ()
     in
     (* Refill only after the batched flush has landed; refilling inside
        the batch would hand [end_batch] fresh entries to wipe. *)

@@ -1,22 +1,17 @@
 (* The free-page allocator: one shared FIFO behind per-CPU magazines.
 
-   The contracts under test: the free pool never loses or invents a
-   page no matter how traffic, reconfiguration and magazine drains
-   interleave (conservation), and the consistency checker reports it
-   when it does; magazines flush back to the shared queue when memory
-   pressure is declared; a CPU whose magazine and the shared queue are
-   both dry steals from another CPU's magazine, so [free_count > 0]
-   still means an allocation succeeds; and the explicit magazine-free
-   configuration is byte- and cycle-identical to the untouched seed
-   allocator. *)
+   The contracts under test: every CPU has a magazine from boot, which
+   refills and drains in whole batches; the free pool never loses or
+   invents a page no matter how traffic and magazine drains interleave
+   (conservation), and the consistency checker reports it when it does;
+   magazines flush back to the shared queue when memory pressure is
+   declared; and a CPU whose magazine and the shared queue are both dry
+   steals from another CPU's magazine, so [free_count > 0] still means
+   an allocation succeeds. *)
 
 open Mach_hw
 open Mach_core
 module Obs = Mach_obs.Obs
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail (Kr.to_string e)
 
 (* uVAX II, 512 B hardware pages, multiple 8 => 4 KB system pages. *)
 let boot ?(frames = 2048) ?(cpus = 1) () =
@@ -29,27 +24,24 @@ let boot ?(frames = 2048) ?(cpus = 1) () =
 (* ---- qcheck: conservation ------------------------------------------------ *)
 
 (* Random streams of allocations (any CPU), frees (to any CPU's
-   magazine), magazine drains and live reconfigurations of the CPU
-   count and magazine size.  After every single step the pool must
-   account for exactly [total - held] free pages and pass the
-   structural audit. *)
+   magazine) and magazine drains on a 4-CPU machine.  After every single
+   step the pool must account for exactly [total - held] free pages and
+   pass the structural audit. *)
 let ops_gen =
   QCheck2.Gen.(
-    list_size (int_range 1 120)
-      (triple (int_range 0 6) (int_range 0 3) (int_range 0 7)))
+    list_size (int_range 1 120) (pair (int_range 0 5) (int_range 0 3)))
 
 let conservation =
   QCheck2.Test.make ~name:"free hierarchy conserved under random traffic"
     ~count:30 ops_gen
     (fun ops ->
-       let _, _, sys = boot () in
+       let _, _, sys = boot ~cpus:4 () in
        let res = sys.Vm_sys.resident in
-       Resident.configure res ~cpus:4 ~cache:4 ();
        let total = Resident.total_pages res in
        let held = ref [] in
        let nheld = ref 0 in
        List.for_all
-         (fun (tag, cpu, k) ->
+         (fun (tag, cpu) ->
             (match tag with
              | 0 | 1 | 2 ->
                (match Resident.alloc ~cpu res with
@@ -64,10 +56,7 @@ let conservation =
                   held := rest;
                   decr nheld;
                   Resident.free_page ~cpu res p)
-             | 5 -> Resident.drain_caches res
-             | _ ->
-               Resident.configure res ~cpus:(1 + cpu)
-                 ~cache:(if k land 4 = 0 then 0 else k) ());
+             | _ -> Resident.drain_caches res);
             Resident.check_conservation res
             && Resident.free_count res = total - !nheld)
          ops)
@@ -95,12 +84,38 @@ let test_check_all_flags_queue_mismatch () =
   Alcotest.(check (list string)) "healthy once restored" []
     (Vm_debug.check_all sys ~maps:[])
 
+(* ---- magazines from boot ------------------------------------------------- *)
+
+(* No allocator call after boot: CPU 2's first allocation refills its
+   magazine with one batch (the page it takes plus 7 cached), and nine
+   frees on CPU 2 overflow the magazine once, sending one batch of 8
+   back to the shared queue. *)
+let test_magazines_on_at_boot () =
+  let _, _, sys = boot ~cpus:4 () in
+  let res = sys.Vm_sys.resident in
+  let total = Resident.total_pages res in
+  let first = Option.get (Resident.alloc ~cpu:2 res) in
+  Alcotest.(check int) "first allocation leaves 7 cached" 7
+    (Resident.cached_count res);
+  let held =
+    first :: List.init 8 (fun _ -> Option.get (Resident.alloc ~cpu:0 res))
+  in
+  Alcotest.(check int) "cpu 0 used up its own refill" 7
+    (Resident.cached_count res);
+  let queued () = Resident.free_count res - Resident.cached_count res in
+  let queued0 = queued () in
+  List.iter (fun p -> Resident.free_page ~cpu:2 res p) held;
+  Alcotest.(check int) "one batch drained to the queue" (queued0 + 8)
+    (queued ());
+  Alcotest.(check int) "magazine full again" 8 (Resident.cached_count res);
+  Alcotest.(check int) "every page free" total (Resident.free_count res);
+  Alcotest.(check bool) "conserved" true (Resident.check_conservation res)
+
 (* ---- magazine drain on pressure ------------------------------------------ *)
 
 let test_pressure_drains_magazines () =
   let _, _, sys = boot () in
   let res = sys.Vm_sys.resident in
-  Resident.configure res ~cache:8 ~cpus:1 ();
   let held =
     List.init 8 (fun _ -> Option.get (Resident.alloc ~cpu:0 res))
   in
@@ -122,7 +137,6 @@ let test_steal_from_other_magazine () =
   let tr = Obs.create ~capacity:4096 () in
   Obs.set_enabled tr true;
   Machine.set_tracer machine tr;
-  Resident.configure res ~cpus:2 ~cache:8 ();
   ignore (Option.get (Resident.alloc ~cpu:1 res));
   let stocked = Resident.cached_count res in
   Alcotest.(check int) "cpu 1 magazine holds a refill batch" 7 stocked;
@@ -156,45 +170,6 @@ let test_steal_from_other_magazine () =
   Alcotest.(check bool) "dry pool fails" true
     (Option.is_none (Resident.alloc ~cpu:0 res));
   Alcotest.(check bool) "still conserved" true (Resident.check_conservation res)
-
-(* ---- no magazines is the seed allocator ---------------------------------- *)
-
-(* Zero-fill 24 pages, drop the mappings, touch them all again, read
-   everything back.  Explicitly configuring the allocator without
-   magazines must be indistinguishable — bytes, clock, fault count —
-   from never touching the allocator at all. *)
-let ident_run ~configure =
-  let machine, kernel, sys = boot () in
-  if configure then Vm_sys.configure_allocator ~cache:0 sys;
-  let task = Kernel.create_task kernel () in
-  Kernel.run_task kernel ~cpu:0 task;
-  let ps = sys.Vm_sys.page_size in
-  let n = 24 in
-  let addr = ok (Vm_user.allocate sys task ~size:(n * ps) ~anywhere:true ()) in
-  for i = 0 to n - 1 do
-    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps))
-      (Char.chr (0x41 + (i mod 26)))
-  done;
-  let pmap =
-    match (Task.map task).Types.map_pmap with
-    | Some p -> p
-    | None -> assert false
-  in
-  pmap.Mach_pmap.Pmap.remove ~start_va:addr ~end_va:(addr + (n * ps));
-  for i = 0 to n - 1 do
-    Machine.touch machine ~cpu:0 ~va:(addr + (i * ps)) ~write:true
-  done;
-  let bytes =
-    Bytes.to_string (Machine.read machine ~cpu:0 ~va:addr ~len:(n * ps))
-  in
-  (bytes, Machine.cycles machine ~cpu:0, sys.Vm_sys.stats.Vm_stats.vs_faults)
-
-let test_flat_is_seed () =
-  let b0, c0, f0 = ident_run ~configure:false in
-  let b1, c1, f1 = ident_run ~configure:true in
-  Alcotest.(check string) "byte-identical" b0 b1;
-  Alcotest.(check int) "cycle-identical" c0 c1;
-  Alcotest.(check int) "fault-identical" f0 f1
 
 (* ---- qcheck: the resident page table ------------------------------------ *)
 
@@ -256,16 +231,15 @@ let resident_table_model =
 let () =
   Alcotest.run "alloc"
     [ ( "magazines",
-        [ Alcotest.test_case "pressure drains per-CPU caches" `Quick
+        [ Alcotest.test_case "magazines on at boot" `Quick
+            test_magazines_on_at_boot;
+          Alcotest.test_case "pressure drains per-CPU caches" `Quick
             test_pressure_drains_magazines;
           Alcotest.test_case "dry CPU steals from another magazine" `Quick
             test_steal_from_other_magazine ] );
       ( "audit",
         [ Alcotest.test_case "check_all reports a mislabelled free page"
             `Quick test_check_all_flags_queue_mismatch ] );
-      ( "identity",
-        [ Alcotest.test_case "flat config matches the seed allocator" `Quick
-            test_flat_is_seed ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ conservation; resident_table_model ] ) ]

@@ -484,7 +484,6 @@ type op =
   | Remove of int * int (* lo_vpn, pages *)
   | Protect of int * int (* lo_vpn, pages *)
   | Touch of int * int (* cpu, vpn *)
-  | Batching of bool
 
 let op_gen =
   QCheck2.Gen.(
@@ -492,12 +491,11 @@ let op_gen =
       [ map2 (fun v p -> Enter (v, p)) (int_range 0 31) (int_range 1 63);
         map2 (fun v n -> Remove (v, n)) (int_range 0 31) (int_range 1 12);
         map2 (fun v n -> Protect (v, n)) (int_range 0 31) (int_range 1 12);
-        map2 (fun c v -> Touch (c, v)) (int_range 0 1) (int_range 0 31);
-        map (fun b -> Batching b) bool ])
+        map2 (fun c v -> Touch (c, v)) (int_range 0 1) (int_range 0 31) ])
 
 (* Under Immediate_ipi there is never a pending invalidation, so at any
-   point every cached TLB entry must agree with the page tables — batched
-   or not.  The model map drives fault-time re-entry so TLB-only machines
+   point every cached TLB entry must agree with the page tables.  The
+   model map drives fault-time re-entry so TLB-only machines
    can make progress. *)
 let mixed_ops_agree arch ops =
   let machine =
@@ -542,7 +540,6 @@ let mixed_ops_agree arch ops =
     | Touch (cpu, vpn) ->
       (try ignore (Machine.read_byte machine ~cpu ~va:(vpn * ps))
        with Machine.Memory_violation _ -> ())
-    | Batching on -> Pmap_domain.set_batching domain on
   in
   List.iter apply ops;
   let agreed = ref true in

@@ -266,7 +266,9 @@ let test_invariants_detect_breakage () =
      (* Corrupt: a TLB entry wider than its pte (the page is mapped
         read-only below, the cached entry stays writable). *)
      let vpn = a / (Machine.arch machine).Arch.hw_page_size in
-     let asid = Option.get (Machine.active_asid machine ~cpu:0) in
+     let asid =
+       (Option.get (Machine.active_translator machine ~cpu:0)).Translator.asid
+     in
      let pfn =
        match
          List.find_opt (fun e -> e.Tlb.vpn = vpn)

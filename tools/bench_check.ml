@@ -17,7 +17,6 @@ let baseline = "bench/BENCH_vm.json"
 (* machsim runs: id, arguments, whether to export --stats. *)
 let machsim_runs =
   [ ("chaos", "compile --chaos 42:flaky", true);
-    ("alloc", "compile --chaos 42:flaky --alloc-cache 8", true);
     ("profile", "compile --profile", true);
     ("vmstats", "stats", true) ]
 
@@ -49,16 +48,13 @@ let only pmap metric op v others =
 
 let rows =
   List.concat
-    [ (* Section 5.2: one IPI round per target CPU per revocation when
-         batched (30 rounds x 3 remote CPUs = 90; raising rights back
-         costs no exchange), one per page when not (x 256 pages);
-         immediacy means no stale windows, batched or not. *)
+    [ (* Section 5.2: one IPI round per target CPU per revocation (30
+         rounds x 3 remote CPUs = 90; raising rights back costs no
+         exchange); immediacy means no stale windows. *)
       [ cmp "shootdown/immediate/batched/ipis" Eq (int 90);
-        cmp "shootdown/immediate/unbatched/ipis" Eq (int 23040);
         cmp "shootdown/deferred/batched/deferred_flushes" Le (int 90);
         cmp "shootdown/lazy/batched/deferred_flushes" Le (int 90);
         cmp "shootdown/immediate/batched/stale_tlb_uses" Le (int 0);
-        cmp "shootdown/immediate/unbatched/stale_tlb_uses" Le (int 0);
         (* Seeded pager failure under pressure: a dead pager, rescued
            pages, no corruption, no task-visible error, bounded retry. *)
         cmp "chaos/corrupt_pages" Eq (int 0);
@@ -96,11 +92,9 @@ let rows =
         cmp "cluster/attr_disk_wait_frac/w8" Gt (int 0);
         cmp "cluster/attr_disk_wait_frac/w8" Lt (int 1);
         (* Chaos injection is keyed to the virtual clocks, so it replays
-           exactly, also with per-CPU magazines; its stream slots recycle
-           and free-behind fires. *)
+           exactly; its stream slots recycle and free-behind fires. *)
         Replay "chaos";
         Line ("chaos", "chaos summary", starts "chaos: seed=42 profile=flaky");
-        Replay "alloc";
         Has (Stat ("chaos", "events/stream_reset"));
         Cmp (Stat ("chaos", "events/free_behind"), Gt, int 0);
         (* Every vm_statistics counter and histogram reaches the JSON. *)
@@ -129,20 +123,13 @@ let rows =
           (Cell "mpfault/private/c4/faults_per_sec");
         cmp "mpfault/shared/c4/lock_stall_share" Gt (int 0);
         cmp "mpfault/private/c4/lock_stall_share" Eq (int 0);
-        (* burst=1 is the demand-page path to the digit, burst=8 pays, and
-           with neighbours dropped before use the window falls to the
-           demand page and only re-probes on a backoff: a probe on every
-           fault would be at least one neighbour per fault. *)
-        cmp "mpfault/burst/b1/elapsed_ms" Eq
-          (Cell "mpfault/burst/legacy/elapsed_ms");
+        (* burst=8 pays over the demand page alone (burst=1), and with
+           neighbours dropped before use the window falls to the demand
+           page and only re-probes on a backoff: a probe on every fault
+           would be at least one neighbour per fault. *)
         cmp "mpfault/burst/b8/elapsed_ms" Lt
-          (Cell "mpfault/burst/legacy/elapsed_ms");
-        cmp "mpfault/burst/dropped/mapped_per_fault" Lt (int 1);
-        (* Per-CPU magazines meet or beat the single queue at 8 CPUs. *)
-        cmp "mpfault/alloc/pcpu/c8/faults_per_sec" Ge
-          (Cell "mpfault/alloc/global/c8/faults_per_sec");
-        cmp "mpfault/alloc/pcpu/c8/stall_share" Le
-          (Cell "mpfault/alloc/global/c8/stall_share") ];
+          (Cell "mpfault/burst/b1/elapsed_ms");
+        cmp "mpfault/burst/dropped/mapped_per_fault" Lt (int 1) ];
       (* The OOM policy is silent when demand fits and kills at 4x, and
          the kernel keeps serving someone; Mem_wait stays in the ledger. *)
       [ cmp "pressure/x1/oom_kills" Eq (int 0);
