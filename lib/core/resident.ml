@@ -101,7 +101,9 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
           pg_requeues = 0;
         }
       in
-      p.pg_queue_node <- Some (Dlist.push_back t.free p);
+      let node = Dlist.node p in
+      p.pg_queue_node <- Some node;
+      Dlist.push_back_node t.free node;
       t.pages <- p :: t.pages;
       t.free_total <- t.free_total + 1;
       t.total <- t.total + 1
@@ -130,36 +132,39 @@ let set_lock_sim t on = t.lock_sim <- on
 
 (* --- Queue plumbing ---------------------------------------------------- *)
 
-(* Pages in a magazine are [Q_free] with no queue node; they never meet
-   [unlink_queue] (magazines are popped explicitly), so a node-less
+(* Each page keeps the one queue node it was made with, linked exactly
+   while the page is on the free, active or inactive queue. *)
+let qnode p = match p.pg_queue_node with Some n -> n | None -> assert false
+
+(* Pages in a magazine are [Q_free] with their node unlinked; they never
+   meet [unlink_queue] (magazines are popped explicitly), so an unlinked
    [Q_free] page arriving here is a double free. *)
 let unlink_queue t p =
-  match p.pg_queue, p.pg_queue_node with
-  | Q_free, Some node ->
+  let node = qnode p in
+  match p.pg_queue with
+  | Q_free ->
     Dlist.remove t.free node;
     t.free_total <- t.free_total - 1
-  | Q_active, Some node -> Dlist.remove t.active node
-  | Q_inactive, Some node -> Dlist.remove t.inactive node
-  | Q_none, None -> ()
-  | _, _ -> assert false
+  | Q_active -> Dlist.remove t.active node
+  | Q_inactive -> Dlist.remove t.inactive node
+  | Q_none -> assert (not (Dlist.linked node))
 
 let set_queue t p q =
   unlink_queue t p;
   p.pg_queue <- q;
-  p.pg_queue_node <-
-    (match q with
-     | Q_none -> None
-     | Q_active -> Some (Dlist.push_back t.active p)
-     | Q_inactive -> Some (Dlist.push_back t.inactive p)
-     | Q_free ->
-       t.free_total <- t.free_total + 1;
-       Some (Dlist.push_back t.free p))
+  match q with
+  | Q_none -> ()
+  | Q_active -> Dlist.push_back_node t.active (qnode p)
+  | Q_inactive -> Dlist.push_back_node t.inactive (qnode p)
+  | Q_free ->
+    t.free_total <- t.free_total + 1;
+    Dlist.push_back_node t.free (qnode p)
 
 (* --- Magazines --------------------------------------------------------- *)
 
 let cache_push t ~cpu p =
+  assert (not (Dlist.linked (qnode p)));
   p.pg_queue <- Q_free;
-  p.pg_queue_node <- None;
   t.caches.(cpu) <- p :: t.caches.(cpu);
   t.cache_count.(cpu) <- t.cache_count.(cpu) + 1;
   t.free_total <- t.free_total + 1
@@ -322,7 +327,7 @@ let enqueue t p q =
 let enqueue_inactive_front t p =
   unlink_queue t p;
   p.pg_queue <- Q_inactive;
-  p.pg_queue_node <- Some (Dlist.push_front t.inactive p)
+  Dlist.push_front_node t.inactive (qnode p)
 
 let take_pop t lst =
   match Dlist.first lst with
@@ -377,7 +382,7 @@ let conservation_errors t =
        cached := !cached + t.cache_count.(cpu);
        List.iter
          (fun p ->
-            if p.pg_queue <> Q_free || Option.is_some p.pg_queue_node then
+            if p.pg_queue <> Q_free || Dlist.linked (qnode p) then
               note "cached page pfn=%d in inconsistent state" p.pfn;
             if Option.is_some p.pg_obj then
               note "cached page pfn=%d still owned" p.pfn)

@@ -38,6 +38,9 @@ type page = {
          (Pager_guard.await_page) *)
   mutable pg_queue : pageq;
   mutable pg_queue_node : page Dlist.node option;
+      (* the page's one queue node, set when the page is made and relinked
+         on every queue move; linked exactly while the page is on the
+         free, active or inactive queue *)
   mutable pg_obj_node : page Dlist.node option;
   mutable pg_requeues : int;
       (* consecutive pageout attempts on which this page's write failed

@@ -1,8 +1,13 @@
 type frame = int
 
+(* Every frame lives in one store, frame [f] at byte [f * page_size];
+   [present] holds one byte per frame, ['\000'] marking an absent one
+   (its bytes exist in the store but are never reached). *)
 type t = {
   page_size : int;
-  storage : Bytes.t option array; (* None marks an absent frame *)
+  frames : int;
+  store : Bytes.t;
+  present : Bytes.t;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -12,36 +17,71 @@ let create ~page_size ~frames ?(holes = []) () =
     invalid_arg "Phys_mem.create: page size must be a power of two";
   if frames <= 0 then invalid_arg "Phys_mem.create: no frames";
   let in_hole f = List.exists (fun (lo, hi) -> f >= lo && f <= hi) holes in
-  let storage =
-    Array.init frames (fun f ->
-        if in_hole f then None else Some (Bytes.make page_size '\000'))
-  in
-  { page_size; storage }
+  { page_size; frames;
+    store = Bytes.make (frames * page_size) '\000';
+    present =
+      Bytes.init frames (fun f -> if in_hole f then '\000' else '\001') }
 
 let page_size t = t.page_size
 
-let frame_count t = Array.length t.storage
+let frame_count t = t.frames
 
 let frame_exists t f =
-  f >= 0 && f < Array.length t.storage && Option.is_some t.storage.(f)
+  f >= 0 && f < t.frames && Bytes.get t.present f = '\001'
 
 let present_frames t =
   let acc = ref [] in
-  for f = Array.length t.storage - 1 downto 0 do
-    if Option.is_some t.storage.(f) then acc := f :: !acc
+  for f = t.frames - 1 downto 0 do
+    if Bytes.get t.present f = '\001' then acc := f :: !acc
   done;
   !acc
 
-let bytes_of t f =
-  match t.storage.(f) with
-  | Some b -> b
-  | None -> invalid_arg "Phys_mem: access to absent frame"
+(* --- Spans of consecutive frames --------------------------------------- *)
+
+(* The store offset of byte [offset] counted from the start of frame [f],
+   for a span of [len] bytes that must end inside memory.  Every frame
+   from [f] to the one holding the span's last byte must be present, so
+   even an empty span names a present frame. *)
+let span t f ~offset ~len ~what =
+  if f < 0 || f >= t.frames || offset < 0 || len < 0
+     || (f * t.page_size) + offset + len > t.frames * t.page_size
+  then invalid_arg what;
+  for g = f to f + (max 0 (offset + len - 1) / t.page_size) do
+    if Bytes.get t.present g <> '\001' then
+      invalid_arg "Phys_mem: access to absent frame"
+  done;
+  (f * t.page_size) + offset
+
+let blit_out_span t f ~offset ~len buf ~pos =
+  let at = span t f ~offset ~len ~what:"Phys_mem.read: out of memory" in
+  Bytes.blit t.store at buf pos len
+
+let write_span t f ~offset ?(pos = 0) ?len data =
+  let len = match len with Some n -> n | None -> Bytes.length data - pos in
+  let at = span t f ~offset ~len ~what:"Phys_mem.write: out of memory" in
+  Bytes.blit data pos t.store at len
+
+let zero_span t f ~offset ~len =
+  let at = span t f ~offset ~len ~what:"Phys_mem.zero: out of memory" in
+  Bytes.fill t.store at len '\000'
+
+let copy_frames t ~src ~dst ~frames =
+  let len = frames * t.page_size in
+  let from = span t src ~offset:0 ~len ~what:"Phys_mem.copy: out of memory" in
+  let into = span t dst ~offset:0 ~len ~what:"Phys_mem.copy: out of memory" in
+  Bytes.blit t.store from t.store into len
+
+(* --- One frame --------------------------------------------------------- *)
+
+(* A single-frame operation is the span operation after one more bound:
+   bytes [offset, offset + len) must lie inside frame [f], so it never
+   reaches the next frame. *)
+let in_frame t ~offset ~len ~what =
+  if offset < 0 || len < 0 || offset + len > t.page_size then invalid_arg what
 
 let blit_out t f ~offset ~len buf ~pos =
-  let b = bytes_of t f in
-  if offset < 0 || len < 0 || offset + len > t.page_size then
-    invalid_arg "Phys_mem.read: out of frame";
-  Bytes.blit b offset buf pos len
+  in_frame t ~offset ~len ~what:"Phys_mem.read: out of frame";
+  blit_out_span t f ~offset ~len buf ~pos
 
 let read t f ~offset ~len =
   let buf = Bytes.create (max 0 len) in
@@ -49,19 +89,23 @@ let read t f ~offset ~len =
   buf
 
 let write t f ~offset ?(pos = 0) ?len data =
-  let b = bytes_of t f in
   let len = match len with Some n -> n | None -> Bytes.length data - pos in
-  if offset < 0 || offset + len > t.page_size then
-    invalid_arg "Phys_mem.write: out of frame";
-  Bytes.blit data pos b offset len
+  in_frame t ~offset ~len ~what:"Phys_mem.write: out of frame";
+  write_span t f ~offset ~pos ~len data
 
-let read_byte t f ~offset = Bytes.get (bytes_of t f) offset
+let byte_at t f ~offset =
+  let what = "Phys_mem: byte out of frame" in
+  in_frame t ~offset ~len:1 ~what;
+  span t f ~offset ~len:1 ~what
 
-let write_byte t f ~offset c = Bytes.set (bytes_of t f) offset c
+let read_byte t f ~offset = Bytes.get t.store (byte_at t f ~offset)
 
-let zero_frame t f = Bytes.fill (bytes_of t f) 0 t.page_size '\000'
+let write_byte t f ~offset c = Bytes.set t.store (byte_at t f ~offset) c
 
-let copy_frame t ~src ~dst =
-  Bytes.blit (bytes_of t src) 0 (bytes_of t dst) 0 t.page_size
+let zero_frame t f = zero_span t f ~offset:0 ~len:t.page_size
 
-let frame_equal t a b = Bytes.equal (bytes_of t a) (bytes_of t b)
+let copy_frame t ~src ~dst = copy_frames t ~src ~dst ~frames:1
+
+let frame_equal t a b =
+  let whole f = read t f ~offset:0 ~len:t.page_size in
+  Bytes.equal (whole a) (whole b)

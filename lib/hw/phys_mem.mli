@@ -2,7 +2,9 @@
 
     Physical memory is an array of hardware page frames, each holding real
     byte contents, so that copy-on-write, zero fill and pager backing can be
-    verified for data correctness and not just for cost counters.
+    verified for data correctness and not just for cost counters.  The
+    frames lie back to back in one store, so a machine-independent page
+    (several consecutive frames) moves in one span operation.
 
     Frames can be declared *absent* to model machines like the SUN 3 whose
     physical address space has large holes (display memory addressable as
@@ -47,19 +49,49 @@ val write : t -> frame -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
     [offset]. *)
 
 val read_byte : t -> frame -> offset:int -> char
-(** [read_byte t f ~offset] is the byte at [offset] in frame [f]. *)
+(** [read_byte t f ~offset] is the byte at [offset] in frame [f];
+    [offset] must lie within the frame. *)
 
 val write_byte : t -> frame -> offset:int -> char -> unit
-(** [write_byte t f ~offset c] stores [c] at [offset] in frame [f]. *)
+(** [write_byte t f ~offset c] stores [c] at [offset] in frame [f];
+    [offset] must lie within the frame. *)
 
 val zero_frame : t -> frame -> unit
-(** [zero_frame t f] fills frame [f] with zero bytes (the hardware
-    [pmap_zero_page] operation of Table 3-3). *)
+(** [zero_frame t f] fills frame [f] with zero bytes; the one-frame
+    {!zero_span}, kept as the tests' reference ([pmap_zero_page] zeroes
+    all of a page's frames with one span). *)
 
 val copy_frame : t -> src:frame -> dst:frame -> unit
-(** [copy_frame t ~src ~dst] copies the contents of [src] into [dst] (the
-    hardware [pmap_copy_page] operation of Table 3-3). *)
+(** [copy_frame t ~src ~dst] copies the contents of [src] into [dst]; the
+    one-frame {!copy_frames}, kept as the tests' reference
+    ([pmap_copy_page] copies all of a page's frames at once). *)
 
 val frame_equal : t -> frame -> frame -> bool
 (** [frame_equal t a b] is [true] iff frames [a] and [b] hold identical
     bytes; used by tests. *)
+
+(** {2 Spans}
+
+    A span is [len] bytes starting [offset] bytes into frame [f]; it may
+    run on through the frames after [f].  Frame [f] must exist, every
+    frame from [f] to the one holding the span's last byte must be
+    present (else [Invalid_argument "Phys_mem: access to absent frame"])
+    and the span must end inside memory.  The single-frame operations
+    above are these with one more bound, so they never cross into the
+    next frame. *)
+
+val blit_out_span :
+  t -> frame -> offset:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [blit_out_span t f ~offset ~len buf ~pos] copies the span into [buf]
+    at [pos] in one move. *)
+
+val write_span : t -> frame -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
+(** [write_span t f ~offset ~pos ~len data] copies [len] bytes of [data]
+    from [pos] (default: all of it from 0) over the span. *)
+
+val zero_span : t -> frame -> offset:int -> len:int -> unit
+(** [zero_span t f ~offset ~len] fills the span with zero bytes. *)
+
+val copy_frames : t -> src:frame -> dst:frame -> frames:int -> unit
+(** [copy_frames t ~src ~dst ~frames] copies frames [src ..
+    src+frames-1] over [dst .. dst+frames-1] in one move. *)

@@ -1,12 +1,13 @@
 open Mach_hw
 module Fail = Mach_fail.Fail
+module Int_tbl = Mach_util.Int_tbl
 
 exception Io_error of { write : bool; block : int }
 
 type t = {
   machine : Machine.t;
   block_size : int;
-  blocks : (int, Bytes.t) Hashtbl.t;
+  blocks : Bytes.t Int_tbl.t; (* block -> its contents, the store's own *)
   mutable reads : int;
   mutable writes : int;
   mutable errors : int;
@@ -21,7 +22,7 @@ let max_attempts = 3
 
 let create machine ~block_size =
   if block_size <= 0 then invalid_arg "Simdisk.create";
-  { machine; block_size; blocks = Hashtbl.create 256;
+  { machine; block_size; blocks = Int_tbl.create 256;
     reads = 0; writes = 0; errors = 0; retries = 0; fail = None }
 
 let block_size t = t.block_size
@@ -79,7 +80,7 @@ let read_run_into ?after t ~cpu ~first ~count buf ~pos =
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:false ~bytes in
   for i = 0 to count - 1 do
     let at = pos + (i * t.block_size) in
-    match Hashtbl.find_opt t.blocks (first + i) with
+    match Int_tbl.find_opt t.blocks (first + i) with
     | Some b -> Bytes.blit b 0 buf at t.block_size
     | None -> Bytes.fill buf at t.block_size '\000'
   done;
@@ -99,11 +100,14 @@ let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays
-     its own device time.  Each block is the store's own copy; the
-     caller's buffer is never kept. *)
+     its own device time.  A block already held is overwritten in
+     place; a new one gets its own copy.  The caller's buffer is never
+     kept. *)
   for i = 0 to count - 1 do
-    Hashtbl.replace t.blocks (first + i)
-      (Bytes.sub data (pos + (i * t.block_size)) t.block_size)
+    let at = pos + (i * t.block_size) in
+    match Int_tbl.find_opt t.blocks (first + i) with
+    | Some b -> Bytes.blit data at b 0 t.block_size
+    | None -> Int_tbl.add t.blocks (first + i) (Bytes.sub data at t.block_size)
   done;
   io
 
@@ -111,7 +115,7 @@ let install t ~block data =
   if Bytes.length data > t.block_size then invalid_arg "Simdisk.install";
   let b = Bytes.make t.block_size '\000' in
   Bytes.blit data 0 b 0 (Bytes.length data);
-  Hashtbl.replace t.blocks block b
+  Int_tbl.replace t.blocks block b
 
 let reads t = t.reads
 let writes t = t.writes

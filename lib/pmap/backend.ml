@@ -9,9 +9,7 @@
    range removal, protection, collection and activation over it. *)
 
 open Mach_hw
-
-(* Tables keyed by vpn or asid: no polymorphic hash or compare. *)
-module Int_tbl = Hashtbl.Make (Int)
+open Mach_util
 
 (* Accumulator for flush batching.  While a batch is open (depth > 0),
    page and asid shootdowns are collected here instead of being issued
@@ -20,11 +18,11 @@ module Int_tbl = Hashtbl.Make (Int)
    the whole operation. *)
 type batch = {
   mutable depth : int;
-  page_vpns : (int, int list ref) Hashtbl.t;  (* asid -> vpns collected *)
-  local_vpns : (int, int list ref) Hashtbl.t; (* asid -> vpns, this CPU *)
-  whole_asids : (int, unit) Hashtbl.t;        (* asids flushed wholesale *)
-  b_targets : bool array;                     (* union of presences *)
-  mutable b_urgent : bool;                    (* OR of urgency at collect *)
+  page_vpns : int list ref Int_tbl.t;  (* asid -> vpns collected *)
+  local_vpns : int list ref Int_tbl.t; (* asid -> vpns, this CPU *)
+  whole_asids : unit Int_tbl.t;        (* asids flushed wholesale *)
+  b_targets : bool array;              (* union of presences *)
+  mutable b_urgent : bool;             (* OR of urgency at collect *)
 }
 
 type ctx = {
@@ -54,8 +52,8 @@ let create machine =
   { machine; pv = Pv.create ~frames; next_asid = 1; cur_cpu = 0;
     urgent_mode = false;
     batch =
-      { depth = 0; page_vpns = Hashtbl.create 8;
-        local_vpns = Hashtbl.create 8; whole_asids = Hashtbl.create 8;
+      { depth = 0; page_vpns = Int_tbl.create 8;
+        local_vpns = Int_tbl.create 8; whole_asids = Int_tbl.create 8;
         b_targets = Array.make (Machine.cpu_count machine) false;
         b_urgent = false };
     on_unmap = (fun ~asid:_ ~pfn:_ -> ()) }
@@ -112,21 +110,21 @@ let requests_of_asid ~asid vpns acc =
     | v :: rest -> go v (v + 1) acc rest
 
 let add_vpn tbl ~asid ~vpn =
-  match Hashtbl.find_opt tbl asid with
+  match Int_tbl.find_opt tbl asid with
   | Some l -> l := vpn :: !l
-  | None -> Hashtbl.add tbl asid (ref [ vpn ])
+  | None -> Int_tbl.add tbl asid (ref [ vpn ])
 
 (* The initiator's local-only flushes go first, as an exchange's own
    local flushes would; pages the exchange covers are left to it. *)
 let flush_local_vpns ctx =
   let b = ctx.batch in
   let reqs =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun asid vpns acc ->
-         if Hashtbl.mem b.whole_asids asid then acc
+         if Int_tbl.mem b.whole_asids asid then acc
          else
            let shot =
-             match Hashtbl.find_opt b.page_vpns asid with
+             match Int_tbl.find_opt b.page_vpns asid with
              | Some l -> !l
              | None -> []
            in
@@ -138,19 +136,19 @@ let flush_local_vpns ctx =
                acc)
       b.local_vpns []
   in
-  Hashtbl.reset b.local_vpns;
+  Int_tbl.reset b.local_vpns;
   List.iter (Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu) reqs
 
 let flush_batch ctx =
   flush_local_vpns ctx;
   let b = ctx.batch in
   let reqs =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun asid vpns acc ->
-         if Hashtbl.mem b.whole_asids asid then acc
+         if Int_tbl.mem b.whole_asids asid then acc
          else requests_of_asid ~asid !vpns acc)
       b.page_vpns
-      (Hashtbl.fold
+      (Int_tbl.fold
          (fun asid () acc -> Machine.Flush_asid asid :: acc)
          b.whole_asids [])
   in
@@ -159,8 +157,8 @@ let flush_batch ctx =
     if b.b_targets.(i) then targets := i :: !targets
   done;
   let urgent = b.b_urgent in
-  Hashtbl.reset b.page_vpns;
-  Hashtbl.reset b.whole_asids;
+  Int_tbl.reset b.page_vpns;
+  Int_tbl.reset b.whole_asids;
   Array.fill b.b_targets 0 (Array.length b.b_targets) false;
   b.b_urgent <- false;
   Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu ~targets:!targets reqs
@@ -175,9 +173,9 @@ let end_batch ctx =
      together with a collected page or asid. *)
   if
     b.depth = 0
-    && (Hashtbl.length b.local_vpns > 0
-        || Hashtbl.length b.page_vpns > 0
-        || Hashtbl.length b.whole_asids > 0)
+    && (Int_tbl.length b.local_vpns > 0
+        || Int_tbl.length b.page_vpns > 0
+        || Int_tbl.length b.whole_asids > 0)
   then flush_batch ctx
 
 (* Run [f ()] inside a batch, closing it even on exceptions. *)
@@ -203,7 +201,7 @@ let shoot_page ctx p ~asid ~vpn =
 let shoot_asid ctx p ~asid =
   if accumulating ctx then begin
     let b = ctx.batch in
-    Hashtbl.replace b.whole_asids asid ();
+    Int_tbl.replace b.whole_asids asid ();
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
@@ -261,7 +259,7 @@ let shell ctx =
 type 'm store = {
   range : int -> int -> (int * 'm) list;
       (* the live (vpn, mapping) pairs with vpn in [lo, hi), in the order
-         the backend visits them *)
+         the backend visits them; the shell's uses do not depend on it *)
   drop : int -> 'm -> unit;
       (* invalidate one mapping: the store entry, its pv entry, the
          pte-write charge and the [removals] count; the caller flushes *)
@@ -271,11 +269,20 @@ type 'm store = {
   pte : bool;  (* false: a software-only table, whose writes cost nothing *)
 }
 
-(* A [range] over a table keyed by vpn, in its fold order; a one-page
-   range is one lookup (tables bind with [Int_tbl.replace]). *)
+(* A [range] over a table keyed by vpn (bound with [Int_tbl.replace]).
+   A range no longer than the table is looked up vpn by vpn, in vpn
+   order; a longer one is picked out of a fold over the table, in its
+   fold order. *)
 let range_of tbl lo hi =
-  if hi = lo + 1 then
-    match Int_tbl.find_opt tbl lo with Some m -> [ (lo, m) ] | None -> []
+  if hi - lo <= Int_tbl.length tbl then begin
+    let acc = ref [] in
+    for vpn = hi - 1 downto lo do
+      match Int_tbl.find_opt tbl vpn with
+      | Some m -> acc := (vpn, m) :: !acc
+      | None -> ()
+    done;
+    !acc
+  end
   else
     Int_tbl.fold
       (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)

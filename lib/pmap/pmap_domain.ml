@@ -1,9 +1,10 @@
 open Mach_hw
+module Int_tbl = Mach_util.Int_tbl
 
 type t = {
   ctx : Backend.ctx;
   factory : Backend.factory;
-  registry : (int, Pmap.t) Hashtbl.t;
+  registry : Pmap.t Int_tbl.t;
   mutable on_first_touch : (asid:int -> pfn:int -> unit) option;
       (* fired when a frame's referenced bit transitions clear -> set,
          with the address space the touch went through; the VM layer
@@ -22,7 +23,7 @@ let create machine =
     | Arch.Tlb_only -> Pmap_tlbonly.make_domain ctx
   in
   let t =
-    { ctx; factory; registry = Hashtbl.create 16; on_first_touch = None }
+    { ctx; factory; registry = Int_tbl.create 16; on_first_touch = None }
   in
   Machine.set_on_translated machine (fun ~asid ~pfn ~write ->
       let pv = ctx.Backend.pv in
@@ -86,13 +87,13 @@ let create_pmap t =
            decr refs;
            if !refs = 0 then begin
              p.Pmap.destroy ();
-             Hashtbl.remove t.registry asid
+             Int_tbl.remove t.registry asid
            end) }
   in
-  Hashtbl.add t.registry asid p;
+  Int_tbl.add t.registry asid p;
   p
 
-let find_pmap t ~asid = Hashtbl.find_opt t.registry asid
+let find_pmap t ~asid = Int_tbl.find_opt t.registry asid
 
 let set_current_cpu t cpu = t.ctx.Backend.cur_cpu <- cpu
 
@@ -100,27 +101,54 @@ let current_cpu t = t.ctx.Backend.cur_cpu
 
 let page_size t = Backend.page_size t.ctx
 
-(* Apply [f pmap page_va] for every current mapping of [pfn]. *)
-let for_all_mappings t ~pfn f =
-  let page = page_size t in
-  List.iter
-    (fun { Pv.pv_asid; pv_vpn } ->
-       match find_pmap t ~asid:pv_asid with
-       | Some p -> f p (pv_vpn * page)
-       | None -> assert false)
-    (Pv.mappings t.ctx.Backend.pv ~pfn)
-
 let batched t f = Backend.batched t.ctx f
 
-(* Apply [f pmap page_va] to every mapping of every hardware frame of the
-   machine-independent page [pfn, pfn+frames), all inside one batch: the
-   consistency unit is the MI page, so a mapping's [frames] adjacent vpns
-   coalesce into one range request and a page mapped into many address
-   spaces still costs a single exchange (one IPI round per target CPU). *)
+let pmap_of t ~asid =
+  match find_pmap t ~asid with Some p -> p | None -> assert false
+
+(* Whether [p] maps vpn [vpn + j] to frame [pfn + j] for every
+   [j < frames], looked up in [p]'s own table (which every backend keeps
+   in step with pv): a range request over those vpns then touches
+   exactly those pv mappings. *)
+let maps_page p ~page ~pfn ~frames vpn =
+  let rec from j =
+    j >= frames
+    || (match p.Pmap.extract ((vpn + j) * page) with
+        | Some f -> f = pfn + j && from (j + 1)
+        | None -> false)
+  in
+  vpn >= 0 && from 0
+
+(* [m], a mapping of frame [pfn + i], is the [i]th frame of a mapping
+   of the whole page. *)
+let within t ~pfn ~frames i { Pv.pv_asid; pv_vpn } =
+  maps_page (pmap_of t ~asid:pv_asid) ~page:(page_size t) ~pfn ~frames
+    (pv_vpn - i)
+
+(* Apply [f pmap va len] to every mapping of every hardware frame of the
+   machine-independent page [pfn, pfn+frames), all inside one batch.  A
+   mapping that carries the whole page gets one call over its [frames]
+   vpns; every other mapping gets one call per frame.  The consistency
+   unit is the MI page, so a page mapped into many address spaces still
+   costs a single exchange (one IPI round per target CPU). *)
 let each_page_mapping t ~pfn ~frames f =
+  let pv = t.ctx.Backend.pv and page = page_size t in
+  let whole =
+    if frames = 1 then []
+    else List.filter (within t ~pfn ~frames 0) (Pv.mappings pv ~pfn)
+  in
   batched t (fun () ->
+      List.iter
+        (fun m ->
+           f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page)
+             (frames * page))
+        whole;
       for i = 0 to frames - 1 do
-        for_all_mappings t ~pfn:(pfn + i) f
+        List.iter
+          (fun m ->
+             if whole = [] || not (within t ~pfn ~frames i m) then
+               f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page) page)
+          (Pv.mappings pv ~pfn:(pfn + i))
       done)
 
 (* Urgency is captured per accumulated flush, so restoring [urgent_mode]
@@ -129,8 +157,8 @@ let remove_all t ~pfn ~frames ~urgent =
   let saved = t.ctx.Backend.urgent_mode in
   t.ctx.Backend.urgent_mode <- urgent;
   match
-    each_page_mapping t ~pfn ~frames (fun p va ->
-        p.Pmap.remove ~start_va:va ~end_va:(va + page_size t))
+    each_page_mapping t ~pfn ~frames (fun p va len ->
+        p.Pmap.remove ~start_va:va ~end_va:(va + len))
   with
   | () -> t.ctx.Backend.urgent_mode <- saved
   | exception e ->
@@ -139,9 +167,8 @@ let remove_all t ~pfn ~frames ~urgent =
 
 let copy_on_write t ~pfn ~frames =
   let read_only_mask = Prot.remove_write Prot.all in
-  each_page_mapping t ~pfn ~frames (fun p va ->
-      p.Pmap.protect ~start_va:va ~end_va:(va + page_size t)
-        ~prot:read_only_mask)
+  each_page_mapping t ~pfn ~frames (fun p va len ->
+      p.Pmap.protect ~start_va:va ~end_va:(va + len) ~prot:read_only_mask)
 
 let is_modified t ~pfn = Pv.is_modified t.ctx.Backend.pv ~pfn
 let is_referenced t ~pfn = Pv.is_referenced t.ctx.Backend.pv ~pfn
@@ -155,24 +182,32 @@ let mappings_of t ~pfn =
     (fun { Pv.pv_asid; pv_vpn } -> (pv_asid, pv_vpn))
     (Pv.mappings t.ctx.Backend.pv ~pfn)
 
-let zero_page t ~pfn =
-  Backend.charge t.ctx (Backend.move_cost t.ctx (page_size t));
-  Phys_mem.zero_frame (Machine.phys (machine t)) pfn
+(* Each frame is charged as its own move; the bytes move at once. *)
+let charge_frames t ~frames =
+  let c = Backend.move_cost t.ctx (page_size t) in
+  for _ = 1 to frames do
+    Backend.charge t.ctx c
+  done
 
-let copy_page t ~src ~dst =
-  Backend.charge t.ctx (Backend.move_cost t.ctx (page_size t));
-  Phys_mem.copy_frame (Machine.phys (machine t)) ~src ~dst
+let zero_page ?(frames = 1) t ~pfn =
+  charge_frames t ~frames;
+  Phys_mem.zero_span (Machine.phys (machine t)) pfn ~offset:0
+    ~len:(frames * page_size t)
+
+let copy_page ?(frames = 1) t ~src ~dst =
+  charge_frames t ~frames;
+  Phys_mem.copy_frames (Machine.phys (machine t)) ~src ~dst ~frames
 
 let shared_map_bytes t = t.factory.Backend.shared_map_bytes ()
 
 let total_map_bytes t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun _ p acc -> acc + p.Pmap.map_bytes ())
     t.registry (shared_map_bytes t)
 
 let total_stats t =
   let acc = Pmap.fresh_stats () in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ p ->
        let s = p.Pmap.stats in
        acc.Pmap.enters <- acc.Pmap.enters + s.Pmap.enters;

@@ -71,9 +71,11 @@ val batched : t -> (unit -> 'a) -> 'a
     The page these act on is the machine-independent page: [frames]
     consecutive hardware frames starting at [pfn] (the boot-time page
     multiple).  Every mapping of every frame is updated inside one flush
-    batch, so the TLB-consistency cost is one exchange per call — a
-    mapping's adjacent frame pages travel as one range request — however
-    many hardware frames the page spans. *)
+    batch, so the TLB-consistency cost is one exchange per call, however
+    many hardware frames the page spans.  A pv mapping [(asid, v)] of
+    frame [pfn] whose pmap maps vpn [v+j] to frame [pfn+j] for every
+    [j] carries the whole page and is updated by one range request to
+    that pmap; any other mapping is updated frame by frame. *)
 
 val remove_all : t -> pfn:int -> frames:int -> urgent:bool -> unit
 (** [pmap_remove_all]: remove the physical page from all maps.  Used by
@@ -102,12 +104,14 @@ val mappings_of : t -> pfn:int -> (int * int) list
 (** [mappings_of t ~pfn] lists the (asid, virtual page) pairs currently
     mapping the frame; used by consistency checkers. *)
 
-val zero_page : t -> pfn:int -> unit
-(** [pmap_zero_page]: zero-fill the frame, charging the architecture's
-    copy cost to the current CPU. *)
+val zero_page : ?frames:int -> t -> pfn:int -> unit
+(** [pmap_zero_page]: zero-fill the [frames] (default 1) frames from
+    [pfn] in one move, charging the architecture's copy cost per frame to
+    the current CPU. *)
 
-val copy_page : t -> src:int -> dst:int -> unit
-(** [pmap_copy_page]: copy frame [src] to frame [dst], charging cost. *)
+val copy_page : ?frames:int -> t -> src:int -> dst:int -> unit
+(** [pmap_copy_page]: copy the [frames] (default 1) frames from [src]
+    over those from [dst] in one move, charging cost per frame. *)
 
 (** {1 Accounting} *)
 

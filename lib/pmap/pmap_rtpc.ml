@@ -1,8 +1,5 @@
 open Mach_hw
-module Int_tbl = Backend.Int_tbl
-
-(* Hash anchor tables, keyed by (asid, vpn). *)
-module Anchors = Mach_util.Int_pair.Tbl
+module Int_tbl = Mach_util.Int_tbl
 
 (* One slot per physical frame: the (at most one) virtual mapping of that
    frame. *)
@@ -30,8 +27,6 @@ let make_domain (ctx : Backend.ctx) =
         { s_asid = 0; s_vpn = 0; s_prot = Prot.none; s_wired = false;
           s_valid = false })
   in
-  (* The hash anchor table: (asid, vpn) -> pfn. *)
-  let hash : int Anchors.t = Anchors.create 1024 in
   let owners : owner Int_tbl.t = Int_tbl.create 16 in
 
   (* Invalidate the mapping occupying [pfn], whoever owns it. *)
@@ -39,7 +34,6 @@ let make_domain (ctx : Backend.ctx) =
     let s = ipt.(pfn) in
     assert s.s_valid;
     let o = Int_tbl.find owners s.s_asid in
-    Anchors.remove hash (s.s_asid, s.s_vpn);
     Int_tbl.remove o.o_vpns s.s_vpn;
     Backend.pv_remove ctx ~pfn ~asid:s.s_asid ~vpn:s.s_vpn;
     Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
@@ -92,7 +86,6 @@ let make_domain (ctx : Backend.ctx) =
         s.s_vpn <- vpn;
         s.s_wired <- wired;
         s.s_valid <- true;
-        Anchors.replace hash (asid, vpn) pfn;
         Int_tbl.replace own_vpns vpn pfn;
         Backend.pv_insert ctx ~pfn ~asid ~vpn
       end;
@@ -108,8 +101,11 @@ let make_domain (ctx : Backend.ctx) =
       stats.Pmap.enters <- stats.Pmap.enters + 1
     in
 
+    (* The hardware hashes (asid, vpn) through the anchor table into
+       the inverted table; each pmap's [own_vpns] holds the same
+       vpn -> pfn bindings for its asid. *)
     let lookup vpn =
-      match Anchors.find_opt hash (asid, vpn) with
+      match Int_tbl.find_opt own_vpns vpn with
       | Some pfn ->
         Translator.Mapped { pfn; prot = ipt.(pfn).s_prot }
       | None -> Translator.Missing

@@ -1,5 +1,5 @@
 open Mach_hw
-module Int_tbl = Backend.Int_tbl
+module Int_tbl = Mach_util.Int_tbl
 
 type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
 

@@ -10,6 +10,7 @@
    pages, created on first use and garbage collected when empty. *)
 
 open Mach_hw
+module Int_tbl = Mach_util.Int_tbl
 
 type pte = {
   mutable p_pfn : int;
@@ -25,12 +26,12 @@ type tpage = { ptes : pte array; mutable valid_count : int }
    a scan of the tables, so sparse spaces stay cheap either way. *)
 let covering tables ~ptes_per_page lo hi =
   let first = lo / ptes_per_page and last = (hi - 1) / ptes_per_page in
-  if last - first < Hashtbl.length tables then
+  if last - first < Int_tbl.length tables then
     List.init (max 0 (last - first + 1)) (( + ) first)
     |> List.filter_map (fun idx ->
-        Option.map (fun tp -> (idx, tp)) (Hashtbl.find_opt tables idx))
+        Option.map (fun tp -> (idx, tp)) (Int_tbl.find_opt tables idx))
   else
-    Hashtbl.fold
+    Int_tbl.fold
       (fun idx tp acc ->
          if idx >= first && idx <= last then (idx, tp) :: acc else acc)
       tables []
@@ -42,20 +43,20 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
   let page = Backend.page_size ctx in
   let pte_bytes = (Backend.arch ctx).Arch.pte_bytes in
   let ptes_per_page = page / pte_bytes in
-  let tables : (int, tpage) Hashtbl.t = Hashtbl.create 16 in
+  let tables : tpage Int_tbl.t = Int_tbl.create 16 in
   let resident = ref 0 in
 
   let fresh_pte () =
     { p_pfn = 0; p_prot = Prot.none; p_valid = false; p_wired = false }
   in
   let find_pte vpn =
-    match Hashtbl.find_opt tables (vpn / ptes_per_page) with
+    match Int_tbl.find_opt tables (vpn / ptes_per_page) with
     | None -> None
     | Some tp -> Some tp.ptes.(vpn mod ptes_per_page)
   in
   let find_or_create_tpage vpn =
     let idx = vpn / ptes_per_page in
-    match Hashtbl.find_opt tables idx with
+    match Int_tbl.find_opt tables idx with
     | Some tp -> tp
     | None ->
       (* Constructing a page-table page costs a page zero. *)
@@ -64,7 +65,7 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
         { ptes = Array.init ptes_per_page (fun _ -> fresh_pte ());
           valid_count = 0 }
       in
-      Hashtbl.add tables idx tp;
+      Int_tbl.add tables idx tp;
       tp
   in
 
@@ -77,11 +78,11 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
     decr resident;
     stats.Pmap.removals <- stats.Pmap.removals + 1;
     let idx = vpn / ptes_per_page in
-    match Hashtbl.find_opt tables idx with
+    match Int_tbl.find_opt tables idx with
     | None -> assert false
     | Some tp ->
       tp.valid_count <- tp.valid_count - 1;
-      if tp.valid_count = 0 then Hashtbl.remove tables idx
+      if tp.valid_count = 0 then Int_tbl.remove tables idx
   in
 
   (* The valid ptes whose vpn lies in [lo, hi), in vpn order. *)
@@ -160,7 +161,7 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
   let destroy () =
     List.iter (fun (vpn, pte) -> invalidate_pte vpn pte) (range 0 max_int);
     Backend.shoot_asid ctx sh.Backend.presence ~asid;
-    Hashtbl.reset tables
+    Int_tbl.reset tables
   in
 
   (* pmap_copy (Table 3-4, optional): duplicate valid mappings into a
@@ -180,7 +181,7 @@ let make (ctx : Backend.ctx) ~va_limit ~top_bytes ~pfn_ok () =
 
   Backend.pmap ctx sh store ~translator ~enter ~extract
     ~resident_count:(fun () -> !resident) ~destroy
-    ~map_bytes:(fun () -> top_bytes + (Hashtbl.length tables * page))
+    ~map_bytes:(fun () -> top_bytes + (Int_tbl.length tables * page))
     ~copy ()
 
 let domain ctx ~top_bytes ~pfn_ok =

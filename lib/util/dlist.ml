@@ -27,24 +27,38 @@ let value n = n.value
 
 let linked n = n.in_list
 
+let node v = { value = v; prev = None; next = None; in_list = false }
+
 let fresh_node v = { value = v; prev = None; next = None; in_list = true }
 
-let push_front t v =
-  let n = fresh_node v in
+(* Link an unlinked node, whose neighbours [node] or [remove] left at
+   [None]. *)
+let push_front_node t n =
+  assert (not n.in_list);
+  n.in_list <- true;
   (match t.head with
    | None -> t.tail <- Some n
    | Some h -> h.prev <- Some n; n.next <- Some h);
   t.head <- Some n;
-  t.length <- t.length + 1;
-  n
+  t.length <- t.length + 1
 
-let push_back t v =
-  let n = fresh_node v in
+let push_back_node t n =
+  assert (not n.in_list);
+  n.in_list <- true;
   (match t.tail with
    | None -> t.head <- Some n
    | Some l -> l.next <- Some n; n.prev <- Some l);
   t.tail <- Some n;
-  t.length <- t.length + 1;
+  t.length <- t.length + 1
+
+let push_front t v =
+  let n = node v in
+  push_front_node t n;
+  n
+
+let push_back t v =
+  let n = node v in
+  push_back_node t n;
   n
 
 let insert_before t pos v =

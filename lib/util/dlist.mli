@@ -30,6 +30,19 @@ val push_front : 'a t -> 'a -> 'a node
 val push_back : 'a t -> 'a -> 'a node
 (** [push_back t v] links a new node carrying [v] at the tail of [t]. *)
 
+val node : 'a -> 'a node
+(** [node v] is a new node carrying [v], linked into no list: a caller
+    that moves one element between lists keeps one node for it for life
+    and relinks it with {!push_front_node} or {!push_back_node}. *)
+
+val push_front_node : 'a t -> 'a node -> unit
+(** [push_front_node t n] links [n] at the head of [t].  [n] must be in
+    no list (checked by assertion). *)
+
+val push_back_node : 'a t -> 'a node -> unit
+(** [push_back_node t n] links [n] at the tail of [t].  [n] must be in
+    no list (checked by assertion). *)
+
 val insert_before : 'a t -> 'a node -> 'a -> 'a node
 (** [insert_before t n v] links a new node carrying [v] immediately before
     [n], which must belong to [t]. *)

@@ -18,6 +18,5 @@ val hash : t -> int
     low bits. *)
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by int pairs: the TLBs and the RT PC hash anchor
-    table by (asid, vpn), the resident page table by (object id,
-    offset). *)
+(** Hash tables keyed by int pairs: the TLBs by (asid, vpn), the
+    resident page table by (object id, offset). *)

@@ -95,6 +95,149 @@ let test_phys_bad_page_size () =
     (Invalid_argument "Phys_mem.create: page size must be a power of two")
     (fun () -> ignore (Phys_mem.create ~page_size:100 ~frames:2 ()))
 
+(* Span operations against the same operations done frame by frame on
+   a second memory and on a plain byte model.  A span that runs past the
+   end of memory must raise and change nothing. *)
+type span_op =
+  | Write of int * int * int * int  (* frame, offset, len, fill seed *)
+  | Zero of int * int * int
+  | Copy of int * int * int         (* src, dst, frames *)
+  | Read of int * int * int
+
+let span_frames = 6
+let span_page = 16
+
+let span_op_gen =
+  let open QCheck2.Gen in
+  let f = int_range 0 span_frames and off = int_range 0 40
+  and len = int_range 0 50 in
+  oneof
+    [ map3 (fun f o (l, c) -> Write (f, o, l, c)) f off
+        (pair len (int_range 0 255));
+      map3 (fun f o l -> Zero (f, o, l)) f off len;
+      map3 (fun s d n -> Copy (s, d, n)) f f (int_range 0 3);
+      map3 (fun f o l -> Read (f, o, l)) f off len ]
+
+(* A span names an existing frame and ends inside memory. *)
+let fits f ~offset ~len =
+  f < span_frames && (f * span_page) + offset + len <= span_frames * span_page
+
+(* Apply [g frame foff pos n] to each single-frame piece of a span. *)
+let each_piece f ~offset ~len g =
+  let rec go i =
+    if i < len then begin
+      let abs = offset + i in
+      let n = min (span_page - (abs mod span_page)) (len - i) in
+      g (f + (abs / span_page)) (abs mod span_page) i n;
+      go (i + n)
+    end
+  in
+  go 0
+
+let pattern ~len ~seed = Bytes.init len (fun i -> Char.chr ((seed + i) land 255))
+
+let span_matches_frames ops =
+  let mk () = Phys_mem.create ~page_size:span_page ~frames:span_frames () in
+  let spans = mk () and frames = mk () in
+  let model = Bytes.make (span_frames * span_page) '\000' in
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let read_frames f ~offset ~len =
+    let buf = Bytes.create len in
+    each_piece f ~offset ~len (fun g foff pos n ->
+        Phys_mem.blit_out frames g ~offset:foff ~len:n buf ~pos);
+    buf
+  in
+  let step ok op =
+    ok
+    &&
+    match op with
+    | Write (f, offset, len, seed) ->
+      let data = pattern ~len ~seed in
+      if not (fits f ~offset ~len) then
+        raises (fun () -> Phys_mem.write_span spans f ~offset data)
+      else begin
+        Phys_mem.write_span spans f ~offset data;
+        each_piece f ~offset ~len (fun g foff pos n ->
+            Phys_mem.write frames g ~offset:foff ~pos ~len:n data);
+        Bytes.blit data 0 model ((f * span_page) + offset) len;
+        true
+      end
+    | Zero (f, offset, len) ->
+      if not (fits f ~offset ~len) then
+        raises (fun () -> Phys_mem.zero_span spans f ~offset ~len)
+      else begin
+        Phys_mem.zero_span spans f ~offset ~len;
+        each_piece f ~offset ~len (fun g foff _ n ->
+            Phys_mem.write frames g ~offset:foff (Bytes.make n '\000'));
+        Bytes.fill model ((f * span_page) + offset) len '\000';
+        true
+      end
+    | Copy (src, dst, n) ->
+      let len = n * span_page in
+      if not (fits src ~offset:0 ~len && fits dst ~offset:0 ~len) then
+        raises (fun () -> Phys_mem.copy_frames spans ~src ~dst ~frames:n)
+      else if abs (src - dst) < n then true (* pages never overlap *)
+      else begin
+        Phys_mem.copy_frames spans ~src ~dst ~frames:n;
+        for j = 0 to n - 1 do
+          Phys_mem.copy_frame frames ~src:(src + j) ~dst:(dst + j)
+        done;
+        Bytes.blit model (src * span_page) model (dst * span_page) len;
+        true
+      end
+    | Read (f, offset, len) ->
+      let buf = Bytes.create len in
+      if not (fits f ~offset ~len) then
+        raises (fun () ->
+            Phys_mem.blit_out_span spans f ~offset ~len buf ~pos:0)
+      else begin
+        Phys_mem.blit_out_span spans f ~offset ~len buf ~pos:0;
+        Bytes.equal buf (read_frames f ~offset ~len)
+        && Bytes.equal buf (Bytes.sub model ((f * span_page) + offset) len)
+      end
+  in
+  List.fold_left step true ops
+  && List.for_all
+    (fun f ->
+       let whole m = Phys_mem.read m f ~offset:0 ~len:span_page in
+       Bytes.equal (whole spans) (whole frames)
+       && Bytes.equal (whole spans) (Bytes.sub model (f * span_page) span_page))
+    (List.init span_frames Fun.id)
+
+let span_property =
+  QCheck2.Test.make ~name:"span moves equal per-frame moves" ~count:300
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    QCheck2.Gen.(list_size (int_range 1 30) span_op_gen)
+    span_matches_frames
+
+let test_phys_span_holes () =
+  let m = Phys_mem.create ~page_size:64 ~frames:6 ~holes:[ (3, 3) ] () in
+  let buf = Bytes.create 256 in
+  let absent = Invalid_argument "Phys_mem: access to absent frame" in
+  (* Frames 1 and 2 end just before the hole. *)
+  Phys_mem.blit_out_span m 1 ~offset:0 ~len:128 buf ~pos:0;
+  Alcotest.check_raises "read one byte into the hole" absent (fun () ->
+      Phys_mem.blit_out_span m 1 ~offset:0 ~len:129 buf ~pos:0);
+  Alcotest.check_raises "write across the hole" absent (fun () ->
+      Phys_mem.write_span m 2 ~offset:60 (Bytes.make 80 'x'));
+  Alcotest.check_raises "zero starting past frame 2" absent (fun () ->
+      Phys_mem.zero_span m 2 ~offset:64 ~len:1);
+  Alcotest.check_raises "copy from across the hole" absent (fun () ->
+      Phys_mem.copy_frames m ~src:2 ~dst:4 ~frames:2);
+  Alcotest.(check char) "failed write left frame 2 alone" '\000'
+    (Phys_mem.read_byte m 2 ~offset:63)
+
+let test_phys_byte_bounds () =
+  let m = Phys_mem.create ~page_size:64 ~frames:2 () in
+  Phys_mem.write_byte m 1 ~offset:0 'n';
+  let out = Invalid_argument "Phys_mem: byte out of frame" in
+  Alcotest.check_raises "read_byte at page_size" out (fun () ->
+      ignore (Phys_mem.read_byte m 0 ~offset:64));
+  Alcotest.check_raises "write_byte at page_size" out (fun () ->
+      Phys_mem.write_byte m 0 ~offset:64 'x');
+  Alcotest.(check char) "next frame untouched" 'n'
+    (Phys_mem.read_byte m 1 ~offset:0)
+
 (* ---- Tlb ----------------------------------------------------------------- *)
 
 let entry ~asid ~vpn ~pfn = { Tlb.asid; vpn; pfn; prot = Prot.read_write }
@@ -387,8 +530,10 @@ let () =
           Alcotest.test_case "zero/copy frames" `Quick test_phys_zero_copy;
           Alcotest.test_case "holes" `Quick test_phys_holes;
           Alcotest.test_case "bounds" `Quick test_phys_bounds;
-          Alcotest.test_case "bad page size" `Quick test_phys_bad_page_size ]
-      );
+          Alcotest.test_case "bad page size" `Quick test_phys_bad_page_size;
+          Alcotest.test_case "span into a hole" `Quick test_phys_span_holes;
+          Alcotest.test_case "byte bounds" `Quick test_phys_byte_bounds;
+          QCheck_alcotest.to_alcotest span_property ] );
       ( "tlb",
         [ Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "fifo eviction" `Quick test_tlb_fifo_eviction;

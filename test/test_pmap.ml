@@ -279,6 +279,124 @@ let test_reference_counting arch =
     (Pmap_domain.find_pmap domain ~asid:p.Pmap.asid = None);
   Alcotest.(check int) "pv cleaned" 0 (Pmap_domain.mapping_count domain ~pfn:3)
 
+(* ---- page-granular pv operations --------------------------------------- *)
+
+(* VAX machine-independent pages of four 512-byte frames: pfns 16..19
+   are the page under test.  Both pmaps are active, one per CPU, so
+   every lost translation has a CPU to shoot. *)
+let page_frames = 4
+
+let vax_page_setup () =
+  let machine, domain = setup Arch.uvax2 in
+  let tr = Mach_obs.Obs.create () in
+  Mach_obs.Obs.set_enabled tr true;
+  Machine.set_tracer machine tr;
+  let p1 = Pmap_domain.create_pmap domain in
+  let p2 = Pmap_domain.create_pmap domain in
+  p1.Pmap.activate ~cpu:0;
+  p2.Pmap.activate ~cpu:1;
+  (machine, domain, tr, p1, p2)
+
+let map_at p ~vpn ~pfn =
+  p.Pmap.enter ~va:(vpn * page Arch.uvax2) ~pfn ~prot:Prot.read_write
+    ~wired:false
+
+(* The page mapped whole by both pmaps, at unrelated vpns, next to an
+   unrelated mapping of p1's that a page-wide request must not reach. *)
+let map_whole p1 p2 =
+  for j = 0 to page_frames - 1 do
+    map_at p1 ~vpn:(10 + j) ~pfn:(16 + j);
+    map_at p2 ~vpn:(40 + j) ~pfn:(16 + j)
+  done;
+  map_at p1 ~vpn:14 ~pfn:30;
+  2 * page_frames
+
+(* p1 maps three of the four frames (frame 18 not at all), with vpn 12
+   — the hole in its run — mapping another page; p2 maps every frame,
+   at vpns out of order. *)
+let map_partial p1 p2 =
+  map_at p1 ~vpn:10 ~pfn:16;
+  map_at p1 ~vpn:11 ~pfn:17;
+  map_at p1 ~vpn:12 ~pfn:30;
+  map_at p1 ~vpn:13 ~pfn:19;
+  List.iter
+    (fun (vpn, pfn) -> map_at p2 ~vpn ~pfn)
+    [ (50, 16); (52, 17); (51, 18); (53, 19) ];
+  7
+
+(* Counters an operation moves: exchanges, pmap removals and protects,
+   and the range requests traced for each. *)
+let counts machine domain tr =
+  let st = Pmap_domain.total_stats domain in
+  let open Mach_obs.Obs in
+  ( (Machine.stats machine).Machine.shootdowns,
+    st.Pmap.removals,
+    st.Pmap.protect_ops,
+    count tr (Pmap_remove { asid = 0; start_va = 0; end_va = 0 }),
+    count tr (Pmap_protect { asid = 0; start_va = 0; end_va = 0 }) )
+
+let page_unmapped domain =
+  List.for_all
+    (fun j -> Pmap_domain.mapping_count domain ~pfn:(16 + j) = 0)
+    (List.init page_frames Fun.id)
+
+let test_remove_all_page ~map ~requests () =
+  let machine, domain, tr, p1, p2 = vax_page_setup () in
+  let mapped = map p1 p2 in
+  let x0, r0, _, q0, _ = counts machine domain tr in
+  Pmap_domain.remove_all domain ~pfn:16 ~frames:page_frames ~urgent:true;
+  let x1, r1, _, q1, _ = counts machine domain tr in
+  Alcotest.(check bool) "every frame unmapped" true (page_unmapped domain);
+  Alcotest.(check int) "removals = mappings" mapped (r1 - r0);
+  Alcotest.(check int) "one exchange" 1 (x1 - x0);
+  Alcotest.(check int) "range requests" requests (q1 - q0);
+  let ps = page Arch.uvax2 in
+  Alcotest.(check (option int)) "other page kept" (Some 30)
+    (p1.Pmap.extract ((if mapped = 7 then 12 else 14) * ps));
+  Alcotest.(check int) "only the page's mappings went" 1
+    (p1.Pmap.resident_count () + p2.Pmap.resident_count ())
+
+(* Writes through p1 on CPU 0 to [vpns]: which of them protection
+   fault (the handler restores write access). *)
+let write_faults machine p1 ~vpns =
+  let ps = page Arch.uvax2 in
+  let faulted = ref [] in
+  Machine.set_fault_handler machine (fun ~cpu:_ f ->
+      let vpn = f.Machine.fault_va / ps in
+      faulted := vpn :: !faulted;
+      match p1.Pmap.extract (vpn * ps) with
+      | Some pfn -> map_at p1 ~vpn ~pfn
+      | None -> Alcotest.fail "fault on an unmapped page");
+  List.iter (fun vpn -> Machine.write_byte machine ~cpu:0 ~va:(vpn * ps) 'w')
+    vpns;
+  List.sort_uniq Int.compare !faulted
+
+let test_copy_on_write_page ~map ~requests () =
+  let machine, domain, tr, p1, p2 = vax_page_setup () in
+  let mapped = map p1 p2 in
+  let x0, r0, o0, _, q0 = counts machine domain tr in
+  Pmap_domain.copy_on_write domain ~pfn:16 ~frames:page_frames;
+  let x1, r1, o1, _, q1 = counts machine domain tr in
+  Alcotest.(check int) "nothing removed" 0 (r1 - r0);
+  Alcotest.(check int) "one exchange" 1 (x1 - x0);
+  Alcotest.(check int) "range requests" requests (q1 - q0);
+  Alcotest.(check int) "protect calls" requests (o1 - o0);
+  let page_vpns = if mapped = 7 then [ 10; 11; 13 ] else [ 10; 11; 12; 13 ] in
+  let other = if mapped = 7 then 12 else 14 in
+  Alcotest.(check (list int)) "page writes fault, the other page's do not"
+    page_vpns
+    (write_faults machine p1 ~vpns:(other :: page_vpns))
+
+let page_granular_tests =
+  [ Alcotest.test_case "remove_all: whole pages in two pmaps" `Quick
+      (test_remove_all_page ~map:map_whole ~requests:2);
+    Alcotest.test_case "remove_all: some frames, vpns out of order" `Quick
+      (test_remove_all_page ~map:map_partial ~requests:7);
+    Alcotest.test_case "copy_on_write: whole pages in two pmaps" `Quick
+      (test_copy_on_write_page ~map:map_whole ~requests:2);
+    Alcotest.test_case "copy_on_write: some frames, vpns out of order" `Quick
+      (test_copy_on_write_page ~map:map_partial ~requests:7) ]
+
 (* ---- architecture-specific behaviours ----------------------------------- *)
 
 let test_vax_table_gc () =
@@ -561,6 +679,7 @@ let () =
       ("bits", per_arch "modify/reference bits" test_modify_reference_bits);
       ("activate", per_arch "activate switches" test_activate_switches);
       ("page ops", per_arch "zero/copy page" test_zero_copy_page);
+      ("page-granular", page_granular_tests);
       ("wired", per_arch "wired survives collect" test_wired_survives_collect);
       ("empty remove", per_arch "remove empty range" test_remove_empty_range);
       ( "reactivate",

@@ -83,6 +83,27 @@ let page_io_fill_pads =
        || (Bytes.to_string (Bytes.sub whole 0 (String.length s)) = s
            && Bytes.get whole (String.length s) = '\000'))
 
+(* [fill]'s [pos] must lie within [data]: one past its end raises and
+   leaves the page alone, where a silent zero page would hide a short
+   reply; [pos] at the end is a page of zeros. *)
+let test_page_io_fill_pos () =
+  let _, _, sys = boot () in
+  let ps = sys.Vm_sys.page_size in
+  let p = Vm_sys.grab_page sys in
+  let data = Bytes.make ps 'x' in
+  Page_io.copy_in sys p ~off:0 data;
+  let bad = Invalid_argument "Page_io.fill" in
+  Alcotest.check_raises "pos past the end" bad (fun () ->
+      Page_io.fill sys p data ~pos:(ps + 1));
+  Alcotest.check_raises "negative pos" bad (fun () ->
+      Page_io.fill sys p data ~pos:(-1));
+  Alcotest.(check bool) "page untouched" true
+    (Bytes.equal (Page_io.contents sys p) data);
+  Page_io.fill sys p data ~pos:ps;
+  Alcotest.(check bool) "pos at the end zero-fills" true
+    (Bytes.equal (Page_io.contents sys p) (Bytes.make ps '\000'));
+  Resident.free_page sys.Vm_sys.resident p
+
 (* [Page_io.blit_out] into a garbage-filled buffer writes exactly what
    [copy_out] returns, at [pos], and nothing outside it.  The page spans
    eight 512-byte VAX frames, so most ranges straddle frames. *)
@@ -378,7 +399,9 @@ let () =
             simdisk_read_run_into ] );
       ( "page_io",
         List.map QCheck_alcotest.to_alcotest
-          [ page_io_roundtrip; page_io_fill_pads; page_io_blit_out ] );
+          [ page_io_roundtrip; page_io_fill_pads; page_io_blit_out ]
+        @ [ Alcotest.test_case "fill rejects a pos outside data" `Quick
+              test_page_io_fill_pos ] );
       ( "system",
         List.map QCheck_alcotest.to_alcotest
           [ protect_preserves_data; vm_copy_equals_read_write;

@@ -21,6 +21,27 @@ let test_dlist_push_order () =
   Alcotest.(check (list int)) "order" [ 0; 1; 2 ] (Dlist.to_list l);
   Alcotest.(check int) "length" 3 (Dlist.length l)
 
+(* One node for life: unlinked from one list, relinked into another,
+   never linked twice. *)
+let test_dlist_relink_node () =
+  let a = Dlist.create () and b = Dlist.create () in
+  let n = Dlist.node 'n' in
+  Alcotest.(check bool) "made unlinked" false (Dlist.linked n);
+  ignore (Dlist.push_back a 'x');
+  Dlist.push_back_node a n;
+  Alcotest.(check (list char)) "linked at the tail" [ 'x'; 'n' ]
+    (Dlist.to_list a);
+  (match Dlist.push_front_node b n with
+   | () -> Alcotest.fail "a linked node was linked again"
+   | exception Assert_failure _ -> ());
+  Dlist.remove a n;
+  ignore (Dlist.push_back b 'y');
+  Dlist.push_front_node b n;
+  Alcotest.(check (list char)) "relinked at the head" [ 'n'; 'y' ]
+    (Dlist.to_list b);
+  Alcotest.(check (list char)) "gone from the first" [ 'x' ]
+    (Dlist.to_list a)
+
 let test_dlist_remove_middle () =
   let l = Dlist.create () in
   let _a = Dlist.push_back l 'a' in
@@ -227,6 +248,7 @@ let () =
         [ Alcotest.test_case "empty" `Quick test_dlist_empty;
           Alcotest.test_case "push order" `Quick test_dlist_push_order;
           Alcotest.test_case "remove middle" `Quick test_dlist_remove_middle;
+          Alcotest.test_case "relink one node" `Quick test_dlist_relink_node;
           Alcotest.test_case "remove ends" `Quick test_dlist_remove_ends;
           Alcotest.test_case "insert before/after" `Quick
             test_dlist_insert_before_after;
