@@ -85,7 +85,9 @@ let alloc_frame t ~cpu =
       | None -> failwith "bsd_vm: out of memory"
       | Some (p, vpn, frame) ->
         let live =
-          (not p.p_dead) && Hashtbl.find_opt p.p_pages vpn = Some frame
+          (not p.p_dead)
+          && Option.equal Int.equal
+               (Hashtbl.find_opt p.p_pages vpn) (Some frame)
         in
         if not live then evict ()
         else if t.frame_refs.(frame) > 1 then begin

@@ -116,4 +116,4 @@ let reset_counters t =
 
 let flush t =
   Hashtbl.reset t.table;
-  while Dlist.pop_front t.lru <> None do () done
+  while Option.is_some (Dlist.pop_front t.lru) do () done

@@ -54,8 +54,8 @@ let handle_fault t ~cpu (f : Machine.fault) =
             { va = f.Machine.fault_va; write; reason = Kr.to_string kr }))
 
 let create ?(page_multiple = 1) machine =
-  let domain = Pmap_domain.create machine in
-  let sys = Vm_sys.create ~machine ~domain ~page_multiple () in
+  let domain = Pmap_domain.create ~page_multiple machine in
+  let sys = Vm_sys.create ~machine ~domain () in
   Vm_pageout.install sys;
   let t =
     { machine; domain; sys;

@@ -7,13 +7,10 @@ let phys (sys : Vm_sys.t) = Machine.phys sys.Vm_sys.machine
 let charge_move (sys : Vm_sys.t) len =
   Vm_sys.charge sys (((len + 15) / 16) * (Vm_sys.cost sys).Mach_hw.Arch.move_16b)
 
-let zero (sys : Vm_sys.t) p =
-  Pmap_domain.zero_page sys.Vm_sys.domain ~pfn:p.pfn
-    ~frames:(Resident.multiple sys.Vm_sys.resident)
+let zero (sys : Vm_sys.t) p = Pmap_domain.zero_page sys.Vm_sys.domain ~pfn:p.pfn
 
 let copy (sys : Vm_sys.t) ~src ~dst =
   Pmap_domain.copy_page sys.Vm_sys.domain ~src:src.pfn ~dst:dst.pfn
-    ~frames:(Resident.multiple sys.Vm_sys.resident)
 
 (* Bytes [off, off + len) of the page must lie within it.  The page's
    frames are consecutive, so each move below is one span operation,

@@ -46,7 +46,10 @@ let declare_dead (sys : Vm_sys.t) o pager =
   let rescued = ref 0 in
   List.iter
     (fun p ->
-       if (not p.pg_busy) && Vm_sys.page_modified sys p then
+       if
+         (not p.pg_busy)
+         && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
+       then
          match
            rescue.pgr_write ~offset:p.pg_offset
              ~data:(Page_io.contents sys p)

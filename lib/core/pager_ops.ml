@@ -31,7 +31,8 @@ let clean_request sys o ~offset ~length =
   let ps = sys.Vm_sys.page_size in
   let dirty = ref [] in
   pages_in_range sys o ~offset ~length (fun p ->
-      if Vm_sys.page_modified sys p then dirty := p :: !dirty);
+      if Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn then
+        dirty := p :: !dirty);
   let dirty =
     List.sort (fun a b -> Int.compare a.pg_offset b.pg_offset) !dirty
   in
@@ -39,8 +40,7 @@ let clean_request sys o ~offset ~length =
   let clean_one p =
     (* Writing back races with writers: take write permission away
        first so the cleaned copy is coherent. *)
-    Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
-      ~frames:(Vm_sys.frames sys);
+    Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn;
     if Vm_pageout.clean_page sys p then incr written
   in
   (* Coalesce contiguous dirty pages into clustered writes (capped at
@@ -92,16 +92,13 @@ let lock_request sys o ~offset ~length ~lock =
   pages_in_range sys o ~offset ~length (fun p ->
       if lock.Prot.read then
         (* Locking reads means no access at all: drop the mappings. *)
-        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
-          ~frames:(Vm_sys.frames sys) ~urgent:false
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:false
       else if lock.Prot.write then
-        Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
-          ~frames:(Vm_sys.frames sys))
+        Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
 
 let readonly sys o =
   o.obj_readonly <- true;
   pages_in_range sys o ~offset:0 ~length:o.obj_size (fun p ->
-      Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
-        ~frames:(Vm_sys.frames sys))
+      Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
 
 let is_readonly o = o.obj_readonly

@@ -33,7 +33,6 @@ let lock_hold = 60
 type t = {
   phys : Phys_mem.t;
   page_size : int;
-  multiple : int;
   hash : page Int_pair.Tbl.t; (* (obj_id, offset) -> page *)
   mutable pages : page list; (* every page, whatever its state *)
   active : page Dlist.t;
@@ -62,7 +61,6 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
     {
       phys;
       page_size = multiple * Phys_mem.page_size phys;
-      multiple;
       hash = Int_pair.Tbl.create 1024;
       pages = [];
       active = Dlist.create ();
@@ -112,7 +110,7 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
   t
 
 let page_size t = t.page_size
-let multiple t = t.multiple
+let multiple t = t.page_size / Phys_mem.page_size t.phys
 let total_pages t = t.total
 let free_count t = t.free_total
 let active_count t = Dlist.length t.active

@@ -104,7 +104,7 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
    granting a second chance. *)
 let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
   if st.st_window >= free_behind_window then begin
-    let ps = sys.Vm_sys.page_size in
+    let ps = sys.Vm_sys.page_size and domain = sys.Vm_sys.domain in
     let epoch = stream_epoch sys in
     let ahead_of_other_stream off =
       Array.exists
@@ -122,9 +122,9 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
             p.pg_queue = Q_active && p.pg_wire_count = 0
             && (not p.pg_busy) && Option.is_none p.pg_inflight
             && (not (ahead_of_other_stream off))
-            && not (Vm_sys.page_modified sys p)
+            && not (Mach_pmap.Pmap_domain.is_modified domain ~pfn:p.pfn)
           then begin
-            Vm_sys.clear_page_referenced sys p;
+            Mach_pmap.Pmap_domain.clear_referenced domain ~pfn:p.pfn;
             Resident.enqueue_inactive_front sys.Vm_sys.resident p;
             incr moved
           end

@@ -191,27 +191,32 @@ let check_tlb sys =
          e.Tlb.asid e.Tlb.vpn e.Tlb.pfn (Prot.to_string e.Tlb.prot))
     (Machine.tlb_overreach sys.Vm_sys.machine)
 
-(* A burst record awaiting its outcome names a frame of its page that
-   its address space still maps, and a page still owned by an object:
-   dropping the mapping or freeing the page settles the record first. *)
+(* A burst record awaiting its outcome is keyed by its page's pfn, and
+   its address space still maps every frame of that page, which an
+   object still owns: dropping a mapping or freeing the page settles the
+   record first. *)
 let check_burst sys =
   let errs = ref [] in
   let m = Resident.multiple sys.Vm_sys.resident in
-  Hashtbl.iter
+  Mach_util.Int_pair.Tbl.iter
     (fun (asid, pfn) (b : Vm_sys.burst) ->
        let p = b.Vm_sys.b_page in
-       if
-         not
-           (List.exists
-              (fun (a, _) -> a = asid)
-              (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn))
-       then note errs "burst record (asid %d, frame %d) is not mapped" asid pfn;
-       if pfn < p.pfn || pfn >= p.pfn + m then
-         note errs "burst record (asid %d, frame %d) names page pfn=%d" asid
+       if pfn <> p.pfn then
+         note errs "burst record (asid %d, pfn %d) names page pfn=%d" asid
            pfn p.pfn;
-       if p.pg_obj = None then
-         note errs "burst record (asid %d, frame %d) outlives its object"
-           asid pfn)
+       for f = p.pfn to p.pfn + m - 1 do
+         if
+           not
+             (List.exists
+                (fun (a, _) -> a = asid)
+                (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn:f))
+         then
+           note errs "burst record (asid %d, pfn %d): frame %d is not mapped"
+             asid pfn f
+       done;
+       if Option.is_none p.pg_obj then
+         note errs "burst record (asid %d, pfn %d) outlives its object" asid
+           pfn)
     sys.Vm_sys.burst_pending;
   List.rev !errs
 

@@ -19,8 +19,9 @@
       owning pmap's [pmap_extract];
     - every TLB entry of a CPU's active address space that no pending
       flush covers maps the frame its pmap maps, with no more rights;
-    - every undecided burst record names a frame of its page that its
-      address space still maps, and a page still owned by an object;
+    - every undecided burst record is keyed by its page's pfn, its
+      address space still maps every frame of the page, and an object
+      still owns the page;
     - no stream slot outlives its object, slot arrays hold 0 or
       {!Vm_cluster.slot_count} slots, and live cursors are page aligned;
     - the swap pool's usage equals the bytes its stores hold. *)

@@ -3,22 +3,9 @@ open Types
 open Mach_pmap
 module Obs = Mach_obs.Obs
 
-let zero_mach_page = Page_io.zero
-
-let copy_mach_page sys ~src ~dst = Page_io.copy sys ~src ~dst
-
-(* Enter every hardware frame of [p] at [page_va] in [pmap].  Batched so
-   that on architectures whose pages are smaller than the machine page a
-   re-enter's flushes go out as one exchange. *)
 let enter_page (sys : Vm_sys.t) pmap ~page_va p ~prot =
-  let phys = Machine.phys sys.Vm_sys.machine in
-  let hw = Phys_mem.page_size phys in
-  let m = Resident.multiple sys.Vm_sys.resident in
-  Pmap_domain.batched sys.Vm_sys.domain (fun () ->
-      for i = 0 to m - 1 do
-        pmap.Pmap.enter ~va:(page_va + (i * hw)) ~pfn:(p.pfn + i) ~prot
-          ~wired:(p.pg_wire_count > 0)
-      done)
+  Pmap_domain.enter_page sys.Vm_sys.domain pmap ~va:page_va ~pfn:p.pfn ~prot
+    ~wired:(p.pg_wire_count > 0)
 
 let activate_page (sys : Vm_sys.t) p =
   if p.pg_wire_count = 0 then
@@ -201,8 +188,7 @@ let handle sys map ~va ~write =
     in
     let invalidate_shared_source src =
       if shared_entry then
-        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:src.pfn
-          ~frames:(Vm_sys.frames sys) ~urgent:false
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:src.pfn ~urgent:false
     in
     (* Walk the shadow chain.  At each level the resident page wins;
        failing that the object's *own* pager is asked (a shadow that has
@@ -319,7 +305,7 @@ let handle sys map ~va ~write =
                        use must be seen as a referenced-bit transition:
                        clear the bits and register for the first-touch
                        hook. *)
-                    Vm_sys.clear_page_referenced sys q;
+                    Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:q.pfn;
                     Vm_sys.burst_register sys ~asid:pmap.Pmap.asid entry q
                       ~issued)
                  burst);
@@ -337,7 +323,7 @@ let handle sys map ~va ~write =
            Vm_object.lock_write sys first_obj (fun () ->
                Vm_sys.with_cat sys Obs.Cow_copy (fun () ->
                    let p = new_page_in sys first_obj ~offset in
-                   copy_mach_page sys ~src ~dst:p;
+                   Page_io.copy sys ~src ~dst:p;
                    stats.Vm_stats.vs_cow_copies <-
                      stats.Vm_stats.vs_cow_copies + 1;
                    resolution := Obs.Cow_copy;
@@ -361,7 +347,7 @@ let handle sys map ~va ~write =
            Vm_object.lock_write sys first_obj (fun () ->
                Vm_sys.with_cat sys Obs.Zero_fill (fun () ->
                    let p = new_page_in sys first_obj ~offset in
-                   zero_mach_page sys p;
+                   Page_io.zero sys p;
                    p))
          in
          stats.Vm_stats.vs_zero_fills <- stats.Vm_stats.vs_zero_fills + 1;

@@ -288,8 +288,7 @@ let cow_protect sys o ~lo ~hi =
   List.iter
     (fun p ->
        if p.pg_offset >= lo && p.pg_offset < hi then
-         Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn
-           ~frames:(Vm_sys.frames sys))
+         Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
     (Resident.object_pages o)
 
 let allocate_object sys m o ~offset ?at ~size ~anywhere

@@ -92,10 +92,9 @@ let free_page (sys : Vm_sys.t) p =
     if p.pg_prefetched then
       sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
         sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;
-    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
-      ~frames:(Vm_sys.frames sys) ~urgent:true;
-    Vm_sys.clear_page_modified sys p;
-    Vm_sys.clear_page_referenced sys p;
+    Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:true;
+    Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
+    Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
     Resident.free_page ~cpu:(Vm_sys.current_cpu sys) sys.Vm_sys.resident p
   in
   match p.pg_obj with

@@ -11,7 +11,7 @@ let deactivate_some (sys : Vm_sys.t) ~count =
       match Resident.take_active sys.Vm_sys.resident with
       | None -> ()
       | Some p ->
-        Vm_sys.clear_page_referenced sys p;
+        Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
         Resident.enqueue sys.Vm_sys.resident p Q_inactive;
         loop (n - 1)
   in
@@ -65,7 +65,7 @@ let clean_page (sys : Vm_sys.t) p =
       Pager_guard.write sys o ~offset:p.pg_offset ~data:(page_bytes sys p)
     with
     | `Ok ->
-      Vm_sys.clear_page_modified sys p;
+      Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
       p.pg_requeues <- 0;
       (* A successful write is progress: pressure, if any, has lifted. *)
       sys.Vm_sys.mem_pressure <- false;
@@ -101,9 +101,7 @@ let write_cluster (sys : Vm_sys.t) o pages =
      would pass the whole-space flush threshold and drop every
      translation of the address space. *)
   List.iter
-    (fun q ->
-       Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:q.pfn
-         ~frames:(Vm_sys.frames sys))
+    (fun q -> Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:q.pfn)
     pages;
   let ps = sys.Vm_sys.page_size in
   let data = Bytes.create (n * ps) in
@@ -112,8 +110,11 @@ let write_cluster (sys : Vm_sys.t) o pages =
     pages;
   match Pager_guard.write_range sys o ~offset:start ~data with
   | `Ok ->
-    List.iter (Vm_sys.clear_page_modified sys) pages;
-    List.iter (fun q -> q.pg_requeues <- 0) pages;
+    List.iter
+      (fun q ->
+         Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:q.pfn;
+         q.pg_requeues <- 0)
+      pages;
     sys.Vm_sys.mem_pressure <- false;
     sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
       sys.Vm_sys.stats.Vm_stats.vs_pageouts + n;
@@ -147,7 +148,8 @@ let clean_cluster (sys : Vm_sys.t) p =
   | Some o ->
     let ps = sys.Vm_sys.page_size in
     let eligible q =
-      (not q.pg_busy) && q.pg_wire_count = 0 && Vm_sys.page_modified sys q
+      (not q.pg_busy) && q.pg_wire_count = 0
+      && Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:q.pfn
     in
     let rec grow acc off step n =
       if n >= sys.Vm_sys.cluster_max || off < 0 then (acc, n)
@@ -197,9 +199,9 @@ let run (sys : Vm_sys.t) ~wanted =
       if p.pg_busy || p.pg_wire_count > 0 then
         (* Should not be queued at all; make it so. *)
         Resident.enqueue res p Q_none
-      else if Vm_sys.page_referenced sys p then begin
+      else if Pmap_domain.is_referenced sys.Vm_sys.domain ~pfn:p.pfn then begin
         (* Second chance. *)
-        Vm_sys.clear_page_referenced sys p;
+        Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
         Resident.enqueue res p Q_active;
         sys.Vm_sys.stats.Vm_stats.vs_reactivations <-
           sys.Vm_sys.stats.Vm_stats.vs_reactivations + 1
@@ -207,10 +209,12 @@ let run (sys : Vm_sys.t) ~wanted =
       else begin
         (* Remove all mappings first, then wait for every TLB to flush
            before recycling the frame (Section 5.2, case 2). *)
-        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn
-          ~frames:(Vm_sys.frames sys) ~urgent:false;
+        Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:false;
         Machine.tick sys.Vm_sys.machine;
-        if Vm_sys.page_modified sys p && not (clean_cluster sys p) then begin
+        if
+          Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
+          && not (clean_cluster sys p)
+        then begin
           (* The pageout write failed after its retry budget: the data
              exists nowhere but this frame, so it must stay dirty and
              resident.  Requeue it at the back of the active queue — the
@@ -231,8 +235,8 @@ let run (sys : Vm_sys.t) ~wanted =
              and freed on the next encounter. *)
           Resident.enqueue res p Q_inactive
         else begin
-          Vm_sys.clear_page_referenced sys p;
-          Vm_sys.clear_page_modified sys p;
+          Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
+          Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
           if p.pg_prefetched then
             sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
               sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;

@@ -1,5 +1,6 @@
 open Mach_hw
 open Mach_pmap
+module Int_pair = Mach_util.Int_pair
 
 (* One burst-mapped neighbour whose outcome is still undecided: mapped
    into [b_asid] by a resident fault through [b_entry], not yet touched
@@ -76,10 +77,10 @@ type t = {
       (* upper bound on pages a resident fault maps in one pass (demand
          page included), and the cap of every entry's adaptive window;
          0 and 1 both map only the demand page *)
-  burst_pending : (int * int, burst) Hashtbl.t;
-      (* (asid, pfn) -> burst-mapped neighbour whose outcome is still
-         undecided; settled by the pmap layer's first-touch and unmap
-         hooks, or by a demand fault on the page *)
+  burst_pending : burst Mach_util.Int_pair.Tbl.t;
+      (* (asid, page pfn) -> burst-mapped neighbour whose outcome is
+         still undecided; settled by the pmap layer's first-touch and
+         unmap hooks, or by a demand fault on the page *)
   swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
       (* pager id -> the chunks a Swap_pager of this kernel holds, kept
          here rather than in a global table so a dropped kernel takes
@@ -91,43 +92,12 @@ type t = {
 
 exception Out_of_memory
 
-(* --- Pages over hardware frames ----------------------------------------
-
-   A resident page spans [frames] consecutive hardware frames.  Its
-   modify and reference state is the OR over them; clearing clears them
-   all.  (The page-level pmap operations take the whole page directly:
-   [Pmap_domain.remove_all]/[copy_on_write] with [~frames].) *)
-
-let frames t = Resident.multiple t.resident
-
-let each_frame t p f =
-  for i = 0 to frames t - 1 do
-    f (p.Types.pfn + i)
-  done
-
-let any_frame t p f =
-  let m = frames t in
-  let rec loop i = i < m && (f (p.Types.pfn + i) || loop (i + 1)) in
-  loop 0
-
-let page_modified t p =
-  any_frame t p (fun pfn -> Pmap_domain.is_modified t.domain ~pfn)
-
-let page_referenced t p =
-  any_frame t p (fun pfn -> Pmap_domain.is_referenced t.domain ~pfn)
-
-let clear_page_modified t p =
-  each_frame t p (fun pfn -> Pmap_domain.clear_modified t.domain ~pfn)
-
-let clear_page_referenced t p =
-  each_frame t p (fun pfn -> Pmap_domain.clear_referenced t.domain ~pfn)
-
 (* --- Burst-mapped page tracking --------------------------------------
 
    Burst faulting maps resident neighbour pages that were never demanded,
    so their first use cannot be seen by the fault path (they no longer
    fault).  Each burst mapping is one issued prefetch, registered here
-   under (asid, frame) with the page's referenced bits cleared.  Its
+   under (asid, page pfn) with the page's referenced bits cleared.  Its
    outcome is a hit when the pmap layer's first-touch hook reports a
    touch through that address space; it then counts as a prefetch hit
    and the page is promoted like any other.  It is a miss when the
@@ -141,11 +111,11 @@ let clear_page_referenced t p =
 
 let burst_register t ~asid entry p ~issued =
   let b = { b_page = p; b_asid = asid; b_entry = entry; b_issued = issued } in
-  each_frame t p (fun pfn -> Hashtbl.replace t.burst_pending (asid, pfn) b)
+  Int_pair.Tbl.replace t.burst_pending (asid, p.Types.pfn) b
 
 let burst_settle t b ~hit =
   let p = b.b_page and e = b.b_entry in
-  each_frame t p (fun pfn -> Hashtbl.remove t.burst_pending (b.b_asid, pfn));
+  Int_pair.Tbl.remove t.burst_pending (b.b_asid, p.Types.pfn);
   if hit then begin
     e.Types.e_burst_hits <- e.Types.e_burst_hits + 1;
     if b.b_issued || p.Types.pg_prefetched then
@@ -158,15 +128,15 @@ let burst_settle t b ~hit =
   else e.Types.e_burst_misses <- e.Types.e_burst_misses + 1
 
 let burst_outcome t ~asid ~pfn ~hit =
-  if Hashtbl.length t.burst_pending > 0 then
-    match Hashtbl.find_opt t.burst_pending (asid, pfn) with
+  if Int_pair.Tbl.length t.burst_pending > 0 then
+    match Int_pair.Tbl.find_opt t.burst_pending (asid, pfn) with
     | None -> ()
     | Some b -> burst_settle t b ~hit
 
 let burst_demand_fault t ~asid p =
   burst_outcome t ~asid ~pfn:p.Types.pfn ~hit:false
 
-let create ~machine ~domain ~page_multiple () =
+let create ~machine ~domain () =
   let arch = Machine.arch machine in
   let frame_limit =
     match arch.Arch.phys_limit with
@@ -174,7 +144,8 @@ let create ~machine ~domain ~page_multiple () =
     | Some bytes -> bytes / arch.Arch.hw_page_size
   in
   let resident =
-    Resident.create ~phys:(Machine.phys machine) ~multiple:page_multiple
+    Resident.create ~phys:(Machine.phys machine)
+      ~multiple:(Pmap_domain.page_multiple domain)
       ~cpus:(Machine.cpu_count machine) ~frame_limit ()
   in
   let total = Resident.total_pages resident in
@@ -206,7 +177,7 @@ let create ~machine ~domain ~page_multiple () =
     cluster_max = 8;
     stream_clock = 0;
     burst_max = 8;
-    burst_pending = Hashtbl.create 64;
+    burst_pending = Int_pair.Tbl.create 64;
     swap_stores = Hashtbl.create 16;
     stats = Vm_stats.zero ();
   } in

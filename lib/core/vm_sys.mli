@@ -100,11 +100,11 @@ type t = {
       (** upper bound on pages a resident fault maps in one pass, demand
           page included, and the cap of every map entry's adaptive
           window; 0 and 1 both map only the demand page *)
-  burst_pending : (int * int, burst) Hashtbl.t;
-      (** burst-mapped neighbours, keyed by (asid, hardware frame), whose
-          outcome is still undecided; settled by the pmap layer's
-          first-touch and unmap hooks (installed by {!create}) or by
-          {!burst_demand_fault} *)
+  burst_pending : burst Mach_util.Int_pair.Tbl.t;
+      (** burst-mapped neighbours, one per page, keyed by (asid, the
+          page's pfn), whose outcome is still undecided; settled by the
+          pmap layer's first-touch and unmap hooks (installed by
+          {!create}) or by {!burst_demand_fault} *)
   swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
       (** pager id -> offset -> page-size chunk held by each
           {!Swap_pager} of this kernel; per kernel so a dropped kernel's
@@ -120,11 +120,11 @@ exception Out_of_memory
     resident pages). *)
 
 val create :
-  machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t ->
-  page_multiple:int -> unit -> t
-(** [create ~machine ~domain ~page_multiple ()] builds the VM state; the
-    machine-independent page size is [page_multiple] hardware pages.  The
-    resident table honours the architecture's physical address limit. *)
+  machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t -> unit -> t
+(** [create ~machine ~domain ()] builds the VM state; the
+    machine-independent page is the domain's
+    {!Mach_pmap.Pmap_domain.page_multiple} hardware pages.  The resident
+    table honours the architecture's physical address limit. *)
 
 val grab_page : ?reserve:bool -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
@@ -198,28 +198,6 @@ val emit : t -> Mach_obs.Obs.event -> unit
 
 val cost : t -> Mach_hw.Arch.cost
 (** The architecture's cost table. *)
-
-(** {1 Pages over hardware frames}
-
-    A resident page spans [frames t] consecutive hardware frames starting
-    at its [pfn].  The page-level pmap operations take it whole
-    ([Pmap_domain.remove_all]/[copy_on_write] with [~frames:(frames t)]);
-    these cover the per-frame attribute bits. *)
-
-val frames : t -> int
-(** Hardware frames per machine-independent page. *)
-
-val page_modified : t -> Types.page -> bool
-(** Whether any frame of the page was written since its bits were last
-    cleared. *)
-
-val page_referenced : t -> Types.page -> bool
-(** Whether any frame of the page was touched since its bits were last
-    cleared. *)
-
-val clear_page_modified : t -> Types.page -> unit
-val clear_page_referenced : t -> Types.page -> unit
-(** Clear the bit on every frame of the page. *)
 
 val burst_register :
   t -> asid:int -> Types.entry -> Types.page -> issued:bool -> unit

@@ -87,7 +87,7 @@ let decide t ~site:name =
         (* evaluate every rule (to keep the stream in lockstep), first
            trigger wins *)
         match eval s.s_rng ~op ~active:true rule with
-        | Some d when acc = None -> Some d
+        | Some d when Option.is_none acc -> Some d
         | _ -> acc)
       None s.s_plan
   in

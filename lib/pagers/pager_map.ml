@@ -4,7 +4,7 @@ let map_object sys task ~resolve ?at ?(copy = false) () =
   match resolve () with
   | exception Not_found -> Error Kr.Invalid_argument
   | (pager, size) ->
-    let anywhere = at = None in
+    let anywhere = Option.is_none at in
     (match
        Vm_user.allocate_with_pager sys task ~pager ~offset:0 ?at ~size
          ~anywhere ~copy ()

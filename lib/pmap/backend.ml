@@ -35,22 +35,25 @@ type ctx = {
          become time-critical (case 1 of Section 5.2) regardless of the
          machine's configured strategy. *)
   batch : batch;
+  page_frames : int;
+      (* Hardware frames per machine-independent page (the boot-time
+         page multiple, a power of two); pages start at multiples of it. *)
   mutable on_unmap : asid:int -> pfn:int -> unit;
-      (* Called for every mapping this domain drops — range remove,
-         remove_all, context steal, replacement by a new frame, pmap
-         destruction — after the pv entry is gone.  The VM layer uses it
-         to retire speculative (burst) mappings that were never used.
-         Charges nothing. *)
+      (* Called with the page's first frame for every mapping this
+         domain drops — range remove, remove_all, context steal,
+         replacement by a new frame, pmap destruction — after the pv
+         entry is gone.  The VM layer uses it to retire speculative
+         (burst) mappings that were never used.  Charges nothing. *)
 }
 
 (* Which CPUs a pmap is active on now, and which may still cache its
    translations (shootdown targets). *)
 type presence = { active : bool array; ran_on : bool array }
 
-let create machine =
+let create ~page_frames machine =
   let frames = Phys_mem.frame_count (Machine.phys machine) in
   { machine; pv = Pv.create ~frames; next_asid = 1; cur_cpu = 0;
-    urgent_mode = false;
+    urgent_mode = false; page_frames;
     batch =
       { depth = 0; page_vpns = Int_tbl.create 8;
         local_vpns = Int_tbl.create 8; whole_asids = Int_tbl.create 8;
@@ -62,6 +65,9 @@ let arch ctx = Machine.arch ctx.machine
 let page_size ctx = (arch ctx).Arch.hw_page_size
 let cost ctx = (arch ctx).Arch.cost
 let charge ctx c = Machine.charge ctx.machine ~cpu:ctx.cur_cpu c
+
+(* The first frame of the machine-independent page holding [pfn]. *)
+let page_of ctx pfn = pfn land lnot (ctx.page_frames - 1)
 
 let shoot_targets p =
   let acc = ref [] in
@@ -237,7 +243,7 @@ let pv_insert ctx ~pfn ~asid ~vpn =
 
 let pv_remove ctx ~pfn ~asid ~vpn =
   Pv.remove ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn };
-  ctx.on_unmap ~asid ~pfn
+  ctx.on_unmap ~asid ~pfn:(page_of ctx pfn)
 
 (* Charge for zeroing or copying [bytes] of memory. *)
 let move_cost ctx bytes = ((bytes + 15) / 16) * (cost ctx).Arch.move_16b

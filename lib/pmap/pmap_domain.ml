@@ -7,13 +7,16 @@ type t = {
   registry : Pmap.t Int_tbl.t;
   mutable on_first_touch : (asid:int -> pfn:int -> unit) option;
       (* fired when a frame's referenced bit transitions clear -> set,
-         with the address space the touch went through; the VM layer
-         uses it to observe the first touch of pages it mapped
-         speculatively (burst faulting).  Charges nothing. *)
+         with the address space the touch went through and the first
+         frame of the frame's page; the VM layer uses it to observe the
+         first touch of pages it mapped speculatively (burst faulting).
+         Charges nothing. *)
 }
 
-let create machine =
-  let ctx = Backend.create machine in
+let create ?(page_multiple = 1) machine =
+  if page_multiple <= 0 || page_multiple land (page_multiple - 1) <> 0 then
+    invalid_arg "Pmap_domain.create: page_multiple must be a power of two";
+  let ctx = Backend.create ~page_frames:page_multiple machine in
   let factory =
     match (Machine.arch machine).Arch.kind with
     | Arch.Vax -> Table_pmap.vax_domain ctx
@@ -28,7 +31,8 @@ let create machine =
   Machine.set_on_translated machine (fun ~asid ~pfn ~write ->
       let pv = ctx.Backend.pv in
       (match t.on_first_touch with
-       | Some f when not (Pv.is_referenced pv ~pfn) -> f ~asid ~pfn
+       | Some f when not (Pv.is_referenced pv ~pfn ~frames:1) ->
+         f ~asid ~pfn:(Backend.page_of ctx pfn)
        | _ -> ());
       Pv.set_referenced pv ~pfn;
       if write then Pv.set_modified pv ~pfn);
@@ -39,6 +43,8 @@ let set_on_first_touch t f = t.on_first_touch <- Some f
 let set_on_unmap t f = t.ctx.Backend.on_unmap <- f
 
 let machine t = t.ctx.Backend.machine
+
+let page_multiple t = t.ctx.Backend.page_frames
 
 (* Wrap a fresh pmap in one record update: trace emission and cycle
    attribution around the mutation entry points, and reference counting
@@ -121,21 +127,22 @@ let maps_page p ~page ~pfn ~frames vpn =
 
 (* [m], a mapping of frame [pfn + i], is the [i]th frame of a mapping
    of the whole page. *)
-let within t ~pfn ~frames i { Pv.pv_asid; pv_vpn } =
-  maps_page (pmap_of t ~asid:pv_asid) ~page:(page_size t) ~pfn ~frames
-    (pv_vpn - i)
+let within t ~pfn i { Pv.pv_asid; pv_vpn } =
+  maps_page (pmap_of t ~asid:pv_asid) ~page:(page_size t) ~pfn
+    ~frames:(page_multiple t) (pv_vpn - i)
 
 (* Apply [f pmap va len] to every mapping of every hardware frame of the
-   machine-independent page [pfn, pfn+frames), all inside one batch.  A
-   mapping that carries the whole page gets one call over its [frames]
-   vpns; every other mapping gets one call per frame.  The consistency
-   unit is the MI page, so a page mapped into many address spaces still
-   costs a single exchange (one IPI round per target CPU). *)
-let each_page_mapping t ~pfn ~frames f =
+   machine-independent page at [pfn], all inside one batch.  A mapping
+   that carries the whole page gets one call over the page's vpns; every
+   other mapping gets one call per frame.  The consistency unit is the
+   MI page, so a page mapped into many address spaces still costs a
+   single exchange (one IPI round per target CPU). *)
+let each_page_mapping t ~pfn f =
   let pv = t.ctx.Backend.pv and page = page_size t in
+  let frames = page_multiple t in
   let whole =
     if frames = 1 then []
-    else List.filter (within t ~pfn ~frames 0) (Pv.mappings pv ~pfn)
+    else List.filter (within t ~pfn 0) (Pv.mappings pv ~pfn)
   in
   batched t (fun () ->
       List.iter
@@ -146,18 +153,19 @@ let each_page_mapping t ~pfn ~frames f =
       for i = 0 to frames - 1 do
         List.iter
           (fun m ->
-             if whole = [] || not (within t ~pfn ~frames i m) then
-               f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page) page)
+             match whole with
+             | _ :: _ when within t ~pfn i m -> ()
+             | _ -> f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page) page)
           (Pv.mappings pv ~pfn:(pfn + i))
       done)
 
 (* Urgency is captured per accumulated flush, so restoring [urgent_mode]
    before the batch flushes is safe. *)
-let remove_all t ~pfn ~frames ~urgent =
+let remove_all t ~pfn ~urgent =
   let saved = t.ctx.Backend.urgent_mode in
   t.ctx.Backend.urgent_mode <- urgent;
   match
-    each_page_mapping t ~pfn ~frames (fun p va len ->
+    each_page_mapping t ~pfn (fun p va len ->
         p.Pmap.remove ~start_va:va ~end_va:(va + len))
   with
   | () -> t.ctx.Backend.urgent_mode <- saved
@@ -165,15 +173,27 @@ let remove_all t ~pfn ~frames ~urgent =
     t.ctx.Backend.urgent_mode <- saved;
     raise e
 
-let copy_on_write t ~pfn ~frames =
+let copy_on_write t ~pfn =
   let read_only_mask = Prot.remove_write Prot.all in
-  each_page_mapping t ~pfn ~frames (fun p va len ->
+  each_page_mapping t ~pfn (fun p va len ->
       p.Pmap.protect ~start_va:va ~end_va:(va + len) ~prot:read_only_mask)
 
-let is_modified t ~pfn = Pv.is_modified t.ctx.Backend.pv ~pfn
-let is_referenced t ~pfn = Pv.is_referenced t.ctx.Backend.pv ~pfn
-let clear_modified t ~pfn = Pv.clear_modified t.ctx.Backend.pv ~pfn
-let clear_referenced t ~pfn = Pv.clear_referenced t.ctx.Backend.pv ~pfn
+let enter_page t pmap ~va ~pfn ~prot ~wired =
+  let page = page_size t in
+  batched t (fun () ->
+      for i = 0 to page_multiple t - 1 do
+        pmap.Pmap.enter ~va:(va + (i * page)) ~pfn:(pfn + i) ~prot ~wired
+      done)
+
+(* The MMU hook keeps the bits per frame; these answer for the page
+   holding [pfn]. *)
+let page_bits f t pfn =
+  f t.ctx.Backend.pv ~pfn:(Backend.page_of t.ctx pfn) ~frames:(page_multiple t)
+
+let is_modified t ~pfn = page_bits Pv.is_modified t pfn
+let is_referenced t ~pfn = page_bits Pv.is_referenced t pfn
+let clear_modified t ~pfn = page_bits Pv.clear_modified t pfn
+let clear_referenced t ~pfn = page_bits Pv.clear_referenced t pfn
 
 let mapping_count t ~pfn = Pv.mapping_count t.ctx.Backend.pv ~pfn
 
@@ -183,20 +203,21 @@ let mappings_of t ~pfn =
     (Pv.mappings t.ctx.Backend.pv ~pfn)
 
 (* Each frame is charged as its own move; the bytes move at once. *)
-let charge_frames t ~frames =
+let charge_frames t =
   let c = Backend.move_cost t.ctx (page_size t) in
-  for _ = 1 to frames do
+  for _ = 1 to page_multiple t do
     Backend.charge t.ctx c
   done
 
-let zero_page ?(frames = 1) t ~pfn =
-  charge_frames t ~frames;
+let zero_page t ~pfn =
+  charge_frames t;
   Phys_mem.zero_span (Machine.phys (machine t)) pfn ~offset:0
-    ~len:(frames * page_size t)
+    ~len:(page_multiple t * page_size t)
 
-let copy_page ?(frames = 1) t ~src ~dst =
-  charge_frames t ~frames;
-  Phys_mem.copy_frames (Machine.phys (machine t)) ~src ~dst ~frames
+let copy_page t ~src ~dst =
+  charge_frames t;
+  Phys_mem.copy_frames (Machine.phys (machine t)) ~src ~dst
+    ~frames:(page_multiple t)
 
 let shared_map_bytes t = t.factory.Backend.shared_map_bytes ()
 

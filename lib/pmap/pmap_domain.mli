@@ -14,13 +14,19 @@
 type t
 (** A domain, bound to one {!Mach_hw.Machine.t}. *)
 
-val create : Mach_hw.Machine.t -> t
+val create : ?page_multiple:int -> Mach_hw.Machine.t -> t
 (** [create machine] builds the domain for [machine]'s architecture and
     installs the MMU hook that maintains per-frame reference and modify
-    bits. *)
+    bits.  The machine-independent page is [page_multiple] (default 1)
+    consecutive hardware frames, starting at a multiple of it (the
+    boot-time page size of Section 3.1).  Raises [Invalid_argument]
+    unless [page_multiple] is a positive power of two. *)
 
 val machine : t -> Mach_hw.Machine.t
 (** The underlying machine. *)
+
+val page_multiple : t -> int
+(** Hardware frames per machine-independent page. *)
 
 val create_pmap : t -> Pmap.t
 (** [create_pmap t] is [pmap_create]: a fresh, empty physical map. *)
@@ -40,19 +46,20 @@ val set_on_first_touch : t -> (asid:int -> pfn:int -> unit) -> unit
 (** [set_on_first_touch t f] arranges for [f ~asid ~pfn] to run whenever
     a frame's referenced bit transitions from clear to set (i.e. on the
     first access since the bit was last cleared), before the bit is set;
-    [asid] is the address space the access was translated through.  The
-    VM layer uses this to observe the first touch of pages it mapped
-    speculatively (burst faulting): such pages never re-fault, so the
-    fault path cannot see their first use.  The hook must not charge
-    cycles — it runs on the translation fast path. *)
+    [asid] is the address space the access was translated through and
+    [pfn] the first frame of the frame's page.  The VM layer uses this
+    to observe the first touch of pages it mapped speculatively (burst
+    faulting): such pages never re-fault, so the fault path cannot see
+    their first use.  The hook must not charge cycles — it runs on the
+    translation fast path. *)
 
 val set_on_unmap : t -> (asid:int -> pfn:int -> unit) -> unit
 (** [set_on_unmap t f] arranges for [f ~asid ~pfn] to run whenever a
-    mapping of frame [pfn] in address space [asid] is dropped, for any
-    reason: range remove, {!remove_all}, a context steal, a frame
-    replaced by a new enter, pmap destruction.  The VM layer uses it to
-    see speculative mappings vanish before they were used.  Must not
-    charge cycles. *)
+    mapping in address space [asid] of a frame of the page whose first
+    frame is [pfn] is dropped, for any reason: range remove,
+    {!remove_all}, a context steal, a frame replaced by a new enter,
+    pmap destruction.  The VM layer uses it to see speculative mappings
+    vanish before they were used.  Must not charge cycles. *)
 
 (** {1 Flush batching}
 
@@ -68,34 +75,49 @@ val batched : t -> (unit -> 'a) -> 'a
 
 (** {1 Page-level operations (Table 3-3)}
 
-    The page these act on is the machine-independent page: [frames]
-    consecutive hardware frames starting at [pfn] (the boot-time page
-    multiple).  Every mapping of every frame is updated inside one flush
-    batch, so the TLB-consistency cost is one exchange per call, however
-    many hardware frames the page spans.  A pv mapping [(asid, v)] of
-    frame [pfn] whose pmap maps vpn [v+j] to frame [pfn+j] for every
-    [j] carries the whole page and is updated by one range request to
-    that pmap; any other mapping is updated frame by frame. *)
+    The page these act on is the machine-independent page: the
+    {!page_multiple} consecutive hardware frames starting at [pfn], its
+    first frame.  Every mapping of every frame is updated inside one
+    flush batch, so the TLB-consistency cost is one exchange per call,
+    however many hardware frames the page spans.  A pv mapping
+    [(asid, v)] of frame [pfn] whose pmap maps vpn [v+j] to frame
+    [pfn+j] for every [j] carries the whole page and is updated by one
+    range request to that pmap; any other mapping is updated frame by
+    frame. *)
 
-val remove_all : t -> pfn:int -> frames:int -> urgent:bool -> unit
+val remove_all : t -> pfn:int -> urgent:bool -> unit
 (** [pmap_remove_all]: remove the physical page from all maps.  Used by
     pageout; with [urgent:true] the invalidations are propagated with
     interrupts no matter the machine's shootdown strategy (the paper's
     case 1), otherwise the configured strategy applies. *)
 
-val copy_on_write : t -> pfn:int -> frames:int -> unit
+val copy_on_write : t -> pfn:int -> unit
 (** [pmap_copy_on_write]: remove write access to the page in all maps.
     Used by virtual copy of shared pages. *)
 
+val enter_page :
+  t -> Pmap.t -> va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool ->
+  unit
+(** [enter_page t pmap ~va ~pfn ~prot ~wired] is [pmap_enter] of the
+    whole page: each of its frames at the matching hardware page from
+    [va], inside one batch, so a re-enter that lowers rights costs one
+    exchange. *)
+
+(** The modify/reference calls answer for the page that contains frame
+    [pfn], so a caller may pass any frame of it.  The simulated MMU sets
+    the bits per frame on every translated access. *)
+
 val is_modified : t -> pfn:int -> bool
-(** Whether the frame was written since the last {!clear_modified}.  The
-    simulated MMU sets the bit on every translated write. *)
+(** Whether any frame of the page was written since the last
+    {!clear_modified}. *)
 
 val is_referenced : t -> pfn:int -> bool
-(** Whether the frame was touched since the last {!clear_referenced}. *)
+(** Whether any frame of the page was touched since the last
+    {!clear_referenced}. *)
 
 val clear_modified : t -> pfn:int -> unit
 val clear_referenced : t -> pfn:int -> unit
+(** Clear the bit on every frame of the page. *)
 
 val mapping_count : t -> pfn:int -> int
 (** How many virtual mappings of the frame exist right now. *)
@@ -104,14 +126,13 @@ val mappings_of : t -> pfn:int -> (int * int) list
 (** [mappings_of t ~pfn] lists the (asid, virtual page) pairs currently
     mapping the frame; used by consistency checkers. *)
 
-val zero_page : ?frames:int -> t -> pfn:int -> unit
-(** [pmap_zero_page]: zero-fill the [frames] (default 1) frames from
-    [pfn] in one move, charging the architecture's copy cost per frame to
-    the current CPU. *)
+val zero_page : t -> pfn:int -> unit
+(** [pmap_zero_page]: zero-fill the page in one move, charging the
+    architecture's copy cost per frame to the current CPU. *)
 
-val copy_page : ?frames:int -> t -> src:int -> dst:int -> unit
-(** [pmap_copy_page]: copy the [frames] (default 1) frames from [src]
-    over those from [dst] in one move, charging cost per frame. *)
+val copy_page : t -> src:int -> dst:int -> unit
+(** [pmap_copy_page]: copy page [src] over page [dst] in one move,
+    charging cost per frame. *)
 
 (** {1 Accounting} *)
 

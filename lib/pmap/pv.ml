@@ -41,8 +41,12 @@ let mapping_count t ~pfn = List.length t.lists.(pfn)
 let set_referenced t ~pfn = Bytes.set t.referenced pfn '\001'
 let set_modified t ~pfn = Bytes.set t.modified pfn '\001'
 
-let is_referenced t ~pfn = Bytes.get t.referenced pfn = '\001'
-let is_modified t ~pfn = Bytes.get t.modified pfn = '\001'
+(* Whether any of the [n] frames of [bits] from [pfn] is set. *)
+let rec any bits ~pfn n =
+  n > 0 && (Bytes.get bits pfn = '\001' || any bits ~pfn:(pfn + 1) (n - 1))
 
-let clear_referenced t ~pfn = Bytes.set t.referenced pfn '\000'
-let clear_modified t ~pfn = Bytes.set t.modified pfn '\000'
+let is_referenced t ~pfn ~frames = any t.referenced ~pfn frames
+let is_modified t ~pfn ~frames = any t.modified ~pfn frames
+
+let clear_referenced t ~pfn ~frames = Bytes.fill t.referenced pfn frames '\000'
+let clear_modified t ~pfn ~frames = Bytes.fill t.modified pfn frames '\000'

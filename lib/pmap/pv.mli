@@ -34,11 +34,14 @@ val mapping_count : t -> pfn:int -> int
 val set_referenced : t -> pfn:int -> unit
 val set_modified : t -> pfn:int -> unit
 
-val is_referenced : t -> pfn:int -> bool
-(** Whether any access touched the frame since the last clear. *)
+val is_referenced : t -> pfn:int -> frames:int -> bool
+(** Whether any access touched any of the [frames] frames from [pfn]
+    since they were last cleared. *)
 
-val is_modified : t -> pfn:int -> bool
-(** Whether any write touched the frame since the last clear. *)
+val is_modified : t -> pfn:int -> frames:int -> bool
+(** Whether any write touched any of the [frames] frames from [pfn]
+    since they were last cleared. *)
 
-val clear_referenced : t -> pfn:int -> unit
-val clear_modified : t -> pfn:int -> unit
+val clear_referenced : t -> pfn:int -> frames:int -> unit
+val clear_modified : t -> pfn:int -> frames:int -> unit
+(** Clear the bit on the [frames] frames from [pfn]. *)

@@ -75,14 +75,14 @@ let run (os : Os_iface.t) t =
     (fun op ->
        match op with
        | Spawn slot ->
-         if state.(slot).proc = None then begin
+         if Option.is_none state.(slot).proc then begin
            state.(slot).proc
            <- Some (os.Os_iface.proc_create
                       ~name:(Printf.sprintf "wl%d" slot));
            state.(slot).regions <- []
          end
        | Fork (parent, child) ->
-         if parent <> child && state.(child).proc = None then
+         if parent <> child && Option.is_none state.(child).proc then
            with_proc parent (fun p ->
                state.(child).proc <- Some (os.Os_iface.proc_fork ~cpu p);
                state.(child).regions <- state.(parent).regions)

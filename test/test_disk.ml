@@ -289,7 +289,11 @@ let test_pageout_swap_full () =
   in
   let dirty =
     List.length
-      (List.filter (Vm_sys.page_modified sys) (Resident.object_pages obj))
+      (List.filter
+         (fun p ->
+            Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain
+              ~pfn:p.Types.pfn)
+         (Resident.object_pages obj))
   in
   let s = sys.Vm_sys.stats in
   Alcotest.(check int) "no clustered write fit" 0

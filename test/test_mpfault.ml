@@ -263,6 +263,69 @@ let test_other_task_touch_not_credited () =
   Alcotest.(check int) "A's own touch is a hit" 1 s.Vm_stats.vs_prefetch_hits;
   audit sys [ a; b ]
 
+(* Burst records are per page.  A burst-maps pages 1..7 of a shared
+   region on pages of eight hardware frames: one record each, keyed by
+   (A's asid, the page's pfn).  A's first touch of frame 3 of page 1
+   settles page 1 as a hit; B's touch of page 7 through its own mapping
+   leaves A's record pending; dropping A's mapping of one frame of
+   page 5 settles page 5 as a miss. *)
+let test_burst_records_per_page () =
+  let machine, kernel, sys = boot ~cpus:2 () in
+  sys.Vm_sys.burst_max <- 8;
+  let a = Kernel.create_task kernel ~name:"a" () in
+  Kernel.run_task kernel ~cpu:0 a;
+  let ps = sys.Vm_sys.page_size and hw = Arch.uvax2.Arch.hw_page_size in
+  let n = 8 in
+  let addr = ok (Vm_user.allocate sys a ~size:(n * ps) ~anywhere:true ()) in
+  ok (Vm_user.inherit_ sys a ~addr ~size:(n * ps) Inheritance.Shared);
+  for i = 0 to n - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:(addr + (i * ps)) 'r'
+  done;
+  let b = Kernel.fork_task kernel ~cpu:0 a in
+  Kernel.run_task kernel ~cpu:1 b;
+  List.iter
+    (fun t ->
+       (pmap_of t).Mach_pmap.Pmap.remove ~start_va:addr
+         ~end_va:(addr + (n * ps)))
+    [ a; b ];
+  let asid = (pmap_of a).Mach_pmap.Pmap.asid in
+  (* The pending pages, by index in the region; each record's key must
+     be A's asid and its own page's pfn. *)
+  let pending what expect =
+    let pages =
+      Mach_util.Int_pair.Tbl.fold
+        (fun (asid', pfn) (r : Vm_sys.burst) acc ->
+           let p = r.Vm_sys.b_page in
+           if asid' <> asid || pfn <> p.Types.pfn then
+             Alcotest.failf "record (%d, %d) for page pfn=%d" asid' pfn
+               p.Types.pfn;
+           (p.Types.pg_offset / ps) :: acc)
+        sys.Vm_sys.burst_pending []
+    in
+    Alcotest.(check (list int)) what expect (List.sort Int.compare pages);
+    audit sys [ a; b ]
+  in
+  let s = sys.Vm_sys.stats in
+  Machine.touch machine ~cpu:0 ~va:addr ~write:false;
+  pending "one record per neighbour page" [ 1; 2; 3; 4; 5; 6; 7 ];
+  (* The entry whose window the outcomes feed (in the sharing map). *)
+  let entry =
+    match Mach_util.Int_pair.Tbl.to_seq_values sys.Vm_sys.burst_pending () with
+    | Seq.Cons (r, _) -> r.Vm_sys.b_entry
+    | Seq.Nil -> Alcotest.fail "no burst record"
+  in
+  Machine.touch machine ~cpu:0 ~va:(addr + ps + (3 * hw)) ~write:false;
+  pending "frame 3's touch settles page 1" [ 2; 3; 4; 5; 6; 7 ];
+  Alcotest.(check int) "a hit" 1 s.Vm_stats.vs_prefetch_hits;
+  Alcotest.(check int) "the entry's hit" 1 entry.Types.e_burst_hits;
+  Machine.touch machine ~cpu:1 ~va:(addr + (7 * ps)) ~write:false;
+  pending "B's touch leaves A's record" [ 2; 3; 4; 5; 6; 7 ];
+  let va5 = addr + (5 * ps) + (2 * hw) in
+  (pmap_of a).Mach_pmap.Pmap.remove ~start_va:va5 ~end_va:(va5 + hw);
+  pending "one frame unmapped settles page 5" [ 2; 3; 4; 6; 7 ];
+  Alcotest.(check int) "as a miss" 1 entry.Types.e_burst_misses;
+  Alcotest.(check int) "still one hit" 1 s.Vm_stats.vs_prefetch_hits
+
 (* ---- qcheck: burst transparency ------------------------------------------- *)
 
 (* Random streams of reads, writes, pmap range drops and reprotects
@@ -426,7 +489,9 @@ let () =
           Alcotest.test_case "holds on interleaved stripes" `Quick
             test_window_holds_on_stripes;
           Alcotest.test_case "another task's touch credits nobody" `Quick
-            test_other_task_touch_not_credited ] );
+            test_other_task_touch_not_credited;
+          Alcotest.test_case "one record per page, settled by any frame"
+            `Quick test_burst_records_per_page ] );
       ( "contention",
         [ Alcotest.test_case "4-CPU stalls replay identically" `Quick
             test_contention_deterministic;

@@ -8,9 +8,9 @@ open Mach_pmap
 let archs =
   [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
 
-let setup arch =
+let setup ?page_multiple arch =
   let machine = Machine.create ~arch ~memory_frames:256 ~cpus:2 () in
-  let domain = Pmap_domain.create machine in
+  let domain = Pmap_domain.create ?page_multiple machine in
   (machine, domain)
 
 let page arch = arch.Arch.hw_page_size
@@ -92,7 +92,7 @@ let test_remove_all arch =
     p2.Pmap.enter ~va:(4 * ps) ~pfn:9 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check bool) "mapped" true
     (Pmap_domain.mapping_count domain ~pfn:9 >= 1);
-  Pmap_domain.remove_all domain ~pfn:9 ~frames:1 ~urgent:true;
+  Pmap_domain.remove_all domain ~pfn:9 ~urgent:true;
   Alcotest.(check int) "all gone" 0 (Pmap_domain.mapping_count domain ~pfn:9);
   Alcotest.(check (option int)) "p1 dropped" None (p1.Pmap.extract 0);
   Alcotest.(check (option int)) "p2 dropped" None (p2.Pmap.extract (4 * ps))
@@ -130,7 +130,7 @@ let test_copy_on_write_all_maps arch =
   let p = Pmap_domain.create_pmap domain in
   p.Pmap.enter ~va:0 ~pfn:3 ~prot:Prot.read_write ~wired:false;
   p.Pmap.activate ~cpu:0;
-  Pmap_domain.copy_on_write domain ~pfn:3 ~frames:1;
+  Pmap_domain.copy_on_write domain ~pfn:3;
   let faulted = ref false in
   Machine.set_fault_handler machine (fun ~cpu:_ _ ->
       faulted := true;
@@ -287,7 +287,7 @@ let test_reference_counting arch =
 let page_frames = 4
 
 let vax_page_setup () =
-  let machine, domain = setup Arch.uvax2 in
+  let machine, domain = setup ~page_multiple:page_frames Arch.uvax2 in
   let tr = Mach_obs.Obs.create () in
   Mach_obs.Obs.set_enabled tr true;
   Machine.set_tracer machine tr;
@@ -344,7 +344,7 @@ let test_remove_all_page ~map ~requests () =
   let machine, domain, tr, p1, p2 = vax_page_setup () in
   let mapped = map p1 p2 in
   let x0, r0, _, q0, _ = counts machine domain tr in
-  Pmap_domain.remove_all domain ~pfn:16 ~frames:page_frames ~urgent:true;
+  Pmap_domain.remove_all domain ~pfn:16 ~urgent:true;
   let x1, r1, _, q1, _ = counts machine domain tr in
   Alcotest.(check bool) "every frame unmapped" true (page_unmapped domain);
   Alcotest.(check int) "removals = mappings" mapped (r1 - r0);
@@ -375,7 +375,7 @@ let test_copy_on_write_page ~map ~requests () =
   let machine, domain, tr, p1, p2 = vax_page_setup () in
   let mapped = map p1 p2 in
   let x0, r0, o0, _, q0 = counts machine domain tr in
-  Pmap_domain.copy_on_write domain ~pfn:16 ~frames:page_frames;
+  Pmap_domain.copy_on_write domain ~pfn:16;
   let x1, r1, o1, _, q1 = counts machine domain tr in
   Alcotest.(check int) "nothing removed" 0 (r1 - r0);
   Alcotest.(check int) "one exchange" 1 (x1 - x0);
@@ -387,8 +387,70 @@ let test_copy_on_write_page ~map ~requests () =
     page_vpns
     (write_faults machine p1 ~vpns:(other :: page_vpns))
 
+(* A write through one frame dirties the page, whichever of its frames
+   is asked about; clearing through any frame clears all four. *)
+let test_page_bits () =
+  let machine, domain, _, p1, p2 = vax_page_setup () in
+  ignore (map_whole p1 p2);
+  let ps = page Arch.uvax2 in
+  let modified pfn = Pmap_domain.is_modified domain ~pfn in
+  Alcotest.(check bool) "clean" false (modified 16);
+  Machine.write_byte machine ~cpu:0 ~va:(12 * ps) 'w';
+  Alcotest.(check bool) "frame 18's write, asked at 16" true (modified 16);
+  Alcotest.(check bool) "asked at 18" true (modified 18);
+  Alcotest.(check bool) "asked at 19" true (modified 19);
+  Alcotest.(check bool) "next page clean" false (modified 20);
+  for j = 0 to page_frames - 1 do
+    Machine.write_byte machine ~cpu:0 ~va:((10 + j) * ps) 'w'
+  done;
+  Pmap_domain.clear_modified domain ~pfn:16;
+  Pmap_domain.clear_referenced domain ~pfn:19;
+  Alcotest.(check bool) "frames 16-19 cleared" false
+    (List.exists
+       (fun pfn ->
+          modified pfn || Pmap_domain.is_referenced domain ~pfn)
+       [ 16; 17; 18; 19 ])
+
+(* [enter_page] maps all four frames; lowering their rights in a pmap
+   active on another CPU is one exchange for the page, not one per
+   frame. *)
+let test_enter_page () =
+  let machine, domain, _, _, p2 = vax_page_setup () in
+  let ps = page Arch.uvax2 in
+  let enter prot =
+    Pmap_domain.enter_page domain p2 ~va:(40 * ps) ~pfn:16 ~prot
+      ~wired:false
+  in
+  enter Prot.read_write;
+  Alcotest.(check (list (option int))) "four frames mapped"
+    [ Some 16; Some 17; Some 18; Some 19 ]
+    (List.init page_frames (fun j -> p2.Pmap.extract ((40 + j) * ps)));
+  for j = 0 to page_frames - 1 do
+    ignore (Machine.read_byte machine ~cpu:1 ~va:((40 + j) * ps))
+  done;
+  let x0 = (Machine.stats machine).Machine.shootdowns in
+  enter Prot.read_only;
+  Alcotest.(check int) "one exchange" 1
+    ((Machine.stats machine).Machine.shootdowns - x0)
+
+let test_page_multiple_checked () =
+  let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
+  List.iter
+    (fun page_multiple ->
+       Alcotest.check_raises
+         (Printf.sprintf "page_multiple %d" page_multiple)
+         (Invalid_argument
+            "Pmap_domain.create: page_multiple must be a power of two")
+         (fun () -> ignore (Pmap_domain.create ~page_multiple machine)))
+    [ 3; 0 ]
+
 let page_granular_tests =
-  [ Alcotest.test_case "remove_all: whole pages in two pmaps" `Quick
+  [ Alcotest.test_case "bits answer for the whole page" `Quick test_page_bits;
+    Alcotest.test_case "enter_page: one exchange to lower rights" `Quick
+      test_enter_page;
+    Alcotest.test_case "page_multiple must be a power of two" `Quick
+      test_page_multiple_checked;
+     Alcotest.test_case "remove_all: whole pages in two pmaps" `Quick
       (test_remove_all_page ~map:map_whole ~requests:2);
     Alcotest.test_case "remove_all: some frames, vpns out of order" `Quick
       (test_remove_all_page ~map:map_partial ~requests:7);
