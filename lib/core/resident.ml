@@ -110,7 +110,6 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
   t
 
 let page_size t = t.page_size
-let multiple t = t.page_size / Phys_mem.page_size t.phys
 let total_pages t = t.total
 let free_count t = t.free_total
 let active_count t = Dlist.length t.active

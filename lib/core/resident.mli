@@ -58,9 +58,6 @@ val create :
 val page_size : t -> int
 (** Machine-independent page size in bytes. *)
 
-val multiple : t -> int
-(** Hardware frames per machine-independent page. *)
-
 val total_pages : t -> int
 (** Usable pages, free or not. *)
 

@@ -138,8 +138,7 @@ let check_resident sys =
     note errs "queues hold %d pages of %d total" counted
       (Resident.total_pages res);
   (* Free pages belong to no object, are not wired, and no hardware
-     mapping of any of their frames survives. *)
-  let hw_per_page = Resident.multiple res in
+     mapping of them survives. *)
   Resident.iter_free res (fun p ->
       (match p.pg_obj with
        | Some o ->
@@ -148,36 +147,31 @@ let check_resident sys =
        | None -> ());
       if p.pg_wire_count <> 0 then
         note errs "free page pfn=%d wired" p.pfn;
-      for i = 0 to hw_per_page - 1 do
-        let n = Pmap_domain.mapping_count sys.Vm_sys.domain ~pfn:(p.pfn + i) in
-        if n > 0 then
-          note errs "free frame %d retains %d hardware mappings"
-            (p.pfn + i) n
-      done);
+      let n = Pmap_domain.mapping_count sys.Vm_sys.domain ~pfn:p.pfn in
+      if n > 0 then
+        note errs "free page pfn=%d retains %d mappings" p.pfn n);
   List.rev_append !errs (Resident.conservation_errors res)
 
-(* Every pv mapping must be confirmed by the owning pmap's
-   pmap_extract — the two layers may never disagree. *)
+(* Every pv record must be confirmed by the owning pmap's pmap_extract
+   on every frame of its page — the two layers may never disagree, and
+   no page is ever partly mapped. *)
 let check_pv sys =
   let errs = ref [] in
-  let phys = Machine.phys sys.Vm_sys.machine in
-  let hw = Phys_mem.page_size phys in
-  for pfn = 0 to Phys_mem.frame_count phys - 1 do
+  let domain = sys.Vm_sys.domain and phys = Machine.phys sys.Vm_sys.machine in
+  let hw = Phys_mem.page_size phys and m = Pmap_domain.page_multiple domain in
+  for page = 0 to (Phys_mem.frame_count phys / m) - 1 do
     List.iter
       (fun (asid, vpn) ->
-         match Pmap_domain.find_pmap sys.Vm_sys.domain ~asid with
-         | None -> note errs "frame %d mapped by destroyed pmap %d" pfn asid
-         | Some p ->
-           (match p.Pmap.extract (vpn * hw) with
-            | Some pfn' when pfn' = pfn -> ()
-            | Some pfn' ->
-              note errs
-                "pv says asid %d maps vpn %d -> frame %d, pmap says %d"
-                asid vpn pfn pfn'
-            | None ->
-              note errs "pv entry (asid %d, vpn %d) unknown to its pmap"
-                asid vpn))
-      (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn)
+         for j = 0 to m - 1 do
+           let pfn = (page * m) + j in
+           match Pmap_domain.find_pmap domain ~asid with
+           | None -> note errs "frame %d mapped by destroyed pmap %d" pfn asid
+           | Some p when p.Pmap.extract ((vpn + j) * hw) <> Some pfn ->
+             note errs "pv says asid %d maps vpn %d -> frame %d, pmap does not"
+               asid (vpn + j) pfn
+           | Some _ -> ()
+         done)
+      (Pmap_domain.mappings_of domain ~pfn:(page * m))
   done;
   List.rev !errs
 
@@ -192,28 +186,22 @@ let check_tlb sys =
     (Machine.tlb_overreach sys.Vm_sys.machine)
 
 (* A burst record awaiting its outcome is keyed by its page's pfn, and
-   its address space still maps every frame of that page, which an
-   object still owns: dropping a mapping or freeing the page settles the
-   record first. *)
+   its address space still maps that page, which an object still owns:
+   dropping a mapping or freeing the page settles the record first. *)
 let check_burst sys =
   let errs = ref [] in
-  let m = Resident.multiple sys.Vm_sys.resident in
   Mach_util.Int_pair.Tbl.iter
     (fun (asid, pfn) (b : Vm_sys.burst) ->
        let p = b.Vm_sys.b_page in
        if pfn <> p.pfn then
          note errs "burst record (asid %d, pfn %d) names page pfn=%d" asid
            pfn p.pfn;
-       for f = p.pfn to p.pfn + m - 1 do
-         if
-           not
-             (List.exists
-                (fun (a, _) -> a = asid)
-                (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn:f))
-         then
-           note errs "burst record (asid %d, pfn %d): frame %d is not mapped"
-             asid pfn f
-       done;
+       if
+         not
+           (List.exists
+              (fun (a, _) -> a = asid)
+              (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn:p.pfn))
+       then note errs "burst record (asid %d, pfn %d) is not mapped" asid pfn;
        if Option.is_none p.pg_obj then
          note errs "burst record (asid %d, pfn %d) outlives its object" asid
            pfn)

@@ -6,7 +6,9 @@
    kernel on every entry, so pmap costs land on the right clock).  The
    machine-independent half of every pmap is written here once: a backend
    describes its mapping store and supplies [pmap_enter]; {!pmap} builds
-   range removal, protection, collection and activation over it. *)
+   range removal, protection, collection and activation over it.  A
+   mapping is a whole machine-independent page, with one pv record;
+   charges, counters and shootdowns still count hardware ptes and vpns. *)
 
 open Mach_hw
 open Mach_util
@@ -39,10 +41,10 @@ type ctx = {
       (* Hardware frames per machine-independent page (the boot-time
          page multiple, a power of two); pages start at multiples of it. *)
   mutable on_unmap : asid:int -> pfn:int -> unit;
-      (* Called with the page's first frame for every mapping this
+      (* Called with the page's first frame for every page mapping this
          domain drops — range remove, remove_all, context steal,
-         replacement by a new frame, pmap destruction — after the pv
-         entry is gone.  The VM layer uses it to retire speculative
+         replacement by a new page, pmap destruction — after the pv
+         record is gone.  The VM layer uses it to retire speculative
          (burst) mappings that were never used.  Charges nothing. *)
 }
 
@@ -52,7 +54,7 @@ type presence = { active : bool array; ran_on : bool array }
 
 let create ~page_frames machine =
   let frames = Phys_mem.frame_count (Machine.phys machine) in
-  { machine; pv = Pv.create ~frames; next_asid = 1; cur_cpu = 0;
+  { machine; pv = Pv.create ~frames ~page_frames; next_asid = 1; cur_cpu = 0;
     urgent_mode = false; page_frames;
     batch =
       { depth = 0; page_vpns = Int_tbl.create 8;
@@ -66,8 +68,25 @@ let page_size ctx = (arch ctx).Arch.hw_page_size
 let cost ctx = (arch ctx).Arch.cost
 let charge ctx c = Machine.charge ctx.machine ~cpu:ctx.cur_cpu c
 
-(* The first frame of the machine-independent page holding [pfn]. *)
-let page_of ctx pfn = pfn land lnot (ctx.page_frames - 1)
+(* The first frame (or vpn) of the machine-independent page holding
+   frame (or vpn) [n]. *)
+let page_of ctx n = n land lnot (ctx.page_frames - 1)
+
+(* Refuse, with [what], unless [a] and [b] each start a page. *)
+let on_pages ctx what a b =
+  if page_of ctx a <> a || page_of ctx b <> b then invalid_arg what
+
+(* The first vpn of the page [pmap_enter] maps at [va] to [pfn]. *)
+let page_vpn ctx ~va ~pfn =
+  let vpn = va / page_size ctx in
+  on_pages ctx "pmap_enter: va and pfn must start a page" vpn pfn;
+  vpn
+
+(* Charge [c] once per frame of a page. *)
+let charge_frames ctx c =
+  for _ = 1 to ctx.page_frames do
+    charge ctx c
+  done
 
 let shoot_targets p =
   let acc = ref [] in
@@ -195,14 +214,22 @@ let batched ctx f =
     end_batch ctx;
     raise e
 
+(* Shoot the hardware pages of the page whose first vpn is [vpn]: each
+   frame's vpn is one page, so ranges and the whole-space threshold count
+   hardware vpns. *)
 let shoot_page ctx p ~asid ~vpn =
   if accumulating ctx then begin
     let b = ctx.batch in
-    add_vpn b.page_vpns ~asid ~vpn;
+    for v = vpn to vpn + ctx.page_frames - 1 do
+      add_vpn b.page_vpns ~asid ~vpn:v
+    done;
     add_targets b p;
     if ctx.urgent_mode then b.b_urgent <- true
   end
-  else shoot ctx p (Machine.Flush_page { asid; vpn })
+  else
+    for v = vpn to vpn + ctx.page_frames - 1 do
+      shoot ctx p (Machine.Flush_page { asid; vpn = v })
+    done
 
 let shoot_asid ctx p ~asid =
   if accumulating ctx then begin
@@ -226,24 +253,29 @@ let shoot_asid ctx p ~asid =
    tests [loses] itself. *)
 let loses ~old ~prot = not (Prot.subset old ~of_:prot)
 
-(* pmap_enter over a translation that keeps its frame: an exchange only
-   when the new rights [prot] lose some of [old].  Gained rights flush
-   just the local entry — the one a protection fault's walk has just
-   cached from the old pte, which the retry would otherwise hit and
+(* pmap_enter over a page that keeps its frames: an exchange only when
+   the new rights [prot] lose some of [old].  Gained rights flush just
+   the local entries — the ones a protection fault's walk has just
+   cached from the old ptes, which the retry would otherwise hit and
    fault on again — batched like a shootdown, without the IPIs. *)
 let reenter ctx p ~asid ~vpn ~old ~prot =
   if loses ~old ~prot then shoot_page ctx p ~asid ~vpn
-  else if accumulating ctx then add_vpn ctx.batch.local_vpns ~asid ~vpn
   else
-    Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu
-      (Machine.Flush_page { asid; vpn })
+    for v = vpn to vpn + ctx.page_frames - 1 do
+      if accumulating ctx then add_vpn ctx.batch.local_vpns ~asid ~vpn:v
+      else
+        Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu
+          (Machine.Flush_page { asid; vpn = v })
+    done
 
+(* The pv record of a page mapping: [pfn] and [vpn] are the page's
+   first frame and vpn. *)
 let pv_insert ctx ~pfn ~asid ~vpn =
   Pv.insert ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn }
 
 let pv_remove ctx ~pfn ~asid ~vpn =
   Pv.remove ctx.pv ~pfn { Pv.pv_asid = asid; pv_vpn = vpn };
-  ctx.on_unmap ~asid ~pfn:(page_of ctx pfn)
+  ctx.on_unmap ~asid ~pfn
 
 (* Charge for zeroing or copying [bytes] of memory. *)
 let move_cost ctx bytes = ((bytes + 15) / 16) * (cost ctx).Arch.move_16b
@@ -261,31 +293,35 @@ let shell ctx =
     presence = { active = Array.make n false; ran_on = Array.make n false } }
 
 (* A backend's mapping store, as the shell sees it; ['m] is one live
-   mapping. *)
+   page mapping, named with the page's first vpn. *)
 type 'm store = {
   range : int -> int -> (int * 'm) list;
-      (* the live (vpn, mapping) pairs with vpn in [lo, hi), in the order
-         the backend visits them; the shell's uses do not depend on it *)
+      (* the live (first vpn, mapping) pairs with the first vpn in
+         [lo, hi), in the order the backend visits them; the shell's uses
+         do not depend on it *)
   drop : int -> 'm -> unit;
-      (* invalidate one mapping: the store entry, its pv entry, the
-         pte-write charge and the [removals] count; the caller flushes *)
-  prot_of : 'm -> Prot.t;
-  set_prot : int -> 'm -> Prot.t -> unit;
-  wired : 'm -> bool;
+      (* invalidate one page mapping: its store entries, its pv record,
+         a pte-write charge and a [removals] count per frame; the caller
+         flushes *)
+  prot_of : int -> 'm -> Prot.t;
+  set_prot : int -> 'm -> Prot.t -> unit;  (* every frame's rights *)
+  wired : int -> 'm -> bool;
   pte : bool;  (* false: a software-only table, whose writes cost nothing *)
 }
 
-(* A [range] over a table keyed by vpn (bound with [Int_tbl.replace]).
-   A range no longer than the table is looked up vpn by vpn, in vpn
-   order; a longer one is picked out of a fold over the table, in its
-   fold order. *)
-let range_of tbl lo hi =
-  if hi - lo <= Int_tbl.length tbl then begin
-    let acc = ref [] in
-    for vpn = hi - 1 downto lo do
-      match Int_tbl.find_opt tbl vpn with
-      | Some m -> acc := (vpn, m) :: !acc
-      | None -> ()
+(* A [range] over a table keyed by a page's first vpn (bound with
+   [Int_tbl.replace]).  A range of no more pages than the table holds is
+   looked up page by page, in vpn order; a longer one is picked out of a
+   fold over the table, in its fold order. *)
+let range_of ctx tbl lo hi =
+  let n = ctx.page_frames in
+  if hi - lo <= n * Int_tbl.length tbl then begin
+    let acc = ref [] and vpn = ref (page_of ctx (hi - 1)) in
+    while !vpn >= lo do
+      (match Int_tbl.find_opt tbl !vpn with
+       | Some m -> acc := (!vpn, m) :: !acc
+       | None -> ());
+      vpn := !vpn - n
     done;
     !acc
   end
@@ -294,46 +330,91 @@ let range_of tbl lo hi =
       (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
       tbl []
 
-(* Drop one mapping and shoot its page. *)
+(* A page mapping in a software table keyed by the page's first vpn —
+   the SUN 3's context RAM, a pmap's share of the RT PC's inverted
+   table, the TLB-only pmap's shadow table; [m_pfn] is the page's first
+   frame. *)
+type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
+
+(* What such a table gives for hardware page [vpn]. *)
+let lookup_in ctx tbl vpn =
+  let first = page_of ctx vpn in
+  match Int_tbl.find_opt tbl first with
+  | Some m ->
+    Translator.Mapped { pfn = m.m_pfn + vpn - first; prot = m.m_prot }
+  | None -> Translator.Missing
+
+(* The store of shell [sh] over the table [table ()].  [pte]: whether
+   its writes are charged; [on_set] sees each page [set_prot] wrote. *)
+let table_store ctx sh ~pte ?(on_set = fun _ _ -> ()) table =
+  { range = (fun lo hi -> range_of ctx (table ()) lo hi);
+    drop =
+      (fun vpn m ->
+         Int_tbl.remove (table ()) vpn;
+         pv_remove ctx ~pfn:m.m_pfn ~asid:sh.asid ~vpn;
+         if pte then charge_frames ctx (cost ctx).Arch.pte_write;
+         sh.stats.Pmap.removals <- sh.stats.Pmap.removals + ctx.page_frames);
+    prot_of = (fun _ m -> m.m_prot);
+    set_prot =
+      (fun vpn m prot ->
+         let m = { m with m_prot = prot } in
+         Int_tbl.replace (table ()) vpn m;
+         on_set vpn m);
+    wired = (fun _ m -> m.m_wired);
+    pte }
+
+(* Drop one page mapping and shoot its hardware pages. *)
 let unmap ctx sh store vpn m =
   store.drop vpn m;
   shoot_page ctx sh.presence ~asid:sh.asid ~vpn
 
-(* Drop every mapping with vpn in [lo, hi), as one batch. *)
+(* Drop every page mapping with its first vpn in [lo, hi), as one
+   batch. *)
 let unmap_range ctx sh store lo hi =
   batched ctx (fun () ->
       List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) (store.range lo hi))
 
+(* The vpns of [\[start_va, end_va)], rounded out to hardware pages,
+   which must cover whole machine-independent pages. *)
+let page_range ctx ~start_va ~end_va =
+  let page = page_size ctx in
+  let lo = start_va / page and hi = (end_va + page - 1) / page in
+  on_pages ctx "pmap_remove/pmap_protect: range must cover whole pages" lo hi;
+  (lo, hi)
+
 (* Build the [Pmap.t] of shell [sh] over [store].  The backend supplies
    what depends on its hardware: [enter] (address limits, eviction,
-   context grabs, prefill), [extract], [resident_count], [destroy], the
-   translator and, optionally, [map_bytes], [copy] and an [on_activate]
+   context grabs, prefill), [resident_count], [destroy], the translator
+   (whose [lookup] also answers [extract]) and, optionally, [map_bytes], [copy] and an [on_activate]
    step.  Range removal, protection and collection are the same on every
    architecture: each visits the store's mappings inside one flush
    batch.  [reference] is a placeholder; {!Pmap_domain} counts
    references. *)
-let pmap ctx sh store ~translator ~enter ~extract ~resident_count ~destroy
+let pmap ctx sh store ~translator ~enter ~resident_count ~destroy
     ?(map_bytes = fun () -> 0) ?copy ?(on_activate = ignore) () =
-  let page = page_size ctx in
-  let vpns ~start_va ~end_va = (start_va / page, (end_va + page - 1) / page) in
+  let extract va =
+    match translator.Translator.lookup (va / page_size ctx) with
+    | Translator.Mapped { pfn; _ } -> Some pfn
+    | Translator.Missing -> None
+  in
   let remove ~start_va ~end_va =
-    let lo, hi = vpns ~start_va ~end_va in
+    let lo, hi = page_range ctx ~start_va ~end_va in
     unmap_range ctx sh store lo hi
   in
-  (* pmap_protect: a translation that loses rights gets the reduced
-     rights, the pte write is charged (unless the table is software-only)
-     and its page is shot; one that keeps every right is not written,
-     charged or flushed. *)
+  (* pmap_protect: a page that loses rights gets the reduced rights, each
+     frame's pte write is charged (unless the table is software-only) and
+     its hardware pages are shot; one that keeps every right is not
+     written, charged or flushed. *)
   let protect ~start_va ~end_va ~prot =
     sh.stats.Pmap.protect_ops <- sh.stats.Pmap.protect_ops + 1;
-    let lo, hi = vpns ~start_va ~end_va in
+    let lo, hi = page_range ctx ~start_va ~end_va in
     batched ctx (fun () ->
         List.iter
           (fun (vpn, m) ->
-             let old = store.prot_of m in
+             let old = store.prot_of vpn m in
              if loses ~old ~prot then begin
                store.set_prot vpn m (Prot.inter old prot);
-               if store.pte then charge ctx (cost ctx).Arch.pte_write;
+               if store.pte then charge_frames ctx (cost ctx).Arch.pte_write;
                shoot_page ctx sh.presence ~asid:sh.asid ~vpn
              end)
           (store.range lo hi))
@@ -341,11 +422,14 @@ let pmap ctx sh store ~translator ~enter ~extract ~resident_count ~destroy
   (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)
   let collect () =
     let victims =
-      List.filter (fun (_, m) -> not (store.wired m)) (store.range 0 max_int)
+      List.filter
+        (fun (vpn, m) -> not (store.wired vpn m))
+        (store.range 0 max_int)
     in
     batched ctx (fun () ->
         List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) victims);
-    sh.stats.Pmap.cache_drops <- sh.stats.Pmap.cache_drops + List.length victims
+    sh.stats.Pmap.cache_drops <-
+      sh.stats.Pmap.cache_drops + (List.length victims * ctx.page_frames)
   in
   { Pmap.asid = sh.asid;
     reference = (fun () -> ());

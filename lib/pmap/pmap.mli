@@ -21,7 +21,7 @@
       physical-to-virtual tracking. *)
 
 type stats = {
-  mutable enters : int;          (** [pmap_enter] calls *)
+  mutable enters : int;          (** mappings entered *)
   mutable removals : int;        (** mappings removed (all causes) *)
   mutable protect_ops : int;     (** [pmap_protect] range operations *)
   mutable alias_evictions : int; (** RT PC: mappings evicted because the
@@ -32,7 +32,9 @@ type stats = {
   mutable cache_drops : int;     (** mappings discarded by the pmap on its
                                      own authority (cache behaviour) *)
 }
-(** Per-pmap operation counters, used by the Section 5.1 benches. *)
+(** Per-pmap operation counters, used by the Section 5.1 benches.  They
+    count hardware mappings: a page of [n] frames adds [n] to [enters],
+    [removals], [alias_evictions] and [cache_drops]. *)
 
 type t = {
   asid : int;
@@ -42,15 +44,20 @@ type t = {
           structures when the last reference goes (several tasks may share
           one physical map). *)
   enter : va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool -> unit;
-      (** [pmap_enter]: make a virtual-to-physical mapping, replacing any
-          previous mapping of the same page.  Called from the page-fault
-          path. *)
+      (** [pmap_enter]: map the machine-independent page — the domain's
+          page multiple of hardware frames from [pfn] — at the hardware
+          pages from [va], replacing any previous mapping of that page.
+          Raises [Invalid_argument] unless [va]'s hardware page and [pfn]
+          each start a page.  One pte write is charged per frame.
+          Called from the page-fault path. *)
   remove : start_va:int -> end_va:int -> unit;
-      (** [pmap_remove]: remove all mappings in [\[start_va, end_va)].
+      (** [pmap_remove]: remove all mappings in [\[start_va, end_va)],
+          which must cover whole pages ([Invalid_argument] otherwise).
           Used in memory deallocation. *)
   protect : start_va:int -> end_va:int -> prot:Mach_hw.Prot.t -> unit;
-      (** [pmap_protect]: reduce permissions on a range.  Raising
-          permissions is done by re-entering pages at fault time. *)
+      (** [pmap_protect]: reduce permissions on a range of whole pages.
+          Raising permissions is done by re-entering pages at fault
+          time. *)
   extract : int -> int option;
       (** [pmap_extract]: convert virtual to physical, if mapped. *)
   activate : cpu:int -> unit;
@@ -64,7 +71,7 @@ type t = {
           pmap so the destination avoids initial faults.  [None] when the
           hardware gains nothing from it. *)
   resident_count : unit -> int;
-      (** Number of mappings this pmap currently holds. *)
+      (** Number of hardware mappings this pmap currently holds. *)
   map_bytes : unit -> int;
       (** Bytes of hardware-defined structures currently allocated; the
           Section 5.1 bench compares this across architectures. *)

@@ -31,7 +31,7 @@ let create ?(page_multiple = 1) machine =
   Machine.set_on_translated machine (fun ~asid ~pfn ~write ->
       let pv = ctx.Backend.pv in
       (match t.on_first_touch with
-       | Some f when not (Pv.is_referenced pv ~pfn ~frames:1) ->
+       | Some f when not (Pv.frame_referenced pv ~pfn) ->
          f ~asid ~pfn:(Backend.page_of ctx pfn)
        | _ -> ());
       Pv.set_referenced pv ~pfn;
@@ -112,52 +112,19 @@ let batched t f = Backend.batched t.ctx f
 let pmap_of t ~asid =
   match find_pmap t ~asid with Some p -> p | None -> assert false
 
-(* Whether [p] maps vpn [vpn + j] to frame [pfn + j] for every
-   [j < frames], looked up in [p]'s own table (which every backend keeps
-   in step with pv): a range request over those vpns then touches
-   exactly those pv mappings. *)
-let maps_page p ~page ~pfn ~frames vpn =
-  let rec from j =
-    j >= frames
-    || (match p.Pmap.extract ((vpn + j) * page) with
-        | Some f -> f = pfn + j && from (j + 1)
-        | None -> false)
-  in
-  vpn >= 0 && from 0
-
-(* [m], a mapping of frame [pfn + i], is the [i]th frame of a mapping
-   of the whole page. *)
-let within t ~pfn i { Pv.pv_asid; pv_vpn } =
-  maps_page (pmap_of t ~asid:pv_asid) ~page:(page_size t) ~pfn
-    ~frames:(page_multiple t) (pv_vpn - i)
-
-(* Apply [f pmap va len] to every mapping of every hardware frame of the
-   machine-independent page at [pfn], all inside one batch.  A mapping
-   that carries the whole page gets one call over the page's vpns; every
-   other mapping gets one call per frame.  The consistency unit is the
-   MI page, so a page mapped into many address spaces still costs a
-   single exchange (one IPI round per target CPU). *)
+(* Apply [f pmap va len] to every mapping of the machine-independent
+   page at [pfn] — one pv record each, one call over the page's vpns —
+   all inside one batch.  The consistency unit is the MI page, so a page
+   mapped into many address spaces still costs a single exchange (one
+   IPI round per target CPU). *)
 let each_page_mapping t ~pfn f =
-  let pv = t.ctx.Backend.pv and page = page_size t in
-  let frames = page_multiple t in
-  let whole =
-    if frames = 1 then []
-    else List.filter (within t ~pfn 0) (Pv.mappings pv ~pfn)
-  in
+  let page = page_size t in
+  let len = page_multiple t * page in
   batched t (fun () ->
       List.iter
-        (fun m ->
-           f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page)
-             (frames * page))
-        whole;
-      for i = 0 to frames - 1 do
-        List.iter
-          (fun m ->
-             match whole with
-             | _ :: _ when within t ~pfn i m -> ()
-             | _ -> f (pmap_of t ~asid:m.Pv.pv_asid) (m.Pv.pv_vpn * page) page)
-          (Pv.mappings pv ~pfn:(pfn + i))
-      done)
+        (fun { Pv.pv_asid; pv_vpn } ->
+           f (pmap_of t ~asid:pv_asid) (pv_vpn * page) len)
+        (Pv.mappings t.ctx.Backend.pv ~pfn))
 
 (* Urgency is captured per accumulated flush, so restoring [urgent_mode]
    before the batch flushes is safe. *)
@@ -179,23 +146,16 @@ let copy_on_write t ~pfn =
       p.Pmap.protect ~start_va:va ~end_va:(va + len) ~prot:read_only_mask)
 
 let enter_page t pmap ~va ~pfn ~prot ~wired =
-  let page = page_size t in
-  batched t (fun () ->
-      for i = 0 to page_multiple t - 1 do
-        pmap.Pmap.enter ~va:(va + (i * page)) ~pfn:(pfn + i) ~prot ~wired
-      done)
+  batched t (fun () -> pmap.Pmap.enter ~va ~pfn ~prot ~wired)
 
 (* The MMU hook keeps the bits per frame; these answer for the page
    holding [pfn]. *)
-let page_bits f t pfn =
-  f t.ctx.Backend.pv ~pfn:(Backend.page_of t.ctx pfn) ~frames:(page_multiple t)
+let is_modified t ~pfn = Pv.is_modified t.ctx.Backend.pv ~pfn
+let is_referenced t ~pfn = Pv.is_referenced t.ctx.Backend.pv ~pfn
+let clear_modified t ~pfn = Pv.clear_modified t.ctx.Backend.pv ~pfn
+let clear_referenced t ~pfn = Pv.clear_referenced t.ctx.Backend.pv ~pfn
 
-let is_modified t ~pfn = page_bits Pv.is_modified t pfn
-let is_referenced t ~pfn = page_bits Pv.is_referenced t pfn
-let clear_modified t ~pfn = page_bits Pv.clear_modified t pfn
-let clear_referenced t ~pfn = page_bits Pv.clear_referenced t pfn
-
-let mapping_count t ~pfn = Pv.mapping_count t.ctx.Backend.pv ~pfn
+let mapping_count t ~pfn = List.length (Pv.mappings t.ctx.Backend.pv ~pfn)
 
 let mappings_of t ~pfn =
   List.map
@@ -204,10 +164,7 @@ let mappings_of t ~pfn =
 
 (* Each frame is charged as its own move; the bytes move at once. *)
 let charge_frames t =
-  let c = Backend.move_cost t.ctx (page_size t) in
-  for _ = 1 to page_multiple t do
-    Backend.charge t.ctx c
-  done
+  Backend.charge_frames t.ctx (Backend.move_cost t.ctx (page_size t))
 
 let zero_page t ~pfn =
   charge_frames t;

@@ -54,12 +54,12 @@ val set_on_first_touch : t -> (asid:int -> pfn:int -> unit) -> unit
     translation fast path. *)
 
 val set_on_unmap : t -> (asid:int -> pfn:int -> unit) -> unit
-(** [set_on_unmap t f] arranges for [f ~asid ~pfn] to run whenever a
-    mapping in address space [asid] of a frame of the page whose first
-    frame is [pfn] is dropped, for any reason: range remove,
-    {!remove_all}, a context steal, a frame replaced by a new enter,
-    pmap destruction.  The VM layer uses it to see speculative mappings
-    vanish before they were used.  Must not charge cycles. *)
+(** [set_on_unmap t f] arranges for [f ~asid ~pfn] to run once whenever
+    a mapping in address space [asid] of the page whose first frame is
+    [pfn] is dropped, for any reason: range remove, {!remove_all}, a
+    context steal, a page replaced by a new enter, pmap destruction.
+    The VM layer uses it to see speculative mappings vanish before they
+    were used.  Must not charge cycles. *)
 
 (** {1 Flush batching}
 
@@ -77,13 +77,10 @@ val batched : t -> (unit -> 'a) -> 'a
 
     The page these act on is the machine-independent page: the
     {!page_multiple} consecutive hardware frames starting at [pfn], its
-    first frame.  Every mapping of every frame is updated inside one
-    flush batch, so the TLB-consistency cost is one exchange per call,
-    however many hardware frames the page spans.  A pv mapping
-    [(asid, v)] of frame [pfn] whose pmap maps vpn [v+j] to frame
-    [pfn+j] for every [j] carries the whole page and is updated by one
-    range request to that pmap; any other mapping is updated frame by
-    frame. *)
+    first frame.  Pmaps map pages whole, each with one pv record, so
+    every mapping is updated by one range request over its page, all
+    inside one flush batch: the TLB-consistency cost is one exchange per
+    call, however many hardware frames the page spans. *)
 
 val remove_all : t -> pfn:int -> urgent:bool -> unit
 (** [pmap_remove_all]: remove the physical page from all maps.  Used by
@@ -98,10 +95,8 @@ val copy_on_write : t -> pfn:int -> unit
 val enter_page :
   t -> Pmap.t -> va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool ->
   unit
-(** [enter_page t pmap ~va ~pfn ~prot ~wired] is [pmap_enter] of the
-    whole page: each of its frames at the matching hardware page from
-    [va], inside one batch, so a re-enter that lowers rights costs one
-    exchange. *)
+(** [enter_page t pmap ~va ~pfn ~prot ~wired] is [pmap.enter] inside
+    one batch, so a re-enter that lowers rights costs one exchange. *)
 
 (** The modify/reference calls answer for the page that contains frame
     [pfn], so a caller may pass any frame of it.  The simulated MMU sets
@@ -120,11 +115,11 @@ val clear_referenced : t -> pfn:int -> unit
 (** Clear the bit on every frame of the page. *)
 
 val mapping_count : t -> pfn:int -> int
-(** How many virtual mappings of the frame exist right now. *)
+(** How many virtual mappings of the page holding [pfn] exist now. *)
 
 val mappings_of : t -> pfn:int -> (int * int) list
-(** [mappings_of t ~pfn] lists the (asid, virtual page) pairs currently
-    mapping the frame; used by consistency checkers. *)
+(** [mappings_of t ~pfn] lists the (asid, first vpn) pairs currently
+    mapping the page holding [pfn]; used by consistency checkers. *)
 
 val zero_page : t -> pfn:int -> unit
 (** [pmap_zero_page]: zero-fill the page in one move, charging the

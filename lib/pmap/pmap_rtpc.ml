@@ -1,115 +1,72 @@
 open Mach_hw
 module Int_tbl = Mach_util.Int_tbl
 
-(* One slot per physical frame: the (at most one) virtual mapping of that
-   frame. *)
-type slot = {
-  mutable s_asid : int;
-  mutable s_vpn : int;
-  mutable s_prot : Prot.t;
-  mutable s_wired : bool;
-  mutable s_valid : bool;
-}
-
-(* Per-pmap bookkeeping the eviction path must reach from a foreign pmap. *)
+(* Per-pmap bookkeeping the eviction path must reach from a foreign
+   pmap: its shell, its store and its share of the inverted table. *)
 type owner = {
   o_shell : Backend.shell;
-  o_store : int Backend.store; (* mappings are frame numbers *)
-  o_vpns : int Int_tbl.t; (* vpn -> pfn, this pmap's live mappings *)
+  o_store : Backend.mapping Backend.store;
+  o_vpns : Backend.mapping Int_tbl.t; (* first vpn -> page mapping *)
 }
 
 let make_domain (ctx : Backend.ctx) =
   let frames = Phys_mem.frame_count (Machine.phys ctx.machine) in
-  let page = Backend.page_size ctx in
+  let n = ctx.Backend.page_frames in
   let pte_bytes = (Backend.arch ctx).Arch.pte_bytes in
-  let ipt =
-    Array.init frames (fun _ ->
-        { s_asid = 0; s_vpn = 0; s_prot = Prot.none; s_wired = false;
-          s_valid = false })
-  in
   let owners : owner Int_tbl.t = Int_tbl.create 16 in
 
-  (* Invalidate the mapping occupying [pfn], whoever owns it. *)
-  let unlink pfn =
-    let s = ipt.(pfn) in
-    assert s.s_valid;
-    let o = Int_tbl.find owners s.s_asid in
-    Int_tbl.remove o.o_vpns s.s_vpn;
-    Backend.pv_remove ctx ~pfn ~asid:s.s_asid ~vpn:s.s_vpn;
-    Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-    let stats = o.o_shell.Backend.stats in
-    stats.Pmap.removals <- stats.Pmap.removals + 1;
-    s.s_valid <- false
-  in
-
-  (* Remove and shoot the mapping occupying [pfn], whoever owns it. *)
-  let evict pfn =
-    let s = ipt.(pfn) in
-    let o = Int_tbl.find owners s.s_asid in
-    Backend.unmap ctx o.o_shell o.o_store s.s_vpn pfn
+  (* Remove and shoot a page mapping, whoever owns it. *)
+  let evict { Pv.pv_asid; pv_vpn } =
+    let o = Int_tbl.find owners pv_asid in
+    Backend.unmap ctx o.o_shell o.o_store pv_vpn (Int_tbl.find o.o_vpns pv_vpn)
   in
 
   let new_pmap () =
     let sh = Backend.shell ctx in
     let asid = sh.Backend.asid and stats = sh.Backend.stats in
-    let own_vpns : int Int_tbl.t = Int_tbl.create 64 in
-    let store =
-      { Backend.range = Backend.range_of own_vpns;
-        drop = (fun _ pfn -> unlink pfn);
-        prot_of = (fun pfn -> ipt.(pfn).s_prot);
-        set_prot = (fun _ pfn prot -> ipt.(pfn).s_prot <- prot);
-        wired = (fun pfn -> ipt.(pfn).s_wired); pte = true }
-    in
+    let own_vpns = Int_tbl.create 64 in
+    let store = Backend.table_store ctx sh ~pte:true (fun () -> own_vpns) in
     Int_tbl.add owners asid
       { o_shell = sh; o_store = store; o_vpns = own_vpns };
 
     let enter ~va ~pfn ~prot ~wired =
-      if pfn < 0 || pfn >= frames then
+      if pfn < 0 || pfn + n > frames then
         invalid_arg "pmap_enter: no such physical page";
-      let vpn = va / page in
+      let vpn = Backend.page_vpn ctx ~va ~pfn in
       (* Drop any previous mapping this pmap had for the page... *)
       let kept =
         match Int_tbl.find_opt own_vpns vpn with
-        | Some old_pfn when old_pfn = pfn -> Some ipt.(pfn).s_prot
-        | Some old_pfn -> evict old_pfn; None
+        | Some (old : Backend.mapping) when old.m_pfn = pfn -> Some old.m_prot
+        | Some old -> Backend.unmap ctx sh store vpn old; None
         | None -> None
       in
-      (* ...and, inverted-table restriction, any foreign mapping of the
-         frame itself. *)
-      let s = ipt.(pfn) in
-      if s.s_valid && not (s.s_asid = asid && s.s_vpn = vpn) then begin
-        evict pfn;
-        stats.Pmap.alias_evictions <- stats.Pmap.alias_evictions + 1
-      end;
-      if not s.s_valid then begin
-        s.s_asid <- asid;
-        s.s_vpn <- vpn;
-        s.s_wired <- wired;
-        s.s_valid <- true;
-        Int_tbl.replace own_vpns vpn pfn;
-        Backend.pv_insert ctx ~pfn ~asid ~vpn
-      end;
-      s.s_prot <- prot;
-      s.s_wired <- wired;
-      Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
+      (* ...and, inverted-table restriction, any other mapping of the
+         page's frames, which the domain's pv table — indexed by frame,
+         like the hardware's — names: all of them are evicted. *)
+      List.iter
+        (fun (m : Pv.mapping) ->
+           if not (m.pv_asid = asid && m.pv_vpn = vpn) then begin
+             evict m;
+             stats.Pmap.alias_evictions <- stats.Pmap.alias_evictions + n
+           end)
+        (Pv.mappings ctx.Backend.pv ~pfn);
+      Int_tbl.replace own_vpns vpn
+        { Backend.m_pfn = pfn; m_prot = prot; m_wired = wired };
+      if Option.is_none kept then Backend.pv_insert ctx ~pfn ~asid ~vpn;
+      Backend.charge_frames ctx (Backend.cost ctx).Arch.pte_write;
       (* Only a pre-existing translation can be cached in a TLB; one on
          another frame was shot by its eviction above. *)
       (match kept with
        | Some old ->
          Backend.reenter ctx sh.Backend.presence ~asid ~vpn ~old ~prot
        | None -> ());
-      stats.Pmap.enters <- stats.Pmap.enters + 1
+      stats.Pmap.enters <- stats.Pmap.enters + n
     in
 
-    (* The hardware hashes (asid, vpn) through the anchor table into
-       the inverted table; each pmap's [own_vpns] holds the same
-       vpn -> pfn bindings for its asid. *)
-    let lookup vpn =
-      match Int_tbl.find_opt own_vpns vpn with
-      | Some pfn ->
-        Translator.Mapped { pfn; prot = ipt.(pfn).s_prot }
-      | None -> Translator.Missing
-    in
+    (* The hardware hashes (asid, vpn) through the anchor table into the
+       inverted table; [own_vpns] holds the same bindings for this
+       pmap's asid. *)
+    let lookup = Backend.lookup_in ctx own_vpns in
     let translator =
       { Translator.asid; lookup;
         walk_cost = (Backend.cost ctx).Arch.tlb_fill; hw_walk = true }
@@ -121,8 +78,8 @@ let make_domain (ctx : Backend.ctx) =
     in
 
     Backend.pmap ctx sh store ~translator ~enter
-      ~extract:(fun va -> Int_tbl.find_opt own_vpns (va / page))
-      ~resident_count:(fun () -> Int_tbl.length own_vpns) ~destroy ()
+      ~resident_count:(fun () -> Int_tbl.length own_vpns * n)
+      ~destroy ()
   in
   {
     Backend.new_pmap;

@@ -1,12 +1,10 @@
 open Mach_hw
 module Int_tbl = Mach_util.Int_tbl
 
-type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
-
 type context = {
   c_index : int;
   mutable c_owner : int option; (* asid *)
-  c_table : mapping Int_tbl.t; (* vpn -> mapping *)
+  c_table : Backend.mapping Int_tbl.t; (* first vpn -> page mapping *)
   mutable c_stamp : int; (* LRU clock *)
 }
 
@@ -18,7 +16,7 @@ let make_domain (ctx : Backend.ctx) =
   let n_contexts =
     match arch.Arch.contexts with Some n -> n | None -> 8
   in
-  let page = Backend.page_size ctx in
+  let page = Backend.page_size ctx and n = ctx.Backend.page_frames in
   let contexts =
     Array.init n_contexts (fun i ->
         { c_index = i; c_owner = None; c_table = Int_tbl.create 64;
@@ -26,6 +24,8 @@ let make_domain (ctx : Backend.ctx) =
   in
   let clock = ref 0 in
   let owners : owner Int_tbl.t = Int_tbl.create 16 in
+  (* The table of a pmap without a context: always empty. *)
+  let no_table = Int_tbl.create 1 in
 
   let release_context c =
     match c.c_owner with
@@ -37,8 +37,8 @@ let make_domain (ctx : Backend.ctx) =
       let stats = victim.o_shell.Backend.stats in
       Int_tbl.iter
         (fun vpn m ->
-           Backend.pv_remove ctx ~pfn:m.m_pfn ~asid:victim_asid ~vpn;
-           stats.Pmap.removals <- stats.Pmap.removals + 1)
+           Backend.pv_remove ctx ~pfn:m.Backend.m_pfn ~asid:victim_asid ~vpn;
+           stats.Pmap.removals <- stats.Pmap.removals + n)
         c.c_table;
       Backend.shoot ctx victim.o_shell.Backend.presence
         (Machine.Flush_asid victim_asid);
@@ -89,63 +89,39 @@ let make_domain (ctx : Backend.ctx) =
     in
 
     let enter ~va ~pfn ~prot ~wired =
-      if va < 0 || va >= arch.Arch.user_va_limit then
+      if va < 0 || va + ((n - 1) * page) >= arch.Arch.user_va_limit then
         invalid_arg "pmap_enter: virtual address beyond hardware limit";
-      let vpn = va / page in
+      let vpn = Backend.page_vpn ctx ~va ~pfn in
       let c = my_context () in
       let previous = Int_tbl.find_opt c.c_table vpn in
       (match previous with
-       | Some old when old.m_pfn <> pfn ->
-         Backend.pv_remove ctx ~pfn:old.m_pfn ~asid ~vpn;
-         stats.Pmap.removals <- stats.Pmap.removals + 1;
+       | Some old when old.Backend.m_pfn <> pfn ->
+         Backend.pv_remove ctx ~pfn:old.Backend.m_pfn ~asid ~vpn;
+         stats.Pmap.removals <- stats.Pmap.removals + n;
          Backend.pv_insert ctx ~pfn ~asid ~vpn
        | Some _ -> ()
        | None -> Backend.pv_insert ctx ~pfn ~asid ~vpn);
       Int_tbl.replace c.c_table vpn
-        { m_pfn = pfn; m_prot = prot; m_wired = wired };
-      Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
+        { Backend.m_pfn = pfn; m_prot = prot; m_wired = wired };
+      Backend.charge_frames ctx (Backend.cost ctx).Arch.pte_write;
       (match previous with
-       | Some old when old.m_pfn <> pfn ->
+       | Some old when old.Backend.m_pfn <> pfn ->
          Backend.shoot_page ctx sh.Backend.presence ~asid ~vpn
        | Some old ->
-         Backend.reenter ctx sh.Backend.presence ~asid ~vpn ~old:old.m_prot
-           ~prot
+         Backend.reenter ctx sh.Backend.presence ~asid ~vpn
+           ~old:old.Backend.m_prot ~prot
        | None -> ());
-      stats.Pmap.enters <- stats.Pmap.enters + 1
+      stats.Pmap.enters <- stats.Pmap.enters + n
     in
 
-    (* This pmap's mapping RAM; it holds no mappings without a context. *)
+    (* This pmap's mapping RAM, empty without a context. *)
     let table () =
-      match me.o_context with Some c -> c.c_table | None -> assert false
+      match me.o_context with Some c -> c.c_table | None -> no_table
     in
-    let store =
-      { Backend.range =
-          (fun lo hi ->
-             match me.o_context with
-             | None -> []
-             | Some c -> Backend.range_of c.c_table lo hi);
-        drop =
-          (fun vpn m ->
-             Int_tbl.remove (table ()) vpn;
-             Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn;
-             Backend.charge ctx (Backend.cost ctx).Arch.pte_write;
-             stats.Pmap.removals <- stats.Pmap.removals + 1);
-        prot_of = (fun m -> m.m_prot);
-        set_prot =
-          (fun vpn m prot ->
-             Int_tbl.replace (table ()) vpn { m with m_prot = prot });
-        wired = (fun m -> m.m_wired); pte = true }
-    in
-
-    let find vpn =
-      match me.o_context with
-      | Some c -> Int_tbl.find_opt c.c_table vpn
-      | None -> None
-    in
-    let extract va = Option.map (fun m -> m.m_pfn) (find (va / page)) in
+    let store = Backend.table_store ctx sh ~pte:true table in
     let lookup vpn =
-      match find vpn with
-      | Some m -> Translator.Mapped { pfn = m.m_pfn; prot = m.m_prot }
+      match me.o_context with
+      | Some c -> Backend.lookup_in ctx c.c_table vpn
       | None -> Translator.Missing
     in
     (* The mapping RAM *is* the translation path: no walk cost. *)
@@ -157,7 +133,7 @@ let make_domain (ctx : Backend.ctx) =
       (match me.o_context with
        | Some c ->
          Int_tbl.iter
-           (fun vpn m -> Backend.pv_remove ctx ~pfn:m.m_pfn ~asid ~vpn)
+           (fun vpn m -> Backend.pv_remove ctx ~pfn:m.Backend.m_pfn ~asid ~vpn)
            c.c_table;
          Int_tbl.reset c.c_table;
          c.c_owner <- None;
@@ -166,11 +142,9 @@ let make_domain (ctx : Backend.ctx) =
       Int_tbl.remove owners asid
     in
 
-    Backend.pmap ctx sh store ~translator ~enter ~extract
+    Backend.pmap ctx sh store ~translator ~enter
       ~resident_count:(fun () ->
-          match me.o_context with
-          | None -> 0
-          | Some c -> Int_tbl.length c.c_table)
+          Int_tbl.length (table ()) * n)
       ~destroy ~on_activate:(fun () -> ignore (my_context ())) ()
   in
   {

@@ -1,27 +1,29 @@
 type mapping = { pv_asid : int; pv_vpn : int }
 
 type t = {
+  page_frames : int;
+  shift : int;  (* log2 page_frames: a page is [pfn lsr shift] *)
   lists : mapping list array;
   referenced : Bytes.t;
   modified : Bytes.t;
 }
 
-(* Arrays are indexed by frame number; mapping lists are short (a frame is
-   rarely shared by more than a handful of address spaces). *)
+(* Lists are indexed by machine-independent page, bits by frame; mapping
+   lists are short (a page is rarely shared by more than a handful of
+   address spaces). *)
 
-let create ~frames =
-  { lists = Array.make frames [];
+let create ~frames ~page_frames =
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  { page_frames; shift = log2 page_frames;
+    lists = Array.make ((frames + page_frames - 1) / page_frames) [];
     referenced = Bytes.make frames '\000';
     modified = Bytes.make frames '\000' }
 
-(* Structural invariant checks cost an O(n) membership scan per insert;
-   with every page of a large region entered one at a time that turns the
-   pmap paths quadratic, so they are compiled out of normal builds. *)
-let debug_checks = false
+let page t pfn = pfn lsr t.shift
 
 let insert t ~pfn m =
-  if debug_checks then assert (not (List.mem m t.lists.(pfn)));
-  t.lists.(pfn) <- m :: t.lists.(pfn)
+  let i = page t pfn in
+  t.lists.(i) <- m :: t.lists.(i)
 
 let remove t ~pfn m =
   (* One traversal dropping the first occurrence; a missing mapping still
@@ -32,21 +34,26 @@ let remove t ~pfn m =
       if m'.pv_asid = m.pv_asid && m'.pv_vpn = m.pv_vpn then rest
       else m' :: drop rest
   in
-  t.lists.(pfn) <- drop t.lists.(pfn)
+  let i = page t pfn in
+  t.lists.(i) <- drop t.lists.(i)
 
-let mappings t ~pfn = t.lists.(pfn)
-
-let mapping_count t ~pfn = List.length t.lists.(pfn)
+let mappings t ~pfn = t.lists.(page t pfn)
 
 let set_referenced t ~pfn = Bytes.set t.referenced pfn '\001'
 let set_modified t ~pfn = Bytes.set t.modified pfn '\001'
 
-(* Whether any of the [n] frames of [bits] from [pfn] is set. *)
-let rec any bits ~pfn n =
-  n > 0 && (Bytes.get bits pfn = '\001' || any bits ~pfn:(pfn + 1) (n - 1))
+let frame_referenced t ~pfn = Bytes.get t.referenced pfn = '\001'
 
-let is_referenced t ~pfn ~frames = any t.referenced ~pfn frames
-let is_modified t ~pfn ~frames = any t.modified ~pfn frames
+(* Whether [bits] is set on any frame of the page holding [pfn]. *)
+let any t bits pfn =
+  let first = page t pfn * t.page_frames in
+  let rec from f = f >= first && (Bytes.get bits f = '\001' || from (f - 1)) in
+  from (first + t.page_frames - 1)
 
-let clear_referenced t ~pfn ~frames = Bytes.fill t.referenced pfn frames '\000'
-let clear_modified t ~pfn ~frames = Bytes.fill t.modified pfn frames '\000'
+let clear t bits pfn =
+  Bytes.fill bits (page t pfn * t.page_frames) t.page_frames '\000'
+
+let is_referenced t ~pfn = any t t.referenced pfn
+let is_modified t ~pfn = any t t.modified pfn
+let clear_referenced t ~pfn = clear t t.referenced pfn
+let clear_modified t ~pfn = clear t t.modified pfn

@@ -4,44 +4,47 @@
     [pmap_copy_on_write]) and the modify/reference-bit maintenance calls
     need to find every virtual mapping of a physical page.  Real pmap
     modules keep "pv lists" for this; here one [Pv.t] per pmap domain maps
-    each frame to the (address space, virtual page) pairs currently mapping
-    it, and carries the frame's referenced/modified bits, which the
-    simulated MMU sets on every translated access. *)
+    each machine-independent page to its (address space, first vpn)
+    mappings, and carries each hardware frame's referenced/modified
+    bits, which the simulated MMU sets on every translated access.  Any
+    frame of a page may name it as [~pfn]. *)
 
 type mapping = { pv_asid : int; pv_vpn : int }
-(** One virtual mapping of a frame. *)
+(** One virtual mapping of a page: [pv_vpn] is the hardware vpn of its
+    first frame. *)
 
 type t
 (** Tracking state for one pmap domain. *)
 
-val create : frames:int -> t
-(** [create ~frames] covers physical frames [0 .. frames-1]. *)
+val create : frames:int -> page_frames:int -> t
+(** [create ~frames ~page_frames] covers physical frames
+    [0 .. frames-1] in pages of [page_frames] frames (a power of two). *)
 
 val insert : t -> pfn:int -> mapping -> unit
-(** [insert t ~pfn m] records that [m] maps [pfn].  Duplicate insertions
-    are an error caught by assertion. *)
+(** [insert t ~pfn m] records that [m] maps the page holding [pfn]. *)
 
 val remove : t -> pfn:int -> mapping -> unit
 (** [remove t ~pfn m] forgets [m].  Removing an absent mapping is an
     error. *)
 
 val mappings : t -> pfn:int -> mapping list
-(** [mappings t ~pfn] is every current mapping of [pfn]. *)
-
-val mapping_count : t -> pfn:int -> int
-(** [mapping_count t ~pfn] is [List.length (mappings t ~pfn)]. *)
+(** [mappings t ~pfn] is every current mapping of the page. *)
 
 val set_referenced : t -> pfn:int -> unit
 val set_modified : t -> pfn:int -> unit
+(** Set the bit on frame [pfn] alone. *)
 
-val is_referenced : t -> pfn:int -> frames:int -> bool
-(** Whether any access touched any of the [frames] frames from [pfn]
-    since they were last cleared. *)
+val frame_referenced : t -> pfn:int -> bool
+(** Whether frame [pfn] alone was touched since it was last cleared. *)
 
-val is_modified : t -> pfn:int -> frames:int -> bool
-(** Whether any write touched any of the [frames] frames from [pfn]
-    since they were last cleared. *)
+val is_referenced : t -> pfn:int -> bool
+(** Whether any access touched any frame of the page since the bits
+    were last cleared. *)
 
-val clear_referenced : t -> pfn:int -> frames:int -> unit
-val clear_modified : t -> pfn:int -> frames:int -> unit
-(** Clear the bit on the [frames] frames from [pfn]. *)
+val is_modified : t -> pfn:int -> bool
+(** Whether any write touched any frame of the page since the bits were
+    last cleared. *)
+
+val clear_referenced : t -> pfn:int -> unit
+val clear_modified : t -> pfn:int -> unit
+(** Clear the bit on every frame of the page. *)

@@ -847,7 +847,7 @@ let free_behind_never_eats_dirty =
          match Vm_map.resolve_object_at sys (Task.map task) ~va:addr with
          | None -> false
          | Some (o, _) ->
-           let m = Resident.multiple sys.Vm_sys.resident in
+           let m = Mach_pmap.Pmap_domain.page_multiple kernel.Kernel.domain in
            List.for_all
              (fun p ->
                 p.Types.pg_queue <> Types.Q_inactive

@@ -267,8 +267,9 @@ let test_other_task_touch_not_credited () =
    region on pages of eight hardware frames: one record each, keyed by
    (A's asid, the page's pfn).  A's first touch of frame 3 of page 1
    settles page 1 as a hit; B's touch of page 7 through its own mapping
-   leaves A's record pending; dropping A's mapping of one frame of
-   page 5 settles page 5 as a miss. *)
+   leaves A's record pending; a pmap_remove of one frame of page 5 is
+   refused (pages are mapped whole) and settles nothing; dropping A's
+   mapping of page 5 settles it as a miss. *)
 let test_burst_records_per_page () =
   let machine, kernel, sys = boot ~cpus:2 () in
   sys.Vm_sys.burst_max <- 8;
@@ -320,9 +321,16 @@ let test_burst_records_per_page () =
   Alcotest.(check int) "the entry's hit" 1 entry.Types.e_burst_hits;
   Machine.touch machine ~cpu:1 ~va:(addr + (7 * ps)) ~write:false;
   pending "B's touch leaves A's record" [ 2; 3; 4; 5; 6; 7 ];
-  let va5 = addr + (5 * ps) + (2 * hw) in
-  (pmap_of a).Mach_pmap.Pmap.remove ~start_va:va5 ~end_va:(va5 + hw);
-  pending "one frame unmapped settles page 5" [ 2; 3; 4; 6; 7 ];
+  let va5 = addr + (5 * ps) in
+  Alcotest.check_raises "one frame of page 5"
+    (Invalid_argument
+       "pmap_remove/pmap_protect: range must cover whole pages")
+    (fun () ->
+       (pmap_of a).Mach_pmap.Pmap.remove ~start_va:(va5 + (2 * hw))
+         ~end_va:(va5 + (3 * hw)));
+  pending "a refused remove settles nothing" [ 2; 3; 4; 5; 6; 7 ];
+  (pmap_of a).Mach_pmap.Pmap.remove ~start_va:va5 ~end_va:(va5 + ps);
+  pending "page 5 unmapped settles it" [ 2; 3; 4; 6; 7 ];
   Alcotest.(check int) "as a miss" 1 entry.Types.e_burst_misses;
   Alcotest.(check int) "still one hit" 1 s.Vm_stats.vs_prefetch_hits
 

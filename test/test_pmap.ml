@@ -8,8 +8,8 @@ open Mach_pmap
 let archs =
   [ Arch.uvax2; Arch.rt_pc; Arch.sun3_160; Arch.ns32082; Arch.rp3_tlb ]
 
-let setup ?page_multiple arch =
-  let machine = Machine.create ~arch ~memory_frames:256 ~cpus:2 () in
+let setup ?page_multiple ?(frames = 256) arch =
+  let machine = Machine.create ~arch ~memory_frames:frames ~cpus:2 () in
   let domain = Pmap_domain.create ?page_multiple machine in
   (machine, domain)
 
@@ -297,32 +297,19 @@ let vax_page_setup () =
   p2.Pmap.activate ~cpu:1;
   (machine, domain, tr, p1, p2)
 
+(* Map the page at [pfn] from hardware page [vpn]: both start a page. *)
 let map_at p ~vpn ~pfn =
   p.Pmap.enter ~va:(vpn * page Arch.uvax2) ~pfn ~prot:Prot.read_write
     ~wired:false
 
-(* The page mapped whole by both pmaps, at unrelated vpns, next to an
-   unrelated mapping of p1's that a page-wide request must not reach. *)
+(* The page mapped by both pmaps, at unrelated vpns, next to another
+   page of p1's (vpns 12..15, frames 32..35) that a page-wide request
+   must not reach.  Returns the hardware mappings of the page. *)
 let map_whole p1 p2 =
-  for j = 0 to page_frames - 1 do
-    map_at p1 ~vpn:(10 + j) ~pfn:(16 + j);
-    map_at p2 ~vpn:(40 + j) ~pfn:(16 + j)
-  done;
-  map_at p1 ~vpn:14 ~pfn:30;
+  map_at p1 ~vpn:8 ~pfn:16;
+  map_at p2 ~vpn:40 ~pfn:16;
+  map_at p1 ~vpn:12 ~pfn:32;
   2 * page_frames
-
-(* p1 maps three of the four frames (frame 18 not at all), with vpn 12
-   — the hole in its run — mapping another page; p2 maps every frame,
-   at vpns out of order. *)
-let map_partial p1 p2 =
-  map_at p1 ~vpn:10 ~pfn:16;
-  map_at p1 ~vpn:11 ~pfn:17;
-  map_at p1 ~vpn:12 ~pfn:30;
-  map_at p1 ~vpn:13 ~pfn:19;
-  List.iter
-    (fun (vpn, pfn) -> map_at p2 ~vpn ~pfn)
-    [ (50, 16); (52, 17); (51, 18); (53, 19) ];
-  7
 
 (* Counters an operation moves: exchanges, pmap removals and protects,
    and the range requests traced for each. *)
@@ -335,57 +322,77 @@ let counts machine domain tr =
     count tr (Pmap_remove { asid = 0; start_va = 0; end_va = 0 }),
     count tr (Pmap_protect { asid = 0; start_va = 0; end_va = 0 }) )
 
-let page_unmapped domain =
-  List.for_all
-    (fun j -> Pmap_domain.mapping_count domain ~pfn:(16 + j) = 0)
-    (List.init page_frames Fun.id)
-
-let test_remove_all_page ~map ~requests () =
+let test_remove_all_page () =
   let machine, domain, tr, p1, p2 = vax_page_setup () in
-  let mapped = map p1 p2 in
+  let mapped = map_whole p1 p2 in
   let x0, r0, _, q0, _ = counts machine domain tr in
   Pmap_domain.remove_all domain ~pfn:16 ~urgent:true;
   let x1, r1, _, q1, _ = counts machine domain tr in
-  Alcotest.(check bool) "every frame unmapped" true (page_unmapped domain);
-  Alcotest.(check int) "removals = mappings" mapped (r1 - r0);
+  Alcotest.(check int) "page unmapped" 0
+    (Pmap_domain.mapping_count domain ~pfn:16);
+  Alcotest.(check int) "removals = hardware mappings" mapped (r1 - r0);
   Alcotest.(check int) "one exchange" 1 (x1 - x0);
-  Alcotest.(check int) "range requests" requests (q1 - q0);
+  Alcotest.(check int) "range requests" 2 (q1 - q0);
   let ps = page Arch.uvax2 in
-  Alcotest.(check (option int)) "other page kept" (Some 30)
-    (p1.Pmap.extract ((if mapped = 7 then 12 else 14) * ps));
-  Alcotest.(check int) "only the page's mappings went" 1
+  Alcotest.(check (list (option int))) "no frame left in either pmap"
+    (List.init (2 * page_frames) (fun _ -> None))
+    (List.concat_map
+       (fun (p, vpn) ->
+          List.init page_frames (fun j -> p.Pmap.extract ((vpn + j) * ps)))
+       [ (p1, 8); (p2, 40) ]);
+  Alcotest.(check (option int)) "other page kept" (Some 35)
+    (p1.Pmap.extract (15 * ps));
+  Alcotest.(check int) "only the page's mappings went" page_frames
     (p1.Pmap.resident_count () + p2.Pmap.resident_count ())
 
 (* Writes through p1 on CPU 0 to [vpns]: which of them protection
-   fault (the handler restores write access). *)
+   fault (the handler restores write access to the whole page). *)
 let write_faults machine p1 ~vpns =
   let ps = page Arch.uvax2 in
   let faulted = ref [] in
   Machine.set_fault_handler machine (fun ~cpu:_ f ->
       let vpn = f.Machine.fault_va / ps in
       faulted := vpn :: !faulted;
-      match p1.Pmap.extract (vpn * ps) with
-      | Some pfn -> map_at p1 ~vpn ~pfn
+      let first = vpn land lnot (page_frames - 1) in
+      match p1.Pmap.extract (first * ps) with
+      | Some pfn -> map_at p1 ~vpn:first ~pfn
       | None -> Alcotest.fail "fault on an unmapped page");
   List.iter (fun vpn -> Machine.write_byte machine ~cpu:0 ~va:(vpn * ps) 'w')
     vpns;
   List.sort_uniq Int.compare !faulted
 
-let test_copy_on_write_page ~map ~requests () =
+(* The rights CPU 0's MMU would find at [vpn] through p1's tables. *)
+let walked_prot machine vpn =
+  match Machine.active_translator machine ~cpu:0 with
+  | Some tr ->
+    (match tr.Translator.lookup vpn with
+     | Translator.Mapped { prot; _ } -> Some prot
+     | Translator.Missing -> None)
+  | None -> None
+
+let test_copy_on_write_page () =
   let machine, domain, tr, p1, p2 = vax_page_setup () in
-  let mapped = map p1 p2 in
+  ignore (map_whole p1 p2);
   let x0, r0, o0, _, q0 = counts machine domain tr in
   Pmap_domain.copy_on_write domain ~pfn:16;
   let x1, r1, o1, _, q1 = counts machine domain tr in
   Alcotest.(check int) "nothing removed" 0 (r1 - r0);
   Alcotest.(check int) "one exchange" 1 (x1 - x0);
-  Alcotest.(check int) "range requests" requests (q1 - q0);
-  Alcotest.(check int) "protect calls" requests (o1 - o0);
-  let page_vpns = if mapped = 7 then [ 10; 11; 13 ] else [ 10; 11; 12; 13 ] in
-  let other = if mapped = 7 then 12 else 14 in
-  Alcotest.(check (list int)) "page writes fault, the other page's do not"
-    page_vpns
-    (write_faults machine p1 ~vpns:(other :: page_vpns))
+  Alcotest.(check int) "range requests" 2 (q1 - q0);
+  Alcotest.(check int) "protect calls" 2 (o1 - o0);
+  Alcotest.(check (list bool)) "every frame of the page read-only"
+    [ false; false; false; false; true ]
+    (List.map
+       (fun vpn ->
+          match walked_prot machine vpn with
+          | Some prot -> prot.Prot.write
+          | None -> Alcotest.fail "frame unmapped")
+       [ 8; 9; 10; 11; 12 ]);
+  Alcotest.(check (list int))
+    "the page's first write faults and restores it whole; the other \
+     page's does not"
+    [ 8 ]
+    (write_faults machine p1 ~vpns:[ 12; 8; 9; 10; 11 ])
 
 (* A write through one frame dirties the page, whichever of its frames
    is asked about; clearing through any frame clears all four. *)
@@ -395,13 +402,13 @@ let test_page_bits () =
   let ps = page Arch.uvax2 in
   let modified pfn = Pmap_domain.is_modified domain ~pfn in
   Alcotest.(check bool) "clean" false (modified 16);
-  Machine.write_byte machine ~cpu:0 ~va:(12 * ps) 'w';
+  Machine.write_byte machine ~cpu:0 ~va:(10 * ps) 'w';
   Alcotest.(check bool) "frame 18's write, asked at 16" true (modified 16);
   Alcotest.(check bool) "asked at 18" true (modified 18);
   Alcotest.(check bool) "asked at 19" true (modified 19);
   Alcotest.(check bool) "next page clean" false (modified 20);
   for j = 0 to page_frames - 1 do
-    Machine.write_byte machine ~cpu:0 ~va:((10 + j) * ps) 'w'
+    Machine.write_byte machine ~cpu:0 ~va:((8 + j) * ps) 'w'
   done;
   Pmap_domain.clear_modified domain ~pfn:16;
   Pmap_domain.clear_referenced domain ~pfn:19;
@@ -433,6 +440,75 @@ let test_enter_page () =
   Alcotest.(check int) "one exchange" 1
     ((Machine.stats machine).Machine.shootdowns - x0)
 
+(* pmap_enter maps whole pages, and remove/protect act on whole pages:
+   an enter whose va or pfn is not a page's first, or a range that
+   cuts a page, is refused and changes nothing. *)
+let test_page_boundaries () =
+  let machine, domain, _, p1, _ = vax_page_setup () in
+  let ps = page Arch.uvax2 in
+  map_at p1 ~vpn:8 ~pfn:16;
+  let before () =
+    ( List.init (2 * page_frames) (fun j -> p1.Pmap.extract ((8 + j) * ps)),
+      p1.Pmap.stats.Pmap.enters,
+      p1.Pmap.stats.Pmap.removals,
+      (Machine.stats machine).Machine.shootdowns,
+      Pmap_domain.mappings_of domain ~pfn:16,
+      Pmap_domain.mapping_count domain ~pfn:20 )
+  in
+  let state = before () in
+  let refused what msg f =
+    Alcotest.check_raises what (Invalid_argument msg) f;
+    if before () <> state then Alcotest.failf "%s changed the pmap" what
+  in
+  let enter_msg = "pmap_enter: va and pfn must start a page" in
+  let range_msg = "pmap_remove/pmap_protect: range must cover whole pages" in
+  refused "va inside a page" enter_msg (fun () -> map_at p1 ~vpn:13 ~pfn:20);
+  refused "pfn inside a page" enter_msg (fun () -> map_at p1 ~vpn:12 ~pfn:22);
+  refused "re-enter at the page's second frame" enter_msg (fun () ->
+      map_at p1 ~vpn:9 ~pfn:17);
+  refused "remove of one frame" range_msg (fun () ->
+      p1.Pmap.remove ~start_va:(9 * ps) ~end_va:(10 * ps));
+  refused "remove ending inside a page" range_msg (fun () ->
+      p1.Pmap.remove ~start_va:(8 * ps) ~end_va:(10 * ps));
+  refused "protect starting inside a page" range_msg (fun () ->
+      p1.Pmap.protect ~start_va:(10 * ps) ~end_va:(12 * ps)
+        ~prot:Prot.read_only);
+  Alcotest.(check (list (option int))) "the page is still whole"
+    [ Some 16; Some 17; Some 18; Some 19; None; None; None; None ]
+    (let l, _, _, _, _, _ = state in l)
+
+(* RT PC pages of two 2 KB frames: its inverted table holds one mapping
+   per frame, so entering a page another pmap maps evicts that pmap's
+   mapping of both frames, in one exchange to the CPU it runs on. *)
+let test_rtpc_page_alias () =
+  let machine, domain = setup ~page_multiple:2 Arch.rt_pc in
+  let ps = page Arch.rt_pc in
+  let p1 = Pmap_domain.create_pmap domain in
+  let p2 = Pmap_domain.create_pmap domain in
+  p1.Pmap.activate ~cpu:0;
+  p2.Pmap.activate ~cpu:1;
+  Pmap_domain.enter_page domain p1 ~va:(10 * ps) ~pfn:16
+    ~prot:Prot.read_write ~wired:false;
+  ignore (Machine.read_byte machine ~cpu:0 ~va:(10 * ps));
+  ignore (Machine.read_byte machine ~cpu:0 ~va:(11 * ps));
+  let aliases () = (Pmap_domain.total_stats domain).Pmap.alias_evictions in
+  let x0 = (Machine.stats machine).Machine.shootdowns and a0 = aliases () in
+  Pmap_domain.enter_page domain p2 ~va:(40 * ps) ~pfn:16
+    ~prot:Prot.read_write ~wired:false;
+  Alcotest.(check int) "one exchange" 1
+    ((Machine.stats machine).Machine.shootdowns - x0);
+  Alcotest.(check int) "two alias evictions" 2 (aliases () - a0);
+  Alcotest.(check (list (option int))) "p1 lost both frames, p2 has both"
+    [ None; None; Some 16; Some 17 ]
+    [ p1.Pmap.extract (10 * ps); p1.Pmap.extract (11 * ps);
+      p2.Pmap.extract (40 * ps); p2.Pmap.extract (41 * ps) ];
+  Alcotest.(check (list (pair int int))) "one pv record, p2's"
+    [ (p2.Pmap.asid, 40) ]
+    (Pmap_domain.mappings_of domain ~pfn:17);
+  Alcotest.(check (list (pair int int))) "no TLB keeps p1's frames" []
+    (List.map (fun (cpu, (e : Tlb.entry)) -> (cpu, e.Tlb.vpn))
+       (Machine.tlb_overreach machine))
+
 let test_page_multiple_checked () =
   let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
   List.iter
@@ -450,14 +526,14 @@ let page_granular_tests =
       test_enter_page;
     Alcotest.test_case "page_multiple must be a power of two" `Quick
       test_page_multiple_checked;
-     Alcotest.test_case "remove_all: whole pages in two pmaps" `Quick
-      (test_remove_all_page ~map:map_whole ~requests:2);
-    Alcotest.test_case "remove_all: some frames, vpns out of order" `Quick
-      (test_remove_all_page ~map:map_partial ~requests:7);
+    Alcotest.test_case "remove_all: whole pages in two pmaps" `Quick
+      test_remove_all_page;
+    Alcotest.test_case "enter and ranges must sit on page boundaries" `Quick
+      test_page_boundaries;
     Alcotest.test_case "copy_on_write: whole pages in two pmaps" `Quick
-      (test_copy_on_write_page ~map:map_whole ~requests:2);
-    Alcotest.test_case "copy_on_write: some frames, vpns out of order" `Quick
-      (test_copy_on_write_page ~map:map_partial ~requests:7) ]
+      test_copy_on_write_page;
+    Alcotest.test_case "RT PC: an alias evicts the whole page" `Quick
+      test_rtpc_page_alias ]
 
 (* ---- architecture-specific behaviours ----------------------------------- *)
 
@@ -600,30 +676,41 @@ let test_tlbonly_no_structures () =
    range ops cross table pages; single-page and whole-space ops take
    the one-lookup and scan-every-table paths.  The frame of vpn [i]'s
    slot is 3 * i + k, so no two live pages share a frame and the RT PC
-   evicts no aliases. *)
+   evicts no aliases.  With [page_multiple] m the vpns and frames are
+   multiplied by m, so each slot is a page of m hardware frames, and
+   every frame of every page is checked and touched. *)
 let model_vpns =
   [| 0; 1; 2; 126; 127; 128; 129; 130; 254; 255; 256; 257; 383; 384; 385;
      511; 512; 1023; 1024; 1025; 2047; 2048; 8191; 8192; 16383; 32767 |]
 
-let pmap_model_test arch =
+let pmap_model_test ?(page_multiple = 1) arch =
   let open QCheck2 in
   let slots = Array.length model_vpns in
+  let m = page_multiple in
   Test.make
-    ~name:(Printf.sprintf "pmap agrees with model [%s]" arch.Arch.name)
+    ~name:
+      (if m = 1 then
+         Printf.sprintf "pmap agrees with model [%s]" arch.Arch.name
+       else
+         Printf.sprintf "pmap agrees with model [%s, pages of %d]"
+           arch.Arch.name m)
     ~count:100
     Gen.(
       list
         (quad (int_range 0 11) (int_range 0 (slots - 1))
            (int_range 0 (slots - 1)) (int_range 0 2)))
     (fun ops ->
-       let machine, domain = setup arch in
+       let machine, domain =
+         setup ~page_multiple:m ~frames:(256 * m) arch
+       in
        let p = Pmap_domain.create_pmap domain in
        let ps = page arch in
        let space = arch.Arch.user_va_limit / ps in
+       (* first vpn -> first frame, rights, wired *)
        let model = Hashtbl.create 16 in
        (* A TLB-only pmap's misses trap: reload from the model. *)
        Machine.set_fault_handler machine (fun ~cpu:_ f ->
-           let vpn = f.Machine.fault_va / ps in
+           let vpn = f.Machine.fault_va / ps land lnot (m - 1) in
            match Hashtbl.find_opt model vpn with
            | Some (pfn, prot, wired) ->
              p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired
@@ -643,13 +730,13 @@ let pmap_model_test arch =
          in
          p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot:Prot.read_write ~wired;
          Hashtbl.replace model vpn (pfn, Prot.read_write, wired);
-         (replaced, 0, 0)
+         (replaced * m, 0, 0)
        in
        let remove lo hi =
          let gone = in_model lo hi in
          p.Pmap.remove ~start_va:(lo * ps) ~end_va:(hi * ps);
          List.iter (fun (vpn, _) -> Hashtbl.remove model vpn) gone;
-         (List.length gone, 0, 0)
+         (List.length gone * m, 0, 0)
        in
        let protect lo hi =
          p.Pmap.protect ~start_va:(lo * ps) ~end_va:(hi * ps)
@@ -666,7 +753,7 @@ let pmap_model_test arch =
          let dropped = List.filter (fun (_, w) -> not w) (in_model 0 max_int) in
          p.Pmap.collect ();
          List.iter (fun (vpn, _) -> Hashtbl.remove model vpn) dropped;
-         let n = List.length dropped in
+         let n = List.length dropped * m in
          (n, 0, n)
        in
        let counters () =
@@ -676,41 +763,48 @@ let pmap_model_test arch =
        let agrees () =
          let extracts =
            Array.for_all
-             (fun vpn ->
-                p.Pmap.extract (vpn * ps)
-                = Option.map (fun (pfn, _, _) -> pfn)
-                    (Hashtbl.find_opt model vpn))
+             (fun v ->
+                let vpn = v * m in
+                List.for_all
+                  (fun j ->
+                     p.Pmap.extract ((vpn + j) * ps)
+                     = Option.map
+                         (fun (pfn, _, _) -> pfn + j)
+                         (Hashtbl.find_opt model vpn))
+                  (List.init m Fun.id))
              model_vpns
          in
+         (* Asked at the page's last frame: lists answer for the page. *)
          let pvs =
            List.for_all
-             (fun pfn ->
-                let vpn = model_vpns.(pfn / 3) in
+             (fun q ->
+                let pfn = q * m and vpn = model_vpns.(q / 3) * m in
                 let expected =
                   match Hashtbl.find_opt model vpn with
                   | Some (f, _, _) when f = pfn -> [ (p.Pmap.asid, vpn) ]
                   | Some _ | None -> []
                 in
-                Pmap_domain.mappings_of domain ~pfn = expected)
+                Pmap_domain.mappings_of domain ~pfn:(pfn + m - 1) = expected)
              (List.init (3 * slots) Fun.id)
          in
          extracts && pvs
-         && p.Pmap.resident_count () = Hashtbl.length model
+         && p.Pmap.resident_count () = m * Hashtbl.length model
          && Machine.tlb_overreach machine = []
        in
        List.for_all
          (fun (op, i, j, k) ->
-            let vpn = model_vpns.(i) in
+            let vpn = model_vpns.(i) * m in
             (* [lo, hi) from slot min(i, j) through slot max(i, j) *)
-            let lo = model_vpns.(min i j) and hi = model_vpns.(max i j) + 1 in
+            let lo = model_vpns.(min i j) * m
+            and hi = (model_vpns.(max i j) + 1) * m in
             let r0, p0, c0 = counters () in
             let dr, dp, dc =
               match op with
-              | 0 | 1 | 2 -> enter vpn ((3 * i) + k) ~wired:false
-              | 3 -> enter vpn ((3 * i) + k) ~wired:true
-              | 4 -> remove vpn (vpn + 1)
+              | 0 | 1 | 2 -> enter vpn (((3 * i) + k) * m) ~wired:false
+              | 3 -> enter vpn (((3 * i) + k) * m) ~wired:true
+              | 4 -> remove vpn (vpn + m)
               | 5 | 6 -> remove lo hi
-              | 7 -> protect vpn (vpn + 1)
+              | 7 -> protect vpn (vpn + m)
               | 8 -> protect lo hi
               | 9 -> remove 0 space
               | 10 -> protect 0 space
@@ -722,7 +816,10 @@ let pmap_model_test arch =
             in
             Hashtbl.iter
               (fun vpn _ ->
-                 Machine.touch machine ~cpu:0 ~va:(vpn * ps) ~write:false)
+                 for j = 0 to m - 1 do
+                   Machine.touch machine ~cpu:0 ~va:((vpn + j) * ps)
+                     ~write:false
+                 done)
               model;
             ok)
          ops)
@@ -766,4 +863,9 @@ let () =
       ( "model",
         List.map
           (fun arch -> QCheck_alcotest.to_alcotest (pmap_model_test arch))
-          archs ) ]
+          archs
+        @ List.map
+            (fun (arch, page_multiple) ->
+               QCheck_alcotest.to_alcotest
+                 (pmap_model_test ~page_multiple arch))
+            [ (Arch.uvax2, 8); (Arch.rt_pc, 2) ] ) ]
