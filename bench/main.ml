@@ -950,7 +950,7 @@ let chaos () =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 32 in
   let pager =
     {
-      Types.pgr_id = Types.fresh_pager_id ();
+      Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = "victim";
       pgr_request =
         (fun ~offset ~length ->

@@ -21,7 +21,9 @@ let () =
 
   (* The "trivial read/write object mechanism" the paper mentions: a
      store indexed by offset, driven entirely by messages. *)
-  let pager, store = Port_pager.trivial_store sys ~name:"demo-pager" () in
+  let pager, store, served =
+    Port_pager.trivial_store sys ~name:"demo-pager" ()
+  in
   Hashtbl.replace store 0 (Bytes.of_string "data served by a user-state pager");
   Hashtbl.replace store ps (Bytes.make ps 'B');
 
@@ -42,7 +44,7 @@ let () =
   Printf.printf "page 2 first byte: %d (zero filled)\n"
     (Char.code (Machine.read_byte machine ~cpu:0 ~va:(addr + (2 * ps))));
   Printf.printf "pager served %d data requests so far\n"
-    (Port_pager.requests_served pager);
+    (served ());
 
   (* Dirty page 1 and force pageout: the pager receives a
      pager_data_write message and its store is updated. *)

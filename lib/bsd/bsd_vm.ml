@@ -27,7 +27,6 @@ let variant_for (arch : Arch.t) =
 type region = { r_start : int; r_size : int }
 
 type proc = {
-  p_id : int;
   p_name : string;
   p_pmap : Pmap.t;
   mutable p_regions : region list;
@@ -49,8 +48,6 @@ type t = {
   current : proc option array;
   page : int;
 }
-
-let next_proc_id = ref 0
 
 let machine t = t.machine
 let bcache t = t.cache
@@ -195,9 +192,7 @@ let create machine ~fs ~buffers ?variant () =
   t
 
 let create_proc t ?(name = "proc") () =
-  incr next_proc_id;
   {
-    p_id = !next_proc_id;
     p_name = name;
     p_pmap = Pmap_domain.create_pmap t.domain;
     p_regions = [];

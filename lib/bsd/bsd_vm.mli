@@ -24,10 +24,6 @@ type variant = {
 val bsd43 : variant
 (** Plain 4.3bsd: eager fork copy. *)
 
-val acis42 : variant
-(** ACIS 4.2a for the RT PC: eager fork copy, slightly higher per-page
-    cost (shared segments bookkeeping). *)
-
 val sunos32 : variant
 (** SunOS 3.2: copy-on-write fork, but each page operation pays for the
     internally simulated VAX mapping structures. *)

@@ -3,26 +3,15 @@ type status = Ready | Running of int | Suspended | Terminated
 type step = cpu:int -> unit
 
 type t = {
-  th_id : int;
   th_name : string;
   th_task : Task.t;
   mutable th_status : status;
   mutable th_steps : step list;
 }
 
-let next_id = ref 0
+let make ~task ?(name = "thread") steps =
+  { th_name = name; th_task = task; th_status = Ready; th_steps = steps }
 
-let make ~task ?name steps =
-  incr next_id;
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "thread-%d" !next_id
-  in
-  { th_id = !next_id; th_name = name; th_task = task; th_status = Ready;
-    th_steps = steps }
-
-let id t = t.th_id
 let name t = t.th_name
 let task t = t.th_task
 let status t = t.th_status

@@ -26,7 +26,6 @@ val make : task:Task.t -> ?name:string -> step list -> t
 (** [make ~task steps] is a new thread of [task], ready to run.
     Normally created through {!Sched.spawn}. *)
 
-val id : t -> int
 val name : t -> string
 val task : t -> Task.t
 val status : t -> status

@@ -77,9 +77,9 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
       h.ph_consecutive <- 0;
       Some v
     | `Failed ->
-      if n < sys.Vm_sys.pager_retry_limit then begin
+      if n < Vm_sys.pager_retry_limit then begin
         stats.Vm_stats.vs_pager_retries <- stats.Vm_stats.vs_pager_retries + 1;
-        let backoff = sys.Vm_sys.pager_backoff_cycles * (1 lsl n) in
+        let backoff = Vm_sys.pager_backoff_cycles * (1 lsl n) in
         if Obs.enabled (Vm_sys.tracer sys) then
           Vm_sys.emit sys
             (Obs.Pager_retry { offset; attempt = n + 1; backoff });
@@ -92,7 +92,7 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
         h.ph_failures <- h.ph_failures + 1;
         h.ph_consecutive <- h.ph_consecutive + 1;
         if (not h.ph_dead)
-           && h.ph_consecutive >= sys.Vm_sys.pager_death_threshold
+           && h.ph_consecutive >= Vm_sys.pager_death_threshold
         then
           (match o.obj_pager with
            | Some pg -> declare_dead sys o pg

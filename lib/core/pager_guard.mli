@@ -6,10 +6,10 @@
 
     - transient failures ([Data_error]/[Write_error]) are retried up to
       [Vm_sys.pager_retry_limit] times with exponential backoff charged
-      in simulated cycles (base [pager_backoff_cycles]), each retry
+      in simulated cycles (base [Vm_sys.pager_backoff_cycles]), each retry
       emitting [Obs.Pager_retry];
     - a request that exhausts its budget counts against the object's
-      {!Types.pager_health}; after [pager_death_threshold] consecutive
+      {!Types.pager_health}; after [Vm_sys.pager_death_threshold] consecutive
       exhausted budgets the pager is declared {e dead}
       ([Obs.Pager_dead]): every dirty resident page of the object is
       immediately written to a freshly created rescue pager (a

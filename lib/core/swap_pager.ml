@@ -5,7 +5,7 @@ open Types
    for a pager without widening the pager record (and keep working when
    the pager is wrapped by a decorator — wrapping preserves [pgr_id]). *)
 let make (sys : Vm_sys.t) ~name =
-  let id = fresh_pager_id () in
+  let id = Vm_sys.fresh_pager_id sys in
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   Hashtbl.add sys.Vm_sys.swap_stores id store;
   let machine = sys.Vm_sys.machine in

@@ -10,8 +10,6 @@ type t = {
   mutable task_oom_killed : bool;
 }
 
-let next_id = ref 0
-
 let addr_limits (sys : Vm_sys.t) =
   let arch = Machine.arch sys.Vm_sys.machine in
   (sys.Vm_sys.page_size, arch.Arch.user_va_limit)
@@ -70,12 +68,11 @@ let oom_arm sys t =
     }
 
 let create sys ?(name = "task") () =
-  incr next_id;
   let low, high = addr_limits sys in
   let pmap = Pmap_domain.create_pmap sys.Vm_sys.domain in
   let t =
     {
-      task_id = !next_id;
+      task_id = Vm_sys.fresh_task_id sys;
       task_name = name;
       task_map = Vm_map.create sys ~pmap:(Some pmap) ~low ~high;
       task_pmap = pmap;
@@ -88,12 +85,11 @@ let create sys ?(name = "task") () =
 
 let fork sys parent =
   assert (not parent.task_dead);
-  incr next_id;
   let pmap = Pmap_domain.create_pmap sys.Vm_sys.domain in
   let map = Vm_map.fork sys parent.task_map ~child_pmap:pmap in
   let t =
     {
-      task_id = !next_id;
+      task_id = Vm_sys.fresh_task_id sys;
       task_name = parent.task_name ^ "-child";
       task_map = map;
       task_pmap = pmap;

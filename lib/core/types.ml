@@ -246,14 +246,6 @@ and vmap = {
   map_high : int;
 }
 
-let next_obj_id = ref 0
-let next_map_id = ref 0
-let next_pager_id = ref 0
-
-let fresh_obj_id () = incr next_obj_id; !next_obj_id
-let fresh_map_id () = incr next_map_id; !next_map_id
-let fresh_pager_id () = incr next_pager_id; !next_pager_id
-
 let fresh_health () = { ph_failures = 0; ph_consecutive = 0; ph_dead = false }
 
 let io_none = Mach_hw.Machine.io_none

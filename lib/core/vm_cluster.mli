@@ -54,10 +54,6 @@
 val slot_count : int
 (** Stream slots per object that has seen a pager miss (8). *)
 
-val free_behind_window : int
-(** Window, in pages, a stream must reach before free-behind trims its
-    wake (4). *)
-
 val pagein :
   Vm_sys.t -> ?stream:int * int -> Types.obj -> offset:int -> limit:int ->
   [ `Data of Types.page * int | `Absent | `Error ]

@@ -48,13 +48,7 @@ val assert_ok : Vm_sys.t -> maps:Types.vmap list -> unit
 (** [assert_ok sys ~maps] raises [Failure] with a readable summary if any
     check fails; used as a test oracle. *)
 
-val pp_map : Vm_sys.t -> Format.formatter -> Types.vmap -> unit
-(** [pp_map sys ppf m] pretty-prints the address map: one line per entry
+val dump_map : Vm_sys.t -> Types.vmap -> string
+(** [dump_map sys m] pretty-prints the address map: one line per entry
     with range, protections, inheritance, backing (object chain lengths,
     resident page counts) — the shape a kernel debugger would show. *)
-
-val pp_object : Vm_sys.t -> Format.formatter -> Types.obj -> unit
-(** [pp_object sys ppf o] prints one object and its shadow chain. *)
-
-val dump_map : Vm_sys.t -> Types.vmap -> string
-(** [dump_map sys m] is [pp_map] rendered to a string. *)

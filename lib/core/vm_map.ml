@@ -13,9 +13,9 @@ let page_round (sys : Vm_sys.t) size =
 
 (* ---- construction ---------------------------------------------------- *)
 
-let create (_sys : Vm_sys.t) ~pmap ~low ~high =
+let create sys ~pmap ~low ~high =
   {
-    map_id = fresh_map_id ();
+    map_id = Vm_sys.fresh_map_id sys;
     map_entries = Dlist.create ();
     map_hint = None;
     map_pmap = pmap;
@@ -65,19 +65,15 @@ let find m ~va =
   | None -> None
   | Some node -> Some (Dlist.value node)
 
-(* Steps taken by [first_node_beyond] scans; test instrumentation for
-   the hint fast path. *)
-let beyond_steps = ref 0
-
 (* First entry whose end lies beyond [va] (i.e. containing or after).
    Mirrors the [find_node] fast path: when the last-fault hint sits
    at-or-before [va] the scan starts there instead of at the list head,
    so range operations near the hint are O(distance), not O(map). *)
-let first_node_beyond m ~va =
+let first_node_beyond (sys : Vm_sys.t) m ~va =
   let rec loop = function
     | None -> None
     | Some node ->
-      incr beyond_steps;
+      sys.Vm_sys.map_scan_steps <- sys.Vm_sys.map_scan_steps + 1;
       if (Dlist.value node).e_end > va then Some node
       else loop (Dlist.next node)
   in
@@ -123,10 +119,10 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_burst_misses = 0;
   }
 
-and insert_entry m e =
+and insert_entry sys m e =
   (* Keep the list sorted; ranges never overlap. *)
   let node =
-    match first_node_beyond m ~va:e.e_start with
+    match first_node_beyond sys m ~va:e.e_start with
     | None -> Dlist.push_back m.map_entries e
     | Some node ->
       assert ((Dlist.value node).e_start >= e.e_end);
@@ -211,7 +207,7 @@ let iter_range_clipped sys m ~lo ~hi f =
         loop next
       end
   in
-  loop (first_node_beyond m ~va:lo)
+  loop (first_node_beyond sys m ~va:lo)
 
 (* ---- free-space search ------------------------------------------------ *)
 
@@ -229,8 +225,8 @@ let find_space m ~size ~hint_addr =
   check_gap m.map_high;
   !result
 
-let range_free m ~lo ~hi =
-  match first_node_beyond m ~va:lo with
+let range_free sys m ~lo ~hi =
+  match first_node_beyond sys m ~va:lo with
   | None -> true
   | Some node -> (Dlist.value node).e_start >= hi
 
@@ -263,7 +259,7 @@ let alloc_common sys m ?at ~size ~anywhere ~backing ~offset ~prot ~max_prot
           let a = page_trunc sys a in
           if a < m.map_low || a + size > m.map_high then
             Error Kr.Invalid_address
-          else if range_free m ~lo:a ~hi:(a + size) then Ok a
+          else if range_free sys m ~lo:a ~hi:(a + size) then Ok a
           else Error Kr.No_space
     in
     match place with
@@ -273,7 +269,7 @@ let alloc_common sys m ?at ~size ~anywhere ~backing ~offset ~prot ~max_prot
         make_entry ~start_:addr ~end_:(addr + size) ~backing ~offset ~prot
           ~max_prot ~inherit_:Inheritance.default ~needs_copy
       in
-      insert_entry m e;
+      insert_entry sys m e;
       Ok addr
   end
 
@@ -340,7 +336,7 @@ let protect sys m ~addr ~size ~set_max ~prot =
           validate (Dlist.next node)
         end
     in
-    validate (first_node_beyond m ~va:lo);
+    validate (first_node_beyond sys m ~va:lo);
     if not !ok then Error Kr.Protection_failure
     else begin
       iter_range_clipped sys m ~lo ~hi (fun node ->
@@ -414,7 +410,7 @@ let ensure_submap sys e =
         ~prot:e.e_prot ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
         ~needs_copy:e.e_needs_copy
     in
-    insert_entry sm sub;
+    insert_entry sys sm sub;
     e.e_backing <- Submap sm; (* the old backing reference moved into sm *)
     e.e_offset <- 0;
     e.e_needs_copy <- false;
@@ -481,7 +477,7 @@ let fork sys parent ~child_pmap =
     create sys ~pmap:(Some child_pmap) ~low:parent.map_low
       ~high:parent.map_high
   in
-  let push e = insert_entry child e in
+  let push e = insert_entry sys child e in
   List.iter
     (fun e ->
        match e.e_inherit with
@@ -590,7 +586,7 @@ let extract_copy sys m ~addr ~size =
           if !covered < hi then check (Dlist.next node)
         end
     in
-    check (first_node_beyond m ~va:lo);
+    check (first_node_beyond sys m ~va:lo);
     if !covered < hi then Error Kr.Invalid_address
     else begin
       let items = ref [] in
@@ -626,7 +622,7 @@ let insert_copy sys m c ?at () =
       let a = page_trunc sys a in
       if a < m.map_low || a + c.mc_size > m.map_high then
         Error Kr.Invalid_address
-      else if range_free m ~lo:a ~hi:(a + c.mc_size) then Ok a
+      else if range_free sys m ~lo:a ~hi:(a + c.mc_size) then Ok a
       else Error Kr.No_space
     | None ->
       (match find_space m ~size:c.mc_size ~hint_addr:m.map_low with
@@ -650,7 +646,7 @@ let insert_copy sys m c ?at () =
              ~max_prot:default_max_prot ~inherit_:Inheritance.default
              ~needs_copy
          in
-         insert_entry m e;
+         insert_entry sys m e;
          cursor := !cursor + item.ci_size)
       c.mc_items;
     Ok base

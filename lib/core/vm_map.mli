@@ -41,11 +41,6 @@ val find : vmap -> va:int -> entry option
 (** [find m ~va] is the entry containing [va], using and updating the
     last-fault hint. *)
 
-val beyond_steps : int ref
-(** Nodes examined by the internal beyond-[va] scans (range operations).
-    Both [find]'s hint and this scan's hint fast path keep the count at
-    O(distance from the hint); exposed so tests can pin that down. *)
-
 val resolve_object_at : Vm_sys.t -> vmap -> va:int -> (obj * int) option
 (** [resolve_object_at sys m ~va] is the backing object and byte offset
     for [va], looking through a sharing map if needed; [None] if

@@ -1,9 +1,9 @@
 open Types
 open Mach_pmap
 
-let make_obj ~size ~pager ~temporary ~can_persist =
+let make_obj sys ~size ~pager ~temporary ~can_persist =
   {
-    obj_id = fresh_obj_id ();
+    obj_id = Vm_sys.fresh_obj_id sys;
     obj_size = size;
     obj_ref = 1;
     obj_pages = Mach_util.Dlist.create ();
@@ -79,8 +79,8 @@ let lock_write (sys : Vm_sys.t) o f =
     release sys o;
     raise e
 
-let create_anonymous (_sys : Vm_sys.t) ~size =
-  make_obj ~size ~pager:None ~temporary:true ~can_persist:false
+let create_anonymous sys ~size =
+  make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
 
 let lookup_resident (sys : Vm_sys.t) o ~offset =
   Resident.lookup sys.Vm_sys.resident ~obj:o ~offset
@@ -188,7 +188,7 @@ let create_with_pager sys pager ~size =
     sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses <-
       sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses + 1;
     let o =
-      make_obj ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
+      make_obj sys ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
     in
     Hashtbl.add sys.Vm_sys.pager_objects pager.pgr_id o;
     o
@@ -206,7 +206,7 @@ let shadow sys o ~offset ~size =
      an exclusive section on [o]. *)
   lock_write sys o (fun () ->
       let s =
-        make_obj ~size ~pager:None ~temporary:true ~can_persist:false
+        make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
       in
       s.obj_shadow <- Some o; (* consumes the caller's reference to [o] *)
       s.obj_shadow_offset <- offset;

@@ -224,7 +224,7 @@ let run (sys : Vm_sys.t) ~wanted =
              allocation backpressure escalates to the OOM policy
              instead of spinning the daemon against a wall. *)
           p.pg_requeues <- p.pg_requeues + 1;
-          if p.pg_requeues > sys.Vm_sys.pageout_requeue_limit then
+          if p.pg_requeues > Vm_sys.pageout_requeue_limit then
             Vm_sys.set_mem_pressure sys true;
           Resident.enqueue res p Q_active
         end

@@ -27,14 +27,6 @@ val clean_page : Vm_sys.t -> Types.page -> bool
     after its retry budget ({!Pager_guard}): the page is still dirty and
     the caller must keep it resident. *)
 
-val clean_cluster : Vm_sys.t -> Types.page -> bool
-(** [clean_cluster sys p] cleans [p] together with its contiguous dirty
-    neighbours in the same object (up to [Vm_sys.cluster_max] pages) as
-    one clustered pager write, so the whole run pays a single seek.  The
-    neighbours stay resident and clean on their queues.  Degrades to
-    {!clean_page} — with its full retry policy — when there is nothing
-    to coalesce, or when the one-shot clustered write fails. *)
-
 val write_cluster : Vm_sys.t -> Types.obj -> Types.page list -> bool
 (** [write_cluster sys o pages] issues one clustered write for [pages]
     (contiguous, ascending offsets, all in [o], length >= 2), revoking

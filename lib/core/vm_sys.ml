@@ -48,11 +48,6 @@ type t = {
       (* hard floor: only the pageout/cleaning path ([grab_page
          ~reserve:true]) may allocate out of the last [free_reserved]
          pages, so cleaning never deadlocks on needing a page *)
-  alloc_backoff_cycles : int;
-      (* cycles one backpressure wait on the pageout daemon charges *)
-  pageout_requeue_limit : int;
-      (* dirty-page requeues after failed writes before the daemon
-         escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
       (* bytes of backing store the swap pool may commit; [None] is
          unbounded (the pre-pressure behaviour) *)
@@ -63,9 +58,6 @@ type t = {
   mutable oom_candidates : oom_candidate list;
   mutable oom_exempt_map : int option;
       (* map id currently being faulted on; its task is never selected *)
-  pager_retry_limit : int;
-  pager_backoff_cycles : int;
-  pager_death_threshold : int;
   mutable pager_decorator : (Types.pager -> Types.pager) option;
   mutable cluster_max : int;
       (* upper bound on the read-ahead / pageout cluster, in pages;
@@ -88,7 +80,22 @@ type t = {
   stats : Vm_stats.statistics;
       (* the live vm_statistics counters, swap pool usage included
          ([vs_swap_used]) *)
+  mutable last_obj_id : int;
+  mutable last_map_id : int;
+  mutable last_pager_id : int;
+  mutable last_task_id : int;
+      (* the last id this kernel gave an object, address map, pager and
+         task: each kind is numbered from 1 within one kernel *)
+  mutable map_scan_steps : int;
+      (* map entries examined by range operations' scans *)
 }
+
+(* Policy constants, the same in every kernel. *)
+let alloc_backoff_cycles = 2000 (* one backpressure wait *)
+let pageout_requeue_limit = 3
+let pager_retry_limit = 3
+let pager_backoff_cycles = 500
+let pager_death_threshold = 3
 
 exception Out_of_memory
 
@@ -136,6 +143,11 @@ let burst_outcome t ~asid ~pfn ~hit =
 let burst_demand_fault t ~asid p =
   burst_outcome t ~asid ~pfn:p.Types.pfn ~hit:false
 
+let fresh_obj_id t = t.last_obj_id <- t.last_obj_id + 1; t.last_obj_id
+let fresh_map_id t = t.last_map_id <- t.last_map_id + 1; t.last_map_id
+let fresh_pager_id t = t.last_pager_id <- t.last_pager_id + 1; t.last_pager_id
+let fresh_task_id t = t.last_task_id <- t.last_task_id + 1; t.last_task_id
+
 let create ~machine ~domain () =
   let arch = Machine.arch machine in
   let frame_limit =
@@ -164,15 +176,10 @@ let create ~machine ~domain () =
     free_target = max 4 (total / 16);
     free_min = max 2 (total / 32);
     free_reserved = max 2 (total / 64);
-    alloc_backoff_cycles = 2000;
-    pageout_requeue_limit = 3;
     swap_capacity = None;
     mem_pressure = false;
     oom_candidates = [];
     oom_exempt_map = None;
-    pager_retry_limit = 3;
-    pager_backoff_cycles = 500;
-    pager_death_threshold = 3;
     pager_decorator = None;
     cluster_max = 8;
     stream_clock = 0;
@@ -180,6 +187,11 @@ let create ~machine ~domain () =
     burst_pending = Int_pair.Tbl.create 64;
     swap_stores = Hashtbl.create 16;
     stats = Vm_stats.zero ();
+    last_obj_id = 0;
+    last_map_id = 0;
+    last_pager_id = 0;
+    last_task_id = 0;
+    map_scan_steps = 0;
   } in
   Pmap_domain.set_on_first_touch domain (fun ~asid ~pfn ->
       burst_outcome t ~asid ~pfn ~hit:true);
@@ -360,7 +372,7 @@ let grab_page ?(reserve = false) t =
            must equal queued plus magazine-cached pages exactly. *)
         assert (Resident.check_conservation t.resident);
         let free = Resident.free_count t.resident in
-        let backoff = t.alloc_backoff_cycles in
+        let backoff = alloc_backoff_cycles in
         stats.Vm_stats.vs_alloc_waits <- stats.Vm_stats.vs_alloc_waits + 1;
         stats.Vm_stats.vs_alloc_wait_cycles <-
           stats.Vm_stats.vs_alloc_wait_cycles + backoff;

@@ -62,11 +62,6 @@ type t = {
       (** hard floor: only [grab_page ~reserve:true] (the pageout/
           cleaning path) may allocate out of the last [free_reserved]
           pages, so cleaning never deadlocks on needing a page *)
-  alloc_backoff_cycles : int;
-      (** cycles one backpressure wait on the pageout daemon charges *)
-  pageout_requeue_limit : int;
-      (** failed-write requeues per dirty page before the daemon
-          escalates to the pressure state instead of spinning *)
   mutable swap_capacity : int option;
       (** bytes the swap pool may commit; [None] is unbounded *)
   mutable mem_pressure : bool;
@@ -77,13 +72,6 @@ type t = {
   mutable oom_exempt_map : int option;
       (** map id currently being faulted on ({!Vm_fault} maintains it);
           its task is never selected as the OOM victim *)
-  pager_retry_limit : int;
-      (** transient pager failures retried per request before giving up *)
-  pager_backoff_cycles : int;
-      (** base of the exponential backoff charged between retries *)
-  pager_death_threshold : int;
-      (** consecutive exhausted retry budgets before a pager is declared
-          dead and its object degrades ({!Pager_guard}) *)
   mutable pager_decorator : (Types.pager -> Types.pager) option;
       (** interposition hook applied when the kernel itself creates a
           pager (the pageout daemon's default pager); [machsim --chaos]
@@ -112,7 +100,32 @@ type t = {
   stats : Vm_stats.statistics;
       (** the live [vm_statistics] counters the kernel increments;
           [vs_swap_used] is the bytes the swap pool has committed *)
+  mutable last_obj_id : int;
+  mutable last_map_id : int;
+  mutable last_pager_id : int;
+  mutable last_task_id : int;
+      (** the last id this kernel gave an object, address map, pager and
+          task ({!fresh_obj_id} and friends): ids are keys within one
+          kernel, so two kernels in one process number alike *)
+  mutable map_scan_steps : int;
+      (** map entries examined by the scans of range operations
+          ({!Vm_map.protect} and the like); the map's last-fault hint
+          keeps each scan O(distance from the hint) *)
 }
+
+val pageout_requeue_limit : int
+(** Failed-write requeues per dirty page before the daemon escalates to
+    the pressure state instead of spinning. *)
+
+val pager_retry_limit : int
+(** Transient pager failures retried per request before giving up. *)
+
+val pager_backoff_cycles : int
+(** Base of the exponential backoff charged between pager retries. *)
+
+val pager_death_threshold : int
+(** Consecutive exhausted retry budgets before a pager is declared dead
+    and its object degrades ({!Pager_guard}). *)
 
 exception Out_of_memory
 (** Raised when a page is needed, backpressure made no progress, and the
@@ -126,12 +139,18 @@ val create :
     {!Mach_pmap.Pmap_domain.page_multiple} hardware pages.  The resident
     table honours the architecture's physical address limit. *)
 
+val fresh_obj_id : t -> int
+val fresh_map_id : t -> int
+val fresh_pager_id : t -> int
+val fresh_task_id : t -> int
+(** The next id of each kind in this kernel, counting from 1. *)
+
 val grab_page : ?reserve:bool -> t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
     free list is low.  Ordinary allocations never take the free list
     below [free_reserved]; at the floor they wait on the daemon
-    (allocation backpressure: reclaim rounds interleaved with
-    [alloc_backoff_cycles] charges to the [mem_wait] category) and
+    (allocation backpressure: reclaim rounds interleaved with fixed
+    backoff charges to the [mem_wait] category) and
     escalate to the OOM policy when reclaim stalls, raising
     {!Out_of_memory} only when no victim remains.  [~reserve:true] — the
     pageout/cleaning path's privilege — may dip into the reserve down to

@@ -69,8 +69,6 @@ val injections : t -> int
 val trace : t -> event list
 (** Every non-[Pass] decision, in chronological order. *)
 
-val decision_name : decision -> string
-
 val fingerprint : t -> string
 (** A short stable digest of {!trace} — two runs with the same seed and
     workload must produce the same fingerprint.  [machsim --chaos]

@@ -100,7 +100,6 @@ let phys t = t.phys
 let cpu_count t = Array.length t.cpus
 let stats t = t.stats
 
-let shootdown_strategy t = t.shootdown_mode
 let set_shootdown_strategy t s = t.shootdown_mode <- s
 
 let tracer t = t.tracer

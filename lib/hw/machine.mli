@@ -90,7 +90,6 @@ val phys : t -> Phys_mem.t
 val cpu_count : t -> int
 val stats : t -> stats
 
-val shootdown_strategy : t -> shootdown_strategy
 val set_shootdown_strategy : t -> shootdown_strategy -> unit
 
 (** {1 Tracing}

@@ -1,7 +1,11 @@
 open Mach_hw
 open Mach_core
 
-type port = { p_id : int; p_name : string; p_queue : message Queue.t }
+type kobject = ..
+
+type kobject += No_object
+
+type port = { p_name : string; p_object : kobject; p_queue : message Queue.t }
 
 and item =
   | Inline of Bytes.t
@@ -15,13 +19,14 @@ and message = {
   msg_reply_to : port option;
 }
 
-let next_port_id = ref 0
+let object_port ~name obj =
+  { p_name = name; p_object = obj; p_queue = Queue.create () }
 
-let create_port ?(name = "port") () =
-  incr next_port_id;
-  { p_id = !next_port_id; p_name = name; p_queue = Queue.create () }
+let create_port ?(name = "port") () = object_port ~name No_object
 
 let port_name p = p.p_name
+
+let port_object p = p.p_object
 
 let pending p = Queue.length p.p_queue
 

@@ -13,6 +13,15 @@
     dequeues; there is no blocking.  Costs are charged to the sending or
     receiving task's CPU clock. *)
 
+type kobject = ..
+(** The kernel object a port stands for (Section 2: a task or thread is
+    represented by a port).  Open so that {!Syscall_server}, which sits
+    above this module, can add its task and thread objects; the port
+    itself then says what a message to it operates on. *)
+
+type kobject += No_object
+(** A plain message queue that stands for nothing. *)
+
 type port
 (** A kernel message queue. *)
 
@@ -32,9 +41,15 @@ type message = {
 }
 
 val create_port : ?name:string -> unit -> port
-(** [create_port ()] is a fresh empty port. *)
+(** [create_port ()] is a fresh empty port standing for [No_object]. *)
+
+val object_port : name:string -> kobject -> port
+(** [object_port ~name obj] is a fresh empty port standing for [obj]. *)
 
 val port_name : port -> string
+
+val port_object : port -> kobject
+(** What the port stands for. *)
 
 val pending : port -> int
 (** Messages queued and not yet received. *)

@@ -52,49 +52,46 @@ let kr_of_reply (m : Ipc.message) =
   | code :: _ -> kr_of_code code
   | [] -> Error Kr.Invalid_argument
 
-(* ---- task ports --------------------------------------------------------- *)
+(* ---- task and thread ports ---------------------------------------------- *)
 
-(* Port for each task, and the task for each port id. *)
-let ports : (int, Ipc.port) Hashtbl.t = Hashtbl.create 32
-let owners : (string, Task.t) Hashtbl.t = Hashtbl.create 32
+(* The ports one kernel has handed out, so each task and thread keeps a
+   single port.  Made on first use of IPC: a kernel that never sends a
+   message has none. *)
+type t = {
+  kernel : Kernel.t;
+  task_ports : (int, Ipc.port) Hashtbl.t;       (* task id -> its port *)
+  mutable thread_ports : (Kthread.t * Ipc.port) list;
+}
 
-let task_port (_sys : Vm_sys.t) task =
-  match Hashtbl.find_opt ports task.Task.task_id with
+(* What a task or thread port stands for: the port names its object, so
+   a message to it needs no lookup. *)
+type Ipc.kobject += Task_object of t * Task.t | Thread_object of Kthread.t
+
+let create kernel = { kernel; task_ports = Hashtbl.create 8; thread_ports = [] }
+
+let task_port srv task =
+  let id = task.Task.task_id in
+  match Hashtbl.find_opt srv.task_ports id with
   | Some p -> p
   | None ->
-    let name = Printf.sprintf "task-%d" task.Task.task_id in
-    let p = Ipc.create_port ~name () in
-    Hashtbl.add ports task.Task.task_id p;
-    Hashtbl.add owners name task;
+    let p =
+      Ipc.object_port ~name:(Printf.sprintf "task-%d" id)
+        (Task_object (srv, task))
+    in
+    Hashtbl.add srv.task_ports id p;
     p
 
-(* Kernel handles are needed for fork/terminate arriving as messages;
-   remember which kernel owns each task. *)
-let kernels : (int, Kernel.t) Hashtbl.t = Hashtbl.create 16
+let task_create srv ?name () =
+  task_port srv (Kernel.create_task srv.kernel ?name ())
 
-let task_create kernel ?name () =
-  let task = Kernel.create_task kernel ?name () in
-  Hashtbl.replace kernels task.Task.task_id kernel;
-  task_port (Kernel.sys kernel) task
-
-let task_of_port p =
-  match Hashtbl.find_opt owners (Ipc.port_name p) with
-  | Some t -> t
-  | None -> invalid_arg "Syscall_server: not a task port"
-
-(* ---- thread ports --------------------------------------------------------- *)
-
-let thread_ports : (int, Ipc.port) Hashtbl.t = Hashtbl.create 16
-let thread_owners : (string, Kthread.t) Hashtbl.t = Hashtbl.create 16
-
-let thread_port th =
-  match Hashtbl.find_opt thread_ports (Kthread.id th) with
+let thread_port srv th =
+  match List.assq_opt th srv.thread_ports with
   | Some p -> p
   | None ->
-    let name = Printf.sprintf "thread-%d" (Kthread.id th) in
-    let p = Ipc.create_port ~name () in
-    Hashtbl.add thread_ports (Kthread.id th) p;
-    Hashtbl.add thread_owners name th;
+    let p =
+      Ipc.object_port ~name:(Kthread.name th) (Thread_object th)
+    in
+    srv.thread_ports <- (th, p) :: srv.thread_ports;
     p
 
 let serve_thread th (m : Ipc.message) =
@@ -112,7 +109,9 @@ let serve_thread th (m : Ipc.message) =
 
 let reply_simple tag r = Ipc.message (tag ^ "_reply") ~ints:[ kr_code r ]
 
-let serve sys task (m : Ipc.message) =
+let serve srv task (m : Ipc.message) =
+  let kernel = srv.kernel in
+  let sys = Kernel.sys kernel in
   match m.Ipc.msg_tag, m.Ipc.msg_ints with
   | "vm_allocate", [ size; anywhere; hint ] ->
     (match
@@ -170,25 +169,14 @@ let serve sys task (m : Ipc.message) =
           s.Vm_user.vs_rescued_pages; s.Vm_user.vs_pageout_failures;
           s.Vm_user.vs_memory_errors ]
   | "task_fork", [] ->
-    (match Hashtbl.find_opt kernels task.Task.task_id with
-     | Some kernel ->
-       let cpu = Mach_pmap.Pmap_domain.current_cpu kernel.Kernel.domain in
-       let child = Kernel.fork_task kernel ~cpu task in
-       Hashtbl.replace kernels child.Task.task_id kernel;
-       Ipc.message "task_fork_reply" ~ints:[ 0 ]
-         ~items:[ Ipc.Port_right (task_port sys child) ]
-     | None ->
-       Ipc.message "task_fork_reply"
-         ~ints:[ kr_code (Error Kr.Invalid_argument) ])
+    let cpu = Vm_sys.current_cpu sys in
+    let child = Kernel.fork_task kernel ~cpu task in
+    Ipc.message "task_fork_reply" ~ints:[ 0 ]
+      ~items:[ Ipc.Port_right (task_port srv child) ]
   | "task_terminate", [] ->
-    (match Hashtbl.find_opt kernels task.Task.task_id with
-     | Some kernel ->
-       let cpu = Mach_pmap.Pmap_domain.current_cpu kernel.Kernel.domain in
-       Kernel.terminate_task kernel ~cpu task;
-       Ipc.message "task_terminate_reply" ~ints:[ 0 ]
-     | None ->
-       Ipc.message "task_terminate_reply"
-         ~ints:[ kr_code (Error Kr.Invalid_argument) ])
+    Kernel.terminate_task kernel ~cpu:(Vm_sys.current_cpu sys) task;
+    Hashtbl.remove srv.task_ports task.Task.task_id;
+    Ipc.message "task_terminate_reply" ~ints:[ 0 ]
   | tag, _ ->
     Ipc.message (tag ^ "_reply")
       ~ints:[ kr_code (Error Kr.Invalid_argument) ]
@@ -201,9 +189,10 @@ let call sys port request =
   (match Ipc.receive sys port with
    | Some m ->
      let reply =
-       match Hashtbl.find_opt thread_owners (Ipc.port_name port) with
-       | Some th -> serve_thread th m
-       | None -> serve sys (task_of_port port) m
+       match Ipc.port_object port with
+       | Task_object (srv, task) -> serve srv task m
+       | Thread_object th -> serve_thread th m
+       | _ -> invalid_arg "Syscall_server: not a task or thread port"
      in
      (match m.Ipc.msg_reply_to with
       | Some rp -> Ipc.send sys rp reply

@@ -28,30 +28,41 @@
     [prot_bits]: bit 0 read, bit 1 write, bit 2 execute.
     [inherit_code]: 0 shared, 1 copy, 2 none. *)
 
-val task_create :
-  Mach_core.Kernel.t -> ?name:string -> unit -> Ipc.port
-(** [task_create kernel ()] creates a task and returns its port — the
-    message-world equivalent of {!Mach_core.Kernel.create_task}. *)
+type t
+(** The ports one kernel has handed out for its tasks and threads, one
+    port per object.  Made by the first user of IPC on that kernel; a
+    kernel without one allocates nothing for IPC. *)
 
-val task_port : Mach_core.Vm_sys.t -> Mach_core.Task.t -> Ipc.port
-(** [task_port sys task] is the port representing [task] (memoized; this
-    is what task_create would hand back). *)
+val create : Mach_core.Kernel.t -> t
+(** [create kernel] is [kernel]'s message server, with no ports yet. *)
 
-val thread_port : Mach_core.Kthread.t -> Ipc.port
-(** [thread_port th] is the port representing [th]; "a thread can suspend
-    another thread by sending a suspend message to that thread's thread
-    port even if the requesting thread is on another node".  Understands
-    [thread_suspend] and [thread_resume] (empty ints; reply [kr]). *)
+val task_create : t -> ?name:string -> unit -> Ipc.port
+(** [task_create srv ()] creates a task in [srv]'s kernel and returns its
+    port — the message-world equivalent of
+    {!Mach_core.Kernel.create_task}. *)
+
+val task_port : t -> Mach_core.Task.t -> Ipc.port
+(** [task_port srv task] is the port representing [task], a task of
+    [srv]'s kernel (memoized; this is what task_create would hand back).
+    The port names its task and kernel, so every request above,
+    [task_fork] and [task_terminate] included, works on it. *)
+
+val thread_port : t -> Mach_core.Kthread.t -> Ipc.port
+(** [thread_port srv th] is the port representing [th]; "a thread can
+    suspend another thread by sending a suspend message to that thread's
+    thread port even if the requesting thread is on another node".
+    Understands [thread_suspend] and [thread_resume] (empty ints; reply
+    [kr]). *)
 
 val call : Mach_core.Vm_sys.t -> Ipc.port -> Ipc.message -> Ipc.message
 (** [call sys port request] performs one kernel operation by message:
-    enqueues [request] on the task port, services it, and returns the
-    reply.  Unknown tags answer with [KERN_INVALID_ARGUMENT]. *)
+    enqueues [request] on [port], services it in the kernel the port's
+    object belongs to, and returns the reply; [sys] pays for the message
+    traffic.  Unknown tags answer with [KERN_INVALID_ARGUMENT];
+    [Invalid_argument] if [port] stands for no task or thread. *)
 
 val kr_of_reply : Ipc.message -> (unit, Mach_core.Kr.t) result
 (** Decode the leading kern_return code of a reply. *)
 
 val prot_bits : Mach_hw.Prot.t -> int
 val prot_of_bits : int -> Mach_hw.Prot.t
-val inherit_code : Mach_core.Inheritance.t -> int
-val inherit_of_code : int -> Mach_core.Inheritance.t

@@ -27,7 +27,7 @@ let emit_timeout (sys : Vm_sys.t) ~offset ~attempts =
     Vm_sys.emit sys (Mach_obs.Obs.Pager_timeout { offset; attempts })
 
 let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
-  let id = fresh_pager_id () in
+  let id = Vm_sys.fresh_pager_id client_sys in
   let client_cpu () = Vm_sys.current_cpu client_sys in
   let server_cpu = 0 in
   (* All exchanges run under Netlink's timeout/retry/backoff envelope;

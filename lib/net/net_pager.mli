@@ -22,14 +22,6 @@ val serve :
 (** [serve link ~node sys fs] exports [fs] (on machine [node], whose
     kernel state is [sys]) to the other nodes. *)
 
-val import :
-  Netlink.t -> node:int -> Mach_core.Vm_sys.t -> server -> name:string ->
-  Mach_core.Types.pager
-(** [import link ~node sys server ~name] is a pager usable by the kernel
-    on machine [node] that serves [name] from the remote server.  Raises
-    [Not_found] if the file does not exist remotely.  Pagers are memoized
-    per (client node, server, name). *)
-
 val map_remote :
   Netlink.t -> node:int -> Mach_core.Vm_sys.t -> Mach_core.Task.t ->
   server -> name:string -> ?copy:bool -> unit ->

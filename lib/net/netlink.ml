@@ -11,7 +11,6 @@ type t = {
   mutable messages : int;
   mutable bytes_moved : int;
   mutable drops : int;
-  mutable timeouts : int;
   mutable retries : int;
   mutable fail : Fail.t option;
 }
@@ -20,7 +19,7 @@ let create ?(latency_us = 1000) ?(mbit_per_s = 10) ?(timeout_us = 100_000)
     machines =
   if machines = [] then invalid_arg "Netlink.create: no machines";
   { machines = Array.of_list machines; latency_us; mbit_per_s; timeout_us;
-    messages = 0; bytes_moved = 0; drops = 0; timeouts = 0; retries = 0;
+    messages = 0; bytes_moved = 0; drops = 0; retries = 0;
     fail = None }
 
 let set_injector t inj = t.fail <- inj
@@ -58,7 +57,6 @@ let rpc t ~from_node ~from_cpu ~to_node ~to_cpu ~request_bytes ~reply_bytes f =
         t.messages <- t.messages + 1;
         t.bytes_moved <- t.bytes_moved + request_bytes;
         t.drops <- t.drops + 1;
-        t.timeouts <- t.timeouts + 1;
         Machine.charge src ~cpu:from_cpu
           (transfer_cycles t src request_bytes + timeout_cycles t src);
         raise Timeout))
@@ -110,12 +108,10 @@ let messages t = t.messages
 let bytes_moved t = t.bytes_moved
 
 let drops t = t.drops
-let timeouts t = t.timeouts
 let retries t = t.retries
 
 let reset_counters t =
   t.messages <- 0;
   t.bytes_moved <- 0;
   t.drops <- 0;
-  t.timeouts <- 0;
   t.retries <- 0

@@ -57,9 +57,6 @@ val bytes_moved : t -> int
 val drops : t -> int
 (** Requests lost to injection. *)
 
-val timeouts : t -> int
-(** Timeout windows waited out by callers. *)
-
 val retries : t -> int
 (** Exchanges re-sent by {!rpc_retry}. *)
 

@@ -14,9 +14,6 @@ val chrome_trace : ?cycles_per_us:float -> Obs.t -> Jout.t
 
 val write_chrome_trace : path:string -> ?cycles_per_us:float -> Obs.t -> unit
 
-val hist_json : Hist.t -> Jout.t
-(** count/sum/mean/min/max, p50/p90/p99 and the non-empty buckets. *)
-
 val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
 (** Machine-readable summary: per-kind event counts, drop accounting,
     fault-latency histograms split by resolution kind (their counts sum
@@ -26,10 +23,6 @@ val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
 
 val write_stats :
   path:string -> ?extra:(string * Jout.t) list -> Obs.t -> unit
-
-val summary_tables : Obs.t -> Mach_util.Tablefmt.t list
-(** Human-readable rendering of the same aggregates: an event-count
-    table and a latency-percentile table. *)
 
 val print_summary : Obs.t -> unit
 

@@ -41,14 +41,6 @@ val p99 : t -> int
 val sample_cap : int
 (** Observations kept verbatim for the exact small-sample path. *)
 
-val bucket_count : int
-
-val bucket_lo : int -> int
-(** Inclusive lower bound of bucket [i]. *)
-
-val bucket_hi : int -> int
-(** Inclusive upper bound of bucket [i]. *)
-
 val get_bucket : t -> int -> int
 (** Observations in bucket [i]. *)
 

@@ -14,8 +14,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 

@@ -123,7 +123,6 @@ type event =
           of flushing the working set. *)
 
 val kind_count : int
-val kind_index : event -> int
 val kind_name_of_index : int -> string
 val kind_name : event -> string
 
@@ -144,8 +143,6 @@ type category =
 (** Where a CPU's cycles go, kernel-wide; see {!attr_push}. *)
 
 val categories : category list
-val category_count : int
-val category_index : category -> int
 val category_name : category -> string
 
 type span_info = {

@@ -4,8 +4,6 @@ open Types
 
 type handler = Ipc.message -> Ipc.message option
 
-let counters : (int, int ref) Hashtbl.t = Hashtbl.create 16
-
 (* Run the pager task on its queued messages until one reply lands on
    [reply_port].  [None] is the no-reply case — the pager dropped the
    request or span its queue past the kernel's deadline — which the
@@ -34,11 +32,10 @@ let dispatch_until_reply sys ~object_port ~reply_port ~handler =
   loop ()
 
 let make sys ~name ?(should_cache = false) ~handler () =
-  let id = fresh_pager_id () in
+  let id = Vm_sys.fresh_pager_id sys in
   let object_port = Ipc.create_port ~name:(name ^ ".paging_object") () in
   let reply_port = Ipc.create_port ~name:(name ^ ".paging_object_request") () in
   let served = ref 0 in
-  Hashtbl.add counters id served;
   let request ~offset ~length =
     Ipc.send sys object_port
       (Ipc.message "pager_data_request" ~ints:[ offset; length ]
@@ -83,13 +80,14 @@ let make sys ~name ?(should_cache = false) ~handler () =
        | exception _ -> Write_error)
     | None -> Write_completed io_none
   in
-  {
-    pgr_id = id;
-    pgr_name = name;
-    pgr_request = request;
-    pgr_write = write;
-    pgr_should_cache = ref should_cache;
-  }
+  ( {
+      pgr_id = id;
+      pgr_name = name;
+      pgr_request = request;
+      pgr_write = write;
+      pgr_should_cache = ref should_cache;
+    },
+    fun () -> !served )
 
 let trivial_store sys ~name () =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
@@ -126,9 +124,5 @@ let trivial_store sys ~name () =
     | tag, _ -> failwith ("trivial_store: unexpected message " ^ tag)
   in
   ignore initialized;
-  (make sys ~name ~handler (), store)
-
-let requests_served (p : pager) =
-  match Hashtbl.find_opt counters p.pgr_id with
-  | Some r -> !r
-  | None -> 0
+  let pager, served = make sys ~name ~handler () in
+  (pager, store, served)

@@ -20,19 +20,17 @@ type handler = Mach_ipc.Ipc.message -> Mach_ipc.Ipc.message option
 
 val make :
   Mach_core.Vm_sys.t -> name:string -> ?should_cache:bool ->
-  handler:handler -> unit -> Mach_core.Types.pager
+  handler:handler -> unit -> Mach_core.Types.pager * (unit -> int)
 (** [make sys ~name ~handler ()] wraps [handler] as a kernel-usable pager:
     page faults on objects managed by it become [pager_data_request]
-    messages; pageouts become [pager_data_write] messages. *)
+    messages; pageouts become [pager_data_write] messages.  The function
+    returned alongside reads how many [pager_data_request] messages the
+    pager has answered so far. *)
 
 val trivial_store :
   Mach_core.Vm_sys.t -> name:string -> unit ->
-  Mach_core.Types.pager * (int, Bytes.t) Hashtbl.t
+  Mach_core.Types.pager * (int, Bytes.t) Hashtbl.t * (unit -> int)
 (** [trivial_store sys ~name ()] is a complete external pager backed by an
     offset-indexed table (returned alongside, so tests and examples can
-    pre-load or inspect it).  Unknown offsets answer
-    [pager_data_unavailable]. *)
-
-val requests_served : Mach_core.Types.pager -> int
-(** How many [pager_data_request] messages this external pager has
-    answered; 0 for pagers not made by this module. *)
+    pre-load or inspect it), and its answered-request count as from
+    {!make}.  Unknown offsets answer [pager_data_unavailable]. *)

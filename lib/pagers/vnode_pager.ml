@@ -2,7 +2,7 @@ open Mach_core
 open Types
 
 let make (sys : Vm_sys.t) fs ~name =
-  let id = fresh_pager_id () in
+  let id = Vm_sys.fresh_pager_id sys in
   let cpu () = Vm_sys.current_cpu sys in
   {
     pgr_id = id;

@@ -29,10 +29,10 @@ let new_task kernel =
 (* A per-offset hash store, like a simple external pager.  Writes are
    split at page size — the range contract: a clustered write must land
    so that later single-page reads find every page. *)
-let store_pager ~ps () =
+let store_pager sys ~ps () =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   {
-    Types.pgr_id = Types.fresh_pager_id ();
+    Types.pgr_id = Vm_sys.fresh_pager_id sys;
     pgr_name = "cluster-store";
     pgr_request =
       (fun ~offset ~length ->
@@ -422,7 +422,7 @@ let short_cluster_run seed =
   let ps = sys.Vm_sys.page_size in
   let inj = Fail.create ~seed in
   let task = new_task kernel in
-  let pager = store_pager ~ps () in
+  let pager = store_pager sys ~ps () in
   let n = 8 in
   let addr =
     match Chaos_pager.map_wrapped sys task inj ~pager ~size:(n * ps) () with
@@ -470,8 +470,8 @@ let test_short_cluster_degrades () =
 (* Like [store_pager], but range requests gather consecutive per-page
    entries, so a successful cluster really returns multiple pages (and
    prefetch actually issues). *)
-let range_store_pager ~ps () =
-  let base = store_pager ~ps () in
+let range_store_pager sys ~ps () =
+  let base = store_pager sys ~ps () in
   { base with
     Types.pgr_request =
       (fun ~offset ~length ->
@@ -499,7 +499,7 @@ let test_degraded_cluster_resumes_ramp () =
   let ps = sys.Vm_sys.page_size in
   let inj = Fail.create ~seed:3 in
   let task = new_task kernel in
-  let pager = range_store_pager ~ps () in
+  let pager = range_store_pager sys ~ps () in
   let n = 8 in
   let addr =
     match Chaos_pager.map_wrapped sys task inj ~pager ~size:(n * ps) () with
@@ -554,7 +554,7 @@ let test_failed_cluster_does_not_ramp () =
   let lengths = ref [] in
   let pager =
     {
-      Types.pgr_id = Types.fresh_pager_id ();
+      Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = "single-only";
       pgr_request =
         (fun ~offset ~length ->
@@ -696,18 +696,18 @@ let test_hint_accelerates_range_ops () =
   let last = List.nth addrs 63 in
   (* Park the hint at the far end, then operate on the last entry. *)
   Machine.touch machine ~cpu:0 ~va:first ~write:true;
-  Vm_map.beyond_steps := 0;
+  sys.Vm_sys.map_scan_steps <- 0;
   ok
     (Vm_map.protect sys m ~addr:last ~size:ps ~set_max:false
        ~prot:Prot.read_only);
-  let cold = !Vm_map.beyond_steps in
+  let cold = sys.Vm_sys.map_scan_steps in
   (* Park the hint on the target: same operation, few steps. *)
   Machine.touch machine ~cpu:0 ~va:last ~write:false;
-  Vm_map.beyond_steps := 0;
+  sys.Vm_sys.map_scan_steps <- 0;
   ok
     (Vm_map.protect sys m ~addr:last ~size:ps ~set_max:false
        ~prot:Prot.read_write);
-  let warm = !Vm_map.beyond_steps in
+  let warm = sys.Vm_sys.map_scan_steps in
   Alcotest.(check bool)
     (Printf.sprintf "cold scan walks the map (%d)" cold)
     true (cold >= 32);

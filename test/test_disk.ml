@@ -150,9 +150,9 @@ let test_clustered_pageout_roundtrip () =
 
 (* An in-memory store pager: no device behind it, every reply stamped
    [io_none].  Writes are split at page size (the range contract). *)
-let store_pager ~ps ?(requests = ref []) () =
+let store_pager sys ~ps ?(requests = ref []) () =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  { Types.pgr_id = Types.fresh_pager_id ();
+  { Types.pgr_id = Vm_sys.fresh_pager_id sys;
     pgr_name = "store";
     pgr_request =
       (fun ~offset ~length ->
@@ -186,7 +186,7 @@ let test_no_device_pager () =
   let ps = sys.Vm_sys.page_size in
   let n = 16 in
   let requests = ref [] in
-  let pager = store_pager ~ps ~requests () in
+  let pager = store_pager sys ~ps ~requests () in
   for i = 0 to n - 1 do
     ignore
       (pager.Types.pgr_write ~offset:(i * ps)
@@ -325,7 +325,7 @@ let test_dead_pager () =
   let addr =
     fst
       (ok
-         (Chaos_pager.map_wrapped sys t inj ~pager:(store_pager ~ps ())
+         (Chaos_pager.map_wrapped sys t inj ~pager:(store_pager sys ~ps ())
             ~size:(n * ps) ()))
   in
   let pat = Printf.sprintf "dead-%02d" in

@@ -120,10 +120,10 @@ let new_task kernel =
 
 (* An external pager over a plain hash store: reliable by itself, so every
    misbehaviour in these tests comes from the injector wrapped around it. *)
-let store_pager () =
+let store_pager sys =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
   {
-    Types.pgr_id = Types.fresh_pager_id ();
+    Types.pgr_id = Vm_sys.fresh_pager_id sys;
     pgr_name = "store";
     pgr_request =
       (fun ~offset ~length ->
@@ -196,7 +196,7 @@ let chaos_invariants (seed, ops) =
   Simdisk.set_injector (Simfs.disk fs) (Some inj);
   Simfs.install_file fs ~name:"/data" ~data:(Bytes.make (pages * ps) 'f');
   let t = new_task kernel in
-  let pager = store_pager () in
+  let pager = store_pager sys in
   let a_pager =
     fst (ok (Chaos_pager.map_wrapped sys t inj ~pager ~size:(pages * ps) ()))
   in
@@ -439,7 +439,7 @@ let test_bounded_retries_then_error () =
   let t = new_task kernel in
   let inj = Fail.create ~seed:5 in
   Fail.attach inj ~site:"pager.request" [ Fail.Always Fail.Fail ];
-  let pager = store_pager () in
+  let pager = store_pager sys in
   let addr =
     fst (ok (Chaos_pager.map_wrapped sys t inj ~pager ~size:(4 * ps) ()))
   in
@@ -453,7 +453,7 @@ let test_bounded_retries_then_error () =
    | Error Kr.Memory_error -> ()
    | Ok _ | Error _ -> Alcotest.fail "expected KERN_MEMORY_ERROR");
   Alcotest.(check int) "exactly the retry budget was spent"
-    sys.Vm_sys.pager_retry_limit stats.Vm_stats.vs_pager_retries;
+    Vm_sys.pager_retry_limit stats.Vm_stats.vs_pager_retries;
   (* Two more exhausted budgets reach the death threshold. *)
   ignore (read ());
   ignore (read ());
@@ -479,7 +479,7 @@ let test_pager_death_rescues_dirty_pages () =
   (* Reads pass; every write to the external pager fails, so pageout burns
      its retry budget until the pager dies mid-workload. *)
   Fail.attach inj ~site:"pager.write" [ Fail.Always Fail.Fail ];
-  let pager = store_pager () in
+  let pager = store_pager sys in
   let addr =
     fst (ok (Chaos_pager.map_wrapped sys t inj ~pager ~size:(n * ps) ()))
   in

@@ -457,7 +457,7 @@ let test_raising_fault_restores_exemption () =
   let _machine, kernel, sys = boot () in
   let t = new_task kernel ~cpu:0 in
   let pager =
-    { Types.pgr_id = Types.fresh_pager_id ();
+    { Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = "raises";
       pgr_request = (fun ~offset:_ ~length:_ -> failwith "pager raised");
       pgr_write = (fun ~offset:_ ~data:_ -> Types.Write_error);

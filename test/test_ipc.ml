@@ -188,7 +188,7 @@ let call_ok sys port msg =
 let test_msg_vm_allocate_and_touch () =
   let machine, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   let reply =
     call_ok sys port
       (Ipc.message "vm_allocate" ~ints:[ 16 * kb; 1; 0 ])
@@ -201,7 +201,7 @@ let test_msg_vm_allocate_and_touch () =
 let test_msg_read_write_roundtrip () =
   let _, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   let reply =
     call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
   in
@@ -221,7 +221,7 @@ let test_msg_read_write_roundtrip () =
 let test_msg_protect_enforced () =
   let machine, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   let reply =
     call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])
   in
@@ -239,7 +239,7 @@ let test_msg_protect_enforced () =
 let test_msg_regions_and_statistics () =
   let _, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
   ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ]));
   let reply = call_ok sys port (Ipc.message "vm_regions") in
@@ -263,7 +263,7 @@ let test_msg_regions_and_statistics () =
 let test_msg_errors_travel_back () =
   let _, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   let reply =
     Syscall_server.call sys port
       (Ipc.message "vm_protect" ~ints:[ 4096; 4096; 0;
@@ -280,7 +280,7 @@ let test_msg_errors_travel_back () =
 let test_msg_vm_copy () =
   let machine, kernel, sys = boot () in
   let task = new_task kernel ~cpu:0 in
-  let port = Syscall_server.task_port sys task in
+  let port = Syscall_server.task_port (Syscall_server.create kernel) task in
   let addr_of r = List.nth r.Ipc.msg_ints 1 in
   let src = addr_of (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
   let dst = addr_of (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ])) in
@@ -294,7 +294,9 @@ let test_task_lifecycle_by_message () =
      which represents the new object and can be used to manipulate
      it." *)
   let machine, kernel, sys = boot () in
-  let port = Syscall_server.task_create kernel ~name:"msg-task" () in
+  let port =
+    Syscall_server.task_create (Syscall_server.create kernel) ~name:"msg-task" ()
+  in
   let reply =
     call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
   in
@@ -331,6 +333,129 @@ let test_task_lifecycle_by_message () =
    | _ -> Alcotest.fail "expected data");
   ignore (call_ok sys child_port (Ipc.message "task_terminate"));
   ignore machine
+
+(* A port from [task_port] is the port [task_create] would have handed
+   back: the task's lifecycle works through it too. *)
+let test_task_port_forks_and_terminates () =
+  let _, kernel, sys = boot () in
+  let srv = Syscall_server.create kernel in
+  let task = new_task kernel ~cpu:0 in
+  let port = Syscall_server.task_port srv task in
+  Alcotest.(check bool) "memoized" true
+    (Syscall_server.task_port srv task == port);
+  let reply = call_ok sys port (Ipc.message "task_fork") in
+  let child_port =
+    match reply.Ipc.msg_items with
+    | [ Ipc.Port_right p ] -> p
+    | _ -> Alcotest.fail "expected the child's port capability"
+  in
+  ignore
+    (call_ok sys child_port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
+  ignore (call_ok sys child_port (Ipc.message "task_terminate"));
+  ignore (call_ok sys port (Ipc.message "task_terminate"));
+  Alcotest.(check bool) "terminated" true task.Task.task_dead
+
+(* ---- two kernels in one process ------------------------------------------ *)
+
+(* The ids of a kernel's first task, map, object and pager. *)
+let first_ids kernel =
+  let sys = Kernel.sys kernel in
+  let t = new_task kernel ~cpu:0 in
+  let a = ok (Vm_user.allocate sys t ~size:(4 * kb) ~anywhere:true ()) in
+  Machine.touch (Kernel.machine kernel) ~cpu:0 ~va:a ~write:true;
+  let o, _ = Option.get (Vm_map.resolve_object_at sys (Task.map t) ~va:a) in
+  let pager = Swap_pager.make sys ~name:"ids" in
+  [ t.Task.task_id; (Task.map t).Types.map_id; o.Types.obj_id;
+    pager.Types.pgr_id ]
+
+let test_ids_are_per_kernel () =
+  let _, kernel_a, _ = boot () in
+  let ids_a = first_ids kernel_a in
+  let _, kernel_b, _ = boot () in
+  Alcotest.(check (list int)) "task, map, object, pager ids" ids_a
+    (first_ids kernel_b);
+  Alcotest.(check (list int)) "numbered from 1" [ 1; 1; 1; 1 ] ids_a
+
+let test_ports_route_to_their_kernel () =
+  let _, kernel_a, sys_a = boot () in
+  let _, kernel_b, sys_b = boot () in
+  let task_a = new_task kernel_a ~cpu:0 and task_b = new_task kernel_b ~cpu:0 in
+  Alcotest.(check int) "same task id" task_a.Task.task_id task_b.Task.task_id;
+  let port kernel task =
+    Syscall_server.task_port (Syscall_server.create kernel) task
+  in
+  let port_a = port kernel_a task_a and port_b = port kernel_b task_b in
+  (* The port, not the sender, names the kernel that does the work. *)
+  ignore
+    (call_ok sys_a port_b (Ipc.message "vm_allocate" ~ints:[ 16 * kb; 1; 0 ]));
+  Alcotest.(check int) "allocated in B" 1
+    (List.length (Vm_user.regions sys_b task_b));
+  Alcotest.(check int) "not in A" 0
+    (List.length (Vm_user.regions sys_a task_a));
+  let reply = call_ok sys_b port_a (Ipc.message "task_fork") in
+  (match reply.Ipc.msg_items with
+   | [ Ipc.Port_right child ] ->
+     Alcotest.(check string) "A's second task" "task-2" (Ipc.port_name child);
+     let regions = call_ok sys_b child (Ipc.message "vm_regions") in
+     Alcotest.(check (list int)) "a child of A's empty task" [ 0; 0 ]
+       regions.Ipc.msg_ints
+   | _ -> Alcotest.fail "expected the child's port capability");
+  Alcotest.(check int) "forked in A" 2 sys_a.Vm_sys.last_task_id;
+  Alcotest.(check int) "not in B" 1 sys_b.Vm_sys.last_task_id
+
+(* A short workload as a list of steps: allocate and touch [pages],
+   fork by message, write in the child through its port (copy on write),
+   terminate the child by message. *)
+let workload kernel ~pages =
+  let sys = Kernel.sys kernel in
+  let ps = Kernel.page_size kernel in
+  let srv = Syscall_server.create kernel in
+  let task = ref None and addr = ref 0 and child = ref None in
+  let get r = Option.get !r in
+  [ (fun () -> task := Some (new_task kernel ~cpu:0));
+    (fun () ->
+       addr :=
+         ok
+           (Vm_user.allocate sys (get task) ~size:(pages * ps) ~anywhere:true
+              ()));
+    (fun () ->
+       for i = 0 to pages - 1 do
+         Machine.touch (Kernel.machine kernel) ~cpu:0 ~va:(!addr + (i * ps))
+           ~write:true
+       done);
+    (fun () ->
+       let reply =
+         call_ok sys (Syscall_server.task_port srv (get task))
+           (Ipc.message "task_fork")
+       in
+       match reply.Ipc.msg_items with
+       | [ Ipc.Port_right p ] -> child := Some p
+       | _ -> Alcotest.fail "expected the child's port capability");
+    (fun () ->
+       ignore
+         (call_ok sys (get child)
+            (Ipc.message "vm_write" ~ints:[ !addr ]
+               ~items:[ Ipc.Inline (Bytes.make ps 'c') ])));
+    (fun () -> ignore (call_ok sys (get child) (Ipc.message "task_terminate")))
+  ]
+
+let solo_statistics ~pages =
+  let _, kernel, sys = boot () in
+  List.iter (fun step -> step ()) (workload kernel ~pages);
+  Vm_user.statistics sys
+
+let test_interleaved_kernels_match_solo () =
+  let solo_a = solo_statistics ~pages:3 and solo_b = solo_statistics ~pages:5 in
+  let _, kernel_a, sys_a = boot () in
+  let _, kernel_b, sys_b = boot () in
+  List.iter2
+    (fun step_a step_b -> step_a (); step_b ())
+    (workload kernel_a ~pages:3) (workload kernel_b ~pages:5);
+  Alcotest.(check bool) "A's vm_statistics as alone" true
+    (Vm_user.statistics sys_a = solo_a);
+  Alcotest.(check bool) "B's vm_statistics as alone" true
+    (Vm_user.statistics sys_b = solo_b);
+  Alcotest.(check bool) "the workloads differ" true (solo_a <> solo_b)
 
 let test_port_capability_in_message () =
   (* A message can carry a capability for another port; the receiver
@@ -394,4 +519,13 @@ let () =
           Alcotest.test_case "task lifecycle by message" `Quick
             test_task_lifecycle_by_message;
           Alcotest.test_case "port capability in message" `Quick
-            test_port_capability_in_message ] ) ]
+            test_port_capability_in_message;
+          Alcotest.test_case "task_port forks and terminates" `Quick
+            test_task_port_forks_and_terminates ] );
+      ( "two kernels",
+        [ Alcotest.test_case "ids are per kernel" `Quick
+            test_ids_are_per_kernel;
+          Alcotest.test_case "ports route to their kernel" `Quick
+            test_ports_route_to_their_kernel;
+          Alcotest.test_case "interleaved kernels match solo runs" `Quick
+            test_interleaved_kernels_match_solo ] ) ]

@@ -18,7 +18,7 @@ let counting_pager sys ~name =
   let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
   let pager =
     {
-      Types.pgr_id = Types.fresh_pager_id ();
+      Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = name;
       pgr_request =
         (fun ~offset ~length ->

@@ -174,7 +174,7 @@ let test_cached_object_pages_reclaimable () =
   let counting = ref 0 in
   let pager =
     {
-      Types.pgr_id = Types.fresh_pager_id ();
+      Types.pgr_id = Vm_sys.fresh_pager_id sys;
       pgr_name = "refill";
       pgr_request =
         (fun ~offset:_ ~length ->

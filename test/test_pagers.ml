@@ -210,7 +210,7 @@ let test_map_missing_file () =
 let test_external_pager_protocol () =
   let machine, kernel, sys, _fs = boot () in
   let ps = Kernel.page_size kernel in
-  let pager, store = Port_pager.trivial_store sys ~name:"xp" () in
+  let pager, store, served = Port_pager.trivial_store sys ~name:"xp" () in
   Hashtbl.replace store 0 (Bytes.of_string "external data");
   let t = new_task kernel ~cpu:0 in
   let a =
@@ -220,16 +220,16 @@ let test_external_pager_protocol () =
   in
   Alcotest.(check string) "served" "external data"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:13));
-  Alcotest.(check int) "one request" 1 (Port_pager.requests_served pager);
+  Alcotest.(check int) "one request" 1 (served ());
   (* Missing offsets zero fill. *)
   Alcotest.(check char) "zero" '\000'
     (Machine.read_byte machine ~cpu:0 ~va:(a + ps));
-  Alcotest.(check int) "two requests" 2 (Port_pager.requests_served pager)
+  Alcotest.(check int) "two requests" 2 (served ())
 
 let test_external_pager_writeback () =
   let machine, kernel, sys, _fs = boot () in
   let ps = Kernel.page_size kernel in
-  let pager, store = Port_pager.trivial_store sys ~name:"wb" () in
+  let pager, store, _ = Port_pager.trivial_store sys ~name:"wb" () in
   let t = new_task kernel ~cpu:0 in
   let a =
     ok
@@ -362,7 +362,7 @@ let test_external_pager_receives_init () =
       Some (Mach_ipc.Ipc.message "pager_data_unavailable")
     | _ -> None
   in
-  let pager = Port_pager.make sys ~name:"init-test" ~handler () in
+  let pager, _ = Port_pager.make sys ~name:"init-test" ~handler () in
   ignore (pager.Mach_core.Types.pgr_request ~offset:0 ~length:4096);
   Alcotest.(check (list string)) "init arrives before data traffic"
     [ "pager_init"; "pager_data_request" ]

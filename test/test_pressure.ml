@@ -69,7 +69,7 @@ let test_swap_exhaustion_escalates () =
     | Some (o, _) -> Option.get (Vm_object.lookup_resident sys o ~offset:0)
     | None -> Alcotest.fail "no object"
   in
-  for _ = 1 to 2 + sys.Vm_sys.pageout_requeue_limit do
+  for _ = 1 to 2 + Vm_sys.pageout_requeue_limit do
     Vm_pageout.deactivate_some sys ~count:16;
     Vm_pageout.run sys ~wanted:16
   done;
@@ -240,7 +240,10 @@ let test_no_space_over_ipc () =
   let task = Kernel.create_task kernel ~name:"wire" () in
   Kernel.run_task kernel ~cpu:0 task;
   let ps = sys.Vm_sys.page_size in
-  let port = Mach_ipc.Syscall_server.task_port sys task in
+  let port =
+    Mach_ipc.Syscall_server.task_port
+      (Mach_ipc.Syscall_server.create kernel) task
+  in
   let reply =
     Mach_ipc.Syscall_server.call sys port
       (Mach_ipc.Ipc.message "vm_allocate" ~ints:[ 4 * ps; 1; 0 ])

@@ -175,7 +175,10 @@ let test_suspend_by_message () =
   let victim =
     Sched.spawn sched ~task (List.init 4 (fun _ -> fun ~cpu:_ -> incr progress))
   in
-  let port = Mach_ipc.Syscall_server.thread_port victim in
+  let port =
+    Mach_ipc.Syscall_server.thread_port
+      (Mach_ipc.Syscall_server.create kernel) victim
+  in
   ignore (Sched.step sched);
   let reply =
     Mach_ipc.Syscall_server.call sys port
