@@ -11,29 +11,42 @@ let make (sys : Vm_sys.t) ~name =
   let machine = sys.Vm_sys.machine in
   let cpu () = Vm_sys.current_cpu sys in
   let ps = sys.Vm_sys.page_size in
-  (* Gather contiguous chunks from [offset] up into one buffer; one disk
-     transfer covers the whole gathered range, so a clustered request
-     pays the seek once.  No chunk at [offset] itself means the pager
-     holds nothing there (the range contract). *)
+  (* Gather contiguous chunks from [offset] up: one disk transfer covers
+     the whole gathered range, so a clustered request pays the seek once.
+     A reply that is one whole chunk is that chunk, lent (the contract on
+     [pgr_request]); only a reply that joins chunks gets a buffer of its
+     own.  No chunk at [offset] itself means the pager holds nothing
+     there (the range contract). *)
   let gather ~offset ~length =
     match Hashtbl.find_opt store offset with
     | None -> None
-    | Some _ ->
-      let parts = ref [] and got = ref 0 in
-      let rec loop () =
-        if !got < length then
-          match Hashtbl.find_opt store (offset + !got) with
-          | None -> ()
+    | Some first ->
+      (* Bytes on hand from [offset + got]: whole chunks while they
+         continue the run, then at most a head of the last one. *)
+      let rec span got =
+        if got >= length then got
+        else
+          match Hashtbl.find_opt store (offset + got) with
+          | None -> got
           | Some d ->
-            let take = min (Bytes.length d) (length - !got) in
-            parts := (d, !got, take) :: !parts;
-            got := !got + take;
-            if take = Bytes.length d then loop ()
+            let take = min (Bytes.length d) (length - got) in
+            if take = Bytes.length d then span (got + take) else got + take
       in
-      loop ();
-      let buf = Bytes.create !got in
-      List.iter (fun (d, pos, take) -> Bytes.blit d 0 buf pos take) !parts;
-      Some (buf, !got)
+      let got = span 0 in
+      if got = Bytes.length first then Some first
+      else begin
+        let buf = Bytes.create got in
+        let rec join pos =
+          if pos < got then begin
+            let d = Hashtbl.find store (offset + pos) in
+            let take = min (Bytes.length d) (got - pos) in
+            Bytes.blit d 0 buf pos take;
+            join (pos + take)
+          end
+        in
+        join 0;
+        Some buf
+      end
   in
   (* Bytes of [data] landing on offsets not yet stored: only new chunks
      commit pool space — rewriting a paged-out page in place is free. *)
@@ -47,14 +60,20 @@ let make (sys : Vm_sys.t) ~name =
     done;
     !fresh
   in
+  (* Stored in page-size chunks so later single-page requests find their
+     piece.  An offset already stored is overwritten in place; only a new
+     offset copies its piece out of [data], which is lent (the contract
+     on [pgr_write]). *)
   let scatter ~offset ~data =
-    (* Stored in page-size chunks so later single-page requests find
-       their piece. *)
     let len = Bytes.length data in
     let pos = ref 0 in
     while !pos < len do
       let take = min ps (len - !pos) in
-      Hashtbl.replace store (offset + !pos) (Bytes.sub data !pos take);
+      let off = offset + !pos in
+      (match Hashtbl.find_opt store off with
+       | Some chunk when Bytes.length chunk = take ->
+         Bytes.blit data !pos chunk 0 take
+       | Some _ | None -> Hashtbl.replace store off (Bytes.sub data !pos take));
       pos := !pos + take
     done
   in
@@ -72,11 +91,11 @@ let make (sys : Vm_sys.t) ~name =
       (fun ~offset ~length ->
          match gather ~offset ~length with
          | None -> Data_unavailable
-         | Some (data, got) ->
+         | Some data ->
            Data_provided
              (data,
               Mach_hw.Machine.submit_disk machine ~cpu:(cpu ())
-                ~write:false ~bytes:got));
+                ~write:false ~bytes:(Bytes.length data)));
     pgr_write =
       (fun ~offset ~data ->
          if not (reserve ~offset ~data) then Write_no_space

@@ -166,14 +166,24 @@ and pager = {
          will fall back to single-page requests for the remainder.
          [Data_unavailable] for a range means the pager holds no data at
          [offset] itself, so the kernel may zero-fill / descend for the
-         demand page without re-asking page by page. *)
+         demand page without re-asking page by page.
+         The bytes of a [Data_provided] reply are lent to the kernel for
+         the call: the pager may hand over its own stored copy, and the
+         kernel copies them into frames and never mutates or keeps them.
+         The copy may come after the kernel has grabbed a frame (which
+         can run the pageout daemon); that is safe because the daemon
+         never writes the offsets being paged in, which are not
+         resident. *)
   pgr_write : offset:int -> data:Bytes.t -> pager_write_reply;
       (* pager_data_write: the kernel cleans dirty pages; [data] may span
          several contiguous pages (a clustered pageout).  A pager that
          stores blobs keyed by offset must split the data at page
          boundaries or later single-page requests will miss it.
          [Write_error] means NO page of the range was cleaned; the kernel
-         falls back to single-page writes. *)
+         falls back to single-page writes.
+         [data] is lent to the pager for the call: a pager copies
+         whatever it keeps (it may overwrite a copy it already holds in
+         place). *)
   pgr_should_cache : bool ref;
       (* pager_cache: retain the object after its last unmap *)
 }

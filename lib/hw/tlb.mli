@@ -5,7 +5,14 @@
     multiprocessors the paper ran on kept TLBs consistent in hardware
     (Section 5.2), so invalidation is entirely software-driven: the pmap
     layer calls the flush operations below, possibly on remote CPUs via the
-    machine's shootdown mechanism. *)
+    machine's shootdown mechanism.
+
+    An entry is keyed by one int packing its asid and virtual page, and
+    the FIFO order is a ring of such ints, so a refill allocates no key
+    or queue cell.  The virtual page must lie in [\[0, 2{^32})] and the
+    asid in [\[0, 2{^30})]: {!insert} refuses anything else, and the
+    lookups and invalidations answer for it as for a page never
+    cached. *)
 
 type t
 (** One CPU's TLB. *)
@@ -27,7 +34,11 @@ val lookup : t -> asid:int -> vpn:int -> entry option
 
 val insert : t -> entry -> unit
 (** [insert t e] caches [e], evicting the oldest entry when full and
-    replacing any existing entry for the same (asid, vpn). *)
+    replacing any existing entry for the same (asid, vpn).  An entry
+    invalidated and inserted again keeps its old place in the FIFO
+    order as well as its new one, and is evicted from the older.  Raises
+    [Invalid_argument] when the asid or vpn does not fit its key field
+    (on a TLB of capacity 0, which caches nothing, it never raises). *)
 
 val invalidate_page : t -> asid:int -> vpn:int -> unit
 (** [invalidate_page t ~asid ~vpn] drops the entry for one page, if

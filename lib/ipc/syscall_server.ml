@@ -109,10 +109,15 @@ let serve_thread th (m : Ipc.message) =
 
 let reply_simple tag r = Ipc.message (tag ^ "_reply") ~ints:[ kr_code r ]
 
+(* A terminated task's port still names it, but the task has no map
+   left to act on: every request, a second terminate too, is refused
+   without a kernel call. *)
 let serve srv task (m : Ipc.message) =
   let kernel = srv.kernel in
   let sys = Kernel.sys kernel in
   match m.Ipc.msg_tag, m.Ipc.msg_ints with
+  | tag, _ when task.Task.task_dead ->
+    reply_simple tag (Error Kr.Invalid_argument)
   | "vm_allocate", [ size; anywhere; hint ] ->
     (match
        Vm_user.allocate sys task

@@ -58,7 +58,8 @@ val call : Mach_core.Vm_sys.t -> Ipc.port -> Ipc.message -> Ipc.message
 (** [call sys port request] performs one kernel operation by message:
     enqueues [request] on [port], services it in the kernel the port's
     object belongs to, and returns the reply; [sys] pays for the message
-    traffic.  Unknown tags answer with [KERN_INVALID_ARGUMENT];
+    traffic.  Unknown tags, and every request to the port of a task
+    that has terminated, answer with [KERN_INVALID_ARGUMENT];
     [Invalid_argument] if [port] stands for no task or thread. *)
 
 val kr_of_reply : Ipc.message -> (unit, Mach_core.Kr.t) result

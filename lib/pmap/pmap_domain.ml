@@ -46,28 +46,28 @@ let machine t = t.ctx.Backend.machine
 
 let page_multiple t = t.ctx.Backend.page_frames
 
+let tracing t = Mach_obs.Obs.enabled (Machine.tracer t.ctx.Backend.machine)
+
+(* Only called under [tracing t], so an untraced call builds no event. *)
+let note t ev =
+  let m = t.ctx.Backend.machine and cpu = t.ctx.Backend.cur_cpu in
+  Mach_obs.Obs.record (Machine.tracer m) ~ts:(Machine.cycles m ~cpu) ~cpu ev
+
 (* Wrap a fresh pmap in one record update: trace emission and cycle
    attribution around the mutation entry points, and reference counting
    (pmap_reference/pmap_destroy of Table 3-3) that keeps the registry in
    step with the pmap's lifetime.  Instrumenting here covers every
    architecture backend at once; the tracer is read through the machine
    on each call so enabling tracing mid-run works.  When tracing is off
-   each wrapped call pays one branch.  The [Pmap] attribution frame
-   brackets the backend call itself, so map-update costs land in the
-   Pmap category wherever they were triggered from — except
-   TLB-consistency work, which the machine charges as [Shootdown_ipi]
-   explicitly. *)
+   each wrapped call pays one branch and builds no event record.  The
+   [Pmap] attribution frame brackets the backend call itself, so
+   map-update costs land in the Pmap category wherever they were
+   triggered from — except TLB-consistency work, which the machine
+   charges as [Shootdown_ipi] explicitly. *)
 let create_pmap t =
   let p = t.factory.Backend.new_pmap () in
   let m = t.ctx.Backend.machine in
   let asid = p.Pmap.asid in
-  let note ev =
-    let tr = Machine.tracer m in
-    if Mach_obs.Obs.enabled tr then begin
-      let cpu = t.ctx.Backend.cur_cpu in
-      Mach_obs.Obs.record tr ~ts:(Machine.cycles m ~cpu) ~cpu ev
-    end
-  in
   let in_pmap f =
     Machine.with_category m ~cpu:t.ctx.Backend.cur_cpu Mach_obs.Obs.Pmap f
   in
@@ -77,15 +77,18 @@ let create_pmap t =
       Pmap.enter =
         (fun ~va ~pfn ~prot ~wired ->
            in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-           note (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
+           if tracing t then
+             note t (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
       remove =
         (fun ~start_va ~end_va ->
            in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
-           note (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va }));
+           if tracing t then
+             note t (Mach_obs.Obs.Pmap_remove { asid; start_va; end_va }));
       protect =
         (fun ~start_va ~end_va ~prot ->
            in_pmap (fun () -> p.Pmap.protect ~start_va ~end_va ~prot);
-           note (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va }));
+           if tracing t then
+             note t (Mach_obs.Obs.Pmap_protect { asid; start_va; end_va }));
       reference = (fun () -> incr refs);
       destroy =
         (fun () ->

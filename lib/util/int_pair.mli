@@ -18,5 +18,5 @@ val hash : t -> int
     low bits. *)
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by int pairs: the TLBs by (asid, vpn), the
-    resident page table by (object id, offset). *)
+(** Hash tables keyed by int pairs: the resident page table by (object
+    id, offset), pending burst maps by (asid, pfn). *)

@@ -287,6 +287,176 @@ let test_tlb_zero_capacity () =
   Tlb.insert t (entry ~asid:1 ~vpn:1 ~pfn:1);
   Alcotest.(check bool) "never caches" true (Tlb.lookup t ~asid:1 ~vpn:1 = None)
 
+(* The TLB as it was kept before its keys were packed into one int: a
+   [Hashtbl] keyed by (asid, vpn) and a [Queue] of keys in FIFO order.
+   The model property below holds the packed TLB to exactly this
+   replacement order, stale slots and all. *)
+module Ref_tlb = struct
+  type t = {
+    capacity : int;
+    table : (int * int, Tlb.entry) Hashtbl.t;
+    order : (int * int) Queue.t;
+  }
+
+  let create ~capacity =
+    { capacity; table = Hashtbl.create 64; order = Queue.create () }
+
+  let lookup t ~asid ~vpn = Hashtbl.find_opt t.table (asid, vpn)
+
+  let rec evict_one t =
+    match Queue.take_opt t.order with
+    | None -> ()
+    | Some key ->
+      if Hashtbl.mem t.table key then Hashtbl.remove t.table key
+      else evict_one t
+
+  let compact t =
+    let seen = Hashtbl.create 16 in
+    let live = Queue.create () in
+    Queue.iter
+      (fun key ->
+         if Hashtbl.mem t.table key && not (Hashtbl.mem seen key) then begin
+           Hashtbl.add seen key ();
+           Queue.add key live
+         end)
+      t.order;
+    Queue.clear t.order;
+    Queue.transfer live t.order
+
+  let insert t (e : Tlb.entry) =
+    if t.capacity > 0 then begin
+      let key = (e.Tlb.asid, e.Tlb.vpn) in
+      if not (Hashtbl.mem t.table key) then begin
+        if Hashtbl.length t.table >= t.capacity then evict_one t;
+        if Queue.length t.order > 2 * t.capacity then compact t;
+        Queue.add key t.order
+      end;
+      Hashtbl.replace t.table key e
+    end
+
+  let drop t pred =
+    Hashtbl.filter_map_inplace
+      (fun key e -> if pred key then None else Some e)
+      t.table
+
+  let invalidate_page t ~asid ~vpn = Hashtbl.remove t.table (asid, vpn)
+
+  let invalidate_range t ~asid ~lo_vpn ~hi_vpn =
+    drop t (fun (a, v) -> a = asid && v >= lo_vpn && v < hi_vpn)
+
+  let invalidate_asid t ~asid = drop t (fun (a, _) -> a = asid)
+
+  let invalidate_all t =
+    Hashtbl.reset t.table;
+    Queue.clear t.order
+
+  let entries t =
+    Queue.fold
+      (fun acc key ->
+         match Hashtbl.find_opt t.table key with
+         | Some e -> e :: acc
+         | None -> acc)
+      [] t.order
+    |> List.rev
+end
+
+type tlb_op =
+  | Insert of int * int * int  (* asid, vpn, pfn *)
+  | Lookup of int * int
+  | Inv_page of int * int
+  | Inv_range of int * int * int  (* asid, lo, hi *)
+  | Inv_asid of int
+  | Inv_all
+
+let tlb_asids = 3
+let tlb_vpns = 10
+
+(* Few asids and vpns, so keys come back after an invalidation and
+   stale FIFO slots meet live ones. *)
+let tlb_op_gen =
+  let open QCheck2.Gen in
+  let asid = int_range 0 (tlb_asids - 1) and vpn = int_range 0 (tlb_vpns - 1) in
+  frequency
+    [ (6, map3 (fun a v p -> Insert (a, v, p)) asid vpn (int_range 0 99));
+      (2, map2 (fun a v -> Lookup (a, v)) asid vpn);
+      (2, map2 (fun a v -> Inv_page (a, v)) asid vpn);
+      (1, map3 (fun a lo n -> Inv_range (a, lo, lo + n)) asid vpn
+            (int_range (-1) 6));
+      (1, map (fun a -> Inv_asid a) asid);
+      (1, pure Inv_all) ]
+
+let show_tlb_op = function
+  | Insert (a, v, p) -> Printf.sprintf "insert %d:%d->%d" a v p
+  | Lookup (a, v) -> Printf.sprintf "lookup %d:%d" a v
+  | Inv_page (a, v) -> Printf.sprintf "inv_page %d:%d" a v
+  | Inv_range (a, lo, hi) -> Printf.sprintf "inv_range %d:[%d,%d)" a lo hi
+  | Inv_asid a -> Printf.sprintf "inv_asid %d" a
+  | Inv_all -> "inv_all"
+
+let tlb_matches_reference (capacity, ops) =
+  let t = Tlb.create ~capacity and r = Ref_tlb.create ~capacity in
+  let same_lookups () =
+    List.for_all
+      (fun asid ->
+         List.for_all
+           (fun vpn -> Tlb.lookup t ~asid ~vpn = Ref_tlb.lookup r ~asid ~vpn)
+           (List.init tlb_vpns Fun.id))
+      (List.init tlb_asids Fun.id)
+  in
+  List.for_all
+    (fun op ->
+       (match op with
+        | Insert (asid, vpn, pfn) ->
+          let e = { Tlb.asid; vpn; pfn; prot = Prot.read_write } in
+          Tlb.insert t e;
+          Ref_tlb.insert r e
+        | Lookup _ -> ()
+        | Inv_page (asid, vpn) ->
+          Tlb.invalidate_page t ~asid ~vpn;
+          Ref_tlb.invalidate_page r ~asid ~vpn
+        | Inv_range (asid, lo_vpn, hi_vpn) ->
+          Tlb.invalidate_range t ~asid ~lo_vpn ~hi_vpn;
+          Ref_tlb.invalidate_range r ~asid ~lo_vpn ~hi_vpn
+        | Inv_asid asid ->
+          Tlb.invalidate_asid t ~asid;
+          Ref_tlb.invalidate_asid r ~asid
+        | Inv_all ->
+          Tlb.invalidate_all t;
+          Ref_tlb.invalidate_all r);
+       same_lookups () && Tlb.entries t = Ref_tlb.entries r)
+    ops
+
+let tlb_model_property =
+  QCheck2.Test.make ~name:"tlb matches the Hashtbl+Queue reference"
+    ~count:500
+    ~print:(fun (c, ops) ->
+        Printf.sprintf "capacity %d: %s" c
+          (String.concat "; " (List.map show_tlb_op ops)))
+    QCheck2.Gen.(
+      pair (oneofl [ 0; 1; 2; 3; 8; 64 ])
+        (list_size (int_range 1 120) tlb_op_gen))
+    tlb_matches_reference
+
+let test_tlb_key_range () =
+  let t = Tlb.create ~capacity:4 in
+  let refused what e =
+    Alcotest.check_raises what
+      (Invalid_argument "Tlb.insert: asid or vpn out of range") (fun () ->
+        Tlb.insert t e)
+  in
+  refused "vpn too wide" (entry ~asid:1 ~vpn:(1 lsl 32) ~pfn:1);
+  refused "negative vpn" (entry ~asid:1 ~vpn:(-1) ~pfn:1);
+  refused "asid too wide" (entry ~asid:(1 lsl 30) ~vpn:0 ~pfn:1);
+  refused "negative asid" (entry ~asid:(-1) ~vpn:0 ~pfn:1);
+  let top = entry ~asid:((1 lsl 30) - 1) ~vpn:((1 lsl 32) - 1) ~pfn:7 in
+  Tlb.insert t top;
+  Alcotest.(check bool) "widest key cached" true
+    (Tlb.lookup t ~asid:top.Tlb.asid ~vpn:top.Tlb.vpn = Some top);
+  Alcotest.(check bool) "neighbour asid misses" true
+    (Tlb.lookup t ~asid:(top.Tlb.asid - 1) ~vpn:top.Tlb.vpn = None);
+  Alcotest.(check bool) "unfit vpn looks up as a miss" true
+    (Tlb.lookup t ~asid:1 ~vpn:(1 lsl 32) = None)
+
 (* ---- Machine ------------------------------------------------------------ *)
 
 (* A tiny translator over a mutable mapping table. *)
@@ -540,7 +710,9 @@ let () =
           Alcotest.test_case "replace same key" `Quick
             test_tlb_replace_same_key;
           Alcotest.test_case "invalidate" `Quick test_tlb_invalidate;
-          Alcotest.test_case "zero capacity" `Quick test_tlb_zero_capacity ]
+          Alcotest.test_case "zero capacity" `Quick test_tlb_zero_capacity;
+          Alcotest.test_case "key range" `Quick test_tlb_key_range;
+          QCheck_alcotest.to_alcotest tlb_model_property ]
       );
       ( "machine",
         [ Alcotest.test_case "translate + data" `Quick

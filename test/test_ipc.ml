@@ -355,6 +355,39 @@ let test_task_port_forks_and_terminates () =
   ignore (call_ok sys port (Ipc.message "task_terminate"));
   Alcotest.(check bool) "terminated" true task.Task.task_dead
 
+(* A terminated task's port is refused: allocate, fork and a second
+   terminate each answer KERN_INVALID_ARGUMENT and leave the kernel
+   alone. *)
+let check_dead_port sys kernel port =
+  let last_task = (Kernel.sys kernel).Vm_sys.last_task_id in
+  let refused what msg =
+    match Syscall_server.kr_of_reply (Syscall_server.call sys port msg) with
+    | Error Kr.Invalid_argument -> ()
+    | Ok () -> Alcotest.failf "%s on a dead task answered ok" what
+    | Error e -> Alcotest.failf "%s on a dead task: %s" what (Kr.to_string e)
+  in
+  refused "vm_allocate" (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]);
+  refused "task_fork" (Ipc.message "task_fork");
+  refused "task_terminate" (Ipc.message "task_terminate");
+  Alcotest.(check int) "no task made" last_task
+    (Kernel.sys kernel).Vm_sys.last_task_id
+
+let test_dead_task_port_refuses () =
+  let _, kernel, sys = boot () in
+  let srv = Syscall_server.create kernel in
+  let task = new_task kernel ~cpu:0 in
+  let port = Syscall_server.task_port srv task in
+  ignore (call_ok sys port (Ipc.message "task_terminate"));
+  check_dead_port sys kernel port
+
+let test_dead_created_port_refuses () =
+  let _, kernel, sys = boot () in
+  let srv = Syscall_server.create kernel in
+  let port = Syscall_server.task_create srv ~name:"doomed" () in
+  ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
+  ignore (call_ok sys port (Ipc.message "task_terminate"));
+  check_dead_port sys kernel port
+
 (* ---- two kernels in one process ------------------------------------------ *)
 
 (* The ids of a kernel's first task, map, object and pager. *)
@@ -521,7 +554,11 @@ let () =
           Alcotest.test_case "port capability in message" `Quick
             test_port_capability_in_message;
           Alcotest.test_case "task_port forks and terminates" `Quick
-            test_task_port_forks_and_terminates ] );
+            test_task_port_forks_and_terminates;
+          Alcotest.test_case "dead task_port refuses" `Quick
+            test_dead_task_port_refuses;
+          Alcotest.test_case "dead task_create port refuses" `Quick
+            test_dead_created_port_refuses ] );
       ( "two kernels",
         [ Alcotest.test_case "ids are per kernel" `Quick
             test_ids_are_per_kernel;

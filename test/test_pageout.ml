@@ -111,6 +111,99 @@ let test_rewrite_evicted_page () =
   Alcotest.(check string) "latest version" "version-2"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:9))
 
+(* ---- swap store ownership ------------------------------------------------ *)
+
+let swap_chunk sys pg ~offset =
+  Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores pg.Types.pgr_id) offset
+
+let provided = function
+  | Types.Data_provided (d, _) -> d
+  | Types.Data_unavailable | Types.Data_error ->
+    Alcotest.fail "expected data"
+
+(* Whole pages compare as one bool, so a failure prints no 4 KB strings. *)
+let same_bytes what expected got =
+  Alcotest.(check bool) what true (Bytes.equal expected got)
+
+let written = function
+  | Types.Write_completed _ -> ()
+  | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused"
+
+(* A page paged out, paged in, rewritten and paged out again reads back
+   its latest bytes: the second pageout overwrites the first copy in
+   place while the first pagein's reply was that very copy. *)
+let test_swap_rewrite_round_trip () =
+  let machine, kernel, sys = boot () in
+  let t = new_task kernel ~cpu:0 in
+  let ps = 4 * kb in
+  let a = ok (Vm_user.allocate sys t ~size:(32 * ps) ~anywhere:true ()) in
+  Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "version-1");
+  let o, _ = Option.get (Vm_map.resolve_object_at sys (Task.map t) ~va:a) in
+  let resident () = Vm_object.lookup_resident sys o ~offset:0 <> None in
+  let evict_page_0 () =
+    for i = 1 to 31 do
+      Machine.write_byte machine ~cpu:0 ~va:(a + (i * ps)) 'f'
+    done;
+    Alcotest.(check bool) "page 0 paged out" false (resident ())
+  in
+  let stored_prefix n =
+    Bytes.sub_string (swap_chunk sys (Option.get o.Types.obj_pager) ~offset:0) 0 n
+  in
+  evict_page_0 ();
+  Alcotest.(check string) "first copy" "version-1" (stored_prefix 9);
+  let chunk = swap_chunk sys (Option.get o.Types.obj_pager) ~offset:0 in
+  Alcotest.(check string) "paged in" "version-1"
+    (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:9));
+  Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "version-2");
+  evict_page_0 ();
+  Alcotest.(check string) "second copy" "version-2" (stored_prefix 9);
+  Alcotest.(check bool) "overwritten in place" true
+    (swap_chunk sys (Option.get o.Types.obj_pager) ~offset:0 == chunk);
+  Alcotest.(check string) "latest bytes" "version-2"
+    (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:9))
+
+(* The contract on [pgr_request]/[pgr_write], checked on the default
+   pager itself: a single-chunk reply is the stored chunk, and the kernel
+   leaves it alone; a reply that spans chunks is joined; a write is
+   copied when it lands on a new offset and overwrites in place on an old
+   one. *)
+let test_swap_lends_and_overwrites () =
+  let _, _, sys = boot () in
+  let ps = sys.Vm_sys.page_size in
+  let pg = Swap_pager.make sys ~name:"lend" in
+  let page c = Bytes.make ps c in
+  written (pg.Types.pgr_write ~offset:0 ~data:(page 'a'));
+  let b = page 'b' in
+  written (pg.Types.pgr_write ~offset:ps ~data:b);
+  Bytes.fill b 0 ps 'x';
+  let one = provided (pg.Types.pgr_request ~offset:0 ~length:ps) in
+  Alcotest.(check bool) "single chunk is lent" true
+    (one == swap_chunk sys pg ~offset:0);
+  let p = Vm_sys.grab_page sys in
+  Page_io.fill sys p one;
+  same_bytes "frame filled" (page 'a') (Page_io.contents sys p);
+  same_bytes "lent chunk unchanged by the fill" (page 'a') one;
+  let both = provided (pg.Types.pgr_request ~offset:0 ~length:(2 * ps)) in
+  same_bytes "clustered reply joins chunks"
+    (Bytes.cat (page 'a') (page 'b')) both;
+  Alcotest.(check bool) "joined reply is its own buffer" true
+    (both != swap_chunk sys pg ~offset:0);
+  let used = sys.Vm_sys.stats.Vm_stats.vs_swap_used in
+  let stored = Swap_pager.stored_bytes sys pg in
+  let c = page 'c' in
+  written (pg.Types.pgr_write ~offset:0 ~data:c);
+  Bytes.fill c 0 ps 'y';
+  Alcotest.(check bool) "rewrite keeps the chunk" true
+    (one == swap_chunk sys pg ~offset:0);
+  same_bytes "rewrite landed, copied from the lent data"
+    (page 'c') (swap_chunk sys pg ~offset:0);
+  Alcotest.(check int) "swap_used unchanged" used
+    sys.Vm_sys.stats.Vm_stats.vs_swap_used;
+  Alcotest.(check int) "stored_bytes unchanged" stored
+    (Swap_pager.stored_bytes sys pg);
+  same_bytes "new offset was copied" (page 'b')
+    (provided (pg.Types.pgr_request ~offset:ps ~length:ps))
+
 let test_default_pager_attached_once () =
   let machine, kernel, sys = boot () in
   let t = new_task kernel ~cpu:0 in
@@ -228,7 +321,11 @@ let () =
         [ Alcotest.test_case "clean pages skip io" `Quick
             test_clean_page_dropped_without_io;
           Alcotest.test_case "default pager attached" `Quick
-            test_default_pager_attached_once ] );
+            test_default_pager_attached_once;
+          Alcotest.test_case "swap lends and overwrites" `Quick
+            test_swap_lends_and_overwrites;
+          Alcotest.test_case "swap rewrite round trip" `Quick
+            test_swap_rewrite_round_trip ] );
       ( "objects",
         [ Alcotest.test_case "cached object pages reclaimable" `Quick
             test_cached_object_pages_reclaimable;
