@@ -4,7 +4,7 @@ all:
 	dune build
 
 check:
-	dune build && dune runtest && dune exec tools/bench_check.exe
+	dune build && dune build @check && dune runtest && dune exec tools/bench_check.exe
 
 test:
 	dune runtest

@@ -688,7 +688,7 @@ let ipc_one ~out_of_line ~size =
     end
   in
   dirty addr;
-  let port = Mach_ipc.Ipc.create_port ~name:"svc" () in
+  let port = Mach_ipc.Ipc.create_port () in
   Machine.reset_clocks machine;
   if out_of_line then begin
     (match

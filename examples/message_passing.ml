@@ -35,7 +35,7 @@ let () =
   dirty addr;
   Printf.printf "sender dirtied %d MB\n" (size / mb);
 
-  let port = Ipc.create_port ~name:"service" () in
+  let port = Ipc.create_port () in
   Machine.reset_clocks machine;
   check (Ipc.send_region sys sender port ~tag:"bulk-transfer" ~addr ~size ());
   let send_ms = Kernel.elapsed_ms kernel in

@@ -41,7 +41,7 @@ let run_with strategy =
   for w = 0 to 3 do
     let base = addr + (w * size / 4) in
     ignore
-      (Sched.spawn sched ~task ~name:(Printf.sprintf "worker%d" w)
+      (Sched.spawn sched ~task
          (List.init (size / 4 / ps) (fun i ->
               fun ~cpu ->
                 ignore (Machine.read machine ~cpu ~va:(base + (i * ps)) ~len:5))))
@@ -49,7 +49,7 @@ let run_with strategy =
   (* ...while a fifth thread repeatedly revokes and restores write
      access, forcing TLB shootdowns under each strategy. *)
   ignore
-    (Sched.spawn sched ~task ~name:"protector"
+    (Sched.spawn sched ~task
        (List.concat
           (List.init 4 (fun _ ->
                [ (fun ~cpu:_ ->

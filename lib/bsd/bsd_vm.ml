@@ -50,7 +50,6 @@ type t = {
 }
 
 let machine t = t.machine
-let bcache t = t.cache
 
 let charge t ~cpu c = Machine.charge t.machine ~cpu c
 let cost t = (Machine.arch t.machine).Arch.cost
@@ -308,5 +307,3 @@ let write_file t ~cpu ~name ~offset ~data =
   charge t ~cpu (cost t).Arch.syscall;
   charge t ~cpu (move_cost t (Bytes.length data));
   Buffer_cache.write t.cache ~cpu ~name ~offset ~data
-
-let resident_pages p = Hashtbl.length p.p_pages

@@ -21,13 +21,6 @@ type variant = {
   v_page_overhead : int;   (** extra cycles per page operation *)
 }
 
-val bsd43 : variant
-(** Plain 4.3bsd: eager fork copy. *)
-
-val sunos32 : variant
-(** SunOS 3.2: copy-on-write fork, but each page operation pays for the
-    internally simulated VAX mapping structures. *)
-
 val variant_for : Mach_hw.Arch.t -> variant
 (** The comparator the paper used on that machine. *)
 
@@ -45,7 +38,6 @@ val create :
     handler; a machine hosts either this or a Mach kernel, not both. *)
 
 val machine : t -> Mach_hw.Machine.t
-val bcache : t -> Buffer_cache.t
 
 val create_proc : t -> ?name:string -> unit -> proc
 val run_proc : t -> cpu:int -> proc -> unit
@@ -70,6 +62,3 @@ val read_file : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
     to the caller. *)
 
 val write_file : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
-
-val resident_pages : proc -> int
-(** Pages currently resident for the process. *)

@@ -8,16 +8,12 @@ type t = {
   capacity : int;
   table : (key, Bytes.t * key Dlist.node) Hashtbl.t;
   lru : key Dlist.t; (* most recent at back *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create fs ~buffers =
   if buffers <= 0 then invalid_arg "Buffer_cache.create";
   { fs; capacity = buffers; table = Hashtbl.create (2 * buffers);
-    lru = Dlist.create (); hits = 0; misses = 0 }
-
-let buffers t = t.capacity
+    lru = Dlist.create () }
 
 let block_size t = Simdisk.block_size (Simfs.disk t.fs)
 
@@ -42,12 +38,10 @@ let get_block t ~cpu ~name ~idx =
   let key = (name, idx) in
   match Hashtbl.find_opt t.table key with
   | Some (data, node) ->
-    t.hits <- t.hits + 1;
     let node' = touch t key node in
     Hashtbl.replace t.table key (data, node');
     data
   | None ->
-    t.misses <- t.misses + 1;
     let bs = block_size t in
     let data = Simfs.read t.fs ~cpu ~name ~offset:(idx * bs) ~len:bs in
     let data =
@@ -106,14 +100,3 @@ let write t ~cpu ~name ~offset ~data =
     end
   in
   loop 0
-
-let hits t = t.hits
-let misses t = t.misses
-
-let reset_counters t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let flush t =
-  Hashtbl.reset t.table;
-  while Option.is_some (Dlist.pop_front t.lru) do () done

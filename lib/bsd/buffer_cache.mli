@@ -12,8 +12,6 @@ val create : Mach_pagers.Simfs.t -> buffers:int -> t
 (** [create fs ~buffers] caches up to [buffers] blocks of [fs], LRU
     replaced, write-through. *)
 
-val buffers : t -> int
-
 val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
 (** [read t ~cpu ~name ~offset ~len] reads through the cache: hit blocks
     cost nothing extra here (the caller charges the user-space copy), miss
@@ -21,9 +19,3 @@ val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
 
 val write : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
 (** Write-through: updates the cache and the file system. *)
-
-val hits : t -> int
-val misses : t -> int
-val reset_counters : t -> unit
-val flush : t -> unit
-(** Drop all cached blocks. *)

@@ -2,11 +2,7 @@ type t = Shared | Copy | None_
 
 let default = Copy
 
-let equal a b = a = b
-
 let to_string = function
   | Shared -> "shared"
   | Copy -> "copy"
   | None_ -> "none"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -15,8 +15,4 @@ val default : t
 (** [Copy]: "by default, all inheritance values for an address space are
     set to copy", preserving UNIX fork semantics. *)
 
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string

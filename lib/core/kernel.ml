@@ -92,6 +92,7 @@ let run_task t ~cpu task =
       ~ts:(Machine.cycles t.machine ~cpu) ~cpu
       (Mach_obs.Obs.Task_switch { task = task.Task.task_name })
 
+(* No task on [cpu] ([pmap_deactivate]). *)
 let idle t ~cpu =
   (match t.current.(cpu) with
    | Some prev -> (Task.pmap prev).Pmap.deactivate ~cpu

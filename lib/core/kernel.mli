@@ -39,9 +39,6 @@ val terminate_task : t -> cpu:int -> Task.t -> unit
 val run_task : t -> cpu:int -> Task.t -> unit
 (** Make [task] current on [cpu]: [pmap_activate] and fault routing. *)
 
-val idle : t -> cpu:int -> unit
-(** No task on [cpu] ([pmap_deactivate]). *)
-
 val elapsed_ms : t -> float
 (** Simulated elapsed time (max over CPU clocks). *)
 

@@ -13,5 +13,3 @@ let to_string = function
   | Invalid_argument -> "KERN_INVALID_ARGUMENT"
   | Resource_shortage -> "KERN_RESOURCE_SHORTAGE"
   | Memory_error -> "KERN_MEMORY_ERROR"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -13,5 +13,3 @@ type t =
   | Memory_error        (** the pager failed to provide data *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -3,16 +3,13 @@ type status = Ready | Running of int | Suspended | Terminated
 type step = cpu:int -> unit
 
 type t = {
-  th_name : string;
   th_task : Task.t;
   mutable th_status : status;
   mutable th_steps : step list;
 }
 
-let make ~task ?(name = "thread") steps =
-  { th_name = name; th_task = task; th_status = Ready; th_steps = steps }
+let make ~task steps = { th_task = task; th_status = Ready; th_steps = steps }
 
-let name t = t.th_name
 let task t = t.th_task
 let status t = t.th_status
 

@@ -22,11 +22,10 @@ type step = cpu:int -> unit
 
 type t
 
-val make : task:Task.t -> ?name:string -> step list -> t
+val make : task:Task.t -> step list -> t
 (** [make ~task steps] is a new thread of [task], ready to run.
     Normally created through {!Sched.spawn}. *)
 
-val name : t -> string
 val task : t -> Task.t
 val status : t -> status
 

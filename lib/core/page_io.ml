@@ -21,12 +21,9 @@ let check (sys : Vm_sys.t) ~off ~len ~what =
 
 (* Copy [len] bytes of [data] from [pos] into the page at [off]. *)
 let blit_in sys p ~off data ~pos ~len =
-  check sys ~off ~len ~what:"Page_io.copy_in";
+  check sys ~off ~len ~what:"Page_io.blit_in";
   Phys_mem.write_span (phys sys) p.pfn ~offset:off ~pos ~len data;
   charge_move sys len
-
-let copy_in sys p ~off data =
-  blit_in sys p ~off data ~pos:0 ~len:(Bytes.length data)
 
 (* Copy [len] bytes of the page from [off] into [buf] at [pos]. *)
 let blit_out sys p ~off ~len buf ~pos =

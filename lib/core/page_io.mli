@@ -23,13 +23,10 @@ val blit_out :
 (** [blit_out sys p ~off ~len buf ~pos] is {!copy_out} into [buf] at
     [pos], with no buffer of its own. *)
 
-val copy_in : Vm_sys.t -> Types.page -> off:int -> Bytes.t -> unit
-(** [copy_in sys p ~off data] overwrites a sub-range of the page. *)
-
 val blit_in :
   Vm_sys.t -> Types.page -> off:int -> Bytes.t -> pos:int -> len:int -> unit
-(** [blit_in sys p ~off data ~pos ~len] is {!copy_in} of [len] bytes of
-    [data] from [pos]. *)
+(** [blit_in sys p ~off data ~pos ~len] overwrites [len] bytes of the
+    page from [off] with those of [data] from [pos]. *)
 
 val zero : Vm_sys.t -> Types.page -> unit
 (** [zero sys p] zero-fills the page ([pmap_zero_page] over its

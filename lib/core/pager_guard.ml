@@ -1,8 +1,6 @@
 open Types
 module Obs = Mach_obs.Obs
 
-let pager_dead o = o.obj_health.ph_dead
-
 (* A blocking caller waits out a reply's device time; free for
    [io_none] and for a write the disk already paid. *)
 let wait_io (sys : Vm_sys.t) io =

@@ -20,15 +20,10 @@
 
     Every pager reply carries an {!Types.io} stamp saying when each of
     its bytes lands.  {!request}, {!write} and the rescue transfers
-    block on all of it ({!wait_io}); the one-shot clustered read hands
+    block on all of it; the one-shot clustered read hands
     it back unwaited, so the caller can wait for the page it needs
     ({!wait_prefix}) and let the others ride their own stamps
     ({!ride}).  A disk write is paid before its reply arrives. *)
-
-val wait_io : Vm_sys.t -> Types.io -> unit
-(** [wait_io sys io] blocks the current CPU until the whole of [io] has
-    landed, charging only the residue.  Free for {!Types.io_none} and
-    for a write the disk already paid. *)
 
 val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
 (** [wait_prefix sys io ~bytes] blocks the current CPU only until the
@@ -91,6 +86,3 @@ val write :
     keep the page dirty; [`No_space] reports a full backing store
     without burning retries or damaging the pager's health (the pager
     is fine, the disk is full). *)
-
-val pager_dead : Types.obj -> bool
-(** Whether the object's pager has been declared dead. *)

@@ -115,8 +115,6 @@ let free_count t = t.free_total
 let active_count t = Dlist.length t.active
 let inactive_count t = Dlist.length t.inactive
 
-let cached_count t = Array.fold_left ( + ) 0 t.cache_count
-
 let counters t = t.c
 
 let reset_counters t =

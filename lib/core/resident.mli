@@ -68,9 +68,6 @@ val free_count : t -> int
 val active_count : t -> int
 val inactive_count : t -> int
 
-val cached_count : t -> int
-(** Pages currently sitting in per-CPU magazines. *)
-
 val counters : t -> counters
 (** Live allocator counters (see {!counters}); reset with
     {!reset_counters}. *)

@@ -8,15 +8,11 @@ type t = {
 
 let create kernel = { kernel; ready = Queue.create (); all = [] }
 
-let spawn t ~task ?name steps =
-  let th = Kthread.make ~task ?name steps in
+let spawn t ~task steps =
+  let th = Kthread.make ~task steps in
   t.all <- th :: t.all;
   Queue.add th t.ready;
   th
-
-let alive t =
-  List.length
-    (List.filter (fun th -> Kthread.status th <> Kthread.Terminated) t.all)
 
 (* Pop ready threads, skipping those suspended or terminated while
    queued (they re-enter via resume + requeue below). *)
@@ -40,6 +36,8 @@ let requeue_resumed t =
        then Queue.add th t.ready)
     (List.rev t.all)
 
+(* One scheduling round: every CPU that can get a ready thread executes
+   one of its steps.  [false] when no thread could run. *)
 let step t =
   requeue_resumed t;
   let machine = Kernel.machine t.kernel in
@@ -61,5 +59,3 @@ let run t ?(max_rounds = 100_000) () =
     if step t then loop (n + 1)
   in
   loop 0
-
-let threads t = List.rev t.all

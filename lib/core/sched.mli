@@ -12,20 +12,9 @@ type t
 val create : Kernel.t -> t
 (** [create kernel] is a scheduler over [kernel]'s machine. *)
 
-val spawn : t -> task:Task.t -> ?name:string -> Kthread.step list -> Kthread.t
+val spawn : t -> task:Task.t -> Kthread.step list -> Kthread.t
 (** [spawn t ~task steps] creates a thread and enqueues it. *)
-
-val alive : t -> int
-(** Threads not yet terminated. *)
-
-val step : t -> bool
-(** [step t] runs one scheduling round: every CPU that can get a ready
-    thread executes one of its steps.  Returns [false] when no thread
-    could run (all terminated or suspended). *)
 
 val run : t -> ?max_rounds:int -> unit -> unit
 (** [run t ()] steps until nothing is runnable.  [max_rounds] (default
     100000) guards against runaway threads. *)
-
-val threads : t -> Kthread.t list
-(** All threads ever spawned, oldest first. *)

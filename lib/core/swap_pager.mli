@@ -17,11 +17,6 @@ val make : Vm_sys.t -> name:string -> Types.pager
     object.  Reads of never-written offsets answer [Data_unavailable]
     (zero fill). *)
 
-val stored_bytes : Vm_sys.t -> Types.pager -> int
-(** [stored_bytes sys p] is how much backing store [p] currently holds in
-    [sys]; 0 for pagers not made by this module for [sys].  Used by
-    tests. *)
-
 val release : Vm_sys.t -> Types.pager -> unit
 (** [release sys p] drops [p]'s swap store and credits its chunks back
     to [sys]'s shared pool.  Keyed by pager id (which decorators

@@ -33,14 +33,12 @@ let anon_resident t =
     in
     loop 0 o true
   in
-  let total = ref 0 in
-  Mach_util.Dlist.iter
-    (fun (e : Types.entry) ->
+  Mach_util.Dlist.fold
+    (fun total (e : Types.entry) ->
        match e.Types.e_backing with
-       | Types.Backed o -> total := !total + count_chain o
-       | Types.No_backing | Types.Submap _ -> ())
-    t.task_map.Types.map_entries;
-  !total
+       | Types.Backed o -> total + count_chain o
+       | Types.No_backing | Types.Submap _ -> total)
+    0 t.task_map.Types.map_entries
 
 let terminate sys t =
   if not t.task_dead then begin

@@ -26,11 +26,6 @@ val create : Vm_sys.t -> ?name:string -> unit -> t
     architecture's user address limit.  The task is registered as an
     OOM candidate until terminated. *)
 
-val anon_resident : t -> int
-(** Anonymous resident pages the task holds — the OOM policy's victim
-    metric: each anonymous entry's shadow chain counted down to the
-    first object something else also references. *)
-
 val fork : Vm_sys.t -> t -> t
 (** [fork sys parent] builds the child task per the parent map's
     inheritance attributes. *)

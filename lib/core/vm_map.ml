@@ -658,39 +658,3 @@ let discard_copy sys c =
        | Some o -> Vm_object.deallocate sys o
        | None -> ())
     c.mc_items
-
-(* ---- simplify --------------------------------------------------------- *)
-
-let mergeable a b =
-  a.e_end = b.e_start
-  && Prot.equal a.e_prot b.e_prot
-  && Prot.equal a.e_max_prot b.e_max_prot
-  && Inheritance.equal a.e_inherit b.e_inherit
-  && a.e_needs_copy = b.e_needs_copy
-  && a.e_wired = b.e_wired
-  &&
-  match a.e_backing, b.e_backing with
-  | Backed oa, Backed ob ->
-    oa == ob && a.e_offset + entry_size a = b.e_offset
-  | No_backing, No_backing -> true
-  | Submap sa, Submap sb ->
-    sa == sb && a.e_offset + entry_size a = b.e_offset
-  | (Backed _ | No_backing | Submap _), _ -> false
-
-let simplify sys m =
-  let rec loop node_opt =
-    match node_opt with
-    | None -> ()
-    | Some node ->
-      (match Dlist.next node with
-       | None -> ()
-       | Some next_node ->
-         let a = Dlist.value node and b = Dlist.value next_node in
-         if mergeable a b then begin
-           a.e_end <- b.e_end;
-           remove_entry sys m next_node ~unmap:false;
-           loop (Some node)
-         end
-         else loop (Some next_node))
-  in
-  loop (Dlist.first m.map_entries)

@@ -24,9 +24,6 @@ val create :
 (** [create sys ~pmap ~low ~high] is an empty map covering [\[low, high)].
     Sharing maps pass [pmap:None]. *)
 
-val reference : vmap -> unit
-(** Take a reference (sharing maps are referenced by each sharer). *)
-
 val deallocate : Vm_sys.t -> vmap -> unit
 (** Release a reference; on the last one every entry is removed, backing
     references are released, and the pmap (if any) is destroyed. *)
@@ -155,7 +152,3 @@ val discard_copy : Vm_sys.t -> map_copy -> unit
     message). *)
 
 (** {1 Housekeeping} *)
-
-val simplify : Vm_sys.t -> vmap -> unit
-(** Merge adjacent entries that map contiguous areas of the same object
-    with identical attributes (Mach's [vm_map_simplify]). *)

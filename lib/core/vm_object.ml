@@ -288,8 +288,6 @@ let uncache sys o =
     terminate sys o
   end
 
-let cached_count sys = List.length sys.Vm_sys.object_cache
-
 let drain_cache sys =
   let victims = sys.Vm_sys.object_cache in
   sys.Vm_sys.object_cache <- [];

@@ -103,9 +103,6 @@ val uncache : Vm_sys.t -> obj -> unit
     cache; no-op otherwise.  Used when a pager withdraws its caching
     request. *)
 
-val cached_count : Vm_sys.t -> int
-(** Number of objects currently held by the object cache. *)
-
 val drain_cache : Vm_sys.t -> unit
 (** [drain_cache sys] terminates every cached object (used by tests and by
     the cache-ablation bench). *)

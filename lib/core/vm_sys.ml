@@ -292,6 +292,11 @@ let oom_register t c = t.oom_candidates <- c :: t.oom_candidates
 let oom_unregister t ~id =
   t.oom_candidates <- List.filter (fun c -> c.oc_id <> id) t.oom_candidates
 
+(* Run the out-of-memory policy once: kill the candidate with the most
+   anonymous resident pages (ties to the smaller task id; the task whose
+   map is in [oom_exempt_map] is never chosen), count it in [oom_kills],
+   emit [Oom_kill], and clear [mem_pressure].  [false] when no viable
+   victim exists. *)
 let oom_kill t =
   let viable =
     List.filter_map

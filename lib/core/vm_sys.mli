@@ -182,13 +182,6 @@ val oom_register : t -> oom_candidate -> unit
 val oom_unregister : t -> id:int -> unit
 (** Maintain the OOM candidate list (Task.create/terminate do). *)
 
-val oom_kill : t -> bool
-(** Run the out-of-memory policy once: kill the candidate with the most
-    anonymous resident pages (ties to the smaller task id; the task
-    whose map is in [oom_exempt_map] is never chosen), count it in
-    [oom_kills], emit [Oom_kill], and clear [mem_pressure].  [false]
-    when no viable victim exists. *)
-
 val charge : t -> int -> unit
 (** [charge t c] adds [c] cycles to the current CPU's clock. *)
 

@@ -98,10 +98,6 @@ let decide t ~site:name =
     t.events <- { ev_site = name; ev_op = op; ev_decision = d } :: t.events;
     d
 
-let ops t ~site:name = match Hashtbl.find_opt t.sites name with
-  | Some s -> s.s_ops
-  | None -> 0
-
 let injections t = t.injections
 let trace t = List.rev t.events
 

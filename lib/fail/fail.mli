@@ -60,17 +60,12 @@ val decide : t -> site:string -> decision
 (** [decide t ~site] takes (and records) the next decision at [site],
     advancing its operation counter. *)
 
-val ops : t -> site:string -> int
-(** Operations decided at [site] so far. *)
-
 val injections : t -> int
 (** Total non-[Pass] decisions taken across all sites. *)
 
-val trace : t -> event list
-(** Every non-[Pass] decision, in chronological order. *)
-
 val fingerprint : t -> string
-(** A short stable digest of {!trace} — two runs with the same seed and
+(** A short stable digest of every non-[Pass] decision in the order
+    taken (site, operation, decision) — two runs with the same seed and
     workload must produce the same fingerprint.  [machsim --chaos]
     prints it so replay identity can be checked with [diff]. *)
 

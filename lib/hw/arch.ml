@@ -142,5 +142,3 @@ let rp3_tlb =
 let all = [ uvax2; vax8200; vax8650; rt_pc; sun3_160; ns32082; rp3_tlb ]
 
 let cycles_to_ms t c = float_of_int c /. float_of_int t.cycles_per_ms
-
-let pp ppf t = Format.pp_print_string ppf t.name

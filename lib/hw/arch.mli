@@ -81,6 +81,3 @@ val all : t list
 
 val cycles_to_ms : t -> int -> float
 (** [cycles_to_ms t c] converts a cycle count to milliseconds on [t]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints the architecture name. *)

@@ -44,7 +44,7 @@ type t = {
   arch : Arch.t;
   phys : Phys_mem.t;
   cpus : cpu array;
-  mutable shootdown_mode : shootdown_strategy;
+  shootdown_mode : shootdown_strategy;
   stats : stats;
   mutable fault_handler : (cpu:int -> fault -> unit) option;
   mutable on_translated : (asid:int -> pfn:int -> write:bool -> unit) option;
@@ -99,8 +99,6 @@ let arch t = t.arch
 let phys t = t.phys
 let cpu_count t = Array.length t.cpus
 let stats t = t.stats
-
-let set_shootdown_strategy t s = t.shootdown_mode <- s
 
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
@@ -205,6 +203,8 @@ let reset_clocks t =
   s.tlb_hit_count <- 0; s.tlb_miss_count <- 0;
   List.iter (fun f -> f ()) t.reset_hooks
 
+(* Device time for one transfer of [bytes]: fixed latency plus per-KB
+   transfer cost. *)
 let disk_service_cycles t ~bytes =
   let cost = t.arch.Arch.cost in
   let kb = (bytes + 1023) / 1024 in
@@ -340,8 +340,6 @@ let drain_pending t c =
   end
 
 let tick t = Array.iter (fun c -> drain_pending t c) t.cpus
-
-let pending_flushes t ~cpu = Queue.length (cpu_of t cpu).pending
 
 (* The timer-interrupt period that bounds the deferred strategy. *)
 let tick_interval_ms = 10
@@ -595,8 +593,6 @@ let touch t ~cpu ~va ~write =
     write_byte t ~cpu ~va current
   end
   else ignore (read_byte t ~cpu ~va)
-
-let tlb_contents t ~cpu = Tlb.entries (cpu_of t cpu).tlb
 
 let tlb_overreach t =
   Array.fold_right

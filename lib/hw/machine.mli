@@ -90,8 +90,6 @@ val phys : t -> Phys_mem.t
 val cpu_count : t -> int
 val stats : t -> stats
 
-val set_shootdown_strategy : t -> shootdown_strategy -> unit
-
 (** {1 Tracing}
 
     The machine owns the observability sink: every subsystem (pmap
@@ -197,10 +195,6 @@ val charge_disk : t -> cpu:int -> write:bool -> bytes:int -> unit
     each CPU had a disk to itself.  A read charges nothing at submit; a
     write blocks its CPU until it completes. *)
 
-val disk_service_cycles : t -> bytes:int -> int
-(** Device time for one transfer of [bytes]: fixed latency plus per-KB
-    transfer cost. *)
-
 type io = { io_start : int; io_completion : int; io_service : int }
 (** When a submitted transfer lands: [io_start] is the absolute cycle
     at which its bytes start to move (latency behind it),
@@ -297,14 +291,6 @@ val tick : t -> unit
 (** [tick t] delivers a timer interrupt to every CPU: pending deferred
     flushes are applied (and charged).  Workloads call this periodically;
     the deferred strategy also waits on it internally. *)
-
-val pending_flushes : t -> cpu:int -> int
-(** [pending_flushes t ~cpu] is the number of queued, not-yet-applied
-    flush requests on [cpu]; used by tests. *)
-
-val tlb_contents : t -> cpu:int -> Tlb.entry list
-(** [tlb_contents t ~cpu] is that CPU's current TLB contents, oldest
-    first; used by tests cross-checking TLBs against page tables. *)
 
 val tlb_overreach : t -> (int * Tlb.entry) list
 (** [tlb_overreach t] lists, as [(cpu, entry)], every TLB entry of a

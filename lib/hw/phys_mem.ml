@@ -102,10 +102,4 @@ let read_byte t f ~offset = Bytes.get t.store (byte_at t f ~offset)
 
 let write_byte t f ~offset c = Bytes.set t.store (byte_at t f ~offset) c
 
-let zero_frame t f = zero_span t f ~offset:0 ~len:t.page_size
-
 let copy_frame t ~src ~dst = copy_frames t ~src ~dst ~frames:1
-
-let frame_equal t a b =
-  let whole f = read t f ~offset:0 ~len:t.page_size in
-  Bytes.equal (whole a) (whole b)

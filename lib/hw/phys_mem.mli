@@ -56,19 +56,10 @@ val write_byte : t -> frame -> offset:int -> char -> unit
 (** [write_byte t f ~offset c] stores [c] at [offset] in frame [f];
     [offset] must lie within the frame. *)
 
-val zero_frame : t -> frame -> unit
-(** [zero_frame t f] fills frame [f] with zero bytes; the one-frame
-    {!zero_span}, kept as the tests' reference ([pmap_zero_page] zeroes
-    all of a page's frames with one span). *)
-
 val copy_frame : t -> src:frame -> dst:frame -> unit
 (** [copy_frame t ~src ~dst] copies the contents of [src] into [dst]; the
     one-frame {!copy_frames}, kept as the tests' reference
     ([pmap_copy_page] copies all of a page's frames at once). *)
-
-val frame_equal : t -> frame -> frame -> bool
-(** [frame_equal t a b] is [true] iff frames [a] and [b] hold identical
-    bytes; used by tests. *)
 
 (** {2 Spans}
 

@@ -12,9 +12,6 @@ type t = private { read : bool; write : bool; execute : bool }
 val make : read:bool -> write:bool -> execute:bool -> t
 (** [make ~read ~write ~execute] is the corresponding protection. *)
 
-val none : t
-(** No access. *)
-
 val read_only : t
 (** Read (and, on all simulated architectures, execute-as-read). *)
 
@@ -27,17 +24,11 @@ val read_execute : t
 val all : t
 (** Read, write and execute. *)
 
-val is_none : t -> bool
-(** [is_none p] is [true] iff [p] permits nothing. *)
-
 val subset : t -> of_:t -> bool
 (** [subset p ~of_:q] is [true] iff every permission in [p] is in [q]. *)
 
 val inter : t -> t -> t
 (** [inter p q] is the permissions present in both. *)
-
-val union : t -> t -> t
-(** [union p q] is the permissions present in either. *)
 
 val remove_write : t -> t
 (** [remove_write p] is [p] without write permission; used when entering
@@ -47,11 +38,5 @@ val allows : t -> write:bool -> bool
 (** [allows p ~write] is [true] iff [p] permits the access: a write needs
     write permission, anything else needs read permission. *)
 
-val equal : t -> t -> bool
-(** Structural equality. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as e.g. ["rw-"] or ["r-x"]. *)
-
 val to_string : t -> string
-(** [to_string p] is [Format.asprintf "%a" pp p]. *)
+(** [to_string p] is e.g. ["rw-"] or ["r-x"]. *)

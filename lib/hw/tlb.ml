@@ -106,17 +106,21 @@ let invalidate_page t ~asid ~vpn =
 (* A read-only pass over the table, then the removals.  Not a walk over
    the ring: its stale slots of earlier flushes of the same asid would
    each cost a removal again, and asid flushes are most of smp's TLB
-   work. *)
+   work.  An empty table (always, on a zero-capacity TLB such as the
+   SUN 3's) returns at once rather than fold over its empty buckets. *)
 let invalidate_asid_vpns t ~asid ~lo_vpn ~hi_vpn =
-  let doomed =
-    Key_tbl.fold
-      (fun key _ acc ->
-         if key_asid key = asid && key_vpn key >= lo_vpn && key_vpn key < hi_vpn
-         then key :: acc
-         else acc)
-      t.table []
-  in
-  List.iter (Key_tbl.remove t.table) doomed
+  if Key_tbl.length t.table > 0 then begin
+    let doomed =
+      Key_tbl.fold
+        (fun key _ acc ->
+           if key_asid key = asid && key_vpn key >= lo_vpn
+              && key_vpn key < hi_vpn
+           then key :: acc
+           else acc)
+        t.table []
+    in
+    List.iter (Key_tbl.remove t.table) doomed
+  end
 
 let invalidate_range t ~asid ~lo_vpn ~hi_vpn =
   (* Walk whichever side is smaller: the span or the current contents. *)

@@ -5,7 +5,7 @@ type kobject = ..
 
 type kobject += No_object
 
-type port = { p_name : string; p_object : kobject; p_queue : message Queue.t }
+type port = { p_object : kobject; p_queue : message Queue.t }
 
 and item =
   | Inline of Bytes.t
@@ -19,16 +19,11 @@ and message = {
   msg_reply_to : port option;
 }
 
-let object_port ~name obj =
-  { p_name = name; p_object = obj; p_queue = Queue.create () }
+let object_port obj = { p_object = obj; p_queue = Queue.create () }
 
-let create_port ?(name = "port") () = object_port ~name No_object
-
-let port_name p = p.p_name
+let create_port () = object_port No_object
 
 let port_object p = p.p_object
-
-let pending p = Queue.length p.p_queue
 
 let message ?(ints = []) ?(items = []) ?reply_to tag =
   { msg_tag = tag; msg_ints = ints; msg_items = items;

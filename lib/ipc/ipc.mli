@@ -40,19 +40,14 @@ type message = {
   msg_reply_to : port option;
 }
 
-val create_port : ?name:string -> unit -> port
+val create_port : unit -> port
 (** [create_port ()] is a fresh empty port standing for [No_object]. *)
 
-val object_port : name:string -> kobject -> port
-(** [object_port ~name obj] is a fresh empty port standing for [obj]. *)
-
-val port_name : port -> string
+val object_port : kobject -> port
+(** [object_port obj] is a fresh empty port standing for [obj]. *)
 
 val port_object : port -> kobject
 (** What the port stands for. *)
-
-val pending : port -> int
-(** Messages queued and not yet received. *)
 
 val message :
   ?ints:int list -> ?items:item list -> ?reply_to:port -> string -> message

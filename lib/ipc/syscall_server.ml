@@ -74,10 +74,7 @@ let task_port srv task =
   match Hashtbl.find_opt srv.task_ports id with
   | Some p -> p
   | None ->
-    let p =
-      Ipc.object_port ~name:(Printf.sprintf "task-%d" id)
-        (Task_object (srv, task))
-    in
+    let p = Ipc.object_port (Task_object (srv, task)) in
     Hashtbl.add srv.task_ports id p;
     p
 
@@ -88,9 +85,7 @@ let thread_port srv th =
   match List.assq_opt th srv.thread_ports with
   | Some p -> p
   | None ->
-    let p =
-      Ipc.object_port ~name:(Kthread.name th) (Thread_object th)
-    in
+    let p = Ipc.object_port (Thread_object th) in
     srv.thread_ports <- (th, p) :: srv.thread_ports;
     p
 
@@ -187,7 +182,7 @@ let serve srv task (m : Ipc.message) =
       ~ints:[ kr_code (Error Kr.Invalid_argument) ]
 
 let call sys port request =
-  let reply_port = Ipc.create_port ~name:"reply" () in
+  let reply_port = Ipc.create_port () in
   Ipc.send sys port { request with Ipc.msg_reply_to = Some reply_port };
   (* The kernel task services the queue, dispatching on what kind of
      object the port represents. *)

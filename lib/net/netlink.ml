@@ -1,5 +1,4 @@
 open Mach_hw
-module Fail = Mach_fail.Fail
 
 exception Timeout
 
@@ -10,19 +9,13 @@ type t = {
   timeout_us : int;
   mutable messages : int;
   mutable bytes_moved : int;
-  mutable drops : int;
-  mutable retries : int;
-  mutable fail : Fail.t option;
 }
 
 let create ?(latency_us = 1000) ?(mbit_per_s = 10) ?(timeout_us = 100_000)
     machines =
   if machines = [] then invalid_arg "Netlink.create: no machines";
   { machines = Array.of_list machines; latency_us; mbit_per_s; timeout_us;
-    messages = 0; bytes_moved = 0; drops = 0; retries = 0;
-    fail = None }
-
-let set_injector t inj = t.fail <- inj
+    messages = 0; bytes_moved = 0 }
 
 (* Cycles a transfer of [bytes] costs on [machine]: latency plus wire
    time, both expressed through that machine's clock rate. *)
@@ -41,26 +34,6 @@ let timeout_cycles t machine =
 let rpc t ~from_node ~from_cpu ~to_node ~to_cpu ~request_bytes ~reply_bytes f =
   let src = t.machines.(from_node) in
   let dst = t.machines.(to_node) in
-  (match t.fail with
-   | None -> ()
-   | Some inj ->
-     (match Fail.decide inj ~site:"net.rpc" with
-      | Fail.Pass -> ()
-      | Fail.Delay c ->
-        (* Congestion: both ends see the exchange stretched. *)
-        Machine.charge src ~cpu:from_cpu c;
-        Machine.charge dst ~cpu:to_cpu c
-      | Fail.Fail | Fail.Drop | Fail.Short _ | Fail.Garbage ->
-        (* The request (or a mangled packet the checksum rejects) never
-           reaches the server: the caller pays for the send plus its
-           full timeout window, the server computes nothing. *)
-        t.messages <- t.messages + 1;
-        t.bytes_moved <- t.bytes_moved + request_bytes;
-        t.drops <- t.drops + 1;
-        Machine.charge src ~cpu:from_cpu
-          (transfer_cycles t src request_bytes + timeout_cycles t src);
-        raise Timeout))
-  ;
   t.messages <- t.messages + 2;
   t.bytes_moved <- t.bytes_moved + request_bytes + reply_bytes;
   (* Request travels; server computes; reply travels.  The remote service
@@ -96,7 +69,6 @@ let rpc_retry ?(attempts = 4) t ~from_node ~from_cpu ~to_node ~to_cpu
     | exception Timeout ->
       if n + 1 >= attempts then raise Timeout
       else begin
-        t.retries <- t.retries + 1;
         Machine.charge src ~cpu:from_cpu (base * (1 lsl n));
         go (n + 1)
       end
@@ -107,11 +79,6 @@ let messages t = t.messages
 
 let bytes_moved t = t.bytes_moved
 
-let drops t = t.drops
-let retries t = t.retries
-
 let reset_counters t =
   t.messages <- 0;
-  t.bytes_moved <- 0;
-  t.drops <- 0;
-  t.retries <- 0
+  t.bytes_moved <- 0

@@ -22,23 +22,6 @@ val create :
     Ethernet: 1000 us latency per exchange, 10 Mbit/s, and a 100 ms
     no-reply timeout. *)
 
-val set_injector : t -> Mach_fail.Fail.t option -> unit
-(** [set_injector t (Some inj)] makes every {!rpc} consult [inj] at site
-    ["net.rpc"]: [Delay] charges extra cycles at both ends (congestion);
-    any failure decision loses the request — the caller is charged the
-    send plus the full timeout window and {!Timeout} is raised; the
-    server side never runs.  A [Between]-windowed [Drop] rule models a
-    transient partition. *)
-
-val rpc :
-  t -> from_node:int -> from_cpu:int -> to_node:int -> to_cpu:int ->
-  request_bytes:int -> reply_bytes:int -> (unit -> 'a) -> 'a
-(** [rpc t ~from_node ~from_cpu ~to_node ~to_cpu ~request_bytes
-    ~reply_bytes f] performs [f] "on the remote node" and returns its
-    result, charging both machines for the exchange.  The caller's clock
-    also absorbs the remote service time so elapsed time composes the way
-    a blocking RPC does. *)
-
 val rpc_retry :
   ?attempts:int ->
   t -> from_node:int -> from_cpu:int -> to_node:int -> to_cpu:int ->
@@ -53,11 +36,5 @@ val messages : t -> int
 
 val bytes_moved : t -> int
 (** Total payload bytes carried (both directions). *)
-
-val drops : t -> int
-(** Requests lost to injection. *)
-
-val retries : t -> int
-(** Exchanges re-sent by {!rpc_retry}. *)
 
 val reset_counters : t -> unit

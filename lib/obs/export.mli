@@ -7,22 +7,20 @@
     B/E duration pairs per CPU track; everything else as instant
     events. *)
 
-val chrome_trace : ?cycles_per_us:float -> Obs.t -> Jout.t
-(** [chrome_trace tr] renders the retained ring as a Chrome trace
-    document.  [cycles_per_us] converts simulated cycles to the format's
-    microsecond timestamps (default 1.0: one cycle shown as one us). *)
-
 val write_chrome_trace : path:string -> ?cycles_per_us:float -> Obs.t -> unit
-
-val stats_json : ?extra:(string * Jout.t) list -> Obs.t -> Jout.t
-(** Machine-readable summary: per-kind event counts, drop accounting,
-    fault-latency histograms split by resolution kind (their counts sum
-    to the recorded [fault_end] total), then every {!Obs.hist} under its
-    {!Obs.hist_names} key.  [extra] fields are appended at the top
-    level, for callers folding in [Machine.stats] etc. *)
+(** [write_chrome_trace ~path tr] writes the retained ring as a Chrome
+    trace document.  [cycles_per_us] converts simulated cycles to the
+    format's microsecond timestamps (default 1.0: one cycle shown as one
+    us). *)
 
 val write_stats :
   path:string -> ?extra:(string * Jout.t) list -> Obs.t -> unit
+(** [write_stats ~path tr] writes a machine-readable summary: per-kind
+    event counts, drop accounting, fault-latency histograms split by
+    resolution kind (their counts sum to the recorded [fault_end] total),
+    then every {!Obs.hist} under its {!Obs.hist_names} key.  [extra]
+    fields are appended at the top level, for callers folding in
+    [Machine.stats] etc. *)
 
 val print_summary : Obs.t -> unit
 
@@ -43,4 +41,4 @@ val attribution_json : clocks:int array -> Obs.t -> Jout.t
 val profile_tables : clocks:int array -> Obs.t -> Mach_util.Tablefmt.t list
 (** The [machsim --profile] report: top-down attribution (per CPU and
     aggregate with percent-of-total), fault service-time percentiles,
-    and the top-{!Obs.top_span_cap} fault spans by service time. *)
+    and the top {!Obs.top_spans} by service time. *)

@@ -48,8 +48,6 @@ let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.co
 let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = if t.count = 0 then 0 else t.max_v
 
-let get_bucket t i = t.buckets.(i)
-
 let percentile t p =
   if t.count = 0 then 0
   else begin
@@ -93,10 +91,3 @@ let iter_nonempty t f =
     if t.buckets.(i) > 0 then
       f ~lo:(bucket_lo i) ~hi:(bucket_hi i) ~count:t.buckets.(i)
   done
-
-let clear t =
-  Array.fill t.buckets 0 bucket_count 0;
-  t.count <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- min_int

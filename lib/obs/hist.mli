@@ -24,27 +24,14 @@ val min_value : t -> int
 val max_value : t -> int
 (** Largest observation; [0] when empty. *)
 
-val percentile : t -> float -> int
-(** [percentile t p] for [p] in [0..1] is an upper bound for the value
-    below which a fraction [p] of observations fall: the top of the
-    bucket where the cumulative count crosses [p * count], clamped to
-    [max_value].  [0] when empty. *)
-
 val p50 : t -> int
 val p95 : t -> int
 val p99 : t -> int
-(** Convenience percentiles.  While the population is small (at most
-    {!sample_cap} observations) these are answered exactly from a raw
-    sample buffer; beyond that they fall back to {!percentile}'s bucket
-    walk (within a factor of two).  [0] when empty. *)
-
-val sample_cap : int
-(** Observations kept verbatim for the exact small-sample path. *)
-
-val get_bucket : t -> int -> int
-(** Observations in bucket [i]. *)
+(** Percentiles.  While the population is small (at most 128
+    observations) these are answered exactly from a raw sample buffer;
+    beyond that, by a walk over the buckets: the top of the bucket where
+    the cumulative count crosses the fraction, clamped to [max_value],
+    an upper bound within a factor of two.  [0] when empty. *)
 
 val iter_nonempty : t -> (lo:int -> hi:int -> count:int -> unit) -> unit
 (** Visit non-empty buckets in increasing value order. *)
-
-val clear : t -> unit

@@ -329,9 +329,6 @@ let attr_grand_total t cat =
   let i = category_index cat in
   Array.fold_left (fun acc a -> acc + a.at_totals.(i)) 0 t.attrs
 
-let attr_depth t ~cpu =
-  if cpu < Array.length t.attrs then t.attrs.(cpu).at_depth else 0
-
 (* Zero the cycle totals without disturbing open category/span frames:
    a benchmark resetting clocks mid-run keeps the invariant that totals
    sum to the (freshly zeroed) clock. *)
@@ -421,18 +418,6 @@ let events_seen t = Ring.pushed t.ring
 
 let count_index t k = t.kind_counts.(k)
 
-let count t ev = count_index t (kind_index ev)
-
 let open_faults t = t.open_faults
 
 let fault_latency t r = t.fault_latency.(resolution_index r)
-
-let reset t =
-  Ring.clear t.ring;
-  t.attrs <- [||];
-  t.next_span <- 1;
-  t.top_spans <- [];
-  Array.fill t.kind_counts 0 kind_count 0;
-  Array.iter Hist.clear t.fault_latency;
-  Array.iter Hist.clear t.hists;
-  t.open_faults <- 0

@@ -154,8 +154,6 @@ type span_info = {
 }
 (** A completed fault span, kept for the profile report's top-N table. *)
 
-val top_span_cap : int
-
 type record = { ts : int; cpu : int; span : int; ev : event }
 (** [span] is the innermost fault span open on [cpu] when the event was
     recorded (the span's own id on [Fault_begin]/[Fault_end]); 0 when
@@ -225,25 +223,19 @@ val attr_cpus : t -> int
 val attr_grand_total : t -> category -> int
 (** Sum of a category's totals over every CPU. *)
 
-val attr_depth : t -> cpu:int -> int
-(** Open attribution frames on [cpu]; 0 when no kernel work is open. *)
-
 val attr_reset_totals : t -> unit
 (** Zero the cycle totals, keeping open frames and span state; paired
     with [Machine.reset_clocks] so totals keep summing to the clock. *)
 
 val top_spans : t -> span_info list
 (** Completed fault spans with the largest service time, biggest first
-    (at most {!top_span_cap}). *)
+    (at most 10). *)
 
 (** {1 Reading back} *)
 
 val ring : t -> record Ring.t
 val events_seen : t -> int
 (** Total events recorded (survives ring wraparound). *)
-
-val count : t -> event -> int
-(** Events recorded of the same kind as the witness event. *)
 
 val count_index : t -> int -> int
 
@@ -288,6 +280,3 @@ val hist_names : (hist * string * string) list
     in export order. *)
 
 val hist : t -> hist -> Hist.t
-
-val reset : t -> unit
-(** Drop all recorded events and aggregates; keeps the enabled flag. *)

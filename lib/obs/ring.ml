@@ -7,8 +7,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Ring.create: negative capacity";
   { data = Array.make capacity None; next = 0 }
 
-let capacity t = Array.length t.data
-
 let push t x =
   let cap = Array.length t.data in
   if cap > 0 then t.data.(t.next mod cap) <- Some x;
@@ -29,12 +27,3 @@ let iter f t =
     | Some x -> f x
     | None -> assert false
   done
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun x -> acc := x :: !acc) t;
-  List.rev !acc
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) None;
-  t.next <- 0

@@ -10,8 +10,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** [create ~capacity] holds at most [capacity] elements. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 (** [push t x] appends [x], evicting the oldest element when full. *)
 
@@ -26,9 +24,3 @@ val dropped : 'a t -> int
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] oldest-first over the retained elements. *)
-
-val to_list : 'a t -> 'a list
-(** Retained elements, oldest first. *)
-
-val clear : 'a t -> unit
-(** Forget everything, including the pushed count. *)

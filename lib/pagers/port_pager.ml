@@ -33,8 +33,8 @@ let dispatch_until_reply sys ~object_port ~reply_port ~handler =
 
 let make sys ~name ?(should_cache = false) ~handler () =
   let id = Vm_sys.fresh_pager_id sys in
-  let object_port = Ipc.create_port ~name:(name ^ ".paging_object") () in
-  let reply_port = Ipc.create_port ~name:(name ^ ".paging_object_request") () in
+  let object_port = Ipc.create_port () in
+  let reply_port = Ipc.create_port () in
   let served = ref 0 in
   let request ~offset ~length =
     Ipc.send sys object_port

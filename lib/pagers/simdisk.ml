@@ -9,9 +9,6 @@ type t = {
   block_size : int;
   blocks : Bytes.t Int_tbl.t; (* block -> its contents, the store's own *)
   mutable reads : int;
-  mutable writes : int;
-  mutable errors : int;
-  mutable retries : int;
   mutable fail : Fail.t option;
 }
 
@@ -23,7 +20,7 @@ let max_attempts = 3
 let create machine ~block_size =
   if block_size <= 0 then invalid_arg "Simdisk.create";
   { machine; block_size; blocks = Int_tbl.create 256;
-    reads = 0; writes = 0; errors = 0; retries = 0; fail = None }
+    reads = 0; fail = None }
 
 let block_size t = t.block_size
 
@@ -53,11 +50,9 @@ let admit t ~cpu ~write ~block ~bytes =
       | Fail.Fail | Fail.Drop | Fail.Short _ | Fail.Garbage ->
         (* A disk has no short reads or garbage replies to offer; any
            non-pass, non-delay decision is a failed transfer. *)
-        t.errors <- t.errors + 1;
         stats.Machine.disk_errors <- stats.Machine.disk_errors + 1;
         emit_error t ~cpu ~write ~bytes;
         if n + 1 < max_attempts then begin
-          t.retries <- t.retries + 1;
           stats.Machine.disk_retries <- stats.Machine.disk_retries + 1;
           (* the wasted transfer, at the run's full length *)
           Machine.charge_disk t.machine ~cpu ~write ~bytes;
@@ -96,7 +91,6 @@ let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
     invalid_arg "Simdisk.submit_write_run";
   let count = len / t.block_size in
   admit t ~cpu ~write:true ~block:first ~bytes:len;
-  t.writes <- t.writes + count;
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays
@@ -118,12 +112,5 @@ let install t ~block data =
   Int_tbl.replace t.blocks block b
 
 let reads t = t.reads
-let writes t = t.writes
-let errors t = t.errors
-let retries t = t.retries
 
-let reset_counters t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.errors <- 0;
-  t.retries <- 0
+let reset_counters t = t.reads <- 0

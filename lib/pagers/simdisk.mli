@@ -75,13 +75,4 @@ val install : t -> block:int -> Bytes.t -> unit
 val reads : t -> int
 (** Blocks read (each block of a clustered run counts). *)
 
-val writes : t -> int
-(** Blocks written (each block of a clustered run counts). *)
-
-val errors : t -> int
-(** Injected transfer failures (each failed attempt counts). *)
-
-val retries : t -> int
-(** Failed transfers retried internally. *)
-
 val reset_counters : t -> unit

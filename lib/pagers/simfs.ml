@@ -181,7 +181,3 @@ let read t ~cpu ~name ~offset ~len =
 let write t ~cpu ~name ~offset ~data =
   Mach_hw.Machine.wait_io t.machine ~cpu
     (submit_write t ~cpu ~name ~offset ~len:(Bytes.length data) ~data)
-
-let delete t ~name = Hashtbl.remove t.table name
-
-let files t = Hashtbl.fold (fun name _ acc -> name :: acc) t.table []

@@ -61,7 +61,3 @@ val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
 
 val write : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
 (** [write] is {!submit_write} followed by one wait on its stamp. *)
-
-val delete : t -> name:string -> unit
-
-val files : t -> string list

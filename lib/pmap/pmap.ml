@@ -25,8 +25,6 @@ type t = {
   stats : stats;
 }
 
-let access_check p va = Option.is_some (p.extract va)
-
 let fresh_stats () =
   { enters = 0; removals = 0; protect_ops = 0; alias_evictions = 0;
     context_steals = 0; cache_drops = 0 }

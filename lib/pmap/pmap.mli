@@ -87,9 +87,5 @@ type t = {
   stats : stats;
 }
 
-val access_check : t -> int -> bool
-(** [pmap_access]: report whether a virtual address is mapped (derived
-    from [extract]). *)
-
 val fresh_stats : unit -> stats
 (** All-zero counters. *)

@@ -22,9 +22,6 @@ val create : ?page_multiple:int -> Mach_hw.Machine.t -> t
     boot-time page size of Section 3.1).  Raises [Invalid_argument]
     unless [page_multiple] is a positive power of two. *)
 
-val machine : t -> Mach_hw.Machine.t
-(** The underlying machine. *)
-
 val page_multiple : t -> int
 (** Hardware frames per machine-independent page. *)
 
@@ -130,10 +127,6 @@ val copy_page : t -> src:int -> dst:int -> unit
     charging cost per frame. *)
 
 (** {1 Accounting} *)
-
-val shared_map_bytes : t -> int
-(** Bytes of hardware mapping structures shared by all pmaps (the RT PC
-    inverted table, SUN 3 mapping RAM); 0 where tables are per-pmap. *)
 
 val total_map_bytes : t -> int
 (** [shared_map_bytes] plus the sum of live pmaps' [map_bytes]. *)

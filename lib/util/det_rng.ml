@@ -24,13 +24,3 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 let float t bound =
   let max_bits = float_of_int max_int in
   bound *. (float_of_int (bits t) /. max_bits)
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t = { state = next_int64 t }

@@ -20,10 +20,3 @@ val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t bound] is a uniform float in [\[0, bound)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
-
-val split : t -> t
-(** [split t] is a new generator seeded from [t]'s stream, advancing [t];
-    useful to give sub-workloads independent streams. *)

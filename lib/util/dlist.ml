@@ -21,8 +21,6 @@ let create () = { head = None; tail = None; length = 0 }
 
 let length t = t.length
 
-let is_empty t = t.length = 0
-
 let value n = n.value
 
 let linked n = n.in_list
@@ -104,19 +102,10 @@ let remove t n =
 
 let first t = t.head
 
-let last t = t.tail
-
 let next n = n.next
-
-let prev n = n.prev
 
 let pop_front t =
   match t.head with
-  | None -> None
-  | Some n -> remove t n; Some n.value
-
-let pop_back t =
-  match t.tail with
   | None -> None
   | Some n -> remove t n; Some n.value
 
@@ -136,22 +125,5 @@ let fold f acc t =
   let acc = ref acc in
   iter (fun v -> acc := f !acc v) t;
   !acc
-
-let find_node p t =
-  let rec loop = function
-    | None -> None
-    | Some n -> if p n.value then Some n else loop n.next
-  in
-  loop t.head
-
-let find p t =
-  match find_node p t with
-  | None -> None
-  | Some n -> Some n.value
-
-let exists p t =
-  match find p t with
-  | None -> false
-  | Some _ -> true
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)

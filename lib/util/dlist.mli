@@ -18,14 +18,8 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** [length t] is the number of nodes currently linked into [t]. *)
 
-val is_empty : 'a t -> bool
-(** [is_empty t] is [length t = 0]. *)
-
 val value : 'a node -> 'a
 (** [value n] is the element carried by [n]. *)
-
-val push_front : 'a t -> 'a -> 'a node
-(** [push_front t v] links a new node carrying [v] at the head of [t]. *)
 
 val push_back : 'a t -> 'a -> 'a node
 (** [push_back t v] links a new node carrying [v] at the tail of [t]. *)
@@ -58,20 +52,11 @@ val remove : 'a t -> 'a node -> unit
 val first : 'a t -> 'a node option
 (** [first t] is the head node, if any. *)
 
-val last : 'a t -> 'a node option
-(** [last t] is the tail node, if any. *)
-
 val next : 'a node -> 'a node option
 (** [next n] is the node after [n] in its list. *)
 
-val prev : 'a node -> 'a node option
-(** [prev n] is the node before [n] in its list. *)
-
 val pop_front : 'a t -> 'a option
 (** [pop_front t] unlinks and returns the head value, if any. *)
-
-val pop_back : 'a t -> 'a option
-(** [pop_back t] unlinks and returns the tail value, if any. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f t] applies [f] to each element from head to tail. *)
@@ -83,18 +68,8 @@ val iter_nodes : ('a node -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** [fold f acc t] folds [f] over elements from head to tail. *)
 
-val find : ('a -> bool) -> 'a t -> 'a option
-(** [find p t] is the first element satisfying [p], searching from the
-    head. *)
-
-val find_node : ('a -> bool) -> 'a t -> 'a node option
-(** [find_node p t] is the first node whose element satisfies [p]. *)
-
 val to_list : 'a t -> 'a list
 (** [to_list t] is the elements from head to tail. *)
-
-val exists : ('a -> bool) -> 'a t -> bool
-(** [exists p t] is [true] iff some element satisfies [p]. *)
 
 val linked : 'a node -> bool
 (** [linked n] is [true] while [n] belongs to some list. *)

@@ -10,13 +10,6 @@
 
 type t = int * int
 
-val equal : t -> t -> bool
-(** [equal a b] compares both components as ints. *)
-
-val hash : t -> int
-(** [hash k] is non-negative; every bit of both components reaches its
-    low bits. *)
-
 module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by int pairs: the resident page table by (object
     id, offset), pending burst maps by (asid, pfn). *)

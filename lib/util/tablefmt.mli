@@ -17,10 +17,6 @@ val row : t -> string list -> unit
 val separator : t -> unit
 (** [separator t] appends a horizontal rule between row groups. *)
 
-val to_string : t -> string
-(** [to_string t] renders the table with columns padded to the widest
-    cell. *)
-
 val print : t -> unit
-(** [print t] writes [to_string t] to standard output followed by a blank
-    line. *)
+(** [print t] writes the table, each column padded to its widest cell,
+    to standard output followed by a blank line. *)

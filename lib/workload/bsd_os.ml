@@ -49,6 +49,5 @@ let make bsd ~fs =
     reset =
       (fun () ->
          Machine.reset_clocks machine;
-         Simdisk.reset_counters (Simfs.disk fs);
-         Buffer_cache.reset_counters (Bsd_vm.bcache bsd));
+         Simdisk.reset_counters (Simfs.disk fs));
   }

@@ -84,6 +84,16 @@ let test_check_all_flags_queue_mismatch () =
   Alcotest.(check (list string)) "healthy once restored" []
     (Vm_debug.check_all sys ~maps:[])
 
+(* Free pages held in per-CPU magazines: free, but off the shared
+   queue. *)
+let in_magazines res =
+  let n = ref 0 in
+  Resident.iter_free res (fun p ->
+      match p.Types.pg_queue_node with
+      | Some node when Mach_util.Dlist.linked node -> ()
+      | _ -> incr n);
+  !n
+
 (* ---- magazines from boot ------------------------------------------------- *)
 
 (* No allocator call after boot: CPU 2's first allocation refills its
@@ -96,18 +106,18 @@ let test_magazines_on_at_boot () =
   let total = Resident.total_pages res in
   let first = Option.get (Resident.alloc ~cpu:2 res) in
   Alcotest.(check int) "first allocation leaves 7 cached" 7
-    (Resident.cached_count res);
+    (in_magazines res);
   let held =
     first :: List.init 8 (fun _ -> Option.get (Resident.alloc ~cpu:0 res))
   in
   Alcotest.(check int) "cpu 0 used up its own refill" 7
-    (Resident.cached_count res);
-  let queued () = Resident.free_count res - Resident.cached_count res in
+    (in_magazines res);
+  let queued () = Resident.free_count res - in_magazines res in
   let queued0 = queued () in
   List.iter (fun p -> Resident.free_page ~cpu:2 res p) held;
   Alcotest.(check int) "one batch drained to the queue" (queued0 + 8)
     (queued ());
-  Alcotest.(check int) "magazine full again" 8 (Resident.cached_count res);
+  Alcotest.(check int) "magazine full again" 8 (in_magazines res);
   Alcotest.(check int) "every page free" total (Resident.free_count res);
   Alcotest.(check bool) "conserved" true (Resident.check_conservation res)
 
@@ -120,9 +130,9 @@ let test_pressure_drains_magazines () =
     List.init 8 (fun _ -> Option.get (Resident.alloc ~cpu:0 res))
   in
   List.iter (fun p -> Resident.free_page ~cpu:0 res p) held;
-  Alcotest.(check bool) "magazine stocked" true (Resident.cached_count res > 0);
+  Alcotest.(check bool) "magazine stocked" true (in_magazines res > 0);
   Vm_sys.set_mem_pressure sys true;
-  Alcotest.(check int) "pressure flushed it" 0 (Resident.cached_count res);
+  Alcotest.(check int) "pressure flushed it" 0 (in_magazines res);
   Alcotest.(check bool) "still conserved" true (Resident.check_conservation res)
 
 (* ---- cross-CPU steal ----------------------------------------------------- *)
@@ -138,7 +148,7 @@ let test_steal_from_other_magazine () =
   Obs.set_enabled tr true;
   Machine.set_tracer machine tr;
   ignore (Option.get (Resident.alloc ~cpu:1 res));
-  let stocked = Resident.cached_count res in
+  let stocked = in_magazines res in
   Alcotest.(check int) "cpu 1 magazine holds a refill batch" 7 stocked;
   while Resident.free_count res > stocked do
     match Resident.alloc ~cpu:0 res with
@@ -150,16 +160,16 @@ let test_steal_from_other_magazine () =
     k.Resident.page_steals;
   let stolen = Option.get (Resident.alloc ~cpu:0 res) in
   Alcotest.(check int) "one steal" 1 k.Resident.page_steals;
-  let steals =
-    List.filter_map
-      (fun r ->
-         match r.Obs.ev with
-         | Obs.Page_steal { victim; pfn } -> Some (r.Obs.cpu, victim, pfn)
-         | _ -> None)
-      (Mach_obs.Ring.to_list (Obs.ring tr))
-  in
+  let steals = ref [] in
+  Mach_obs.Ring.iter
+    (fun r ->
+       match r.Obs.ev with
+       | Obs.Page_steal { victim; pfn } ->
+         steals := (r.Obs.cpu, victim, pfn) :: !steals
+       | _ -> ())
+    (Obs.ring tr);
   Alcotest.(check (list (triple int int int))) "one Page_steal from cpu 1"
-    [ (0, 1, stolen.Types.pfn) ] steals;
+    [ (0, 1, stolen.Types.pfn) ] !steals;
   while Resident.free_count res > 0 do
     match Resident.alloc ~cpu:0 res with
     | Some _ -> ()

@@ -417,12 +417,22 @@ let test_paged_out_anonymous_reads_its_pager () =
    request: the reply is below one page, so the kernel must fall back to
    the guarded single-page path and still return perfect data.  Run the
    scenario twice: same seed, same fingerprint. *)
+(* [pager] with each request it answers counted in [requests]: the chaos
+   wrapper takes one decision per request. *)
+let counted requests (pager : Types.pager) =
+  { pager with
+    Types.pgr_request =
+      (fun ~offset ~length ->
+         incr requests;
+         pager.Types.pgr_request ~offset ~length) }
+
 let short_cluster_run seed =
   let machine, kernel, sys = boot ~frames:1024 () in
   let ps = sys.Vm_sys.page_size in
   let inj = Fail.create ~seed in
   let task = new_task kernel in
-  let pager = store_pager sys ~ps () in
+  let requests = ref 0 in
+  let pager = counted requests (store_pager sys ~ps ()) in
   let n = 8 in
   let addr =
     match Chaos_pager.map_wrapped sys task inj ~pager ~size:(n * ps) () with
@@ -450,7 +460,7 @@ let short_cluster_run seed =
   (* Single-page read that arms the sequential window... *)
   check 0;
   (* ...then truncate the cluster request that follows it. *)
-  let k = Fail.ops inj ~site:"pager.request" in
+  let k = !requests in
   Fail.attach inj ~site:"pager.request"
     [ Fail.Between (k, k, Fail.Always (Fail.Short 64)) ];
   for i = 1 to n - 1 do
@@ -499,7 +509,8 @@ let test_degraded_cluster_resumes_ramp () =
   let ps = sys.Vm_sys.page_size in
   let inj = Fail.create ~seed:3 in
   let task = new_task kernel in
-  let pager = range_store_pager sys ~ps () in
+  let requests = ref 0 in
+  let pager = counted requests (range_store_pager sys ~ps ()) in
   let n = 8 in
   let addr =
     match Chaos_pager.map_wrapped sys task inj ~pager ~size:(n * ps) () with
@@ -527,7 +538,7 @@ let test_degraded_cluster_resumes_ramp () =
   (* Arm the sequential window, then fail exactly the cluster request
      that follows (one bad transfer, then the pager recovers). *)
   check 0;
-  let k = Fail.ops inj ~site:"pager.request" in
+  let k = !requests in
   Fail.attach inj ~site:"pager.request"
     [ Fail.After (k, Fail.Fail_n_then_recover (k + 1, Fail.Short 64)) ];
   let issued0 = s.Vm_stats.vs_prefetch_issued in
@@ -634,27 +645,25 @@ let test_per_page_stamps () =
   in
   let before = disk_wait () in
   Alcotest.(check int) "one request for 8 pages" (8 * ps) (miss 7);
-  Alcotest.(check int) "the demand page waits one page's device time"
-    (Machine.disk_service_cycles machine ~bytes:ps)
-    (disk_wait () - before);
-  let submitted =
-    List.filter_map
-      (fun (r : Mach_obs.Obs.record) ->
-         match r.Mach_obs.Obs.ev with
-         | Mach_obs.Obs.Disk_submit { bytes; _ } when bytes = 8 * ps ->
-           Some r.Mach_obs.Obs.ts
-         | _ -> None)
-      (Mach_obs.Ring.to_list (Mach_obs.Obs.ring tr))
-  in
-  let start =
-    match submitted with
-    | [ ts ] -> ts
+  let submitted = ref [] in
+  Mach_obs.Ring.iter
+    (fun (r : Mach_obs.Obs.record) ->
+       match r.Mach_obs.Obs.ev with
+       | Mach_obs.Obs.Disk_submit { bytes; latency; _ } when bytes = 8 * ps ->
+         submitted := (r.Mach_obs.Obs.ts, latency) :: !submitted
+       | _ -> ())
+    (Mach_obs.Obs.ring tr);
+  let start, service =
+    match !submitted with
+    | [ submit ] -> submit
     | _ -> Alcotest.fail "expected one 8-page disk request"
   in
+  (* The fixed latency, then each page's transfer in turn. *)
   let cost = (Machine.arch machine).Arch.cost in
-  let per_page =
-    Machine.disk_service_cycles machine ~bytes:ps - cost.Arch.disk_latency
-  in
+  let per_page = (service - cost.Arch.disk_latency) / 8 in
+  Alcotest.(check int) "the demand page waits one page's device time"
+    (cost.Arch.disk_latency + per_page)
+    (disk_wait () - before);
   let stamp k = start + cost.Arch.disk_latency + ((k + 1) * per_page) in
   let tail k =
     match Vm_object.lookup_resident sys obj ~offset:((7 + k) * ps) with

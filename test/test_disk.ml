@@ -59,8 +59,8 @@ let test_submit_wait_equals_sync () =
    the residue, and the hidden cycles land in disk_overlap_cycles. *)
 let test_overlap_charges_residue () =
   let machine, disk = small_disk () in
-  let service = Machine.disk_service_cycles machine ~bytes:4096 in
   let _, io = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:1 in
+  let service = io.Machine.io_service in
   let compute = service / 2 in
   Machine.charge machine ~cpu:0 compute;
   let before = Machine.cycles machine ~cpu:0 in
@@ -92,12 +92,12 @@ let test_chaos_charged_at_submit () =
     [ Fail.Between (0, 0, Fail.Always Fail.Fail);
       Fail.Between (1, 1, Fail.Always (Fail.Delay c)) ];
   Simdisk.set_injector disk (Some inj);
-  let service = Machine.disk_service_cycles machine ~bytes:4096 in
   let total cat = Obs.attr_total tr ~cpu:0 cat in
   let io =
     Machine.with_category machine ~cpu:0 Obs.Pager_wait (fun () ->
         snd (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:1))
   in
+  let service = io.Machine.io_service in
   Alcotest.(check int) "delay plus wasted transfer charged at submit"
     (c + service) (Machine.cycles machine ~cpu:0);
   Alcotest.(check int) "the delay goes to the open frame" c
@@ -253,14 +253,14 @@ let test_stamp_across_reset () =
   in
   Alcotest.(check bool) "tail page rides its stamp" true
     (Option.is_some tail.Types.pg_inflight);
+  let service = (Option.get tail.Types.pg_inflight).Types.if_service in
   Kernel.reset_clocks kernel;
   let before = Machine.cycles machine ~cpu:0 in
   Vm_cluster.note_hit sys tail;
   let charged = Machine.cycles machine ~cpu:0 - before in
-  let service = Machine.disk_service_cycles machine ~bytes:(2 * ps) in
   Alcotest.(check bool)
-    (Printf.sprintf "charge %d within the transfer's service %d" charged
-       service)
+    (Printf.sprintf "charge %d within the page's share %d of the service"
+       charged service)
     true (charged <= service);
   Alcotest.(check bool) "page no longer busy" false tail.Types.pg_busy
 
@@ -347,7 +347,8 @@ let test_dead_pager () =
   (match rescue with
    | Some r ->
      Alcotest.(check bool) "rescue pager holds the data" true
-       (Swap_pager.stored_bytes sys r > 0)
+       (Hashtbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
+        && sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0)
    | None -> Alcotest.fail "expected a rescue pager");
   let reads_before = stats.Vm_stats.vs_pager_reads in
   let bytes =

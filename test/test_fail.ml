@@ -5,7 +5,6 @@
 
 open Mach_hw
 open Mach_core
-open Mach_pmap
 open Mach_pagers
 module Fail = Mach_fail.Fail
 
@@ -26,15 +25,15 @@ let exercise seed =
         let site = if i mod 3 = 0 then "pager.request" else "disk.read" in
         Fail.decide inj ~site)
   in
-  (decisions, Fail.trace inj, Fail.fingerprint inj)
+  (decisions, Fail.injections inj, Fail.fingerprint inj)
 
 let test_same_seed_replays () =
   let d1, t1, f1 = exercise 0xfeed in
   let d2, t2, f2 = exercise 0xfeed in
   Alcotest.(check bool) "decision sequences identical" true (d1 = d2);
-  Alcotest.(check bool) "traces identical" true (t1 = t2);
+  Alcotest.(check int) "injection counts identical" t1 t2;
   Alcotest.(check string) "fingerprints identical" f1 f2;
-  Alcotest.(check bool) "plan actually fired" true (t1 <> [])
+  Alcotest.(check bool) "plan actually fired" true (t1 > 0)
 
 let test_seed_changes_sequence () =
   let _, _, f1 = exercise 1 in
@@ -218,18 +217,9 @@ let chaos_invariants (seed, ops) =
   in
   List.iter apply ops;
   let errs = Vm_debug.check_all sys ~maps:[ Task.map t ] in
-  let pmap = Task.pmap t in
-  let hw = Arch.uvax2.Arch.hw_page_size in
-  let agreed = ref true in
-  List.iter
-    (fun (e : Tlb.entry) ->
-       if e.Tlb.asid = pmap.Pmap.asid then
-         match pmap.Pmap.extract (e.Tlb.vpn * hw) with
-         | Some pfn when pfn = e.Tlb.pfn -> ()
-         | _ -> agreed := false)
-    (Machine.tlb_contents machine ~cpu:0);
-  errs = [] && !agreed
-  && (Machine.stats machine).Machine.stale_tlb_uses = 0
+  (* [check_all] includes the TLB audit: every cached entry backed by its
+     pmap's frame and rights. *)
+  errs = [] && (Machine.stats machine).Machine.stale_tlb_uses = 0
 
 let chaos_qcheck =
   QCheck2.Test.make
@@ -416,10 +406,9 @@ let test_disk_retry_charges_full_run () =
           [ Fail.Between (0, 0, Fail.Always Fail.Fail) ];
         Simdisk.set_injector disk (Some inj)
       end;
-      Machine.wait_io machine ~cpu:0
-        (snd (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count));
-      (Machine.cycles machine ~cpu:0,
-       Machine.disk_service_cycles machine ~bytes:(count * 4096))
+      let _, io = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count in
+      Machine.wait_io machine ~cpu:0 io;
+      (Machine.cycles machine ~cpu:0, io.Machine.io_service)
     in
     let clean, _ = cost false in
     let failed, service = cost true in
@@ -504,7 +493,8 @@ let test_pager_death_rescues_dirty_pages () =
      (match o.Types.obj_rescue with
       | Some r ->
         Alcotest.(check bool) "rescue (default) pager holds the data" true
-          (Swap_pager.stored_bytes sys r > 0)
+          (Hashtbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
+           && sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0)
       | None -> Alcotest.fail "expected a rescue pager")
    | None -> Alcotest.fail "no object behind the mapping");
   (* Evict everything through the now-dead pager — writes land on the

@@ -285,7 +285,7 @@ let test_protection_none_blocks_read () =
   write_str machine ~cpu:0 ~va:a "hidden";
   ok
     (Vm_user.protect sys t ~addr:a ~size:(4 * kb) ~set_max:false
-       ~prot:Prot.none);
+       ~prot:(Prot.make ~read:false ~write:false ~execute:false));
   (try
      ignore (Machine.read_byte machine ~cpu:0 ~va:a);
      Alcotest.fail "read should fail"
@@ -431,7 +431,6 @@ let test_two_cpus_share_task () =
 
 let test_protect_shoots_remote_tlb () =
   let machine, kernel, sys = boot ~cpus:2 () in
-  Machine.set_shootdown_strategy machine Machine.Immediate_ipi;
   let t = new_task kernel ~cpu:0 in
   Kernel.run_task kernel ~cpu:1 t;
   let a = alloc sys t (4 * kb) in

@@ -16,9 +16,11 @@ let prot_qcheck name f = QCheck2.Test.make ~name ~count:200 prot_gen f
 let prot_pair_qcheck name f =
   QCheck2.Test.make ~name ~count:200 (QCheck2.Gen.pair prot_gen prot_gen) f
 
+let no_access = Prot.make ~read:false ~write:false ~execute:false
+
 let test_prot_constants () =
-  Alcotest.(check bool) "none is none" true (Prot.is_none Prot.none);
-  Alcotest.(check bool) "rw not none" false (Prot.is_none Prot.read_write);
+  Alcotest.(check string) "pp none" "---" (Prot.to_string no_access);
+  Alcotest.(check string) "pp rw" "rw-" (Prot.to_string Prot.read_write);
   Alcotest.(check string) "pp all" "rwx" (Prot.to_string Prot.all);
   Alcotest.(check string) "pp ro" "r--" (Prot.to_string Prot.read_only);
   Alcotest.(check string) "pp rx" "r-x" (Prot.to_string Prot.read_execute)
@@ -31,7 +33,7 @@ let test_prot_allows () =
   Alcotest.(check bool) "rw allows write" true
     (Prot.allows Prot.read_write ~write:true);
   Alcotest.(check bool) "none rejects read" false
-    (Prot.allows Prot.none ~write:false)
+    (Prot.allows no_access ~write:false)
 
 let test_prot_remove_write () =
   Alcotest.(check bool) "no write" false
@@ -43,18 +45,13 @@ let prot_lattice_tests =
   [ prot_pair_qcheck "inter is subset of both" (fun (p, q) ->
         Prot.subset (Prot.inter p q) ~of_:p
         && Prot.subset (Prot.inter p q) ~of_:q);
-    prot_pair_qcheck "union contains both" (fun (p, q) ->
-        Prot.subset p ~of_:(Prot.union p q)
-        && Prot.subset q ~of_:(Prot.union p q));
     prot_qcheck "subset reflexive" (fun p -> Prot.subset p ~of_:p);
     prot_qcheck "none subset of all" (fun p ->
-        Prot.subset Prot.none ~of_:p && Prot.subset p ~of_:Prot.all);
+        Prot.subset no_access ~of_:p && Prot.subset p ~of_:Prot.all);
     prot_pair_qcheck "inter commutative" (fun (p, q) ->
-        Prot.equal (Prot.inter p q) (Prot.inter q p));
+        Prot.inter p q = Prot.inter q p);
     prot_qcheck "remove_write idempotent" (fun p ->
-        Prot.equal
-          (Prot.remove_write (Prot.remove_write p))
-          (Prot.remove_write p)) ]
+        Prot.remove_write (Prot.remove_write p) = Prot.remove_write p) ]
 
 (* ---- Phys_mem ----------------------------------------------------------- *)
 
@@ -68,11 +65,12 @@ let test_phys_rw () =
 let test_phys_zero_copy () =
   let m = Phys_mem.create ~page_size:128 ~frames:4 () in
   Phys_mem.write m 0 ~offset:0 (Bytes.make 128 'z');
+  let frame f = Bytes.to_string (Phys_mem.read m f ~offset:0 ~len:128) in
   Phys_mem.copy_frame m ~src:0 ~dst:1;
-  Alcotest.(check bool) "copied" true (Phys_mem.frame_equal m 0 1);
-  Phys_mem.zero_frame m 0;
-  Alcotest.(check char) "zeroed" '\000' (Phys_mem.read_byte m 0 ~offset:50);
-  Alcotest.(check bool) "now differ" false (Phys_mem.frame_equal m 0 1)
+  Alcotest.(check string) "copied" (frame 0) (frame 1);
+  Phys_mem.zero_span m 0 ~offset:0 ~len:128;
+  Alcotest.(check string) "zeroed" (String.make 128 '\000') (frame 0);
+  Alcotest.(check string) "copy kept" (String.make 128 'z') (frame 1)
 
 let test_phys_holes () =
   let m = Phys_mem.create ~page_size:512 ~frames:10 ~holes:[ (4, 6) ] () in
@@ -591,23 +589,24 @@ let test_shootdown_deferred_waits () =
   Alcotest.(check int) "no IPIs" 0 (Machine.stats m).Machine.ipis;
   Alcotest.(check bool) "initiator waited for the tick" true
     (Machine.cycles m ~cpu:0 - before > 1000);
-  Alcotest.(check int) "flush applied at tick" 0
-    (Machine.pending_flushes m ~cpu:1)
+  Alcotest.(check int) "flush applied at tick" 1
+    (Machine.stats m).Machine.deferred_flushes
 
 let test_shootdown_lazy_stale () =
   let m, _table = shootdown_setup Machine.Lazy_local in
   Machine.shootdown m ~initiator:0 ~targets:[ 0; 1 ]
     [ Machine.Flush_page { asid = 1; vpn = 0 } ] ~urgent:false;
-  Alcotest.(check int) "pending on remote" 1
-    (Machine.pending_flushes m ~cpu:1);
-  (* CPU 1 still hits its stale entry; the machine counts it. *)
+  (* CPU 1 still hits its stale entry, pending on the remote; the machine
+     counts it. *)
   ignore (Machine.read_byte m ~cpu:1 ~va:0);
   Alcotest.(check int) "stale use counted" 1
     (Machine.stats m).Machine.stale_tlb_uses;
   Machine.tick m;
-  Alcotest.(check int) "drained" 0 (Machine.pending_flushes m ~cpu:1);
-  Alcotest.(check bool) "deferred flush counted" true
-    ((Machine.stats m).Machine.deferred_flushes >= 1)
+  Alcotest.(check int) "drained: deferred flush counted" 1
+    (Machine.stats m).Machine.deferred_flushes;
+  ignore (Machine.read_byte m ~cpu:1 ~va:0);
+  Alcotest.(check int) "no stale use after the tick" 1
+    (Machine.stats m).Machine.stale_tlb_uses
 
 let test_shootdown_urgent_overrides_lazy () =
   let m, _table = shootdown_setup Machine.Lazy_local in
@@ -615,7 +614,9 @@ let test_shootdown_urgent_overrides_lazy () =
     [ Machine.Flush_page { asid = 1; vpn = 0 } ] ~urgent:true;
   Alcotest.(check int) "IPI despite lazy strategy" 1
     (Machine.stats m).Machine.ipis;
-  Alcotest.(check int) "nothing pending" 0 (Machine.pending_flushes m ~cpu:1)
+  Machine.tick m;
+  Alcotest.(check int) "nothing pending" 0
+    (Machine.stats m).Machine.deferred_flushes
 
 let test_rmw_bug_reporting () =
   (* On the NS32082, a write that protection-faults is reported as a

@@ -205,35 +205,6 @@ let test_find_uses_hint () =
    | Some e -> Alcotest.(check int) "found first again" first e.Types.e_start
    | None -> Alcotest.fail "hint broke backward search")
 
-(* ---- simplify --------------------------------------------------------- *)
-
-let test_simplify_merges_no_backing () =
-  let _, _, sys = setup () in
-  let m = fresh_map sys in
-  let a = ok (Vm_map.allocate sys m ~size:(2 * ps) ~anywhere:true ()) in
-  (* Clip by protecting, then restore: entries become identical and
-     adjacent again. *)
-  ok
-    (Vm_map.protect sys m ~addr:a ~size:ps ~set_max:false
-       ~prot:Prot.read_only);
-  Alcotest.(check int) "clipped" 2 (Vm_map.entry_count m);
-  ok
-    (Vm_map.protect sys m ~addr:a ~size:ps ~set_max:false
-       ~prot:Prot.read_write);
-  Vm_map.simplify sys m;
-  Alcotest.(check int) "merged" 1 (Vm_map.entry_count m);
-  check_invariant m
-
-let test_simplify_keeps_different_attrs () =
-  let _, _, sys = setup () in
-  let m = fresh_map sys in
-  let a = ok (Vm_map.allocate sys m ~size:(2 * ps) ~anywhere:true ()) in
-  ok
-    (Vm_map.protect sys m ~addr:a ~size:ps ~set_max:false
-       ~prot:Prot.read_only);
-  Vm_map.simplify sys m;
-  Alcotest.(check int) "not merged" 2 (Vm_map.entry_count m)
-
 (* ---- fork at the map level -------------------------------------------- *)
 
 let child_of sys parent =
@@ -420,7 +391,6 @@ let test_deallocate_then_simplify_stays_clean () =
   let a = ok (Vm_map.allocate sys m ~size:(6 * ps) ~anywhere:true ()) in
   ok (Vm_map.deallocate_range sys m ~addr:(a + ps) ~size:ps);
   ok (Vm_map.deallocate_range sys m ~addr:(a + (3 * ps)) ~size:ps);
-  Vm_map.simplify sys m;
   check_invariant m;
   Alcotest.(check bool) "holes preserved" true
     (Vm_map.find m ~va:(a + ps) = None
@@ -506,11 +476,6 @@ let () =
       ( "attributes",
         [ Alcotest.test_case "inheritance" `Quick test_inheritance_attr;
           Alcotest.test_case "hint survives" `Quick test_find_uses_hint ] );
-      ( "simplify",
-        [ Alcotest.test_case "merges identical" `Quick
-            test_simplify_merges_no_backing;
-          Alcotest.test_case "keeps different" `Quick
-            test_simplify_keeps_different_attrs ] );
       ( "fork",
         [ Alcotest.test_case "inheritance shapes" `Quick
             test_fork_inheritance_shapes;

@@ -32,7 +32,7 @@ let test_link_charges_both_sides () =
   let b = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
   let link = Netlink.create [ a; b ] in
   let r =
-    Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+    Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
       ~request_bytes:100 ~reply_bytes:5000 (fun () -> 42)
   in
   Alcotest.(check int) "result" 42 r;
@@ -46,13 +46,13 @@ let test_rpc_mirrors_service_time () =
   let b = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let link = Netlink.create [ a; b ] in
   let small =
-    Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+    Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
       ~request_bytes:10 ~reply_bytes:10 (fun () -> ());
     Machine.max_cycles a
   in
   Machine.reset_clocks a;
   Machine.reset_clocks b;
-  Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+  Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
     ~request_bytes:10 ~reply_bytes:10 (fun () ->
         Machine.charge b ~cpu:0 1_000_000);
   Alcotest.(check bool) "caller waits for remote work" true

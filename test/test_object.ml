@@ -147,7 +147,7 @@ let test_object_cache_revive () =
   Resident.insert sys.Vm_sys.resident p ~obj:o1 ~offset:0;
   Vm_object.deallocate sys o1;
   Alcotest.(check bool) "cached, not dead" false o1.Types.obj_dead;
-  Alcotest.(check int) "in cache" 1 (Vm_object.cached_count sys);
+  Alcotest.(check int) "in cache" 1 (List.length sys.Vm_sys.object_cache);
   let o2 = Vm_object.create_with_pager sys pager ~size:(2 * ps) in
   Alcotest.(check bool) "same object revived" true (o1 == o2);
   Alcotest.(check int) "cache hit counted"
@@ -164,7 +164,7 @@ let test_object_cache_disabled () =
   let o = Vm_object.create_with_pager sys pager ~size:ps in
   Vm_object.deallocate sys o;
   Alcotest.(check bool) "terminated immediately" true o.Types.obj_dead;
-  Alcotest.(check int) "cache empty" 0 (Vm_object.cached_count sys)
+  Alcotest.(check int) "cache empty" 0 (List.length sys.Vm_sys.object_cache)
 
 let test_object_cache_lru_eviction () =
   let _, _, sys = setup () in
@@ -179,7 +179,7 @@ let test_object_cache_lru_eviction () =
   Vm_object.deallocate sys o1;
   Vm_object.deallocate sys o2;
   Vm_object.deallocate sys o3;
-  Alcotest.(check int) "bounded" 2 (Vm_object.cached_count sys);
+  Alcotest.(check int) "bounded" 2 (List.length sys.Vm_sys.object_cache);
   Alcotest.(check bool) "oldest evicted" true o1.Types.obj_dead;
   Alcotest.(check bool) "newest kept" false o3.Types.obj_dead
 
@@ -198,9 +198,9 @@ let test_drain_cache () =
   let pager, _, _ = counting_pager sys ~name:"drained" in
   let o = Vm_object.create_with_pager sys pager ~size:ps in
   Vm_object.deallocate sys o;
-  Alcotest.(check int) "cached" 1 (Vm_object.cached_count sys);
+  Alcotest.(check int) "cached" 1 (List.length sys.Vm_sys.object_cache);
   Vm_object.drain_cache sys;
-  Alcotest.(check int) "empty" 0 (Vm_object.cached_count sys);
+  Alcotest.(check int) "empty" 0 (List.length sys.Vm_sys.object_cache);
   Alcotest.(check bool) "terminated" true o.Types.obj_dead
 
 (* ---- shadows and chains -------------------------------------------------- *)

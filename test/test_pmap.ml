@@ -36,7 +36,6 @@ let test_enter_extract arch =
   Alcotest.(check (option int)) "extract mid-page" (Some 7)
     (p.Pmap.extract ((3 * ps) + (ps / 2)));
   Alcotest.(check (option int)) "unmapped" None (p.Pmap.extract (9 * ps));
-  Alcotest.(check bool) "access_check" true (Pmap.access_check p (3 * ps));
   Alcotest.(check int) "resident" 1 (p.Pmap.resident_count ())
 
 let test_remove_range arch =
@@ -228,7 +227,8 @@ let test_zero_copy_page arch =
   let phys = Machine.phys machine in
   Phys_mem.write phys 1 ~offset:0 (Bytes.of_string "zzz");
   Pmap_domain.copy_page domain ~src:1 ~dst:2;
-  Alcotest.(check bool) "copied" true (Phys_mem.frame_equal phys 1 2);
+  Alcotest.(check string) "copied" "zzz"
+    (Bytes.to_string (Phys_mem.read phys 2 ~offset:0 ~len:3));
   Pmap_domain.zero_page domain ~pfn:1;
   Alcotest.(check char) "zeroed" '\000' (Phys_mem.read_byte phys 1 ~offset:0)
 
@@ -315,12 +315,19 @@ let map_whole p1 p2 =
    and the range requests traced for each. *)
 let counts machine domain tr =
   let st = Pmap_domain.total_stats domain in
-  let open Mach_obs.Obs in
+  let removes = ref 0 and protects = ref 0 in
+  Mach_obs.Ring.iter
+    (fun r ->
+       match r.Mach_obs.Obs.ev with
+       | Mach_obs.Obs.Pmap_remove _ -> incr removes
+       | Mach_obs.Obs.Pmap_protect _ -> incr protects
+       | _ -> ())
+    (Mach_obs.Obs.ring tr);
   ( (Machine.stats machine).Machine.shootdowns,
     st.Pmap.removals,
     st.Pmap.protect_ops,
-    count tr (Pmap_remove { asid = 0; start_va = 0; end_va = 0 }),
-    count tr (Pmap_protect { asid = 0; start_va = 0; end_va = 0 }) )
+    !removes,
+    !protects )
 
 let test_remove_all_page () =
   let machine, domain, tr, p1, p2 = vax_page_setup () in

@@ -122,15 +122,12 @@ let test_unbounded_swap_counted () =
   for i = 0 to (size / ps) - 1 do
     Machine.write_byte machine ~cpu:0 ~va:(a + (i * ps)) 'u'
   done;
-  let pager =
-    match Vm_map.resolve_object_at sys (Task.map task) ~va:a with
-    | Some ({ Types.obj_pager = Some p; _ }, _) -> p
-    | _ -> Alcotest.fail "no default pager behind the allocation"
-  in
-  let stored = Swap_pager.stored_bytes sys pager in
-  Alcotest.(check bool) "pages were swapped" true (stored > 0);
-  Alcotest.(check int) "swap_used = stored bytes" stored
-    sys.Vm_sys.stats.Vm_stats.vs_swap_used;
+  (match Vm_map.resolve_object_at sys (Task.map task) ~va:a with
+   | Some ({ Types.obj_pager = Some _; _ }, _) -> ()
+   | _ -> Alcotest.fail "no default pager behind the allocation");
+  Alcotest.(check bool) "pages were swapped" true
+    (sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0);
+  (* The auditor's swap check: swap_used = the stored chunk bytes. *)
   Vm_debug.assert_ok sys ~maps:[ Task.map task ];
   Kernel.terminate_task kernel ~cpu:0 task;
   Alcotest.(check int) "pool credited back at termination" 0
@@ -158,7 +155,7 @@ let test_oom_kills_largest_spares_faulter () =
     Machine.write_byte machine ~cpu:1 ~va:(ha + (i * ps)) 'H'
   done;
   Alcotest.(check bool) "hog is the big anonymous holder" true
-    (Task.anon_resident hog >= 10);
+    ((Task.pmap hog).Mach_pmap.Pmap.resident_count () >= 10);
   (* ...then a small task needs memory.  Its faults are exempt from
      victim choice, so the policy must kill the hog, not the faulter. *)
   let small = Kernel.create_task kernel ~name:"small" () in

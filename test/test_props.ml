@@ -62,7 +62,8 @@ let page_io_roundtrip =
        let off = min off (sys.Vm_sys.page_size - String.length s) in
        let p = Vm_sys.grab_page sys in
        Page_io.zero sys p;
-       Page_io.copy_in sys p ~off (Bytes.of_string s);
+       Page_io.blit_in sys p ~off (Bytes.of_string s) ~pos:0
+         ~len:(String.length s);
        let back = Page_io.copy_out sys p ~off ~len:(String.length s) in
        Resident.free_page sys.Vm_sys.resident p;
        Bytes.to_string back = s)
@@ -75,7 +76,8 @@ let page_io_fill_pads =
        let _, _, sys = boot () in
        let p = Vm_sys.grab_page sys in
        (* dirty the frame first *)
-       Page_io.copy_in sys p ~off:0 (Bytes.make sys.Vm_sys.page_size 'x');
+       Page_io.blit_in sys p ~off:0 (Bytes.make sys.Vm_sys.page_size 'x')
+         ~pos:0 ~len:sys.Vm_sys.page_size;
        Page_io.fill sys p (Bytes.of_string s);
        let whole = Page_io.contents sys p in
        Resident.free_page sys.Vm_sys.resident p;
@@ -91,7 +93,7 @@ let test_page_io_fill_pos () =
   let ps = sys.Vm_sys.page_size in
   let p = Vm_sys.grab_page sys in
   let data = Bytes.make ps 'x' in
-  Page_io.copy_in sys p ~off:0 data;
+  Page_io.blit_in sys p ~off:0 data ~pos:0 ~len:ps;
   let bad = Invalid_argument "Page_io.fill" in
   Alcotest.check_raises "pos past the end" bad (fun () ->
       Page_io.fill sys p data ~pos:(ps + 1));
@@ -117,8 +119,9 @@ let page_io_blit_out =
        let len = min len (ps - off) in
        let p = Vm_sys.grab_page sys in
        (* no period, so a byte from the wrong frame shows *)
-       Page_io.copy_in sys p ~off:0
-         (Bytes.init ps (fun i -> Char.chr (Hashtbl.hash i land 255)));
+       Page_io.blit_in sys p ~off:0
+         (Bytes.init ps (fun i -> Char.chr (Hashtbl.hash i land 255)))
+         ~pos:0 ~len:ps;
        let buf = Bytes.make (pos + len + 64) junk in
        Page_io.blit_out sys p ~off ~len buf ~pos;
        let want = Page_io.copy_out sys p ~off ~len in

@@ -25,13 +25,13 @@ let test_threads_share_task_memory () =
   let a = ok (Vm_user.allocate sys task ~size:(8 * kb) ~anywhere:true ()) in
   let sched = Sched.create kernel in
   let seen = ref "" in
-  let _writer =
-    Sched.spawn sched ~task ~name:"writer"
+  let writer =
+    Sched.spawn sched ~task
       [ (fun ~cpu ->
            Machine.write machine ~cpu ~va:a (Bytes.of_string "thread data")) ]
   in
-  let _reader =
-    Sched.spawn sched ~task ~name:"reader"
+  let reader =
+    Sched.spawn sched ~task
       [ (* first round: idle while the writer runs in parallel *)
         (fun ~cpu:_ -> ());
         (fun ~cpu ->
@@ -40,7 +40,11 @@ let test_threads_share_task_memory () =
   in
   Sched.run sched ();
   Alcotest.(check string) "reader saw writer's data" "thread data" !seen;
-  Alcotest.(check int) "all terminated" 0 (Sched.alive sched)
+  List.iter
+    (fun (name, th) ->
+       Alcotest.(check bool) (name ^ " terminated") true
+         (Kthread.status th = Kthread.Terminated))
+    [ ("writer", writer); ("reader", reader) ]
 
 let test_threads_different_tasks_isolated () =
   let machine, kernel, sys = boot ~cpus:1 () in
@@ -78,8 +82,8 @@ let test_round_robin_order () =
     List.init 3 (fun i ->
         fun ~cpu:_ -> log := Printf.sprintf "%s%d" tag i :: !log)
   in
-  let _a = Sched.spawn sched ~task ~name:"A" (mk "A") in
-  let _b = Sched.spawn sched ~task ~name:"B" (mk "B") in
+  let _a = Sched.spawn sched ~task (mk "A") in
+  let _b = Sched.spawn sched ~task (mk "B") in
   Sched.run sched ();
   Alcotest.(check (list string)) "strict alternation"
     [ "A0"; "B0"; "A1"; "B1"; "A2"; "B2" ]
@@ -94,9 +98,9 @@ let test_suspend_resume () =
     Sched.spawn sched ~task
       (List.init 4 (fun _ -> fun ~cpu:_ -> incr progress))
   in
-  (* One scheduling round, then suspend. *)
-  ignore (Sched.step sched);
-  Kthread.suspend th;
+  (* One CPU: [th] runs its first step, then a second thread suspends
+     it. *)
+  ignore (Sched.spawn sched ~task [ (fun ~cpu:_ -> Kthread.suspend th) ]);
   Sched.run sched ();
   Alcotest.(check int) "stopped after suspension" 1 !progress;
   Alcotest.(check bool) "still alive" true
@@ -141,7 +145,6 @@ let test_multiprocessor_parallel_faults () =
     let base = a + (q * quarter) in
     ignore
       (Sched.spawn sched ~task
-         ~name:(Printf.sprintf "sweep%d" q)
          (List.init (quarter / (4 * kb)) (fun i ->
               fun ~cpu ->
                 Machine.write machine ~cpu ~va:(base + (i * 4 * kb))
@@ -179,14 +182,18 @@ let test_suspend_by_message () =
     Mach_ipc.Syscall_server.thread_port
       (Mach_ipc.Syscall_server.create kernel) victim
   in
-  ignore (Sched.step sched);
-  let reply =
-    Mach_ipc.Syscall_server.call sys port
-      (Mach_ipc.Ipc.message "thread_suspend")
+  (* One CPU: the victim runs its first step, then a second thread sends
+     the suspend message. *)
+  let suspend ~cpu:_ =
+    let reply =
+      Mach_ipc.Syscall_server.call sys port
+        (Mach_ipc.Ipc.message "thread_suspend")
+    in
+    match Mach_ipc.Syscall_server.kr_of_reply reply with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Kr.to_string e)
   in
-  (match Mach_ipc.Syscall_server.kr_of_reply reply with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail (Kr.to_string e));
+  ignore (Sched.spawn sched ~task [ suspend ]);
   Sched.run sched ();
   Alcotest.(check int) "suspended by message" 1 !progress;
   ignore
