@@ -863,8 +863,7 @@ let net_one ~touch_fraction =
   Mach_pagers.Simfs.install_file server_fs ~name:"/data"
     ~data:(Bytes.make size 'n');
   let server =
-    Mach_net.Net_pager.serve link ~node:0 (Kernel.sys server_kernel)
-      server_fs
+    Mach_net.Net_pager.serve ~node:0 (Kernel.sys server_kernel) server_fs
   in
   let sys = Kernel.sys client_kernel in
   let task = Kernel.create_task client_kernel ~name:"client" () in
@@ -1365,8 +1364,7 @@ let mpfault_run ?(traced = false) ?(lock_sim = false) ?(dropped = false)
     mp_issued = s.Vm_stats.vs_prefetch_issued;
     mp_hits = s.Vm_stats.vs_prefetch_hits;
     mp_attr = attr;
-    mp_steals =
-      (Resident.counters sys.Vm_sys.resident).Resident.page_steals }
+    mp_steals = s.Vm_stats.vs_page_steals }
 
 let mpfault () =
   let fps r = float_of_int r.mp_faults /. (r.mp_ms /. 1000.) in

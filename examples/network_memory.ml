@@ -27,7 +27,7 @@ let () =
   Simfs.install_file server_fs ~name:"/export/dataset"
     ~data:(Bytes.init (256 * kb) (fun i -> Char.chr (65 + (i / 4096 mod 26))));
   let server =
-    Net_pager.serve link ~node:0 (Kernel.sys server_kernel) server_fs
+    Net_pager.serve ~node:0 (Kernel.sys server_kernel) server_fs
   in
 
   (* The client maps the remote file; nothing crosses the wire yet. *)

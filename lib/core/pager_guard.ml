@@ -101,22 +101,17 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
   go 0
 
 (* A dead pager's object answers from the rescue pager; pages the rescue
-   pager never received follow the degrade policy.  The rescue read
-   blocks: the last line of defence is never a prefetch. *)
+   pager never received read as absent, so they zero-fill.  The rescue
+   read blocks: the last line of defence is never a prefetch. *)
 let degraded_request sys o ~offset ~length =
-  let fallback () =
-    match o.obj_degrade with
-    | Degrade_zero_fill -> `Absent
-    | Degrade_error -> `Error
-  in
   match o.obj_rescue with
-  | None -> fallback ()
+  | None -> `Absent
   | Some r ->
     (match r.pgr_request ~offset ~length with
      | Data_provided (d, io) ->
        wait_io sys io;
        `Data d
-     | Data_unavailable | Data_error -> fallback ())
+     | Data_unavailable | Data_error -> `Absent)
 
 let request sys o ~offset ~length =
   match o.obj_pager with
@@ -157,7 +152,7 @@ let request_range (sys : Vm_sys.t) o ~offset ~length =
     if o.obj_health.ph_dead then
       (match degraded_request sys o ~offset ~length with
        | `Data d -> `Data (d, io_none)
-       | (`Absent | `Error) as r -> r)
+       | `Absent -> `Absent)
     else begin
       match pager.pgr_request ~offset ~length with
       | Data_provided (d, io) ->

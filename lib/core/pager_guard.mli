@@ -15,8 +15,7 @@
       immediately written to a freshly created rescue pager (a
       {!Swap_pager}, i.e. the default pager) so no data can be lost;
     - once dead, requests are answered from the rescue pager, and pages
-      it does not hold follow the object's {!Types.degrade_policy} —
-      zero fill, or [KERN_MEMORY_ERROR] to the faulting task.
+      it does not hold read as absent, so they zero-fill.
 
     Every pager reply carries an {!Types.io} stamp saying when each of
     its bytes lands.  {!request}, {!write} and the rescue transfers

@@ -6,24 +6,6 @@ open Types
    Contention on the shared queue is simulated (opt-in) with the same
    release-stamp scheme as [Vm_object] locks. *)
 
-type counters = {
-  mutable pcpu_hits : int;      (* allocations served from a per-CPU magazine *)
-  mutable pcpu_refills : int;   (* magazine refill trips to the shared queue *)
-  mutable page_steals : int;    (* pages stolen out of another CPU's magazine *)
-}
-
-(* Simulation services, installed by [Vm_sys] (or a test harness): the
-   allocator itself never sees the machine, so virtual time and events
-   arrive through these closures.  All optional — with no hooks the
-   allocator is pure bookkeeping. *)
-type hooks = {
-  hk_now : cpu:int -> int;          (* CPU's virtual clock, absolute cycles *)
-  hk_charge : cpu:int -> int -> unit;       (* charge queue-lock hold time *)
-  hk_stall : cpu:int -> int -> unit;        (* charge contended-lock residue *)
-  hk_epoch : unit -> int;           (* clock-reset epoch, to expire stamps *)
-  hk_steal : cpu:int -> victim:int -> page:Types.page -> unit;
-}
-
 (* Magazine capacity, and pages moved per refill or drain trip. *)
 let magazine = 8
 
@@ -31,7 +13,8 @@ let magazine = 8
 let lock_hold = 60
 
 type t = {
-  phys : Phys_mem.t;
+  machine : Machine.t;        (* virtual clocks, lock charges, tracing *)
+  stats : Vm_stats.statistics; (* queue-lock stalls, magazine counters *)
   page_size : int;
   hash : page Int_pair.Tbl.t; (* (obj_id, offset) -> page *)
   mutable pages : page list; (* every page, whatever its state *)
@@ -39,27 +22,30 @@ type t = {
   inactive : page Dlist.t;
   mutable total : int;
   mutable lock_sim : bool;    (* simulate contention on the shared queue *)
-  mutable hooks : hooks option;
   free : page Dlist.t;        (* the shared free queue *)
   mutable qlock_free : int;   (* its lock's release stamp, absolute *)
   mutable qlock_epoch : int;  (* epoch the stamp was taken in *)
   caches : page list array;  (* per-CPU magazine, LIFO *)
   cache_count : int array;
   mutable free_total : int;   (* pages free anywhere: queue + magazines *)
-  c : counters;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
+(* The magazine counters reset with the machine's clocks. *)
+let reset_counters (s : Vm_stats.statistics) =
+  s.vs_pcpu_hits <- 0; s.vs_pcpu_refills <- 0; s.vs_page_steals <- 0
+
+let create ~machine ~stats ~multiple ?(frame_limit = max_int) () =
   if not (is_power_of_two multiple) then
     invalid_arg "Resident.create: multiple must be a power of two";
-  if cpus < 1 then invalid_arg "Resident.create: cpus must be positive";
+  let phys = Machine.phys machine and cpus = Machine.cpu_count machine in
   let frames = min frame_limit (Phys_mem.frame_count phys) in
   let groups = frames / multiple in
   let t =
     {
-      phys;
+      machine;
+      stats;
       page_size = multiple * Phys_mem.page_size phys;
       hash = Int_pair.Tbl.create 1024;
       pages = [];
@@ -67,14 +53,12 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
       inactive = Dlist.create ();
       total = 0;
       lock_sim = false;
-      hooks = None;
       free = Dlist.create ();
       qlock_free = 0;
       qlock_epoch = -1;
       caches = Array.make cpus [];
       cache_count = Array.make cpus 0;
       free_total = 0;
-      c = { pcpu_hits = 0; pcpu_refills = 0; page_steals = 0 };
     }
   in
   for g = 0 to groups - 1 do
@@ -107,6 +91,7 @@ let create ~phys ~multiple ~cpus ?(frame_limit = max_int) () =
       t.total <- t.total + 1
     end
   done;
+  Machine.add_reset_hook machine (fun () -> reset_counters stats);
   t
 
 let page_size t = t.page_size
@@ -114,14 +99,6 @@ let total_pages t = t.total
 let free_count t = t.free_total
 let active_count t = Dlist.length t.active
 let inactive_count t = Dlist.length t.inactive
-
-let counters t = t.c
-
-let reset_counters t =
-  let c = t.c in
-  c.pcpu_hits <- 0; c.pcpu_refills <- 0; c.page_steals <- 0
-
-let set_hooks t h = t.hooks <- Some h
 
 let set_lock_sim t on = t.lock_sim <- on
 
@@ -184,18 +161,17 @@ let cache_pop t ~cpu =
    never trail its own release stamp, so the uncontended case charges
    only the hold. *)
 let lock_acquire t ~cpu =
-  if t.lock_sim then
-    match t.hooks with
-    | None -> ()
-    | Some h ->
-      let epoch = h.hk_epoch () in
-      let now = h.hk_now ~cpu in
-      let stamp = if t.qlock_epoch = epoch then t.qlock_free else 0 in
-      let residue = stamp - now in
-      if residue > 0 then h.hk_stall ~cpu residue;
-      h.hk_charge ~cpu lock_hold;
-      t.qlock_free <- max now stamp + lock_hold;
-      t.qlock_epoch <- epoch
+  if t.lock_sim then begin
+    let epoch = Machine.reset_epoch t.machine in
+    let now = Machine.cycles t.machine ~cpu in
+    let stamp = if t.qlock_epoch = epoch then t.qlock_free else 0 in
+    let residue = stamp - now in
+    if residue > 0 then
+      Vm_stats.lock_stall t.stats t.machine ~cpu ~obj:(-1) residue;
+    Machine.charge t.machine ~cpu lock_hold;
+    t.qlock_free <- max now stamp + lock_hold;
+    t.qlock_epoch <- epoch
+  end
 
 (* --- Allocation -------------------------------------------------------- *)
 
@@ -222,10 +198,11 @@ let steal t ~cpu =
       if v <> cpu && t.cache_count.(v) > 0 then begin
         match cache_pop t ~cpu:v with
         | Some p ->
-          t.c.page_steals <- t.c.page_steals + 1;
-          (match t.hooks with
-           | Some h -> h.hk_steal ~cpu ~victim:v ~page:p
-           | None -> ());
+          t.stats.vs_page_steals <- t.stats.vs_page_steals + 1;
+          let tr = Machine.tracer t.machine in
+          if Mach_obs.Obs.enabled tr then
+            Mach_obs.Obs.record tr ~ts:(Machine.cycles t.machine ~cpu) ~cpu
+              (Mach_obs.Obs.Page_steal { victim = v; pfn = p.pfn });
           Some p
         | None -> assert false
       end
@@ -238,7 +215,7 @@ let alloc ?cpu t =
   let cpu = match cpu with Some c when c >= 0 -> c | _ -> 0 in
   let p =
     if t.cache_count.(cpu) > 0 then begin
-      t.c.pcpu_hits <- t.c.pcpu_hits + 1;
+      t.stats.vs_pcpu_hits <- t.stats.vs_pcpu_hits + 1;
       cache_pop t ~cpu
     end
     else
@@ -248,7 +225,7 @@ let alloc ?cpu t =
         (* Refill: one trip to the shared queue (one lock acquisition)
            buys a whole batch; the extras go into the magazine so the
            next magazine - 1 allocations never touch shared state. *)
-        t.c.pcpu_refills <- t.c.pcpu_refills + 1;
+        t.stats.vs_pcpu_refills <- t.stats.vs_pcpu_refills + 1;
         let filled = ref true in
         for _ = 2 to magazine do
           if !filled then

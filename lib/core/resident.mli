@@ -11,8 +11,8 @@
     Free pages live on one FIFO fronted by per-CPU magazines of 8 pages
     that refill and drain in whole batches.  Contention on the shared
     queue can be simulated (opt-in) with the same release-stamp scheme
-    as [Vm_object] locks, through hooks installed by the kernel; without
-    it the allocator charges no cycles.
+    as [Vm_object] locks, on the machine's clocks; without it the
+    allocator charges no cycles.
 
     Byte offsets key the hash so the implementation is independent of any
     particular notion of physical page size. *)
@@ -20,40 +20,20 @@
 type t
 (** The resident page table for one kernel. *)
 
-type counters = {
-  mutable pcpu_hits : int;
-      (** allocations served from a per-CPU magazine *)
-  mutable pcpu_refills : int;
-      (** magazine refill trips to the shared queue *)
-  mutable page_steals : int;
-      (** pages stolen out of another CPU's magazine *)
-}
-
-type hooks = {
-  hk_now : cpu:int -> int;  (** the CPU's virtual clock, absolute cycles *)
-  hk_charge : cpu:int -> int -> unit;
-      (** charge queue-lock hold time to the CPU *)
-  hk_stall : cpu:int -> int -> unit;
-      (** charge a contended-lock residue (lock_wait) *)
-  hk_epoch : unit -> int;
-      (** current clock-reset epoch; stamps from older epochs are dead *)
-  hk_steal : cpu:int -> victim:int -> page:Types.page -> unit;
-      (** a magazine steal happened (tracing) *)
-}
-(** Simulation services, installed by [Vm_sys] (or a test harness); the
-    allocator never sees the machine directly.  Without hooks it is pure
-    bookkeeping. *)
-
 val create :
-  phys:Mach_hw.Phys_mem.t -> multiple:int -> cpus:int -> ?frame_limit:int ->
-  unit -> t
-(** [create ~phys ~multiple ~cpus ()] groups [phys]'s present hardware
-    frames into machine-independent pages of [multiple] consecutive
-    frames (aligned); incomplete or hole-straddling groups are unusable,
-    as are frames at or beyond [frame_limit] (an architecture's physical
-    address limit).  All usable pages start on the shared free queue,
-    and CPU ids below [cpus] get an empty magazine each.  [multiple]
-    must be a power of two. *)
+  machine:Mach_hw.Machine.t -> stats:Vm_stats.statistics -> multiple:int ->
+  ?frame_limit:int -> unit -> t
+(** [create ~machine ~stats ~multiple ()] groups [machine]'s present
+    hardware frames into machine-independent pages of [multiple]
+    consecutive frames (aligned); incomplete or hole-straddling groups
+    are unusable, as are frames at or beyond [frame_limit] (an
+    architecture's physical address limit).  All usable pages start on
+    the shared free queue, and each of the machine's CPUs gets an empty
+    magazine.  [multiple] must be a power of two.  A stall on the
+    simulated queue lock ({!Vm_stats.lock_stall}) and the magazine
+    counters ([vs_pcpu_hits], [vs_pcpu_refills], [vs_page_steals]) count
+    in [stats]; the magazine counters reset with the machine's clocks,
+    and a magazine steal is traced on the machine. *)
 
 val page_size : t -> int
 (** Machine-independent page size in bytes. *)
@@ -68,16 +48,6 @@ val free_count : t -> int
 val active_count : t -> int
 val inactive_count : t -> int
 
-val counters : t -> counters
-(** Live allocator counters (see {!counters}); reset with
-    {!reset_counters}. *)
-
-val reset_counters : t -> unit
-
-val set_hooks : t -> hooks -> unit
-(** Install the simulation services used by the lock simulation and
-    steal tracing. *)
-
 val set_lock_sim : t -> bool -> unit
 (** [set_lock_sim t on] enables/disables contention simulation on the
     shared queue; each critical section holds it for 60 cycles.  Off by
@@ -91,7 +61,7 @@ val alloc : ?cpu:int -> t -> Types.page option
     stolen.  The page is on no queue and belongs to no object; its
     previous contents are whatever the last owner left (callers zero or
     overwrite as the fault logic dictates).  [cpu] defaults to 0 and
-    must be below the [cpus] given to {!create}. *)
+    must be one of the machine's CPUs. *)
 
 val lookup : t -> obj:Types.obj -> offset:int -> Types.page option
 (** [lookup t ~obj ~offset] is the fault-path hash lookup by memory object
@@ -141,7 +111,7 @@ val iter_free : t -> (Types.page -> unit) -> unit
 
 val drain_caches : t -> unit
 (** Flush every per-CPU magazine back to the shared queue, so pages
-    cached for one CPU cannot strand below [free_min] while another CPU
+    cached for one CPU cannot strand in its magazine while another CPU
     waits on the daemon.  Called when memory pressure is declared and
     after an OOM kill. *)
 

@@ -89,9 +89,6 @@ and obj = {
   mutable obj_rescue : pager option;
       (* default-pager stand-in created when obj_pager is declared dead;
          holds rescued dirty pages and takes over paging duty *)
-  mutable obj_degrade : degrade_policy;
-      (* what a fault sees when the pager is dead and the rescue pager
-         has no copy of the page *)
   mutable obj_streams : stream array;
       (* adaptive read-ahead state, one slot per concurrent sequential
          reader (the DragonFly cluster_cache shape): sized lazily to
@@ -140,10 +137,6 @@ and pager_health = {
   mutable ph_consecutive : int;   (* ... consecutively; reset on success *)
   mutable ph_dead : bool;
 }
-
-and degrade_policy =
-  | Degrade_zero_fill   (* unrescued pages read as zeros; writes stick *)
-  | Degrade_error       (* faults fail with KERN_MEMORY_ERROR *)
 
 (* A pager instance manages one memory object (it is addressed through
    that object's paging_object port in real Mach).  The closures carry the
@@ -224,7 +217,6 @@ and entry = {
   mutable e_needs_copy : bool;
       (* data must be shadowed before this entry's first write *)
   mutable e_wired : bool;
-  mutable e_node : entry Dlist.node option; (* position in its map *)
   mutable e_burst_window : int;
       (* pages a resident fault here maps in one pass, demand page
          included; always read capped at [Vm_sys.burst_max], so the

@@ -263,10 +263,9 @@ let handle sys map ~va ~write =
     conclude @@ no_memory @@ fun () ->
       (match search first_obj offset (entry.e_offset + entry_size entry) with
        | `Failed ->
-         (* The backing pager failed for good (retry budget exhausted, or
-            a dead pager with the error degrade policy).  The paper's
-            contract holds: machine-independent state is intact, the
-            task just cannot have this page. *)
+         (* The backing pager failed for good (retry budget exhausted).
+            The paper's contract holds: machine-independent state is
+            intact, the task just cannot have this page. *)
          stats.Vm_stats.vs_memory_errors <- stats.Vm_stats.vs_memory_errors + 1;
          Error Kr.Memory_error
        | `Found (owner, p) when owner == first_obj ->

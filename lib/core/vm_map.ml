@@ -111,7 +111,6 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_inherit = inherit_;
     e_needs_copy = needs_copy;
     e_wired = false;
-    e_node = None;
     e_burst_window = max_int;
     e_burst_skip = 0;
     e_burst_gap = 1;
@@ -121,14 +120,11 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
 
 and insert_entry sys m e =
   (* Keep the list sorted; ranges never overlap. *)
-  let node =
-    match first_node_beyond sys m ~va:e.e_start with
-    | None -> Dlist.push_back m.map_entries e
-    | Some node ->
-      assert ((Dlist.value node).e_start >= e.e_end);
-      Dlist.insert_before m.map_entries node e
-  in
-  e.e_node <- Some node
+  match first_node_beyond sys m ~va:e.e_start with
+  | None -> ignore (Dlist.push_back m.map_entries e)
+  | Some node ->
+    assert ((Dlist.value node).e_start >= e.e_end);
+    ignore (Dlist.insert_before m.map_entries node e)
 
 and remove_entry sys m node ~unmap =
   let e = Dlist.value node in
@@ -136,7 +132,6 @@ and remove_entry sys m node ~unmap =
    | Some h when h == node -> m.map_hint <- None
    | Some _ | None -> ());
   Dlist.remove m.map_entries node;
-  e.e_node <- None;
   (match m.map_pmap with
    | Some pmap when unmap ->
      pmap.Pmap.remove ~start_va:e.e_start ~end_va:e.e_end
@@ -170,7 +165,7 @@ let clip_start _sys m node addr =
     backing_ref e.e_backing;
     e.e_offset <- e.e_offset + (addr - e.e_start);
     e.e_start <- addr;
-    left.e_node <- Some (Dlist.insert_before m.map_entries node left)
+    ignore (Dlist.insert_before m.map_entries node left)
   end
 
 (* Split [e] so that it ends exactly at [addr]; the piece from [addr]
@@ -187,7 +182,7 @@ let clip_end _sys m node addr =
     right.e_wired <- e.e_wired;
     backing_ref e.e_backing;
     e.e_end <- addr;
-    right.e_node <- Some (Dlist.insert_after m.map_entries node right)
+    ignore (Dlist.insert_after m.map_entries node right)
   end
 
 (* Apply [f] to every entry node overlapping [lo, hi), clipped exactly to

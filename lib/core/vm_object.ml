@@ -17,7 +17,6 @@ let make_obj sys ~size ~pager ~temporary ~can_persist =
     obj_dead = false;
     obj_health = fresh_health ();
     obj_rescue = None;
-    obj_degrade = Degrade_zero_fill;
     obj_streams = [||];
     obj_lock_free = 0;
     obj_lock_epoch = 0;
@@ -53,15 +52,9 @@ let lock_stall_residue (sys : Vm_sys.t) o =
   else 0
 
 let charge_stall (sys : Vm_sys.t) o cycles =
-  if cycles > 0 then begin
-    sys.Vm_sys.stats.Vm_stats.vs_lock_stalls <-
-      sys.Vm_sys.stats.Vm_stats.vs_lock_stalls + 1;
-    sys.Vm_sys.stats.Vm_stats.vs_lock_stall_cycles <-
-      sys.Vm_sys.stats.Vm_stats.vs_lock_stall_cycles + cycles;
-    Mach_hw.Machine.lock_stall sys.Vm_sys.machine
-      ~cpu:(Vm_sys.current_cpu sys) cycles;
-    Vm_sys.emit sys (Mach_obs.Obs.Lock_stall { obj = o.obj_id; cycles })
-  end
+  if cycles > 0 then
+    Vm_stats.lock_stall sys.Vm_sys.stats sys.Vm_sys.machine
+      ~cpu:(Vm_sys.current_cpu sys) ~obj:o.obj_id cycles
 
 let lock_read sys o = charge_stall sys o (lock_stall_residue sys o)
 

@@ -1,11 +1,10 @@
 (* What [vm_statistics] (Table 2-1) reports, declared once.
 
    The kernel counts straight into the mutable fields of the record each
-   [Vm_sys.t] owns.  The immutable fields are the gauges and allocator
-   counters kept elsewhere (page queues, the swap limit, [Resident]'s
-   counters, which reset with the clocks); they stay zero in the live
-   record and are filled in by the [Vm_user.statistics] snapshot, which
-   copies the whole record so a caller can subtract two snapshots. *)
+   [Vm_sys.t] owns.  The immutable fields are the gauges kept elsewhere
+   (page queues, the swap limit); they stay zero in the live record and
+   are filled in by the [Vm_user.statistics] snapshot, which copies the
+   whole record so a caller can subtract two snapshots. *)
 
 type statistics = {
   vs_page_size : int;
@@ -78,10 +77,11 @@ type statistics = {
          writes by the kernel workaround *)
   mutable vs_pager_failures : int;
       (* pager attempts that exhausted the retry budget *)
-  (* The per-CPU page magazines ([Resident.counters]). *)
-  vs_pcpu_hits : int;        (* per-CPU magazine hits *)
-  vs_pcpu_refills : int;     (* magazine refill trips to the shared queue *)
-  vs_page_steals : int;      (* stolen from another CPU's magazine *)
+  (* The per-CPU page magazines, counted by [Resident]; unlike the
+     others they reset with the machine's clocks. *)
+  mutable vs_pcpu_hits : int;     (* per-CPU magazine hits *)
+  mutable vs_pcpu_refills : int;  (* magazine refill trips to the shared queue *)
+  mutable vs_page_steals : int;   (* stolen from another CPU's magazine *)
 }
 
 let zero () =
@@ -100,6 +100,19 @@ let zero () =
     vs_collapses = 0; vs_fast_reloads = 0; vs_rmw_bug_upgrades = 0;
     vs_pager_failures = 0; vs_pcpu_hits = 0; vs_pcpu_refills = 0;
     vs_page_steals = 0 }
+
+(* A CPU stalled [cycles] on a contended (simulated) lock: a memory
+   object's, [obj] its id, or the shared free queue's, [obj] = -1.  One
+   stall counts in [vs_lock_stalls]/[vs_lock_stall_cycles], is charged
+   to the CPU as [Lock_wait] and is traced as [Lock_stall]. *)
+let lock_stall s machine ~cpu ~obj cycles =
+  s.vs_lock_stalls <- s.vs_lock_stalls + 1;
+  s.vs_lock_stall_cycles <- s.vs_lock_stall_cycles + cycles;
+  Mach_hw.Machine.lock_stall machine ~cpu cycles;
+  let tr = Mach_hw.Machine.tracer machine in
+  if Mach_obs.Obs.enabled tr then
+    Mach_obs.Obs.record tr ~ts:(Mach_hw.Machine.cycles machine ~cpu) ~cpu
+      (Mach_obs.Obs.Lock_stall { obj; cycles })
 
 (* Every statistic under its report name, in the order the stats JSON and
    the [machsim stats] table print them; an unbounded swap capacity

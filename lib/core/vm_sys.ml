@@ -40,10 +40,6 @@ type t = {
   pager_objects : (int, Types.obj) Hashtbl.t;
   mutable reclaim : (t -> wanted:int -> unit) option;
   free_target : int;
-  free_min : int;
-      (* below this many free pages the system is under pressure:
-         allocations start waiting on the daemon instead of merely
-         triggering it *)
   free_reserved : int;
       (* hard floor: only the pageout/cleaning path ([grab_page
          ~reserve:true]) may allocate out of the last [free_reserved]
@@ -155,10 +151,10 @@ let create ~machine ~domain () =
     | None -> max_int
     | Some bytes -> bytes / arch.Arch.hw_page_size
   in
+  let stats = Vm_stats.zero () in
   let resident =
-    Resident.create ~phys:(Machine.phys machine)
-      ~multiple:(Pmap_domain.page_multiple domain)
-      ~cpus:(Machine.cpu_count machine) ~frame_limit ()
+    Resident.create ~machine ~stats
+      ~multiple:(Pmap_domain.page_multiple domain) ~frame_limit ()
   in
   let total = Resident.total_pages resident in
   let t = {
@@ -174,7 +170,6 @@ let create ~machine ~domain () =
     pager_objects = Hashtbl.create 64;
     reclaim = None;
     free_target = max 4 (total / 16);
-    free_min = max 2 (total / 32);
     free_reserved = max 2 (total / 64);
     swap_capacity = None;
     mem_pressure = false;
@@ -186,7 +181,7 @@ let create ~machine ~domain () =
     burst_max = 8;
     burst_pending = Int_pair.Tbl.create 64;
     swap_stores = Hashtbl.create 16;
-    stats = Vm_stats.zero ();
+    stats;
     last_obj_id = 0;
     last_map_id = 0;
     last_pager_id = 0;
@@ -197,38 +192,11 @@ let create ~machine ~domain () =
       burst_outcome t ~asid ~pfn ~hit:true);
   Pmap_domain.set_on_unmap domain (fun ~asid ~pfn ->
       burst_outcome t ~asid ~pfn ~hit:false);
-  (* Simulation services for the page allocator: virtual time, queue-lock
-     charges (stalls land in the same [lock_stalls] counters and
-     [Lock_wait] category as memory-object locks, with obj = -1 marking
-     an allocator queue), clock-reset epochs, and steal tracing.  The
-     allocator's own counters reset with the clocks. *)
-  Resident.set_hooks resident
-    { Resident.hk_now = (fun ~cpu -> Machine.cycles machine ~cpu);
-      hk_charge = (fun ~cpu n -> Machine.charge machine ~cpu n);
-      hk_stall =
-        (fun ~cpu n ->
-           let s = t.stats in
-           s.Vm_stats.vs_lock_stalls <- s.Vm_stats.vs_lock_stalls + 1;
-           s.Vm_stats.vs_lock_stall_cycles <-
-             s.Vm_stats.vs_lock_stall_cycles + n;
-           Machine.lock_stall machine ~cpu n;
-           let tr = Machine.tracer machine in
-           if Mach_obs.Obs.enabled tr then
-             Mach_obs.Obs.record tr ~ts:(Machine.cycles machine ~cpu) ~cpu
-               (Mach_obs.Obs.Lock_stall { obj = -1; cycles = n }));
-      hk_epoch = (fun () -> Machine.reset_epoch machine);
-      hk_steal =
-        (fun ~cpu ~victim ~page ->
-           let tr = Machine.tracer machine in
-           if Mach_obs.Obs.enabled tr then
-             Mach_obs.Obs.record tr ~ts:(Machine.cycles machine ~cpu) ~cpu
-               (Mach_obs.Obs.Page_steal { victim; pfn = page.Types.pfn })) };
-  Machine.add_reset_hook machine (fun () -> Resident.reset_counters resident);
   t
 
 (* Declare or clear memory pressure.  Declaring it flushes the per-CPU
    magazines back to the shared queue: pages cached for one CPU must
-   not strand below [free_min] while the daemon or another CPU's
+   not strand in its magazine while the daemon or another CPU's
    backpressure wait starves. *)
 let set_mem_pressure t on =
   if on && not t.mem_pressure then Resident.drain_caches t.resident;

@@ -54,10 +54,6 @@ type t = {
           list runs low *)
   free_target : int;
       (** keep at least this many pages free; reclaim aims here *)
-  free_min : int;
-      (** below this many free pages the system is under pressure:
-          allocations start waiting on the daemon instead of merely
-          triggering it (free_reserved <= free_min <= free_target) *)
   free_reserved : int;
       (** hard floor: only [grab_page ~reserve:true] (the pageout/
           cleaning path) may allocate out of the last [free_reserved]
@@ -162,7 +158,7 @@ val grab_page : ?reserve:bool -> t -> Types.page
 val set_mem_pressure : t -> bool -> unit
 (** Declare or clear the memory-pressure state ([mem_pressure]).
     Declaring it drains every per-CPU magazine back to the shared
-    queue, so pages cached for one CPU cannot strand below [free_min]
+    queue, so pages cached for one CPU cannot strand in its magazine
     while the daemon or another CPU's backpressure wait starves. *)
 
 val set_swap_capacity : t -> int option -> unit

@@ -114,14 +114,10 @@ let regions sys task =
 
 let statistics (sys : Vm_sys.t) =
   let res = sys.Vm_sys.resident in
-  let c = Resident.counters res in
   { sys.Vm_sys.stats with
     vs_page_size = sys.Vm_sys.page_size;
     vs_pages_total = Resident.total_pages res;
     vs_pages_free = Resident.free_count res;
     vs_pages_active = Resident.active_count res;
     vs_pages_inactive = Resident.inactive_count res;
-    vs_swap_capacity = sys.Vm_sys.swap_capacity;
-    vs_pcpu_hits = c.Resident.pcpu_hits;
-    vs_pcpu_refills = c.Resident.pcpu_refills;
-    vs_page_steals = c.Resident.page_steals }
+    vs_swap_capacity = sys.Vm_sys.swap_capacity }

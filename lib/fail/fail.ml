@@ -1,5 +1,5 @@
 (* Deterministic fault injection: a pure decision engine consulted by
-   Simdisk / Netlink / the pager stack at named sites.  See fail.mli. *)
+   Simdisk and the pager stack at named sites.  See fail.mli. *)
 
 open Mach_util
 
@@ -16,7 +16,6 @@ type rule =
   | With_probability of float * decision
   | Fail_n_then_recover of int * decision
   | After of int * rule
-  | Between of int * int * rule
 
 type plan = rule list
 
@@ -74,8 +73,6 @@ let rec eval rng ~op ~active = function
     if active && roll < p then Some d else None
   | Fail_n_then_recover (n, d) -> if active && op < n then Some d else None
   | After (n, r) -> eval rng ~op ~active:(active && op >= n) r
-  | Between (first, last, r) ->
-    eval rng ~op ~active:(active && op >= first && op <= last) r
 
 let decide t ~site:name =
   let s = site t name in
@@ -135,7 +132,6 @@ let profiles =
   [ ("flaky",
      [ ("disk.read", [ With_probability (0.03, Fail); With_probability (0.02, Delay 400) ]);
        ("disk.write", [ With_probability (0.03, Fail) ]);
-       ("net.rpc", [ With_probability (0.04, Drop); With_probability (0.03, Delay 800) ]);
        ("pager.request",
         [ With_probability (0.04, Fail); With_probability (0.02, Drop);
           With_probability (0.01, Short 16) ]);
@@ -143,11 +139,6 @@ let profiles =
     ("disk",
      [ ("disk.read", [ With_probability (0.05, Fail); With_probability (0.05, Delay 600) ]);
        ("disk.write", [ With_probability (0.05, Fail) ]) ]);
-    ("net",
-     [ ("net.rpc",
-        [ Between (40, 60, Always Drop);  (* transient partition *)
-          With_probability (0.05, Drop);
-          With_probability (0.05, Delay 1200) ]) ]);
     ("pagerdeath",
      [ ("pager.write", [ After (4, Always Fail) ]);
        ("pager.request", [ After (32, Always Fail) ]) ]);

@@ -2,9 +2,9 @@
 
     The kernel's design bet (Section 1) is that all authoritative VM
     state is machine independent and everything below it — pmap, pagers,
-    disks, network links — is reconstructible.  This module supplies the
+    disks, pagers on other machines — is reconstructible.  This module supplies the
     adversary that bet is made against: a pure decision engine that
-    components ([Simdisk], [Netlink], the pager stack) consult at named
+    components ([Simdisk] and the pager stack) consult at named
     {e sites} before performing an operation.  The engine owns no
     component state and performs no I/O; it only answers "what should go
     wrong this time?", so the same seed always replays the identical
@@ -31,10 +31,9 @@ type rule =
   | Fail_n_then_recover of int * decision
       (** trigger on the first [n] operations at the site, then never *)
   | After of int * rule
-      (** apply [rule] only from the [n]-th operation (0-based) onward *)
-  | Between of int * int * rule
-      (** apply [rule] only on operations [first..last] inclusive —
-          e.g. a transient network partition *)
+      (** apply [rule] only from the [n]-th operation (0-based) onward;
+          [After (k, Fail_n_then_recover (k + 1, d))] injects [d] on
+          operation [k] alone *)
 
 type plan = rule list
 (** First rule that triggers wins; an empty plan always passes. *)
@@ -76,15 +75,15 @@ val scramble : Bytes.t -> Bytes.t
 (** {1 Canned profiles}
 
     Named (site, plan) sets for [machsim --chaos SEED[:PROFILE]] and the
-    chaos bench/smoke.  Site names are the conventional ones the
-    components use: ["disk.read"], ["disk.write"], ["net.rpc"],
-    ["pager.request"], ["pager.write"]. *)
+    chaos bench/smoke.  Site names are the ones the components consult:
+    ["disk.read"] and ["disk.write"] ([Simdisk]), ["pager.request"] and
+    ["pager.write"] ([Chaos_pager]). *)
 
 val profile : string -> (string * plan) list option
 (** [profile name] is the plan set for a profile name, or [None].
-    Known profiles: ["flaky"] (low-probability transient disk/pager/net
+    Known profiles: ["flaky"] (low-probability transient disk and pager
     errors and latency spikes), ["disk"] (disk errors + latency only),
-    ["net"] (drops and a transient partition), ["pagerdeath"] (pager
+    ["pagerdeath"] (pager
     writes fail permanently after a warm-up, reads follow — drives the
     death/rescue path), ["lowmem"] (pageout writes fail or crawl and
     pageins stall — pairs with a small [--mem]/[--swap] configuration to

@@ -13,7 +13,6 @@ type flush_request =
   | Flush_page of { asid : int; vpn : int }
   | Flush_range of { asid : int; lo_vpn : int; hi_vpn : int }
   | Flush_asid of int
-  | Flush_all
 
 type stats = {
   mutable faults : int;
@@ -307,13 +306,11 @@ let apply_flush c = function
   | Flush_range { asid; lo_vpn; hi_vpn } ->
     Tlb.invalidate_range c.tlb ~asid ~lo_vpn ~hi_vpn
   | Flush_asid asid -> Tlb.invalidate_asid c.tlb ~asid
-  | Flush_all -> Tlb.invalidate_all c.tlb
 
 let flush_kind_of = function
   | Flush_page _ -> Mach_obs.Obs.Fl_page
   | Flush_range _ -> Mach_obs.Obs.Fl_range
   | Flush_asid _ -> Mach_obs.Obs.Fl_asid
-  | Flush_all -> Mach_obs.Obs.Fl_all
 
 let note_flush t c req ~deferred =
   if traced t then
@@ -410,7 +407,7 @@ let shootdown t ~initiator ~targets reqs ~urgent =
           (fun acc -> function
              | Flush_page _ -> acc + 1
              | Flush_range { lo_vpn; hi_vpn; _ } -> acc + (hi_vpn - lo_vpn)
-             | Flush_asid _ | Flush_all -> acc)
+             | Flush_asid _ -> acc)
           0 reqs
       in
       Mach_obs.Obs.record t.tracer ~ts:init.clock ~cpu:initiator
@@ -430,8 +427,7 @@ let stale_hit c ~asid ~vpn =
        match req with
        | Flush_page p -> p.asid = asid && p.vpn = vpn
        | Flush_range r -> r.asid = asid && vpn >= r.lo_vpn && vpn < r.hi_vpn
-       | Flush_asid a -> a = asid
-       | Flush_all -> true)
+       | Flush_asid a -> a = asid)
     false c.pending
 
 let set_translator t ~cpu tr =

@@ -50,7 +50,6 @@ type flush_request =
       (** a coalesced run of pages, [\[lo_vpn, hi_vpn)]; produced by the
           pmap layer's flush batching *)
   | Flush_asid of int                        (** one address space *)
-  | Flush_all                                (** the whole TLB *)
 
 type stats = {
   mutable faults : int;           (** faults delivered to the kernel *)

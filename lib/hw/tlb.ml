@@ -133,11 +133,6 @@ let invalidate_range t ~asid ~lo_vpn ~hi_vpn =
 let invalidate_asid t ~asid =
   invalidate_asid_vpns t ~asid ~lo_vpn:0 ~hi_vpn:(1 lsl vpn_bits)
 
-let invalidate_all t =
-  Key_tbl.reset t.table;
-  t.head <- 0;
-  t.len <- 0
-
 let entries t =
   List.init t.len (fun i -> Key_tbl.find_opt t.table t.ring.(slot t i))
   |> List.filter_map Fun.id

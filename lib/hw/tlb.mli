@@ -52,8 +52,5 @@ val invalidate_range : t -> asid:int -> lo_vpn:int -> hi_vpn:int -> unit
 val invalidate_asid : t -> asid:int -> unit
 (** [invalidate_asid t ~asid] drops every entry of one address space. *)
 
-val invalidate_all : t -> unit
-(** [invalidate_all t] empties the TLB. *)
-
 val entries : t -> entry list
 (** Current contents, oldest first; used by tests. *)

@@ -3,7 +3,6 @@ open Mach_pagers
 open Types
 
 type server = {
-  srv_link : Netlink.t;
   srv_node : int;
   srv_sys : Vm_sys.t;
   srv_fs : Simfs.t;
@@ -12,8 +11,8 @@ type server = {
          same pager and hence the same client-side memory object *)
 }
 
-let serve link ~node sys fs =
-  { srv_link = link; srv_node = node; srv_sys = sys; srv_fs = fs;
+let serve ~node sys fs =
+  { srv_node = node; srv_sys = sys; srv_fs = fs;
     srv_imports = Hashtbl.create 32 }
 
 let remote_size srv ~name = Simfs.file_size srv.srv_fs ~name
@@ -22,22 +21,14 @@ let remote_size srv ~name = Simfs.file_size srv.srv_fs ~name
 let server_read srv ~name ~offset ~len =
   Vnode_pager.read_through_object srv.srv_sys srv.srv_fs ~name ~offset ~len
 
-let emit_timeout (sys : Vm_sys.t) ~offset ~attempts =
-  if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
-    Vm_sys.emit sys (Mach_obs.Obs.Pager_timeout { offset; attempts })
-
 let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
   let id = Vm_sys.fresh_pager_id client_sys in
   let client_cpu () = Vm_sys.current_cpu client_sys in
   let server_cpu = 0 in
-  (* All exchanges run under Netlink's timeout/retry/backoff envelope;
-     a request the network loses [rpc_attempts] times in a row becomes
-     the protocol's error reply and Pager_guard takes it from there.
-     Range requests batch naturally: a clustered pagein moves all its
+  (* Range requests batch naturally: a clustered pagein moves all its
      frames in one RPC ([reply_bytes = len]), paying the network's
      fixed per-message cost once, and the server side reads the range
      through its own (clustered) page cache. *)
-  let rpc_attempts = 4 in
   {
     pgr_id = id;
     pgr_name = Printf.sprintf "net:%d:%s" srv.srv_node name;
@@ -47,31 +38,24 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
          if offset >= size then Data_unavailable
          else begin
            let len = min length (size - offset) in
-           match
-             Netlink.rpc_retry ~attempts:rpc_attempts link ~from_node:node
-               ~from_cpu:(client_cpu ()) ~to_node:srv.srv_node
-               ~to_cpu:server_cpu ~request_bytes:64 ~reply_bytes:len
+           let data =
+             Netlink.rpc link ~from_node:node ~from_cpu:(client_cpu ())
+               ~to_node:srv.srv_node ~to_cpu:server_cpu ~request_bytes:64
+               ~reply_bytes:len
                (fun () -> server_read srv ~name ~offset ~len)
-           with
-           | data -> Data_provided (data, io_none)
-           | exception Netlink.Timeout ->
-             emit_timeout client_sys ~offset ~attempts:rpc_attempts;
-             Data_error
+           in
+           Data_provided (data, io_none)
          end);
     pgr_write =
       (fun ~offset ~data ->
          match
-           Netlink.rpc_retry ~attempts:rpc_attempts link ~from_node:node
-             ~from_cpu:(client_cpu ()) ~to_node:srv.srv_node
-             ~to_cpu:server_cpu ~request_bytes:(64 + Bytes.length data)
-             ~reply_bytes:32
+           Netlink.rpc link ~from_node:node ~from_cpu:(client_cpu ())
+             ~to_node:srv.srv_node ~to_cpu:server_cpu
+             ~request_bytes:(64 + Bytes.length data) ~reply_bytes:32
              (fun () ->
                 Simfs.write srv.srv_fs ~cpu:server_cpu ~name ~offset ~data)
          with
          | () -> Write_completed io_none
-         | exception Netlink.Timeout ->
-           emit_timeout client_sys ~offset ~attempts:rpc_attempts;
-           Write_error
          | exception Simdisk.Io_error _ ->
            (* The server's own disk failed the write. *)
            Write_error);
@@ -96,7 +80,7 @@ let map_remote link ~node client_sys task srv ~name ?(copy = false) () =
 
 let fetch_whole link ~node client_sys srv ~name =
   let size = remote_size srv ~name in
-  Netlink.rpc_retry link ~from_node:node
+  Netlink.rpc link ~from_node:node
     ~from_cpu:(Vm_sys.current_cpu client_sys) ~to_node:srv.srv_node
     ~to_cpu:0 ~request_bytes:64 ~reply_bytes:size
     (fun () -> server_read srv ~name ~offset:0 ~len:size)

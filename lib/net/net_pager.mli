@@ -16,10 +16,8 @@
 type server
 (** A memory server running on one node. *)
 
-val serve :
-  Netlink.t -> node:int -> Mach_core.Vm_sys.t -> Mach_pagers.Simfs.t ->
-  server
-(** [serve link ~node sys fs] exports [fs] (on machine [node], whose
+val serve : node:int -> Mach_core.Vm_sys.t -> Mach_pagers.Simfs.t -> server
+(** [serve ~node sys fs] exports [fs] (on machine [node], whose
     kernel state is [sys]) to the other nodes. *)
 
 val map_remote :

@@ -11,25 +11,20 @@
 type t
 (** A link between two or more machines. *)
 
-exception Timeout
-(** An exchange got no reply: the (injected) network dropped it and the
-    caller waited out its timeout window. *)
+val create : Mach_hw.Machine.t list -> t
+(** [create machines] links the machines over mid-1980s Ethernet:
+    1000 us latency per exchange and 10 Mbit/s.  Raises
+    [Invalid_argument] on an empty list. *)
 
-val create :
-  ?latency_us:int -> ?mbit_per_s:int -> ?timeout_us:int ->
-  Mach_hw.Machine.t list -> t
-(** [create machines] links the machines.  Defaults model mid-1980s
-    Ethernet: 1000 us latency per exchange, 10 Mbit/s, and a 100 ms
-    no-reply timeout. *)
-
-val rpc_retry :
-  ?attempts:int ->
+val rpc :
   t -> from_node:int -> from_cpu:int -> to_node:int -> to_cpu:int ->
   request_bytes:int -> reply_bytes:int -> (unit -> 'a) -> 'a
-(** [rpc_retry t ... f] is {!rpc} wrapped in a timeout/retry/backoff
-    envelope: a {!Timeout} is retried (up to [attempts] total tries,
-    default 4) after an exponential backoff charged to the caller;
-    exhaustion re-raises {!Timeout}. *)
+(** [rpc t ~from_node ~from_cpu ~to_node ~to_cpu ~request_bytes
+    ~reply_bytes f] is one request/reply exchange: both ends pay the
+    latency and wire time of [request_bytes + reply_bytes] on their own
+    clocks, [f] runs on the server, and the caller waits out the
+    server's service time (converted to the caller's clock rate).  The
+    result is [f ()]. *)
 
 val messages : t -> int
 (** Exchanges performed so far. *)

@@ -4,7 +4,6 @@ let flush_kind_name = function
   | Obs.Fl_page -> "page"
   | Obs.Fl_range -> "range"
   | Obs.Fl_asid -> "asid"
-  | Obs.Fl_all -> "all"
 
 (* Payload fields shown in the trace viewer's args pane. *)
 let args_of_event (ev : Obs.event) =
@@ -45,8 +44,7 @@ let args_of_event (ev : Obs.event) =
   | Obs.Pager_retry { offset; attempt; backoff } ->
     [ ("offset", Jout.Int offset); ("attempt", Jout.Int attempt);
       ("backoff", Jout.Int backoff) ]
-  | Obs.Pager_timeout { offset; attempts } ->
-    [ ("offset", Jout.Int offset); ("attempts", Jout.Int attempts) ]
+  | Obs.Pager_timeout { offset } -> [ ("offset", Jout.Int offset) ]
   | Obs.Pager_dead { pager; rescued } ->
     [ ("pager", Jout.Str pager); ("rescued", Jout.Int rescued) ]
   | Obs.Io_error { write; bytes } ->

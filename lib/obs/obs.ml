@@ -25,7 +25,7 @@ let fault_resolution_name = function
   | Fault_error -> "error"
   | Memory_error -> "memory_error"
 
-type flush_kind = Fl_page | Fl_range | Fl_asid | Fl_all
+type flush_kind = Fl_page | Fl_range | Fl_asid
 
 type event =
   | Fault_begin of { va : int; write : bool }
@@ -42,7 +42,7 @@ type event =
   | Task_switch of { task : string }
   | Disk_io of { write : bool; bytes : int; cycles : int }
   | Pager_retry of { offset : int; attempt : int; backoff : int }
-  | Pager_timeout of { offset : int; attempts : int }
+  | Pager_timeout of { offset : int }
   | Pager_dead of { pager : string; rescued : int }
   | Io_error of { write : bool; bytes : int }
   | Prefetch of { offset : int; pages : int; window : int }

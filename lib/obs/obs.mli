@@ -21,13 +21,12 @@ type fault_resolution =
   | Pagein       (** a pager supplied the data (disk, swap, network) *)
   | Fault_error  (** the fault was rejected (bad address/protection) *)
   | Memory_error (** the backing pager failed for good: the retry budget
-                     was exhausted (or the object is degraded with the
-                     error policy) and the task sees [KERN_MEMORY_ERROR] *)
+                     was exhausted and the task sees [KERN_MEMORY_ERROR] *)
 
 val fault_resolutions : fault_resolution list
 val fault_resolution_name : fault_resolution -> string
 
-type flush_kind = Fl_page | Fl_range | Fl_asid | Fl_all
+type flush_kind = Fl_page | Fl_range | Fl_asid
 
 type event =
   | Fault_begin of { va : int; write : bool }
@@ -58,9 +57,10 @@ type event =
   | Pager_retry of { offset : int; attempt : int; backoff : int }
       (** A pager request or write failed transiently; the kernel will
           retry after charging [backoff] cycles ([attempt] is 1-based). *)
-  | Pager_timeout of { offset : int; attempts : int }
-      (** A pager (or the network under it) never replied within the
-          deadline; [attempts] RPC attempts were made. *)
+  | Pager_timeout of { offset : int }
+      (** A pager never replied within its deadline ([Chaos_pager]'s
+          dropped reply, [Port_pager]'s dispatch deadline) to one
+          request for [offset]. *)
   | Pager_dead of { pager : string; rescued : int }
       (** A pager crossed the consecutive-failure threshold and was
           declared dead; [rescued] dirty resident pages were written to

@@ -5,7 +5,7 @@ module Obs = Mach_obs.Obs
 
 let emit_timeout sys ~offset =
   if Obs.enabled (Vm_sys.tracer sys) then
-    Vm_sys.emit sys (Obs.Pager_timeout { offset; attempts = 1 })
+    Vm_sys.emit sys (Obs.Pager_timeout { offset })
 
 let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
   let req_site = site ^ ".request" in

@@ -46,7 +46,7 @@ let make sys ~name ?(should_cache = false) ~handler () =
          request so Pager_guard can retry or degrade. *)
       if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
         Vm_sys.emit sys
-          (Mach_obs.Obs.Pager_timeout { offset; attempts = 1 });
+          (Mach_obs.Obs.Pager_timeout { offset });
       Data_error
     | Some reply ->
       incr served;

@@ -2,7 +2,6 @@ open Mach_hw
 module Int_tbl = Mach_util.Int_tbl
 
 type context = {
-  c_index : int;
   mutable c_owner : int option; (* asid *)
   c_table : Backend.mapping Int_tbl.t; (* first vpn -> page mapping *)
   mutable c_stamp : int; (* LRU clock *)
@@ -18,9 +17,8 @@ let make_domain (ctx : Backend.ctx) =
   in
   let page = Backend.page_size ctx and n = ctx.Backend.page_frames in
   let contexts =
-    Array.init n_contexts (fun i ->
-        { c_index = i; c_owner = None; c_table = Int_tbl.create 64;
-          c_stamp = 0 })
+    Array.init n_contexts (fun _ ->
+        { c_owner = None; c_table = Int_tbl.create 64; c_stamp = 0 })
   in
   let clock = ref 0 in
   let owners : owner Int_tbl.t = Int_tbl.create 16 in

@@ -462,7 +462,7 @@ let short_cluster_run seed =
   (* ...then truncate the cluster request that follows it. *)
   let k = !requests in
   Fail.attach inj ~site:"pager.request"
-    [ Fail.Between (k, k, Fail.Always (Fail.Short 64)) ];
+    [ Fail.After (k, Fail.Fail_n_then_recover (k + 1, Fail.Short 64)) ];
   for i = 1 to n - 1 do
     check i
   done;

@@ -89,8 +89,8 @@ let test_chaos_charged_at_submit () =
   let c = 750 in
   let inj = Fail.create ~seed:1 in
   Fail.attach inj ~site:"disk.read"
-    [ Fail.Between (0, 0, Fail.Always Fail.Fail);
-      Fail.Between (1, 1, Fail.Always (Fail.Delay c)) ];
+    [ Fail.Fail_n_then_recover (1, Fail.Fail);
+      Fail.After (1, Fail.Fail_n_then_recover (2, Fail.Delay c)) ];
   Simdisk.set_injector disk (Some inj);
   let total cat = Obs.attr_total tr ~cpu:0 cat in
   let io =

@@ -277,7 +277,7 @@ let test_tlb_invalidate () =
   Alcotest.(check bool) "asid gone" true (Tlb.lookup t ~asid:1 ~vpn:2 = None);
   Alcotest.(check bool) "other asid stays" true
     (Tlb.lookup t ~asid:2 ~vpn:1 <> None);
-  Tlb.invalidate_all t;
+  Tlb.invalidate_asid t ~asid:2;
   Alcotest.(check int) "empty" 0 (List.length (Tlb.entries t))
 
 let test_tlb_zero_capacity () =
@@ -344,10 +344,6 @@ module Ref_tlb = struct
 
   let invalidate_asid t ~asid = drop t (fun (a, _) -> a = asid)
 
-  let invalidate_all t =
-    Hashtbl.reset t.table;
-    Queue.clear t.order
-
   let entries t =
     Queue.fold
       (fun acc key ->
@@ -364,7 +360,6 @@ type tlb_op =
   | Inv_page of int * int
   | Inv_range of int * int * int  (* asid, lo, hi *)
   | Inv_asid of int
-  | Inv_all
 
 let tlb_asids = 3
 let tlb_vpns = 10
@@ -380,8 +375,7 @@ let tlb_op_gen =
       (2, map2 (fun a v -> Inv_page (a, v)) asid vpn);
       (1, map3 (fun a lo n -> Inv_range (a, lo, lo + n)) asid vpn
             (int_range (-1) 6));
-      (1, map (fun a -> Inv_asid a) asid);
-      (1, pure Inv_all) ]
+      (1, map (fun a -> Inv_asid a) asid) ]
 
 let show_tlb_op = function
   | Insert (a, v, p) -> Printf.sprintf "insert %d:%d->%d" a v p
@@ -389,7 +383,6 @@ let show_tlb_op = function
   | Inv_page (a, v) -> Printf.sprintf "inv_page %d:%d" a v
   | Inv_range (a, lo, hi) -> Printf.sprintf "inv_range %d:[%d,%d)" a lo hi
   | Inv_asid a -> Printf.sprintf "inv_asid %d" a
-  | Inv_all -> "inv_all"
 
 let tlb_matches_reference (capacity, ops) =
   let t = Tlb.create ~capacity and r = Ref_tlb.create ~capacity in
@@ -417,10 +410,7 @@ let tlb_matches_reference (capacity, ops) =
           Ref_tlb.invalidate_range r ~asid ~lo_vpn ~hi_vpn
         | Inv_asid asid ->
           Tlb.invalidate_asid t ~asid;
-          Ref_tlb.invalidate_asid r ~asid
-        | Inv_all ->
-          Tlb.invalidate_all t;
-          Ref_tlb.invalidate_all r);
+          Ref_tlb.invalidate_asid r ~asid);
        same_lookups () && Tlb.entries t = Ref_tlb.entries r)
     ops
 

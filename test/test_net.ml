@@ -20,7 +20,7 @@ let boot_pair () =
   let client_kernel = Kernel.create ~page_multiple:8 client_machine in
   let link = Netlink.create [ server_machine; client_machine ] in
   let server_fs = Simfs.create server_machine () in
-  let server = Net_pager.serve link ~node:0 (Kernel.sys server_kernel) server_fs in
+  let server = Net_pager.serve ~node:0 (Kernel.sys server_kernel) server_fs in
   (link, server_fs, server, client_machine, client_kernel)
 
 let ok = function
@@ -32,7 +32,7 @@ let test_link_charges_both_sides () =
   let b = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
   let link = Netlink.create [ a; b ] in
   let r =
-    Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+    Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
       ~request_bytes:100 ~reply_bytes:5000 (fun () -> 42)
   in
   Alcotest.(check int) "result" 42 r;
@@ -46,13 +46,13 @@ let test_rpc_mirrors_service_time () =
   let b = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let link = Netlink.create [ a; b ] in
   let small =
-    Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+    Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
       ~request_bytes:10 ~reply_bytes:10 (fun () -> ());
     Machine.max_cycles a
   in
   Machine.reset_clocks a;
   Machine.reset_clocks b;
-  Netlink.rpc_retry link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
+  Netlink.rpc link ~from_node:0 ~from_cpu:0 ~to_node:1 ~to_cpu:0
     ~request_bytes:10 ~reply_bytes:10 (fun () ->
         Machine.charge b ~cpu:0 1_000_000);
   Alcotest.(check bool) "caller waits for remote work" true

@@ -97,7 +97,7 @@ let test_resident_page_multiple () =
   let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
   (* 64 frames of 512 bytes in pages of 4 frames = 16 pages of 2 KB. *)
   let res =
-    Resident.create ~phys:(Machine.phys machine) ~multiple:4 ~cpus:1 ()
+    Resident.create ~machine ~stats:(Vm_stats.zero ()) ~multiple:4 ()
   in
   Alcotest.(check int) "page size" 2048 (Resident.page_size res);
   Alcotest.(check int) "pages" 16 (Resident.total_pages res);
@@ -110,7 +110,7 @@ let test_resident_respects_holes () =
       ~holes:[ (10, 19) ] ()
   in
   let res =
-    Resident.create ~phys:(Machine.phys machine) ~multiple:1 ~cpus:1 ()
+    Resident.create ~machine ~stats:(Vm_stats.zero ()) ~multiple:1 ()
   in
   Alcotest.(check int) "holes excluded" 22 (Resident.total_pages res)
 

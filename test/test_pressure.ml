@@ -21,8 +21,7 @@ let ok = function
 let test_reserve_floor () =
   let _machine, _kernel, sys = boot () in
   Alcotest.(check bool) "watermarks ordered" true
-    (sys.Vm_sys.free_reserved <= sys.Vm_sys.free_min
-     && sys.Vm_sys.free_min <= sys.Vm_sys.free_target);
+    (sys.Vm_sys.free_reserved <= sys.Vm_sys.free_target);
   let free0 = Resident.free_count sys.Vm_sys.resident in
   (* No tasks exist, so nothing is reclaimable and no OOM victim is
      registered: normal allocations must hand out exactly the pages
