@@ -137,7 +137,7 @@ let boot_bsd ?(mem = 16 * mb) ?(cpus = 1) ?(buffers = 400) arch =
       ~cpus ()
   in
   let fs = Mach_pagers.Simfs.create machine () in
-  let bsd = Mach_bsd.Bsd_vm.create machine ~fs ~buffers () in
+  let bsd = Mach_bsd.Bsd_vm.create machine ~fs ~buffers in
   let os = Bsd_os.make bsd ~fs in
   (machine, bsd, fs, os)
 
@@ -692,7 +692,7 @@ let ipc_one ~out_of_line ~size =
   Machine.reset_clocks machine;
   if out_of_line then begin
     (match
-       Mach_ipc.Ipc.send_region sys sender port ~tag:"bulk" ~addr ~size ()
+       Mach_ipc.Ipc.send_region sys sender port ~tag:"bulk" ~addr ~size
      with
      | Ok () -> ()
      | Error e -> failwith (Kr.to_string e));

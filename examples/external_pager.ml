@@ -31,8 +31,7 @@ let () =
   Kernel.run_task kernel ~cpu:0 task;
   let addr =
     check
-      (Vm_user.allocate_with_pager sys task ~pager ~offset:0 ~size:(4 * ps)
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys task ~pager ~offset:0 ~size:(4 * ps))
   in
   Printf.printf "mapped external-pager object at 0x%x\n" addr;
 

@@ -37,7 +37,7 @@ let () =
 
   let port = Ipc.create_port () in
   Machine.reset_clocks machine;
-  check (Ipc.send_region sys sender port ~tag:"bulk-transfer" ~addr ~size ());
+  check (Ipc.send_region sys sender port ~tag:"bulk-transfer" ~addr ~size);
   let send_ms = Kernel.elapsed_ms kernel in
   let raddr, rsize = check (Ipc.receive_region sys receiver port) in
   Printf.printf

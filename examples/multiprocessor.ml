@@ -60,7 +60,7 @@ let run_with strategy =
                     check
                       (Vm_user.protect sys task ~addr ~size ~set_max:false
                          ~prot:Prot.read_write)) ]))));
-  Sched.run sched ();
+  Sched.run sched;
   (* All writes landed despite the interleaved protection changes. *)
   let ok = ref true in
   for w = 0 to 3 do

@@ -49,7 +49,7 @@ let () =
   (try
      Machine.write_byte machine ~cpu:0 ~va:addr 'X';
      print_endline "BUG: write succeeded"
-   with Machine.Memory_violation { reason; _ } ->
+   with Machine.Memory_violation reason ->
      Printf.printf "write to read-only page rejected: %s\n" reason);
 
   (* vm_regions and vm_statistics, as in Table 2-1. *)

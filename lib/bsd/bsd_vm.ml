@@ -62,10 +62,7 @@ let in_region p va =
     (fun r -> va >= r.r_start && va < r.r_start + r.r_size)
     p.p_regions
 
-let violation (f : Machine.fault) reason =
-  raise
-    (Machine.Memory_violation
-       { va = f.Machine.fault_va; write = f.Machine.fault_write; reason })
+let violation reason = raise (Machine.Memory_violation reason)
 
 (* Take a free frame, evicting the oldest single-referenced resident page
    to its owner's swap when none remain. *)
@@ -124,10 +121,10 @@ let effective_write t (f : Machine.fault) =
 let handle_fault t ~cpu (f : Machine.fault) =
   Pmap_domain.set_current_cpu t.domain cpu;
   match t.current.(cpu) with
-  | None -> violation f "no current process"
+  | None -> violation "no current process"
   | Some p ->
     let va = f.Machine.fault_va in
-    if not (in_region p va) then violation f "segmentation violation";
+    if not (in_region p va) then violation "segmentation violation";
     let vpn = va / t.page in
     let write = effective_write t f in
     overhead t ~cpu;
@@ -163,12 +160,8 @@ let handle_fault t ~cpu (f : Machine.fault) =
           Pmap_domain.zero_page t.domain ~pfn:frame;
           enter t ~cpu p ~vpn ~frame ~prot:Prot.read_write))
 
-let create machine ~fs ~buffers ?variant () =
-  let variant =
-    match variant with
-    | Some v -> v
-    | None -> variant_for (Machine.arch machine)
-  in
+let create machine ~fs ~buffers =
+  let variant = variant_for (Machine.arch machine) in
   let domain = Pmap_domain.create machine in
   let phys = Machine.phys machine in
   let t =

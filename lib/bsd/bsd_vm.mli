@@ -30,11 +30,10 @@ type t
 type proc
 (** A UNIX process. *)
 
-val create :
-  Mach_hw.Machine.t -> fs:Mach_pagers.Simfs.t -> buffers:int ->
-  ?variant:variant -> unit -> t
-(** [create machine ~fs ~buffers ()] boots the baseline on [machine] with
-    a [buffers]-block buffer cache over [fs].  Installs its own fault
+val create : Mach_hw.Machine.t -> fs:Mach_pagers.Simfs.t -> buffers:int -> t
+(** [create machine ~fs ~buffers] boots the baseline on [machine], as
+    the comparator {!variant_for} its architecture, with a
+    [buffers]-block buffer cache over [fs].  Installs its own fault
     handler; a machine hosts either this or a Mach kernel, not both. *)
 
 val machine : t -> Mach_hw.Machine.t

@@ -31,27 +31,18 @@ let handle_fault t ~cpu (f : Machine.fault) =
   Pmap_domain.set_current_cpu t.domain cpu;
   match t.current.(cpu) with
   | None ->
-    raise
-      (Machine.Memory_violation
-         { va = f.Machine.fault_va; write = f.Machine.fault_write;
-           reason = "fault with no current task" })
+    raise (Machine.Memory_violation "fault with no current task")
   | Some task when task.Task.task_oom_killed ->
     (* The OOM policy killed this task: its address space is gone, and
        every touch from here on is KERN_MEMORY_ERROR, end to end. *)
     t.sys.Vm_sys.stats.Vm_stats.vs_memory_errors <-
       t.sys.Vm_sys.stats.Vm_stats.vs_memory_errors + 1;
-    raise
-      (Machine.Memory_violation
-         { va = f.Machine.fault_va; write = f.Machine.fault_write;
-           reason = Kr.to_string Kr.Memory_error })
+    raise (Machine.Memory_violation (Kr.to_string Kr.Memory_error))
   | Some task ->
     let write = effective_write t task f in
     (match Vm_fault.fault t.sys (Task.map task) ~va:f.Machine.fault_va ~write with
      | Ok _ -> ()
-     | Error kr ->
-       raise
-         (Machine.Memory_violation
-            { va = f.Machine.fault_va; write; reason = Kr.to_string kr }))
+     | Error kr -> raise (Machine.Memory_violation (Kr.to_string kr)))
 
 let create ?(page_multiple = 1) machine =
   let domain = Pmap_domain.create ~page_multiple machine in

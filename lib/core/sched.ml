@@ -53,7 +53,10 @@ let step t =
   done;
   !dispatched
 
-let run t ?(max_rounds = 100_000) () =
+(* Rounds after which [run] gives up on runaway threads. *)
+let max_rounds = 100_000
+
+let run t =
   let rec loop n =
     if n > max_rounds then failwith "Sched.run: max rounds exceeded";
     if step t then loop (n + 1)

@@ -15,6 +15,6 @@ val create : Kernel.t -> t
 val spawn : t -> task:Task.t -> Kthread.step list -> Kthread.t
 (** [spawn t ~task steps] creates a thread and enqueues it. *)
 
-val run : t -> ?max_rounds:int -> unit -> unit
-(** [run t ()] steps until nothing is runnable.  [max_rounds] (default
-    100000) guards against runaway threads. *)
+val run : t -> unit
+(** [run t] steps until nothing is runnable.  It fails after 100,000
+    rounds, which guards against runaway threads. *)

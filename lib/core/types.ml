@@ -70,7 +70,7 @@ and io = Mach_hw.Machine.io = {
 
 and obj = {
   obj_id : int;
-  mutable obj_size : int;               (* bytes *)
+  obj_size : int;                       (* bytes *)
   mutable obj_ref : int;                (* mapping + shadow references *)
   obj_pages : page Dlist.t;             (* the memory-object page list *)
   mutable obj_pager : pager option;
@@ -78,8 +78,8 @@ and obj = {
   mutable obj_shadow_offset : int;
       (* this object's offset 0 corresponds to [obj_shadow_offset] in the
          shadowed object *)
-  mutable obj_temporary : bool;         (* anonymous kernel-managed memory *)
-  mutable obj_can_persist : bool;       (* eligible for the object cache *)
+  obj_temporary : bool;                 (* anonymous kernel-managed memory *)
+  obj_can_persist : bool;               (* eligible for the object cache *)
   mutable obj_cached : bool;            (* ref 0 but retained in the cache *)
   mutable obj_readonly : bool;
       (* pager_readonly: the pager never accepts writes, so the kernel

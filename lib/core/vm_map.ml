@@ -229,8 +229,9 @@ let range_free sys m ~lo ~hi =
 
 let default_max_prot = Prot.all
 
-let alloc_common sys m ?at ~size ~anywhere ~backing ~offset ~prot ~max_prot
-    ~needs_copy () =
+(* A read/write region of [backing] from [offset], placed anywhere (with
+   [at] as a hint) or at exactly [at]. *)
+let alloc_common sys m ?at ~size ~anywhere ~backing ~offset () =
   if size <= 0 then Error Kr.Invalid_argument
   else begin
     let size = page_round sys size in
@@ -261,16 +262,16 @@ let alloc_common sys m ?at ~size ~anywhere ~backing ~offset ~prot ~max_prot
     | Error _ as e -> e
     | Ok addr ->
       let e =
-        make_entry ~start_:addr ~end_:(addr + size) ~backing ~offset ~prot
-          ~max_prot ~inherit_:Inheritance.default ~needs_copy
+        make_entry ~start_:addr ~end_:(addr + size) ~backing ~offset
+          ~prot:Prot.read_write ~max_prot:default_max_prot
+          ~inherit_:Inheritance.default ~needs_copy:false
       in
       insert_entry sys m e;
       Ok addr
   end
 
 let allocate sys m ?at ~size ~anywhere () =
-  alloc_common sys m ?at ~size ~anywhere ~backing:No_backing ~offset:0
-    ~prot:Prot.read_write ~max_prot:default_max_prot ~needs_copy:false ()
+  alloc_common sys m ?at ~size ~anywhere ~backing:No_backing ~offset:0 ()
 
 (* Write-protect, in every pmap, the resident pages of [o] whose offsets
    lie in [lo, hi): the pmap_copy_on_write operation of Table 3-3 applied
@@ -282,17 +283,8 @@ let cow_protect sys o ~lo ~hi =
          Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
     (Resident.object_pages o)
 
-let allocate_object sys m o ~offset ?at ~size ~anywhere
-    ?(prot = Prot.read_write) ?(max_prot = default_max_prot)
-    ?(copy = false) () =
-  let r =
-    alloc_common sys m ?at ~size ~anywhere ~backing:(Backed o) ~offset
-      ~prot ~max_prot ~needs_copy:copy ()
-  in
-  (match r with
-   | Ok _ when copy -> cow_protect sys o ~lo:offset ~hi:(offset + size)
-   | Ok _ | Error _ -> ());
-  r
+let allocate_object sys m o ~offset ~size =
+  alloc_common sys m ~size ~anywhere:true ~backing:(Backed o) ~offset ()
 
 let deallocate_range sys m ~addr ~size =
   if size < 0 then Error Kr.Invalid_argument

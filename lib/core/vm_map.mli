@@ -53,12 +53,11 @@ val allocate :
     Sizes round up to the page size.  Returns the chosen address. *)
 
 val allocate_object :
-  Vm_sys.t -> vmap -> obj -> offset:int -> ?at:int -> size:int ->
-  anywhere:bool -> ?prot:Mach_hw.Prot.t -> ?max_prot:Mach_hw.Prot.t ->
-  ?copy:bool -> unit -> (int, Kr.t) result
+  Vm_sys.t -> vmap -> obj -> offset:int -> size:int -> (int, Kr.t) result
 (** [vm_allocate_with_pager]: map [size] bytes of [obj] starting at
-    [offset].  The map takes over the caller's reference to [obj].
-    [copy:true] maps it copy-on-write (the mapping never writes back). *)
+    [offset], read/write and shared, at the first free address.  The
+    map takes over the caller's reference to [obj].  A private copy is
+    {!Vm_user.copy}'s, and a narrower protection [vm_protect]'s. *)
 
 val deallocate_range :
   Vm_sys.t -> vmap -> addr:int -> size:int -> (unit, Kr.t) result

@@ -33,7 +33,7 @@ type t = {
   resident : Resident.t;
   page_size : int;
   mutable object_cache : Types.obj list;
-  mutable object_cache_limit : int;
+  object_cache_limit : int;
   mutable cache_enabled : bool;
   mutable collapse_enabled : bool;
   mutable pmap_prewarm_on_fork : bool;
@@ -41,9 +41,9 @@ type t = {
   mutable reclaim : (t -> wanted:int -> unit) option;
   free_target : int;
   free_reserved : int;
-      (* hard floor: only the pageout/cleaning path ([grab_page
-         ~reserve:true]) may allocate out of the last [free_reserved]
-         pages, so cleaning never deadlocks on needing a page *)
+      (* hard floor: no allocation takes the free list below it;
+         [grab_page] waits on the pageout daemon there, and read-ahead
+         allocates only above it *)
   mutable swap_capacity : int option;
       (* bytes of backing store the swap pool may commit; [None] is
          unbounded (the pre-pressure behaviour) *)
@@ -302,7 +302,7 @@ let oom_kill t =
     t.mem_pressure <- false;
     true
 
-let grab_page ?(reserve = false) t =
+let grab_page t =
   let try_reclaim wanted =
     match t.reclaim with
     | None -> ()
@@ -310,14 +310,12 @@ let grab_page ?(reserve = false) t =
   in
   if Resident.free_count t.resident < t.free_target then
     try_reclaim (t.free_target - Resident.free_count t.resident);
-  (* Only the pageout/cleaning path may dip into the reserve; ordinary
-     allocations treat the free list as empty at [free_reserved].  The
+  (* Allocations treat the free list as empty at [free_reserved].  The
      floor is global: magazine-cached pages count toward [free_count]
      and the allocator steals them back when the queue runs dry, so the
      reserve cannot be hidden inside a magazine. *)
-  let floor_pages = if reserve then 0 else t.free_reserved in
   let take () =
-    if Resident.free_count t.resident > floor_pages then
+    if Resident.free_count t.resident > t.free_reserved then
       Resident.alloc ~cpu:(current_cpu t) t.resident
     else None
   in

@@ -38,7 +38,9 @@ type t = {
   mutable object_cache : Types.obj list;
       (** cached objects, most recently used first (all have [obj_cached]
           set and reference count 0) *)
-  mutable object_cache_limit : int;
+  object_cache_limit : int;
+      (** most objects the cache keeps; a deallocation past it
+          terminates the least recently used *)
   mutable cache_enabled : bool;    (** ablation switch for the cache *)
   mutable collapse_enabled : bool; (** ablation switch for shadow-chain
                                        collapsing *)
@@ -55,9 +57,10 @@ type t = {
   free_target : int;
       (** keep at least this many pages free; reclaim aims here *)
   free_reserved : int;
-      (** hard floor: only [grab_page ~reserve:true] (the pageout/
-          cleaning path) may allocate out of the last [free_reserved]
-          pages, so cleaning never deadlocks on needing a page *)
+      (** hard floor: no path allocates out of the last
+          [free_reserved] pages.  {!grab_page} waits on the pageout
+          daemon at the floor, and read-ahead ({!Vm_cluster}) allocates
+          only above it *)
   mutable swap_capacity : int option;
       (** bytes the swap pool may commit; [None] is unbounded *)
   mutable mem_pressure : bool;
@@ -141,19 +144,16 @@ val fresh_pager_id : t -> int
 val fresh_task_id : t -> int
 (** The next id of each kind in this kernel, counting from 1. *)
 
-val grab_page : ?reserve:bool -> t -> Types.page
+val grab_page : t -> Types.page
 (** [grab_page t] allocates a free page, invoking the pageout hook if the
-    free list is low.  Ordinary allocations never take the free list
-    below [free_reserved]; at the floor they wait on the daemon
-    (allocation backpressure: reclaim rounds interleaved with fixed
-    backoff charges to the [mem_wait] category) and
-    escalate to the OOM policy when reclaim stalls, raising
-    {!Out_of_memory} only when no victim remains.  [~reserve:true] — the
-    pageout/cleaning path's privilege — may dip into the reserve down to
-    an empty list.  The reserve floor is global: pages cached in per-CPU
-    magazines still count as free and are stolen back when the shared
-    queue runs dry.  The returned page is on no queue and in no
-    object. *)
+    free list is low.  It never takes the free list below
+    [free_reserved]; at the floor it waits on the daemon (allocation
+    backpressure: reclaim rounds interleaved with fixed backoff charges
+    to the [mem_wait] category) and escalates to the OOM policy when
+    reclaim stalls, raising {!Out_of_memory} only when no victim
+    remains.  The floor is global: pages cached in per-CPU magazines
+    still count as free and are stolen back when the shared queue runs
+    dry.  The returned page is on no queue and in no object. *)
 
 val set_mem_pressure : t -> bool -> unit
 (** Declare or clear the memory-pressure state ([mem_pressure]).

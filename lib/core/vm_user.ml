@@ -15,8 +15,7 @@ let allocate sys task ?at ~size ~anywhere () =
   check_alive task @@ fun () ->
   Vm_map.allocate sys (Task.map task) ?at ~size ~anywhere ()
 
-let allocate_with_pager sys task ~pager ~offset ?at ~size ~anywhere
-    ?(copy = false) () =
+let allocate_with_pager sys task ~pager ~offset ~size =
   syscall sys;
   check_alive task @@ fun () ->
   if offset < 0 || offset mod sys.Vm_sys.page_size <> 0 then
@@ -27,8 +26,7 @@ let allocate_with_pager sys task ~pager ~offset ?at ~size ~anywhere
     in
     let o = Vm_object.create_with_pager sys pager ~size:(offset + size) in
     match
-      Vm_map.allocate_object sys (Task.map task) o ~offset ?at ~size
-        ~anywhere ~copy ()
+      Vm_map.allocate_object sys (Task.map task) o ~offset ~size
     with
     | Ok _ as r -> r
     | Error _ as e ->

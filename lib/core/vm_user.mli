@@ -16,11 +16,11 @@ val allocate :
     anywhere or at a specified address. *)
 
 val allocate_with_pager :
-  Vm_sys.t -> Task.t -> pager:Types.pager -> offset:int -> ?at:int ->
-  size:int -> anywhere:bool -> ?copy:bool -> unit -> (int, Kr.t) result
-(** [vm_allocate_with_pager] (Table 3-2): allocate a region backed by a
-    memory object managed by [pager].  [offset] must be page aligned.
-    [copy:true] maps it copy-on-write. *)
+  Vm_sys.t -> Task.t -> pager:Types.pager -> offset:int -> size:int ->
+  (int, Kr.t) result
+(** [vm_allocate_with_pager] (Table 3-2): allocate a region, anywhere,
+    backed by a memory object managed by [pager] and shared with every
+    other mapping of it.  [offset] must be page aligned. *)
 
 val deallocate :
   Vm_sys.t -> Task.t -> addr:int -> size:int -> (unit, Kr.t) result

@@ -4,7 +4,7 @@ type fault = {
   fault_kind : [ `Invalid | `Protection ];
 }
 
-exception Memory_violation of { va : int; write : bool; reason : string }
+exception Memory_violation of string
 exception Unresolved_fault of fault
 
 type shootdown_strategy = Immediate_ipi | Deferred_timer | Lazy_local
@@ -454,10 +454,7 @@ let deliver_fault t ~cpu f =
   with_category t ~cpu Mach_obs.Obs.Fault_service @@ fun () ->
   charge t ~cpu t.arch.Arch.cost.Arch.fault_overhead;
   match t.fault_handler with
-  | None ->
-    raise (Memory_violation
-             { va = f.fault_va; write = f.fault_write;
-               reason = "no fault handler installed" })
+  | None -> raise (Memory_violation "no fault handler installed")
   | Some h -> h ~cpu f
 
 (* The NS32082 reports a write access that faults on a read-only page as a
@@ -475,7 +472,7 @@ let trap_fault t ~va ~write kind =
 
 let translate t ~cpu ~va ~write =
   if va < 0 then
-    raise (Memory_violation { va; write; reason = "negative address" });
+    raise (Memory_violation "negative address");
   let c = cpu_of t cpu in
   let cost = t.arch.Arch.cost in
   let vpn = va / t.arch.Arch.hw_page_size in
@@ -491,7 +488,7 @@ let translate t ~cpu ~va ~write =
     in
     match cached, c.translator with
     | _, None ->
-      raise (Memory_violation { va; write; reason = "no address space" })
+      raise (Memory_violation "no address space")
     | Some e, Some tr ->
       t.stats.tlb_hit_count <- t.stats.tlb_hit_count + 1;
       if Prot.allows e.Tlb.prot ~write then begin

@@ -24,10 +24,10 @@ type fault = {
 }
 (** What the kernel's fault handler receives. *)
 
-exception Memory_violation of { va : int; write : bool; reason : string }
+exception Memory_violation of string
 (** Raised out of an access when the kernel's fault handler rejects it
     (e.g. access outside the task's address space or beyond its current
-    protection). *)
+    protection), with the reason. *)
 
 exception Unresolved_fault of fault
 (** Raised when a fault persists after the handler claims to have resolved

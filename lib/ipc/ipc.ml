@@ -54,22 +54,10 @@ let receive sys p =
     charge_transfer sys m;
     Some m
 
-let send_region sys task p ~tag ~addr ~size ?(dealloc = false) () =
-  match Vm_map.extract_copy sys (Task.map task) ~addr ~size with
-  | Error _ as e -> e
-  | Ok copy ->
-    let r =
-      if dealloc then
-        Vm_map.deallocate_range sys (Task.map task) ~addr ~size
-      else Ok ()
-    in
-    (match r with
-     | Error _ as e ->
-       Vm_map.discard_copy sys copy;
-       e
-     | Ok () ->
-       send sys p (message tag ~items:[ Out_of_line copy ]);
-       Ok ())
+let send_region sys task p ~tag ~addr ~size =
+  Result.map
+    (fun copy -> send sys p (message tag ~items:[ Out_of_line copy ]))
+    (Vm_map.extract_copy sys (Task.map task) ~addr ~size)
 
 let receive_region sys task p =
   match receive sys p with

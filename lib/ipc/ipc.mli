@@ -65,12 +65,11 @@ val receive : Mach_core.Vm_sys.t -> port -> message option
 
 val send_region :
   Mach_core.Vm_sys.t -> Mach_core.Task.t -> port -> tag:string ->
-  addr:int -> size:int -> ?dealloc:bool -> unit ->
-  (unit, Mach_core.Kr.t) result
-(** [send_region sys task p ~tag ~addr ~size ()] sends [task]'s memory
-    range as one out-of-line message: the range is extracted copy-on-write
-    (and deallocated from the sender when [dealloc] is true, the move
-    optimisation). *)
+  addr:int -> size:int -> (unit, Mach_core.Kr.t) result
+(** [send_region sys task p ~tag ~addr ~size] sends [task]'s memory
+    range as one out-of-line message: the range is extracted
+    copy-on-write.  A sender that moves the range rather than copying it
+    deallocates it afterwards ({!Mach_core.Vm_user.deallocate}). *)
 
 val receive_region :
   Mach_core.Vm_sys.t -> Mach_core.Task.t -> port ->

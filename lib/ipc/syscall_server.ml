@@ -39,12 +39,10 @@ let kr_of_code = function
   | 4 -> Error Kr.Invalid_argument
   | 5 -> Error Kr.Resource_shortage
   | 6 -> Error Kr.Memory_error
-  | code ->
+  | _ ->
     (* A code this decoder does not know is a protocol skew, not a value
-       a correct peer can send; flag it rather than silently folding it
-       into a known error. *)
-    Logs.warn (fun m ->
-        m "syscall_server: unknown kern_return code %d in reply" code);
+       a correct peer can send: the call failed, whatever the peer
+       meant, so it reads as a bad request rather than success. *)
     Error Kr.Invalid_argument
 
 let kr_of_reply (m : Ipc.message) =
@@ -78,8 +76,7 @@ let task_port srv task =
     Hashtbl.add srv.task_ports id p;
     p
 
-let task_create srv ?name () =
-  task_port srv (Kernel.create_task srv.kernel ?name ())
+let task_create srv = task_port srv (Kernel.create_task srv.kernel ())
 
 let thread_port srv th =
   match List.assq_opt th srv.thread_ports with

@@ -36,8 +36,8 @@ type t
 val create : Mach_core.Kernel.t -> t
 (** [create kernel] is [kernel]'s message server, with no ports yet. *)
 
-val task_create : t -> ?name:string -> unit -> Ipc.port
-(** [task_create srv ()] creates a task in [srv]'s kernel and returns its
+val task_create : t -> Ipc.port
+(** [task_create srv] creates a task in [srv]'s kernel and returns its
     port — the message-world equivalent of
     {!Mach_core.Kernel.create_task}. *)
 

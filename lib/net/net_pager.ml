@@ -56,7 +56,7 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
                 Simfs.write srv.srv_fs ~cpu:server_cpu ~name ~offset ~data)
          with
          | () -> Write_completed io_none
-         | exception Simdisk.Io_error _ ->
+         | exception Simdisk.Io_error ->
            (* The server's own disk failed the write. *)
            Write_error);
     pgr_should_cache = ref true;
@@ -72,11 +72,9 @@ let import link ~node client_sys srv ~name =
     Hashtbl.add srv.srv_imports key p;
     p
 
-let map_remote link ~node client_sys task srv ~name ?(copy = false) () =
-  Pager_map.map_object client_sys task
-    ~resolve:(fun () ->
+let map_remote link ~node client_sys task srv ~name () =
+  Pager_map.map_object client_sys task ~resolve:(fun () ->
       (import link ~node client_sys srv ~name, remote_size srv ~name))
-    ~copy ()
 
 let fetch_whole link ~node client_sys srv ~name =
   let size = remote_size srv ~name in

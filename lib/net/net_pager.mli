@@ -22,11 +22,11 @@ val serve : node:int -> Mach_core.Vm_sys.t -> Mach_pagers.Simfs.t -> server
 
 val map_remote :
   Netlink.t -> node:int -> Mach_core.Vm_sys.t -> Mach_core.Task.t ->
-  server -> name:string -> ?copy:bool -> unit ->
-  (int * int, Mach_core.Kr.t) result
+  server -> name:string -> unit -> (int * int, Mach_core.Kr.t) result
 (** [map_remote link ~node sys task server ~name ()] maps the remote file
-    into [task]'s address space copy-on-reference, returning [(address,
-    size)]. *)
+    anywhere in [task]'s address space copy-on-reference, shared with
+    every other mapping of it, returning [(address, size)].  A private
+    copy is [vm_copy]'s ({!Mach_core.Vm_user.copy}) of the mapping. *)
 
 val fetch_whole :
   Netlink.t -> node:int -> Mach_core.Vm_sys.t -> server -> name:string ->

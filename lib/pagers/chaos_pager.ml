@@ -7,14 +7,15 @@ let emit_timeout sys ~offset =
   if Obs.enabled (Vm_sys.tracer sys) then
     Vm_sys.emit sys (Obs.Pager_timeout { offset })
 
-let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
-  let req_site = site ^ ".request" in
-  let write_site = site ^ ".write" in
+(* The kernel's no-reply timeout, charged when a call is dropped. *)
+let deadline_cycles = 20_000
+
+let wrap sys inj pager =
   {
     pager with
     pgr_request =
       (fun ~offset ~length ->
-         match Fail.decide inj ~site:req_site with
+         match Fail.decide inj ~site:"pager.request" with
          | Fail.Pass -> pager.pgr_request ~offset ~length
          | Fail.Fail -> Data_error
          | Fail.Drop ->
@@ -39,7 +40,7 @@ let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
             | reply -> reply));
     pgr_write =
       (fun ~offset ~data ->
-         match Fail.decide inj ~site:write_site with
+         match Fail.decide inj ~site:"pager.write" with
          | Fail.Pass -> pager.pgr_write ~offset ~data
          | Fail.Delay c ->
            Vm_sys.charge sys c;
@@ -54,7 +55,5 @@ let wrap sys inj ?(site = "pager") ?(deadline_cycles = 20_000) pager =
            Write_error);
   }
 
-let map_wrapped sys task inj ?site ~pager ~size ?at ?copy () =
-  Pager_map.map_object sys task
-    ~resolve:(fun () -> (wrap sys inj ?site pager, size))
-    ?at ?copy ()
+let map_wrapped sys task inj ~pager ~size () =
+  Pager_map.map_object sys task ~resolve:(fun () -> (wrap sys inj pager, size))

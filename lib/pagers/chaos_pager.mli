@@ -14,19 +14,17 @@
     kernel-created default pager is exposed to injection. *)
 
 val wrap :
-  Mach_core.Vm_sys.t -> Mach_fail.Fail.t -> ?site:string ->
-  ?deadline_cycles:int -> Mach_core.Types.pager -> Mach_core.Types.pager
+  Mach_core.Vm_sys.t -> Mach_fail.Fail.t -> Mach_core.Types.pager ->
+  Mach_core.Types.pager
 (** [wrap sys inj pager] interposes [inj] on [pager].  Decisions are
-    taken at [site ^ ".request"] and [site ^ ".write"] (default site
-    ["pager"], giving the conventional ["pager.request"] /
-    ["pager.write"] sites).  [Drop] charges [deadline_cycles] (default
-    20_000) — the no-reply timeout — before failing the call. *)
+    taken at the sites ["pager.request"] and ["pager.write"].  [Drop]
+    charges the kernel's no-reply timeout, 20,000 cycles, before
+    failing the call. *)
 
 val map_wrapped :
   Mach_core.Vm_sys.t -> Mach_core.Task.t -> Mach_fail.Fail.t ->
-  ?site:string -> pager:Mach_core.Types.pager -> size:int ->
-  ?at:int -> ?copy:bool -> unit ->
+  pager:Mach_core.Types.pager -> size:int -> unit ->
   (int * int, Mach_core.Kr.t) result
 (** [map_wrapped sys task inj ~pager ~size ()] maps [wrap sys inj
-    pager] into [task] through {!Pager_map.map_object} — the same
-    plumbing the vnode and network pagers use. *)
+    pager] anywhere in [task], shared, through {!Pager_map.map_object}:
+    the same plumbing the vnode and network pagers use. *)

@@ -8,10 +8,9 @@
 val map_object :
   Mach_core.Vm_sys.t -> Mach_core.Task.t ->
   resolve:(unit -> Mach_core.Types.pager * int) ->
-  ?at:int -> ?copy:bool -> unit ->
   (int * int, Mach_core.Kr.t) result
-(** [map_object sys task ~resolve ()] calls [resolve ()] for the pager
+(** [map_object sys task ~resolve] calls [resolve ()] for the pager
     and the object size in bytes ([Not_found] becomes
-    [Kr.Invalid_argument]), then maps the object at [at] (or anywhere)
-    with [vm_allocate_with_pager], returning [(address, size)].
-    [copy] maps it copy-on-write. *)
+    [Kr.Invalid_argument]), then maps the object anywhere, shared, with
+    [vm_allocate_with_pager], returning [(address, size)].  A private
+    copy of the mapping is [vm_copy]'s ({!Mach_core.Vm_user.copy}). *)

@@ -31,7 +31,7 @@ let dispatch_until_reply sys ~object_port ~reply_port ~handler =
   in
   loop ()
 
-let make sys ~name ?(should_cache = false) ~handler () =
+let make sys ~name ~handler =
   let id = Vm_sys.fresh_pager_id sys in
   let object_port = Ipc.create_port () in
   let reply_port = Ipc.create_port () in
@@ -85,7 +85,7 @@ let make sys ~name ?(should_cache = false) ~handler () =
       pgr_name = name;
       pgr_request = request;
       pgr_write = write;
-      pgr_should_cache = ref should_cache;
+      pgr_should_cache = ref false;
     },
     fun () -> !served )
 
@@ -124,5 +124,5 @@ let trivial_store sys ~name () =
     | tag, _ -> failwith ("trivial_store: unexpected message " ^ tag)
   in
   ignore initialized;
-  let pager, served = make sys ~name ~handler () in
+  let pager, served = make sys ~name ~handler in
   (pager, store, served)

@@ -19,13 +19,14 @@ type handler = Mach_ipc.Ipc.message -> Mach_ipc.Ipc.message option
     the message's reply port. *)
 
 val make :
-  Mach_core.Vm_sys.t -> name:string -> ?should_cache:bool ->
-  handler:handler -> unit -> Mach_core.Types.pager * (unit -> int)
-(** [make sys ~name ~handler ()] wraps [handler] as a kernel-usable pager:
+  Mach_core.Vm_sys.t -> name:string -> handler:handler ->
+  Mach_core.Types.pager * (unit -> int)
+(** [make sys ~name ~handler] wraps [handler] as a kernel-usable pager:
     page faults on objects managed by it become [pager_data_request]
-    messages; pageouts become [pager_data_write] messages.  The function
-    returned alongside reads how many [pager_data_request] messages the
-    pager has answered so far. *)
+    messages; pageouts become [pager_data_write] messages.  The pager
+    starts uncached; [pager_cache] ({!Mach_core.Pager_ops.set_caching})
+    changes that.  The function returned alongside reads how many
+    [pager_data_request] messages the pager has answered so far. *)
 
 val trivial_store :
   Mach_core.Vm_sys.t -> name:string -> unit ->

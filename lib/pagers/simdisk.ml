@@ -2,7 +2,7 @@ open Mach_hw
 module Fail = Mach_fail.Fail
 module Int_tbl = Mach_util.Int_tbl
 
-exception Io_error of { write : bool; block : int }
+exception Io_error
 
 type t = {
   machine : Machine.t;
@@ -37,7 +37,7 @@ let emit_error t ~cpu ~write ~bytes =
    doing, and each failed attempt the full run's device time — the
    platter really did spin the entire transfer past the head.  Raises
    {!Io_error} when the retry budget is exhausted. *)
-let admit t ~cpu ~write ~block ~bytes =
+let admit t ~cpu ~write ~bytes =
   match t.fail with
   | None -> ()
   | Some inj ->
@@ -58,7 +58,7 @@ let admit t ~cpu ~write ~block ~bytes =
           Machine.charge_disk t.machine ~cpu ~write ~bytes;
           attempt (n + 1)
         end
-        else raise (Io_error { write; block })
+        else raise Io_error
     in
     attempt 0
 
@@ -70,7 +70,7 @@ let admit t ~cpu ~write ~block ~bytes =
 let read_run_into ?after t ~cpu ~first ~count buf ~pos =
   if count <= 0 then invalid_arg "Simdisk.submit_read_run";
   let bytes = count * t.block_size in
-  admit t ~cpu ~write:false ~block:first ~bytes;
+  admit t ~cpu ~write:false ~bytes;
   t.reads <- t.reads + count;
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:false ~bytes in
   for i = 0 to count - 1 do
@@ -90,7 +90,7 @@ let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
   if len <= 0 || len mod t.block_size <> 0 then
     invalid_arg "Simdisk.submit_write_run";
   let count = len / t.block_size in
-  admit t ~cpu ~write:true ~block:first ~bytes:len;
+  admit t ~cpu ~write:true ~bytes:len;
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays

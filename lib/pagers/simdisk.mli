@@ -16,9 +16,11 @@
 
 type t
 
-exception Io_error of { write : bool; block : int }
+exception Io_error
 (** A transfer failed even after the driver's internal retries; only
-    possible when a fault injector is attached. *)
+    possible when a fault injector is attached.  The trace's
+    [Obs.Io_error] event names the direction and size of each failed
+    attempt. *)
 
 val create : Mach_hw.Machine.t -> block_size:int -> t
 (** [create machine ~block_size] is an empty disk. *)

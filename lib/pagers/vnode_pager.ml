@@ -22,7 +22,7 @@ let make (sys : Vm_sys.t) fs ~name =
                  ~len:(min length (size - offset))
              with
              | data, io -> Data_provided (data, io)
-             | exception Simdisk.Io_error _ -> Data_error));
+             | exception Simdisk.Io_error -> Data_error));
     pgr_write =
       (fun ~offset ~data ->
          (* The inode pager never grows the file: a mapped page's tail
@@ -36,7 +36,7 @@ let make (sys : Vm_sys.t) fs ~name =
              (match Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset ~len ~data
               with
               | io -> Write_completed io
-              | exception Simdisk.Io_error _ -> Write_error));
+              | exception Simdisk.Io_error -> Write_error));
     pgr_should_cache = ref true;
   }
 
@@ -46,11 +46,9 @@ let for_file sys fs ~name =
   if not (Simfs.exists fs ~name) then raise Not_found;
   Simfs.pager fs ~name (fun () -> make sys fs ~name)
 
-let map_file sys fs task ~name ?at ?(copy = false) () =
-  Pager_map.map_object sys task
-    ~resolve:(fun () ->
+let map_file sys fs task ~name () =
+  Pager_map.map_object sys task ~resolve:(fun () ->
       (for_file sys fs ~name, Simfs.file_size fs ~name))
-    ?at ~copy ()
 
 (* A read() through the file's memory object: hit resident pages for the
    price of a copy; fill missing pages from the pager and leave them

@@ -19,10 +19,11 @@ val for_file :
 
 val map_file :
   Mach_core.Vm_sys.t -> Simfs.t -> Mach_core.Task.t -> name:string ->
-  ?at:int -> ?copy:bool -> unit -> (int * int, Mach_core.Kr.t) result
-(** [map_file sys fs task ~name ()] maps the whole file into [task]'s
-    space, returning [(address, size)].  [copy:true] maps it
-    copy-on-write (private). *)
+  unit -> (int * int, Mach_core.Kr.t) result
+(** [map_file sys fs task ~name ()] maps the whole file anywhere in
+    [task]'s space, shared with every other mapping of it, returning
+    [(address, size)].  A private copy is [vm_copy]'s
+    ({!Mach_core.Vm_user.copy}) of the mapping. *)
 
 val read_through_object :
   Mach_core.Vm_sys.t -> ?stream:int * int -> Simfs.t -> name:string ->

@@ -506,10 +506,7 @@ let mixed_ops_agree arch ops =
       | Some (pfn, prot) ->
         p.Pmap.enter ~va:(vpn * ps) ~pfn ~prot ~wired:false
       | None ->
-        raise
-          (Machine.Memory_violation
-             { va = f.Machine.fault_va; write = f.Machine.fault_write;
-               reason = "unmapped" }))
+        raise (Machine.Memory_violation "unmapped"))
   ;
   p.Pmap.activate ~cpu:0;
   p.Pmap.activate ~cpu:1;

@@ -66,7 +66,7 @@ let test_unallocated_faults () =
   (try
      ignore (Machine.read_byte machine ~cpu:0 ~va:(100 * 1024 * 1024));
      Alcotest.fail "expected violation"
-   with Machine.Memory_violation { reason; _ } ->
+   with Machine.Memory_violation reason ->
      Alcotest.(check string) "invalid address" "KERN_INVALID_ADDRESS" reason)
 
 let test_data_spans_hw_frames () =
@@ -268,7 +268,7 @@ let test_protection_enforced () =
   (try
      Machine.write_byte machine ~cpu:0 ~va:a 'X';
      Alcotest.fail "write should fail"
-   with Machine.Memory_violation { reason; _ } ->
+   with Machine.Memory_violation reason ->
      Alcotest.(check string) "protection" "KERN_PROTECTION_FAILURE" reason);
   (* Restoring write access makes it work again (lazily, via fault). *)
   ok
@@ -464,8 +464,7 @@ let test_raising_fault_restores_exemption () =
   in
   let a =
     ok
-      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(4 * kb)
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(4 * kb))
   in
   Alcotest.(check (option int)) "no exemption before" None
     sys.Vm_sys.oom_exempt_map;

@@ -628,7 +628,7 @@ let test_no_address_space () =
   (try
      ignore (Machine.read_byte m ~cpu:0 ~va:0);
      Alcotest.fail "expected violation"
-   with Machine.Memory_violation { reason; _ } ->
+   with Machine.Memory_violation reason ->
      Alcotest.(check string) "reason" "no address space" reason)
 
 let test_tlb_used_on_second_access () =

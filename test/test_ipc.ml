@@ -74,7 +74,7 @@ let test_ool_transfer_data () =
   Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "bulk contents");
   Machine.write machine ~cpu:0 ~va:(a + (12 * kb)) (Bytes.of_string "tail");
   let p = Ipc.create_port () in
-  ok (Ipc.send_region sys sender p ~tag:"bulk" ~addr:a ~size:(16 * kb) ());
+  ok (Ipc.send_region sys sender p ~tag:"bulk" ~addr:a ~size:(16 * kb));
   let raddr, rsize = ok (Ipc.receive_region sys receiver p) in
   Alcotest.(check int) "size" (16 * kb) rsize;
   Kernel.run_task kernel ~cpu:0 receiver;
@@ -91,7 +91,7 @@ let test_ool_is_cow_isolated () =
   let a = ok (Vm_user.allocate sys sender ~size:(4 * kb) ~anywhere:true ()) in
   Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "shared?");
   let p = Ipc.create_port () in
-  ok (Ipc.send_region sys sender p ~tag:"x" ~addr:a ~size:(4 * kb) ());
+  ok (Ipc.send_region sys sender p ~tag:"x" ~addr:a ~size:(4 * kb));
   let raddr, _ = ok (Ipc.receive_region sys receiver p) in
   (* Receiver edits; sender must not see it, and vice versa. *)
   Kernel.run_task kernel ~cpu:0 receiver;
@@ -111,9 +111,9 @@ let test_ool_with_dealloc_moves () =
   let a = ok (Vm_user.allocate sys sender ~size:(4 * kb) ~anywhere:true ()) in
   Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "moved");
   let p = Ipc.create_port () in
-  ok
-    (Ipc.send_region sys sender p ~tag:"mv" ~addr:a ~size:(4 * kb)
-       ~dealloc:true ());
+  (* A move is a send followed by the sender's vm_deallocate. *)
+  ok (Ipc.send_region sys sender p ~tag:"mv" ~addr:a ~size:(4 * kb));
+  ok (Vm_user.deallocate sys sender ~addr:a ~size:(4 * kb));
   (* The sender's range is gone. *)
   (try
      ignore (Machine.read_byte machine ~cpu:0 ~va:a);
@@ -139,7 +139,7 @@ let test_ool_copy_cheaper_than_inline () =
   dirty a;
   let p = Ipc.create_port () in
   Machine.reset_clocks machine;
-  ok (Ipc.send_region sys sender p ~tag:"fast" ~addr:a ~size ());
+  ok (Ipc.send_region sys sender p ~tag:"fast" ~addr:a ~size);
   let ool = Machine.max_cycles machine in
   Machine.reset_clocks machine;
   let data = ok (Vm_user.read sys sender ~addr:a ~size) in
@@ -158,7 +158,7 @@ let test_discard_releases_references () =
     | None -> Alcotest.fail "no object"
   in
   let p = Ipc.create_port () in
-  ok (Ipc.send_region sys sender p ~tag:"dropme" ~addr:a ~size:(4 * kb) ());
+  ok (Ipc.send_region sys sender p ~tag:"dropme" ~addr:a ~size:(4 * kb));
   Alcotest.(check int) "message holds a ref" 2 o.Types.obj_ref;
   (match Ipc.receive sys p with
    | Some m -> Ipc.discard_message sys m
@@ -293,9 +293,7 @@ let test_task_lifecycle_by_message () =
      which represents the new object and can be used to manipulate
      it." *)
   let machine, kernel, sys = boot () in
-  let port =
-    Syscall_server.task_create (Syscall_server.create kernel) ~name:"msg-task" ()
-  in
+  let port = Syscall_server.task_create (Syscall_server.create kernel) in
   let reply =
     call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 8 * kb; 1; 0 ])
   in
@@ -382,7 +380,7 @@ let test_dead_task_port_refuses () =
 let test_dead_created_port_refuses () =
   let _, kernel, sys = boot () in
   let srv = Syscall_server.create kernel in
-  let port = Syscall_server.task_create srv ~name:"doomed" () in
+  let port = Syscall_server.task_create srv in
   ignore (call_ok sys port (Ipc.message "vm_allocate" ~ints:[ 4 * kb; 1; 0 ]));
   ignore (call_ok sys port (Ipc.message "task_terminate"));
   check_dead_port sys kernel port
@@ -506,6 +504,17 @@ let test_port_capability_in_message () =
    | Some m -> Alcotest.(check string) "routed" "response" m.Ipc.msg_tag
    | None -> Alcotest.fail "expected routed reply")
 
+(* A reply whose code the decoder does not know, or with no code at
+   all, reads as a failed call, never as success. *)
+let test_unknown_reply_code () =
+  List.iter
+    (fun (name, ints) ->
+       match Syscall_server.kr_of_reply (Ipc.message "vm_allocate_reply" ~ints)
+       with
+       | Error Kr.Invalid_argument -> ()
+       | Ok () | Error _ -> Alcotest.fail (name ^ ": not invalid argument"))
+    [ ("unknown code", [ 99 ]); ("negative code", [ -1 ]); ("no ints", []) ]
+
 let test_prot_bits_roundtrip () =
   List.iter
     (fun p ->
@@ -545,6 +554,8 @@ let () =
             test_msg_regions_and_statistics;
           Alcotest.test_case "errors travel back" `Quick
             test_msg_errors_travel_back;
+          Alcotest.test_case "unknown reply code" `Quick
+            test_unknown_reply_code;
           Alcotest.test_case "vm_copy" `Quick test_msg_vm_copy;
           Alcotest.test_case "prot bits roundtrip" `Quick
             test_prot_bits_roundtrip;

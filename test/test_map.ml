@@ -343,8 +343,7 @@ let test_allocate_object_at_offset () =
   let o = Vm_object.create_anonymous sys ~size:(8 * ps) in
   let a =
     ok
-      (Vm_map.allocate_object sys m o ~offset:(2 * ps) ~size:(4 * ps)
-         ~anywhere:true ())
+      (Vm_map.allocate_object sys m o ~offset:(2 * ps) ~size:(4 * ps))
   in
   (match Vm_map.resolve_object_at sys m ~va:(a + ps) with
    | Some (o', off) ->

@@ -118,10 +118,15 @@ let test_private_remote_mapping () =
   let sys = Kernel.sys client_kernel in
   let t = Kernel.create_task client_kernel () in
   Kernel.run_task client_kernel ~cpu:0 t;
-  let addr, _ =
-    ok (Net_pager.map_remote link ~node:1 sys t server ~name:"/p" ~copy:true ())
+  (* A private mapping is vm_copy of a shared one. *)
+  let shared, size =
+    ok (Net_pager.map_remote link ~node:1 sys t server ~name:"/p" ())
   in
+  let addr = ok (Vm_user.allocate sys t ~size ~anywhere:true ()) in
+  ok (Vm_user.copy sys t ~src:shared ~dst:addr ~size);
   Machine.write_byte client_machine ~cpu:0 ~va:addr 'X';
+  Alcotest.(check char) "private edit" 'X'
+    (Machine.read_byte client_machine ~cpu:0 ~va:addr);
   Kernel.terminate_task client_kernel ~cpu:0 t;
   Vm_pageout.deactivate_some sys ~count:1000;
   Vm_pageout.run sys ~wanted:1000;

@@ -168,20 +168,21 @@ let test_object_cache_disabled () =
 
 let test_object_cache_lru_eviction () =
   let _, _, sys = setup () in
-  sys.Vm_sys.object_cache_limit <- 2;
-  let mk i =
-    let pager, _, _ =
-      counting_pager sys ~name:(Printf.sprintf "file%d" i)
-    in
-    Vm_object.create_with_pager sys pager ~size:ps
+  let limit = sys.Vm_sys.object_cache_limit in
+  let objects =
+    List.init (limit + 1) (fun i ->
+        let pager, _, _ =
+          counting_pager sys ~name:(Printf.sprintf "file%d" i)
+        in
+        Vm_object.create_with_pager sys pager ~size:ps)
   in
-  let o1 = mk 1 and o2 = mk 2 and o3 = mk 3 in
-  Vm_object.deallocate sys o1;
-  Vm_object.deallocate sys o2;
-  Vm_object.deallocate sys o3;
-  Alcotest.(check int) "bounded" 2 (List.length sys.Vm_sys.object_cache);
-  Alcotest.(check bool) "oldest evicted" true o1.Types.obj_dead;
-  Alcotest.(check bool) "newest kept" false o3.Types.obj_dead
+  List.iter (Vm_object.deallocate sys) objects;
+  Alcotest.(check int) "bounded" limit (List.length sys.Vm_sys.object_cache);
+  Alcotest.(check bool) "oldest evicted" true (List.hd objects).Types.obj_dead;
+  Alcotest.(check bool) "newest kept" false
+    (List.nth objects limit).Types.obj_dead;
+  Alcotest.(check int) "only the oldest evicted" 1
+    (List.length (List.filter (fun o -> o.Types.obj_dead) objects))
 
 let test_live_object_shared_not_cached () =
   let _, _, sys = setup () in

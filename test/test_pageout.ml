@@ -283,8 +283,7 @@ let test_cached_object_pages_reclaimable () =
   let t = new_task kernel ~cpu:0 in
   let a =
     ok
-      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(4 * kb)
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(4 * kb))
   in
   Alcotest.(check char) "filled" 'C' (Machine.read_byte machine ~cpu:0 ~va:a);
   Kernel.terminate_task kernel ~cpu:0 t;
@@ -299,8 +298,7 @@ let test_cached_object_pages_reclaimable () =
   let t2 = new_task kernel ~cpu:0 in
   let a2 =
     ok
-      (Vm_user.allocate_with_pager sys t2 ~pager ~offset:0 ~size:(4 * kb)
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys t2 ~pager ~offset:0 ~size:(4 * kb))
   in
   Alcotest.(check char) "refilled" 'C'
     (Machine.read_byte machine ~cpu:0 ~va:a2)

@@ -140,10 +140,15 @@ let test_private_file_mapping () =
   let machine, kernel, sys, fs = boot () in
   Simfs.install_file fs ~name:"/text" ~data:(Bytes.make (4 * kb) 'T');
   let t = new_task kernel ~cpu:0 in
-  let a, _ = ok (Vnode_pager.map_file sys fs t ~name:"/text" ~copy:true ()) in
+  (* A private mapping is vm_copy of a shared one. *)
+  let shared, size = ok (Vnode_pager.map_file sys fs t ~name:"/text" ()) in
+  let a = ok (Vm_user.allocate sys t ~size ~anywhere:true ()) in
+  ok (Vm_user.copy sys t ~src:shared ~dst:a ~size);
   Machine.write_byte machine ~cpu:0 ~va:a 'X';
   Alcotest.(check char) "private edit" 'X'
     (Machine.read_byte machine ~cpu:0 ~va:a);
+  Alcotest.(check char) "shared mapping intact" 'T'
+    (Machine.read_byte machine ~cpu:0 ~va:shared);
   (* The file itself is untouched. *)
   Alcotest.(check char) "file intact" 'T'
     (Bytes.get (Simfs.read fs ~cpu:0 ~name:"/text" ~offset:0 ~len:1) 0)
@@ -211,8 +216,7 @@ let test_external_pager_protocol () =
   let t = new_task kernel ~cpu:0 in
   let a =
     ok
-      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(2 * ps)
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:(2 * ps))
   in
   Alcotest.(check string) "served" "external data"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:13));
@@ -229,8 +233,7 @@ let test_external_pager_writeback () =
   let t = new_task kernel ~cpu:0 in
   let a =
     ok
-      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:ps
-         ~anywhere:true ())
+      (Vm_user.allocate_with_pager sys t ~pager ~offset:0 ~size:ps)
   in
   Machine.write machine ~cpu:0 ~va:a (Bytes.of_string "dirty page");
   Vm_pageout.deactivate_some sys ~count:10_000;
@@ -359,7 +362,7 @@ let test_external_pager_receives_init () =
       Some (Mach_ipc.Ipc.message "pager_data_unavailable")
     | _ -> None
   in
-  let pager, _ = Port_pager.make sys ~name:"init-test" ~handler () in
+  let pager, _ = Port_pager.make sys ~name:"init-test" ~handler in
   ignore (pager.Mach_core.Types.pgr_request ~offset:0 ~length:4096);
   Alcotest.(check (list string)) "init arrives before data traffic"
     [ "pager_init"; "pager_data_request" ]

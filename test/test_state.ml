@@ -21,6 +21,15 @@
    field that no [e.f] or record pattern there reads.  Tests do not
    count here either; the exceptions are on [unbuilt_or_unread_ok].
 
+   Every optional argument is passed: the fourth guard fails on a [?x]
+   of a lib/ [val] that no application outside its module passes as
+   [~x] or [?x].  The fifth fails on a [mutable] field that no [e.f <-
+   v] assigns, and the sixth on an inline-record field of a constructor
+   that no pattern of that constructor reads.  The seventh reads the
+   dune files and fails on a [(libraries ...)] entry that no module of
+   its stanza names.  Each has an allowlist, and an entry that is used
+   or gone fails its case too.
+
    Each file is parsed once and the parse is shared by the guards. *)
 
 open Parsetree
@@ -162,12 +171,26 @@ let module_of path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 (* The [val]s an interface declares. *)
-let exports (sg : signature) =
-  sg
-  |> List.filter_map (fun item ->
-      match item.psig_desc with
-      | Psig_value vd -> Some vd.pval_name.txt
-      | _ -> None)
+let values (sg : signature) =
+  List.filter_map
+    (fun item ->
+       match item.psig_desc with Psig_value vd -> Some vd | _ -> None)
+    sg
+
+let exports sg = List.map (fun vd -> vd.pval_name.txt) (values sg)
+
+(* Each optional parameter of each [val], as "v ?x". *)
+let optional_params sg =
+  let rec optionals t =
+    match t.ptyp_desc with
+    | Ptyp_arrow (Optional x, _, rest) -> x :: optionals rest
+    | Ptyp_arrow (_, _, rest) | Ptyp_poly (_, rest) -> optionals rest
+    | _ -> []
+  in
+  List.concat_map
+    (fun vd ->
+       List.map (fun x -> vd.pval_name.txt ^ " ?" ^ x) (optionals vd.pval_type))
+    (values sg)
 
 let last path = List.nth path (List.length path - 1)
 
@@ -175,13 +198,20 @@ let last path = List.nth path (List.length path - 1)
    module aliases.  [values]: [M.v], and an unqualified [v] once for
    each module open where it stands, which over-approximates (a local
    [v] under [open M] counts as [M.v]), so the export guard errs
-   towards keeping an export.  [built]: the constructors its
-   expressions apply.  [read]: the fields of its [e.f] and record
-   patterns.  An unqualified constructor or field has the empty path. *)
+   towards keeping an export.  [passed]: "v ?x" for each [~x] or [?x]
+   an application of [v] passes, resolved as [values] are.  [built]:
+   the constructors its expressions apply.  [read]: the fields of its
+   [e.f] and record patterns.  [set]: the fields of its [e.f <- v].
+   [inline]: "C.f" for each field [f] of a [C { f; ... }] pattern, with
+   the path of [C].  An unqualified constructor or field has the empty
+   path. *)
 type refs = {
   values : (string list * string) list;
+  passed : (string list * string) list;
   built : (string list * string) list;
   read : (string list * string) list;
+  set : (string list * string) list;
+  inline : (string list * string) list;
 }
 
 let refs (str : structure) =
@@ -200,8 +230,8 @@ let refs (str : structure) =
     | Pmod_ident { txt; _ } -> Hashtbl.replace aliases name (resolve txt)
     | _ -> ()
   in
-  let opens = ref [] and values = ref [] in
-  let built = ref [] and read = ref [] in
+  let opens = ref [] and values = ref [] and passed = ref [] in
+  let built = ref [] and read = ref [] and set = ref [] and inline = ref [] in
   let scoped f =
     let saved = !opens in
     f ();
@@ -213,6 +243,19 @@ let refs (str : structure) =
       List.iter (fun m -> values := (m, v) :: !values) !opens
     | Pexp_ident { txt = Ldot (m, v); _ } ->
       values := (resolve m, v) :: !values
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+      let paths, v =
+        match split txt with
+        | [], v -> (!opens, v)
+        | m, v -> ([ m ], v)
+      in
+      List.iter
+        (function
+          | (Asttypes.Labelled x | Optional x), _ ->
+            List.iter (fun m -> passed := (m, v ^ " ?" ^ x) :: !passed) paths
+          | Nolabel, _ -> ())
+        args;
+      Ast_iterator.default_iterator.expr it e
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }, body) ->
       scoped (fun () ->
           opens := resolve m.txt :: !opens;
@@ -226,12 +269,22 @@ let refs (str : structure) =
     | Pexp_field (_, { txt; _ }) ->
       read := split txt :: !read;
       Ast_iterator.default_iterator.expr it e
+    | Pexp_setfield (_, { txt; _ }, _) ->
+      set := split txt :: !set;
+      Ast_iterator.default_iterator.expr it e
     | _ -> Ast_iterator.default_iterator.expr it e
   in
   let pat (it : Ast_iterator.iterator) p =
     (match p.ppat_desc with
      | Ppat_record (fields, _) ->
        List.iter (fun ({ Location.txt; _ }, _) -> read := split txt :: !read)
+         fields
+     | Ppat_construct
+         ({ txt; _ }, Some (_, { ppat_desc = Ppat_record (fields, _); _ })) ->
+       let m, c = split txt in
+       List.iter
+         (fun ({ Location.txt = f; _ }, _) ->
+            inline := (m, c ^ "." ^ Longident.last f) :: !inline)
          fields
      | _ -> ());
     Ast_iterator.default_iterator.pat it p
@@ -252,8 +305,9 @@ let refs (str : structure) =
     { Ast_iterator.default_iterator with expr; pat; structure_item; structure }
   in
   it.structure it str;
-  { values = List.filter (fun (m, _) -> m <> []) !values;
-    built = !built; read = !read }
+  let qualified l = List.filter (fun (m, _) -> m <> []) l in
+  { values = qualified !values; passed = qualified !passed; built = !built;
+    read = !read; set = !set; inline = !inline }
 
 let caller_refs =
   lazy
@@ -264,11 +318,12 @@ let caller_refs =
 let snippet_refs =
   List.map (fun (path, src) -> (path, refs (parse_impl ~path src)))
 
-(* "Module.value" for each export in [interfaces] (path, signature)
-   that no file in [callers] (path, refs) uses, outside the export's own
-   implementation.  A module next to a caller outside lib/ shadows a
-   lib/ module of the same name, as it does for the compiler. *)
-let uncalled ~interfaces ~callers =
+(* "Module.e" for each [e] of [exports sg] of each interface in
+   [interfaces] (path, signature) that no file in [callers] (path, refs)
+   [uses], outside the export's own implementation.  A module next to a
+   caller outside lib/ shadows a lib/ module of the same name, as it
+   does for the compiler. *)
+let unused_exports ~exports ~uses ~interfaces ~callers =
   let used = Hashtbl.create 4096 in
   List.iter
     (fun (path, refs) ->
@@ -285,7 +340,7 @@ let uncalled ~interfaces ~callers =
             let shadowed = List.length mpath = 1 && local m in
             if not (shadowed || own m) then
               Hashtbl.replace used (m ^ "." ^ v) ())
-         refs.values)
+         (uses refs))
     callers;
   List.concat_map
     (fun (path, sg) ->
@@ -297,19 +352,28 @@ let uncalled ~interfaces ~callers =
          (exports sg))
     interfaces
 
+let uncalled = unused_exports ~exports ~uses:(fun r -> r.values)
+let unpassed =
+  unused_exports ~exports:optional_params ~uses:(fun r -> r.passed)
+
+(* [found] must be exactly the names of [allowlist] (name, reason):
+   the first check lists what a guard found that the allowlist does not
+   excuse, the second the entries that are used or gone. *)
+let check_allowlist ~found ~stale found_names allowlist =
+  let allowed = List.map fst allowlist in
+  Alcotest.(check (list string)) found []
+    (List.filter (fun name -> not (List.mem name allowed)) found_names);
+  Alcotest.(check (list string)) stale []
+    (List.filter (fun name -> not (List.mem name found_names)) allowed)
+
 let test_every_export_called () =
   let interfaces = Lazy.force interfaces in
   Alcotest.(check bool) "lib/ interfaces found" true
     (List.length interfaces > 50);
-  let uncalled =
-    uncalled ~interfaces ~callers:(Lazy.force caller_refs)
-  in
-  let allowed = List.map fst no_caller_needed in
-  Alcotest.(check (list string)) "exports with no caller outside test/" []
-    (List.filter (fun name -> not (List.mem name allowed)) uncalled);
-  Alcotest.(check (list string))
-    "allowlisted exports that have a caller or are gone" []
-    (List.filter (fun name -> not (List.mem name uncalled)) allowed)
+  check_allowlist ~found:"exports with no caller outside test/"
+    ~stale:"allowlisted exports that have a caller or are gone"
+    (uncalled ~interfaces ~callers:(Lazy.force caller_refs))
+    no_caller_needed
 
 (* The detector on snippets: qualified uses through aliases, the three
    forms of open, shadowing by a neighbour module, and the module's own
@@ -365,30 +429,45 @@ let unbuilt_or_unread_ok =
     ("Pmap.t.resident_count", pmap_call);
     ("Fail.Garbage", "the corrupt-reply fake of test_fail's chaos property") ]
 
-(* The constructors (variant and extension, exceptions included) and
-   the fields of record types a file declares, as (module, name, report
-   name): the report name is "M.C" for a constructor and "M.t.f" for a
-   field.  Inline records of constructors are not collected. *)
+(* What a file declares, as (kind, module, name, report name):
+   [`Built] for each constructor (variant and extension, exceptions
+   included), reported "M.C"; [`Read] for each field of a record type,
+   reported "M.t.f"; [`Set] for each mutable field, of a record type or
+   of an inline record, reported "M.t.f" or "M.C.f"; [`Inline] for each
+   field [f] of a constructor [C]'s inline record, named "C.f" and
+   reported "M.C.f". *)
 let declarations ~path walk =
   let m = module_of path and found = ref [] in
   let add kind name shown = found := (kind, m, name, shown) :: !found in
+  let fields ~inline owner lds =
+    List.iter
+      (fun ld ->
+         let f = ld.pld_name.txt in
+         let shown = String.concat "." [ m; owner; f ] in
+         if inline then add `Inline (owner ^ "." ^ f) shown
+         else add `Read f shown;
+         if ld.pld_mutable = Mutable then add `Set f shown)
+      lds
+  in
+  let constructor c args =
+    add `Built c (m ^ "." ^ c);
+    match args with
+    | Pcstr_record lds -> fields ~inline:true c lds
+    | Pcstr_tuple _ -> ()
+  in
   let type_declaration (it : Ast_iterator.iterator) td =
     (match td.ptype_kind with
      | Ptype_variant cds ->
-       List.iter
-         (fun cd -> add `Built cd.pcd_name.txt (m ^ "." ^ cd.pcd_name.txt))
-         cds
-     | Ptype_record lds ->
-       List.iter
-         (fun ld ->
-            add `Read ld.pld_name.txt
-              (String.concat "." [ m; td.ptype_name.txt; ld.pld_name.txt ]))
-         lds
+       List.iter (fun cd -> constructor cd.pcd_name.txt cd.pcd_args) cds
+     | Ptype_record lds -> fields ~inline:false td.ptype_name.txt lds
      | Ptype_abstract | Ptype_open -> ());
     Ast_iterator.default_iterator.type_declaration it td
   in
   let extension_constructor (it : Ast_iterator.iterator) ec =
-    add `Built ec.pext_name.txt (m ^ "." ^ ec.pext_name.txt);
+    let c = ec.pext_name.txt in
+    (match ec.pext_kind with
+     | Pext_decl (_, args, _) -> constructor c args
+     | Pext_rebind _ -> add `Built c (m ^ "." ^ c));
     Ast_iterator.default_iterator.extension_constructor it ec
   in
   walk
@@ -396,26 +475,34 @@ let declarations ~path walk =
                                          extension_constructor };
   !found
 
-(* The report names of the [declared] constructors that no file in
-   [callers] (path, refs) builds and of the fields none reads, sorted.
-   A use counts for a declaration of the same name when it is
-   unqualified or names the declaring module anywhere in its path, so
-   the guard errs towards keeping a declaration. *)
-let unbuilt_or_unread ~declared ~callers =
+(* The report names of the [declared] declarations of [kinds] that no
+   file in [callers] (path, refs) uses, sorted: a constructor none
+   builds, a field none reads or a mutable one none sets, an inline
+   field no pattern of its constructor reads.  A use counts for a
+   declaration of the same name when it is unqualified or names the
+   declaring module anywhere in its path, so the guard errs towards
+   keeping a declaration. *)
+let unused_declarations ~kinds ~declared ~callers =
   let uses = Hashtbl.create 4096 in
   let note kind (path, name) = Hashtbl.add uses (kind, name) path in
   List.iter
     (fun (_, r) ->
        List.iter (note `Built) r.built;
-       List.iter (note `Read) r.read)
+       List.iter (note `Read) r.read;
+       List.iter (note `Set) r.set;
+       List.iter (note `Inline) r.inline)
     callers;
   List.filter_map
     (fun (kind, m, name, shown) ->
        let used path = path = [] || List.mem m path in
-       if List.exists used (Hashtbl.find_all uses (kind, name)) then None
+       if not (List.mem kind kinds)
+       || List.exists used (Hashtbl.find_all uses (kind, name))
+       then None
        else Some shown)
     declared
   |> List.sort_uniq compare
+
+let unbuilt_or_unread = unused_declarations ~kinds:[ `Built; `Read ]
 
 let lib_declarations () =
   List.concat_map
@@ -431,16 +518,11 @@ let test_every_constructor_built () =
   let declared = lib_declarations () in
   Alcotest.(check bool) "lib/ declarations found" true
     (List.length declared > 500);
-  let unused =
-    unbuilt_or_unread ~declared ~callers:(Lazy.force caller_refs)
-  in
-  let allowed = List.map fst unbuilt_or_unread_ok in
-  Alcotest.(check (list string))
-    "constructors no expression builds, fields nothing reads" []
-    (List.filter (fun name -> not (List.mem name allowed)) unused);
-  Alcotest.(check (list string))
-    "allowlisted names that are used or are gone" []
-    (List.filter (fun name -> not (List.mem name unused)) allowed)
+  check_allowlist
+    ~found:"constructors no expression builds, fields nothing reads"
+    ~stale:"allowlisted names that are used or are gone"
+    (unbuilt_or_unread ~declared ~callers:(Lazy.force caller_refs))
+    unbuilt_or_unread_ok
 
 (* The detector on snippets: a constructor only matched, a field only
    written, a field read by a pattern, qualified uses, and a local
@@ -476,6 +558,326 @@ let test_construct_guard_detects () =
   check "a local exception raised" [] ~decl
     [ ("../lib/x/m.ml", "let f () = raise Stop") ]
 
+(* Optional parameters no caller needs to pass, as "Module.value ?x",
+   with the reason each stays. *)
+let unpassed_ok =
+  [ ("Machine.create ?holes",
+     "the SUN 3's display-memory hole in physical space, which Pmap_sun3 \
+      handles machine-dependently (Section 5.1)") ]
+
+let test_every_optional_passed () =
+  check_allowlist ~found:"optional parameters no caller outside test/ passes"
+    ~stale:"allowlisted parameters that a caller passes or are gone"
+    (unpassed ~interfaces:(Lazy.force interfaces)
+       ~callers:(Lazy.force caller_refs))
+    unpassed_ok
+
+(* The detector on snippets: a label passed inside its own module, by
+   a qualified call, through an open, and as [?x]. *)
+let test_optional_guard_detects () =
+  let path = "../lib/x/m.mli" in
+  let sg =
+    parse_intf ~path
+      "val f : ?a:int -> ?b:int -> int -> int\n\
+       val g : x:int -> ?c:bool -> unit -> unit"
+  in
+  let check name expected callers =
+    Alcotest.(check (list string)) name expected
+      (unpassed ~interfaces:[ (path, sg) ] ~callers:(snippet_refs callers))
+  in
+  let all = [ "M.f ?a"; "M.f ?b"; "M.g ?c" ] in
+  check "no callers" all [];
+  check "passed only inside its module" all
+    [ ("../lib/x/m.ml",
+       "let f ?(a = 1) ?(b = 2) x = x + a + b\nlet y = f ~a:3 0") ];
+  check "a call that passes none" all
+    [ ("../bin/u.ml", "let y = M.f 1\nlet () = M.g ~x:1 ()") ];
+  check "qualified, opened and passed on" [ "M.f ?b" ]
+    [ ("../bin/u.ml",
+       "let y = Lib.M.f ~a:1 2\n\
+        let z ?c () = Lib.M.(g ~x:1 ?c ())") ];
+  check "an aliased module" [ "M.f ?a"; "M.g ?c" ]
+    [ ("../bench/u.ml", "module N = Lib.M\nlet y = N.f ~b:1 2") ]
+
+(* Mutable fields nothing needs to assign, as "Module.t.f", with the
+   reason each stays. *)
+let never_set_ok : (string * string) list = []
+
+let test_every_mutable_set () =
+  check_allowlist ~found:"mutable fields no expression outside test/ assigns"
+    ~stale:"allowlisted fields that are assigned or are gone"
+    (unused_declarations ~kinds:[ `Set ] ~declared:(lib_declarations ())
+       ~callers:(Lazy.force caller_refs))
+    never_set_ok
+
+(* Inline-record fields nothing needs to read, as "Module.C.f", with
+   the reason each stays. *)
+let inline_unread_ok : (string * string) list = []
+
+let test_every_inline_field_read () =
+  check_allowlist
+    ~found:"inline-record fields no pattern of their constructor reads"
+    ~stale:"allowlisted inline fields that are read or are gone"
+    (unused_declarations ~kinds:[ `Inline ] ~declared:(lib_declarations ())
+       ~callers:(Lazy.force caller_refs))
+    inline_unread_ok
+
+(* Both detectors on snippets: a mutable field only read or only built,
+   and an inline field read through a constructor of another module or
+   by a wildcard. *)
+let test_set_and_inline_guards_detect () =
+  let check name ~kinds expected ~decl callers =
+    let path = "../lib/x/m.ml" in
+    let str = parse_impl ~path decl in
+    let declared =
+      declarations ~path (fun it -> it.Ast_iterator.structure it str)
+    in
+    Alcotest.(check (list string)) name expected
+      (unused_declarations ~kinds ~declared ~callers:(snippet_refs callers))
+  in
+  let decl =
+    "type r = { f : int; mutable g : int; mutable h : int }\n\
+     exception E of { write : bool; block : int }"
+  in
+  let set = check ~kinds:[ `Set ] ~decl
+  and inline = check ~kinds:[ `Inline ] ~decl in
+  set "nothing assigned" [ "M.r.g"; "M.r.h" ] [];
+  set "read and built, never assigned" [ "M.r.g"; "M.r.h" ]
+    [ ("../bin/u.ml", "let r = { M.f = 1; g = 2; h = 3 }\nlet x = r.M.g") ];
+  set "assigned" [ "M.r.h" ] [ ("../bin/u.ml", "let s r = r.M.g <- 1") ];
+  inline "matched with a wildcard" [ "M.E.block"; "M.E.write" ]
+    [ ("../lib/x/v.ml", "let f g = try g () with M.E _ -> ()") ];
+  inline "another constructor's field" [ "M.E.block"; "M.E.write" ]
+    [ ("../lib/x/v.ml",
+       "let f = function Obs.E { write; block } -> write && block > 0")
+    ];
+  inline "read through its constructor" [ "M.E.block" ]
+    [ ("../lib/x/v.ml", "let f g = try g () with M.E { write; _ } -> write")
+    ]
+
+(* A dune file as s-expressions: atoms, quoted strings and lists;
+   comments are skipped. *)
+type sexp = Atom of string | List of sexp list
+
+let parse_sexps src =
+  let n = String.length src in
+  let rec items i acc =
+    if i >= n then (List.rev acc, i)
+    else
+      match src.[i] with
+      | ')' -> (List.rev acc, i)
+      | ' ' | '\t' | '\n' | '\r' -> items (i + 1) acc
+      | ';' ->
+        items (Option.value (String.index_from_opt src i '\n') ~default:n) acc
+      | '(' ->
+        let l, j = items (i + 1) [] in
+        items (j + 1) (List l :: acc)
+      | '"' ->
+        let j = String.index_from src (i + 1) '"' in
+        items (j + 1) (Atom (String.sub src (i + 1) (j - i - 1)) :: acc)
+      | _ ->
+        let j = ref i in
+        while !j < n && not (String.contains " \t\n\r();\"" src.[!j]) do
+          incr j
+        done;
+        items !j (Atom (String.sub src i (!j - i)) :: acc)
+  in
+  fst (items 0 [])
+
+(* Every dune file under the caller roots, parsed once. *)
+let dune_files =
+  lazy
+    (let rec dunes dir =
+       Sys.readdir dir |> Array.to_list |> List.sort compare
+       |> List.concat_map (fun name ->
+           let path = Filename.concat dir name in
+           if Sys.is_directory path then dunes path
+           else if name = "dune" then [ path ]
+           else [])
+     in
+     List.concat_map dunes caller_roots
+     |> List.map (fun path -> (path, parse_sexps (read path))))
+
+(* The modules of each library outside this tree that a stanza may
+   link: a library missing here fails the guard. *)
+let external_modules =
+  [ ("fmt", [ "Fmt" ]);
+    ("logs", [ "Logs" ]);
+    ("cmdliner", [ "Cmdliner" ]);
+    ("unix", [ "Unix"; "UnixLabels" ]);
+    ("bechamel", [ "Bechamel" ]);
+    ("bechamel.monotonic_clock", [ "Monotonic_clock" ]) ]
+
+(* The first component of each module path a file names: [M] in [M.x],
+   [M.t], [M.C], [M.f] and [M.N], and a module [M] itself. *)
+let named_modules walk =
+  let found = ref [] in
+  let add (lid : Longident.t) =
+    match Longident.flatten lid with
+    | m :: _ :: _ -> found := m :: !found
+    | _ -> ()
+  in
+  let add_module lid = found := List.hd (Longident.flatten lid) :: !found in
+  let expr (it : Ast_iterator.iterator) e =
+    (match e.pexp_desc with
+     | Pexp_ident { txt; _ } | Pexp_construct ({ txt; _ }, _)
+     | Pexp_field (_, { txt; _ }) | Pexp_setfield (_, { txt; _ }, _) ->
+       add txt
+     | Pexp_record (fields, _) ->
+       List.iter (fun ({ Location.txt; _ }, _) -> add txt) fields
+     | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let pat (it : Ast_iterator.iterator) p =
+    (match p.ppat_desc with
+     | Ppat_construct ({ txt; _ }, _) -> add txt
+     | Ppat_record (fields, _) ->
+       List.iter (fun ({ Location.txt; _ }, _) -> add txt) fields
+     | _ -> ());
+    Ast_iterator.default_iterator.pat it p
+  in
+  let typ (it : Ast_iterator.iterator) t =
+    (match t.ptyp_desc with
+     | Ptyp_constr ({ txt; _ }, _) -> add txt
+     | _ -> ());
+    Ast_iterator.default_iterator.typ it t
+  in
+  let module_expr (it : Ast_iterator.iterator) me =
+    (match me.pmod_desc with Pmod_ident { txt; _ } -> add_module txt | _ -> ());
+    Ast_iterator.default_iterator.module_expr it me
+  in
+  let module_type (it : Ast_iterator.iterator) mt =
+    (match mt.pmty_desc with
+     | Pmty_ident { txt; _ } | Pmty_alias { txt; _ } -> add_module txt
+     | _ -> ());
+    Ast_iterator.default_iterator.module_type it mt
+  in
+  let type_extension (it : Ast_iterator.iterator) te =
+    add te.ptyext_path.txt;
+    Ast_iterator.default_iterator.type_extension it te
+  in
+  walk
+    { Ast_iterator.default_iterator with expr; pat; typ; module_expr;
+                                         module_type; type_extension };
+  List.sort_uniq compare !found
+
+(* "dir: lib" for each [(libraries ...)] entry of a stanza in [dunes]
+   (path, sexps) that no module of the stanza names, or that is neither
+   a library of [dunes] nor on [external_modules].  [named dir] gives
+   the module names the source files in [dir] use: a stanza's modules
+   are taken to be every module of its directory, which errs towards
+   keeping a library. *)
+let unnamed_libraries ~dunes ~named =
+  let stanzas =
+    List.concat_map
+      (fun (path, sexps) ->
+         List.filter_map
+           (function
+             | List (Atom kind :: fields) ->
+               let field name =
+                 List.concat_map
+                   (function
+                     | List (Atom f :: args) when f = name ->
+                       List.filter_map
+                         (function Atom a -> Some a | List _ -> None)
+                         args
+                     | _ -> [])
+                   fields
+               in
+               Some (Filename.dirname path, kind, field)
+             | _ -> None)
+           sexps)
+      dunes
+  in
+  let internal =
+    List.filter_map
+      (fun (_, kind, field) ->
+         match (kind, field "name") with
+         | "library", [ name ] -> Some (name, [ String.capitalize_ascii name ])
+         | _ -> None)
+      stanzas
+  in
+  List.concat_map
+    (fun (dir, _, field) ->
+       let uses = named dir in
+       let shown = String.sub dir 3 (String.length dir - 3) ^ ": " in
+       List.filter_map
+         (fun lib ->
+            match List.assoc_opt lib (internal @ external_modules) with
+            | None -> Some (shown ^ lib ^ " (no module table entry)")
+            | Some ms when List.exists (fun m -> List.mem m uses) ms -> None
+            | Some _ -> Some (shown ^ lib))
+         (field "libraries"))
+    stanzas
+
+let source_names =
+  lazy
+    (List.map
+       (fun (path, str) ->
+          (path, named_modules (fun it -> it.Ast_iterator.structure it str)))
+       (Lazy.force implementations)
+     @ List.map
+         (fun (path, sg) ->
+            (path, named_modules (fun it -> it.Ast_iterator.signature it sg)))
+         (Lazy.force interfaces))
+
+(* The names the files of [sources] (path, names) in [dir] use. *)
+let named_in sources dir =
+  List.concat_map
+    (fun (path, names) -> if Filename.dirname path = dir then names else [])
+    sources
+
+(* Libraries a stanza may link without naming them, as "dir: lib", with
+   the reason each stays. *)
+let unnamed_ok : (string * string) list = []
+
+let test_every_library_named () =
+  let dunes = Lazy.force dune_files in
+  Alcotest.(check bool) "dune files found" true (List.length dunes > 12);
+  check_allowlist ~found:"libraries no module of their stanza names"
+    ~stale:"allowlisted libraries that are named or are gone"
+    (unnamed_libraries ~dunes ~named:(named_in (Lazy.force source_names)))
+    unnamed_ok
+
+(* The detector on snippets: a library named through an open, a type
+   or a module alias counts; one only listed or named in a comment does
+   not, an external library outside the table fails, and a stanza sees
+   only the modules of its directory. *)
+let test_library_guard_detects () =
+  let sources =
+    [ ("../lib/a/x.ml", "open Mach_util\nlet f (t : Mach_hw.Prot.t) = t");
+      ("../lib/a/y.ml", "(* not Fmt.str *)\nmodule O = Mach_obs");
+      ("../lib/b/z.ml", "let g = Fmt.str \"x\"") ]
+    |> List.map (fun (path, src) ->
+        let str = parse_impl ~path src in
+        (path, named_modules (fun it -> it.Ast_iterator.structure it str)))
+  in
+  let libs =
+    "(library (name mach_util))\n\
+     (library (name mach_hw))\n\
+     (library (name mach_obs))"
+  in
+  let check name expected dunes =
+    Alcotest.(check (list string)) name expected
+      (unnamed_libraries
+         ~dunes:
+           (List.map
+              (fun (path, src) -> (path, parse_sexps src))
+              (("../lib/u/dune", libs) :: dunes))
+         ~named:(named_in sources))
+  in
+  let lib_a libs =
+    ("../lib/a/dune",
+     "; (libraries fmt)\n(library\n (name mach_a)\n (libraries " ^ libs ^ "))")
+  in
+  check "every library named" [] [ lib_a "mach_util mach_hw mach_obs" ];
+  check "a library only listed" [ "lib/a: fmt" ] [ lib_a "mach_util fmt" ];
+  check "outside the table" [ "lib/a: zarith (no module table entry)" ]
+    [ lib_a "zarith" ];
+  check "a stanza sees only its directory" [ "lib/b: mach_a" ]
+    [ lib_a "mach_util";
+      ("../lib/b/dune", "(library (name mach_b) (libraries fmt mach_a))") ]
+
 let () =
   Alcotest.run "state"
     [ ( "lib",
@@ -491,4 +893,18 @@ let () =
             `Quick test_every_constructor_built;
           Alcotest.test_case
             "guard detects unbuilt constructors and unread fields" `Quick
-            test_construct_guard_detects ] ) ]
+            test_construct_guard_detects;
+          Alcotest.test_case "every optional parameter passed" `Quick
+            test_every_optional_passed;
+          Alcotest.test_case "guard detects unpassed optional parameters"
+            `Quick test_optional_guard_detects;
+          Alcotest.test_case "every mutable field assigned" `Quick
+            test_every_mutable_set;
+          Alcotest.test_case "every inline-record field read" `Quick
+            test_every_inline_field_read;
+          Alcotest.test_case "guards detect unset and unread fields" `Quick
+            test_set_and_inline_guards_detect;
+          Alcotest.test_case "every library named" `Quick
+            test_every_library_named;
+          Alcotest.test_case "guard detects unnamed libraries" `Quick
+            test_library_guard_detects ] ) ]

@@ -38,7 +38,7 @@ let test_threads_share_task_memory () =
            seen :=
              Bytes.to_string (Machine.read machine ~cpu ~va:a ~len:11)) ]
   in
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check string) "reader saw writer's data" "thread data" !seen;
   List.iter
     (fun (name, th) ->
@@ -67,7 +67,7 @@ let test_threads_different_tasks_isolated () =
       [ (fun ~cpu -> Machine.write_byte machine ~cpu ~va:a2 '2');
         (fun ~cpu -> r2 := Machine.read_byte machine ~cpu ~va:a2) ]
   in
-  Sched.run sched ();
+  Sched.run sched;
   (* The threads interleaved on one CPU (task switch each round), yet
      each saw only its own task's memory. *)
   Alcotest.(check char) "t1 view" '1' !r1;
@@ -84,7 +84,7 @@ let test_round_robin_order () =
   in
   let _a = Sched.spawn sched ~task (mk "A") in
   let _b = Sched.spawn sched ~task (mk "B") in
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check (list string)) "strict alternation"
     [ "A0"; "B0"; "A1"; "B1"; "A2"; "B2" ]
     (List.rev !log)
@@ -101,12 +101,12 @@ let test_suspend_resume () =
   (* One CPU: [th] runs its first step, then a second thread suspends
      it. *)
   ignore (Sched.spawn sched ~task [ (fun ~cpu:_ -> Kthread.suspend th) ]);
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "stopped after suspension" 1 !progress;
   Alcotest.(check bool) "still alive" true
     (Kthread.status th <> Kthread.Terminated);
   Kthread.resume th;
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "finished after resume" 4 !progress;
   Alcotest.(check bool) "terminated" true
     (Kthread.status th = Kthread.Terminated)
@@ -125,10 +125,10 @@ let test_self_suspension () =
         (fun ~cpu:_ -> incr progress) ]
   in
   th_ref := Some th;
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "suspended itself mid-program" 1 !progress;
   Kthread.resume th;
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "completed" 2 !progress
 
 let test_multiprocessor_parallel_faults () =
@@ -150,7 +150,7 @@ let test_multiprocessor_parallel_faults () =
                 Machine.write machine ~cpu ~va:(base + (i * 4 * kb))
                   (Bytes.of_string (Printf.sprintf "q%dp%02d" q i)))))
   done;
-  Sched.run sched ();
+  Sched.run sched;
   for q = 0 to 3 do
     for i = 0 to (quarter / (4 * kb)) - 1 do
       Alcotest.(check string)
@@ -194,12 +194,12 @@ let test_suspend_by_message () =
     | Error e -> Alcotest.fail (Kr.to_string e)
   in
   ignore (Sched.spawn sched ~task [ suspend ]);
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "suspended by message" 1 !progress;
   ignore
     (Mach_ipc.Syscall_server.call sys port
        (Mach_ipc.Ipc.message "thread_resume"));
-  Sched.run sched ();
+  Sched.run sched;
   Alcotest.(check int) "resumed by message" 4 !progress
 
 let () =

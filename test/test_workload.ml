@@ -23,7 +23,7 @@ let boot_bsd ?(arch = Arch.uvax2) ?(mem = 8 * mb) ?(buffers = 400) () =
     Machine.create ~arch ~memory_frames:(mem / arch.Arch.hw_page_size) ()
   in
   let fs = Mach_pagers.Simfs.create machine () in
-  let bsd = Mach_bsd.Bsd_vm.create machine ~fs ~buffers () in
+  let bsd = Mach_bsd.Bsd_vm.create machine ~fs ~buffers in
   Bsd_os.make bsd ~fs
 
 let both_oses () = [ boot_mach (); boot_bsd () ]
