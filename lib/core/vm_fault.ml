@@ -3,9 +3,8 @@ open Types
 open Mach_pmap
 module Obs = Mach_obs.Obs
 
-let enter_page (sys : Vm_sys.t) pmap ~page_va p ~prot =
-  Pmap_domain.enter_page sys.Vm_sys.domain pmap ~va:page_va ~pfn:p.pfn ~prot
-    ~wired:(p.pg_wire_count > 0)
+let enter_page pmap ~page_va p ~prot =
+  pmap.Pmap.enter ~va:page_va ~pfn:p.pfn ~prot ~wired:(p.pg_wire_count > 0)
 
 let activate_page (sys : Vm_sys.t) p =
   if p.pg_wire_count = 0 then
@@ -173,7 +172,7 @@ let handle sys map ~va ~write =
       else fl.Vm_map.fl_prot
     in
     let finish p ~prot =
-      enter_page sys pmap ~page_va p ~prot;
+      enter_page pmap ~page_va p ~prot;
       activate_page sys p;
       Ok p
     in
@@ -290,10 +289,10 @@ let handle sys map ~va ~write =
            (* One outer batch: the demand page's enters and every
               neighbour's share a single consistency exchange. *)
            Pmap_domain.batched sys.Vm_sys.domain (fun () ->
-               enter_page sys pmap ~page_va p ~prot;
+               enter_page pmap ~page_va p ~prot;
                List.iter
                  (fun (va_n, q) ->
-                    enter_page sys pmap ~page_va:va_n q ~prot;
+                    enter_page pmap ~page_va:va_n q ~prot;
                     (* A pending read-ahead prefetch of [q] is adopted
                        by the burst, not issued twice. *)
                     let issued = not q.pg_prefetched in

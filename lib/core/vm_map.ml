@@ -11,6 +11,11 @@ let page_round (sys : Vm_sys.t) size =
   let ps = sys.Vm_sys.page_size in
   (size + ps - 1) / ps * ps
 
+(* The whole pages [\[lo, hi)] that [\[addr, addr + size)] touches. *)
+let page_span sys ~addr ~size =
+  let lo = page_trunc sys addr in
+  (lo, lo + page_round sys (size + (addr - lo)))
+
 (* ---- construction ---------------------------------------------------- *)
 
 let create sys ~pmap ~low ~high =
@@ -150,19 +155,25 @@ and deallocate sys m =
 
 (* ---- clipping --------------------------------------------------------- *)
 
+(* A new entry over [\[start_, end_)] with [e]'s attributes and one more
+   reference to its backing, [offset] bytes into it: the piece a clip
+   splits off [e]. *)
+let split_piece e ~start_ ~end_ ~offset =
+  let piece =
+    make_entry ~start_ ~end_ ~backing:e.e_backing ~offset ~prot:e.e_prot
+      ~max_prot:e.e_max_prot ~inherit_:e.e_inherit ~needs_copy:e.e_needs_copy
+  in
+  piece.e_wired <- e.e_wired;
+  backing_ref e.e_backing;
+  piece
+
 (* Split [e] so that it starts exactly at [addr]; the piece before [addr]
    becomes a new entry.  No-op when [addr] is outside (or at the start
    of) [e]. *)
-let clip_start _sys m node addr =
+let clip_start m node addr =
   let e = Dlist.value node in
   if addr > e.e_start && addr < e.e_end then begin
-    let left =
-      make_entry ~start_:e.e_start ~end_:addr ~backing:e.e_backing
-        ~offset:e.e_offset ~prot:e.e_prot ~max_prot:e.e_max_prot
-        ~inherit_:e.e_inherit ~needs_copy:e.e_needs_copy
-    in
-    left.e_wired <- e.e_wired;
-    backing_ref e.e_backing;
+    let left = split_piece e ~start_:e.e_start ~end_:addr ~offset:e.e_offset in
     e.e_offset <- e.e_offset + (addr - e.e_start);
     e.e_start <- addr;
     ignore (Dlist.insert_before m.map_entries node left)
@@ -170,17 +181,13 @@ let clip_start _sys m node addr =
 
 (* Split [e] so that it ends exactly at [addr]; the piece from [addr]
    onward becomes a new entry. *)
-let clip_end _sys m node addr =
+let clip_end m node addr =
   let e = Dlist.value node in
   if addr > e.e_start && addr < e.e_end then begin
     let right =
-      make_entry ~start_:addr ~end_:e.e_end ~backing:e.e_backing
-        ~offset:(e.e_offset + (addr - e.e_start)) ~prot:e.e_prot
-        ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
-        ~needs_copy:e.e_needs_copy
+      split_piece e ~start_:addr ~end_:e.e_end
+        ~offset:(e.e_offset + (addr - e.e_start))
     in
-    right.e_wired <- e.e_wired;
-    backing_ref e.e_backing;
     e.e_end <- addr;
     ignore (Dlist.insert_after m.map_entries node right)
   end
@@ -195,8 +202,8 @@ let iter_range_clipped sys m ~lo ~hi f =
       let e = Dlist.value node in
       if e.e_start >= hi then ()
       else begin
-        clip_start sys m node lo;
-        clip_end sys m node hi;
+        clip_start m node lo;
+        clip_end m node hi;
         let next = Dlist.next node in
         f node;
         loop next
@@ -229,36 +236,37 @@ let range_free sys m ~lo ~hi =
 
 let default_max_prot = Prot.all
 
-(* A read/write region of [backing] from [offset], placed anywhere (with
-   [at] as a hint) or at exactly [at]. *)
-let alloc_common sys m ?at ~size ~anywhere ~backing ~offset () =
+(* Where [size] bytes go: with [anywhere], the first fit at or above [at]
+   (or the bottom), retried from the bottom if [at] was above it;
+   otherwise exactly at [at], which must lie in the map and be free. *)
+let place sys m ~at ~size ~anywhere =
+  if anywhere then begin
+    let hint_addr =
+      match at with Some a -> page_trunc sys a | None -> m.map_low
+    in
+    match find_space m ~size ~hint_addr with
+    | Some addr -> Ok addr
+    | None when hint_addr <= m.map_low -> Error Kr.No_space
+    | None ->
+      (match find_space m ~size ~hint_addr:m.map_low with
+       | Some addr -> Ok addr
+       | None -> Error Kr.No_space)
+  end
+  else
+    match at with
+    | None -> Error Kr.Invalid_argument
+    | Some a ->
+      let a = page_trunc sys a in
+      if a < m.map_low || a + size > m.map_high then Error Kr.Invalid_address
+      else if range_free sys m ~lo:a ~hi:(a + size) then Ok a
+      else Error Kr.No_space
+
+(* A read/write region of [backing] from [offset], placed by [place]. *)
+let alloc_common sys m ~at ~size ~anywhere ~backing ~offset =
   if size <= 0 then Error Kr.Invalid_argument
   else begin
     let size = page_round sys size in
-    let place =
-      if anywhere then begin
-        let hint_addr =
-          match at with Some a -> page_trunc sys a | None -> m.map_low
-        in
-        match find_space m ~size ~hint_addr with
-        | Some addr -> Ok addr
-        | None ->
-          (* Retry from the bottom before giving up. *)
-          (match find_space m ~size ~hint_addr:m.map_low with
-           | Some addr -> Ok addr
-           | None -> Error Kr.No_space)
-      end
-      else
-        match at with
-        | None -> Error Kr.Invalid_argument
-        | Some a ->
-          let a = page_trunc sys a in
-          if a < m.map_low || a + size > m.map_high then
-            Error Kr.Invalid_address
-          else if range_free sys m ~lo:a ~hi:(a + size) then Ok a
-          else Error Kr.No_space
-    in
-    match place with
+    match place sys m ~at ~size ~anywhere with
     | Error _ as e -> e
     | Ok addr ->
       let e =
@@ -271,7 +279,7 @@ let alloc_common sys m ?at ~size ~anywhere ~backing ~offset () =
   end
 
 let allocate sys m ?at ~size ~anywhere () =
-  alloc_common sys m ?at ~size ~anywhere ~backing:No_backing ~offset:0 ()
+  alloc_common sys m ~at ~size ~anywhere ~backing:No_backing ~offset:0
 
 (* Write-protect, in every pmap, the resident pages of [o] whose offsets
    lie in [lo, hi): the pmap_copy_on_write operation of Table 3-3 applied
@@ -284,13 +292,12 @@ let cow_protect sys o ~lo ~hi =
     (Resident.object_pages o)
 
 let allocate_object sys m o ~offset ~size =
-  alloc_common sys m ~size ~anywhere:true ~backing:(Backed o) ~offset ()
+  alloc_common sys m ~at:None ~size ~anywhere:true ~backing:(Backed o) ~offset
 
 let deallocate_range sys m ~addr ~size =
   if size < 0 then Error Kr.Invalid_argument
   else begin
-    let lo = page_trunc sys addr in
-    let hi = lo + page_round sys (size + (addr - lo)) in
+    let lo, hi = page_span sys ~addr ~size in
     iter_range_clipped sys m ~lo ~hi (fun node ->
         remove_entry sys m node ~unmap:true);
     Ok ()
@@ -307,8 +314,7 @@ let pmap_protect_range m e prot =
 let protect sys m ~addr ~size ~set_max ~prot =
   if size < 0 then Error Kr.Invalid_argument
   else begin
-    let lo = page_trunc sys addr in
-    let hi = lo + page_round sys (size + (addr - lo)) in
+    let lo, hi = page_span sys ~addr ~size in
     (* Validate before mutating: raising current protection beyond the
        maximum fails as a whole. *)
     let ok = ref true in
@@ -351,8 +357,7 @@ let protect sys m ~addr ~size ~set_max ~prot =
 let set_inheritance sys m ~addr ~size inh =
   if size < 0 then Error Kr.Invalid_argument
   else begin
-    let lo = page_trunc sys addr in
-    let hi = lo + page_round sys (size + (addr - lo)) in
+    let lo, hi = page_span sys ~addr ~size in
     iter_range_clipped sys m ~lo ~hi (fun node ->
         (Dlist.value node).e_inherit <- inh);
     Ok ()
@@ -392,79 +397,66 @@ let ensure_submap sys e =
   | (Backed _ | No_backing) as old ->
     let size = entry_size e in
     let sm = create sys ~pmap:None ~low:0 ~high:size in
-    let sub =
-      make_entry ~start_:0 ~end_:size ~backing:old ~offset:e.e_offset
-        ~prot:e.e_prot ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
-        ~needs_copy:e.e_needs_copy
-    in
-    insert_entry sys sm sub;
+    insert_entry sys sm
+      (make_entry ~start_:0 ~end_:size ~backing:old ~offset:e.e_offset
+         ~prot:e.e_prot ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
+         ~needs_copy:e.e_needs_copy);
     e.e_backing <- Submap sm; (* the old backing reference moved into sm *)
     e.e_offset <- 0;
     e.e_needs_copy <- false;
     sm
 
-(* ---- copy-on-write copying ------------------------------------------- *)
+(* ---- virtual copies (fork's Copy, vm_copy, out-of-line data) -------- *)
 
-(* Share [src]'s object copy-on-write; returns what the copy should be
-   backed by.  [lo, hi) bounds the byte range of the object involved. *)
-let cow_share_object sys o ~lo ~hi =
-  Vm_object.reference o;
-  cow_protect sys o ~lo ~hi;
-  o
+type copy_item = { ci_obj : obj option; ci_offset : int; ci_size : int }
 
-(* Build child-map entries for a parent entry with Copy inheritance,
-   appending them to [push].  For plain entries one child entry results;
-   for shared (sharing-map) entries, one per overlapping sub-entry, each
-   marked copy-on-write on both sides. *)
-let copy_entry_cow sys e push =
+type map_copy = { mc_items : copy_item list; mc_size : int }
+
+(* Capture [e] copy-on-write, consing its pieces onto [acc] (the last one
+   first): one piece for a plain entry, and for a sharing map's entry one
+   per sub-entry of its window, clipped so needs-copy marks exactly the
+   window (sharing maps are never nested, Section 3.4).  A backed piece
+   takes an object reference, has its resident pages write-protected in
+   every pmap and is marked needs-copy. *)
+let rec capture sys e acc =
   match e.e_backing with
   | No_backing ->
-    push
-      (make_entry ~start_:e.e_start ~end_:e.e_end ~backing:No_backing
-         ~offset:0 ~prot:e.e_prot ~max_prot:e.e_max_prot
-         ~inherit_:e.e_inherit ~needs_copy:false)
+    { ci_obj = None; ci_offset = 0; ci_size = entry_size e } :: acc
   | Backed o ->
-    let lo = e.e_offset and hi = e.e_offset + entry_size e in
-    let o = cow_share_object sys o ~lo ~hi in
+    let lo = e.e_offset and size = entry_size e in
+    Vm_object.reference o;
+    cow_protect sys o ~lo ~hi:(lo + size);
     e.e_needs_copy <- true;
-    push
-      (make_entry ~start_:e.e_start ~end_:e.e_end ~backing:(Backed o)
-         ~offset:e.e_offset ~prot:e.e_prot ~max_prot:e.e_max_prot
-         ~inherit_:e.e_inherit ~needs_copy:true)
+    { ci_obj = Some o; ci_offset = lo; ci_size = size } :: acc
   | Submap sm ->
-    (* Copy each overlapping piece of the sharing map; sub-entries get
-       clipped so needs-copy marks exactly the window. *)
-    let win_lo = e.e_offset and win_hi = e.e_offset + entry_size e in
-    iter_range_clipped sys sm ~lo:win_lo ~hi:win_hi (fun node ->
-        let s = Dlist.value node in
-        let child_start = e.e_start + (s.e_start - win_lo) in
-        let child_end = child_start + entry_size s in
-        match s.e_backing with
-        | No_backing ->
-          push
-            (make_entry ~start_:child_start ~end_:child_end
-               ~backing:No_backing ~offset:0 ~prot:e.e_prot
-               ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
-               ~needs_copy:false)
-        | Backed o ->
-          let lo = s.e_offset and hi = s.e_offset + entry_size s in
-          let o = cow_share_object sys o ~lo ~hi in
-          s.e_needs_copy <- true;
-          push
-            (make_entry ~start_:child_start ~end_:child_end
-               ~backing:(Backed o) ~offset:s.e_offset ~prot:e.e_prot
-               ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
-               ~needs_copy:true)
-        | Submap _ ->
-          (* Sharing maps are never nested (Section 3.4). *)
-          assert false)
+    let acc = ref acc in
+    iter_range_clipped sys sm ~lo:e.e_offset ~hi:(e.e_offset + entry_size e)
+      (fun node -> acc := capture sys (Dlist.value node) !acc);
+    !acc
+
+(* Map [items] back to back from [start] with the given rights, consuming
+   their references; each backed piece is needs-copy. *)
+let place_items sys m ~start ~prot ~max_prot ~inherit_ items =
+  ignore
+    (List.fold_left
+       (fun start item ->
+          let backing, offset, needs_copy =
+            match item.ci_obj with
+            | None -> (No_backing, 0, false)
+            | Some o -> (Backed o, item.ci_offset, true)
+          in
+          let end_ = start + item.ci_size in
+          insert_entry sys m
+            (make_entry ~start_:start ~end_ ~backing ~offset ~prot ~max_prot
+               ~inherit_ ~needs_copy);
+          end_)
+       start items)
 
 let fork sys parent ~child_pmap =
   let child =
     create sys ~pmap:(Some child_pmap) ~low:parent.map_low
       ~high:parent.map_high
   in
-  let push e = insert_entry sys child e in
   List.iter
     (fun e ->
        match e.e_inherit with
@@ -472,11 +464,14 @@ let fork sys parent ~child_pmap =
        | Inheritance.Shared ->
          let sm = ensure_submap sys e in
          reference sm;
-         push
+         insert_entry sys child
            (make_entry ~start_:e.e_start ~end_:e.e_end ~backing:(Submap sm)
               ~offset:e.e_offset ~prot:e.e_prot ~max_prot:e.e_max_prot
               ~inherit_:e.e_inherit ~needs_copy:false)
-       | Inheritance.Copy -> copy_entry_cow sys e push)
+       | Inheritance.Copy ->
+         place_items sys child ~start:e.e_start ~prot:e.e_prot
+           ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
+           (List.rev (capture sys e [])))
     (entries parent);
   (* Optionally pre-load the child's pmap from the parent's via the
      Table 3-4 pmap_copy routine (write permission stripped, so
@@ -548,19 +543,12 @@ let resolve_object_at _sys m ~va =
           Some (o, entry_offset_of s off)
         | Some _ | None -> None))
 
-(* ---- virtual copies (vm_copy / out-of-line message data) -------------- *)
-
-type copy_item = { ci_obj : obj option; ci_offset : int; ci_size : int }
-
-type map_copy = { mc_items : copy_item list; mc_size : int }
-
 let copy_size c = c.mc_size
 
 let extract_copy sys m ~addr ~size =
   if size <= 0 then Error Kr.Invalid_argument
   else begin
-    let lo = page_trunc sys addr in
-    let hi = lo + page_round sys (size + (addr - lo)) in
+    let lo, hi = page_span sys ~addr ~size in
     (* The whole range must be allocated. *)
     let covered = ref lo in
     let rec check node_opt =
@@ -577,65 +565,18 @@ let extract_copy sys m ~addr ~size =
     if !covered < hi then Error Kr.Invalid_address
     else begin
       let items = ref [] in
-      let push i = items := i :: !items in
-      let capture_backed e =
-        match e.e_backing with
-        | No_backing ->
-          push { ci_obj = None; ci_offset = 0; ci_size = entry_size e }
-        | Backed o ->
-          let olo = e.e_offset and ohi = e.e_offset + entry_size e in
-          let o = cow_share_object sys o ~lo:olo ~hi:ohi in
-          e.e_needs_copy <- true;
-          push { ci_obj = Some o; ci_offset = olo; ci_size = entry_size e }
-        | Submap _ -> assert false
-      in
       iter_range_clipped sys m ~lo ~hi (fun node ->
-          let e = Dlist.value node in
-          match e.e_backing with
-          | No_backing | Backed _ -> capture_backed e
-          | Submap sm ->
-            let win_lo = e.e_offset
-            and win_hi = e.e_offset + entry_size e in
-            iter_range_clipped sys sm ~lo:win_lo ~hi:win_hi
-              (fun sub_node -> capture_backed (Dlist.value sub_node)));
+          items := capture sys (Dlist.value node) !items);
       Ok { mc_items = List.rev !items; mc_size = hi - lo }
     end
   end
 
 let insert_copy sys m c ?at () =
-  let place =
-    match at with
-    | Some a ->
-      let a = page_trunc sys a in
-      if a < m.map_low || a + c.mc_size > m.map_high then
-        Error Kr.Invalid_address
-      else if range_free sys m ~lo:a ~hi:(a + c.mc_size) then Ok a
-      else Error Kr.No_space
-    | None ->
-      (match find_space m ~size:c.mc_size ~hint_addr:m.map_low with
-       | Some a -> Ok a
-       | None -> Error Kr.No_space)
-  in
-  match place with
+  match place sys m ~at ~size:c.mc_size ~anywhere:(Option.is_none at) with
   | Error _ as e -> e
   | Ok base ->
-    let cursor = ref base in
-    List.iter
-      (fun item ->
-         let backing, offset, needs_copy =
-           match item.ci_obj with
-           | None -> (No_backing, 0, false)
-           | Some o -> (Backed o, item.ci_offset, true)
-         in
-         let e =
-           make_entry ~start_:!cursor ~end_:(!cursor + item.ci_size)
-             ~backing ~offset ~prot:Prot.read_write
-             ~max_prot:default_max_prot ~inherit_:Inheritance.default
-             ~needs_copy
-         in
-         insert_entry sys m e;
-         cursor := !cursor + item.ci_size)
-      c.mc_items;
+    place_items sys m ~start:base ~prot:Prot.read_write
+      ~max_prot:default_max_prot ~inherit_:Inheritance.default c.mc_items;
     Ok base
 
 let discard_copy sys c =

@@ -13,9 +13,9 @@
     never nested.
 
     Copy operations (fork with [Copy] inheritance, [vm_copy], out-of-line
-    message transfer) never copy data: they take object references, mark
-    both sides copy-on-write and write-protect resident pages through
-    [pmap_copy_on_write]. *)
+    message transfer) never copy data: they share one capture, which
+    takes object references, marks both sides copy-on-write and
+    write-protects resident pages through [pmap_copy_on_write]. *)
 
 open Types
 
@@ -98,10 +98,10 @@ val regions : vmap -> region_info list
 val fork : Vm_sys.t -> vmap -> child_pmap:Mach_pmap.Pmap.t -> vmap
 (** [fork sys parent ~child_pmap] builds a child map according to each
     entry's inheritance: [Shared] entries are converted to point at a
-    sharing map referenced by both; [Copy] entries are copied
-    copy-on-write ([pmap_copy_on_write] on resident pages, both sides
-    marked needs-copy); [None_] entries leave the child range
-    unallocated. *)
+    sharing map referenced by both; [Copy] entries are captured as
+    {!extract_copy} captures them (one child entry per piece of a
+    sharing map's window), keeping the entry's protection, maximum and
+    inheritance; [None_] entries leave the child range unallocated. *)
 
 (** {1 Fault-path lookup} *)
 
@@ -143,8 +143,8 @@ val extract_copy :
 val insert_copy :
   Vm_sys.t -> vmap -> map_copy -> ?at:int -> unit -> (int, Kr.t) result
 (** [insert_copy sys m c ()] maps the copy into [m] (anywhere, or at
-    [at] which must be free), consuming the copy's references.  Returns
-    the base address. *)
+    [at] which must be free), read/write with the default maximum and
+    inheritance, consuming the copy's references.  Returns the base. *)
 
 val discard_copy : Vm_sys.t -> map_copy -> unit
 (** Release a copy that will not be inserted (e.g. a destroyed

@@ -49,6 +49,25 @@ let note_no_space (sys : Vm_sys.t) =
               | Some c -> c
               | None -> 0) })
 
+(* [pages], one object's run from [offset], reached its pager: mark each
+   clean, and count and note the write.  A successful write is progress,
+   so pressure, if any, has lifted. *)
+let run_cleaned (sys : Vm_sys.t) ~offset pages =
+  List.iter
+    (fun q ->
+       Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:q.pfn;
+       q.pg_requeues <- 0)
+    pages;
+  sys.Vm_sys.mem_pressure <- false;
+  let n = List.length pages in
+  sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
+    sys.Vm_sys.stats.Vm_stats.vs_pageouts + n;
+  if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
+    Vm_sys.emit sys
+      (Mach_obs.Obs.Pageout
+         { offset; bytes = n * sys.Vm_sys.page_size;
+           inactive_depth = Resident.inactive_count sys.Vm_sys.resident })
+
 (* Write a dirty page to its object's pager, attaching a default pager to
    anonymous objects on their first pageout.  Returns whether the page
    was actually cleaned; on [false] the page is still dirty and the
@@ -65,18 +84,7 @@ let clean_page (sys : Vm_sys.t) p =
       Pager_guard.write sys o ~offset:p.pg_offset ~data:(page_bytes sys p)
     with
     | `Ok ->
-      Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
-      p.pg_requeues <- 0;
-      (* A successful write is progress: pressure, if any, has lifted. *)
-      sys.Vm_sys.mem_pressure <- false;
-      sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
-        sys.Vm_sys.stats.Vm_stats.vs_pageouts + 1;
-      if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
-        Vm_sys.emit sys
-          (Mach_obs.Obs.Pageout
-             { offset = p.pg_offset; bytes = sys.Vm_sys.page_size;
-               inactive_depth =
-                 Resident.inactive_count sys.Vm_sys.resident });
+      run_cleaned sys ~offset:p.pg_offset [ p ];
       true
     | `Failed ->
       sys.Vm_sys.stats.Vm_stats.vs_pageout_failures <-
@@ -110,24 +118,12 @@ let write_cluster (sys : Vm_sys.t) o pages =
     pages;
   match Pager_guard.write_range sys o ~offset:start ~data with
   | `Ok ->
-    List.iter
-      (fun q ->
-         Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:q.pfn;
-         q.pg_requeues <- 0)
-      pages;
-    sys.Vm_sys.mem_pressure <- false;
-    sys.Vm_sys.stats.Vm_stats.vs_pageouts <-
-      sys.Vm_sys.stats.Vm_stats.vs_pageouts + n;
     sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts <-
       sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts + 1;
-    if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then begin
+    if Mach_obs.Obs.enabled (Vm_sys.tracer sys) then
       Vm_sys.emit sys
         (Mach_obs.Obs.Cluster_pageout { offset = start; pages = n });
-      Vm_sys.emit sys
-        (Mach_obs.Obs.Pageout
-           { offset = start; bytes = n * sys.Vm_sys.page_size;
-             inactive_depth = Resident.inactive_count sys.Vm_sys.resident })
-    end;
+    run_cleaned sys ~offset:start pages;
     true
   | `Failed | `No_space ->
     (* Nothing was written; the per-page fallback owns the failure
@@ -228,12 +224,6 @@ let run (sys : Vm_sys.t) ~wanted =
             Vm_sys.set_mem_pressure sys true;
           Resident.enqueue res p Q_active
         end
-        else if Option.is_some p.pg_inflight then
-          (* [clean_cluster] just submitted this page's writeback: put it
-             back at the tail of the inactive queue so the transfer can
-             drain while the daemon works on other pages; it is reaped
-             and freed on the next encounter. *)
-          Resident.enqueue res p Q_inactive
         else begin
           Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
           Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;

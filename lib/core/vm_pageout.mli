@@ -23,9 +23,10 @@ val clean_page : Vm_sys.t -> Types.page -> bool
 (** [clean_page sys p] writes [p] to its object's pager (attaching a
     default pager to anonymous objects, decorated by
     [Vm_sys.pager_decorator]) and clears its modify bits; used by the
-    daemon and by [pager_clean_request].  [false] means the write failed
-    after its retry budget ({!Pager_guard}): the page is still dirty and
-    the caller must keep it resident. *)
+    daemon and by [pager_clean_request].  The write blocks, so on [true]
+    the page is clean now.  [false] means the write failed after its
+    retry budget ({!Pager_guard}): the page is still dirty and the
+    caller must keep it resident. *)
 
 val write_cluster : Vm_sys.t -> Types.obj -> Types.page list -> bool
 (** [write_cluster sys o pages] issues one clustered write for [pages]

@@ -95,6 +95,7 @@ let shoot_targets p =
   done;
   !acc
 
+(* Send [req] to [p]'s CPUs now, outside any batch (see [target]). *)
 let shoot ctx p req =
   Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu
     ~targets:(shoot_targets p) [ req ] ~urgent:ctx.urgent_mode
@@ -214,31 +215,29 @@ let batched ctx f =
     end_batch ctx;
     raise e
 
+(* Every flush below is collected into the open batch, which each pmap
+   operation opens ({!pmap}'s range operations here, [enter] and
+   [destroy] in {!Pmap_domain}): one collected outside a batch would be
+   lost.  Only {!shoot} sends at once: a stolen SUN 3 context and a
+   TLB-only enter must be flushed before they are refilled.  [target]
+   adds [p]'s CPUs to the batch's exchange. *)
+let target ctx p =
+  assert (accumulating ctx);
+  add_targets ctx.batch p;
+  if ctx.urgent_mode then ctx.batch.b_urgent <- true
+
 (* Shoot the hardware pages of the page whose first vpn is [vpn]: each
    frame's vpn is one page, so ranges and the whole-space threshold count
    hardware vpns. *)
 let shoot_page ctx p ~asid ~vpn =
-  if accumulating ctx then begin
-    let b = ctx.batch in
-    for v = vpn to vpn + ctx.page_frames - 1 do
-      add_vpn b.page_vpns ~asid ~vpn:v
-    done;
-    add_targets b p;
-    if ctx.urgent_mode then b.b_urgent <- true
-  end
-  else
-    for v = vpn to vpn + ctx.page_frames - 1 do
-      shoot ctx p (Machine.Flush_page { asid; vpn = v })
-    done
+  target ctx p;
+  for v = vpn to vpn + ctx.page_frames - 1 do
+    add_vpn ctx.batch.page_vpns ~asid ~vpn:v
+  done
 
 let shoot_asid ctx p ~asid =
-  if accumulating ctx then begin
-    let b = ctx.batch in
-    Int_tbl.replace b.whole_asids asid ();
-    add_targets b p;
-    if ctx.urgent_mode then b.b_urgent <- true
-  end
-  else shoot ctx p (Machine.Flush_asid asid)
+  target ctx p;
+  Int_tbl.replace ctx.batch.whole_asids asid ()
 
 (* --- The shootdown rule ------------------------------------------------ *)
 
@@ -260,13 +259,12 @@ let loses ~old ~prot = not (Prot.subset old ~of_:prot)
    fault on again — batched like a shootdown, without the IPIs. *)
 let reenter ctx p ~asid ~vpn ~old ~prot =
   if loses ~old ~prot then shoot_page ctx p ~asid ~vpn
-  else
+  else begin
+    assert (accumulating ctx);
     for v = vpn to vpn + ctx.page_frames - 1 do
-      if accumulating ctx then add_vpn ctx.batch.local_vpns ~asid ~vpn:v
-      else
-        Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu
-          (Machine.Flush_page { asid; vpn = v })
+      add_vpn ctx.batch.local_vpns ~asid ~vpn:v
     done
+  end
 
 (* The pv record of a page mapping: [pfn] and [vpn] are the page's
    first frame and vpn. *)

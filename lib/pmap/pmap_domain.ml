@@ -63,7 +63,9 @@ let note t ev =
    [Pmap] attribution frame brackets the backend call itself, so
    map-update costs land in the Pmap category wherever they were
    triggered from — except TLB-consistency work, which the machine
-   charges as [Shootdown_ipi] explicitly. *)
+   charges as [Shootdown_ipi] explicitly.  [enter] and the final
+   [destroy] each run in one flush batch, opened outside the frame and
+   the trace note, so their exchange goes out after both. *)
 let create_pmap t =
   let p = t.factory.Backend.new_pmap () in
   let m = t.ctx.Backend.machine in
@@ -76,9 +78,10 @@ let create_pmap t =
     { p with
       Pmap.enter =
         (fun ~va ~pfn ~prot ~wired ->
-           in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-           if tracing t then
-             note t (Mach_obs.Obs.Pmap_enter { asid; va; pfn }));
+           Backend.batched t.ctx (fun () ->
+               in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
+               if tracing t then
+                 note t (Mach_obs.Obs.Pmap_enter { asid; va; pfn })));
       remove =
         (fun ~start_va ~end_va ->
            in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);
@@ -95,7 +98,7 @@ let create_pmap t =
            assert (!refs > 0);
            decr refs;
            if !refs = 0 then begin
-             p.Pmap.destroy ();
+             Backend.batched t.ctx p.Pmap.destroy;
              Int_tbl.remove t.registry asid
            end) }
   in
@@ -147,9 +150,6 @@ let copy_on_write t ~pfn =
   let read_only_mask = Prot.remove_write Prot.all in
   each_page_mapping t ~pfn (fun p va len ->
       p.Pmap.protect ~start_va:va ~end_va:(va + len) ~prot:read_only_mask)
-
-let enter_page t pmap ~va ~pfn ~prot ~wired =
-  batched t (fun () -> pmap.Pmap.enter ~va ~pfn ~prot ~wired)
 
 (* The MMU hook keeps the bits per frame; these answer for the page
    holding [pfn]. *)

@@ -26,7 +26,9 @@ val page_multiple : t -> int
 (** Hardware frames per machine-independent page. *)
 
 val create_pmap : t -> Pmap.t
-(** [create_pmap t] is [pmap_create]: a fresh, empty physical map. *)
+(** [create_pmap t] is [pmap_create]: a fresh, empty physical map.  Its
+    [enter] and final [destroy] each run in one flush batch, so a
+    re-enter that lowers rights costs one exchange. *)
 
 val find_pmap : t -> asid:int -> Pmap.t option
 (** [find_pmap t ~asid] is the live pmap with that asid, if any. *)
@@ -88,12 +90,6 @@ val remove_all : t -> pfn:int -> urgent:bool -> unit
 val copy_on_write : t -> pfn:int -> unit
 (** [pmap_copy_on_write]: remove write access to the page in all maps.
     Used by virtual copy of shared pages. *)
-
-val enter_page :
-  t -> Pmap.t -> va:int -> pfn:int -> prot:Mach_hw.Prot.t -> wired:bool ->
-  unit
-(** [enter_page t pmap ~va ~pfn ~prot ~wired] is [pmap.enter] inside
-    one batch, so a re-enter that lowers rights costs one exchange. *)
 
 (** The modify/reference calls answer for the page that contains frame
     [pfn], so a caller may pass any frame of it.  The simulated MMU sets

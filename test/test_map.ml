@@ -276,6 +276,108 @@ let test_fork_marks_both_sides_cow () =
    | _ -> Alcotest.fail "objects missing");
   ignore machine
 
+(* What each entry of [m] carries: ((start, end, offset), ((prot,
+   max_prot, inheritance), needs_copy)). *)
+let shapes m =
+  List.map
+    (fun e ->
+       Types.
+         ( (e.e_start, e.e_end, e.e_offset),
+           ( ( Prot.to_string e.e_prot, Prot.to_string e.e_max_prot,
+               Inheritance.to_string e.e_inherit ),
+             e.e_needs_copy ) ))
+    (Vm_map.entries m)
+
+let shape_t =
+  Alcotest.(
+    list (pair (triple int int int) (pair (triple string string string) bool)))
+
+(* A Copy entry's lowered rights survive fork: the child entry keeps the
+   parent's prot, max_prot and inheritance, backed or not. *)
+let test_fork_keeps_lowered_rights () =
+  let _, _, sys = setup () in
+  let m = fresh_map sys in
+  let a = ok (Vm_map.allocate sys m ~size:(2 * ps) ~anywhere:true ()) in
+  let b = ok (Vm_map.allocate sys m ~size:ps ~anywhere:true ()) in
+  ignore (ok (Vm_fault.fault sys m ~va:a ~write:true));
+  List.iter
+    (fun (addr, size) ->
+       ok
+         (Vm_map.protect sys m ~addr ~size ~set_max:true
+            ~prot:Prot.read_execute);
+       ok
+         (Vm_map.protect sys m ~addr ~size ~set_max:false
+            ~prot:Prot.read_only);
+       ok (Vm_map.set_inheritance sys m ~addr ~size Inheritance.Copy))
+    [ (a, 2 * ps); (b, ps) ];
+  let child = child_of sys m in
+  let r = Prot.to_string Prot.read_only
+  and rx = Prot.to_string Prot.read_execute
+  and copy = Inheritance.to_string Inheritance.Copy in
+  Alcotest.check shape_t "child entries keep the parent's rights"
+    [ ((a, a + (2 * ps), 0), ((r, rx, copy), true));
+      ((b, b + ps, 0), ((r, rx, copy), false)) ]
+    (shapes child);
+  check_invariant child
+
+(* An entry that a first fork turned into a sharing map, set to Copy
+   later, forks into one needs-copy child entry per piece of the sharing
+   map its window covers, each with the outer entry's rights. *)
+let test_fork_copies_sharing_map_pieces () =
+  let _, _, sys = setup () in
+  let m = fresh_map sys in
+  let a = ok (Vm_map.allocate sys m ~size:(4 * ps) ~anywhere:true ()) in
+  ignore (ok (Vm_fault.fault sys m ~va:a ~write:true));
+  ok (Vm_map.set_inheritance sys m ~addr:a ~size:(4 * ps) Inheritance.Shared);
+  let sharer = child_of sys m in
+  (* The sharer copies its second page into a grandchild, which clips
+     the sharing map into three pieces under the parent's one entry. *)
+  ok
+    (Vm_map.set_inheritance sys sharer ~addr:(a + ps) ~size:ps
+       Inheritance.Copy);
+  ignore (child_of sys sharer);
+  Alcotest.(check int) "the parent keeps one entry" 1 (Vm_map.entry_count m);
+  ok
+    (Vm_map.protect sys m ~addr:a ~size:(4 * ps) ~set_max:true
+       ~prot:Prot.read_execute);
+  ok (Vm_map.set_inheritance sys m ~addr:a ~size:(4 * ps) Inheritance.Copy);
+  let child = child_of sys m in
+  let rights =
+    ( Prot.to_string Prot.read_only, Prot.to_string Prot.read_execute,
+      Inheritance.to_string Inheritance.Copy )
+  in
+  Alcotest.check shape_t "one needs-copy entry per piece"
+    [ ((a, a + ps, 0), (rights, true));
+      ((a + ps, a + (2 * ps), ps), (rights, true));
+      ((a + (2 * ps), a + (4 * ps), 2 * ps), (rights, true)) ]
+    (shapes child);
+  List.iter
+    (fun r ->
+       Alcotest.(check bool) "not shared" false r.Vm_map.ri_shared)
+    (Vm_map.regions child);
+  check_invariant child
+
+(* A virtual copy is mapped read/write, with the default maximum and
+   inheritance, whatever rights its source had. *)
+let test_copy_gets_default_rights () =
+  let _, _, sys = setup () in
+  let m = fresh_map sys in
+  let a = ok (Vm_map.allocate sys m ~size:(2 * ps) ~anywhere:true ()) in
+  ignore (ok (Vm_fault.fault sys m ~va:a ~write:true));
+  ok
+    (Vm_map.protect sys m ~addr:a ~size:(2 * ps) ~set_max:true
+       ~prot:Prot.read_only);
+  ok (Vm_map.set_inheritance sys m ~addr:a ~size:(2 * ps) Inheritance.None_);
+  let c = ok (Vm_map.extract_copy sys m ~addr:a ~size:(2 * ps)) in
+  let m2 = fresh_map sys in
+  let b = ok (Vm_map.insert_copy sys m2 c ()) in
+  Alcotest.check shape_t "read/write, default maximum and inheritance"
+    [ ((b, b + (2 * ps), 0),
+       ( ( Prot.to_string Prot.read_write, Prot.to_string Prot.all,
+           Inheritance.to_string Inheritance.default ),
+         true )) ]
+    (shapes m2)
+
 (* ---- virtual copies --------------------------------------------------- *)
 
 let test_extract_insert_copy () =
@@ -481,13 +583,19 @@ let () =
           Alcotest.test_case "untouched stays lazy" `Quick
             test_fork_untouched_region_stays_lazy;
           Alcotest.test_case "marks both sides cow" `Quick
-            test_fork_marks_both_sides_cow ] );
+            test_fork_marks_both_sides_cow;
+          Alcotest.test_case "copy keeps lowered rights" `Quick
+            test_fork_keeps_lowered_rights;
+          Alcotest.test_case "sharing map copied per piece" `Quick
+            test_fork_copies_sharing_map_pieces ] );
       ( "copies",
         [ Alcotest.test_case "extract and insert" `Quick
             test_extract_insert_copy;
           Alcotest.test_case "gap fails" `Quick test_extract_copy_gap_fails;
           Alcotest.test_case "discard releases" `Quick
             test_discard_copy_releases;
+          Alcotest.test_case "destination gets default rights" `Quick
+            test_copy_gets_default_rights;
           Alcotest.test_case "deallocate releases objects" `Quick
             test_map_deallocate_releases_objects ] );
       ( "edges",

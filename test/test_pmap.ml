@@ -425,15 +425,14 @@ let test_page_bits () =
           modified pfn || Pmap_domain.is_referenced domain ~pfn)
        [ 16; 17; 18; 19 ])
 
-(* [enter_page] maps all four frames; lowering their rights in a pmap
+(* [pmap_enter] maps all four frames; lowering their rights in a pmap
    active on another CPU is one exchange for the page, not one per
    frame. *)
 let test_enter_page () =
-  let machine, domain, _, _, p2 = vax_page_setup () in
+  let machine, _, _, _, p2 = vax_page_setup () in
   let ps = page Arch.uvax2 in
   let enter prot =
-    Pmap_domain.enter_page domain p2 ~va:(40 * ps) ~pfn:16 ~prot
-      ~wired:false
+    p2.Pmap.enter ~va:(40 * ps) ~pfn:16 ~prot ~wired:false
   in
   enter Prot.read_write;
   Alcotest.(check (list (option int))) "four frames mapped"
@@ -494,14 +493,12 @@ let test_rtpc_page_alias () =
   let p2 = Pmap_domain.create_pmap domain in
   p1.Pmap.activate ~cpu:0;
   p2.Pmap.activate ~cpu:1;
-  Pmap_domain.enter_page domain p1 ~va:(10 * ps) ~pfn:16
-    ~prot:Prot.read_write ~wired:false;
+  p1.Pmap.enter ~va:(10 * ps) ~pfn:16 ~prot:Prot.read_write ~wired:false;
   ignore (Machine.read_byte machine ~cpu:0 ~va:(10 * ps));
   ignore (Machine.read_byte machine ~cpu:0 ~va:(11 * ps));
   let aliases () = (Pmap_domain.total_stats domain).Pmap.alias_evictions in
   let x0 = (Machine.stats machine).Machine.shootdowns and a0 = aliases () in
-  Pmap_domain.enter_page domain p2 ~va:(40 * ps) ~pfn:16
-    ~prot:Prot.read_write ~wired:false;
+  p2.Pmap.enter ~va:(40 * ps) ~pfn:16 ~prot:Prot.read_write ~wired:false;
   Alcotest.(check int) "one exchange" 1
     ((Machine.stats machine).Machine.shootdowns - x0);
   Alcotest.(check int) "two alias evictions" 2 (aliases () - a0);

@@ -274,20 +274,26 @@ let refs (str : structure) =
       Ast_iterator.default_iterator.expr it e
     | _ -> Ast_iterator.default_iterator.expr it e
   in
+  (* A [C { f; ... }] pattern reads [C]'s inline field [f] and no record
+     field, so only its field patterns are visited, not the record
+     pattern they sit in.  (The parser cannot tell a record matched
+     directly under a constructor, [Some { f; _ }], from an inline one:
+     its fields count as [Some.f].) *)
   let pat (it : Ast_iterator.iterator) p =
-    (match p.ppat_desc with
-     | Ppat_record (fields, _) ->
-       List.iter (fun ({ Location.txt; _ }, _) -> read := split txt :: !read)
-         fields
-     | Ppat_construct
-         ({ txt; _ }, Some (_, { ppat_desc = Ppat_record (fields, _); _ })) ->
-       let m, c = split txt in
-       List.iter
-         (fun ({ Location.txt = f; _ }, _) ->
-            inline := (m, c ^ "." ^ Longident.last f) :: !inline)
-         fields
-     | _ -> ());
-    Ast_iterator.default_iterator.pat it p
+    match p.ppat_desc with
+    | Ppat_construct
+        ({ txt; _ }, Some (_, { ppat_desc = Ppat_record (fields, _); _ })) ->
+      let m, c = split txt in
+      List.iter
+        (fun ({ Location.txt = f; _ }, fp) ->
+           inline := (m, c ^ "." ^ Longident.last f) :: !inline;
+           it.pat it fp)
+        fields
+    | Ppat_record (fields, _) ->
+      List.iter (fun ({ Location.txt; _ }, _) -> read := split txt :: !read)
+        fields;
+      Ast_iterator.default_iterator.pat it p
+    | _ -> Ast_iterator.default_iterator.pat it p
   in
   let structure_item (it : Ast_iterator.iterator) item =
     match item.pstr_desc with
@@ -525,7 +531,8 @@ let test_every_constructor_built () =
     unbuilt_or_unread_ok
 
 (* The detector on snippets: a constructor only matched, a field only
-   written, a field read by a pattern, qualified uses, and a local
+   written, a field read by a pattern (but not by another constructor's
+   inline-record pattern of the same name), qualified uses, and a local
    exception. *)
 let test_construct_guard_detects () =
   let check name expected ~decl callers =
@@ -553,6 +560,12 @@ let test_construct_guard_detects () =
     [ ("../bin/u.ml", "let x = N.A\nlet y = r.N.f\nlet g { M.g; _ } = g") ];
   check "an alias and an unqualified use count" [ "M.r.f"; "M.r.g" ] ~decl
     [ ("../bin/u.ml", "module N = Lib.M\nlet x = N.A\nlet y = B") ];
+  check "another constructor's inline pattern reads no record field"
+    [ "M.A"; "M.B"; "M.r.f"; "M.r.g" ] ~decl
+    [ ("../bin/u.ml", "let h = function N.C { f; g } -> f + g") ];
+  check "a record pattern inside an inline one reads" [ "M.A"; "M.B"; "M.r.g" ]
+    ~decl
+    [ ("../bin/u.ml", "let h = function N.C { x = { M.f; _ } } -> f") ];
   let decl = "let f () = let exception Stop in try () with Stop -> ()" in
   check "a local exception only caught" [ "M.Stop" ] ~decl [];
   check "a local exception raised" [] ~decl
