@@ -1,7 +1,9 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (Tables 7-1 and 7-2) plus ablation benches for the qualitative claims
-   of Sections 2, 3.3, 3.5, 5.1 and 5.2.  See DESIGN.md for the
-   experiment index and EXPERIMENTS.md for paper-vs-measured records.
+   of Sections 2, 3.3, 3.5, 5.1 and 5.2.  Each experiment prints its
+   cells as one marked block of Markdown tables ([render]), which
+   EXPERIMENTS.md carries verbatim.  See DESIGN.md for the experiment
+   index.
 
    Absolute milliseconds depend on the calibrated cost tables in
    Mach_hw.Arch; what must hold is the *shape*: who wins, by what rough
@@ -9,21 +11,16 @@
 
 open Mach_hw
 open Mach_core
-open Mach_util
 open Mach_workload
 
 let kb = 1024
 let mb = 1024 * 1024
 
-let fmt_ms v =
-  if v >= 10_000.0 then Printf.sprintf "%.1f s" (v /. 1000.0)
-  else if v >= 10.0 then Printf.sprintf "%.0f ms" v
-  else Printf.sprintf "%.2f ms" v
-
 (* ------------------------------------------------------------------ *)
 (* Cell registry ([experiments], at the end): every number a paper      *)
-(* table measures is a cell declared once with its unit and layer, and  *)
-(* written as JSON (`-json PATH`; a full run: bench/BENCH_vm.json).     *)
+(* table measures is a cell declared once with its unit and layer,      *)
+(* printed in its experiment's block and written as JSON (`-json PATH`; *)
+(* a full run: bench/BENCH_vm.json).                                    *)
 (* ------------------------------------------------------------------ *)
 
 module Jout = Mach_obs.Jout
@@ -68,24 +65,31 @@ let elapsed = ("elapsed_ms", Ms, E2e)
 let fail fmt =
   Printf.ksprintf (fun s -> prerr_endline ("bench: " ^ s); exit 1) fmt
 
+(* A recorded cell: its name relative to the experiment's key, and
+   [extra] fields after its own, each in ms. *)
+type cell = {
+  name : string;
+  value : float;
+  unit_ : unit_;
+  layer : layer;
+  extra : (string * float) list;
+}
+
 let cells : Jout.t list ref = ref []
 
-(* The running experiment's key and its declared cells not yet recorded. *)
-let running = ref ("", [])
+(* The running experiment's key, its declared cells not yet recorded and
+   the cells it has recorded, latest first. *)
+let running = ref ("", [], [])
 
-(* Record cell [key/name] of the running experiment, with [extra] fields
-   after its own. *)
-let record ?(extra = []) name v =
-  let key, pending = !running in
+(* Record cell [key/name] of the running experiment. *)
+let record ?(extra = []) name value =
+  let key, pending, recorded = !running in
   match List.find_opt (fun (n, _, _) -> n = name) pending with
   | None -> fail "cell %s/%s is not declared, or recorded twice" key name
-  | Some (_, u, l) ->
-    running := (key, List.filter (fun (n, _, _) -> n <> name) pending);
-    cells :=
-      Jout.(Obj ([ ("name", Str (key ^ "/" ^ name)); ("value", Float v);
-                   ("unit", Str (unit_name u)); ("layer", Str (layer_name l)) ]
-                 @ extra))
-      :: !cells
+  | Some (_, unit_, layer) ->
+    running :=
+      ( key, List.filter (fun (n, _, _) -> n <> name) pending,
+        { name; value; unit_; layer; extra } :: recorded )
 
 let count name n = record name (float_of_int n)
 
@@ -93,17 +97,83 @@ let count name n = record name (float_of_int n)
 let record_pair ?paper key m u =
   let extra =
     Option.fold paper ~none:[] ~some:(fun (pm, pu) ->
-        Jout.[ ("paper_mach_ms", Float pm); ("paper_unix_ms", Float pu) ])
+        [ ("paper_mach_ms", pm); ("paper_unix_ms", pu) ])
   in
   record ~extra (key ^ "/mach") m;
   record ~extra (key ^ "/unix") u
 
+(* A value as the tables print it, by its unit. *)
+let show unit_ v =
+  match unit_ with
+  | Ms when v >= 10_000.0 -> Printf.sprintf "%.1f s" (v /. 1000.0)
+  | Ms when v >= 10.0 -> Printf.sprintf "%.0f ms" v
+  | Ms -> Printf.sprintf "%.2f ms" v
+  | Count | Pages | Bytes | Cycles | Per_s -> Printf.sprintf "%.0f" v
+  | Ratio -> Printf.sprintf "%.5f" v
+  | Flag -> if v = 0. then "no" else "yes"
+
+(* [l] without repeats, in order of first appearance. *)
+let uniq l =
+  List.rev
+    (List.fold_left (fun seen x -> if List.mem x seen then seen else x :: seen)
+       [] l)
+
+(* Experiment [key]'s cells as Markdown between the markers EXPERIMENTS.md
+   carries: a row per name less its last component, a column per last
+   component and per extra field, and one table per column list. *)
+let render key cs =
+  let split c =
+    match String.rindex_opt c.name '/' with
+    | Some i ->
+      (String.sub c.name 0 i,
+       String.sub c.name (i + 1) (String.length c.name - i - 1))
+    | None -> ("", c.name)
+  in
+  let row r =
+    let mine = List.filter (fun c -> fst (split c) = r) cs in
+    ( r,
+      List.map (fun c -> (snd (split c), show c.unit_ c.value)) mine
+      @ uniq
+          (List.concat_map
+             (fun c -> List.map (fun (k, v) -> (k, show Ms v)) c.extra)
+             mine) )
+  in
+  let rows = List.map row (uniq (List.map (fun c -> fst (split c)) cs)) in
+  let line l = print_endline ("| " ^ String.concat " | " l ^ " |") in
+  Printf.printf "<!-- cells:%s -->\n" key;
+  List.iteri
+    (fun i head ->
+       if i > 0 then print_newline ();
+       line ("" :: head);
+       line (List.map (fun _ -> "---") ("" :: head));
+       List.iter
+         (fun (r, cols) ->
+            if List.map fst cols = head then line (r :: List.map snd cols))
+         rows)
+    (uniq (List.map (fun (_, cols) -> List.map fst cols) rows));
+  print_endline "<!-- /cells -->"
+
+(* Run [e], fail on a declared cell it did not record, and print its
+   block. *)
 let run e =
-  running := (e.key, e.cells);
+  running := (e.key, e.cells, []);
   e.run ();
+  let _, pending, recorded = !running in
   List.iter
     (fun (n, _, _) -> fail "cell %s/%s is declared but not recorded" e.key n)
-    (snd !running)
+    pending;
+  let recorded = List.rev recorded in
+  List.iter
+    (fun c ->
+       cells :=
+         Jout.(Obj ([ ("name", Str (e.key ^ "/" ^ c.name));
+                      ("value", Float c.value);
+                      ("unit", Str (unit_name c.unit_));
+                      ("layer", Str (layer_name c.layer)) ]
+                    @ List.map (fun (k, v) -> (k, Float v)) c.extra))
+         :: !cells)
+    recorded;
+  render e.key recorded
 
 let write_cells path =
   Jout.write_file path (Jout.Obj [ ("cells", Jout.Arr (List.rev !cells)) ]);
@@ -176,37 +246,17 @@ let fork_ms (os : Os_iface.t) =
   ms
 
 let table7_1 () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Table 7-1 (VM operations): measured here vs paper (Mach / UNIX)"
-      ~columns:[ "Operation"; "Mach"; "UNIX"; "paper Mach"; "paper UNIX" ]
-  in
-  let rows =
-    [ (Arch.rt_pc, "RT PC", (".45ms", 0.45), (".58ms", 0.58), ("41ms", 41.),
-       ("145ms", 145.));
-      (Arch.uvax2, "uVAX II", (".58ms", 0.58), ("1.2ms", 1.2), ("59ms", 59.),
-       ("220ms", 220.));
-      (Arch.sun3_160, "SUN 3/160", (".23ms", 0.23), (".27ms", 0.27),
-       ("68ms", 68.), ("89ms", 89.)) ]
-  in
   List.iter
-    (fun (arch, name, (pzf_ms, pzf_m), (pzf_us, pzf_u), (pfk_ms, pfk_m),
-          (pfk_us, pfk_u)) ->
+    (fun (arch, name, paper_zf, paper_fk) ->
        let _, _, _, mach_os = boot_mach arch in
        let _, _, _, bsd_os = boot_bsd arch in
        let zf_m = zero_fill_ms mach_os and zf_u = zero_fill_ms bsd_os in
        let fk_m = fork_ms mach_os and fk_u = fork_ms bsd_os in
-       record_pair ~paper:(pzf_m, pzf_u) ("zero_fill_1k/" ^ name) zf_m zf_u;
-       record_pair ~paper:(pfk_m, pfk_u) ("fork_256k/" ^ name) fk_m fk_u;
-       Tablefmt.row t
-         [ "zero fill 1K (" ^ name ^ ")"; fmt_ms zf_m; fmt_ms zf_u; pzf_ms;
-           pzf_us ];
-       Tablefmt.row t
-         [ "fork 256K (" ^ name ^ ")"; fmt_ms fk_m; fmt_ms fk_u; pfk_ms;
-           pfk_us ])
-    rows;
-  Tablefmt.print t
+       record_pair ~paper:paper_zf ("zero_fill_1k/" ^ name) zf_m zf_u;
+       record_pair ~paper:paper_fk ("fork_256k/" ^ name) fk_m fk_u)
+    [ (Arch.rt_pc, "RT PC", (0.45, 0.58), (41., 145.));
+      (Arch.uvax2, "uVAX II", (0.58, 1.2), (59., 220.));
+      (Arch.sun3_160, "SUN 3/160", (0.23, 0.27), (68., 89.)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 7-1: file reading on a VAX 8200                               *)
@@ -224,31 +274,16 @@ let file_read_pair (os : Os_iface.t) ~name ~size =
   (first, second)
 
 let table7_1_files () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Table 7-1 (file reading, VAX 8200): elapsed, first then second read"
-      ~columns:[ "Operation"; "Mach"; "UNIX"; "paper Mach"; "paper UNIX" ]
-  in
   let _, _, _, mach_os = boot_mach ~mem:(16 * mb) Arch.vax8200 in
   let _, _, _, bsd_os = boot_bsd ~mem:(16 * mb) ~buffers:400 Arch.vax8200 in
   let m1, m2 = file_read_pair mach_os ~name:"/big" ~size:(5 * mb / 2) in
   let u1, u2 = file_read_pair bsd_os ~name:"/big" ~size:(5 * mb / 2) in
   record_pair ~paper:(5200., 5000.) "read_2.5M_1st" m1 u1;
   record_pair ~paper:(1200., 5000.) "read_2.5M_2nd" m2 u2;
-  Tablefmt.row t
-    [ "read 2.5M file, 1st"; fmt_ms m1; fmt_ms u1; "5.2s"; "5.0s" ];
-  Tablefmt.row t
-    [ "read 2.5M file, 2nd"; fmt_ms m2; fmt_ms u2; "1.2s"; "5.0s" ];
   let m1, m2 = file_read_pair mach_os ~name:"/small" ~size:(50 * kb) in
   let u1, u2 = file_read_pair bsd_os ~name:"/small" ~size:(50 * kb) in
   record_pair ~paper:(200., 500.) "read_50K_1st" m1 u1;
-  record_pair ~paper:(100., 200.) "read_50K_2nd" m2 u2;
-  Tablefmt.row t
-    [ "read 50K file, 1st"; fmt_ms m1; fmt_ms u1; "0.2s"; "0.5s" ];
-  Tablefmt.row t
-    [ "read 50K file, 2nd"; fmt_ms m2; fmt_ms u2; "0.1s"; "0.2s" ];
-  Tablefmt.print t
+  record_pair ~paper:(100., 200.) "read_50K_2nd" m2 u2
 
 (* ------------------------------------------------------------------ *)
 (* Table 7-2: compilation                                              *)
@@ -260,10 +295,6 @@ let compile_run boot_os cfg =
   Compile_workload.run os cfg
 
 let table7_2 () =
-  let t =
-    Tablefmt.create ~title:"Table 7-2 (compilation): measured vs paper"
-      ~columns:[ "Operation"; "Mach"; "UNIX"; "paper Mach"; "paper UNIX" ]
-  in
   (* "400 buffers": both systems restricted; modelled as a small buffer
      pool for UNIX and tighter memory for Mach. *)
   let mach_400 () =
@@ -289,21 +320,17 @@ let table7_2 () =
     os
   in
   List.iter
-    (fun (label, key, boot_m, boot_u, cfg, pm, pu, pms, pus) ->
+    (fun (key, boot_m, boot_u, cfg, paper) ->
        let m = compile_run boot_m cfg and u = compile_run boot_u cfg in
-       record_pair ~paper:(pm, pu) key m u;
-       Tablefmt.row t [ label; fmt_ms m; fmt_ms u; pms; pus ])
-    [ ("13 programs (8650, 400 buffers)", "13_programs_400buf", mach_400,
-       bsd_400, cfg13, 23_000., 28_000., "23s", "28s");
-      ("kernel build (8650, 400 buffers)", "kernel_build_400buf", mach_400,
-       bsd_400, cfgk, 1_198_000., 1_418_000., "19:58min", "23:38min");
-      ("13 programs (8650, generic)", "13_programs_generic", mach_gen,
-       bsd_gen, cfg13, 19_000., 76_000., "19s", "1:16min");
-      ("kernel build (8650, generic)", "kernel_build_generic", mach_gen,
-       bsd_gen, cfgk, 950_000., 2_050_000., "15:50min", "34:10min");
-      ("compile fork test (SUN 3/160)", "fork_test_sun3", mach_sun, bsd_sun,
-       Compile_workload.fork_test, 3_000., 6_000., "3s", "6s") ];
-  Tablefmt.print t
+       record_pair ~paper key m u)
+    [ ("13_programs_400buf", mach_400, bsd_400, cfg13, (23_000., 28_000.));
+      ("kernel_build_400buf", mach_400, bsd_400, cfgk,
+       (1_198_000., 1_418_000.));
+      ("13_programs_generic", mach_gen, bsd_gen, cfg13, (19_000., 76_000.));
+      ("kernel_build_generic", mach_gen, bsd_gen, cfgk,
+       (950_000., 2_050_000.));
+      ("fork_test_sun3", mach_sun, bsd_sun, Compile_workload.fork_test,
+       (3_000., 6_000.)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 5.1: pmap architecture comparison                            *)
@@ -379,34 +406,18 @@ let pmap_arch_one arch =
     | Ok _ -> false
     | Error _ -> true
   in
-  let usable_mem =
-    Resident.total_pages sys.Vm_sys.resident * Kernel.page_size kernel
-  in
-  ( arch.Arch.name,
-    mstats.Machine.faults,
+  ( mstats.Machine.faults,
     sys.Vm_sys.stats.Vm_stats.vs_fast_reloads,
     pstats.Mach_pmap.Pmap.alias_evictions,
     pstats.Mach_pmap.Pmap.context_steals,
     Mach_pmap.Pmap_domain.total_map_bytes kernel.Kernel.domain,
-    usable_mem,
     va_limit_hit,
     Machine.elapsed_ms machine )
 
 let pmap_arch () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 5.1: the same VM workload over five memory architectures\n\
-         (12 tasks x 192KB private + one 256KB file shared by all; 12MB \
-         machine)"
-      ~columns:
-        [ "pmap"; "faults"; "reloads"; "alias evict"; "ctx steals";
-          "map bytes"; "usable mem"; "VA>16M?"; "elapsed" ]
-  in
   List.iter
     (fun (key, arch) ->
-       let name, faults, reloads, aliases, steals, mapb, usable, vahit, ms
-         =
+       let faults, reloads, aliases, steals, mapb, vahit, ms =
          pmap_arch_one arch
        in
        List.iter
@@ -414,16 +425,9 @@ let pmap_arch () =
          [ ("faults", faults); ("reloads", reloads);
            ("alias_evictions", aliases); ("context_steals", steals);
            ("map_bytes", mapb); ("va_blocked", Bool.to_int vahit) ];
-       record (key ^ "/elapsed_ms") ms;
-       Tablefmt.row t
-         [ name; string_of_int faults; string_of_int reloads;
-           string_of_int aliases; string_of_int steals;
-           Printf.sprintf "%dK" (mapb / 1024);
-           Printf.sprintf "%dM" (usable / mb);
-           (if vahit then "blocked" else "ok"); fmt_ms ms ])
+       record (key ^ "/elapsed_ms") ms)
     [ ("vax", Arch.uvax2); ("rt_pc", Arch.rt_pc); ("sun3", Arch.sun3_160);
-      ("ns32082", Arch.ns32082); ("rp3", Arch.rp3_tlb) ];
-  Tablefmt.print t
+      ("ns32082", Arch.ns32082); ("rp3", Arch.rp3_tlb) ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 5.2: TLB shootdown strategies                                *)
@@ -500,33 +504,16 @@ let shootdown_one strategy =
     Machine.elapsed_ms machine )
 
 let shootdown () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 5.2: TLB consistency strategies on a 4-CPU NS32082\n\
-         (30 rounds of protection change on 128KB shared by 4 CPUs;\n\
-         batched flushes, one IPI round per target)"
-      ~columns:
-        [ "strategy"; "IPIs"; "deferred flushes"; "stale TLB uses";
-          "elapsed" ]
-  in
   List.iter
-    (fun (name, key, strategy) ->
+    (fun (key, strategy) ->
        let ipis, deferred, stale, ms = shootdown_one strategy in
        let cell metric = Printf.sprintf "%s/batched/%s" key metric in
        count (cell "ipis") ipis;
        count (cell "deferred_flushes") deferred;
        count (cell "stale_tlb_uses") stale;
-       record (cell "elapsed_ms") ms;
-       Tablefmt.row t
-         [ name; string_of_int ipis; string_of_int deferred;
-           string_of_int stale; fmt_ms ms ])
-    [ ("interrupt all CPUs (case 1)", "immediate", Machine.Immediate_ipi);
-      ("defer to timer interrupt (case 2)", "deferred",
-       Machine.Deferred_timer);
-      ("allow temporary inconsistency (case 3)", "lazy",
-       Machine.Lazy_local) ];
-  Tablefmt.print t
+       record (cell "elapsed_ms") ms)
+    [ ("immediate", Machine.Immediate_ipi); ("deferred", Machine.Deferred_timer);
+      ("lazy", Machine.Lazy_local) ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 3.5: shadow-object chains and collapsing                     *)
@@ -584,16 +571,6 @@ let shadow_one ~collapse =
   (chain, collapses, resident, ms)
 
 let shadow () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 3.5: shadow-chain garbage collection\n\
-         (12 generations of fork + dirty half of 64KB, parent dies each \
-         time)"
-      ~columns:
-        [ "collapse"; "final chain"; "collapses"; "resident pages";
-          "elapsed" ]
-  in
   List.iter
     (fun flag ->
        let chain, collapses, resident, ms = shadow_one ~collapse:flag in
@@ -601,13 +578,8 @@ let shadow () =
        count (key ^ "/final_chain") chain;
        count (key ^ "/collapses") collapses;
        count (key ^ "/resident_pages") resident;
-       record (key ^ "/elapsed_ms") ms;
-       Tablefmt.row t
-         [ (if flag then "enabled" else "disabled (ablation)");
-           string_of_int chain; string_of_int collapses;
-           string_of_int resident; fmt_ms ms ])
-    [ true; false ];
-  Tablefmt.print t
+       record (key ^ "/elapsed_ms") ms)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 3.3: the memory-object cache                                 *)
@@ -645,24 +617,14 @@ let object_cache_one ~cache =
     Machine.elapsed_ms machine )
 
 let object_cache () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 3.3: object cache over 10 execs of the same 256KB text"
-      ~columns:[ "object cache"; "disk reads"; "cache hits"; "elapsed" ]
-  in
   List.iter
     (fun flag ->
        let reads, hits, ms = object_cache_one ~cache:flag in
        let key = if flag then "enabled" else "disabled" in
        count (key ^ "/disk_reads") reads;
        count (key ^ "/cache_hits") hits;
-       record (key ^ "/elapsed_ms") ms;
-       Tablefmt.row t
-         [ (if flag then "enabled" else "disabled (ablation)");
-           string_of_int reads; string_of_int hits; fmt_ms ms ])
-    [ true; false ];
-  Tablefmt.print t
+       record (key ^ "/elapsed_ms") ms)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 2: large messages by copy-on-write remapping                 *)
@@ -739,36 +701,19 @@ let ipc_one ~out_of_line ~size =
   Machine.elapsed_ms machine
 
 let ipc () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 2: transferring memory in a message — inline copy vs\n\
-         out-of-line copy-on-write remapping (receiver touches every page)"
-      ~columns:[ "size"; "inline copy"; "out-of-line (COW)" ]
-  in
   List.iter
     (fun size ->
        let inline_ms = ipc_one ~out_of_line:false ~size in
        let ool_ms = ipc_one ~out_of_line:true ~size in
        record (Printf.sprintf "%dK/inline" (size / kb)) inline_ms;
-       record (Printf.sprintf "%dK/out_of_line" (size / kb)) ool_ms;
-       Tablefmt.row t
-         [ Printf.sprintf "%dK" (size / kb); fmt_ms inline_ms;
-           fmt_ms ool_ms ])
-    [ 64 * kb; 256 * kb; 1 * mb; 4 * mb ];
-  Tablefmt.print t
+       record (Printf.sprintf "%dK/out_of_line" (size / kb)) ool_ms)
+    [ 64 * kb; 256 * kb; 1 * mb; 4 * mb ]
 
 (* ------------------------------------------------------------------ *)
 (* Mixed trace workload: Mach vs UNIX beyond the paper's fixed benches  *)
 (* ------------------------------------------------------------------ *)
 
 let mixed () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Mixed trace workload (reproducible random op mix; uVAX II, 8MB)"
-      ~columns:[ "trace"; "ops"; "Mach"; "UNIX"; "ratio" ]
-  in
   List.iter
     (fun seed ->
        let trace = Workload.generate ~seed ~ops:300 in
@@ -779,13 +724,8 @@ let mixed () =
        let _, _, _, mach_os = boot_mach ~mem:(8 * mb) Arch.uvax2 in
        let _, _, _, bsd_os = boot_bsd ~mem:(8 * mb) Arch.uvax2 in
        let m = run_on mach_os and u = run_on bsd_os in
-       record_pair (Printf.sprintf "seed%d" seed) m u;
-       Tablefmt.row t
-         [ Printf.sprintf "seed %d" seed;
-           string_of_int (Workload.op_count trace); fmt_ms m; fmt_ms u;
-           Printf.sprintf "%.2fx" (u /. m) ])
-    [ 11; 12; 13 ];
-  Tablefmt.print t
+       record_pair (Printf.sprintf "seed%d" seed) m u)
+    [ 11; 12; 13 ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 3-4: the optional pmap_copy routine at fork                    *)
@@ -824,24 +764,13 @@ let prewarm_one ~prewarm =
   ((Machine.stats machine).Machine.faults, Machine.elapsed_ms machine)
 
 let fork_prewarm () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Table 3-4 (optional pmap_copy): fork 256K + child reads it all\n\
-         (uVAX II; prewarming the child's pmap trades enters for faults)"
-      ~columns:[ "pmap_copy at fork"; "child faults"; "elapsed" ]
-  in
   List.iter
     (fun flag ->
        let faults, ms = prewarm_one ~prewarm:flag in
        let key = if flag then "used" else "default" in
        count (key ^ "/child_faults") faults;
-       record (key ^ "/elapsed_ms") ms;
-       Tablefmt.row t
-         [ (if flag then "used" else "not used (default)");
-           string_of_int faults; fmt_ms ms ])
-    [ false; true ];
-  Tablefmt.print t
+       record (key ^ "/elapsed_ms") ms)
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Section 6: copy-on-reference memory over the network                 *)
@@ -898,15 +827,6 @@ let net_one ~touch_fraction =
   (lazy_ms, lazy_bytes, eager_ms, eager_bytes)
 
 let net_memory () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Section 6: remote memory object, copy-on-reference vs whole-file\n\
-         transfer (1MB file on a 10 Mbit link)"
-      ~columns:
-        [ "pages touched"; "lazy time"; "lazy bytes"; "eager time";
-          "eager bytes" ]
-  in
   List.iter
     (fun pct ->
        let lazy_ms, lazy_b, eager_ms, eager_b = net_one ~touch_fraction:pct in
@@ -914,13 +834,8 @@ let net_memory () =
        record (c "lazy_ms") lazy_ms;
        count (c "lazy_bytes") lazy_b;
        record (c "eager_ms") eager_ms;
-       count (c "eager_bytes") eager_b;
-       Tablefmt.row t
-         [ Printf.sprintf "%d%%" pct; fmt_ms lazy_ms;
-           Printf.sprintf "%dK" (lazy_b / kb); fmt_ms eager_ms;
-           Printf.sprintf "%dK" (eager_b / kb) ])
-    [ 5; 25; 50; 100 ];
-  Tablefmt.print t
+       count (c "eager_bytes") eager_b)
+    [ 5; 25; 50; 100 ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: pager retry/backoff, death, and dirty-page rescue             *)
@@ -999,31 +914,15 @@ let chaos () =
     if got <> pattern i then incr corrupt
   done;
   let s = sys.Vm_sys.stats in
-  let t =
-    Tablefmt.create
-      ~title:
-        "Chaos: external pager with failing writes under memory pressure\n\
-         (seeded injection; bounded retry, pager death, rescue via the\n\
-         default pager — data must survive unharmed)"
-      ~columns:[ "metric"; "value" ]
-  in
-  let cell metric v =
-    count metric v;
-    Tablefmt.row t [ metric; string_of_int v ]
-  in
-  cell "injections" (Fail.injections inj);
-  cell "pager_retries" s.Vm_stats.vs_pager_retries;
-  cell "pager_failures" s.Vm_stats.vs_pager_failures;
-  cell "pager_deaths" s.Vm_stats.vs_pager_deaths;
-  cell "rescued_pages" s.Vm_stats.vs_rescued_pages;
-  cell "pageout_failures" s.Vm_stats.vs_pageout_failures;
-  cell "memory_errors" s.Vm_stats.vs_memory_errors;
-  cell "corrupt_pages" !corrupt;
-  record "elapsed_ms" (Machine.elapsed_ms machine);
-  Tablefmt.row t
-    [ "elapsed"; fmt_ms (Machine.elapsed_ms machine) ];
-  Tablefmt.print t;
-  Printf.printf "chaos fingerprint: %s\n" (Fail.fingerprint inj)
+  count "injections" (Fail.injections inj);
+  count "pager_retries" s.Vm_stats.vs_pager_retries;
+  count "pager_failures" s.Vm_stats.vs_pager_failures;
+  count "pager_deaths" s.Vm_stats.vs_pager_deaths;
+  count "rescued_pages" s.Vm_stats.vs_rescued_pages;
+  count "pageout_failures" s.Vm_stats.vs_pageout_failures;
+  count "memory_errors" s.Vm_stats.vs_memory_errors;
+  count "corrupt_pages" !corrupt;
+  record "elapsed_ms" (Machine.elapsed_ms machine)
 
 (* ------------------------------------------------------------------ *)
 (* Clustered paging: read-ahead window ablation                         *)
@@ -1136,34 +1035,23 @@ let cluster () =
     ( Machine.elapsed_ms machine,
       sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts )
   in
-  let t =
-    Tablefmt.create
-      ~title:
-        "Clustered paging: 2M sequential read, 256 random 4K reads and 1M\n\
-         anonymous writeback at each read-ahead window (cluster_max)"
-      ~columns:
-        [ "window"; "seq read"; "pager reqs"; "prefetch"; "rand read";
-          "writeback"; "clustered writes" ]
-  in
   List.iter
     (fun w ->
        let seq_ms, reqs, issued, hits, overlap = seq_read w in
        let rand_ms, rand_issued = rand_read w in
        let wb_ms, cw = writeback w in
-       record (Printf.sprintf "seq_read_2M/w%d" w) seq_ms;
-       record (Printf.sprintf "rand_read_256x4K/w%d" w) rand_ms;
-       record (Printf.sprintf "writeback_1M/w%d" w) wb_ms;
+       let c = Printf.sprintf "%s/w%d" in
+       record (c "seq_read_2M" w) seq_ms;
+       record (c "rand_read_256x4K" w) rand_ms;
+       record (c "writeback_1M" w) wb_ms;
+       count (c "pager_reads" w) reqs;
+       count (c "prefetch_issued" w) issued;
+       count (c "prefetch_hits" w) hits;
+       count (c "clustered_pageouts" w) cw;
        if w = 8 then begin
-         count "prefetch_issued/w8" issued;
-         count "prefetch_hits/w8" hits;
          count "rand_prefetch_issued/w8" rand_issued;
-         count "clustered_pageouts/w8" cw;
          count "disk_overlap_cycles/w8" overlap
-       end;
-       Tablefmt.row t
-         [ string_of_int w; fmt_ms seq_ms; string_of_int reqs;
-           Printf.sprintf "%d/%d" hits issued; fmt_ms rand_ms; fmt_ms wb_ms;
-           string_of_int cw ])
+       end)
     windows;
   (* The zero-overhead reference: the pre-clustering per-page loop on a
      fresh boot must cost exactly what the clustered path costs at w=1. *)
@@ -1175,9 +1063,6 @@ let cluster () =
   legacy_read sys fs ~name:"/seq" ~offset:0 ~len:seq_size;
   let legacy_ms = Machine.elapsed_ms machine in
   record "seq_read_2M/legacy" legacy_ms;
-  Tablefmt.row t
-    [ "legacy"; fmt_ms legacy_ms; "-"; "-"; "-"; "-"; "-" ];
-  Tablefmt.print t;
   (* Attribution cells: an instrumented re-run of the w=8 streaming
      read.  The Disk_wait share is the fraction of all cycles spent
      blocked on device time.  A separate boot, so the untraced cells
@@ -1201,10 +1086,7 @@ let cluster () =
     Mach_obs.Obs.attr_cpu_total tr ~cpu:0 = Machine.cycles machine ~cpu:0
   in
   record "attr_disk_wait_frac/w8" frac;
-  count "attr_conserved/w8" (Bool.to_int conserved);
-  Printf.printf
-    "cluster attribution (w=8): disk_wait %.1f%%, conservation %s\n\n"
-    (100. *. frac) (if conserved then "ok" else "MISMATCH")
+  count "attr_conserved/w8" (Bool.to_int conserved)
 
 (* ------------------------------------------------------------------ *)
 (* Multiprocessor fault scalability: object locks and burst faulting    *)
@@ -1368,72 +1250,38 @@ let mpfault_run ?(traced = false) ?(lock_sim = false) ?(dropped = false)
 
 let mpfault () =
   let fps r = float_of_int r.mp_faults /. (r.mp_ms /. 1000.) in
-  let t =
-    Tablefmt.create
-      ~title:
-        "Multiprocessor fault scalability (VAX 8200): identical 32-page\n\
-         fault streams per CPU against private objects vs stripes of one\n\
-         shared object; object locks are free uncontended and charge\n\
-         stalls to Lock_wait when writer sections overlap"
-      ~columns:
-        [ "CPUs"; "object"; "faults"; "faults/sec"; "lock stalls";
-          "stall share"; "elapsed" ]
-  in
   List.iter
     (fun cpus ->
        List.iter
          (fun shared ->
             let key = if shared then "shared" else "private" in
             let r = mpfault_run ~cpus ~shared ~burst:8 () in
-            record (Printf.sprintf "%s/c%d/faults_per_sec" key cpus) (fps r);
-            record (Printf.sprintf "%s/c%d/elapsed_ms" key cpus) r.mp_ms;
-            record
-              (Printf.sprintf "%s/c%d/lock_stall_share" key cpus)
-              r.mp_stall_share;
-            Tablefmt.row t
-              [ string_of_int cpus; key; string_of_int r.mp_faults;
-                Printf.sprintf "%.0f" (fps r);
-                string_of_int r.mp_stalls;
-                Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
-                fmt_ms r.mp_ms ])
+            let c = Printf.sprintf "%s/c%d/%s" key cpus in
+            count (c "faults") r.mp_faults;
+            count (c "lock_stalls") r.mp_stalls;
+            record (c "faults_per_sec") (fps r);
+            record (c "elapsed_ms") r.mp_ms;
+            record (c "lock_stall_share") r.mp_stall_share)
          [ false; true ])
     mpfault_cpus;
-  Tablefmt.print t;
   (* Burst ablation at a fixed CPU count: burst=1 maps only the demand
      page, larger limits amortize fault overhead and flush exchanges
      over neighbours. *)
   let bc = 4 in
-  let t2 =
-    Tablefmt.create
-      ~title:
-        (Printf.sprintf
-           "Burst faulting ablation (%d CPUs, private objects): neighbours\n\
-            mapped per resident fault ride the demand page's flush batch"
-           bc)
-      ~columns:
-        [ "burst"; "faults"; "burst faults"; "neighbours"; "hit rate";
-          "elapsed" ]
-  in
   let hit_rate r =
     if r.mp_issued = 0 then 0.
     else float_of_int r.mp_hits /. float_of_int r.mp_issued
   in
   List.iter
     (fun burst ->
-       let name = Printf.sprintf "b%d" burst in
        let r = mpfault_run ~cpus:bc ~shared:false ~burst () in
-       record (Printf.sprintf "burst/%s/elapsed_ms" name) r.mp_ms;
-       if burst = 8 then begin
-         record "burst/b8/hit_rate" (hit_rate r);
-         count "burst/b8/mapped" r.mp_burst_mapped
-       end;
-       Tablefmt.row t2
-         [ name; string_of_int r.mp_faults;
-           string_of_int r.mp_burst_faults;
-           string_of_int r.mp_burst_mapped;
-           Printf.sprintf "%d/%d" r.mp_hits r.mp_issued; fmt_ms r.mp_ms ])
+       let c = Printf.sprintf "burst/b%d/%s" burst in
+       count (c "faults") r.mp_faults;
+       count (c "burst_faults") r.mp_burst_faults;
+       record (c "elapsed_ms") r.mp_ms;
+       record (c "hit_rate") (hit_rate r);
+       count (c "mapped") r.mp_burst_mapped)
     [ 1; 2; 4; 8; 16 ];
-  Tablefmt.print t2;
   (* Drop-before-touch on one shared object, burst=8: every neighbour's
      mapping is dropped unused, so each entry's window must fall to the
      demand page and re-probe one neighbour on an exponential backoff
@@ -1444,15 +1292,9 @@ let mpfault () =
   let per_round_fault n =
     float_of_int n /. float_of_int (max 1 r.mp_round_faults)
   in
-  let per_fault = per_round_fault r.mp_burst_mapped
-  and enters_per_fault = per_round_fault r.mp_round_enters in
-  record "burst/dropped/mapped_per_fault" per_fault;
-  record "burst/dropped/enters_per_fault" enters_per_fault;
+  record "burst/dropped/mapped_per_fault" (per_round_fault r.mp_burst_mapped);
+  record "burst/dropped/enters_per_fault" (per_round_fault r.mp_round_enters);
   record "burst/dropped/hit_rate" (hit_rate r);
-  Printf.printf
-    "mpfault drop-before-touch (%d CPUs, shared, burst=8): %.2f neighbours \
-     mapped and %.2f pmap enters per fault, %d/%d hits\n\n"
-    bc per_fault enters_per_fault r.mp_hits r.mp_issued;
   (* Attribution: a traced re-run of the shared configuration.  Separate
      boot, so the untraced cells above are untouched. *)
   let r = mpfault_run ~traced:true ~cpus:bc ~shared:true ~burst:8 () in
@@ -1461,36 +1303,20 @@ let mpfault () =
    | Some (lw_share, conserved) ->
      let c = Printf.sprintf "%s/c%d_shared" in
      record (c "attr_lock_wait_share" bc) lw_share;
-     count (c "attr_conserved" bc) (Bool.to_int conserved);
-     Printf.printf
-       "mpfault attribution (%d CPUs, shared): lock_wait %.1f%% of all \
-        cycles, conservation %s\n\n"
-       bc (100. *. lw_share)
-       (if conserved then "ok" else "MISMATCH"));
+     count (c "attr_conserved" bc) (Bool.to_int conserved));
   (* Free-page allocator: the same shared-object interleave, burst=8,
      with queue-lock contention simulated; the magazines batch the lock
      traffic 8 pages per trip.  The scaling sweep above runs with the
-     cost invisible, so its cells are untouched by this table. *)
-  let t3 =
-    Tablefmt.create
-      ~title:
-        "Free-page allocator (shared object, burst=8, queue-lock contention\n\
-         simulated): one queue behind 8-page per-CPU magazines"
-      ~columns:
-        [ "CPUs"; "faults/sec"; "stall share"; "steals"; "elapsed" ]
-  in
+     cost invisible, so its cells are untouched by these. *)
   List.iter
     (fun cpus ->
        let r = mpfault_run ~lock_sim:true ~cpus ~shared:true ~burst:8 () in
-       record (Printf.sprintf "alloc/c%d/faults_per_sec" cpus) (fps r);
-       record (Printf.sprintf "alloc/c%d/stall_share" cpus) r.mp_stall_share;
-       Tablefmt.row t3
-         [ string_of_int cpus; Printf.sprintf "%.0f" (fps r);
-           Printf.sprintf "%.1f%%" (100. *. r.mp_stall_share);
-           string_of_int r.mp_steals; fmt_ms r.mp_ms ])
-    mpfault_cpus;
-  Tablefmt.print t3;
-  print_newline ()
+       let c = Printf.sprintf "alloc/c%d/%s" cpus in
+       record (c "faults_per_sec") (fps r);
+       record (c "stall_share") r.mp_stall_share;
+       count (c "steals") r.mp_steals;
+       record (c "elapsed_ms") r.mp_ms)
+    mpfault_cpus
 
 (* ------------------------------------------------------------------ *)
 (* Memory pressure: overcommit sweep against finite memory and swap     *)
@@ -1603,35 +1429,17 @@ let pressure_run ?(traced = false) ?(lock_sim = false) ~factor () =
     pr_attr = attr }
 
 let pressure () =
-  let t =
-    Tablefmt.create
-      ~title:
-        "Memory pressure (uVAX II, 2 MB memory + 2 MB swap, 8 tasks):\n\
-         anonymous demand swept from 1x to 4x of physical memory; past\n\
-         memory + swap the OOM policy kills the largest task and the\n\
-         kernel keeps serving the survivors"
-      ~columns:
-        [ "demand"; "pageouts"; "alloc waits"; "swap full"; "oom kills";
-          "survivors"; "elapsed" ]
-  in
-  let runs =
-    List.map (fun factor -> (factor, pressure_run ~factor ())) [ 1; 2; 3; 4 ]
-  in
   List.iter
-    (fun (factor, r) ->
+    (fun factor ->
+       let r = pressure_run ~factor () in
        let c = Printf.sprintf "x%d/%s" factor in
        record (c "elapsed_ms") r.pr_ms;
        count (c "oom_kills") r.pr_oom_kills;
        count (c "alloc_waits") r.pr_alloc_waits;
        count (c "pageouts") r.pr_pageouts;
-       count (c "survivors") r.pr_survivors;
-       Tablefmt.row t
-         [ Printf.sprintf "%dx" factor; string_of_int r.pr_pageouts;
-           string_of_int r.pr_alloc_waits; string_of_int r.pr_swap_full;
-           string_of_int r.pr_oom_kills; string_of_int r.pr_survivors;
-           fmt_ms r.pr_ms ])
-    runs;
-  Tablefmt.print t;
+       count (c "swap_full_failures") r.pr_swap_full;
+       count (c "survivors") r.pr_survivors)
+    [ 1; 2; 3; 4 ];
   (* Attribution: a traced re-run of the 4x point.  Separate boot, so
      the untraced cells above are untouched; Mem_wait is the cycles
      allocations spent blocked on the pageout daemon, and conservation
@@ -1641,25 +1449,15 @@ let pressure () =
    | None -> assert false
    | Some (mw_share, conserved) ->
      record "attr_mem_wait_share/x4" mw_share;
-     count "attr_conserved/x4" (Bool.to_int conserved);
-     Printf.printf
-       "pressure attribution (4x): mem_wait %.1f%% of all cycles, \
-        conservation %s\n\n"
-       (100. *. mw_share)
-       (if conserved then "ok" else "MISMATCH"));
+     count "attr_conserved/x4" (Bool.to_int conserved));
   (* The 3x point again with the free queue's lock priced: the policy
      outcome must not move — magazines are drained when pressure is
      declared, so cached pages cannot strand below the watermarks and
      change who gets killed. *)
-  let rs = List.assoc 3 runs in
   let rc = pressure_run ~lock_sim:true ~factor:3 () in
   count "alloc/x3/oom_kills" rc.pr_oom_kills;
   count "alloc/x3/survivors" rc.pr_survivors;
-  record "alloc/x3/elapsed_ms" rc.pr_ms;
-  Printf.printf
-    "pressure with the queue lock priced (3x): %d oom kills / %d \
-     survivors (unpriced: %d / %d)\n\n"
-    rc.pr_oom_kills rc.pr_survivors rs.pr_oom_kills rs.pr_survivors
+  record "alloc/x3/elapsed_ms" rc.pr_ms
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent streams: shared-object read-ahead interference            *)
@@ -1699,31 +1497,16 @@ let streams () =
     done;
     (Machine.elapsed_ms machine, sys.Vm_sys.stats)
   in
-  let t =
-    Tablefmt.create
-      ~title:
-        "Concurrent streams: K readers x 256K stripes of one shared file\n\
-         (elapsed = slowest reader; 8 stream slots per object)"
-      ~columns:
-        [ "readers"; "elapsed"; "pager reqs"; "hits"; "resets"; "fb pages" ]
-  in
   List.iter
     (fun k ->
        let ms, s = run k in
+       let c metric = Printf.sprintf "%s/k%d" metric k in
        record (Printf.sprintf "k%d/elapsed_ms" k) ms;
-       if k = 8 then begin
-         count "stream_hits/k8" s.Vm_stats.vs_stream_hits;
-         count "stream_resets/k8" s.Vm_stats.vs_stream_resets;
-         count "pager_reads/k8" s.Vm_stats.vs_pager_reads;
-         count "free_behind_pages/k8" s.Vm_stats.vs_free_behind_pages
-       end;
-       Tablefmt.row t
-         (string_of_int k :: fmt_ms ms
-          :: List.map string_of_int
-            [ s.Vm_stats.vs_pager_reads; s.Vm_stats.vs_stream_hits;
-              s.Vm_stats.vs_stream_resets; s.Vm_stats.vs_free_behind_pages ]))
-    streams_ks;
-  Tablefmt.print t
+       count (c "stream_hits") s.Vm_stats.vs_stream_hits;
+       count (c "stream_resets") s.Vm_stats.vs_stream_resets;
+       count (c "pager_reads") s.Vm_stats.vs_pager_reads;
+       count (c "free_behind_pages") s.Vm_stats.vs_free_behind_pages)
+    streams_ks
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -1781,38 +1564,44 @@ let experiments =
     e "cluster" cluster
       (let ws = [ "w1"; "w2"; "w4"; "w8"; "w16"; "w32"; "w64" ] in
        decl [ [ "seq_read_2M"; "writeback_1M"; "rand_read_256x4K" ] ] (ms ws)
-       @ leaves Count Cluster
-         [ "prefetch_issued/w8"; "prefetch_hits/w8"; "rand_prefetch_issued/w8";
-           "clustered_pageouts/w8" ]
-       @ [ ("attr_disk_wait_frac/w8", Ratio, Disk);
+       @ decl
+         [ [ "pager_reads"; "prefetch_issued"; "prefetch_hits";
+             "clustered_pageouts" ] ]
+         (leaves Count Cluster ws)
+       @ [ ("rand_prefetch_issued/w8", Count, Cluster);
+           ("attr_disk_wait_frac/w8", Ratio, Disk);
            ("disk_overlap_cycles/w8", Cycles, Disk);
            ("attr_conserved/w8", Flag, E2e); ("seq_read_2M/legacy", Ms, E2e) ]);
     e "streams" streams
-      (decl [ List.map (x "k%d") streams_ks ] [ elapsed ]
-       @ leaves Count Cluster
-         [ "stream_hits/k8"; "stream_resets/k8"; "pager_reads/k8" ]
-       @ [ ("free_behind_pages/k8", Pages, Cluster) ]);
+      (let ks = List.map (x "k%d") streams_ks in
+       decl [ ks ] [ elapsed ]
+       @ decl [ [ "stream_hits"; "stream_resets"; "pager_reads" ] ]
+         (leaves Count Cluster ks)
+       @ decl [ [ "free_behind_pages" ] ] (leaves Pages Cluster ks));
     e "mpfault" mpfault
       (let cs = List.map (x "c%d") mpfault_cpus in
        decl [ [ "private"; "shared" ]; cs ]
-         [ ("faults_per_sec", Per_s, Fault); ("lock_stall_share", Ratio, Fault);
-           elapsed ]
+         (leaves Count Fault [ "faults"; "lock_stalls" ]
+          @ [ ("faults_per_sec", Per_s, Fault);
+              ("lock_stall_share", Ratio, Fault); elapsed ])
        @ decl [ [ "burst" ]; [ "b1"; "b2"; "b4"; "b8"; "b16" ] ]
-         [ elapsed ]
+         (leaves Count Fault [ "faults"; "burst_faults"; "mapped" ]
+          @ [ ("hit_rate", Ratio, Fault); elapsed ])
        @ leaves Ratio Fault
-         [ "burst/b8/hit_rate"; "burst/dropped/mapped_per_fault";
-           "burst/dropped/hit_rate";
+         [ "burst/dropped/mapped_per_fault"; "burst/dropped/hit_rate";
            "attr_lock_wait_share/c4_shared" ]
-       @ [ ("burst/b8/mapped", Count, Fault);
-           ("burst/dropped/enters_per_fault", Ratio, Pmap);
+       @ [ ("burst/dropped/enters_per_fault", Ratio, Pmap);
            ("attr_conserved/c4_shared", Flag, E2e) ]
        @ decl [ [ "alloc" ]; cs ]
          [ ("faults_per_sec", Per_s, Resident);
-           ("stall_share", Ratio, Resident) ]);
+           ("stall_share", Ratio, Resident); ("steals", Count, Resident);
+           elapsed ]);
     e "pressure" pressure
       (let kills = leaves Count Resident [ "oom_kills"; "survivors" ] in
        decl [ [ "x1"; "x2"; "x3"; "x4" ] ]
-         (elapsed :: leaves Count Resident [ "alloc_waits"; "pageouts" ]
+         (elapsed
+          :: leaves Count Resident
+            [ "alloc_waits"; "pageouts"; "swap_full_failures" ]
           @ kills)
        @ decl [ [ "alloc/x3" ] ] (elapsed :: kills)
        @ [ ("attr_mem_wait_share/x4", Ratio, Resident);

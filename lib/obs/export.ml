@@ -205,6 +205,20 @@ let stats_json ?(extra = []) tr =
 let write_stats ~path ?extra tr =
   Jout.write_file path (stats_json ?extra tr)
 
+(* A latency table, and its row for [h] (count, mean, p50, p95, p99, max)
+   when [h] has samples. *)
+let latency_table ~title first =
+  Tablefmt.create ~title
+    ~columns:[ first; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
+
+let latency_row t name h =
+  if Hist.count h > 0 then
+    Tablefmt.row t
+      [ name; string_of_int (Hist.count h);
+        Printf.sprintf "%.0f" (Hist.mean h);
+        string_of_int (Hist.p50 h); string_of_int (Hist.p95 h);
+        string_of_int (Hist.p99 h); string_of_int (Hist.max_value h) ]
+
 let summary_tables tr =
   let counts =
     Tablefmt.create ~title:"Trace: events by kind"
@@ -216,27 +230,16 @@ let summary_tables tr =
       Tablefmt.row counts [ Obs.kind_name_of_index k; string_of_int n ]
   done;
   let lat =
-    Tablefmt.create
-      ~title:"Trace: latency summaries (simulated cycles)"
-      ~columns:[ "metric"; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
-  in
-  let hist_row name h =
-    if Hist.count h > 0 then
-      Tablefmt.row lat
-        [ name; string_of_int (Hist.count h);
-          Printf.sprintf "%.0f" (Hist.mean h);
-          string_of_int (Hist.p50 h);
-          string_of_int (Hist.p95 h);
-          string_of_int (Hist.p99 h);
-          string_of_int (Hist.max_value h) ]
+    latency_table ~title:"Trace: latency summaries (simulated cycles)"
+      "metric"
   in
   List.iter
     (fun r ->
-       hist_row
+       latency_row lat
          ("fault: " ^ Obs.fault_resolution_name r)
          (Obs.fault_latency tr r))
     Obs.fault_resolutions;
-  List.iter (fun (h, _, label) -> hist_row label (Obs.hist tr h))
+  List.iter (fun (h, _, label) -> latency_row lat label (Obs.hist tr h))
     Obs.hist_names;
   [ counts; lat ]
 
@@ -340,19 +343,11 @@ let profile_tables ~clocks tr =
      @ [ string_of_int clock_total;
          (if clock_total = 0 then "-" else "100.0%") ]);
   let lat =
-    Tablefmt.create ~title:"Profile: fault service time (cycles)"
-      ~columns:[ "resolution"; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
+    latency_table ~title:"Profile: fault service time (cycles)" "resolution"
   in
   List.iter
     (fun r ->
-       let h = Obs.fault_latency tr r in
-       if Hist.count h > 0 then
-         Tablefmt.row lat
-           [ Obs.fault_resolution_name r; string_of_int (Hist.count h);
-             Printf.sprintf "%.0f" (Hist.mean h);
-             string_of_int (Hist.p50 h); string_of_int (Hist.p95 h);
-             string_of_int (Hist.p99 h);
-             string_of_int (Hist.max_value h) ])
+       latency_row lat (Obs.fault_resolution_name r) (Obs.fault_latency tr r))
     Obs.fault_resolutions;
   let spans =
     Tablefmt.create ~title:"Profile: slowest fault spans"

@@ -120,5 +120,3 @@ let run (os : Os_iface.t) t =
        | None -> ())
     state;
   os.Os_iface.elapsed_ms ()
-
-let op_count t = List.length t.wl_ops

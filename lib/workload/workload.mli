@@ -32,5 +32,3 @@ val run : Os_iface.t -> t -> float
 (** [run os t] replays the trace (clock reset first) and returns elapsed
     simulated milliseconds.  Operations on empty slots or missing regions
     are skipped, so any generated trace is safe on any OS. *)
-
-val op_count : t -> int

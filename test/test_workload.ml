@@ -132,8 +132,8 @@ let test_mach_rereads_beat_small_buffer_cache () =
 let test_trace_generation_deterministic () =
   let a = Workload.generate ~seed:5 ~ops:100 in
   let b = Workload.generate ~seed:5 ~ops:100 in
-  Alcotest.(check int) "same length" (Workload.op_count a)
-    (Workload.op_count b);
+  Alcotest.(check int) "same length" (List.length a.Workload.wl_ops)
+    (List.length b.Workload.wl_ops);
   Alcotest.(check bool) "same trace" true (a = b);
   let c = Workload.generate ~seed:6 ~ops:100 in
   Alcotest.(check bool) "different seed differs" true (a <> c)

@@ -5,14 +5,19 @@
      bench/BENCH_vm.json (simulated time is deterministic, so any drift
      is a behaviour change);
    - the relation table [rows]: the shapes the bench reproduces from the
-     paper, and the identities that let duplicate paths be deleted.
+     paper, and the identities that let duplicate paths be deleted;
+   - each marked block the bench prints (<!-- cells:KEY --> ...
+     <!-- /cells -->, its tables of one experiment's cells) appears
+     verbatim in EXPERIMENTS.md, and that file has no block the bench
+     does not print.
 
-   Every differing cell and failing row is printed, one line each, before
-   exiting 1. *)
+   Every differing cell, failing row and differing block is printed, one
+   line each, before exiting 1. *)
 
 module J = Mach_obs.Jout
 
 let baseline = "bench/BENCH_vm.json"
+let doc = "EXPERIMENTS.md"
 
 (* machsim runs: id, arguments, whether to export --stats. *)
 let machsim_runs =
@@ -230,6 +235,49 @@ let differing produced committed =
        else Some (Printf.sprintf "%s = %s (committed: %s)" n a b))
     (List.sort_uniq compare (List.map fst (produced @ committed)))
 
+(* The marked blocks of a text: each key with the lines between its
+   markers (to the end of the text if the block is not closed). *)
+let blocks text =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | l :: rest when starts "<!-- cells:" l && String.ends_with ~suffix:" -->" l
+      ->
+      let rec body b = function
+        | "<!-- /cells -->" :: rest | ([] as rest) -> (List.rev b, rest)
+        | l :: rest -> body (l :: b) rest
+      in
+      let b, rest = body [] rest in
+      go ((String.sub l 11 (String.length l - 15), b) :: acc) rest
+    | _ :: rest -> go acc rest
+  in
+  go [] (String.split_on_char '\n' text)
+
+(* One line per block of [printed] that [documented] lacks or has
+   otherwise (with the first differing line), and per block of
+   [documented] that [printed] lacks. *)
+let block_diffs printed documented =
+  let line = function [] -> "nothing" | l :: _ -> Printf.sprintf "%S" l in
+  let rec first i = function
+    | a :: r, b :: r' when a = b -> first (i + 1) (r, r')
+    | d, p -> (i, line d, line p)
+  in
+  List.filter_map
+    (fun (key, lines) ->
+       match List.assoc_opt key documented with
+       | None -> Some (Printf.sprintf "block cells:%s is missing from %s" key doc)
+       | Some d when d = lines -> None
+       | Some d ->
+         let i, has, want = first 1 (d, lines) in
+         Some (Printf.sprintf "block cells:%s differs at its line %d: %s has %s, \
+                               the bench prints %s" key i doc has want))
+    printed
+  @ List.filter_map
+    (fun (key, _) ->
+       if List.mem_assoc key printed then None
+       else Some (Printf.sprintf "block cells:%s in %s names no experiment"
+                    key doc))
+    documented
+
 (* One machsim run: its stdout lines, less the "stats: ->" line naming
    the scratch file, and the text of its stats JSON if it exports one. *)
 let machsim id =
@@ -255,9 +303,10 @@ let op_name = function
 let () =
   (* [dune exec] names the repository root, wherever it is invoked. *)
   Option.iter Sys.chdir (Sys.getenv_opt "DUNE_SOURCEROOT");
-  sh "dune exec bench/main.exe -- -json %s >/dev/null"
-    (Filename.quote (tmp "cells.json"));
+  sh "dune exec bench/main.exe -- -json %s >%s"
+    (Filename.quote (tmp "cells.json")) (Filename.quote (tmp "bench.out"));
   let out = read (tmp "cells.json") and committed = read baseline in
+  let printed = blocks (read (tmp "bench.out")) in
   let produced = cells "bench output" out in
   let diffs =
     match differing produced (cells baseline committed) with
@@ -299,8 +348,14 @@ let () =
       if List.exists p (fst (List.assoc id runs)) then None
       else Some (Printf.sprintf "machsim %s printed no %s line" id what)
   in
-  let failures = diffs @ List.filter_map check rows in
+  let failures =
+    diffs @ List.filter_map check rows
+    @ block_diffs printed (blocks (read doc))
+  in
   List.iter (fun f -> prerr_endline ("bench-check: FAIL " ^ f)) failures;
   if failures <> [] then exit 1;
-  Printf.printf "bench-check: OK (%d cells equal %s, %d relations hold)\n"
-    (List.length produced) baseline (List.length rows)
+  Printf.printf
+    "bench-check: OK (%d cells equal %s, %d relations hold, %d blocks equal \
+     %s)\n"
+    (List.length produced) baseline (List.length rows) (List.length printed)
+    doc
