@@ -871,11 +871,11 @@ let chaos () =
            match Hashtbl.find_opt store offset with
            | Some d ->
              Types.Data_provided
-               (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
+               (Lent.truncate (Lent.of_bytes d) length, Types.io_none)
            | None -> Types.Data_unavailable);
       pgr_write =
         (fun ~offset ~data ->
-           Hashtbl.replace store offset (Bytes.copy data);
+           Hashtbl.replace store offset (Lent.to_bytes data);
            Types.Write_completed Types.io_none);
       pgr_should_cache = ref false;
     }
@@ -961,7 +961,8 @@ let legacy_read sys fs ~name ~offset ~len =
           Resident.enqueue sys.Vm_sys.resident p Q_active;
           p
       in
-      ignore (Page_io.copy_out sys page ~off:(abs mod ps) ~len:chunk);
+      Page_io.blit_out sys page ~off:(abs mod ps) ~len:chunk
+        (Bytes.create chunk) ~pos:0;
       loop (pos + chunk)
     end
   in

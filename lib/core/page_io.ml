@@ -27,24 +27,28 @@ let blit_in sys p ~off data ~pos ~len =
 
 (* Copy [len] bytes of the page from [off] into [buf] at [pos]. *)
 let blit_out sys p ~off ~len buf ~pos =
-  check sys ~off ~len ~what:"Page_io.copy_out";
+  check sys ~off ~len ~what:"Page_io.blit_out";
   Phys_mem.blit_out_span (phys sys) p.pfn ~offset:off ~len buf ~pos;
   charge_move sys len
 
-let copy_out sys p ~off ~len =
-  let buf = Bytes.create (max 0 len) in
-  blit_out sys p ~off ~len buf ~pos:0;
-  buf
+(* The page's frame span, lent to a pager's write: the move a device
+   makes reading it is charged here, as a copy out would be. *)
+let lend sys p =
+  let len = sys.Vm_sys.page_size in
+  let buf, pos = Phys_mem.lend_span (phys sys) p.pfn ~offset:0 ~len in
+  charge_move sys len;
+  { Lent.buf; pos; len }
 
 (* A short [data] is zero padded in place: the page is charged as one
    whole-page move either way.  [pos] must lie within [data] (or at its
    end, for a page of zeros). *)
 let fill ?(pos = 0) sys p data =
-  if pos < 0 || pos > Bytes.length data then invalid_arg "Page_io.fill";
+  let total = Lent.length data in
+  if pos < 0 || pos > total then invalid_arg "Page_io.fill";
   let ps = sys.Vm_sys.page_size in
-  let n = max 0 (min ps (Bytes.length data - pos)) in
-  Phys_mem.write_span (phys sys) p.pfn ~offset:0 ~pos ~len:n data;
-  Phys_mem.zero_span (phys sys) p.pfn ~offset:n ~len:(ps - n);
+  let n = min ps (total - pos) in
+  let mem = phys sys in
+  Lent.iter data ~src:pos ~len:n (fun buf from len ~at ->
+      Phys_mem.write_span mem p.pfn ~offset:at ~pos:from ~len buf);
+  Phys_mem.zero_span mem p.pfn ~offset:n ~len:(ps - n);
   charge_move sys ps
-
-let contents sys p = copy_out sys p ~off:0 ~len:sys.Vm_sys.page_size

@@ -2,26 +2,27 @@
 
     A machine-independent page spans several consecutive hardware frames;
     these helpers move its bytes in one span operation for the fault
-    handler, the pageout daemon, pagers and file I/O paths.  All charge
+    handler, the pageout daemon, pagers and file I/O paths, or lend its
+    frame span to a pager's write.  All charge
     the architecture's bulk-move cost: once per move, or once per frame
     for {!zero} and {!copy}. *)
 
-val fill : ?pos:int -> Vm_sys.t -> Types.page -> Bytes.t -> unit
-(** [fill ~pos sys p data] copies a page of [data] from [pos] (default
-    0) into the page, zero padding whatever [data] is short of in place.
-    Raises [Invalid_argument] when [pos] is outside [0, Bytes.length data]. *)
+val fill : ?pos:int -> Vm_sys.t -> Types.page -> Lent.t -> unit
+(** [fill ~pos sys p data] copies a page of [data] from byte [pos]
+    (default 0) into the page, zero padding whatever [data] is short of
+    in place.  [data] is only read.  Raises [Invalid_argument] when
+    [pos] is outside [0, Lent.length data]. *)
 
-val contents : Vm_sys.t -> Types.page -> Bytes.t
-(** [contents sys p] is the whole page as bytes. *)
-
-val copy_out : Vm_sys.t -> Types.page -> off:int -> len:int -> Bytes.t
-(** [copy_out sys p ~off ~len] extracts a sub-range of the page.  The
-    range must lie within the page. *)
+val lend : Vm_sys.t -> Types.page -> Lent.slice
+(** [lend sys p] is the whole page's frame span, for one [pgr_write]
+    call (see the ownership rule on {!Types.pager}), charged as the
+    page-sized move a copy out would be. *)
 
 val blit_out :
   Vm_sys.t -> Types.page -> off:int -> len:int -> Bytes.t -> pos:int -> unit
-(** [blit_out sys p ~off ~len buf ~pos] is {!copy_out} into [buf] at
-    [pos], with no buffer of its own. *)
+(** [blit_out sys p ~off ~len buf ~pos] copies [len] bytes of the page
+    from [off] into [buf] at [pos].  The range must lie within the
+    page. *)
 
 val blit_in :
   Vm_sys.t -> Types.page -> off:int -> Bytes.t -> pos:int -> len:int -> unit

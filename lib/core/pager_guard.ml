@@ -49,8 +49,7 @@ let declare_dead (sys : Vm_sys.t) o pager =
          && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
        then
          match
-           rescue.pgr_write ~offset:p.pg_offset
-             ~data:(Page_io.contents sys p)
+           rescue.pgr_write ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
          with
          | Write_completed io ->
            wait_io sys io;

@@ -39,7 +39,7 @@ val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
-  [ `Data of Bytes.t | `Absent | `Error ]
+  [ `Data of Lent.t | `Absent | `Error ]
 (** [request sys obj ~offset ~length] asks the object's pager for data,
     applying retry/backoff/death policy.  [`Absent] means "no pager has
     this page" (descend the shadow chain or zero fill); [`Error] means
@@ -48,7 +48,7 @@ val request :
 
 val request_range :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
-  [ `Data of Bytes.t * Types.io | `Absent | `Error ]
+  [ `Data of Lent.t * Types.io | `Absent | `Error ]
 (** [request_range] is the clustered-pagein variant of {!request}: one
     attempt, no retries, no health damage, and the transfer's stamp
     returned unwaited.  The reply may hold fewer bytes than [length] (a
@@ -66,7 +66,7 @@ val await_page : Vm_sys.t -> Types.page -> unit
     nothing. *)
 
 val write_range :
-  Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->
+  Vm_sys.t -> Types.obj -> offset:int -> data:Lent.t ->
   [ `Ok | `Failed | `No_space ]
 (** [write_range] is the clustered-pageout variant of {!write}: one
     attempt, no retries, no health damage.  On [`Failed] nothing was
@@ -77,7 +77,7 @@ val write_range :
     memory-pressure state rather than retry. *)
 
 val write :
-  Vm_sys.t -> Types.obj -> offset:int -> data:Bytes.t ->
+  Vm_sys.t -> Types.obj -> offset:int -> data:Lent.t ->
   [ `Ok | `Failed | `No_space ]
 (** [write sys obj ~offset ~data] writes a page back to the object's
     pager (or its rescue pager once dead) with the same policy.  On

@@ -13,45 +13,26 @@ let make (sys : Vm_sys.t) ~name =
   let ps = sys.Vm_sys.page_size in
   (* Gather contiguous chunks from [offset] up: one disk transfer covers
      the whole gathered range, so a clustered request pays the seek once.
-     A reply that is one whole chunk is that chunk, lent (the contract on
-     [pgr_request]); only a reply that joins chunks gets a buffer of its
-     own.  No chunk at [offset] itself means the pager holds nothing
-     there (the range contract). *)
+     The reply lends each chunk of the run, a head of the last one when
+     the request ends inside it (the rule on {!Types.pager}).  No chunk
+     at [offset] itself means the pager holds nothing there (the range
+     contract). *)
   let gather ~offset ~length =
-    match Hashtbl.find_opt store offset with
-    | None -> None
-    | Some first ->
-      (* Bytes on hand from [offset + got]: whole chunks while they
-         continue the run, then at most a head of the last one. *)
-      let rec span got =
-        if got >= length then got
-        else
-          match Hashtbl.find_opt store (offset + got) with
-          | None -> got
-          | Some d ->
-            let take = min (Bytes.length d) (length - got) in
-            if take = Bytes.length d then span (got + take) else got + take
-      in
-      let got = span 0 in
-      if got = Bytes.length first then Some first
-      else begin
-        let buf = Bytes.create got in
-        let rec join pos =
-          if pos < got then begin
-            let d = Hashtbl.find store (offset + pos) in
-            let take = min (Bytes.length d) (got - pos) in
-            Bytes.blit d 0 buf pos take;
-            join (pos + take)
-          end
-        in
-        join 0;
-        Some buf
-      end
+    let rec run got =
+      if got >= length then []
+      else
+        match Hashtbl.find_opt store (offset + got) with
+        | None -> []
+        | Some d ->
+          let take = min (Bytes.length d) (length - got) in
+          let s = { Lent.buf = d; pos = 0; len = take } in
+          if take = Bytes.length d then s :: run (got + take) else [ s ]
+    in
+    run 0
   in
   (* Bytes of [data] landing on offsets not yet stored: only new chunks
      commit pool space — rewriting a paged-out page in place is free. *)
-  let new_bytes ~offset ~data =
-    let len = Bytes.length data in
+  let new_bytes ~offset ~len =
     let fresh = ref 0 and pos = ref 0 in
     while !pos < len do
       let take = min ps (len - !pos) in
@@ -61,19 +42,19 @@ let make (sys : Vm_sys.t) ~name =
     !fresh
   in
   (* Stored in page-size chunks so later single-page requests find their
-     piece.  An offset already stored is overwritten in place; only a new
-     offset copies its piece out of [data], which is lent (the contract
-     on [pgr_write]). *)
-  let scatter ~offset ~data =
-    let len = Bytes.length data in
+     piece.  Each piece is copied out of the lent [data] before the call
+     returns: over the chunk an offset already holds, in place, or into a
+     new chunk of its own. *)
+  let scatter ~offset ~data ~len =
     let pos = ref 0 in
     while !pos < len do
       let take = min ps (len - !pos) in
       let off = offset + !pos in
       (match Hashtbl.find_opt store off with
        | Some chunk when Bytes.length chunk = take ->
-         Bytes.blit data !pos chunk 0 take
-       | Some _ | None -> Hashtbl.replace store off (Bytes.sub data !pos take));
+         Lent.blit data ~src:!pos chunk ~dst_pos:0 ~len:take
+       | Some _ | None ->
+         Hashtbl.replace store off (Lent.sub data ~pos:!pos ~len:take));
       pos := !pos + take
     done
   in
@@ -81,31 +62,30 @@ let make (sys : Vm_sys.t) ~name =
      whole (possibly clustered) write fits and is committed, or nothing
      is stored and the kernel hears [Write_no_space] — it may then fall
      back to single-page writes, which need less fresh space. *)
-  let reserve ~offset ~data =
-    Vm_sys.swap_charge sys (new_bytes ~offset ~data)
-  in
+  let reserve ~offset ~len = Vm_sys.swap_charge sys (new_bytes ~offset ~len) in
   {
     pgr_id = id;
     pgr_name = name;
     pgr_request =
       (fun ~offset ~length ->
          match gather ~offset ~length with
-         | None -> Data_unavailable
-         | Some data ->
+         | [] -> Data_unavailable
+         | data ->
            Data_provided
              (data,
               Mach_hw.Machine.submit_disk machine ~cpu:(cpu ())
-                ~write:false ~bytes:(Bytes.length data)));
+                ~write:false ~bytes:(Lent.length data)));
     pgr_write =
       (fun ~offset ~data ->
-         if not (reserve ~offset ~data) then Write_no_space
+         let len = Lent.length data in
+         if not (reserve ~offset ~len) then Write_no_space
          else begin
            (* One disk transfer for the whole (possibly clustered) write. *)
            let io =
              Mach_hw.Machine.submit_disk machine ~cpu:(cpu ()) ~write:true
-               ~bytes:(Bytes.length data)
+               ~bytes:len
            in
-           scatter ~offset ~data;
+           scatter ~offset ~data ~len;
            Write_completed io
          end);
     pgr_should_cache = ref false;

@@ -148,7 +148,19 @@ and pager_health = {
    transfer, the demand page alone for a read-ahead cluster) and lets
    the other pages ride their own stamps (an [inflight] record).  A
    disk write is already paid when the reply arrives: the simulated
-   disk has no queue, and a write blocks its CPU until it lands. *)
+   disk has no queue, and a write blocks its CPU until it lands.
+
+   Page data moves by reference, as in a Mach message: each side lends
+   the other its own bytes ({!Lent.t}) for one call.  A pager answers
+   [pgr_request] with slices of the blocks or chunks it stores; the
+   kernel copies a reply's slices into frames and never keeps or
+   mutates them.  The copy may come after the kernel has grabbed a
+   frame, which can run the pageout daemon; that is safe because the
+   daemon never writes the offsets being paged in, which are not
+   resident.  The kernel passes [pgr_write] the frame spans of the
+   pages it cleans; a pager copies a written slice into its store before
+   it returns, and keeps no slice.  A pager that changes the data it
+   answers with (a chaos decorator scrambling a reply) changes a copy. *)
 and pager = {
   pgr_id : int;
   pgr_name : string;
@@ -159,30 +171,20 @@ and pager = {
          will fall back to single-page requests for the remainder.
          [Data_unavailable] for a range means the pager holds no data at
          [offset] itself, so the kernel may zero-fill / descend for the
-         demand page without re-asking page by page.
-         The bytes of a [Data_provided] reply are lent to the kernel for
-         the call: the pager may hand over its own stored copy, and the
-         kernel copies them into frames and never mutates or keeps them.
-         The copy may come after the kernel has grabbed a frame (which
-         can run the pageout daemon); that is safe because the daemon
-         never writes the offsets being paged in, which are not
-         resident. *)
-  pgr_write : offset:int -> data:Bytes.t -> pager_write_reply;
+         demand page without re-asking page by page. *)
+  pgr_write : offset:int -> data:Lent.t -> pager_write_reply;
       (* pager_data_write: the kernel cleans dirty pages; [data] may span
          several contiguous pages (a clustered pageout).  A pager that
          stores blobs keyed by offset must split the data at page
          boundaries or later single-page requests will miss it.
          [Write_error] means NO page of the range was cleaned; the kernel
-         falls back to single-page writes.
-         [data] is lent to the pager for the call: a pager copies
-         whatever it keeps (it may overwrite a copy it already holds in
-         place). *)
+         falls back to single-page writes. *)
   pgr_should_cache : bool ref;
       (* pager_cache: retain the object after its last unmap *)
 }
 
 and pager_reply =
-  | Data_provided of Bytes.t * io
+  | Data_provided of Lent.t * io
       (* pager_data_provided: the data is in hand at once (the
          simulation holds it in host memory); the device is busy until
          the stamp *)

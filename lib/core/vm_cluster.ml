@@ -244,9 +244,9 @@ let note_prefetch (sys : Vm_sys.t) ~offset ~issued ~window =
 let cluster (sys : Vm_sys.t) obj st ~stream ~offset ~n =
   let ps = sys.Vm_sys.page_size in
   match Pager_guard.request_range sys obj ~offset ~length:(n * ps) with
-  | `Data (data, io) when Bytes.length data >= ps ->
+  | `Data (data, io) when Lent.length data >= ps ->
     Pager_guard.wait_prefix sys io ~bytes:ps;
-    let got = min n (Bytes.length data / ps) in
+    let got = min n (Lent.length data / ps) in
     (* Commit the ramp at the size actually issued: a cluster clipped by
        the object end or a resident page must not ramp as if the full
        candidate window had been read. *)

@@ -2,8 +2,6 @@ open Mach_hw
 open Types
 open Mach_pmap
 
-let page_bytes = Page_io.contents
-
 let deactivate_some (sys : Vm_sys.t) ~count =
   Vm_sys.with_cat sys Mach_obs.Obs.Pageout_daemon @@ fun () ->
   let rec loop n =
@@ -81,7 +79,7 @@ let clean_page (sys : Vm_sys.t) p =
     Vm_object.lock_write sys o @@ fun () ->
     ensure_pager sys o;
     match
-      Pager_guard.write sys o ~offset:p.pg_offset ~data:(page_bytes sys p)
+      Pager_guard.write sys o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
     with
     | `Ok ->
       run_cleaned sys ~offset:p.pg_offset [ p ];
@@ -111,11 +109,8 @@ let write_cluster (sys : Vm_sys.t) o pages =
   List.iter
     (fun q -> Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:q.pfn)
     pages;
-  let ps = sys.Vm_sys.page_size in
-  let data = Bytes.create (n * ps) in
-  List.iteri
-    (fun i q -> Page_io.blit_out sys q ~off:0 ~len:ps data ~pos:(i * ps))
-    pages;
+  (* The pager reads each page's frames in place: one slice a page. *)
+  let data = List.map (Page_io.lend sys) pages in
   match Pager_guard.write_range sys o ~offset:start ~data with
   | `Ok ->
     sys.Vm_sys.stats.Vm_stats.vs_clustered_pageouts <-

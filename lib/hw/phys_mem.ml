@@ -61,6 +61,9 @@ let write_span t f ~offset ?(pos = 0) ?len data =
   let at = span t f ~offset ~len ~what:"Phys_mem.write: out of memory" in
   Bytes.blit data pos t.store at len
 
+let lend_span t f ~offset ~len =
+  (t.store, span t f ~offset ~len ~what:"Phys_mem.lend: out of memory")
+
 let zero_span t f ~offset ~len =
   let at = span t f ~offset ~len ~what:"Phys_mem.zero: out of memory" in
   Bytes.fill t.store at len '\000'

@@ -80,6 +80,12 @@ val write_span : t -> frame -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> 
 (** [write_span t f ~offset ~pos ~len data] copies [len] bytes of [data]
     from [pos] (default: all of it from 0) over the span. *)
 
+val lend_span : t -> frame -> offset:int -> len:int -> Bytes.t * int
+(** [lend_span t f ~offset ~len] is the store that holds the span and
+    the position of its first byte there: the span is [len] bytes of
+    that store from that position, lent for one call (a device reading
+    the frames by DMA).  The borrower must neither keep nor write it. *)
+
 val zero_span : t -> frame -> offset:int -> len:int -> unit
 (** [zero_span t f ~offset ~len] fills the span with zero bytes. *)
 

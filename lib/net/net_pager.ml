@@ -44,10 +44,13 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
                ~reply_bytes:len
                (fun () -> server_read srv ~name ~offset ~len)
            in
-           Data_provided (data, io_none)
+           Data_provided (Lent.of_bytes data, io_none)
          end);
     pgr_write =
       (fun ~offset ~data ->
+         (* The RPC payload is a copy: the frames are lent only for this
+            call, and the server's write runs on another kernel. *)
+         let data = Lent.to_bytes data in
          match
            Netlink.rpc link ~from_node:node ~from_cpu:(client_cpu ())
              ~to_node:srv.srv_node ~to_cpu:server_cpu

@@ -29,14 +29,17 @@ let wrap sys inj pager =
          | Fail.Short n ->
            (* A truncated reply.  For a clustered request this is a
               truncated cluster: the kernel floors it to whole pages and,
-              below one page, retries on the single-page path. *)
+              below one page, retries on the single-page path.  Only
+              the slices are cut; the lent bytes stay as they are. *)
            (match pager.pgr_request ~offset ~length with
-            | Data_provided (d, io) ->
-              Data_provided (Bytes.sub d 0 (min n (Bytes.length d)), io)
+            | Data_provided (d, io) -> Data_provided (Lent.truncate d n, io)
             | reply -> reply)
          | Fail.Garbage ->
+           (* The reply lends the pager's store: scramble a copy. *)
            (match pager.pgr_request ~offset ~length with
-            | Data_provided (d, io) -> Data_provided (Fail.scramble d, io)
+            | Data_provided (d, io) ->
+              let copy = Fail.scramble (Lent.to_bytes d) in
+              Data_provided (Lent.of_bytes copy, io)
             | reply -> reply));
     pgr_write =
       (fun ~offset ~data ->

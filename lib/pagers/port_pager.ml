@@ -52,7 +52,7 @@ let make sys ~name ~handler =
       incr served;
       (match reply.Ipc.msg_tag, reply.Ipc.msg_items with
        | "pager_data_provided", Ipc.Inline data :: _ ->
-         Data_provided (data, io_none)
+         Data_provided (Lent.of_bytes data, io_none)
        | "pager_data_unavailable", _ -> Data_unavailable
        (* pager_error, or any protocol violation from a hostile pager:
           an error reply, never a kernel crash. *)
@@ -66,9 +66,11 @@ let make sys ~name ~handler =
    | Some req -> ignore (handler req)
    | None -> ());
   let write ~offset ~data =
+    (* The data travels in the message: it is copied out of the lent
+       frames here, as a Mach message carries it. *)
     Ipc.send sys object_port
       (Ipc.message "pager_data_write" ~ints:[ offset ]
-         ~items:[ Ipc.Inline data ]);
+         ~items:[ Ipc.Inline (Lent.to_bytes data) ]);
     (* Writes need no reply; let the pager absorb its queue.  A handler
        that raises is a crashed pager: the kernel keeps the page dirty. *)
     match Ipc.receive sys object_port with

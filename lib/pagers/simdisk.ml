@@ -1,6 +1,7 @@
 open Mach_hw
 module Fail = Mach_fail.Fail
 module Int_tbl = Mach_util.Int_tbl
+module Lent = Mach_core.Lent
 
 exception Io_error
 
@@ -67,26 +68,28 @@ let admit t ~cpu ~write ~bytes =
    per-byte transfer cost for the whole run.  [count = 1] is exactly the
    classical single-block operation (identical cost and accounting), so
    unclustered callers are unaffected. *)
-let read_run_into ?after t ~cpu ~first ~count buf ~pos =
-  if count <= 0 then invalid_arg "Simdisk.submit_read_run";
+let lend_run ?after t ~cpu ~first ~count =
+  if count <= 0 then invalid_arg "Simdisk.lend_run";
   let bytes = count * t.block_size in
   admit t ~cpu ~write:false ~bytes;
   t.reads <- t.reads + count;
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:false ~bytes in
-  for i = 0 to count - 1 do
-    let at = pos + (i * t.block_size) in
-    match Int_tbl.find_opt t.blocks (first + i) with
-    | Some b -> Bytes.blit b 0 buf at t.block_size
-    | None -> Bytes.fill buf at t.block_size '\000'
-  done;
-  io
-
-let submit_read_run ?after t ~cpu ~first ~count =
-  let buf = Bytes.create (max 0 count * t.block_size) in
-  (buf, read_run_into ?after t ~cpu ~first ~count buf ~pos:0)
+  (* Each stored block is lent as it is; an unwritten one reads as a
+     zero block of its own. *)
+  let block i =
+    let buf =
+      match Int_tbl.find_opt t.blocks (first + i) with
+      | Some b -> b
+      | None -> Bytes.make t.block_size '\000'
+    in
+    { Lent.buf; pos = 0; len = t.block_size }
+  in
+  (List.init count block, io)
 
 let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
-  let len = Option.value len ~default:(Bytes.length data - pos) in
+  let len =
+    match len with Some n -> n | None -> Lent.length data - pos
+  in
   if len <= 0 || len mod t.block_size <> 0 then
     invalid_arg "Simdisk.submit_write_run";
   let count = len / t.block_size in
@@ -94,21 +97,22 @@ let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
   let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
   (* The store is updated at submit: the simulated device owns the data
      from here on, and any later read through this module already pays
-     its own device time.  A block already held is overwritten in
-     place; a new one gets its own copy.  The caller's buffer is never
-     kept. *)
+     its own device time.  Each block is copied out of the lent [data]:
+     over the block already held, in place, or into a new one. *)
   for i = 0 to count - 1 do
-    let at = pos + (i * t.block_size) in
+    let src = pos + (i * t.block_size) in
     match Int_tbl.find_opt t.blocks (first + i) with
-    | Some b -> Bytes.blit data at b 0 t.block_size
-    | None -> Int_tbl.add t.blocks (first + i) (Bytes.sub data at t.block_size)
+    | Some b -> Lent.blit data ~src b ~dst_pos:0 ~len:t.block_size
+    | None ->
+      Int_tbl.add t.blocks (first + i)
+        (Lent.sub data ~pos:src ~len:t.block_size)
   done;
   io
 
-let install t ~block data =
-  if Bytes.length data > t.block_size then invalid_arg "Simdisk.install";
+let install t ~block ~pos ~len data =
+  if len > t.block_size then invalid_arg "Simdisk.install";
   let b = Bytes.make t.block_size '\000' in
-  Bytes.blit data 0 b 0 (Bytes.length data);
+  Bytes.blit data pos b 0 len;
   Int_tbl.replace t.blocks block b
 
 let reads t = t.reads

@@ -41,38 +41,37 @@ val block_size : t -> int
 
 (** {1 Transfers} *)
 
-val submit_read_run :
+val lend_run :
   ?after:int -> t -> cpu:int -> first:int -> count:int ->
-  Bytes.t * Mach_hw.Machine.io
-(** [submit_read_run ~after t ~cpu ~first ~count] reads [count]
-    consecutive blocks as {e one} disk request and returns the data and
-    the request's stamp without blocking: the fixed seek/rotational
-    latency is paid once for the run, plus the per-KB transfer cost for
-    all of it — this is what makes clustered pagein cheaper than
-    [count] single reads.  Unwritten blocks read as zeros.  Counters
-    account one read per block.  The request starts no earlier than
-    [after] (default 0): a transfer split into runs passes the previous
-    run's completion, so its runs follow each other on the disk. *)
-
-val read_run_into : ?after:int -> t -> cpu:int -> first:int -> count:int ->
-  Bytes.t -> pos:int -> Mach_hw.Machine.io
-(** [read_run_into ~after t ~cpu ~first ~count buf ~pos] is
-    {!submit_read_run} straight into [buf] at [pos]; unwritten blocks
-    overwrite their bytes of [buf] with zeros. *)
+  Mach_core.Lent.t * Mach_hw.Machine.io
+(** [lend_run ~after t ~cpu ~first ~count] reads [count] consecutive
+    blocks as {e one} disk request and returns the data and the
+    request's stamp without blocking: the fixed seek/rotational latency
+    is paid once for the run, plus the per-KB transfer cost for all of
+    it — this is what makes clustered pagein cheaper than [count]
+    single reads.  The data is one slice per block: each stored block
+    itself, lent (the rule on {!Mach_core.Types.pager}), and a fresh
+    zero block for an unwritten one.  Counters account one read per
+    block.  The request starts no earlier than [after] (default 0): a
+    transfer split into runs passes the previous run's completion, so
+    its runs follow each other on the disk. *)
 
 val submit_write_run :
   ?after:int -> t -> cpu:int -> first:int -> ?pos:int -> ?len:int ->
-  Bytes.t -> Mach_hw.Machine.io
+  Mach_core.Lent.t -> Mach_hw.Machine.io
 (** [submit_write_run ~after t ~cpu ~first ~pos ~len data] writes [len]
     bytes of [data] from [pos] (default: all of it, a non-empty whole
     number of blocks) across consecutive blocks starting at [first] as
-    one request, with the same cost model as {!submit_read_run},
-    blocking until it completes; the returned stamp is already paid.
-    The block store keeps its own copy of each block, made at submit. *)
+    one request, with the same cost model as {!lend_run}, blocking until
+    it completes; the returned stamp is already paid.  Each block is
+    copied out of [data] at submit, over the block the store holds or
+    into a new one, so no slice of [data] is kept. *)
 
-val install : t -> block:int -> Bytes.t -> unit
-(** [install t ~block data] stores data without charging the clock or the
-    operation counters; used to populate disks during benchmark setup. *)
+val install : t -> block:int -> pos:int -> len:int -> Bytes.t -> unit
+(** [install t ~block ~pos ~len data] stores [len] bytes of [data] from
+    [pos], zero padded to a block, without charging
+    the clock or the operation counters; used to populate disks during
+    benchmark setup.  The store's block is the one copy made. *)
 
 val reads : t -> int
 (** Blocks read (each block of a clustered run counts). *)

@@ -1,3 +1,5 @@
+module Lent = Mach_core.Lent
+
 type inode = { mutable blocks : int array; mutable size : int }
 
 type t = {
@@ -64,7 +66,7 @@ let install_file t ~name ~data =
     (fun i b ->
        let off = i * block_size in
        let len = min block_size (size - off) in
-       if len > 0 then Simdisk.install t.disk ~block:b (Bytes.sub data off len))
+       if len > 0 then Simdisk.install t.disk ~block:b ~pos:off ~len data)
     ino.blocks
 
 let exists t ~name = Hashtbl.mem t.table name
@@ -79,7 +81,7 @@ let file_size t ~name =
    (inode blocks are usually allocated sequentially) is one run, so a
    clustered pager request pays the seek once; a partial block is a
    one-block request of its own.  [f ~pos ~first ~count ~boff ~chunk]
-   moves [chunk] bytes at [pos] of the caller's buffer, starting [boff]
+   moves bytes [pos .. pos + chunk) of the transfer, starting [boff]
    bytes into block [first]; [chunk = count * block size] exactly when
    the span is whole blocks. *)
 let iter_spans t ino ~offset ~len f =
@@ -114,39 +116,39 @@ let iter_spans t ino ~offset ~len f =
    starting after the one before it; the caller sees one stamp: the
    latest completion, the summed service time, and a start late enough
    that [Machine.io_landed] never puts a byte of [b] (which follows
-   [a]'s bytes in the caller's buffer) earlier than its own run lands
-   it. *)
+   [a]'s bytes in the transfer) earlier than its own run lands it. *)
 let join (a : Mach_hw.Machine.io) (b : Mach_hw.Machine.io) =
   { Mach_hw.Machine.io_start =
       max a.io_start (b.io_start - (a.io_completion - a.io_start));
     io_completion = max a.io_completion b.io_completion;
     io_service = a.io_service + b.io_service }
 
+(* The reply lends the disk's blocks: a whole-block run is its blocks,
+   a partial block the part of it the transfer covers. *)
 let submit_read t ~cpu ~name ~offset ~len =
   match Hashtbl.find_opt t.table name with
   | None -> raise Not_found
   | Some ino ->
-    if offset >= ino.size || len <= 0 then
-      (Bytes.create 0, Mach_hw.Machine.io_none)
+    if offset >= ino.size || len <= 0 then ([], Mach_hw.Machine.io_none)
     else begin
       let len = min len (ino.size - offset) in
-      let buf = Bytes.create len in
       let io = ref Mach_hw.Machine.io_none in
-      iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
-          let after = !io.io_completion in
-          if chunk = count * bs t then
-            io :=
-              join !io
-                (Simdisk.read_run_into t.disk ~cpu ~after ~first ~count buf
-                   ~pos)
-          else begin
-            let data, run =
-              Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count
-            in
-            io := join !io run;
-            Bytes.blit data boff buf pos chunk
-          end);
-      (buf, !io)
+      let runs = ref [] in
+      iter_spans t ino ~offset ~len (fun ~pos:_ ~first ~count ~boff ~chunk ->
+          let data, run =
+            Simdisk.lend_run t.disk ~cpu ~after:!io.io_completion ~first
+              ~count
+          in
+          io := join !io run;
+          let data =
+            if chunk = count * bs t then data
+            else
+              List.map
+                (fun s -> { s with Lent.pos = boff; len = chunk })
+                data
+          in
+          runs := data :: !runs);
+      (List.concat (List.rev !runs), !io)
     end
 
 let submit_write t ~cpu ~name ~offset ~len ~data =
@@ -162,22 +164,22 @@ let submit_write t ~cpu ~name ~offset ~len ~data =
              data)
       else begin
         (* A partial block is read, patched and written back. *)
-        let current, run =
-          Simdisk.submit_read_run t.disk ~cpu ~after ~first ~count:1
-        in
+        let block, run = Simdisk.lend_run t.disk ~cpu ~after ~first ~count:1 in
         submit run;
-        Bytes.blit data pos current boff chunk;
+        let current = Lent.to_bytes block in
+        Lent.blit data ~src:pos current ~dst_pos:boff ~len:chunk;
         submit
           (Simdisk.submit_write_run t.disk ~cpu ~after:!io.io_completion
-             ~first current)
+             ~first (Lent.of_bytes current))
       end);
   !io
 
 let read t ~cpu ~name ~offset ~len =
   let data, io = submit_read t ~cpu ~name ~offset ~len in
   Mach_hw.Machine.wait_io t.machine ~cpu io;
-  data
+  Lent.to_bytes data
 
 let write t ~cpu ~name ~offset ~data =
   Mach_hw.Machine.wait_io t.machine ~cpu
-    (submit_write t ~cpu ~name ~offset ~len:(Bytes.length data) ~data)
+    (submit_write t ~cpu ~name ~offset ~len:(Bytes.length data)
+       ~data:(Lent.of_bytes data))

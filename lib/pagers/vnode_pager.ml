@@ -32,7 +32,7 @@ let make (sys : Vm_sys.t) fs ~name =
          | size ->
            if offset >= size then Write_completed io_none
            else
-             let len = min (Bytes.length data) (size - offset) in
+             let len = min (Lent.length data) (size - offset) in
              (match Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset ~len ~data
               with
               | io -> Write_completed io

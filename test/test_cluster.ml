@@ -39,15 +39,15 @@ let store_pager sys ~ps () =
          match Hashtbl.find_opt store offset with
          | Some d ->
            Types.Data_provided
-             (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
+             (Lent.truncate (Lent.of_bytes d) length, Types.io_none)
          | None -> Types.Data_unavailable);
     pgr_write =
       (fun ~offset ~data ->
-         let len = Bytes.length data in
+         let len = Lent.length data in
          let rec chunk pos =
            if pos < len then begin
              Hashtbl.replace store (offset + pos)
-               (Bytes.sub data pos (min ps (len - pos)));
+               (Lent.sub data ~pos ~len:(min ps (len - pos)));
              chunk (pos + ps)
            end
          in
@@ -495,9 +495,7 @@ let range_store_pager sys ~ps () =
          in
          match gather 0 [] with
          | [] -> base.Types.pgr_request ~offset ~length
-         | chunks ->
-           Types.Data_provided
-             (Bytes.concat Bytes.empty chunks, Types.io_none)) }
+         | chunks -> Types.Data_provided (List.concat chunks, Types.io_none)) }
 
 (* A degraded cluster must not kill read-ahead for good: the successful
    single-page fallback still advances the sequence point, so the very
@@ -573,7 +571,7 @@ let test_failed_cluster_does_not_ramp () =
            if length > ps then Types.Data_error
            else
              Types.Data_provided
-               (Bytes.make ps (Char.chr (0x41 + (offset / ps))),
+               (Lent.of_bytes (Bytes.make ps (Char.chr (0x41 + (offset / ps)))),
                 Types.io_none));
       pgr_write =
         (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);

@@ -34,7 +34,7 @@ let small_disk ?(blocks = 1) () =
   let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 () in
   let disk = Simdisk.create machine ~block_size:4096 in
   for b = 0 to blocks - 1 do
-    Simdisk.install disk ~block:b (Bytes.make 4096 'x')
+    Simdisk.install disk ~block:b ~pos:0 ~len:4096 (Bytes.make 4096 'x')
   done;
   (machine, disk)
 
@@ -44,7 +44,7 @@ let small_disk ?(blocks = 1) () =
    work to overlap: it must cost exactly the blocking charge. *)
 let test_submit_wait_equals_sync () =
   let machine, disk = small_disk ~blocks:8 () in
-  let _, io = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:8 in
+  let _, io = Simdisk.lend_run disk ~cpu:0 ~first:0 ~count:8 in
   Alcotest.(check int) "nothing charged at submit" 0
     (Machine.cycles machine ~cpu:0);
   Machine.wait_io machine ~cpu:0 io;
@@ -59,7 +59,7 @@ let test_submit_wait_equals_sync () =
    the residue, and the hidden cycles land in disk_overlap_cycles. *)
 let test_overlap_charges_residue () =
   let machine, disk = small_disk () in
-  let _, io = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:1 in
+  let _, io = Simdisk.lend_run disk ~cpu:0 ~first:0 ~count:1 in
   let service = io.Machine.io_service in
   let compute = service / 2 in
   Machine.charge machine ~cpu:0 compute;
@@ -95,7 +95,7 @@ let test_chaos_charged_at_submit () =
   let total cat = Obs.attr_total tr ~cpu:0 cat in
   let io =
     Machine.with_category machine ~cpu:0 Obs.Pager_wait (fun () ->
-        snd (Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count:1))
+        snd (Simdisk.lend_run disk ~cpu:0 ~first:0 ~count:1))
   in
   let service = io.Machine.io_service in
   Alcotest.(check int) "delay plus wasted transfer charged at submit"
@@ -148,6 +148,11 @@ let test_clustered_pageout_roundtrip () =
     Alcotest.(check string) (Printf.sprintf "page %d" i) (pat i) got
   done
 
+let first_byte sys p =
+  let b = Bytes.create 1 in
+  Page_io.blit_out sys p ~off:0 ~len:1 b ~pos:0;
+  Bytes.get b 0
+
 (* An in-memory store pager: no device behind it, every reply stamped
    [io_none].  Writes are split at page size (the range contract). *)
 let store_pager sys ~ps ?(requests = ref []) () =
@@ -168,12 +173,12 @@ let store_pager sys ~ps ?(requests = ref []) () =
          | [] -> Types.Data_unavailable
          | chunks ->
            Types.Data_provided
-             (Bytes.concat Bytes.empty chunks, Types.io_none));
+             (List.concat_map Lent.of_bytes chunks, Types.io_none));
     pgr_write =
       (fun ~offset ~data ->
-         for i = 0 to (Bytes.length data / ps) - 1 do
+         for i = 0 to (Lent.length data / ps) - 1 do
            Hashtbl.replace store (offset + (i * ps))
-             (Bytes.sub data (i * ps) ps)
+             (Lent.sub data ~pos:(i * ps) ~len:ps)
          done;
          Types.Write_completed Types.io_none);
     pgr_should_cache = ref false }
@@ -190,7 +195,7 @@ let test_no_device_pager () =
   for i = 0 to n - 1 do
     ignore
       (pager.Types.pgr_write ~offset:(i * ps)
-         ~data:(Bytes.make ps (Char.chr (0x41 + i))))
+         ~data:(Lent.of_bytes (Bytes.make ps (Char.chr (0x41 + i)))))
   done;
   requests := [];
   let obj = Vm_object.create_with_pager sys pager ~size:(n * ps) in
@@ -216,7 +221,7 @@ let test_no_device_pager () =
        Alcotest.(check bool) (Printf.sprintf "page %d not inflight" i) true
          (p.Types.pg_inflight = None && not p.Types.pg_busy);
        Alcotest.(check char) (Printf.sprintf "page %d bytes" i)
-         (Char.chr (0x41 + i)) (Bytes.get (Page_io.contents sys p) 0))
+         (Char.chr (0x41 + i)) (first_byte sys p))
     (Resident.object_pages obj);
   Alcotest.(check int) "pages resident" 7
     (List.length (Resident.object_pages obj));

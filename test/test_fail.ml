@@ -132,18 +132,18 @@ let store_pager sys =
          match Hashtbl.find_opt store offset with
          | Some d ->
            Types.Data_provided
-             (Bytes.sub d 0 (min length (Bytes.length d)), Types.io_none)
+             (Lent.truncate (Lent.of_bytes d) length, Types.io_none)
          | None -> Types.Data_unavailable);
     pgr_write =
       (fun ~offset ~data ->
          (* Per-offset store: split clustered writes at page size so
             every page stays reachable to single-page reads. *)
          let ps = 4 * 1024 in
-         let len = Bytes.length data in
+         let len = Lent.length data in
          let rec chunk pos =
            if pos < len then begin
              Hashtbl.replace store (offset + pos)
-               (Bytes.sub data pos (min ps (len - pos)));
+               (Lent.sub data ~pos ~len:(min ps (len - pos)));
              chunk (pos + ps)
            end
          in
@@ -400,7 +400,7 @@ let test_disk_retry_charges_full_run () =
       in
       let disk = Simdisk.create machine ~block_size:4096 in
       for b = 0 to count - 1 do
-        Simdisk.install disk ~block:b (Bytes.make 4096 'd')
+        Simdisk.install disk ~block:b ~pos:0 ~len:4096 (Bytes.make 4096 'd')
       done;
       if inject then begin
         let inj = Fail.create ~seed:13 in
@@ -409,7 +409,7 @@ let test_disk_retry_charges_full_run () =
           [ Fail.Fail_n_then_recover (1, Fail.Fail) ];
         Simdisk.set_injector disk (Some inj)
       end;
-      let _, io = Simdisk.submit_read_run disk ~cpu:0 ~first:0 ~count in
+      let _, io = Simdisk.lend_run disk ~cpu:0 ~first:0 ~count in
       Machine.wait_io machine ~cpu:0 io;
       (Machine.cycles machine ~cpu:0, io.Machine.io_service)
     in

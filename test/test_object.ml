@@ -26,18 +26,18 @@ let counting_pager sys ~name =
            match Hashtbl.find_opt store offset with
            | Some b ->
              Types.Data_provided
-               (Bytes.sub b 0 (min length (Bytes.length b)), Types.io_none)
+               (Lent.truncate (Lent.of_bytes b) length, Types.io_none)
            | None -> Types.Data_unavailable);
       pgr_write =
         (fun ~offset ~data ->
            (* Per-offset store: clustered writes must land as page-size
               chunks or later single-page reads would miss the tail. *)
            let ps = sys.Vm_sys.page_size in
-           let len = Bytes.length data in
+           let len = Lent.length data in
            let rec chunk pos =
              if pos < len then begin
                Hashtbl.replace store (offset + pos)
-                 (Bytes.sub data pos (min ps (len - pos)));
+                 (Lent.sub data ~pos ~len:(min ps (len - pos)));
                chunk (pos + ps)
              end
            in

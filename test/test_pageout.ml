@@ -162,38 +162,58 @@ let test_swap_rewrite_round_trip () =
   Alcotest.(check string) "latest bytes" "version-2"
     (Bytes.to_string (Machine.read machine ~cpu:0 ~va:a ~len:9))
 
-(* The contract on [pgr_request]/[pgr_write], checked on the default
-   pager itself: a single-chunk reply is the stored chunk, and the kernel
-   leaves it alone; a reply that spans chunks is joined; a write is
-   copied when it lands on a new offset and overwrites in place on an old
+(* The whole page as bytes, copied out of its frames. *)
+let page_bytes sys p =
+  let ps = sys.Vm_sys.page_size in
+  let b = Bytes.create ps in
+  Page_io.blit_out sys p ~off:0 ~len:ps b ~pos:0;
+  b
+
+(* The rule on [pgr_request]/[pgr_write], checked on the default pager
+   itself: a reply lends the stored chunks, one slice a chunk and a head
+   of the last one, and the kernel leaves them alone; a write is copied
+   when it lands on a new offset and overwrites in place on an old
    one. *)
 let test_swap_lends_and_overwrites () =
   let _, _, sys = boot () in
   let ps = sys.Vm_sys.page_size in
   let pg = Swap_pager.make sys ~name:"lend" in
   let page c = Bytes.make ps c in
-  written (pg.Types.pgr_write ~offset:0 ~data:(page 'a'));
+  written (pg.Types.pgr_write ~offset:0 ~data:(Lent.of_bytes (page 'a')));
   let b = page 'b' in
-  written (pg.Types.pgr_write ~offset:ps ~data:b);
+  written (pg.Types.pgr_write ~offset:ps ~data:(Lent.of_bytes b));
   Bytes.fill b 0 ps 'x';
+  let lends what ~offset ~len (s : Lent.slice) =
+    Alcotest.(check bool) what true
+      (s.Lent.buf == swap_chunk sys pg ~offset && s.Lent.pos = 0
+       && s.Lent.len = len)
+  in
   let one = provided (pg.Types.pgr_request ~offset:0 ~length:ps) in
-  Alcotest.(check bool) "single chunk is lent" true
-    (one == swap_chunk sys pg ~offset:0);
+  (match one with
+   | [ s ] -> lends "single chunk is lent" ~offset:0 ~len:ps s
+   | _ -> Alcotest.fail "one slice expected");
   let p = Vm_sys.grab_page sys in
   Page_io.fill sys p one;
-  same_bytes "frame filled" (page 'a') (Page_io.contents sys p);
-  same_bytes "lent chunk unchanged by the fill" (page 'a') one;
-  let both = provided (pg.Types.pgr_request ~offset:0 ~length:(2 * ps)) in
-  same_bytes "clustered reply joins chunks"
-    (Bytes.cat (page 'a') (page 'b')) both;
-  Alcotest.(check bool) "joined reply is its own buffer" true
-    (both != swap_chunk sys pg ~offset:0);
+  same_bytes "frame filled" (page 'a') (page_bytes sys p);
+  same_bytes "lent chunk unchanged by the fill" (page 'a')
+    (swap_chunk sys pg ~offset:0);
+  (match provided (pg.Types.pgr_request ~offset:0 ~length:(2 * ps)) with
+   | [ s0; s1 ] ->
+     lends "cluster lends the first chunk" ~offset:0 ~len:ps s0;
+     lends "cluster lends the second chunk" ~offset:ps ~len:ps s1
+   | _ -> Alcotest.fail "two slices expected");
+  (match provided (pg.Types.pgr_request ~offset:0 ~length:(ps + 10)) with
+   | [ s0; s1 ] ->
+     lends "head: first chunk whole" ~offset:0 ~len:ps s0;
+     lends "head: ten bytes of the second" ~offset:ps ~len:10 s1
+   | _ -> Alcotest.fail "two slices expected");
   let used = sys.Vm_sys.stats.Vm_stats.vs_swap_used in
+  let chunk = swap_chunk sys pg ~offset:0 in
   let c = page 'c' in
-  written (pg.Types.pgr_write ~offset:0 ~data:c);
+  written (pg.Types.pgr_write ~offset:0 ~data:(Lent.of_bytes c));
   Bytes.fill c 0 ps 'y';
   Alcotest.(check bool) "rewrite keeps the chunk" true
-    (one == swap_chunk sys pg ~offset:0);
+    (chunk == swap_chunk sys pg ~offset:0);
   same_bytes "rewrite landed, copied from the lent data"
     (page 'c') (swap_chunk sys pg ~offset:0);
   Alcotest.(check int) "swap_used unchanged" used
@@ -201,7 +221,32 @@ let test_swap_lends_and_overwrites () =
   Alcotest.(check (list string)) "stored bytes still equal swap_used" []
     (Vm_debug.check_all sys ~maps:[]);
   same_bytes "new offset was copied" (page 'b')
-    (provided (pg.Types.pgr_request ~offset:ps ~length:ps))
+    (Lent.to_bytes (provided (pg.Types.pgr_request ~offset:ps ~length:ps)))
+
+(* The kernel lends a page's frames to the write: once [pgr_write] has
+   returned, zeroing the frame or handing it to other data leaves the
+   swap store as it was written, for a new offset (copied into a chunk
+   of its own) and for an old one (copied over the chunk in place). *)
+let test_swap_write_copies_the_frame () =
+  let _, _, sys = boot () in
+  let ps = sys.Vm_sys.page_size in
+  let pg = Swap_pager.make sys ~name:"frames" in
+  let p = Vm_sys.grab_page sys in
+  let stored what ~offset c =
+    same_bytes what (Bytes.make ps c) (swap_chunk sys pg ~offset)
+  in
+  let write_frame ~offset c =
+    Page_io.blit_in sys p ~off:0 (Bytes.make ps c) ~pos:0 ~len:ps;
+    written (pg.Types.pgr_write ~offset ~data:[ Page_io.lend sys p ])
+  in
+  write_frame ~offset:0 'a';
+  Page_io.zero sys p;
+  stored "new offset survives a zeroed frame" ~offset:0 'a';
+  write_frame ~offset:ps 'b';
+  write_frame ~offset:0 'c';
+  Page_io.blit_in sys p ~off:0 (Bytes.make ps 'z') ~pos:0 ~len:ps;
+  stored "reused frame: old offset keeps its rewrite" ~offset:0 'c';
+  stored "reused frame: new offset keeps its copy" ~offset:ps 'b'
 
 let test_default_pager_attached_once () =
   let machine, kernel, sys = boot () in
@@ -224,7 +269,9 @@ let test_default_pager_attached_once () =
      Alcotest.(check string) "default pager" "default-pager"
        pg.Types.pgr_name;
      Alcotest.(check char) "holds the page" 'x'
-       (Bytes.get (provided (pg.Types.pgr_request ~offset:0 ~length:(4 * kb)))
+       (Bytes.get
+          (Lent.to_bytes
+             (provided (pg.Types.pgr_request ~offset:0 ~length:(4 * kb))))
           0)
    | None -> Alcotest.fail "expected a default pager")
 
@@ -274,7 +321,8 @@ let test_cached_object_pages_reclaimable () =
       pgr_request =
         (fun ~offset:_ ~length ->
            incr counting;
-           Types.Data_provided (Bytes.make length 'C', Types.io_none));
+           Types.Data_provided
+             (Lent.of_bytes (Bytes.make length 'C'), Types.io_none));
       pgr_write =
         (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);
       pgr_should_cache = ref true;
@@ -311,6 +359,56 @@ let test_pageout_skips_busy_free_correctly () =
   Alcotest.(check int) "nothing happened" 0
     sys.Vm_sys.stats.Vm_stats.vs_pageouts
 
+(* ---- paging allocates no page buffer ------------------------------------ *)
+
+(* Words the OCaml runtime allocated straight into the major heap while
+   [f] ran: a page-sized [Bytes.t] (4 KB, 512 words) is one such
+   allocation, small blocks are not. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float ((major1 -. major0) -. (promoted1 -. promoted0))
+
+(* A fixed pagein and pageout loop on a 32-page machine: a 96-page
+   mapped file scanned and dirtied (vnode pagein clusters, clustered
+   pageouts to the disk) and 96 anonymous pages dirtied (pushed to swap
+   and paged back).  A first pass makes every swap chunk and object; on
+   the passes after it, bytes move between frames and the stores they
+   already hold, so what the heap sees per transferred page must stay
+   far below the page's own 512 words. *)
+let test_paging_allocates_no_page_buffer () =
+  let machine, kernel, sys = boot ~frames:256 () in
+  let ps = sys.Vm_sys.page_size in
+  let pages = 96 in
+  let fs = Mach_pagers.Simfs.create machine () in
+  Mach_pagers.Simfs.install_file fs ~name:"/scan"
+    ~data:(Bytes.make (pages * ps) 'f');
+  let t = new_task kernel ~cpu:0 in
+  let file, _ =
+    ok (Mach_pagers.Vnode_pager.map_file sys fs t ~name:"/scan" ())
+  in
+  let anon = ok (Vm_user.allocate sys t ~size:(pages * ps) ~anywhere:true ()) in
+  let pass () =
+    for i = 0 to pages - 1 do
+      let c = Machine.read_byte machine ~cpu:0 ~va:(file + (i * ps)) in
+      Machine.write_byte machine ~cpu:0 ~va:(file + (i * ps) + 1) c;
+      Machine.write_byte machine ~cpu:0 ~va:(anon + (i * ps)) 'a'
+    done
+  in
+  pass ();
+  let stats = Machine.stats machine in
+  let bytes0 = stats.Machine.disk_bytes in
+  let words = direct_major_words (fun () -> pass (); pass ()) in
+  let transferred = (stats.Machine.disk_bytes - bytes0) / ps in
+  Alcotest.(check bool) "pages moved both ways" true
+    (transferred >= 4 * pages
+     && sys.Vm_sys.stats.Vm_stats.vs_pageouts >= 2 * pages);
+  let per_page = words / transferred in
+  if per_page >= 32 then
+    Alcotest.failf "%d direct-major words per transferred page (%d pages)"
+      per_page transferred
+
 let () =
   Alcotest.run "vm_pageout"
     [ ( "queues",
@@ -324,8 +422,12 @@ let () =
             test_default_pager_attached_once;
           Alcotest.test_case "swap lends and overwrites" `Quick
             test_swap_lends_and_overwrites;
+          Alcotest.test_case "swap write copies the lent frame" `Quick
+            test_swap_write_copies_the_frame;
           Alcotest.test_case "swap rewrite round trip" `Quick
-            test_swap_rewrite_round_trip ] );
+            test_swap_rewrite_round_trip;
+          Alcotest.test_case "paging allocates no page buffer" `Quick
+            test_paging_allocates_no_page_buffer ] );
       ( "objects",
         [ Alcotest.test_case "cached object pages reclaimable" `Quick
             test_cached_object_pages_reclaimable;

@@ -29,14 +29,14 @@ let test_disk_rw_and_costs () =
   let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let d = Simdisk.create machine ~block_size:4096 in
   let read block =
-    let data, io = Simdisk.submit_read_run d ~cpu:0 ~first:block ~count:1 in
+    let data, io = Simdisk.lend_run d ~cpu:0 ~first:block ~count:1 in
     Machine.wait_io machine ~cpu:0 io;
-    data
+    Lent.to_bytes data
   in
   let block = Bytes.make 4096 '\000' in
   Bytes.blit_string "disk block" 0 block 0 10;
   Machine.wait_io machine ~cpu:0
-    (Simdisk.submit_write_run d ~cpu:0 ~first:5 block);
+    (Simdisk.submit_write_run d ~cpu:0 ~first:5 (Lent.of_bytes block));
   Alcotest.(check string) "read back" "disk block"
     (Bytes.to_string (Bytes.sub (read 5) 0 10));
   Alcotest.(check int) "counters" 1 (Simdisk.reads d);
@@ -50,7 +50,7 @@ let test_disk_rw_and_costs () =
 let test_disk_install_uncharged () =
   let machine = Machine.create ~arch:Arch.vax8200 ~memory_frames:64 () in
   let d = Simdisk.create machine ~block_size:512 in
-  Simdisk.install d ~block:1 (Bytes.of_string "setup");
+  Simdisk.install d ~block:1 ~pos:0 ~len:5 (Bytes.of_string "setup");
   Alcotest.(check int) "no ops counted" 0
     (Machine.stats machine).Machine.disk_ops;
   Alcotest.(check int) "no time" 0 (Machine.max_cycles machine)
@@ -368,6 +368,126 @@ let test_external_pager_receives_init () =
     [ "pager_init"; "pager_data_request" ]
     (List.rev !tags)
 
+(* ---- lent page data ------------------------------------------------------ *)
+
+(* Write a 4-page file through a mapping, force every page out, then
+   read it back through [read_through_object] and through a fresh
+   mapping, each paging in from the disk.  On the VAX a 4 KB page is one
+   4 KB block; on the SUN 3 an 8 KB page spans two, so a written frame
+   span is split over blocks and a pagein fills a page from two lent
+   blocks. *)
+let round_trip ~arch ~page_multiple ~memory_frames () =
+  let machine = Machine.create ~arch ~memory_frames () in
+  let kernel = Kernel.create ~page_multiple machine in
+  let sys = Kernel.sys kernel in
+  let fs = Simfs.create machine () in
+  let ps = sys.Vm_sys.page_size in
+  let size = 4 * ps in
+  let pattern = Bytes.init size (fun i -> Char.chr (33 + (i * 7 mod 90))) in
+  Simfs.install_file fs ~name:"/rt" ~data:(Bytes.make size '.');
+  let evict () =
+    Vm_pageout.deactivate_some sys ~count:10_000;
+    Vm_pageout.run sys ~wanted:10_000
+  in
+  let t = new_task kernel ~cpu:0 in
+  let a, _ = ok (Vnode_pager.map_file sys fs t ~name:"/rt" ()) in
+  Machine.write machine ~cpu:0 ~va:a pattern;
+  Kernel.terminate_task kernel ~cpu:0 t;
+  let pageouts = sys.Vm_sys.stats.Vm_stats.vs_pageouts in
+  evict ();
+  Alcotest.(check int) "every page written out" 4
+    (sys.Vm_sys.stats.Vm_stats.vs_pageouts - pageouts);
+  Alcotest.(check bool) "on disk" true
+    (Bytes.equal pattern
+       (Simfs.read fs ~cpu:0 ~name:"/rt" ~offset:0 ~len:size));
+  let reads = Simdisk.reads (Simfs.disk fs) in
+  Alcotest.(check bool) "read_through_object" true
+    (Bytes.equal pattern
+       (Vnode_pager.read_through_object sys fs ~name:"/rt" ~offset:0
+          ~len:size));
+  Alcotest.(check bool) "paged in from the disk" true
+    (Simdisk.reads (Simfs.disk fs) > reads);
+  evict ();
+  let reads = Simdisk.reads (Simfs.disk fs) in
+  let t2 = new_task kernel ~cpu:0 in
+  let a2, _ = ok (Vnode_pager.map_file sys fs t2 ~name:"/rt" ()) in
+  Alcotest.(check bool) "fresh mapping" true
+    (Bytes.equal pattern (Machine.read machine ~cpu:0 ~va:a2 ~len:size));
+  Alcotest.(check bool) "faulted in from the disk" true
+    (Simdisk.reads (Simfs.disk fs) > reads)
+
+let test_round_trip_vax =
+  round_trip ~arch:Arch.vax8200 ~page_multiple:8 ~memory_frames:8192
+
+let test_round_trip_sun3 =
+  round_trip ~arch:Arch.sun3_160 ~page_multiple:1 ~memory_frames:256
+
+(* The kernel lends a page's frames to [pgr_write]: once it returns,
+   zeroing the frame or reusing it for other data leaves the disk block
+   as written, both the first time and when the block is rewritten. *)
+let test_vnode_write_copies_the_frame () =
+  let _, _, sys, fs = boot () in
+  let ps = sys.Vm_sys.page_size in
+  Simfs.install_file fs ~name:"/lend" ~data:(Bytes.make (2 * ps) '.');
+  let pager = Vnode_pager.for_file sys fs ~name:"/lend" in
+  let p = Vm_sys.grab_page sys in
+  let write_frame ~offset c =
+    Page_io.blit_in sys p ~off:0 (Bytes.make ps c) ~pos:0 ~len:ps;
+    match pager.Types.pgr_write ~offset ~data:[ Page_io.lend sys p ] with
+    | Types.Write_completed _ -> ()
+    | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused"
+  in
+  let on_disk what ~offset c =
+    Alcotest.(check bool) what true
+      (Bytes.equal (Bytes.make ps c)
+         (Simfs.read fs ~cpu:0 ~name:"/lend" ~offset ~len:ps))
+  in
+  write_frame ~offset:0 'a';
+  Page_io.zero sys p;
+  on_disk "block survives a zeroed frame" ~offset:0 'a';
+  write_frame ~offset:ps 'b';
+  write_frame ~offset:0 'c';
+  Page_io.blit_in sys p ~off:0 (Bytes.make ps 'z') ~pos:0 ~len:ps;
+  on_disk "reused frame: rewritten block kept" ~offset:0 'c';
+  on_disk "reused frame: other block kept" ~offset:ps 'b'
+
+(* A chaos decorator that truncates or scrambles a reply changes what
+   the kernel is handed, never the pager's store it was lent. *)
+let test_chaos_reply_leaves_the_store () =
+  let _, _, sys, _ = boot () in
+  let ps = sys.Vm_sys.page_size in
+  let swap = Swap_pager.make sys ~name:"chaos-store" in
+  let stored = Bytes.init ps (fun i -> Char.chr (65 + (i mod 26))) in
+  (match
+     swap.Types.pgr_write ~offset:0 ~data:(Lent.of_bytes (Bytes.copy stored))
+   with
+   | Types.Write_completed _ -> ()
+   | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused");
+  let chunk =
+    Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id) 0
+  in
+  let reply decision =
+    let inj = Mach_fail.Fail.create ~seed:1 in
+    Mach_fail.Fail.attach inj ~site:"pager.request"
+      [ Mach_fail.Fail.Always decision ];
+    let pg = Chaos_pager.wrap sys inj swap in
+    match pg.Types.pgr_request ~offset:0 ~length:ps with
+    | Types.Data_provided (d, _) -> Lent.to_bytes d
+    | Types.Data_unavailable | Types.Data_error -> Alcotest.fail "no data"
+  in
+  Alcotest.(check bool) "short reply is the head" true
+    (Bytes.equal (Bytes.sub stored 0 100) (reply (Mach_fail.Fail.Short 100)));
+  Alcotest.(check bool) "store unchanged by Short" true
+    (Bytes.equal stored chunk);
+  Alcotest.(check bool) "garbage reply is scrambled" true
+    (Bytes.equal (Mach_fail.Fail.scramble stored)
+       (reply Mach_fail.Fail.Garbage));
+  Alcotest.(check bool) "store unchanged by Garbage" true
+    (Bytes.equal stored chunk);
+  Alcotest.(check bool) "still the stored chunk" true
+    (chunk
+     == Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id) 0)
+
 let () =
   Alcotest.run "mach_pagers"
     [ ( "simdisk",
@@ -411,4 +531,11 @@ let () =
           Alcotest.test_case "set_caching withdraws" `Quick
             test_set_caching_withdraws;
           Alcotest.test_case "lock_request write" `Quick
-            test_lock_request_write ] ) ]
+            test_lock_request_write ] );
+      ( "lent data",
+        [ Alcotest.test_case "VAX round trip" `Quick test_round_trip_vax;
+          Alcotest.test_case "SUN 3 round trip" `Quick test_round_trip_sun3;
+          Alcotest.test_case "vnode write copies the lent frame" `Quick
+            test_vnode_write_copies_the_frame;
+          Alcotest.test_case "chaos reply leaves the store" `Quick
+            test_chaos_reply_leaves_the_store ] ) ]
