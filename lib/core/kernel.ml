@@ -46,8 +46,7 @@ let handle_fault t ~cpu (f : Machine.fault) =
 
 let create ?(page_multiple = 1) machine =
   let domain = Pmap_domain.create ~page_multiple machine in
-  let sys = Vm_sys.create ~machine ~domain () in
-  Vm_pageout.install sys;
+  let sys = Vm_sys.create ~machine ~domain ~reclaim:Vm_pageout.run in
   let t =
     { machine; domain; sys;
       current = Array.make (Machine.cpu_count machine) None }

@@ -26,10 +26,63 @@ let ride (sys : Vm_sys.t) p ~stamp ~service =
   if stamp > Mach_hw.Machine.cycles m ~cpu:(Vm_sys.current_cpu sys) then begin
     p.pg_busy <- true;
     p.pg_inflight <-
-      Some
-        { if_stamp = stamp; if_service = service;
-          if_epoch = Mach_hw.Machine.reset_epoch m }
+      Some { if_stamp = Mach_hw.Machine.stamp m stamp; if_service = service }
   end
+
+(* Block until the page has landed, charging only the residue of its
+   own stamp, and lift the busy bit {!ride} set.  A stamp taken before
+   the last [Machine.reset_clocks] has landed: the clocks it was
+   measured against are gone. *)
+let await_page (sys : Vm_sys.t) p =
+  match p.pg_inflight with
+  | None -> ()
+  | Some r ->
+    let m = sys.Vm_sys.machine and cpu = Vm_sys.current_cpu sys in
+    if Mach_hw.Machine.stamp_live m r.if_stamp then
+      Mach_hw.Machine.wait_disk m ~cpu
+        ~completion:
+          (Mach_hw.Machine.cycles m ~cpu
+           + Mach_hw.Machine.stamp_residue m r.if_stamp ~cpu)
+        ~service:r.if_service;
+    p.pg_inflight <- None;
+    p.pg_busy <- false
+
+(* The two pager calls.  Each asks [o]'s pager once, or its rescue pager
+   once the pager is dead, and every other path here goes through them.
+   A live pager's data or completed write resets its health, and its
+   reply's stamp comes back unwaited.  A rescue transfer blocks: the
+   last line of defence is never a prefetch, so it comes back as
+   [io_none].  Pages the rescue pager never received read as absent, so
+   they zero-fill. *)
+let read_once (sys : Vm_sys.t) o ~offset ~length =
+  let dead = o.obj_health.ph_dead in
+  match if dead then o.obj_rescue else o.obj_pager with
+  | None -> `Absent
+  | Some pager ->
+    (match pager.pgr_request ~offset ~length with
+     | Data_provided (d, io) when dead ->
+       wait_io sys io;
+       `Data (d, io_none)
+     | Data_provided (d, io) ->
+       o.obj_health.ph_consecutive <- 0;
+       `Data (d, io)
+     | Data_unavailable -> `Absent
+     | Data_error -> if dead then `Absent else `Error)
+
+let write_once (sys : Vm_sys.t) o ~offset ~data =
+  let dead = o.obj_health.ph_dead in
+  match if dead then o.obj_rescue else o.obj_pager with
+  | None -> `Failed
+  | Some pager ->
+    (match pager.pgr_write ~offset ~data with
+     | Write_completed io when dead ->
+       wait_io sys io;
+       `Ok io_none
+     | Write_completed io ->
+       o.obj_health.ph_consecutive <- 0;
+       `Ok io
+     | Write_error -> `Failed
+     | Write_no_space -> `No_space)
 
 (* Declare the object's pager dead and rescue every dirty resident page
    to a fresh default pager before any of them can be lost.  The rescue
@@ -39,8 +92,7 @@ let declare_dead (sys : Vm_sys.t) o pager =
   let stats = sys.Vm_sys.stats in
   o.obj_health.ph_dead <- true;
   stats.Vm_stats.vs_pager_deaths <- stats.Vm_stats.vs_pager_deaths + 1;
-  let rescue = Swap_pager.make sys ~name:(pager.pgr_name ^ "+rescue") in
-  o.obj_rescue <- Some rescue;
+  o.obj_rescue <- Some (Swap_pager.make sys ~name:(pager.pgr_name ^ "+rescue"));
   let rescued = ref 0 in
   List.iter
     (fun p ->
@@ -49,14 +101,13 @@ let declare_dead (sys : Vm_sys.t) o pager =
          && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
        then
          match
-           rescue.pgr_write ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
+           write_once sys o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
          with
-         | Write_completed io ->
-           wait_io sys io;
+         | `Ok _ ->
            incr rescued;
            stats.Vm_stats.vs_rescued_pages <-
              stats.Vm_stats.vs_rescued_pages + 1
-         | Write_error | Write_no_space -> ())
+         | `Failed | `No_space -> ())
     (Resident.object_pages o);
   if Obs.enabled (Vm_sys.tracer sys) then
     Vm_sys.emit sys
@@ -64,7 +115,8 @@ let declare_dead (sys : Vm_sys.t) o pager =
 
 (* Run [attempt] with bounded retry and exponential backoff; account an
    exhausted budget against the object's health, possibly killing the
-   pager.  [None] means the budget ran out. *)
+   pager.  [None] means the budget ran out.  A dead pager's object gets
+   one attempt: the rescue pager is neither retried nor judged. *)
 let with_retries (sys : Vm_sys.t) o ~offset attempt =
   let stats = sys.Vm_sys.stats in
   let h = o.obj_health in
@@ -73,6 +125,7 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
     | `Done v ->
       h.ph_consecutive <- 0;
       Some v
+    | `Failed when h.ph_dead -> None
     | `Failed ->
       if n < Vm_sys.pager_retry_limit then begin
         stats.Vm_stats.vs_pager_retries <- stats.Vm_stats.vs_pager_retries + 1;
@@ -99,41 +152,14 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
   in
   go 0
 
-(* A dead pager's object answers from the rescue pager; pages the rescue
-   pager never received read as absent, so they zero-fill.  The rescue
-   read blocks: the last line of defence is never a prefetch. *)
-let degraded_request sys o ~offset ~length =
-  match o.obj_rescue with
-  | None -> `Absent
-  | Some r ->
-    (match r.pgr_request ~offset ~length with
-     | Data_provided (d, io) ->
-       wait_io sys io;
-       `Data d
-     | Data_unavailable | Data_error -> `Absent)
-
-let request sys o ~offset ~length =
+(* An object without a pager answers [none] at once.  Otherwise
+   everything from here to the pager's reply is pager time — except
+   cycles a narrower frame or explicit category claims (disk service
+   time, retry backoff). *)
+let paging (sys : Vm_sys.t) o none f =
   match o.obj_pager with
-  | None -> `Absent
-  | Some pager ->
-    (* Attribution: everything from here to the pager's reply is pager
-       time — except cycles a narrower frame or explicit category claims
-       (disk service time, retry backoff). *)
-    Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then degraded_request sys o ~offset ~length
-    else begin
-      match
-        with_retries sys o ~offset (fun () ->
-            match pager.pgr_request ~offset ~length with
-            | Data_provided (d, io) ->
-              wait_io sys io;
-              `Done (`Data d)
-            | Data_unavailable -> `Done `Absent
-            | Data_error -> `Failed)
-      with
-      | Some reply -> reply
-      | None -> `Error
-    end
+  | None -> none
+  | Some _ -> Vm_sys.with_cat sys Obs.Pager_wait f
 
 (* One-shot clustered read: no retries, no backoff, no health damage.
    Clustering is opportunistic — if anything goes wrong the caller falls
@@ -141,53 +167,24 @@ let request sys o ~offset ~length =
    death policy.  A [`Data] reply may be shorter than [length] (a
    truncated cluster) and carries the transfer's stamp unwaited: the
    caller waits for what it needs ([wait_io], [wait_prefix]) and lets
-   the rest ride ([ride]).  [`Absent] means the pager holds nothing at [offset]
-   itself (see the contract on [pgr_request]). *)
-let request_range (sys : Vm_sys.t) o ~offset ~length =
-  match o.obj_pager with
-  | None -> `Absent
-  | Some pager ->
-    Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then
-      (match degraded_request sys o ~offset ~length with
-       | `Data d -> `Data (d, io_none)
-       | `Absent -> `Absent)
-    else begin
-      match pager.pgr_request ~offset ~length with
-      | Data_provided (d, io) ->
-        o.obj_health.ph_consecutive <- 0;
-        `Data (d, io)
-      | Data_unavailable -> `Absent
-      | Data_error -> `Error
-    end
+   the rest ride ([ride]).  [`Absent] means the pager holds nothing at
+   [offset] itself (see the contract on [Types.pager]). *)
+let request_range sys o ~offset ~length =
+  paging sys o `Absent (fun () -> read_once sys o ~offset ~length)
 
-(* Block until the page has landed, charging only the residue of its
-   own stamp, and lift the busy bit {!ride} set.  A stamp taken before
-   the last [Machine.reset_clocks] has landed: the clocks it was
-   measured against are gone. *)
-let await_page (sys : Vm_sys.t) p =
-  match p.pg_inflight with
-  | None -> ()
-  | Some r ->
-    let m = sys.Vm_sys.machine in
-    if r.if_epoch = Mach_hw.Machine.reset_epoch m then
-      Mach_hw.Machine.wait_disk m ~cpu:(Vm_sys.current_cpu sys)
-        ~completion:r.if_stamp ~service:r.if_service;
-    p.pg_inflight <- None;
-    p.pg_busy <- false
-
-(* A dead pager's writes go to the rescue pager, blocking like every
-   rescue transfer. *)
-let rescue_write sys o ~offset ~data =
-  match o.obj_rescue with
-  | None -> `Failed
-  | Some r ->
-    (match r.pgr_write ~offset ~data with
-     | Write_completed io ->
-       wait_io sys io;
-       `Ok
-     | Write_error -> `Failed
-     | Write_no_space -> `No_space)
+let request sys o ~offset ~length =
+  paging sys o `Absent @@ fun () ->
+  match
+    with_retries sys o ~offset (fun () ->
+        match read_once sys o ~offset ~length with
+        | `Error -> `Failed
+        | (`Data _ | `Absent) as r -> `Done r)
+  with
+  | Some (`Data (d, io)) ->
+    wait_io sys io;
+    `Data d
+  | Some `Absent -> `Absent
+  | None -> `Error
 
 (* One-shot clustered write, same policy: a failure is reported without
    retries or health damage and the caller degrades to single-page
@@ -197,42 +194,27 @@ let rescue_write sys o ~offset ~data =
    full) and the caller escalates to the memory-pressure state.  A disk
    write blocks until it lands, so [`Ok] has nothing left on the
    device. *)
-let write_range (sys : Vm_sys.t) o ~offset ~data =
-  match o.obj_pager with
-  | None -> `Failed
-  | Some pager ->
-    Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then rescue_write sys o ~offset ~data
-    else begin
-      match pager.pgr_write ~offset ~data with
-      | Write_completed _ ->
-        o.obj_health.ph_consecutive <- 0;
-        `Ok
-      | Write_error -> `Failed
-      | Write_no_space -> `No_space
-    end
+let write_range sys o ~offset ~data =
+  paging sys o `Failed @@ fun () ->
+  match write_once sys o ~offset ~data with
+  | `Ok _ -> `Ok
+  | (`Failed | `No_space) as r -> r
 
 let write sys o ~offset ~data =
-  match o.obj_pager with
-  | None -> `Failed
-  | Some pager ->
-    Vm_sys.with_cat sys Obs.Pager_wait @@ fun () ->
-    if o.obj_health.ph_dead then rescue_write sys o ~offset ~data
-    else begin
-      match
-        with_retries sys o ~offset (fun () ->
-            match pager.pgr_write ~offset ~data with
-            | Write_completed io ->
-              wait_io sys io;
-              `Done `Ok
-            | Write_no_space -> `Done `No_space
-            | Write_error -> `Failed)
-      with
-      | Some r -> r
-      | None ->
-        (* If the exhausted budget just killed the pager, [declare_dead]
-           already rescued this page along with the rest; returning
-           [`Failed] still makes the caller keep it dirty, so the rescue
-           copy is refreshed by the next pageout pass. *)
-        `Failed
-    end
+  paging sys o `Failed @@ fun () ->
+  match
+    with_retries sys o ~offset (fun () ->
+        match write_once sys o ~offset ~data with
+        | `Failed -> `Failed
+        | (`Ok _ | `No_space) as r -> `Done r)
+  with
+  | Some (`Ok io) ->
+    wait_io sys io;
+    `Ok
+  | Some `No_space -> `No_space
+  | None ->
+    (* If the exhausted budget just killed the pager, [declare_dead]
+       already rescued this page along with the rest; returning
+       [`Failed] still makes the caller keep it dirty, so the rescue
+       copy is refreshed by the next pageout pass. *)
+    `Failed

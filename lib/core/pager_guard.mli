@@ -1,7 +1,8 @@
 (** Fault-tolerant access to a memory object's pager.
 
     All pager traffic from the machine-independent layer goes through
-    this module, which wraps the raw [pgr_request]/[pgr_write] calls in
+    this module (no other [lib/core] module reads [pgr_request] or
+    [pgr_write]; [test_state] checks it), which wraps the raw calls in
     the kernel's failure policy:
 
     - transient failures ([Data_error]/[Write_error]) are retried up to
@@ -16,6 +17,11 @@
       {!Swap_pager}, i.e. the default pager) so no data can be lost;
     - once dead, requests are answered from the rescue pager, and pages
       it does not hold read as absent, so they zero-fill.
+
+    Each direction has one call to the pager, to [obj_pager] or, once
+    it is dead, to [obj_rescue]: the one-shot {!request_range} and
+    {!write_range} are that call, and {!request} and {!write} are the
+    same call under the retry policy.
 
     Every pager reply carries an {!Types.io} stamp saying when each of
     its bytes lands.  {!request}, {!write} and the rescue transfers
@@ -34,8 +40,8 @@ val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
     [stamp] when that lies past the current CPU's clock, and does
     nothing otherwise.  [service] is the device time its eventual
     {!await_page} stands for; the pages of one transfer split its
-    service so overlap is counted once.  The record carries the current
-    [Machine.reset_epoch]. *)
+    service so overlap is counted once.  The record holds a
+    {!Mach_hw.Machine.stamp}, so a clock reset lands the page. *)
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
@@ -62,7 +68,7 @@ val await_page : Vm_sys.t -> Types.page -> unit
 (** [await_page sys p] blocks the current CPU until the stamp recorded
     in [p.pg_inflight] (if any) has passed, charging only the remaining
     cycles, then clears the inflight record and the busy bit.  A record
-    from an older [Machine.reset_epoch] has landed and charges
+    whose stamp a clock reset expired has landed and charges
     nothing. *)
 
 val write_range :

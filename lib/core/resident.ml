@@ -3,8 +3,8 @@ open Mach_hw
 open Types
 
 (* Free pages live on one FIFO with a per-CPU magazine in front.
-   Contention on the shared queue is simulated (opt-in) with the same
-   release-stamp scheme as [Vm_object] locks. *)
+   Contention on the shared queue is simulated (opt-in) with the one
+   simulated lock that [Vm_object] locks are. *)
 
 (* Magazine capacity, and pages moved per refill or drain trip. *)
 let magazine = 8
@@ -23,8 +23,7 @@ type t = {
   mutable total : int;
   mutable lock_sim : bool;    (* simulate contention on the shared queue *)
   free : page Dlist.t;        (* the shared free queue *)
-  mutable qlock_free : int;   (* its lock's release stamp, absolute *)
-  mutable qlock_epoch : int;  (* epoch the stamp was taken in *)
+  mutable qlock : Machine.stamp; (* its lock ([Vm_stats.lock_acquire]) *)
   caches : page list array;  (* per-CPU magazine, LIFO *)
   cache_count : int array;
   mutable free_total : int;   (* pages free anywhere: queue + magazines *)
@@ -54,8 +53,7 @@ let create ~machine ~stats ~multiple ?(frame_limit = max_int) () =
       total = 0;
       lock_sim = false;
       free = Dlist.create ();
-      qlock_free = 0;
-      qlock_epoch = -1;
+      qlock = Machine.expired;
       caches = Array.make cpus [];
       cache_count = Array.make cpus 0;
       free_total = 0;
@@ -153,24 +151,15 @@ let cache_pop t ~cpu =
 
 (* --- Shared-queue lock simulation -------------------------------------- *)
 
-(* Same scheme as [Vm_object] write locks: the queue keeps the absolute
-   cycle its last critical section released at; an acquirer whose clock
-   is behind that stamp pays the residue as a lock stall, then holds the
-   queue for [lock_hold] cycles charged to its own clock.  Stamps from
-   before a clock reset are expired by the epoch.  A single CPU can
-   never trail its own release stamp, so the uncontended case charges
-   only the hold. *)
+(* An acquirer holds the queue for [lock_hold] cycles charged to its own
+   clock, after any stall, and releases it at the clock the hold ends
+   at.  A single CPU can never trail its own release stamp, so the
+   uncontended case charges only the hold. *)
 let lock_acquire t ~cpu =
   if t.lock_sim then begin
-    let epoch = Machine.reset_epoch t.machine in
-    let now = Machine.cycles t.machine ~cpu in
-    let stamp = if t.qlock_epoch = epoch then t.qlock_free else 0 in
-    let residue = stamp - now in
-    if residue > 0 then
-      Vm_stats.lock_stall t.stats t.machine ~cpu ~obj:(-1) residue;
+    Vm_stats.lock_acquire t.stats t.machine ~cpu ~obj:(-1) t.qlock;
     Machine.charge t.machine ~cpu lock_hold;
-    t.qlock_free <- max now stamp + lock_hold;
-    t.qlock_epoch <- epoch
+    t.qlock <- Vm_stats.lock_release t.machine ~cpu
   end
 
 (* --- Allocation -------------------------------------------------------- *)

@@ -10,9 +10,9 @@
 
     Free pages live on one FIFO fronted by per-CPU magazines of 8 pages
     that refill and drain in whole batches.  Contention on the shared
-    queue can be simulated (opt-in) with the same release-stamp scheme
-    as [Vm_object] locks, on the machine's clocks; without it the
-    allocator charges no cycles.
+    queue can be simulated (opt-in) with the one simulated lock that
+    [Vm_object] locks are ([Vm_stats.lock_acquire]), on the machine's
+    clocks; without it the allocator charges no cycles.
 
     Byte offsets key the hash so the implementation is independent of any
     particular notion of physical page size. *)

@@ -50,14 +50,13 @@ type page = {
 }
 
 (* One page's share of a disk transfer still on the device: when the
-   page lands, the device time its wait stands for (the pages of one
-   transfer split its service, so overlap is counted once), and the
-   [Machine.reset_epoch] the stamp was taken in — a stamp from an older
-   epoch has landed, whatever its cycle count says. *)
+   page lands, and the device time its wait stands for (the pages of one
+   transfer split its service, so overlap is counted once).  A clock
+   reset expires the stamp: the page has landed, whatever its cycle
+   count says. *)
 and inflight = {
-  if_stamp : int;
+  if_stamp : Machine.stamp;
   if_service : int;
-  if_epoch : int;
 }
 
 (* When a pager's transfer lands on the device ([Machine.submit_disk]);
@@ -78,8 +77,9 @@ and obj = {
   mutable obj_shadow_offset : int;
       (* this object's offset 0 corresponds to [obj_shadow_offset] in the
          shadowed object *)
-  obj_temporary : bool;                 (* anonymous kernel-managed memory *)
-  obj_can_persist : bool;               (* eligible for the object cache *)
+  obj_temporary : bool;
+      (* anonymous kernel-managed memory; any other object may persist
+         in the object cache *)
   mutable obj_cached : bool;            (* ref 0 but retained in the cache *)
   mutable obj_readonly : bool;
       (* pager_readonly: the pager never accepts writes, so the kernel
@@ -97,21 +97,19 @@ and obj = {
          those pay nothing.  A pager miss matches the slot
          whose cursor equals its offset; misses recycle the reader's own
          slot, an expired slot, or the least recently used one *)
-  mutable obj_lock_free : int;
-      (* absolute cycle stamp at which the last exclusive hold released;
-         a CPU whose clock is behind it contends and stalls *)
-  mutable obj_lock_epoch : int;
-      (* Machine.reset_epoch when obj_lock_free was stamped; stamps from
-         an older epoch are expired (the clocks were reset under them) *)
+  mutable obj_lock : Machine.stamp;
+      (* the object's simulated lock: when its last exclusive hold
+         released (Vm_stats.lock_acquire); a CPU whose clock is behind
+         it contends and stalls *)
 }
 
 (* One read-ahead stream through a memory object.  The key (map id,
    entry start) names the reader so concurrent streams over one shared
    object cannot reset each other's ramp; the cursor/window pair is
-   exactly the old per-object state, now per stream.  Stamps from an
-   older [Machine.reset_clocks] epoch are expired, mirroring
-   [obj_lock_epoch]: a recycled object or a fresh measurement interval
-   never inherits a dead stream's cursor. *)
+   exactly the old per-object state, now per stream.  A slot lives
+   while its commit stamp does: a clock reset expires it, so a recycled
+   object or a fresh measurement interval never inherits a dead
+   stream's cursor. *)
 and stream = {
   mutable st_map : int;         (* map id of the reader; -1 anonymous *)
   mutable st_entry : int;       (* map entry start va; 0 anonymous *)
@@ -124,8 +122,7 @@ and stream = {
   mutable st_use : int;
       (* last-use stamp from [Vm_sys.stream_clock] (monotonic, not the
          cycle clock, so clock resets cannot scramble LRU order) *)
-  mutable st_epoch : int;       (* Machine.reset_epoch at the last
-                                   commit; older epochs are expired *)
+  mutable st_stamp : Machine.stamp; (* the last commit *)
 }
 
 (* The kernel's machine-independent record of how a pager has been

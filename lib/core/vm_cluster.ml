@@ -4,10 +4,9 @@
    DragonFly vfs_cluster shape.  Slot selection ([find_slot]) and
    cluster planning ([plan]) are read-only; each outcome path commits
    exactly what it managed to read, so a clipped or failed cluster
-   leaves no phantom ramp.  Slot stamps expire with the
-   [Machine.reset_clocks] epoch, like object-lock stamps, so a recycled
-   object or a fresh measurement interval never inherits a dead
-   stream's cursor. *)
+   leaves no phantom ramp.  A slot lives while its commit stamp does,
+   so after a clock reset a recycled object or a fresh measurement
+   interval never inherits a dead stream's cursor. *)
 
 open Types
 module Obs = Mach_obs.Obs
@@ -17,14 +16,13 @@ module Obs = Mach_obs.Obs
 let slot_count = 8
 let free_behind_window = 4
 
-let stream_epoch (sys : Vm_sys.t) =
-  Mach_hw.Machine.reset_epoch sys.Vm_sys.machine
-
-(* [st_epoch = -1] never equals a real epoch: the slot is invalid until
-   its first commit. *)
+(* A slot is invalid until its first commit. *)
 let fresh_slot () =
   { st_map = -1; st_entry = 0; st_next = min_int; st_window = 1;
-    st_use = 0; st_epoch = -1 }
+    st_use = 0; st_stamp = Mach_hw.Machine.expired }
+
+let live (sys : Vm_sys.t) st =
+  Mach_hw.Machine.stamp_live sys.Vm_sys.machine st.st_stamp
 
 (* The slot array is built lazily, so objects that never see a pager
    miss — anonymous zero-fill memory, say — carry an empty array. *)
@@ -44,8 +42,7 @@ let slots_of obj =
    issue. *)
 let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
   let slots = slots_of obj in
-  let epoch = stream_epoch sys in
-  let valid st = st.st_epoch = epoch in
+  let valid = live sys in
   match Array.find_opt (fun st -> valid st && st.st_next = offset) slots with
   | Some st ->
     sys.Vm_sys.stats.Vm_stats.vs_stream_hits <-
@@ -77,7 +74,7 @@ let find_slot (sys : Vm_sys.t) obj ~stream:(map, ent) ~offset =
     (st, false)
 
 (* Commit a successful issue to the slot: key, cursor, window, and the
-   LRU/epoch stamps.  The use stamp comes from a monotonic counter, not
+   LRU and commit stamps.  The use stamp comes from a monotonic counter, not
    the cycle clock, so [reset_clocks] cannot reorder victims. *)
 let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
   st.st_map <- map;
@@ -86,7 +83,7 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
   st.st_window <- window;
   sys.Vm_sys.stream_clock <- sys.Vm_sys.stream_clock + 1;
   st.st_use <- sys.Vm_sys.stream_clock;
-  st.st_epoch <- stream_epoch sys
+  st.st_stamp <- Mach_hw.Machine.stamp sys.Vm_sys.machine (Vm_sys.now sys)
 
 (* --- Free-behind ------------------------------------------------------ *)
 
@@ -105,10 +102,9 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
 let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
   if st.st_window >= free_behind_window then begin
     let ps = sys.Vm_sys.page_size and domain = sys.Vm_sys.domain in
-    let epoch = stream_epoch sys in
     let ahead_of_other_stream off =
       Array.exists
-        (fun s -> s != st && s.st_epoch = epoch && s.st_next <= off)
+        (fun s -> s != st && live sys s && s.st_next <= off)
         obj.obj_streams
     in
     let moved = ref 0 in
@@ -164,14 +160,10 @@ let plan (sys : Vm_sys.t) obj ~w ~offset ~limit =
    [free_target] plus the cluster, so speculation under pressure takes
    its pages from the inactive queue instead of being clipped away. *)
 let reclaim_for (sys : Vm_sys.t) ~pages =
-  match sys.Vm_sys.reclaim with
-  | None -> ()
-  | Some reclaim ->
-    let short =
-      sys.Vm_sys.free_target + pages
-      - Resident.free_count sys.Vm_sys.resident
-    in
-    if short > 0 then reclaim sys ~wanted:short
+  let short =
+    sys.Vm_sys.free_target + pages - Resident.free_count sys.Vm_sys.resident
+  in
+  if short > 0 then sys.Vm_sys.reclaim sys ~wanted:short
 
 (* The classical one-page pagein, exactly the pre-clustering fault path:
    guarded request with retries, then allocate/fill.  Returns the bytes

@@ -14,8 +14,9 @@
     of resetting each other through a single cursor.  A miss matches the
     slot whose cursor equals its offset ([Vm_sys.stats.stream_hits]);
     otherwise it reuses the reader's own slot, an expired one, or
-    recycles the least recently used ([stream_resets]).  Slots expire
-    with the [Machine.reset_clocks] epoch and die with their object.
+    recycles the least recently used ([stream_resets]).  A slot lives
+    while the {!Mach_hw.Machine.stamp} of its last commit does, so a
+    clock reset expires it, and it dies with its object.
 
     Once a stream has ramped to {!free_behind_window} pages, the clean
     pages behind its cursor are deactivated to the {e head} of the

@@ -13,16 +13,17 @@ let check_object_structure sys errs o =
   if o.obj_cached && o.obj_ref <> 0 then
     note errs "object %d cached with refcount %d" o.obj_id o.obj_ref;
   (* Stream slots die with their object, come [Vm_cluster.slot_count] at
-     a time, and a slot live in this clock epoch has a page-aligned
-     cursor. *)
+     a time, and a live slot has a page-aligned cursor. *)
   let slots = Array.length o.obj_streams in
   if slots > 0 && (o.obj_dead || slots <> Vm_cluster.slot_count) then
     note errs "object %d%s holds %d stream slots" o.obj_id
       (if o.obj_dead then " (terminated)" else "") slots;
-  let epoch = Machine.reset_epoch sys.Vm_sys.machine in
   Array.iter
     (fun st ->
-       if st.st_epoch = epoch && st.st_next mod sys.Vm_sys.page_size <> 0 then
+       if
+         Machine.stamp_live sys.Vm_sys.machine st.st_stamp
+         && st.st_next mod sys.Vm_sys.page_size <> 0
+       then
          note errs "object %d stream cursor %d unaligned" o.obj_id st.st_next)
     o.obj_streams;
   (* Pages on the object's list must carry the object's identity and be
@@ -211,17 +212,14 @@ let check_burst sys =
 (* A page riding a disk stamp is busy until it is awaited, and is a page
    of a live object that still finds it at its offset: freeing or
    removing the page settles the stamp first, so no stamp outlives its
-   object.  Its record comes from the current clock epoch or an older
-   one — an older record has landed ([Pager_guard.await_page] charges
-   nothing for it) — never from a later one. *)
+   object. *)
 let check_inflight sys =
   let errs = ref [] in
   let res = sys.Vm_sys.resident in
-  let epoch = Machine.reset_epoch sys.Vm_sys.machine in
   Resident.iter_pages res (fun p ->
       match p.pg_inflight with
       | None -> ()
-      | Some r ->
+      | Some _ ->
         if not p.pg_busy then
           note errs "page pfn=%d rides a disk stamp but is not busy" p.pfn;
         (match p.pg_obj with
@@ -235,10 +233,7 @@ let check_inflight sys =
            note errs "page pfn=%d rides a disk stamp in dead object %d" p.pfn
              o.obj_id
          | None ->
-           note errs "page pfn=%d rides a disk stamp but has no object" p.pfn);
-        if r.if_epoch > epoch then
-          note errs "page pfn=%d rides a stamp from epoch %d, now %d" p.pfn
-            r.if_epoch epoch);
+           note errs "page pfn=%d rides a disk stamp but has no object" p.pfn));
   List.rev !errs
 
 (* The swap pool's usage is exactly the bytes its stores hold. *)

@@ -39,10 +39,9 @@ val check_resident : Vm_sys.t -> string list
 val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus
     the global structures: resident queues, hash and free-pool
-    conservation, pv ↔ pmap, TLB ⊆
-    pmap, burst records, pages riding disk stamps (busy, in a live
-    object, stamped in the current clock epoch or an older one), swap
-    usage, and every object in the pager table. *)
+    conservation, pv ↔ pmap, TLB ⊆ pmap, burst records, pages riding
+    disk stamps (busy, in a live object), swap usage, and every object
+    in the pager table. *)
 
 val assert_ok : Vm_sys.t -> maps:Types.vmap list -> unit
 (** [assert_ok sys ~maps] raises [Failure] with a readable summary if any

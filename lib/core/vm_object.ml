@@ -1,7 +1,7 @@
 open Types
 open Mach_pmap
 
-let make_obj sys ~size ~pager ~temporary ~can_persist =
+let make_obj sys ~size ~pager ~temporary =
   {
     obj_id = Vm_sys.fresh_obj_id sys;
     obj_size = size;
@@ -11,59 +11,39 @@ let make_obj sys ~size ~pager ~temporary ~can_persist =
     obj_shadow = None;
     obj_shadow_offset = 0;
     obj_temporary = temporary;
-    obj_can_persist = can_persist;
     obj_cached = false;
     obj_readonly = false;
     obj_dead = false;
     obj_health = fresh_health ();
     obj_rescue = None;
     obj_streams = [||];
-    obj_lock_free = 0;
-    obj_lock_epoch = 0;
+    obj_lock = Mach_hw.Machine.expired;
   }
 
 (* --- Object locking, simulated on the virtual clock -------------------
 
-   The simulator is single-threaded, so an object lock never excludes
-   anyone; what it models is the *time* CPUs of a multiprocessor would
-   lose to contention.  Every exclusive (writer) critical section stamps
-   the object with the absolute cycle at which it released
-   ([obj_lock_free]), on every exit, exceptions included.  A later
-   acquisition by a CPU whose own clock is still behind that stamp would,
-   on real hardware, have found the lock held: it stalls for the residue
-   and the cycles are attributed to [Lock_wait].  On a single CPU the
-   acquiring clock can never be behind the stamp, so every stall is zero
-   and the locking layer is cycle-invisible — exactly the uncontended
-   fast path.
+   An object lock is the one simulated lock ([Vm_stats.lock_acquire]).
+   Every exclusive (writer) critical section stamps the object with the
+   cycle at which it released, on every exit, exceptions included.  On
+   a single CPU every stall is zero and the locking layer is
+   cycle-invisible — exactly the uncontended fast path.
 
    Readers (the resident-fault fast path) are optimistic: they do the
    lookup with no lock traffic and keep no state of their own.  A reader
    that overlapped a writer hold in virtual time would have had to retry,
    so [lock_read] charges the same residue a writer would have seen — the
-   retry cost — and nothing when uncontended.
+   retry cost — and nothing when uncontended. *)
 
-   Stamps are only meaningful within one [Machine.reset_clocks] epoch;
-   a stamp from an older epoch is expired (the clocks it was measured
-   against are gone). *)
-
-let lock_stall_residue (sys : Vm_sys.t) o =
-  if o.obj_lock_epoch = Mach_hw.Machine.reset_epoch sys.Vm_sys.machine then
-    max 0 (o.obj_lock_free - Vm_sys.now sys)
-  else 0
-
-let charge_stall (sys : Vm_sys.t) o cycles =
-  if cycles > 0 then
-    Vm_stats.lock_stall sys.Vm_sys.stats sys.Vm_sys.machine
-      ~cpu:(Vm_sys.current_cpu sys) ~obj:o.obj_id cycles
-
-let lock_read sys o = charge_stall sys o (lock_stall_residue sys o)
+let lock_read (sys : Vm_sys.t) o =
+  Vm_stats.lock_acquire sys.Vm_sys.stats sys.Vm_sys.machine
+    ~cpu:(Vm_sys.current_cpu sys) ~obj:o.obj_id o.obj_lock
 
 let release (sys : Vm_sys.t) o =
-  o.obj_lock_epoch <- Mach_hw.Machine.reset_epoch sys.Vm_sys.machine;
-  o.obj_lock_free <- Vm_sys.now sys
+  o.obj_lock <-
+    Vm_stats.lock_release sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys)
 
-let lock_write (sys : Vm_sys.t) o f =
-  charge_stall sys o (lock_stall_residue sys o);
+let lock_write sys o f =
+  lock_read sys o;
   match f () with
   | v ->
     release sys o;
@@ -73,7 +53,7 @@ let lock_write (sys : Vm_sys.t) o f =
     raise e
 
 let create_anonymous sys ~size =
-  make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
+  make_obj sys ~size ~pager:None ~temporary:true
 
 let lookup_resident (sys : Vm_sys.t) o ~offset =
   Resident.lookup sys.Vm_sys.resident ~obj:o ~offset
@@ -152,7 +132,7 @@ and deallocate sys o =
   o.obj_ref <- o.obj_ref - 1;
   if o.obj_ref = 0 then begin
     let cacheable =
-      sys.Vm_sys.cache_enabled && o.obj_can_persist
+      sys.Vm_sys.cache_enabled && not o.obj_temporary
       && (match o.obj_pager with
           | Some p -> !(p.pgr_should_cache)
           | None -> false)
@@ -180,9 +160,7 @@ let create_with_pager sys pager ~size =
   | None ->
     sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses <-
       sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses + 1;
-    let o =
-      make_obj sys ~size ~pager:(Some pager) ~temporary:false ~can_persist:true
-    in
+    let o = make_obj sys ~size ~pager:(Some pager) ~temporary:false in
     Hashtbl.add sys.Vm_sys.pager_objects pager.pgr_id o;
     o
 
@@ -198,9 +176,7 @@ let shadow sys o ~offset ~size =
   (* Interposing a shadow rewrites what faults on [o]'s range resolve to:
      an exclusive section on [o]. *)
   lock_write sys o (fun () ->
-      let s =
-        make_obj sys ~size ~pager:None ~temporary:true ~can_persist:false
-      in
+      let s = make_obj sys ~size ~pager:None ~temporary:true in
       s.obj_shadow <- Some o; (* consumes the caller's reference to [o] *)
       s.obj_shadow_offset <- offset;
       sys.Vm_sys.stats.Vm_stats.vs_shadows_created <-

@@ -79,22 +79,24 @@ val free_page : Vm_sys.t -> page -> unit
 (** {1 Object locking}
 
     The simulator is single-threaded; object locks model the {e time} a
-    multiprocessor would lose to contention.  Writer sections stamp the
-    object with the cycle at which they released; a later acquisition by
-    a CPU whose clock is behind the stamp stalls for the residue, charged
-    to the [Lock_wait] attribution category.  On one CPU every stall is
-    zero, so the layer is cycle-invisible sequentially. *)
+    multiprocessor would lose to contention.  An object lock is the one
+    simulated lock the free queue uses too ([Vm_stats.lock_acquire]):
+    writer sections stamp the object with the cycle at which they
+    released; a later acquisition by a CPU whose clock is behind the
+    stamp stalls for the residue, charged to the [Lock_wait] attribution
+    category.  On one CPU every stall is zero, so the layer is
+    cycle-invisible sequentially. *)
 
 val lock_write : Vm_sys.t -> obj -> (unit -> 'a) -> 'a
 (** [lock_write sys o f] runs [f] as an exclusive (writer) critical
     section on [o]: stalls for any overlapping prior hold, then on the
-    way out bumps [o]'s generation counter and stamps the release time.
+    way out stamps the release time.
     Pagein, shadow interposition, copy-on-write resolution and pageout
     cleaning run under this. *)
 
 val lock_read : Vm_sys.t -> obj -> unit
-(** [lock_read sys o] is the optimistic reader path: generation-validated
-    and lock-free, it charges nothing when uncontended and only the
+(** [lock_read sys o] is the optimistic reader path: lock-free, it
+    charges nothing when uncontended and only the
     retry residue when a writer hold overlaps in virtual time.  The
     resident-fault fast path uses this. *)
 

@@ -233,6 +233,3 @@ let run (sys : Vm_sys.t) ~wanted =
   do
     ()
   done
-
-let install sys =
-  sys.Vm_sys.reclaim <- Some (fun sys ~wanted -> run sys ~wanted)

@@ -12,12 +12,9 @@
     Dirty anonymous pages are written to the default pager; dirty
     pager-backed pages are written back through [pager_data_write]. *)
 
-val install : Vm_sys.t -> unit
-(** [install sys] registers the daemon as [sys]'s reclaim hook, invoked
-    automatically when the free list runs low. *)
-
 val run : Vm_sys.t -> wanted:int -> unit
-(** [run sys ~wanted] tries to free [wanted] pages now. *)
+(** [run sys ~wanted] tries to free [wanted] pages now; it is every
+    kernel's [Vm_sys.reclaim], called when the free list runs low. *)
 
 val clean_page : Vm_sys.t -> Types.page -> bool
 (** [clean_page sys p] writes [p] to its object's pager (attaching a

@@ -114,6 +114,22 @@ let lock_stall s machine ~cpu ~obj cycles =
     Mach_obs.Obs.record tr ~ts:(Mach_hw.Machine.cycles machine ~cpu) ~cpu
       (Mach_obs.Obs.Lock_stall { obj; cycles })
 
+(* The one simulated lock, a memory object's or the shared free
+   queue's: its state is the stamp its last hold released at.  The
+   simulator is single-threaded, so a lock never excludes anyone; it
+   models the time CPUs of a multiprocessor would lose to contention.
+   An acquirer whose clock is behind the stamp would have found the
+   lock held: it stalls for the residue ([lock_stall]).  A CPU never
+   trails its own release stamp, so an uncontended lock costs nothing,
+   and a clock reset expires the stamp. *)
+let lock_acquire s machine ~cpu ~obj held =
+  let residue = Mach_hw.Machine.stamp_residue machine held ~cpu in
+  if residue > 0 then lock_stall s machine ~cpu ~obj residue
+
+(* The stamp a hold that ends now on [cpu] leaves on its lock. *)
+let lock_release machine ~cpu =
+  Mach_hw.Machine.stamp machine (Mach_hw.Machine.cycles machine ~cpu)
+
 (* Every statistic under its report name, in the order the stats JSON and
    the [machsim stats] table print them; an unbounded swap capacity
    reports 0. *)

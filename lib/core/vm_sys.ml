@@ -38,7 +38,7 @@ type t = {
   mutable collapse_enabled : bool;
   mutable pmap_prewarm_on_fork : bool;
   pager_objects : (int, Types.obj) Hashtbl.t;
-  mutable reclaim : (t -> wanted:int -> unit) option;
+  reclaim : t -> wanted:int -> unit;
   free_target : int;
   free_reserved : int;
       (* hard floor: no allocation takes the free list below it;
@@ -144,7 +144,7 @@ let fresh_map_id t = t.last_map_id <- t.last_map_id + 1; t.last_map_id
 let fresh_pager_id t = t.last_pager_id <- t.last_pager_id + 1; t.last_pager_id
 let fresh_task_id t = t.last_task_id <- t.last_task_id + 1; t.last_task_id
 
-let create ~machine ~domain () =
+let create ~machine ~domain ~reclaim =
   let arch = Machine.arch machine in
   let frame_limit =
     match arch.Arch.phys_limit with
@@ -168,7 +168,7 @@ let create ~machine ~domain () =
     collapse_enabled = true;
     pmap_prewarm_on_fork = false;
     pager_objects = Hashtbl.create 64;
-    reclaim = None;
+    reclaim;
     free_target = max 4 (total / 16);
     free_reserved = max 2 (total / 64);
     swap_capacity = None;
@@ -303,13 +303,8 @@ let oom_kill t =
     true
 
 let grab_page t =
-  let try_reclaim wanted =
-    match t.reclaim with
-    | None -> ()
-    | Some f -> f t ~wanted
-  in
   if Resident.free_count t.resident < t.free_target then
-    try_reclaim (t.free_target - Resident.free_count t.resident);
+    t.reclaim t ~wanted:(t.free_target - Resident.free_count t.resident);
   (* Allocations treat the free list as empty at [free_reserved].  The
      floor is global: magazine-cached pages count toward [free_count]
      and the allocator steals them back when the queue runs dry, so the
@@ -334,7 +329,7 @@ let grab_page t =
     let result = ref None in
     while Option.is_none !result do
       let before = Resident.free_count t.resident in
-      try_reclaim (max 1 (t.free_target - before));
+      t.reclaim t ~wanted:(max 1 (t.free_target - before));
       match take () with
       | Some p -> result := Some p
       | None ->

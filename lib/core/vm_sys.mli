@@ -51,8 +51,8 @@ type t = {
   pager_objects : (int, Types.obj) Hashtbl.t;
       (** live or cached object for each pager id, so re-mapping a file
           finds the existing object *)
-  mutable reclaim : (t -> wanted:int -> unit) option;
-      (** pageout hook, installed by {!Vm_pageout}; called when the free
+  reclaim : t -> wanted:int -> unit;
+      (** the pageout daemon ({!Vm_pageout.run}); called when the free
           list runs low *)
   free_target : int;
       (** keep at least this many pages free; reclaim aims here *)
@@ -136,10 +136,11 @@ exception Out_of_memory
     resident pages). *)
 
 val create :
-  machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t -> unit -> t
-(** [create ~machine ~domain ()] builds the VM state; the
-    machine-independent page is the domain's
-    {!Mach_pmap.Pmap_domain.page_multiple} hardware pages.  The resident
+  machine:Mach_hw.Machine.t -> domain:Mach_pmap.Pmap_domain.t ->
+  reclaim:(t -> wanted:int -> unit) -> t
+(** [create ~machine ~domain ~reclaim] builds the VM state, with
+    [reclaim] the pageout daemon; the machine-independent page is the
+    domain's {!Mach_pmap.Pmap_domain.page_multiple} hardware pages.  The resident
     table honours the architecture's physical address limit. *)
 
 val fresh_obj_id : t -> int
@@ -149,7 +150,7 @@ val fresh_task_id : t -> int
 (** The next id of each kind in this kernel, counting from 1. *)
 
 val grab_page : t -> Types.page
-(** [grab_page t] allocates a free page, invoking the pageout hook if the
+(** [grab_page t] allocates a free page, running [t.reclaim] if the
     free list is low.  It never takes the free list below
     [free_reserved]; at the floor it waits on the daemon (allocation
     backpressure: reclaim rounds interleaved with fixed backoff charges

@@ -57,11 +57,11 @@ type t = {
   mutable sampler : (unit -> unit) option;
   mutable sample_every : int;
   mutable next_sample : int;
-  (* Bumped by [reset_clocks].  Absolute-cycle stamps held outside the
-     machine (object lock release times) record the epoch they were
-     taken in; a stamp from an older epoch is dead, so resets cannot
-     manufacture phantom lock stalls. *)
-  mutable reset_epoch : int;
+  (* A stamp is [stamp_origin] plus the cycle count it was set at.
+     [stamp_high] is the largest stamp set so far; [reset_clocks] moves
+     the origin past it, which expires every stamp set before. *)
+  mutable stamp_origin : int;
+  mutable stamp_high : int;
   (* Run after [reset_clocks] zeroes the clocks and stats, so subsystems
      holding their own counters (the page allocator) reset with the
      measurement window. *)
@@ -92,7 +92,7 @@ let create ~arch ~memory_frames ?(holes = []) ?(cpus = 1)
     tracer = Mach_obs.Obs.null;
     disk_pending = [];
     sampler = None; sample_every = 0; next_sample = max_int;
-    reset_epoch = 0; reset_hooks = [] }
+    stamp_origin = 0; stamp_high = 0; reset_hooks = [] }
 
 let arch t = t.arch
 let phys t = t.phys
@@ -154,7 +154,20 @@ let charge t ~cpu c = bump t (cpu_of t cpu) c
 
 let charge_category t ~cpu cat c = bump_as t (cpu_of t cpu) cat c
 
-let reset_epoch t = t.reset_epoch
+type stamp = int
+
+let expired = -1
+
+let stamp t cycle =
+  let s = t.stamp_origin + cycle in
+  if s > t.stamp_high then t.stamp_high <- s;
+  s
+
+let stamp_live t s = s >= t.stamp_origin
+
+(* An expired stamp lies below the origin, so its residue is negative
+   against any clock and clamps to 0. *)
+let stamp_residue t s ~cpu = max 0 (s - t.stamp_origin - (cpu_of t cpu).clock)
 
 let add_reset_hook t f = t.reset_hooks <- f :: t.reset_hooks
 
@@ -185,8 +198,7 @@ let set_sampler t ~every_ms f =
 
 let reset_clocks t =
   Array.iter (fun c -> c.clock <- 0) t.cpus;
-  (* Invalidate absolute-cycle lock stamps taken before the reset. *)
-  t.reset_epoch <- t.reset_epoch + 1;
+  t.stamp_origin <- t.stamp_high + 1;
   (* Pending stamps are absolute cycle counts; stale ones would count
      as in flight long after the reset. *)
   t.disk_pending <- [];

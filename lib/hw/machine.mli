@@ -137,11 +137,31 @@ val lock_stall : t -> cpu:int -> int -> unit
     is wait time whatever kernel path suffered it).  A no-op when
     [n <= 0], so uncontended acquisitions are free. *)
 
-val reset_epoch : t -> int
-(** [reset_epoch t] counts how many times {!reset_clocks} has run.
-    Subsystems holding absolute-cycle stamps (object lock release
-    times) tag them with the epoch and treat stamps from an older epoch
-    as expired, so a clock reset cannot manufacture phantom stalls. *)
+(** {1 Stamps}
+
+    A stamp is a cycle count that {!reset_clocks} expires: the simulated
+    locks' release times, the landing of a page still on the device, a
+    read-ahead slot's last commit.  Once the clocks restart, a stamp
+    from before is dead whatever its count says, so a reset cannot
+    manufacture a stall.  A stamp is an immediate value; holding one
+    allocates nothing. *)
+
+type stamp [@@immediate]
+
+val expired : stamp
+(** A stamp that was never live. *)
+
+val stamp : t -> int -> stamp
+(** [stamp t cycle] is a stamp at [cycle] (a CPU clock reading, or a
+    disk completion after it), live until the next {!reset_clocks}. *)
+
+val stamp_live : t -> stamp -> bool
+(** [stamp_live t s] is true when no {!reset_clocks} has run since [s]
+    was set. *)
+
+val stamp_residue : t -> stamp -> cpu:int -> int
+(** [stamp_residue t s ~cpu] is how many cycles [cpu]'s clock is behind
+    [s]: 0 when it is not behind, and 0 once a reset has expired [s]. *)
 
 val add_reset_hook : t -> (unit -> unit) -> unit
 (** [add_reset_hook t f] runs [f] at the end of every {!reset_clocks},
@@ -160,8 +180,8 @@ val elapsed_ms : t -> float
     rate. *)
 
 val reset_clocks : t -> unit
-(** [reset_clocks t] zeroes every CPU clock and the statistics; benchmarks
-    call this between measurements.  Attribution totals are zeroed with
+(** [reset_clocks t] zeroes every CPU clock and the statistics and
+    expires every {!stamp}; benchmarks call this between measurements.  Attribution totals are zeroed with
     the clocks (open frames survive) so they keep summing to the clock. *)
 
 val set_sampler : t -> every_ms:int -> (unit -> unit) -> unit

@@ -237,6 +237,30 @@ let resident_table_model =
             agrees ())
          ops)
 
+(* ---- the simulated queue lock ------------------------------------------- *)
+
+(* No release stamp outlives a clock reset.  With the queue lock
+   simulated, CPU 0 refills a million cycles ahead of CPU 1, whose
+   refill stalls; CPU 0 frees to the queue further ahead, the clocks
+   reset, and CPU 1's next refill stalls for nothing. *)
+let test_queue_lock_stamp_expires () =
+  let machine, _, sys = boot ~cpus:2 () in
+  let res = sys.Vm_sys.resident in
+  Resident.set_lock_sim res true;
+  let stalls () = sys.Vm_sys.stats.Vm_stats.vs_lock_stalls in
+  Machine.charge machine ~cpu:0 1_000_000;
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
+  ignore (Option.get (Resident.alloc ~cpu:1 res));
+  Alcotest.(check int) "CPU 1 stalls behind CPU 0" 1 (stalls ());
+  Machine.charge machine ~cpu:0 2_000_000;
+  Resident.free_page res p;
+  Machine.reset_clocks machine;
+  Resident.drain_caches res;
+  ignore (Option.get (Resident.alloc ~cpu:1 res));
+  Alcotest.(check int) "no stall after a clock reset" 1 (stalls ());
+  Alcotest.(check int) "CPU 1 pays only the hold" 60
+    (Machine.cycles machine ~cpu:1)
+
 let () =
   Alcotest.run "alloc"
     [ ( "magazines",
@@ -249,6 +273,9 @@ let () =
       ( "audit",
         [ Alcotest.test_case "check_all reports a mislabelled free page"
             `Quick test_check_all_flags_queue_mismatch ] );
+      ( "lock",
+        [ Alcotest.test_case "a clock reset expires the queue lock stamp"
+            `Quick test_queue_lock_stamp_expires ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ conservation; resident_table_model ] ) ]

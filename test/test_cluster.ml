@@ -193,7 +193,7 @@ let test_slot_audit () =
   in
   let live =
     List.find
-      (fun st -> st.Types.st_epoch = Machine.reset_epoch machine)
+      (fun st -> Machine.stamp_live machine st.Types.st_stamp)
       (Array.to_list o.Types.obj_streams)
   in
   live.Types.st_next <- live.Types.st_next + 1;
@@ -207,6 +207,45 @@ let test_slot_audit () =
   o.Types.obj_streams <- slots;
   Alcotest.(check (list string)) "healthy again" []
     (Vm_debug.check_all sys ~maps:[])
+
+(* No slot outlives a clock reset: a miss at the cursor of a slot
+   committed before the reset starts a new stream instead of continuing
+   the old one. *)
+let test_slot_expires_on_reset () =
+  let machine, _, sys = boot ~frames:4096 () in
+  let fs = Simfs.create machine () in
+  let ps = sys.Vm_sys.page_size in
+  Simfs.install_file fs ~name:"/reset" ~data:(Bytes.make (64 * ps) 'r');
+  let read offset =
+    ignore
+      (Vnode_pager.read_through_object sys fs ~name:"/reset" ~offset ~len:ps)
+  in
+  let hits () = sys.Vm_sys.stats.Vm_stats.vs_stream_hits in
+  read 0;
+  let o =
+    match
+      Seq.find
+        (fun o -> Array.length o.Types.obj_streams > 0)
+        (Hashtbl.to_seq_values sys.Vm_sys.pager_objects)
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "no object holds stream slots"
+  in
+  let cursor () =
+    match
+      List.find_opt
+        (fun st -> Machine.stamp_live machine st.Types.st_stamp)
+        (Array.to_list o.Types.obj_streams)
+    with
+    | Some st -> st.Types.st_next
+    | None -> Alcotest.fail "no live slot"
+  in
+  read (cursor ());
+  Alcotest.(check int) "a miss at the cursor is a stream hit" 1 (hits ());
+  let next = cursor () in
+  Machine.reset_clocks machine;
+  read next;
+  Alcotest.(check int) "not after a clock reset" 1 (hits ())
 
 (* ---- free-behind ---------------------------------------------------------- *)
 
@@ -671,8 +710,8 @@ let test_per_page_stamps () =
   for k = 1 to 7 do
     match (tail k).Types.pg_inflight with
     | Some r ->
-      Alcotest.(check int) (Printf.sprintf "tail page %d stamp" k) (stamp k)
-        r.Types.if_stamp
+      Alcotest.(check bool) (Printf.sprintf "tail page %d stamp" k) true
+        (r.Types.if_stamp = Machine.stamp machine (stamp k))
     | None -> Alcotest.fail (Printf.sprintf "tail page %d not in flight" k)
   done;
   let k = 3 in
@@ -883,6 +922,8 @@ let () =
             test_two_readers_both_ramp;
           Alcotest.test_case "slot exhaustion" `Quick test_slot_exhaustion;
           Alcotest.test_case "slot audit" `Quick test_slot_audit;
+          Alcotest.test_case "a clock reset expires every slot" `Quick
+            test_slot_expires_on_reset;
           Alcotest.test_case "free-behind skips dirty pages" `Quick
             test_free_behind_skips_dirty ] );
       ( "pageout",

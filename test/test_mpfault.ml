@@ -483,6 +483,29 @@ let test_contention_chaos_replay () =
   Alcotest.(check string) "chaos fingerprint stable" fp1 fp2;
   Alcotest.(check bool) "attribution conserved under chaos" true conserved1
 
+(* No release stamp outlives a clock reset.  CPU 0 holds an object's
+   lock a million cycles ahead of CPU 1, whose next acquisition stalls;
+   CPU 0 holds it again further ahead, the clocks reset, and CPU 1's
+   acquisition stalls for nothing. *)
+let test_lock_stamp_expires () =
+  let machine, kernel, sys = boot ~cpus:2 () in
+  let o = Vm_object.create_anonymous sys ~size:sys.Vm_sys.page_size in
+  let hold cpu =
+    Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
+    Vm_object.lock_write sys o ignore
+  in
+  let stalls () = sys.Vm_sys.stats.Vm_stats.vs_lock_stalls in
+  Machine.charge machine ~cpu:0 1_000_000;
+  hold 0;
+  hold 1;
+  Alcotest.(check int) "CPU 1 stalls behind CPU 0" 1 (stalls ());
+  Machine.charge machine ~cpu:0 2_000_000;
+  hold 0;
+  Machine.reset_clocks machine;
+  hold 1;
+  Alcotest.(check int) "no stall after a clock reset" 1 (stalls ());
+  Alcotest.(check int) "and no cycles" 0 (Machine.cycles machine ~cpu:1)
+
 let () =
   Alcotest.run "mpfault"
     [ ( "burst",
@@ -504,7 +527,9 @@ let () =
         [ Alcotest.test_case "4-CPU stalls replay identically" `Quick
             test_contention_deterministic;
           Alcotest.test_case "replay holds under chaos" `Quick
-            test_contention_chaos_replay ] );
+            test_contention_chaos_replay;
+          Alcotest.test_case "a clock reset expires the lock stamp" `Quick
+            test_lock_stamp_expires ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ burst1_is_legacy; burst_transparent ] ) ]

@@ -30,6 +30,11 @@
    its stanza names.  Each has an allowlist, and an entry that is used
    or gone fails its case too.
 
+   Pager traffic goes through Pager_guard: the eighth guard fails on a
+   [pgr_request] or [pgr_write] that a lib/core module other than
+   Pager_guard reads, so the kernel's failure policy sits on every
+   pager call.
+
    Each file is parsed once and the parse is shared by the guards. *)
 
 open Parsetree
@@ -891,6 +896,46 @@ let test_library_guard_detects () =
     [ lib_a "mach_util";
       ("../lib/b/dune", "(library (name mach_b) (libraries fmt mach_a))") ]
 
+(* "path: field" for each [pgr_request] or [pgr_write] that a lib/core
+   file of [files] (path, refs) other than pager_guard.ml reads, by
+   [e.f] or a record pattern: a pager call past the failure policy. *)
+let unguarded_pager_calls files =
+  List.concat_map
+    (fun (path, r) ->
+       if
+         Filename.dirname path <> Filename.concat lib_root "core"
+         || Filename.basename path = "pager_guard.ml"
+       then []
+       else
+         List.filter_map
+           (fun (_, f) ->
+              if f = "pgr_request" || f = "pgr_write" then
+                Some (String.sub path 3 (String.length path - 3) ^ ": " ^ f)
+              else None)
+           r.read)
+    files
+
+let test_pager_calls_guarded () =
+  Alcotest.(check (list string)) "pager calls outside Pager_guard" []
+    (unguarded_pager_calls (Lazy.force caller_refs))
+
+(* The detector on snippets: a call in another lib/core module is
+   found; Pager_guard's own call, a pager record built in lib/core and a
+   decorator's call outside lib/core are not. *)
+let test_pager_call_guard_detects () =
+  Alcotest.(check (list string)) "only the unguarded call"
+    [ "lib/core/vm_cluster.ml: pgr_request" ]
+    (unguarded_pager_calls
+       (snippet_refs
+          [ ("../lib/core/vm_cluster.ml",
+             "let f p = p.Types.pgr_request ~offset:0 ~length:1");
+            ("../lib/core/pager_guard.ml",
+             "let g p = p.pgr_write ~offset:0 ~data:[]");
+            ("../lib/core/swap_pager.ml",
+             "let make r w = { pgr_request = r; pgr_write = w }");
+            ("../lib/pagers/chaos_pager.ml",
+             "let wrap p = p.Types.pgr_write") ]))
+
 let () =
   Alcotest.run "state"
     [ ( "lib",
@@ -920,4 +965,8 @@ let () =
           Alcotest.test_case "every library named" `Quick
             test_every_library_named;
           Alcotest.test_case "guard detects unnamed libraries" `Quick
-            test_library_guard_detects ] ) ]
+            test_library_guard_detects;
+          Alcotest.test_case "pager calls go through Pager_guard" `Quick
+            test_pager_calls_guarded;
+          Alcotest.test_case "guard detects unguarded pager calls" `Quick
+            test_pager_call_guard_detects ] ) ]
