@@ -876,7 +876,7 @@ let chaos () =
       pgr_write =
         (fun ~offset ~data ->
            Hashtbl.replace store offset (Lent.to_bytes data);
-           Types.Write_completed Types.io_none);
+           Types.Write_completed);
       pgr_should_cache = ref false;
     }
   in
@@ -954,7 +954,10 @@ let legacy_read sys fs ~name ~offset ~len =
           (match
              Pager_guard.request sys obj ~offset:page_off ~length:ps
            with
-           | `Data data -> Page_io.fill sys p data
+           | `Data (data, io) ->
+             Machine.wait_io sys.Vm_sys.machine
+               ~cpu:(Vm_sys.current_cpu sys) io;
+             Page_io.fill sys p data
            | `Absent | `Error -> Page_io.zero sys p);
           sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
             sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;

@@ -79,7 +79,7 @@ let read t ~cpu ~name ~offset ~len =
   end
 
 let write t ~cpu ~name ~offset ~data =
-  Simfs.write t.fs ~cpu ~name ~offset ~data;
+  Simfs.write t.fs ~cpu ~name ~offset ~data:(Mach_core.Lent.of_bytes data);
   (* Keep cached copies coherent (write-through). *)
   let bs = block_size t in
   let len = Bytes.length data in

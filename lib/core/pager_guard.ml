@@ -1,12 +1,7 @@
 open Types
 module Obs = Mach_obs.Obs
 
-(* A blocking caller waits out a reply's device time; free for
-   [io_none] and for a write the disk already paid. *)
-let wait_io (sys : Vm_sys.t) io =
-  Mach_hw.Machine.wait_io sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys) io
-
-(* Wait only until the first [bytes] of [io] have landed — a cluster's
+(* Wait only until the first [bytes] of [io] have landed — a reply's
    demand page.  The wait stands for the device time from the request's
    start to that stamp; the pages behind it ride their own stamps. *)
 let wait_prefix (sys : Vm_sys.t) io ~bytes =
@@ -50,10 +45,10 @@ let await_page (sys : Vm_sys.t) p =
 (* The two pager calls.  Each asks [o]'s pager once, or its rescue pager
    once the pager is dead, and every other path here goes through them.
    A live pager's data or completed write resets its health, and its
-   reply's stamp comes back unwaited.  A rescue transfer blocks: the
-   last line of defence is never a prefetch, so it comes back as
-   [io_none].  Pages the rescue pager never received read as absent, so
-   they zero-fill. *)
+   reply's stamp comes back unwaited.  A rescue read blocks: the last
+   line of defence is never a prefetch, so it comes back as [io_none].
+   Pages the rescue pager never received read as absent, so they
+   zero-fill.  A write has landed when its reply arrives. *)
 let read_once (sys : Vm_sys.t) o ~offset ~length =
   let dead = o.obj_health.ph_dead in
   match if dead then o.obj_rescue else o.obj_pager with
@@ -61,7 +56,8 @@ let read_once (sys : Vm_sys.t) o ~offset ~length =
   | Some pager ->
     (match pager.pgr_request ~offset ~length with
      | Data_provided (d, io) when dead ->
-       wait_io sys io;
+       Mach_hw.Machine.wait_io sys.Vm_sys.machine
+         ~cpu:(Vm_sys.current_cpu sys) io;
        `Data (d, io_none)
      | Data_provided (d, io) ->
        o.obj_health.ph_consecutive <- 0;
@@ -69,18 +65,15 @@ let read_once (sys : Vm_sys.t) o ~offset ~length =
      | Data_unavailable -> `Absent
      | Data_error -> if dead then `Absent else `Error)
 
-let write_once (sys : Vm_sys.t) o ~offset ~data =
+let write_once o ~offset ~data =
   let dead = o.obj_health.ph_dead in
   match if dead then o.obj_rescue else o.obj_pager with
   | None -> `Failed
   | Some pager ->
     (match pager.pgr_write ~offset ~data with
-     | Write_completed io when dead ->
-       wait_io sys io;
-       `Ok io_none
-     | Write_completed io ->
-       o.obj_health.ph_consecutive <- 0;
-       `Ok io
+     | Write_completed ->
+       if not dead then o.obj_health.ph_consecutive <- 0;
+       `Ok
      | Write_error -> `Failed
      | Write_no_space -> `No_space)
 
@@ -101,9 +94,9 @@ let declare_dead (sys : Vm_sys.t) o pager =
          && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
        then
          match
-           write_once sys o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
+           write_once o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
          with
-         | `Ok _ ->
+         | `Ok ->
            incr rescued;
            stats.Vm_stats.vs_rescued_pages <-
              stats.Vm_stats.vs_rescued_pages + 1
@@ -139,7 +132,6 @@ let with_retries (sys : Vm_sys.t) o ~offset attempt =
       else begin
         stats.Vm_stats.vs_pager_failures <-
           stats.Vm_stats.vs_pager_failures + 1;
-        h.ph_failures <- h.ph_failures + 1;
         h.ph_consecutive <- h.ph_consecutive + 1;
         if (not h.ph_dead)
            && h.ph_consecutive >= Vm_sys.pager_death_threshold
@@ -165,10 +157,10 @@ let paging (sys : Vm_sys.t) o none f =
    Clustering is opportunistic — if anything goes wrong the caller falls
    back to the single-page [request] path, which owns the retry/backoff/
    death policy.  A [`Data] reply may be shorter than [length] (a
-   truncated cluster) and carries the transfer's stamp unwaited: the
-   caller waits for what it needs ([wait_io], [wait_prefix]) and lets
-   the rest ride ([ride]).  [`Absent] means the pager holds nothing at
-   [offset] itself (see the contract on [Types.pager]). *)
+   truncated cluster).  Both reads hand the transfer's stamp back
+   unwaited: the caller waits for the page it needs ([wait_prefix]) and
+   lets the rest ride ([ride]).  [`Absent] means the pager holds nothing
+   at [offset] itself (see the contract on [Types.pager]). *)
 let request_range sys o ~offset ~length =
   paging sys o `Absent (fun () -> read_once sys o ~offset ~length)
 
@@ -180,10 +172,7 @@ let request sys o ~offset ~length =
         | `Error -> `Failed
         | (`Data _ | `Absent) as r -> `Done r)
   with
-  | Some (`Data (d, io)) ->
-    wait_io sys io;
-    `Data d
-  | Some `Absent -> `Absent
+  | Some r -> r
   | None -> `Error
 
 (* One-shot clustered write, same policy: a failure is reported without
@@ -191,27 +180,19 @@ let request sys o ~offset ~length =
    [write] calls.  [`No_space] — the backing store is full — is
    permanent until space is released, so it is reported distinctly (no
    retries either, and no health damage: the pager is fine, the disk is
-   full) and the caller escalates to the memory-pressure state.  A disk
-   write blocks until it lands, so [`Ok] has nothing left on the
-   device. *)
+   full) and the caller escalates to the memory-pressure state. *)
 let write_range sys o ~offset ~data =
-  paging sys o `Failed @@ fun () ->
-  match write_once sys o ~offset ~data with
-  | `Ok _ -> `Ok
-  | (`Failed | `No_space) as r -> r
+  paging sys o `Failed (fun () -> write_once o ~offset ~data)
 
 let write sys o ~offset ~data =
   paging sys o `Failed @@ fun () ->
   match
     with_retries sys o ~offset (fun () ->
-        match write_once sys o ~offset ~data with
+        match write_once o ~offset ~data with
         | `Failed -> `Failed
-        | (`Ok _ | `No_space) as r -> `Done r)
+        | (`Ok | `No_space) as r -> `Done r)
   with
-  | Some (`Ok io) ->
-    wait_io sys io;
-    `Ok
-  | Some `No_space -> `No_space
+  | Some r -> r
   | None ->
     (* If the exhausted budget just killed the pager, [declare_dead]
        already rescued this page along with the rest; returning

@@ -23,17 +23,20 @@
     {!write_range} are that call, and {!request} and {!write} are the
     same call under the retry policy.
 
-    Every pager reply carries an {!Types.io} stamp saying when each of
-    its bytes lands.  {!request}, {!write} and the rescue transfers
-    block on all of it; the one-shot clustered read hands
-    it back unwaited, so the caller can wait for the page it needs
-    ({!wait_prefix}) and let the others ride their own stamps
-    ({!ride}).  A disk write is paid before its reply arrives. *)
+    A read reply carries an {!Types.io} stamp saying when each of its
+    bytes lands.  Both reads hand it back unwaited, so the caller can
+    wait for the page it needs ({!wait_prefix}) and let the others ride
+    their own stamps ({!ride}); only a rescue read blocks, since the
+    last line of defence is never a prefetch.  A write has landed when
+    it returns, so it leaves nothing to wait on.  This module is the one
+    place in [lib/core] that waits on the disk ([test_state] checks
+    it): {!wait_prefix}, {!await_page} and the rescue read. *)
 
 val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
 (** [wait_prefix sys io ~bytes] blocks the current CPU only until the
-    first [bytes] of [io] have landed ([Machine.io_landed]): a
-    cluster's demand page, with the tail still on the device. *)
+    first [bytes] of [io] have landed ([Machine.io_landed]): a reply's
+    demand page, with a cluster's tail still on the device.  For a
+    reply of at most [bytes] it is one wait on the whole transfer. *)
 
 val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
 (** [ride sys p ~stamp ~service] marks [p] busy and in flight until
@@ -45,24 +48,24 @@ val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
-  [ `Data of Lent.t | `Absent | `Error ]
+  [ `Data of Lent.t * Types.io | `Absent | `Error ]
 (** [request sys obj ~offset ~length] asks the object's pager for data,
-    applying retry/backoff/death policy.  [`Absent] means "no pager has
-    this page" (descend the shadow chain or zero fill); [`Error] means
-    the faulting task must see [KERN_MEMORY_ERROR].  Objects without a
-    pager answer [`Absent]. *)
+    applying retry/backoff/death policy, and returns the reply with its
+    stamp unwaited.  [`Absent] means "no pager has this page" (descend
+    the shadow chain or zero fill); [`Error] means the faulting task
+    must see [KERN_MEMORY_ERROR].  Objects without a pager answer
+    [`Absent]. *)
 
 val request_range :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->
   [ `Data of Lent.t * Types.io | `Absent | `Error ]
 (** [request_range] is the clustered-pagein variant of {!request}: one
-    attempt, no retries, no health damage, and the transfer's stamp
-    returned unwaited.  The reply may hold fewer bytes than [length] (a
-    truncated cluster).  On [`Error] — or a reply shorter than one page
-    — the caller must fall back to the single-page {!request} path,
-    which owns the retry/backoff/death policy.  [`Absent] means the
-    pager holds nothing at [offset] itself, so the caller may
-    descend/zero-fill the demand page directly. *)
+    attempt, no retries, no health damage.  The reply may hold fewer
+    bytes than [length] (a truncated cluster).  On [`Error] — or a reply
+    shorter than one page — the caller must fall back to the
+    single-page {!request} path, which owns the retry/backoff/death
+    policy.  [`Absent] means the pager holds nothing at [offset] itself,
+    so the caller may descend/zero-fill the demand page directly. *)
 
 val await_page : Vm_sys.t -> Types.page -> unit
 (** [await_page sys p] blocks the current CPU until the stamp recorded

@@ -74,19 +74,16 @@ let make (sys : Vm_sys.t) ~name =
            Data_provided
              (data,
               Mach_hw.Machine.submit_disk machine ~cpu:(cpu ())
-                ~write:false ~bytes:(Lent.length data)));
+                ~bytes:(Lent.length data)));
     pgr_write =
       (fun ~offset ~data ->
          let len = Lent.length data in
          if not (reserve ~offset ~len) then Write_no_space
          else begin
            (* One disk transfer for the whole (possibly clustered) write. *)
-           let io =
-             Mach_hw.Machine.submit_disk machine ~cpu:(cpu ()) ~write:true
-               ~bytes:len
-           in
+           Mach_hw.Machine.write_disk machine ~cpu:(cpu ()) ~bytes:len;
            scatter ~offset ~data ~len;
-           Write_completed io
+           Write_completed
          end);
     pgr_should_cache = ref false;
   }

@@ -59,7 +59,7 @@ and inflight = {
   if_service : int;
 }
 
-(* When a pager's transfer lands on the device ([Machine.submit_disk]);
+(* When a pager's read lands on the device ([Machine.submit_disk]);
    [io_none] for a reply that involved no device. *)
 and io = Mach_hw.Machine.io = {
   io_start : int;
@@ -129,23 +129,23 @@ and stream = {
    behaving.  A pager that exhausts its retry budget [ph_consecutive]
    times in a row is declared dead (Pager_guard). *)
 and pager_health = {
-  mutable ph_failures : int;      (* request/write attempts that exhausted
-                                     the retry budget, in total *)
-  mutable ph_consecutive : int;   (* ... consecutively; reset on success *)
+  mutable ph_consecutive : int;   (* request/write attempts that exhausted
+                                     the retry budget in a row; reset on
+                                     success *)
   mutable ph_dead : bool;
 }
 
 (* A pager instance manages one memory object (it is addressed through
    that object's paging_object port in real Mach).  The closures carry the
    kernel-to-pager calls of Table 3-1 that move data; the pager answers in
-   the style of the pager-to-kernel calls of Table 3-2.  Each transfer is
-   implemented once: the pager starts its device work and returns at
-   once, and the reply's [io] stamp says when each of its bytes lands.
-   The kernel decides what to wait for (Pager_guard.wait_io for the whole
-   transfer, the demand page alone for a read-ahead cluster) and lets
-   the other pages ride their own stamps (an [inflight] record).  A
-   disk write is already paid when the reply arrives: the simulated
-   disk has no queue, and a write blocks its CPU until it lands.
+   the style of the pager-to-kernel calls of Table 3-2.  A read starts
+   its device work and returns at once, and the reply's [io] stamp says
+   when each of its bytes lands: the kernel waits for the demand page
+   alone (Pager_guard.wait_prefix) and lets the other pages of a
+   read-ahead cluster ride their own stamps (an [inflight] record).  A
+   write returns once it has landed: the simulated disk has no queue,
+   and a write blocks its CPU, so [Write_completed] has nothing left to
+   wait on.
 
    Page data moves by reference, as in a Mach message: each side lends
    the other its own bytes ({!Lent.t}) for one call.  A pager answers
@@ -191,7 +191,8 @@ and pager_reply =
                                   kernel may retry *)
 
 and pager_write_reply =
-  | Write_completed of io
+  | Write_completed            (* pager_data_write done: the data is
+                                  stored and the device paid *)
   | Write_error                (* the page was NOT cleaned; the kernel
                                   must keep it dirty *)
   | Write_no_space             (* the backing store is full: permanent
@@ -247,7 +248,7 @@ and vmap = {
   map_high : int;
 }
 
-let fresh_health () = { ph_failures = 0; ph_consecutive = 0; ph_dead = false }
+let fresh_health () = { ph_consecutive = 0; ph_dead = false }
 
 let io_none = Mach_hw.Machine.io_none
 

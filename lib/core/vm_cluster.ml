@@ -165,28 +165,6 @@ let reclaim_for (sys : Vm_sys.t) ~pages =
   in
   if short > 0 then sys.Vm_sys.reclaim sys ~wanted:short
 
-(* The classical one-page pagein, exactly the pre-clustering fault path:
-   guarded request with retries, then allocate/fill.  Returns the bytes
-   a Pagein trace event should report.  On success stream slot [st]
-   remembers where the read ended, so the next miss can be recognised as
-   sequential, and its window collapses — a ramp is earned by issued
-   clusters, not by plans. *)
-let single (sys : Vm_sys.t) obj st ~stream ~offset =
-  let ps = sys.Vm_sys.page_size in
-  match Pager_guard.request sys obj ~offset ~length:ps with
-  | `Data data ->
-    let p = Vm_sys.grab_page sys in
-    Resident.insert sys.Vm_sys.resident p ~obj ~offset;
-    p.pg_busy <- true;
-    Page_io.fill sys p data;
-    p.pg_busy <- false;
-    sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
-      sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
-    commit sys st ~stream ~next:(offset + ps) ~window:1;
-    `Data (p, ps)
-  | `Absent -> `Absent
-  | `Error -> `Error
-
 (* Install pages 1 .. [got - 1] of the reply [data] (page [i] is object
    offset [offset + i*ps]) as prefetch, each riding its own stamp in
    [io].  Returns how many pages were actually installed: the demand
@@ -223,53 +201,58 @@ let install_tail (sys : Vm_sys.t) obj ~offset ~got ~data ~io =
   done;
   !issued
 
-let note_prefetch (sys : Vm_sys.t) ~offset ~issued ~window =
+(* Land a pager reply covering [got] pages from [offset]: wait for the
+   demand page alone, commit the slot at the size actually read — a
+   cluster clipped by the object end or a resident page must not ramp
+   as if the full candidate window had been read — then fill the demand
+   page and let the tail ride its own stamps. *)
+let land_reply (sys : Vm_sys.t) obj st ~stream ~offset ~window ~got
+    (data, io) =
+  let ps = sys.Vm_sys.page_size and stats = sys.Vm_sys.stats in
+  Pager_guard.wait_prefix sys io ~bytes:ps;
+  commit sys st ~stream ~next:(offset + (got * ps)) ~window;
+  stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
+  let demand = Vm_sys.grab_page sys in
+  Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
+  demand.pg_busy <- true;
+  Page_io.fill sys demand data;
+  demand.pg_busy <- false;
+  let issued = install_tail sys obj ~offset ~got ~data ~io in
   if issued > 0 then begin
-    let stats = sys.Vm_sys.stats in
     stats.Vm_stats.vs_prefetch_issued <-
       stats.Vm_stats.vs_prefetch_issued + issued;
     Vm_sys.emit sys (Obs.Prefetch { offset; pages = issued; window })
-  end
+  end;
+  free_behind sys obj st ~offset ~pages:got;
+  `Data (demand, got * ps)
 
-(* Clustered pagein: one range request covers the demand page and the
-   tail; the miss waits for the demand page alone and the tail rides. *)
-let cluster (sys : Vm_sys.t) obj st ~stream ~offset ~n =
-  let ps = sys.Vm_sys.page_size in
-  match Pager_guard.request_range sys obj ~offset ~length:(n * ps) with
-  | `Data (data, io) when Lent.length data >= ps ->
-    Pager_guard.wait_prefix sys io ~bytes:ps;
-    let got = min n (Lent.length data / ps) in
-    (* Commit the ramp at the size actually issued: a cluster clipped by
-       the object end or a resident page must not ramp as if the full
-       candidate window had been read. *)
-    commit sys st ~stream ~next:(offset + (got * ps)) ~window:n;
-    sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
-      sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
-    let demand = Vm_sys.grab_page sys in
-    Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
-    demand.pg_busy <- true;
-    Page_io.fill sys demand data;
-    demand.pg_busy <- false;
-    let issued = install_tail sys obj ~offset ~got ~data ~io in
-    note_prefetch sys ~offset ~issued ~window:n;
-    free_behind sys obj st ~offset ~pages:got;
-    `Data (demand, got * ps)
-  | `Data _ (* truncated below one page *) | `Error ->
-    (* Degrade to the single-page path, which owns retry/death — and
-       still advance the sequence point on success, so one bad cluster
-       costs the ramp, not the ability to ever ramp again. *)
-    single sys obj st ~stream ~offset
-  | `Absent -> `Absent
-
+(* A cluster is one range request, asked once.  A one-page plan, a
+   failed cluster and a reply short of one page all take the retried
+   one-page request, which owns the retry/death policy; its success
+   collapses the window but still advances the sequence point, so one
+   bad cluster costs the ramp, not the ability to ever ramp again. *)
 let pagein (sys : Vm_sys.t) ?(stream = (-1, 0)) obj ~offset ~limit =
+  let ps = sys.Vm_sys.page_size in
   let st, seq = find_slot sys obj ~stream ~offset in
   let w = if seq then min sys.Vm_sys.cluster_max (st.st_window * 2) else 1 in
   let n = plan sys obj ~w ~offset ~limit in
-  if n = 1 then single sys obj st ~stream ~offset
-  else begin
-    reclaim_for sys ~pages:n;
-    cluster sys obj st ~stream ~offset ~n
-  end
+  let cluster =
+    if n = 1 then None
+    else begin
+      reclaim_for sys ~pages:n;
+      Some (Pager_guard.request_range sys obj ~offset ~length:(n * ps))
+    end
+  in
+  match cluster with
+  | Some (`Data ((data, _) as reply)) when Lent.length data >= ps ->
+    land_reply sys obj st ~stream ~offset ~window:n
+      ~got:(min n (Lent.length data / ps)) reply
+  | Some `Absent -> `Absent
+  | None | Some (`Data _ | `Error) ->
+    (match Pager_guard.request sys obj ~offset ~length:ps with
+     | `Data reply ->
+       land_reply sys obj st ~stream ~offset ~window:1 ~got:1 reply
+     | (`Absent | `Error) as r -> r)
 
 (* A resident-page hit on a prefetched page: the guess paid off.  Count
    it and promote the page from the inactive to the active queue.  If

@@ -27,20 +27,21 @@
 
     Clustering never weakens the failure policy: the range request is
     one-shot, and any error or truncated reply falls back to the
-    classical single-page {!Pager_guard.request} path.  The slot state
-    is committed only after a successful issue, at the size actually
-    issued — failed or clipped clusters cannot leave a phantom ramp —
-    and a successful fallback read still advances the sequence point, so
-    one bad cluster costs the ramp, not the ability to ramp again.
+    retried one-page {!Pager_guard.request}, which a one-page plan asks
+    directly.  The slot state is committed only after a successful
+    issue, at the size actually issued — failed or clipped clusters
+    cannot leave a phantom ramp — and a successful fallback read still
+    advances the sequence point, so one bad cluster costs the ramp, not
+    the ability to ramp again.
 
     [cluster_max = 1] takes the same path with every plan clipped to
-    the demand page, so it costs exactly the classical one-page pagein;
-    its slot bookkeeping still runs, so [stream_hits] counts the
-    sequential misses.
+    the demand page; its slot bookkeeping still runs, so [stream_hits]
+    counts the sequential misses.
 
-    A cluster is one pager request whose reply stamps each page,
-    demand page first ({!Mach_hw.Machine.io_landed}).  The miss waits
-    only for the demand page; the prefetched pages are resident and
+    Every reply lands through one step, a one-page reply being a
+    cluster of one.  A reply stamps each page, demand page first
+    ({!Mach_hw.Machine.io_landed}).  The miss waits only for the
+    demand page; the prefetched pages are resident and
     filled at once but stay busy on their own stamps
     ({!Pager_guard.ride}), and the first fault to touch one waits out
     only that page's remaining device time ({!note_hit} →

@@ -268,8 +268,7 @@ let wait_disk t ~cpu ~completion ~service =
       (Mach_obs.Obs.Disk_wait { cycles = residue; overlap })
 
 (* A blocking caller's wait on a whole transfer: nothing to do for a
-   reply that involved no device ([io_none]) or whose wait was already
-   paid. *)
+   reply that involved no device ([io_none]). *)
 let wait_io t ~cpu io =
   if io.io_service > 0 then
     wait_disk t ~cpu ~completion:io.io_completion ~service:io.io_service
@@ -278,11 +277,8 @@ let wait_io t ~cpu io =
    queue: a request starts at once, no earlier than [after] (the
    previous run of a transfer split into runs), as if every CPU had a
    disk to itself; it moves its bytes after the fixed latency and
-   completes [service] cycles after it started.  A write blocks its CPU
-   until it completes, so the stamp it returns is already paid; a read
-   charges nothing at submit, and the caller waits only for the bytes
-   it needs ({!io_landed}). *)
-let submit_disk ?(after = 0) t ~cpu ~write ~bytes =
+   completes [service] cycles after it started. *)
+let submit ?(after = 0) t ~cpu ~write ~bytes =
   let c = cpu_of t cpu in
   let service = disk_service_cycles t ~bytes in
   let now = c.clock in
@@ -295,15 +291,18 @@ let submit_disk ?(after = 0) t ~cpu ~write ~bytes =
       (Mach_obs.Obs.Disk_submit
          { write; bytes; depth = List.length t.disk_pending;
            latency = completion - now });
-  let io =
-    { io_start = start + t.arch.Arch.cost.Arch.disk_latency;
-      io_completion = completion; io_service = service }
-  in
-  if write then begin
-    wait_io t ~cpu io;
-    { io with io_service = 0 }
-  end
-  else io
+  { io_start = start + t.arch.Arch.cost.Arch.disk_latency;
+    io_completion = completion; io_service = service }
+
+(* A read charges nothing at submit: the caller waits only for the bytes
+   it needs ({!io_landed}). *)
+let submit_disk ?after t ~cpu ~bytes =
+  submit ?after t ~cpu ~write:false ~bytes
+
+(* A write blocks its CPU until it completes, so it leaves nothing to
+   wait on. *)
+let write_disk ?after t ~cpu ~bytes =
+  wait_io t ~cpu (submit ?after t ~cpu ~write:true ~bytes)
 
 (* Requests still in flight, judged at the latest CPU clock; the vmstat
    sampler's depth gauge. *)

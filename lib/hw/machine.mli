@@ -200,8 +200,12 @@ val disk_inflight : t -> int
 val charge_disk : t -> cpu:int -> write:bool -> bytes:int -> unit
 (** [charge_disk t ~cpu ~write ~bytes] accounts one blocking disk
     operation moving [bytes] bytes (latency plus per-KB transfer cost)
-    with no stamp; [write] is the transfer direction, recorded on the
-    trace event. *)
+    with no stamp and no wait: the cycles go to [Disk_wait] on [cpu]
+    and no [disk_waits] is counted; [write] is the transfer direction,
+    recorded on the trace event.  It prices device time nobody waits
+    on: a transfer an injected fault wasted before a request's own, and
+    the BSD baseline's swap I/O.  A wait that follows pays only its own
+    request's service. *)
 
 (** {1 Disk requests}
 
@@ -211,15 +215,15 @@ val charge_disk : t -> cpu:int -> write:bool -> bytes:int -> unit
     so a caller can wait for the page it needs and let the rest arrive.
 
     There is no device queue: a request starts when submitted, as if
-    each CPU had a disk to itself.  A read charges nothing at submit; a
-    write blocks its CPU until it completes. *)
+    each CPU had a disk to itself.  A read ({!submit_disk}) charges
+    nothing at submit and returns its stamp; a write ({!write_disk})
+    blocks its CPU until it completes and returns nothing. *)
 
 type io = { io_start : int; io_completion : int; io_service : int }
-(** When a submitted transfer lands: [io_start] is the absolute cycle
-    at which its bytes start to move (latency behind it),
-    [io_completion] the stamp of its last byte, and [io_service] the
-    device time a waiter can have overlapped (0 once a wait has paid
-    it). *)
+(** When a submitted read lands: [io_start] is the absolute cycle at
+    which its bytes start to move (latency behind it), [io_completion]
+    the stamp of its last byte, and [io_service] the device time a
+    waiter can have overlapped. *)
 
 val io_none : io
 (** The stamp of a reply that involved no device: waiting on it is free
@@ -231,13 +235,17 @@ val io_landed : t -> io -> bytes:int -> int
     transfer time, never later than [io_completion].  Page [i] of a
     clustered read lands at [io_landed ~bytes:((i + 1) * page_size)]. *)
 
-val submit_disk :
-  ?after:int -> t -> cpu:int -> write:bool -> bytes:int -> io
-(** [submit_disk ~after t ~cpu ~write ~bytes] submits one transfer and
-    returns its stamp; [after] (default 0) is the earliest cycle it may
-    start — the completion of the run before it, for a transfer split
-    into runs.  A write is waited here, returning a stamp already
-    paid. *)
+val submit_disk : ?after:int -> t -> cpu:int -> bytes:int -> io
+(** [submit_disk ~after t ~cpu ~bytes] submits one read and returns its
+    stamp; [after] (default 0) is the earliest cycle it may start — the
+    completion of the run before it, for a transfer split into runs. *)
+
+val write_disk : ?after:int -> t -> cpu:int -> bytes:int -> unit
+(** [write_disk ~after t ~cpu ~bytes] submits one write, starting no
+    earlier than [after] (default 0; a read-back the write patches),
+    and blocks [cpu] until it completes: one counted wait on its whole
+    residue, the time to [after] included, with the write's own service
+    as the overlap it can earn. *)
 
 val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
 (** [wait_disk t ~cpu ~completion ~service] blocks [cpu] until
@@ -248,7 +256,7 @@ val wait_disk : t -> cpu:int -> completion:int -> service:int -> unit
 
 val wait_io : t -> cpu:int -> io -> unit
 (** [wait_io t ~cpu io] is a blocking caller's {!wait_disk} on the whole
-    of [io]; free for {!io_none} and for a stamp already paid. *)
+    of [io]; free for {!io_none}. *)
 
 (** {1 Address translation and access} *)
 

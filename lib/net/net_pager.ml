@@ -56,9 +56,10 @@ let make_pager link ~node (client_sys : Vm_sys.t) srv ~name =
              ~to_node:srv.srv_node ~to_cpu:server_cpu
              ~request_bytes:(64 + Bytes.length data) ~reply_bytes:32
              (fun () ->
-                Simfs.write srv.srv_fs ~cpu:server_cpu ~name ~offset ~data)
+                Simfs.write srv.srv_fs ~cpu:server_cpu ~name ~offset
+                  ~data:(Lent.of_bytes data))
          with
-         | () -> Write_completed io_none
+         | () -> Write_completed
          | exception Simdisk.Io_error ->
            (* The server's own disk failed the write. *)
            Write_error);

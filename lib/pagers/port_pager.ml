@@ -78,9 +78,9 @@ let make sys ~name ~handler =
       (match handler req with
        | Some { Ipc.msg_tag = ("pager_error" | "pager_write_error"); _ } ->
          Write_error
-       | Some _ | None -> Write_completed io_none
+       | Some _ | None -> Write_completed
        | exception _ -> Write_error)
-    | None -> Write_completed io_none
+    | None -> Write_completed
   in
   ( {
       pgr_id = id;

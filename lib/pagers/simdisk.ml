@@ -73,7 +73,7 @@ let lend_run ?after t ~cpu ~first ~count =
   let bytes = count * t.block_size in
   admit t ~cpu ~write:false ~bytes;
   t.reads <- t.reads + count;
-  let io = Machine.submit_disk ?after t.machine ~cpu ~write:false ~bytes in
+  let io = Machine.submit_disk ?after t.machine ~cpu ~bytes in
   (* Each stored block is lent as it is; an unwritten one reads as a
      zero block of its own. *)
   let block i =
@@ -86,19 +86,14 @@ let lend_run ?after t ~cpu ~first ~count =
   in
   (List.init count block, io)
 
-let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
-  let len =
-    match len with Some n -> n | None -> Lent.length data - pos
-  in
+let write_run ?after t ~cpu ~first ~pos ~len data =
   if len <= 0 || len mod t.block_size <> 0 then
-    invalid_arg "Simdisk.submit_write_run";
+    invalid_arg "Simdisk.write_run";
   let count = len / t.block_size in
   admit t ~cpu ~write:true ~bytes:len;
-  let io = Machine.submit_disk ?after t.machine ~cpu ~write:true ~bytes:len in
-  (* The store is updated at submit: the simulated device owns the data
-     from here on, and any later read through this module already pays
-     its own device time.  Each block is copied out of the lent [data]:
-     over the block already held, in place, or into a new one. *)
+  Machine.write_disk ?after t.machine ~cpu ~bytes:len;
+  (* Each block is copied out of the lent [data]: over the block already
+     held, in place, or into a new one. *)
   for i = 0 to count - 1 do
     let src = pos + (i * t.block_size) in
     match Int_tbl.find_opt t.blocks (first + i) with
@@ -106,8 +101,7 @@ let submit_write_run ?after t ~cpu ~first ?(pos = 0) ?len data =
     | None ->
       Int_tbl.add t.blocks (first + i)
         (Lent.sub data ~pos:src ~len:t.block_size)
-  done;
-  io
+  done
 
 let install t ~block ~pos ~len data =
   if len > t.block_size then invalid_arg "Simdisk.install";

@@ -6,13 +6,13 @@
     equivalent and the BSD buffer cache sit on one of these, so their I/O
     costs are directly comparable.
 
-    Every transfer is {e submitted}: a run of consecutive blocks is one
-    request, which returns its [Machine.io] stamp at once.  There is no
-    device queue — a request starts when submitted.  A read charges
-    nothing at submit: the submitting CPU pays only the {e remaining}
-    device time when it later waits ([Machine.wait_io]) — device time
-    that elapsed while the CPU kept computing is overlap, tracked in
-    [Machine.stats].  A write is paid at submit. *)
+    A run of consecutive blocks is one request.  There is no device
+    queue — a request starts when submitted.  A read returns its
+    [Machine.io] stamp at once and charges nothing: the submitting CPU
+    pays only the {e remaining} device time when it later waits
+    ([Machine.wait_io]) — device time that elapsed while the CPU kept
+    computing is overlap, tracked in [Machine.stats].  A write blocks
+    until it lands and returns nothing. *)
 
 type t
 
@@ -56,15 +56,15 @@ val lend_run :
     transfer split into runs passes the previous run's completion, so
     its runs follow each other on the disk. *)
 
-val submit_write_run :
-  ?after:int -> t -> cpu:int -> first:int -> ?pos:int -> ?len:int ->
-  Mach_core.Lent.t -> Mach_hw.Machine.io
-(** [submit_write_run ~after t ~cpu ~first ~pos ~len data] writes [len]
-    bytes of [data] from [pos] (default: all of it, a non-empty whole
-    number of blocks) across consecutive blocks starting at [first] as
-    one request, with the same cost model as {!lend_run}, blocking until
-    it completes; the returned stamp is already paid.  Each block is
-    copied out of [data] at submit, over the block the store holds or
+val write_run :
+  ?after:int -> t -> cpu:int -> first:int -> pos:int -> len:int ->
+  Mach_core.Lent.t -> unit
+(** [write_run ~after t ~cpu ~first ~pos ~len data] writes [len] bytes
+    of [data] from [pos] (a non-empty whole number of blocks) across
+    consecutive blocks starting at [first] as one request, with the same
+    cost model as {!lend_run}, starting no earlier than [after] and
+    blocking until it completes ({!Mach_hw.Machine.write_disk}).  Each
+    block is copied out of [data], over the block the store holds or
     into a new one, so no slice of [data] is kept. *)
 
 val install : t -> block:int -> pos:int -> len:int -> Bytes.t -> unit

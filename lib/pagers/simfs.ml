@@ -151,35 +151,25 @@ let submit_read t ~cpu ~name ~offset ~len =
       (List.concat (List.rev !runs), !io)
     end
 
-let submit_write t ~cpu ~name ~offset ~len ~data =
-  let ino = ensure_inode t ~name ~size:(offset + len) in
-  let block_size = bs t in
-  let io = ref Mach_hw.Machine.io_none in
-  let submit run = io := join !io run in
-  iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
-      let after = !io.io_completion in
-      if chunk = count * block_size then
-        submit
-          (Simdisk.submit_write_run t.disk ~cpu ~after ~first ~pos ~len:chunk
-             data)
-      else begin
-        (* A partial block is read, patched and written back. *)
-        let block, run = Simdisk.lend_run t.disk ~cpu ~after ~first ~count:1 in
-        submit run;
-        let current = Lent.to_bytes block in
-        Lent.blit data ~src:pos current ~dst_pos:boff ~len:chunk;
-        submit
-          (Simdisk.submit_write_run t.disk ~cpu ~after:!io.io_completion
-             ~first (Lent.of_bytes current))
-      end);
-  !io
-
 let read t ~cpu ~name ~offset ~len =
   let data, io = submit_read t ~cpu ~name ~offset ~len in
   Mach_hw.Machine.wait_io t.machine ~cpu io;
   Lent.to_bytes data
 
+(* Each run blocks until it lands.  A partial block is read back,
+   patched in a copy and written back by a write that starts once the
+   read-back has landed, so its one wait pays both. *)
 let write t ~cpu ~name ~offset ~data =
-  Mach_hw.Machine.wait_io t.machine ~cpu
-    (submit_write t ~cpu ~name ~offset ~len:(Bytes.length data)
-       ~data:(Lent.of_bytes data))
+  let len = Lent.length data in
+  let ino = ensure_inode t ~name ~size:(offset + len) in
+  let block_size = bs t in
+  iter_spans t ino ~offset ~len (fun ~pos ~first ~count ~boff ~chunk ->
+      if chunk = count * block_size then
+        Simdisk.write_run t.disk ~cpu ~first ~pos ~len:chunk data
+      else begin
+        let block, io = Simdisk.lend_run t.disk ~cpu ~first ~count:1 in
+        let current = Lent.to_bytes block in
+        Lent.blit data ~src:pos current ~dst_pos:boff ~len:chunk;
+        Simdisk.write_run t.disk ~cpu ~after:io.io_completion ~first ~pos:0
+          ~len:block_size (Lent.of_bytes current)
+      end)

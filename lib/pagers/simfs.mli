@@ -48,21 +48,15 @@ val submit_read :
     {!Mach_hw.Machine.io_none}.  Nothing is charged here: the caller
     waits on the stamp ([Mach_hw.Machine.wait_io]). *)
 
-val submit_write :
-  t -> cpu:int -> name:string -> offset:int -> len:int ->
-  data:Mach_core.Lent.t -> Mach_hw.Machine.io
-(** [submit_write t ~cpu ~name ~offset ~len ~data] writes the first [len]
-    bytes of [data] (extending the file as needed) with the same run
-    decomposition, reading back and
-    patching partial blocks.  Each write run blocks until it lands
-    (a partial block's read-back run does not), so the returned stamp
-    has completed: waiting on it charges nothing and counts the
-    read-back runs' device time as overlap.  Every byte is copied into
-    the disk's blocks before it returns. *)
-
 val read : t -> cpu:int -> name:string -> offset:int -> len:int -> Bytes.t
 (** [read] is {!submit_read} followed by one wait on its stamp, the
     data copied into a buffer of the caller's own. *)
 
-val write : t -> cpu:int -> name:string -> offset:int -> data:Bytes.t -> unit
-(** [write] is {!submit_write} followed by one wait on its stamp. *)
+val write :
+  t -> cpu:int -> name:string -> offset:int -> data:Mach_core.Lent.t -> unit
+(** [write t ~cpu ~name ~offset ~data] writes [data] (extending the
+    file as needed) with the same run decomposition as {!submit_read},
+    and blocks until every run has landed.  A partial block is read
+    back, patched and written back; its write starts once the read-back
+    lands, so the pair costs one wait.  Every byte is copied into the
+    disk's blocks before it returns. *)

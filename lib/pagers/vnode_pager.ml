@@ -28,14 +28,16 @@ let make (sys : Vm_sys.t) fs ~name =
          (* The inode pager never grows the file: a mapped page's tail
             beyond end of file is zero-fill memory, not file contents. *)
          match Simfs.file_size fs ~name with
-         | exception Not_found -> Write_completed io_none
+         | exception Not_found -> Write_completed
          | size ->
-           if offset >= size then Write_completed io_none
+           if offset >= size then Write_completed
            else
              let len = min (Lent.length data) (size - offset) in
-             (match Simfs.submit_write fs ~cpu:(cpu ()) ~name ~offset ~len ~data
+             (match
+                Simfs.write fs ~cpu:(cpu ()) ~name ~offset
+                  ~data:(Lent.truncate data len)
               with
-              | io -> Write_completed io
+              | () -> Write_completed
               | exception Simdisk.Io_error -> Write_error));
     pgr_should_cache = ref true;
   }

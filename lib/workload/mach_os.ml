@@ -62,7 +62,7 @@ let make kernel ~fs =
       (fun ~cpu ~name ~offset ~data ->
          Mach_pmap.Pmap_domain.set_current_cpu kernel.Kernel.domain cpu;
          Vm_sys.charge sys (Vm_sys.cost sys).Arch.syscall;
-         Simfs.write fs ~cpu ~name ~offset ~data);
+         Simfs.write fs ~cpu ~name ~offset ~data:(Lent.of_bytes data));
     install_file = (fun ~name ~data -> Simfs.install_file fs ~name ~data);
     elapsed_ms = (fun () -> Machine.elapsed_ms machine);
     reset =

@@ -52,7 +52,7 @@ let store_pager sys ~ps () =
            end
          in
          chunk 0;
-         Types.Write_completed Types.io_none);
+         Types.Write_completed);
     pgr_should_cache = ref false;
   }
 
@@ -613,7 +613,7 @@ let test_failed_cluster_does_not_ramp () =
                (Lent.of_bytes (Bytes.make ps (Char.chr (0x41 + (offset / ps)))),
                 Types.io_none));
       pgr_write =
-        (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);
+        (fun ~offset:_ ~data:_ -> Types.Write_completed);
       pgr_should_cache = ref false;
     }
   in

@@ -148,7 +148,7 @@ let store_pager sys =
            end
          in
          chunk 0;
-         Types.Write_completed Types.io_none);
+         Types.Write_completed);
     pgr_should_cache = ref false;
   }
 

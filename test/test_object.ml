@@ -42,7 +42,7 @@ let counting_pager sys ~name =
              end
            in
            chunk 0;
-           Types.Write_completed Types.io_none);
+           Types.Write_completed);
       pgr_should_cache = ref true;
     }
   in

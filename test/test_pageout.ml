@@ -126,7 +126,7 @@ let same_bytes what expected got =
   Alcotest.(check bool) what true (Bytes.equal expected got)
 
 let written = function
-  | Types.Write_completed _ -> ()
+  | Types.Write_completed -> ()
   | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused"
 
 (* A page paged out, paged in, rewritten and paged out again reads back
@@ -324,7 +324,7 @@ let test_cached_object_pages_reclaimable () =
            Types.Data_provided
              (Lent.of_bytes (Bytes.make length 'C'), Types.io_none));
       pgr_write =
-        (fun ~offset:_ ~data:_ -> Types.Write_completed Types.io_none);
+        (fun ~offset:_ ~data:_ -> Types.Write_completed);
       pgr_should_cache = ref true;
     }
   in

@@ -35,8 +35,7 @@ let test_disk_rw_and_costs () =
   in
   let block = Bytes.make 4096 '\000' in
   Bytes.blit_string "disk block" 0 block 0 10;
-  Machine.wait_io machine ~cpu:0
-    (Simdisk.submit_write_run d ~cpu:0 ~first:5 (Lent.of_bytes block));
+  Simdisk.write_run d ~cpu:0 ~first:5 ~pos:0 ~len:4096 (Lent.of_bytes block);
   Alcotest.(check string) "read back" "disk block"
     (Bytes.to_string (Bytes.sub (read 5) 0 10));
   Alcotest.(check int) "counters" 1 (Simdisk.reads d);
@@ -78,7 +77,8 @@ let test_fs_short_reads () =
 let test_fs_write_extends () =
   let _, _, _, fs = boot () in
   Simfs.install_file fs ~name:"/w" ~data:(Bytes.of_string "12345");
-  Simfs.write fs ~cpu:0 ~name:"/w" ~offset:3 ~data:(Bytes.of_string "ABCDEF");
+  Simfs.write fs ~cpu:0 ~name:"/w" ~offset:3
+    ~data:(Lent.of_bytes (Bytes.of_string "ABCDEF"));
   Alcotest.(check int) "extended" 9 (Simfs.file_size fs ~name:"/w");
   Alcotest.(check string) "merged" "123ABCDEF"
     (Bytes.to_string (Simfs.read fs ~cpu:0 ~name:"/w" ~offset:0 ~len:9))
@@ -434,7 +434,7 @@ let test_vnode_write_copies_the_frame () =
   let write_frame ~offset c =
     Page_io.blit_in sys p ~off:0 (Bytes.make ps c) ~pos:0 ~len:ps;
     match pager.Types.pgr_write ~offset ~data:[ Page_io.lend sys p ] with
-    | Types.Write_completed _ -> ()
+    | Types.Write_completed -> ()
     | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused"
   in
   let on_disk what ~offset c =
@@ -461,7 +461,7 @@ let test_chaos_reply_leaves_the_store () =
   (match
      swap.Types.pgr_write ~offset:0 ~data:(Lent.of_bytes (Bytes.copy stored))
    with
-   | Types.Write_completed _ -> ()
+   | Types.Write_completed -> ()
    | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused");
   let chunk =
     Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id) 0

@@ -193,7 +193,8 @@ let simfs_model =
        List.iter
          (fun (offset, s) ->
             let data = Bytes.of_string s in
-            Simfs.write fs ~cpu:0 ~name:"/m" ~offset ~data;
+            Simfs.write fs ~cpu:0 ~name:"/m" ~offset
+              ~data:(Lent.of_bytes data);
             let needed = offset + Bytes.length data in
             if Bytes.length !model < needed then begin
               let grown = Bytes.make needed '\000' in

@@ -18,8 +18,9 @@
    collects the variant and extension constructors (exceptions
    included) and the record fields declared in lib/, and fails on a
    constructor that no expression in those same trees builds, or a
-   field that no [e.f] or record pattern there reads.  Tests do not
-   count here either; the exceptions are on [unbuilt_or_unread_ok].
+   field that no [e.f] or record pattern there reads (a self-update
+   [e.f <- e.f + k] is no read).  Tests do not count here either; the
+   exceptions are on [unbuilt_or_unread_ok].
 
    Every optional argument is passed: the fourth guard fails on a [?x]
    of a lib/ [val] that no application outside its module passes as
@@ -33,7 +34,9 @@
    Pager traffic goes through Pager_guard: the eighth guard fails on a
    [pgr_request] or [pgr_write] that a lib/core module other than
    Pager_guard reads, so the kernel's failure policy sits on every
-   pager call.
+   pager call.  The ninth fails on a [Machine.wait_io] or
+   [Machine.wait_disk] in such a module: the kernel blocks on the disk
+   in Pager_guard alone.
 
    Each file is parsed once and the parse is shared by the guards. *)
 
@@ -206,7 +209,9 @@ let last path = List.nth path (List.length path - 1)
    towards keeping an export.  [passed]: "v ?x" for each [~x] or [?x]
    an application of [v] passes, resolved as [values] are.  [built]:
    the constructors its expressions apply.  [read]: the fields of its
-   [e.f] and record patterns.  [set]: the fields of its [e.f <- v].
+   [e.f] and record patterns, except an [e.f] inside the value of its
+   own self-update [e.f <- ... e.f ...]: a field whose value only feeds
+   itself is never read.  [set]: the fields of its [e.f <- v].
    [inline]: "C.f" for each field [f] of a [C { f; ... }] pattern, with
    the path of [C].  An unqualified constructor or field has the empty
    path. *)
@@ -237,6 +242,12 @@ let refs (str : structure) =
   in
   let opens = ref [] and values = ref [] and passed = ref [] in
   let built = ref [] and read = ref [] and set = ref [] and inline = ref [] in
+  (* The fields being self-updated around the current expression, each
+     as its receiver's printed text and its name. *)
+  let updating = ref [] in
+  let self_update r txt =
+    (Format.asprintf "%a" Pprintast.expression r, Longident.last txt)
+  in
   let scoped f =
     let saved = !opens in
     f ();
@@ -271,12 +282,17 @@ let refs (str : structure) =
     | Pexp_construct ({ txt; _ }, _) ->
       built := split txt :: !built;
       Ast_iterator.default_iterator.expr it e
-    | Pexp_field (_, { txt; _ }) ->
-      read := split txt :: !read;
+    | Pexp_field (r, { txt; _ }) ->
+      if not (!updating <> [] && List.mem (self_update r txt) !updating)
+      then read := split txt :: !read;
       Ast_iterator.default_iterator.expr it e
-    | Pexp_setfield (_, { txt; _ }, _) ->
+    | Pexp_setfield (r, { txt; _ }, v) ->
       set := split txt :: !set;
-      Ast_iterator.default_iterator.expr it e
+      it.expr it r;
+      let saved = !updating in
+      updating := self_update r txt :: saved;
+      it.expr it v;
+      updating := saved
     | _ -> Ast_iterator.default_iterator.expr it e
   in
   (* A [C { f; ... }] pattern reads [C]'s inline field [f] and no record
@@ -438,7 +454,9 @@ let unbuilt_or_unread_ok =
   [ ("Pmap.t.collect", pmap_call);
     ("Pmap.t.reference", pmap_call);
     ("Pmap.t.resident_count", pmap_call);
-    ("Fail.Garbage", "the corrupt-reply fake of test_fail's chaos property") ]
+    ("Fail.Garbage", "the corrupt-reply fake of test_fail's chaos property");
+    ("Vm_sys.t.map_scan_steps",
+     "a probe only: test_cluster's hint case counts range-scan steps") ]
 
 (* What a file declares, as (kind, module, name, report name):
    [`Built] for each constructor (variant and extension, exceptions
@@ -536,9 +554,9 @@ let test_every_constructor_built () =
     unbuilt_or_unread_ok
 
 (* The detector on snippets: a constructor only matched, a field only
-   written, a field read by a pattern (but not by another constructor's
-   inline-record pattern of the same name), qualified uses, and a local
-   exception. *)
+   written or only self-updated, a field read by a pattern (but not by
+   another constructor's inline-record pattern of the same name),
+   qualified uses, and a local exception. *)
 let test_construct_guard_detects () =
   let check name expected ~decl callers =
     let path = "../lib/x/m.ml" in
@@ -558,6 +576,11 @@ let test_construct_guard_detects () =
   check "a field only written" [ "M.A"; "M.B"; "M.r.g" ] ~decl
     [ ("../bin/u.ml",
        "let r = { M.f = 1; g = 2 }\nlet () = r.g <- 3\nlet f = r.M.f") ];
+  check "a self-update reads nothing" [ "M.A"; "M.B"; "M.r.g" ] ~decl
+    [ ("../bin/u.ml",
+       "let bump r = r.M.g <- r.M.g + 1\nlet f r = r.M.f") ];
+  check "another record's field is read" [ "M.A"; "M.B"; "M.r.f" ] ~decl
+    [ ("../bin/u.ml", "let copy r s = r.M.g <- s.M.g + 1") ];
   check "a record pattern reads" [ "M.A"; "M.B"; "M.r.f" ] ~decl
     [ ("../bin/u.ml", "let g { M.g; _ } = g") ];
   check "another module's name does not count" [ "M.A"; "M.B"; "M.r.f" ]
@@ -896,10 +919,9 @@ let test_library_guard_detects () =
     [ lib_a "mach_util";
       ("../lib/b/dune", "(library (name mach_b) (libraries fmt mach_a))") ]
 
-(* "path: field" for each [pgr_request] or [pgr_write] that a lib/core
-   file of [files] (path, refs) other than pager_guard.ml reads, by
-   [e.f] or a record pattern: a pager call past the failure policy. *)
-let unguarded_pager_calls files =
+(* "path: name" for each name [hit] finds in the refs of a lib/core
+   file of [files] (path, refs) other than pager_guard.ml. *)
+let outside_pager_guard hit files =
   List.concat_map
     (fun (path, r) ->
        if
@@ -907,13 +929,30 @@ let unguarded_pager_calls files =
          || Filename.basename path = "pager_guard.ml"
        then []
        else
-         List.filter_map
-           (fun (_, f) ->
-              if f = "pgr_request" || f = "pgr_write" then
-                Some (String.sub path 3 (String.length path - 3) ^ ": " ^ f)
-              else None)
-           r.read)
+         let shown = String.sub path 3 (String.length path - 3) in
+         List.map (fun name -> shown ^ ": " ^ name)
+           (List.sort_uniq compare (hit r)))
     files
+
+(* Each [pgr_request] or [pgr_write] read by [e.f] or a record pattern:
+   a pager call past the failure policy. *)
+let unguarded_pager_calls =
+  outside_pager_guard (fun r ->
+      List.filter_map
+        (fun (_, f) ->
+           if f = "pgr_request" || f = "pgr_write" then Some f else None)
+        r.read)
+
+(* Each use of [Machine.wait_io] or [Machine.wait_disk]: a disk wait
+   outside the one module where the kernel blocks on the disk. *)
+let unguarded_disk_waits =
+  outside_pager_guard (fun r ->
+      List.filter_map
+        (fun (m, v) ->
+           if (v = "wait_io" || v = "wait_disk") && last m = "Machine" then
+             Some ("Machine." ^ v)
+           else None)
+        r.values)
 
 let test_pager_calls_guarded () =
   Alcotest.(check (list string)) "pager calls outside Pager_guard" []
@@ -935,6 +974,29 @@ let test_pager_call_guard_detects () =
              "let make r w = { pgr_request = r; pgr_write = w }");
             ("../lib/pagers/chaos_pager.ml",
              "let wrap p = p.Types.pgr_write") ]))
+
+let test_disk_waits_guarded () =
+  Alcotest.(check (list string)) "disk waits outside Pager_guard" []
+    (unguarded_disk_waits (Lazy.force caller_refs))
+
+(* The detector on snippets: a wait in another lib/core module is found,
+   through a module alias too; Pager_guard's own waits and a pager's
+   wait outside lib/core are not. *)
+let test_disk_wait_guard_detects () =
+  Alcotest.(check (list string)) "only the waits outside Pager_guard"
+    [ "lib/core/vm_pageout.ml: Machine.wait_disk";
+      "lib/core/vm_pageout.ml: Machine.wait_io" ]
+    (unguarded_disk_waits
+       (snippet_refs
+          [ ("../lib/core/vm_pageout.ml",
+             "module M = Mach_hw.Machine\n\
+              let f m io = Mach_hw.Machine.wait_io m ~cpu:0 io\n\
+              let g m = M.wait_disk m ~cpu:0 ~completion:1 ~service:1");
+            ("../lib/core/pager_guard.ml",
+             "let g m io = Mach_hw.Machine.wait_io m ~cpu:0 io");
+            ("../lib/core/vm_fault.ml", "let h m = Mach_hw.Machine.cycles m");
+            ("../lib/pagers/simfs.ml",
+             "let w m io = Mach_hw.Machine.wait_io m ~cpu:0 io") ]))
 
 let () =
   Alcotest.run "state"
@@ -969,4 +1031,8 @@ let () =
           Alcotest.test_case "pager calls go through Pager_guard" `Quick
             test_pager_calls_guarded;
           Alcotest.test_case "guard detects unguarded pager calls" `Quick
-            test_pager_call_guard_detects ] ) ]
+            test_pager_call_guard_detects;
+          Alcotest.test_case "disk waits go through Pager_guard" `Quick
+            test_disk_waits_guarded;
+          Alcotest.test_case "guard detects unguarded disk waits" `Quick
+            test_disk_wait_guard_detects ] ) ]
