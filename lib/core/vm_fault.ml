@@ -83,10 +83,7 @@ let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~va_end ~offset =
         match Vm_object.lookup_resident sys obj ~offset:off with
         | Some q
           when (not q.pg_busy) && Option.is_none q.pg_inflight
-               && not
-                    (List.exists
-                       (fun (a, _) -> a = asid)
-                       (Pmap_domain.mappings_of domain ~pfn:q.pfn)) ->
+               && not (Pmap_domain.mapped_by domain ~pfn:q.pfn ~asid) ->
           loop (i + 1) ((va_n, q) :: acc)
         | _ -> List.rev acc
     end

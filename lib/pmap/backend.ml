@@ -13,6 +13,17 @@
 open Mach_hw
 open Mach_util
 
+(* Above this many hardware vpns of one address space, a batch flushes
+   the whole space rather than its pages. *)
+let flush_whole_space_threshold = 8
+
+(* One side of a flush batch (the pages to shoot, or to flush on this
+   CPU only): each page once, by its first vpn, as the pair
+   [(p.(2i), p.(2i+1)) = (asid, vpn)] for [i < len], in record order.
+   The array is kept from batch to batch, so a batch records without
+   allocating once the array has grown to its size. *)
+type pages = { mutable p : int array; mutable len : int }
+
 (* Accumulator for flush batching.  While a batch is open (depth > 0),
    page and asid shootdowns are collected here instead of being issued
    one exchange at a time; the outermost [end_batch] turns the lot into
@@ -20,11 +31,16 @@ open Mach_util
    the whole operation. *)
 type batch = {
   mutable depth : int;
-  page_vpns : int list ref Int_tbl.t;  (* asid -> vpns collected *)
-  local_vpns : int list ref Int_tbl.t; (* asid -> vpns, this CPU *)
-  whole_asids : unit Int_tbl.t;        (* asids flushed wholesale *)
-  b_targets : bool array;              (* union of presences *)
-  mutable b_urgent : bool;             (* OR of urgency at collect *)
+  limit : int;
+      (* [flush_whole_space_threshold] in pages: an asid with more pages
+         than this to shoot is flushed whole *)
+  shot : pages;                (* pages to shoot on every target *)
+  local : pages;               (* pages to flush on this CPU only *)
+  mutable whole : int array;   (* asids flushed wholesale: the first *)
+  mutable whole_len : int;     (*   [whole_len] *)
+  seen : int array;            (* [limit + 1] slots: one asid's pages *)
+  b_targets : bool array;      (* union of presences *)
+  mutable b_urgent : bool;     (* OR of urgency at collect *)
 }
 
 type ctx = {
@@ -52,15 +68,18 @@ type ctx = {
    translations (shootdown targets). *)
 type presence = { active : bool array; ran_on : bool array }
 
+let new_pages () = { p = Array.make 8 0; len = 0 }
+
 let create ~page_frames machine =
   let frames = Phys_mem.frame_count (Machine.phys machine) in
   { machine; pv = Pv.create ~frames ~page_frames; next_asid = 1; cur_cpu = 0;
     urgent_mode = false; page_frames;
     batch =
-      { depth = 0; page_vpns = Int_tbl.create 8;
-        local_vpns = Int_tbl.create 8; whole_asids = Int_tbl.create 8;
-        b_targets = Array.make (Machine.cpu_count machine) false;
-        b_urgent = false };
+      (let limit = flush_whole_space_threshold / page_frames in
+       { depth = 0; limit; shot = new_pages (); local = new_pages ();
+         whole = Array.make 1 0; whole_len = 0; seen = Array.make (limit + 1) 0;
+         b_targets = Array.make (Machine.cpu_count machine) false;
+         b_urgent = false });
     on_unmap = (fun ~asid:_ ~pfn:_ -> ()) }
 
 let arch ctx = Machine.arch ctx.machine
@@ -102,89 +121,154 @@ let shoot ctx p req =
 
 (* --- Flush batching --------------------------------------------------- *)
 
-(* Above this many pages, a batched range operation flushes the whole
-   address space rather than shooting page by page. *)
-let flush_whole_space_threshold = 8
-
 let accumulating ctx = ctx.batch.depth > 0
 
 let begin_batch ctx = ctx.batch.depth <- ctx.batch.depth + 1
 
 let add_targets b p =
-  Array.iteri (fun i on -> if on then b.b_targets.(i) <- true) p.ran_on
+  for i = 0 to Array.length p.ran_on - 1 do
+    if p.ran_on.(i) then b.b_targets.(i) <- true
+  done
 
-(* Turn one asid's collected pages into requests: dedupe, sort, coalesce
-   adjacent pages into ranges; past the threshold flush the whole
-   space. *)
-let requests_of_asid ~asid vpns acc =
-  let vpns = List.sort_uniq Int.compare vpns in
-  if List.length vpns > flush_whole_space_threshold then
-    Machine.Flush_asid asid :: acc
+(* [a] with its length doubled, its contents kept. *)
+let grow a =
+  let a' = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Record page [vpn] of [asid] on side [ps], unless it is there already
+   or [asid] has [2 * limit + 1] pages there.  No page past that changes
+   the asid's requests: on the shot side more than [limit] pages are one
+   whole-space flush, and the local side loses at most [limit] pages to
+   the shot side (with more, the asid's local flushes are dropped), so
+   the pages kept still number more than [limit], and flush the whole
+   space too. *)
+let rec add_page ps ~limit ~asid ~vpn i n =
+  if i = ps.len then begin
+    if n <= 2 * limit then begin
+      if 2 * i = Array.length ps.p then ps.p <- grow ps.p;
+      ps.p.(2 * i) <- asid;
+      ps.p.((2 * i) + 1) <- vpn;
+      ps.len <- i + 1
+    end
+  end
+  else if ps.p.(2 * i) <> asid then add_page ps ~limit ~asid ~vpn (i + 1) n
+  else if ps.p.((2 * i) + 1) <> vpn then
+    add_page ps ~limit ~asid ~vpn (i + 1) (n + 1)
+
+let rec holds ps ~asid ~vpn i =
+  i < ps.len
+  && ((ps.p.(2 * i) = asid && ps.p.((2 * i) + 1) = vpn)
+      || holds ps ~asid ~vpn (i + 1))
+
+(* Whether pair [i] of [ps] is the first of its asid (call with [j = 0]). *)
+let rec first_of_asid ps i j =
+  j = i || (ps.p.(2 * j) <> ps.p.(2 * i) && first_of_asid ps i (j + 1))
+
+(* Gather into [b.seen] the pages side [ps] holds for [asid] from pair
+   [i] on, less, with [minus], those the shot side holds for it; the
+   count [n] stops as soon as it passes [b.limit].  Returns the count. *)
+let rec gather b ps ~asid ~minus i n =
+  if i = ps.len || n > b.limit then n
   else
-    let emit lo hi acc =
-      if hi = lo + 1 then Machine.Flush_page { asid; vpn = lo } :: acc
-      else Machine.Flush_range { asid; lo_vpn = lo; hi_vpn = hi } :: acc
-    in
-    let rec go lo hi acc = function
-      | [] -> emit lo hi acc
-      | v :: rest ->
-        if v = hi then go lo (hi + 1) acc rest
-        else go v (v + 1) (emit lo hi acc) rest
-    in
-    match vpns with
-    | [] -> acc
-    | v :: rest -> go v (v + 1) acc rest
+    let vpn = ps.p.((2 * i) + 1) in
+    if ps.p.(2 * i) = asid && not (minus && holds b.shot ~asid ~vpn 0) then begin
+      b.seen.(n) <- vpn;
+      gather b ps ~asid ~minus (i + 1) (n + 1)
+    end
+    else gather b ps ~asid ~minus (i + 1) n
 
-let add_vpn tbl ~asid ~vpn =
-  match Int_tbl.find_opt tbl asid with
-  | Some l -> l := vpn :: !l
-  | None -> Int_tbl.add tbl asid (ref [ vpn ])
+let run_request ~asid lo hi =
+  if hi = lo + 1 then Machine.Flush_page { asid; vpn = lo }
+  else Machine.Flush_range { asid; lo_vpn = lo; hi_vpn = hi }
+
+(* Coalesce the sorted pages [b.seen.(i .. n-1)] into runs of adjacent
+   pages on [acc], the run [\[lo, hi)] in progress included: each run
+   covers every vpn of its pages, the highest run first. *)
+let rec runs ctx ~asid i n lo hi acc =
+  if i = n then run_request ~asid lo hi :: acc
+  else
+    let vpn = ctx.batch.seen.(i) in
+    if vpn = hi then runs ctx ~asid (i + 1) n lo (hi + ctx.page_frames) acc
+    else
+      runs ctx ~asid (i + 1) n vpn (vpn + ctx.page_frames)
+        (run_request ~asid lo hi :: acc)
+
+(* The requests for the [n] pages of [asid] gathered in [seen], on
+   [acc]: past the limit one whole-space flush, unsorted; else the pages
+   sorted and coalesced into runs. *)
+let requests_of_asid ctx ~asid n acc =
+  let seen = ctx.batch.seen in
+  if n > ctx.batch.limit then Machine.Flush_asid asid :: acc
+  else if n = 0 then acc
+  else begin
+    for i = 1 to n - 1 do
+      let vpn = seen.(i) and j = ref (i - 1) in
+      while !j >= 0 && seen.(!j) > vpn do
+        seen.(!j + 1) <- seen.(!j);
+        decr j
+      done;
+      seen.(!j + 1) <- vpn
+    done;
+    runs ctx ~asid 1 n seen.(0) (seen.(0) + ctx.page_frames) acc
+  end
+
+let rec whole_asid b asid i =
+  i < b.whole_len && (b.whole.(i) = asid || whole_asid b asid (i + 1))
+
+(* The initiator's local-only flushes of an open batch: an asid's pages
+   less those the exchange shoots, and none for an asid it flushes
+   wholesale, its pages or whole space.  Asids recorded later come
+   first. *)
+let local_requests ctx =
+  let b = ctx.batch and acc = ref [] in
+  for i = 0 to b.local.len - 1 do
+    let asid = b.local.p.(2 * i) in
+    if
+      first_of_asid b.local i 0
+      && (not (whole_asid b asid 0))
+      && gather b b.shot ~asid ~minus:false 0 0 <= b.limit
+    then
+      acc :=
+        requests_of_asid ctx ~asid
+          (gather b b.local ~asid ~minus:true i 0)
+          !acc
+  done;
+  !acc
+
+(* The exchange's requests: each asid's pages, then the wholesale
+   flushes; an asid with both gets only the latter.  Asids recorded
+   later come first. *)
+let shot_requests ctx =
+  let b = ctx.batch and acc = ref [] in
+  for i = 0 to b.whole_len - 1 do
+    acc := Machine.Flush_asid b.whole.(i) :: !acc
+  done;
+  for i = 0 to b.shot.len - 1 do
+    let asid = b.shot.p.(2 * i) in
+    if first_of_asid b.shot i 0 && not (whole_asid b asid 0) then
+      acc :=
+        requests_of_asid ctx ~asid (gather b b.shot ~asid ~minus:false i 0)
+          !acc
+  done;
+  !acc
 
 (* The initiator's local-only flushes go first, as an exchange's own
-   local flushes would; pages the exchange covers are left to it. *)
-let flush_local_vpns ctx =
-  let b = ctx.batch in
-  let reqs =
-    Int_tbl.fold
-      (fun asid vpns acc ->
-         if Int_tbl.mem b.whole_asids asid then acc
-         else
-           let shot =
-             match Int_tbl.find_opt b.page_vpns asid with
-             | Some l -> !l
-             | None -> []
-           in
-           match requests_of_asid ~asid shot [] with
-           | [ Machine.Flush_asid _ ] -> acc
-           | _ ->
-             requests_of_asid ~asid
-               (List.filter (fun v -> not (List.mem v shot)) !vpns)
-               acc)
-      b.local_vpns []
-  in
-  Int_tbl.reset b.local_vpns;
-  List.iter (Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu) reqs
-
+   local flushes would. *)
 let flush_batch ctx =
-  flush_local_vpns ctx;
+  List.iter
+    (Machine.flush_local ctx.machine ~cpu:ctx.cur_cpu)
+    (local_requests ctx);
   let b = ctx.batch in
-  let reqs =
-    Int_tbl.fold
-      (fun asid vpns acc ->
-         if Int_tbl.mem b.whole_asids asid then acc
-         else requests_of_asid ~asid !vpns acc)
-      b.page_vpns
-      (Int_tbl.fold
-         (fun asid () acc -> Machine.Flush_asid asid :: acc)
-         b.whole_asids [])
-  in
+  let reqs = shot_requests ctx in
   let targets = ref [] in
   for i = Array.length b.b_targets - 1 downto 0 do
     if b.b_targets.(i) then targets := i :: !targets
   done;
   let urgent = b.b_urgent in
-  Int_tbl.reset b.page_vpns;
-  Int_tbl.reset b.whole_asids;
+  b.shot.len <- 0;
+  b.local.len <- 0;
+  b.whole_len <- 0;
   Array.fill b.b_targets 0 (Array.length b.b_targets) false;
   b.b_urgent <- false;
   Machine.shootdown ctx.machine ~initiator:ctx.cur_cpu ~targets:!targets reqs
@@ -199,9 +283,7 @@ let end_batch ctx =
      together with a collected page or asid. *)
   if
     b.depth = 0
-    && (Int_tbl.length b.local_vpns > 0
-        || Int_tbl.length b.page_vpns > 0
-        || Int_tbl.length b.whole_asids > 0)
+    && (b.local.len > 0 || b.shot.len > 0 || b.whole_len > 0)
   then flush_batch ctx
 
 (* Run [f ()] inside a batch, closing it even on exceptions. *)
@@ -226,18 +308,20 @@ let target ctx p =
   add_targets ctx.batch p;
   if ctx.urgent_mode then ctx.batch.b_urgent <- true
 
-(* Shoot the hardware pages of the page whose first vpn is [vpn]: each
-   frame's vpn is one page, so ranges and the whole-space threshold count
-   hardware vpns. *)
+(* Shoot the page whose first vpn is [vpn]: its request covers each of
+   its frames' vpns, and the whole-space threshold counts them. *)
 let shoot_page ctx p ~asid ~vpn =
   target ctx p;
-  for v = vpn to vpn + ctx.page_frames - 1 do
-    add_vpn ctx.batch.page_vpns ~asid ~vpn:v
-  done
+  add_page ctx.batch.shot ~limit:ctx.batch.limit ~asid ~vpn 0 0
 
 let shoot_asid ctx p ~asid =
   target ctx p;
-  Int_tbl.replace ctx.batch.whole_asids asid ()
+  let b = ctx.batch in
+  if not (whole_asid b asid 0) then begin
+    if b.whole_len = Array.length b.whole then b.whole <- grow b.whole;
+    b.whole.(b.whole_len) <- asid;
+    b.whole_len <- b.whole_len + 1
+  end
 
 (* --- The shootdown rule ------------------------------------------------ *)
 
@@ -261,9 +345,7 @@ let reenter ctx p ~asid ~vpn ~old ~prot =
   if loses ~old ~prot then shoot_page ctx p ~asid ~vpn
   else begin
     assert (accumulating ctx);
-    for v = vpn to vpn + ctx.page_frames - 1 do
-      add_vpn ctx.batch.local_vpns ~asid ~vpn:v
-    done
+    add_page ctx.batch.local ~limit:ctx.batch.limit ~asid ~vpn 0 0
   end
 
 (* The pv record of a page mapping: [pfn] and [vpn] are the page's

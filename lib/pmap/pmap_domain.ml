@@ -160,6 +160,8 @@ let clear_referenced t ~pfn = Pv.clear_referenced t.ctx.Backend.pv ~pfn
 
 let mapping_count t ~pfn = List.length (Pv.mappings t.ctx.Backend.pv ~pfn)
 
+let mapped_by t ~pfn ~asid = Pv.mapped_by t.ctx.Backend.pv ~pfn ~asid
+
 let mappings_of t ~pfn =
   List.map
     (fun { Pv.pv_asid; pv_vpn } -> (pv_asid, pv_vpn))

@@ -110,6 +110,10 @@ val clear_referenced : t -> pfn:int -> unit
 val mapping_count : t -> pfn:int -> int
 (** How many virtual mappings of the page holding [pfn] exist now. *)
 
+val mapped_by : t -> pfn:int -> asid:int -> bool
+(** [mapped_by t ~pfn ~asid] is whether address space [asid] maps the
+    page holding [pfn]; it allocates nothing. *)
+
 val mappings_of : t -> pfn:int -> (int * int) list
 (** [mappings_of t ~pfn] lists the (asid, first vpn) pairs currently
     mapping the page holding [pfn]; used by consistency checkers. *)

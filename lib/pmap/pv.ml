@@ -39,6 +39,12 @@ let remove t ~pfn m =
 
 let mappings t ~pfn = t.lists.(page t pfn)
 
+let rec has_asid asid = function
+  | [] -> false
+  | m :: rest -> m.pv_asid = asid || has_asid asid rest
+
+let mapped_by t ~pfn ~asid = has_asid asid t.lists.(page t pfn)
+
 let set_referenced t ~pfn = Bytes.set t.referenced pfn '\001'
 let set_modified t ~pfn = Bytes.set t.modified pfn '\001'
 

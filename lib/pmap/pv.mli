@@ -30,6 +30,10 @@ val remove : t -> pfn:int -> mapping -> unit
 val mappings : t -> pfn:int -> mapping list
 (** [mappings t ~pfn] is every current mapping of the page. *)
 
+val mapped_by : t -> pfn:int -> asid:int -> bool
+(** [mapped_by t ~pfn ~asid] is whether address space [asid] maps the
+    page holding [pfn]; it allocates nothing. *)
+
 val set_referenced : t -> pfn:int -> unit
 val set_modified : t -> pfn:int -> unit
 (** Set the bit on frame [pfn] alone. *)

@@ -35,21 +35,46 @@ type tpage = { ptes : int array; mutable valid_count : int }
    reused as they are: a collected page holds no valid pte. *)
 let max_spare = 4
 
-(* The existing table pages covering [lo, hi), ascending: looked up one
-   by one when there are no more of them than tables, else picked out of
-   a scan of the tables, so sparse spaces stay cheap either way. *)
-let covering tables ~ptes_per_page lo hi =
+(* [acc] after the valid pages of table page [tp], index [idx], whose
+   first vpn lies in [lo, hi): each as (first vpn, [tp]), in vpn order,
+   ahead of [acc]. *)
+let add_valid (ctx : Backend.ctx) ~ptes_per_page idx tp lo hi acc =
+  let first_vpn = idx * ptes_per_page in
+  let acc = ref acc in
+  let vpn =
+    ref (Backend.page_of ctx (min (hi - 1) (first_vpn + ptes_per_page - 1)))
+  in
+  while !vpn >= max lo first_vpn do
+    if valid tp.ptes.(!vpn - first_vpn) then acc := (!vpn, tp) :: !acc;
+    vpn := !vpn - ctx.Backend.page_frames
+  done;
+  !acc
+
+(* The valid pages whose first vpn lies in [lo, hi), in vpn order, each
+   with its table page.  The table pages covering the range are looked
+   up one by one, highest first, when there are no more of them than
+   tables, else picked out of a scan of the tables and sorted, so sparse
+   spaces stay cheap either way. *)
+let range_in ctx tables ~ptes_per_page lo hi =
   let first = lo / ptes_per_page and last = (hi - 1) / ptes_per_page in
-  if last - first < Int_tbl.length tables then
-    List.init (max 0 (last - first + 1)) (( + ) first)
-    |> List.filter_map (fun idx ->
-        Option.map (fun tp -> (idx, tp)) (Int_tbl.find_opt tables idx))
+  if last - first < Int_tbl.length tables then begin
+    let acc = ref [] in
+    for idx = last downto first do
+      match Int_tbl.find tables idx with
+      | tp -> acc := add_valid ctx ~ptes_per_page idx tp lo hi !acc
+      | exception Not_found -> ()
+    done;
+    !acc
+  end
   else
     Int_tbl.fold
       (fun idx tp acc ->
          if idx >= first && idx <= last then (idx, tp) :: acc else acc)
       tables []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+    |> List.fold_left
+         (fun acc (idx, tp) -> add_valid ctx ~ptes_per_page idx tp lo hi acc)
+         []
 
 let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
   let sh = Backend.shell ctx in
@@ -113,20 +138,7 @@ let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
     end
   in
 
-  (* The valid pages whose first vpn lies in [lo, hi), in vpn order. *)
-  let range lo hi =
-    covering tables ~ptes_per_page lo hi
-    |> List.concat_map (fun (idx, tp) ->
-        let first_vpn = idx * ptes_per_page in
-        let acc = ref [] in
-        let last = min (hi - 1) (first_vpn + ptes_per_page - 1) in
-        let vpn = ref (Backend.page_of ctx last) in
-        while !vpn >= max lo first_vpn do
-          if valid tp.ptes.(!vpn - first_vpn) then acc := (!vpn, tp) :: !acc;
-          vpn := !vpn - frames
-        done;
-        !acc)
-  in
+  let range lo hi = range_in ctx tables ~ptes_per_page lo hi in
   let at vpn tp = tp.ptes.(vpn mod ptes_per_page) in
   let store =
     { Backend.range; drop = invalidate;

@@ -471,6 +471,156 @@ let test_raising_batch_closes () =
   Alcotest.(check bool) "cpu1 vpn1 flushed" false (cached m ~cpu:1 ~vpn:1);
   Alcotest.(check bool) "cpu1 vpn2 kept" true (cached m ~cpu:1 ~vpn:2)
 
+(* ---- allocation guard: the batch holds pages --------------------------- *)
+
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* smp's consistency path in small: an NS32082 kernel with page multiple
+   8 (4 KB pages of eight 512-byte frames) and 256 pages of one task
+   written from 2 CPUs.  Each round reprotects the range down and up and
+   drops its mappings, the pages written again before each step; only
+   the steps are measured.  Each step is one batch of 256 pages: a batch
+   that held every page as its 8 hardware vpns in lists and sorted them
+   at the end allocated about 179,000 words a round; one that holds a
+   page once, by its first vpn, and stops counting past the whole-space
+   threshold leaves about 6,200 to the vm layer and the range walk.  The
+   count repeats exactly. *)
+let test_drop_and_reprotect_allocation () =
+  let machine =
+    Machine.create ~arch:Arch.ns32082 ~memory_frames:4096 ~cpus:2
+      ~shootdown:Machine.Immediate_ipi ()
+  in
+  let kernel = Kernel.create ~page_multiple:8 machine in
+  let sys = Kernel.sys kernel in
+  let t = Kernel.create_task kernel () in
+  let ps = Kernel.page_size kernel and pages = 256 in
+  let size = pages * ps in
+  let addr = ok (Vm_user.allocate sys t ~size ~anywhere:true ()) in
+  for cpu = 0 to 1 do
+    Kernel.run_task kernel ~cpu t
+  done;
+  let write_all () =
+    for cpu = 0 to 1 do
+      for i = 0 to pages - 1 do
+        Machine.touch machine ~cpu ~va:(addr + (i * ps)) ~write:true
+      done
+    done
+  in
+  let pmap = task_pmap t in
+  let round () =
+    write_all ();
+    let reprotect =
+      minor_words (fun () ->
+          List.iter
+            (fun prot ->
+               ok (Vm_user.protect sys t ~addr ~size ~set_max:false ~prot))
+            [ Prot.read_only; Prot.read_write ])
+    in
+    write_all ();
+    reprotect
+    + minor_words (fun () ->
+        pmap.Pmap.remove ~start_va:addr ~end_va:(addr + size))
+  in
+  ignore (round ());
+  let words = (round () + round () + round ()) / 3 in
+  let shootdowns = (Machine.stats machine).Machine.shootdowns in
+  Alcotest.(check bool) "rounds shoot down" true (shootdowns >= 8);
+  if words >= 20_000 then
+    Alcotest.failf "%d minor words per drop-and-reprotect round" words
+
+(* ---- qcheck: page-granular requests equal the vpn-by-vpn reference ----- *)
+
+(* The requests of one asid's vpns as the batch built them when it held
+   hardware vpns: each page expanded to its vpns, sorted and deduplicated,
+   one whole-space flush past 8 vpns, else adjacent vpns coalesced into
+   ranges, the highest first. *)
+let reference_requests ~asid vpns =
+  let vpns = List.sort_uniq Int.compare vpns in
+  if List.length vpns > 8 then [ Machine.Flush_asid asid ]
+  else
+    let emit lo hi acc =
+      if hi = lo + 1 then Machine.Flush_page { asid; vpn = lo } :: acc
+      else Machine.Flush_range { asid; lo_vpn = lo; hi_vpn = hi } :: acc
+    in
+    let rec go lo hi acc = function
+      | [] -> emit lo hi acc
+      | v :: rest ->
+        if v = hi then go lo (hi + 1) acc rest
+        else go v (v + 1) (emit lo hi acc) rest
+    in
+    match vpns with [] -> [] | v :: rest -> go v (v + 1) [] rest
+
+(* [(local, shot)] by the reference: the shot pages' requests, and the
+   local pages' vpns less the shot ones, none at all when the shot side
+   flushes the whole space. *)
+let reference_batch ~page_frames ~asid ops =
+  let vpns shot =
+    List.concat_map
+      (fun (s, first) ->
+         if s = shot then List.init page_frames (( + ) first) else [])
+      ops
+  in
+  let shot_vpns = vpns true in
+  let shot = reference_requests ~asid shot_vpns in
+  let local =
+    match shot with
+    | [ Machine.Flush_asid _ ] -> []
+    | _ ->
+      reference_requests ~asid
+        (List.filter (fun v -> not (List.mem v shot_vpns)) (vpns false))
+  in
+  (local, shot)
+
+(* [(local, shot)] as an open batch collects them: [(true, vpn)] shoots
+   the page at [vpn], [(false, vpn)] re-enters it with gained rights. *)
+let batch_of ~page_frames ~asid ops =
+  let machine = Machine.create ~arch:Arch.uvax2 ~memory_frames:64 ~cpus:1 () in
+  let ctx = Backend.create ~page_frames machine in
+  let p = { Backend.active = [| true |]; ran_on = [| true |] } in
+  Backend.begin_batch ctx;
+  List.iter
+    (fun (shot, vpn) ->
+       if shot then Backend.shoot_page ctx p ~asid ~vpn
+       else
+         Backend.reenter ctx p ~asid ~vpn ~old:Prot.read_only
+           ~prot:Prot.read_write)
+    ops;
+  (Backend.local_requests ctx, Backend.shot_requests ctx)
+
+let batch_gen =
+  QCheck2.Gen.(
+    let* page_frames = oneofl [ 1; 2; 4; 8 ] in
+    let page = map (fun i -> i * page_frames) (int_range 0 15) in
+    let run =
+      map2
+        (fun first n -> List.init n (fun i -> first + (i * page_frames)))
+        page (int_range 1 6)
+    in
+    let side pages = map2 (fun s l -> List.map (fun v -> (s, v)) l) bool pages in
+    let+ ops =
+      list_size (int_range 0 8)
+        (oneof [ side (map (fun v -> [ v ]) page); side run ])
+    in
+    (page_frames, List.concat ops))
+
+let print_batch (page_frames, ops) =
+  Printf.sprintf "page_frames %d: %s" page_frames
+    (String.concat " "
+       (List.map
+          (fun (shot, v) -> Printf.sprintf "%s%d" (if shot then "S" else "L") v)
+          ops))
+
+let batch_qcheck =
+  QCheck2.Test.make ~name:"batch requests equal the vpn-by-vpn reference"
+    ~count:1000 ~print:print_batch batch_gen
+    (fun (page_frames, ops) ->
+       batch_of ~page_frames ~asid:3 ops
+       = reference_batch ~page_frames ~asid:3 ops)
+
 (* ---- qcheck: TLBs agree with page tables across all backends ----------- *)
 
 type op =
@@ -568,7 +718,9 @@ let () =
           Alcotest.test_case "an empty batch is free" `Quick
             test_empty_batch_is_free;
           Alcotest.test_case "a raising body closes its batch" `Quick
-            test_raising_batch_closes ] );
+            test_raising_batch_closes;
+          Alcotest.test_case "drop and reprotect allocate no vpn lists"
+            `Quick test_drop_and_reprotect_allocation ] );
       ( "end_to_end",
         [ Alcotest.test_case "vm_protect: IPIs follow targets" `Quick
             test_protect_ipis_scale_with_targets;
@@ -578,4 +730,4 @@ let () =
             test_evict_one_exchange_per_page ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          (List.map mixed_ops_qcheck archs) ) ]
+          (batch_qcheck :: List.map mixed_ops_qcheck archs) ) ]

@@ -14,13 +14,16 @@
 # overcommit and smp in turn.  The checkout side is the working tree as
 # it stands, uncommitted edits included.  For each workload it prints
 # every pair's host_s and setup_s, each side's median and quartiles of
-# both (the same exclusive-method quartiles vmbench prints), how many
+# both (the same exclusive-method quartiles vmbench prints) and of
+# host_raw_s (the measured phase's uncalibrated host time, from the
+# line vmbench prints on stdout before the summary), how many
 # pairs the checkout won on host_s (lower is a win), whether every
 # run read correct:true with 0 failed ops and string-equal sim_ms and
 # sim_op_tail_us, and each side's host_live_mb (which must repeat on
 # every run of a side).  It ends with one summary row per workload:
-# median host_s and setup_s on each side, their percent change, the
-# parent's host_s IQR, the win count and how host_live_mb compares.
+# median host_s, host_raw_s and setup_s on each side, their percent
+# change, the parent's host_s IQR, the win count and how host_live_mb
+# compares.
 # Exits 1 when a simulated metric or a correctness field differs, or
 # host_live_mb varies within a side or is higher on the checkout, on
 # any workload.
@@ -45,10 +48,14 @@ mkdir "$tmp/parent"
 git -C "$here" archive "$parent" | tar -x -C "$tmp/parent"
 
 # One run of workload $1 on side $2 (a checkout root); appends its JSON
-# summary line to $tmp/$1.$3.runs.
+# summary line to $tmp/$1.$3.runs and its host_raw_s median to
+# $tmp/$1.$3.raw.
 run() {
-  (cd "$2" && bash bench/vmbench/run.sh --workload "$1" --seed "$seed" \
-     --seconds 20 --trace 0) 2>/dev/null | tail -n 1 >> "$tmp/$1.$3.runs"
+  out=$(cd "$2" && bash bench/vmbench/run.sh --workload "$1" \
+          --seed "$seed" --seconds 20 --trace 0 2>/dev/null)
+  printf '%s\n' "$out" | tail -n 1 >> "$tmp/$1.$3.runs"
+  printf '%s\n' "$out" |
+    sed -n "s/^$1 host_raw_s \([^ ]*\) s.*/\1/p" >> "$tmp/$1.$3.raw"
 }
 
 # The value of metric $2 in JSON summary line $1, as printed.
@@ -98,6 +105,8 @@ summary=""
 for w in $workloads; do
   : > "$tmp/$w.parent.runs"
   : > "$tmp/$w.change.runs"
+  : > "$tmp/$w.parent.raw"
+  : > "$tmp/$w.change.raw"
   for i in $(seq 1 "$n"); do
     if [ $((i % 2)) -eq 1 ]; then
       run "$w" "$tmp/parent" parent
@@ -110,6 +119,8 @@ for w in $workloads; do
     c=$(sed -n "${i}p" "$tmp/$w.change.runs")
     echo "$w pair $i:" \
       "host_s parent $(field "$p" host_s) change $(field "$c" host_s)," \
+      "host_raw_s parent $(sed -n "${i}p" "$tmp/$w.parent.raw")" \
+      "change $(sed -n "${i}p" "$tmp/$w.change.raw")," \
       "setup_s parent $(field "$p" setup_s) change $(field "$c" setup_s)"
   done
 
@@ -120,6 +131,12 @@ for w in $workloads; do
       printf '  %-6s median %s  q1 %s  q3 %s  iqr %s\n' \
         $side "$med" "$q1" "$q3" "$iqr"
     done
+  done
+  echo "$w seed $seed, $n pairs, host_raw_s (s, uncalibrated):"
+  for side in parent change; do
+    read -r med q1 q3 iqr <<< "$(quartiles < "$tmp/$w.$side.raw")"
+    printf '  %-6s median %s  q1 %s  q3 %s  iqr %s\n' \
+      $side "$med" "$q1" "$q3" "$iqr"
   done
   wins=$(paste <(values "$w" parent host_s) <(values "$w" change host_s) |
            awk '$2 < $1 { w++ } END { print w + 0 }')
@@ -159,15 +176,18 @@ for w in $workloads; do
   read -r hc _ _ _ <<< "$(values "$w" change host_s | quartiles)"
   read -r sp _ _ _ <<< "$(values "$w" parent setup_s | quartiles)"
   read -r sc _ _ _ <<< "$(values "$w" change setup_s | quartiles)"
-  summary+=$(printf '%-10s %4s  %s -> %s  %7s  %6s  %5s  %s -> %s  %7s  %-9s  %s' \
-    "$w" "$seed" "$hp" "$hc" "$(change "$hp" "$hc")" "$hiqr" \
-    "$wins/$n" "$sp" "$sc" "$(change "$sp" "$sc")" "$same" "$live")$'\n'
+  read -r rp _ _ _ <<< "$(quartiles < "$tmp/$w.parent.raw")"
+  read -r rc _ _ _ <<< "$(quartiles < "$tmp/$w.change.raw")"
+  summary+=$(printf '%-10s %4s  %s -> %s  %7s  %6s  %5s  %s -> %s  %7s  %s -> %s  %7s  %-9s  %s' \
+    "$w" "$seed" "$hp" "$hc" "$(change "$hp" "$hc")" "$hiqr" "$wins/$n" \
+    "$rp" "$rc" "$(change "$rp" "$rc")" "$sp" "$sc" "$(change "$sp" "$sc")" \
+    "$same" "$live")$'\n'
 done
 
 echo
 echo "medians, parent -> change (host_s iqr is the parent's):"
-printf '%-10s %4s  %-16s  %7s  %6s  %5s  %-16s  %7s  %-9s  %s\n' \
-  workload seed "host_s (s)" change iqr wins "setup_s (s)" change sim_equal \
-  host_live_mb
+printf '%-10s %4s  %-16s  %7s  %6s  %5s  %-16s  %7s  %-16s  %7s  %-9s  %s\n' \
+  workload seed "host_s (s)" change iqr wins "host_raw_s (s)" change \
+  "setup_s (s)" change sim_equal host_live_mb
 printf '%s' "$summary"
 [ "$same_all" = yes ]
