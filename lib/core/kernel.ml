@@ -75,7 +75,7 @@ let run_task t ~cpu task =
       true
     | None -> true
   in
-  t.current.(cpu) <- Some task;
+  if switching then t.current.(cpu) <- Some task;
   (Task.pmap task).Pmap.activate ~cpu;
   if switching && Mach_obs.Obs.enabled (Machine.tracer t.machine) then
     Mach_obs.Obs.record (Machine.tracer t.machine)

@@ -16,7 +16,9 @@ type t = {
   machine : Machine.t;        (* virtual clocks, lock charges, tracing *)
   stats : Vm_stats.statistics; (* queue-lock stalls, magazine counters *)
   page_size : int;
-  hash : page Int_pair.Tbl.t; (* (obj_id, offset) -> page *)
+  hash : page option Int_tbl.t;
+      (* [key] (obj_id, offset) -> the page, as the option [lookup]
+         returns, built once at [insert] *)
   mutable pages : page list; (* every page, whatever its state *)
   active : page Dlist.t;
   inactive : page Dlist.t;
@@ -46,7 +48,7 @@ let create ~machine ~stats ~multiple ?(frame_limit = max_int) () =
       machine;
       stats;
       page_size = multiple * Phys_mem.page_size phys;
-      hash = Int_pair.Tbl.create 1024;
+      hash = Int_tbl.create 1024;
       pages = [];
       active = Dlist.create ();
       inactive = Dlist.create ();
@@ -229,21 +231,28 @@ let alloc ?cpu t =
 
 (* --- Object identity --------------------------------------------------- *)
 
-let lookup t ~obj ~offset = Int_pair.Tbl.find_opt t.hash (obj.obj_id, offset)
+(* One int per (object, page): the object id above the page's index in
+   the object ([Int_tbl.pair], which raises rather than alias).  An
+   offset inside a page names no page: its key is -1, which no pair
+   is. *)
+let key t obj offset =
+  if offset mod t.page_size <> 0 then -1
+  else Int_tbl.pair obj.obj_id (offset / t.page_size)
+
+let lookup t ~obj ~offset = Int_tbl.find_or t.hash (key t obj offset) None
 
 let insert t p ~obj ~offset =
   assert (Option.is_none p.pg_obj);
   assert (offset mod t.page_size = 0);
-  assert (not (Int_pair.Tbl.mem t.hash (obj.obj_id, offset)));
   p.pg_obj <- Some obj;
   p.pg_offset <- offset;
   p.pg_obj_node <- Some (Dlist.push_back obj.obj_pages p);
-  Int_pair.Tbl.add t.hash (obj.obj_id, offset) p
+  Int_tbl.add t.hash (key t obj offset) (Some p)
 
 let remove_from_object t p =
   match p.pg_obj, p.pg_obj_node with
   | Some obj, Some node ->
-    Int_pair.Tbl.remove t.hash (obj.obj_id, p.pg_offset);
+    Int_tbl.remove t.hash (key t obj p.pg_offset);
     Dlist.remove obj.obj_pages node;
     p.pg_obj <- None;
     p.pg_obj_node <- None;

@@ -5,8 +5,8 @@
     machine-independent page, where a page is a boot-time power-of-two
     multiple of the hardware page size; each entry may simultaneously be
     linked into a memory-object page list, an allocation queue (free,
-    active or inactive/reclaimable), and the object/offset hash bucket
-    used for fast fault-time lookup.
+    active or inactive/reclaimable), and the object/offset table used
+    for fast fault-time lookup.
 
     Free pages live on one FIFO fronted by per-CPU magazines of 8 pages
     that refill and drain in whole batches.  Contention on the shared
@@ -14,8 +14,10 @@
     [Vm_object] locks are ([Vm_stats.lock_acquire]), on the machine's
     clocks; without it the allocator charges no cycles.
 
-    Byte offsets key the hash so the implementation is independent of any
-    particular notion of physical page size. *)
+    Callers name a page by its object and byte offset, independent of
+    any particular notion of physical page size; the table packs the
+    object id and the page's index in the object into one int key
+    ([Mach_util.Int_tbl.pair]), so a lookup builds no tuple. *)
 
 type t
 (** The resident page table for one kernel. *)
@@ -64,13 +66,14 @@ val alloc : ?cpu:int -> t -> Types.page option
     must be one of the machine's CPUs. *)
 
 val lookup : t -> obj:Types.obj -> offset:int -> Types.page option
-(** [lookup t ~obj ~offset] is the fault-path hash lookup by memory object
-    and byte offset. *)
+(** [lookup t ~obj ~offset] is the fault-path lookup by memory object
+    and byte offset; [None] for an offset that does not start a page.
+    It allocates nothing. *)
 
 val insert : t -> Types.page -> obj:Types.obj -> offset:int -> unit
 (** [insert t p ~obj ~offset] gives [p] its object/offset identity,
     linking it into [obj]'s page list and the hash.  [offset] must be
-    page aligned and not already occupied. *)
+    page aligned and not already occupied (else [Invalid_argument]). *)
 
 val remove_from_object : t -> Types.page -> unit
 (** [remove_from_object t p] strips [p]'s identity (hash and object list);

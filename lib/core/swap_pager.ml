@@ -1,4 +1,5 @@
 open Types
+module Int_tbl = Mach_util.Int_tbl
 
 (* Each store (offset -> page-size chunk) is registered by pager id in
    its kernel's [Vm_sys.swap_stores], so [stored_bytes]/[release] answer
@@ -6,8 +7,8 @@ open Types
    the pager is wrapped by a decorator — wrapping preserves [pgr_id]). *)
 let make (sys : Vm_sys.t) ~name =
   let id = Vm_sys.fresh_pager_id sys in
-  let store : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.add sys.Vm_sys.swap_stores id store;
+  let store : Bytes.t Int_tbl.t = Int_tbl.create 16 in
+  Int_tbl.add sys.Vm_sys.swap_stores id store;
   let machine = sys.Vm_sys.machine in
   let cpu () = Vm_sys.current_cpu sys in
   let ps = sys.Vm_sys.page_size in
@@ -21,7 +22,7 @@ let make (sys : Vm_sys.t) ~name =
     let rec run got =
       if got >= length then []
       else
-        match Hashtbl.find_opt store (offset + got) with
+        match Int_tbl.find_opt store (offset + got) with
         | None -> []
         | Some d ->
           let take = min (Bytes.length d) (length - got) in
@@ -36,7 +37,7 @@ let make (sys : Vm_sys.t) ~name =
     let fresh = ref 0 and pos = ref 0 in
     while !pos < len do
       let take = min ps (len - !pos) in
-      if not (Hashtbl.mem store (offset + !pos)) then fresh := !fresh + take;
+      if not (Int_tbl.mem store (offset + !pos)) then fresh := !fresh + take;
       pos := !pos + take
     done;
     !fresh
@@ -50,11 +51,11 @@ let make (sys : Vm_sys.t) ~name =
     while !pos < len do
       let take = min ps (len - !pos) in
       let off = offset + !pos in
-      (match Hashtbl.find_opt store off with
+      (match Int_tbl.find_opt store off with
        | Some chunk when Bytes.length chunk = take ->
          Lent.blit data ~src:!pos chunk ~dst_pos:0 ~len:take
        | Some _ | None ->
-         Hashtbl.replace store off (Lent.sub data ~pos:!pos ~len:take));
+         Int_tbl.replace store off (Lent.sub data ~pos:!pos ~len:take));
       pos := !pos + take
     done
   in
@@ -89,13 +90,14 @@ let make (sys : Vm_sys.t) ~name =
   }
 
 let stored_bytes (sys : Vm_sys.t) p =
-  match Hashtbl.find_opt sys.Vm_sys.swap_stores p.pgr_id with
+  match Int_tbl.find_opt sys.Vm_sys.swap_stores p.pgr_id with
   | None -> 0
-  | Some store -> Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store 0
+  | Some store ->
+    Int_tbl.fold (fun _ b acc -> acc + Bytes.length b) store 0
 
 (* Drop a dead object's swap store and credit its chunks back to the
    pool.  Keyed by pager id; a no-op for pagers that are not swap
    pagers, so object termination can call it unconditionally. *)
 let release (sys : Vm_sys.t) p =
   Vm_sys.swap_release sys (stored_bytes sys p);
-  Hashtbl.remove sys.Vm_sys.swap_stores p.pgr_id
+  Int_tbl.remove sys.Vm_sys.swap_stores p.pgr_id

@@ -191,8 +191,10 @@ let check_tlb sys =
    dropping a mapping or freeing the page settles the record first. *)
 let check_burst sys =
   let errs = ref [] in
-  Mach_util.Int_pair.Tbl.iter
-    (fun (asid, pfn) (b : Vm_sys.burst) ->
+  Mach_util.Int_tbl.iter
+    (fun key (b : Vm_sys.burst) ->
+       let asid = Mach_util.Int_tbl.pair_hi key
+       and pfn = Mach_util.Int_tbl.pair_lo key in
        let p = b.Vm_sys.b_page in
        if pfn <> p.pfn then
          note errs "burst record (asid %d, pfn %d) names page pfn=%d" asid
@@ -239,9 +241,9 @@ let check_inflight sys =
 (* The swap pool's usage is exactly the bytes its stores hold. *)
 let check_swap sys =
   let stored =
-    Hashtbl.fold
+    Mach_util.Int_tbl.fold
       (fun _ store acc ->
-         Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
+         Mach_util.Int_tbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
       sys.Vm_sys.swap_stores 0
   in
   let used = sys.Vm_sys.stats.Vm_stats.vs_swap_used in
@@ -251,7 +253,7 @@ let check_swap sys =
 (* Live and cached pager-backed objects, mapped or not. *)
 let check_pager_objects sys =
   let errs = ref [] in
-  Hashtbl.iter
+  Mach_util.Int_tbl.iter
     (fun _ o -> check_object_structure sys errs o)
     sys.Vm_sys.pager_objects;
   List.rev !errs

@@ -70,25 +70,25 @@ let find m ~va =
   | None -> None
   | Some node -> Some (Dlist.value node)
 
-(* First entry whose end lies beyond [va] (i.e. containing or after).
-   Mirrors the [find_node] fast path: when the last-fault hint sits
-   at-or-before [va] the scan starts there instead of at the list head,
-   so range operations near the hint are O(distance), not O(map). *)
-let first_node_beyond (sys : Vm_sys.t) m ~va =
+(* Where a range operation's scan for [va] starts.  Mirrors the
+   [find_node] fast path: when the last-fault hint sits at-or-before
+   [va] the scan starts there instead of at the list head, so range
+   operations near the hint are O(distance), not O(map). *)
+let scan_start m ~va =
+  match m.map_hint with
+  | Some node when Dlist.linked node && (Dlist.value node).e_start <= va ->
+    Some node
+  | Some _ | None -> Dlist.first m.map_entries
+
+(* First entry whose end lies beyond [va] (i.e. containing or after). *)
+let first_node_beyond m ~va =
   let rec loop = function
     | None -> None
     | Some node ->
-      sys.Vm_sys.map_scan_steps <- sys.Vm_sys.map_scan_steps + 1;
       if (Dlist.value node).e_end > va then Some node
       else loop (Dlist.next node)
   in
-  let start =
-    match m.map_hint with
-    | Some node when Dlist.linked node && (Dlist.value node).e_start <= va ->
-      Some node
-    | Some _ | None -> Dlist.first m.map_entries
-  in
-  loop start
+  loop (scan_start m ~va)
 
 (* ---- backing reference management ------------------------------------ *)
 
@@ -123,9 +123,9 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_burst_misses = 0;
   }
 
-and insert_entry sys m e =
+and insert_entry m e =
   (* Keep the list sorted; ranges never overlap. *)
-  match first_node_beyond sys m ~va:e.e_start with
+  match first_node_beyond m ~va:e.e_start with
   | None -> ignore (Dlist.push_back m.map_entries e)
   | Some node ->
     assert ((Dlist.value node).e_start >= e.e_end);
@@ -194,7 +194,7 @@ let clip_end m node addr =
 
 (* Apply [f] to every entry node overlapping [lo, hi), clipped exactly to
    the range.  [f] may remove the node. *)
-let iter_range_clipped sys m ~lo ~hi f =
+let iter_range_clipped m ~lo ~hi f =
   let rec loop node_opt =
     match node_opt with
     | None -> ()
@@ -209,7 +209,7 @@ let iter_range_clipped sys m ~lo ~hi f =
         loop next
       end
   in
-  loop (first_node_beyond sys m ~va:lo)
+  loop (first_node_beyond m ~va:lo)
 
 (* ---- free-space search ------------------------------------------------ *)
 
@@ -227,8 +227,8 @@ let find_space m ~size ~hint_addr =
   check_gap m.map_high;
   !result
 
-let range_free sys m ~lo ~hi =
-  match first_node_beyond sys m ~va:lo with
+let range_free m ~lo ~hi =
+  match first_node_beyond m ~va:lo with
   | None -> true
   | Some node -> (Dlist.value node).e_start >= hi
 
@@ -258,7 +258,7 @@ let place sys m ~at ~size ~anywhere =
     | Some a ->
       let a = page_trunc sys a in
       if a < m.map_low || a + size > m.map_high then Error Kr.Invalid_address
-      else if range_free sys m ~lo:a ~hi:(a + size) then Ok a
+      else if range_free m ~lo:a ~hi:(a + size) then Ok a
       else Error Kr.No_space
 
 (* A read/write region of [backing] from [offset], placed by [place]. *)
@@ -274,7 +274,7 @@ let alloc_common sys m ~at ~size ~anywhere ~backing ~offset =
           ~prot:Prot.read_write ~max_prot:default_max_prot
           ~inherit_:Inheritance.default ~needs_copy:false
       in
-      insert_entry sys m e;
+      insert_entry m e;
       Ok addr
   end
 
@@ -298,7 +298,7 @@ let deallocate_range sys m ~addr ~size =
   if size < 0 then Error Kr.Invalid_argument
   else begin
     let lo, hi = page_span sys ~addr ~size in
-    iter_range_clipped sys m ~lo ~hi (fun node ->
+    iter_range_clipped m ~lo ~hi (fun node ->
         remove_entry sys m node ~unmap:true);
     Ok ()
   end
@@ -329,10 +329,10 @@ let protect sys m ~addr ~size ~set_max ~prot =
           validate (Dlist.next node)
         end
     in
-    validate (first_node_beyond sys m ~va:lo);
+    validate (first_node_beyond m ~va:lo);
     if not !ok then Error Kr.Protection_failure
     else begin
-      iter_range_clipped sys m ~lo ~hi (fun node ->
+      iter_range_clipped m ~lo ~hi (fun node ->
           let e = Dlist.value node in
           if set_max then begin
             e.e_max_prot <- Prot.inter e.e_max_prot prot;
@@ -358,7 +358,7 @@ let set_inheritance sys m ~addr ~size inh =
   if size < 0 then Error Kr.Invalid_argument
   else begin
     let lo, hi = page_span sys ~addr ~size in
-    iter_range_clipped sys m ~lo ~hi (fun node ->
+    iter_range_clipped m ~lo ~hi (fun node ->
         (Dlist.value node).e_inherit <- inh);
     Ok ()
   end
@@ -397,7 +397,7 @@ let ensure_submap sys e =
   | (Backed _ | No_backing) as old ->
     let size = entry_size e in
     let sm = create sys ~pmap:None ~low:0 ~high:size in
-    insert_entry sys sm
+    insert_entry sm
       (make_entry ~start_:0 ~end_:size ~backing:old ~offset:e.e_offset
          ~prot:e.e_prot ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
          ~needs_copy:e.e_needs_copy);
@@ -430,13 +430,13 @@ let rec capture sys e acc =
     { ci_obj = Some o; ci_offset = lo; ci_size = size } :: acc
   | Submap sm ->
     let acc = ref acc in
-    iter_range_clipped sys sm ~lo:e.e_offset ~hi:(e.e_offset + entry_size e)
+    iter_range_clipped sm ~lo:e.e_offset ~hi:(e.e_offset + entry_size e)
       (fun node -> acc := capture sys (Dlist.value node) !acc);
     !acc
 
 (* Map [items] back to back from [start] with the given rights, consuming
    their references; each backed piece is needs-copy. *)
-let place_items sys m ~start ~prot ~max_prot ~inherit_ items =
+let place_items m ~start ~prot ~max_prot ~inherit_ items =
   ignore
     (List.fold_left
        (fun start item ->
@@ -446,7 +446,7 @@ let place_items sys m ~start ~prot ~max_prot ~inherit_ items =
             | Some o -> (Backed o, item.ci_offset, true)
           in
           let end_ = start + item.ci_size in
-          insert_entry sys m
+          insert_entry m
             (make_entry ~start_:start ~end_ ~backing ~offset ~prot ~max_prot
                ~inherit_ ~needs_copy);
           end_)
@@ -464,12 +464,12 @@ let fork sys parent ~child_pmap =
        | Inheritance.Shared ->
          let sm = ensure_submap sys e in
          reference sm;
-         insert_entry sys child
+         insert_entry child
            (make_entry ~start_:e.e_start ~end_:e.e_end ~backing:(Submap sm)
               ~offset:e.e_offset ~prot:e.e_prot ~max_prot:e.e_max_prot
               ~inherit_:e.e_inherit ~needs_copy:false)
        | Inheritance.Copy ->
-         place_items sys child ~start:e.e_start ~prot:e.e_prot
+         place_items child ~start:e.e_start ~prot:e.e_prot
            ~max_prot:e.e_max_prot ~inherit_:e.e_inherit
            (List.rev (capture sys e [])))
     (entries parent);
@@ -561,11 +561,11 @@ let extract_copy sys m ~addr ~size =
           if !covered < hi then check (Dlist.next node)
         end
     in
-    check (first_node_beyond sys m ~va:lo);
+    check (first_node_beyond m ~va:lo);
     if !covered < hi then Error Kr.Invalid_address
     else begin
       let items = ref [] in
-      iter_range_clipped sys m ~lo ~hi (fun node ->
+      iter_range_clipped m ~lo ~hi (fun node ->
           items := capture sys (Dlist.value node) !items);
       Ok { mc_items = List.rev !items; mc_size = hi - lo }
     end
@@ -575,7 +575,7 @@ let insert_copy sys m c ?at () =
   match place sys m ~at ~size:c.mc_size ~anywhere:(Option.is_none at) with
   | Error _ as e -> e
   | Ok base ->
-    place_items sys m ~start:base ~prot:Prot.read_write
+    place_items m ~start:base ~prot:Prot.read_write
       ~max_prot:default_max_prot ~inherit_:Inheritance.default c.mc_items;
     Ok base
 

@@ -38,6 +38,12 @@ val find : vmap -> va:int -> entry option
 (** [find m ~va] is the entry containing [va], using and updating the
     last-fault hint. *)
 
+val scan_start : vmap -> va:int -> entry Mach_util.Dlist.node option
+(** [scan_start m ~va] is the node a range operation's scan for [va]
+    starts from: the last-fault hint when it lies at or before [va],
+    else the first entry, so an operation near the hint examines a
+    handful of entries, not the map. *)
+
 val resolve_object_at : Vm_sys.t -> vmap -> va:int -> (obj * int) option
 (** [resolve_object_at sys m ~va] is the backing object and byte offset
     for [va], looking through a sharing map if needed; [None] if

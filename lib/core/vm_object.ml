@@ -38,7 +38,7 @@ let lock_read (sys : Vm_sys.t) o =
   Vm_stats.lock_acquire sys.Vm_sys.stats sys.Vm_sys.machine
     ~cpu:(Vm_sys.current_cpu sys) ~obj:o.obj_id o.obj_lock
 
-let release (sys : Vm_sys.t) o =
+let unlock (sys : Vm_sys.t) o =
   o.obj_lock <-
     Vm_stats.lock_release sys.Vm_sys.machine ~cpu:(Vm_sys.current_cpu sys)
 
@@ -46,10 +46,10 @@ let lock_write sys o f =
   lock_read sys o;
   match f () with
   | v ->
-    release sys o;
+    unlock sys o;
     v
   | exception e ->
-    release sys o;
+    unlock sys o;
     raise e
 
 let create_anonymous sys ~size =
@@ -94,7 +94,7 @@ let rec terminate sys o =
      swap pool ([Swap_pager.release] is a no-op for non-swap pagers). *)
   (match o.obj_pager with
    | Some pager ->
-     Hashtbl.remove sys.Vm_sys.pager_objects pager.pgr_id;
+     Mach_util.Int_tbl.remove sys.Vm_sys.pager_objects pager.pgr_id;
      Swap_pager.release sys pager
    | None -> ());
   (match o.obj_rescue with
@@ -148,7 +148,7 @@ let cache_revive sys o =
     List.filter (fun o' -> o'.obj_id <> o.obj_id) sys.Vm_sys.object_cache
 
 let create_with_pager sys pager ~size =
-  match Hashtbl.find_opt sys.Vm_sys.pager_objects pager.pgr_id with
+  match Mach_util.Int_tbl.find_opt sys.Vm_sys.pager_objects pager.pgr_id with
   | Some o when o.obj_cached ->
     sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits <-
       sys.Vm_sys.stats.Vm_stats.vs_object_cache_hits + 1;
@@ -161,7 +161,7 @@ let create_with_pager sys pager ~size =
     sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses <-
       sys.Vm_sys.stats.Vm_stats.vs_object_cache_misses + 1;
     let o = make_obj sys ~size ~pager:(Some pager) ~temporary:false in
-    Hashtbl.add sys.Vm_sys.pager_objects pager.pgr_id o;
+    Mach_util.Int_tbl.add sys.Vm_sys.pager_objects pager.pgr_id o;
     o
 
 let chain_length o =

@@ -100,6 +100,12 @@ val lock_read : Vm_sys.t -> obj -> unit
     retry residue when a writer hold overlaps in virtual time.  The
     resident-fault fast path uses this. *)
 
+val unlock : Vm_sys.t -> obj -> unit
+(** [unlock sys o] ends a writer section that {!lock_read} began,
+    stamping the release time: the two together are {!lock_write} of a
+    section that does nothing, as the fault path's step over an object
+    with no pager is. *)
+
 val uncache : Vm_sys.t -> obj -> unit
 (** [uncache sys o] terminates [o] if it currently sits in the object
     cache; no-op otherwise.  Used when a pager withdraws its caching

@@ -1,6 +1,6 @@
 open Mach_hw
 open Mach_pmap
-module Int_pair = Mach_util.Int_pair
+module Int_tbl = Mach_util.Int_tbl
 
 (* One burst-mapped neighbour whose outcome is still undecided: mapped
    into [b_asid] by a resident fault through [b_entry], not yet touched
@@ -37,7 +37,7 @@ type t = {
   mutable cache_enabled : bool;
   mutable collapse_enabled : bool;
   mutable pmap_prewarm_on_fork : bool;
-  pager_objects : (int, Types.obj) Hashtbl.t;
+  pager_objects : Types.obj Mach_util.Int_tbl.t;
   reclaim : t -> wanted:int -> unit;
   free_target : int;
   free_reserved : int;
@@ -65,11 +65,11 @@ type t = {
       (* upper bound on pages a resident fault maps in one pass (demand
          page included), and the cap of every entry's adaptive window;
          0 and 1 both map only the demand page *)
-  burst_pending : burst Mach_util.Int_pair.Tbl.t;
-      (* (asid, page pfn) -> burst-mapped neighbour whose outcome is
+  burst_pending : burst Mach_util.Int_tbl.t;
+      (* [Int_tbl.pair asid pfn] -> burst-mapped neighbour whose outcome is
          still undecided; settled by the pmap layer's first-touch and
          unmap hooks, or by a demand fault on the page *)
-  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+  swap_stores : Bytes.t Mach_util.Int_tbl.t Mach_util.Int_tbl.t;
       (* pager id -> the chunks a Swap_pager of this kernel holds, kept
          here rather than in a global table so a dropped kernel takes
          its swap contents with it *)
@@ -82,8 +82,6 @@ type t = {
   mutable last_task_id : int;
       (* the last id this kernel gave an object, address map, pager and
          task: each kind is numbered from 1 within one kernel *)
-  mutable map_scan_steps : int;
-      (* map entries examined by range operations' scans *)
 }
 
 (* Policy constants, the same in every kernel. *)
@@ -114,11 +112,11 @@ exception Out_of_memory
 
 let burst_register t ~asid entry p ~issued =
   let b = { b_page = p; b_asid = asid; b_entry = entry; b_issued = issued } in
-  Int_pair.Tbl.replace t.burst_pending (asid, p.Types.pfn) b
+  Int_tbl.replace t.burst_pending (Int_tbl.pair asid p.Types.pfn) b
 
 let burst_settle t b ~hit =
   let p = b.b_page and e = b.b_entry in
-  Int_pair.Tbl.remove t.burst_pending (b.b_asid, p.Types.pfn);
+  Int_tbl.remove t.burst_pending (Int_tbl.pair b.b_asid p.Types.pfn);
   if hit then begin
     e.Types.e_burst_hits <- e.Types.e_burst_hits + 1;
     if b.b_issued || p.Types.pg_prefetched then
@@ -131,8 +129,8 @@ let burst_settle t b ~hit =
   else e.Types.e_burst_misses <- e.Types.e_burst_misses + 1
 
 let burst_outcome t ~asid ~pfn ~hit =
-  if Int_pair.Tbl.length t.burst_pending > 0 then
-    match Int_pair.Tbl.find_opt t.burst_pending (asid, pfn) with
+  if Int_tbl.length t.burst_pending > 0 then
+    match Int_tbl.find_opt t.burst_pending (Int_tbl.pair asid pfn) with
     | None -> ()
     | Some b -> burst_settle t b ~hit
 
@@ -167,7 +165,7 @@ let create ~machine ~domain ~reclaim =
     cache_enabled = true;
     collapse_enabled = true;
     pmap_prewarm_on_fork = false;
-    pager_objects = Hashtbl.create 64;
+    pager_objects = Int_tbl.create 64;
     reclaim;
     free_target = max 4 (total / 16);
     free_reserved = max 2 (total / 64);
@@ -179,14 +177,13 @@ let create ~machine ~domain ~reclaim =
     cluster_max = 8;
     stream_clock = 0;
     burst_max = 8;
-    burst_pending = Int_pair.Tbl.create 64;
-    swap_stores = Hashtbl.create 16;
+    burst_pending = Int_tbl.create 64;
+    swap_stores = Int_tbl.create 16;
     stats;
     last_obj_id = 0;
     last_map_id = 0;
     last_pager_id = 0;
     last_task_id = 0;
-    map_scan_steps = 0;
   } in
   Pmap_domain.set_on_first_touch domain (fun ~asid ~pfn ->
       burst_outcome t ~asid ~pfn ~hit:true);

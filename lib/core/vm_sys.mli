@@ -48,7 +48,7 @@ type t = {
       (** use the optional [pmap_copy] routine (Table 3-4) at fork to
           pre-load the child's pmap with (write-stripped) copies of the
           parent's mappings, trading enter work for avoided faults *)
-  pager_objects : (int, Types.obj) Hashtbl.t;
+  pager_objects : Types.obj Mach_util.Int_tbl.t;
       (** live or cached object for each pager id, so re-mapping a file
           finds the existing object *)
   reclaim : t -> wanted:int -> unit;
@@ -91,12 +91,13 @@ type t = {
       (** upper bound on pages a resident fault maps in one pass, demand
           page included, and the cap of every map entry's adaptive
           window; 0 and 1 both map only the demand page *)
-  burst_pending : burst Mach_util.Int_pair.Tbl.t;
-      (** burst-mapped neighbours, one per page, keyed by (asid, the
-          page's pfn), whose outcome is still undecided; settled by the
-          pmap layer's first-touch and unmap hooks (installed by
-          {!create}) or by {!burst_demand_fault} *)
-  swap_stores : (int, (int, Bytes.t) Hashtbl.t) Hashtbl.t;
+  burst_pending : burst Mach_util.Int_tbl.t;
+      (** burst-mapped neighbours, one per page, keyed by
+          [Mach_util.Int_tbl.pair asid pfn] (the page's first pfn),
+          whose outcome is still undecided; settled by the pmap layer's
+          first-touch and unmap hooks (installed by {!create}) or by
+          {!burst_demand_fault} *)
+  swap_stores : Bytes.t Mach_util.Int_tbl.t Mach_util.Int_tbl.t;
       (** pager id -> offset -> page-size chunk held by each
           {!Swap_pager} of this kernel; per kernel so a dropped kernel's
           swap contents are garbage with it *)
@@ -110,10 +111,6 @@ type t = {
       (** the last id this kernel gave an object, address map, pager and
           task ({!fresh_obj_id} and friends): ids are keys within one
           kernel, so two kernels in one process number alike *)
-  mutable map_scan_steps : int;
-      (** map entries examined by the scans of range operations
-          ({!Vm_map.protect} and the like); the map's last-fault hint
-          keeps each scan O(distance from the hint) *)
 }
 
 val pageout_requeue_limit : int

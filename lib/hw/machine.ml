@@ -456,17 +456,23 @@ let active_translator t ~cpu = (cpu_of t cpu).translator
 
 let tlb_fill t ~cpu e = Tlb.insert (cpu_of t cpu).tlb e
 
-let deliver_fault t ~cpu f =
-  t.stats.faults <- t.stats.faults + 1;
-  (* Everything the handler does — trap overhead included — counts as
-     fault service unless a nested frame (pmap, disk, pager...) claims
-     it.  The pop is exception-safe: the handler may raise
-     [Memory_violation]. *)
-  with_category t ~cpu Mach_obs.Obs.Fault_service @@ fun () ->
+(* The handler's work: trap overhead, then the handler. *)
+let run_handler t ~cpu f =
   charge t ~cpu t.arch.Arch.cost.Arch.fault_overhead;
   match t.fault_handler with
   | None -> raise (Memory_violation "no fault handler installed")
   | Some h -> h ~cpu f
+
+(* Everything the handler does — trap overhead included — counts as
+   fault service unless a nested frame (pmap, disk, pager...) claims
+   it.  The pop is exception-safe: the handler may raise
+   [Memory_violation].  Untraced, there is no frame and no closure. *)
+let deliver_fault t ~cpu f =
+  t.stats.faults <- t.stats.faults + 1;
+  if Mach_obs.Obs.enabled t.tracer then
+    with_category t ~cpu Mach_obs.Obs.Fault_service (fun () ->
+        run_handler t ~cpu f)
+  else run_handler t ~cpu f
 
 (* The NS32082 reports a write access that faults on a read-only page as a
    read fault (Section 5.1); the kernel has to recognise and repair this. *)
@@ -481,70 +487,65 @@ let trap_fault t ~va ~write kind =
     fault_write = reported_write t ~write ~kind;
     fault_kind = kind }
 
+(* One try at translating [va] (page [vpn]) on CPU [c]; a fault
+   retries once the handler returns, up to 16 times. *)
+let rec attempt t c ~cpu ~va ~vpn ~write retries =
+  if retries > 16 then
+    raise (Unresolved_fault (trap_fault t ~va ~write `Invalid));
+  match c.translator with
+  | None -> raise (Memory_violation "no address space")
+  | Some tr ->
+    let asid = tr.Translator.asid in
+    (match
+       if Tlb.capacity c.tlb = 0 then None else Tlb.lookup c.tlb ~asid ~vpn
+     with
+     | Some e ->
+       t.stats.tlb_hit_count <- t.stats.tlb_hit_count + 1;
+       if Prot.allows e.Tlb.prot ~write then begin
+         if not (Queue.is_empty c.pending) && stale_hit c ~asid ~vpn then
+           t.stats.stale_tlb_uses <- t.stats.stale_tlb_uses + 1;
+         bump t c t.arch.Arch.cost.Arch.mem_op;
+         (match t.on_translated with
+          | None -> ()
+          | Some f -> f ~asid ~pfn:e.Tlb.pfn ~write);
+         e.Tlb.pfn
+       end
+       else begin
+         (* Protection faults drop the stale entry before trapping. *)
+         Tlb.invalidate_page c.tlb ~asid ~vpn;
+         deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
+         attempt t c ~cpu ~va ~vpn ~write (retries + 1)
+       end
+     | None ->
+       t.stats.tlb_miss_count <- t.stats.tlb_miss_count + 1;
+       bump t c tr.Translator.walk_cost;
+       (match
+          if tr.Translator.hw_walk then tr.Translator.lookup vpn
+          else Translator.Missing
+        with
+        | Translator.Mapped { pfn; prot } ->
+          if Tlb.capacity c.tlb > 0 then
+            Tlb.insert c.tlb { Tlb.asid; vpn; pfn; prot };
+          if Prot.allows prot ~write then begin
+            bump t c t.arch.Arch.cost.Arch.mem_op;
+            (match t.on_translated with
+             | None -> ()
+             | Some f -> f ~asid ~pfn ~write);
+            pfn
+          end
+          else begin
+            deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
+            attempt t c ~cpu ~va ~vpn ~write (retries + 1)
+          end
+        | Translator.Missing ->
+          deliver_fault t ~cpu (trap_fault t ~va ~write `Invalid);
+          attempt t c ~cpu ~va ~vpn ~write (retries + 1)))
+
 let translate t ~cpu ~va ~write =
   if va < 0 then
     raise (Memory_violation "negative address");
-  let c = cpu_of t cpu in
-  let cost = t.arch.Arch.cost in
-  let vpn = va / t.arch.Arch.hw_page_size in
-  let rec attempt retries =
-    if retries > 16 then
-      raise (Unresolved_fault (trap_fault t ~va ~write `Invalid));
-    let cached =
-      match c.translator with
-      | None -> None
-      | Some tr ->
-        if Tlb.capacity c.tlb = 0 then None
-        else Tlb.lookup c.tlb ~asid:tr.Translator.asid ~vpn
-    in
-    match cached, c.translator with
-    | _, None ->
-      raise (Memory_violation "no address space")
-    | Some e, Some tr ->
-      t.stats.tlb_hit_count <- t.stats.tlb_hit_count + 1;
-      if Prot.allows e.Tlb.prot ~write then begin
-        if not (Queue.is_empty c.pending)
-           && stale_hit c ~asid:tr.Translator.asid ~vpn then
-          t.stats.stale_tlb_uses <- t.stats.stale_tlb_uses + 1;
-        bump t c cost.Arch.mem_op;
-        (match t.on_translated with
-         | None -> ()
-         | Some f -> f ~asid:tr.Translator.asid ~pfn:e.Tlb.pfn ~write);
-        e.Tlb.pfn
-      end
-      else begin
-        (* Protection faults drop the stale entry before trapping. *)
-        Tlb.invalidate_page c.tlb ~asid:tr.Translator.asid ~vpn;
-        deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
-        attempt (retries + 1)
-      end
-    | None, Some tr ->
-      t.stats.tlb_miss_count <- t.stats.tlb_miss_count + 1;
-      bump t c tr.Translator.walk_cost;
-      (match
-         if tr.Translator.hw_walk then tr.Translator.lookup vpn
-         else Translator.Missing
-       with
-       | Translator.Mapped { pfn; prot } ->
-         if Tlb.capacity c.tlb > 0 then
-           Tlb.insert c.tlb
-             { Tlb.asid = tr.Translator.asid; vpn; pfn; prot };
-         if Prot.allows prot ~write then begin
-           bump t c cost.Arch.mem_op;
-           (match t.on_translated with
-            | None -> ()
-            | Some f -> f ~asid:tr.Translator.asid ~pfn ~write);
-           pfn
-         end
-         else begin
-           deliver_fault t ~cpu (trap_fault t ~va ~write `Protection);
-           attempt (retries + 1)
-         end
-       | Translator.Missing ->
-         deliver_fault t ~cpu (trap_fault t ~va ~write `Invalid);
-         attempt (retries + 1))
-  in
-  attempt 0
+  attempt t (cpu_of t cpu) ~cpu ~va ~vpn:(va / t.arch.Arch.hw_page_size)
+    ~write 0
 
 let move_cost t len =
   let cost = t.arch.Arch.cost in

@@ -2,18 +2,10 @@ type entry = { asid : int; vpn : int; pfn : int; prot : Prot.t }
 
 module Int_tbl = Mach_util.Int_tbl
 
-(* An entry is keyed by one int, [(asid lsl vpn_bits) lor vpn], so a
-   lookup or refill hashes an int and allocates no key.  Both parts must
-   fit their fields and the key stays non-negative. *)
-let vpn_bits = 32
-let asid_bits = Sys.int_size - 1 - vpn_bits
-
-let fits ~asid ~vpn = (asid lsr asid_bits) lor (vpn lsr vpn_bits) = 0
-
-let pack ~asid ~vpn = (asid lsl vpn_bits) lor vpn
-
-let key_asid key = key lsr vpn_bits
-let key_vpn key = key land ((1 lsl vpn_bits) - 1)
+(* An entry is keyed by one int, [Int_tbl.pair asid vpn], so a lookup
+   or refill hashes an int and allocates no key.  Both parts must fit
+   their fields.  The table holds each entry as the option [lookup]
+   returns, built once at refill, so a hit allocates nothing. *)
 
 (* Fully-associative with FIFO replacement.  The order of insertion lives
    in an int ring of [2 * capacity + 2] slots, oldest first from [head]:
@@ -26,7 +18,7 @@ let key_vpn key = key land ((1 lsl vpn_bits) - 1)
    (until the table is empty again). *)
 type t = {
   capacity : int;
-  table : entry Int_tbl.t;
+  table : entry option Int_tbl.t;
   ring : int array;
   mutable head : int;
   mutable len : int;
@@ -41,7 +33,9 @@ let create ~capacity =
 let capacity t = t.capacity
 
 let lookup t ~asid ~vpn =
-  if fits ~asid ~vpn then Int_tbl.find_opt t.table (pack ~asid ~vpn) else None
+  if Int_tbl.pair_fits asid vpn then
+    Int_tbl.find_or t.table (Int_tbl.pair asid vpn) None
+  else None
 
 let slot t i =
   let j = t.head + i in
@@ -79,9 +73,9 @@ let compact t =
 let insert t e =
   if t.capacity = 0 then ()
   else begin
-    if not (fits ~asid:e.asid ~vpn:e.vpn) then
+    if not (Int_tbl.pair_fits e.asid e.vpn) then
       invalid_arg "Tlb.insert: asid or vpn out of range";
-    let key = pack ~asid:e.asid ~vpn:e.vpn in
+    let key = Int_tbl.pair e.asid e.vpn in
     if Int_tbl.length t.table = 0 then t.sole <- e.asid
     else if t.sole <> e.asid then t.sole <- -1;
     if not (Int_tbl.mem t.table key) then begin
@@ -89,11 +83,12 @@ let insert t e =
       if t.len > 2 * t.capacity then compact t;
       push t key
     end;
-    Int_tbl.replace t.table key e
+    Int_tbl.replace t.table key (Some e)
   end
 
 let invalidate_page t ~asid ~vpn =
-  if fits ~asid ~vpn then Int_tbl.remove t.table (pack ~asid ~vpn)
+  if Int_tbl.pair_fits asid vpn then
+    Int_tbl.remove t.table (Int_tbl.pair asid vpn)
 
 (* One pass over the table, dropping entries in place.  Not a walk over
    the ring: its stale slots of earlier flushes of the same asid would
@@ -104,7 +99,8 @@ let invalidate_asid_vpns t ~asid ~lo_vpn ~hi_vpn =
   if Int_tbl.length t.table > 0 then
     Int_tbl.filter_map_inplace
       (fun key e ->
-         if key_asid key = asid && key_vpn key >= lo_vpn && key_vpn key < hi_vpn
+         let vpn = Int_tbl.pair_lo key in
+         if Int_tbl.pair_hi key = asid && vpn >= lo_vpn && vpn < hi_vpn
          then None
          else Some e)
       t.table
@@ -122,8 +118,8 @@ let invalidate_range t ~asid ~lo_vpn ~hi_vpn =
    call per entry; the ring keeps its stale slots either way. *)
 let invalidate_asid t ~asid =
   if asid = t.sole then Int_tbl.clear t.table
-  else invalidate_asid_vpns t ~asid ~lo_vpn:0 ~hi_vpn:(1 lsl vpn_bits)
+  else invalidate_asid_vpns t ~asid ~lo_vpn:0 ~hi_vpn:max_int
 
 let entries t =
-  List.init t.len (fun i -> Int_tbl.find_opt t.table t.ring.(slot t i))
+  List.init t.len (fun i -> Int_tbl.find_or t.table t.ring.(slot t i) None)
   |> List.filter_map Fun.id

@@ -375,10 +375,11 @@ let shell ctx =
 (* A backend's mapping store, as the shell sees it; ['m] is one live
    page mapping, named with the page's first vpn. *)
 type 'm store = {
-  range : int -> int -> (int * 'm) list;
-      (* the live (first vpn, mapping) pairs with the first vpn in
-         [lo, hi), in the order the backend visits them; the shell's uses
-         do not depend on it *)
+  iter_range : int -> int -> (int -> 'm -> unit) -> unit;
+      (* [iter_range lo hi f] applies [f vpn m] to each live page
+         mapping whose first vpn lies in [lo, hi), in ascending vpn
+         order, where it sits: [f] may drop or reprotect the mapping it
+         is given, and no other *)
   drop : int -> 'm -> unit;
       (* invalidate one page mapping: its store entries, its pv record,
          a pte-write charge and a [removals] count per frame; the caller
@@ -389,45 +390,58 @@ type 'm store = {
   pte : bool;  (* false: a software-only table, whose writes cost nothing *)
 }
 
-(* A [range] over a table keyed by a page's first vpn (bound with
-   [Int_tbl.replace]).  A range of no more pages than the table holds is
-   looked up page by page, in vpn order; a longer one is picked out of a
-   fold over the table, in its fold order. *)
-let range_of ctx tbl lo hi =
-  let n = ctx.page_frames in
-  if hi - lo <= n * Int_tbl.length tbl then begin
-    let acc = ref [] and vpn = ref (page_of ctx (hi - 1)) in
-    while !vpn >= lo do
-      (match Int_tbl.find_opt tbl !vpn with
-       | Some m -> acc := (!vpn, m) :: !acc
-       | None -> ());
-      vpn := !vpn - n
-    done;
-    !acc
-  end
-  else
-    Int_tbl.fold
-      (fun vpn m acc -> if vpn >= lo && vpn < hi then (vpn, m) :: acc else acc)
-      tbl []
-
 (* A page mapping in a software table keyed by the page's first vpn —
    the SUN 3's context RAM, a pmap's share of the RT PC's inverted
    table, the TLB-only pmap's shadow table; [m_pfn] is the page's first
    frame. *)
 type mapping = { m_pfn : int; m_prot : Prot.t; m_wired : bool }
 
+(* What a lookup in such a table gives for an unbound vpn, told apart by
+   [==]: no lookup allocates an option. *)
+let absent = { m_pfn = -1; m_prot = Prot.read_only; m_wired = false }
+
+(* An [iter_range] over a table keyed by a page's first vpn.  A range
+   of no more pages than the table holds is looked up page by page; the
+   first vpns of a longer one are picked out of the table first, then
+   sorted.  Either way [f] may unbind the vpn it is given. *)
+let iter_table ctx tbl lo hi f =
+  let n = ctx.page_frames in
+  let visit vpn =
+    let m = Int_tbl.find_or tbl vpn absent in
+    if m != absent then f vpn m
+  in
+  if hi - lo <= n * Int_tbl.length tbl then begin
+    let vpn = ref (page_of ctx (lo + n - 1)) in
+    while !vpn < hi do
+      visit !vpn;
+      vpn := !vpn + n
+    done
+  end
+  else begin
+    let vpns = Array.make (Int_tbl.length tbl) 0 and k = ref 0 in
+    Int_tbl.iter
+      (fun vpn _ ->
+         if vpn >= lo && vpn < hi then begin
+           vpns.(!k) <- vpn;
+           incr k
+         end)
+      tbl;
+    let vpns = Array.sub vpns 0 !k in
+    Array.sort Int.compare vpns;
+    Array.iter visit vpns
+  end
+
 (* What such a table gives for hardware page [vpn]. *)
 let lookup_in ctx tbl vpn =
   let first = page_of ctx vpn in
-  match Int_tbl.find_opt tbl first with
-  | Some m ->
-    Translator.Mapped { pfn = m.m_pfn + vpn - first; prot = m.m_prot }
-  | None -> Translator.Missing
+  let m = Int_tbl.find_or tbl first absent in
+  if m == absent then Translator.Missing
+  else Translator.Mapped { pfn = m.m_pfn + vpn - first; prot = m.m_prot }
 
 (* The store of shell [sh] over the table [table ()].  [pte]: whether
    its writes are charged; [on_set] sees each page [set_prot] wrote. *)
 let table_store ctx sh ~pte ?(on_set = fun _ _ -> ()) table =
-  { range = (fun lo hi -> range_of ctx (table ()) lo hi);
+  { iter_range = (fun lo hi f -> iter_table ctx (table ()) lo hi f);
     drop =
       (fun vpn m ->
          Int_tbl.remove (table ()) vpn;
@@ -452,7 +466,7 @@ let unmap ctx sh store vpn m =
    batch. *)
 let unmap_range ctx sh store lo hi =
   batched ctx (fun () ->
-      List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) (store.range lo hi))
+      store.iter_range lo hi (fun vpn m -> unmap ctx sh store vpn m))
 
 (* The vpns of [\[start_va, end_va)], rounded out to hardware pages,
    which must cover whole machine-independent pages. *)
@@ -472,6 +486,7 @@ let page_range ctx ~start_va ~end_va =
    references. *)
 let pmap ctx sh store ~translator ~enter ~resident_count ~destroy
     ?(map_bytes = fun () -> 0) ?copy ?(on_activate = ignore) () =
+  let installed = Some translator in
   let extract va =
     match translator.Translator.lookup (va / page_size ctx) with
     | Translator.Mapped { pfn; _ } -> Some pfn
@@ -489,27 +504,23 @@ let pmap ctx sh store ~translator ~enter ~resident_count ~destroy
     sh.stats.Pmap.protect_ops <- sh.stats.Pmap.protect_ops + 1;
     let lo, hi = page_range ctx ~start_va ~end_va in
     batched ctx (fun () ->
-        List.iter
-          (fun (vpn, m) ->
-             let old = store.prot_of vpn m in
-             if loses ~old ~prot then begin
-               store.set_prot vpn m (Prot.inter old prot);
-               if store.pte then charge_frames ctx (cost ctx).Arch.pte_write;
-               shoot_page ctx sh.presence ~asid:sh.asid ~vpn
-             end)
-          (store.range lo hi))
+        store.iter_range lo hi (fun vpn m ->
+            let old = store.prot_of vpn m in
+            if loses ~old ~prot then begin
+              store.set_prot vpn m (Prot.inter old prot);
+              if store.pte then charge_frames ctx (cost ctx).Arch.pte_write;
+              shoot_page ctx sh.presence ~asid:sh.asid ~vpn
+            end))
   in
   (* Drop every non-wired mapping: the pmap-as-cache behaviour. *)
   let collect () =
-    let victims =
-      List.filter
-        (fun (vpn, m) -> not (store.wired vpn m))
-        (store.range 0 max_int)
-    in
     batched ctx (fun () ->
-        List.iter (fun (vpn, m) -> unmap ctx sh store vpn m) victims);
-    sh.stats.Pmap.cache_drops <-
-      sh.stats.Pmap.cache_drops + (List.length victims * ctx.page_frames)
+        store.iter_range 0 max_int (fun vpn m ->
+            if not (store.wired vpn m) then begin
+              unmap ctx sh store vpn m;
+              sh.stats.Pmap.cache_drops <-
+                sh.stats.Pmap.cache_drops + ctx.page_frames
+            end))
   in
   { Pmap.asid = sh.asid;
     reference = (fun () -> ());
@@ -519,7 +530,7 @@ let pmap ctx sh store ~translator ~enter ~resident_count ~destroy
          on_activate ();
          sh.presence.active.(cpu) <- true;
          sh.presence.ran_on.(cpu) <- true;
-         Machine.set_translator ctx.machine ~cpu (Some translator));
+         Machine.set_translator ctx.machine ~cpu installed);
     deactivate =
       (fun ~cpu ->
          sh.presence.active.(cpu) <- false;

@@ -59,7 +59,8 @@ let note t ev =
    step with the pmap's lifetime.  Instrumenting here covers every
    architecture backend at once; the tracer is read through the machine
    on each call so enabling tracing mid-run works.  When tracing is off
-   each wrapped call pays one branch and builds no event record.  The
+   each wrapped call pays one branch and builds no event record, and
+   [enter], the one the fault path calls, builds no closure either.  The
    [Pmap] attribution frame brackets the backend call itself, so
    map-update costs land in the Pmap category wherever they were
    triggered from — except TLB-consistency work, which the machine
@@ -78,10 +79,18 @@ let create_pmap t =
     { p with
       Pmap.enter =
         (fun ~va ~pfn ~prot ~wired ->
-           Backend.batched t.ctx (fun () ->
+           Backend.begin_batch t.ctx;
+           match
+             if tracing t then begin
                in_pmap (fun () -> p.Pmap.enter ~va ~pfn ~prot ~wired);
-               if tracing t then
-                 note t (Mach_obs.Obs.Pmap_enter { asid; va; pfn })));
+               note t (Mach_obs.Obs.Pmap_enter { asid; va; pfn })
+             end
+             else p.Pmap.enter ~va ~pfn ~prot ~wired
+           with
+           | () -> Backend.end_batch t.ctx
+           | exception e ->
+             Backend.end_batch t.ctx;
+             raise e);
       remove =
         (fun ~start_va ~end_va ->
            in_pmap (fun () -> p.Pmap.remove ~start_va ~end_va);

@@ -35,46 +35,49 @@ type tpage = { ptes : int array; mutable valid_count : int }
    reused as they are: a collected page holds no valid pte. *)
 let max_spare = 4
 
-(* [acc] after the valid pages of table page [tp], index [idx], whose
-   first vpn lies in [lo, hi): each as (first vpn, [tp]), in vpn order,
-   ahead of [acc]. *)
-let add_valid (ctx : Backend.ctx) ~ptes_per_page idx tp lo hi acc =
+(* Apply [f vpn tp] to each valid page of table page [tp], index [idx],
+   whose first vpn lies in [lo, hi), in vpn order.  [f] may invalidate
+   the page it is given, and so empty [tp]: the pages after it then
+   read invalid. *)
+let iter_valid (ctx : Backend.ctx) ~ptes_per_page idx tp lo hi f =
   let first_vpn = idx * ptes_per_page in
-  let acc = ref acc in
-  let vpn =
-    ref (Backend.page_of ctx (min (hi - 1) (first_vpn + ptes_per_page - 1)))
-  in
-  while !vpn >= max lo first_vpn do
-    if valid tp.ptes.(!vpn - first_vpn) then acc := (!vpn, tp) :: !acc;
-    vpn := !vpn - ctx.Backend.page_frames
-  done;
-  !acc
+  let last = min (hi - 1) (first_vpn + ptes_per_page - 1) in
+  let n = ctx.Backend.page_frames in
+  let vpn = ref (Backend.page_of ctx (max lo first_vpn + n - 1)) in
+  while !vpn <= last do
+    if valid tp.ptes.(!vpn - first_vpn) then f !vpn tp;
+    vpn := !vpn + n
+  done
 
-(* The valid pages whose first vpn lies in [lo, hi), in vpn order, each
-   with its table page.  The table pages covering the range are looked
-   up one by one, highest first, when there are no more of them than
-   tables, else picked out of a scan of the tables and sorted, so sparse
+(* [iter_range] over the valid pages whose first vpn lies in [lo, hi),
+   in vpn order, each with its table page.  The table pages covering
+   the range are looked up one by one when there are no more of them
+   than tables, else picked out of the tables and sorted, so sparse
    spaces stay cheap either way. *)
-let range_in ctx tables ~ptes_per_page lo hi =
+let iter_in ctx tables ~ptes_per_page lo hi f =
   let first = lo / ptes_per_page and last = (hi - 1) / ptes_per_page in
-  if last - first < Int_tbl.length tables then begin
-    let acc = ref [] in
-    for idx = last downto first do
-      match Int_tbl.find tables idx with
-      | tp -> acc := add_valid ctx ~ptes_per_page idx tp lo hi !acc
-      | exception Not_found -> ()
-    done;
-    !acc
+  let visit idx =
+    match Int_tbl.find_opt tables idx with
+    | Some tp -> iter_valid ctx ~ptes_per_page idx tp lo hi f
+    | None -> ()
+  in
+  if last - first < Int_tbl.length tables then
+    for idx = first to last do
+      visit idx
+    done
+  else begin
+    let idxs = Array.make (Int_tbl.length tables) 0 and k = ref 0 in
+    Int_tbl.iter
+      (fun idx _ ->
+         if idx >= first && idx <= last then begin
+           idxs.(!k) <- idx;
+           incr k
+         end)
+      tables;
+    let idxs = Array.sub idxs 0 !k in
+    Array.sort Int.compare idxs;
+    Array.iter visit idxs
   end
-  else
-    Int_tbl.fold
-      (fun idx tp acc ->
-         if idx >= first && idx <= last then (idx, tp) :: acc else acc)
-      tables []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
-    |> List.fold_left
-         (fun acc (idx, tp) -> add_valid ctx ~ptes_per_page idx tp lo hi acc)
-         []
 
 let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
   let sh = Backend.shell ctx in
@@ -138,10 +141,10 @@ let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
     end
   in
 
-  let range lo hi = range_in ctx tables ~ptes_per_page lo hi in
+  let iter_range lo hi f = iter_in ctx tables ~ptes_per_page lo hi f in
   let at vpn tp = tp.ptes.(vpn mod ptes_per_page) in
   let store =
-    { Backend.range; drop = invalidate;
+    { Backend.iter_range; drop = invalidate;
       prot_of = (fun vpn tp -> prot_of (at vpn tp));
       set_prot =
         (fun vpn tp prot ->
@@ -199,7 +202,7 @@ let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
   in
 
   let destroy () =
-    List.iter (fun (vpn, tp) -> invalidate vpn tp) (range 0 max_int);
+    iter_range 0 max_int invalidate;
     Backend.shoot_asid ctx sh.Backend.presence ~asid;
     Int_tbl.reset tables
   in
@@ -212,13 +215,11 @@ let make (ctx : Backend.ctx) spare ~va_limit ~top_bytes ~pfn_ok () =
   let copy ~dst ~dst_start ~len ~src_start =
     let lo = src_start / page in
     let hi = (src_start + len + page - 1) / page in
-    List.iter
-      (fun (vpn, tp) ->
-         let x = at vpn tp in
-         let va = dst_start + ((vpn * page) - src_start) in
-         dst.Pmap.enter ~va ~pfn:(pfn_of x)
-           ~prot:(Prot.remove_write (prot_of x)) ~wired:false)
-      (range lo hi)
+    iter_range lo hi (fun vpn tp ->
+        let x = at vpn tp in
+        let va = dst_start + ((vpn * page) - src_start) in
+        dst.Pmap.enter ~va ~pfn:(pfn_of x)
+          ~prot:(Prot.remove_write (prot_of x)) ~wired:false)
   in
 
   Backend.pmap ctx sh store ~translator ~enter

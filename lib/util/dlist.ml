@@ -1,58 +1,65 @@
 (* Doubly-linked lists with externally held nodes.
 
-   Each node records whether it is currently linked ([in_list]) so that
-   double-removal and foreign-node insertion are caught by assertions
-   rather than silently corrupting the list. *)
+   A link is a node or [Nil], an immediate, so linking and unlinking
+   store pointers and allocate nothing.  Each node keeps [me], the
+   [Some node] that [first] and [next] hand out, built once with the
+   node.  Each node records whether it is currently linked ([in_list])
+   so that double-removal and foreign-node insertion are caught by
+   assertions rather than silently corrupting the list. *)
 
-type 'a node = {
-  value : 'a;
-  mutable prev : 'a node option;
-  mutable next : 'a node option;
-  mutable in_list : bool;
-}
+type 'a node =
+  | Nil
+  | Node of {
+      value : 'a;
+      mutable prev : 'a node;
+      mutable next : 'a node;
+      mutable in_list : bool;
+      me : 'a node option;
+    }
 
 type 'a t = {
-  mutable head : 'a node option;
-  mutable tail : 'a node option;
+  mutable head : 'a node;
+  mutable tail : 'a node;
   mutable length : int;
 }
 
-let create () = { head = None; tail = None; length = 0 }
+let create () = { head = Nil; tail = Nil; length = 0 }
 
 let length t = t.length
 
-let value n = n.value
+let value = function
+  | Node { value; _ } -> value
+  | Nil -> invalid_arg "Dlist.value: no node"
 
-let linked n = n.in_list
+let linked = function Node { in_list; _ } -> in_list | Nil -> false
 
-let node v = { value = v; prev = None; next = None; in_list = false }
-
-let fresh_node v = { value = v; prev = None; next = None; in_list = true }
-
-(* Link an unlinked node, whose neighbours [node] or [remove] left at
-   [None]. *)
-let push_front_node t n =
-  assert (not n.in_list);
-  n.in_list <- true;
-  (match t.head with
-   | None -> t.tail <- Some n
-   | Some h -> h.prev <- Some n; n.next <- Some h);
-  t.head <- Some n;
-  t.length <- t.length + 1
-
-let push_back_node t n =
-  assert (not n.in_list);
-  n.in_list <- true;
-  (match t.tail with
-   | None -> t.head <- Some n
-   | Some l -> l.next <- Some n; n.prev <- Some l);
-  t.tail <- Some n;
-  t.length <- t.length + 1
-
-let push_front t v =
-  let n = node v in
-  push_front_node t n;
+let node v =
+  let rec n =
+    Node { value = v; prev = Nil; next = Nil; in_list = false; me = Some n }
+  in
   n
+
+let set_prev n p = match n with Node r -> r.prev <- p | Nil -> ()
+let set_next n s = match n with Node r -> r.next <- s | Nil -> ()
+let prev_of = function Node { prev; _ } -> prev | Nil -> Nil
+let next_of = function Node { next; _ } -> next | Nil -> Nil
+
+(* Mark [n] linked between [p] and [s] (either may be [Nil]: then [n]
+   becomes the head or tail). *)
+let link t n p s =
+  (match n with
+   | Node r ->
+     assert (not (linked n));
+     r.in_list <- true;
+     r.prev <- p;
+     r.next <- s
+   | Nil -> invalid_arg "Dlist: no node");
+  (match p with Nil -> t.head <- n | Node _ -> set_next p n);
+  (match s with Nil -> t.tail <- n | Node _ -> set_prev s n);
+  t.length <- t.length + 1
+
+let push_front_node t n = link t n Nil t.head
+let push_back_node t n = link t n t.tail Nil
 
 let push_back t v =
   let n = node v in
@@ -60,70 +67,62 @@ let push_back t v =
   n
 
 let insert_before t pos v =
-  assert pos.in_list;
-  match pos.prev with
-  | None ->
-    push_front t v
-  | Some p ->
-    let n = fresh_node v in
-    n.prev <- Some p;
-    n.next <- Some pos;
-    p.next <- Some n;
-    pos.prev <- Some n;
-    t.length <- t.length + 1;
-    n
+  assert (linked pos);
+  let n = node v in
+  link t n (prev_of pos) pos;
+  n
 
 let insert_after t pos v =
-  assert pos.in_list;
-  match pos.next with
-  | None ->
-    push_back t v
-  | Some s ->
-    let n = fresh_node v in
-    n.next <- Some s;
-    n.prev <- Some pos;
-    s.prev <- Some n;
-    pos.next <- Some n;
-    t.length <- t.length + 1;
-    n
+  assert (linked pos);
+  let n = node v in
+  link t n pos (next_of pos);
+  n
 
-let remove t n =
-  assert n.in_list;
-  (match n.prev with
-   | None -> t.head <- n.next
-   | Some p -> p.next <- n.next);
-  (match n.next with
-   | None -> t.tail <- n.prev
-   | Some s -> s.prev <- n.prev);
-  n.prev <- None;
-  n.next <- None;
-  n.in_list <- false;
-  t.length <- t.length - 1
+let remove t = function
+  | Nil -> invalid_arg "Dlist.remove: no node"
+  | Node ({ prev; next; in_list; _ } as r) ->
+    assert in_list;
+    (match prev with Nil -> t.head <- next | p -> set_next p next);
+    (match next with Nil -> t.tail <- prev | s -> set_prev s prev);
+    r.prev <- Nil;
+    r.next <- Nil;
+    r.in_list <- false;
+    t.length <- t.length - 1
 
-let first t = t.head
+let me = function Node { me; _ } -> me | Nil -> None
 
-let next n = n.next
+let first t = me t.head
+
+let next n = me (next_of n)
 
 let pop_front t =
   match t.head with
-  | None -> None
-  | Some n -> remove t n; Some n.value
+  | Nil -> None
+  | Node { value; _ } as n -> remove t n; Some value
 
 let iter_nodes f t =
   let rec loop = function
-    | None -> ()
-    | Some n ->
-      let succ = n.next in
+    | Nil -> ()
+    | Node { next; _ } as n ->
       f n;
-      loop succ
+      loop next
   in
   loop t.head
 
-let iter f t = iter_nodes (fun n -> f n.value) t
+let iter f t =
+  let rec loop = function
+    | Nil -> ()
+    | Node { value; next; _ } ->
+      f value;
+      loop next
+  in
+  loop t.head
 
 let fold f acc t =
-  let acc = ref acc in
-  iter (fun v -> acc := f !acc v) t;
-  !acc
+  let rec loop acc = function
+    | Nil -> acc
+    | Node { value; next; _ } -> loop (f acc value) next
+  in
+  loop acc t.head
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)

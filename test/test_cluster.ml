@@ -184,9 +184,10 @@ let test_slot_audit () =
   Alcotest.(check (list string)) "healthy" [] (Vm_debug.check_all sys ~maps:[]);
   let o =
     match
-      Seq.find
-        (fun o -> Array.length o.Types.obj_streams > 0)
-        (Hashtbl.to_seq_values sys.Vm_sys.pager_objects)
+      Mach_util.Int_tbl.fold
+        (fun _ o found ->
+           if Array.length o.Types.obj_streams > 0 then Some o else found)
+        sys.Vm_sys.pager_objects None
     with
     | Some o -> o
     | None -> Alcotest.fail "no object holds stream slots"
@@ -224,9 +225,10 @@ let test_slot_expires_on_reset () =
   read 0;
   let o =
     match
-      Seq.find
-        (fun o -> Array.length o.Types.obj_streams > 0)
-        (Hashtbl.to_seq_values sys.Vm_sys.pager_objects)
+      Mach_util.Int_tbl.fold
+        (fun _ o found ->
+           if Array.length o.Types.obj_streams > 0 then Some o else found)
+        sys.Vm_sys.pager_objects None
     with
     | Some o -> o
     | None -> Alcotest.fail "no object holds stream slots"
@@ -725,10 +727,12 @@ let test_per_page_stamps () =
 
 (* ---- map-hint fast path for range operations ----------------------------- *)
 
-(* With 64 one-page entries, a range op far from the hint walks the map;
-   the same op with the hint parked on the target must examine only a
-   handful of nodes.  Regression guard for the [first_node_beyond] hint
-   start. *)
+(* With 64 one-page entries, a range op on the last entry starts its
+   scan from the last-fault hint when the hint lies at or before it,
+   and from the head when the hint lies beyond it; the op itself still
+   finds its entry either way.  Regression guard for the
+   [first_node_beyond] hint start: a scan that ignores the hint starts
+   at the head in the second case. *)
 let test_hint_accelerates_range_ops () =
   let machine, kernel, sys = boot ~frames:2048 () in
   let task = new_task kernel in
@@ -740,26 +744,33 @@ let test_hint_accelerates_range_ops () =
   in
   let first = List.hd addrs in
   let last = List.nth addrs 63 in
-  (* Park the hint at the far end, then operate on the last entry. *)
+  let start_of ~va =
+    match Vm_map.scan_start m ~va with
+    | Some node -> (Mach_util.Dlist.value node).Types.e_start
+    | None -> Alcotest.fail "no scan start"
+  in
+  let protect prot =
+    ok (Vm_map.protect sys m ~addr:last ~size:ps ~set_max:false ~prot);
+    match Vm_map.find m ~va:last with
+    | Some e ->
+      Alcotest.(check bool) "the op reached its entry" true
+        (Prot.subset e.Types.e_prot ~of_:prot
+         && Prot.subset prot ~of_:e.Types.e_prot)
+    | None -> Alcotest.fail "entry gone"
+  in
+  (* Park the hint at the far end: the scan starts at the head. *)
   Machine.touch machine ~cpu:0 ~va:first ~write:true;
-  sys.Vm_sys.map_scan_steps <- 0;
-  ok
-    (Vm_map.protect sys m ~addr:last ~size:ps ~set_max:false
-       ~prot:Prot.read_only);
-  let cold = sys.Vm_sys.map_scan_steps in
-  (* Park the hint on the target: same operation, few steps. *)
+  Alcotest.(check int) "hint at the head: scan from the head" first
+    (start_of ~va:last);
+  protect Prot.read_only;
+  (* Park the hint on the target: the scan starts there. *)
   Machine.touch machine ~cpu:0 ~va:last ~write:false;
-  sys.Vm_sys.map_scan_steps <- 0;
-  ok
-    (Vm_map.protect sys m ~addr:last ~size:ps ~set_max:false
-       ~prot:Prot.read_write);
-  let warm = sys.Vm_sys.map_scan_steps in
-  Alcotest.(check bool)
-    (Printf.sprintf "cold scan walks the map (%d)" cold)
-    true (cold >= 32);
-  Alcotest.(check bool)
-    (Printf.sprintf "warm scan starts at the hint (%d)" warm)
-    true (warm <= 8)
+  Alcotest.(check int) "hint on the target: scan from it" last
+    (start_of ~va:last);
+  protect Prot.read_write;
+  (* A hint beyond [va] cannot start the scan. *)
+  Alcotest.(check int) "hint beyond: scan from the head" first
+    (start_of ~va:first)
 
 (* ---- qcheck: read-ahead is invisible to read() ---------------------------- *)
 

@@ -389,7 +389,7 @@ let test_dead_pager () =
   (match rescue with
    | Some r ->
      Alcotest.(check bool) "rescue pager holds the data" true
-       (Hashtbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
+       (Mach_util.Int_tbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
         && sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0)
    | None -> Alcotest.fail "expected a rescue pager");
   let reads_before = stats.Vm_stats.vs_pager_reads in

@@ -496,7 +496,7 @@ let test_pager_death_rescues_dirty_pages () =
      (match o.Types.obj_rescue with
       | Some r ->
         Alcotest.(check bool) "rescue (default) pager holds the data" true
-          (Hashtbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
+          (Mach_util.Int_tbl.mem sys.Vm_sys.swap_stores r.Types.pgr_id
            && sys.Vm_sys.stats.Vm_stats.vs_swap_used > 0)
       | None -> Alcotest.fail "expected a rescue pager")
    | None -> Alcotest.fail "no object behind the mapping");

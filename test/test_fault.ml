@@ -521,6 +521,95 @@ let fork_isolation_qcheck =
        in
        agrees parent model_parent && agrees child model_child)
 
+(* ---- allocation guards: lookups and faults build no boxes ------------- *)
+
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* On an RT PC, 128 resident, mapped pages read in turn miss a 64-entry
+   FIFO TLB on every read, so each read is a refill: a TLB probe, a
+   walk of the pmap's own table and an insert.  Each page is also
+   looked up in the resident table by (object, offset).  A refill
+   builds the translation it caches (its entry and the walk's answer,
+   10 words); a probe that misses, a table walk's lookup and a resident
+   lookup build nothing, and [translate] builds no closure: 5 words a
+   call, under a bound of 8.  Hashed tables with boxed bindings, tuple
+   keys and a [translate] closure took 14.5.  The count repeats
+   exactly. *)
+let test_refill_and_lookup_allocation () =
+  let machine, kernel, sys = boot ~arch:Arch.rt_pc ~page_multiple:1 () in
+  let t = new_task kernel ~cpu:0 in
+  let ps = Kernel.page_size kernel and pages = 128 in
+  let a = alloc sys t (pages * ps) in
+  for i = 0 to pages - 1 do
+    Machine.touch machine ~cpu:0 ~va:(a + (i * ps)) ~write:true
+  done;
+  let obj, base =
+    match Vm_map.resolve_object_at sys (Task.map t) ~va:a with
+    | Some (o, off) -> (o, off)
+    | None -> Alcotest.fail "no object behind the region"
+  in
+  let faults = sys.Vm_sys.stats.Vm_stats.vs_faults in
+  let misses = (Machine.stats machine).Machine.tlb_miss_count in
+  let rounds = 4 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to rounds do
+          for i = 0 to pages - 1 do
+            ignore (Machine.read_byte machine ~cpu:0 ~va:(a + (i * ps)));
+            if
+              Option.is_none
+                (Vm_object.lookup_resident sys obj ~offset:(base + (i * ps)))
+            then Alcotest.fail "a touched page is not resident"
+          done
+        done)
+  in
+  let calls = 2 * rounds * pages in
+  Alcotest.(check int) "no read faults" faults
+    sys.Vm_sys.stats.Vm_stats.vs_faults;
+  Alcotest.(check int) "every read refills the TLB" (rounds * pages)
+    ((Machine.stats machine).Machine.tlb_miss_count - misses);
+  if words > 8 * calls then
+    Alcotest.failf "%d minor words for %d refills and lookups (%d a call)"
+      words calls (words / calls)
+
+(* On a SUN 3, a child writes pages it shares copy-on-write with its
+   parent, after a first write has interposed its shadow object: each
+   write is one fault that copies the page up.  The fault's walk,
+   resolution and exemption are top-level functions and build no
+   closure; what is left is the page's new identity, its queue and pmap
+   entries, the copy's writer section and the fault's result: about
+   190 words a fault, under a bound of 260.  With the handler's helpers
+   nested in it, boxed queue links and tuple-keyed tables it took
+   about 400. *)
+let test_cow_fault_allocation () =
+  let machine, kernel, sys = boot ~arch:Arch.sun3_160 ~page_multiple:1 () in
+  let parent = new_task kernel ~cpu:0 in
+  let ps = Kernel.page_size kernel and pages = 16 in
+  let a = alloc sys parent (pages * ps) in
+  for i = 0 to pages - 1 do
+    Machine.touch machine ~cpu:0 ~va:(a + (i * ps)) ~write:true
+  done;
+  let child = Kernel.fork_task kernel ~cpu:0 parent in
+  Kernel.run_task kernel ~cpu:0 child;
+  Machine.touch machine ~cpu:0 ~va:a ~write:true;
+  let copies = sys.Vm_sys.stats.Vm_stats.vs_cow_copies in
+  let words =
+    minor_words (fun () ->
+        for i = 1 to pages - 1 do
+          Machine.touch machine ~cpu:0 ~va:(a + (i * ps)) ~write:true
+        done)
+  in
+  let faults = pages - 1 in
+  Alcotest.(check int) "one copy per write" faults
+    (sys.Vm_sys.stats.Vm_stats.vs_cow_copies - copies);
+  if words > 260 * faults then
+    Alcotest.failf "%d minor words for %d copy-on-write faults (%d a fault)"
+      words faults (words / faults)
+
 let () =
   Alcotest.run "vm_fault"
     [ ( "demand paging",
@@ -578,4 +667,9 @@ let () =
             test_two_cpus_share_task;
           Alcotest.test_case "protect shoots remote TLB" `Quick
             test_protect_shoots_remote_tlb ] );
-      ("isolation", [ QCheck_alcotest.to_alcotest fork_isolation_qcheck ]) ]
+      ("isolation", [ QCheck_alcotest.to_alcotest fork_isolation_qcheck ]);
+      ( "allocation",
+        [ Alcotest.test_case "TLB refills and resident lookups build no boxes"
+            `Quick test_refill_and_lookup_allocation;
+          Alcotest.test_case "a copy-on-write fault stays small"
+            `Quick test_cow_fault_allocation ] ) ]

@@ -294,8 +294,10 @@ let test_burst_records_per_page () =
      be A's asid and its own page's pfn. *)
   let pending what expect =
     let pages =
-      Mach_util.Int_pair.Tbl.fold
-        (fun (asid', pfn) (r : Vm_sys.burst) acc ->
+      Mach_util.Int_tbl.fold
+        (fun key (r : Vm_sys.burst) acc ->
+           let asid' = Mach_util.Int_tbl.pair_hi key
+           and pfn = Mach_util.Int_tbl.pair_lo key in
            let p = r.Vm_sys.b_page in
            if asid' <> asid || pfn <> p.Types.pfn then
              Alcotest.failf "record (%d, %d) for page pfn=%d" asid' pfn
@@ -311,9 +313,13 @@ let test_burst_records_per_page () =
   pending "one record per neighbour page" [ 1; 2; 3; 4; 5; 6; 7 ];
   (* The entry whose window the outcomes feed (in the sharing map). *)
   let entry =
-    match Mach_util.Int_pair.Tbl.to_seq_values sys.Vm_sys.burst_pending () with
-    | Seq.Cons (r, _) -> r.Vm_sys.b_entry
-    | Seq.Nil -> Alcotest.fail "no burst record"
+    match
+      Mach_util.Int_tbl.fold
+        (fun _ (r : Vm_sys.burst) _ -> Some r.Vm_sys.b_entry)
+        sys.Vm_sys.burst_pending None
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "no burst record"
   in
   Machine.touch machine ~cpu:0 ~va:(addr + ps + (3 * hw)) ~write:false;
   pending "frame 3's touch settles page 1" [ 2; 3; 4; 5; 6; 7 ];

@@ -470,9 +470,9 @@ let test_statistics_snapshot () =
   Alcotest.(check int) "pages_free = free_count"
     (Resident.free_count sys.Vm_sys.resident) v1.Vm_user.vs_pages_free;
   let committed =
-    Hashtbl.fold
+    Mach_util.Int_tbl.fold
       (fun _ store acc ->
-         Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
+         Mach_util.Int_tbl.fold (fun _ b acc -> acc + Bytes.length b) store acc)
       sys.Vm_sys.swap_stores 0
   in
   Alcotest.(check bool) "swap committed" true (committed > 0);

@@ -114,7 +114,9 @@ let test_rewrite_evicted_page () =
 (* ---- swap store ownership ------------------------------------------------ *)
 
 let swap_chunk sys pg ~offset =
-  Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores pg.Types.pgr_id) offset
+  Mach_util.Int_tbl.find
+    (Mach_util.Int_tbl.find sys.Vm_sys.swap_stores pg.Types.pgr_id)
+    offset
 
 let provided = function
   | Types.Data_provided (d, _) -> d

@@ -321,7 +321,9 @@ let test_set_caching_withdraws () =
   let t = new_task kernel ~cpu:0 in
   let _ = ok (Vnode_pager.map_file sys fs t ~name:"/cc" ()) in
   let o =
-    Hashtbl.fold (fun _ o _ -> Some o) sys.Mach_core.Vm_sys.pager_objects None
+    Mach_util.Int_tbl.fold
+      (fun _ o _ -> Some o)
+      sys.Mach_core.Vm_sys.pager_objects None
     |> Option.get
   in
   Kernel.terminate_task kernel ~cpu:0 t;
@@ -464,7 +466,9 @@ let test_chaos_reply_leaves_the_store () =
    | Types.Write_completed -> ()
    | Types.Write_error | Types.Write_no_space -> Alcotest.fail "write refused");
   let chunk =
-    Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id) 0
+    Mach_util.Int_tbl.find
+      (Mach_util.Int_tbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id)
+      0
   in
   let reply decision =
     let inj = Mach_fail.Fail.create ~seed:1 in
@@ -486,7 +490,9 @@ let test_chaos_reply_leaves_the_store () =
     (Bytes.equal stored chunk);
   Alcotest.(check bool) "still the stored chunk" true
     (chunk
-     == Hashtbl.find (Hashtbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id) 0)
+     == Mach_util.Int_tbl.find
+          (Mach_util.Int_tbl.find sys.Vm_sys.swap_stores swap.Types.pgr_id)
+          0)
 
 let () =
   Alcotest.run "mach_pagers"

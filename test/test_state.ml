@@ -38,6 +38,11 @@
    [Machine.wait_disk] in such a module: the kernel blocks on the disk
    in Pager_guard alone.
 
+   The kernel's tables are flat: the tenth guard fails on a
+   [Hashtbl.Make] anywhere in lib/, and on an [(int, _) Hashtbl.t] in
+   lib/core, lib/pmap or lib/hw that [int_hashtbl_ok] does not list
+   ([Mach_util.Int_tbl] is the int-keyed table).
+
    Each file is parsed once and the parse is shared by the guards. *)
 
 open Parsetree
@@ -133,8 +138,8 @@ let test_guard_detects () =
   Alcotest.(check int) "ref" 1 (scan "let next_id = ref 0");
   Alcotest.(check int) "annotated table" 1
     (scan "let t : (int, int) Hashtbl.t = Hashtbl.create 16");
-  Alcotest.(check int) "nested module, Int_pair.Tbl" 1
-    (scan "module M = struct let t = Mach_util.Int_pair.Tbl.create 8 end");
+  Alcotest.(check int) "nested module, Int_tbl" 1
+    (scan "module M = struct let t = Mach_util.Int_tbl.create 8 end");
   Alcotest.(check int) "state behind a closure" 1
     (scan "let next = let r = ref 0 in fun () -> incr r; !r");
   Alcotest.(check int) "queue and atomic" 2
@@ -173,7 +178,11 @@ let no_caller_needed =
     ("Vm_debug.assert_ok", auditor);
     ("Vm_debug.check_map", auditor);
     ("Vm_debug.check_resident", auditor);
-    ("Phys_mem.copy_frame", "the one-frame reference for copy_frames") ]
+    ("Phys_mem.copy_frame", "the one-frame reference for copy_frames");
+    ("Vm_map.scan_start",
+     "where a range operation's scan starts: test_cluster's hint case");
+    ("Int_tbl.longest_probe",
+     "how well the hash spreads a key shape: test_util's spread case") ]
 
 let module_of path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -454,9 +463,7 @@ let unbuilt_or_unread_ok =
   [ ("Pmap.t.collect", pmap_call);
     ("Pmap.t.reference", pmap_call);
     ("Pmap.t.resident_count", pmap_call);
-    ("Fail.Garbage", "the corrupt-reply fake of test_fail's chaos property");
-    ("Vm_sys.t.map_scan_steps",
-     "a probe only: test_cluster's hint case counts range-scan steps") ]
+    ("Fail.Garbage", "the corrupt-reply fake of test_fail's chaos property") ]
 
 (* What a file declares, as (kind, module, name, report name):
    [`Built] for each constructor (variant and extension, exceptions
@@ -998,6 +1005,94 @@ let test_disk_wait_guard_detects () =
             ("../lib/pagers/simfs.ml",
              "let w m io = Mach_hw.Machine.wait_io m ~cpu:0 io") ]))
 
+(* The int-keyed polymorphic tables the kernel's layers may keep, as
+   "path: (int, _) Hashtbl.t", with the reason each stays. *)
+let int_hashtbl_ok : (string * string) list = []
+
+let kernel_dirs = List.map (Filename.concat lib_root) [ "core"; "pmap"; "hw" ]
+
+(* "path: what" for each [Hashtbl.Make] (or [MakeSeeded]) in [files]
+   (path, parse), and each [(int, _) Hashtbl.t] in one under
+   [kernel_dirs]. *)
+let polymorphic_tables files =
+  List.concat_map
+    (fun (path, walk) ->
+       let shown = String.sub path 3 (String.length path - 3)
+       and found = ref [] in
+       let hashtbl lid =
+         match List.rev (Longident.flatten lid) with
+         | x :: "Hashtbl" :: _ -> Some x
+         | _ -> None
+       in
+       let module_expr (it : Ast_iterator.iterator) me =
+         (match me.pmod_desc with
+          | Pmod_ident { txt; _ } -> (
+              match hashtbl txt with
+              | Some ("Make" | "MakeSeeded") ->
+                found := (shown ^ ": Hashtbl.Make") :: !found
+              | _ -> ())
+          | _ -> ());
+         Ast_iterator.default_iterator.module_expr it me
+       in
+       let typ (it : Ast_iterator.iterator) t =
+         (match t.ptyp_desc with
+          | Ptyp_constr
+              ( { txt; _ },
+                { ptyp_desc = Ptyp_constr ({ txt = Lident "int"; _ }, []); _ }
+                :: _ )
+            when hashtbl txt = Some "t"
+                 && List.mem (Filename.dirname path) kernel_dirs ->
+            found := (shown ^ ": (int, _) Hashtbl.t") :: !found
+          | _ -> ());
+         Ast_iterator.default_iterator.typ it t
+       in
+       walk { Ast_iterator.default_iterator with module_expr; typ };
+       !found)
+    files
+  |> List.sort_uniq compare
+
+let walk_impl (path, str) =
+  (path, fun (it : Ast_iterator.iterator) -> it.structure it str)
+
+let walk_intf (path, sg) =
+  (path, fun (it : Ast_iterator.iterator) -> it.signature it sg)
+
+let lib_walks () =
+  List.map walk_impl (List.filter in_lib (Lazy.force implementations))
+  @ List.map walk_intf (Lazy.force interfaces)
+
+let test_tables_flat () =
+  check_allowlist
+    ~found:"Hashtbl.Make, or int-keyed Hashtbls in core, pmap or hw"
+    ~stale:"allowlisted int-keyed Hashtbls that are gone"
+    (polymorphic_tables (lib_walks ()))
+    int_hashtbl_ok
+
+(* The detector on snippets: a functor application and an aliased
+   [Make] anywhere in lib/, an int-keyed table in lib/core (in an
+   interface too) and lib/hw; not a string-keyed one there, nor an
+   int-keyed one outside the kernel's layers. *)
+let test_table_guard_detects () =
+  let impl path src = walk_impl (path, parse_impl ~path src)
+  and intf path src = walk_intf (path, parse_intf ~path src) in
+  Alcotest.(check (list string)) "what the guard finds"
+    [ "lib/core/a.ml: (int, _) Hashtbl.t"; "lib/core/b.mli: (int, _) Hashtbl.t";
+      "lib/hw/c.ml: (int, _) Hashtbl.t"; "lib/util/t.ml: Hashtbl.Make";
+      "lib/workload/u.ml: Hashtbl.Make" ]
+    (polymorphic_tables
+       [ impl "../lib/util/t.ml"
+           "module T = Hashtbl.Make (struct type t = int let equal = (=) \
+            let hash = Hashtbl.hash end)";
+         impl "../lib/workload/u.ml" "module M = Stdlib.Hashtbl.MakeSeeded";
+         impl "../lib/core/a.ml"
+           "let t : (int, bytes) Hashtbl.t = Hashtbl.create 8
+            let s : (string, int) Hashtbl.t = Hashtbl.create 8";
+         intf "../lib/core/b.mli"
+           "type t = { tbl : (int, int list) Hashtbl.t }";
+         impl "../lib/hw/c.ml" "type t = (int, unit) Stdlib.Hashtbl.t";
+         impl "../lib/pagers/d.ml"
+           "let t : (int, bytes) Hashtbl.t = Hashtbl.create 8" ])
+
 let () =
   Alcotest.run "state"
     [ ( "lib",
@@ -1035,4 +1130,10 @@ let () =
           Alcotest.test_case "disk waits go through Pager_guard" `Quick
             test_disk_waits_guarded;
           Alcotest.test_case "guard detects unguarded disk waits" `Quick
-            test_disk_wait_guard_detects ] ) ]
+            test_disk_wait_guard_detects;
+          Alcotest.test_case
+            "no Hashtbl.Make, no int-keyed Hashtbl in the kernel" `Quick
+            test_tables_flat;
+          Alcotest.test_case
+            "guard detects Hashtbl.Make and int-keyed Hashtbls" `Quick
+            test_table_guard_detects ] ) ]

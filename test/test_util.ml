@@ -1,5 +1,5 @@
-(* Tests for mach_util: doubly-linked lists, the deterministic PRNG and
-   the table formatter. *)
+(* Tests for mach_util: doubly-linked lists, the deterministic PRNG, the
+   table formatter and the int-keyed tables. *)
 
 open Mach_util
 
@@ -99,39 +99,105 @@ let test_dlist_fold () =
   Alcotest.(check int) "sum" 6 (Dlist.fold ( + ) 0 l)
 
 (* Model-based qcheck: a random sequence of operations against an OCaml
-   list reference. *)
+   list of the nodes linked, in order.  Every value is a fresh int, so
+   a node is found in the model by its value; removed nodes are kept
+   and relinked later, as the resident queues relink a page's one
+   node.  After each operation the list's values, its length, a walk by
+   [first]/[next] and every node's [linked] must agree with the
+   model. *)
 let dlist_model_test =
   let open QCheck2 in
-  Test.make ~name:"dlist agrees with list model" ~count:300
-    Gen.(list (pair (int_range 0 3) small_int))
+  Test.make ~name:"dlist agrees with list model" ~count:500
+    Gen.(list_size (int_range 0 120) (pair (int_range 0 8) small_nat))
     (fun ops ->
        let l = Dlist.create () in
-       let model = ref [] in
-       List.iter
-         (fun (op, v) ->
-            match op with
-            | 0 ->
-              ignore (Dlist.push_back l v);
-              model := !model @ [ v ]
-            | 1 ->
-              Dlist.push_front_node l (Dlist.node v);
-              model := v :: !model
-            | 2 -> (
-                match Dlist.pop_front l, !model with
-                | Some x, m :: rest ->
-                  assert (x = m);
-                  model := rest
-                | None, [] -> ()
-                | _ -> assert false)
-            | _ -> (
-                match Dlist.first l, !model with
-                | Some n, m :: rest ->
-                  ignore (Dlist.insert_after l n v);
-                  model := m :: v :: rest
-                | None, [] -> ()
-                | _ -> assert false))
-         ops;
-       Dlist.to_list l = !model && Dlist.length l = List.length !model)
+       let model = ref [] and spare = ref [] and fresh = ref 0 in
+       let next_value () = incr fresh; !fresh in
+       let nth k = List.nth !model (k mod List.length !model) in
+       let drop n = model := List.filter (fun m -> m != n) !model in
+       (* [model] with [n] put before (or after) [pos]. *)
+       let place ~before pos n =
+         model :=
+           List.concat_map
+             (fun m ->
+                if m != pos then [ m ]
+                else if before then [ n; m ]
+                else [ m; n ])
+             !model
+       in
+       let agrees () =
+         let rec walk acc = function
+           | None -> List.rev acc
+           | Some n -> walk (n :: acc) (Dlist.next n)
+         in
+         let walked = walk [] (Dlist.first l) in
+         Dlist.to_list l = List.map Dlist.value !model
+         && Dlist.length l = List.length !model
+         && List.length walked = List.length !model
+         && List.for_all2 ( == ) walked !model
+         && List.for_all Dlist.linked !model
+         && not (List.exists Dlist.linked !spare)
+       in
+       List.for_all
+         (fun (op, k) ->
+            (match op with
+             | 0 ->
+               let n = Dlist.push_back l (next_value ()) in
+               model := !model @ [ n ]
+             | 1 ->
+               let n = Dlist.node (next_value ()) in
+               Dlist.push_front_node l n;
+               model := n :: !model
+             | 2 ->
+               let n = Dlist.node (next_value ()) in
+               Dlist.push_back_node l n;
+               model := !model @ [ n ]
+             | 3 -> (
+                 match Dlist.pop_front l, !model with
+                 | Some x, m :: rest ->
+                   assert (x = Dlist.value m);
+                   model := rest;
+                   spare := m :: !spare
+                 | None, [] -> ()
+                 | _ -> assert false)
+             | 4 | 5 when !model <> [] ->
+               let pos = nth k in
+               let v = next_value () in
+               let n =
+                 if op = 4 then Dlist.insert_before l pos v
+                 else Dlist.insert_after l pos v
+               in
+               place ~before:(op = 4) pos n
+             | 6 when !model <> [] ->
+               let n = nth k in
+               Dlist.remove l n;
+               drop n;
+               spare := n :: !spare
+             | 7 ->
+               (* Remove, from inside the walk, every node whose value
+                  is [k] modulo 3. *)
+               Dlist.iter_nodes
+                 (fun n ->
+                    if Dlist.value n mod 3 = k mod 3 then begin
+                      Dlist.remove l n;
+                      drop n;
+                      spare := n :: !spare
+                    end)
+                 l
+             | 8 when !spare <> [] ->
+               let n = List.nth !spare (k mod List.length !spare) in
+               spare := List.filter (fun m -> m != n) !spare;
+               if k mod 2 = 0 then begin
+                 Dlist.push_front_node l n;
+                 model := n :: !model
+               end
+               else begin
+                 Dlist.push_back_node l n;
+                 model := !model @ [ n ]
+               end
+             | _ -> ());
+            agrees ())
+         ops)
 
 (* ---- Det_rng ----------------------------------------------------------- *)
 
@@ -202,36 +268,176 @@ let test_table_rejects_long_rows () =
     (Invalid_argument "Tablefmt.row: too many cells") (fun () ->
         Tablefmt.row t [ "1"; "2" ])
 
-(* ---- int_pair -------------------------------------------------------- *)
+(* ---- Int_tbl ---------------------------------------------------------- *)
 
-(* Longest bucket after binding [keys] in a 1,024-bucket table (it does
-   not resize below 2,048 bindings). *)
-let max_bucket keys =
-  let module T = Mach_util.Int_pair.Tbl in
-  let t = T.create 1024 in
-  List.iter (fun k -> T.replace t k ()) keys;
-  (T.stats t).Hashtbl.max_bucket_length
+(* The slot [k] hashes to in a table of [capacity] slots, as
+   [Int_tbl]'s multiply-and-fold picks it. *)
+let home ~capacity k =
+  let h = k * 0x2545f4914f6cdd1d in
+  (h lxor (h lsr 32)) land (capacity - 1)
 
-(* Both key shapes must spread: 1,024 consecutive pages of one object by
-   byte offset, at every page size the architectures use, and 1,024
-   consecutive vpns of one address space.  A hash of the raw pair puts
-   every page-aligned offset in one bucket, since the table indexes
-   with the low bits. *)
-let test_int_pair_spread () =
+(* Keys that collide and runs that wrap: 8 keys for each of the last
+   three slots of an 8-slot table and 8 for its first, and a few odd
+   ones (negative, zero, [max_int]).  A table made with room for 8
+   starts at 8 slots, so its runs wrap from the end to the start; a
+   slot of a larger table is the top bits of the product too, so the
+   same keys crowd the end of the 16- and 32-slot tables it grows
+   into.  A deletion must then shift back across the wrap, and leave in
+   place a key whose home lies between the hole and the end. *)
+let colliding_keys =
+  let rec pick ~slot k acc n =
+    if n = 0 then acc
+    else if home ~capacity:8 k = slot then pick ~slot (k + 1) (k :: acc) (n - 1)
+    else pick ~slot (k + 1) acc n
+  in
+  Array.of_list
+    (List.concat_map (fun slot -> pick ~slot 0 [] 8) [ 5; 6; 7; 0 ]
+     @ [ -1; -4096; 0; max_int; 1 lsl 40 ])
+
+(* Model-based qcheck against [Stdlib.Hashtbl] with [replace]
+   semantics: after each operation the two hold the same bindings, and
+   every lookup agrees. *)
+let int_tbl_model_test =
+  let open QCheck2 in
+  Test.make ~name:"int_tbl agrees with a Hashtbl model" ~count:500
+    Gen.(
+      list_size (int_range 0 200)
+        (triple (int_range 0 15)
+           (int_bound (Array.length colliding_keys - 1))
+           small_nat))
+    (fun ops ->
+       let t = Int_tbl.create 8 and model = Hashtbl.create 8 in
+       let bindings fold tbl =
+         List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl [])
+       in
+       List.for_all
+         (fun (op, i, v) ->
+            let k = colliding_keys.(i) in
+            let lookups_agree =
+              match op with
+              | 0 | 1 | 2 | 3 | 15 ->
+                Int_tbl.replace t k v;
+                Hashtbl.replace model k v;
+                true
+              | 4 ->
+                if not (Hashtbl.mem model k) then begin
+                  Int_tbl.add t k v;
+                  Hashtbl.replace model k v
+                end;
+                true
+              | 5 | 6 | 7 ->
+                Int_tbl.remove t k;
+                Hashtbl.remove model k;
+                true
+              | 8 ->
+                Int_tbl.find_opt t k = Hashtbl.find_opt model k
+                && Int_tbl.find_or t k (-1)
+                   = Option.value (Hashtbl.find_opt model k) ~default:(-1)
+                && (match Int_tbl.find t k with
+                    | x -> Hashtbl.find_opt model k = Some x
+                    | exception Not_found -> not (Hashtbl.mem model k))
+              | 9 -> Int_tbl.mem t k = Hashtbl.mem model k
+              | 10 ->
+                (* Keep, bumped, the bindings with [k + value] not a
+                   multiple of 3 (a key seen through [v]). *)
+                let f key x =
+                  if (key + x + v) mod 3 = 0 then None else Some (x + 1)
+                in
+                Int_tbl.filter_map_inplace f t;
+                Hashtbl.filter_map_inplace f model;
+                true
+              | 11 ->
+                let seen = ref [] in
+                Int_tbl.iter (fun k x -> seen := (k, x) :: !seen) t;
+                List.sort compare !seen = bindings Hashtbl.fold model
+              | 12 -> Int_tbl.length t = Hashtbl.length model
+              | 13 ->
+                Int_tbl.clear t;
+                Hashtbl.clear model;
+                true
+              | _ ->
+                Int_tbl.reset t;
+                Hashtbl.reset model;
+                true
+            in
+            lookups_agree
+            && Int_tbl.length t = Hashtbl.length model
+            && bindings Int_tbl.fold t = bindings Hashtbl.fold model)
+         ops)
+
+let test_int_tbl_refusals () =
+  let t = Int_tbl.create 4 in
+  Int_tbl.add t 5 "five";
+  Alcotest.check_raises "add of a bound key"
+    (Invalid_argument "Int_tbl.add: key already bound") (fun () ->
+        Int_tbl.add t 5 "again");
+  Alcotest.check_raises "min_int is no key"
+    (Invalid_argument "Int_tbl: min_int is no key") (fun () ->
+        Int_tbl.replace t min_int "none");
+  Alcotest.(check bool) "min_int is never found" false (Int_tbl.mem t min_int);
+  Alcotest.(check (option string)) "the binding stands" (Some "five")
+    (Int_tbl.find_opt t 5)
+
+(* [pair] round-trips every field value at the edges of its range,
+   gives distinct pairs distinct keys, and refuses rather than aliases
+   a field out of range. *)
+let test_int_tbl_pair () =
+  let his = [ 0; 1; 7; (1 lsl 30) - 1 ]
+  and los = [ 0; 1; 4096; (1 lsl 32) - 1 ] in
+  let keys =
+    List.concat_map
+      (fun hi ->
+         List.map
+           (fun lo ->
+              let k = Int_tbl.pair hi lo in
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "(%d, %d) round-trips" hi lo) (hi, lo)
+                (Int_tbl.pair_hi k, Int_tbl.pair_lo k);
+              Alcotest.(check bool) "non-negative" true (k >= 0);
+              k)
+           los)
+      his
+  in
+  Alcotest.(check int) "distinct keys"
+    (List.length keys) (List.length (List.sort_uniq compare keys));
+  List.iter
+    (fun (hi, lo) ->
+       Alcotest.(check bool)
+         (Printf.sprintf "(%d, %d) does not fit" hi lo) false
+         (Int_tbl.pair_fits hi lo);
+       Alcotest.check_raises
+         (Printf.sprintf "(%d, %d) raises" hi lo)
+         (Invalid_argument "Int_tbl.pair: field out of range") (fun () ->
+             ignore (Int_tbl.pair hi lo)))
+    [ (1 lsl 30, 0); (-1, 0); (0, 1 lsl 32); (0, -1); (max_int, max_int) ]
+
+(* Longest probe run after binding [keys] in a table made with room for
+   1,024 (it grows to 2,048 slots on the way, half full at the end). *)
+let longest_run keys =
+  let t = Int_tbl.create 1024 in
+  List.iter (fun k -> Int_tbl.replace t k ()) keys;
+  Int_tbl.longest_probe t
+
+(* Each key shape the simulator packs must spread: 1,024 consecutive
+   pages of one object by byte offset, at every page size the
+   architectures use, 1,024 consecutive vpns of one address space, and
+   offset 0 of 1,024 objects.  A slot picked from the raw key's low
+   bits would put every page-aligned offset in one run. *)
+let test_int_tbl_spread () =
   let pages = List.init 1024 Fun.id in
   List.iter
     (fun ps ->
-       let m = max_bucket (List.map (fun i -> (7, i * ps)) pages) in
+       let m = longest_run (List.map (fun i -> Int_tbl.pair 7 (i * ps)) pages) in
        Alcotest.(check bool)
-         (Printf.sprintf "%d-byte page offsets: longest bucket %d" ps m)
+         (Printf.sprintf "%d-byte page offsets: longest probe %d" ps m)
          true (m <= 8))
     [ 512; 2048; 4096; 8192 ];
-  let m = max_bucket (List.map (fun v -> (3, v)) pages) in
+  let m = longest_run (List.map (fun v -> Int_tbl.pair 3 v) pages) in
   Alcotest.(check bool)
-    (Printf.sprintf "consecutive vpns: longest bucket %d" m) true (m <= 8);
-  let m = max_bucket (List.map (fun o -> (o, 0)) pages) in
+    (Printf.sprintf "consecutive vpns: longest probe %d" m) true (m <= 8);
+  let m = longest_run (List.map (fun o -> Int_tbl.pair o 0) pages) in
   Alcotest.(check bool)
-    (Printf.sprintf "offset 0 of many objects: longest bucket %d" m)
+    (Printf.sprintf "offset 0 of many objects: longest probe %d" m)
     true (m <= 8)
 
 let () =
@@ -262,5 +468,8 @@ let () =
             test_table_pads_short_rows;
           Alcotest.test_case "rejects long rows" `Quick
             test_table_rejects_long_rows ] );
-      ( "int_pair",
-        [ Alcotest.test_case "spread" `Quick test_int_pair_spread ] ) ]
+      ( "int_tbl",
+        [ Alcotest.test_case "spread" `Quick test_int_tbl_spread;
+          Alcotest.test_case "refusals" `Quick test_int_tbl_refusals;
+          Alcotest.test_case "pair round trip" `Quick test_int_tbl_pair;
+          QCheck_alcotest.to_alcotest int_tbl_model_test ] ) ]
