@@ -13,34 +13,31 @@ let wait_prefix (sys : Vm_sys.t) io ~bytes =
       ~service:(stamp - (io.io_completion - io.io_service))
   end
 
-(* Let [p] ride [stamp] while it is still in the future: the page is
-   resident and filled but stays busy until someone awaits it.
+(* Make [p] read-ahead that rides [stamp] while it is in the future,
+   busy until someone awaits it, and plain prefetch once it has passed.
    [service] is the device time the eventual wait stands for. *)
 let ride (sys : Vm_sys.t) p ~stamp ~service =
   let m = sys.Vm_sys.machine in
-  if stamp > Mach_hw.Machine.cycles m ~cpu:(Vm_sys.current_cpu sys) then begin
-    p.pg_busy <- true;
-    p.pg_inflight <-
-      Some { if_stamp = Mach_hw.Machine.stamp m stamp; if_service = service }
-  end
+  p.pg_ahead <-
+    (if stamp > Mach_hw.Machine.cycles m ~cpu:(Vm_sys.current_cpu sys) then
+       Riding { stamp = Mach_hw.Machine.stamp m stamp; service }
+     else Prefetched)
 
 (* Block until the page has landed, charging only the residue of its
-   own stamp, and lift the busy bit {!ride} set.  A stamp taken before
-   the last [Machine.reset_clocks] has landed: the clocks it was
-   measured against are gone. *)
+   own stamp.  A stamp taken before the last [Machine.reset_clocks] has
+   landed: the clocks it was measured against are gone. *)
 let await_page (sys : Vm_sys.t) p =
-  match p.pg_inflight with
-  | None -> ()
-  | Some r ->
+  match p.pg_ahead with
+  | Demand | Prefetched -> ()
+  | Riding { stamp; service } ->
     let m = sys.Vm_sys.machine and cpu = Vm_sys.current_cpu sys in
-    if Mach_hw.Machine.stamp_live m r.if_stamp then
+    if Mach_hw.Machine.stamp_live m stamp then
       Mach_hw.Machine.wait_disk m ~cpu
         ~completion:
           (Mach_hw.Machine.cycles m ~cpu
-           + Mach_hw.Machine.stamp_residue m r.if_stamp ~cpu)
-        ~service:r.if_service;
-    p.pg_inflight <- None;
-    p.pg_busy <- false
+           + Mach_hw.Machine.stamp_residue m stamp ~cpu)
+        ~service;
+    p.pg_ahead <- Prefetched
 
 (* The two pager calls.  Each asks [o]'s pager once, or its rescue pager
    once the pager is dead, and every other path here goes through them.
@@ -90,7 +87,7 @@ let declare_dead (sys : Vm_sys.t) o pager =
   List.iter
     (fun p ->
        if
-         (not p.pg_busy)
+         (not (Resident.riding p))
          && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
        then
          match

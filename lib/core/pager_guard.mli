@@ -39,11 +39,11 @@ val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
     reply of at most [bytes] it is one wait on the whole transfer. *)
 
 val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
-(** [ride sys p ~stamp ~service] marks [p] busy and in flight until
-    [stamp] when that lies past the current CPU's clock, and does
-    nothing otherwise.  [service] is the device time its eventual
+(** [ride sys p ~stamp ~service] installs [p] as read-ahead: [Riding]
+    until [stamp] when that lies past the current CPU's clock, else
+    [Prefetched].  [service] is the device time its eventual
     {!await_page} stands for; the pages of one transfer split its
-    service so overlap is counted once.  The record holds a
+    service so overlap is counted once.  The state holds a
     {!Mach_hw.Machine.stamp}, so a clock reset lands the page. *)
 
 val request :
@@ -68,11 +68,10 @@ val request_range :
     so the caller may descend/zero-fill the demand page directly. *)
 
 val await_page : Vm_sys.t -> Types.page -> unit
-(** [await_page sys p] blocks the current CPU until the stamp recorded
-    in [p.pg_inflight] (if any) has passed, charging only the remaining
-    cycles, then clears the inflight record and the busy bit.  A record
-    whose stamp a clock reset expired has landed and charges
-    nothing. *)
+(** [await_page sys p] blocks the current CPU until [p]'s stamp has
+    passed when [p] is [Riding], charging only the remaining cycles,
+    and leaves it [Prefetched]; any other page is left as it is.  A
+    stamp a clock reset expired has landed and charges nothing. *)
 
 val write_range :
   Vm_sys.t -> Types.obj -> offset:int -> data:Lent.t ->

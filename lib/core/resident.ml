@@ -74,9 +74,7 @@ let create ~machine ~stats ~multiple ?(frame_limit = max_int) () =
           pg_obj = None;
           pg_offset = 0;
           pg_wire_count = 0;
-          pg_busy = false;
-          pg_prefetched = false;
-          pg_inflight = None;
+          pg_ahead = Demand;
           pg_queue = Q_free;
           pg_queue_node = None;
           pg_obj_node = None;
@@ -260,13 +258,26 @@ let remove_from_object t p =
   | None, None -> ()
   | Some _, None | None, Some _ -> assert false
 
-(* --- Freeing ----------------------------------------------------------- *)
+(* --- Read-ahead state and freeing -------------------------------------- *)
+
+let riding p =
+  match p.pg_ahead with Riding _ -> true | Demand | Prefetched -> false
+
+let read_ahead p =
+  match p.pg_ahead with Demand -> false | Prefetched | Riding _ -> true
+
+let prefetch_hit t p ~issued =
+  if issued || read_ahead p then
+    t.stats.vs_prefetch_hits <- t.stats.vs_prefetch_hits + 1;
+  p.pg_ahead <- Demand;
+  if p.pg_wire_count = 0 && p.pg_queue = Q_inactive then
+    set_queue t p Q_active
 
 let free_page ?cpu t p =
   remove_from_object t p;
-  p.pg_busy <- false;
-  p.pg_prefetched <- false;
-  p.pg_inflight <- None;
+  if read_ahead p then
+    t.stats.vs_prefetch_wasted <- t.stats.vs_prefetch_wasted + 1;
+  p.pg_ahead <- Demand;
   p.pg_wire_count <- 0;
   p.pg_requeues <- 0;
   match cpu with

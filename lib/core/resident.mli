@@ -79,11 +79,23 @@ val remove_from_object : t -> Types.page -> unit
 (** [remove_from_object t p] strips [p]'s identity (hash and object list);
     the page remains allocated. *)
 
+val riding : Types.page -> bool
+(** [p] is [Riding]: busy until {!Pager_guard.await_page}. *)
+
+val read_ahead : Types.page -> bool
+(** [p] is [Prefetched] or [Riding]: read ahead, not used yet. *)
+
+val prefetch_hit : t -> Types.page -> issued:bool -> unit
+(** [prefetch_hit t p ~issued] counts the first use of [p] as a prefetch
+    hit when it was read ahead or its burst [issued] it; [p] becomes
+    [Demand] and, if unwired, moves from inactive to active. *)
+
 val free_page : ?cpu:int -> t -> Types.page -> unit
 (** [free_page t p] removes [p] from its object (if any) and any queue
     and returns it to the free pool: [cpu]'s magazine when [cpu] is
     given (draining the full magazine back to the shared queue first),
-    otherwise the tail of the shared queue. *)
+    otherwise the tail of the shared queue.  A read-ahead page counts a
+    wasted prefetch; a riding page's stamp is dropped unwaited. *)
 
 val enqueue : t -> Types.page -> Types.pageq -> unit
 (** [enqueue t p q] moves [p] to queue [q] (removing it from its current

@@ -28,14 +28,8 @@ type page = {
   mutable pg_obj : obj option;          (* owning memory object *)
   mutable pg_offset : int;              (* byte offset within the object *)
   mutable pg_wire_count : int;
-  mutable pg_busy : bool;               (* being filled or written back *)
-  mutable pg_prefetched : bool;
-      (* brought in by read-ahead, not yet referenced by a fault; cleared
-         on first use (a prefetch hit) or reclaim (a wasted prefetch) *)
-  mutable pg_inflight : inflight option;
-      (* the disk stamp this page rides on (a read-ahead tail page);
-         anyone reusing or relying on the page first waits out the stamp
-         (Pager_guard.await_page) *)
+  mutable pg_ahead : ahead;
+      (* written by Pager_guard (ride, land) and Resident (hit, free) *)
   mutable pg_queue : pageq;
   mutable pg_queue_node : page Dlist.node option;
       (* the page's one queue node, set when the page is made and relinked
@@ -49,15 +43,16 @@ type page = {
          into the memory-pressure state instead of spinning forever *)
 }
 
-(* One page's share of a disk transfer still on the device: when the
-   page lands, and the device time its wait stands for (the pages of one
-   transfer split its service, so overlap is counted once).  A clock
-   reset expires the stamp: the page has landed, whatever its cycle
-   count says. *)
-and inflight = {
-  if_stamp : Machine.stamp;
-  if_service : int;
-}
+(* A page's read-ahead state; [Demand] for a page a fault or read asked
+   for.  [Riding]: read ahead and still on the device, busy until
+   someone waits out [stamp] (Pager_guard.await_page), a wait standing
+   for [service] device cycles; a clock reset expires the stamp.
+   [Prefetched]: landed read-ahead no one has used yet; its first use
+   is a prefetch hit, its free a wasted prefetch. *)
+and ahead =
+  | Demand
+  | Prefetched
+  | Riding of { stamp : Machine.stamp; service : int }
 
 (* When a pager's read lands on the device ([Machine.submit_disk]);
    [io_none] for a reply that involved no device. *)
@@ -142,7 +137,7 @@ and pager_health = {
    its device work and returns at once, and the reply's [io] stamp says
    when each of its bytes lands: the kernel waits for the demand page
    alone (Pager_guard.wait_prefix) and lets the other pages of a
-   read-ahead cluster ride their own stamps (an [inflight] record).  A
+   read-ahead cluster ride their own stamps ([Riding]).  A
    write returns once it has landed: the simulated disk has no queue,
    and a write blocks its CPU, so [Write_completed] has nothing left to
    wait on.

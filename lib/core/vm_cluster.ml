@@ -92,7 +92,7 @@ let commit (sys : Vm_sys.t) st ~stream:(map, ent) ~next ~window =
    page offsets below it).  Only streams ramped to at least
    [free_behind_window] pages qualify, so a random or barely-sequential
    reader never touches the queues.  Skipped: dirty pages (their data
-   exists nowhere else yet), wired/busy/in-flight pages, pages not on the
+   exists nowhere else yet), wired or riding pages, pages not on the
    active queue (untouched prefetch is already inactive and already
    ordered), and pages some other live stream has yet to reach —
    free-behind eats this stream's own wake, never a sharer's future.
@@ -116,7 +116,7 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
         | Some p ->
           if
             p.pg_queue = Q_active && p.pg_wire_count = 0
-            && (not p.pg_busy) && Option.is_none p.pg_inflight
+            && (not (Resident.riding p))
             && (not (ahead_of_other_stream off))
             && not (Mach_pmap.Pmap_domain.is_modified domain ~pfn:p.pfn)
           then begin
@@ -195,7 +195,6 @@ let install_tail (sys : Vm_sys.t) obj ~offset ~got ~data ~io =
           Resident.insert res p ~obj ~offset:off;
           Page_io.fill ~pos:(i * ps) sys p data;
           Pager_guard.ride sys p ~stamp ~service;
-          p.pg_prefetched <- true;
           Resident.enqueue res p Q_inactive;
           incr issued
   done;
@@ -214,9 +213,7 @@ let land_reply (sys : Vm_sys.t) obj st ~stream ~offset ~window ~got
   stats.Vm_stats.vs_pager_reads <- stats.Vm_stats.vs_pager_reads + 1;
   let demand = Vm_sys.grab_page sys in
   Resident.insert sys.Vm_sys.resident demand ~obj ~offset;
-  demand.pg_busy <- true;
   Page_io.fill sys demand data;
-  demand.pg_busy <- false;
   let issued = install_tail sys obj ~offset ~got ~data ~io in
   if issued > 0 then begin
     stats.Vm_stats.vs_prefetch_issued <-
@@ -254,17 +251,10 @@ let pagein (sys : Vm_sys.t) ?(stream = (-1, 0)) obj ~offset ~limit =
        land_reply sys obj st ~stream ~offset ~window:1 ~got:1 reply
      | (`Absent | `Error) as r -> r)
 
-(* A resident-page hit on a prefetched page: the guess paid off.  Count
-   it and promote the page from the inactive to the active queue.  If
-   the page is still riding its stamp, first wait out the residue —
-   this is where a fault that outran the disk pays the remaining device
-   time for its own page. *)
+(* A resident-page hit.  A page still riding its stamp first waits out
+   the residue — a fault that outran the disk pays its own page's
+   remaining device time — and a read-ahead page is a prefetch hit. *)
 let note_hit (sys : Vm_sys.t) p =
   Pager_guard.await_page sys p;
-  if p.pg_prefetched then begin
-    p.pg_prefetched <- false;
-    sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits <-
-      sys.Vm_sys.stats.Vm_stats.vs_prefetch_hits + 1;
-    if p.pg_wire_count = 0 && p.pg_queue = Q_inactive then
-      Resident.enqueue sys.Vm_sys.resident p Q_active
-  end
+  if Resident.read_ahead p then
+    Resident.prefetch_hit sys.Vm_sys.resident p ~issued:false

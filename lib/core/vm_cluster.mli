@@ -22,8 +22,8 @@
     pages behind its cursor are deactivated to the {e head} of the
     inactive queue (free-behind), so a file larger than memory reclaims
     its own wake instead of flushing other tasks' working sets; dirty,
-    wired, busy, in-flight pages and pages ahead of another live stream
-    are left alone.
+    wired, riding pages and pages ahead of another live stream are left
+    alone.
 
     Clustering never weakens the failure policy: the range request is
     one-shot, and any error or truncated reply falls back to the
@@ -41,12 +41,11 @@
     Every reply lands through one step, a one-page reply being a
     cluster of one.  A reply stamps each page, demand page first
     ({!Mach_hw.Machine.io_landed}).  The miss waits only for the
-    demand page; the prefetched pages are resident and
-    filled at once but stay busy on their own stamps
-    ({!Pager_guard.ride}), and the first fault to touch one waits out
-    only that page's remaining device time ({!note_hit} →
-    {!Pager_guard.await_page}).  A reply from a pager with no device
-    behind it has already landed.
+    demand page; the prefetched pages are resident and filled at once
+    but ride their own stamps ({!Pager_guard.ride}), and the first
+    fault to touch one waits out only that page's remaining device time
+    ({!note_hit} → {!Pager_guard.await_page}).  A reply from a pager
+    with no device behind it has already landed.
 
     A miss that continues a stream first asks the reclaimer for the
     pages its cluster needs beyond [free_target], so read-ahead keeps

@@ -211,31 +211,24 @@ let check_burst sys =
     sys.Vm_sys.burst_pending;
   List.rev !errs
 
-(* A page riding a disk stamp is busy until it is awaited, and is a page
-   of a live object that still finds it at its offset: freeing or
-   removing the page settles the stamp first, so no stamp outlives its
-   object. *)
-let check_inflight sys =
+(* A page riding a disk stamp is a page of a live object that still
+   finds it at its offset: freeing the page drops the stamp, so no
+   stamp outlives its object. *)
+let check_riding sys =
   let errs = ref [] in
   let res = sys.Vm_sys.resident in
   Resident.iter_pages res (fun p ->
-      match p.pg_inflight with
-      | None -> ()
-      | Some _ ->
-        if not p.pg_busy then
-          note errs "page pfn=%d rides a disk stamp but is not busy" p.pfn;
-        (match p.pg_obj with
-         | Some o when not o.obj_dead ->
-           (match Resident.lookup res ~obj:o ~offset:p.pg_offset with
-            | Some q when q == p -> ()
-            | Some _ | None ->
-              note errs "page pfn=%d rides a disk stamp outside object %d"
-                p.pfn o.obj_id)
-         | Some o ->
-           note errs "page pfn=%d rides a disk stamp in dead object %d" p.pfn
-             o.obj_id
-         | None ->
-           note errs "page pfn=%d rides a disk stamp but has no object" p.pfn));
+      if Resident.riding p then
+        match p.pg_obj with
+        | Some o
+          when (not o.obj_dead)
+               && (match Resident.lookup res ~obj:o ~offset:p.pg_offset with
+                   | Some q -> q == p
+                   | None -> false) ->
+          ()
+        | Some _ | None ->
+          note errs "page pfn=%d rides a disk stamp outside a live object"
+            p.pfn);
   List.rev !errs
 
 (* The swap pool's usage is exactly the bytes its stores hold. *)
@@ -261,7 +254,7 @@ let check_pager_objects sys =
 let check_all sys ~maps =
   List.concat_map (check_map sys) maps
   @ check_resident sys @ check_pv sys @ check_tlb sys @ check_burst sys
-  @ check_inflight sys @ check_swap sys @ check_pager_objects sys
+  @ check_riding sys @ check_swap sys @ check_pager_objects sys
 
 let pp_object sys ppf o =
   let rec chain ppf o =

@@ -40,7 +40,7 @@ val check_all : Vm_sys.t -> maps:Types.vmap list -> string list
 (** [check_all sys ~maps] runs every check over the given root maps plus
     the global structures: resident queues, hash and free-pool
     conservation, pv ↔ pmap, TLB ⊆ pmap, burst records, pages riding
-    disk stamps (busy, in a live object), swap usage, and every object
+    disk stamps (in a live object), swap usage, and every object
     in the pager table. *)
 
 val assert_ok : Vm_sys.t -> maps:Types.vmap list -> unit

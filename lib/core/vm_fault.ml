@@ -65,9 +65,10 @@ let burst_window (sys : Vm_sys.t) entry =
    consistency exchange instead of one fault (and one exchange) each.
    The scan stops at the first page that does not qualify — past the
    entry's burst window, its object window or [va_end] (where the
-   faulting map stops reaching this entry), absent, busy, in transit, or
-   already mapped here.  A window of 0 or 1 maps no neighbour.  [i] is
-   the neighbour to look at, [acc] the ones found so far, last first. *)
+   faulting map stops reaching this entry), absent, riding its disk
+   stamp, or already mapped here.  A window of 0 or 1 maps no
+   neighbour.  [i] is the neighbour to look at, [acc] the ones found so
+   far, last first. *)
 let rec burst_scan (sys : Vm_sys.t) ~asid ~window ~lim obj ~page_va ~va_end
     ~offset i acc =
   let ps = sys.Vm_sys.page_size in
@@ -76,7 +77,7 @@ let rec burst_scan (sys : Vm_sys.t) ~asid ~window ~lim obj ~page_va ~va_end
   else
     match Vm_object.lookup_resident sys obj ~offset:off with
     | Some q
-      when (not q.pg_busy) && Option.is_none q.pg_inflight
+      when (not (Resident.riding q))
            && not (Pmap_domain.mapped_by sys.Vm_sys.domain ~pfn:q.pfn ~asid)
       ->
       burst_scan sys ~asid ~window ~lim obj ~page_va ~va_end ~offset (i + 1)
@@ -140,6 +141,29 @@ let invalidate_shared_source sys fl src =
   | None -> Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:src.pfn ~urgent:false
   | Some _ -> ()
 
+(* A writer section on [obj] around a top-level [body], under an
+   attribution frame for [cat] only when tracing: no closure untraced. *)
+let section sys fl obj ~offset cat body x =
+  Vm_object.lock_read sys obj;
+  match
+    if Obs.enabled (Vm_sys.tracer sys) then
+      Vm_sys.with_cat sys cat (fun () -> body sys fl obj ~offset x)
+    else body sys fl obj ~offset x
+  with
+  | v ->
+    Vm_object.unlock sys obj;
+    v
+  | exception e ->
+    Vm_object.unlock sys obj;
+    raise e
+
+(* The stream-slot key, map id and entry start, tells concurrent
+   sequential readers of one shared object apart. *)
+let cluster_pagein sys fl obj ~offset lim =
+  Vm_cluster.pagein sys
+    ~stream:(fl.Vm_map.fl_map.map_id, fl.Vm_map.fl_entry.e_start)
+    obj ~offset ~limit:lim
+
 (* Ask [obj]'s pager for the page at [off]: pagein mutates the object's
    page list, a writer section.  The lock is held across the pager wait,
    so on a shared object other CPUs faulting meanwhile stall behind the
@@ -156,16 +180,7 @@ let pagein sys tf fl obj ~off ~lim =
     | Some f -> Machine.cycles sys.Vm_sys.machine ~cpu:f.tf_cpu
     | None -> 0
   in
-  match
-    Vm_object.lock_write sys obj (fun () ->
-        Vm_sys.with_cat sys Obs.Pager_wait (fun () ->
-            (* The stream-slot key: which reader this miss belongs to.
-               Map id + entry start distinguishes concurrent sequential
-               readers of one shared object. *)
-            Vm_cluster.pagein sys
-              ~stream:(fl.Vm_map.fl_map.map_id, fl.Vm_map.fl_entry.e_start)
-              obj ~offset:off ~limit:lim))
-  with
+  match section sys fl obj ~offset:off Obs.Pager_wait cluster_pagein lim with
   | `Data (p, bytes) ->
     (match tf with
      | Some f ->
@@ -242,7 +257,7 @@ let map_resident sys tf pmap fl first_obj p ~page_va ~offset =
              enter_page pmap ~page_va:va_n q ~prot;
              (* A pending read-ahead prefetch of [q] is adopted
                 by the burst, not issued twice. *)
-             let issued = not q.pg_prefetched in
+             let issued = not (Resident.read_ahead q) in
              if issued then
                stats.Vm_stats.vs_prefetch_issued <-
                  stats.Vm_stats.vs_prefetch_issued + 1;
@@ -259,6 +274,18 @@ let map_resident sys tf pmap fl first_obj p ~page_va ~offset =
         (Obs.Burst_enter { va = page_va; pages = 1 + List.length burst });
     activate_page sys p;
     Ok p
+
+(* Bodies of the writer sections that give [first_obj] a new page. *)
+let copy_up sys fl first_obj ~offset src =
+  let p = new_page_in sys first_obj ~offset in
+  Page_io.copy sys ~src ~dst:p;
+  invalidate_shared_source sys fl src;
+  Vm_object.collapse sys first_obj
+
+let zero_fill sys _fl first_obj ~offset () =
+  let p = new_page_in sys first_obj ~offset in
+  Page_io.zero sys p;
+  p
 
 (* Resolve the fault at [offset] in [first_obj] once the walk has
    found what backs it. *)
@@ -278,14 +305,9 @@ let resolve sys tf pmap fl first_obj ~page_va ~offset ~write =
     if write then begin
       (* Copy the page up into the first object: a writer section
          on the object gaining the page. *)
-      Vm_object.lock_write sys first_obj (fun () ->
-          Vm_sys.with_cat sys Obs.Cow_copy (fun () ->
-              let p = new_page_in sys first_obj ~offset in
-              Page_io.copy sys ~src ~dst:p;
-              stats.Vm_stats.vs_cow_copies <- stats.Vm_stats.vs_cow_copies + 1;
-              resolved tf Obs.Cow_copy;
-              invalidate_shared_source sys fl src;
-              Vm_object.collapse sys first_obj));
+      section sys fl first_obj ~offset Obs.Cow_copy copy_up src;
+      stats.Vm_stats.vs_cow_copies <- stats.Vm_stats.vs_cow_copies + 1;
+      resolved tf Obs.Cow_copy;
       (* The copy may have moved the page up; look it up afresh. *)
       (match Vm_object.lookup_resident sys first_obj ~offset with
        | Some p -> finish sys pmap ~page_va p ~prot:(mapped_prot fl ~cow:false)
@@ -300,13 +322,7 @@ let resolve sys tf pmap fl first_obj ~page_va ~offset ~write =
   | `Bottom ->
     (* Nothing anywhere in the chain: memory with no backing data is
        automatically zero filled, directly in the first object. *)
-    let p =
-      Vm_object.lock_write sys first_obj (fun () ->
-          Vm_sys.with_cat sys Obs.Zero_fill (fun () ->
-              let p = new_page_in sys first_obj ~offset in
-              Page_io.zero sys p;
-              p))
-    in
+    let p = section sys fl first_obj ~offset Obs.Zero_fill zero_fill () in
     stats.Vm_stats.vs_zero_fills <- stats.Vm_stats.vs_zero_fills + 1;
     resolved tf Obs.Zero_fill;
     finish sys pmap ~page_va p
@@ -394,7 +410,7 @@ let handle sys map ~va ~write =
    nested faults keep the innermost map exempt. *)
 let handle_exempt sys map ~va ~write =
   let saved_exempt = sys.Vm_sys.oom_exempt_map in
-  sys.Vm_sys.oom_exempt_map <- Some map.map_id;
+  sys.Vm_sys.oom_exempt_map <- map.map_id;
   match handle sys map ~va ~write with
   | r ->
     sys.Vm_sys.oom_exempt_map <- saved_exempt;

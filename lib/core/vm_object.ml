@@ -62,9 +62,6 @@ let free_page (sys : Vm_sys.t) p =
   (* No pmap may retain a mapping to a frame about to be recycled; this is
      a time-critical invalidation (case 1 of Section 5.2). *)
   let free () =
-    if p.pg_prefetched then
-      sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
-        sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;
     Pmap_domain.remove_all sys.Vm_sys.domain ~pfn:p.pfn ~urgent:true;
     Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
     Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;

@@ -127,7 +127,7 @@ let write_cluster (sys : Vm_sys.t) o pages =
     false
 
 (* Clean [p] together with its contiguous dirty neighbours: grow the run
-   left and right over resident, unwired, non-busy modified pages of the
+   left and right over resident, unwired, non-riding modified pages of the
    same object, up to [cluster_max], and issue one clustered write.  The
    neighbours stay on their queues — now clean, they are freed without
    I/O when the daemon reaches them.  Degrades to {!clean_page} when
@@ -139,7 +139,7 @@ let clean_cluster (sys : Vm_sys.t) p =
   | Some o ->
     let ps = sys.Vm_sys.page_size in
     let eligible q =
-      (not q.pg_busy) && q.pg_wire_count = 0
+      (not (Resident.riding q)) && q.pg_wire_count = 0
       && Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:q.pfn
     in
     let rec grow acc off step n =
@@ -181,13 +181,10 @@ let run (sys : Vm_sys.t) ~wanted =
     | None -> false
     | Some p ->
       incr examined;
-      (* Reap a landed (or nearly landed) read-ahead page before
-         examining it: charges only the residue and lifts the busy bit,
-         so prefetched pages re-enter circulation instead of falling off
-         the queues. *)
-      if Option.is_some p.pg_inflight && p.pg_wire_count = 0 then
-        Pager_guard.await_page sys p;
-      if p.pg_busy || p.pg_wire_count > 0 then
+      (* Land a riding read-ahead page before examining it, charging
+         only the residue, so it re-enters circulation. *)
+      if p.pg_wire_count = 0 then Pager_guard.await_page sys p;
+      if p.pg_wire_count > 0 then
         (* Should not be queued at all; make it so. *)
         Resident.enqueue res p Q_none
       else if Pmap_domain.is_referenced sys.Vm_sys.domain ~pfn:p.pfn then begin
@@ -222,9 +219,6 @@ let run (sys : Vm_sys.t) ~wanted =
         else begin
           Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
           Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:p.pfn;
-          if p.pg_prefetched then
-            sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted <-
-              sys.Vm_sys.stats.Vm_stats.vs_prefetch_wasted + 1;
           Resident.free_page ~cpu:(Vm_sys.current_cpu sys) res p;
           incr freed
         end

@@ -52,8 +52,9 @@ type t = {
          exceeded the requeue limit); cleared when a pageout write
          succeeds again or an OOM kill frees memory *)
   mutable oom_candidates : oom_candidate list;
-  mutable oom_exempt_map : int option;
-      (* map id currently being faulted on; its task is never selected *)
+  mutable oom_exempt_map : int;
+      (* map id currently being faulted on, or [no_map]; its task is
+         never selected *)
   mutable pager_decorator : (Types.pager -> Types.pager) option;
   mutable cluster_max : int;
       (* upper bound on the read-ahead / pageout cluster, in pages;
@@ -105,8 +106,8 @@ exception Out_of_memory
    mapping is dropped first, or when the page is demand-faulted there
    first (a write through a mapping that a protect made read-only).  A
    touch through another task's mapping of the same page credits
-   nobody, and a burst never marks the page [pg_prefetched], so no
-   later demand fault or read can count it as a hit either.  Outcomes
+   nobody, and a burst never marks the page read-ahead ([pg_ahead]), so
+   no later demand fault or read can count it as a hit either.  Outcomes
    feed the entry's window (Vm_fault).  Pure bookkeeping: none of this
    charges cycles. *)
 
@@ -119,12 +120,7 @@ let burst_settle t b ~hit =
   Int_tbl.remove t.burst_pending (Int_tbl.pair b.b_asid p.Types.pfn);
   if hit then begin
     e.Types.e_burst_hits <- e.Types.e_burst_hits + 1;
-    if b.b_issued || p.Types.pg_prefetched then
-      t.stats.Vm_stats.vs_prefetch_hits <-
-        t.stats.Vm_stats.vs_prefetch_hits + 1;
-    p.Types.pg_prefetched <- false;
-    if p.Types.pg_queue = Types.Q_inactive && p.Types.pg_wire_count = 0 then
-      Resident.enqueue t.resident p Types.Q_active
+    Resident.prefetch_hit t.resident p ~issued:b.b_issued
   end
   else e.Types.e_burst_misses <- e.Types.e_burst_misses + 1
 
@@ -136,6 +132,8 @@ let burst_outcome t ~asid ~pfn ~hit =
 
 let burst_demand_fault t ~asid p =
   burst_outcome t ~asid ~pfn:p.Types.pfn ~hit:false
+
+let no_map = 0
 
 let fresh_obj_id t = t.last_obj_id <- t.last_obj_id + 1; t.last_obj_id
 let fresh_map_id t = t.last_map_id <- t.last_map_id + 1; t.last_map_id
@@ -172,7 +170,7 @@ let create ~machine ~domain ~reclaim =
     swap_capacity = None;
     mem_pressure = false;
     oom_candidates = [];
-    oom_exempt_map = None;
+    oom_exempt_map = no_map;
     pager_decorator = None;
     cluster_max = 8;
     stream_clock = 0;
@@ -266,12 +264,7 @@ let oom_kill t =
   let viable =
     List.filter_map
       (fun c ->
-         let exempt =
-           match t.oom_exempt_map with
-           | Some m -> c.oc_map_id = m
-           | None -> false
-         in
-         if exempt then None
+         if c.oc_map_id = t.oom_exempt_map then None
          else
            let r = c.oc_resident () in
            if r > 0 then Some (r, c) else None)

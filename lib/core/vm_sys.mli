@@ -72,9 +72,9 @@ type t = {
           exceeded the requeue limit); cleared when a pageout write
           succeeds again or an OOM kill frees memory *)
   mutable oom_candidates : oom_candidate list;
-  mutable oom_exempt_map : int option;
-      (** map id currently being faulted on ({!Vm_fault} maintains it);
-          its task is never selected as the OOM victim *)
+  mutable oom_exempt_map : int;
+      (** map id being faulted on ({!Vm_fault} maintains it), else
+          {!no_map}; its task is never selected as the OOM victim *)
   mutable pager_decorator : (Types.pager -> Types.pager) option;
       (** interposition hook applied when the kernel itself creates a
           pager (the pageout daemon's default pager); [machsim --chaos]
@@ -145,6 +145,9 @@ val fresh_map_id : t -> int
 val fresh_pager_id : t -> int
 val fresh_task_id : t -> int
 (** The next id of each kind in this kernel, counting from 1. *)
+
+val no_map : int
+(** An id no address map has: [oom_exempt_map] outside any fault. *)
 
 val grab_page : t -> Types.page
 (** [grab_page t] allocates a free page, running [t.reclaim] if the

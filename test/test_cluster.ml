@@ -710,11 +710,12 @@ let test_per_page_stamps () =
     | None -> Alcotest.fail (Printf.sprintf "tail page %d missing" k)
   in
   for k = 1 to 7 do
-    match (tail k).Types.pg_inflight with
-    | Some r ->
+    match (tail k).Types.pg_ahead with
+    | Types.Riding r ->
       Alcotest.(check bool) (Printf.sprintf "tail page %d stamp" k) true
-        (r.Types.if_stamp = Machine.stamp machine (stamp k))
-    | None -> Alcotest.fail (Printf.sprintf "tail page %d not in flight" k)
+        (r.stamp = Machine.stamp machine (stamp k))
+    | Types.Demand | Types.Prefetched ->
+      Alcotest.fail (Printf.sprintf "tail page %d not in flight" k)
   done;
   let k = 3 in
   let clock = Machine.cycles machine ~cpu:0 in
@@ -723,7 +724,97 @@ let test_per_page_stamps () =
     (stamp k - clock)
     (Machine.cycles machine ~cpu:0 - clock);
   Alcotest.(check bool) "and lands it" true
-    (Option.is_none (tail k).Types.pg_inflight && not (tail k).Types.pg_busy)
+    (not (Resident.riding (tail k)))
+
+(* ---- read-ahead accounting ----------------------------------------------- *)
+
+(* Each way a read-ahead page leaves memory unused counts one wasted
+   prefetch.  Misses at pages 0, 1 and 3 of a 16-page file read pages
+   2 and 4-6 ahead.  The pager's flush request frees page 2, the daemon
+   reclaims page 4 (the oldest inactive page) and terminating the object
+   frees 5 and 6: one wasted prefetch each, and none for the demand
+   pages terminated with them. *)
+let test_wasted_prefetch_counts_once () =
+  let machine, _, sys = boot ~frames:2048 () in
+  let fs = Simfs.create machine () in
+  let ps = sys.Vm_sys.page_size in
+  Simfs.install_file fs ~name:"/waste" ~data:(Bytes.make (16 * ps) 'w');
+  let obj =
+    Vm_object.create_with_pager sys
+      (Vnode_pager.for_file sys fs ~name:"/waste")
+      ~size:(16 * ps)
+  in
+  List.iter
+    (fun page ->
+       match
+         Vm_cluster.pagein sys obj ~offset:(page * ps) ~limit:max_int
+       with
+       | `Data _ -> ()
+       | `Absent | `Error -> Alcotest.fail "pagein failed")
+    [ 0; 1; 3 ];
+  let resident page = Vm_object.lookup_resident sys obj ~offset:(page * ps) in
+  let ahead () =
+    List.filter
+      (fun page ->
+         match resident page with
+         | Some p -> Resident.read_ahead p
+         | None -> false)
+      (List.init 16 Fun.id)
+  in
+  Alcotest.(check (list int)) "read-ahead pages" [ 2; 4; 5; 6 ] (ahead ());
+  let s = sys.Vm_sys.stats in
+  let wasted () = s.Vm_stats.vs_prefetch_wasted in
+  Alcotest.(check int) "flush frees page 2" 1
+    (Pager_ops.flush_request sys obj ~offset:(2 * ps) ~length:ps);
+  Alcotest.(check int) "flushed page wasted once" 1 (wasted ());
+  Vm_pageout.run sys ~wanted:1;
+  Alcotest.(check (list int)) "daemon reclaimed page 4" [ 5; 6 ] (ahead ());
+  Alcotest.(check int) "reclaimed page wasted once" 2 (wasted ());
+  Pager_ops.set_caching sys obj false;
+  Vm_object.deallocate sys obj;
+  Alcotest.(check bool) "object terminated" true obj.Types.obj_dead;
+  Alcotest.(check int) "terminated pages wasted once each" 4 (wasted ());
+  Alcotest.(check int) "no hits" 0 s.Vm_stats.vs_prefetch_hits
+
+(* A read-ahead page a burst adopts is one prefetch with one hit.  The
+   fault at page 1 of a region backed by a pager with no device reads
+   pages 1-2, and its burst maps page 2, already read ahead, without
+   counting it issued again.  Page 2's first touch is its one hit; a
+   demand fault on it after its mapping is dropped counts none. *)
+let test_adopted_prefetch_hits_once () =
+  let machine, kernel, sys = boot ~frames:2048 () in
+  let ps = sys.Vm_sys.page_size in
+  let pager = range_store_pager sys ~ps () in
+  ignore
+    (pager.Types.pgr_write ~offset:0
+       ~data:(Lent.of_bytes (Bytes.make (8 * ps) 'b')));
+  let task = new_task kernel in
+  let addr =
+    ok (Vm_user.allocate_with_pager sys task ~pager ~offset:0 ~size:(8 * ps))
+  in
+  let s = sys.Vm_sys.stats in
+  let touch page =
+    Machine.touch machine ~cpu:0 ~va:(addr + (page * ps)) ~write:false
+  in
+  touch 0;
+  touch 1;
+  Alcotest.(check int) "page 2 read ahead" 1 s.Vm_stats.vs_prefetch_issued;
+  Alcotest.(check int) "and adopted by the burst" 1 s.Vm_stats.vs_burst_mapped;
+  let faults = s.Vm_stats.vs_faults in
+  touch 2;
+  Alcotest.(check int) "page 2 mapped, no fault" faults s.Vm_stats.vs_faults;
+  Alcotest.(check int) "its first touch is one hit" 1
+    s.Vm_stats.vs_prefetch_hits;
+  (match (Task.map task).Types.map_pmap with
+   | Some pmap ->
+     pmap.Mach_pmap.Pmap.remove ~start_va:(addr + (2 * ps))
+       ~end_va:(addr + (3 * ps))
+   | None -> Alcotest.fail "no pmap");
+  touch 2;
+  Alcotest.(check int) "a demand fault on page 2" (faults + 1)
+    s.Vm_stats.vs_faults;
+  Alcotest.(check int) "counts no second hit" 1 s.Vm_stats.vs_prefetch_hits;
+  Alcotest.(check int) "and issues nothing" 1 s.Vm_stats.vs_prefetch_issued
 
 (* ---- map-hint fast path for range operations ----------------------------- *)
 
@@ -927,7 +1018,11 @@ let () =
         [ Alcotest.test_case "window ramp" `Quick test_window_ramp;
           Alcotest.test_case "random access" `Quick
             test_random_keeps_window_shut;
-          Alcotest.test_case "per-page stamps" `Quick test_per_page_stamps ] );
+          Alcotest.test_case "per-page stamps" `Quick test_per_page_stamps;
+          Alcotest.test_case "a wasted prefetch counts once" `Quick
+            test_wasted_prefetch_counts_once;
+          Alcotest.test_case "an adopted prefetch hits once" `Quick
+            test_adopted_prefetch_hits_once ] );
       ( "streams",
         [ Alcotest.test_case "two readers both ramp" `Quick
             test_two_readers_both_ramp;

@@ -221,8 +221,8 @@ let store_pager sys ~ps ?(requests = ref []) () =
     pgr_should_cache = ref false }
 
 (* A pager with no device: its reply has already landed, so each
-   cluster is one request and no page rides an inflight record or waits
-   on the disk. *)
+   cluster is one request and no page rides a disk stamp or waits on
+   the disk. *)
 let test_no_device_pager () =
   let machine, _, sys = boot () in
   let ps = sys.Vm_sys.page_size in
@@ -256,7 +256,7 @@ let test_no_device_pager () =
     (fun p ->
        let i = p.Types.pg_offset / ps in
        Alcotest.(check bool) (Printf.sprintf "page %d not inflight" i) true
-         (p.Types.pg_inflight = None && not p.Types.pg_busy);
+         (not (Resident.riding p));
        Alcotest.(check char) (Printf.sprintf "page %d bytes" i)
          (Char.chr (0x41 + i)) (first_byte sys p))
     (Resident.object_pages obj);
@@ -293,9 +293,13 @@ let test_stamp_across_reset () =
     | Some p -> p
     | None -> Alcotest.fail "page 2 was not prefetched"
   in
+  let service =
+    match tail.Types.pg_ahead with
+    | Types.Riding { service; _ } -> service
+    | Types.Demand | Types.Prefetched -> 0
+  in
   Alcotest.(check bool) "tail page rides its stamp" true
-    (Option.is_some tail.Types.pg_inflight);
-  let service = (Option.get tail.Types.pg_inflight).Types.if_service in
+    (Resident.riding tail);
   Kernel.reset_clocks kernel;
   let before = Machine.cycles machine ~cpu:0 in
   Vm_cluster.note_hit sys tail;
@@ -304,7 +308,7 @@ let test_stamp_across_reset () =
     (Printf.sprintf "charge %d within the page's share %d of the service"
        charged service)
     true (charged <= service);
-  Alcotest.(check bool) "page no longer busy" false tail.Types.pg_busy
+  Alcotest.(check bool) "page no longer busy" false (Resident.riding tail)
 
 (* Pageout into a swap pool with room for one page: the clustered write
    is refused for space, the per-page fallback cleans the one page that

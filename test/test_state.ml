@@ -36,7 +36,10 @@
    Pager_guard reads, so the kernel's failure policy sits on every
    pager call.  The ninth fails on a [Machine.wait_io] or
    [Machine.wait_disk] in such a module: the kernel blocks on the disk
-   in Pager_guard alone.
+   in Pager_guard alone.  The eleventh fails on a file outside
+   [ahead_writers_ok] that assigns a page's read-ahead state
+   ([pg_ahead]): Pager_guard rides and lands a page, Resident resets
+   it.
 
    The kernel's tables are flat: the tenth guard fails on a
    [Hashtbl.Make] anywhere in lib/, and on an [(int, _) Hashtbl.t] in
@@ -182,7 +185,9 @@ let no_caller_needed =
     ("Vm_map.scan_start",
      "where a range operation's scan starts: test_cluster's hint case");
     ("Int_tbl.longest_probe",
-     "how well the hash spreads a key shape: test_util's spread case") ]
+     "how well the hash spreads a key shape: test_util's spread case");
+    ("Vm_sys.no_map",
+     "oom_exempt_map outside any fault: test_fault's exemption case") ]
 
 let module_of path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -1005,6 +1010,46 @@ let test_disk_wait_guard_detects () =
             ("../lib/pagers/simfs.ml",
              "let w m io = Mach_hw.Machine.wait_io m ~cpu:0 io") ]))
 
+(* The files that assign a page's read-ahead state, with what their
+   writes do. *)
+let ahead_writers_ok =
+  [ ("lib/core/pager_guard.ml",
+     "ride makes a page Riding or Prefetched; await_page lands it");
+    ("lib/core/resident.ml",
+     "prefetch_hit and free_page leave a page Demand") ]
+
+(* The path of each file in [files] (path, refs) that assigns
+   [pg_ahead] by [e.f <- v]. *)
+let ahead_writers files =
+  List.filter_map
+    (fun (path, r) ->
+       if List.exists (fun (_, f) -> f = "pg_ahead") r.set then
+         Some (String.sub path 3 (String.length path - 3))
+       else None)
+    files
+
+let test_ahead_writers () =
+  check_allowlist ~found:"files that assign pg_ahead, unlisted"
+    ~stale:"listed writers that no longer assign pg_ahead"
+    (ahead_writers (Lazy.force caller_refs))
+    ahead_writers_ok
+
+(* The detector on snippets: a write in another module is found, through
+   a module alias too; reads, a match and a record literal are not. *)
+let test_ahead_guard_detects () =
+  Alcotest.(check (list string)) "only the files that assign the field"
+    [ "lib/core/vm_cluster.ml"; "lib/pagers/vnode_pager.ml" ]
+    (ahead_writers
+       (snippet_refs
+          [ ("../lib/core/vm_cluster.ml",
+             "let f p = p.Types.pg_ahead <- Types.Prefetched");
+            ("../lib/core/vm_fault.ml",
+             "let g p = match p.pg_ahead with Demand -> true | _ -> false");
+            ("../lib/core/vm_sys.ml",
+             "let h p = { p with pg_ahead = Types.Demand }");
+            ("../lib/pagers/vnode_pager.ml",
+             "module T = Types\nlet w p = p.T.pg_ahead <- T.Demand") ]))
+
 (* The int-keyed polymorphic tables the kernel's layers may keep, as
    "path: (int, _) Hashtbl.t", with the reason each stays. *)
 let int_hashtbl_ok : (string * string) list = []
@@ -1131,6 +1176,10 @@ let () =
             test_disk_waits_guarded;
           Alcotest.test_case "guard detects unguarded disk waits" `Quick
             test_disk_wait_guard_detects;
+          Alcotest.test_case "read-ahead state written by its owners" `Quick
+            test_ahead_writers;
+          Alcotest.test_case "guard detects other read-ahead writers" `Quick
+            test_ahead_guard_detects;
           Alcotest.test_case
             "no Hashtbl.Make, no int-keyed Hashtbl in the kernel" `Quick
             test_tables_flat;
