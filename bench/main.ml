@@ -961,7 +961,7 @@ let legacy_read sys fs ~name ~offset ~len =
            | `Absent | `Error -> Page_io.zero sys p);
           sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
             sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
-          Resident.enqueue sys.Vm_sys.resident p Q_active;
+          Resident.activate sys.Vm_sys.resident p;
           p
       in
       Page_io.blit_out sys page ~off:(abs mod ps) ~len:chunk

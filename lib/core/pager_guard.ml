@@ -13,16 +13,6 @@ let wait_prefix (sys : Vm_sys.t) io ~bytes =
       ~service:(stamp - (io.io_completion - io.io_service))
   end
 
-(* Make [p] read-ahead that rides [stamp] while it is in the future,
-   busy until someone awaits it, and plain prefetch once it has passed.
-   [service] is the device time the eventual wait stands for. *)
-let ride (sys : Vm_sys.t) p ~stamp ~service =
-  let m = sys.Vm_sys.machine in
-  p.pg_ahead <-
-    (if stamp > Mach_hw.Machine.cycles m ~cpu:(Vm_sys.current_cpu sys) then
-       Riding { stamp = Mach_hw.Machine.stamp m stamp; service }
-     else Prefetched)
-
 (* Block until the page has landed, charging only the residue of its
    own stamp.  A stamp taken before the last [Machine.reset_clocks] has
    landed: the clocks it was measured against are gone. *)
@@ -37,7 +27,7 @@ let await_page (sys : Vm_sys.t) p =
           (Mach_hw.Machine.cycles m ~cpu
            + Mach_hw.Machine.stamp_residue m stamp ~cpu)
         ~service;
-    p.pg_ahead <- Prefetched
+    Resident.landed p
 
 (* The two pager calls.  Each asks [o]'s pager once, or its rescue pager
    once the pager is dead, and every other path here goes through them.
@@ -91,7 +81,7 @@ let declare_dead (sys : Vm_sys.t) o pager =
          && Mach_pmap.Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn
        then
          match
-           write_once o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
+           write_once o ~offset:(Resident.offset p) ~data:[ Page_io.lend sys p ]
          with
          | `Ok ->
            incr rescued;

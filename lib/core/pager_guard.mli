@@ -26,7 +26,7 @@
     A read reply carries an {!Types.io} stamp saying when each of its
     bytes lands.  Both reads hand it back unwaited, so the caller can
     wait for the page it needs ({!wait_prefix}) and let the others ride
-    their own stamps ({!ride}); only a rescue read blocks, since the
+    their own stamps ({!Resident.ride}); only a rescue read blocks, since the
     last line of defence is never a prefetch.  A write has landed when
     it returns, so it leaves nothing to wait on.  This module is the one
     place in [lib/core] that waits on the disk ([test_state] checks
@@ -37,14 +37,6 @@ val wait_prefix : Vm_sys.t -> Types.io -> bytes:int -> unit
     first [bytes] of [io] have landed ([Machine.io_landed]): a reply's
     demand page, with a cluster's tail still on the device.  For a
     reply of at most [bytes] it is one wait on the whole transfer. *)
-
-val ride : Vm_sys.t -> Types.page -> stamp:int -> service:int -> unit
-(** [ride sys p ~stamp ~service] installs [p] as read-ahead: [Riding]
-    until [stamp] when that lies past the current CPU's clock, else
-    [Prefetched].  [service] is the device time its eventual
-    {!await_page} stands for; the pages of one transfer split its
-    service so overlap is counted once.  The state holds a
-    {!Mach_hw.Machine.stamp}, so a clock reset lands the page. *)
 
 val request :
   Vm_sys.t -> Types.obj -> offset:int -> length:int ->

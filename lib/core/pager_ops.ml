@@ -24,7 +24,7 @@ let pages_in_range (sys : Vm_sys.t) o ~offset ~length f =
   end
   else
     List.iter
-      (fun p -> if p.pg_offset >= lo && p.pg_offset < hi then f p)
+      (fun p -> if Resident.offset p >= lo && Resident.offset p < hi then f p)
       (Resident.object_pages o)
 
 let clean_request sys o ~offset ~length =
@@ -34,7 +34,8 @@ let clean_request sys o ~offset ~length =
       if Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:p.pfn then
         dirty := p :: !dirty);
   let dirty =
-    List.sort (fun a b -> Int.compare a.pg_offset b.pg_offset) !dirty
+    List.sort (fun a b -> Int.compare (Resident.offset a) (Resident.offset b))
+      !dirty
   in
   let written = ref 0 in
   let clean_one p =
@@ -60,7 +61,7 @@ let clean_request sys o ~offset ~length =
     | p :: rest ->
       (match run with
        | q :: _
-         when p.pg_offset = q.pg_offset + ps
+         when Resident.offset p = Resident.offset q + ps
               && List.length run < sys.Vm_sys.cluster_max ->
          group (p :: run) rest
        | [] -> group [ p ] rest

@@ -17,8 +17,7 @@ type t = {
   stats : Vm_stats.statistics; (* queue-lock stalls, magazine counters *)
   page_size : int;
   hash : page option Int_tbl.t;
-      (* [key] (obj_id, offset) -> the page, as the option [lookup]
-         returns, built once at [insert] *)
+      (* [key] (obj_id, offset) -> the page's [pg_found] *)
   mutable pages : page list; (* every page, whatever its state *)
   active : page Dlist.t;
   inactive : page Dlist.t;
@@ -69,19 +68,11 @@ let create ~machine ~stats ~multiple ?(frame_limit = max_int) () =
     done;
     if !usable then begin
       let p =
-        {
-          pfn = base;
-          pg_obj = None;
-          pg_offset = 0;
-          pg_wire_count = 0;
-          pg_ahead = Demand;
-          pg_queue = Q_free;
-          pg_queue_node = None;
-          pg_obj_node = None;
-          pg_requeues = 0;
-        }
+        { pfn = base; pg_found = None; pg_life = Free; pg_ahead = Demand;
+          pg_queue_node = None; pg_requeues = 0 }
       in
       let node = Dlist.node p in
+      p.pg_found <- Some p;
       p.pg_queue_node <- Some node;
       Dlist.push_back_node t.free node;
       t.pages <- p :: t.pages;
@@ -106,35 +97,44 @@ let set_lock_sim t on = t.lock_sim <- on
    while the page is on the free, active or inactive queue. *)
 let qnode p = match p.pg_queue_node with Some n -> n | None -> assert false
 
-(* Pages in a magazine are [Q_free] with their node unlinked; they never
-   meet [unlink_queue] (magazines are popped explicitly), so an unlinked
-   [Q_free] page arriving here is a double free. *)
-let unlink_queue t p =
+(* Take [p] off the queue its state names.  Magazine pages are [Free]
+   and unlinked, and are popped explicitly, so an unlinked [Free] page
+   arriving here is a double free. *)
+let unlink t p =
   let node = qnode p in
-  match p.pg_queue with
-  | Q_free ->
+  match p.pg_life with
+  | Free ->
     Dlist.remove t.free node;
     t.free_total <- t.free_total - 1
-  | Q_active -> Dlist.remove t.active node
-  | Q_inactive -> Dlist.remove t.inactive node
-  | Q_none -> assert (not (Dlist.linked node))
+  | Owned { where = Active; _ } -> Dlist.remove t.active node
+  | Owned { where = Inactive; _ } -> Dlist.remove t.inactive node
+  | Allocated | Owned { where = Held | Wired _; _ } ->
+    assert (not (Dlist.linked node))
 
-let set_queue t p q =
-  unlink_queue t p;
-  p.pg_queue <- q;
-  match q with
-  | Q_none -> ()
-  | Q_active -> Dlist.push_back_node t.active (qnode p)
-  | Q_inactive -> Dlist.push_back_node t.inactive (qnode p)
-  | Q_free ->
-    t.free_total <- t.free_total + 1;
-    Dlist.push_back_node t.free (qnode p)
+let push_free t p =
+  p.pg_life <- Free;
+  t.free_total <- t.free_total + 1;
+  Dlist.push_back_node t.free (qnode p)
+
+(* Move owned [p] to the tail of [where]'s queue ([front]: the head),
+   or onto none. *)
+let set_where ?(front = false) t p where =
+  match p.pg_life with
+  | Owned o ->
+    unlink t p;
+    o.where <- where;
+    (match where with
+     | Active -> Dlist.push_back_node t.active (qnode p)
+     | Inactive when front -> Dlist.push_front_node t.inactive (qnode p)
+     | Inactive -> Dlist.push_back_node t.inactive (qnode p)
+     | Held | Wired _ -> ())
+  | Free | Allocated -> invalid_arg "Resident: a queue move needs an owned page"
 
 (* --- Magazines --------------------------------------------------------- *)
 
 let cache_push t ~cpu p =
   assert (not (Dlist.linked (qnode p)));
-  p.pg_queue <- Q_free;
+  p.pg_life <- Free;
   t.caches.(cpu) <- p :: t.caches.(cpu);
   t.cache_count.(cpu) <- t.cache_count.(cpu) + 1;
   t.free_total <- t.free_total + 1
@@ -146,8 +146,8 @@ let cache_pop t ~cpu =
     t.caches.(cpu) <- rest;
     t.cache_count.(cpu) <- t.cache_count.(cpu) - 1;
     t.free_total <- t.free_total - 1;
-    p.pg_queue <- Q_none;
-    Some p
+    p.pg_life <- Allocated;
+    p.pg_found
 
 (* --- Shared-queue lock simulation -------------------------------------- *)
 
@@ -172,8 +172,9 @@ let queue_take t ~cpu ~lock =
   | Some node ->
     if lock then lock_acquire t ~cpu;
     let p = Dlist.value node in
-    set_queue t p Q_none;
-    Some p
+    unlink t p;
+    p.pg_life <- Allocated;
+    p.pg_found
 
 (* Last resort when the shared queue is dry but magazines still hold
    pages (they are part of [free_count], so the watermark logic believes
@@ -192,7 +193,7 @@ let steal t ~cpu =
           if Mach_obs.Obs.enabled tr then
             Mach_obs.Obs.record tr ~ts:(Machine.cycles t.machine ~cpu) ~cpu
               (Mach_obs.Obs.Page_steal { victim = v; pfn = p.pfn });
-          Some p
+          p.pg_found
         | None -> assert false
       end
       else scan (i + 1)
@@ -200,32 +201,27 @@ let steal t ~cpu =
   in
   scan 0
 
-let alloc ?cpu t =
-  let cpu = match cpu with Some c when c >= 0 -> c | _ -> 0 in
-  let p =
-    if t.cache_count.(cpu) > 0 then begin
-      t.stats.vs_pcpu_hits <- t.stats.vs_pcpu_hits + 1;
-      cache_pop t ~cpu
-    end
-    else
-      match queue_take t ~cpu ~lock:true with
-      | None -> steal t ~cpu
-      | Some first ->
-        (* Refill: one trip to the shared queue (one lock acquisition)
-           buys a whole batch; the extras go into the magazine so the
-           next magazine - 1 allocations never touch shared state. *)
-        t.stats.vs_pcpu_refills <- t.stats.vs_pcpu_refills + 1;
-        let filled = ref true in
-        for _ = 2 to magazine do
-          if !filled then
-            match queue_take t ~cpu ~lock:false with
-            | Some extra -> cache_push t ~cpu extra
-            | None -> filled := false
-        done;
-        Some first
-  in
-  (match p with Some p -> assert (Option.is_none p.pg_obj) | None -> ());
-  p
+let alloc ~cpu t =
+  if t.cache_count.(cpu) > 0 then begin
+    t.stats.vs_pcpu_hits <- t.stats.vs_pcpu_hits + 1;
+    cache_pop t ~cpu
+  end
+  else
+    match queue_take t ~cpu ~lock:true with
+    | None -> steal t ~cpu
+    | Some first ->
+      (* Refill: one trip to the shared queue (one lock acquisition)
+         buys a whole batch; the extras go into the magazine so the
+         next magazine - 1 allocations never touch shared state. *)
+      t.stats.vs_pcpu_refills <- t.stats.vs_pcpu_refills + 1;
+      let filled = ref true in
+      for _ = 2 to magazine do
+        if !filled then
+          match queue_take t ~cpu ~lock:false with
+          | Some extra -> cache_push t ~cpu extra
+          | None -> filled := false
+      done;
+      first.pg_found
 
 (* --- Object identity --------------------------------------------------- *)
 
@@ -239,24 +235,66 @@ let key t obj offset =
 
 let lookup t ~obj ~offset = Int_tbl.find_or t.hash (key t obj offset) None
 
-let insert t p ~obj ~offset =
-  assert (Option.is_none p.pg_obj);
-  assert (offset mod t.page_size = 0);
-  p.pg_obj <- Some obj;
-  p.pg_offset <- offset;
-  p.pg_obj_node <- Some (Dlist.push_back obj.obj_pages p);
-  Int_tbl.add t.hash (key t obj offset) (Some p)
+let offset p =
+  match p.pg_life with
+  | Owned { offset; _ } -> offset
+  | Free | Allocated -> invalid_arg "Resident.offset: the page has no owner"
 
-let remove_from_object t p =
-  match p.pg_obj, p.pg_obj_node with
-  | Some obj, Some node ->
-    Int_tbl.remove t.hash (key t obj p.pg_offset);
-    Dlist.remove obj.obj_pages node;
-    p.pg_obj <- None;
-    p.pg_obj_node <- None;
-    p.pg_offset <- 0
-  | None, None -> ()
-  | Some _, None | None, Some _ -> assert false
+(* Strip [p]'s identity; its state is the caller's to set. *)
+let disown t p =
+  match p.pg_life with
+  | Owned { obj; offset; node; _ } ->
+    Int_tbl.remove t.hash (key t obj offset);
+    Dlist.remove obj.obj_pages node
+  | Free | Allocated -> ()
+
+let insert t p ~obj ~offset =
+  assert (offset mod t.page_size = 0);
+  let where =
+    match p.pg_life with
+    | Allocated -> Held
+    | Owned { where; _ } -> disown t p; where
+    | Free -> invalid_arg "Resident.insert: the page is free"
+  in
+  Int_tbl.add t.hash (key t obj offset) p.pg_found;
+  p.pg_life <-
+    Owned { obj; offset; node = Dlist.push_back obj.obj_pages p; where }
+
+(* --- Queues and wiring --------------------------------------------------- *)
+
+let wires p = match p.pg_life with Owned { where = Wired n; _ } -> n | _ -> 0
+let wired p = wires p > 0
+let activate t p = if not (wired p) then set_where t p Active
+
+let deactivate ?front t p =
+  assert (not (wired p));
+  set_where ?front t p Inactive
+
+let wire t p = set_where t p (Wired (wires p + 1))
+
+let unwire t p =
+  match wires p with
+  | 0 -> invalid_arg "Resident.unwire: the page is not wired"
+  | 1 -> set_where t p Active
+  | n -> set_where t p (Wired (n - 1))
+
+let take_pop t lst =
+  match Dlist.first lst with
+  | None -> None
+  | Some node ->
+    let p = Dlist.value node in
+    set_where t p Held;
+    p.pg_found
+
+let take_inactive t = take_pop t t.inactive
+let take_active t = take_pop t t.active
+
+let requeue t p =
+  p.pg_requeues <- p.pg_requeues + 1;
+  activate t p;
+  p.pg_requeues
+
+let cleaned p = p.pg_requeues <- 0
 
 (* --- Read-ahead state and freeing -------------------------------------- *)
 
@@ -266,60 +304,46 @@ let riding p =
 let read_ahead p =
   match p.pg_ahead with Demand -> false | Prefetched | Riding _ -> true
 
+let ride t p ~cpu ~stamp ~service =
+  p.pg_ahead <-
+    (if stamp > Machine.cycles t.machine ~cpu then
+       Riding { stamp = Machine.stamp t.machine stamp; service }
+     else Prefetched)
+
+let landed p = p.pg_ahead <- Prefetched
+
 let prefetch_hit t p ~issued =
   if issued || read_ahead p then
     t.stats.vs_prefetch_hits <- t.stats.vs_prefetch_hits + 1;
   p.pg_ahead <- Demand;
-  if p.pg_wire_count = 0 && p.pg_queue = Q_inactive then
-    set_queue t p Q_active
+  match p.pg_life with
+  | Owned { where = Inactive; _ } -> set_where t p Active
+  | Owned { where = Active | Held | Wired _; _ } | Free | Allocated -> ()
 
 let free_page ?cpu t p =
-  remove_from_object t p;
+  disown t p;
+  unlink t p;
+  p.pg_life <- Allocated;
   if read_ahead p then
     t.stats.vs_prefetch_wasted <- t.stats.vs_prefetch_wasted + 1;
   p.pg_ahead <- Demand;
-  p.pg_wire_count <- 0;
   p.pg_requeues <- 0;
   match cpu with
   | Some c ->
-    set_queue t p Q_none;
     if t.cache_count.(c) >= magazine then begin
       (* Full magazine: drain it back to the shared queue in one lock
          trip, then keep the just-freed (hottest) page. *)
       lock_acquire t ~cpu:c;
       for _ = 1 to magazine do
         match cache_pop t ~cpu:c with
-        | Some q -> set_queue t q Q_free
+        | Some q -> push_free t q
         | None -> ()
       done
     end;
     cache_push t ~cpu:c p
   | None ->
     lock_acquire t ~cpu:0;
-    set_queue t p Q_free
-
-let enqueue t p q =
-  assert (q <> Q_free);
-  set_queue t p q
-
-(* Free-behind: a page deactivated behind a streaming read goes to the
-   *head* of the inactive queue — the next page the daemon reclaims —
-   so the stream eats its own wake before anyone else's working set. *)
-let enqueue_inactive_front t p =
-  unlink_queue t p;
-  p.pg_queue <- Q_inactive;
-  Dlist.push_front_node t.inactive (qnode p)
-
-let take_pop t lst =
-  match Dlist.first lst with
-  | None -> None
-  | Some node ->
-    let p = Dlist.value node in
-    set_queue t p Q_none;
-    Some p
-
-let take_inactive t = take_pop t t.inactive
-let take_active t = take_pop t t.active
+    push_free t p
 
 let iter_free t f =
   Dlist.iter f t.free;
@@ -337,7 +361,7 @@ let drain_caches t =
        let rec loop () =
          match cache_pop t ~cpu with
          | Some p ->
-           set_queue t p Q_free;
+           push_free t p;
            loop ()
          | None -> ()
        in
@@ -349,10 +373,10 @@ let drain_caches t =
 let conservation_errors t =
   let errs = ref [] in
   let note fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let free p = match p.pg_life with Free -> true | _ -> false in
   Dlist.iter
     (fun p ->
-       if p.pg_queue <> Q_free then
-         note "queued page pfn=%d not marked free" p.pfn)
+       if not (free p) then note "queued page pfn=%d not marked free" p.pfn)
     t.free;
   let cached = ref 0 in
   Array.iteri
@@ -363,10 +387,8 @@ let conservation_errors t =
        cached := !cached + t.cache_count.(cpu);
        List.iter
          (fun p ->
-            if p.pg_queue <> Q_free || Dlist.linked (qnode p) then
-              note "cached page pfn=%d in inconsistent state" p.pfn;
-            if Option.is_some p.pg_obj then
-              note "cached page pfn=%d still owned" p.pfn)
+            if (not (free p)) || Dlist.linked (qnode p) then
+              note "cached page pfn=%d in inconsistent state" p.pfn)
          mag)
     t.caches;
   let queued = Dlist.length t.free in

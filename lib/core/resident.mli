@@ -6,7 +6,8 @@
     multiple of the hardware page size; each entry may simultaneously be
     linked into a memory-object page list, an allocation queue (free,
     active or inactive/reclaimable), and the object/offset table used
-    for fast fault-time lookup.
+    for fast fault-time lookup: its [pg_life] says which.  This module
+    is the one writer of every page field.
 
     Free pages live on one FIFO fronted by per-CPU magazines of 8 pages
     that refill and drain in whole batches.  Contention on the shared
@@ -55,29 +56,57 @@ val set_lock_sim : t -> bool -> unit
     shared queue; each critical section holds it for 60 cycles.  Off by
     default: the plain allocator must charge nothing. *)
 
-val alloc : ?cpu:int -> t -> Types.page option
-(** [alloc t] takes a free page ([None] when memory is exhausted): from
-    [cpu]'s magazine when it is stocked, else from the
-    head of the shared queue, refilling the magazine as a batch; when
-    the queue is dry but magazines elsewhere still hold pages, one is
-    stolen.  The page is on no queue and belongs to no object; its
+val alloc : cpu:int -> t -> Types.page option
+(** [alloc ~cpu t] takes a free page ([None] when memory is exhausted):
+    from [cpu]'s magazine when it is stocked, else from the head of the
+    shared queue, refilling the magazine as a batch; when the queue is
+    dry but magazines elsewhere still hold pages, one is stolen.  The
+    page is [Allocated]: on no queue and owned by no object; its
     previous contents are whatever the last owner left (callers zero or
-    overwrite as the fault logic dictates).  [cpu] defaults to 0 and
-    must be one of the machine's CPUs. *)
+    overwrite as the fault logic dictates).  [cpu] must be one of the
+    machine's CPUs.  The option is the page's [pg_found]. *)
 
 val lookup : t -> obj:Types.obj -> offset:int -> Types.page option
 (** [lookup t ~obj ~offset] is the fault-path lookup by memory object
     and byte offset; [None] for an offset that does not start a page.
     It allocates nothing. *)
 
+val offset : Types.page -> int
+(** Owned [p]'s byte offset in its object ([Invalid_argument] if
+    unowned). *)
+
 val insert : t -> Types.page -> obj:Types.obj -> offset:int -> unit
 (** [insert t p ~obj ~offset] gives [p] its object/offset identity,
-    linking it into [obj]'s page list and the hash.  [offset] must be
-    page aligned and not already occupied (else [Invalid_argument]). *)
+    linking it into [obj]'s page list and the hash: an [Allocated] page
+    is then [Held], on no queue, and an owned one moves (a collapse
+    moving a page up), keeping its queue place or wiring.  [offset]
+    must be page aligned and not already occupied, and [p] not free
+    (else [Invalid_argument]). *)
 
-val remove_from_object : t -> Types.page -> unit
-(** [remove_from_object t p] strips [p]'s identity (hash and object list);
-    the page remains allocated. *)
+(** Queue moves and wiring take an owned page ([Invalid_argument]
+    otherwise).  [activate] puts it at the tail of the active queue,
+    unless it is wired; [deactivate] an unwired one at the tail of the
+    inactive queue, or with [~front:true] at its head, which
+    [take_inactive] pops next (free-behind: a stream's spent pages go
+    before anyone else's working set).  [take_inactive] and
+    [take_active] pop the oldest page of their queue for the pageout
+    daemon and leave it [Held].  [wire] wires a page once more, taking
+    it off its queue, and the last [unwire] puts it at the tail of the
+    active queue ([Invalid_argument] on an unwired page). *)
+
+val activate : t -> Types.page -> unit
+val deactivate : ?front:bool -> t -> Types.page -> unit
+val take_inactive : t -> Types.page option
+val take_active : t -> Types.page option
+val wired : Types.page -> bool
+val wire : t -> Types.page -> unit
+val unwire : t -> Types.page -> unit
+
+val requeue : t -> Types.page -> int
+val cleaned : Types.page -> unit
+(** [requeue t p] activates [p] after a pageout whose write failed, and
+    is the count of such failures in a row; [cleaned p], after one that
+    succeeded, restarts it. *)
 
 val riding : Types.page -> bool
 (** [p] is [Riding]: busy until {!Pager_guard.await_page}. *)
@@ -85,10 +114,17 @@ val riding : Types.page -> bool
 val read_ahead : Types.page -> bool
 (** [p] is [Prefetched] or [Riding]: read ahead, not used yet. *)
 
+val ride : t -> Types.page -> cpu:int -> stamp:int -> service:int -> unit
+val landed : Types.page -> unit
+(** [ride t p ~cpu ~stamp ~service] makes [p] read-ahead, [Riding] until
+    [stamp] when that lies past [cpu]'s clock, else [Prefetched]
+    ([landed p] lands it now); [service] is the device time its
+    {!Pager_guard.await_page} stands for.  A clock reset lands it. *)
+
 val prefetch_hit : t -> Types.page -> issued:bool -> unit
 (** [prefetch_hit t p ~issued] counts the first use of [p] as a prefetch
     hit when it was read ahead or its burst [issued] it; [p] becomes
-    [Demand] and, if unwired, moves from inactive to active. *)
+    [Demand] and, if inactive, moves to the active queue. *)
 
 val free_page : ?cpu:int -> t -> Types.page -> unit
 (** [free_page t p] removes [p] from its object (if any) and any queue
@@ -96,24 +132,6 @@ val free_page : ?cpu:int -> t -> Types.page -> unit
     given (draining the full magazine back to the shared queue first),
     otherwise the tail of the shared queue.  A read-ahead page counts a
     wasted prefetch; a riding page's stamp is dropped unwaited. *)
-
-val enqueue : t -> Types.page -> Types.pageq -> unit
-(** [enqueue t p q] moves [p] to queue [q] (removing it from its current
-    queue).  [Q_free] must be reached via {!free_page} instead. *)
-
-val enqueue_inactive_front : t -> Types.page -> unit
-(** [enqueue_inactive_front t p] moves [p] to the {e head} of the
-    inactive queue — the position {!take_inactive} pops next — used by
-    free-behind so a streaming read's spent pages are reclaimed before
-    anyone else's working set. *)
-
-val take_inactive : t -> Types.page option
-(** [take_inactive t] pops the oldest inactive page for the pageout
-    daemon; the page ends up on no queue. *)
-
-val take_active : t -> Types.page option
-(** [take_active t] pops the oldest active page (used by the daemon to
-    refill the inactive queue). *)
 
 val iter_pages : t -> (Types.page -> unit) -> unit
 (** [iter_pages t f] applies [f] to every page the allocator manages,
@@ -132,8 +150,9 @@ val drain_caches : t -> unit
 
 val conservation_errors : t -> string list
 (** Structural audit of the free pool: [free_count] must equal the
-    queue length plus magazine contents, every queued page must be
-    marked free, and cached pages must be ownerless.  Empty list =
+    queue length plus magazine contents, and every page on the free
+    queue or in a magazine must be [Free] (a magazine's unlinked); a
+    [Free] page has no owner or wiring to audit.  Empty list =
     consistent. *)
 
 val check_conservation : t -> bool

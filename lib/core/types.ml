@@ -13,35 +13,41 @@
 open Mach_util
 open Mach_hw
 
-(* Which paging queue a resident page is on (Section 3.1: allocation
-   queues are maintained for free, reclaimable and allocated pages). *)
-type pageq =
-  | Q_none      (* wired or in transit *)
-  | Q_free
-  | Q_active
-  | Q_inactive  (* reclaimable *)
-
+(* A resident page (Section 3.1); Resident assigns every field. *)
 type page = {
   pfn : int;
       (* first hardware frame of this (machine-independent) page; a Mach
          page spans [page_multiple] consecutive hardware frames *)
-  mutable pg_obj : obj option;          (* owning memory object *)
-  mutable pg_offset : int;              (* byte offset within the object *)
-  mutable pg_wire_count : int;
+  mutable pg_found : page option;  (* [Some] this page, for lookup and alloc *)
+  mutable pg_life : life;
   mutable pg_ahead : ahead;
-      (* written by Pager_guard (ride, land) and Resident (hit, free) *)
-  mutable pg_queue : pageq;
   mutable pg_queue_node : page Dlist.node option;
       (* the page's one queue node, set when the page is made and relinked
          on every queue move; linked exactly while the page is on the
          free, active or inactive queue *)
-  mutable pg_obj_node : page Dlist.node option;
   mutable pg_requeues : int;
       (* consecutive pageout attempts on which this page's write failed
          and it was requeued still dirty; reset when a clean succeeds or
          the page is freed.  Crossing the requeue limit flips the system
          into the memory-pressure state instead of spinning forever *)
 }
+
+(* A page's life, one field, so a free page cannot be owned or wired
+   and a wired page cannot sit on a paging queue (Section 3.1: queues
+   of free, reclaimable and allocated pages). *)
+and life =
+  | Free       (* on the shared free queue or in a CPU's magazine *)
+  | Allocated  (* taken from the free pool, not yet given an identity *)
+  | Owned of {
+      obj : obj;
+      offset : int;              (* byte offset within [obj] *)
+      node : page Dlist.node;    (* on [obj]'s page list *)
+      mutable where : where;
+    }
+
+(* Which paging queue an owned page is on.  [Held]: none, just inserted
+   or taken by the pageout daemon; [Wired n]: none, wired [n] times. *)
+and where = Active | Inactive (* reclaimable *) | Held | Wired of int
 
 (* A page's read-ahead state; [Demand] for a page a fault or read asked
    for.  [Riding]: read ahead and still on the device, busy until
@@ -211,7 +217,6 @@ and entry = {
   mutable e_inherit : Inheritance.t;
   mutable e_needs_copy : bool;
       (* data must be shadowed before this entry's first write *)
-  mutable e_wired : bool;
   mutable e_burst_window : int;
       (* pages a resident fault here maps in one pass, demand page
          included; always read capped at [Vm_sys.burst_max], so the

@@ -112,18 +112,14 @@ let free_behind (sys : Vm_sys.t) obj st ~offset ~pages =
       let off = offset - (i * ps) in
       if off >= 0 then
         match Resident.lookup sys.Vm_sys.resident ~obj ~offset:off with
-        | None -> ()
-        | Some p ->
-          if
-            p.pg_queue = Q_active && p.pg_wire_count = 0
-            && (not (Resident.riding p))
-            && (not (ahead_of_other_stream off))
-            && not (Mach_pmap.Pmap_domain.is_modified domain ~pfn:p.pfn)
-          then begin
-            Mach_pmap.Pmap_domain.clear_referenced domain ~pfn:p.pfn;
-            Resident.enqueue_inactive_front sys.Vm_sys.resident p;
-            incr moved
-          end
+        | Some ({ pg_life = Owned { where = Active; _ }; _ } as p)
+          when (not (Resident.riding p))
+               && (not (ahead_of_other_stream off))
+               && not (Mach_pmap.Pmap_domain.is_modified domain ~pfn:p.pfn) ->
+          Mach_pmap.Pmap_domain.clear_referenced domain ~pfn:p.pfn;
+          Resident.deactivate ~front:true sys.Vm_sys.resident p;
+          incr moved
+        | _ -> ()
     done;
     if !moved > 0 then begin
       sys.Vm_sys.stats.Vm_stats.vs_free_behind_pages <-
@@ -194,8 +190,8 @@ let install_tail (sys : Vm_sys.t) obj ~offset ~got ~data ~io =
         | Some p ->
           Resident.insert res p ~obj ~offset:off;
           Page_io.fill ~pos:(i * ps) sys p data;
-          Pager_guard.ride sys p ~stamp ~service;
-          Resident.enqueue res p Q_inactive;
+          Resident.ride res p ~cpu ~stamp ~service;
+          Resident.deactivate res p;
           incr issued
   done;
   !issued

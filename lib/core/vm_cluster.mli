@@ -42,7 +42,7 @@
     cluster of one.  A reply stamps each page, demand page first
     ({!Mach_hw.Machine.io_landed}).  The miss waits only for the
     demand page; the prefetched pages are resident and filled at once
-    but ride their own stamps ({!Pager_guard.ride}), and the first
+    but ride their own stamps ({!Resident.ride}), and the first
     fault to touch one waits out only that page's remaining device time
     ({!note_hit} → {!Pager_guard.await_page}).  A reply from a pager
     with no device behind it has already landed.

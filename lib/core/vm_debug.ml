@@ -27,27 +27,25 @@ let check_object_structure sys errs o =
          note errs "object %d stream cursor %d unaligned" o.obj_id st.st_next)
     o.obj_streams;
   (* Pages on the object's list must carry the object's identity and be
-     found through the hash. *)
+     found through the hash.  Every page on it is owned: the list node
+     lives in the owner record. *)
   List.iter
     (fun p ->
-       (match p.pg_obj with
-        | Some owner when owner == o -> ()
-        | Some owner ->
+       let offset = Resident.offset p in
+       (match p.pg_life with
+        | Owned { obj; _ } when obj != o ->
           note errs "page pfn=%d on object %d's list but owned by %d" p.pfn
-            o.obj_id owner.obj_id
-        | None ->
-          note errs "page pfn=%d on object %d's list but ownerless" p.pfn
-            o.obj_id);
-       if p.pg_offset mod sys.Vm_sys.page_size <> 0 then
-         note errs "page pfn=%d at unaligned offset %d" p.pfn p.pg_offset;
-       match Resident.lookup sys.Vm_sys.resident ~obj:o ~offset:p.pg_offset with
+            o.obj_id obj.obj_id
+        | _ -> ());
+       if offset mod sys.Vm_sys.page_size <> 0 then
+         note errs "page pfn=%d at unaligned offset %d" p.pfn offset;
+       match Resident.lookup sys.Vm_sys.resident ~obj:o ~offset with
        | Some q when q == p -> ()
        | Some _ ->
-         note errs "hash disagrees for object %d offset %d" o.obj_id
-           p.pg_offset
+         note errs "hash disagrees for object %d offset %d" o.obj_id offset
        | None ->
          note errs "page pfn=%d missing from hash (object %d offset %d)"
-           p.pfn o.obj_id p.pg_offset)
+           p.pfn o.obj_id offset)
     (Resident.object_pages o)
 
 (* Walk a shadow chain, checking acyclicity via a bound. *)
@@ -138,16 +136,8 @@ let check_resident sys =
   if counted > Resident.total_pages res then
     note errs "queues hold %d pages of %d total" counted
       (Resident.total_pages res);
-  (* Free pages belong to no object, are not wired, and no hardware
-     mapping of them survives. *)
+  (* No hardware mapping of a free page survives. *)
   Resident.iter_free res (fun p ->
-      (match p.pg_obj with
-       | Some o ->
-         note errs "free page pfn=%d still owned by object %d" p.pfn
-           o.obj_id
-       | None -> ());
-      if p.pg_wire_count <> 0 then
-        note errs "free page pfn=%d wired" p.pfn;
       let n = Pmap_domain.mapping_count sys.Vm_sys.domain ~pfn:p.pfn in
       if n > 0 then
         note errs "free page pfn=%d retains %d mappings" p.pfn n);
@@ -205,7 +195,7 @@ let check_burst sys =
               (fun (a, _) -> a = asid)
               (Pmap_domain.mappings_of sys.Vm_sys.domain ~pfn:p.pfn))
        then note errs "burst record (asid %d, pfn %d) is not mapped" asid pfn;
-       if Option.is_none p.pg_obj then
+       if (match p.pg_life with Owned _ -> false | _ -> true) then
          note errs "burst record (asid %d, pfn %d) outlives its object" asid
            pfn)
     sys.Vm_sys.burst_pending;
@@ -219,14 +209,14 @@ let check_riding sys =
   let res = sys.Vm_sys.resident in
   Resident.iter_pages res (fun p ->
       if Resident.riding p then
-        match p.pg_obj with
-        | Some o
-          when (not o.obj_dead)
-               && (match Resident.lookup res ~obj:o ~offset:p.pg_offset with
+        match p.pg_life with
+        | Owned { obj; offset; _ }
+          when (not obj.obj_dead)
+               && (match Resident.lookup res ~obj ~offset with
                    | Some q -> q == p
                    | None -> false) ->
           ()
-        | Some _ | None ->
+        | Owned _ | Free | Allocated ->
           note errs "page pfn=%d rides a disk stamp outside a live object"
             p.pfn);
   List.rev !errs

@@ -4,59 +4,13 @@ open Mach_pmap
 module Obs = Mach_obs.Obs
 
 let enter_page pmap ~page_va p ~prot =
-  pmap.Pmap.enter ~va:page_va ~pfn:p.pfn ~prot ~wired:(p.pg_wire_count > 0)
-
-let activate_page (sys : Vm_sys.t) p =
-  if p.pg_wire_count = 0 then
-    Resident.enqueue sys.Vm_sys.resident p Q_active
+  pmap.Pmap.enter ~va:page_va ~pfn:p.pfn ~prot ~wired:(Resident.wired p)
 
 (* Allocate a fresh page and give it an identity in [obj] at [offset]. *)
 let new_page_in (sys : Vm_sys.t) obj ~offset =
   let p = Vm_sys.grab_page sys in
   Resident.insert sys.Vm_sys.resident p ~obj ~offset;
   p
-
-(* The entry's burst window, decided afresh at each resident fault with
-   the read-ahead stream ramp rule.  The outcomes of the entry's burst
-   neighbours settled since the last decision vote: if hits >= misses
-   the window doubles, capped at [burst_max]; otherwise it halves, down
-   to 1 — the demand page only.  Undecided neighbours (mapped, not yet
-   touched) do not vote, and with no votes the window stands.  At the
-   floor the entry re-probes on an exponential backoff: a probe maps one
-   neighbour on this fault only and the entry goes straight back to
-   skipping [e_burst_gap] resident faults, so CPUs sharing the entry do
-   not all probe before the first vote lands.  A lost probe doubles the
-   gap, capped at [burst_max]; a won one resets it and the window ramps
-   up again 2 -> 4 -> 8.  A probe is clipped to [burst_max], so limits 0
-   and 1 never map a neighbour. *)
-let burst_window (sys : Vm_sys.t) entry =
-  let cap = sys.Vm_sys.burst_max in
-  let w = min entry.e_burst_window cap in
-  let hits = entry.e_burst_hits and misses = entry.e_burst_misses in
-  let w =
-    if hits + misses = 0 then w
-    else if hits >= misses then begin
-      entry.e_burst_gap <- 1;
-      entry.e_burst_skip <- 0;
-      min cap (2 * w)
-    end
-    else begin
-      if w <= 1 then entry.e_burst_gap <- min cap (2 * entry.e_burst_gap);
-      max 1 (w / 2)
-    end
-  in
-  entry.e_burst_window <- w;
-  entry.e_burst_hits <- 0;
-  entry.e_burst_misses <- 0;
-  if w > 1 then w
-  else if entry.e_burst_skip > 0 then begin
-    entry.e_burst_skip <- entry.e_burst_skip - 1;
-    1
-  end
-  else begin
-    entry.e_burst_skip <- entry.e_burst_gap;
-    min cap 2
-  end
 
 (* Burst faulting: when the demand page was found resident in the first
    object, scan forward for consecutive neighbours that are also resident
@@ -85,7 +39,7 @@ let rec burst_scan (sys : Vm_sys.t) ~asid ~window ~lim obj ~page_va ~va_end
     | _ -> List.rev acc
 
 let collect_burst (sys : Vm_sys.t) pmap entry obj ~page_va ~va_end ~offset =
-  let window = burst_window sys entry in
+  let window = Vm_sys.burst_window sys entry in
   burst_scan sys ~asid:pmap.Pmap.asid ~window
     ~lim:(entry.e_offset + entry_size entry) obj ~page_va ~va_end ~offset 1 []
 
@@ -127,7 +81,7 @@ let mapped_prot fl ~cow =
 
 let finish sys pmap ~page_va p ~prot =
   enter_page pmap ~page_va p ~prot;
-  activate_page sys p;
+  Resident.activate sys.Vm_sys.resident p;
   Ok p
 
 (* When the authoritative entry lives in a sharing map, a page copied
@@ -272,7 +226,7 @@ let map_resident sys tf pmap fl first_obj p ~page_va ~offset =
     if Option.is_some tf then
       Vm_sys.emit sys
         (Obs.Burst_enter { va = page_va; pages = 1 + List.length burst });
-    activate_page sys p;
+    Resident.activate sys.Vm_sys.resident p;
     Ok p
 
 (* Bodies of the writer sections that give [first_obj] a new page. *)
@@ -435,8 +389,7 @@ let wire sys map ~va =
   match fault sys map ~va ~write:true with
   | Error _ as e -> e
   | Ok p ->
-    p.pg_wire_count <- p.pg_wire_count + 1;
-    Resident.enqueue sys.Vm_sys.resident p Q_none;
+    Resident.wire sys.Vm_sys.resident p;
     Ok ()
 
 let unwire sys map ~va =
@@ -445,9 +398,7 @@ let unwire sys map ~va =
   | Some (o, offset) ->
     let offset = offset - (offset mod sys.Vm_sys.page_size) in
     (match Vm_object.chain_lookup sys o ~offset with
-     | `Found (_, p, _) when p.pg_wire_count > 0 ->
-       p.pg_wire_count <- p.pg_wire_count - 1;
-       if p.pg_wire_count = 0 then
-         Resident.enqueue sys.Vm_sys.resident p Q_active;
+     | `Found (_, p, _) when Resident.wired p ->
+       Resident.unwire sys.Vm_sys.resident p;
        Ok ()
      | `Found _ | `Absent _ -> Error Kr.Invalid_argument)

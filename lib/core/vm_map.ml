@@ -115,7 +115,6 @@ and make_entry ~start_ ~end_ ~backing ~offset ~prot ~max_prot ~inherit_
     e_max_prot = max_prot;
     e_inherit = inherit_;
     e_needs_copy = needs_copy;
-    e_wired = false;
     e_burst_window = max_int;
     e_burst_skip = 0;
     e_burst_gap = 1;
@@ -163,7 +162,6 @@ let split_piece e ~start_ ~end_ ~offset =
     make_entry ~start_ ~end_ ~backing:e.e_backing ~offset ~prot:e.e_prot
       ~max_prot:e.e_max_prot ~inherit_:e.e_inherit ~needs_copy:e.e_needs_copy
   in
-  piece.e_wired <- e.e_wired;
   backing_ref e.e_backing;
   piece
 
@@ -287,7 +285,7 @@ let allocate sys m ?at ~size ~anywhere () =
 let cow_protect sys o ~lo ~hi =
   List.iter
     (fun p ->
-       if p.pg_offset >= lo && p.pg_offset < hi then
+       if Resident.offset p >= lo && Resident.offset p < hi then
          Pmap_domain.copy_on_write sys.Vm_sys.domain ~pfn:p.pfn)
     (Resident.object_pages o)
 

@@ -67,9 +67,9 @@ let free_page (sys : Vm_sys.t) p =
     Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
     Resident.free_page ~cpu:(Vm_sys.current_cpu sys) sys.Vm_sys.resident p
   in
-  match p.pg_obj with
-  | Some o -> lock_write sys o free
-  | None -> free ()
+  match p.pg_life with
+  | Owned { obj; _ } -> lock_write sys obj free
+  | Free | Allocated -> free ()
 
 let reference o =
   assert (not o.obj_dead);
@@ -215,16 +215,13 @@ let rec collapse sys o =
         then begin
           List.iter
             (fun p ->
-               let new_off = p.pg_offset - o.obj_shadow_offset in
+               let new_off = Resident.offset p - o.obj_shadow_offset in
                let visible =
                  new_off >= 0 && new_off < o.obj_size
                  && Option.is_none (lookup_resident sys o ~offset:new_off)
                in
-               if visible then begin
-                 Resident.remove_from_object sys.Vm_sys.resident p;
-                 Resident.insert sys.Vm_sys.resident p ~obj:o
-                   ~offset:new_off
-               end
+               if visible then
+                 Resident.insert sys.Vm_sys.resident p ~obj:o ~offset:new_off
                else free_page sys p)
             (Resident.object_pages backing);
           o.obj_shadow <- backing.obj_shadow;

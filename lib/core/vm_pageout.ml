@@ -10,7 +10,7 @@ let deactivate_some (sys : Vm_sys.t) ~count =
       | None -> ()
       | Some p ->
         Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
-        Resident.enqueue sys.Vm_sys.resident p Q_inactive;
+        Resident.deactivate sys.Vm_sys.resident p;
         loop (n - 1)
   in
   loop count
@@ -54,7 +54,7 @@ let run_cleaned (sys : Vm_sys.t) ~offset pages =
   List.iter
     (fun q ->
        Pmap_domain.clear_modified sys.Vm_sys.domain ~pfn:q.pfn;
-       q.pg_requeues <- 0)
+       Resident.cleaned q)
     pages;
   sys.Vm_sys.mem_pressure <- false;
   let n = List.length pages in
@@ -71,18 +71,16 @@ let run_cleaned (sys : Vm_sys.t) ~offset pages =
    was actually cleaned; on [false] the page is still dirty and the
    caller must not free it. *)
 let clean_page (sys : Vm_sys.t) p =
-  match p.pg_obj with
-  | None -> true
-  | Some o ->
+  match p.pg_life with
+  | Free | Allocated -> true
+  | Owned { obj = o; offset; _ } ->
     (* Cleaning is a writer section on the owning object: faults on the
        same object stall behind it on a multiprocessor. *)
     Vm_object.lock_write sys o @@ fun () ->
     ensure_pager sys o;
-    match
-      Pager_guard.write sys o ~offset:p.pg_offset ~data:[ Page_io.lend sys p ]
-    with
+    match Pager_guard.write sys o ~offset ~data:[ Page_io.lend sys p ] with
     | `Ok ->
-      run_cleaned sys ~offset:p.pg_offset [ p ];
+      run_cleaned sys ~offset [ p ];
       true
     | `Failed ->
       sys.Vm_sys.stats.Vm_stats.vs_pageout_failures <-
@@ -102,7 +100,7 @@ let write_cluster (sys : Vm_sys.t) o pages =
   Vm_object.lock_write sys o @@ fun () ->
   ensure_pager sys o;
   let n = List.length pages in
-  let start = (List.hd pages).pg_offset in
+  let start = Resident.offset (List.hd pages) in
   (* One consistency exchange per page, not per run: a run's frame pages
      would pass the whole-space flush threshold and drop every
      translation of the address space. *)
@@ -134,12 +132,12 @@ let write_cluster (sys : Vm_sys.t) o pages =
    there is nothing to coalesce (always, at [cluster_max <= 1]) or the
    clustered write fails. *)
 let clean_cluster (sys : Vm_sys.t) p =
-  match p.pg_obj with
-  | None -> true
-  | Some o ->
+  match p.pg_life with
+  | Free | Allocated -> true
+  | Owned { obj = o; offset; _ } ->
     let ps = sys.Vm_sys.page_size in
     let eligible q =
-      (not (Resident.riding q)) && q.pg_wire_count = 0
+      (not (Resident.riding q)) && (not (Resident.wired q))
       && Pmap_domain.is_modified sys.Vm_sys.domain ~pfn:q.pfn
     in
     let rec grow acc off step n =
@@ -149,8 +147,8 @@ let clean_cluster (sys : Vm_sys.t) p =
         | Some q when eligible q -> grow (q :: acc) (off + step) step (n + 1)
         | _ -> (acc, n)
     in
-    let before, n = grow [] (p.pg_offset - ps) (-ps) 1 in
-    let after, n = grow [] (p.pg_offset + ps) ps n in
+    let before, n = grow [] (offset - ps) (-ps) 1 in
+    let after, n = grow [] (offset + ps) ps n in
     if n < 2 then clean_page sys p
     else begin
       (* [before] was collected walking left, so prepending left it in
@@ -182,15 +180,13 @@ let run (sys : Vm_sys.t) ~wanted =
     | Some p ->
       incr examined;
       (* Land a riding read-ahead page before examining it, charging
-         only the residue, so it re-enters circulation. *)
-      if p.pg_wire_count = 0 then Pager_guard.await_page sys p;
-      if p.pg_wire_count > 0 then
-        (* Should not be queued at all; make it so. *)
-        Resident.enqueue res p Q_none
-      else if Pmap_domain.is_referenced sys.Vm_sys.domain ~pfn:p.pfn then begin
+         only the residue, so it re-enters circulation.  A queued page
+         is never wired: wiring takes a page off its queue. *)
+      Pager_guard.await_page sys p;
+      if Pmap_domain.is_referenced sys.Vm_sys.domain ~pfn:p.pfn then begin
         (* Second chance. *)
         Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;
-        Resident.enqueue res p Q_active;
+        Resident.activate res p;
         sys.Vm_sys.stats.Vm_stats.vs_reactivations <-
           sys.Vm_sys.stats.Vm_stats.vs_reactivations + 1
       end
@@ -211,10 +207,8 @@ let run (sys : Vm_sys.t) ~wanted =
              keeps failing flips the system into the pressure state so
              allocation backpressure escalates to the OOM policy
              instead of spinning the daemon against a wall. *)
-          p.pg_requeues <- p.pg_requeues + 1;
-          if p.pg_requeues > Vm_sys.pageout_requeue_limit then
-            Vm_sys.set_mem_pressure sys true;
-          Resident.enqueue res p Q_active
+          if Resident.requeue res p > Vm_sys.pageout_requeue_limit then
+            Vm_sys.set_mem_pressure sys true
         end
         else begin
           Pmap_domain.clear_referenced sys.Vm_sys.domain ~pfn:p.pfn;

@@ -108,8 +108,9 @@ exception Out_of_memory
    touch through another task's mapping of the same page credits
    nobody, and a burst never marks the page read-ahead ([pg_ahead]), so
    no later demand fault or read can count it as a hit either.  Outcomes
-   feed the entry's window (Vm_fault).  Pure bookkeeping: none of this
-   charges cycles. *)
+   feed the entry's window ([burst_window]), and this section is the one
+   writer of the entry's [e_burst_*] fields.  Pure bookkeeping: none of
+   this charges cycles. *)
 
 let burst_register t ~asid entry p ~issued =
   let b = { b_page = p; b_asid = asid; b_entry = entry; b_issued = issued } in
@@ -123,6 +124,43 @@ let burst_settle t b ~hit =
     Resident.prefetch_hit t.resident p ~issued:b.b_issued
   end
   else e.Types.e_burst_misses <- e.Types.e_burst_misses + 1
+
+(* The read-ahead ramp rule, decided afresh at each resident fault: the
+   outcomes settled since the last decision vote, and hits >= misses
+   double the window (capped at [burst_max]), else it halves, down to 1
+   (the demand page only); no votes, no change.  At 1 the entry maps
+   one probe neighbour after skipping [e_burst_gap] resident faults, so
+   CPUs sharing the entry do not all probe before the first vote lands;
+   a lost probe doubles the gap (capped), a won one resets it.  Limits
+   0 and 1 never map a neighbour. *)
+let burst_window t (entry : Types.entry) =
+  let cap = t.burst_max in
+  let w = min entry.e_burst_window cap in
+  let hits = entry.e_burst_hits and misses = entry.e_burst_misses in
+  let w =
+    if hits + misses = 0 then w
+    else if hits >= misses then begin
+      entry.e_burst_gap <- 1;
+      entry.e_burst_skip <- 0;
+      min cap (2 * w)
+    end
+    else begin
+      if w <= 1 then entry.e_burst_gap <- min cap (2 * entry.e_burst_gap);
+      max 1 (w / 2)
+    end
+  in
+  entry.e_burst_window <- w;
+  entry.e_burst_hits <- 0;
+  entry.e_burst_misses <- 0;
+  if w > 1 then w
+  else if entry.e_burst_skip > 0 then begin
+    entry.e_burst_skip <- entry.e_burst_skip - 1;
+    1
+  end
+  else begin
+    entry.e_burst_skip <- entry.e_burst_gap;
+    min cap 2
+  end
 
 let burst_outcome t ~asid ~pfn ~hit =
   if Int_tbl.length t.burst_pending > 0 then

@@ -223,6 +223,11 @@ val burst_register :
     demand-faulted there first; either feeds [entry]'s hit/miss counts.
     Pure bookkeeping, charges nothing. *)
 
+val burst_window : t -> Types.entry -> int
+(** [burst_window t entry] is how many pages a resident fault through
+    [entry] maps, demand page included, decided from the burst outcomes
+    settled since the last decision. *)
+
 val burst_demand_fault : t -> asid:int -> Types.page -> unit
 (** [burst_demand_fault t ~asid p] settles a pending burst record of [p]
     in [asid] as a miss: the page is being demand-faulted there, so its

@@ -84,7 +84,7 @@ let read_through_object sys ?stream fs ~name ~offset ~len =
                    ~limit:max_int
            with
            | `Data (p, _) ->
-             Resident.enqueue sys.Vm_sys.resident p Q_active;
+             Resident.activate sys.Vm_sys.resident p;
              p
            | `Absent | `Error ->
              (* A pager that fails for good degrades this read() to
@@ -94,7 +94,7 @@ let read_through_object sys ?stream fs ~name ~offset ~len =
              Page_io.zero sys p;
              sys.Vm_sys.stats.Vm_stats.vs_pager_reads <-
                sys.Vm_sys.stats.Vm_stats.vs_pager_reads + 1;
-             Resident.enqueue sys.Vm_sys.resident p Q_active;
+             Resident.activate sys.Vm_sys.resident p;
              p)
       in
       Page_io.blit_out sys page ~off:(abs mod ps) ~len:chunk buf ~pos;

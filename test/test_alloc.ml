@@ -23,47 +23,113 @@ let boot ?(frames = 2048) ?(cpus = 1) () =
 
 (* ---- qcheck: conservation ------------------------------------------------ *)
 
-(* Random streams of allocations (any CPU), frees (to any CPU's
-   magazine) and magazine drains on a 4-CPU machine.  After every single
-   step the pool must account for exactly [total - held] free pages and
-   pass the structural audit. *)
+(* Random streams of page traffic on a 4-CPU machine: allocations (any
+   CPU), frees (to any CPU's magazine, of allocated and of owned pages),
+   magazine drains, inserts into three objects of eight pages each,
+   renames to another free slot (a collapse moving a page up), queue
+   moves, wiring and unwiring.  After every single step the pool must
+   account for exactly [total - taken] free pages, every owned page must
+   be found at its slot with its wiring, and [Vm_debug.check_all] must
+   pass on a sharing map over the three objects, which audits their
+   page lists.  The op is (tag, cpu, slot or pick). *)
 let ops_gen =
   QCheck2.Gen.(
-    list_size (int_range 1 120) (pair (int_range 0 5) (int_range 0 3)))
+    list_size (int_range 1 120)
+      (triple (int_range 0 11) (int_range 0 3) (int_range 0 23)))
 
 let conservation =
   QCheck2.Test.make ~name:"free hierarchy conserved under random traffic"
     ~count:30 ops_gen
     (fun ops ->
        let _, _, sys = boot ~cpus:4 () in
-       let res = sys.Vm_sys.resident in
+       let res = sys.Vm_sys.resident and ps = sys.Vm_sys.page_size in
        let total = Resident.total_pages res in
-       let held = ref [] in
-       let nheld = ref 0 in
+       let objs =
+         Array.init 3 (fun _ -> Vm_object.create_anonymous sys ~size:(8 * ps))
+       in
+       let map = Vm_map.create sys ~pmap:None ~low:ps ~high:(1 lsl 30) in
+       Array.iter
+         (fun o ->
+            match Vm_map.allocate_object sys map o ~offset:0 ~size:(8 * ps) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail (Kr.to_string e))
+         objs;
+       (* Allocated pages, and owned ones with (slot, wire count). *)
+       let held = ref [] and owned = ref [] in
+       let slot_free x = not (List.exists (fun (_, (y, _)) -> y = x) !owned) in
+       let locate x = (objs.(x / 8), x mod 8 * ps) in
+       let pick x = List.nth !owned (x mod List.length !owned) in
+       let update p f =
+         owned :=
+           List.map (fun (q, s) -> if q == p then (q, f s) else (q, s)) !owned
+       in
+       let step (tag, cpu, x) =
+         match tag with
+         | 0 | 1 ->
+           (match Resident.alloc ~cpu res with
+            | Some p -> held := p :: !held
+            | None -> ())
+         | 2 ->
+           (match !held with
+            | [] -> ()
+            | p :: rest ->
+              held := rest;
+              Resident.free_page ~cpu res p)
+         | 3 -> Resident.drain_caches res
+         | 4 ->
+           (match !held with
+            | p :: rest when slot_free x ->
+              held := rest;
+              let obj, offset = locate x in
+              Resident.insert res p ~obj ~offset;
+              owned := (p, (x, 0)) :: !owned
+            | _ -> ())
+         | _ when !owned = [] -> ()
+         | 5 ->
+           let p, _ = pick x in
+           let y = (x + 1 + cpu) mod 24 in
+           if slot_free y then begin
+             let obj, offset = locate y in
+             Resident.insert res p ~obj ~offset;
+             update p (fun (_, w) -> (y, w))
+           end
+         | 6 -> Resident.activate res (fst (pick x))
+         | 7 ->
+           let p, (_, w) = pick x in
+           if w = 0 then Resident.deactivate res p
+         | 8 ->
+           let p, _ = pick x in
+           Resident.wire res p;
+           update p (fun (y, w) -> (y, w + 1))
+         | 9 ->
+           let p, (_, w) = pick x in
+           if w > 0 then begin
+             Resident.unwire res p;
+             update p (fun (y, w) -> (y, w - 1))
+           end
+         | _ ->
+           let p, _ = pick x in
+           owned := List.filter (fun (q, _) -> q != p) !owned;
+           Resident.free_page ~cpu res p
+       in
        List.for_all
-         (fun (tag, cpu) ->
-            (match tag with
-             | 0 | 1 | 2 ->
-               (match Resident.alloc ~cpu res with
-                | Some p ->
-                  held := p :: !held;
-                  incr nheld
-                | None -> ())
-             | 3 | 4 ->
-               (match !held with
-                | [] -> ()
-                | p :: rest ->
-                  held := rest;
-                  decr nheld;
-                  Resident.free_page ~cpu res p)
-             | _ -> Resident.drain_caches res);
+         (fun op ->
+            step op;
             Resident.check_conservation res
-            && Resident.free_count res = total - !nheld)
+            && Resident.free_count res
+               = total - List.length !held - List.length !owned
+            && List.for_all
+                 (fun (p, (x, w)) ->
+                    let obj, offset = locate x in
+                    Resident.lookup res ~obj ~offset == p.Types.pg_found
+                    && Resident.wired p = (w > 0))
+                 !owned
+            && Vm_debug.check_all sys ~maps:[ map ] = [])
          ops)
 
 (* ---- the consistency checker audits conservation ------------------------- *)
 
-(* A page on the shared free queue that claims to be inactive is a
+(* A page on the shared free queue that is not [Free] is a
    free-accounting leak; [Vm_debug.check_all] must report it. *)
 let test_check_all_flags_queue_mismatch () =
   let _, _, sys = boot () in
@@ -74,9 +140,9 @@ let test_check_all_flags_queue_mismatch () =
   Resident.iter_free res (fun p ->
       if Option.is_none !victim then victim := Some p);
   let p = Option.get !victim in
-  p.Types.pg_queue <- Types.Q_inactive;
+  p.Types.pg_life <- Types.Allocated;
   let errs = Vm_debug.check_all sys ~maps:[] in
-  p.Types.pg_queue <- Types.Q_free;
+  p.Types.pg_life <- Types.Free;
   Alcotest.(check bool) "conservation error reported" true
     (List.mem
        (Printf.sprintf "queued page pfn=%d not marked free" p.Types.pfn)

@@ -283,14 +283,15 @@ let test_free_behind_skips_dirty () =
   in
   let queue_of i =
     match Vm_object.lookup_resident sys o ~offset:(i * ps) with
-    | Some p -> p.Types.pg_queue
+    | Some { Types.pg_life = Types.Owned { where; _ }; _ } -> where
+    | Some _ -> Alcotest.fail (Printf.sprintf "page %d not owned" i)
     | None -> Alcotest.fail (Printf.sprintf "page %d not resident" i)
   in
   Alcotest.(check bool) "dirty page stays active" true
-    (queue_of 1 = Types.Q_active);
+    (queue_of 1 = Types.Active);
   (* A clean page well behind the final cursor was demoted. *)
   Alcotest.(check bool) "clean page behind the cursor went inactive" true
-    (queue_of 4 = Types.Q_inactive);
+    (queue_of 4 = Types.Inactive);
   (* And the data is untouched. *)
   let got = Machine.read machine ~cpu:0 ~va:(addr + ps) ~len:5 in
   Alcotest.(check string) "dirty bytes intact" "dirty" (Bytes.to_string got)
@@ -998,16 +999,17 @@ let free_behind_never_eats_dirty =
            let m = Mach_pmap.Pmap_domain.page_multiple kernel.Kernel.domain in
            List.for_all
              (fun p ->
-                p.Types.pg_queue <> Types.Q_inactive
-                || (p.Types.pg_wire_count = 0
-                    && (List.mem (p.Types.pg_offset / ps) written
-                        || not
-                             (List.exists
-                                (fun f ->
-                                   Mach_pmap.Pmap_domain.is_modified
-                                     kernel.Kernel.domain
-                                     ~pfn:(p.Types.pfn + f))
-                                (List.init m Fun.id)))))
+                (match p.Types.pg_life with
+                 | Types.Owned { where = Types.Inactive; _ } -> false
+                 | _ -> true)
+                || List.mem (Resident.offset p / ps) written
+                || not
+                     (List.exists
+                        (fun f ->
+                           Mach_pmap.Pmap_domain.is_modified
+                             kernel.Kernel.domain
+                             ~pfn:(p.Types.pfn + f))
+                        (List.init m Fun.id)))
              (Resident.object_pages o)
        in
        clean && Bytes.equal image data)

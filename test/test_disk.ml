@@ -254,7 +254,7 @@ let test_no_device_pager () =
     [ ps; 2 * ps; 4 * ps ] (List.rev !requests);
   List.iter
     (fun p ->
-       let i = p.Types.pg_offset / ps in
+       let i = Resident.offset p / ps in
        Alcotest.(check bool) (Printf.sprintf "page %d not inflight" i) true
          (not (Resident.riding p));
        Alcotest.(check char) (Printf.sprintf "page %d bytes" i)

@@ -582,8 +582,10 @@ let test_refill_and_lookup_allocation () =
    resolution and exemption are top-level functions, the copy's writer
    section is written out lock to unlock, and the exempt map id is an
    int, so none of them builds a closure or a box; what is left is the
-   page's new identity, its queue and pmap entries and the fault's
-   result: about 170 words a fault, under a bound of 185.  The
+   page's new identity (one owner block; the page's [Some] is built
+   with it, for lookups and allocations alike), its queue and pmap
+   entries and the fault's result: about 164 words a fault, under a
+   bound of 185.  Separate owner and node options took about 170; the
    section's two closures and a [Some] exemption took about 193; with
    the handler's helpers nested in it, boxed queue links and
    tuple-keyed tables it took about 400. *)

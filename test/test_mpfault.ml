@@ -302,7 +302,7 @@ let test_burst_records_per_page () =
            if asid' <> asid || pfn <> p.Types.pfn then
              Alcotest.failf "record (%d, %d) for page pfn=%d" asid' pfn
                p.Types.pfn;
-           (p.Types.pg_offset / ps) :: acc)
+           (Resident.offset p / ps) :: acc)
         sys.Vm_sys.burst_pending []
     in
     Alcotest.(check (list int)) what expect (List.sort Int.compare pages);

@@ -55,7 +55,7 @@ let test_resident_alloc_free () =
   let res = sys.Vm_sys.resident in
   let total = Resident.total_pages res in
   Alcotest.(check int) "all free initially" total (Resident.free_count res);
-  let p = Option.get (Resident.alloc res) in
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
   Alcotest.(check int) "one taken" (total - 1) (Resident.free_count res);
   Resident.free_page res p;
   Alcotest.(check int) "back" total (Resident.free_count res)
@@ -64,7 +64,7 @@ let test_resident_hash_lookup () =
   let _, _, sys = setup () in
   let res = sys.Vm_sys.resident in
   let o = Vm_object.create_anonymous sys ~size:(4 * ps) in
-  let p = Option.get (Resident.alloc res) in
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
   Resident.insert res p ~obj:o ~offset:ps;
   let same_page expected found =
     match found with Some q -> q == expected | None -> false
@@ -73,18 +73,24 @@ let test_resident_hash_lookup () =
     (same_page p (Resident.lookup res ~obj:o ~offset:ps));
   Alcotest.(check bool) "other offset absent" true
     (Resident.lookup res ~obj:o ~offset:0 = None);
-  Resident.remove_from_object res p;
-  Alcotest.(check bool) "gone after remove" true
+  Resident.insert res p ~obj:o ~offset:(3 * ps);
+  Alcotest.(check bool) "gone from its old offset after a rename" true
     (Resident.lookup res ~obj:o ~offset:ps = None);
-  Resident.free_page res p
+  Alcotest.(check bool) "found at its new one" true
+    (same_page p (Resident.lookup res ~obj:o ~offset:(3 * ps)));
+  Resident.free_page res p;
+  Alcotest.(check bool) "gone after free" true
+    (Resident.lookup res ~obj:o ~offset:(3 * ps) = None)
 
 let test_resident_queues () =
   let _, _, sys = setup () in
   let res = sys.Vm_sys.resident in
-  let p = Option.get (Resident.alloc res) in
-  Resident.enqueue res p Types.Q_active;
+  let o = Vm_object.create_anonymous sys ~size:ps in
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
+  Resident.insert res p ~obj:o ~offset:0;
+  Resident.activate res p;
   Alcotest.(check int) "active" 1 (Resident.active_count res);
-  Resident.enqueue res p Types.Q_inactive;
+  Resident.deactivate res p;
   Alcotest.(check int) "moved" 0 (Resident.active_count res);
   Alcotest.(check int) "inactive" 1 (Resident.inactive_count res);
   (match Resident.take_inactive res with
@@ -101,7 +107,7 @@ let test_resident_page_multiple () =
   in
   Alcotest.(check int) "page size" 2048 (Resident.page_size res);
   Alcotest.(check int) "pages" 16 (Resident.total_pages res);
-  let p = Option.get (Resident.alloc res) in
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
   Alcotest.(check int) "aligned frame group" 0 (p.Types.pfn mod 4)
 
 let test_resident_respects_holes () =
@@ -132,7 +138,7 @@ let test_object_termination_frees_pages () =
   let res = sys.Vm_sys.resident in
   let free0 = Resident.free_count res in
   let o = Vm_object.create_anonymous sys ~size:(4 * ps) in
-  let p = Option.get (Resident.alloc res) in
+  let p = Option.get (Resident.alloc ~cpu:0 res) in
   Resident.insert res p ~obj:o ~offset:0;
   Alcotest.(check int) "page held" (free0 - 1) (Resident.free_count res);
   Vm_object.deallocate sys o;

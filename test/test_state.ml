@@ -25,8 +25,9 @@
    Every optional argument is passed: the fourth guard fails on a [?x]
    of a lib/ [val] that no application outside its module passes as
    [~x] or [?x].  The fifth fails on a [mutable] field that no [e.f <-
-   v] assigns, and the sixth on an inline-record field of a constructor
-   that no pattern of that constructor reads.  The seventh reads the
+   v] assigns (a copy [a.f <- b.f] sets nothing new), and the sixth on
+   an inline-record field of a constructor that no pattern of that
+   constructor reads.  The seventh reads the
    dune files and fails on a [(libraries ...)] entry that no module of
    its stanza names.  Each has an allowlist, and an entry that is used
    or gone fails its case too.
@@ -36,10 +37,12 @@
    Pager_guard reads, so the kernel's failure policy sits on every
    pager call.  The ninth fails on a [Machine.wait_io] or
    [Machine.wait_disk] in such a module: the kernel blocks on the disk
-   in Pager_guard alone.  The eleventh fails on a file outside
-   [ahead_writers_ok] that assigns a page's read-ahead state
-   ([pg_ahead]): Pager_guard rides and lands a page, Resident resets
-   it.
+   in Pager_guard alone.  The eleventh keeps the owner table: each
+   [mutable] field declared in lib/core/types.ml has one row in
+   [owners], naming the files that may assign it, and an assignment
+   from any other file fails, as does a listed file that no longer
+   assigns the field.  Resident is the one writer of every page
+   field.
 
    The kernel's tables are flat: the tenth guard fails on a
    [Hashtbl.Make] anywhere in lib/, and on an [(int, _) Hashtbl.t] in
@@ -227,14 +230,16 @@ let last path = List.nth path (List.length path - 1)
    own self-update [e.f <- ... e.f ...]: a field whose value only feeds
    itself is never read.  [set]: the fields of its [e.f <- v].
    [inline]: "C.f" for each field [f] of a [C { f; ... }] pattern, with
-   the path of [C].  An unqualified constructor or field has the empty
-   path. *)
+   the path of [C].  [writes]: the fields of every [e.f <- v], a copy
+   [a.f <- b.f] included, which [set] leaves out.  An unqualified
+   constructor or field has the empty path. *)
 type refs = {
   values : (string list * string) list;
   passed : (string list * string) list;
   built : (string list * string) list;
   read : (string list * string) list;
   set : (string list * string) list;
+  writes : (string list * string) list;
   inline : (string list * string) list;
 }
 
@@ -255,7 +260,8 @@ let refs (str : structure) =
     | _ -> ()
   in
   let opens = ref [] and values = ref [] and passed = ref [] in
-  let built = ref [] and read = ref [] and set = ref [] and inline = ref [] in
+  let built = ref [] and read = ref [] and set = ref [] and writes = ref [] in
+  let inline = ref [] in
   (* The fields being self-updated around the current expression, each
      as its receiver's printed text and its name. *)
   let updating = ref [] in
@@ -301,7 +307,11 @@ let refs (str : structure) =
       then read := split txt :: !read;
       Ast_iterator.default_iterator.expr it e
     | Pexp_setfield (r, { txt; _ }, v) ->
-      set := split txt :: !set;
+      writes := split txt :: !writes;
+      (match v.pexp_desc with
+       | Pexp_field (_, src) when Longident.last src.txt = Longident.last txt ->
+         ()
+       | _ -> set := split txt :: !set);
       it.expr it r;
       let saved = !updating in
       updating := self_update r txt :: saved;
@@ -348,7 +358,7 @@ let refs (str : structure) =
   it.structure it str;
   let qualified l = List.filter (fun (m, _) -> m <> []) l in
   { values = qualified !values; passed = qualified !passed; built = !built;
-    read = !read; set = !set; inline = !inline }
+    read = !read; set = !set; writes = !writes; inline = !inline }
 
 let caller_refs =
   lazy
@@ -698,6 +708,8 @@ let test_set_and_inline_guards_detect () =
   set "read and built, never assigned" [ "M.r.g"; "M.r.h" ]
     [ ("../bin/u.ml", "let r = { M.f = 1; g = 2; h = 3 }\nlet x = r.M.g") ];
   set "assigned" [ "M.r.h" ] [ ("../bin/u.ml", "let s r = r.M.g <- 1") ];
+  set "a copy from another record sets nothing" [ "M.r.h" ]
+    [ ("../bin/u.ml", "let s r = r.M.g <- 1\nlet c a b = a.M.h <- b.M.h") ];
   inline "matched with a wildcard" [ "M.E.block"; "M.E.write" ]
     [ ("../lib/x/v.ml", "let f g = try g () with M.E _ -> ()") ];
   inline "another constructor's field" [ "M.E.block"; "M.E.write" ]
@@ -1010,45 +1022,161 @@ let test_disk_wait_guard_detects () =
             ("../lib/pagers/simfs.ml",
              "let w m io = Mach_hw.Machine.wait_io m ~cpu:0 io") ]))
 
-(* The files that assign a page's read-ahead state, with what their
-   writes do. *)
-let ahead_writers_ok =
-  [ ("lib/core/pager_guard.ml",
-     "ride makes a page Riding or Prefetched; await_page lands it");
-    ("lib/core/resident.ml",
-     "prefetch_hit and free_page leave a page Demand") ]
+(* The owner table: one row for each [mutable] field declared in
+   lib/core/types.ml, as (field, files that may assign it, why). *)
+let owners =
+  let resident = [ "lib/core/resident.ml" ]
+  and page = "the resident page table writes every field of its pages"
+  and map = [ "lib/core/vm_map.ml" ]
+  and entry = "clipping, protection and inheritance are map operations"
+  and obj = [ "lib/core/vm_object.ml" ]
+  and lifecycle = "references, caching, shadowing and termination"
+  and cluster = [ "lib/core/vm_cluster.ml" ]
+  and stream = "a read-ahead stream slot is the clustering policy's"
+  and guard = [ "lib/core/pager_guard.ml" ]
+  and health = "the pager failure policy judges a pager's health"
+  and burst = [ "lib/core/vm_sys.ml" ]
+  and policy = "the burst window policy: burst_settle and burst_window"
+  and fault_map = [ "lib/core/vm_fault.ml"; "lib/core/vm_map.ml" ]
+  and shadow_step =
+    "map operations, and the fault's first object: an untouched entry \
+     gets its anonymous object, a write its shadow" in
+  [ ("Types.page.pg_found", resident, page);
+    ("Types.page.pg_life", resident, page);
+    ("Types.page.pg_ahead", resident, page);
+    ("Types.page.pg_queue_node", resident, page);
+    ("Types.page.pg_requeues", resident, page);
+    ("Types.Owned.where", resident, page);
+    ("Types.obj.obj_ref", obj, lifecycle);
+    ("Types.obj.obj_pager", [ "lib/core/vm_pageout.ml" ],
+     "an anonymous object gets its default pager at its first pageout");
+    ("Types.obj.obj_shadow", obj, lifecycle);
+    ("Types.obj.obj_shadow_offset", obj, lifecycle);
+    ("Types.obj.obj_cached", obj, lifecycle);
+    ("Types.obj.obj_readonly", [ "lib/core/pager_ops.ml" ],
+     "pager_readonly, a pager-to-kernel call of Table 3-2");
+    ("Types.obj.obj_dead", obj, lifecycle);
+    ("Types.obj.obj_rescue", guard,
+     "declaring a pager dead gives its object a rescue pager");
+    ("Types.obj.obj_streams",
+     [ "lib/core/vm_cluster.ml"; "lib/core/vm_object.ml" ],
+     "the first pagein sizes the slots; termination and a collapse drop \
+      them with the object");
+    ("Types.obj.obj_lock", obj, "the object's simulated lock");
+    ("Types.stream.st_map", cluster, stream);
+    ("Types.stream.st_entry", cluster, stream);
+    ("Types.stream.st_next", cluster, stream);
+    ("Types.stream.st_window", cluster, stream);
+    ("Types.stream.st_use", cluster, stream);
+    ("Types.stream.st_stamp", cluster, stream);
+    ("Types.pager_health.ph_consecutive", guard, health);
+    ("Types.pager_health.ph_dead", guard, health);
+    ("Types.entry.e_start", map, entry);
+    ("Types.entry.e_end", map, entry);
+    ("Types.entry.e_backing", fault_map, shadow_step);
+    ("Types.entry.e_offset", fault_map, shadow_step);
+    ("Types.entry.e_prot", map, entry);
+    ("Types.entry.e_max_prot", map, entry);
+    ("Types.entry.e_inherit", map, entry);
+    ("Types.entry.e_needs_copy", fault_map, shadow_step);
+    ("Types.entry.e_burst_window", burst, policy);
+    ("Types.entry.e_burst_skip", burst, policy);
+    ("Types.entry.e_burst_gap", burst, policy);
+    ("Types.entry.e_burst_hits", burst, policy);
+    ("Types.entry.e_burst_misses", burst, policy);
+    ("Types.vmap.map_hint", map, "the last-fault hint of a map lookup");
+    ("Types.vmap.map_ref", map, "a map's references") ]
 
-(* The path of each file in [files] (path, refs) that assigns
-   [pg_ahead] by [e.f <- v]. *)
-let ahead_writers files =
-  List.filter_map
+let shown_path path = String.sub path 3 (String.length path - 3)
+
+(* "field: path" for each assignment [e.f <- v] in [files] (path, refs),
+   copies included, of a mutable field of [declared]. *)
+let field_writes ~declared files =
+  List.concat_map
     (fun (path, r) ->
-       if List.exists (fun (_, f) -> f = "pg_ahead") r.set then
-         Some (String.sub path 3 (String.length path - 3))
-       else None)
+       List.filter_map
+         (fun (kind, m, name, shown) ->
+            if
+              kind = `Set
+              && List.exists
+                   (fun (p, f) -> f = name && (p = [] || List.mem m p))
+                   r.writes
+            then Some (shown ^ ": " ^ shown_path path)
+            else None)
+         declared)
     files
+  |> List.sort_uniq compare
 
-let test_ahead_writers () =
-  check_allowlist ~found:"files that assign pg_ahead, unlisted"
-    ~stale:"listed writers that no longer assign pg_ahead"
-    (ahead_writers (Lazy.force caller_refs))
-    ahead_writers_ok
+let owner_rows table =
+  List.concat_map
+    (fun (field, files, why) ->
+       List.map (fun f -> (field ^ ": " ^ f, why)) files)
+    table
 
-(* The detector on snippets: a write in another module is found, through
-   a module alias too; reads, a match and a record literal are not. *)
-let test_ahead_guard_detects () =
-  Alcotest.(check (list string)) "only the files that assign the field"
-    [ "lib/core/vm_cluster.ml"; "lib/pagers/vnode_pager.ml" ]
-    (ahead_writers
-       (snippet_refs
-          [ ("../lib/core/vm_cluster.ml",
-             "let f p = p.Types.pg_ahead <- Types.Prefetched");
-            ("../lib/core/vm_fault.ml",
-             "let g p = match p.pg_ahead with Demand -> true | _ -> false");
-            ("../lib/core/vm_sys.ml",
-             "let h p = { p with pg_ahead = Types.Demand }");
-            ("../lib/pagers/vnode_pager.ml",
-             "module T = Types\nlet w p = p.T.pg_ahead <- T.Demand") ]))
+let types_fields () =
+  List.filter
+    (fun (kind, m, _, _) -> kind = `Set && m = "Types")
+    (lib_declarations ())
+
+let test_owners () =
+  let declared = types_fields () in
+  Alcotest.(check (list string)) "one row per mutable field of Types"
+    (List.sort compare (List.map (fun (_, _, _, shown) -> shown) declared))
+    (List.sort compare (List.map (fun (field, _, _) -> field) owners));
+  check_allowlist ~found:"writes from files the owner table does not list"
+    ~stale:"listed writers that no longer assign their field"
+    (field_writes ~declared (Lazy.force caller_refs))
+    (owner_rows owners)
+
+(* The detector on snippets: a write from an unlisted file is found,
+   through a module alias too, and so is one to an inline field; a copy
+   is a write; reads, a match and a record literal are not; and a row
+   naming a file that no longer writes is stale. *)
+let test_owner_guard_detects () =
+  let path = "../lib/core/types.ml" in
+  let str =
+    parse_impl ~path
+      "type page = { mutable pg_life : int; mutable pg_ahead : int }\n\
+       type entry = { mutable e_offset : int }\n\
+       type life = Owned of { mutable where : int }"
+  in
+  let declared =
+    declarations ~path (fun it -> it.Ast_iterator.structure it str)
+  in
+  let writes =
+    field_writes ~declared
+      (snippet_refs
+         [ ("../lib/core/resident.ml",
+            "let f p = p.Types.pg_life <- 1; p.pg_ahead <- 2");
+           ("../lib/core/vm_fault.ml",
+            "let g p = p.Types.pg_life <- 0\n\
+             let e a b = a.e_offset <- b.e_offset");
+           ("../lib/core/vm_map.ml", "let h e = e.e_offset <- 0");
+           ("../lib/core/vm_cluster.ml",
+            "let i = function Types.Owned o -> o.where <- 1");
+           ("../lib/core/vm_sys.ml",
+            "let j p = match p.pg_life with 0 -> p.pg_ahead | _ -> 1\n\
+             let k p = { p with pg_ahead = 0 }\n\
+             let l p = p.N.pg_life <- 0");
+           ("../lib/pagers/vnode_pager.ml",
+            "module T = Types\nlet w p = p.T.pg_ahead <- 0") ])
+  in
+  let table =
+    let resident = "lib/core/resident.ml" in
+    [ ("Types.page.pg_life", [ resident ], "");
+      ("Types.page.pg_ahead", [ resident; "lib/core/vm_sys.ml" ], "");
+      ("Types.entry.e_offset", [ "lib/core/vm_fault.ml"; "lib/core/vm_map.ml" ],
+       "") ]
+  in
+  let rows = List.map fst (owner_rows table) in
+  Alcotest.(check (list string)) "writes outside the table"
+    [ "Types.Owned.where: lib/core/vm_cluster.ml";
+      "Types.page.pg_ahead: lib/pagers/vnode_pager.ml";
+      "Types.page.pg_life: lib/core/vm_fault.ml" ]
+    (List.filter (fun w -> not (List.mem w rows)) writes);
+  Alcotest.(check (list string)) "stale rows"
+    [ "Types.page.pg_ahead: lib/core/vm_sys.ml" ]
+    (List.filter (fun r -> not (List.mem r writes)) rows)
 
 (* The int-keyed polymorphic tables the kernel's layers may keep, as
    "path: (int, _) Hashtbl.t", with the reason each stays. *)
@@ -1176,10 +1304,10 @@ let () =
             test_disk_waits_guarded;
           Alcotest.test_case "guard detects unguarded disk waits" `Quick
             test_disk_wait_guard_detects;
-          Alcotest.test_case "read-ahead state written by its owners" `Quick
-            test_ahead_writers;
-          Alcotest.test_case "guard detects other read-ahead writers" `Quick
-            test_ahead_guard_detects;
+          Alcotest.test_case "every mutable field written by its owners"
+            `Quick test_owners;
+          Alcotest.test_case "guard detects unlisted and stale writers" `Quick
+            test_owner_guard_detects;
           Alcotest.test_case
             "no Hashtbl.Make, no int-keyed Hashtbl in the kernel" `Quick
             test_tables_flat;
